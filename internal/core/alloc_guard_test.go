@@ -13,7 +13,7 @@ import (
 // small chained GreedyMR computation. The budget covers the one-time
 // setup (node records, driver, first-round pool fills) plus per-round
 // fixed overhead; the per-node and per-key hot-loop work — message
-// copies, topByWeight selections, mark intersections, adjacency
+// copies, prefix proposals, edge-stamp intersections, adjacency
 // compaction — must stay allocation-free or this blows up by an order
 // of magnitude (the instance runs ~500 node records across several
 // rounds). CI runs it by name (-run TestAllocGuard); excluded under

@@ -52,7 +52,7 @@ func GreedyMR(ctx context.Context, g *graph.Bipartite, opts GreedyMROptions) (*R
 		driver.MaxRounds = 4*g.NumEdges() + 16
 	}
 
-	state := mapreduce.PartitionDataset(nodeRecords(g), driver.Partitions())
+	state := mapreduce.PartitionDataset(greedyRecords(g), driver.Partitions())
 	var matched []int32 // cumulative, kept sorted by edge id
 	var trace []float64
 
@@ -109,6 +109,20 @@ func GreedyMR(ctx context.Context, g *graph.Bipartite, opts GreedyMROptions) (*R
 	return res, nil
 }
 
+// greedyRecords is nodeRecords with every adjacency list ordered
+// heaviest first (byWeightThenID — the total order of the cLv selection
+// in Algorithm 3). The order is established once here and survives every
+// round, because greedyReduce compacts the surviving entries in place
+// without reordering them; the b(v) heaviest remaining edges of a node
+// are therefore always the prefix Adj[:B], and no round sorts anything.
+func greedyRecords(g *graph.Bipartite) []mapreduce.Pair[graph.NodeID, nodeState] {
+	recs := nodeRecords(g)
+	for _, r := range recs {
+		slices.SortFunc(r.Value.Adj, byWeightThenID)
+	}
+	return recs
+}
+
 // greedyMsg is the intermediate value of a GreedyMR round: either a
 // node's own state forwarded to itself (by value — a pointer here would
 // cost one heap allocation per live node per round), or a proposal flag
@@ -129,110 +143,94 @@ type greedyOut struct {
 	alive   bool
 }
 
-// greedyScratch is the per-task scratch of the GreedyMR hot loop: the
-// index buffer of topByWeight and the reducer's edge-mark buffer. Map
-// and reduce tasks borrow one per call through greedyScratchPool, so
-// the steady-state round performs no per-node or per-key allocation.
-type greedyScratch struct {
-	idx   []int32
-	marks []int32
-}
-
-var greedyScratchPool = sync.Pool{New: func() any { return new(greedyScratch) }}
-
 // greedyMap implements the map phase of Algorithm 3: node v proposes its
-// top-b(v) incident edges. Proposal membership is tested against the
-// sorted adjacency indexes chosen by topByWeight — no per-node set
-// allocation on this hot path.
+// top-b(v) incident edges — the first B entries of its weight-ordered
+// adjacency (see greedyRecords).
 func greedyMap(v graph.NodeID, st nodeState, out mapreduce.Emitter[graph.NodeID, greedyMsg]) error {
 	out.Emit(v, greedyMsg{state: st, self: true})
-	sc := greedyScratchPool.Get().(*greedyScratch)
-	chosen := topByWeight(st.Adj, st.B, sc.idx)
-	slices.Sort(chosen)
 	for i, h := range st.Adj {
-		out.Emit(h.Other, greedyMsg{edge: h.ID, proposed: sortedContains(chosen, int32(i))})
+		out.Emit(h.Other, greedyMsg{edge: h.ID, proposed: i < st.B})
 	}
-	sc.idx = chosen
-	greedyScratchPool.Put(sc)
 	return nil
 }
 
-// edgeMark packs one neighbor message into an int32 for the reducer's
-// sorted-slice intersection: the edge id shifted left once, with the
-// proposal bit in-band in the low bit. The mapping is injective for all
-// valid edge ids (only the sign bit is lost to the shift), and the
-// marks' numeric order is irrelevant — they are only searched.
-func edgeMark(edge int32, proposed bool) int32 {
-	m := edge << 1
-	if proposed {
-		m |= 1
-	}
-	return m
-}
+// Neighbor messages are intersected with a node's own proposals through
+// an edge-indexed mark table: one byte per edge of the graph, zero
+// except while a reduce call has its node's messages stamped in.
+const (
+	markSeen     = 1 << iota // the other endpoint is alive and sent a message
+	markProposed             // ... and the message proposes the edge
+)
+
+// edgeMarkPool lends reduce tasks their mark tables (*[]uint8, all
+// zero between calls). At most one table per concurrently running
+// reduce task is live; a table the collector drops from the pool costs
+// |E| bytes to replace.
+var edgeMarkPool = sync.Pool{New: func() any { return new([]uint8) }}
 
 // greedyReduce implements the reduce phase of Algorithm 3: node u
 // intersects its own proposals with its neighbors' and updates its state.
 // Edges for which no message arrived have a dead neighbor and are
-// dropped. The proposal set of u is recomputed here with the same
-// deterministic rule the mapper used, so both endpoints of an edge reach
-// the same verdict.
+// dropped. The proposal set of u is the same Adj[:B] prefix the mapper
+// used, so both endpoints of an edge reach the same verdict.
 //
-// The intersection runs over one sorted slice of in-band edge marks
-// instead of the two per-node map[int32]bool sets a naive translation
-// would allocate — this reduce is the hot loop of every GreedyMR round
-// (BenchmarkGreedyMRSingleRound), and the maps dominated its
-// allocation profile. The mark and index buffers come from the shared
-// scratch pool, and the surviving adjacency list is compacted in place
-// into the node's own array (the reduce owns it: the previous round's
-// holders are dead by the time this round's reduce runs, and writes
-// trail reads in the compaction), so a steady-state round allocates
-// nothing per key.
+// One round costs O(messages + live adjacency) per node: each neighbor
+// message stamps its edge's mark, each adjacency entry reads its mark
+// back, and the stamps are wiped again — no per-node set, sort or
+// search. The surviving adjacency list is compacted in place into the
+// node's own array (the reduce owns it: the previous round's holders
+// are dead by the time this round's reduce runs, and writes trail reads
+// in the compaction), preserving its weight order, so a steady-state
+// round allocates nothing per key.
 func greedyReduce(g *graph.Bipartite) mapreduce.ReduceFunc[graph.NodeID, greedyMsg, graph.NodeID, greedyOut] {
 	return func(u graph.NodeID, msgs []greedyMsg, out mapreduce.Emitter[graph.NodeID, greedyOut]) error {
+		table := edgeMarkPool.Get().(*[]uint8)
+		defer edgeMarkPool.Put(table)
+		if len(*table) < g.NumEdges() {
+			*table = make([]uint8, g.NumEdges())
+		}
+		marks := *table
 		var self *nodeState
-		sc := greedyScratchPool.Get().(*greedyScratch)
-		defer greedyScratchPool.Put(sc)
-		marks := sc.marks[:0]
 		for i := range msgs {
 			m := &msgs[i]
-			if m.self {
-				self = &m.state
-				continue
-			}
-			marks = append(marks, edgeMark(m.edge, m.proposed))
-		}
-		sc.marks = marks
-		if self == nil {
-			// The node died in an earlier round; stray proposals from
-			// neighbors that have not yet noticed are ignored.
-			return nil
-		}
-		slices.Sort(marks)
-		mine := topByWeight(self.Adj, self.B, sc.idx)
-		sc.idx = mine
-		slices.Sort(mine)
-		var res greedyOut
-		adj := self.Adj
-		next := nodeState{B: self.B, Adj: adj[:0]}
-		for i, h := range adj {
-			proposed := sortedContains(marks, edgeMark(h.ID, true))
-			seen := proposed || sortedContains(marks, edgeMark(h.ID, false))
 			switch {
-			case !seen:
-				// Neighbor is gone: drop the edge.
-			case proposed && sortedContains(mine, int32(i)):
-				// Both endpoints proposed: matched.
-				next.B--
-				if g.SideOf(u) == graph.ItemSide {
-					res.matched = append(res.matched, h.ID)
-				}
+			case m.self:
+				self = &m.state
+			case m.proposed:
+				marks[m.edge] = markSeen | markProposed
 			default:
-				next.Adj = append(next.Adj, h)
+				marks[m.edge] = markSeen
 			}
 		}
-		if next.B > 0 && len(next.Adj) > 0 {
-			res.state = next
-			res.alive = true
+		var res greedyOut
+		// A node without a self message died in an earlier round; stray
+		// proposals from neighbors that have not yet noticed are ignored.
+		if self != nil {
+			adj := self.Adj
+			next := nodeState{B: self.B, Adj: adj[:0]}
+			for i, h := range adj {
+				switch mark := marks[h.ID]; {
+				case mark == 0:
+					// Neighbor is gone: drop the edge.
+				case mark&markProposed != 0 && i < self.B:
+					// Both endpoints proposed: matched.
+					next.B--
+					if g.SideOf(u) == graph.ItemSide {
+						res.matched = append(res.matched, h.ID)
+					}
+				default:
+					next.Adj = append(next.Adj, h)
+				}
+			}
+			if next.B > 0 && len(next.Adj) > 0 {
+				res.state = next
+				res.alive = true
+			}
+		}
+		for i := range msgs {
+			if m := &msgs[i]; !m.self {
+				marks[m.edge] = 0
+			}
 		}
 		if res.alive || len(res.matched) > 0 {
 			out.Emit(u, res)

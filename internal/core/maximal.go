@@ -189,7 +189,7 @@ func markingMap(cfg maximalConfig, iter int) mapreduce.MapFunc[graph.NodeID, mmN
 		k := (st.B + 1) / 2
 		var chosen []int
 		if cfg.strategy == MarkHeaviest {
-			for _, i := range topByWeight(halves(st.Adj), k, nil) {
+			for _, i := range topByWeight(halves(st.Adj), k) {
 				chosen = append(chosen, int(i))
 			}
 		} else {

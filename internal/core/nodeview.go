@@ -86,43 +86,36 @@ func nodeRecords(g *graph.Bipartite) []mapreduce.Pair[graph.NodeID, nodeState] {
 	return recs
 }
 
-// topByWeight returns the indexes (into adj) of the k heaviest edges,
-// with deterministic tie-breaking on edge id, appended to buf (pass a
-// recycled scratch slice to make the call allocation-free — this runs
-// twice per node per round in GreedyMR's hot loop). It is the cLv
-// selection of GreedyMR (Algorithm 3) and the greedy marking strategy
-// of StackGreedyMR. The comparator is a total order (edge ids are
-// unique), so the unstable sort is deterministic.
-func topByWeight(adj []half, k int, buf []int32) []int32 {
+// byWeightThenID orders halves heaviest first, ties by ascending edge
+// id: the cLv selection order of GreedyMR (Algorithm 3) and of the
+// greedy marking strategy of StackGreedyMR. It is a total order (edge
+// ids are unique), so an unstable sort under it is deterministic.
+func byWeightThenID(a, b half) int {
+	if a.W != b.W {
+		if a.W > b.W {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.ID, b.ID)
+}
+
+// topByWeight returns the indexes (into adj) of the k first edges under
+// byWeightThenID, leaving adj itself in incidence order (the stack
+// algorithms fold floating-point sums over it in that order).
+func topByWeight(adj []half, k int) []int32 {
 	if k <= 0 {
 		return nil
 	}
-	idx := buf[:0]
+	idx := make([]int32, len(adj))
 	for i := range adj {
-		idx = append(idx, int32(i))
+		idx[i] = int32(i)
 	}
-	slices.SortFunc(idx, func(a, b int32) int {
-		ea, eb := adj[a], adj[b]
-		if ea.W != eb.W {
-			if ea.W > eb.W {
-				return -1
-			}
-			return 1
-		}
-		return int(ea.ID - eb.ID)
-	})
+	slices.SortFunc(idx, func(a, b int32) int { return byWeightThenID(adj[a], adj[b]) })
 	if k < len(idx) {
 		idx = idx[:k]
 	}
 	return idx
-}
-
-// sortedContains reports membership in an ascending-sorted slice; with
-// slices.Sort at the build site it replaces the per-node sets the
-// matching hot loops would otherwise allocate.
-func sortedContains[T cmp.Ordered](sorted []T, x T) bool {
-	_, ok := slices.BinarySearch(sorted, x)
-	return ok
 }
 
 // countLiveEdges sums adjacency lengths over a node-view Dataset; every

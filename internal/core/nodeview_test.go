@@ -2,8 +2,6 @@ package core
 
 import (
 	"reflect"
-	"slices"
-	"sort"
 	"testing"
 
 	"repro/internal/graph"
@@ -17,38 +15,18 @@ func TestTopByWeight(t *testing.T) {
 		{ID: 2, Other: 12, W: 2.0},
 		{ID: 3, Other: 13, W: 3.0}, // tie with ID 1: lower id wins
 	}
-	got := topByWeight(adj, 2, nil)
+	got := topByWeight(adj, 2)
 	if len(got) != 2 || adj[got[0]].ID != 1 || adj[got[1]].ID != 3 {
 		t.Errorf("topByWeight(2) picked %v", got)
 	}
-	if got := topByWeight(adj, 0, nil); got != nil {
+	if got := topByWeight(adj, 0); got != nil {
 		t.Errorf("topByWeight(0) = %v", got)
 	}
-	if got := topByWeight(adj, 10, nil); len(got) != 4 {
+	if got := topByWeight(adj, 10); len(got) != 4 {
 		t.Errorf("topByWeight(10) returned %d", len(got))
 	}
-	if got := topByWeight(nil, 3, nil); len(got) != 0 {
+	if got := topByWeight(nil, 3); len(got) != 0 {
 		t.Errorf("topByWeight(nil) = %v", got)
-	}
-}
-
-func TestSortedSliceMembership(t *testing.T) {
-	marks := []int32{9, 2, 5}
-	slices.Sort(marks)
-	for _, x := range []int32{2, 5, 9} {
-		if !sortedContains(marks, x) {
-			t.Errorf("sortedContains(%v, %d) = false", marks, x)
-		}
-	}
-	for _, x := range []int32{0, 3, 10} {
-		if sortedContains(marks, x) {
-			t.Errorf("sortedContains(%v, %d) = true", marks, x)
-		}
-	}
-	idx := []int{4, 0, 2}
-	sort.Ints(idx)
-	if !sortedContains(idx, 2) || sortedContains(idx, 3) {
-		t.Errorf("sortedContains membership wrong for %v", idx)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/mapreduce/remote"
 )
 
@@ -55,6 +56,23 @@ func TestAllocGuardChainedRound(t *testing.T) {
 	if avg > limit {
 		t.Errorf("steady-state chained round allocates %.1f (> %d): buffer recycling regressed", avg, limit)
 	}
+}
+
+// TestAllocGuardPartitionIndexNamedInt pins the typed key path on the
+// key every matching round hashes: a named integer (graph.NodeID) must
+// hash without boxing, reflection values, or fmt — zero allocations —
+// where it used to cost one hasher and one formatted string per pair.
+func TestAllocGuardPartitionIndexNamedInt(t *testing.T) {
+	var sink int
+	id := graph.NodeID(0)
+	avg := testing.AllocsPerRun(1000, func() {
+		id++
+		sink += partitionIndex(id, 16)
+	})
+	if avg != 0 {
+		t.Errorf("partitionIndex[graph.NodeID] allocates %.3f per call, want 0", avg)
+	}
+	_ = sink
 }
 
 // TestAllocGuardMemoryAddBucket pins the memory backend's ingest: an

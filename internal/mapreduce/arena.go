@@ -137,15 +137,23 @@ func takeFit[T any](list *[][]T, n int) ([]T, bool) {
 	return nil, false
 }
 
-// putFree checks a slice into a free list, clearing its storage when
-// clearIt is set (so stale pointers in recycled buffers cannot pin dead
-// objects against the garbage collector). Full lists drop the slice.
+// putFree checks a slice into a free list, clearing what was written
+// when clearIt is set (so stale pointers in recycled buffers cannot pin
+// dead objects against the garbage collector). Full lists drop the slice.
+//
+// Only s[:len(s)] is cleared, not the whole capacity: a round loop on a
+// shrinking input would otherwise re-zero its round-one-sized buffers
+// every round. This keeps free-listed storage zero over its full
+// capacity given the holders' discipline — a buffer is written only
+// within its length and checked in at its high-water length (append
+// only, or a get* slice returned at the length it was handed out) —
+// because fresh and append-grown storage is zero beyond its length too.
 func putFree[T any](list *[][]T, s []T, clearIt bool) {
 	if cap(s) == 0 || len(*list) >= arenaDepth {
 		return
 	}
 	if clearIt {
-		clear(s[:cap(s)])
+		clear(s)
 	}
 	*list = append(*list, s[:0])
 }

@@ -240,3 +240,87 @@ func TestPoolStatsReportReuse(t *testing.T) {
 		t.Error("driver totals lost the pool stats")
 	}
 }
+
+// TestRecycledBufferTailsAreZero pins the invariant putFree's prefix
+// clear rests on: every free-listed buffer is zero over its whole
+// capacity, not just over what its last holder wrote. The loop shrinks
+// round by round (the GreedyMR shape), so round-one-sized buffers are
+// checked in again and again at ever shorter lengths; the values carry
+// a pointer, the case a stale tail would pin against the collector.
+func TestRecycledBufferTailsAreZero(t *testing.T) {
+	type boxed struct {
+		p *int64
+		n int64
+	}
+	const n = 4000 // several full emit buckets per partition in round one
+	pairs := make([]Pair[int32, boxed], n)
+	for i := range pairs {
+		v := int64(i)
+		pairs[i] = P(int32(i), boxed{p: &v, n: v})
+	}
+	driver := NewDriver(Config{Mappers: 2, Reducers: 2})
+	driver.MaxRounds = 64
+	state := PartitionDataset(pairs, driver.Partitions())
+	_, err := Loop(context.Background(), driver, state, func(
+		ctx context.Context, round int, st *Dataset[int32, boxed],
+	) (*Dataset[int32, boxed], error) {
+		out, err := RunJobDS(ctx, driver, "shrink", st,
+			func(k int32, v boxed, out Emitter[int32, boxed]) error {
+				out.Emit(k, v)
+				out.Emit(k/2, v)
+				return nil
+			},
+			func(k int32, vs []boxed, out Emitter[int32, boxed]) error {
+				if k%3 != int32(round)%3 { // a third of the keys die per round
+					out.Emit(k, vs[0])
+				}
+				return nil
+			})
+		if err != nil {
+			return nil, err
+		}
+		next := MapValues(out, func(_ int32, v boxed) (boxed, bool) { return v, true })
+		out.Recycle()
+		return next, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if driver.Rounds() < 5 {
+		t.Fatalf("only %d rounds: the loop did not shrink gradually", driver.Rounds())
+	}
+	ar := arenaFor[int32, boxed](driver.cfg.Pool, driver.Partitions())
+	checked := 0
+	for p := range ar.parts {
+		part := &ar.parts[p]
+		for class, list := range map[string][][]Pair[int32, boxed]{"buckets": part.buckets, "pairs": part.pairs} {
+			for _, s := range list {
+				checked++
+				for i, v := range s[:cap(s)] {
+					if v != (Pair[int32, boxed]{}) {
+						t.Fatalf("partition %d %s: stale pair at %d of cap %d", p, class, i, cap(s))
+					}
+				}
+			}
+		}
+		for _, s := range part.vals {
+			checked++
+			for i, v := range s[:cap(s)] {
+				if v != (boxed{}) {
+					t.Fatalf("partition %d vals: stale value at %d of cap %d", p, i, cap(s))
+				}
+			}
+		}
+		for _, s := range part.keys {
+			checked++
+			for i, k := range s[:cap(s)] {
+				if k != 0 {
+					t.Fatalf("partition %d keys: stale key at %d of cap %d", p, i, cap(s))
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("the arena holds no free buffers: nothing was checked")
+	}
+}

@@ -356,7 +356,7 @@ func TestCheckpointV1FileRestore(t *testing.T) {
 func TestSpillRunBytesShrink(t *testing.T) {
 	kc, _ := resolveSpillCodec[int32]()
 	vc, _ := resolveSpillCodec[int64]()
-	imgFn := keyImageFn[int32](keyOrderKind[int32]())
+	imgFn := keyShapeOf[int32]().image()
 	recs := make([]spillRec[int32, int64], 20000)
 	for i := range recs {
 		key := int32((i * 31) % 4096)

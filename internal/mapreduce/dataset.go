@@ -191,9 +191,10 @@ func (d *Dataset[K, V]) Repartition(parts int) *Dataset[K, V] {
 		parts = 1
 	}
 	out := &Dataset[K, V]{parts: make([][]Pair[K, V], parts), aligned: true}
+	shape := keyShapeOf[K]()
 	for _, part := range d.parts {
 		for _, p := range part {
-			idx := partitionIndex(p.Key, parts)
+			idx := shape.partition(p.Key, parts)
 			out.parts[idx] = append(out.parts[idx], p)
 		}
 	}

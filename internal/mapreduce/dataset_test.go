@@ -505,7 +505,7 @@ func TestLoopFailureSeedMixing(t *testing.T) {
 	}
 }
 
-// TestFloatZeroKeysRouteToOnePartition pins hashKey's canonical zero:
+// TestFloatZeroKeysRouteToOnePartition pins keyShape.hash's canonical zero:
 // -0.0 and +0.0 are one Go map key, so they must hash to one partition
 // (multi-reducer flat jobs) and the identity route (which compares with
 // ==) must agree with the hash route on them — chained and flat output

@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+
+	"repro/internal/graph"
 )
 
 // This file pins the partitioned, sort-grouped shuffle to the seed
@@ -68,7 +70,7 @@ func referenceRun[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V
 	return out
 }
 
-// The three equivalence corpora below are shared with the distributed
+// The equivalence corpora below are shared with the distributed
 // backend's tests (dist_test.go), which run the same functions on
 // in-test worker processes — so the map/reduce functions live at file
 // scope and the reduces register under the eq* job names in
@@ -151,6 +153,26 @@ func int32Input() []Pair[int32, int32] {
 		input[i] = P(int32(i), int32(i))
 	}
 	return input
+}
+
+// nodeIDMap and nodeIDReduce are the int32 corpus re-keyed by a named
+// integer (graph.NodeID, the key of every matching round): the same
+// emissions and the same order-sensitive fold, so the job's output must
+// equal the int32 job's key for key.
+func nodeIDMap(k, v int32, out Emitter[graph.NodeID, int32]) error {
+	for f := int32(0); f < 5; f++ {
+		out.Emit(graph.NodeID((k*17+f)%257-128), v+f)
+	}
+	return nil
+}
+
+func nodeIDReduce(k graph.NodeID, vs []int32, out Emitter[graph.NodeID, int64]) error {
+	acc := int64(0)
+	for i, v := range vs {
+		acc = acc*31 + int64(v)*int64(i+1)
+	}
+	out.Emit(k, acc)
+	return nil
 }
 
 func TestShuffleMatchesReferenceIntKeys(t *testing.T) {
@@ -378,7 +400,7 @@ func TestSortKeyValsStability(t *testing.T) {
 			keys[i] = int32(rng.Intn(97)) - 48
 			vals[i] = i
 		}
-		sk, sv, run := sortKeyVals(keys, vals, keyOrderKind[int32](), nil, 0, nil)
+		sk, sv, run := sortKeyVals(keys, vals, keyShapeOf[int32](), nil, 0, nil)
 		if !run.exact || run.ord == nil {
 			t.Fatal("int32 keys should produce an exact sorted run")
 		}
@@ -395,7 +417,7 @@ func TestSortKeyValsStability(t *testing.T) {
 			keys[i] = (int64(rng.Intn(31)) - 15) << 40 // spread beyond 32 bits
 			vals[i] = i
 		}
-		sk, sv, _ := sortKeyVals(keys, vals, keyOrderKind[int64](), nil, 0, nil)
+		sk, sv, _ := sortKeyVals(keys, vals, keyShapeOf[int64](), nil, 0, nil)
 		check("int64", sk, sv)
 	})
 	t.Run("string-prefix-and-long", func(t *testing.T) {
@@ -406,7 +428,7 @@ func TestSortKeyValsStability(t *testing.T) {
 			keys[i] = words[rng.Intn(len(words))]
 			vals[i] = i
 		}
-		sk, sv, _ := sortKeyVals(keys, vals, keyOrderKind[string](), nil, 0, nil)
+		sk, sv, _ := sortKeyVals(keys, vals, keyShapeOf[string](), nil, 0, nil)
 		for i := 1; i < n; i++ {
 			if sk[i] < sk[i-1] {
 				t.Fatalf("strings out of order at %d: %q < %q", i, sk[i], sk[i-1])
@@ -423,7 +445,7 @@ func TestSortKeyValsStability(t *testing.T) {
 			keys[i] = nodeKey(rng.Intn(61) - 30)
 			vals[i] = i
 		}
-		sk, sv, run := sortKeyVals(keys, vals, keyOrderKind[nodeKey](), nil, 0, nil)
+		sk, sv, run := sortKeyVals(keys, vals, keyShapeOf[nodeKey](), nil, 0, nil)
 		if !run.exact {
 			t.Fatal("named int32 keys should produce an exact run")
 		}
@@ -442,7 +464,7 @@ func TestSortKeyValsStability(t *testing.T) {
 		for i := range vals {
 			vals[i] = i
 		}
-		sk, sv, run := sortKeyVals(keys, vals, keyOrderKind[float64](), nil, 0, nil)
+		sk, sv, run := sortKeyVals(keys, vals, keyShapeOf[float64](), nil, 0, nil)
 		if run.ord != nil {
 			t.Fatal("float keys must not claim an image-equality run")
 		}
@@ -573,9 +595,10 @@ func TestDatasetChainedMatchesReference(t *testing.T) {
 
 // TestDistMatchesMemoryAndSpill pins the distributed backend to the
 // same semantics: two in-test workers over loopback TCP must reproduce
-// the memory and spill backends' output bit-for-bit on the three
+// the memory and spill backends' output bit-for-bit on the
 // equivalence corpora (string-keyed wordcount, order-sensitive int32
-// fold, fmt-colliding composite keys). The reduces run inside the
+// fold, the same fold keyed by a named int32, fmt-colliding composite
+// keys). The reduces run inside the
 // worker goroutines via the registry (registerDistTestJobs), exactly as
 // they would in a worker process.
 func TestDistMatchesMemoryAndSpill(t *testing.T) {
@@ -610,6 +633,42 @@ func TestDistMatchesMemoryAndSpill(t *testing.T) {
 		spillCfg.Reducers = 4
 		if spill := run(spillCfg); !reflect.DeepEqual(spill, dist) {
 			t.Fatal("dist diverges from spill on int32 keys")
+		}
+	})
+	t.Run("named-int32", func(t *testing.T) {
+		input := int32Input()
+		run := func(cfg Config) []Pair[graph.NodeID, int64] {
+			out, _, err := Run(context.Background(), cfg, input, nodeIDMap, nodeIDReduce)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
+		mem := run(Config{Mappers: 4, Reducers: 4, Name: "eq-nodeid"})
+		if ref := referenceRun(t, 4, 4, input, nodeIDMap, nodeIDReduce); !reflect.DeepEqual(mem, ref) {
+			t.Fatal("memory backend diverges from the reference shuffle on named int32 keys")
+		}
+		if dist := run(distCfg4(cl, "eq-nodeid")); !reflect.DeepEqual(mem, dist) {
+			t.Fatal("dist diverges from memory on named int32 keys")
+		}
+		spillCfg := spillCfg(128)
+		spillCfg.Reducers = 4
+		if spill := run(spillCfg); !reflect.DeepEqual(mem, spill) {
+			t.Fatal("spill diverges from memory on named int32 keys")
+		}
+		// Same partitions, same group order, same value order as the
+		// underlying type: the int32 job's output, key for key.
+		plain, _, err := Run(context.Background(), Config{Mappers: 4, Reducers: 4}, input, int32Map, int32Reduce)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(plain) != len(mem) {
+			t.Fatalf("named job has %d groups, int32 job %d", len(mem), len(plain))
+		}
+		for i, p := range plain {
+			if int32(mem[i].Key) != p.Key || mem[i].Value != p.Value {
+				t.Fatalf("output %d: named (%d, %d), int32 (%d, %d)", i, mem[i].Key, mem[i].Value, p.Key, p.Value)
+			}
 		}
 	})
 	t.Run("fmt-collision", func(t *testing.T) {

@@ -47,6 +47,16 @@ import (
 // journalManifestName is the manifest file within a journal directory.
 const journalManifestName = "JOURNAL"
 
+// journalFormat tags every manifest line with the generation of what
+// the segments' records mean. Resident records are stored per
+// partition, so the tag covers the partitioner as much as the framing:
+// "v2" is the first generation in which every integer-kind key hashes
+// through mix64 (see keyShape.hash). A manifest with any other tag was
+// written under a different key-to-partition mapping; replaying it
+// would seed a node's state and its neighbours' messages into different
+// partitions, so resume refuses it. There is no compatibility reader.
+const journalFormat = "v2"
+
 // journalKeepSegs bounds retained segment files: the current segment
 // and the one it resumed from.
 const journalKeepSegs = 2
@@ -154,7 +164,8 @@ func openDistJournal(dir string, resume bool, crashAfter int) (*distJournal, err
 // segment: CRC-validate frames until the first damaged one, keep the
 // job records up to the last commit record, discard the rest (the
 // crashed round re-runs live). A directory with no usable committed
-// history yields an empty queue — the run simply starts over.
+// history yields an empty queue — the run simply starts over; a
+// manifest of another journalFormat is an error.
 func (j *distJournal) loadLatest() error {
 	raw, err := os.ReadFile(filepath.Join(j.dir, journalManifestName))
 	if err != nil {
@@ -166,9 +177,15 @@ func (j *distJournal) loadLatest() error {
 	var segs []string
 	for _, line := range strings.Split(string(raw), "\n") {
 		fields := strings.Fields(line)
-		if len(fields) >= 1 && fields[0] != "" {
-			segs = append(segs, fields[0])
+		if len(fields) == 0 {
+			continue
 		}
+		if len(fields) != 2 || fields[1] != journalFormat {
+			return fmt.Errorf("mapreduce: dist journal: manifest line %q in %s is not tagged %s: "+
+				"the journal was written by a different partitioner and cannot be resumed by this build",
+				line, j.dir, journalFormat)
+		}
+		segs = append(segs, fields[0])
 	}
 	for i := len(segs) - 1; i >= 0; i-- {
 		pending, round, ok := loadJournalSegment(filepath.Join(j.dir, segs[i]))
@@ -382,10 +399,10 @@ func (j *distJournal) flipLocked() {
 	var sb strings.Builder
 	keep := map[string]bool{j.seg: true}
 	if j.prevSeg != "" {
-		fmt.Fprintf(&sb, "%s v1\n", j.prevSeg)
+		fmt.Fprintf(&sb, "%s %s\n", j.prevSeg, journalFormat)
 		keep[j.prevSeg] = true
 	}
-	fmt.Fprintf(&sb, "%s v1\n", j.seg)
+	fmt.Fprintf(&sb, "%s %s\n", j.seg, journalFormat)
 	tmp := filepath.Join(j.dir, journalManifestName+".tmp")
 	if err := os.WriteFile(tmp, []byte(sb.String()), 0o644); err != nil {
 		j.err = fmt.Errorf("mapreduce: dist journal: %w", err)

@@ -1,0 +1,194 @@
+package mapreduce
+
+import (
+	"cmp"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/vector"
+)
+
+// Named integer types over every integer kind, for the table below.
+type (
+	namedInt     int
+	namedInt8    int8
+	namedInt16   int16
+	namedInt64   int64
+	namedUint    uint
+	namedUint8   uint8
+	namedUint16  uint16
+	namedUint32  uint32
+	namedUint64  uint64
+	namedUintptr uintptr
+)
+
+// checkNamedMatchesUnderlying asserts, for one integer kind U and a
+// named type N over it, that N keys take exactly the path U keys take:
+// same partition for every partition count, same order image, same
+// comparator verdicts, same group-sort permutation — and that this
+// shared order is the numeric one.
+func checkNamedMatchesUnderlying[U cmp.Ordered, N comparable](t *testing.T, name string, edge []U, draw func(*rand.Rand) U, conv func(U) N) {
+	t.Run(name, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(17))
+		vals := slices.Clone(edge)
+		for i := 0; i < 200; i++ {
+			vals = append(vals, draw(rng))
+		}
+		vals = append(vals, vals[:20]...) // repeated keys: groups of several values
+		us, ns := keyShapeOf[U](), keyShapeOf[N]()
+		if us != keyShape[U](ns) {
+			t.Fatalf("shape of %T is %+v, of %T is %+v", conv(vals[0]), ns, vals[0], us)
+		}
+		if us.kind != keyInt && us.kind != keyUint {
+			t.Fatalf("%T resolved to kind %d, not an integer kind", vals[0], us.kind)
+		}
+		uimg, nimg := us.image(), ns.image()
+		ucmp, ncmp := us.cmp(), ns.cmp()
+		for _, u := range vals {
+			n := conv(u)
+			for _, r := range []int{1, 2, 3, 7, 16, 1 << 20} {
+				if pu, pn := partitionIndex(u, r), partitionIndex(n, r); pu != pn {
+					t.Fatalf("partitionIndex(%v, %d): underlying %d, named %d", u, r, pu, pn)
+				}
+			}
+			if uimg(u) != nimg(n) {
+				t.Fatalf("key image of %v: underlying %#x, named %#x", u, uimg(u), nimg(n))
+			}
+			for _, v := range vals[:12] {
+				want := cmp.Compare(u, v)
+				if got := ucmp(u, v); got != want {
+					t.Fatalf("underlying cmp(%v, %v) = %d, want %d", u, v, got, want)
+				}
+				if got := ncmp(n, conv(v)); got != want {
+					t.Fatalf("named cmp(%v, %v) = %d, want %d", u, v, got, want)
+				}
+			}
+		}
+		// Group order: the stable sort must produce the same permutation
+		// for both spellings, ascending numerically, ties in input order.
+		idx := func() []int {
+			out := make([]int, len(vals))
+			for i := range out {
+				out[i] = i
+			}
+			return out
+		}
+		nkeys := make([]N, len(vals))
+		for i, u := range vals {
+			nkeys[i] = conv(u)
+		}
+		su, pu, _ := sortKeyVals(slices.Clone(vals), idx(), us, nil, 0, nil)
+		_, pn, nrun := sortKeyVals(nkeys, idx(), ns, nil, 0, nil)
+		if !nrun.exact || nrun.ord == nil {
+			t.Fatal("named integer keys should produce an exact sorted run")
+		}
+		if !slices.Equal(pu, pn) {
+			t.Fatal("group-sort permutation differs between the named type and its underlying type")
+		}
+		for i := 1; i < len(su); i++ {
+			if su[i] < su[i-1] || (su[i] == su[i-1] && pu[i] < pu[i-1]) {
+				t.Fatalf("sorted keys out of order or unstable at %d: %v after %v", i, su[i], su[i-1])
+			}
+		}
+	})
+}
+
+// TestNamedIntegerKeysTakeTheUnderlyingTypesPath is the property test
+// of the typed key path: every integer kind, plain or named (the
+// repository's graph.NodeID and vector.TermID included), hashes,
+// orders and projects through the same code with the same results.
+func TestNamedIntegerKeysTakeTheUnderlyingTypesPath(t *testing.T) {
+	signed := func(bits uint) func(*rand.Rand) int64 {
+		return func(r *rand.Rand) int64 { return int64(r.Uint64()) >> (64 - bits) }
+	}
+	unsigned := func(bits uint) func(*rand.Rand) uint64 {
+		return func(r *rand.Rand) uint64 { return r.Uint64() >> (64 - bits) }
+	}
+	i32, i64, u64 := signed(32), signed(64), unsigned(64)
+	checkNamedMatchesUnderlying(t, "int8", []int8{math.MinInt8, -1, 0, 1, math.MaxInt8},
+		func(r *rand.Rand) int8 { return int8(signed(8)(r)) }, func(u int8) namedInt8 { return namedInt8(u) })
+	checkNamedMatchesUnderlying(t, "int16", []int16{math.MinInt16, -1, 0, 1, math.MaxInt16},
+		func(r *rand.Rand) int16 { return int16(signed(16)(r)) }, func(u int16) namedInt16 { return namedInt16(u) })
+	checkNamedMatchesUnderlying(t, "int32", []int32{math.MinInt32, -1, 0, 1, math.MaxInt32},
+		func(r *rand.Rand) int32 { return int32(i32(r)) }, func(u int32) nodeKey { return nodeKey(u) })
+	checkNamedMatchesUnderlying(t, "graph.NodeID", []int32{math.MinInt32, -1, 0, 1, math.MaxInt32},
+		func(r *rand.Rand) int32 { return int32(i32(r)) }, func(u int32) graph.NodeID { return graph.NodeID(u) })
+	checkNamedMatchesUnderlying(t, "vector.TermID", []int32{math.MinInt32, -1, 0, 1, math.MaxInt32},
+		func(r *rand.Rand) int32 { return int32(i32(r)) }, func(u int32) vector.TermID { return vector.TermID(u) })
+	checkNamedMatchesUnderlying(t, "int64", []int64{math.MinInt64, -1, 0, 1, math.MaxInt64},
+		i64, func(u int64) namedInt64 { return namedInt64(u) })
+	checkNamedMatchesUnderlying(t, "int", []int{math.MinInt, -1, 0, 1, math.MaxInt},
+		func(r *rand.Rand) int { return int(i64(r)) }, func(u int) namedInt { return namedInt(u) })
+	checkNamedMatchesUnderlying(t, "uint8", []uint8{0, 1, math.MaxInt8, math.MaxUint8},
+		func(r *rand.Rand) uint8 { return uint8(unsigned(8)(r)) }, func(u uint8) namedUint8 { return namedUint8(u) })
+	checkNamedMatchesUnderlying(t, "uint16", []uint16{0, 1, math.MaxInt16, math.MaxUint16},
+		func(r *rand.Rand) uint16 { return uint16(unsigned(16)(r)) }, func(u uint16) namedUint16 { return namedUint16(u) })
+	checkNamedMatchesUnderlying(t, "uint32", []uint32{0, 1, math.MaxInt32, math.MaxUint32},
+		func(r *rand.Rand) uint32 { return uint32(unsigned(32)(r)) }, func(u uint32) namedUint32 { return namedUint32(u) })
+	checkNamedMatchesUnderlying(t, "uint64", []uint64{0, 1, math.MaxInt64, math.MaxUint64},
+		u64, func(u uint64) namedUint64 { return namedUint64(u) })
+	checkNamedMatchesUnderlying(t, "uint", []uint{0, 1, math.MaxInt, math.MaxUint},
+		func(r *rand.Rand) uint { return uint(u64(r)) }, func(u uint) namedUint { return namedUint(u) })
+	checkNamedMatchesUnderlying(t, "uintptr", []uintptr{0, 1, math.MaxInt, math.MaxUint},
+		func(r *rand.Rand) uintptr { return uintptr(u64(r)) }, func(u uintptr) namedUintptr { return namedUintptr(u) })
+}
+
+// TestPlainKeyHashesUnchanged pins the hashes of the key types that
+// already had a typed path before named kinds joined them: only keys
+// that used to take the fmt fallback moved partitions in Proto 5.
+func TestPlainKeyHashesUnchanged(t *testing.T) {
+	fnv1a := func(s string) uint64 {
+		h := fnv.New64a()
+		h.Write([]byte(s))
+		return h.Sum64()
+	}
+	negZero := math.Copysign(0, -1)
+	for _, c := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"int", keyShapeOf[int]().hash(-5), mix64(uint64(math.MaxUint64 - 4))},
+		{"int32", keyShapeOf[int32]().hash(-5), mix64(uint64(math.MaxUint32 - 4))},
+		{"int64", keyShapeOf[int64]().hash(-5), mix64(uint64(math.MaxUint64 - 4))},
+		{"uint32", keyShapeOf[uint32]().hash(7), mix64(7)},
+		{"uint64", keyShapeOf[uint64]().hash(1 << 40), mix64(1 << 40)},
+		{"string", keyShapeOf[string]().hash("node-42"), fnv1a("node-42")},
+		{"float64", keyShapeOf[float64]().hash(2.5), mix64(math.Float64bits(2.5))},
+		{"-0.0", keyShapeOf[float64]().hash(negZero), mix64(0)},
+		{"[2]int32", keyShapeOf[[2]int32]().hash([2]int32{-1, 3}), mix64(uint64(math.MaxUint32)<<32 | 3)},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: hash %#x, want %#x", c.name, c.got, c.want)
+		}
+	}
+}
+
+// TestStructKeysStillHashAndOrderByFmt pins the remaining fallback: a
+// key with no scalar image resolves to keyFmt and hashes the FNV-1a of
+// its fmt representation.
+func TestStructKeysStillHashAndOrderByFmt(t *testing.T) {
+	shape := keyShapeOf[badKey]()
+	if shape.kind != keyFmt {
+		t.Fatalf("struct key resolved to kind %d, want keyFmt", shape.kind)
+	}
+	if img, _ := shape.numericImage(); img != nil {
+		t.Fatal("struct key claims a numeric image")
+	}
+	k := badKey{"a ", "b"}
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%v", k)
+	if got := shape.hash(k); got != h.Sum64() {
+		t.Fatalf("struct key hash %#x, want the fmt/FNV hash %#x", got, h.Sum64())
+	}
+	if got, want := partitionIndex(k, 7), int(h.Sum64()%7); got != want {
+		t.Fatalf("partitionIndex(struct) = %d, want %d", got, want)
+	}
+	if shape.cmp()(badKey{"a", "b"}, badKey{"b", "a"}) >= 0 {
+		t.Fatal("struct keys do not order by their fmt representation")
+	}
+}

@@ -63,9 +63,10 @@ func TestMain(m *testing.M) {
 // registrations happen in both the coordinating test process (for
 // in-process loopback workers) and the re-executed worker processes.
 func registerDistTestJobs() {
-	// The three equivalence corpora (equivalence_test.go).
+	// The equivalence corpora (equivalence_test.go).
 	RegisterDistReduce("eq-wordcount", wcReduce)
 	RegisterDistReduce("eq-int32", int32Reduce)
+	RegisterDistReduce("eq-nodeid", nodeIDReduce)
 	RegisterDistReduce("eq-collide", collideReduce)
 
 	// Chained self-messaging job: state forwarded to the node itself

@@ -271,8 +271,9 @@ const emitBucketCap = 1024
 
 // shuffleEmitter is the Emitter handed to map tasks: it routes every
 // emitted pair into a per-reducer bucket as it is produced — map-side
-// partitioning, so the one hashKey per pair runs in parallel across the
-// map tasks instead of serially during shuffle finalization — and hands
+// partitioning, so the one hash per pair (through the key shape
+// resolved once per emitter) runs in parallel across the map tasks
+// instead of serially during shuffle finalization — and hands
 // each bucket to the job's shuffle backend when it fills (ownership
 // transfer; the backend keeps the slice, so shuffle finalization only
 // collects slice headers). Bounded buckets also let a spilling backend
@@ -280,6 +281,7 @@ const emitBucketCap = 1024
 type shuffleEmitter[K comparable, V any] struct {
 	backend ShuffleBackend[K, V]
 	ar      *roundArena[K, V]
+	shape   keyShape[K]
 	split   int
 	cap     int
 	parts   int
@@ -305,6 +307,7 @@ func newShuffleEmitter[K comparable, V any](backend ShuffleBackend[K, V], split 
 	return &shuffleEmitter[K, V]{
 		backend: backend,
 		ar:      ar,
+		shape:   keyShapeOf[K](),
 		split:   split,
 		cap:     bcap,
 		parts:   backend.Partitions(),
@@ -324,7 +327,7 @@ func (e *shuffleEmitter[K, V]) Emit(key K, value V) {
 		idx = e.split
 		e.local++
 	} else {
-		idx = partitionIndex(key, e.parts)
+		idx = e.shape.partition(key, e.parts)
 		e.cross++
 	}
 	b := append(e.buckets[idx], Pair[K, V]{Key: key, Value: value})

@@ -328,6 +328,10 @@ func TestPartitionSpread(t *testing.T) {
 	}
 }
 
+// lessKey is the engine's key order as a one-off comparison, for the
+// reference models in these tests.
+func lessKey[K comparable](a, b K) bool { return keyShapeOf[K]().cmp()(a, b) < 0 }
+
 func TestLessKeyOrdersTupleKeys(t *testing.T) {
 	a := [2]int32{1, 5}
 	b := [2]int32{1, 7}

@@ -9,19 +9,15 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"unsafe"
 )
 
-// partitionIndex assigns a key to one of r partitions. It special-cases
-// the key types used throughout this repository (integer node and term
-// identifiers, strings, and small integer tuples) and falls back to
-// hashing the fmt representation for anything else. The mapping is pure:
-// the same key always lands in the same partition, which is the only
-// property the algorithms rely on.
+// partitionIndex assigns a key to one of r partitions. The mapping is
+// pure: the same key always lands in the same partition, which is the
+// only property the algorithms rely on. Loops over many keys resolve
+// keyShapeOf once and call its partition method instead.
 func partitionIndex[K comparable](key K, r int) int {
-	if r <= 1 {
-		return 0
-	}
-	return int(hashKey(key) % uint64(r))
+	return keyShapeOf[K]().partition(key, r)
 }
 
 // FNV-1a constants (matching hash/fnv's 64-bit variant).
@@ -30,45 +26,123 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// hashKey produces a stable 64-bit hash for a key. The string case is an
-// inlined FNV-1a loop over the string bytes — identical output to
-// fnv.New64a, without the hasher and []byte-conversion allocations that
-// would otherwise cost one heap object per emitted string-keyed pair.
-func hashKey[K comparable](key K) uint64 {
-	switch k := any(key).(type) {
-	case int:
-		return mix64(uint64(k))
-	case int32:
-		return mix64(uint64(uint32(k)))
-	case int64:
-		return mix64(uint64(k))
-	case uint32:
-		return mix64(uint64(k))
-	case uint64:
-		return mix64(k)
-	case string:
-		h := uint64(fnvOffset64)
-		for i := 0; i < len(k); i++ {
-			h ^= uint64(k[i])
-			h *= fnvPrime64
+// keyKind classifies a key type by its reflect.Kind, so a named type
+// (graph.NodeID, vector.TermID) hashes, orders and projects exactly as
+// its underlying type does.
+type keyKind uint8
+
+const (
+	// keyFmt: no scalar image; keys hash and order by their fmt
+	// representation.
+	keyFmt    keyKind = iota
+	keyInt            // signed integer kinds
+	keyUint           // unsigned integer kinds
+	keyFloat          // float32, float64
+	keyString         // string kinds
+	keyEdge           // [2]int32 (edge endpoints)
+)
+
+// keyShape is how keys of type K hash and order, resolved once per job
+// or emitter — never per pair. Scalar kinds are read through the same
+// layout-preserving reinterpretation codecv2.go uses for its columns,
+// so no key is boxed, reflected on, or formatted on the record path;
+// only keyFmt keys still pay fmt per key.
+type keyShape[K comparable] struct {
+	kind keyKind
+	size uint8 // key width in bytes (integer and float kinds)
+}
+
+// keyShapeOf resolves the shape of K.
+func keyShapeOf[K comparable]() keyShape[K] {
+	t := reflect.TypeFor[K]()
+	switch t.Kind() {
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return keyShape[K]{keyInt, uint8(t.Size())}
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		return keyShape[K]{keyUint, uint8(t.Size())}
+	case reflect.Float32, reflect.Float64:
+		return keyShape[K]{keyFloat, uint8(t.Size())}
+	case reflect.String:
+		return keyShape[K]{kind: keyString}
+	case reflect.Array:
+		if t.Len() == 2 && t.Elem().Kind() == reflect.Int32 {
+			return keyShape[K]{kind: keyEdge}
 		}
-		return h
-	case float64:
-		if k == 0 {
+	}
+	return keyShape[K]{kind: keyFmt}
+}
+
+// bits returns an integer key's raw bits, zero-extended from its width.
+func (s keyShape[K]) bits(k K) uint64 {
+	p := unsafe.Pointer(&k)
+	switch s.size {
+	case 1:
+		return uint64(*(*uint8)(p))
+	case 2:
+		return uint64(*(*uint16)(p))
+	case 4:
+		return uint64(*(*uint32)(p))
+	}
+	return *(*uint64)(p)
+}
+
+// float returns a float key's value.
+func (s keyShape[K]) float(k K) float64 {
+	if s.size == 4 {
+		return float64(*(*float32)(unsafe.Pointer(&k)))
+	}
+	return *(*float64)(unsafe.Pointer(&k))
+}
+
+// str returns a string-kind key's value.
+func (s keyShape[K]) str(k K) string { return *(*string)(unsafe.Pointer(&k)) }
+
+// edge returns a [2]int32-kind key's value.
+func (s keyShape[K]) edge(k K) [2]int32 { return *(*[2]int32)(unsafe.Pointer(&k)) }
+
+// partition assigns key to one of r partitions.
+func (s keyShape[K]) partition(key K, r int) int {
+	if r <= 1 {
+		return 0
+	}
+	return int(s.hash(key) % uint64(r))
+}
+
+// hash produces a stable 64-bit hash for a key. Changing what any key
+// hashes to moves keys between partitions: bump remote.Proto and
+// journalFormat with it, so a mixed-build cluster or a resumed journal
+// fails loudly instead of splitting a node's records.
+func (s keyShape[K]) hash(key K) uint64 {
+	switch s.kind {
+	case keyInt, keyUint:
+		return mix64(s.bits(key))
+	case keyFloat:
+		f := s.float(key)
+		if f == 0 {
 			// -0.0 == +0.0 as a Go map key, so both spellings must land
 			// in one partition (and, chained, take the same identity
 			// route): hash the canonical +0.0 bits for either. Mirrors
 			// f64Ord's shared zero image in the group sort.
 			return mix64(0)
 		}
-		return mix64(math.Float64bits(k))
-	case [2]int32:
+		return mix64(math.Float64bits(f))
+	case keyString:
+		// Inlined FNV-1a over the string bytes — identical output to
+		// fnv.New64a without the hasher and []byte allocations.
+		k := s.str(key)
+		h := uint64(fnvOffset64)
+		for i := 0; i < len(k); i++ {
+			h ^= uint64(k[i])
+			h *= fnvPrime64
+		}
+		return h
+	case keyEdge:
+		k := s.edge(key)
 		return mix64(uint64(uint32(k[0]))<<32 | uint64(uint32(k[1])))
-	default:
-		h := fnv.New64a()
-		fmt.Fprintf(h, "%v", key)
-		return h.Sum64()
 	}
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%v", key)
+	return h.Sum64()
 }
 
 // mix64 is the SplitMix64 finalizer; it spreads consecutive integer ids
@@ -80,143 +154,18 @@ func mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// lessKey imposes a deterministic total order on keys of a comparable
-// type. Like hashKey it special-cases the common key types and falls back
-// to the fmt representation. For bulk sorting use sortPairsByKey, which
-// avoids formatting per comparison; lessKey suits one-off comparisons.
-func lessKey[K comparable](a, b K) bool {
-	switch x := any(a).(type) {
-	case int:
-		return x < any(b).(int)
-	case int32:
-		return x < any(b).(int32)
-	case int64:
-		return x < any(b).(int64)
-	case uint32:
-		return x < any(b).(uint32)
-	case uint64:
-		return x < any(b).(uint64)
-	case string:
-		return x < any(b).(string)
-	case float64:
-		return x < any(b).(float64)
-	case [2]int32:
-		y := any(b).([2]int32)
-		if x[0] != y[0] {
-			return x[0] < y[0]
-		}
-		return x[1] < y[1]
-	default:
-		return fmt.Sprint(a) < fmt.Sprint(b)
+// cmp returns the three-way comparator realizing the key order,
+// consistent with the sort permutation sortKeyVals produces: numeric
+// kinds compare their order-preserving images (floats therefore order
+// by the IEEE total order, NaNs at a definite position), string kinds
+// compare as strings, and keyFmt keys by their formatted
+// representation.
+func (s keyShape[K]) cmp() func(a, b K) int {
+	if img, _ := s.numericImage(); img != nil {
+		return func(a, b K) int { return cmp.Compare(img(a), img(b)) }
 	}
-}
-
-// orderKind classifies how keys of type K are ordered, resolved once per
-// job (not per comparison) so the shuffle's group sort can pick the
-// cheapest strategy: typed comparisons for the exact builtin key types,
-// a decorate-sort-undecorate pass for named scalar kinds (one reflect
-// call per element instead of two per comparison), and a string
-// decoration for the fmt fallback (one formatting per element instead of
-// two per comparison).
-type orderKind int
-
-const (
-	// orderFast: lessKey has a typed fast path for K.
-	orderFast orderKind = iota
-	// orderInt, orderUint, orderFloat, orderString: K is a named type
-	// of a scalar kind, compared through reflection.
-	orderInt
-	orderUint
-	orderFloat
-	orderString
-	// orderFmt: no intrinsic order; keys order by fmt representation.
-	orderFmt
-)
-
-// keyOrderKind resolves the ordering strategy for K.
-func keyOrderKind[K comparable]() orderKind {
-	var zero K
-	switch any(zero).(type) {
-	case int, int32, int64, uint32, uint64, string, float64, [2]int32:
-		return orderFast
-	}
-	t := reflect.TypeOf(zero)
-	if t == nil {
-		return orderFmt
-	}
-	switch t.Kind() {
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		return orderInt
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		return orderUint
-	case reflect.Float32, reflect.Float64:
-		return orderFloat
-	case reflect.String:
-		return orderString
-	}
-	return orderFmt
-}
-
-// keyCmpFor returns the three-way comparator realizing the resolved key
-// order, consistent with the sort permutation sortedPermByKey produces
-// (both order floats by their total-order bit transform, and fmt
-// fallback keys by their formatted representation). All kinds agree
-// with lessKey on the exact builtin types for every key the repository
-// uses; the only refinements are named scalar kinds (reflection instead
-// of formatting) and NaN floats (a definite total position instead of
-// comparing unordered).
-func keyCmpFor[K comparable](kind orderKind) func(a, b K) int {
-	switch kind {
-	case orderFast:
-		return cmpKeyFast[K]
-	case orderInt:
-		return func(a, b K) int {
-			return cmp.Compare(reflect.ValueOf(a).Int(), reflect.ValueOf(b).Int())
-		}
-	case orderUint:
-		return func(a, b K) int {
-			return cmp.Compare(reflect.ValueOf(a).Uint(), reflect.ValueOf(b).Uint())
-		}
-	case orderFloat:
-		return func(a, b K) int {
-			return cmp.Compare(f64Ord(reflect.ValueOf(a).Float()), f64Ord(reflect.ValueOf(b).Float()))
-		}
-	case orderString:
-		return func(a, b K) int {
-			return strings.Compare(reflect.ValueOf(a).String(), reflect.ValueOf(b).String())
-		}
-	default:
-		return func(a, b K) int { return strings.Compare(fmt.Sprint(a), fmt.Sprint(b)) }
-	}
-}
-
-// cmpKeyFast is the typed three-way comparator for the exact builtin
-// key types (one type switch per call, no reflection or formatting).
-func cmpKeyFast[K comparable](a, b K) int {
-	switch x := any(a).(type) {
-	case int:
-		return cmp.Compare(x, any(b).(int))
-	case int32:
-		return cmp.Compare(x, any(b).(int32))
-	case int64:
-		return cmp.Compare(x, any(b).(int64))
-	case uint32:
-		return cmp.Compare(x, any(b).(uint32))
-	case uint64:
-		return cmp.Compare(x, any(b).(uint64))
-	case string:
-		return strings.Compare(x, any(b).(string))
-	case float64:
-		return cmp.Compare(f64Ord(x), f64Ord(any(b).(float64)))
-	case [2]int32:
-		y := any(b).([2]int32)
-		if c := cmp.Compare(x[0], y[0]); c != 0 {
-			return c
-		}
-		return cmp.Compare(x[1], y[1])
-	default:
-		return strings.Compare(fmt.Sprint(a), fmt.Sprint(b))
-	}
+	str, _ := s.stringImage()
+	return func(a, b K) int { return strings.Compare(str(a), str(b)) }
 }
 
 // --- order-preserving uint64 key transforms ---------------------------
@@ -226,9 +175,6 @@ func cmpKeyFast[K comparable](a, b K) int {
 // keys are radix-sorted. This is the decorate-sort-undecorate idea taken
 // to its cheapest form — O(n) passes over machine words instead of
 // O(n log n) comparator calls.
-
-// i64Ord maps a signed integer to its order-preserving unsigned image.
-func i64Ord(v int64) uint64 { return uint64(v) ^ (1 << 63) }
 
 // f64Ord maps a float64 to an unsigned image whose order is the IEEE
 // total order: negatives (bits flipped) below positives (sign bit set).
@@ -248,78 +194,56 @@ func f64Ord(f float64) uint64 {
 	return b | (1 << 63)
 }
 
-// i32Ord32 is the 32-bit signed-integer transform used by the packed
-// (key, index) sort path; unsigned 32-bit keys are their own image.
+// i32Ord32 is the order-preserving unsigned image of a signed 32-bit
+// integer (sign bit flipped).
 func i32Ord32(v int32) uint32 { return uint32(v) ^ (1 << 31) }
 
-// numericKeyFn returns the uint64 projection for K, or nil when K
-// orders as a string (string kinds and the fmt fallback). width32
-// reports that the projection fits 32 bits, enabling the packed path.
-func numericKeyFn[K comparable](kind orderKind) (fn func(K) uint64, width32 bool) {
-	var zero K
-	switch any(zero).(type) {
-	case int:
-		return func(k K) uint64 { return i64Ord(int64(any(k).(int))) }, false
-	case int32:
-		return func(k K) uint64 { return uint64(i32Ord32(any(k).(int32))) }, true
-	case int64:
-		return func(k K) uint64 { return i64Ord(any(k).(int64)) }, false
-	case uint32:
-		return func(k K) uint64 { return uint64(any(k).(uint32)) }, true
-	case uint64:
-		return func(k K) uint64 { return any(k).(uint64) }, false
-	case float64:
-		return func(k K) uint64 { return f64Ord(any(k).(float64)) }, false
-	case [2]int32:
+// numericImage returns the uint64 projection for K, or nil when K
+// orders as a string (string kinds and keyFmt). width32 reports that
+// the projection fits 32 bits, enabling the packed sort path. A signed
+// integer's image is its raw bits with the sign bit of its width
+// flipped; an unsigned integer is its own image.
+func (s keyShape[K]) numericImage() (fn func(K) uint64, width32 bool) {
+	switch s.kind {
+	case keyInt:
+		flip := uint64(1) << (8*s.size - 1)
+		return func(k K) uint64 { return s.bits(k) ^ flip }, s.size <= 4
+	case keyUint:
+		return s.bits, s.size <= 4
+	case keyFloat:
+		return func(k K) uint64 { return f64Ord(s.float(k)) }, false
+	case keyEdge:
 		return func(k K) uint64 {
-			x := any(k).([2]int32)
+			x := s.edge(k)
 			return uint64(i32Ord32(x[0]))<<32 | uint64(i32Ord32(x[1]))
 		}, false
-	}
-	switch kind {
-	case orderInt:
-		if w32 := reflect.TypeFor[K]().Bits() <= 32; w32 {
-			return func(k K) uint64 { return uint64(i32Ord32(int32(reflect.ValueOf(k).Int()))) }, true
-		}
-		return func(k K) uint64 { return i64Ord(reflect.ValueOf(k).Int()) }, false
-	case orderUint:
-		if w32 := reflect.TypeFor[K]().Bits() <= 32; w32 {
-			return func(k K) uint64 { return uint64(uint32(reflect.ValueOf(k).Uint())) }, true
-		}
-		return func(k K) uint64 { return reflect.ValueOf(k).Uint() }, false
-	case orderFloat:
-		return func(k K) uint64 { return f64Ord(reflect.ValueOf(k).Float()) }, false
 	}
 	return nil, false
 }
 
-// stringKeyFn returns the string projection for K (identity for plain
-// strings, reflection for named string kinds, fmt for the fallback) and
-// whether the projection is the identity — an identity projection needs
-// no materialized side array, the keys themselves serve.
-func stringKeyFn[K comparable](kind orderKind) (fn func(K) string, identity bool) {
-	var zero K
-	if _, ok := any(zero).(string); ok {
-		return func(k K) string { return any(k).(string) }, true
-	}
-	if kind == orderString {
-		return func(k K) string { return reflect.ValueOf(k).String() }, false
+// stringImage returns the string projection for string-ordered K (the
+// key itself for string kinds, fmt for keyFmt) and whether it is the
+// identity — an identity projection needs no materialized side array,
+// the keys themselves serve.
+func (s keyShape[K]) stringImage() (fn func(K) string, identity bool) {
+	if s.kind == keyString {
+		return s.str, true
 	}
 	return func(k K) string { return fmt.Sprint(k) }, false
 }
 
-// keyImageFn returns the uint64 projection used to accelerate ordered
+// image returns the uint64 projection used to accelerate ordered
 // comparisons of K: the order-preserving numeric image when K has one,
 // otherwise the 8-byte big-endian prefix of the key's string form. The
 // projection is order-consistent — img(a) < img(b) implies a < b under
-// the resolved key order, and only equal images require a real key
-// comparison — which is exactly what the spill merge needs to compare
-// machine words instead of boxing keys.
-func keyImageFn[K comparable](kind orderKind) func(K) uint64 {
-	if numFn, _ := numericKeyFn[K](kind); numFn != nil {
+// the key order, and only equal images require a real key comparison —
+// which is exactly what the spill merge needs to compare machine words
+// instead of boxing keys.
+func (s keyShape[K]) image() func(K) uint64 {
+	if numFn, _ := s.numericImage(); numFn != nil {
 		return numFn
 	}
-	strFn, _ := stringKeyFn[K](kind)
+	strFn, _ := s.stringImage()
 	return func(k K) uint64 {
 		p, _ := strPrefix64(strFn(k))
 		return p
@@ -409,19 +333,14 @@ type sortedRun struct {
 // +0.0 are equal keys with distinct images), so the stream falls back
 // to key comparisons.
 func sortKeyVals[K comparable, V any](
-	keys []K, vals []V, kind orderKind,
+	keys []K, vals []V, shape keyShape[K],
 	ar *roundArena[K, V], part int, rs *radixScratch,
 ) ([]K, []V, sortedRun) {
 	n := len(keys)
-	isFloat := kind == orderFloat
-	if !isFloat {
-		var zero K
-		_, isFloat = any(zero).(float64)
-	}
 	if n < 2 {
 		return keys, vals, sortedRun{}
 	}
-	if numFn, width32 := numericKeyFn[K](kind); numFn != nil {
+	if numFn, width32 := shape.numericImage(); numFn != nil {
 		if width32 {
 			// Packed path: key image in the high 32 bits, index in the
 			// low 32. Radix passes touch only the key bytes; the LSD
@@ -450,7 +369,7 @@ func sortKeyVals[K comparable, V any](
 		radixSortU64(images, perm, 0, rs)
 		outK, outV := gatherPerm(perm, keys, vals, ar, part)
 		ar.putI32(part, perm)
-		if isFloat {
+		if shape.kind == keyFloat {
 			ar.putU64(part, images)
 			return outK, outV, sortedRun{}
 		}
@@ -458,11 +377,11 @@ func sortKeyVals[K comparable, V any](
 	}
 	// String-ordered keys: radix-sort by an 8-byte big-endian prefix
 	// (order-preserving for lexicographic comparison), then repair the
-	// rare runs whose prefixes collide with a comparison sort. Plain
-	// string keys are projected straight off the key slice; only
-	// non-identity projections (named string kinds, fmt fallback)
-	// materialize a side array, so each key formats exactly once.
-	strFn, identity := stringKeyFn[K](kind)
+	// rare runs whose prefixes collide with a comparison sort.
+	// String-kind keys are projected straight off the key slice; only
+	// the fmt fallback materializes a side array, so each key formats
+	// exactly once.
+	strFn, identity := shape.stringImage()
 	prefixes := ar.getU64(part, n)
 	perm := ar.getI32(part, n)
 	var strs []string
@@ -492,10 +411,10 @@ func sortKeyVals[K comparable, V any](
 	outK, outV := gatherPerm(perm, keys, vals, ar, part)
 	ar.putI32(part, perm)
 	// A prefix run is exact only when the projection itself is
-	// injective on key equality — true for unambiguous real strings
-	// (identity or named kinds), never for the fmt fallback, where
-	// distinct keys can format identically.
-	exact := !anyAmbiguous && kind != orderFmt
+	// injective on key equality — true for unambiguous real strings,
+	// never for the fmt fallback, where distinct keys can format
+	// identically.
+	exact := !anyAmbiguous && shape.kind != keyFmt
 	return outK, outV, sortedRun{ord: prefixes, exact: exact}
 }
 
@@ -697,7 +616,7 @@ func radixSortU64(keys []uint64, perm []int32, loByte int, scr *radixScratch) {
 
 // sortPairsByKey stable-sorts pairs in place by key under the resolved
 // key order (see sortKeyVals).
-func sortPairsByKey[K comparable, V any](pairs []Pair[K, V], kind orderKind) {
+func sortPairsByKey[K comparable, V any](pairs []Pair[K, V], shape keyShape[K]) {
 	if len(pairs) < 2 {
 		return
 	}
@@ -707,7 +626,7 @@ func sortPairsByKey[K comparable, V any](pairs []Pair[K, V], kind orderKind) {
 		keys[i] = p.Key
 		vals[i] = p.Value
 	}
-	keys, vals, _ = sortKeyVals(keys, vals, kind, nil, 0, nil)
+	keys, vals, _ = sortKeyVals(keys, vals, shape, nil, 0, nil)
 	for i := range pairs {
 		pairs[i] = Pair[K, V]{Key: keys[i], Value: vals[i]}
 	}
@@ -715,7 +634,7 @@ func sortPairsByKey[K comparable, V any](pairs []Pair[K, V], kind orderKind) {
 
 // sortPairs orders output pairs by key for reproducible results.
 func sortPairs[K comparable, V any](pairs []Pair[K, V]) {
-	sortPairsByKey(pairs, keyOrderKind[K]())
+	sortPairsByKey(pairs, keyShapeOf[K]())
 }
 
 // partitionPairs buckets already-materialized pairs by partitionIndex,
@@ -724,8 +643,9 @@ func sortPairs[K comparable, V any](pairs []Pair[K, V]) {
 // split's complete output before it runs).
 func partitionPairs[K comparable, V any](pairs []Pair[K, V], parts int) [][]Pair[K, V] {
 	buckets := make([][]Pair[K, V], parts)
+	shape := keyShapeOf[K]()
 	for _, p := range pairs {
-		idx := partitionIndex(p.Key, parts)
+		idx := shape.partition(p.Key, parts)
 		buckets[idx] = append(buckets[idx], p)
 	}
 	return buckets

@@ -43,7 +43,10 @@ import (
 // wire-compression byte to the job header. Version 4 added the
 // capability flags to the hello, the session token to the welcome, and
 // the resume hello/welcome forms that re-attach a redialed transport.
-const Proto = 4
+// Version 5 changed no frame: the partitioner did (named integer keys
+// such as graph.NodeID moved from the fmt hash to mix64), and two
+// builds that route a key to different partitions must not pair.
+const Proto = 5
 
 // MsgType identifies one protocol message. The direction annotations
 // are the only ones that occur; receiving a type from the wrong

@@ -158,7 +158,7 @@ type shuffleFootprint interface {
 
 type memoryShuffle[K comparable, V any] struct {
 	reducers int
-	kind     orderKind
+	shape    keyShape[K]
 	cmp      func(a, b K) int
 	ar       *roundArena[K, V]
 	// segs[split][partition] lists the split's delivered buckets for
@@ -168,11 +168,11 @@ type memoryShuffle[K comparable, V any] struct {
 }
 
 func newMemoryShuffle[K comparable, V any](reducers, splits int, ar *roundArena[K, V]) *memoryShuffle[K, V] {
-	kind := keyOrderKind[K]()
+	shape := keyShapeOf[K]()
 	return &memoryShuffle[K, V]{
 		reducers: reducers,
-		kind:     kind,
-		cmp:      keyCmpFor[K](kind),
+		shape:    shape,
+		cmp:      shape.cmp(),
 		ar:       ar,
 		segs:     make([][][][]Pair[K, V], splits),
 	}
@@ -205,7 +205,7 @@ func (m *memoryShuffle[K, V]) Finalize() ([]GroupStream[K, V], error) {
 				m.records += int64(len(seg))
 			}
 		}
-		streams[p] = &memGroupStream[K, V]{segs: segs, kind: m.kind, cmp: m.cmp, ar: m.ar, part: p}
+		streams[p] = &memGroupStream[K, V]{segs: segs, shape: m.shape, cmp: m.cmp, ar: m.ar, part: p}
 	}
 	m.segs = nil
 	return streams, nil
@@ -240,7 +240,7 @@ type memGroup[K comparable, V any] struct {
 // arrays, so the next round's stream for this partition reuses them.
 type memGroupStream[K comparable, V any] struct {
 	segs   [][]Pair[K, V]
-	kind   orderKind
+	shape  keyShape[K]
 	cmp    func(a, b K) int
 	ar     *roundArena[K, V]
 	part   int
@@ -279,7 +279,7 @@ func (s *memGroupStream[K, V]) prime() {
 	}
 	s.segs = nil
 	rs := s.ar.getRadix(s.part)
-	s.keys, s.vals, s.run = sortKeyVals(keys, vals, s.kind, s.ar, s.part, rs)
+	s.keys, s.vals, s.run = sortKeyVals(keys, vals, s.shape, s.ar, s.part, rs)
 	s.ar.putRadix(s.part, rs)
 	if total >= 2 {
 		// The gather arrays were consumed as sort scratch (length < 2
@@ -431,7 +431,7 @@ func (s *memGroupStream[K, V]) Close() error {
 // spillRec is one intermediate pair with its global sequence number,
 // which encodes (split, arrival index) so that the merge reproduces the
 // memory backend's deterministic value order within every key. img
-// caches the key's order-consistent uint64 image (see keyImageFn),
+// caches the key's order-consistent uint64 image (see keyShape.image),
 // computed once per record at ingest and at decode — never serialized —
 // so both the run-buffer radix sort and the k-way merge compare machine
 // words instead of repeatedly projecting (or boxing) the key.
@@ -471,10 +471,10 @@ func newSpillShuffle[K comparable, V any](reducers, splits int, cfg ShuffleConfi
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: spill shuffle value: %w", err)
 	}
-	kind := keyOrderKind[K]()
-	cmpFn := keyCmpFor[K](kind)
-	imgFn := keyImageFn[K](kind)
-	numFn, _ := numericKeyFn[K](kind)
+	shape := keyShapeOf[K]()
+	cmpFn := shape.cmp()
+	imgFn := shape.image()
+	numFn, _ := shape.numericImage()
 	perPartition := cfg.memoryBudget() / reducers
 	if perPartition < 64 {
 		perPartition = 64
@@ -534,7 +534,7 @@ func newSpillShuffle[K comparable, V any](reducers, splits int, cfg ShuffleConfi
 		// per sorter: buffer sorts run on the ingest goroutine under
 		// the partition lock (or during that partition's Finalize), so
 		// each sorter's sort is single-threaded.
-		s.sorters[i].SetBufferSort(spillBufSort[K, V](kind))
+		s.sorters[i].SetBufferSort(spillBufSort[K, V](shape))
 	}
 	return s, nil
 }

@@ -26,7 +26,7 @@ import (
 // between distinct keys; this is sound even for non-injective images
 // (the two float zeros), because the record comparator itself orders
 // keys by the same image. All remaining kinds order as strings (string
-// kinds and the fmt fallback, matching keyCmpFor): they radix-sort by
+// kinds and the fmt fallback, matching keyShape.cmp): they radix-sort by
 // their 8-byte prefix image and repair every multi-element
 // equal-prefix run with a (key, seq) comparison sort; prefixes
 // disambiguate most keys, so the runs are short.
@@ -34,10 +34,10 @@ import (
 // The returned closure owns a private radix scratch: extsort runs a
 // sorter's buffer sorts one at a time on the ingest goroutine, so
 // every spill of a partition reuses the same scratch with no locking.
-func spillBufSort[K comparable, V any](kind orderKind) func([]spillRec[K, V]) {
+func spillBufSort[K comparable, V any](shape keyShape[K]) func([]spillRec[K, V]) {
 	var scr radixScratch
 	var tmp []spillRec[K, V]
-	if numFn, _ := numericKeyFn[K](kind); numFn != nil {
+	if numFn, _ := shape.numericImage(); numFn != nil {
 		return func(buf []spillRec[K, V]) {
 			n := len(buf)
 			if n < 2 {
@@ -84,7 +84,7 @@ func spillBufSort[K comparable, V any](kind orderKind) func([]spillRec[K, V]) {
 			tmp = gatherRecs(buf, perm, tmp)
 		}
 	}
-	cmpFn := keyCmpFor[K](kind)
+	cmpFn := shape.cmp()
 	return func(buf []spillRec[K, V]) {
 		n := len(buf)
 		if n < 2 {

@@ -14,8 +14,8 @@ import (
 // TestJoinIdenticalOnDistBackend is the end-to-end similarity-join
 // equivalence run of the distributed mode: two in-process workers over
 // loopback must reproduce the memory backend's edge set exactly —
-// values bit for bit — and the worker-side candidate counters must
-// merge back into the same Candidates total the local closure counts.
+// values bit for bit — and the workers' reduce-group counts must sum
+// to the same Candidates total the memory backend reports.
 func TestJoinIdenticalOnDistBackend(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	randVec := func() vector.Sparse {
@@ -81,7 +81,7 @@ func TestJoinIdenticalOnDistBackend(t *testing.T) {
 	}
 	sameEdges(t, dist.Edges, mem.Edges)
 	if dist.Candidates != mem.Candidates {
-		t.Fatalf("candidate counters diverge: memory %d, dist %d (worker counters lost?)", mem.Candidates, dist.Candidates)
+		t.Fatalf("candidate counts diverge: memory %d, dist %d (worker group counts lost?)", mem.Candidates, dist.Candidates)
 	}
 	if dist.PostingEntries != mem.PostingEntries {
 		t.Fatalf("posting totals diverge: memory %d, dist %d", mem.PostingEntries, dist.PostingEntries)

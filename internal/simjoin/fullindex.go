@@ -48,7 +48,6 @@ func JoinFullIndex(ctx context.Context, items, consumers []vector.Sparse, sigma 
 
 	// Job 2: probe with partial products; reduce by pair sums them to
 	// the exact dot product.
-	counters := mapreduce.NewCounters()
 	probeOut, err := mapreduce.RunJob(ctx, driver, "fulljoin-probe",
 		enumerate(consumers),
 		func(j int32, c vector.Sparse, out mapreduce.Emitter[[2]int32, float64]) error {
@@ -60,7 +59,6 @@ func JoinFullIndex(ctx context.Context, items, consumers []vector.Sparse, sigma 
 			return nil
 		},
 		func(pair [2]int32, partials []float64, out mapreduce.Emitter[[2]int32, float64]) error {
-			counters.Inc("candidates", 1)
 			sim := 0.0
 			for _, p := range partials {
 				sim += p
@@ -76,7 +74,7 @@ func JoinFullIndex(ctx context.Context, items, consumers []vector.Sparse, sigma 
 
 	res := &Result{
 		Rounds:         driver.Rounds(),
-		Candidates:     counters.Get("candidates"),
+		Candidates:     driver.Trace()[driver.Rounds()-1].ReduceGroups, // one probe group per candidate pair
 		PostingEntries: postings,
 		Shuffle:        driver.Total(),
 	}

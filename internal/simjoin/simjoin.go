@@ -116,12 +116,10 @@ func Join(ctx context.Context, items, consumers []vector.Sparse, sigma float64, 
 	// full vectors travel as side data, the distributed-cache pattern),
 	// then verify each candidate pair exactly in the reducer. Under the
 	// dist backend the verification runs on the workers — they hold the
-	// same vectors (registered via RegisterDistJobs) — and their
-	// candidate counters merge back through Config.DistCounters.
-	counters := mapreduce.NewCounters()
-	probeCfg := driver.Config("simjoin-probe")
-	probeCfg.DistCounters = counters
-	probeOut, probeStats, err := mapreduce.RunDS(ctx, probeCfg,
+	// same vectors (registered via RegisterDistJobs). Every candidate
+	// pair is one reduce group, so the job's own ReduceGroups is the
+	// candidate count on every backend.
+	probeOut, probeStats, err := mapreduce.RunDS(ctx, driver.Config("simjoin-probe"),
 		mapreduce.PartitionDataset(enumerate(consumers), driver.Partitions()),
 		func(j int32, c vector.Sparse, out mapreduce.Emitter[[2]int32, struct{}]) error {
 			seen := make(map[int32]bool)
@@ -135,7 +133,7 @@ func Join(ctx context.Context, items, consumers []vector.Sparse, sigma float64, 
 			}
 			return nil
 		},
-		probeReduce(items, consumers, sigma, counters))
+		probeReduce(items, consumers, sigma))
 	if err != nil {
 		return nil, fmt.Errorf("simjoin: probe job: %w", err)
 	}
@@ -148,7 +146,7 @@ func Join(ctx context.Context, items, consumers []vector.Sparse, sigma float64, 
 
 	res := &Result{
 		Rounds:         driver.Rounds(),
-		Candidates:     counters.Get("candidates"),
+		Candidates:     probeStats.ReduceGroups,
 		PostingEntries: postings,
 		Shuffle:        driver.Total(),
 	}
@@ -160,13 +158,12 @@ func Join(ctx context.Context, items, consumers []vector.Sparse, sigma float64, 
 	return res, nil
 }
 
-// probeReduce builds the verification reduce: count the candidate,
-// score it exactly, keep it when it clears the threshold. The
-// constructor form is shared by the local path and the dist worker
-// registration, so both run the identical function.
-func probeReduce(items, consumers []vector.Sparse, sigma float64, counters *mapreduce.Counters) mapreduce.ReduceFunc[[2]int32, struct{}, [2]int32, float64] {
+// probeReduce builds the verification reduce: score the candidate
+// exactly, keep it when it clears the threshold. The constructor form
+// is shared by the local path and the dist worker registration, so both
+// run the identical function.
+func probeReduce(items, consumers []vector.Sparse, sigma float64) mapreduce.ReduceFunc[[2]int32, struct{}, [2]int32, float64] {
 	return func(pair [2]int32, _ []struct{}, out mapreduce.Emitter[[2]int32, float64]) error {
-		counters.Inc("candidates", 1)
 		if sim := items[pair[0]].Dot(consumers[pair[1]]); sim >= sigma {
 			out.Emit(pair, sim)
 		}
@@ -177,18 +174,10 @@ func probeReduce(items, consumers []vector.Sparse, sigma float64, counters *mapr
 // RegisterDistJobs registers the join's worker-side reduces for the
 // given inputs: a dist worker process regenerates (or loads) the same
 // deterministic corpora the coordinator uses, then calls this once
-// before serving. The probe job's candidate counter is created per job
-// execution and flows back to the coordinator in the job report.
+// before serving.
 func RegisterDistJobs(items, consumers []vector.Sparse, sigma float64) {
 	mapreduce.RegisterDistReduce("simjoin-index", mapreduce.CollectValues[vector.TermID, posting]())
-	mapreduce.RegisterDistJob("simjoin-probe",
-		func([]byte) (mapreduce.DistJob[[2]int32, float64, [2]int32, struct{}, [2]int32, float64], error) {
-			counters := mapreduce.NewCounters()
-			return mapreduce.DistJob[[2]int32, float64, [2]int32, struct{}, [2]int32, float64]{
-				Reduce:   probeReduce(items, consumers, sigma, counters),
-				Counters: counters,
-			}, nil
-		})
+	mapreduce.RegisterDistReduce("simjoin-probe", probeReduce(items, consumers, sigma))
 }
 
 // prefixEntries returns the entries of d to index: d's entries sorted by
