@@ -131,13 +131,6 @@ type Options struct {
 	// SpillCompression flate-compresses the spill backend's run blocks.
 	// Ignored by the memory backend.
 	SpillCompression bool
-	// FlatDataflow disables partition-resident chaining between the
-	// rounds of the iterative algorithms: every round re-partitions its
-	// input from a flat, globally sorted slice — the pre-Dataset engine
-	// behavior. The matching output is identical either way (the
-	// equivalence tests pin this); the flat mode exists for comparison
-	// and costs a re-hash of every record every round.
-	FlatDataflow bool
 	// Dist is the worker cluster jobs shard across when Shuffle is
 	// ShuffleDist. Required for (and only meaningful with) that backend.
 	Dist *DistCluster
@@ -167,7 +160,6 @@ func (o Options) mr() mapreduce.Config {
 			MemoryBudget: o.ShuffleMemoryBudget,
 			TempDir:      o.ShuffleTempDir,
 		},
-		FlatChaining:      o.FlatDataflow,
 		Dist:              o.Dist,
 		CheckpointEvery:   o.CheckpointEvery,
 		SpeculationFactor: o.SpeculationFactor,

@@ -27,15 +27,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	socialmatch "repro"
 	"repro/internal/cliio"
 	"repro/internal/core"
 	"repro/internal/flow"
 	"repro/internal/graph"
-	"repro/internal/mapreduce"
-	"repro/internal/profiling"
+	"repro/internal/mrcli"
 )
 
 func main() {
@@ -52,128 +50,52 @@ func run() (err error) {
 		eps     = flag.Float64("eps", 1, "stack slackness parameter")
 		seed    = flag.Int64("seed", 1, "random seed")
 		sigma   = flag.Float64("sigma", 0, "drop edges below this weight before matching")
-		shuffle = flag.String("shuffle", "memory", "MapReduce shuffle backend: memory | spill (-dist-workers selects dist)")
-		budget  = flag.Int("spill-budget", 0, "max in-memory intermediate records per job for -shuffle spill (0 = default 1M)")
-		tempdir = flag.String("spill-dir", "", "directory for spill files (default: system temp dir)")
-		wcomp   = flag.Bool("wire-compress", false, "flate-compress bulk pair frames on the dist wire (shuffle buckets, reduce outputs, checkpoints)")
-		scomp   = flag.Bool("spill-compress", false, "flate-compress spill run blocks for -shuffle spill")
-		flat    = flag.Bool("flat", false, "disable partition-resident round chaining (re-partition every round from a flat slice)")
 		verbose = flag.Bool("v", false, "print every matched edge")
 		compare = flag.Bool("compare", false, "run every algorithm and print a comparison table")
 		exact   = flag.Bool("exact", false, "with -compare: also solve exactly via min-cost flow (small graphs only)")
-		cpuprof = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memprof = flag.String("memprofile", "", "write a heap profile to this file on exit")
-
-		distWorkers = flag.Int("dist-workers", 0, "shard reduce partitions across this many worker processes (0 = single process)")
-		distConnect = flag.String("dist-connect", "", "worker mode: connect to a coordinator at host:port, serve its jobs, and exit")
-		distListen  = flag.String("dist-listen", "", "coordinator listen address for -dist-workers (default 127.0.0.1:0)")
-		distSpawn   = flag.Bool("dist-spawn", true, "self-exec the -dist-workers worker processes (false: wait for -dist-connect workers)")
-		distLate    = flag.Bool("dist-accept-late", false, "keep accepting replacement -dist-connect workers after startup; they adopt a dead worker's partitions at the next recovery")
-		ckptEvery   = flag.Int("ckpt-every", 0, "dist checkpoint throttle: 0 checkpoints every round's resident state, k>0 every k-th round, negative disables (a lost worker then kills the run)")
-		ckptDir     = flag.String("dist-ckpt-dir", "", "worker mode: additionally persist checkpoints as local run files in this directory (default: coordinator mirror only)")
-		distHB      = flag.Duration("dist-heartbeat", 500*time.Millisecond, "dist worker heartbeat interval; a worker silent for 3 intervals is suspected (0 disables health monitoring)")
-		distSpec    = flag.Float64("dist-speculation", 0, "speculatively re-execute a straggler's partitions once it runs past this factor of the round's median worker time (0 disables)")
-
-		distReconnect = flag.Int("dist-reconnect", 8, "worker redial budget per outage: a severed worker redials and resumes its session instead of dying (0 disables reconnection)")
-		distGrace     = flag.Duration("dist-reconnect-grace", 10*time.Second, "how long the coordinator holds a severed worker's partitions before declaring it dead and reseeding (0 disables session resume)")
-		distJournal   = flag.String("dist-journal-dir", "", "coordinator run journal directory: job outputs and round commits persist here, enabling -dist-resume after a coordinator crash")
-		distResume    = flag.Bool("dist-resume", false, "resume a crashed run from -dist-journal-dir: committed jobs replay from the journal instead of re-running")
 	)
+	eng := mrcli.Register(flag.CommandLine, 18)
 	flag.Parse()
 
-	stopProfiles, err := profiling.Start(*cpuprof, *memprof)
+	stopProfiles, err := eng.StartProfiles()
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if perr := stopProfiles(); perr != nil && err == nil {
-			err = perr
-		}
-	}()
+	defer stopProfiles(&err)
 
 	g, err := loadGraph(*in, *sigma)
 	if err != nil {
 		return err
 	}
 
-	if *distConnect != "" {
-		// Worker mode: same graph, same registered jobs, serve until the
-		// coordinator hangs up.
+	if eng.WorkerMode() {
+		// Same graph, same registered jobs, serve until the coordinator
+		// hangs up.
 		core.RegisterDistJobs(g)
-		reconnect := mapreduce.ReconnectPolicy{Attempts: *distReconnect}
-		if *distReconnect <= 0 {
-			reconnect.Attempts = -1 // flag 0 means off; the policy zero value means default
-		}
-		return mapreduce.ServeDistWorkerOpts(context.Background(), *distConnect,
-			mapreduce.DistWorkerOptions{CheckpointDir: *ckptDir, Reconnect: reconnect})
+		return eng.ServeWorker(context.Background())
 	}
 
-	shuffleOpts := socialmatch.Options{
-		Shuffle:             socialmatch.ShuffleKind(*shuffle),
-		ShuffleMemoryBudget: *budget,
-		ShuffleTempDir:      *tempdir,
-		WireCompression:     *wcomp,
-		SpillCompression:    *scomp,
-		FlatDataflow:        *flat,
-		CheckpointEvery:     *ckptEvery,
-		SpeculationFactor:   *distSpec,
+	if eng.Distributed() && (*in == "" || *in == "-") {
+		return fmt.Errorf("-dist-workers needs -in to name a file (workers load the same graph)")
 	}
-	if *distWorkers > 0 {
-		if *in == "" || *in == "-" {
-			return fmt.Errorf("-dist-workers needs -in to name a file (workers load the same graph)")
-		}
-		clusterOpts := mapreduce.DistClusterOptions{
-			Listen:         *distListen,
-			AcceptLate:     *distLate,
-			HeartbeatEvery: *distHB,
-			ReconnectGrace: *distGrace,
-			JournalDir:     *distJournal,
-			Resume:         *distResume,
-		}
-		if *distHB == 0 {
-			clusterOpts.HeartbeatEvery = -1 // flag 0 means off; the options zero value means default
-		}
-		if *distSpawn {
-			workerArgs := []string{"-in", *in, "-dist-reconnect", fmt.Sprint(*distReconnect)}
-			if *sigma > 0 {
-				workerArgs = append(workerArgs, "-sigma", fmt.Sprint(*sigma))
-			}
-			clusterOpts.Spawn, err = mapreduce.DistSelfExec(workerArgs...)
-			if err != nil {
-				return err
-			}
-		}
-		cluster, err := mapreduce.StartDistCluster(*distWorkers, clusterOpts)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			// Printed only when something actually happened, so a healthy
-			// run's output stays byte-stable for the CI smoke diffs.
-			rs := cluster.RecoveryStats()
-			if rs.WorkersLost > 0 {
-				fmt.Fprintf(os.Stderr, "dist recovery:    %d workers lost, %d jobs retried, %d partitions reseeded\n",
-					rs.WorkersLost, rs.Recoveries, rs.Reseeded)
-			}
-			if rs.HeartbeatTimeouts > 0 || rs.SpeculativeLaunches > 0 || rs.PartitionsMigrated > 0 {
-				fmt.Fprintf(os.Stderr, "dist scheduling:  %d heartbeat timeouts, %d speculative launches (%d won), %d partitions migrated\n",
-					rs.HeartbeatTimeouts, rs.SpeculativeLaunches, rs.SpeculativeWins, rs.PartitionsMigrated)
-			}
-			if rs.WorkerReconnects > 0 || rs.JobsReplayed > 0 {
-				fmt.Fprintf(os.Stderr, "dist durability:  %d worker reconnects (%d frames replayed), %d jobs replayed from journal, %d journal bytes\n",
-					rs.WorkerReconnects, rs.FramesReplayed, rs.JobsReplayed, rs.JournalBytes)
-			}
-		}()
-		// The checked close matters here too: it reaps the spawned
-		// workers, and a worker that died with a nonzero status is a
-		// failed run.
-		defer func() {
-			if cerr := cluster.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}()
-		shuffleOpts.Shuffle = socialmatch.ShuffleDist
-		shuffleOpts.Dist = cluster
+	workerArgs := []string{"-in", *in}
+	if *sigma > 0 {
+		workerArgs = append(workerArgs, "-sigma", fmt.Sprint(*sigma))
+	}
+	mr, closeCluster, err := eng.Start(workerArgs...)
+	if err != nil {
+		return err
+	}
+	defer closeCluster(&err)
+	shuffleOpts := socialmatch.Options{
+		Shuffle:             mr.Shuffle.Backend,
+		ShuffleMemoryBudget: mr.Shuffle.MemoryBudget,
+		ShuffleTempDir:      mr.Shuffle.TempDir,
+		WireCompression:     mr.WireCompression,
+		SpillCompression:    mr.SpillCompression,
+		CheckpointEvery:     mr.CheckpointEvery,
+		SpeculationFactor:   mr.SpeculationFactor,
+		Dist:                mr.Dist,
 	}
 
 	out := cliio.Stdout()
@@ -203,27 +125,7 @@ func run() (err error) {
 		fmt.Fprintf(out, "shuffle spill:    %d records in %d runs\n",
 			res.Shuffle.SpilledRecords, res.Shuffle.SpillRuns)
 	}
-	fmt.Fprintf(out, "phase walls:      map=%s shuffle=%s reduce=%s (summed over rounds)\n",
-		res.Shuffle.MapWall.Round(time.Microsecond),
-		res.Shuffle.ShuffleWall.Round(time.Microsecond),
-		res.Shuffle.ReduceWall.Round(time.Microsecond))
-	if res.Shuffle.LocalRouted > 0 || res.Shuffle.CrossRouted > 0 {
-		fmt.Fprintf(out, "shuffle routing:  local=%d cross=%d (identity-routed vs hashed records)\n",
-			res.Shuffle.LocalRouted, res.Shuffle.CrossRouted)
-	}
-	if res.Shuffle.PooledBytes > 0 || res.Shuffle.PoolMisses > 0 {
-		fmt.Fprintf(out, "buffer pool:      %d bytes reused, %d misses (summed over rounds)\n",
-			res.Shuffle.PooledBytes, res.Shuffle.PoolMisses)
-	}
-	if res.Shuffle.RemoteBytesOut > 0 || res.Shuffle.RemoteBytesIn > 0 {
-		fmt.Fprintf(out, "dist transport:   %d bytes out, %d bytes in, worker wall %s (summed over rounds)\n",
-			res.Shuffle.RemoteBytesOut, res.Shuffle.RemoteBytesIn,
-			res.Shuffle.WorkerWall.Round(time.Microsecond))
-	}
-	if res.Shuffle.WireBytesSaved > 0 || res.Shuffle.SpillBytesSaved > 0 {
-		fmt.Fprintf(out, "codec savings:    %d bytes wire, %d bytes spill (block compression)\n",
-			res.Shuffle.WireBytesSaved, res.Shuffle.SpillBytesSaved)
-	}
+	eng.PrintCost(out, res.Shuffle)
 	if *verbose {
 		for _, e := range m.Edges() {
 			fmt.Fprintf(out, "match item=%d consumer=%d w=%.4f\n",

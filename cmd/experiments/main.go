@@ -22,6 +22,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/mapreduce"
+	"repro/internal/mrcli"
 )
 
 func main() {
@@ -33,16 +34,13 @@ func main() {
 
 func run() (err error) {
 	var (
-		quick   = flag.Bool("quick", false, "run with reduced corpora")
-		scale   = flag.Float64("scale", 0, "explicit corpus scale in (0,1] (overrides -quick)")
-		only    = flag.String("only", "", "run a single experiment: table1, fig1..fig7")
-		out     = flag.String("o", "", "also write the report to this file")
-		seed    = flag.Int64("seed", 42, "random seed")
-		shuffle = flag.String("shuffle", "memory", "MapReduce shuffle backend: memory | spill")
-		budget  = flag.Int("spill-budget", 0, "max in-memory intermediate records per job for -shuffle spill (0 = default 1M)")
-		tempdir = flag.String("spill-dir", "", "directory for spill files (default: system temp dir)")
-		flat    = flag.Bool("flat", false, "disable partition-resident round chaining (re-partition every round from a flat slice)")
+		quick = flag.Bool("quick", false, "run with reduced corpora")
+		scale = flag.Float64("scale", 0, "explicit corpus scale in (0,1] (overrides -quick)")
+		only  = flag.String("only", "", "run a single experiment: table1, fig1..fig7")
+		out   = flag.String("o", "", "also write the report to this file")
+		seed  = flag.Int64("seed", 42, "random seed")
 	)
+	eng := mrcli.RegisterLocal(flag.CommandLine, 16)
 	flag.Parse()
 
 	cfg := experiments.Defaults()
@@ -53,12 +51,11 @@ func run() (err error) {
 		cfg.Scale = *scale
 	}
 	cfg.Seed = *seed
-	cfg.MR.Shuffle = mapreduce.ShuffleConfig{
-		Backend:      mapreduce.ShuffleKind(*shuffle),
-		MemoryBudget: *budget,
-		TempDir:      *tempdir,
+	mr, err := eng.Config()
+	if err != nil {
+		return err
 	}
-	cfg.MR.FlatChaining = *flat
+	cfg.MR.Shuffle = mr.Shuffle
 
 	// Every report line flows through checked outputs: the terminal copy
 	// and the optional -o file both flush-and-close via cliio, so a full
@@ -90,34 +87,12 @@ func run() (err error) {
 		fmt.Fprintf(w, "(%s in %s)\n\n", name, time.Since(t0).Round(time.Millisecond))
 	}
 	// printMR reports the experiment's aggregate MapReduce engine cost in
-	// the same format bmatch and simjoin use: per-phase wall clocks
-	// summed over every job, plus the shuffle routing split.
+	// the same format bmatch and simjoin use.
 	printMR := func(s mapreduce.Stats) {
-		fmt.Fprintf(w, "phase walls: map=%s shuffle=%s reduce=%s (summed over rounds)\n",
-			s.MapWall.Round(time.Microsecond),
-			s.ShuffleWall.Round(time.Microsecond),
-			s.ReduceWall.Round(time.Microsecond))
-		if s.LocalRouted > 0 || s.CrossRouted > 0 {
-			fmt.Fprintf(w, "routing:     local=%d cross=%d (identity-routed vs hashed records)\n",
-				s.LocalRouted, s.CrossRouted)
-		}
 		if s.SpilledRecords > 0 {
-			fmt.Fprintf(w, "spilled:     %d records in %d runs\n", s.SpilledRecords, s.SpillRuns)
+			fmt.Fprintf(w, "spilled:        %d records in %d runs\n", s.SpilledRecords, s.SpillRuns)
 		}
-		if s.PooledBytes > 0 || s.PoolMisses > 0 {
-			fmt.Fprintf(w, "buffer pool: %d bytes reused, %d misses\n", s.PooledBytes, s.PoolMisses)
-		}
-		if s.RemoteBytesOut > 0 || s.RemoteBytesIn > 0 {
-			// Measured distributed footprint (dist backend), the
-			// counterpart of the ClusterModel estimates in the
-			// scalability tables.
-			fmt.Fprintf(w, "dist:        %d bytes out, %d bytes in, worker wall %s\n",
-				s.RemoteBytesOut, s.RemoteBytesIn, s.WorkerWall.Round(time.Microsecond))
-		}
-		if s.WireBytesSaved > 0 || s.SpillBytesSaved > 0 {
-			fmt.Fprintf(w, "codec:       saved %d bytes wire, %d bytes spill (block compression)\n",
-				s.WireBytesSaved, s.SpillBytesSaved)
-		}
+		eng.PrintCost(w, s)
 	}
 
 	run("table1", func() error {

@@ -21,13 +21,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"repro/internal/cliio"
 	"repro/internal/dataset"
 	"repro/internal/graph"
-	"repro/internal/mapreduce"
-	"repro/internal/profiling"
+	"repro/internal/mrcli"
 	"repro/internal/simjoin"
 )
 
@@ -40,133 +38,45 @@ func main() {
 
 func run() (err error) {
 	var (
-		name    = flag.String("dataset", "flickr-small", "flickr-small | flickr-large | yahoo-answers")
-		sigma   = flag.Float64("sigma", 4, "similarity threshold (must be > 0)")
-		alpha   = flag.Float64("alpha", 1, "capacity multiplier applied when writing the graph")
-		scale   = flag.Float64("scale", 1, "corpus size scale factor in (0,1]")
-		seed    = flag.Int64("seed", 1, "random seed")
-		shuffle = flag.String("shuffle", "memory", "MapReduce shuffle backend: memory | spill (-dist-workers selects dist)")
-		budget  = flag.Int("spill-budget", 0, "max in-memory intermediate records per job for -shuffle spill (0 = default 1M)")
-		tempdir = flag.String("spill-dir", "", "directory for spill files (default: system temp dir)")
-		wcomp   = flag.Bool("wire-compress", false, "flate-compress bulk pair frames on the dist wire (shuffle buckets, reduce outputs, checkpoints)")
-		scomp   = flag.Bool("spill-compress", false, "flate-compress spill run blocks for -shuffle spill")
-		flat    = flag.Bool("flat", false, "disable Dataset-chained jobs (re-partition each job from a flat slice)")
-		out     = flag.String("o", "", "write the candidate graph (with capacities) to this file")
-		cpuprof = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memprof = flag.String("memprofile", "", "write a heap profile to this file on exit")
-
-		distWorkers = flag.Int("dist-workers", 0, "shard reduce partitions across this many worker processes (0 = single process)")
-		distConnect = flag.String("dist-connect", "", "worker mode: connect to a coordinator at host:port, serve its jobs, and exit")
-		distListen  = flag.String("dist-listen", "", "coordinator listen address for -dist-workers (default 127.0.0.1:0)")
-		distSpawn   = flag.Bool("dist-spawn", true, "self-exec the -dist-workers worker processes (false: wait for -dist-connect workers)")
-		distLate    = flag.Bool("dist-accept-late", false, "keep accepting replacement -dist-connect workers after startup; they adopt a dead worker's partitions at the next recovery")
-		ckptEvery   = flag.Int("ckpt-every", 0, "dist checkpoint throttle: 0 checkpoints every round's resident state, k>0 every k-th round, negative disables")
-		ckptDir     = flag.String("dist-ckpt-dir", "", "worker mode: additionally persist checkpoints as local run files in this directory (default: coordinator mirror only)")
-		distHB      = flag.Duration("dist-heartbeat", 500*time.Millisecond, "dist worker heartbeat interval; a worker silent for 3 intervals is suspected (0 disables health monitoring)")
-		distSpec    = flag.Float64("dist-speculation", 0, "speculatively re-execute a straggler's partitions once it runs past this factor of the round's median worker time (0 disables)")
-
-		distReconnect = flag.Int("dist-reconnect", 8, "worker redial budget per outage: a severed worker redials and resumes its session instead of dying (0 disables reconnection)")
-		distGrace     = flag.Duration("dist-reconnect-grace", 10*time.Second, "how long the coordinator holds a severed worker's partitions before declaring it dead and reseeding (0 disables session resume)")
-		distJournal   = flag.String("dist-journal-dir", "", "coordinator run journal directory: job outputs and round commits persist here, enabling -dist-resume after a coordinator crash")
-		distResume    = flag.Bool("dist-resume", false, "resume a crashed run from -dist-journal-dir: committed jobs replay from the journal instead of re-running")
+		name  = flag.String("dataset", "flickr-small", "flickr-small | flickr-large | yahoo-answers")
+		sigma = flag.Float64("sigma", 4, "similarity threshold (must be > 0)")
+		alpha = flag.Float64("alpha", 1, "capacity multiplier applied when writing the graph")
+		scale = flag.Float64("scale", 1, "corpus size scale factor in (0,1]")
+		seed  = flag.Int64("seed", 1, "random seed")
+		out   = flag.String("o", "", "write the candidate graph (with capacities) to this file")
 	)
+	eng := mrcli.Register(flag.CommandLine, 16)
 	flag.Parse()
 
-	stopProfiles, err := profiling.Start(*cpuprof, *memprof)
+	stopProfiles, err := eng.StartProfiles()
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if perr := stopProfiles(); perr != nil && err == nil {
-			err = perr
-		}
-	}()
+	defer stopProfiles(&err)
 
 	c, err := corpus(*name, *scale, *seed)
 	if err != nil {
 		return err
 	}
 
-	if *distConnect != "" {
-		// Worker mode: the corpus regenerated above is deterministic
-		// given the flags, so the verification reduces close over the
-		// exact vectors the coordinator probes with.
+	if eng.WorkerMode() {
+		// The corpus regenerated above is deterministic given the flags,
+		// so the verification reduces close over the exact vectors the
+		// coordinator probes with.
 		simjoin.RegisterDistJobs(c.Items, c.Consumers, *sigma)
-		reconnect := mapreduce.ReconnectPolicy{Attempts: *distReconnect}
-		if *distReconnect <= 0 {
-			reconnect.Attempts = -1 // flag 0 means off; the policy zero value means default
-		}
-		return mapreduce.ServeDistWorkerOpts(context.Background(), *distConnect,
-			mapreduce.DistWorkerOptions{CheckpointDir: *ckptDir, Reconnect: reconnect})
+		return eng.ServeWorker(context.Background())
 	}
 
-	mr := mapreduce.Config{
-		Shuffle: mapreduce.ShuffleConfig{
-			Backend:      mapreduce.ShuffleKind(*shuffle),
-			MemoryBudget: *budget,
-			TempDir:      *tempdir,
-		},
-		FlatChaining:      *flat,
-		CheckpointEvery:   *ckptEvery,
-		SpeculationFactor: *distSpec,
-		WireCompression:   *wcomp,
-		SpillCompression:  *scomp,
+	mr, closeCluster, err := eng.Start(
+		"-dataset", *name,
+		"-sigma", fmt.Sprint(*sigma),
+		"-scale", fmt.Sprint(*scale),
+		"-seed", fmt.Sprint(*seed),
+	)
+	if err != nil {
+		return err
 	}
-	if *distWorkers > 0 {
-		opts := mapreduce.DistClusterOptions{
-			Listen:         *distListen,
-			AcceptLate:     *distLate,
-			HeartbeatEvery: *distHB,
-			ReconnectGrace: *distGrace,
-			JournalDir:     *distJournal,
-			Resume:         *distResume,
-		}
-		if *distHB == 0 {
-			opts.HeartbeatEvery = -1 // flag 0 means off; the options zero value means default
-		}
-		if *distSpawn {
-			opts.Spawn, err = mapreduce.DistSelfExec(
-				"-dataset", *name,
-				"-sigma", fmt.Sprint(*sigma),
-				"-scale", fmt.Sprint(*scale),
-				"-seed", fmt.Sprint(*seed),
-				"-dist-reconnect", fmt.Sprint(*distReconnect),
-			)
-			if err != nil {
-				return err
-			}
-		}
-		cluster, err := mapreduce.StartDistCluster(*distWorkers, opts)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			// Only when something happened, so healthy smoke output stays
-			// byte-stable.
-			rs := cluster.RecoveryStats()
-			if rs.WorkersLost > 0 {
-				fmt.Fprintf(os.Stderr, "dist recovery:  %d workers lost, %d jobs retried, %d partitions reseeded\n",
-					rs.WorkersLost, rs.Recoveries, rs.Reseeded)
-			}
-			if rs.HeartbeatTimeouts > 0 || rs.SpeculativeLaunches > 0 || rs.PartitionsMigrated > 0 {
-				fmt.Fprintf(os.Stderr, "dist scheduling: %d heartbeat timeouts, %d speculative launches (%d won), %d partitions migrated\n",
-					rs.HeartbeatTimeouts, rs.SpeculativeLaunches, rs.SpeculativeWins, rs.PartitionsMigrated)
-			}
-			if rs.WorkerReconnects > 0 || rs.JobsReplayed > 0 {
-				fmt.Fprintf(os.Stderr, "dist durability: %d worker reconnects (%d frames replayed), %d jobs replayed from journal, %d journal bytes\n",
-					rs.WorkerReconnects, rs.FramesReplayed, rs.JobsReplayed, rs.JournalBytes)
-			}
-		}()
-		// Checked close: reaps spawned workers; a nonzero worker exit
-		// fails the run.
-		defer func() {
-			if cerr := cluster.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}()
-		mr.Shuffle.Backend = mapreduce.ShuffleDist
-		mr.Dist = cluster
-	}
+	defer closeCluster(&err)
 
 	res, err := simjoin.Join(context.Background(), c.Items, c.Consumers, *sigma, simjoin.Options{MR: mr})
 	if err != nil {
@@ -185,33 +95,13 @@ func run() (err error) {
 	fmt.Fprintf(w, "candidates:     %d (%.4f%% of all pairs)\n",
 		res.Candidates, 100*float64(res.Candidates)/float64(pairs))
 	fmt.Fprintf(w, "edges >= sigma: %d (%.1f%% of candidates survive verification)\n",
-		len(res.Edges), 100*float64(len(res.Edges))/float64(max64(res.Candidates, 1)))
+		len(res.Edges), 100*float64(len(res.Edges))/float64(max(res.Candidates, 1)))
 	fmt.Fprintf(w, "shuffle:        %d records\n", res.Shuffle.ShuffleRecords)
 	if res.Shuffle.SpilledRecords > 0 {
 		fmt.Fprintf(w, "spilled:        %d records in %d runs\n",
 			res.Shuffle.SpilledRecords, res.Shuffle.SpillRuns)
 	}
-	fmt.Fprintf(w, "phase walls:    map=%s shuffle=%s reduce=%s (summed over rounds)\n",
-		res.Shuffle.MapWall.Round(time.Microsecond),
-		res.Shuffle.ShuffleWall.Round(time.Microsecond),
-		res.Shuffle.ReduceWall.Round(time.Microsecond))
-	if res.Shuffle.LocalRouted > 0 || res.Shuffle.CrossRouted > 0 {
-		fmt.Fprintf(w, "routing:        local=%d cross=%d (identity-routed vs hashed records)\n",
-			res.Shuffle.LocalRouted, res.Shuffle.CrossRouted)
-	}
-	if res.Shuffle.PooledBytes > 0 || res.Shuffle.PoolMisses > 0 {
-		fmt.Fprintf(w, "buffer pool:    %d bytes reused, %d misses\n",
-			res.Shuffle.PooledBytes, res.Shuffle.PoolMisses)
-	}
-	if res.Shuffle.RemoteBytesOut > 0 || res.Shuffle.RemoteBytesIn > 0 {
-		fmt.Fprintf(w, "dist transport: %d bytes out, %d bytes in, worker wall %s\n",
-			res.Shuffle.RemoteBytesOut, res.Shuffle.RemoteBytesIn,
-			res.Shuffle.WorkerWall.Round(time.Microsecond))
-	}
-	if res.Shuffle.WireBytesSaved > 0 || res.Shuffle.SpillBytesSaved > 0 {
-		fmt.Fprintf(w, "codec savings:  %d bytes wire, %d bytes spill (block compression)\n",
-			res.Shuffle.WireBytesSaved, res.Shuffle.SpillBytesSaved)
-	}
+	eng.PrintCost(w, res.Shuffle)
 
 	if *out != "" {
 		g := simjoin.ToGraph(res.Edges, c.NumItems(), c.NumConsumers())
@@ -263,11 +153,4 @@ func corpus(name string, scale float64, seed int64) (*dataset.Corpus, error) {
 		return dataset.Answers(name, cfg), nil
 	}
 	return nil, fmt.Errorf("unknown dataset %q", name)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -30,9 +30,3 @@ func TestCorpusScaling(t *testing.T) {
 		t.Errorf("scaling did not shrink: %d >= %d", small.NumItems(), full.NumItems())
 	}
 }
-
-func TestMax64(t *testing.T) {
-	if max64(3, 5) != 5 || max64(5, 3) != 5 || max64(-1, -2) != -1 {
-		t.Error("max64 wrong")
-	}
-}

@@ -60,54 +60,31 @@ func BenchmarkMaximalBMatching(b *testing.B) {
 }
 
 // BenchmarkGreedyMRFullRun measures a complete multi-round GreedyMR
-// computation — the workload the Dataset refactor targets. The chained
-// sub-benchmark runs the default partition-resident dataflow (state
-// hashed once, identity-routed self messages, no per-round flat
-// rebuild); flat forces a re-partition from a globally sorted slice
-// every round, the pre-Dataset engine behavior. Both produce
-// bit-identical matchings (see dataflow_test.go).
+// computation on the partition-resident dataflow (state hashed once,
+// identity-routed self messages, no per-round flat rebuild).
 func BenchmarkGreedyMRFullRun(b *testing.B) {
 	g := benchInstance(6)
 	ctx := context.Background()
-	for _, mode := range []struct {
-		name string
-		flat bool
-	}{{"chained", false}, {"flat", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := GreedyMR(ctx, g, GreedyMROptions{
-					MR: mapreduce.Config{FlatChaining: mode.flat},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !mode.flat && res.Shuffle.LocalRouted == 0 {
-					b.Fatal("chained run identity-routed nothing")
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		res, err := GreedyMR(ctx, g, GreedyMROptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Shuffle.LocalRouted == 0 {
+			b.Fatal("run identity-routed nothing")
+		}
 	}
 }
 
 // BenchmarkStackMRFullRun measures a complete StackMR computation
-// (push and pop phases, tens of jobs), chained vs flat.
+// (push and pop phases, tens of jobs).
 func BenchmarkStackMRFullRun(b *testing.B) {
 	g := benchInstance(7)
 	ctx := context.Background()
-	for _, mode := range []struct {
-		name string
-		flat bool
-	}{{"chained", false}, {"flat", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := StackMR(ctx, g, StackOptions{
-					MR:   mapreduce.Config{FlatChaining: mode.flat},
-					Seed: 1,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		if _, err := StackMR(ctx, g, StackOptions{Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -9,12 +9,9 @@ import (
 	"repro/internal/mapreduce"
 )
 
-// These tests pin the tentpole guarantee of the Dataset refactor: the
-// partition-resident dataflow (the default) and the flat re-partition
-// dataflow (Config.FlatChaining, the pre-Dataset behavior) produce
-// bit-identical results for every iterative algorithm — same matched
-// edge sets, same floating-point values, same traces, same duals, same
-// round counts.
+// These tests pin what the partition-resident dataflow promises the
+// iterative algorithms: it is bit-identical across shuffle backends, and
+// every round's self-addressed records take the identity route.
 
 func dataflowInstance(seed int64) *graph.Bipartite {
 	return graph.RandomBipartite(graph.RandomConfig{
@@ -23,19 +20,12 @@ func dataflowInstance(seed int64) *graph.Bipartite {
 	})
 }
 
-func chainedAndFlat(base mapreduce.Config) (chained, flat mapreduce.Config) {
-	chained = base
-	flat = base
-	flat.FlatChaining = true
-	return chained, flat
-}
-
 // requireSameResult asserts bit-identical matchings (edge sets and
 // floating-point values) and round counts.
 func requireSameResult(t *testing.T, name string, a, b *Result) {
 	t.Helper()
 	if !reflect.DeepEqual(a.Matching.EdgeIndexes(), b.Matching.EdgeIndexes()) {
-		t.Fatalf("%s: chained and flat dataflow matched different edge sets", name)
+		t.Fatalf("%s: the two runs matched different edge sets", name)
 	}
 	if a.Matching.Value() != b.Matching.Value() {
 		t.Fatalf("%s: matching values differ bitwise: %v vs %v",
@@ -46,95 +36,9 @@ func requireSameResult(t *testing.T, name string, a, b *Result) {
 	}
 }
 
-func TestGreedyMRChainedMatchesFlat(t *testing.T) {
-	ctx := context.Background()
-	for seed := int64(0); seed < 4; seed++ {
-		g := dataflowInstance(seed)
-		chained, flat := chainedAndFlat(mapreduce.Config{Mappers: 3, Reducers: 3})
-		rc, err := GreedyMR(ctx, g, GreedyMROptions{MR: chained})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rf, err := GreedyMR(ctx, g, GreedyMROptions{MR: flat})
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameResult(t, "greedymr", rc, rf)
-		if !reflect.DeepEqual(rc.ValueTrace, rf.ValueTrace) {
-			t.Fatal("greedymr: value traces differ bitwise")
-		}
-		if rc.Shuffle.LocalRouted == 0 {
-			t.Fatal("chained greedymr identity-routed nothing")
-		}
-		if rf.Shuffle.LocalRouted != 0 {
-			t.Fatal("flat greedymr identity-routed records")
-		}
-	}
-}
-
-func TestStackMRChainedMatchesFlat(t *testing.T) {
-	ctx := context.Background()
-	for seed := int64(0); seed < 3; seed++ {
-		g := dataflowInstance(100 + seed)
-		chained, flat := chainedAndFlat(mapreduce.Config{Mappers: 3, Reducers: 3})
-		rc, err := StackMR(ctx, g, StackOptions{MR: chained, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rf, err := StackMR(ctx, g, StackOptions{MR: flat, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameResult(t, "stackmr", rc, rf)
-		yc := rc.Certificate.Y
-		yf := rf.Certificate.Y
-		if !reflect.DeepEqual(yc, yf) {
-			t.Fatal("stackmr: dual certificates differ bitwise")
-		}
-		if rc.Shuffle.LocalRouted == 0 {
-			t.Fatal("chained stackmr identity-routed nothing")
-		}
-	}
-}
-
-func TestStackGreedyMRChainedMatchesFlat(t *testing.T) {
-	ctx := context.Background()
-	g := dataflowInstance(200)
-	chained, flat := chainedAndFlat(mapreduce.Config{Mappers: 2, Reducers: 4})
-	rc, err := StackGreedyMR(ctx, g, StackOptions{MR: chained, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rf, err := StackGreedyMR(ctx, g, StackOptions{MR: flat, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameResult(t, "stackgreedymr", rc, rf)
-}
-
-func TestStackMRStrictChainedMatchesFlat(t *testing.T) {
-	ctx := context.Background()
-	for seed := int64(0); seed < 3; seed++ {
-		g := dataflowInstance(300 + seed)
-		chained, flat := chainedAndFlat(mapreduce.Config{Mappers: 3, Reducers: 3})
-		rc, err := StackMRStrict(ctx, g, StackOptions{MR: chained, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rf, err := StackMRStrict(ctx, g, StackOptions{MR: flat, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameResult(t, "stackmrstrict", rc, rf)
-		if err := rc.Matching.Validate(1); err != nil {
-			t.Fatalf("strict chained result infeasible: %v", err)
-		}
-	}
-}
-
-// TestGreedyMRChainedSpillMatchesMemory crosses the two axes: the
-// chained dataflow over the spilling backend (radix-sorted per-partition
-// runs) must reproduce the chained in-memory result bit for bit.
+// TestGreedyMRChainedSpillMatchesMemory: the chained dataflow over the
+// spilling backend (radix-sorted per-partition runs) must reproduce the
+// chained in-memory result bit for bit.
 func TestGreedyMRChainedSpillMatchesMemory(t *testing.T) {
 	ctx := context.Background()
 	g := dataflowInstance(400)
@@ -175,5 +79,18 @@ func TestGreedyMRRoundStatsExposeRouting(t *testing.T) {
 			t.Fatalf("round %d: routed %d+%d != map output %d",
 				i, s.LocalRouted, s.CrossRouted, s.MapOutputRecords)
 		}
+	}
+}
+
+// TestStackMRIdentityRoutes: the stack algorithms chain their rounds
+// partition-resident too, so a run identity-routes records.
+func TestStackMRIdentityRoutes(t *testing.T) {
+	res, err := StackMR(context.Background(), dataflowInstance(100),
+		StackOptions{MR: mapreduce.Config{Mappers: 3, Reducers: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Shuffle.LocalRouted == 0 {
+		t.Fatal("stackmr identity-routed nothing")
 	}
 }

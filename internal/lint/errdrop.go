@@ -21,9 +21,9 @@ import (
 //     are how CLI bytes get checked), or
 //   - an error-returning method on a journal or checkpoint writer,
 //     identified by the receiver type being declared in a file whose
-//     name contains "journal" or "checkpoint" (distJournal,
-//     checkpointWriter today; future writers inherit the rule by
-//     following the file-naming convention).
+//     name contains "journal" or "checkpoint" (distJournal today;
+//     future writers inherit the rule by following the file-naming
+//     convention).
 var ErrDrop = &Analyzer{
 	Name: "errdrop",
 	Doc: `do not discard errors from cliio, journal, or checkpoint writers

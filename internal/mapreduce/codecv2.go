@@ -19,13 +19,13 @@ import (
 // This file implements codec v2, the batch encoding shared by every
 // bulk byte path: dist bucket frames, checkpoint/seed mirror blobs, and
 // (through spillBlockCodec in spillcodec.go) extsort run files. The
-// paper's cost model is dominated by bytes moved per round, and the
-// per-pair row framing of v1 — uvarint key length, key, uvarint value
-// length, value — pays two length prefixes per pair and encodes every
-// id at full varint width. v2 re-encodes a batch column-wise:
+// paper's cost model is dominated by bytes moved per round, and a
+// per-pair row framing — uvarint key length, key, uvarint value length,
+// value — pays two length prefixes per pair and encodes every id at
+// full varint width. v2 encodes a batch column-wise:
 //
 //	blob     := marker byte, payload
-//	marker   := 0x01 (v1 rows) | 0x02 (v2 columns) | 0x03 (v2 + flate)
+//	marker   := 0x02 (v2 columns) | 0x03 (v2 + flate)
 //	payload  := key column, value column          (marker 0x02)
 //	         |  uvarint rawLen, flate(columns)    (marker 0x03)
 //
@@ -45,7 +45,7 @@ import (
 //   - bools: bit-packed, eight per byte.
 //   - [2]int32 (edge endpoints): two delta sub-columns.
 //   - empty structs: zero bytes.
-//   - everything else (BinaryMarshaler, slices, gob fallback): v1-style
+//   - everything else (BinaryMarshaler, slices, gob fallback):
 //     length-prefixed elements in a column, through the element codec's
 //     per-stream instantiation (forStream) so the gob fallback reuses
 //     one en/decoder per column instead of one per record.
@@ -58,13 +58,12 @@ import (
 // for is therefore realized per-frame on the wire and per-run on the
 // spill path, where one process writes and reads the stream in order.
 //
-// The marker byte is the version negotiation: v2 readers fall back to
-// v1 rows (old on-disk checkpoint blobs are tagged pairBlobV1 by the
-// manifest loader), and remote.Proto gates mixed-build clusters.
+// The marker byte names the payload form; a marker this build does not
+// write (0x01 was the retired row framing) is a decode error, and
+// remote.Proto gates mixed-build clusters.
 
 // Pair-blob codec markers (the first byte of every versioned blob).
 const (
-	pairBlobV1      byte = 0x01 // v1 row framing: per-pair length-prefixed key, value
 	pairBlobV2      byte = 0x02 // v2 columnar: key column, then value column
 	pairBlobV2Flate byte = 0x03 // v2 columnar behind per-blob flate compression
 )
@@ -80,6 +79,12 @@ const compressMinLen = 64
 // maxPairCount bounds any wire-declared pair count after the per-type
 // minimum-width check; a count past this is corruption regardless.
 const maxPairCount = 1 << 31
+
+// maxInflateRatio is DEFLATE's expansion ceiling (a 258-byte match costs
+// at least two bits): a declared raw length past it is corruption, and
+// checking it first keeps a forged length prefix from sizing the
+// inflate buffer.
+const maxInflateRatio = 1032
 
 // pairDict is the string-interning state of one dictionary column.
 // Encoder side: idx/entries assign dense ids in first-seen order and
@@ -213,7 +218,7 @@ func colIntKind(k reflect.Kind) bool {
 }
 
 // minEnc8 is a type's minimum encoded width in eighths of a byte, the
-// lower bound either blob version can reach per element (bit-packed
+// lower bound a column can reach per element (bit-packed
 // bools reach one bit; empty structs reach zero). Used to bound
 // wire-declared pair counts before any allocation.
 func minEnc8(t reflect.Type) int {
@@ -726,8 +731,8 @@ func decStrToken(data []byte, d *pairDict) (string, []byte, error) {
 }
 
 // genericKeyCol is the column fallback for every type without a
-// kind-based lane: v1-style length-prefixed elements through the
-// resolved element codec. forStream gives stateful codecs (the gob
+// kind-based lane: length-prefixed elements through the resolved
+// element codec. forStream gives stateful codecs (the gob
 // fallback) one en/decoder per column instead of one per record.
 func genericKeyCol[K comparable, V any](kc spillCodec[K]) (pairColEnc[K, V], pairColDec[K, V], bool) {
 	enc := func(buf []byte, ps []Pair[K, V], _ *pairDict) ([]byte, error) {
@@ -810,9 +815,7 @@ func putBlobScratch(s *blobScratch) { blobScratchPool.Put(s) }
 // (MsgBucket on both sides of the wire, MsgReduced on the worker).
 // remote.Conn.WriteFrame copies the payload into its buffered writer
 // before returning, so a frame buffer can be recycled the moment
-// WriteFrame comes back. Frames that are retained past the send —
-// MsgCkpt, whose blob the worker keeps aliased as the mirrored
-// checkpoint — must never come from this pool.
+// WriteFrame comes back.
 type frameScratch struct{ b []byte }
 
 var frameScratchPool = sync.Pool{New: func() any { return &frameScratch{} }}
@@ -936,55 +939,28 @@ func encodePairs[K comparable, V any](buf []byte, pairs []Pair[K, V], kc spillCo
 	return buf, nil
 }
 
-// encodePairsV1 appends the v1 row payload (no marker byte): count
-// length-prefixed (key, value) encodings. Kept for the checkpoint
-// compatibility fixtures and the fallback tests; live paths encode v2.
-func encodePairsV1[K comparable, V any](buf []byte, pairs []Pair[K, V], kc spillCodec[K], vc spillCodec[V]) ([]byte, error) {
-	var scratch []byte
-	for i := range pairs {
-		var err error
-		if scratch, err = kc.enc(scratch[:0], pairs[i].Key); err != nil {
-			return nil, err
-		}
-		buf = remote.AppendBytes(buf, scratch)
-		if scratch, err = vc.enc(scratch[:0], pairs[i].Value); err != nil {
-			return nil, err
-		}
-		buf = remote.AppendBytes(buf, scratch)
-	}
-	return buf, nil
-}
-
 // pairCap bounds a wire-declared pair count by the remaining payload —
-// v1 rows carry at least two 1-byte length prefixes per pair, and v2
-// columns at least the per-type minimum widths — so a corrupted count
-// cannot drive a pre-allocation past the bytes that could possibly
-// back it. (For compressed blobs the bound undershoots the raw image;
+// the columns carry at least the per-type minimum widths — so a
+// corrupted count cannot drive a pre-allocation past the bytes that
+// could possibly back it. (For compressed blobs the bound undershoots the raw image;
 // it is a sizing hint, decode grows the slice as needed.)
 func pairCap[K comparable, V any](cur *remote.Cursor, count int, kc spillCodec[K], vc spillCodec[V]) int {
 	if count < 0 {
 		return 0
 	}
-	rest := cur.Rest()
-	if len(rest) > 0 && rest[0] == pairBlobV1 {
-		if max := (len(rest) - 1) / 2; count > max {
-			return max
-		}
-		return count
-	}
 	min8 := kc.min8 + vc.min8
 	if min8 <= 0 {
 		min8 = 1 // zero-width pairs allocate nothing; still bound the hint
 	}
-	if bound := len(rest) * 8 / min8; count > bound {
+	if bound := len(cur.Rest()) * 8 / min8; count > bound {
 		return bound
 	}
 	return count
 }
 
 // decodePairs appends count decoded pairs to out, dispatching on the
-// blob's codec marker: v2 columns (plain or deflated) or v1 rows (old
-// checkpoint files, tagged by the manifest loader).
+// blob's codec marker: v2 columns, plain or deflated. Any other marker
+// is an error.
 func decodePairs[K comparable, V any](cur *remote.Cursor, count int, kc spillCodec[K], vc spillCodec[V], out []Pair[K, V]) ([]Pair[K, V], error) {
 	if count == 0 && len(cur.Rest()) == 0 {
 		return out, nil
@@ -994,8 +970,6 @@ func decodePairs[K comparable, V any](cur *remote.Cursor, count int, kc spillCod
 		return out, err
 	}
 	switch marker {
-	case pairBlobV1:
-		return decodePairsV1(cur, count, kc, vc, out)
 	case pairBlobV2:
 		return decodePairCols(cur.Rest(), count, kc, vc, out)
 	case pairBlobV2Flate:
@@ -1003,8 +977,9 @@ func decodePairs[K comparable, V any](cur *remote.Cursor, count int, kc spillCod
 		if err := cur.Err(); err != nil {
 			return out, err
 		}
-		if rawLen > maxPairCount {
-			return out, fmt.Errorf("mapreduce: pair decode: %d-byte raw image", rawLen)
+		comp := cur.Rest()
+		if rawLen > maxPairCount || rawLen > uint64(len(comp))*maxInflateRatio {
+			return out, fmt.Errorf("mapreduce: pair decode: %d-byte raw image declared by a %d-byte deflate stream", rawLen, len(comp))
 		}
 		scratch := getBlobScratch()
 		defer putBlobScratch(scratch)
@@ -1012,40 +987,13 @@ func decodePairs[K comparable, V any](cur *remote.Cursor, count int, kc spillCod
 			scratch.b = make([]byte, rawLen)
 		}
 		scratch.b = scratch.b[:rawLen]
-		if err := inflateBlock(scratch.b, cur.Rest()); err != nil {
+		if err := inflateBlock(scratch.b, comp); err != nil {
 			return out, err
 		}
 		return decodePairCols(scratch.b, count, kc, vc, out)
 	default:
 		return out, fmt.Errorf("mapreduce: pair decode: unknown codec marker 0x%02x", marker)
 	}
-}
-
-// decodePairsV1 decodes count v1 rows (the marker byte already
-// consumed). The element decode stays per-record and stateless: v1
-// blobs were encoded record-at-a-time, so a gob fallback record is a
-// self-contained stream.
-func decodePairsV1[K comparable, V any](cur *remote.Cursor, count int, kc spillCodec[K], vc spillCodec[V], out []Pair[K, V]) ([]Pair[K, V], error) {
-	if count > len(cur.Rest())/2 || count < 0 {
-		return out, fmt.Errorf("pair count %d exceeds the %d-byte payload", count, len(cur.Rest()))
-	}
-	for i := 0; i < count; i++ {
-		kb := cur.Bytes()
-		vb := cur.Bytes()
-		if err := cur.Err(); err != nil {
-			return out, err
-		}
-		k, err := kc.dec(kb)
-		if err != nil {
-			return out, err
-		}
-		v, err := vc.dec(vb)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, Pair[K, V]{Key: k, Value: v})
-	}
-	return out, nil
 }
 
 // decodePairCols decodes the v2 column image in data, appending count

@@ -74,17 +74,15 @@ func RunCombined[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3
 	return output, stats, nil
 }
 
-// combineMapTask runs one map-and-combine task over a contiguous block
-// of input records (a flat split, or one Dataset partition): the whole
-// block buffers before combining — a combiner needs every value of a
+// combineMapTask runs one map-and-combine task over one input split:
+// the whole split buffers before combining — a combiner needs every value of a
 // key that the task produced, so neither chunked feeding nor
 // emission-time partitioning can apply before it runs — and only the
 // combined (smaller) output is partitioned and reaches the shuffle
 // backend. Combined pairs are always hash-routed (counted CrossRouted):
 // combining erases the per-record provenance the identity route keys
-// on. offset is the block's position in the caller's input (a flat
-// split's lo bound; zero for a Dataset partition), so map errors
-// report the index the caller knows.
+// on. offset is the split's lo bound, so map errors report the index
+// the caller knows.
 func combineMapTask[K1 comparable, V1 any, K2 comparable, V2 any](
 	ctx context.Context,
 	task, offset int,

@@ -227,10 +227,6 @@ func keyCast[K1, K2 comparable]() func(K1) K2 {
 //     per-partition; there is no global concat-and-sort barrier. The
 //     output is aligned provided the reduce emits only keys hashing to
 //     the group's partition (see Dataset).
-//
-// Config.FlatChaining forces the misaligned path for every job — the
-// pre-Dataset engine behavior, kept selectable so equivalence tests and
-// benchmarks can compare the two dataflows on identical semantics.
 func RunDS[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any](
 	ctx context.Context,
 	cfg Config,
@@ -256,7 +252,7 @@ func RunDS[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any](
 		return nil, stats, err
 	}
 
-	chained := input.aligned && input.Partitions() == cfg.reducers() && !cfg.FlatChaining
+	chained := input.aligned && input.Partitions() == cfg.reducers()
 
 	ar := arenaFor[K2, V2](cfg.Pool, cfg.reducers())
 	var backend ShuffleBackend[K2, V2]
@@ -368,78 +364,6 @@ func runMapPhaseDS[K1 comparable, V1 any, K2 comparable, V2 any](
 		})
 	}
 	return grp.Wait()
-}
-
-// RunCombinedDS is RunDS with a combiner, mirroring RunCombined. With
-// an aligned input the map-and-combine tasks still run one per
-// partition, but combined output is always hash-routed: combining
-// erases the per-record provenance the identity route keys on, so
-// LocalRouted stays zero on this path.
-func RunCombinedDS[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any](
-	ctx context.Context,
-	cfg Config,
-	input *Dataset[K1, V1],
-	mapFn MapFunc[K1, V1, K2, V2],
-	combineFn CombineFunc[K2, V2],
-	reduceFn ReduceFunc[K2, V2, K3, V3],
-) (*Dataset[K3, V3], *Stats, error) {
-	if combineFn == nil {
-		return RunDS(ctx, cfg, input, mapFn, reduceFn)
-	}
-	if mapFn == nil || reduceFn == nil {
-		return nil, nil, errParams()
-	}
-	stats := newStats(cfg.Name)
-	stats.MapInputRecords = int64(input.Len())
-	defer stats.snapPool(cfg.Pool)()
-
-	if cfg.Shuffle.kind() == ShuffleDist {
-		// Combining erases the per-record provenance a worker-side
-		// reduce would need to stay bit-identical, and no algorithm in
-		// this repository combines; fail loudly instead of diverging.
-		return nil, stats, errors.New("mapreduce: the dist shuffle backend does not support combiner jobs")
-	}
-	if err := input.Materialize(); err != nil {
-		return nil, stats, err
-	}
-
-	chained := input.aligned && input.Partitions() == cfg.reducers() && !cfg.FlatChaining
-
-	var backend ShuffleBackend[K2, V2]
-	var err error
-	var tasks [][]Pair[K1, V1]
-	var offsets []int
-	if chained {
-		tasks = input.parts
-		offsets = make([]int, len(tasks)) // partition-relative indexes
-	} else {
-		flat := input.Collect()
-		for _, sp := range splitRange(len(flat), cfg.mappers()) {
-			tasks = append(tasks, flat[sp.lo:sp.hi])
-			offsets = append(offsets, sp.lo)
-		}
-	}
-	backend, err = newShuffleBackend(cfg, len(tasks), arenaFor[K2, V2](cfg.Pool, cfg.reducers()))
-	if err != nil {
-		return nil, stats, err
-	}
-	defer backend.Close()
-
-	phase := time.Now()
-	grp := newErrGroup(ctx)
-	for i, task := range tasks {
-		i, task := i, task
-		grp.Go(func(ctx context.Context) error {
-			return combineMapTask(ctx, i, offsets[i], task, mapFn, combineFn, backend, stats)
-		})
-	}
-	err = grp.Wait()
-	stats.MapWall = time.Since(phase)
-	if err != nil {
-		return nil, stats, err
-	}
-	out, err := finishJobDS(ctx, cfg, backend, reduceFn, stats)
-	return out, stats, err
 }
 
 // RunJobDS executes one Dataset-chained MapReduce job under a driver,

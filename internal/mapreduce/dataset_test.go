@@ -54,9 +54,8 @@ func nodeJobReduce() ReduceFunc[int32, int64, int32, int64] {
 
 // TestRunDSChainedMatchesFlat pins the tentpole equivalence: the same
 // job over the same records produces bit-identical normalized output
-// whether the input chains partition-resident, is forced flat with
-// Config.FlatChaining, or runs through plain Run — and only the chained
-// job identity-routes.
+// whether the input chains partition-resident or runs through plain Run
+// — and the chained job identity-routes.
 func TestRunDSChainedMatchesFlat(t *testing.T) {
 	const n = 257
 	input := nodeJobInput(n)
@@ -69,20 +68,11 @@ func TestRunDSChainedMatchesFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flatCfg := cfg
-	flatCfg.FlatChaining = true
-	flat, flatStats, err := RunDS(ctx, flatCfg, ds, nodeJobMap(n), nodeJobReduce())
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, _, err := Run(ctx, cfg, ds.Collect(), nodeJobMap(n), nodeJobReduce())
+	plain, plainStats, err := Run(ctx, cfg, ds.Collect(), nodeJobMap(n), nodeJobReduce())
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if !reflect.DeepEqual(chained.Collect(), flat.Collect()) {
-		t.Fatal("chained and flat dataflow outputs differ")
-	}
 	if !reflect.DeepEqual(chained.Collect(), plain) {
 		t.Fatal("chained dataflow diverges from plain Run")
 	}
@@ -93,11 +83,11 @@ func TestRunDSChainedMatchesFlat(t *testing.T) {
 	if chainedStats.CrossRouted != int64(2*n) {
 		t.Fatalf("chained CrossRouted = %d, want %d", chainedStats.CrossRouted, 2*n)
 	}
-	if flatStats.LocalRouted != 0 {
-		t.Fatalf("flat LocalRouted = %d, want 0", flatStats.LocalRouted)
+	if plainStats.LocalRouted != 0 {
+		t.Fatalf("plain Run LocalRouted = %d, want 0", plainStats.LocalRouted)
 	}
-	if flatStats.CrossRouted != int64(3*n) {
-		t.Fatalf("flat CrossRouted = %d, want %d", flatStats.CrossRouted, 3*n)
+	if plainStats.CrossRouted != int64(3*n) {
+		t.Fatalf("plain Run CrossRouted = %d, want %d", plainStats.CrossRouted, 3*n)
 	}
 
 	// The chained output must itself be consumable partition-resident:
@@ -211,67 +201,6 @@ func TestTypeChangingReduceOutputIsUnaligned(t *testing.T) {
 	if out.Aligned() {
 		t.Fatal("type-changing reduce output claims alignment")
 	}
-}
-
-// TestRunCombinedDSMatchesRunCombined pins the combiner variant to the
-// flat combiner path.
-func TestRunCombinedDSMatchesRunCombined(t *testing.T) {
-	input := nodeJobInput(200)
-	ctx := context.Background()
-	cfg := Config{Mappers: 4, Reducers: 3}
-	mapFn := func(v int32, s int64, out Emitter[int32, int64]) error {
-		out.Emit(v%17, s)
-		out.Emit(v%5, 1)
-		return nil
-	}
-	combine := func(k int32, vs []int64) []int64 {
-		var sum int64
-		for _, v := range vs {
-			sum += v
-		}
-		return []int64{sum}
-	}
-	reduce := func(k int32, vs []int64, out Emitter[int32, int64]) error {
-		var sum int64
-		for _, v := range vs {
-			sum += v
-		}
-		out.Emit(k, sum)
-		return nil
-	}
-	ds, dsStats, err := RunCombinedDS(ctx, cfg, PartitionDataset(input, cfg.reducers()),
-		mapFn, combine, reduce)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat, flatStats, err := RunCombined(ctx, cfg, ds2flat(input), mapFn, combine, reduce)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ds.Collect(), flat) {
-		t.Fatal("RunCombinedDS diverges from RunCombined")
-	}
-	// Combine granularity differs (per partition vs per mapper split),
-	// so the shuffle volumes need not match — but both must have shrunk
-	// the map output.
-	if dsStats.ShuffleRecords >= dsStats.MapOutputRecords {
-		t.Fatalf("combiner saved nothing: shuffle %d of %d map outputs",
-			dsStats.ShuffleRecords, dsStats.MapOutputRecords)
-	}
-	if flatStats.ShuffleRecords >= flatStats.MapOutputRecords {
-		t.Fatal("flat combiner saved nothing")
-	}
-	if dsStats.LocalRouted != 0 {
-		t.Fatal("combiner path must not identity-route")
-	}
-}
-
-// ds2flat returns input sorted the way Collect would, so flat runs see
-// the same record order.
-func ds2flat[K comparable, V any](pairs []Pair[K, V]) []Pair[K, V] {
-	cp := append([]Pair[K, V](nil), pairs...)
-	sortPairs(cp)
-	return cp
 }
 
 // TestMapValuesPreservesAlignment checks the key-preserving transform:
@@ -508,8 +437,8 @@ func TestLoopFailureSeedMixing(t *testing.T) {
 // TestFloatZeroKeysRouteToOnePartition pins keyShape.hash's canonical zero:
 // -0.0 and +0.0 are one Go map key, so they must hash to one partition
 // (multi-reducer flat jobs) and the identity route (which compares with
-// ==) must agree with the hash route on them — chained and flat output
-// must match even when a job re-keys between the two zero spellings.
+// ==) must agree with the hash route on them — chained output must match
+// plain Run even when a job re-keys between the two zero spellings.
 func TestFloatZeroKeysRouteToOnePartition(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	if partitionIndex(0.0, 7) != partitionIndex(negZero, 7) {
@@ -541,15 +470,12 @@ func TestFloatZeroKeysRouteToOnePartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flatCfg := cfg
-	flatCfg.FlatChaining = true
-	flat, _, err := RunDS(context.Background(), flatCfg,
-		PartitionDataset(input, cfg.reducers()), mapFn, redFn)
+	plain, _, err := Run(context.Background(), cfg, input, mapFn, redFn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(chained.Collect(), flat.Collect()) {
-		t.Fatalf("float-zero keys diverge across dataflows:\nchained %v\nflat    %v",
-			chained.Collect(), flat.Collect())
+	if !reflect.DeepEqual(chained.Collect(), plain) {
+		t.Fatalf("float-zero keys diverge across dataflows:\nchained %v\nplain   %v",
+			chained.Collect(), plain)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"os/exec"
 	"reflect"
 	"sort"
@@ -289,6 +288,9 @@ func StartDistCluster(n int, opts DistClusterOptions) (*DistCluster, error) {
 	if timeout <= 0 {
 		timeout = 60 * time.Second
 	}
+	if opts.Resume && opts.JournalDir == "" {
+		return nil, errors.New("mapreduce: dist resume needs a journal directory to resume from (DistClusterOptions.JournalDir, -dist-journal-dir)")
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: dist listen: %w", err)
@@ -519,22 +521,6 @@ func (cl *DistCluster) abort() {
 	cl.mu.Unlock()
 }
 
-// DistSelfExec returns a Spawn function that re-executes the current
-// binary with "-dist-connect <addr>" followed by workerArgs, stderr
-// inherited — the one self-exec recipe shared by every CLI's
-// -dist-workers mode.
-func DistSelfExec(workerArgs ...string) (func(addr string) *exec.Cmd, error) {
-	exe, err := os.Executable()
-	if err != nil {
-		return nil, err
-	}
-	return func(addr string) *exec.Cmd {
-		cmd := exec.Command(exe, append([]string{"-dist-connect", addr}, workerArgs...)...)
-		cmd.Stderr = os.Stderr
-		return cmd
-	}, nil
-}
-
 // Workers returns the number of connected workers.
 func (cl *DistCluster) Workers() int { return len(cl.conns) }
 
@@ -588,19 +574,6 @@ func (cl *DistCluster) deadLocked(w int) bool {
 	// Negative indexes name no worker at all (journal-restored residency
 	// uses -1 for "lives nowhere yet"); they are not dead, just absent.
 	return w >= 0 && w < len(cl.dead) && cl.dead[w]
-}
-
-// liveCount returns the number of workers still alive.
-func (cl *DistCluster) liveCount() int {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	n := 0
-	for w := range cl.conns {
-		if !cl.deadLocked(w) {
-			n++
-		}
-	}
-	return n
 }
 
 // markDead records worker w as lost and closes its connection, which
@@ -1623,8 +1596,8 @@ type distJobHeader struct {
 	reducers   int
 	wantOutput bool
 	// ckpt asks the workers to checkpoint their retained output at the
-	// flush barrier: persist it to a local run file and stream a mirror
-	// copy (MsgCkpt) to the coordinator before MsgJobDone.
+	// flush barrier: stream a mirror copy (MsgCkpt) to the coordinator
+	// before MsgJobDone.
 	ckpt bool
 	// wireComp asks both sides to flate-compress the pair payload of
 	// every bulk frame they encode for this job (MsgBucket, MsgReduced,
@@ -1738,7 +1711,6 @@ type distWorkerReport struct {
 	local      int64
 	cross      int64
 	counts     map[int]int64
-	counters   map[string]int64
 	wireSaved  int64
 }
 
@@ -2340,14 +2312,6 @@ func (j *distJobRun[K2, V2, K3, V3]) reader(w int) (readerOutcome, error) {
 				}
 				rep.counts[part] = int64(cur.Uvarint())
 			}
-			nCounters := int(cur.Uvarint())
-			if nCounters > 0 {
-				rep.counters = make(map[string]int64, nCounters)
-				for i := 0; i < nCounters; i++ {
-					name := cur.String()
-					rep.counters[name] = int64(cur.Uvarint())
-				}
-			}
 			rep.wireSaved = int64(cur.Uvarint())
 			if err := cur.Err(); err != nil {
 				return 0, fmt.Errorf("mapreduce: dist job %q: malformed job-done from worker %d", j.hdr.name, w)
@@ -2478,11 +2442,6 @@ func (j *distJobRun[K2, V2, K3, V3]) finish(ctx context.Context, cfg Config, sta
 		}
 		for part, n := range rep.counts {
 			counts[part] = n
-		}
-		if cfg.DistCounters != nil {
-			for name, v := range rep.counters {
-				cfg.DistCounters.Inc(name, v)
-			}
 		}
 		if j.hdr.mode == remote.ModeChained {
 			stats.addMapOutput(rep.emitted)
@@ -2759,10 +2718,10 @@ func runDistDS[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 a
 		return newRemoteDataset[K3, V3](cl, rec.seq, rec.counts, keyCast[K2, K3]() != nil, cfg.Pool), nil
 	}
 	remoteChained := input.rem != nil && input.rem.cl == cl && input.aligned &&
-		input.Partitions() == cfg.reducers() && !cfg.FlatChaining
+		input.Partitions() == cfg.reducers()
 	if input.rem != nil && !remoteChained {
 		// Resident on the cluster but not consumable in place (partition
-		// mismatch, forced flat, alignment lost): move it here first.
+		// mismatch, alignment lost): move it here first.
 		if err := input.Materialize(); err != nil {
 			return nil, err
 		}
@@ -2845,7 +2804,7 @@ func tryDistDS[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 a
 		// The map phase runs on the workers; the readers in finish
 		// observe it through MsgMapDone and the flush barrier.
 	} else {
-		chained := input.aligned && input.Partitions() == cfg.reducers() && !cfg.FlatChaining
+		chained := input.aligned && input.Partitions() == cfg.reducers()
 		ar := arenaFor[K2, V2](cfg.Pool, cfg.reducers())
 		var mapErr error
 		if chained {

@@ -216,64 +216,6 @@ func BenchmarkDistChainedCheckpoint(b *testing.B) {
 	}
 }
 
-// TestDistWorkerWritesLocalCheckpoints pins the opt-in durable copy:
-// a worker session given a CheckpointDir persists each round's retained
-// partitions as run files that load back as the newest round.
-func TestDistWorkerWritesLocalCheckpoints(t *testing.T) {
-	dir := t.TempDir()
-	var wg sync.WaitGroup
-	cl, err := StartDistCluster(1, DistClusterOptions{
-		Timeout: 30 * time.Second,
-		OnListen: func(addr string) {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if err := ServeDistWorkerOpts(context.Background(), addr,
-					DistWorkerOptions{CheckpointDir: dir}); err != nil {
-					t.Logf("in-process worker: %v", err)
-				}
-			}()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { cl.Close(); wg.Wait() }()
-
-	ctx := context.Background()
-	cfg := distCfg4(cl, "ring-step")
-	ds := PartitionDataset(ringInput(), cfg.reducers())
-	var lastSeq uint64
-	for i := 0; i < 3; i++ {
-		next, _, err := RunDS(ctx, cfg, ds, ringMap, ringReduce)
-		if err != nil {
-			t.Fatalf("round %d: %v", i, err)
-		}
-		ds = next
-		lastSeq = ds.rem.seq
-	}
-	ck, err := loadLatestCheckpoint(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ck == nil || ck.seq != lastSeq {
-		t.Fatalf("local checkpoint restored %+v, want newest round seq %d", ck, lastSeq)
-	}
-	if len(ck.parts) != cfg.reducers() {
-		t.Fatalf("checkpoint holds %d partitions, want %d", len(ck.parts), cfg.reducers())
-	}
-	var n int
-	for _, p := range ck.parts {
-		n += p.count
-	}
-	if n != ringN {
-		t.Fatalf("checkpoint holds %d records, want %d", n, ringN)
-	}
-	if err := ds.Materialize(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestDistLateJoinAdoptsPartitions pins the replacement-worker path:
 // with AcceptLate a fresh worker dials into a running cluster, and the
 // next recovery adopts it — the dead worker's partitions are re-seeded

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"os"
 	"os/exec"
@@ -169,19 +170,54 @@ func TestDistParamsReachWorkers(t *testing.T) {
 	}
 }
 
-// TestDistCountersMergeBack pins the worker-counter report: increments
-// made inside worker reduces surface in Config.DistCounters.
-func TestDistCountersMergeBack(t *testing.T) {
-	cl := startTestCluster(t, 2)
-	cfg := distCfg(cl, "counted")
-	cfg.DistCounters = NewCounters()
-	out, _, err := Run(context.Background(), cfg, ringInput(),
-		Identity[int32, int64](), ringReduce)
-	if err != nil {
-		t.Fatal(err)
+// TestDistRefusesOlderProtoWorker: a worker built before the last wire
+// change (Proto 5 still carried the counter section in MsgJobDone) dials
+// a current coordinator and is refused at the hello, with the mismatch
+// named — never paired and left to misparse a frame.
+func TestDistRefusesOlderProtoWorker(t *testing.T) {
+	leakCheck(t)
+	var wg sync.WaitGroup
+	_, err := StartDistCluster(1, DistClusterOptions{
+		Timeout: 30 * time.Second,
+		OnListen: func(addr string) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				nc, err := net.Dial("tcp", addr)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				conn := remote.NewConn(nc)
+				defer conn.Close()
+				hello := remote.AppendUvarint([]byte{byte(remote.MsgHello)}, remote.Proto-1)
+				if err := conn.WriteFrame(append(hello, 0)); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := conn.ReadFrame(); err == nil {
+					t.Error("coordinator answered an older-protocol hello instead of hanging up")
+				}
+			}()
+		},
+	})
+	wg.Wait()
+	want := fmt.Sprintf("protocol version mismatch: worker speaks %d, coordinator %d", remote.Proto-1, remote.Proto)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("StartDistCluster with a Proto-5 worker: err = %v, want %q", err, want)
 	}
-	if got := cfg.DistCounters.Get("groups-seen"); got != int64(len(out)) {
-		t.Fatalf("worker counters report %d groups, output has %d", got, len(out))
+}
+
+// TestDistResumeNeedsJournalDir: Resume without a journal to resume from
+// used to start a fresh run silently; it is refused before anything
+// listens or spawns.
+func TestDistResumeNeedsJournalDir(t *testing.T) {
+	_, err := StartDistCluster(1, DistClusterOptions{
+		Resume:   true,
+		OnListen: func(string) { t.Error("the cluster started listening") },
+	})
+	if err == nil || !strings.Contains(err.Error(), "journal directory") {
+		t.Fatalf("Resume without JournalDir: err = %v, want a refusal naming the journal directory", err)
 	}
 }
 
@@ -493,8 +529,7 @@ func TestDistStartupStalledHandshake(t *testing.T) {
 // local backends. The sched case arms the elastic-scheduling machinery
 // (heartbeats, progress tracking, the monitor, speculation ready to
 // fire) on an entirely healthy cluster; nosched turns it all off. The
-// delta is the idle overhead of scheduling, pinned to <= 5% by
-// bench_compare.sh.
+// delta is the idle overhead of scheduling.
 func BenchmarkDistShuffle(b *testing.B) {
 	for _, bench := range []struct {
 		name string

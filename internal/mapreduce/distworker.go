@@ -31,10 +31,6 @@ type DistJob[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any
 	Map MapFunc[K1, V1, K2, V2]
 	// Reduce runs over every owned partition's key groups. Required.
 	Reduce ReduceFunc[K2, V2, K3, V3]
-	// Counters, when non-nil, is snapshotted into the job-done report
-	// and merged into the coordinator's Config.DistCounters — the
-	// distributed form of shared job counters.
-	Counters *Counters
 }
 
 // distJobRunner is the untyped face of a registered job.
@@ -234,12 +230,6 @@ type workerSession struct {
 	// treated as protocol errors. Bounded by the number of worker
 	// deaths the cluster survives.
 	aborted map[uint64]bool
-	// Checkpoint run files (lazy, opt-in): ckptDir is where they go.
-	// Empty disables them — the coordinator's MsgCkpt mirror alone
-	// carries recovery, and the per-round file metadata traffic would
-	// tax every small round for a copy nothing reads by default.
-	ckpt    *checkpointWriter
-	ckptDir string
 
 	// Heartbeat state: the interval the welcome announced, and the live
 	// progress counters the pong carries — written by the job
@@ -313,17 +303,6 @@ func (s *workerSession) ackAbort(seq uint64) error {
 	return s.conn.WriteFrame(remote.AppendUvarint([]byte{byte(remote.MsgAborted)}, seq))
 }
 
-// checkpointTo returns the session's run-file writer, or nil when the
-// session has no checkpoint directory (the default): local run files
-// are the operator's opt-in durable copy, the coordinator's mirror is
-// what recovery actually restores from.
-func (s *workerSession) checkpointTo() *checkpointWriter {
-	if s.ckpt == nil && s.ckptDir != "" {
-		s.ckpt = newCheckpointWriter(s.ckptDir)
-	}
-	return s.ckpt
-}
-
 // ReconnectPolicy shapes a worker's redial behavior, both for the
 // initial connect (a worker started before its coordinator retries
 // until the listener appears) and for session resume after a transport
@@ -349,11 +328,6 @@ func (p ReconnectPolicy) attempts() int {
 
 // DistWorkerOptions tunes one worker session (ServeDistWorkerOpts).
 type DistWorkerOptions struct {
-	// CheckpointDir, when set, makes the session additionally persist
-	// its checkpoint frames as local run files there (a durable,
-	// operator-inspectable copy). Empty — the default — keeps
-	// checkpoints mirror-only on the coordinator.
-	CheckpointDir string
 	// Fault, when non-nil, arms a deterministic fault on this worker's
 	// endpoint once the handshake completes, so its frame indices count
 	// job traffic only. Test instrumentation for in-process workers —
@@ -429,7 +403,6 @@ func ServeDistWorkerOpts(ctx context.Context, addr string, opts DistWorkerOption
 		resident: make(map[uint64]residentSet),
 		seeds:    make(map[uint64]map[int]seedBlob),
 		aborted:  make(map[uint64]bool),
-		ckptDir:  opts.CheckpointDir,
 		hbEvery:  info.HeartbeatEvery,
 	}
 	if s.hbEvery > 0 {
@@ -993,9 +966,9 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 
 	// Checkpoint the retained output: one frame per owned partition
 	// (empty partitions included — restoration must distinguish "empty"
-	// from "missing") streamed to the coordinator's mirror, plus a local
-	// run file. The mirror stream is mandatory (a transport failure here
-	// fails the job like any other); the local file is best-effort.
+	// from "missing") streamed to the coordinator's mirror, which is what
+	// recovery restores from. A transport failure here fails the job like
+	// any other.
 	var ownedParts []int
 	for p := 0; p < h.reducers; p++ {
 		if h.owner(p) == s.id {
@@ -1003,13 +976,11 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 		}
 	}
 	if h.ckpt && !h.wantOutput {
-		var fileParts []ckptPart
 		for _, p := range ownedParts {
 			frame := []byte{byte(remote.MsgCkpt)}
 			frame = remote.AppendUvarint(frame, h.seq)
 			frame = remote.AppendUvarint(frame, uint64(p))
 			frame = remote.AppendUvarint(frame, uint64(len(outs[p])))
-			blobStart := len(frame)
 			frame, err := encodePairs(frame, outs[p], k3c, v3c, h.wireComp, &wireSaved)
 			if err != nil {
 				return fmt.Errorf("job %q: encoding checkpoint partition %d: %w", h.name, p, err)
@@ -1019,11 +990,6 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 			if err := s.conn.WriteFrameBuffered(frame); err != nil {
 				return fmt.Errorf("job %q: streaming checkpoint partition %d: %w", h.name, p, err)
 			}
-			fileParts = append(fileParts, ckptPart{part: p, count: len(outs[p]), blob: frame[blobStart:]})
-		}
-		if w := s.checkpointTo(); w != nil {
-			//lint:allow errdrop — local checkpoint files are a best-effort fallback (the coordinator mirror is authoritative); the writer self-disables on I/O error and restore falls back to the mirror, pinned by checkpoint_test.go damage tests
-			w.write(h.seq, fileParts)
 		}
 	}
 
@@ -1040,17 +1006,6 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 	for _, p := range ownedParts {
 		frame = remote.AppendUvarint(frame, uint64(p))
 		frame = remote.AppendUvarint(frame, uint64(outCounts[p]))
-	}
-	if c := r.job.Counters; c != nil {
-		snap := c.Snapshot()
-		names := c.Names()
-		frame = remote.AppendUvarint(frame, uint64(len(names)))
-		for _, name := range names {
-			frame = remote.AppendString(frame, name)
-			frame = remote.AppendUvarint(frame, uint64(snap[name]))
-		}
-	} else {
-		frame = remote.AppendUvarint(frame, 0)
 	}
 	frame = remote.AppendUvarint(frame, uint64(wireSaved.Load()))
 	if !h.wantOutput {

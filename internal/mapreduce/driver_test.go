@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 )
 
@@ -74,53 +73,6 @@ func TestDriverConfigName(t *testing.T) {
 	cfg := d.Config("phase-7")
 	if cfg.Name != "phase-7" || cfg.Mappers != 3 {
 		t.Errorf("Config = %+v", cfg)
-	}
-}
-
-func TestCountersConcurrent(t *testing.T) {
-	c := NewCounters()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				c.Inc("edges", 1)
-				c.Inc("nodes", 2)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := c.Get("edges"); got != 8000 {
-		t.Errorf("edges = %d, want 8000", got)
-	}
-	if got := c.Get("nodes"); got != 16000 {
-		t.Errorf("nodes = %d, want 16000", got)
-	}
-	if got := c.Get("missing"); got != 0 {
-		t.Errorf("missing = %d, want 0", got)
-	}
-}
-
-func TestCountersNamesAndSnapshot(t *testing.T) {
-	c := NewCounters()
-	c.Inc("z", 1)
-	c.Inc("a", 2)
-	names := c.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "z" {
-		t.Errorf("Names = %v", names)
-	}
-	snap := c.Snapshot()
-	if snap["a"] != 2 || snap["z"] != 1 {
-		t.Errorf("Snapshot = %v", snap)
-	}
-	// Mutating the snapshot must not affect the counters.
-	snap["a"] = 99
-	if c.Get("a") != 2 {
-		t.Error("snapshot aliases internal state")
-	}
-	if s := c.String(); s != "a=2 z=1" {
-		t.Errorf("String = %q", s)
 	}
 }
 

@@ -168,6 +168,42 @@ func TestPlainKeyHashesUnchanged(t *testing.T) {
 	}
 }
 
+// TestPartitionIndexGolden pins where keys land, as literal numbers, one
+// or more per key kind. The partitioner is part of two formats: workers
+// of one cluster must agree on a key's partition (remote.Proto), and a
+// resumed journal re-seeds partitions by the index they were written
+// under (journalFormat). A change that moves any of these values must
+// bump both in the same commit and then update the table — never the
+// table alone.
+func TestPartitionIndexGolden(t *testing.T) {
+	const big = 1 << 20
+	for _, c := range []struct {
+		name           string
+		mod7, modBig   int
+		want7, wantBig int
+	}{
+		{"int32", partitionIndex(int32(-5), 7), partitionIndex(int32(-5), big), 1, 4093},
+		{"int64", partitionIndex(int64(1)<<40, 7), partitionIndex(int64(1)<<40, big), 5, 50057},
+		{"int", partitionIndex(123456789, 7), partitionIndex(123456789, big), 5, 751225},
+		{"int8", partitionIndex(int8(-128), 7), partitionIndex(int8(-128), big), 2, 1043902},
+		{"graph.NodeID", partitionIndex(graph.NodeID(42), 7), partitionIndex(graph.NodeID(42), big), 5, 749205},
+		{"uint32", partitionIndex(uint32(4000000000), 7), partitionIndex(uint32(4000000000), big), 5, 276438},
+		{"uint64", partitionIndex(uint64(1)<<63, 7), partitionIndex(uint64(1)<<63, big), 6, 652251},
+		{"vector.TermID", partitionIndex(vector.TermID(7), 7), partitionIndex(vector.TermID(7), big), 2, 134615},
+		{"float64", partitionIndex(2.5, 7), partitionIndex(2.5, big), 4, 895461},
+		{"float32", partitionIndex(float32(-0.75), 7), partitionIndex(float32(-0.75), big), 3, 734054},
+		{"string", partitionIndex("node-42", 7), partitionIndex("node-42", big), 3, 1027690},
+		{"empty string", partitionIndex("", 7), partitionIndex("", big), 2, 140069},
+		{"[2]int32", partitionIndex([2]int32{-1, 3}, 7), partitionIndex([2]int32{-1, 3}, big), 2, 440727},
+		{"struct (fmt)", partitionIndex(badKey{"a ", "b"}, 7), partitionIndex(badKey{"a ", "b"}, big), 5, 122628},
+	} {
+		if c.mod7 != c.want7 || c.modBig != c.wantBig {
+			t.Errorf("%s key: partition %d of 7 and %d of 2^20, pinned %d and %d — the partitioner moved: bump remote.Proto and journalFormat",
+				c.name, c.mod7, c.modBig, c.want7, c.wantBig)
+		}
+	}
+}
+
 // TestStructKeysStillHashAndOrderByFmt pins the remaining fallback: a
 // key with no scalar image resolves to keyFmt and hashes the FNV-1a of
 // its fmt representation.

@@ -104,21 +104,6 @@ func registerDistTestJobs() {
 			},
 		}, nil
 	})
-	// Counter-bumping job (worker counters merge into DistCounters). The
-	// factory builds a fresh Counters per job execution — the intended
-	// pattern, and load-bearing for in-process test workers, which would
-	// otherwise share (and double-report) one instance.
-	RegisterDistJob("counted", func([]byte) (DistJob[int32, int64, int32, int64, int32, int64], error) {
-		counted := NewCounters()
-		return DistJob[int32, int64, int32, int64, int32, int64]{
-			Reduce: func(k int32, vs []int64, out Emitter[int32, int64]) error {
-				counted.Inc("groups-seen", 1)
-				out.Emit(k, int64(len(vs)))
-				return nil
-			},
-			Counters: counted,
-		}, nil
-	})
 	// Chained job whose map fails on the workers: the error must
 	// surface from RunDS, not hang the flush barrier.
 	RegisterDistJob("map-boom", func([]byte) (DistJob[int32, int64, int32, int64, int32, int64], error) {

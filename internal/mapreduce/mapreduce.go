@@ -149,18 +149,14 @@ type Config struct {
 	// sets) ships that state to the processes that run it. Ignored by
 	// the local backends.
 	DistParams []byte
-	// DistCounters, when set, receives the worker-side counter
-	// snapshots of a dist job (the registered job's Counters), merged
-	// after the job completes. Ignored by the local backends.
-	DistCounters *Counters
 	// CheckpointEvery throttles dist checkpointing of worker-resident
 	// job outputs: 0 (the default) checkpoints every retained output,
 	// k > 0 every k-th, and a negative value disables checkpointing
 	// entirely (a lost worker then loses its partitions for good).
-	// Checkpointed outputs are mirrored on the coordinator and persisted
-	// to worker-local run files; they are what recovery restores from
-	// after a worker death. Ignored by the local backends and by plain
-	// Run (whose output returns to the coordinator anyway).
+	// Checkpointed outputs are mirrored on the coordinator; the mirror is
+	// what recovery restores from after a worker death. Ignored by the
+	// local backends and by plain Run (whose output returns to the
+	// coordinator anyway).
 	CheckpointEvery int
 	// SpeculationFactor arms straggler speculation on the dist backend:
 	// when a worker falls behind the round's progress distribution —
@@ -183,13 +179,6 @@ type Config struct {
 	// recycle out of the box; nil disables recycling. See BufferPool
 	// for the ownership discipline.
 	Pool *BufferPool
-
-	// FlatChaining disables partition-resident chaining: RunDS ignores
-	// Dataset alignment and re-partitions every job's input from the
-	// flat, globally sorted view — the pre-Dataset engine behavior.
-	// Kept selectable so equivalence tests and benchmarks can compare
-	// the two dataflows; plain Run is unaffected.
-	FlatChaining bool
 }
 
 func (c Config) mappers() int {

@@ -46,7 +46,8 @@ import (
 // Version 5 changed no frame: the partitioner did (named integer keys
 // such as graph.NodeID moved from the fmt hash to mix64), and two
 // builds that route a key to different partitions must not pair.
-const Proto = 5
+// Version 6 dropped the worker-counter section from MsgJobDone.
+const Proto = 6
 
 // MsgType identifies one protocol message. The direction annotations
 // are the only ones that occur; receiving a type from the wrong
@@ -275,9 +276,6 @@ func NewConn(c net.Conn) *Conn {
 	conn.tr.Store(newTransport(c))
 	return conn
 }
-
-// RemoteAddr names the peer, for error messages.
-func (c *Conn) RemoteAddr() string { return c.tr.Load().c.RemoteAddr().String() }
 
 // BytesIn returns the cumulative payload bytes read from the peer.
 func (c *Conn) BytesIn() int64 { return c.bytesIn.Load() }

@@ -31,11 +31,13 @@ import (
 //  4. anything else falls back to encoding/gob, which requires exported
 //     fields but handles arbitrary composite types.
 //
-// The resolved codec is wrapped per record with varint length framing,
-// so decode never needs type knowledge to find record boundaries.
+// The batch codecs (codecv2.go's columns, spillBlockCodec below) frame
+// the resolved element encodings; an element codec never needs to be
+// self-delimiting.
 
 // spillCodec encodes one type for the spill files: enc appends the
-// encoding of v to buf, dec decodes exactly data.
+// encoding of v to buf, dec decodes exactly data. Callers reach both
+// through forStream.
 //
 // min8 is the type's minimum encoded width in eighths of a byte (see
 // minEnc8 in codecv2.go); the batch decoders use it to bound
@@ -428,29 +430,13 @@ func sliceElemCodec(elem reflect.Type) (func([]byte, reflect.Value) ([]byte, err
 		}, true
 }
 
-// gobCodec is the slow-path fallback. The record-at-a-time enc/dec pair
-// builds a self-describing gob stream per record — correct for any
-// gob-encodable type, but it re-sends the type descriptor (and
-// allocates an en/decoder) every record, so it exists only for the v1
-// row format, whose records must decode independently. The stream
-// factory is what the batch paths use: one persistent gob en/decoder
-// pair per column, sending the type descriptor once.
+// gobCodec is the slow-path fallback for types no other codec covers:
+// correct for any gob-encodable type. It exists only as a stream codec —
+// every batch path encodes a column through forStream, so one
+// persistent gob en/decoder pair serves the column and the type
+// descriptor is sent once instead of per record.
 func gobCodec[T any]() spillCodec[T] {
-	c := spillCodec[T]{
-		enc: func(buf []byte, v T) ([]byte, error) {
-			var b bytes.Buffer
-			if err := gob.NewEncoder(&b).Encode(&v); err != nil {
-				return nil, fmt.Errorf("mapreduce: spill gob encode %T: %w", v, err)
-			}
-			return append(buf, b.Bytes()...), nil
-		},
-		dec: func(data []byte) (T, error) {
-			var v T
-			err := gob.NewDecoder(bytes.NewReader(data)).Decode(&v)
-			return v, err
-		},
-	}
-	c.stream = func() spillCodec[T] {
+	return spillCodec[T]{stream: func() spillCodec[T] {
 		var b bytes.Buffer
 		genc := gob.NewEncoder(&b)
 		feed := &gobFeed{}
@@ -470,8 +456,7 @@ func gobCodec[T any]() spillCodec[T] {
 				return v, err
 			},
 		}
-	}
-	return c
+	}}
 }
 
 // gobFeed lets one persistent gob.Decoder consume a sequence of
@@ -496,127 +481,6 @@ func (g *gobFeed) ReadByte() (byte, error) {
 	b := g.data[0]
 	g.data = g.data[1:]
 	return b, nil
-}
-
-// spillRecCodec frames (seq, key, value) records for extsort run files
-// as a single length-prefixed frame: uvarint frame length, then a
-// payload of uvarint seq, uvarint key length, key bytes, value bytes
-// (the value's length is whatever remains). One frame means the merge
-// decodes a record with a single buffered-reader window — the payload
-// is peeked and parsed in place with no per-field read calls and, in
-// the common case, no copy at all. The cached key image (spillRec.img)
-// is never serialized; Decode recomputes it through img so merged
-// records compare on machine words. One codec instance serves one
-// sorter — Encode runs only on the sorter's writer goroutine and
-// Decode only on the merge reader — so the scratch buffers are safe.
-//
-// The element dec functions must not retain their input slice: it
-// aliases either the reader's internal buffer or a reused scratch.
-type spillRecCodec[K comparable, V any] struct {
-	key     spillCodec[K]
-	val     spillCodec[V]
-	img     func(K) uint64
-	scratch []byte // payload under construction (Encode)
-	frame   []byte // frame length + payload (Encode)
-	rbuf    []byte // frame readback when peeking fails (Decode)
-	kbuf    []byte
-	vbuf    []byte
-}
-
-func (c *spillRecCodec[K, V]) Encode(w io.Writer, rec spillRec[K, V]) error {
-	var err error
-	if c.kbuf, err = c.key.enc(c.kbuf[:0], rec.key); err != nil {
-		return err
-	}
-	if c.vbuf, err = c.val.enc(c.vbuf[:0], rec.val); err != nil {
-		return err
-	}
-	payload := c.scratch[:0]
-	payload = binary.AppendUvarint(payload, rec.seq)
-	payload = binary.AppendUvarint(payload, uint64(len(c.kbuf)))
-	payload = append(payload, c.kbuf...)
-	payload = append(payload, c.vbuf...)
-	c.scratch = payload
-	frame := binary.AppendUvarint(c.frame[:0], uint64(len(payload)))
-	frame = append(frame, payload...)
-	c.frame = frame
-	_, err = w.Write(frame)
-	return err
-}
-
-func (c *spillRecCodec[K, V]) Decode(r io.Reader) (spillRec[K, V], error) {
-	var rec spillRec[K, V]
-	br, ok := r.(io.ByteReader)
-	if !ok {
-		return rec, fmt.Errorf("mapreduce: spill decode: reader lacks io.ByteReader")
-	}
-	// Fast path: peek the frame-length varint and the whole payload out
-	// of the reader's buffer in one window and consume both with a
-	// single Discard — frames are small and the run readers buffer
-	// 64 KiB, so per record this is two bounds checks and no copy.
-	var data []byte
-	if bufr, isBuf := r.(*bufio.Reader); isBuf {
-		window, _ := bufr.Peek(binary.MaxVarintLen64)
-		if len(window) == 0 {
-			// Distinguish the clean end of a run from a read error.
-			if _, perr := bufr.Peek(1); perr != nil {
-				return rec, perr
-			}
-		}
-		n, m := binary.Uvarint(window)
-		if m > 0 && m+int(n) <= bufr.Size() {
-			full, perr := bufr.Peek(m + int(n))
-			if perr != nil {
-				return rec, frameErr(perr)
-			}
-			data = full[m:]
-			rec, derr := c.decodeFrame(data)
-			bufr.Discard(m + int(n))
-			return rec, derr
-		}
-		// Varint truncated near EOF or oversized frame: fall through.
-	}
-	n, err := readUvarint(r, br)
-	if err != nil {
-		// io.EOF before the first byte is the clean end of a run.
-		return rec, err
-	}
-	if uint64(cap(c.rbuf)) < n {
-		c.rbuf = make([]byte, n)
-	}
-	c.rbuf = c.rbuf[:n]
-	if _, err = io.ReadFull(r, c.rbuf); err != nil {
-		return rec, frameErr(err)
-	}
-	data = c.rbuf
-	return c.decodeFrame(data)
-}
-
-// decodeFrame parses one record payload (seq, klen, key, val). The
-// input aliases reader-owned or scratch storage; element decoders copy
-// anything they keep.
-func (c *spillRecCodec[K, V]) decodeFrame(data []byte) (spillRec[K, V], error) {
-	var rec spillRec[K, V]
-	var err error
-	seq, m := binary.Uvarint(data)
-	if m <= 0 {
-		return rec, errSpillShort
-	}
-	rec.seq = seq
-	data = data[m:]
-	klen, m := binary.Uvarint(data)
-	if m <= 0 || klen > uint64(len(data)-m) {
-		return rec, errSpillShort
-	}
-	data = data[m:]
-	if rec.key, err = c.key.dec(data[:klen]); err != nil {
-		return rec, err
-	}
-	if c.img != nil {
-		rec.img = c.img(rec.key)
-	}
-	rec.val, err = c.val.dec(data[klen:])
-	return rec, err
 }
 
 // readUvarint reads one unsigned varint. When the reader is a
@@ -937,7 +801,7 @@ func (d *spillRunDec[K, V]) readBlock(r io.Reader) error {
 	data = data[1+m:]
 	if marker == pairBlobV2Flate {
 		rawLen, m := binary.Uvarint(data)
-		if m <= 0 || rawLen > maxPairCount {
+		if m <= 0 || rawLen > maxPairCount || rawLen > uint64(len(data)-m)*maxInflateRatio {
 			return errSpillShort
 		}
 		if uint64(cap(d.scratch)) < rawLen {

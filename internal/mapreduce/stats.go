@@ -2,9 +2,6 @@ package mapreduce
 
 import (
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -254,64 +251,4 @@ func (s *Stats) String() string {
 			s.ReduceWall.Round(time.Microsecond))
 	}
 	return line
-}
-
-// Counters is a set of named monotone counters shared by the tasks of a
-// computation, mirroring Hadoop job counters. It is safe for concurrent
-// use.
-type Counters struct {
-	mu sync.Mutex
-	m  map[string]int64
-}
-
-// NewCounters returns an empty counter set.
-func NewCounters() *Counters {
-	return &Counters{m: make(map[string]int64)}
-}
-
-// Inc adds delta to the named counter.
-func (c *Counters) Inc(name string, delta int64) {
-	c.mu.Lock()
-	c.m[name] += delta
-	c.mu.Unlock()
-}
-
-// Get returns the value of the named counter (zero if never incremented).
-func (c *Counters) Get(name string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.m[name]
-}
-
-// Names returns all counter names in sorted order.
-func (c *Counters) Names() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	names := make([]string, 0, len(c.m))
-	for n := range c.m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Snapshot returns a copy of all counters.
-func (c *Counters) Snapshot() map[string]int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]int64, len(c.m))
-	for k, v := range c.m {
-		out[k] = v
-	}
-	return out
-}
-
-// String renders the counters as "name=value" pairs in sorted order.
-func (c *Counters) String() string {
-	names := c.Names()
-	parts := make([]string, 0, len(names))
-	for _, n := range names {
-		parts = append(parts, fmt.Sprintf("%s=%d", n, c.Get(n)))
-	}
-	return strings.Join(parts, " ")
 }

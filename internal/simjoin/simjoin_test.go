@@ -311,64 +311,11 @@ func TestJoinIdenticalAcrossShuffleBackends(t *testing.T) {
 		t.Fatal("fixture produced no join edges; raise density")
 	}
 	sameEdges(t, spill.Edges, mem.Edges)
+	if spill.Candidates != mem.Candidates || spill.PostingEntries != mem.PostingEntries {
+		t.Fatalf("candidates/postings differ: spill %d/%d vs memory %d/%d",
+			spill.Candidates, spill.PostingEntries, mem.Candidates, mem.PostingEntries)
+	}
 	if spill.Shuffle.SpilledRecords == 0 {
 		t.Fatal("spill backend never spilled on the join fixture")
-	}
-}
-
-// TestJoinChainedMatchesFlat pins the Dataset-chained join to the flat
-// dataflow: identical edges (values bit for bit), candidate counts, and
-// posting totals, with and without the spilling backend.
-func TestJoinChainedMatchesFlat(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	randVec := func(maxTerms int) vector.Sparse {
-		n := 1 + rng.Intn(maxTerms)
-		entries := make([]vector.Entry, 0, n)
-		for k := 0; k < n; k++ {
-			entries = append(entries, vector.Entry{
-				Term:   vector.TermID(rng.Intn(30)),
-				Weight: 0.1 + rng.Float64(),
-			})
-		}
-		return vector.FromEntries(entries)
-	}
-	items := make([]vector.Sparse, 50)
-	consumers := make([]vector.Sparse, 30)
-	for i := range items {
-		items[i] = randVec(7)
-	}
-	for j := range consumers {
-		consumers[j] = randVec(10)
-	}
-	chained := Options{MR: mapreduce.Config{Mappers: 3, Reducers: 3}}
-	flat := chained
-	flat.MR.FlatChaining = true
-	spill := chained
-	spill.MR.Shuffle = mapreduce.ShuffleConfig{Backend: mapreduce.ShuffleSpill, MemoryBudget: 128}
-	rc, err := Join(context.Background(), items, consumers, 0.8, chained)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rf, err := Join(context.Background(), items, consumers, 0.8, flat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := Join(context.Background(), items, consumers, 0.8, spill)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, other := range map[string]*Result{"flat": rf, "spill": rs} {
-		if len(rc.Edges) != len(other.Edges) {
-			t.Fatalf("%s: edge counts differ: %d vs %d", name, len(rc.Edges), len(other.Edges))
-		}
-		for i := range rc.Edges {
-			if rc.Edges[i] != other.Edges[i] {
-				t.Fatalf("%s: edge %d differs: %+v vs %+v", name, i, rc.Edges[i], other.Edges[i])
-			}
-		}
-		if rc.Candidates != other.Candidates || rc.PostingEntries != other.PostingEntries {
-			t.Fatalf("%s: candidates/postings differ: %d/%d vs %d/%d", name,
-				rc.Candidates, rc.PostingEntries, other.Candidates, other.PostingEntries)
-		}
 	}
 }
