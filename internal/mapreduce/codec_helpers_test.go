@@ -1,0 +1,96 @@
+package mapreduce
+
+import (
+	"bufio"
+	"bytes"
+	"io"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/mapreduce/remote"
+)
+
+// The codec tests reach the codec through these helpers only, so a test
+// that pins bytes (TestPairBlobGolden) does not change when the codec's
+// entry points do.
+
+// encodeTestPairs returns the pair blob for pairs.
+func encodeTestPairs[K comparable, V any](t testing.TB, pairs []Pair[K, V], compress bool, saved *atomic.Int64) []byte {
+	t.Helper()
+	kc, vc := testCodecs[K, V](t)
+	blob, err := encodePairs(nil, pairs, kc, vc, compress, saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// decodeTestPairs decodes a blob declared to hold count pairs into a
+// pairCap-sized slice, the way every frame reader does; hint is that
+// capacity.
+func decodeTestPairs[K comparable, V any](t testing.TB, blob []byte, count int) (out []Pair[K, V], hint int, err error) {
+	t.Helper()
+	kc, vc := testCodecs[K, V](t)
+	cur := remote.NewCursor(blob)
+	hint = pairCap(cur, count, kc, vc)
+	out, err = decodePairs(cur, count, kc, vc, make([]Pair[K, V], 0, hint))
+	if err == nil {
+		err = cur.Err()
+	}
+	return out, hint, err
+}
+
+// testBlockCodec returns the spill run codec for (K, V).
+func testBlockCodec[K comparable, V any](t testing.TB, compress bool, saved *atomic.Int64) *spillBlockCodec[K, V] {
+	t.Helper()
+	kc, vc := testCodecs[K, V](t)
+	return &spillBlockCodec[K, V]{key: kc, val: vc, img: keyShapeOf[K]().image(), compress: compress, saved: saved}
+}
+
+func testCodecs[K comparable, V any](t testing.TB) (spillCodec[K], spillCodec[V]) {
+	t.Helper()
+	kc, err := resolveSpillCodec[K]()
+	if err != nil {
+		t.Fatal(err)
+	}
+	vc, err := resolveSpillCodec[V]()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return kc, vc
+}
+
+// encodeTestRun writes recs as one spill run and returns the run file's
+// bytes.
+func encodeTestRun[K comparable, V any](t testing.TB, c *spillBlockCodec[K, V], recs []spillRec[K, V]) []byte {
+	t.Helper()
+	var run bytes.Buffer
+	enc := c.NewRunEncoder()
+	for _, r := range recs {
+		if err := enc.Encode(&run, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := enc.Flush(&run); err != nil {
+		t.Fatal(err)
+	}
+	return run.Bytes()
+}
+
+// decodeTestRun reads a run file's bytes back to the io.EOF that ends
+// it, or to the first error.
+func decodeTestRun[K comparable, V any](c *spillBlockCodec[K, V], run []byte) ([]spillRec[K, V], error) {
+	r := bufio.NewReader(bytes.NewReader(run))
+	dec := c.NewRunDecoder()
+	var recs []spillRec[K, V]
+	for {
+		rec, err := dec.Decode(r)
+		if err == io.EOF {
+			return recs, nil
+		}
+		if err != nil {
+			return recs, err
+		}
+		recs = append(recs, rec)
+	}
+}

@@ -1,0 +1,112 @@
+package mapreduce
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"reflect"
+	"testing"
+)
+
+// goldenID is a named unsigned id, the shape of graph.NodeID's cousins:
+// it reaches the 4-byte delta lane by kind.
+type goldenID uint32
+
+// TestPairBlobGolden pins the bytes codec v2 writes, one small batch per
+// column lane: the plain blob of the batch, and the flate blob of the
+// batch repeated goldenRepeat times (long and regular enough that the
+// deflated form wins). It also pins one two-block spill run whose string
+// dictionary is carried from the first block into the second. A change
+// that moves any of these bytes changes what a peer of the other build,
+// a journal on disk, or a run file holds: it needs remote.Proto and
+// journalFormat bumped, not this test edited.
+func TestPairBlobGolden(t *testing.T) {
+	goldenBlob(t, "int32-delta/int64",
+		[]Pair[int32, int64]{P(int32(3), int64(100)), P(int32(3), int64(-1)), P(int32(7), int64(1)<<40), P(int32(-2), int64(0))},
+		"0206000811c801c901828080808040ffffffffff3f",
+		"03c002e4c7b10900200c05517f2362e7443adae1743a5542664899832b5e6f63cdc44f5f17e058b4abd9030000ffff")
+	goldenBlob(t, "named-uint32/float64",
+		[]Pair[goldenID, float64]{P(goldenID(1), 0.5), P(goldenID(4000000000), -2.0), P(goldenID(4000000001), 1e300)},
+		"020281e0a6990202000000000000e03f00000000000000c09c7500883ce4377e",
+		"03ac04ec90bd0d001014842fb79446622aadd05941a23687515e6110f1cc2051bc2beeaffc586434321fffbd42254103983da2fae5d2ddf6bfe6b0030000ffff")
+	goldenBlob(t, "bool/string-dict",
+		[]Pair[bool, string]{P(true, "ab"), P(false, ""), P(true, "ab"), P(true, "c"), P(false, "ab")},
+		"020d030261620001630102010301",
+		"036104c031018200004541efbf966cea483646aa9087bbeee738affb39cef6fd7dfc4d4c4c4c4c4c4c4c4c4c4c4c4c4c4c4cde000000ffff")
+	goldenBlob(t, "edge/empty-struct",
+		[]Pair[[2]int32, struct{}]{P([2]int32{1, 9}, struct{}{}), P([2]int32{1, 12}, struct{}{}), P([2]int32{5, 2}, struct{}{})},
+		"02020008120613",
+		"036004c0a1110030100241260250885cffbdfe3e356ad4a851a3468d1a356ad4a851a3468dfacdcccccccccccccccccccccccccccccc050000ffff")
+	goldenBlob(t, "int32/binary-marshaler",
+		[]Pair[int32, binPoint]{P(int32(10), binPoint{1, -1}), P(int32(11), binPoint{20, 300})},
+		"02140204312c2d310632302c333030",
+		"03e001d4c641090040080440ee10131863855deddfcd06fe653e13ffad4c4879114d5efc040000ffff")
+	goldenBlob(t, "int32/reflect-slice",
+		[]Pair[int32, []int32]{P(int32(1), []int32{5, -6}), P(int32(2), []int32{}), P(int32(3), []int32{1 << 20})},
+		"020202020502010a010b010006010480808001",
+		"03a002dcc7bb1100200cc5306c3e052cfd466786b4b9532375566cb93cc66125a17d7f000000ffff")
+	goldenBlob(t, "int32/int8",
+		[]Pair[int32, int8]{P(int32(0), int8(-128)), P(int32(1), int8(127)), P(int32(1), int8(0))},
+		"0200020002ff0102fe010100",
+		"03b001c4c5c109000008c3c026fbcfaccee0ab7070317cb83850fb020000ffff")
+
+	t.Run("spill-run", func(t *testing.T) {
+		// 600 records: spillBlockRecs (512) in the first block, 88 in
+		// the second, which references dictionary entries only the first
+		// block spelled out.
+		recs := make([]spillRec[string, int32], 600)
+		for i := range recs {
+			recs[i] = spillRec[string, int32]{seq: uint64(i), key: fmt.Sprintf("k%02d", i%37), val: int32(i * 3)}
+		}
+		c := testBlockCodec[string, int32](t, false, nil)
+		for i := range recs {
+			recs[i].img = c.img(recs[i].key)
+		}
+		run := encodeTestRun(t, c, recs)
+		sum := sha256.Sum256(run)
+		const wantLen, wantSum = 1961, "e241edb37376ce497f0c75b375285425975ae325d3ef93103cd762a1166e6770"
+		if len(run) != wantLen || hex.EncodeToString(sum[:]) != wantSum {
+			t.Errorf("run is %d bytes, sha256 %x; want %d bytes, %s", len(run), sum, wantLen, wantSum)
+		}
+		back, err := decodeTestRun(c, run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back, recs) {
+			t.Fatal("golden run does not decode to its records")
+		}
+	})
+}
+
+// goldenRepeat is how often a lane's batch is repeated for its flate
+// blob: enough to pass compressMinLen and compress.
+const goldenRepeat = 16
+
+func goldenBlob[K comparable, V any](t *testing.T, name string, pairs []Pair[K, V], plainHex, flateHex string) {
+	t.Run(name, func(t *testing.T) {
+		check := func(form string, pairs []Pair[K, V], compress bool, marker byte, wantHex string) {
+			t.Helper()
+			blob := encodeTestPairs(t, pairs, compress, nil)
+			if got := hex.EncodeToString(blob); got != wantHex || blob[0] != marker {
+				t.Errorf("%s blob:\n got %s\nwant %s (marker 0x%02x)", form, got, wantHex, marker)
+			}
+			want, err := hex.DecodeString(wantHex)
+			if err != nil {
+				t.Fatal(err)
+			}
+			back, _, err := decodeTestPairs[K, V](t, want, len(pairs))
+			if err != nil {
+				t.Fatalf("%s golden bytes: %v", form, err)
+			}
+			if !reflect.DeepEqual(back, pairs) {
+				t.Errorf("%s golden bytes decode to %v, want %v", form, back, pairs)
+			}
+		}
+		check("plain", pairs, false, pairBlobV2, plainHex)
+		var long []Pair[K, V]
+		for i := 0; i < goldenRepeat; i++ {
+			long = append(long, pairs...)
+		}
+		check("flate", long, true, pairBlobV2Flate, flateHex)
+	})
+}
