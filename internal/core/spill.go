@@ -8,17 +8,18 @@ import (
 	"repro/internal/graph"
 )
 
-// The spilling shuffle backend of internal/mapreduce serializes
-// intermediate values through encoding.BinaryMarshaler (see
-// mapreduce/spillcodec.go for the resolution order). This file gives the
+// The spilling and dist shuffle backends of internal/mapreduce serialize
+// intermediate values through encoding.BinaryMarshaler (see laneFor in
+// mapreduce/codeclane.go for the resolution order). This file gives the
 // matching algorithms' message types a compact binary form so that
 // GreedyMR, StackMR, StackGreedyMR and StackMRStrict run unchanged on
-// either shuffle backend: a message is a tag byte plus either the node's
+// every shuffle backend: a message is a tag byte plus either the node's
 // own state (adjacency list) or a per-edge payload.
 //
 // The encoding is explicit about pointer presence (tag bits), so a
 // round trip preserves the nil-ness that the reducers branch on — the
-// reason these types cannot rely on a reflective fallback.
+// reason these types carry their own encoding (a struct has no lane
+// in the engine's codec; without these methods the job is refused).
 
 const (
 	tagSelf  = 1 << 0 // message carries the node's own state

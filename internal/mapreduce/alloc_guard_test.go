@@ -100,27 +100,17 @@ func TestAllocGuardMemoryAddBucket(t *testing.T) {
 // reused, decoding a 4096-pair blob must stay O(1) allocations — the
 // cursor and nothing per pair or per column.
 func TestAllocGuardDecodePairsV2(t *testing.T) {
-	kc, err := resolveSpillCodec[int32]()
-	if err != nil {
-		t.Fatal(err)
-	}
-	vc, err := resolveSpillCodec[int64]()
-	if err != nil {
-		t.Fatal(err)
-	}
+	pc := testCodec[int32, int64](t)
 	pairs := make([]Pair[int32, int64], 4096)
 	for i := range pairs {
 		pairs[i] = P(int32(i%512), int64(i*7))
 	}
-	blob, err := encodePairs(nil, pairs, kc, vc, false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := encodeTestPairs(t, pairs, false, nil)
 	out := make([]Pair[int32, int64], 0, len(pairs))
 	avg := testing.AllocsPerRun(200, func() {
 		cur := remote.NewCursor(blob)
 		var derr error
-		out, derr = decodePairs(cur, len(pairs), kc, vc, out[:0])
+		out, derr = decodePairs(cur, len(pairs), pc, out[:0])
 		if derr != nil {
 			t.Fatal(derr)
 		}

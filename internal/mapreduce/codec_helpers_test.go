@@ -17,8 +17,7 @@ import (
 // encodeTestPairs returns the pair blob for pairs.
 func encodeTestPairs[K comparable, V any](t testing.TB, pairs []Pair[K, V], compress bool, saved *atomic.Int64) []byte {
 	t.Helper()
-	kc, vc := testCodecs[K, V](t)
-	blob, err := encodePairs(nil, pairs, kc, vc, compress, saved)
+	blob, err := encodePairs(nil, pairs, testCodec[K, V](t), compress, saved)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,10 +29,10 @@ func encodeTestPairs[K comparable, V any](t testing.TB, pairs []Pair[K, V], comp
 // capacity.
 func decodeTestPairs[K comparable, V any](t testing.TB, blob []byte, count int) (out []Pair[K, V], hint int, err error) {
 	t.Helper()
-	kc, vc := testCodecs[K, V](t)
+	pc := testCodec[K, V](t)
 	cur := remote.NewCursor(blob)
-	hint = pairCap(cur, count, kc, vc)
-	out, err = decodePairs(cur, count, kc, vc, make([]Pair[K, V], 0, hint))
+	hint = pairCap(cur, count, pc)
+	out, err = decodePairs(cur, count, pc, make([]Pair[K, V], 0, hint))
 	if err == nil {
 		err = cur.Err()
 	}
@@ -43,21 +42,16 @@ func decodeTestPairs[K comparable, V any](t testing.TB, blob []byte, count int) 
 // testBlockCodec returns the spill run codec for (K, V).
 func testBlockCodec[K comparable, V any](t testing.TB, compress bool, saved *atomic.Int64) *spillBlockCodec[K, V] {
 	t.Helper()
-	kc, vc := testCodecs[K, V](t)
-	return &spillBlockCodec[K, V]{key: kc, val: vc, img: keyShapeOf[K]().image(), compress: compress, saved: saved}
+	return &spillBlockCodec[K, V]{pc: testCodec[K, V](t), img: keyShapeOf[K]().image(), compress: compress, saved: saved}
 }
 
-func testCodecs[K comparable, V any](t testing.TB) (spillCodec[K], spillCodec[V]) {
+func testCodec[K comparable, V any](t testing.TB) *pairCodec[K, V] {
 	t.Helper()
-	kc, err := resolveSpillCodec[K]()
+	pc, err := pairCodecFor[K, V]()
 	if err != nil {
 		t.Fatal(err)
 	}
-	vc, err := resolveSpillCodec[V]()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return kc, vc
+	return pc
 }
 
 // encodeTestRun writes recs as one spill run and returns the run file's

@@ -1,36 +1,35 @@
 package mapreduce
 
 import (
+	"bufio"
 	"bytes"
 	"compress/flate"
-	"encoding"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"reflect"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
+	"repro/internal/extsort"
 	"repro/internal/mapreduce/remote"
 )
 
 // This file implements codec v2, the batch encoding shared by every
 // bulk byte path: dist bucket frames, checkpoint/seed mirror blobs, and
-// (through spillBlockCodec in spillcodec.go) extsort run files. The
-// paper's cost model is dominated by bytes moved per round, and a
-// per-pair row framing — uvarint key length, key, uvarint value length,
-// value — pays two length prefixes per pair and encodes every id at
-// full varint width. v2 encodes a batch column-wise:
+// (through spillBlockCodec below) extsort run files. The paper's cost
+// model is dominated by bytes moved per round, and a per-pair row
+// framing — uvarint key length, key, uvarint value length, value — pays
+// two length prefixes per pair and encodes every id at full varint
+// width. v2 encodes a batch column-wise:
 //
 //	blob     := marker byte, payload
 //	marker   := 0x02 (v2 columns) | 0x03 (v2 + flate)
 //	payload  := key column, value column          (marker 0x02)
 //	         |  uvarint rawLen, flate(columns)    (marker 0x03)
 //
-// Column encodings are resolved per concrete type (named types
-// included, via reflect.Kind plus a layout-preserving slice cast):
+// Column encodings (the lanes, codeclane.go) are resolved per concrete
+// element type, named types included:
 //
 //   - integer kinds of 4 or 8 bytes: zigzag varint deltas between
 //     consecutive elements. The ids that dominate GreedyMR/StackMR
@@ -41,14 +40,15 @@ import (
 //     written as token+1; token 0 escapes to an inline string, so a
 //     batch with more than dictMaxEntries distinct strings still
 //     round-trips.
-//   - float64/float32: raw little-endian words (8/4 bytes).
+//   - float64: raw little-endian words (8 bytes).
 //   - bools: bit-packed, eight per byte.
 //   - [2]int32 (edge endpoints): two delta sub-columns.
 //   - empty structs: zero bytes.
-//   - everything else (BinaryMarshaler, slices, gob fallback):
-//     length-prefixed elements in a column, through the element codec's
-//     per-stream instantiation (forStream) so the gob fallback reuses
-//     one en/decoder per column instead of one per record.
+//   - everything else that has a codec (BinaryMarshaler types, narrow
+//     integers, float32 — widened to a float64 word, so 9 bytes with
+//     its prefix — arrays and slices): length-prefixed elements in the
+//     generic column. A type with no codec is refused when the pair
+//     codec is resolved.
 //
 // A blob is fully self-contained: the coordinator relays chained-mode
 // bucket frames between worker connections verbatim, stores MsgCkpt
@@ -104,7 +104,7 @@ func (d *pairDict) reset() {
 	d.emitted = 0
 }
 
-var pairDictPool = sync.Pool{New: func() any { return &pairDict{idx: make(map[string]uint32)} }}
+var pairDictPool = sync.Pool{New: func() any { return newPairDict() }}
 
 func getPairDict() *pairDict  { return pairDictPool.Get().(*pairDict) }
 func putPairDict(d *pairDict) { d.reset(); pairDictPool.Put(d) }
@@ -112,34 +112,56 @@ func putPairDict(d *pairDict) { d.reset(); pairDictPool.Put(d) }
 // newPairDict returns an unpooled dictionary for per-run spill state.
 func newPairDict() *pairDict { return &pairDict{idx: make(map[string]uint32)} }
 
-// pairColEnc appends one column (all keys or all values of ps) to buf.
-// pairColDec fills the same column of ps from data and returns the
-// remaining bytes. The dictionary argument is nil for columns that do
-// not intern strings.
-type pairColEnc[K comparable, V any] func(buf []byte, ps []Pair[K, V], d *pairDict) ([]byte, error)
-type pairColDec[K comparable, V any] func(data []byte, ps []Pair[K, V], d *pairDict) ([]byte, error)
+// pairCodec is the codec of one (K, V) pair type: the key lane, the
+// value lane, and the spill run en/decoders recycled between runs. It
+// is what every byte path holds — resolved once per pair type by
+// pairCodecFor and cached for the life of the process.
+type pairCodec[K comparable, V any] struct {
+	key, val lane
+	// min8 is the pair's minimum encoded width in eighths of a byte;
+	// the decoders use it to bound wire-declared counts.
+	min8 int
 
-// pairColCodec is the resolved v2 column codec for one (K, V) pair
-// type, cached process-wide (resolution is deterministic per type).
-type pairColCodec[K comparable, V any] struct {
-	encK, encV pairColEnc[K, V]
-	decK, decV pairColDec[K, V]
-	kDict      bool // key column interns strings
-	vDict      bool // value column interns strings
+	// encs and decs recycle spill run en/decoders. They live here —
+	// not on the per-job spillBlockCodec — because jobs are born and
+	// die with their shuffles while this codec is cached for the
+	// process lifetime: a run en/decoder's grown buffers then survive
+	// across jobs, not just across one job's runs. Pooled en/decoders
+	// carry no job state; the per-job codec handle is re-stamped on
+	// every get.
+	encs freeList[spillRunEnc[K, V]]
+	decs freeList[spillRunDec[K, V]]
+}
 
-	// encFree and decFree recycle spill run en/decoders. They live
-	// here — not on the per-job spillBlockCodec — because jobs are
-	// born and die with their shuffles while this codec is cached for
-	// the process lifetime: a run en/decoder's grown buffers then
-	// survive across jobs, not just across one job's runs. Bounded
-	// free lists with strong references, not a sync.Pool: a spilling
-	// job allocates tens of MB between runs, so the GC fires often
-	// enough to wipe a sync.Pool before the next run could reuse
-	// anything. Pooled en/decoders carry no job state; the per-job
-	// codec handle is re-stamped on every get.
-	mu      sync.Mutex
-	encFree []*spillRunEnc[K, V]
-	decFree []*spillRunDec[K, V]
+var pairCodecs sync.Map // reflect.Type of Pair[K, V] -> *pairCodec[K, V]
+
+// pairCodecFor returns the codec of Pair[K, V]. A key or value type
+// with no codec (see laneFor) is an error here, before a record moves.
+// The memory backend never serialises and never asks.
+func pairCodecFor[K comparable, V any]() (*pairCodec[K, V], error) {
+	id := reflect.TypeFor[Pair[K, V]]()
+	if v, ok := pairCodecs.Load(id); ok {
+		return v.(*pairCodec[K, V]), nil
+	}
+	key, err := laneFor[K]()
+	if err != nil {
+		return nil, fmt.Errorf("key type %w", err)
+	}
+	val, err := laneFor[V]()
+	if err != nil {
+		return nil, fmt.Errorf("value type %w", err)
+	}
+	v, _ := pairCodecs.LoadOrStore(id, &pairCodec[K, V]{key: key, val: val, min8: key.min8 + val.min8})
+	return v.(*pairCodec[K, V]), nil
+}
+
+// freeList is a bounded free list with strong references, not a
+// sync.Pool: a spilling job allocates tens of MB between runs, so the
+// GC fires often enough to wipe a sync.Pool before the next run could
+// reuse anything.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	free []*T
 }
 
 // spillFreeCap bounds each of a pair type's en/decoder free lists. A
@@ -149,658 +171,69 @@ type pairColCodec[K comparable, V any] struct {
 // pairs and seqs, cleared of pointers) plus the grown byte buffers.
 const spillFreeCap = 32
 
-func (pc *pairColCodec[K, V]) getEnc() *spillRunEnc[K, V] {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if n := len(pc.encFree); n > 0 {
-		e := pc.encFree[n-1]
-		pc.encFree[n-1] = nil
-		pc.encFree = pc.encFree[:n-1]
-		return e
+// get returns a parked *T, or nil when the list is empty.
+func (l *freeList[T]) get() *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.free)
+	if n == 0 {
+		return nil
 	}
-	return nil
+	x := l.free[n-1]
+	l.free[n-1] = nil
+	l.free = l.free[:n-1]
+	return x
 }
 
-func (pc *pairColCodec[K, V]) putEnc(e *spillRunEnc[K, V]) {
-	pc.mu.Lock()
-	if len(pc.encFree) < spillFreeCap {
-		pc.encFree = append(pc.encFree, e)
+func (l *freeList[T]) put(x *T) {
+	l.mu.Lock()
+	if len(l.free) < spillFreeCap {
+		l.free = append(l.free, x)
 	}
-	pc.mu.Unlock()
+	l.mu.Unlock()
 }
 
-func (pc *pairColCodec[K, V]) getDec() *spillRunDec[K, V] {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if n := len(pc.decFree); n > 0 {
-		d := pc.decFree[n-1]
-		pc.decFree[n-1] = nil
-		pc.decFree = pc.decFree[:n-1]
-		return d
+// appendCols appends the key and value columns of pairs. kd and vd are
+// the per-run dictionaries of a spill run; a self-contained wire blob
+// passes nil and gets pooled per-blob ones.
+func (pc *pairCodec[K, V]) appendCols(buf []byte, pairs []Pair[K, V], kd, vd *pairDict) ([]byte, error) {
+	if pc.key.dict && kd == nil {
+		kd = getPairDict()
+		defer putPairDict(kd)
 	}
-	return nil
-}
-
-func (pc *pairColCodec[K, V]) putDec(d *spillRunDec[K, V]) {
-	pc.mu.Lock()
-	if len(pc.decFree) < spillFreeCap {
-		pc.decFree = append(pc.decFree, d)
+	if pc.val.dict && vd == nil {
+		vd = getPairDict()
+		defer putPairDict(vd)
 	}
-	pc.mu.Unlock()
-}
-
-var pairColCache sync.Map // reflect.Type of *Pair[K, V] -> *pairColCodec[K, V]
-
-// pairColsFor returns the cached column codec for Pair[K, V]; one map
-// load per call, so the blob codecs can resolve at the call site
-// without threading a codec handle through every frame path.
-func pairColsFor[K comparable, V any](kc spillCodec[K], vc spillCodec[V]) *pairColCodec[K, V] {
-	key := reflect.TypeOf((*Pair[K, V])(nil))
-	if v, ok := pairColCache.Load(key); ok {
-		return v.(*pairColCodec[K, V])
-	}
-	pc := &pairColCodec[K, V]{}
-	pc.encK, pc.decK, pc.kDict = resolveKeyCol[K, V](kc)
-	pc.encV, pc.decV, pc.vDict = resolveValCol[K, V](vc)
-	v, _ := pairColCache.LoadOrStore(key, pc)
-	return v.(*pairColCodec[K, V])
-}
-
-// colIntKind reports whether k is an integer kind the delta column
-// handles (paired with a size check selecting the 4- or 8-byte lane).
-func colIntKind(k reflect.Kind) bool {
-	switch k {
-	case reflect.Int, reflect.Int32, reflect.Int64,
-		reflect.Uint, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		return true
-	}
-	return false
-}
-
-// minEnc8 is a type's minimum encoded width in eighths of a byte, the
-// lower bound a column can reach per element (bit-packed
-// bools reach one bit; empty structs reach zero). Used to bound
-// wire-declared pair counts before any allocation.
-func minEnc8(t reflect.Type) int {
-	if t == nil {
-		return 8
-	}
-	switch t.Kind() {
-	case reflect.Bool:
-		return 1
-	case reflect.Struct:
-		if t.NumField() == 0 {
-			return 0
-		}
-		return 8
-	case reflect.Float64:
-		return 64
-	case reflect.Float32:
-		return 32
-	case reflect.Array:
-		if colIntKind(t.Elem().Kind()) {
-			return 8 * t.Len()
-		}
-		return 8
-	default:
-		return 8
-	}
-}
-
-// resolveKeyCol picks the key-column codec for K. Types with their own
-// BinaryMarshaler keep it (through the generic column) rather than
-// being reinterpreted by kind.
-func resolveKeyCol[K comparable, V any](kc spillCodec[K]) (pairColEnc[K, V], pairColDec[K, V], bool) {
-	var zero K
-	t := reflect.TypeOf(zero)
-	if _, isM := any(zero).(encoding.BinaryMarshaler); !isM && t != nil {
-		switch k := t.Kind(); {
-		case colIntKind(k) && t.Size() == 4:
-			return func(buf []byte, ps []Pair[K, V], _ *pairDict) ([]byte, error) {
-					return encDeltaKey(buf, *(*[]Pair[int32, V])(unsafe.Pointer(&ps))), nil
-				}, func(data []byte, ps []Pair[K, V], _ *pairDict) ([]byte, error) {
-					return decDeltaKey(data, *(*[]Pair[int32, V])(unsafe.Pointer(&ps)))
-				}, false
-		case colIntKind(k) && t.Size() == 8:
-			return func(buf []byte, ps []Pair[K, V], _ *pairDict) ([]byte, error) {
-					return encDeltaKey(buf, *(*[]Pair[int64, V])(unsafe.Pointer(&ps))), nil
-				}, func(data []byte, ps []Pair[K, V], _ *pairDict) ([]byte, error) {
-					return decDeltaKey(data, *(*[]Pair[int64, V])(unsafe.Pointer(&ps)))
-				}, false
-		case k == reflect.Float64:
-			return func(buf []byte, ps []Pair[K, V], _ *pairDict) ([]byte, error) {
-					return encF64Key(buf, *(*[]Pair[float64, V])(unsafe.Pointer(&ps))), nil
-				}, func(data []byte, ps []Pair[K, V], _ *pairDict) ([]byte, error) {
-					return decF64Key(data, *(*[]Pair[float64, V])(unsafe.Pointer(&ps)))
-				}, false
-		case k == reflect.Bool:
-			return func(buf []byte, ps []Pair[K, V], _ *pairDict) ([]byte, error) {
-					return encBoolKey(buf, *(*[]Pair[bool, V])(unsafe.Pointer(&ps))), nil
-				}, func(data []byte, ps []Pair[K, V], _ *pairDict) ([]byte, error) {
-					return decBoolKey(data, *(*[]Pair[bool, V])(unsafe.Pointer(&ps)))
-				}, false
-		case k == reflect.String:
-			return func(buf []byte, ps []Pair[K, V], d *pairDict) ([]byte, error) {
-					return encStrKey(buf, *(*[]Pair[string, V])(unsafe.Pointer(&ps)), d), nil
-				}, func(data []byte, ps []Pair[K, V], d *pairDict) ([]byte, error) {
-					return decStrKey(data, *(*[]Pair[string, V])(unsafe.Pointer(&ps)), d)
-				}, true
-		case k == reflect.Array && t.Len() == 2 && t.Elem().Kind() == reflect.Int32 && t.Size() == 8:
-			return func(buf []byte, ps []Pair[K, V], _ *pairDict) ([]byte, error) {
-					return encEdgeKey(buf, *(*[]Pair[[2]int32, V])(unsafe.Pointer(&ps))), nil
-				}, func(data []byte, ps []Pair[K, V], _ *pairDict) ([]byte, error) {
-					return decEdgeKey(data, *(*[]Pair[[2]int32, V])(unsafe.Pointer(&ps)))
-				}, false
-		case k == reflect.Struct && t.NumField() == 0:
-			return func(buf []byte, _ []Pair[K, V], _ *pairDict) ([]byte, error) {
-					return buf, nil
-				}, func(data []byte, _ []Pair[K, V], _ *pairDict) ([]byte, error) {
-					return data, nil
-				}, false
-		}
-	}
-	return genericKeyCol[K, V](kc)
-}
-
-// resolveValCol mirrors resolveKeyCol for the value column.
-func resolveValCol[K comparable, V any](vc spillCodec[V]) (pairColEnc[K, V], pairColDec[K, V], bool) {
-	var zero V
-	t := reflect.TypeOf(zero)
-	if _, isM := any(zero).(encoding.BinaryMarshaler); !isM && t != nil {
-		switch k := t.Kind(); {
-		case colIntKind(k) && t.Size() == 4:
-			return func(buf []byte, ps []Pair[K, V], _ *pairDict) ([]byte, error) {
-					return encDeltaVal(buf, *(*[]Pair[K, int32])(unsafe.Pointer(&ps))), nil
-				}, func(data []byte, ps []Pair[K, V], _ *pairDict) ([]byte, error) {
-					return decDeltaVal(data, *(*[]Pair[K, int32])(unsafe.Pointer(&ps)))
-				}, false
-		case colIntKind(k) && t.Size() == 8:
-			return func(buf []byte, ps []Pair[K, V], _ *pairDict) ([]byte, error) {
-					return encDeltaVal(buf, *(*[]Pair[K, int64])(unsafe.Pointer(&ps))), nil
-				}, func(data []byte, ps []Pair[K, V], _ *pairDict) ([]byte, error) {
-					return decDeltaVal(data, *(*[]Pair[K, int64])(unsafe.Pointer(&ps)))
-				}, false
-		case k == reflect.Float64:
-			return func(buf []byte, ps []Pair[K, V], _ *pairDict) ([]byte, error) {
-					return encF64Val(buf, *(*[]Pair[K, float64])(unsafe.Pointer(&ps))), nil
-				}, func(data []byte, ps []Pair[K, V], _ *pairDict) ([]byte, error) {
-					return decF64Val(data, *(*[]Pair[K, float64])(unsafe.Pointer(&ps)))
-				}, false
-		case k == reflect.Bool:
-			return func(buf []byte, ps []Pair[K, V], _ *pairDict) ([]byte, error) {
-					return encBoolVal(buf, *(*[]Pair[K, bool])(unsafe.Pointer(&ps))), nil
-				}, func(data []byte, ps []Pair[K, V], _ *pairDict) ([]byte, error) {
-					return decBoolVal(data, *(*[]Pair[K, bool])(unsafe.Pointer(&ps)))
-				}, false
-		case k == reflect.String:
-			return func(buf []byte, ps []Pair[K, V], d *pairDict) ([]byte, error) {
-					return encStrVal(buf, *(*[]Pair[K, string])(unsafe.Pointer(&ps)), d), nil
-				}, func(data []byte, ps []Pair[K, V], d *pairDict) ([]byte, error) {
-					return decStrVal(data, *(*[]Pair[K, string])(unsafe.Pointer(&ps)), d)
-				}, true
-		case k == reflect.Array && t.Len() == 2 && t.Elem().Kind() == reflect.Int32 && t.Size() == 8:
-			return func(buf []byte, ps []Pair[K, V], _ *pairDict) ([]byte, error) {
-					return encEdgeVal(buf, *(*[]Pair[K, [2]int32])(unsafe.Pointer(&ps))), nil
-				}, func(data []byte, ps []Pair[K, V], _ *pairDict) ([]byte, error) {
-					return decEdgeVal(data, *(*[]Pair[K, [2]int32])(unsafe.Pointer(&ps)))
-				}, false
-		case k == reflect.Struct && t.NumField() == 0:
-			return func(buf []byte, _ []Pair[K, V], _ *pairDict) ([]byte, error) {
-					return buf, nil
-				}, func(data []byte, _ []Pair[K, V], _ *pairDict) ([]byte, error) {
-					return data, nil
-				}, false
-		}
-	}
-	return genericValCol[K, V](vc)
-}
-
-// The strided column bodies below run tight loops directly over the
-// pair slice — no gather scratch, no per-element closure calls. Named
-// types reach them through the unsafe slice casts above, which only
-// reinterpret between identically laid out element types (same kind,
-// same size, same field order in Pair).
-
-// Integer deltas work in uint64 space with wraparound, so one body
-// serves signed and unsigned interpretations of each width exactly.
-func encDeltaKey[N int32 | int64, V any](buf []byte, ps []Pair[N, V]) []byte {
-	var prev uint64
-	for i := range ps {
-		cur := uint64(int64(ps[i].Key))
-		buf = binary.AppendVarint(buf, int64(cur-prev))
-		prev = cur
-	}
-	return buf
-}
-
-func decDeltaKey[N int32 | int64, V any](data []byte, ps []Pair[N, V]) ([]byte, error) {
-	var prev uint64
-	for i := range ps {
-		d, n := binary.Varint(data)
-		if n <= 0 {
-			return nil, errSpillShort
-		}
-		data = data[n:]
-		prev += uint64(d)
-		ps[i].Key = N(int64(prev))
-	}
-	return data, nil
-}
-
-func encDeltaVal[K comparable, N int32 | int64](buf []byte, ps []Pair[K, N]) []byte {
-	var prev uint64
-	for i := range ps {
-		cur := uint64(int64(ps[i].Value))
-		buf = binary.AppendVarint(buf, int64(cur-prev))
-		prev = cur
-	}
-	return buf
-}
-
-func decDeltaVal[K comparable, N int32 | int64](data []byte, ps []Pair[K, N]) ([]byte, error) {
-	var prev uint64
-	for i := range ps {
-		d, n := binary.Varint(data)
-		if n <= 0 {
-			return nil, errSpillShort
-		}
-		data = data[n:]
-		prev += uint64(d)
-		ps[i].Value = N(int64(prev))
-	}
-	return data, nil
-}
-
-func encF64Key[V any](buf []byte, ps []Pair[float64, V]) []byte {
-	for i := range ps {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(ps[i].Key))
-	}
-	return buf
-}
-
-func decF64Key[V any](data []byte, ps []Pair[float64, V]) ([]byte, error) {
-	if len(data) < 8*len(ps) {
-		return nil, errSpillShort
-	}
-	for i := range ps {
-		ps[i].Key = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
-	}
-	return data[8*len(ps):], nil
-}
-
-func encF64Val[K comparable](buf []byte, ps []Pair[K, float64]) []byte {
-	for i := range ps {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(ps[i].Value))
-	}
-	return buf
-}
-
-func decF64Val[K comparable](data []byte, ps []Pair[K, float64]) ([]byte, error) {
-	if len(data) < 8*len(ps) {
-		return nil, errSpillShort
-	}
-	for i := range ps {
-		ps[i].Value = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
-	}
-	return data[8*len(ps):], nil
-}
-
-func encBoolKey[V any](buf []byte, ps []Pair[bool, V]) []byte {
-	var b byte
-	var nb uint
-	for i := range ps {
-		if ps[i].Key {
-			b |= 1 << nb
-		}
-		if nb++; nb == 8 {
-			buf = append(buf, b)
-			b, nb = 0, 0
-		}
-	}
-	if nb > 0 {
-		buf = append(buf, b)
-	}
-	return buf
-}
-
-func decBoolKey[V any](data []byte, ps []Pair[bool, V]) ([]byte, error) {
-	nbytes := (len(ps) + 7) / 8
-	if len(data) < nbytes {
-		return nil, errSpillShort
-	}
-	for i := range ps {
-		ps[i].Key = data[i/8]&(1<<(i%8)) != 0
-	}
-	return data[nbytes:], nil
-}
-
-func encBoolVal[K comparable](buf []byte, ps []Pair[K, bool]) []byte {
-	var b byte
-	var nb uint
-	for i := range ps {
-		if ps[i].Value {
-			b |= 1 << nb
-		}
-		if nb++; nb == 8 {
-			buf = append(buf, b)
-			b, nb = 0, 0
-		}
-	}
-	if nb > 0 {
-		buf = append(buf, b)
-	}
-	return buf
-}
-
-func decBoolVal[K comparable](data []byte, ps []Pair[K, bool]) ([]byte, error) {
-	nbytes := (len(ps) + 7) / 8
-	if len(data) < nbytes {
-		return nil, errSpillShort
-	}
-	for i := range ps {
-		ps[i].Value = data[i/8]&(1<<(i%8)) != 0
-	}
-	return data[nbytes:], nil
-}
-
-func encEdgeKey[V any](buf []byte, ps []Pair[[2]int32, V]) []byte {
-	var prev int64
-	for i := range ps {
-		cur := int64(ps[i].Key[0])
-		buf = binary.AppendVarint(buf, cur-prev)
-		prev = cur
-	}
-	prev = 0
-	for i := range ps {
-		cur := int64(ps[i].Key[1])
-		buf = binary.AppendVarint(buf, cur-prev)
-		prev = cur
-	}
-	return buf
-}
-
-func decEdgeKey[V any](data []byte, ps []Pair[[2]int32, V]) ([]byte, error) {
-	var prev int64
-	for i := range ps {
-		d, n := binary.Varint(data)
-		if n <= 0 {
-			return nil, errSpillShort
-		}
-		data = data[n:]
-		prev += d
-		ps[i].Key[0] = int32(prev)
-	}
-	prev = 0
-	for i := range ps {
-		d, n := binary.Varint(data)
-		if n <= 0 {
-			return nil, errSpillShort
-		}
-		data = data[n:]
-		prev += d
-		ps[i].Key[1] = int32(prev)
-	}
-	return data, nil
-}
-
-func encEdgeVal[K comparable](buf []byte, ps []Pair[K, [2]int32]) []byte {
-	var prev int64
-	for i := range ps {
-		cur := int64(ps[i].Value[0])
-		buf = binary.AppendVarint(buf, cur-prev)
-		prev = cur
-	}
-	prev = 0
-	for i := range ps {
-		cur := int64(ps[i].Value[1])
-		buf = binary.AppendVarint(buf, cur-prev)
-		prev = cur
-	}
-	return buf
-}
-
-func decEdgeVal[K comparable](data []byte, ps []Pair[K, [2]int32]) ([]byte, error) {
-	var prev int64
-	for i := range ps {
-		d, n := binary.Varint(data)
-		if n <= 0 {
-			return nil, errSpillShort
-		}
-		data = data[n:]
-		prev += d
-		ps[i].Value[0] = int32(prev)
-	}
-	prev = 0
-	for i := range ps {
-		d, n := binary.Varint(data)
-		if n <= 0 {
-			return nil, errSpillShort
-		}
-		data = data[n:]
-		prev += d
-		ps[i].Value[1] = int32(prev)
-	}
-	return data, nil
-}
-
-// String columns: uvarint count of dictionary entries new to this
-// batch, the new entries (uvarint length + bytes, in first-assigned
-// order so the decoder mirror matches), then one token per pair —
-// token 0 escapes to an inline string (uvarint length + bytes follow),
-// token t>0 references dictionary entry t-1. On decode each distinct
-// string is allocated once and shared by every pair referencing it.
-func encStrKey[V any](buf []byte, ps []Pair[string, V], d *pairDict) []byte {
-	toks := d.tokens[:0]
-	base := d.emitted
-	for i := range ps {
-		s := ps[i].Key
-		if id, ok := d.idx[s]; ok {
-			toks = append(toks, id+1)
-		} else if len(d.entries) < dictMaxEntries {
-			id := uint32(len(d.entries))
-			d.idx[s] = id
-			d.entries = append(d.entries, s)
-			toks = append(toks, id+1)
-		} else {
-			toks = append(toks, 0)
-		}
-	}
-	d.tokens = toks
-	buf = binary.AppendUvarint(buf, uint64(len(d.entries)-base))
-	for _, s := range d.entries[base:] {
-		buf = binary.AppendUvarint(buf, uint64(len(s)))
-		buf = append(buf, s...)
-	}
-	d.emitted = len(d.entries)
-	for i, tok := range toks {
-		buf = binary.AppendUvarint(buf, uint64(tok))
-		if tok == 0 {
-			s := ps[i].Key
-			buf = binary.AppendUvarint(buf, uint64(len(s)))
-			buf = append(buf, s...)
-		}
-	}
-	return buf
-}
-
-func decStrKey[V any](data []byte, ps []Pair[string, V], d *pairDict) ([]byte, error) {
-	data, err := decDictEntries(data, d)
+	buf, err := pc.key.enc(buf, keyCol(pairs), kd)
 	if err != nil {
 		return nil, err
 	}
-	for i := range ps {
-		s, rest, err := decStrToken(data, d)
-		if err != nil {
-			return nil, err
-		}
-		ps[i].Key = s
-		data = rest
-	}
-	return data, nil
+	return pc.val.enc(buf, valCol(pairs), vd)
 }
 
-func encStrVal[K comparable](buf []byte, ps []Pair[K, string], d *pairDict) []byte {
-	toks := d.tokens[:0]
-	base := d.emitted
-	for i := range ps {
-		s := ps[i].Value
-		if id, ok := d.idx[s]; ok {
-			toks = append(toks, id+1)
-		} else if len(d.entries) < dictMaxEntries {
-			id := uint32(len(d.entries))
-			d.idx[s] = id
-			d.entries = append(d.entries, s)
-			toks = append(toks, id+1)
-		} else {
-			toks = append(toks, 0)
-		}
+// fillCols is appendCols' inverse: it decodes the key and value columns
+// at the head of data into ps and returns the remaining bytes. The
+// columns parse in place from data (which may alias a connection's
+// frame buffer or an inflate scratch) — element decoders copy anything
+// they keep.
+func (pc *pairCodec[K, V]) fillCols(data []byte, ps []Pair[K, V], kd, vd *pairDict) ([]byte, error) {
+	if pc.key.dict && kd == nil {
+		kd = getPairDict()
+		defer putPairDict(kd)
 	}
-	d.tokens = toks
-	buf = binary.AppendUvarint(buf, uint64(len(d.entries)-base))
-	for _, s := range d.entries[base:] {
-		buf = binary.AppendUvarint(buf, uint64(len(s)))
-		buf = append(buf, s...)
+	if pc.val.dict && vd == nil {
+		vd = getPairDict()
+		defer putPairDict(vd)
 	}
-	d.emitted = len(d.entries)
-	for i, tok := range toks {
-		buf = binary.AppendUvarint(buf, uint64(tok))
-		if tok == 0 {
-			s := ps[i].Value
-			buf = binary.AppendUvarint(buf, uint64(len(s)))
-			buf = append(buf, s...)
-		}
-	}
-	return buf
-}
-
-func decStrVal[K comparable](data []byte, ps []Pair[K, string], d *pairDict) ([]byte, error) {
-	data, err := decDictEntries(data, d)
+	data, err := pc.key.dec(data, keyCol(ps), kd)
 	if err != nil {
 		return nil, err
 	}
-	for i := range ps {
-		s, rest, err := decStrToken(data, d)
-		if err != nil {
-			return nil, err
-		}
-		ps[i].Value = s
-		data = rest
-	}
-	return data, nil
+	return pc.val.dec(data, valCol(ps), vd)
 }
 
-// decDictEntries mirrors one batch's new dictionary entries into d.
-func decDictEntries(data []byte, d *pairDict) ([]byte, error) {
-	nNew, n := binary.Uvarint(data)
-	if n <= 0 || nNew > uint64(len(data)-n) {
-		return nil, errSpillShort
-	}
-	if uint64(len(d.entries))+nNew > dictMaxEntries {
-		return nil, fmt.Errorf("mapreduce: pair decode: dictionary overflow (%d entries)", uint64(len(d.entries))+nNew)
-	}
-	data = data[n:]
-	for j := uint64(0); j < nNew; j++ {
-		l, m := binary.Uvarint(data)
-		if m <= 0 || l > uint64(len(data)-m) {
-			return nil, errSpillShort
-		}
-		d.entries = append(d.entries, string(data[m:m+int(l)]))
-		data = data[m+int(l):]
-	}
-	return data, nil
-}
-
-// decStrToken resolves one token: a dictionary ref or an inline escape.
-func decStrToken(data []byte, d *pairDict) (string, []byte, error) {
-	tok, n := binary.Uvarint(data)
-	if n <= 0 {
-		return "", nil, errSpillShort
-	}
-	data = data[n:]
-	if tok == 0 {
-		l, m := binary.Uvarint(data)
-		if m <= 0 || l > uint64(len(data)-m) {
-			return "", nil, errSpillShort
-		}
-		return string(data[m : m+int(l)]), data[m+int(l):], nil
-	}
-	if tok-1 >= uint64(len(d.entries)) {
-		return "", nil, fmt.Errorf("mapreduce: pair decode: dictionary ref %d of %d", tok-1, len(d.entries))
-	}
-	return d.entries[tok-1], data, nil
-}
-
-// genericKeyCol is the column fallback for every type without a
-// kind-based lane: length-prefixed elements through the resolved
-// element codec. forStream gives stateful codecs (the gob
-// fallback) one en/decoder per column instead of one per record.
-func genericKeyCol[K comparable, V any](kc spillCodec[K]) (pairColEnc[K, V], pairColDec[K, V], bool) {
-	enc := func(buf []byte, ps []Pair[K, V], _ *pairDict) ([]byte, error) {
-		ec := kc.forStream()
-		var scratch []byte
-		for i := range ps {
-			var err error
-			if scratch, err = ec.enc(scratch[:0], ps[i].Key); err != nil {
-				return nil, err
-			}
-			buf = binary.AppendUvarint(buf, uint64(len(scratch)))
-			buf = append(buf, scratch...)
-		}
-		return buf, nil
-	}
-	dec := func(data []byte, ps []Pair[K, V], _ *pairDict) ([]byte, error) {
-		dc := kc.forStream()
-		for i := range ps {
-			l, n := binary.Uvarint(data)
-			if n <= 0 || l > uint64(len(data)-n) {
-				return nil, errSpillShort
-			}
-			k, err := dc.dec(data[n : n+int(l)])
-			if err != nil {
-				return nil, err
-			}
-			ps[i].Key = k
-			data = data[n+int(l):]
-		}
-		return data, nil
-	}
-	return enc, dec, false
-}
-
-func genericValCol[K comparable, V any](vc spillCodec[V]) (pairColEnc[K, V], pairColDec[K, V], bool) {
-	enc := func(buf []byte, ps []Pair[K, V], _ *pairDict) ([]byte, error) {
-		ec := vc.forStream()
-		var scratch []byte
-		for i := range ps {
-			var err error
-			if scratch, err = ec.enc(scratch[:0], ps[i].Value); err != nil {
-				return nil, err
-			}
-			buf = binary.AppendUvarint(buf, uint64(len(scratch)))
-			buf = append(buf, scratch...)
-		}
-		return buf, nil
-	}
-	dec := func(data []byte, ps []Pair[K, V], _ *pairDict) ([]byte, error) {
-		dc := vc.forStream()
-		for i := range ps {
-			l, n := binary.Uvarint(data)
-			if n <= 0 || l > uint64(len(data)-n) {
-				return nil, errSpillShort
-			}
-			v, err := dc.dec(data[n : n+int(l)])
-			if err != nil {
-				return nil, err
-			}
-			ps[i].Value = v
-			data = data[n+int(l):]
-		}
-		return data, nil
-	}
-	return enc, dec, false
-}
-
-// --- blob-level API ---------------------------------------------------
+// --- blob framing -------------------------------------------------------
 
 // blobScratch pools the staging buffers the compressed paths need (the
 // uncompressed column image on encode, the inflated image on decode).
@@ -882,61 +315,86 @@ func inflateBlock(dst []byte, src []byte) error {
 	return nil
 }
 
-// appendPairCols appends the key and value columns of pairs using the
-// given dictionaries (nil for self-contained blobs; the wire path
-// substitutes pooled per-frame dictionaries).
-func appendPairCols[K comparable, V any](buf []byte, pairs []Pair[K, V], pc *pairColCodec[K, V], kd, vd *pairDict) ([]byte, error) {
-	if pc.kDict && kd == nil {
-		kd = getPairDict()
-		defer putPairDict(kd)
+// sealBlob appends the blob for the column image raw: a marker byte,
+// hdr (empty on the wire, the record count in a spill block), then raw
+// itself — or, when compress is set and raw is both large enough to
+// matter and actually shrinks, its length and flate image. saved, when
+// non-nil, accrues the bytes compression avoided. openBlob is the
+// inverse; wire blobs and spill blocks share the pair.
+func sealBlob(buf, hdr, raw []byte, compress bool, saved *atomic.Int64) ([]byte, error) {
+	mark := len(buf)
+	if compress && len(raw) >= compressMinLen {
+		buf = append(append(buf, pairBlobV2Flate), hdr...)
+		body := len(buf)
+		buf = binary.AppendUvarint(buf, uint64(len(raw)))
+		var err error
+		if buf, err = deflateBlock(buf, raw); err != nil {
+			return nil, err
+		}
+		if comp := len(buf) - body; comp < len(raw) {
+			if saved != nil {
+				saved.Add(int64(len(raw) - comp))
+			}
+			return buf, nil
+		}
+		buf = buf[:mark] // incompressible batch: ship the plain columns instead
 	}
-	if pc.vDict && vd == nil {
-		vd = getPairDict()
-		defer putPairDict(vd)
+	buf = append(append(buf, pairBlobV2), hdr...)
+	return append(buf, raw...), nil
+}
+
+// openBlob returns the column image behind a blob's marker and body
+// (what follows the marker and any header): body itself for plain
+// columns, its inflation into *scratch for deflated ones. Any other
+// marker is an error, and so is a declared raw length no deflate stream
+// of the body's size could produce — checked before the length sizes
+// the inflate buffer.
+func openBlob(marker byte, body []byte, scratch *[]byte) ([]byte, error) {
+	switch marker {
+	case pairBlobV2:
+		return body, nil
+	case pairBlobV2Flate:
+		rawLen, n := binary.Uvarint(body)
+		if n <= 0 {
+			return nil, errSpillShort
+		}
+		comp := body[n:]
+		if rawLen > maxPairCount || rawLen > uint64(len(comp))*maxInflateRatio {
+			return nil, fmt.Errorf("mapreduce: pair decode: %d-byte raw image declared by a %d-byte deflate stream", rawLen, len(comp))
+		}
+		if uint64(cap(*scratch)) < rawLen {
+			// Headroom: images drift a few bytes in size, and an
+			// exact-fit buffer would realloc on every slightly-larger one.
+			*scratch = make([]byte, rawLen+rawLen/4)
+		}
+		raw := (*scratch)[:rawLen]
+		if err := inflateBlock(raw, comp); err != nil {
+			return nil, err
+		}
+		return raw, nil
+	default:
+		return nil, fmt.Errorf("mapreduce: pair decode: unknown codec marker 0x%02x", marker)
 	}
-	buf, err := pc.encK(buf, pairs, kd)
-	if err != nil {
-		return nil, err
-	}
-	return pc.encV(buf, pairs, vd)
 }
 
 // encodePairs appends the versioned pair blob for pairs: a codec marker
 // byte, then the v2 columnar payload, deflated when compress is set and
 // the payload is both large enough to matter and actually shrinks.
 // saved, when non-nil, accrues the bytes compression avoided.
-func encodePairs[K comparable, V any](buf []byte, pairs []Pair[K, V], kc spillCodec[K], vc spillCodec[V], compress bool, saved *atomic.Int64) ([]byte, error) {
-	pc := pairColsFor[K, V](kc, vc)
+func encodePairs[K comparable, V any](buf []byte, pairs []Pair[K, V], pc *pairCodec[K, V], compress bool, saved *atomic.Int64) ([]byte, error) {
 	if !compress {
-		buf = append(buf, pairBlobV2)
-		return appendPairCols(buf, pairs, pc, nil, nil)
+		// Nothing to weigh against a deflated form: write the columns
+		// straight into buf instead of staging them for sealBlob.
+		return pc.appendCols(append(buf, pairBlobV2), pairs, nil, nil)
 	}
 	scratch := getBlobScratch()
 	defer putBlobScratch(scratch)
-	raw, err := appendPairCols(scratch.b[:0], pairs, pc, nil, nil)
+	raw, err := pc.appendCols(scratch.b[:0], pairs, nil, nil)
+	if err != nil {
+		return nil, err
+	}
 	scratch.b = raw
-	if err != nil {
-		return nil, err
-	}
-	if len(raw) < compressMinLen {
-		buf = append(buf, pairBlobV2)
-		return append(buf, raw...), nil
-	}
-	mark := len(buf)
-	buf = append(buf, pairBlobV2Flate)
-	buf = binary.AppendUvarint(buf, uint64(len(raw)))
-	buf, err = deflateBlock(buf, raw)
-	if err != nil {
-		return nil, err
-	}
-	if comp := len(buf) - mark - 1; comp >= len(raw) {
-		// Incompressible batch: ship the plain columns instead.
-		buf = append(buf[:mark], pairBlobV2)
-		return append(buf, raw...), nil
-	} else if saved != nil {
-		saved.Add(int64(len(raw) - comp))
-	}
-	return buf, nil
+	return sealBlob(buf, nil, raw, true, saved)
 }
 
 // pairCap bounds a wire-declared pair count by the remaining payload —
@@ -944,11 +402,11 @@ func encodePairs[K comparable, V any](buf []byte, pairs []Pair[K, V], kc spillCo
 // corrupted count cannot drive a pre-allocation past the bytes that
 // could possibly back it. (For compressed blobs the bound undershoots the raw image;
 // it is a sizing hint, decode grows the slice as needed.)
-func pairCap[K comparable, V any](cur *remote.Cursor, count int, kc spillCodec[K], vc spillCodec[V]) int {
+func pairCap[K comparable, V any](cur *remote.Cursor, count int, pc *pairCodec[K, V]) int {
 	if count < 0 {
 		return 0
 	}
-	min8 := kc.min8 + vc.min8
+	min8 := pc.min8
 	if min8 <= 0 {
 		min8 = 1 // zero-width pairs allocate nothing; still bound the hint
 	}
@@ -960,8 +418,9 @@ func pairCap[K comparable, V any](cur *remote.Cursor, count int, kc spillCodec[K
 
 // decodePairs appends count decoded pairs to out, dispatching on the
 // blob's codec marker: v2 columns, plain or deflated. Any other marker
-// is an error.
-func decodePairs[K comparable, V any](cur *remote.Cursor, count int, kc spillCodec[K], vc spillCodec[V], out []Pair[K, V]) ([]Pair[K, V], error) {
+// is an error. No per-pair allocation happens beyond the output slice
+// itself.
+func decodePairs[K comparable, V any](cur *remote.Cursor, count int, pc *pairCodec[K, V], out []Pair[K, V]) ([]Pair[K, V], error) {
 	if count == 0 && len(cur.Rest()) == 0 {
 		return out, nil
 	}
@@ -969,62 +428,19 @@ func decodePairs[K comparable, V any](cur *remote.Cursor, count int, kc spillCod
 	if err := cur.Err(); err != nil {
 		return out, err
 	}
-	switch marker {
-	case pairBlobV2:
-		return decodePairCols(cur.Rest(), count, kc, vc, out)
-	case pairBlobV2Flate:
-		rawLen := cur.Uvarint()
-		if err := cur.Err(); err != nil {
-			return out, err
-		}
-		comp := cur.Rest()
-		if rawLen > maxPairCount || rawLen > uint64(len(comp))*maxInflateRatio {
-			return out, fmt.Errorf("mapreduce: pair decode: %d-byte raw image declared by a %d-byte deflate stream", rawLen, len(comp))
-		}
-		scratch := getBlobScratch()
-		defer putBlobScratch(scratch)
-		if uint64(cap(scratch.b)) < rawLen {
-			scratch.b = make([]byte, rawLen)
-		}
-		scratch.b = scratch.b[:rawLen]
-		if err := inflateBlock(scratch.b, comp); err != nil {
-			return out, err
-		}
-		return decodePairCols(scratch.b, count, kc, vc, out)
-	default:
-		return out, fmt.Errorf("mapreduce: pair decode: unknown codec marker 0x%02x", marker)
+	scratch := getBlobScratch()
+	defer putBlobScratch(scratch)
+	data, err := openBlob(marker, cur.Rest(), &scratch.b)
+	if err != nil {
+		return out, err
 	}
-}
-
-// decodePairCols decodes the v2 column image in data, appending count
-// pairs to out. The columns parse in place from data (which may alias
-// a connection's frame buffer or the pooled inflate scratch) — element
-// decoders copy anything they keep, so no per-pair allocation happens
-// beyond the output slice itself.
-func decodePairCols[K comparable, V any](data []byte, count int, kc spillCodec[K], vc spillCodec[V], out []Pair[K, V]) ([]Pair[K, V], error) {
-	pc := pairColsFor[K, V](kc, vc)
-	min8 := kc.min8 + vc.min8
 	if count < 0 || count > maxPairCount ||
-		(min8 > 0 && uint64(count) > uint64(len(data))*8/uint64(min8)) {
+		(pc.min8 > 0 && uint64(count) > uint64(len(data))*8/uint64(pc.min8)) {
 		return out, fmt.Errorf("pair count %d exceeds the %d-byte payload", count, len(data))
 	}
 	base := len(out)
 	out = growPairs(out, count)
-	ps := out[base:]
-	var kd, vd *pairDict
-	if pc.kDict {
-		kd = getPairDict()
-		defer putPairDict(kd)
-	}
-	if pc.vDict {
-		vd = getPairDict()
-		defer putPairDict(vd)
-	}
-	data, err := pc.decK(data, ps, kd)
-	if err != nil {
-		return out[:base], err
-	}
-	if _, err = pc.decV(data, ps, vd); err != nil {
+	if _, err := pc.fillCols(data, out[base:], nil, nil); err != nil {
 		return out[:base], err
 	}
 	return out, nil
@@ -1039,4 +455,344 @@ func growPairs[K comparable, V any](out []Pair[K, V], n int) []Pair[K, V] {
 	grown := make([]Pair[K, V], len(out)+n)
 	copy(grown, out)
 	return grown
+}
+
+// --- spill runs ---------------------------------------------------------
+
+// spillBlockRecs is the records-per-block granularity of the v2 spill
+// run format: large enough that column and compression overheads
+// amortize, small enough that a block stays well inside the run
+// readers' 64 KiB buffers for typical records.
+const spillBlockRecs = 512
+
+// spillBlockCodec is the codec-v2 run format for extsort: records are
+// gathered into blocks of up to spillBlockRecs and written as
+//
+//	frame   := uvarint payloadLen, payload
+//	payload := marker byte, uvarint n, body
+//	body    := seq column, key column, value column     (marker 0x02)
+//	        |  uvarint rawLen, flate(columns)           (marker 0x03)
+//
+// — a wire blob (sealBlob / openBlob) with the record count behind the
+// marker and a seq column in front. The seq column delta-encodes the
+// (split<<40 | arrival) sequence numbers — records reach a run sorted
+// by key, so within a key group the seqs ascend and the deltas
+// collapse. Key and value columns use the same lanes as the wire blobs,
+// but with per-run dictionaries: one process writes and reads a run
+// strictly in order, so unlike wire frames the dictionary may span
+// blocks, interning each distinct string once per run. The cached key
+// image is never serialized; decode recomputes it through img.
+//
+// One codec instance serves a whole job (all sorters share it): the
+// instance itself is stateless, per-run state lives in the run
+// en/decoders, and saved accrues the bytes block compression avoided
+// across every run.
+type spillBlockCodec[K comparable, V any] struct {
+	pc       *pairCodec[K, V]
+	img      func(K) uint64
+	compress bool
+	saved    *atomic.Int64
+}
+
+// Encode and Decode satisfy extsort.Codec, but the sorter always takes
+// the StreamCodec path for this type; the record-at-a-time interface
+// cannot express block framing.
+func (c *spillBlockCodec[K, V]) Encode(io.Writer, spillRec[K, V]) error {
+	return fmt.Errorf("mapreduce: spillBlockCodec requires the stream run interface")
+}
+
+func (c *spillBlockCodec[K, V]) Decode(io.Reader) (spillRec[K, V], error) {
+	var rec spillRec[K, V]
+	return rec, fmt.Errorf("mapreduce: spillBlockCodec requires the stream run interface")
+}
+
+// NewRunEncoder and NewRunDecoder recycle en/decoders through the free
+// lists on the process-cached pair codec. Their byte buffers and
+// pair/seq staging grow to steady-state during the first runs; without
+// recycling every spill re-pays that growth (a sorter under a 10x
+// memory deficit writes dozens of runs per job). Encoders re-enter the
+// pool at Flush, decoders at the io.EOF that ends their run — the
+// points where extsort provably drops its reference (a merge source is
+// marked done at EOF and never decoded again). The per-job codec
+// handle c is re-stamped on every Get and cleared on release, so a
+// pooled en/decoder never pins a finished job's state.
+func (c *spillBlockCodec[K, V]) NewRunEncoder() extsort.RunEncoder[spillRec[K, V]] {
+	if e := c.pc.encs.get(); e != nil {
+		e.c = c
+		return e
+	}
+	e := &spillRunEnc[K, V]{
+		c:     c,
+		pairs: make([]Pair[K, V], 0, spillBlockRecs),
+		seqs:  make([]uint64, 0, spillBlockRecs),
+	}
+	if c.pc.key.dict {
+		e.kd = newPairDict()
+	}
+	if c.pc.val.dict {
+		e.vd = newPairDict()
+	}
+	return e
+}
+
+func (c *spillBlockCodec[K, V]) NewRunDecoder() extsort.RunDecoder[spillRec[K, V]] {
+	if d := c.pc.decs.get(); d != nil {
+		d.c = c
+		return d
+	}
+	d := &spillRunDec[K, V]{
+		c:     c,
+		pairs: make([]Pair[K, V], spillBlockRecs),
+		seqs:  make([]uint64, spillBlockRecs),
+	}
+	if c.pc.key.dict {
+		d.kd = newPairDict()
+	}
+	if c.pc.val.dict {
+		d.vd = newPairDict()
+	}
+	return d
+}
+
+// spillRunEnc buffers one run's records into blocks. It runs only on
+// the sorter's writer goroutine.
+type spillRunEnc[K comparable, V any] struct {
+	c      *spillBlockCodec[K, V]
+	kd, vd *pairDict
+	pairs  []Pair[K, V]
+	seqs   []uint64
+	raw    []byte                      // uncompressed block image
+	blob   []byte                      // sealed block
+	prefix [binary.MaxVarintLen64]byte // varint staging (a field, so it does not escape per block)
+}
+
+func (e *spillRunEnc[K, V]) Encode(w io.Writer, rec spillRec[K, V]) error {
+	e.pairs = append(e.pairs, Pair[K, V]{Key: rec.key, Value: rec.val})
+	e.seqs = append(e.seqs, rec.seq)
+	if len(e.pairs) < spillBlockRecs {
+		return nil
+	}
+	return e.flushBlock(w)
+}
+
+func (e *spillRunEnc[K, V]) Flush(w io.Writer) error {
+	if len(e.pairs) > 0 {
+		if err := e.flushBlock(w); err != nil {
+			return err
+		}
+	}
+	// The run is sealed and the sorter drops its reference after Flush:
+	// recycle the encoder. Dictionaries are per-run state and must
+	// forget their entries; the staging slices are cleared so a pooled
+	// encoder cannot pin the previous run's keys and values; the byte
+	// buffers keep their grown capacity — that is the point.
+	if e.kd != nil {
+		e.kd.reset()
+	}
+	if e.vd != nil {
+		e.vd.reset()
+	}
+	clear(e.pairs[:cap(e.pairs)])
+	e.pairs = e.pairs[:0]
+	e.seqs = e.seqs[:0]
+	pc := e.c.pc
+	e.c = nil
+	pc.encs.put(e)
+	return nil
+}
+
+func (e *spillRunEnc[K, V]) flushBlock(w io.Writer) error {
+	raw := e.raw[:0]
+	var prev uint64
+	for _, s := range e.seqs {
+		raw = binary.AppendVarint(raw, int64(s-prev))
+		prev = s
+	}
+	raw, err := e.c.pc.appendCols(raw, e.pairs, e.kd, e.vd)
+	if err != nil {
+		return err
+	}
+	e.raw = raw
+	hn := binary.PutUvarint(e.prefix[:], uint64(len(e.pairs)))
+	blob, err := sealBlob(e.blob[:0], e.prefix[:hn], raw, e.c.compress, e.c.saved)
+	if err != nil {
+		return err
+	}
+	e.blob = blob
+	e.pairs = e.pairs[:0]
+	e.seqs = e.seqs[:0]
+	ln := binary.PutUvarint(e.prefix[:], uint64(len(blob)))
+	if _, err = w.Write(e.prefix[:ln]); err != nil {
+		return err
+	}
+	_, err = w.Write(blob)
+	return err
+}
+
+// spillRunDec decodes one run's blocks, serving records by index. It
+// runs only on the goroutine merging that run.
+type spillRunDec[K comparable, V any] struct {
+	c       *spillBlockCodec[K, V]
+	kd, vd  *pairDict
+	pairs   []Pair[K, V]
+	seqs    []uint64
+	rbuf    []byte // frame readback
+	scratch []byte // inflated block image
+	pos, n  int
+}
+
+func (d *spillRunDec[K, V]) Decode(r io.Reader) (spillRec[K, V], error) {
+	var rec spillRec[K, V]
+	if d.pos >= d.n {
+		if err := d.readBlock(r); err != nil {
+			if err == io.EOF {
+				// Clean end of the run: the merge marks this source
+				// done and never decodes it again, so the decoder can
+				// be recycled for the next run.
+				d.release()
+			}
+			return rec, err
+		}
+	}
+	p := d.pairs[d.pos]
+	rec.seq = d.seqs[d.pos]
+	rec.key = p.Key
+	rec.val = p.Value
+	if d.c.img != nil {
+		rec.img = d.c.img(rec.key)
+	}
+	d.pos++
+	return rec, nil
+}
+
+// release resets the per-run state and returns the decoder to its
+// codec's pool; the block slices are cleared so a pooled decoder cannot
+// pin the previous run's keys and values, while rbuf and scratch keep
+// their grown capacity.
+func (d *spillRunDec[K, V]) release() {
+	if d.kd != nil {
+		d.kd.reset()
+	}
+	if d.vd != nil {
+		d.vd.reset()
+	}
+	clear(d.pairs[:cap(d.pairs)])
+	d.pos, d.n = 0, 0
+	pc := d.c.pc
+	d.c = nil
+	pc.decs.put(d)
+}
+
+func (d *spillRunDec[K, V]) readBlock(r io.Reader) error {
+	br, ok := r.(io.ByteReader)
+	if !ok {
+		return fmt.Errorf("mapreduce: spill decode: reader lacks io.ByteReader")
+	}
+	frameLen, err := readUvarint(r, br)
+	if err != nil {
+		// io.EOF at a block boundary is the clean end of the run.
+		return err
+	}
+	if frameLen < 2 || frameLen > maxPairCount {
+		return fmt.Errorf("mapreduce: spill decode: %d-byte block frame", frameLen)
+	}
+	if err := d.readFrame(r, int(frameLen)); err != nil {
+		return err
+	}
+	n, m := binary.Uvarint(d.rbuf[1:])
+	if m <= 0 || n == 0 || n > spillBlockRecs {
+		return fmt.Errorf("mapreduce: spill decode: block of %d records", n)
+	}
+	data, err := openBlob(d.rbuf[0], d.rbuf[1+m:], &d.scratch)
+	if err != nil {
+		return err
+	}
+	pairs, seqs := d.pairs[:n], d.seqs[:n]
+	var prev uint64
+	for i := range seqs {
+		delta, m := binary.Varint(data)
+		if m <= 0 {
+			return errSpillShort
+		}
+		data = data[m:]
+		prev += uint64(delta)
+		seqs[i] = prev
+	}
+	if _, err = d.c.pc.fillCols(data, pairs, d.kd, d.vd); err != nil {
+		return err
+	}
+	d.pos, d.n = 0, int(n)
+	return nil
+}
+
+// spillReadChunk is the first allocation readFrame makes for a frame
+// larger than its buffer: about one run-reader buffer (extsort reads
+// runs through 64 KiB), which holds a typical block whole.
+const spillReadChunk = 64 << 10
+
+// readFrame reads the n-byte frame at the head of r into d.rbuf. A
+// buffer that already fits is reused as is; a larger frame grows it as
+// the bytes arrive, never from the declared length alone — a corrupt or
+// truncated run file is then reported after at most one more chunk of
+// allocation than the bytes it really holds.
+func (d *spillRunDec[K, V]) readFrame(r io.Reader, n int) error {
+	buf := d.rbuf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			// Headroom past n: block frames drift a few bytes in size,
+			// and an exact-fit buffer would realloc on every
+			// slightly-larger one.
+			grown := make([]byte, len(buf), min(n+n/4, max(2*cap(buf), spillReadChunk)))
+			copy(grown, buf)
+			buf = grown
+		}
+		m, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			d.rbuf = buf[:0]
+			return frameErr(err)
+		}
+	}
+	d.rbuf = buf
+	return nil
+}
+
+// readUvarint reads one unsigned varint. When the reader is a
+// *bufio.Reader (the merge's run readers always are) the varint is
+// parsed from the reader's peeked window in one shot instead of through
+// per-byte ReadByte calls — the per-record decode overhead of the merge
+// is mostly varint parsing, so this is worth the type test.
+func readUvarint(r io.Reader, br io.ByteReader) (uint64, error) {
+	bufr, ok := r.(*bufio.Reader)
+	if !ok {
+		return binary.ReadUvarint(br)
+	}
+	window, _ := bufr.Peek(binary.MaxVarintLen64)
+	if len(window) == 0 {
+		// Distinguish a clean EOF from a read error.
+		if _, err := bufr.Peek(1); err != nil {
+			return 0, err
+		}
+		return binary.ReadUvarint(br)
+	}
+	x, n := binary.Uvarint(window)
+	if n <= 0 {
+		if len(window) < binary.MaxVarintLen64 {
+			// The varint may straddle the window end near EOF; fall
+			// back to the byte-wise reader, which reports truncation.
+			return binary.ReadUvarint(br)
+		}
+		return 0, fmt.Errorf("mapreduce: spill decode: varint overflow")
+	}
+	bufr.Discard(n)
+	return x, nil
+}
+
+// frameErr normalizes a mid-record EOF to a real error: only a clean
+// boundary before a record may report io.EOF upward.
+func frameErr(err error) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return fmt.Errorf("mapreduce: spill decode: truncated run file")
+	}
+	return err
 }

@@ -2,9 +2,9 @@ package mapreduce
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
-
-	"repro/internal/mapreduce/remote"
 )
 
 // FuzzDecodePairs feeds decodePairs — the decoder behind every bulk
@@ -19,40 +19,31 @@ import (
 // kind selects the pair type, one per column lane family: int32 keys
 // (delta varints) with int64 values, string keys (dictionary) with
 // int32 values, [2]int32 keys (two delta sub-columns) with float64
-// values (raw words). The checked-in corpus under
-// testdata/fuzz/FuzzDecodePairs holds a plain and a flate blob of each
-// plus the malformed shapes found by hand: truncation, an over-declared
-// count, the retired 0x01 row marker, and a forged flate length.
+// values (raw words), bool keys (bit-packed) with a BinaryMarshaler
+// value (generic column), int32 keys with a reflectively encoded slice
+// value. The checked-in corpus under testdata/fuzz/FuzzDecodePairs
+// holds a plain and a flate blob of each plus the malformed shapes
+// found by hand: truncation, an over-declared count, the retired 0x01
+// row marker, and a forged flate length.
 func FuzzDecodePairs(f *testing.F) {
 	f.Fuzz(func(t *testing.T, kind uint8, count int, blob []byte) {
-		switch kind % 3 {
+		switch kind % 5 {
 		case 0:
 			fuzzDecodePairs[int32, int64](t, count, blob)
 		case 1:
 			fuzzDecodePairs[string, int32](t, count, blob)
 		case 2:
 			fuzzDecodePairs[[2]int32, float64](t, count, blob)
+		case 3:
+			fuzzDecodePairs[bool, binPoint](t, count, blob)
+		case 4:
+			fuzzDecodePairs[int32, []int32](t, count, blob)
 		}
 	})
 }
 
 func fuzzDecodePairs[K comparable, V any](t *testing.T, count int, blob []byte) {
-	kc, err := resolveSpillCodec[K]()
-	if err != nil {
-		t.Fatal(err)
-	}
-	vc, err := resolveSpillCodec[V]()
-	if err != nil {
-		t.Fatal(err)
-	}
-	decode := func(blob []byte, count int) ([]Pair[K, V], int, error) {
-		cur := remote.NewCursor(blob)
-		hint := pairCap(cur, count, kc, vc)
-		out, err := decodePairs(cur, count, kc, vc, make([]Pair[K, V], 0, hint))
-		return out, hint, err
-	}
-
-	out, hint, err := decode(blob, count)
+	out, hint, err := decodeTestPairs[K, V](t, blob, count)
 	if err != nil {
 		if len(out) != 0 {
 			t.Fatalf("decode failed (%v) but returned %d pairs", err, len(out))
@@ -68,31 +59,73 @@ func fuzzDecodePairs[K comparable, V any](t *testing.T, count int, blob []byte) 
 	if len(blob) > 0 && blob[0] == pairBlobV2 && cap(out) != hint {
 		t.Fatalf("plain blob outgrew pairCap: cap %d, hint %d", cap(out), hint)
 	}
-	if ceiling := len(blob) * maxInflateRatio * 8 / (kc.min8 + vc.min8); count > ceiling {
+	if ceiling := len(blob) * maxInflateRatio * 8 / testCodec[K, V](t).min8; count > ceiling {
 		t.Fatalf("%d pairs decoded from a %d-byte blob (ceiling %d)", count, len(blob), ceiling)
 	}
 
 	// Exact round trip, compared on the canonical (plain) encoding so NaN
 	// payloads and non-minimal input varints do not matter.
-	canon, err := encodePairs(nil, out, kc, vc, false, nil)
-	if err != nil {
-		t.Fatalf("re-encoding decoded pairs: %v", err)
-	}
-	flate, err := encodePairs(nil, out, kc, vc, true, nil)
-	if err != nil {
-		t.Fatalf("re-encoding decoded pairs compressed: %v", err)
-	}
-	for _, enc := range [][]byte{canon, flate} {
-		again, _, err := decode(enc, count)
+	canon := encodeTestPairs(t, out, false, nil)
+	for _, enc := range [][]byte{canon, encodeTestPairs(t, out, true, nil)} {
+		again, _, err := decodeTestPairs[K, V](t, enc, count)
 		if err != nil {
 			t.Fatalf("decoding our own encoding (marker 0x%02x): %v", enc[0], err)
 		}
-		back, err := encodePairs(nil, again, kc, vc, false, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(back, canon) {
+		if back := encodeTestPairs(t, again, false, nil); !bytes.Equal(back, canon) {
 			t.Fatalf("round trip changed the pairs (marker 0x%02x)", enc[0])
 		}
+	}
+}
+
+// FuzzSpillRunDecode feeds the spill run decoder — what the k-way merge
+// reads run files through — arbitrary bytes as one run. The contract:
+// records up to the io.EOF of a clean block boundary, or an error;
+// never a panic, never more records than the bytes could hold, and a
+// run that decodes cleanly survives a re-encode. kind selects
+// string-keyed records (per-run dictionary, the golden run's type) or
+// int32-keyed ones. Seeds: the run TestPairBlobGolden pins, plain and
+// with block compression, and truncations of both.
+func FuzzSpillRunDecode(f *testing.F) {
+	recs := make([]spillRec[string, int32], 600)
+	for i := range recs {
+		recs[i] = spillRec[string, int32]{seq: uint64(i), key: fmt.Sprintf("k%02d", i%37), val: int32(i * 3)}
+	}
+	for _, compress := range []bool{false, true} {
+		run := encodeTestRun(f, testBlockCodec[string, int32](f, compress, nil), recs)
+		for _, cut := range []int{len(run), len(run) - 1, len(run) / 2, 40, 3, 1} {
+			f.Add(uint8(0), run[:cut])
+		}
+	}
+	f.Add(uint8(1), []byte{0x05, 0x02, 0x01, 0x02, 0x06, 0x08}) // one (seq 1, key 3, value 4) record
+	f.Fuzz(func(t *testing.T, kind uint8, run []byte) {
+		if kind%2 == 0 {
+			fuzzSpillRun[string, int32](t, run)
+		} else {
+			fuzzSpillRun[int32, int64](t, run)
+		}
+	})
+}
+
+func fuzzSpillRun[K comparable, V any](t *testing.T, run []byte) {
+	c := testBlockCodec[K, V](t, false, nil)
+	recs, err := decodeTestRun(c, run)
+	// Every block costs at least a length byte, a marker and a count,
+	// and every record at least a seq byte plus the pair's minimum
+	// width — inflated at most by DEFLATE's ceiling.
+	if blocks := len(run) / 3; len(recs) > blocks*spillBlockRecs {
+		t.Fatalf("%d records from a %d-byte run (at most %d blocks)", len(recs), len(run), blocks)
+	}
+	if ceiling := len(run) * maxInflateRatio * 8 / (8 + c.pc.min8); len(recs) > ceiling {
+		t.Fatalf("%d records from a %d-byte run (ceiling %d)", len(recs), len(run), ceiling)
+	}
+	if err != nil {
+		return
+	}
+	again, err := decodeTestRun(c, encodeTestRun(t, c, recs))
+	if err != nil {
+		t.Fatalf("decoding our own run: %v", err)
+	}
+	if !reflect.DeepEqual(again, recs) {
+		t.Fatal("round trip changed the records")
 	}
 }

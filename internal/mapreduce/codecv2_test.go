@@ -6,11 +6,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/extsort"
-	"repro/internal/mapreduce/remote"
 )
 
 // Codec v2 property tests: every supported key/value lane must survive
@@ -32,30 +33,13 @@ func (p *binPoint) UnmarshalBinary(data []byte) error {
 	return err
 }
 
-// gobRec falls through every fast lane to the gob codec, which since
-// codec v2 runs one persistent en/decoder per column stream.
-type gobRec struct {
-	Name string
-	N    int64
-}
-
 // roundTripPairs encodes pairs uncompressed and compressed and requires
 // the exact input back each way.
 func roundTripPairs[K comparable, V any](t *testing.T, pairs []Pair[K, V]) {
 	t.Helper()
-	kc, err := resolveSpillCodec[K]()
-	if err != nil {
-		t.Fatal(err)
-	}
-	vc, err := resolveSpillCodec[V]()
-	if err != nil {
-		t.Fatal(err)
-	}
 	check := func(blob []byte, mode string) {
 		t.Helper()
-		cur := remote.NewCursor(blob)
-		out, err := decodePairs(cur, len(pairs), kc, vc,
-			make([]Pair[K, V], 0, pairCap(cur, len(pairs), kc, vc)))
+		out, _, err := decodeTestPairs[K, V](t, blob, len(pairs))
 		if err != nil {
 			t.Fatalf("%s decode: %v", mode, err)
 		}
@@ -68,18 +52,8 @@ func roundTripPairs[K comparable, V any](t *testing.T, pairs []Pair[K, V]) {
 			}
 		}
 	}
-	blob, err := encodePairs(nil, pairs, kc, vc, false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(blob, "v2")
-
-	var saved atomic.Int64
-	cblob, err := encodePairs(nil, pairs, kc, vc, true, &saved)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(cblob, "v2-compressed")
+	check(encodeTestPairs(t, pairs, false, nil), "v2")
+	check(encodeTestPairs(t, pairs, true, nil), "v2-compressed")
 }
 
 func TestCodecV2RoundTrip(t *testing.T) {
@@ -183,13 +157,6 @@ func TestCodecV2RoundTrip(t *testing.T) {
 		}
 		roundTripPairs(t, pairs)
 	})
-	t.Run("gob-values", func(t *testing.T) {
-		pairs := make([]Pair[int32, gobRec], 120)
-		for i := range pairs {
-			pairs[i] = P(int32(i), gobRec{Name: fmt.Sprintf("rec-%d", rng.Intn(30)), N: rng.Int63()})
-		}
-		roundTripPairs(t, pairs)
-	})
 	t.Run("slice-values", func(t *testing.T) {
 		pairs := make([]Pair[int32, []int32], 100)
 		for i := range pairs {
@@ -231,25 +198,16 @@ func TestCodecV2DictOverflow(t *testing.T) {
 // incompressible one falls back to plain columns, and a tiny one never
 // pays for a flate header.
 func TestCodecV2CompressionMarkers(t *testing.T) {
-	kc, _ := resolveSpillCodec[int32]()
-	vc, err := resolveSpillCodec[string]()
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	compressible := make([]Pair[int32, string], 500)
 	for i := range compressible {
 		compressible[i] = P(int32(i), "the same highly repetitive value text")
 	}
 	var saved atomic.Int64
-	blob, err := encodePairs(nil, compressible, kc, vc, true, &saved)
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := encodeTestPairs(t, compressible, true, &saved)
 	if blob[0] != pairBlobV2Flate {
 		t.Fatalf("compressible batch shipped with marker 0x%02x, want flate", blob[0])
 	}
-	plain, _ := encodePairs(nil, compressible, kc, vc, false, nil)
+	plain := encodeTestPairs(t, compressible, false, nil)
 	if len(blob) >= len(plain) {
 		t.Fatalf("compressed blob (%dB) not smaller than plain (%dB)", len(blob), len(plain))
 	}
@@ -265,10 +223,7 @@ func TestCodecV2CompressionMarkers(t *testing.T) {
 		incompressible[i] = P(int32(rng.Uint32()), string(b))
 	}
 	saved.Store(0)
-	blob, err = encodePairs(nil, incompressible, kc, vc, true, &saved)
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob = encodeTestPairs(t, incompressible, true, &saved)
 	if blob[0] != pairBlobV2 {
 		t.Fatalf("incompressible batch shipped with marker 0x%02x, want plain v2", blob[0])
 	}
@@ -277,10 +232,7 @@ func TestCodecV2CompressionMarkers(t *testing.T) {
 	}
 
 	tiny := []Pair[int32, string]{P(int32(1), "x")}
-	blob, err = encodePairs(nil, tiny, kc, vc, true, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob = encodeTestPairs(t, tiny, true, nil)
 	if blob[0] != pairBlobV2 {
 		t.Fatalf("tiny batch shipped with marker 0x%02x, want plain v2", blob[0])
 	}
@@ -292,8 +244,6 @@ func TestCodecV2CompressionMarkers(t *testing.T) {
 // its size could produce (the length would otherwise size the inflate
 // buffer: 1 GiB here, from 40 bytes).
 func TestDecodePairsRejectsWhatItDoesNotWrite(t *testing.T) {
-	kc, _ := resolveSpillCodec[int32]()
-	vc, _ := resolveSpillCodec[int64]()
 	forged := binary.AppendUvarint([]byte{pairBlobV2Flate}, 1<<30)
 	forged = append(forged, make([]byte, 40)...)
 	for name, blob := range map[string][]byte{
@@ -301,7 +251,7 @@ func TestDecodePairsRejectsWhatItDoesNotWrite(t *testing.T) {
 		"unknown marker":  {0x7f, 0x00},
 		"forged raw len":  forged,
 	} {
-		out, err := decodePairs(remote.NewCursor(blob), 1, kc, vc, nil)
+		out, _, err := decodeTestPairs[int32, int64](t, blob, 1)
 		if err == nil || len(out) != 0 {
 			t.Errorf("%s: decoded %d pairs, err = %v; want an error", name, len(out), err)
 		}
@@ -316,8 +266,6 @@ func TestSpillRunBytesShrink(t *testing.T) {
 	// Measured 4.01 B/record (80 280 bytes for these 20 000 records); the
 	// per-record framing codec v2 replaced took 8.11 on the same input.
 	const spillBytesPerRecMax = 4.1
-	kc, _ := resolveSpillCodec[int32]()
-	vc, _ := resolveSpillCodec[int64]()
 	imgFn := keyShapeOf[int32]().image()
 	recs := make([]spillRec[int32, int64], 20000)
 	for i := range recs {
@@ -366,9 +314,9 @@ func TestSpillRunBytesShrink(t *testing.T) {
 		return s.RunBytes()
 	}
 
-	v2 := runThrough(&spillBlockCodec[int32, int64]{key: kc, val: vc, img: imgFn})
+	v2 := runThrough(testBlockCodec[int32, int64](t, false, nil))
 	var saved atomic.Int64
-	v2c := runThrough(&spillBlockCodec[int32, int64]{key: kc, val: vc, img: imgFn, compress: true, saved: &saved})
+	v2c := runThrough(testBlockCodec[int32, int64](t, true, &saved))
 	t.Logf("run bytes: v2=%d (%.2f B/record) v2+flate=%d (saved counter %d)",
 		v2, float64(v2)/float64(len(recs)), v2c, saved.Load())
 	if max := int64(spillBytesPerRecMax * float64(len(recs))); v2 > max {
@@ -382,43 +330,6 @@ func TestSpillRunBytesShrink(t *testing.T) {
 	if shrink := v2 - v2c; saved.Load() <= 0 ||
 		shrink-saved.Load() > shrink/100 || saved.Load()-shrink > shrink/100 {
 		t.Fatalf("savings counter says %d bytes avoided; run bytes shrank by %d", saved.Load(), shrink)
-	}
-}
-
-// TestGobStreamCodecRoundTrip pins the per-stream gob path: one
-// persistent encoder's records decode in order through one persistent
-// decoder (type descriptors are sent once).
-func TestGobStreamCodecRoundTrip(t *testing.T) {
-	c, err := resolveSpillCodec[gobRec]()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]gobRec, 50)
-	for i := range want {
-		want[i] = gobRec{Name: fmt.Sprintf("n%d", i), N: int64(i * i)}
-	}
-	enc := c.forStream()
-	var blobs [][]byte
-	for _, r := range want {
-		b, err := enc.enc(nil, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		blobs = append(blobs, b)
-	}
-	// Records after the first must not repeat the type descriptor.
-	if len(blobs[1]) >= len(blobs[0]) {
-		t.Fatalf("stream record 1 (%dB) not smaller than record 0 (%dB); descriptor resent?", len(blobs[1]), len(blobs[0]))
-	}
-	dec := c.forStream()
-	for i, b := range blobs {
-		got, err := dec.dec(b)
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		if got != want[i] {
-			t.Fatalf("record %d = %+v, want %+v", i, got, want[i])
-		}
 	}
 }
 
@@ -466,26 +377,62 @@ func TestDistWireCompressionEquivalence(t *testing.T) {
 		plainStats.RemoteBytesOut, compStats.RemoteBytesOut, compStats.WireBytesSaved)
 }
 
-// BenchmarkGobCodecStream prices the gob fallback: one persistent
-// en/decoder pair per stream.
-func BenchmarkGobCodecStream(b *testing.B) {
-	c, err := resolveSpillCodec[gobRec]()
-	if err != nil {
-		b.Fatal(err)
+// plainRec has exported fields and no marshaling methods: no lane, no
+// element codec.
+type plainRec struct {
+	N int
+	S string
+}
+
+// TestResolveRejectsUncodableType: a value type the codec cannot
+// serialise is refused when the spill shuffle is built and when the dist
+// job is started — with the type named, before a record moves — while
+// the memory backend, which never serialises, runs it.
+func TestResolveRejectsUncodableType(t *testing.T) {
+	input := []Pair[int32, int32]{P(int32(1), int32(1)), P(int32(2), int32(2))}
+	run := func(cfg Config) ([]Pair[int32, int], error) {
+		out, _, err := Run(context.Background(), cfg, input,
+			func(k, v int32, out Emitter[int32, plainRec]) error {
+				out.Emit(k, plainRec{N: int(v), S: "s"})
+				return nil
+			},
+			func(k int32, vs []plainRec, out Emitter[int32, int]) error {
+				out.Emit(k, len(vs))
+				return nil
+			})
+		return out, err
 	}
-	rec := gobRec{Name: "benchmark-record", N: 1 << 40}
-	enc := c.forStream()
-	dec := c.forStream()
-	var buf []byte
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf, err = enc.enc(buf[:0], rec)
-		if err != nil {
-			b.Fatal(err)
+	if out, err := run(Config{Mappers: 2, Reducers: 2}); err != nil || len(out) != 2 {
+		t.Fatalf("memory backend: %d pairs, err = %v; want the job to run", len(out), err)
+	}
+	cl := startTestCluster(t, 1)
+	for backend, cfg := range map[string]Config{"spill": spillCfg(1), "dist": distCfg(cl, "uncodable")} {
+		_, err := run(cfg)
+		if err == nil || !strings.Contains(err.Error(), "mapreduce.plainRec has no codec") ||
+			!strings.Contains(err.Error(), "BinaryMarshaler") {
+			t.Errorf("%s: err = %v; want a refusal naming mapreduce.plainRec and the fix", backend, err)
 		}
-		if _, err = dec.dec(buf); err != nil {
-			b.Fatal(err)
-		}
+	}
+	if err := cl.Err(); err != nil {
+		t.Fatalf("refusing a job broke the cluster: %v", err)
+	}
+}
+
+// TestSpillRunForgedFrameLength: a run file's block length prefix is
+// read before the block is, so it must not size an allocation. Six
+// bytes declaring a 1 GiB frame are a truncated run, reported after
+// allocating about one read chunk.
+func TestSpillRunForgedFrameLength(t *testing.T) {
+	run := append(binary.AppendUvarint(nil, 1<<30), pairBlobV2)
+	c := testBlockCodec[int32, int64](t, false, nil)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	recs, err := decodeTestRun(c, run)
+	runtime.ReadMemStats(&after)
+	if err == nil || len(recs) != 0 {
+		t.Fatalf("decoded %d records, err = %v; want a truncation error", len(recs), err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("a %d-byte run allocated %d bytes before failing", len(run), grew)
 	}
 }

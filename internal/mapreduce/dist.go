@@ -1691,13 +1691,13 @@ func parseJobHeader(cur *remote.Cursor) (*distJobHeader, error) {
 // free again as soon as the send returns). The pair payload is a
 // self-contained codec-v2 blob (see codecv2.go), so the coordinator can
 // relay, mirror, and re-seed the frame body without re-encoding.
-func encodeBucketFrame[K comparable, V any](buf []byte, seq uint64, split, part int, pairs []Pair[K, V], kc spillCodec[K], vc spillCodec[V], compress bool, saved *atomic.Int64) ([]byte, error) {
+func encodeBucketFrame[K comparable, V any](buf []byte, seq uint64, split, part int, pairs []Pair[K, V], pc *pairCodec[K, V], compress bool, saved *atomic.Int64) ([]byte, error) {
 	buf = append(buf, byte(remote.MsgBucket))
 	buf = remote.AppendUvarint(buf, seq)
 	buf = remote.AppendUvarint(buf, uint64(split))
 	buf = remote.AppendUvarint(buf, uint64(part))
 	buf = remote.AppendUvarint(buf, uint64(len(pairs)))
-	return encodePairs(buf, pairs, kc, vc, compress, saved)
+	return encodePairs(buf, pairs, pc, compress, saved)
 }
 
 // distWorkerReport aggregates what one worker told the coordinator
@@ -1730,10 +1730,8 @@ type distWorkerReport struct {
 type distJobRun[K2 comparable, V2 any, K3 comparable, V3 any] struct {
 	cl        *DistCluster
 	hdr       *distJobHeader
-	k2c       spillCodec[K2]
-	v2c       spillCodec[V2]
-	k3c       spillCodec[K3]
-	v3c       spillCodec[V3]
+	shufc     *pairCodec[K2, V2] // shuffled pairs (MsgBucket)
+	outc      *pairCodec[K3, V3] // reduce output (MsgReduced)
 	bytesIn0  int64
 	bytesOut0 int64
 	// live is the set of workers the announce included — the workers
@@ -1892,7 +1890,7 @@ func (j *distJobRun[K2, V2, K3, V3]) tailLaggard(now time.Time, factor float64, 
 	return 0, 0, false
 }
 
-// startDistJob resolves the four codecs, snapshots the live worker set
+// startDistJob resolves the two pair codecs, snapshots the live worker set
 // and the partition assignment into the job header, and announces the
 // job to every live worker.
 func startDistJob[K2 comparable, V2 any, K3 comparable, V3 any](
@@ -1905,21 +1903,13 @@ func startDistJob[K2 comparable, V2 any, K3 comparable, V3 any](
 	if err := cl.Err(); err != nil {
 		return nil, fmt.Errorf("mapreduce: dist cluster is broken: %w", err)
 	}
-	k2c, err := resolveSpillCodec[K2]()
+	shufc, err := pairCodecFor[K2, V2]()
 	if err != nil {
-		return nil, fmt.Errorf("mapreduce: dist key codec: %w", err)
+		return nil, fmt.Errorf("mapreduce: dist job %q: shuffle %w", cfg.Name, err)
 	}
-	v2c, err := resolveSpillCodec[V2]()
+	outc, err := pairCodecFor[K3, V3]()
 	if err != nil {
-		return nil, fmt.Errorf("mapreduce: dist value codec: %w", err)
-	}
-	k3c, err := resolveSpillCodec[K3]()
-	if err != nil {
-		return nil, fmt.Errorf("mapreduce: dist output key codec: %w", err)
-	}
-	v3c, err := resolveSpillCodec[V3]()
-	if err != nil {
-		return nil, fmt.Errorf("mapreduce: dist output value codec: %w", err)
+		return nil, fmt.Errorf("mapreduce: dist job %q: output %w", cfg.Name, err)
 	}
 	owners := cl.ownersFor(cfg.reducers())
 	live := cl.scheduleWorkers(owners)
@@ -1945,7 +1935,7 @@ func startDistJob[K2 comparable, V2 any, K3 comparable, V3 any](
 			v3id:       distTypeID[V3](),
 			params:     cfg.DistParams,
 		},
-		k2c: k2c, v2c: v2c, k3c: k3c, v3c: v3c,
+		shufc: shufc, outc: outc,
 		live:      live,
 		spec:      cfg.SpeculationFactor,
 		outs:      make([][]Pair[K3, V3], cfg.reducers()),
@@ -2127,7 +2117,7 @@ func (j *distJobRun[K2, V2, K3, V3]) drainAborted(w int) {
 // owner under the job's assignment.
 func (j *distJobRun[K2, V2, K3, V3]) sendBucket(split, part int, pairs []Pair[K2, V2]) error {
 	fs := getFrameScratch()
-	frame, err := encodeBucketFrame(fs.b[:0], j.hdr.seq, split, part, pairs, j.k2c, j.v2c, j.hdr.wireComp, &j.wireSaved)
+	frame, err := encodeBucketFrame(fs.b[:0], j.hdr.seq, split, part, pairs, j.shufc, j.hdr.wireComp, &j.wireSaved)
 	if err != nil {
 		putFrameScratch(fs)
 		return fmt.Errorf("mapreduce: dist job %q: encoding bucket: %w", j.hdr.name, err)
@@ -2269,7 +2259,7 @@ func (j *distJobRun[K2, V2, K3, V3]) reader(w int) (readerOutcome, error) {
 			if j.aborting.Load() {
 				continue
 			}
-			pairs, err := decodePairs(cur, count, j.k3c, j.v3c, make([]Pair[K3, V3], 0, pairCap(cur, count, j.k3c, j.v3c)))
+			pairs, err := decodePairs(cur, count, j.outc, make([]Pair[K3, V3], 0, pairCap(cur, count, j.outc)))
 			if err != nil {
 				return 0, fmt.Errorf("mapreduce: dist job %q: decoding partition %d: %w", j.hdr.name, part, err)
 			}
@@ -2651,25 +2641,17 @@ func tryDistFlat[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3
 // encodeJournalFlat serializes a flat job's sorted output as one
 // codec-v2 pair blob for the run journal.
 func encodeJournalFlat[K3 comparable, V3 any](pairs []Pair[K3, V3], compress bool) ([]byte, error) {
-	kc, err := resolveSpillCodec[K3]()
+	pc, err := pairCodecFor[K3, V3]()
 	if err != nil {
 		return nil, err
 	}
-	vc, err := resolveSpillCodec[V3]()
-	if err != nil {
-		return nil, err
-	}
-	return encodePairs(nil, pairs, kc, vc, compress, nil)
+	return encodePairs(nil, pairs, pc, compress, nil)
 }
 
 // decodeJournalFlat rebuilds a flat job's sorted output from its
 // journal record.
 func decodeJournalFlat[K3 comparable, V3 any](rec *journalRecord) ([]Pair[K3, V3], error) {
-	kc, err := resolveSpillCodec[K3]()
-	if err != nil {
-		return nil, err
-	}
-	vc, err := resolveSpillCodec[V3]()
+	pc, err := pairCodecFor[K3, V3]()
 	if err != nil {
 		return nil, err
 	}
@@ -2678,7 +2660,7 @@ func decodeJournalFlat[K3 comparable, V3 any](rec *journalRecord) ([]Pair[K3, V3
 	}
 	count := int(rec.counts[0])
 	cur := remote.NewCursor(rec.blobs[0])
-	out, err := decodePairs(cur, count, kc, vc, make([]Pair[K3, V3], 0, pairCap(cur, count, kc, vc)))
+	out, err := decodePairs(cur, count, pc, make([]Pair[K3, V3], 0, pairCap(cur, count, pc)))
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: dist journal: replaying job %q: %w", rec.name, err)
 	}
@@ -2888,11 +2870,7 @@ func (d *Dataset[K, V]) Materialize() error {
 	if err := rem.cl.Err(); err != nil {
 		return fmt.Errorf("mapreduce: materializing dataset: dist cluster is broken: %w", err)
 	}
-	kc, err := resolveSpillCodec[K]()
-	if err != nil {
-		return fmt.Errorf("mapreduce: materializing dataset: %w", err)
-	}
-	vc, err := resolveSpillCodec[V]()
+	pc, err := pairCodecFor[K, V]()
 	if err != nil {
 		return fmt.Errorf("mapreduce: materializing dataset: %w", err)
 	}
@@ -2931,7 +2909,7 @@ func (d *Dataset[K, V]) Materialize() error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := d.fetchFrom(rem.cl.conns[w], w, loc, fetch, kc, vc); err != nil {
+			if err := d.fetchFrom(rem.cl.conns[w], w, loc, fetch, pc); err != nil {
 				errs[w] = fmt.Errorf("mapreduce: fetching resident partitions from worker %d: %w", w, err)
 				rem.cl.markDead(w, errs[w])
 			}
@@ -2962,7 +2940,7 @@ func (d *Dataset[K, V]) Materialize() error {
 		}
 		n := int(rem.counts[p])
 		cur := remote.NewCursor(blob)
-		pairs, err := decodePairs(cur, n, kc, vc, make([]Pair[K, V], 0, n))
+		pairs, err := decodePairs(cur, n, pc, make([]Pair[K, V], 0, n))
 		if err != nil {
 			return fmt.Errorf("mapreduce: materializing dataset: restoring partition %d from checkpoint: %w", p, err)
 		}
@@ -2976,7 +2954,7 @@ func (d *Dataset[K, V]) Materialize() error {
 // fetchFrom drains one worker's resident partitions for this dataset.
 // loc (the cluster's residency map, nil when unknown) gates acceptance:
 // only the current owner's copy of a partition is installed.
-func (d *Dataset[K, V]) fetchFrom(conn *remote.Conn, w int, loc []int, fetch []byte, kc spillCodec[K], vc spillCodec[V]) error {
+func (d *Dataset[K, V]) fetchFrom(conn *remote.Conn, w int, loc []int, fetch []byte, pc *pairCodec[K, V]) error {
 	if err := conn.WriteFrame(fetch); err != nil {
 		return err
 	}
@@ -3008,7 +2986,7 @@ func (d *Dataset[K, V]) fetchFrom(conn *remote.Conn, w int, loc []int, fetch []b
 			if loc != nil && part < len(loc) && loc[part] != w {
 				continue // stale copy from a previous assignment
 			}
-			pairs, err := decodePairs(cur, count, kc, vc, make([]Pair[K, V], 0, pairCap(cur, count, kc, vc)))
+			pairs, err := decodePairs(cur, count, pc, make([]Pair[K, V], 0, pairCap(cur, count, pc)))
 			if err != nil {
 				return err
 			}

@@ -351,28 +351,15 @@ func TestDistJournalRefusesOtherPartitioner(t *testing.T) {
 // padding was cut — reproduce the pairs exactly. Never a panic, never
 // wrong data reported as success.
 func TestDecodePairsTruncatedCompressed(t *testing.T) {
-	kc, err := resolveSpillCodec[int32]()
-	if err != nil {
-		t.Fatal(err)
-	}
-	vc, err := resolveSpillCodec[int64]()
-	if err != nil {
-		t.Fatal(err)
-	}
 	pairs := make([]Pair[int32, int64], 400)
 	for i := range pairs {
 		pairs[i] = Pair[int32, int64]{Key: int32(i % 7), Value: 42}
 	}
-	blob, err := encodePairs(nil, pairs, kc, vc, true, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := encodeTestPairs(t, pairs, true, nil)
 	errored := 0
 	for cut := 1; cut < len(blob); cut++ {
-		cur := remote.NewCursor(blob[:cut])
-		out, derr := decodePairs(cur, len(pairs), kc, vc,
-			make([]Pair[int32, int64], 0, pairCap(cur, len(pairs), kc, vc)))
-		if derr != nil || cur.Err() != nil {
+		out, _, derr := decodeTestPairs[int32, int64](t, blob[:cut], len(pairs))
+		if derr != nil {
 			errored++
 			continue
 		}

@@ -471,6 +471,14 @@ func TestDistCloseReapsWedgedWorker(t *testing.T) {
 		cl.Close()
 		t.Fatal(err)
 	}
+	// SIGSTOP is delivered asynchronously: Signal returning does not
+	// mean the process has stopped, and a worker thread still running
+	// can read Close's MsgBye and exit cleanly — leaving no wedged
+	// worker to reap. Wait until the kernel reports the stop.
+	if err := awaitStopped(cl.procs[0].Process.Pid, 10*time.Second); err != nil {
+		cl.Close()
+		t.Fatal(err)
+	}
 	closed := make(chan error, 1)
 	go func() { closed <- cl.Close() }()
 	select {
@@ -483,6 +491,25 @@ func TestDistCloseReapsWedgedWorker(t *testing.T) {
 		t.Logf("wedged worker surfaced: %v", err)
 	case <-time.After(30 * time.Second):
 		t.Fatal("Close hung on a wedged worker process")
+	}
+}
+
+// awaitStopped polls /proc/<pid>/stat until the process state (the
+// field after the parenthesised command name) is T, stopped by a signal.
+func awaitStopped(pid int, within time.Duration) error {
+	deadline := time.Now().Add(within)
+	for {
+		stat, err := os.ReadFile(fmt.Sprintf("/proc/%d/stat", pid))
+		if err != nil {
+			return fmt.Errorf("observing worker %d: %w", pid, err)
+		}
+		if i := strings.LastIndexByte(string(stat), ')'); i >= 0 && strings.HasPrefix(string(stat[i+1:]), " T") {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("worker %d not stopped %v after SIGSTOP: %s", pid, within, stat)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -106,8 +106,7 @@ type residentSet interface {
 // between jobs.
 type residentData[K comparable, V any] struct {
 	parts [][]Pair[K, V]
-	kc    spillCodec[K]
-	vc    spillCodec[V]
+	pc    *pairCodec[K, V]
 	ar    *roundArena[K, V]
 	// comp carries the producing job's wire-compression setting into a
 	// later fetch (Materialize happens after the job is gone).
@@ -127,7 +126,7 @@ func (r *residentData[K, V]) fetch(conn *remote.Conn, seq uint64) error {
 		frame = remote.AppendUvarint(frame, seq)
 		frame = remote.AppendUvarint(frame, uint64(p))
 		frame = remote.AppendUvarint(frame, uint64(len(pairs)))
-		frame, err := encodePairs(frame, pairs, r.kc, r.vc, r.comp, nil)
+		frame, err := encodePairs(frame, pairs, r.pc, r.comp, nil)
 		if err != nil {
 			return fmt.Errorf("encoding resident partition %d: %w", p, err)
 		}
@@ -172,18 +171,14 @@ func chainedInput[K1 comparable, V1 any](s *workerSession, h *distJobHeader) (*r
 			return nil, fmt.Errorf("job %q: resident input %d has a different type", h.name, h.inputSeq)
 		}
 	} else {
-		kc, err := resolveSpillCodec[K1]()
+		pc, err := pairCodecFor[K1, V1]()
 		if err != nil {
-			return nil, err
-		}
-		vc, err := resolveSpillCodec[V1]()
-		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("job %q: resident input %w", h.name, err)
 		}
 		rd = &residentData[K1, V1]{
 			parts: make([][]Pair[K1, V1], h.splits),
-			kc:    kc, vc: vc,
-			ar: arenaFor[K1, V1](s.pool, h.splits),
+			pc:    pc,
+			ar:    arenaFor[K1, V1](s.pool, h.splits),
 		}
 		s.resident[h.inputSeq] = rd
 	}
@@ -194,7 +189,7 @@ func chainedInput[K1 comparable, V1 any](s *workerSession, h *distJobHeader) (*r
 		if rd.parts[part] != nil {
 			continue // the local copy is authoritative
 		}
-		pairs, err := decodePairs(remote.NewCursor(sb.blob), sb.count, rd.kc, rd.vc,
+		pairs, err := decodePairs(remote.NewCursor(sb.blob), sb.count, rd.pc,
 			rd.ar.getPairs(part, sb.count))
 		if err != nil {
 			return nil, fmt.Errorf("job %q: decoding seeded partition %d: %w", h.name, part, err)
@@ -623,8 +618,7 @@ type workerSender[K2 comparable, V2 any] struct {
 	seq      uint64
 	local    *memoryShuffle[K2, V2]
 	ar       *roundArena[K2, V2]
-	kc       spillCodec[K2]
-	vc       spillCodec[V2]
+	pc       *pairCodec[K2, V2]
 	sent     atomic.Int64
 	saved    *atomic.Int64
 	reducers int
@@ -639,7 +633,7 @@ func (ws *workerSender[K2, V2]) AddBucket(split, part int, pairs []Pair[K2, V2])
 		return ws.local.AddBucket(split, part, pairs)
 	}
 	fs := getFrameScratch()
-	frame, err := encodeBucketFrame(fs.b[:0], ws.seq, split, part, pairs, ws.kc, ws.vc, ws.h.wireComp, ws.saved)
+	frame, err := encodeBucketFrame(fs.b[:0], ws.seq, split, part, pairs, ws.pc, ws.h.wireComp, ws.saved)
 	if err != nil {
 		putFrameScratch(fs)
 		return fmt.Errorf("encoding bucket: %w", err)
@@ -670,21 +664,13 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 			h.name, h.k2id, h.v2id, h.k3id, h.v3id,
 			distTypeID[K2](), distTypeID[V2](), distTypeID[K3](), distTypeID[V3]())
 	}
-	k2c, err := resolveSpillCodec[K2]()
+	shufc, err := pairCodecFor[K2, V2]()
 	if err != nil {
-		return err
+		return fmt.Errorf("job %q: shuffle %w", h.name, err)
 	}
-	v2c, err := resolveSpillCodec[V2]()
+	outc, err := pairCodecFor[K3, V3]()
 	if err != nil {
-		return err
-	}
-	k3c, err := resolveSpillCodec[K3]()
-	if err != nil {
-		return err
-	}
-	v3c, err := resolveSpillCodec[V3]()
-	if err != nil {
-		return err
+		return fmt.Errorf("job %q: output %w", h.name, err)
 	}
 
 	ar := arenaFor[K2, V2](s.pool, h.reducers)
@@ -713,7 +699,7 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 			return fmt.Errorf("job %q has no registered map function, cannot consume a worker-resident input", h.name)
 		}
 		sender := &workerSender[K2, V2]{
-			s: s, h: h, seq: h.seq, local: shuffle, ar: ar, kc: k2c, vc: v2c,
+			s: s, h: h, seq: h.seq, local: shuffle, ar: ar, pc: shufc,
 			saved: &wireSaved, reducers: h.reducers,
 		}
 		go func() {
@@ -803,7 +789,7 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 			part < 0 || part >= h.reducers || h.owner(part) != s.id {
 			return fmt.Errorf("job %q: malformed bucket (split %d, part %d)", h.name, split, part)
 		}
-		bucket, err := decodePairs(cur, count, k2c, v2c, ar.getBucket(part, pairCap(cur, count, k2c, v2c)))
+		bucket, err := decodePairs(cur, count, shufc, ar.getBucket(part, pairCap(cur, count, shufc)))
 		if err != nil {
 			return fmt.Errorf("job %q: decoding bucket: %w", h.name, err)
 		}
@@ -922,7 +908,7 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 				frame = remote.AppendUvarint(frame, h.seq)
 				frame = remote.AppendUvarint(frame, uint64(p))
 				frame = remote.AppendUvarint(frame, uint64(len(buf.pairs)))
-				frame, err := encodePairs(frame, buf.pairs, k3c, v3c, h.wireComp, &wireSaved)
+				frame, err := encodePairs(frame, buf.pairs, outc, h.wireComp, &wireSaved)
 				if err != nil {
 					putFrameScratch(fs)
 					errs[p] = fmt.Errorf("encoding partition %d output: %w", p, err)
@@ -981,7 +967,7 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 			frame = remote.AppendUvarint(frame, h.seq)
 			frame = remote.AppendUvarint(frame, uint64(p))
 			frame = remote.AppendUvarint(frame, uint64(len(outs[p])))
-			frame, err := encodePairs(frame, outs[p], k3c, v3c, h.wireComp, &wireSaved)
+			frame, err := encodePairs(frame, outs[p], outc, h.wireComp, &wireSaved)
 			if err != nil {
 				return fmt.Errorf("job %q: encoding checkpoint partition %d: %w", h.name, p, err)
 			}
@@ -1009,7 +995,7 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 	}
 	frame = remote.AppendUvarint(frame, uint64(wireSaved.Load()))
 	if !h.wantOutput {
-		s.resident[h.seq] = &residentData[K3, V3]{parts: outs, kc: k3c, vc: v3c, ar: arOut, comp: h.wireComp}
+		s.resident[h.seq] = &residentData[K3, V3]{parts: outs, pc: outc, ar: arOut, comp: h.wireComp}
 	}
 	return s.conn.WriteFrame(frame)
 }

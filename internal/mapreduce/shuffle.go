@@ -463,13 +463,9 @@ type spillShuffle[K comparable, V any] struct {
 }
 
 func newSpillShuffle[K comparable, V any](reducers, splits int, cfg ShuffleConfig, compress bool, ar *roundArena[K, V]) (*spillShuffle[K, V], error) {
-	keyCodec, err := resolveSpillCodec[K]()
+	pc, err := pairCodecFor[K, V]()
 	if err != nil {
-		return nil, fmt.Errorf("mapreduce: spill shuffle key: %w", err)
-	}
-	valCodec, err := resolveSpillCodec[V]()
-	if err != nil {
-		return nil, fmt.Errorf("mapreduce: spill shuffle value: %w", err)
+		return nil, fmt.Errorf("mapreduce: spill shuffle: %w", err)
 	}
 	shape := keyShapeOf[K]()
 	cmpFn := shape.cmp()
@@ -520,8 +516,7 @@ func newSpillShuffle[K comparable, V any](reducers, splits int, cfg ShuffleConfi
 	// per-run dictionaries, optional flate): one stateless codec shared
 	// by every sorter, per-run state living in the run en/decoders.
 	codec := &spillBlockCodec[K, V]{
-		key: keyCodec, val: valCodec, img: imgFn,
-		compress: compress, saved: &s.saved,
+		pc: pc, img: imgFn, compress: compress, saved: &s.saved,
 	}
 	for i := range s.sorters {
 		s.sorters[i] = extsort.New(recLess, codec, extsort.Config{

@@ -2,21 +2,35 @@ package mapreduce
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 )
 
-// nodeKey mimics graph.NodeID: a named scalar that must take the
-// reflection path of the spill codec, not the exact-type fast path.
+// nodeKey mimics graph.NodeID: a named scalar, which must reach the
+// integer lane of the codec by kind.
 type nodeKey int32
 
-// gobVal has exported fields and no BinaryMarshaler, forcing the gob
-// fallback of the spill codec.
-type gobVal struct {
+// recVal is a struct value: it has no kind lane, so it is shuffled
+// through its own marshaling methods, like the algorithms' messages.
+type recVal struct {
 	N int
 	S string
+}
+
+func (v recVal) MarshalBinary() ([]byte, error) {
+	return append(binary.AppendVarint(nil, int64(v.N)), v.S...), nil
+}
+
+func (v *recVal) UnmarshalBinary(data []byte) error {
+	n, m := binary.Varint(data)
+	if m <= 0 {
+		return fmt.Errorf("recVal: truncated")
+	}
+	v.N, v.S = int(n), string(data[m:])
+	return nil
 }
 
 func spillCfg(budget int) Config {
@@ -81,18 +95,18 @@ func TestSpillBackendActuallySpills(t *testing.T) {
 	}
 }
 
-func TestSpillNamedKeyAndGobValue(t *testing.T) {
+func TestSpillNamedKeyAndMarshalerValue(t *testing.T) {
 	input := make([]Pair[int, int], 300)
 	for i := range input {
 		input[i] = P(i, i)
 	}
 	run := func(cfg Config) []Pair[nodeKey, int] {
 		out, _, err := Run(context.Background(), cfg, input,
-			func(k, v int, out Emitter[nodeKey, gobVal]) error {
-				out.Emit(nodeKey(k%23), gobVal{N: v, S: fmt.Sprintf("s%d", v)})
+			func(k, v int, out Emitter[nodeKey, recVal]) error {
+				out.Emit(nodeKey(k%23), recVal{N: v, S: fmt.Sprintf("s%d", v)})
 				return nil
 			},
-			func(k nodeKey, vs []gobVal, out Emitter[nodeKey, int]) error {
+			func(k nodeKey, vs []recVal, out Emitter[nodeKey, int]) error {
 				sum := 0
 				for _, v := range vs {
 					sum += v.N + len(v.S)
@@ -108,7 +122,7 @@ func TestSpillNamedKeyAndGobValue(t *testing.T) {
 	mem := run(Config{Mappers: 4, Reducers: 3})
 	spill := run(spillCfg(32))
 	if !reflect.DeepEqual(mem, spill) {
-		t.Fatalf("named-key/gob-value job disagrees across backends")
+		t.Fatalf("named-key/marshaler-value job disagrees across backends")
 	}
 }
 
@@ -246,6 +260,22 @@ func TestSpillStress10x(t *testing.T) {
 // {"a ", "b"} and {"a", " b"} both print as "{a  b}".
 type badKey struct {
 	A, B string
+}
+
+// badKey marshals itself: a struct key without a codec is refused when
+// the shuffle is built (TestResolveRejectsUncodableType), before the
+// comparator check below could see a record.
+func (k badKey) MarshalBinary() ([]byte, error) {
+	return append(binary.AppendUvarint(nil, uint64(len(k.A))), k.A+k.B...), nil
+}
+
+func (k *badKey) UnmarshalBinary(data []byte) error {
+	n, m := binary.Uvarint(data)
+	if m <= 0 || n > uint64(len(data)-m) {
+		return fmt.Errorf("badKey: truncated")
+	}
+	k.A, k.B = string(data[m:m+int(n)]), string(data[m+int(n):])
+	return nil
 }
 
 func TestSpillRejectsIndistinguishableKeys(t *testing.T) {

@@ -7,10 +7,11 @@ import (
 )
 
 // The index job shuffles posting values; this compact binary form lets
-// the job run on the spilling shuffle backend of internal/mapreduce
-// (postings have unexported fields, so the reflective and gob fallbacks
-// of the spill codec do not apply). The probe job's [2]int32 keys and
-// empty-struct values are covered by the engine's built-in scalar codec.
+// the job run on the spilling and dist shuffle backends of
+// internal/mapreduce (a struct has no lane in the engine's codec; a
+// []posting group is wire-able because its element marshals itself).
+// The probe job's [2]int32 keys and empty-struct values are covered by
+// the engine's built-in column lanes.
 
 // MarshalBinary implements encoding.BinaryMarshaler for the spilling
 // shuffle backend.
