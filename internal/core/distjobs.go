@@ -27,8 +27,8 @@ import (
 // reduce.
 func RegisterDistJobs(g *graph.Bipartite) {
 	mapreduce.RegisterDistJob("greedymr-round",
-		func([]byte) (mapreduce.DistJob[graph.NodeID, nodeState, graph.NodeID, greedyMsg, graph.NodeID, greedyOut], error) {
-			return mapreduce.DistJob[graph.NodeID, nodeState, graph.NodeID, greedyMsg, graph.NodeID, greedyOut]{
+		func([]byte) (mapreduce.DistJob[graph.NodeID, nodeState, graph.NodeID, greedyMsg, graph.NodeID, nodeState], error) {
+			return mapreduce.DistJob[graph.NodeID, nodeState, graph.NodeID, greedyMsg, graph.NodeID, nodeState]{
 				Map:    greedyMap,
 				Reduce: greedyReduce(g),
 			}, nil

@@ -40,11 +40,14 @@ type GreedyMROptions struct {
 // one per greedy iteration.
 //
 // The rounds chain through a partition-resident Dataset: the node
-// records are hash-partitioned once up front, every round's job runs
-// one map task per partition (each node's self-forwarded state takes
-// the identity route; only proposals to neighbors go through the full
-// shuffle), and the surviving states flow into the next round in place
-// via MapValues — no flat rebuild, no re-hashing between rounds.
+// records are hash-partitioned once up front and placed where the jobs
+// run, every round's job runs one map task per partition (each node's
+// self-forwarded state takes the identity route; only proposals to
+// neighbors go through the full shuffle), and a round's reduce output —
+// the surviving nodes' states, nothing else — is the next round's input
+// where the reduce wrote it: no rebuild, no re-hashing, and on the dist
+// backend no fetch, between rounds. The one thing the driver needs per
+// round, the matched edge ids, comes back as the job's side output.
 func GreedyMR(ctx context.Context, g *graph.Bipartite, opts GreedyMROptions) (*Result, error) {
 	driver := mapreduce.NewDriver(opts.MR)
 	driver.MaxRounds = opts.MaxRounds
@@ -52,48 +55,44 @@ func GreedyMR(ctx context.Context, g *graph.Bipartite, opts GreedyMROptions) (*R
 		driver.MaxRounds = 4*g.NumEdges() + 16
 	}
 
-	state := mapreduce.PartitionDataset(greedyRecords(g), driver.Partitions())
+	state, err := mapreduce.Place(driver, mapreduce.PartitionDataset(greedyRecords(g), driver.Partitions()))
+	if err != nil {
+		return nil, fmt.Errorf("core: greedymr: %w", err)
+	}
 	var matched []int32 // cumulative, kept sorted by edge id
 	var trace []float64
 
-	_, err := mapreduce.Loop(ctx, driver, state, func(
+	final, err := mapreduce.Loop(ctx, driver, state, func(
 		ctx context.Context, round int, st *mapreduce.Dataset[graph.NodeID, nodeState],
 	) (*mapreduce.Dataset[graph.NodeID, nodeState], error) {
 		if opts.StopAfterRounds > 0 && round >= opts.StopAfterRounds {
 			return nil, nil // any-time stop: the current solution is feasible
 		}
-		out, err := mapreduce.RunJobDS(ctx, driver, "greedymr-round", st,
+		next, err := mapreduce.RunJobDS(ctx, driver, "greedymr-round", st,
 			greedyMap, greedyReduce(g))
 		if err != nil {
 			return nil, fmt.Errorf("core: greedymr round %d: %w", driver.Rounds(), err)
 		}
-		// The round output is folded driver-side (matched edges, next
-		// state), so a worker-resident output moves here first.
-		if err := out.Materialize(); err != nil {
-			return nil, fmt.Errorf("core: greedymr round %d: %w", driver.Rounds(), err)
-		}
 		var roundMatched []int32
-		next := mapreduce.MapValues(out, func(v graph.NodeID, o greedyOut) (nodeState, bool) {
-			roundMatched = append(roundMatched, o.matched...)
-			if !o.alive {
-				return nodeState{}, false
+		for _, part := range next.Side() {
+			for _, ei := range part {
+				roundMatched = append(roundMatched, int32(ei))
 			}
-			return o.state, true
-		})
-		// The job output is fully folded into next and roundMatched:
-		// hand its partition buffers back so the following round's
-		// reduce emits into this round's memory.
-		out.Recycle()
+		}
 		// Keep the cumulative matched set sorted by edge id and sum it
 		// in that order — the same order NewMatching uses — so the
 		// final trace entry equals Matching.Value exactly
 		// (floating-point addition is order-sensitive) regardless of
-		// job output order.
+		// the order the reduce tasks reported the edges in.
 		slices.Sort(roundMatched)
 		matched = mergeSortedInt32(matched, roundMatched)
 		trace = append(trace, matchedValue(g, matched))
 		return next, nil
 	})
+	// Loop leaves the final state to its caller: empty at the fixed
+	// point, live under StopAfterRounds. Either way nothing reads it, and
+	// on the dist backend it is still registered on the cluster.
+	final.Recycle()
 	if err != nil {
 		return nil, err
 	}
@@ -134,15 +133,6 @@ type greedyMsg struct {
 	self     bool
 }
 
-// greedyOut is the output value of a GreedyMR round: the node's next
-// state (alive reports whether the node stays in the computation) plus
-// the matched edges reported by their item-side endpoint.
-type greedyOut struct {
-	state   nodeState
-	matched []int32
-	alive   bool
-}
-
 // greedyMap implements the map phase of Algorithm 3: node v proposes its
 // top-b(v) incident edges — the first B entries of its weight-ordered
 // adjacency (see greedyRecords).
@@ -181,9 +171,16 @@ var edgeMarkPool = sync.Pool{New: func() any { return new([]uint8) }}
 // node's own array (the reduce owns it: the previous round's holders
 // are dead by the time this round's reduce runs, and writes trail reads
 // in the compaction), preserving its weight order, so a steady-state
-// round allocates nothing per key.
-func greedyReduce(g *graph.Bipartite) mapreduce.ReduceFunc[graph.NodeID, greedyMsg, graph.NodeID, greedyOut] {
-	return func(u graph.NodeID, msgs []greedyMsg, out mapreduce.Emitter[graph.NodeID, greedyOut]) error {
+// round allocates nothing per key. That array is the one the round's
+// input record points to wherever the self message never left the
+// process, so the reduce phase consumes its input — the engine's
+// contract for chained jobs (mapreduce.DistCluster re-seeds the input of
+// an attempt it aborts mid-reduce).
+//
+// A surviving node is emitted with its next state; a matched edge is
+// reported once, by its item-side endpoint, on the task's side output.
+func greedyReduce(g *graph.Bipartite) mapreduce.ReduceFunc[graph.NodeID, greedyMsg, graph.NodeID, nodeState] {
+	return func(u graph.NodeID, msgs []greedyMsg, out mapreduce.Emitter[graph.NodeID, nodeState]) error {
 		table := edgeMarkPool.Get().(*[]uint8)
 		defer edgeMarkPool.Put(table)
 		if len(*table) < g.NumEdges() {
@@ -202,7 +199,6 @@ func greedyReduce(g *graph.Bipartite) mapreduce.ReduceFunc[graph.NodeID, greedyM
 				marks[m.edge] = markSeen
 			}
 		}
-		var res greedyOut
 		// A node without a self message died in an earlier round; stray
 		// proposals from neighbors that have not yet noticed are ignored.
 		if self != nil {
@@ -216,24 +212,20 @@ func greedyReduce(g *graph.Bipartite) mapreduce.ReduceFunc[graph.NodeID, greedyM
 					// Both endpoints proposed: matched.
 					next.B--
 					if g.SideOf(u) == graph.ItemSide {
-						res.matched = append(res.matched, h.ID)
+						out.(mapreduce.SideEmitter).EmitSide(uint64(h.ID))
 					}
 				default:
 					next.Adj = append(next.Adj, h)
 				}
 			}
 			if next.B > 0 && len(next.Adj) > 0 {
-				res.state = next
-				res.alive = true
+				out.Emit(u, next)
 			}
 		}
 		for i := range msgs {
 			if m := &msgs[i]; !m.self {
 				marks[m.edge] = 0
 			}
-		}
-		if res.alive || len(res.matched) > 0 {
-			out.Emit(u, res)
 		}
 		return nil
 	}

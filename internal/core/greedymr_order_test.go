@@ -29,8 +29,8 @@ func refGreedyMap(v graph.NodeID, st nodeState, out mapreduce.Emitter[graph.Node
 	return nil
 }
 
-func refGreedyReduce(g *graph.Bipartite) mapreduce.ReduceFunc[graph.NodeID, greedyMsg, graph.NodeID, greedyOut] {
-	return func(u graph.NodeID, msgs []greedyMsg, out mapreduce.Emitter[graph.NodeID, greedyOut]) error {
+func refGreedyReduce(g *graph.Bipartite) mapreduce.ReduceFunc[graph.NodeID, greedyMsg, graph.NodeID, nodeState] {
+	return func(u graph.NodeID, msgs []greedyMsg, out mapreduce.Emitter[graph.NodeID, nodeState]) error {
 		var self *nodeState
 		var marks []int32 // edge<<1 | proposed
 		for i := range msgs {
@@ -54,7 +54,6 @@ func refGreedyReduce(g *graph.Bipartite) mapreduce.ReduceFunc[graph.NodeID, gree
 			return ok
 		}
 		mine := topByWeight(self.Adj, self.B)
-		var res greedyOut
 		next := nodeState{B: self.B}
 		for i, h := range self.Adj {
 			proposed := has(h.ID<<1 | 1)
@@ -64,18 +63,14 @@ func refGreedyReduce(g *graph.Bipartite) mapreduce.ReduceFunc[graph.NodeID, gree
 			case proposed && slices.Contains(mine, int32(i)):
 				next.B--
 				if g.SideOf(u) == graph.ItemSide {
-					res.matched = append(res.matched, h.ID)
+					out.(mapreduce.SideEmitter).EmitSide(uint64(h.ID))
 				}
 			default:
 				next.Adj = append(next.Adj, h)
 			}
 		}
 		if next.B > 0 && len(next.Adj) > 0 {
-			res.state = next
-			res.alive = true
-		}
-		if res.alive || len(res.matched) > 0 {
-			out.Emit(u, res)
+			out.Emit(u, next)
 		}
 		return nil
 	}
@@ -84,12 +79,13 @@ func refGreedyReduce(g *graph.Bipartite) mapreduce.ReduceFunc[graph.NodeID, gree
 // greedyLoop is GreedyMR's round loop over an arbitrary round job, so
 // the reference round can run end to end and the real round's state can
 // be inspected between rounds (check, when set, sees every round's
-// surviving state).
+// surviving state — which on dist moves it to the coordinator, so the
+// inspected run also covers rounds whose input is not worker-resident).
 func greedyLoop(
 	t *testing.T, g *graph.Bipartite, mr mapreduce.Config, job string,
 	recs []mapreduce.Pair[graph.NodeID, nodeState],
 	mapFn mapreduce.MapFunc[graph.NodeID, nodeState, graph.NodeID, greedyMsg],
-	reduceFn mapreduce.ReduceFunc[graph.NodeID, greedyMsg, graph.NodeID, greedyOut],
+	reduceFn mapreduce.ReduceFunc[graph.NodeID, greedyMsg, graph.NodeID, nodeState],
 	check func(round int, v graph.NodeID, st nodeState),
 ) *Result {
 	t.Helper()
@@ -98,30 +94,35 @@ func greedyLoop(
 	driver.MaxRounds = 4*g.NumEdges() + 16
 	var matched []int32
 	var trace []float64
-	_, err := mapreduce.Loop(ctx, driver, mapreduce.PartitionDataset(recs, driver.Partitions()), func(
+	state, err := mapreduce.Place(driver, mapreduce.PartitionDataset(recs, driver.Partitions()))
+	if err != nil {
+		t.Fatalf("%s: %v", job, err)
+	}
+	final, err := mapreduce.Loop(ctx, driver, state, func(
 		ctx context.Context, round int, st *mapreduce.Dataset[graph.NodeID, nodeState],
 	) (*mapreduce.Dataset[graph.NodeID, nodeState], error) {
-		out, err := mapreduce.RunJobDS(ctx, driver, job, st, mapFn, reduceFn)
+		next, err := mapreduce.RunJobDS(ctx, driver, job, st, mapFn, reduceFn)
 		if err != nil {
 			return nil, err
 		}
-		if err := out.Materialize(); err != nil {
-			return nil, err
+		if check != nil {
+			if err := next.Materialize(); err != nil {
+				return nil, err
+			}
+			next.Each(func(v graph.NodeID, st nodeState) { check(round, v, st) })
 		}
 		var roundMatched []int32
-		next := mapreduce.MapValues(out, func(v graph.NodeID, o greedyOut) (nodeState, bool) {
-			roundMatched = append(roundMatched, o.matched...)
-			if o.alive && check != nil {
-				check(round, v, o.state)
+		for _, part := range next.Side() {
+			for _, ei := range part {
+				roundMatched = append(roundMatched, int32(ei))
 			}
-			return o.state, o.alive
-		})
-		out.Recycle()
+		}
 		slices.Sort(roundMatched)
 		matched = mergeSortedInt32(matched, roundMatched)
 		trace = append(trace, matchedValue(g, matched))
 		return next, nil
 	})
+	final.Recycle()
 	if err != nil {
 		t.Fatalf("%s: %v", job, err)
 	}
@@ -182,8 +183,8 @@ func TestGreedyMRPrefixProposalsMatchPerRoundSelection(t *testing.T) {
 		g := tiedGraph(seed)
 		RegisterDistJobs(g)
 		mapreduce.RegisterDistJob("greedymr-round-ref",
-			func([]byte) (mapreduce.DistJob[graph.NodeID, nodeState, graph.NodeID, greedyMsg, graph.NodeID, greedyOut], error) {
-				return mapreduce.DistJob[graph.NodeID, nodeState, graph.NodeID, greedyMsg, graph.NodeID, greedyOut]{
+			func([]byte) (mapreduce.DistJob[graph.NodeID, nodeState, graph.NodeID, greedyMsg, graph.NodeID, nodeState], error) {
+				return mapreduce.DistJob[graph.NodeID, nodeState, graph.NodeID, greedyMsg, graph.NodeID, nodeState]{
 					Map:    refGreedyMap,
 					Reduce: refGreedyReduce(g),
 				}, nil

@@ -350,26 +350,6 @@ func (r *spillReader) int32s() []int32 {
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
-func (o greedyOut) MarshalBinary() ([]byte, error) {
-	var tag byte
-	if o.alive {
-		tag |= tagFlagA
-	}
-	buf := appendInt32s([]byte{tag}, o.matched)
-	return appendNodeState(buf, &o.state), nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (o *greedyOut) UnmarshalBinary(data []byte) error {
-	r := &spillReader{data: data}
-	tag := r.byte()
-	*o = greedyOut{alive: tag&tagFlagA != 0}
-	o.matched = r.int32s()
-	o.state = *r.nodeState()
-	return r.err("greedyOut")
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
 func (o mmOut) MarshalBinary() ([]byte, error) {
 	var tag byte
 	if o.state != nil {

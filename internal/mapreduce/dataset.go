@@ -48,6 +48,9 @@ type Dataset[K comparable, V any] struct {
 	// Len works from the per-partition counts in the handle; record
 	// access requires Materialize (see dist.go).
 	rem *distResident
+	// side is the side output of the job that produced the Dataset, per
+	// partition (see SideEmitter). Held here even when rem is set.
+	side [][]uint64
 }
 
 // PartitionDataset hashes pairs into an aligned Dataset with the given
@@ -85,6 +88,11 @@ func (d *Dataset[K, V]) Len() int {
 	}
 	return n
 }
+
+// Side returns the side output of the job that produced the Dataset
+// (see SideEmitter), one slice per partition, or nil when no task
+// emitted any. Reading it never moves a worker-resident Dataset.
+func (d *Dataset[K, V]) Side() [][]uint64 { return d.side }
 
 // Part returns one partition's records in resident order. Callers must
 // not modify the slice.
@@ -308,13 +316,13 @@ func finishJobDS[K2 comparable, V2 any, K3 comparable, V3 any](
 		return nil, err
 	}
 	phase = time.Now()
-	outs, err := runReduceParts(ctx, cfg, streams, reduceFn, stats)
+	outs, sides, err := runReduceParts(ctx, cfg, streams, reduceFn, stats)
 	stats.ReduceWall = time.Since(phase)
 	stats.recordShuffle(backend)
 	if err != nil {
 		return nil, err
 	}
-	out := &Dataset[K3, V3]{parts: outs, aligned: keyCast[K2, K3]() != nil, pool: cfg.Pool}
+	out := &Dataset[K3, V3]{parts: outs, aligned: keyCast[K2, K3]() != nil, pool: cfg.Pool, side: sides}
 	stats.ReduceOutputRecords = int64(out.Len())
 	return out, nil
 }
@@ -364,6 +372,25 @@ func runMapPhaseDS[K1 comparable, V1 any, K2 comparable, V2 any](
 		})
 	}
 	return grp.Wait()
+}
+
+// Place makes the entry state of an iterative computation resident
+// where the driver's jobs run, so the first round consumes it in place
+// like every later round consumes its predecessor's output. On the
+// local backends the Dataset is already there and is returned
+// unchanged. On dist an aligned Dataset with the driver's partition
+// count is encoded once into the blobs that are both its checkpoint
+// mirror and what the first job seeds onto the partitions' owners (a
+// seed, not a recovery: nothing counts as reseeded). The jobs that
+// consume it map on the workers, so they must be registered with a map
+// function (RegisterDistJob).
+func Place[K comparable, V any](d *Driver, ds *Dataset[K, V]) (*Dataset[K, V], error) {
+	cl := d.cfg.Dist
+	if d.cfg.Shuffle.kind() != ShuffleDist || cl == nil || ds.rem != nil ||
+		!ds.aligned || ds.Partitions() != d.cfg.reducers() {
+		return ds, nil
+	}
+	return placeResident(cl, ds, d.cfg)
 }
 
 // RunJobDS executes one Dataset-chained MapReduce job under a driver,

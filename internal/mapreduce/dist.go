@@ -149,9 +149,20 @@ type distActiveJob interface {
 	tailLaggard(now time.Time, factor float64, floor time.Duration) (int, time.Duration, bool)
 }
 
+// Partition locations that name no worker. Both are seeded from the
+// mirror by ensureResident; only the second is a recovery.
+const (
+	// locNowhere: never placed on a worker yet — a journal-restored
+	// output on a resumed coordinator, or a Place'd entry state.
+	locNowhere = -1
+	// locConsumed: shed from every worker after an aborted attempt's
+	// reduce phase had started on it (see consumeResident).
+	locConsumed = -2
+)
+
 // distMirror is the residency record of one retained job output.
 type distMirror struct {
-	loc    []int   // current owner of each partition
+	loc    []int   // current owner of each partition, or a loc* sentinel
 	counts []int64 // pairs per partition (from the job reports)
 	// blobs are the checkpointed partition images (canonical encodePairs
 	// bytes); nil when the job ran with checkpointing throttled off, in
@@ -936,9 +947,11 @@ func (cl *DistCluster) mirrorPart(seq uint64, p int) ([]byte, bool) {
 // rebalancing migration — is seeded onto the new owner and shed from
 // the old one. A partition pinned to a live owner by a missing mirror
 // blob stays put, and the assignment is repaired to match reality. A
-// no-op while the cluster is healthy and balanced. Returns the counts
-// of recovered and migrated partitions, or a WorkerLostError when a
-// lost partition has no mirror to restore it from.
+// partition that lives nowhere yet (locNowhere) is seeded the same way
+// and counted as neither. A no-op while the cluster is healthy and
+// balanced. Returns the counts of recovered and migrated partitions, or
+// a WorkerLostError when a lost partition has no mirror to restore it
+// from.
 func (cl *DistCluster) ensureResident(seq uint64, name string) (int, int, error) {
 	cl.mu.Lock()
 	m := cl.residency[seq]
@@ -947,18 +960,14 @@ func (cl *DistCluster) ensureResident(seq uint64, name string) (int, int, error)
 		return 0, 0, fmt.Errorf("mapreduce: dist job %q: input dataset %d is not resident on this cluster", name, seq)
 	}
 	owners := cl.ownersForLocked(len(m.loc))
-	type move struct {
-		w     int
-		frame []byte
-	}
 	var seeds, sheds []move
 	migrated := 0
 	reseeded := 0
 	for p, w := range m.loc {
 		target := owners[p]
 		// A negative location means the partition lives on no worker at
-		// all — journal-restored residency on a resumed coordinator. It is
-		// seeded like a lost partition: from the mirror, no shed.
+		// all. It is seeded like a lost partition: from the mirror, no
+		// shed.
 		dead := w < 0 || cl.deadLocked(w)
 		if target == w && !dead {
 			continue
@@ -986,16 +995,16 @@ func (cl *DistCluster) ensureResident(seq uint64, name string) (int, int, error)
 		frame = remote.AppendUvarint(frame, uint64(m.counts[p]))
 		frame = append(frame, m.blobs[p]...)
 		seeds = append(seeds, move{w: target, frame: frame})
-		if dead {
+		switch {
+		case w == locNowhere:
+			// First placement, not a recovery.
+		case dead:
 			reseeded++
-		} else {
+		default:
 			// The old copy survives on a live worker: shed it so a later
 			// fetch or re-seed cannot resurrect a stale image.
 			migrated++
-			shed := []byte{byte(remote.MsgShed)}
-			shed = remote.AppendUvarint(shed, seq)
-			shed = remote.AppendUvarint(shed, uint64(p))
-			sheds = append(sheds, move{w: w, frame: shed})
+			sheds = append(sheds, move{w: w, frame: shedFrame(seq, p)})
 		}
 		m.loc[p] = target
 	}
@@ -1021,6 +1030,48 @@ func (cl *DistCluster) ensureResident(seq uint64, name string) (int, int, error)
 		cl.migratedCnt.Add(int64(migrated))
 	}
 	return reseeded, migrated, nil
+}
+
+// move is one seed or shed frame bound for worker w.
+type move struct {
+	w     int
+	frame []byte
+}
+
+func shedFrame(seq uint64, part int) []byte {
+	frame := remote.AppendUvarint([]byte{byte(remote.MsgShed)}, seq)
+	return remote.AppendUvarint(frame, uint64(part))
+}
+
+// consumeResident enforces the contract that a chained attempt's reduce
+// phase consumes its input: a reduce owns its values, and a
+// self-addressed value never left the worker, so it aliases the resident
+// input record (GreedyMR compacts adjacency lists in place). An attempt
+// aborted after its flush therefore leaves every surviving copy
+// suspect: each is shed and its partition marked locConsumed, so the
+// retry re-seeds it from the mirror — and a partition without a mirror
+// is lost, as Config.CheckpointEvery says of un-checkpointed resident
+// data. Failure path only; a successful attempt's input is dropped by
+// whoever holds it (Loop, Dataset.Recycle).
+func (cl *DistCluster) consumeResident(seq uint64) {
+	var sheds []move
+	cl.mu.Lock()
+	if m := cl.residency[seq]; m != nil {
+		for p, w := range m.loc {
+			if w >= 0 && !cl.deadLocked(w) {
+				sheds = append(sheds, move{w: w, frame: shedFrame(seq, p)})
+			}
+			m.loc[p] = locConsumed
+		}
+	}
+	cl.mu.Unlock()
+	for _, s := range sheds {
+		// Best effort, like a migration's shed: a worker that cannot be
+		// told takes its copy with it.
+		if err := cl.conns[s.w].WriteFrame(s.frame); err != nil {
+			cl.markDead(s.w, err)
+		}
+	}
 }
 
 // residencySnapshot copies job seq's partition locations, for a fetch
@@ -1236,8 +1287,9 @@ func (cl *DistCluster) journalAppendFlat(seq uint64, name string, count int64, b
 }
 
 // journalAppendResident journals one retained job's residency mirror —
-// the same per-partition blobs recovery re-seeds from.
-func (cl *DistCluster) journalAppendResident(seq uint64, name string) error {
+// the same per-partition blobs recovery re-seeds from — and its side
+// output, which lives nowhere else once the driver has folded it.
+func (cl *DistCluster) journalAppendResident(seq uint64, name string, sides [][]uint64) error {
 	if cl == nil || cl.journal == nil {
 		return nil
 	}
@@ -1262,6 +1314,7 @@ func (cl *DistCluster) journalAppendResident(seq uint64, name string) error {
 		name:   name,
 		counts: counts,
 		blobs:  blobs,
+		sides:  sides,
 	})
 }
 
@@ -1297,21 +1350,19 @@ func (cl *DistCluster) scheduleWorkers(owners []int) []int {
 	return live
 }
 
-// restorableFrom reports whether every partition the assignment gives
-// worker w could be re-seeded elsewhere from resident input seq's
-// mirror — the precondition for speculating around w on a chained job.
-func (cl *DistCluster) restorableFrom(seq uint64, owners []int, w int) bool {
+// mirrored reports whether every partition of resident dataset seq could
+// be re-seeded from its mirror — the precondition for speculating on a
+// chained job, whose abort may consume the whole input (see
+// consumeResident), not just the straggler's share.
+func (cl *DistCluster) mirrored(seq uint64) bool {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	m := cl.residency[seq]
 	if m == nil || m.blobs == nil {
 		return false
 	}
-	for p, o := range owners {
-		if o != w {
-			continue
-		}
-		if p >= len(m.blobs) || (m.blobs[p] == nil && m.counts[p] > 0) {
+	for p, blob := range m.blobs {
+		if blob == nil && m.counts[p] > 0 {
 			return false
 		}
 	}
@@ -1711,7 +1762,70 @@ type distWorkerReport struct {
 	local      int64
 	cross      int64
 	counts     map[int]int64
-	wireSaved  int64
+	// sides is the side output of the worker's reduce tasks by partition
+	// (see SideEmitter); nil when none emitted any.
+	sides     map[int][]uint64
+	wireSaved int64
+}
+
+// appendJobDone encodes the body of a MsgJobDone after its sequence
+// number: reduce statistics, then per owned partition its resident
+// record count and side output, then the wire-compression tally.
+func appendJobDone(frame []byte, groups, outRecords int64, reduceWall time.Duration,
+	parts []int, counts []int64, sides [][]uint64, wireSaved int64) []byte {
+	frame = remote.AppendUvarint(frame, uint64(groups))
+	frame = remote.AppendUvarint(frame, uint64(outRecords))
+	frame = remote.AppendUvarint(frame, uint64(reduceWall))
+	frame = remote.AppendUvarint(frame, uint64(len(parts)))
+	for _, p := range parts {
+		frame = remote.AppendUvarint(frame, uint64(p))
+		frame = remote.AppendUvarint(frame, uint64(counts[p]))
+		frame = remote.AppendUvarint(frame, uint64(len(sides[p])))
+		for _, v := range sides[p] {
+			frame = remote.AppendUvarint(frame, v)
+		}
+	}
+	return remote.AppendUvarint(frame, uint64(wireSaved))
+}
+
+// parseJobDone is appendJobDone's inverse. The frame comes off a
+// socket: every count it declares is held to what the job (partitions)
+// or the remaining payload (side values, a byte each at least) can back
+// before anything is allocated for it.
+func parseJobDone(cur *remote.Cursor, reducers int, rep *distWorkerReport) error {
+	rep.groups = int64(cur.Uvarint())
+	rep.outRecords = int64(cur.Uvarint())
+	rep.reduceWall = time.Duration(cur.Uvarint())
+	nParts := cur.Uvarint()
+	if nParts > uint64(reducers) {
+		return fmt.Errorf("job-done reports %d partitions of %d", nParts, reducers)
+	}
+	rep.counts = make(map[int]int64, nParts)
+	rep.sides = nil
+	for i := uint64(0); i < nParts; i++ {
+		part := cur.Uvarint()
+		if part >= uint64(reducers) {
+			return fmt.Errorf("job-done names partition %d of %d", part, reducers)
+		}
+		rep.counts[int(part)] = int64(cur.Uvarint())
+		nSide := cur.Uvarint()
+		if nSide > uint64(len(cur.Rest())) {
+			return fmt.Errorf("job-done declares %d side values in %d bytes", nSide, len(cur.Rest()))
+		}
+		if nSide == 0 {
+			continue
+		}
+		side := make([]uint64, nSide)
+		for k := range side {
+			side[k] = cur.Uvarint()
+		}
+		if rep.sides == nil {
+			rep.sides = make(map[int][]uint64)
+		}
+		rep.sides[int(part)] = side
+	}
+	rep.wireSaved = int64(cur.Uvarint())
+	return cur.Err()
 }
 
 // distJobRun is the coordinator's state for one job attempt.
@@ -1766,7 +1880,10 @@ type distJobRun[K2 comparable, V2 any, K3 comparable, V3 any] struct {
 	aborting  atomic.Bool
 	flushOnce sync.Once
 	flushErr  error
-	records   atomic.Int64
+	// flushed latches once a flush frame may have reached a worker:
+	// reduce tasks may be running (see consumeResident).
+	flushed atomic.Bool
+	records atomic.Int64
 	// wireSaved counts the bytes wire compression shaved off the
 	// coordinator's own encodes; workers report theirs in MsgJobDone.
 	wireSaved atomic.Int64
@@ -1779,8 +1896,8 @@ func (j *distJobRun[K2, V2, K3, V3]) specFactor() float64 { return j.spec }
 
 // canSpeculate reports whether the job could complete without worker w:
 // the attempt is still running, another healthy worker exists to take
-// over, and — for a chained job — w's share of the resident input can
-// be re-seeded from the checkpoint mirror.
+// over, and — for a chained job — the resident input can be re-seeded
+// from the checkpoint mirror.
 func (j *distJobRun[K2, V2, K3, V3]) canSpeculate(w int) bool {
 	if j.aborting.Load() || j.finished.Load() {
 		return false
@@ -1800,7 +1917,7 @@ func (j *distJobRun[K2, V2, K3, V3]) canSpeculate(w int) bool {
 	if j.hdr.mode != remote.ModeChained {
 		return true
 	}
-	return cl.restorableFrom(j.hdr.inputSeq, j.hdr.owners, w)
+	return cl.mirrored(j.hdr.inputSeq)
 }
 
 // speculateLost launches the backup execution: abort this attempt
@@ -2143,6 +2260,7 @@ func (j *distJobRun[K2, V2, K3, V3]) flushAll() error {
 			return
 		}
 		frame := remote.AppendUvarint([]byte{byte(remote.MsgFlush)}, j.hdr.seq)
+		j.flushed.Store(true)
 		for _, w := range j.live {
 			if j.cl.isDead(w) {
 				continue
@@ -2289,22 +2407,8 @@ func (j *distJobRun[K2, V2, K3, V3]) reader(w int) (readerOutcome, error) {
 			j.mu.Unlock()
 		case remote.MsgJobDone:
 			cur.Uvarint() // seq
-			rep := &j.reports[w]
-			rep.groups = int64(cur.Uvarint())
-			rep.outRecords = int64(cur.Uvarint())
-			rep.reduceWall = time.Duration(cur.Uvarint())
-			nParts := int(cur.Uvarint())
-			rep.counts = make(map[int]int64, min(nParts, j.hdr.reducers))
-			for i := 0; i < nParts; i++ {
-				part := int(cur.Uvarint())
-				if part < 0 || part >= j.hdr.reducers {
-					return 0, fmt.Errorf("mapreduce: dist job %q: job-done names partition %d of %d", j.hdr.name, part, j.hdr.reducers)
-				}
-				rep.counts[part] = int64(cur.Uvarint())
-			}
-			rep.wireSaved = int64(cur.Uvarint())
-			if err := cur.Err(); err != nil {
-				return 0, fmt.Errorf("mapreduce: dist job %q: malformed job-done from worker %d", j.hdr.name, w)
+			if err := parseJobDone(cur, j.hdr.reducers, &j.reports[w]); err != nil {
+				return 0, fmt.Errorf("mapreduce: dist job %q: malformed job-done from worker %d: %w", j.hdr.name, w, err)
 			}
 			j.noteDone(w)
 			if j.aborting.Load() {
@@ -2341,8 +2445,10 @@ func (j *distJobRun[K2, V2, K3, V3]) reader(w int) (readerOutcome, error) {
 // the per-connection readers startDistJob launched at the announce,
 // observes the flush barrier, aggregates the worker reports into stats,
 // and burns the coordinator-side failure coins so injected-failure
-// statistics match the local backends.
-func (j *distJobRun[K2, V2, K3, V3]) finish(ctx context.Context, cfg Config, stats *Stats, mapErr error) ([][]Pair[K3, V3], []int64, error) {
+// statistics match the local backends. Success here is the one place
+// an attempt's results — streamed output, resident counts, side output —
+// are accepted; an aborted or speculated-around attempt contributes none.
+func (j *distJobRun[K2, V2, K3, V3]) finish(ctx context.Context, cfg Config, stats *Stats, mapErr error) (*distJobResult[K3, V3], error) {
 	defer j.cl.clearActiveJob()
 	readErrs := j.readErrs
 	outcomes := j.outcomes
@@ -2405,23 +2511,23 @@ func (j *distJobRun[K2, V2, K3, V3]) finish(ctx context.Context, cfg Config, sta
 			// Return the first-latched error (the root cause), not
 			// whichever cascade error this slot happens to hold.
 			if first := j.cl.Err(); first != nil {
-				return nil, nil, first
+				return nil, first
 			}
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	if err := j.cl.Err(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if j.aborting.Load() {
-		return nil, nil, j.lossErr()
+		return nil, j.lossErr()
 	}
 	if mapErr != nil {
-		return nil, nil, mapErr
+		return nil, mapErr
 	}
 
 	// Aggregate the worker reports.
-	counts := make([]int64, j.hdr.reducers)
+	res := &distJobResult[K3, V3]{outs: j.outs, counts: make([]int64, j.hdr.reducers)}
 	var workerWall time.Duration
 	for w := range j.reports {
 		rep := &j.reports[w]
@@ -2431,7 +2537,13 @@ func (j *distJobRun[K2, V2, K3, V3]) finish(ctx context.Context, cfg Config, sta
 			workerWall = wall
 		}
 		for part, n := range rep.counts {
-			counts[part] = n
+			res.counts[part] = n
+		}
+		for part, side := range rep.sides {
+			if res.sides == nil {
+				res.sides = make([][]uint64, j.hdr.reducers)
+			}
+			res.sides[part] = side
 		}
 		if j.hdr.mode == remote.ModeChained {
 			stats.addMapOutput(rep.emitted)
@@ -2459,17 +2571,25 @@ func (j *distJobRun[K2, V2, K3, V3]) finish(ctx context.Context, cfg Config, sta
 		if j.hdr.mode == remote.ModeChained {
 			for p := 0; p < j.hdr.splits; p++ {
 				if err := cfg.burnAttempts(0, p, stats.addMapRetry); err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 			}
 		}
 		for p := 0; p < j.hdr.reducers; p++ {
 			if err := cfg.burnAttempts(1, p, stats.addReduceRetry); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 	}
-	return j.outs, counts, nil
+	return res, nil
+}
+
+// distJobResult is what a successful attempt hands back, per partition:
+// streamed reduce output (if asked for), resident count, side output.
+type distJobResult[K3 comparable, V3 any] struct {
+	outs   [][]Pair[K3, V3]
+	counts []int64
+	sides  [][]uint64
 }
 
 // distSender is the ShuffleBackend the coordinator's map phase emits
@@ -2621,17 +2741,17 @@ func tryDistFlat[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3
 	mapErr := runMapPhase(ctx, cfg, splits, input, mapFn, sender, ar, stats)
 	stats.MapWall = time.Since(phase)
 	phase = time.Now()
-	outs, _, err := job.finish(ctx, cfg, stats, mapErr)
+	res, err := job.finish(ctx, cfg, stats, mapErr)
 	stats.ReduceWall = time.Since(phase)
 	if err != nil {
 		return nil, 0, err
 	}
 	var total int
-	for _, o := range outs {
+	for _, o := range res.outs {
 		total += len(o)
 	}
 	all := make([]Pair[K3, V3], 0, total)
-	for _, o := range outs {
+	for _, o := range res.outs {
 		all = append(all, o...)
 	}
 	sortPairs(all)
@@ -2686,18 +2806,18 @@ func runDistDS[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 a
 	}
 	// A resumed coordinator satisfies already-journaled jobs straight from
 	// the journal: the mirror blobs become a residency record whose
-	// partitions live nowhere yet (loc -1) — ensureResident seeds them to
+	// partitions live nowhere yet (locNowhere) — ensureResident seeds them to
 	// workers the first time a job consumes the dataset.
 	if rec, err := cl.journalTake(cfg.Name, journalKindResident); err != nil {
 		return nil, err
 	} else if rec != nil {
 		owners := make([]int, len(rec.counts))
 		for p := range owners {
-			owners[p] = -1
+			owners[p] = locNowhere
 		}
 		cl.registerResident(rec.seq, owners, rec.counts, rec.blobs)
 		cl.noteRetained()
-		return newRemoteDataset[K3, V3](cl, rec.seq, rec.counts, keyCast[K2, K3]() != nil, cfg.Pool), nil
+		return newRemoteDataset[K3, V3](cl, rec.seq, rec.counts, rec.sides, keyCast[K2, K3]() != nil, cfg.Pool), nil
 	}
 	remoteChained := input.rem != nil && input.rem.cl == cl && input.aligned &&
 		input.Partitions() == cfg.reducers()
@@ -2729,7 +2849,7 @@ func runDistDS[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 a
 		as := newStats(cfg.Name)
 		out, err := tryDistDS[K1, V1, K2, V2, K3, V3](ctx, cfg, input, mapFn, as, remoteChained, ckpt)
 		if err == nil {
-			if jerr := cl.journalAppendResident(out.rem.seq, cfg.Name); jerr != nil {
+			if jerr := cl.journalAppendResident(out.rem.seq, cfg.Name, out.side); jerr != nil {
 				return nil, jerr
 			}
 			as.WorkerRecoveries = int64(attempt)
@@ -2808,22 +2928,30 @@ func tryDistDS[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 a
 		}
 		stats.MapWall = time.Since(phase)
 		phase = time.Now()
-		_, counts, err := job.finish(ctx, cfg, stats, mapErr)
+		res, err := job.finish(ctx, cfg, stats, mapErr)
 		stats.ReduceWall = time.Since(phase)
 		if err != nil {
 			return nil, err
 		}
-		cl.registerResident(job.hdr.seq, job.hdr.owners, counts, job.takeCkptBlobs())
-		return newRemoteDataset[K3, V3](cl, job.hdr.seq, counts, keyCast[K2, K3]() != nil, cfg.Pool), nil
+		return job.retain(res, cfg.Pool), nil
 	}
-	_, counts, err := job.finish(ctx, cfg, stats, nil)
+	res, err := job.finish(ctx, cfg, stats, nil)
 	stats.MapWall = 0
 	stats.ReduceWall = time.Since(phase)
 	if err != nil {
+		if job.flushed.Load() && isWorkerLost(err) {
+			cl.consumeResident(input.rem.seq)
+		}
 		return nil, err
 	}
-	cl.registerResident(job.hdr.seq, job.hdr.owners, counts, job.takeCkptBlobs())
-	return newRemoteDataset[K3, V3](cl, job.hdr.seq, counts, keyCast[K2, K3]() != nil, cfg.Pool), nil
+	return job.retain(res, cfg.Pool), nil
+}
+
+// retain registers a successful attempt's worker-resident output (with
+// its checkpoint mirror, if any) and wraps it in a Dataset.
+func (j *distJobRun[K2, V2, K3, V3]) retain(res *distJobResult[K3, V3], pool *BufferPool) *Dataset[K3, V3] {
+	j.cl.registerResident(j.hdr.seq, j.hdr.owners, res.counts, j.takeCkptBlobs())
+	return newRemoteDataset[K3, V3](j.cl, j.hdr.seq, res.counts, res.sides, keyCast[K2, K3]() != nil, pool)
 }
 
 // takeCkptBlobs hands the attempt's mirrored checkpoint frames to the
@@ -2846,13 +2974,47 @@ type distResident struct {
 }
 
 // newRemoteDataset wraps a worker-resident job output in a Dataset.
-func newRemoteDataset[K comparable, V any](cl *DistCluster, seq uint64, counts []int64, aligned bool, pool *BufferPool) *Dataset[K, V] {
+func newRemoteDataset[K comparable, V any](cl *DistCluster, seq uint64, counts []int64, sides [][]uint64, aligned bool, pool *BufferPool) *Dataset[K, V] {
 	return &Dataset[K, V]{
 		parts:   make([][]Pair[K, V], len(counts)),
 		aligned: aligned,
 		pool:    pool,
 		rem:     &distResident{cl: cl, seq: seq, counts: counts},
+		side:    sides,
 	}
+}
+
+// placeResident is Place's dist half: encode every partition into its
+// mirror blob and register the Dataset as resident nowhere yet, the
+// state a journal-restored output is in — the first job that consumes
+// it has ensureResident seed each partition to its owner.
+func placeResident[K comparable, V any](cl *DistCluster, ds *Dataset[K, V], cfg Config) (*Dataset[K, V], error) {
+	pc, err := pairCodecFor[K, V]()
+	if err != nil {
+		return nil, fmt.Errorf("mapreduce: placing dataset: %w", err)
+	}
+	n := len(ds.parts)
+	owners, counts, blobs := make([]int, n), make([]int64, n), make([][]byte, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for p, part := range ds.parts {
+		owners[p] = locNowhere
+		counts[p] = int64(len(part))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			blobs[p], errs[p] = encodePairs(nil, part, pc, cfg.WireCompression, nil)
+		}()
+	}
+	wg.Wait()
+	for p, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("mapreduce: placing dataset: partition %d: %w", p, err)
+		}
+	}
+	seq := cl.nextSeq()
+	cl.registerResident(seq, owners, counts, blobs)
+	return newRemoteDataset[K, V](cl, seq, counts, nil, true, cfg.Pool), nil
 }
 
 // Materialize moves a worker-resident Dataset's records to the caller:

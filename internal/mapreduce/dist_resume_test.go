@@ -303,46 +303,49 @@ func TestDistJournalResumeFlat(t *testing.T) {
 }
 
 // TestDistJournalRefusesOtherPartitioner pins the loud failure a
-// partitioner change owes its journals: a manifest tagged by an older
-// build ("v1", hand-written here exactly as PR 9–11 builds wrote it)
-// names segments whose resident records sit in the partitions the old
-// key hash chose, so -dist-resume must fail with a clear error rather
-// than replay them — and a run that does not resume starts over, with a
-// manifest in the current format.
+// partitioner or record-layout change owes its journals: a manifest
+// tagged by an older build ("v1" as PR 9–11 builds wrote it, whose
+// resident records sit in the partitions the old key hash chose; "v2" as
+// PR 15–17 builds wrote it, whose records carry no side-output section)
+// must make -dist-resume fail with a clear error rather than replay the
+// segments it names — and a run that does not resume starts over, with
+// a manifest in the current format.
 func TestDistJournalRefusesOtherPartitioner(t *testing.T) {
-	dir := t.TempDir()
-	manifest := filepath.Join(dir, journalManifestName)
-	if err := os.WriteFile(manifest, []byte("journal-000001.log v1\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "journal-000001.log"), nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := openDistJournal(dir, true, 0)
-	if err == nil || !strings.Contains(err.Error(), "written by a different partitioner") {
-		t.Fatalf("resuming a v1 journal: got %v, want a different-partitioner error", err)
-	}
-	if !strings.Contains(err.Error(), "journal-000001.log v1") {
-		t.Fatalf("the error does not quote the offending manifest line: %v", err)
-	}
+	for _, tag := range []string{"v1", "v2"} {
+		dir := t.TempDir()
+		manifest := filepath.Join(dir, journalManifestName)
+		if err := os.WriteFile(manifest, []byte("journal-000001.log "+tag+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "journal-000001.log"), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := openDistJournal(dir, true, 0)
+		if err == nil || !strings.Contains(err.Error(), "written by a different partitioner or record layout") {
+			t.Fatalf("resuming a %s journal: got %v, want a different-generation error", tag, err)
+		}
+		if !strings.Contains(err.Error(), "journal-000001.log "+tag) {
+			t.Fatalf("the error does not quote the offending manifest line: %v", err)
+		}
 
-	j, err := openDistJournal(dir, false, 0)
-	if err != nil {
-		t.Fatalf("a fresh run over an old journal directory: %v", err)
+		j, err := openDistJournal(dir, false, 0)
+		if err != nil {
+			t.Fatalf("a fresh run over an old journal directory: %v", err)
+		}
+		j.close()
+		raw, err := os.ReadFile(manifest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := string(raw), "journal-000002.log "+journalFormat+"\n"; got != want {
+			t.Fatalf("fresh manifest %q, want %q", got, want)
+		}
+		j2, err := openDistJournal(dir, true, 0)
+		if err != nil {
+			t.Fatalf("resuming this build's own manifest: %v", err)
+		}
+		j2.close()
 	}
-	j.close()
-	raw, err := os.ReadFile(manifest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := string(raw), "journal-000002.log "+journalFormat+"\n"; got != want {
-		t.Fatalf("fresh manifest %q, want %q", got, want)
-	}
-	j2, err := openDistJournal(dir, true, 0)
-	if err != nil {
-		t.Fatalf("resuming this build's own manifest: %v", err)
-	}
-	j2.close()
 }
 
 // TestDecodePairsTruncatedCompressed pins the torn-blob contract the

@@ -171,8 +171,8 @@ func TestDistParamsReachWorkers(t *testing.T) {
 }
 
 // TestDistRefusesOlderProtoWorker: a worker built before the last wire
-// change (Proto 5 still carried the counter section in MsgJobDone) dials
-// a current coordinator and is refused at the hello, with the mismatch
+// change (Proto 6's MsgJobDone carries no side-output section) dials a
+// current coordinator and is refused at the hello, with the mismatch
 // named — never paired and left to misparse a frame.
 func TestDistRefusesOlderProtoWorker(t *testing.T) {
 	leakCheck(t)
@@ -204,7 +204,7 @@ func TestDistRefusesOlderProtoWorker(t *testing.T) {
 	wg.Wait()
 	want := fmt.Sprintf("protocol version mismatch: worker speaks %d, coordinator %d", remote.Proto-1, remote.Proto)
 	if err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("StartDistCluster with a Proto-5 worker: err = %v, want %q", err, want)
+		t.Fatalf("StartDistCluster with an older-protocol worker: err = %v, want %q", err, want)
 	}
 }
 

@@ -866,6 +866,7 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 	arOut := arenaFor[K3, V3](s.pool, h.reducers)
 	outs := make([][]Pair[K3, V3], h.reducers)
 	outCounts := make([]int64, h.reducers)
+	sides := make([][]uint64, h.reducers) // reduce side output, reported in MsgJobDone
 	var groups atomic.Int64
 	var wg sync.WaitGroup
 	errs := make([]error, h.reducers)
@@ -901,6 +902,7 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 				}
 			}
 			outs[p] = buf.pairs
+			sides[p] = buf.side
 			outCounts[p] = int64(len(buf.pairs)) // survives the streamed-output nil below
 			if h.wantOutput {
 				fs := getFrameScratch()
@@ -981,19 +983,12 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 
 	// Retain resident output and report.
 	var outRecords int64
-	frame := remote.AppendUvarint([]byte{byte(remote.MsgJobDone)}, h.seq)
-	frame = remote.AppendUvarint(frame, uint64(groups.Load()))
 	for _, p := range ownedParts {
 		outRecords += outCounts[p]
 	}
-	frame = remote.AppendUvarint(frame, uint64(outRecords))
-	frame = remote.AppendUvarint(frame, uint64(time.Since(reduceStart)))
-	frame = remote.AppendUvarint(frame, uint64(len(ownedParts)))
-	for _, p := range ownedParts {
-		frame = remote.AppendUvarint(frame, uint64(p))
-		frame = remote.AppendUvarint(frame, uint64(outCounts[p]))
-	}
-	frame = remote.AppendUvarint(frame, uint64(wireSaved.Load()))
+	frame := remote.AppendUvarint([]byte{byte(remote.MsgJobDone)}, h.seq)
+	frame = appendJobDone(frame, groups.Load(), outRecords, time.Since(reduceStart),
+		ownedParts, outCounts, sides, wireSaved.Load())
 	if !h.wantOutput {
 		s.resident[h.seq] = &residentData[K3, V3]{parts: outs, pc: outc, ar: arOut, comp: h.wireComp}
 	}

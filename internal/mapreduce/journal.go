@@ -50,12 +50,14 @@ const journalManifestName = "JOURNAL"
 // journalFormat tags every manifest line with the generation of what
 // the segments' records mean. Resident records are stored per
 // partition, so the tag covers the partitioner as much as the framing:
-// "v2" is the first generation in which every integer-kind key hashes
-// through mix64 (see keyShape.hash). A manifest with any other tag was
-// written under a different key-to-partition mapping; replaying it
-// would seed a node's state and its neighbours' messages into different
-// partitions, so resume refuses it. There is no compatibility reader.
-const journalFormat = "v2"
+// "v2" was the first generation in which every integer-kind key hashes
+// through mix64 (see keyShape.hash); "v3" keeps that mapping and adds a
+// side-output section to every partition of a job record. A manifest
+// with any other tag was written under a different key-to-partition
+// mapping or record layout; replaying it would seed a node's state and
+// its neighbours' messages into different partitions, or misparse the
+// records, so resume refuses it. There is no compatibility reader.
+const journalFormat = "v3"
 
 // journalKeepSegs bounds retained segment files: the current segment
 // and the one it resumed from.
@@ -86,6 +88,9 @@ type journalRecord struct {
 	name   string
 	counts []int64
 	blobs  [][]byte
+	// sides is the job's side output by partition (resident records
+	// only; see SideEmitter), nil when it had none.
+	sides [][]uint64
 }
 
 // distJournal is the coordinator's append-only run journal. Safe for
@@ -174,18 +179,9 @@ func (j *distJournal) loadLatest() error {
 		}
 		return fmt.Errorf("mapreduce: dist journal: %w", err)
 	}
-	var segs []string
-	for _, line := range strings.Split(string(raw), "\n") {
-		fields := strings.Fields(line)
-		if len(fields) == 0 {
-			continue
-		}
-		if len(fields) != 2 || fields[1] != journalFormat {
-			return fmt.Errorf("mapreduce: dist journal: manifest line %q in %s is not tagged %s: "+
-				"the journal was written by a different partitioner and cannot be resumed by this build",
-				line, j.dir, journalFormat)
-		}
-		segs = append(segs, fields[0])
+	segs, err := parseJournalManifest(raw, j.dir)
+	if err != nil {
+		return err
 	}
 	for i := len(segs) - 1; i >= 0; i-- {
 		pending, round, ok := loadJournalSegment(filepath.Join(j.dir, segs[i]))
@@ -199,6 +195,29 @@ func (j *distJournal) loadLatest() error {
 	return nil
 }
 
+// parseJournalManifest returns the segment files a manifest names,
+// oldest first. Every line must carry this build's journalFormat tag and
+// name a file of the journal directory itself.
+func parseJournalManifest(raw []byte, dir string) ([]string, error) {
+	var segs []string
+	for _, line := range strings.Split(string(raw), "\n") {
+		fields := strings.Fields(line)
+		if len(fields) == 0 {
+			continue
+		}
+		if len(fields) != 2 || fields[1] != journalFormat {
+			return nil, fmt.Errorf("mapreduce: dist journal: manifest line %q in %s is not tagged %s: "+
+				"the journal was written by a different partitioner or record layout and cannot be resumed by this build",
+				line, dir, journalFormat)
+		}
+		if filepath.Base(fields[0]) != fields[0] {
+			return nil, fmt.Errorf("mapreduce: dist journal: manifest line %q in %s names a segment outside the journal directory", line, dir)
+		}
+		segs = append(segs, fields[0])
+	}
+	return segs, nil
+}
+
 // loadJournalSegment parses one segment, returning the job records up
 // to its last commit and that commit's round. ok is false when the
 // segment holds no committed history at all (unreadable, empty, or
@@ -209,11 +228,16 @@ func loadJournalSegment(path string) (pending []*journalRecord, round int, ok bo
 	if err != nil {
 		return nil, 0, false
 	}
+	return parseJournalSegment(data)
+}
+
+// parseJournalSegment is loadJournalSegment over the file's bytes.
+func parseJournalSegment(data []byte) (pending []*journalRecord, round int, ok bool) {
 	var recs []*journalRecord
 	committed := -1 // index into recs just past the last committed job record
 	for len(data) > 0 {
 		n, m := binary.Uvarint(data)
-		if m <= 0 || n < 4 || n > uint64(len(data)-m) {
+		if m <= 0 || n < 5 || n > uint64(len(data)-m) { // a type byte and the CRC at least
 			break // torn tail: the crash point
 		}
 		frame := data[m : m+int(n)]
@@ -270,8 +294,10 @@ func decodeJournalJob(body []byte) (*journalRecord, error) {
 	}
 	rec.name = string(body[:nameLen])
 	body = body[nameLen:]
+	// A partition costs at least three bytes and a side value one: both
+	// counts are held to the bytes left before anything is allocated.
 	nparts, ok := next()
-	if !ok {
+	if !ok || nparts > uint64(len(body))/3 {
 		return nil, bad
 	}
 	rec.counts = make([]int64, nparts)
@@ -285,6 +311,25 @@ func decodeJournalJob(body []byte) (*journalRecord, error) {
 		rec.counts[p] = int64(count)
 		rec.blobs[p] = body[:blobLen]
 		body = body[blobLen:]
+		nSide, ok := next()
+		if !ok || nSide > uint64(len(body)) {
+			return nil, bad
+		}
+		if nSide == 0 {
+			continue
+		}
+		if rec.sides == nil {
+			rec.sides = make([][]uint64, nparts)
+		}
+		rec.sides[p] = make([]uint64, nSide)
+		for k := range rec.sides[p] {
+			if rec.sides[p][k], ok = next(); !ok {
+				return nil, bad
+			}
+		}
+	}
+	if len(body) != 0 {
+		return nil, bad
 	}
 	return rec, nil
 }
@@ -298,6 +343,11 @@ func (j *distJournal) appendJob(rec *journalRecord) error {
 }
 
 func (j *distJournal) appendJobLocked(rec *journalRecord) error {
+	return j.appendFrameLocked(encodeJournalJob(rec))
+}
+
+// encodeJournalJob is decodeJournalJob's inverse, type byte included.
+func encodeJournalJob(rec *journalRecord) []byte {
 	body := []byte{journalRecJob}
 	body = binary.AppendUvarint(body, rec.seq)
 	body = append(body, rec.kind)
@@ -312,8 +362,16 @@ func (j *distJournal) appendJobLocked(rec *journalRecord) error {
 		}
 		body = binary.AppendUvarint(body, uint64(len(blob)))
 		body = append(body, blob...)
+		var side []uint64
+		if p < len(rec.sides) {
+			side = rec.sides[p]
+		}
+		body = binary.AppendUvarint(body, uint64(len(side)))
+		for _, v := range side {
+			body = binary.AppendUvarint(body, v)
+		}
 	}
-	return j.appendFrameLocked(body)
+	return body
 }
 
 // commit writes a round-boundary commit record and flushes everything
@@ -343,10 +401,7 @@ func (j *distJournal) appendFrameLocked(body []byte) error {
 	if j.err != nil {
 		return j.err
 	}
-	var frame []byte
-	frame = binary.AppendUvarint(frame, uint64(len(body)+4))
-	frame = append(frame, body...)
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(body))
+	frame := journalFrame(body)
 	if _, err := j.bw.Write(frame); err != nil {
 		j.err = fmt.Errorf("mapreduce: dist journal: %w", err)
 		return j.err
@@ -363,6 +418,14 @@ func (j *distJournal) appendFrameLocked(body []byte) error {
 		select {}
 	}
 	return nil
+}
+
+// journalFrame wraps one record body in the segment framing: uvarint
+// length, body, CRC-32 of the body.
+func journalFrame(body []byte) []byte {
+	frame := binary.AppendUvarint(nil, uint64(len(body)+4))
+	frame = append(frame, body...)
+	return binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(body))
 }
 
 // takeJob pops the next record off the replay queue when it matches

@@ -77,6 +77,9 @@ func registerDistTestJobs() {
 			Reduce: ringReduce,
 		}, nil
 	})
+	// The ring job with an input-mutating reduce and a side output
+	// (dist_consumed_test.go).
+	registerMutRing()
 	// Purely self-addressed variant: nothing may cross the wire once
 	// the state is worker-resident.
 	RegisterDistJob("self-step", func([]byte) (DistJob[int32, int64, int32, int64, int32, int64], error) {

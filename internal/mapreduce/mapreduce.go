@@ -240,15 +240,30 @@ func (c Config) burnAttempts(phase, task int, retry func()) error {
 	return nil
 }
 
+// SideEmitter is the second face of the Emitter every reduce task
+// receives: a per-partition side output for the few small values a
+// driver folds between rounds (the edge ids a matching round settled),
+// so the bulk output can stay where the reduce wrote it. A reduce that
+// wants it asserts `out.(SideEmitter)`. The values come back with the
+// job's output Dataset (Dataset.Side) on every backend — on dist inside
+// the worker's job report, accepted or discarded with the attempt that
+// produced them — in emission order within a partition.
+type SideEmitter interface {
+	EmitSide(v uint64)
+}
+
 // emitBuf is the concrete Emitter used by reduce tasks (and by map
 // splits feeding a whole-split shuffle backend).
 type emitBuf[K comparable, V any] struct {
 	pairs []Pair[K, V]
+	side  []uint64
 }
 
 func (e *emitBuf[K, V]) Emit(key K, value V) {
 	e.pairs = append(e.pairs, Pair[K, V]{Key: key, Value: value})
 }
+
+func (e *emitBuf[K, V]) EmitSide(v uint64) { e.side = append(e.side, v) }
 
 // emitBucketCap is the default size at which the emitter hands a full
 // partition bucket to the backend. A bucket's first fill grows
@@ -465,7 +480,7 @@ func runReducePhase[K2 comparable, V2 any, K3 comparable, V3 any](
 	reduceFn ReduceFunc[K2, V2, K3, V3],
 	stats *Stats,
 ) ([]Pair[K3, V3], error) {
-	outs, err := runReduceParts(ctx, cfg, streams, reduceFn, stats)
+	outs, _, err := runReduceParts(ctx, cfg, streams, reduceFn, stats)
 	if err != nil {
 		return nil, err
 	}
@@ -488,15 +503,21 @@ func runReducePhase[K2 comparable, V2 any, K3 comparable, V3 any](
 // determinism; partitions run in parallel. Output buffers check out of
 // the recycler (a partition's output size is stable across rounds, so
 // round N+1 refills round N's buffer); they return only through an
-// explicit Dataset.Recycle or Loop's superseded-state recycling.
+// explicit Dataset.Recycle or Loop's superseded-state recycling. The
+// second result is the tasks' side output (see SideEmitter), nil when
+// no task emitted any.
 func runReduceParts[K2 comparable, V2 any, K3 comparable, V3 any](
 	ctx context.Context,
 	cfg Config,
 	streams []GroupStream[K2, V2],
 	reduceFn ReduceFunc[K2, V2, K3, V3],
 	stats *Stats,
-) ([][]Pair[K3, V3], error) {
+) ([][]Pair[K3, V3], [][]uint64, error) {
 	outs := make([][]Pair[K3, V3], len(streams))
+	var side struct {
+		sync.Mutex
+		parts [][]uint64 // allocated by the first task that has any
+	}
 	arOut := arenaFor[K3, V3](cfg.Pool, len(streams))
 	grp := newErrGroup(ctx)
 	for i, st := range streams {
@@ -524,13 +545,21 @@ func runReduceParts[K2 comparable, V2 any, K3 comparable, V3 any](
 				}
 			}
 			outs[i] = buf.pairs
+			if buf.side != nil {
+				side.Lock()
+				if side.parts == nil {
+					side.parts = make([][]uint64, len(streams))
+				}
+				side.parts[i] = buf.side
+				side.Unlock()
+			}
 			return nil
 		})
 	}
 	if err := grp.Wait(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return outs, nil
+	return outs, side.parts, nil
 }
 
 // span is a half-open index range [lo, hi).

@@ -47,7 +47,8 @@ import (
 // such as graph.NodeID moved from the fmt hash to mix64), and two
 // builds that route a key to different partitions must not pair.
 // Version 6 dropped the worker-counter section from MsgJobDone.
-const Proto = 6
+// Version 7 added each partition's reduce side output to it.
+const Proto = 7
 
 // MsgType identifies one protocol message. The direction annotations
 // are the only ones that occur; receiving a type from the wrong
@@ -86,8 +87,8 @@ const (
 	// output when the coordinator asked for the output back.
 	MsgReduced
 	// MsgJobDone (worker → coordinator) closes the worker's side of a
-	// job: reduce statistics, per-partition resident record counts, and
-	// the worker's counter snapshot.
+	// job: reduce statistics and, per owned partition, the resident
+	// record count and the reduce tasks' side output.
 	MsgJobDone
 	// MsgFetch (coordinator → worker) asks for the resident output
 	// partitions of an earlier job.

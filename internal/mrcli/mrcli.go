@@ -85,7 +85,7 @@ func Register(fs *flag.FlagSet, width int) *Flags {
 	fs.StringVar(&f.listen, "dist-listen", "", "coordinator listen address for -dist-workers (default 127.0.0.1:0)")
 	fs.BoolVar(&f.spawn, "dist-spawn", true, "self-exec the -dist-workers worker processes (false: wait for -dist-connect workers)")
 	fs.BoolVar(&f.acceptLate, "dist-accept-late", false, "keep accepting replacement -dist-connect workers after startup; they adopt a dead worker's partitions at the next recovery")
-	fs.IntVar(&f.ckptEvery, "ckpt-every", 0, "dist checkpoint throttle: 0 checkpoints every round's resident state, k>0 every k-th round, negative disables (a lost worker then kills the run)")
+	fs.IntVar(&f.ckptEvery, "ckpt-every", 0, "dist checkpoint throttle: 0 checkpoints every round's resident state, k>0 every k-th round, negative disables; worker-resident state (GreedyMR's) has no other copy, so a worker lost in an un-checkpointed round ends the run")
 	fs.DurationVar(&f.heartbeat, "dist-heartbeat", 500*time.Millisecond, "dist worker heartbeat interval; a worker silent for 3 intervals is suspected (0 disables health monitoring)")
 	fs.Float64Var(&f.speculation, "dist-speculation", 0, "speculatively re-execute a straggler's partitions once it runs past this factor of the round's median worker time (0 disables)")
 	fs.IntVar(&f.reconnect, flagReconnect, 8, "worker redial budget per outage: a severed worker redials and resumes its session instead of dying (0 disables reconnection)")
