@@ -21,7 +21,7 @@ import (
 // and record for record.
 
 func refGreedyMap(v graph.NodeID, st nodeState, out mapreduce.Emitter[graph.NodeID, greedyMsg]) error {
-	out.Emit(v, greedyMsg{state: st, self: true})
+	out.Emit(v, greedyMsg{self: &st})
 	chosen := topByWeight(st.Adj, st.B)
 	for i, h := range st.Adj {
 		out.Emit(h.Other, greedyMsg{edge: h.ID, proposed: slices.Contains(chosen, int32(i))})
@@ -35,8 +35,8 @@ func refGreedyReduce(g *graph.Bipartite) mapreduce.ReduceFunc[graph.NodeID, gree
 		var marks []int32 // edge<<1 | proposed
 		for i := range msgs {
 			m := &msgs[i]
-			if m.self {
-				self = &m.state
+			if m.self != nil {
+				self = m.self
 				continue
 			}
 			mark := m.edge << 1

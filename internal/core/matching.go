@@ -25,6 +25,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -43,7 +44,9 @@ type Matching struct {
 // indexes are copied, sorted, and deduplicated.
 func NewMatching(g *graph.Bipartite, edgeIdx []int32) *Matching {
 	cp := append([]int32(nil), edgeIdx...)
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
+	if !slices.IsSorted(cp) { // GreedyMR hands over its merged, sorted set
+		slices.Sort(cp)
+	}
 	out := cp[:0]
 	for i, e := range cp {
 		if i > 0 && cp[i-1] == e {

@@ -16,6 +16,10 @@ import (
 // every shuffle backend: a message is a tag byte plus either the node's
 // own state (adjacency list) or a per-edge payload.
 //
+// Every type encodes through AppendBinary (encoding.BinaryAppender),
+// which the engine's codec calls with its column scratch, so encoding a
+// record allocates nothing; MarshalBinary is AppendBinary(nil).
+//
 // The encoding is explicit about pointer presence (tag bits), so a
 // round trip preserves the nil-ness that the reducers branch on — the
 // reason these types carry their own encoding (a struct has no lane
@@ -70,15 +74,20 @@ func appendMMNode(buf []byte, st *mmNode) []byte {
 }
 
 // spillReader decodes the buffers produced above; the first malformed
-// field poisons the reader and the final err() call reports it.
+// field poisons the reader and the final err() call reports it. It
+// accepts exactly what the appenders write — minimal varints, ids that
+// fit their 32 bits, no unknown tag or flag bits — so a buffer either
+// decodes to a value that encodes back to the same bytes or is refused
+// (FuzzCoreMessageDecode): bytes that arrive damaged from a socket or a
+// run file become an error, not a slightly different message.
 type spillReader struct {
 	data []byte
 	bad  bool
 }
 
-func (r *spillReader) varint() int64 {
-	x, n := binary.Varint(r.data)
-	if n <= 0 {
+func (r *spillReader) uvarint() uint64 {
+	x, n := binary.Uvarint(r.data)
+	if n <= 0 || (n > 1 && r.data[n-1] == 0) { // truncated, overflowing, or padded
 		r.bad = true
 		return 0
 	}
@@ -86,14 +95,43 @@ func (r *spillReader) varint() int64 {
 	return x
 }
 
-func (r *spillReader) uvarint() uint64 {
-	x, n := binary.Uvarint(r.data)
-	if n <= 0 {
+func (r *spillReader) varint() int64 {
+	ux := r.uvarint() // zig-zag, as binary.Varint
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
+	}
+	return x
+}
+
+// id reads an edge or node id: a varint that fits an int32.
+func (r *spillReader) id() int32 {
+	x := r.varint()
+	if x != int64(int32(x)) {
+		r.bad = true
+	}
+	return int32(x)
+}
+
+// tag reads a message's tag byte, which may carry only the bits in
+// allowed.
+func (r *spillReader) tag(allowed byte) byte {
+	t := r.byte()
+	if t&^allowed != 0 {
+		r.bad = true
+	}
+	return t
+}
+
+// count reads an element count and checks it against the bytes left,
+// given the least an element can take, before anything is sized from it.
+func (r *spillReader) count(minElemBytes int) int {
+	n := r.uvarint()
+	if r.bad || n > uint64(len(r.data)/minElemBytes) {
 		r.bad = true
 		return 0
 	}
-	r.data = r.data[n:]
-	return x
+	return int(n)
 }
 
 func (r *spillReader) float() float64 {
@@ -116,23 +154,26 @@ func (r *spillReader) byte() byte {
 	return b
 }
 
+// minHalfBytes is the least a half takes on the wire: two one-byte
+// varints and the weight.
+const minHalfBytes = 10
+
 func (r *spillReader) half() half {
 	return half{
-		ID:    int32(r.varint()),
-		Other: graph.NodeID(r.varint()),
+		ID:    r.id(),
+		Other: graph.NodeID(r.id()),
 		W:     r.float(),
 	}
 }
 
 func (r *spillReader) nodeState() *nodeState {
 	st := &nodeState{B: int(r.varint())}
-	n := r.uvarint()
-	if r.bad || n > uint64(len(r.data)) { // each half needs >= 10 bytes
-		r.bad = true
+	n := r.count(minHalfBytes)
+	if r.bad {
 		return st
 	}
 	st.Adj = make([]half, 0, n)
-	for i := uint64(0); i < n && !r.bad; i++ {
+	for i := 0; i < n && !r.bad; i++ {
 		st.Adj = append(st.Adj, r.half())
 	}
 	return st
@@ -140,15 +181,14 @@ func (r *spillReader) nodeState() *nodeState {
 
 func (r *spillReader) mmNode() *mmNode {
 	st := &mmNode{B: int(r.varint())}
-	n := r.uvarint()
-	if r.bad || n > uint64(len(r.data)) {
-		r.bad = true
+	n := r.count(minHalfBytes + 1)
+	if r.bad {
 		return st
 	}
 	st.Adj = make([]mmEdge, 0, n)
-	for i := uint64(0); i < n && !r.bad; i++ {
+	for i := 0; i < n && !r.bad; i++ {
 		e := mmEdge{half: r.half()}
-		flags := r.byte()
+		flags := r.tag(1<<5 - 1)
 		e.markedBySelf = flags&(1<<0) != 0
 		e.markedByOther = flags&(1<<1) != 0
 		e.selBySelf = flags&(1<<2) != 0
@@ -169,109 +209,131 @@ func (r *spillReader) err(what string) error {
 	return nil
 }
 
-// --- greedyMsg ---------------------------------------------------------
-
-// MarshalBinary implements encoding.BinaryMarshaler for the spilling
-// shuffle backend.
-func (m greedyMsg) MarshalBinary() ([]byte, error) {
+// appendTag starts a message: the tag byte says whether the node's own
+// record follows and carries the per-message boolean.
+func appendTag(buf []byte, self, flag bool) []byte {
 	var tag byte
-	if m.self {
+	if self {
 		tag |= tagSelf
 	}
-	if m.proposed {
+	if flag {
 		tag |= tagFlagA
 	}
-	buf := []byte{tag}
-	if m.self {
-		return appendNodeState(buf, &m.state), nil
+	return append(buf, tag)
+}
+
+// --- greedyMsg ---------------------------------------------------------
+
+// AppendBinary implements encoding.BinaryAppender.
+func (m greedyMsg) AppendBinary(buf []byte) ([]byte, error) {
+	buf = appendTag(buf, m.self != nil, m.proposed)
+	if m.self != nil {
+		return appendNodeState(buf, m.self), nil
 	}
 	return binary.AppendVarint(buf, int64(m.edge)), nil
 }
 
+// MarshalBinary implements encoding.BinaryMarshaler.
+func (m greedyMsg) MarshalBinary() ([]byte, error) { return m.AppendBinary(nil) }
+
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *greedyMsg) UnmarshalBinary(data []byte) error {
 	r := &spillReader{data: data}
-	tag := r.byte()
-	*m = greedyMsg{proposed: tag&tagFlagA != 0, self: tag&tagSelf != 0}
-	if m.self {
-		m.state = *r.nodeState()
+	tag := r.tag(tagSelf | tagFlagA)
+	*m = greedyMsg{proposed: tag&tagFlagA != 0}
+	if tag&tagSelf != 0 {
+		m.self = r.nodeState()
 	} else {
-		m.edge = int32(r.varint())
+		m.edge = r.id()
 	}
 	return r.err("greedyMsg")
 }
 
 // --- mmMsg -------------------------------------------------------------
 
-// MarshalBinary implements encoding.BinaryMarshaler for the spilling
-// shuffle backend.
-func (m mmMsg) MarshalBinary() ([]byte, error) {
-	var tag byte
-	if m.self != nil {
-		tag |= tagSelf
-	}
-	if m.flag {
-		tag |= tagFlagA
-	}
-	buf := []byte{tag}
+// AppendBinary implements encoding.BinaryAppender.
+func (m mmMsg) AppendBinary(buf []byte) ([]byte, error) {
+	buf = appendTag(buf, m.self != nil, m.flag)
 	if m.self != nil {
 		return appendMMNode(buf, m.self), nil
 	}
 	return binary.AppendVarint(buf, int64(m.edge)), nil
 }
 
+// MarshalBinary implements encoding.BinaryMarshaler.
+func (m mmMsg) MarshalBinary() ([]byte, error) { return m.AppendBinary(nil) }
+
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *mmMsg) UnmarshalBinary(data []byte) error {
 	r := &spillReader{data: data}
-	tag := r.byte()
+	tag := r.tag(tagSelf | tagFlagA)
 	*m = mmMsg{flag: tag&tagFlagA != 0}
 	if tag&tagSelf != 0 {
 		m.self = r.mmNode()
 	} else {
-		m.edge = int32(r.varint())
+		m.edge = r.id()
 	}
 	return r.err("mmMsg")
 }
 
 // --- cleanupMsg --------------------------------------------------------
 
-// MarshalBinary implements encoding.BinaryMarshaler for the spilling
-// shuffle backend.
-func (m cleanupMsg) MarshalBinary() ([]byte, error) {
-	var tag byte
-	if m.self != nil {
-		tag |= tagSelf
-	}
-	if m.alive {
-		tag |= tagFlagA
-	}
-	buf := []byte{tag}
+// AppendBinary implements encoding.BinaryAppender.
+func (m cleanupMsg) AppendBinary(buf []byte) ([]byte, error) {
+	buf = appendTag(buf, m.self != nil, m.alive)
 	if m.self != nil {
 		return appendMMNode(buf, m.self), nil
 	}
 	return binary.AppendVarint(buf, int64(m.edge)), nil
 }
 
+// MarshalBinary implements encoding.BinaryMarshaler.
+func (m cleanupMsg) MarshalBinary() ([]byte, error) { return m.AppendBinary(nil) }
+
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *cleanupMsg) UnmarshalBinary(data []byte) error {
 	r := &spillReader{data: data}
-	tag := r.byte()
+	tag := r.tag(tagSelf | tagFlagA)
 	*m = cleanupMsg{alive: tag&tagFlagA != 0}
 	if tag&tagSelf != 0 {
 		m.self = r.mmNode()
 	} else {
-		m.edge = int32(r.varint())
+		m.edge = r.id()
 	}
 	return r.err("cleanupMsg")
 }
 
 // --- dualMsg / filterMsg -----------------------------------------------
 
-// MarshalBinary implements encoding.BinaryMarshaler for the spilling
-// shuffle backend.
-func (m dualMsg) MarshalBinary() ([]byte, error) {
-	return marshalEdgeValueMsg(m.self, m.edge, m.yOverB)
+// appendEdgeValueMsg encodes the shared shape of dualMsg and filterMsg:
+// either the node's state, or (edge, yOverB).
+func appendEdgeValueMsg(buf []byte, self *nodeState, edge int32, yOverB float64) []byte {
+	buf = appendTag(buf, self != nil, false)
+	if self != nil {
+		return appendNodeState(buf, self)
+	}
+	buf = binary.AppendVarint(buf, int64(edge))
+	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(yOverB))
 }
+
+func unmarshalEdgeValueMsg(data []byte, what string) (*nodeState, int32, float64, error) {
+	r := &spillReader{data: data}
+	if r.tag(tagSelf) != 0 {
+		self := r.nodeState()
+		return self, 0, 0, r.err(what)
+	}
+	edge := r.id()
+	y := r.float()
+	return nil, edge, y, r.err(what)
+}
+
+// AppendBinary implements encoding.BinaryAppender.
+func (m dualMsg) AppendBinary(buf []byte) ([]byte, error) {
+	return appendEdgeValueMsg(buf, m.self, m.edge, m.yOverB), nil
+}
+
+// MarshalBinary implements encoding.BinaryMarshaler.
+func (m dualMsg) MarshalBinary() ([]byte, error) { return m.AppendBinary(nil) }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *dualMsg) UnmarshalBinary(data []byte) error {
@@ -280,11 +342,13 @@ func (m *dualMsg) UnmarshalBinary(data []byte) error {
 	return err
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler for the spilling
-// shuffle backend.
-func (m filterMsg) MarshalBinary() ([]byte, error) {
-	return marshalEdgeValueMsg(m.self, m.edge, m.yOverB)
+// AppendBinary implements encoding.BinaryAppender.
+func (m filterMsg) AppendBinary(buf []byte) ([]byte, error) {
+	return appendEdgeValueMsg(buf, m.self, m.edge, m.yOverB), nil
 }
+
+// MarshalBinary implements encoding.BinaryMarshaler.
+func (m filterMsg) MarshalBinary() ([]byte, error) { return m.AppendBinary(nil) }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *filterMsg) UnmarshalBinary(data []byte) error {
@@ -301,10 +365,13 @@ func (m *filterMsg) UnmarshalBinary(data []byte) error {
 // The spilling backend never serializes these (it spills intermediates
 // only); the codecs exist for the wire.
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (s nodeState) MarshalBinary() ([]byte, error) {
-	return appendNodeState(nil, &s), nil
+// AppendBinary implements encoding.BinaryAppender.
+func (s nodeState) AppendBinary(buf []byte) ([]byte, error) {
+	return appendNodeState(buf, &s), nil
 }
+
+// MarshalBinary implements encoding.BinaryMarshaler.
+func (s nodeState) MarshalBinary() ([]byte, error) { return s.AppendBinary(nil) }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (s *nodeState) UnmarshalBinary(data []byte) error {
@@ -313,10 +380,13 @@ func (s *nodeState) UnmarshalBinary(data []byte) error {
 	return r.err("nodeState")
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (s mmNode) MarshalBinary() ([]byte, error) {
-	return appendMMNode(nil, &s), nil
+// AppendBinary implements encoding.BinaryAppender.
+func (s mmNode) AppendBinary(buf []byte) ([]byte, error) {
+	return appendMMNode(buf, &s), nil
 }
+
+// MarshalBinary implements encoding.BinaryMarshaler.
+func (s mmNode) MarshalBinary() ([]byte, error) { return s.AppendBinary(nil) }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (s *mmNode) UnmarshalBinary(data []byte) error {
@@ -334,62 +404,36 @@ func appendInt32s(buf []byte, xs []int32) []byte {
 }
 
 func (r *spillReader) int32s() []int32 {
-	n := r.uvarint()
-	if r.bad || n > uint64(len(r.data)) {
-		r.bad = true
-		return nil
-	}
+	n := r.count(1)
 	if n == 0 {
 		return nil
 	}
 	xs := make([]int32, 0, n)
-	for i := uint64(0); i < n && !r.bad; i++ {
-		xs = append(xs, int32(r.varint()))
+	for i := 0; i < n && !r.bad; i++ {
+		xs = append(xs, r.id())
 	}
 	return xs
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (o mmOut) MarshalBinary() ([]byte, error) {
-	var tag byte
-	if o.state != nil {
-		tag |= tagSelf
-	}
-	buf := appendInt32s([]byte{tag}, o.matched)
+// AppendBinary implements encoding.BinaryAppender.
+func (o mmOut) AppendBinary(buf []byte) ([]byte, error) {
+	buf = appendInt32s(appendTag(buf, o.state != nil, false), o.matched)
 	if o.state != nil {
 		buf = appendMMNode(buf, o.state)
 	}
 	return buf, nil
 }
 
+// MarshalBinary implements encoding.BinaryMarshaler.
+func (o mmOut) MarshalBinary() ([]byte, error) { return o.AppendBinary(nil) }
+
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (o *mmOut) UnmarshalBinary(data []byte) error {
 	r := &spillReader{data: data}
-	tag := r.byte()
+	tag := r.tag(tagSelf)
 	*o = mmOut{matched: r.int32s()}
 	if tag&tagSelf != 0 {
 		o.state = r.mmNode()
 	}
 	return r.err("mmOut")
-}
-
-// marshalEdgeValueMsg encodes the shared shape of dualMsg and filterMsg:
-// either the node's state, or (edge, yOverB).
-func marshalEdgeValueMsg(self *nodeState, edge int32, yOverB float64) ([]byte, error) {
-	if self != nil {
-		return appendNodeState([]byte{tagSelf}, self), nil
-	}
-	buf := binary.AppendVarint([]byte{0}, int64(edge))
-	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(yOverB)), nil
-}
-
-func unmarshalEdgeValueMsg(data []byte, what string) (*nodeState, int32, float64, error) {
-	r := &spillReader{data: data}
-	if r.byte()&tagSelf != 0 {
-		self := r.nodeState()
-		return self, 0, 0, r.err(what)
-	}
-	edge := int32(r.varint())
-	y := r.float()
-	return nil, edge, y, r.err(what)
 }

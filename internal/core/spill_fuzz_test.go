@@ -1,0 +1,78 @@
+package core
+
+import (
+	"bytes"
+	"encoding"
+	"testing"
+)
+
+// FuzzCoreMessageDecode feeds every UnmarshalBinary of spill.go — what
+// the spill merge and a dist worker's socket hand each shuffled record
+// and each resident state to — arbitrary bytes. The contract: an error,
+// or a value whose AppendBinary reproduces the input byte for byte (so
+// nothing a decoder accepts is silently a different message); never a
+// panic, and never a slice sized from a count the remaining bytes could
+// not back. kind selects the type. The checked-in corpus under
+// testdata/fuzz/FuzzCoreMessageDecode is the cases of
+// TestMessageCodecsRoundTrip and TestMessageCodecsRejectCorruptData plus
+// the shapes the strict reader exists for: a padded varint, an id past
+// 32 bits, an unknown tag bit, an over-declared adjacency count.
+func FuzzCoreMessageDecode(f *testing.F) {
+	heldState := func(st *nodeState) int {
+		if st == nil {
+			return 0
+		}
+		return cap(st.Adj) * minHalfBytes
+	}
+	heldNode := func(st *mmNode) int {
+		if st == nil {
+			return 0
+		}
+		return cap(st.Adj) * (minHalfBytes + 1)
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
+		switch kind % 8 {
+		case 0:
+			fuzzMessage(t, data, func(m *greedyMsg) int { return heldState(m.self) })
+		case 1:
+			fuzzMessage(t, data, func(m *mmMsg) int { return heldNode(m.self) })
+		case 2:
+			fuzzMessage(t, data, func(m *cleanupMsg) int { return heldNode(m.self) })
+		case 3:
+			fuzzMessage(t, data, func(m *dualMsg) int { return heldState(m.self) })
+		case 4:
+			fuzzMessage(t, data, func(m *filterMsg) int { return heldState(m.self) })
+		case 5:
+			fuzzMessage(t, data, heldState)
+		case 6:
+			fuzzMessage(t, data, heldNode)
+		case 7:
+			fuzzMessage(t, data, func(o *mmOut) int { return cap(o.matched) + heldNode(o.state) })
+		}
+	})
+}
+
+// fuzzMessage decodes data as a T. held reports the least number of
+// input bytes the slices the decoder allocated stand for; it may not
+// exceed the input, whether or not the decode went on to fail.
+func fuzzMessage[T any, PT interface {
+	*T
+	encoding.BinaryUnmarshaler
+	encoding.BinaryAppender
+}](t *testing.T, data []byte, held func(*T) int) {
+	var v T
+	err := PT(&v).UnmarshalBinary(data)
+	if n := held(&v); n > len(data) {
+		t.Fatalf("%T: decoder sized %d bytes' worth of elements from a %d-byte input", v, n, len(data))
+	}
+	if err != nil {
+		return
+	}
+	back, err := PT(&v).AppendBinary(nil)
+	if err != nil {
+		t.Fatalf("%T: re-encoding a decoded value: %v", v, err)
+	}
+	if !bytes.Equal(back, data) {
+		t.Fatalf("%T: decoded without error but encodes differently:\n in  %x\n out %x", v, data, back)
+	}
+}

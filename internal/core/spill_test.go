@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/mapreduce"
@@ -104,7 +105,7 @@ func TestMessageCodecsRoundTrip(t *testing.T) {
 			UnmarshalBinary([]byte) error
 		}
 	}{
-		{"greedyMsg-self", greedyMsg{self: true, state: *st}, &greedyMsg{}},
+		{"greedyMsg-self", greedyMsg{self: st}, &greedyMsg{}},
 		{"greedyMsg-edge", greedyMsg{edge: 41, proposed: true}, &greedyMsg{}},
 		{"greedyMsg-zero", greedyMsg{}, &greedyMsg{}},
 		{"mmMsg-self", mmMsg{self: mm}, &mmMsg{}},
@@ -133,10 +134,35 @@ func TestMessageCodecsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestShuffledMessageSizes pins the in-memory size of every value type
+// the matching algorithms shuffle. A Pair is the key plus this, and the
+// engine writes it on Emit, copies it in the group gather and moves it
+// again in the group sort, once per shuffled record (12.5 M on the dense
+// benchmark job) — so a field carried by value, where a pointer and a
+// tag would do, multiplies the job's memory traffic. greedyMsg carried
+// its 32-byte nodeState that way until it cost a quarter of the dense
+// job's wall.
+func TestShuffledMessageSizes(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		got, max uintptr
+	}{
+		{"greedyMsg", unsafe.Sizeof(greedyMsg{}), 16},
+		{"mmMsg", unsafe.Sizeof(mmMsg{}), 16},
+		{"cleanupMsg", unsafe.Sizeof(cleanupMsg{}), 16},
+		{"dualMsg", unsafe.Sizeof(dualMsg{}), 24},
+		{"filterMsg", unsafe.Sizeof(filterMsg{}), 24},
+	} {
+		if tc.got > tc.max {
+			t.Errorf("%s is %d bytes, want at most %d: every shuffled record carries one", tc.name, tc.got, tc.max)
+		}
+	}
+}
+
 // TestMessageCodecsRejectCorruptData checks that truncated spill data
 // surfaces as an error instead of a silently wrong message.
 func TestMessageCodecsRejectCorruptData(t *testing.T) {
-	data, err := greedyMsg{self: true, state: nodeState{B: 2, Adj: []half{{ID: 1, Other: 2, W: 3}}}}.MarshalBinary()
+	data, err := greedyMsg{self: &nodeState{B: 2, Adj: []half{{ID: 1, Other: 2, W: 3}}}}.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,8 +62,9 @@ var errSpillShort = fmt.Errorf("mapreduce: spill decode: truncated record")
 // laneFor resolves the lane of element type T, in this order:
 //
 //  1. a type with its own encoding.BinaryMarshaler keeps it (through the
-//     generic column) rather than being reinterpreted by kind — the
-//     algorithm packages implement it on their message types;
+//     generic column, see marshalElem) rather than being reinterpreted
+//     by kind — the algorithm packages implement it on their message
+//     types;
 //  2. 4- and 8-byte integers, float64, bool, string, [2]int32 and empty
 //     structs — named types included — take the kind lanes below;
 //  3. the remaining scalars (narrow integers, float32), fixed arrays of
@@ -99,13 +100,18 @@ func laneFor[T any]() (lane, error) {
 			ln.dec = func(data []byte, _ col, _ *pairDict) ([]byte, error) { return data, nil }
 		}
 	}
+	if marshals {
+		ln.enc, ln.dec = genericLane(marshalElem[T]())
+	}
 	if ln.enc == nil {
 		encE, decE, ok := elemCodecFor(t, true)
 		if !ok {
 			return lane{}, fmt.Errorf("%v has no codec: a shuffled key or value must be a scalar, a string, "+
 				"an array or slice of those, or implement encoding.BinaryMarshaler (with BinaryUnmarshaler on its pointer)", t)
 		}
-		ln.enc, ln.dec = genericLane[T](encE, decE)
+		ln.enc, ln.dec = genericLane(
+			func(buf []byte, p *T) ([]byte, error) { return encE(buf, reflect.ValueOf(p).Elem()) },
+			func(data []byte, p *T) error { return decE(data, reflect.ValueOf(p).Elem()) })
 	}
 	return ln, nil
 }
@@ -353,21 +359,20 @@ func decStrToken(data []byte, d *pairDict) (string, []byte, error) {
 
 // --- generic column ---------------------------------------------------
 
-// elemEnc appends the encoding of the (addressable) element v to buf;
-// elemDec decodes exactly data into it. The generic column and the
-// slice codec length-prefix every element, so an element encoding never
-// needs to be self-delimiting.
-type elemEnc func(buf []byte, v reflect.Value) ([]byte, error)
-type elemDec func(data []byte, into reflect.Value) error
-
 // genericLane is the column of every type without a kind lane:
-// length-prefixed elements through the type's element codec.
-func genericLane[T any](encE elemEnc, decE elemDec) (enc, dec func([]byte, col, *pairDict) ([]byte, error)) {
+// length-prefixed elements, so an element encoding never needs to be
+// self-delimiting. encE appends the encoding of *p to buf (the column's
+// scratch, reused across the elements); decE decodes exactly data into
+// *p.
+func genericLane[T any](
+	encE func(buf []byte, p *T) ([]byte, error),
+	decE func(data []byte, p *T) error,
+) (enc, dec func([]byte, col, *pairDict) ([]byte, error)) {
 	enc = func(buf []byte, c col, _ *pairDict) ([]byte, error) {
 		var scratch []byte
 		for i := 0; i < c.n; i++ {
 			var err error
-			if scratch, err = encE(scratch[:0], reflect.ValueOf(at[T](c, i)).Elem()); err != nil {
+			if scratch, err = encE(scratch[:0], at[T](c, i)); err != nil {
 				return nil, err
 			}
 			buf = binary.AppendUvarint(buf, uint64(len(scratch)))
@@ -381,7 +386,7 @@ func genericLane[T any](encE elemEnc, decE elemDec) (enc, dec func([]byte, col, 
 			if n <= 0 || l > uint64(len(data)-n) {
 				return nil, errSpillShort
 			}
-			if err := decE(data[n:n+int(l)], reflect.ValueOf(at[T](c, i)).Elem()); err != nil {
+			if err := decE(data[n:n+int(l)], at[T](c, i)); err != nil {
 				return nil, err
 			}
 			data = data[n+int(l):]
@@ -391,8 +396,40 @@ func genericLane[T any](encE elemEnc, decE elemDec) (enc, dec func([]byte, col, 
 	return enc, dec
 }
 
+// marshalElem is the element codec of a type that encodes itself, read
+// off *T with no reflect.Value in the way: this is the lane every
+// message of the matching algorithms takes, once per shuffled record on
+// spill and dist. Whether *T also offers encoding.BinaryAppender — which
+// appends into the column's scratch instead of returning a fresh slice
+// per element — is settled here, once.
+func marshalElem[T any]() (func([]byte, *T) ([]byte, error), func([]byte, *T) error) {
+	enc := func(buf []byte, p *T) ([]byte, error) {
+		b, err := any(p).(encoding.BinaryMarshaler).MarshalBinary()
+		return append(buf, b...), err
+	}
+	if _, ok := any((*T)(nil)).(encoding.BinaryAppender); ok {
+		enc = func(buf []byte, p *T) ([]byte, error) {
+			return any(p).(encoding.BinaryAppender).AppendBinary(buf)
+		}
+	}
+	return enc, func(data []byte, p *T) error {
+		// Decode into a zero value, not into whatever a recycled pair
+		// buffer last held: UnmarshalBinary need not overwrite every
+		// field.
+		*p = *new(T)
+		return any(p).(encoding.BinaryUnmarshaler).UnmarshalBinary(data)
+	}
+}
+
+// elemEnc and elemDec are the reflective element codecs: what a type
+// resolved from a reflect.Type — a narrow scalar, an array, a slice and
+// its elements — is encoded through.
+type elemEnc func(buf []byte, v reflect.Value) ([]byte, error)
+type elemDec func(data []byte, into reflect.Value) error
+
 var (
 	binaryMarshaler   = reflect.TypeFor[encoding.BinaryMarshaler]()
+	binaryAppender    = reflect.TypeFor[encoding.BinaryAppender]()
 	binaryUnmarshaler = reflect.TypeFor[encoding.BinaryUnmarshaler]()
 )
 
@@ -416,19 +453,22 @@ func hasMarshaling(t reflect.Type) (bool, error) {
 // either.
 func elemCodecFor(t reflect.Type, top bool) (elemEnc, elemDec, bool) {
 	if ok, _ := hasMarshaling(t); ok {
-		return func(buf []byte, v reflect.Value) ([]byte, error) {
-				b, err := v.Addr().Interface().(encoding.BinaryMarshaler).MarshalBinary()
-				if err != nil {
-					return nil, err
-				}
-				return append(buf, b...), nil
-			}, func(data []byte, into reflect.Value) error {
-				// Decode into a zero value, not into whatever a recycled
-				// pair buffer last held: UnmarshalBinary need not
-				// overwrite every field.
-				into.SetZero()
-				return into.Addr().Interface().(encoding.BinaryUnmarshaler).UnmarshalBinary(data)
-			}, true
+		enc := func(buf []byte, v reflect.Value) ([]byte, error) {
+			b, err := v.Addr().Interface().(encoding.BinaryMarshaler).MarshalBinary()
+			return append(buf, b...), err
+		}
+		if reflect.PointerTo(t).Implements(binaryAppender) {
+			enc = func(buf []byte, v reflect.Value) ([]byte, error) {
+				return v.Addr().Interface().(encoding.BinaryAppender).AppendBinary(buf)
+			}
+		}
+		return enc, func(data []byte, into reflect.Value) error {
+			// Decode into a zero value, not into whatever a recycled
+			// pair buffer last held: UnmarshalBinary need not
+			// overwrite every field.
+			into.SetZero()
+			return into.Addr().Interface().(encoding.BinaryUnmarshaler).UnmarshalBinary(data)
+		}, true
 	}
 	if encS, decS, ok := scalarCodec(t); ok {
 		return func(buf []byte, v reflect.Value) ([]byte, error) {

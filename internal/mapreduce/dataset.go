@@ -350,8 +350,8 @@ func runMapPhaseDS[K1 comparable, V1 any, K2 comparable, V2 any](
 			em := newShuffleEmitter(backend, p, ar)
 			em.selfOK = cast != nil
 			for j := range part {
-				if err := ctx.Err(); err != nil {
-					return err
+				if j%cancelPollEvery == 0 && ctx.Err() != nil {
+					return ctx.Err()
 				}
 				if em.selfOK {
 					em.self = cast(part[j].Key)
@@ -362,6 +362,9 @@ func runMapPhaseDS[K1 comparable, V1 any, K2 comparable, V2 any](
 				if em.err != nil {
 					return em.err
 				}
+			}
+			if err := ctx.Err(); err != nil {
+				return err
 			}
 			if err := em.finish(); err != nil {
 				return err

@@ -424,6 +424,15 @@ func Run[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any](
 	return output, stats, nil
 }
 
+// cancelPollEvery is how many map records or reduce groups a task runs
+// between two looks at its context. ctx.Err takes a mutex, and a thin
+// round is millions of invocations that each cost less than that lock,
+// so the task loops ask once per this many and once more when they run
+// out of input: a cancelled or failed job stops within cancelPollEvery
+// further invocations per task, and a task that outruns the poll still
+// reports the cancellation instead of its output.
+const cancelPollEvery = 256
+
 // runMapPhase applies mapFn to the input splits in parallel, feeding the
 // emitted pairs to the shuffle backend. Pairs reach the backend tagged
 // with their split index, so the intermediate order is independent of
@@ -448,8 +457,8 @@ func runMapPhase[K1 comparable, V1 any, K2 comparable, V2 any](
 			}
 			em := newShuffleEmitter(backend, i, ar)
 			for j := sp.lo; j < sp.hi; j++ {
-				if err := ctx.Err(); err != nil {
-					return err
+				if (j-sp.lo)%cancelPollEvery == 0 && ctx.Err() != nil {
+					return ctx.Err()
 				}
 				if err := mapFn(input[j].Key, input[j].Value, em); err != nil {
 					return fmt.Errorf("mapreduce: map record %d: %w", j, err)
@@ -457,6 +466,9 @@ func runMapPhase[K1 comparable, V1 any, K2 comparable, V2 any](
 				if em.err != nil {
 					return em.err
 				}
+			}
+			if err := ctx.Err(); err != nil {
+				return err
 			}
 			if err := em.finish(); err != nil {
 				return err
@@ -528,9 +540,10 @@ func runReduceParts[K2 comparable, V2 any, K3 comparable, V3 any](
 				return err
 			}
 			buf := &emitBuf[K3, V3]{pairs: arOut.getPairs(i, 0)}
-			for {
-				if err := ctx.Err(); err != nil {
-					return err
+			groups := 0
+			for ; ; groups++ {
+				if groups%cancelPollEvery == 0 && ctx.Err() != nil {
+					return ctx.Err()
 				}
 				k, values, ok, err := st.Next()
 				if err != nil {
@@ -539,11 +552,16 @@ func runReduceParts[K2 comparable, V2 any, K3 comparable, V3 any](
 				if !ok {
 					break
 				}
-				stats.addReduceGroup()
 				if err := reduceFn(k, values, buf); err != nil {
-					return fmt.Errorf("mapreduce: reduce key %v: %w", k, err)
+					// Cancel the siblings now: the stream's deferred
+					// teardown (run files, on spill) comes first otherwise.
+					return grp.fail(fmt.Errorf("mapreduce: reduce key %v: %w", k, err))
 				}
 			}
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			stats.addReduceGroups(int64(groups))
 			outs[i] = buf.pairs
 			if buf.side != nil {
 				side.Lock()
@@ -613,12 +631,21 @@ func (g *errGroup) Go(fn func(ctx context.Context) error) {
 	go func() {
 		defer g.wg.Done()
 		if err := fn(g.ctx); err != nil {
-			g.once.Do(func() {
-				g.err = err
-				g.cancel()
-			})
+			g.fail(err)
 		}
 	}()
+}
+
+// fail makes err the group's error if it is the first and cancels the
+// derived context, and returns err. Go calls it with what a task
+// returned; a task calls it itself when teardown stands between its
+// error and its return.
+func (g *errGroup) fail(err error) error {
+	g.once.Do(func() {
+		g.err = err
+		g.cancel()
+	})
+	return err
 }
 
 func (g *errGroup) Wait() error {

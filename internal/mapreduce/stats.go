@@ -135,8 +135,8 @@ func (s *Stats) addRouted(local, cross int64) {
 	atomic.AddInt64(&s.CrossRouted, cross)
 }
 
-// addReduceGroup records one key group streamed to a reducer.
-func (s *Stats) addReduceGroup() { atomic.AddInt64(&s.ReduceGroups, 1) }
+// addReduceGroups records one completed reduce task's key-group count.
+func (s *Stats) addReduceGroups(n int64) { atomic.AddInt64(&s.ReduceGroups, n) }
 
 // snapPool snapshots the pool's cumulative counters and returns a
 // closure that records the delta accrued while the job ran. Jobs under

@@ -20,8 +20,10 @@
 package simjoin
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -242,11 +244,16 @@ func enumerate(docs []vector.Sparse) []mapreduce.Pair[int32, vector.Sparse] {
 }
 
 // sortEdges orders edges by (item, consumer) for deterministic output.
+// The pairs are unique, so the order is total and an unstable sort
+// reproduces it; input that already is in order is left alone.
 func sortEdges(edges []Edge) {
-	sort.Slice(edges, func(a, b int) bool {
-		if edges[a].Item != edges[b].Item {
-			return edges[a].Item < edges[b].Item
+	byPair := func(a, b Edge) int {
+		if c := cmp.Compare(a.Item, b.Item); c != 0 {
+			return c
 		}
-		return edges[a].Consumer < edges[b].Consumer
-	})
+		return cmp.Compare(a.Consumer, b.Consumer)
+	}
+	if !slices.IsSortedFunc(edges, byPair) {
+		slices.SortFunc(edges, byPair)
+	}
 }

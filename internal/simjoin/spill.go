@@ -13,12 +13,15 @@ import (
 // The probe job's [2]int32 keys and empty-struct values are covered by
 // the engine's built-in column lanes.
 
-// MarshalBinary implements encoding.BinaryMarshaler for the spilling
-// shuffle backend.
-func (p posting) MarshalBinary() ([]byte, error) {
-	buf := binary.AppendVarint(nil, int64(p.doc))
+// AppendBinary implements encoding.BinaryAppender: the engine's codec
+// appends into its own scratch, so encoding a posting allocates nothing.
+func (p posting) AppendBinary(buf []byte) ([]byte, error) {
+	buf = binary.AppendVarint(buf, int64(p.doc))
 	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.w)), nil
 }
+
+// MarshalBinary implements encoding.BinaryMarshaler.
+func (p posting) MarshalBinary() ([]byte, error) { return p.AppendBinary(nil) }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (p *posting) UnmarshalBinary(data []byte) error {
