@@ -9,31 +9,81 @@ import (
 	"repro/internal/graph"
 )
 
-// TestAllocGuardGreedyMRRun pins the allocation count of a complete
-// small chained GreedyMR computation. The budget covers the one-time
-// setup (node records, driver, first-round pool fills) plus per-round
-// fixed overhead; the per-node and per-key hot-loop work — message
-// copies, prefix proposals, edge-stamp intersections, adjacency
-// compaction — must stay allocation-free or this blows up by an order
-// of magnitude (the instance runs ~500 node records across several
-// rounds). CI runs it by name (-run TestAllocGuard); excluded under
-// the race detector, which inflates allocation counts.
+// The TestAllocGuard* tests pin the allocation count of complete small
+// runs as a fixed part — one-time setup (node records, driver,
+// first-round pool fills) plus per-round overhead — and a part that may
+// grow with the number of map-input records, read from the run's own
+// Result.Shuffle.MapInputRecords. What must stay allocation-free is the
+// work per shuffled *message*: a run shuffles ten to twenty messages per
+// map-input record, so anything allocated per message, or per reduce
+// call on top of the stated allowance, lands far outside the budget. CI
+// runs them by name (-run TestAllocGuard); excluded under the race
+// detector, which inflates allocation counts.
+
+// TestAllocGuardGreedyMRRun: GreedyMR allocates once per map-input
+// record — the heap copy of the node's state that its self message
+// points to (see greedyMsg) — and nothing per proposal, stamp or
+// compaction. The instance maps 684 node records over its rounds and
+// shuffles 2,310 messages; 257 allocations are fixed.
 func TestAllocGuardGreedyMRRun(t *testing.T) {
-	const limit = 1200
+	const fixed = 400
 	g := graph.RandomBipartite(graph.RandomConfig{
 		NumItems: 400, NumConsumers: 80, EdgeProb: 0.02,
 		MaxWeight: 4, MaxCapacity: 6, Seed: 11,
 	})
 	ctx := context.Background()
+	var res *Result
 	run := func() {
-		if _, err := GreedyMR(ctx, g, GreedyMROptions{}); err != nil {
+		var err error
+		if res, err = GreedyMR(ctx, g, GreedyMROptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	run() // warm sync.Pool scratches
 	avg := testing.AllocsPerRun(5, run)
-	t.Logf("small chained GreedyMR run: %.0f allocs", avg)
+	limit := float64(fixed + res.Shuffle.MapInputRecords)
+	t.Logf("small chained GreedyMR run: %.0f allocs, %d map-input records, %d shuffled messages (limit %.0f)",
+		avg, res.Shuffle.MapInputRecords, res.Shuffle.ShuffleRecords, limit)
 	if avg > limit {
-		t.Errorf("GreedyMR run allocates %.0f (> %d): the round loop's allocation discipline regressed", avg, limit)
+		t.Errorf("GreedyMR run allocates %.0f (> %d fixed + 1 per map-input record = %.0f): the round loop's allocation discipline regressed",
+			avg, fixed, limit)
+	}
+}
+
+// TestAllocGuardStackMRRun: every maximal-matching stage map copies its
+// node's adjacency (the input record is not the map's to change) and
+// moves the copy's header to the heap for the self message, and the push
+// phase's update and filter jobs gather their messages per call, so
+// StackMR's allowance is three per map-input record where GreedyMR's is
+// one. What it has no room for is a set built per map or reduce call on
+// top of that: with the index sets of the stage maps and the two Go maps
+// of unifyReduce this instance (4,032 map-input records, 64,787
+// messages, 33 jobs) allocated 26,639 times; it allocates 13,165 times
+// without them.
+func TestAllocGuardStackMRRun(t *testing.T) {
+	const (
+		fixed     = 2000
+		perRecord = 3
+	)
+	g := graph.RandomBipartite(graph.RandomConfig{
+		NumItems: 240, NumConsumers: 80, EdgeProb: 0.25,
+		MaxWeight: 4, MaxCapacity: 6, Seed: 11,
+	})
+	ctx := context.Background()
+	var res *Result
+	run := func() {
+		var err error
+		if res, err = StackMR(ctx, g, StackOptions{Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm sync.Pool scratches
+	avg := testing.AllocsPerRun(5, run)
+	limit := float64(fixed + perRecord*res.Shuffle.MapInputRecords)
+	t.Logf("small StackMR run: %.0f allocs, %d jobs, %d map-input records, %d shuffled messages (limit %.0f)",
+		avg, res.Rounds, res.Shuffle.MapInputRecords, res.Shuffle.ShuffleRecords, limit)
+	if avg > limit {
+		t.Errorf("StackMR run allocates %.0f (> %d fixed + %d per map-input record = %.0f): a per-call allocation came back into the stage maps or reduces",
+			avg, fixed, perRecord, limit)
 	}
 }

@@ -53,7 +53,7 @@ func BenchmarkMaximalBMatching(b *testing.B) {
 		driver := mapreduce.NewDriver(mapreduce.Config{})
 		driver.MaxRounds = 64*g.NumEdges() + 256
 		ds := mapreduce.PartitionDataset(recs, driver.Partitions())
-		if _, err := maximalBMatching(ctx, driver, ds, maximalConfig{seed: int64(i)}); err != nil {
+		if _, err := maximalBMatching(ctx, driver, ds, maximalConfig{seed: int64(i), numEdges: g.NumEdges()}); err != nil {
 			b.Fatal(err)
 		}
 	}

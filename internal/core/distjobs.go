@@ -61,9 +61,9 @@ func RegisterDistJobs(g *graph.Bipartite) {
 	mapreduce.RegisterDistReduce("strict-pop", strictPopReduce)
 	mapreduce.RegisterDistReduce("strict-sublayer-filter", sublayerMaxReduce)
 	for _, stage := range []string{"mm-marking", "mm-selection", "mm-matching"} {
-		mapreduce.RegisterDistReduce(stage, unifyReduce(stage))
+		mapreduce.RegisterDistReduce(stage, unifyReduce(stage, g.NumEdges()))
 	}
-	mapreduce.RegisterDistReduce("mm-cleanup", cleanupReduce)
+	mapreduce.RegisterDistReduce("mm-cleanup", cleanupReduce(g.NumEdges()))
 }
 
 // encodeStackParams packs the per-round state the stack reduces close

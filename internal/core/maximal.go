@@ -94,11 +94,19 @@ func (s MarkingStrategy) String() string {
 type maximalConfig struct {
 	strategy MarkingStrategy
 	seed     int64
+	// numEdges is the edge count of the underlying graph: edge ids in the
+	// node view index the reduces' mark tables (see edgeMarkPool).
+	numEdges int
 }
 
 // nodeRand returns a deterministic per-node, per-iteration random source:
 // local random decisions in mappers must be reproducible and independent
-// of scheduling.
+// of scheduling. Seeding one fills a 607-word state, far more than the
+// map call around it costs, and most nodes have nothing to choose
+// (⌈b/2⌉ covers the whole adjacency, or no more edges were marked than
+// may be selected), so the stage maps build a source only on the branch
+// that draws from it. A source serves one node in one stage, so skipping
+// an unused one changes no draw.
 func nodeRand(seed int64, v graph.NodeID, iter int) *rand.Rand {
 	h := int64(mix64(uint64(seed) ^ uint64(uint32(v))<<20 ^ uint64(iter)*0x9e37))
 	return rand.New(rand.NewSource(h))
@@ -134,21 +142,21 @@ func maximalBMatching(
 		// the intermediates hands their partition buffers straight to
 		// the following job in this same iteration. The iteration's
 		// input (the Loop state) is recycled by Loop itself.
-		marking, err := mmStage(ctx, driver, "mm-marking", cur, markingMap(cfg, iter))
+		marking, err := mmStage(ctx, driver, "mm-marking", cur, markingMap(cfg, iter), cfg.numEdges)
 		if err != nil {
 			return nil, err
 		}
-		selection, err := mmStage(ctx, driver, "mm-selection", marking, selectionMap(cfg, iter))
+		selection, err := mmStage(ctx, driver, "mm-selection", marking, selectionMap(cfg, iter), cfg.numEdges)
 		marking.Recycle()
 		if err != nil {
 			return nil, err
 		}
-		matching, err := mmStage(ctx, driver, "mm-matching", selection, matchingMap(cfg, iter))
+		matching, err := mmStage(ctx, driver, "mm-matching", selection, matchingMap(cfg, iter), cfg.numEdges)
 		selection.Recycle()
 		if err != nil {
 			return nil, err
 		}
-		next, found, err := mmCleanup(ctx, driver, matching)
+		next, found, err := mmCleanup(ctx, driver, matching, cfg.numEdges)
 		matching.Recycle()
 		if err != nil {
 			return nil, err
@@ -168,8 +176,9 @@ func mmStage(
 	name string,
 	cur *mapreduce.Dataset[graph.NodeID, mmNode],
 	mapFn mapreduce.MapFunc[graph.NodeID, mmNode, graph.NodeID, mmMsg],
+	numEdges int,
 ) (*mapreduce.Dataset[graph.NodeID, mmNode], error) {
-	out, err := mapreduce.RunJobDS(ctx, driver, name, cur, mapFn, unifyReduce(name))
+	out, err := mapreduce.RunJobDS(ctx, driver, name, cur, mapFn, unifyReduce(name, numEdges))
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", name, err)
 	}
@@ -187,27 +196,27 @@ func mmStage(
 func markingMap(cfg maximalConfig, iter int) mapreduce.MapFunc[graph.NodeID, mmNode, graph.NodeID, mmMsg] {
 	return func(v graph.NodeID, st mmNode, out mapreduce.Emitter[graph.NodeID, mmMsg]) error {
 		k := (st.B + 1) / 2
-		var chosen []int
-		if cfg.strategy == MarkHeaviest {
-			for _, i := range topByWeight(halves(st.Adj), k) {
-				chosen = append(chosen, int(i))
-			}
-		} else {
-			chosen = pickRandom(len(st.Adj), k, nodeRand(cfg.seed, v, iter*4))
-		}
-		isChosen := make(map[int]bool, len(chosen))
-		for _, i := range chosen {
-			isChosen[i] = true
-		}
 		next := st
 		next.Adj = append([]mmEdge(nil), st.Adj...)
+		all := k >= len(next.Adj) // nothing to choose, so nothing to draw
 		for i := range next.Adj {
-			next.Adj[i].markedBySelf = isChosen[i]
+			next.Adj[i].markedBySelf = all
 			next.Adj[i].markedByOther = false
 		}
+		switch {
+		case all:
+		case cfg.strategy == MarkHeaviest:
+			for _, i := range topByWeight(halves(st.Adj), k) {
+				next.Adj[i].markedBySelf = true
+			}
+		default:
+			for _, i := range pickRandom(len(st.Adj), k, nodeRand(cfg.seed, v, iter*4)) {
+				next.Adj[i].markedBySelf = true
+			}
+		}
 		out.Emit(v, mmMsg{self: &next})
-		for i, e := range next.Adj {
-			out.Emit(e.Other, mmMsg{edge: e.ID, flag: isChosen[i]})
+		for _, e := range next.Adj {
+			out.Emit(e.Other, mmMsg{edge: e.ID, flag: e.markedBySelf})
 		}
 		return nil
 	}
@@ -217,31 +226,37 @@ func markingMap(cfg maximalConfig, iter int) mapreduce.MapFunc[graph.NodeID, mmN
 // neighbors. The flag sent means "I selected your mark".
 func selectionMap(cfg maximalConfig, iter int) mapreduce.MapFunc[graph.NodeID, mmNode, graph.NodeID, mmMsg] {
 	return func(v graph.NodeID, st mmNode, out mapreduce.Emitter[graph.NodeID, mmMsg]) error {
-		var candidates []int
-		for i, e := range st.Adj {
-			if e.markedByOther {
-				candidates = append(candidates, i)
-			}
-		}
 		k := st.B / 2
 		if k < 1 {
 			k = 1
 		}
-		rng := nodeRand(cfg.seed, v, iter*4+1)
-		sel := pickFrom(candidates, k, rng)
-		isSel := make(map[int]bool, len(sel))
-		for _, i := range sel {
-			isSel[i] = true
+		marked := 0
+		for i := range st.Adj {
+			if st.Adj[i].markedByOther {
+				marked++
+			}
 		}
+		draw := k < marked // otherwise every marked edge is selected
 		next := st
 		next.Adj = append([]mmEdge(nil), st.Adj...)
 		for i := range next.Adj {
-			next.Adj[i].selBySelf = isSel[i]
+			next.Adj[i].selBySelf = next.Adj[i].markedByOther && !draw
 			next.Adj[i].selByOther = false
 		}
+		if draw {
+			candidates := make([]int, 0, marked)
+			for i := range st.Adj {
+				if st.Adj[i].markedByOther {
+					candidates = append(candidates, i)
+				}
+			}
+			for _, i := range pickFrom(candidates, k, nodeRand(cfg.seed, v, iter*4+1)) {
+				next.Adj[i].selBySelf = true
+			}
+		}
 		out.Emit(v, mmMsg{self: &next})
-		for i, e := range next.Adj {
-			out.Emit(e.Other, mmMsg{edge: e.ID, flag: isSel[i]})
+		for _, e := range next.Adj {
+			out.Emit(e.Other, mmMsg{edge: e.ID, flag: e.selBySelf})
 		}
 		return nil
 	}
@@ -252,30 +267,36 @@ func selectionMap(cfg maximalConfig, iter int) mapreduce.MapFunc[graph.NodeID, m
 // this edge from F".
 func matchingMap(cfg maximalConfig, iter int) mapreduce.MapFunc[graph.NodeID, mmNode, graph.NodeID, mmMsg] {
 	return func(v graph.NodeID, st mmNode, out mapreduce.Emitter[graph.NodeID, mmMsg]) error {
-		var fIdx []int
+		selected := 0
 		for i := range st.Adj {
 			if st.Adj[i].inSelected() {
-				fIdx = append(fIdx, i)
+				selected++
 			}
 		}
-		drop := make(map[int]bool)
-		if st.B == 1 && len(fIdx) > 1 {
-			rng := nodeRand(cfg.seed, v, iter*4+2)
-			keep := fIdx[rng.Intn(len(fIdx))]
-			for _, i := range fIdx {
-				if i != keep {
-					drop[i] = true
+		// keep is the adjacency index of the one selected edge a
+		// capacity-1 node holds on to; negative when nothing is dropped.
+		keep := -1
+		if st.B == 1 && selected > 1 {
+			nth := nodeRand(cfg.seed, v, iter*4+2).Intn(selected)
+			for i := range st.Adj {
+				if st.Adj[i].inSelected() {
+					if nth == 0 {
+						keep = i
+						break
+					}
+					nth--
 				}
 			}
 		}
 		next := st
 		next.Adj = append([]mmEdge(nil), st.Adj...)
 		for i := range next.Adj {
-			next.Adj[i].inF = next.Adj[i].inSelected() && !drop[i]
+			next.Adj[i].inF = next.Adj[i].inSelected() && (keep < 0 || i == keep)
 		}
 		out.Emit(v, mmMsg{self: &next})
-		for i, e := range next.Adj {
-			out.Emit(e.Other, mmMsg{edge: e.ID, flag: drop[i]})
+		for i := range next.Adj {
+			e := &next.Adj[i]
+			out.Emit(e.Other, mmMsg{edge: e.ID, flag: e.inSelected() && !e.inF})
 		}
 		return nil
 	}
@@ -284,46 +305,56 @@ func matchingMap(cfg maximalConfig, iter int) mapreduce.MapFunc[graph.NodeID, mm
 // unifyReduce merges the two endpoint views of every edge after a stage:
 // the self record carries this endpoint's fresh local flags and the
 // per-edge messages deliver the other endpoint's decision for the flag
-// relevant to the completed stage.
-func unifyReduce(stage string) mapreduce.ReduceFunc[graph.NodeID, mmMsg, graph.NodeID, mmNode] {
+// relevant to the completed stage. The messages are stamped into a
+// borrowed edge-mark table and read back per adjacency entry, as in
+// greedyReduce: no per-call set.
+func unifyReduce(stage string, numEdges int) mapreduce.ReduceFunc[graph.NodeID, mmMsg, graph.NodeID, mmNode] {
 	return func(v graph.NodeID, msgs []mmMsg, out mapreduce.Emitter[graph.NodeID, mmNode]) error {
+		table := edgeMarkPool.Get().(*[]uint8)
+		defer edgeMarkPool.Put(table)
+		marks := edgeMarks(table, numEdges)
 		var self *mmNode
-		flags := make(map[int32]bool)
-		seen := make(map[int32]bool)
-		for _, m := range msgs {
-			if m.self != nil {
+		for i := range msgs {
+			m := &msgs[i]
+			switch {
+			case m.self != nil:
 				self = m.self
-				continue
-			}
-			seen[m.edge] = true
-			if m.flag {
-				flags[m.edge] = true
+			case m.flag:
+				marks[m.edge] = markSeen | markFlag
+			default:
+				marks[m.edge] |= markSeen
 			}
 		}
-		if self == nil {
-			return nil
-		}
-		kept := self.Adj[:0]
-		for _, e := range self.Adj {
-			if !seen[e.ID] {
-				// Dead neighbor: edge disappears.
-				continue
-			}
-			switch stage {
-			case "mm-marking":
-				e.markedByOther = flags[e.ID]
-			case "mm-selection":
-				e.selByOther = flags[e.ID]
-			case "mm-matching":
-				// The other endpoint may have dropped the edge from F.
-				if flags[e.ID] {
-					e.inF = false
+		if self != nil {
+			kept := self.Adj[:0]
+			for _, e := range self.Adj {
+				mark := marks[e.ID]
+				if mark == 0 {
+					// Dead neighbor: edge disappears.
+					continue
 				}
+				flag := mark&markFlag != 0
+				switch stage {
+				case "mm-marking":
+					e.markedByOther = flag
+				case "mm-selection":
+					e.selByOther = flag
+				case "mm-matching":
+					// The other endpoint may have dropped the edge from F.
+					if flag {
+						e.inF = false
+					}
+				}
+				kept = append(kept, e)
 			}
-			kept = append(kept, e)
+			self.Adj = kept
+			out.Emit(v, *self)
 		}
-		self.Adj = kept
-		out.Emit(v, *self)
+		for i := range msgs {
+			if m := &msgs[i]; m.self == nil {
+				marks[m.edge] = 0
+			}
+		}
 		return nil
 	}
 }
@@ -335,8 +366,9 @@ func mmCleanup(
 	ctx context.Context,
 	driver *mapreduce.Driver,
 	cur *mapreduce.Dataset[graph.NodeID, mmNode],
+	numEdges int,
 ) (next *mapreduce.Dataset[graph.NodeID, mmNode], matched []int32, err error) {
-	out, err := mapreduce.RunJobDS(ctx, driver, "mm-cleanup", cur, cleanupMap, cleanupReduce)
+	out, err := mapreduce.RunJobDS(ctx, driver, "mm-cleanup", cur, cleanupMap, cleanupReduce(numEdges))
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: mm-cleanup: %w", err)
 	}
@@ -366,13 +398,15 @@ type cleanupMsg struct {
 // matched edges (from the item side, to count each edge once), and tells
 // every surviving neighbor whether this node is still alive.
 func cleanupMap(v graph.NodeID, st mmNode, out mapreduce.Emitter[graph.NodeID, cleanupMsg]) error {
-	next := mmNode{B: st.B}
-	var matchedHere []mmEdge
+	matched := 0
+	for i := range st.Adj {
+		if st.Adj[i].inF {
+			matched++
+		}
+	}
+	next := mmNode{B: st.B - matched, Adj: make([]mmEdge, 0, len(st.Adj)-matched)}
 	for _, e := range st.Adj {
-		if e.inF {
-			matchedHere = append(matchedHere, e)
-			next.B--
-		} else {
+		if !e.inF {
 			next.Adj = append(next.Adj, mmEdge{half: e.half})
 		}
 	}
@@ -386,8 +420,8 @@ func cleanupMap(v graph.NodeID, st mmNode, out mapreduce.Emitter[graph.NodeID, c
 	// rather than assuming that, both ends could report and the caller
 	// dedupe; reporting from the endpoint with smaller id is simpler
 	// and side-agnostic.
-	for _, e := range matchedHere {
-		if v < e.Other {
+	for _, e := range st.Adj {
+		if e.inF && v < e.Other {
 			out.Emit(v, cleanupMsg{edge: e.ID, alive: true})
 		}
 	}
@@ -400,54 +434,56 @@ func cleanupMap(v graph.NodeID, st mmNode, out mapreduce.Emitter[graph.NodeID, c
 // alive-beacon from the neighbor; a message for an edge the mapper
 // already removed is this node's own matched-edge report (matched edges
 // vanish from both endpoints' lists, so the neighbor never beacons them).
-func cleanupReduce(v graph.NodeID, msgs []cleanupMsg, out mapreduce.Emitter[graph.NodeID, mmOut]) error {
-	var self *mmNode
-	for _, m := range msgs {
-		if m.self != nil {
-			self = m.self
-			break
+// The node's own adjacency is stamped into a borrowed edge-mark table
+// (markSeen) and the beacons onto it (markFlag), so telling the two kinds
+// of message apart is one byte read per message.
+func cleanupReduce(numEdges int) mapreduce.ReduceFunc[graph.NodeID, cleanupMsg, graph.NodeID, mmOut] {
+	return func(v graph.NodeID, msgs []cleanupMsg, out mapreduce.Emitter[graph.NodeID, mmOut]) error {
+		var self *mmNode
+		for i := range msgs {
+			if msgs[i].self != nil {
+				self = msgs[i].self
+				break
+			}
 		}
-	}
-	if self == nil {
+		if self == nil {
+			return nil
+		}
+		table := edgeMarkPool.Get().(*[]uint8)
+		defer edgeMarkPool.Put(table)
+		marks := edgeMarks(table, numEdges)
+		for _, e := range self.Adj {
+			marks[e.ID] = markSeen
+		}
+		res := mmOut{}
+		for i := range msgs {
+			m := &msgs[i]
+			switch {
+			case m.self != nil:
+			case marks[m.edge] != 0:
+				if m.alive {
+					marks[m.edge] |= markFlag
+				}
+			case m.alive:
+				res.matched = append(res.matched, m.edge)
+			}
+		}
+		kept := self.Adj[:0]
+		for _, e := range self.Adj {
+			if marks[e.ID]&markFlag != 0 {
+				kept = append(kept, e)
+			}
+			marks[e.ID] = 0
+		}
+		self.Adj = kept
+		if self.B > 0 && len(self.Adj) > 0 {
+			res.state = self
+		}
+		if res.state != nil || len(res.matched) > 0 {
+			out.Emit(v, res)
+		}
 		return nil
 	}
-	res := mmOut{}
-	aliveOther := make(map[int32]bool)
-	for _, m := range msgs {
-		switch {
-		case m.self != nil:
-		case adjContains(self.Adj, m.edge):
-			if m.alive {
-				aliveOther[m.edge] = true
-			}
-		case m.alive:
-			res.matched = append(res.matched, m.edge)
-		}
-	}
-	kept := self.Adj[:0]
-	for _, e := range self.Adj {
-		if aliveOther[e.ID] {
-			kept = append(kept, e)
-		}
-	}
-	self.Adj = kept
-	if self.B > 0 && len(self.Adj) > 0 {
-		res.state = self
-	}
-	if res.state != nil || len(res.matched) > 0 {
-		out.Emit(v, res)
-	}
-	return nil
-}
-
-// adjContains reports whether the adjacency list holds the given edge id.
-func adjContains(adj []mmEdge, id int32) bool {
-	for _, e := range adj {
-		if e.ID == id {
-			return true
-		}
-	}
-	return false
 }
 
 // halves projects flagged adjacency entries back to plain halves for the

@@ -15,7 +15,7 @@ func runMaximal(t *testing.T, g *graph.Bipartite, strategy MarkingStrategy, seed
 	driver.MaxRounds = 64*g.NumEdges() + 256
 	matched, err := maximalBMatching(context.Background(), driver,
 		mapreduce.PartitionDataset(nodeRecords(g), driver.Partitions()),
-		maximalConfig{strategy: strategy, seed: seed})
+		maximalConfig{strategy: strategy, seed: seed, numEdges: g.NumEdges()})
 	if err != nil {
 		t.Fatal(err)
 	}

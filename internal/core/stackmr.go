@@ -145,6 +145,7 @@ func (st *stackState) push(ctx context.Context, driver *mapreduce.Driver) error 
 		layer, err := maximalBMatching(ctx, driver, layerRecs, maximalConfig{
 			strategy: st.opts.Strategy,
 			seed:     st.opts.Seed + int64(layerNo)*7919,
+			numEdges: st.g.NumEdges(),
 		})
 		layerRecs.Recycle() // consumed by the matching's flagged view
 		if err != nil {

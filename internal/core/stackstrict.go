@@ -246,6 +246,7 @@ func (st *stackState) resolveOverflow(
 		sublayer, err := maximalBMatching(ctx, driver, recs, maximalConfig{
 			strategy: st.opts.Strategy,
 			seed:     st.opts.Seed ^ (int64(round)+1)*104729,
+			numEdges: g.NumEdges(),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: strict sublayer %d: %w", round, err)
