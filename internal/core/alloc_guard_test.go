@@ -14,11 +14,30 @@ import (
 // first-round pool fills) plus per-round overhead — and a part that may
 // grow with the number of map-input records, read from the run's own
 // Result.Shuffle.MapInputRecords. What must stay allocation-free is the
-// work per shuffled *message*: a run shuffles ten to twenty messages per
-// map-input record, so anything allocated per message, or per reduce
-// call on top of the stated allowance, lands far outside the budget. CI
-// runs them by name (-run TestAllocGuard); excluded under the race
+// work per shuffled *message*: a run shuffles several to many messages
+// per map-input record, so anything allocated per message, or per map or
+// reduce call on top of the stated allowance, lands outside the budget.
+// CI runs them by name (-run TestAllocGuard); excluded under the race
 // detector, which inflates allocation counts.
+func guardAllocs(t *testing.T, fixed, perRecord int64, run func() (*Result, error)) {
+	t.Helper()
+	var res *Result
+	once := func() {
+		var err error
+		if res, err = run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	once() // warm sync.Pool scratches
+	avg := testing.AllocsPerRun(5, once)
+	limit := float64(fixed + perRecord*res.Shuffle.MapInputRecords)
+	t.Logf("%.0f allocs over %d jobs, %d map-input records, %d shuffled messages (limit %.0f)",
+		avg, res.Rounds, res.Shuffle.MapInputRecords, res.Shuffle.ShuffleRecords, limit)
+	if avg > limit {
+		t.Errorf("the run allocates %.0f (> %d fixed + %d per map-input record = %.0f): a per-message or per-call allocation came back",
+			avg, fixed, perRecord, limit)
+	}
+}
 
 // TestAllocGuardGreedyMRRun: GreedyMR allocates once per map-input
 // record — the heap copy of the node's state that its self message
@@ -26,28 +45,13 @@ import (
 // compaction. The instance maps 684 node records over its rounds and
 // shuffles 2,310 messages; 257 allocations are fixed.
 func TestAllocGuardGreedyMRRun(t *testing.T) {
-	const fixed = 400
 	g := graph.RandomBipartite(graph.RandomConfig{
 		NumItems: 400, NumConsumers: 80, EdgeProb: 0.02,
 		MaxWeight: 4, MaxCapacity: 6, Seed: 11,
 	})
-	ctx := context.Background()
-	var res *Result
-	run := func() {
-		var err error
-		if res, err = GreedyMR(ctx, g, GreedyMROptions{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run() // warm sync.Pool scratches
-	avg := testing.AllocsPerRun(5, run)
-	limit := float64(fixed + res.Shuffle.MapInputRecords)
-	t.Logf("small chained GreedyMR run: %.0f allocs, %d map-input records, %d shuffled messages (limit %.0f)",
-		avg, res.Shuffle.MapInputRecords, res.Shuffle.ShuffleRecords, limit)
-	if avg > limit {
-		t.Errorf("GreedyMR run allocates %.0f (> %d fixed + 1 per map-input record = %.0f): the round loop's allocation discipline regressed",
-			avg, fixed, limit)
-	}
+	guardAllocs(t, 400, 1, func() (*Result, error) {
+		return GreedyMR(context.Background(), g, GreedyMROptions{})
+	})
 }
 
 // TestAllocGuardStackMRRun: every maximal-matching stage map copies its
@@ -61,29 +65,11 @@ func TestAllocGuardGreedyMRRun(t *testing.T) {
 // messages, 33 jobs) allocated 26,639 times; it allocates 13,165 times
 // without them.
 func TestAllocGuardStackMRRun(t *testing.T) {
-	const (
-		fixed     = 2000
-		perRecord = 3
-	)
 	g := graph.RandomBipartite(graph.RandomConfig{
 		NumItems: 240, NumConsumers: 80, EdgeProb: 0.25,
 		MaxWeight: 4, MaxCapacity: 6, Seed: 11,
 	})
-	ctx := context.Background()
-	var res *Result
-	run := func() {
-		var err error
-		if res, err = StackMR(ctx, g, StackOptions{Seed: 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run() // warm sync.Pool scratches
-	avg := testing.AllocsPerRun(5, run)
-	limit := float64(fixed + perRecord*res.Shuffle.MapInputRecords)
-	t.Logf("small StackMR run: %.0f allocs, %d jobs, %d map-input records, %d shuffled messages (limit %.0f)",
-		avg, res.Rounds, res.Shuffle.MapInputRecords, res.Shuffle.ShuffleRecords, limit)
-	if avg > limit {
-		t.Errorf("StackMR run allocates %.0f (> %d fixed + %d per map-input record = %.0f): a per-call allocation came back into the stage maps or reduces",
-			avg, fixed, perRecord, limit)
-	}
+	guardAllocs(t, 2000, 3, func() (*Result, error) {
+		return StackMR(context.Background(), g, StackOptions{Seed: 1})
+	})
 }

@@ -113,7 +113,7 @@ func (r *spillReader) id() int32 {
 	return int32(x)
 }
 
-// tag reads a message's tag byte, which may carry only the bits in
+// tag reads a tag or flag byte, which may carry only the bits in
 // allowed.
 func (r *spillReader) tag(allowed byte) byte {
 	t := r.byte()

@@ -81,29 +81,27 @@ func laneFor[T any]() (lane, error) {
 	if err != nil {
 		return lane{}, err
 	}
-	if !marshals {
-		switch k := t.Kind(); {
-		case colIntKind(k) && t.Size() == 4:
-			ln.enc, ln.dec = encDelta[int32], decDelta[int32]
-		case colIntKind(k) && t.Size() == 8:
-			ln.enc, ln.dec = encDelta[int64], decDelta[int64]
-		case k == reflect.Float64:
-			ln.enc, ln.dec = encF64, decF64
-		case k == reflect.Bool:
-			ln.enc, ln.dec = encBool, decBool
-		case k == reflect.String:
-			ln.enc, ln.dec, ln.dict = encStr, decStr, true
-		case k == reflect.Array && t.Len() == 2 && t.Elem().Kind() == reflect.Int32:
-			ln.enc, ln.dec = encEdge, decEdge
-		case k == reflect.Struct && t.NumField() == 0:
-			ln.enc = func(buf []byte, _ col, _ *pairDict) ([]byte, error) { return buf, nil }
-			ln.dec = func(data []byte, _ col, _ *pairDict) ([]byte, error) { return data, nil }
-		}
-	}
 	if marshals {
-		ln.enc, ln.dec = genericLane(marshalElem[T]())
+		ln.enc, ln.dec = genericLane(marshalElem[T](t))
+		return ln, nil
 	}
-	if ln.enc == nil {
+	switch k := t.Kind(); {
+	case colIntKind(k) && t.Size() == 4:
+		ln.enc, ln.dec = encDelta[int32], decDelta[int32]
+	case colIntKind(k) && t.Size() == 8:
+		ln.enc, ln.dec = encDelta[int64], decDelta[int64]
+	case k == reflect.Float64:
+		ln.enc, ln.dec = encF64, decF64
+	case k == reflect.Bool:
+		ln.enc, ln.dec = encBool, decBool
+	case k == reflect.String:
+		ln.enc, ln.dec, ln.dict = encStr, decStr, true
+	case k == reflect.Array && t.Len() == 2 && t.Elem().Kind() == reflect.Int32:
+		ln.enc, ln.dec = encEdge, decEdge
+	case k == reflect.Struct && t.NumField() == 0:
+		ln.enc = func(buf []byte, _ col, _ *pairDict) ([]byte, error) { return buf, nil }
+		ln.dec = func(data []byte, _ col, _ *pairDict) ([]byte, error) { return data, nil }
+	default:
 		encE, decE, ok := elemCodecFor(t, true)
 		if !ok {
 			return lane{}, fmt.Errorf("%v has no codec: a shuffled key or value must be a scalar, a string, "+
@@ -396,28 +394,35 @@ func genericLane[T any](
 	return enc, dec
 }
 
-// marshalElem is the element codec of a type that encodes itself, read
-// off *T with no reflect.Value in the way: this is the lane every
+// marshalElem is the element codec of a type t = T that encodes itself,
+// called on *T with no reflect.Value in the way: this is the lane every
 // message of the matching algorithms takes, once per shuffled record on
-// spill and dist. Whether *T also offers encoding.BinaryAppender — which
-// appends into the column's scratch instead of returning a fresh slice
-// per element — is settled here, once.
-func marshalElem[T any]() (func([]byte, *T) ([]byte, error), func([]byte, *T) error) {
-	enc := func(buf []byte, p *T) ([]byte, error) {
-		b, err := any(p).(encoding.BinaryMarshaler).MarshalBinary()
-		return append(buf, b...), err
-	}
-	if _, ok := any((*T)(nil)).(encoding.BinaryAppender); ok {
-		enc = func(buf []byte, p *T) ([]byte, error) {
-			return any(p).(encoding.BinaryAppender).AppendBinary(buf)
+// spill and dist.
+func marshalElem[T any](t reflect.Type) (func([]byte, *T) ([]byte, error), func([]byte, *T) error) {
+	enc := selfEnc(t)
+	return func(buf []byte, p *T) ([]byte, error) { return enc(buf, p) },
+		func(data []byte, p *T) error {
+			// Decode into a zero value, not into whatever a recycled pair
+			// buffer last held: UnmarshalBinary need not overwrite every
+			// field.
+			*p = *new(T)
+			return any(p).(encoding.BinaryUnmarshaler).UnmarshalBinary(data)
+		}
+}
+
+// selfEnc is how an element of marshaling type t, handed over as a
+// pointer, appends itself to buf. Whether *t also implements
+// encoding.BinaryAppender — which appends in place, where MarshalBinary
+// returns a fresh slice per element — is settled here, once per lane.
+func selfEnc(t reflect.Type) func(buf []byte, p any) ([]byte, error) {
+	if reflect.PointerTo(t).Implements(binaryAppender) {
+		return func(buf []byte, p any) ([]byte, error) {
+			return p.(encoding.BinaryAppender).AppendBinary(buf)
 		}
 	}
-	return enc, func(data []byte, p *T) error {
-		// Decode into a zero value, not into whatever a recycled pair
-		// buffer last held: UnmarshalBinary need not overwrite every
-		// field.
-		*p = *new(T)
-		return any(p).(encoding.BinaryUnmarshaler).UnmarshalBinary(data)
+	return func(buf []byte, p any) ([]byte, error) {
+		b, err := p.(encoding.BinaryMarshaler).MarshalBinary()
+		return append(buf, b...), err
 	}
 }
 
@@ -453,22 +458,16 @@ func hasMarshaling(t reflect.Type) (bool, error) {
 // either.
 func elemCodecFor(t reflect.Type, top bool) (elemEnc, elemDec, bool) {
 	if ok, _ := hasMarshaling(t); ok {
-		enc := func(buf []byte, v reflect.Value) ([]byte, error) {
-			b, err := v.Addr().Interface().(encoding.BinaryMarshaler).MarshalBinary()
-			return append(buf, b...), err
-		}
-		if reflect.PointerTo(t).Implements(binaryAppender) {
-			enc = func(buf []byte, v reflect.Value) ([]byte, error) {
-				return v.Addr().Interface().(encoding.BinaryAppender).AppendBinary(buf)
-			}
-		}
-		return enc, func(data []byte, into reflect.Value) error {
-			// Decode into a zero value, not into whatever a recycled
-			// pair buffer last held: UnmarshalBinary need not
-			// overwrite every field.
-			into.SetZero()
-			return into.Addr().Interface().(encoding.BinaryUnmarshaler).UnmarshalBinary(data)
-		}, true
+		enc := selfEnc(t)
+		return func(buf []byte, v reflect.Value) ([]byte, error) {
+				return enc(buf, v.Addr().Interface())
+			}, func(data []byte, into reflect.Value) error {
+				// Decode into a zero value, not into whatever a recycled
+				// pair buffer last held: UnmarshalBinary need not
+				// overwrite every field.
+				into.SetZero()
+				return into.Addr().Interface().(encoding.BinaryUnmarshaler).UnmarshalBinary(data)
+			}, true
 	}
 	if encS, decS, ok := scalarCodec(t); ok {
 		return func(buf []byte, v reflect.Value) ([]byte, error) {

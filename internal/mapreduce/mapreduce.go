@@ -545,16 +545,17 @@ func runReduceParts[K2 comparable, V2 any, K3 comparable, V3 any](
 				if groups%cancelPollEvery == 0 && ctx.Err() != nil {
 					return ctx.Err()
 				}
+				// A failing task cancels its siblings through grp.fail
+				// right away: the stream's deferred teardown (run files, on
+				// spill) would come first otherwise.
 				k, values, ok, err := st.Next()
 				if err != nil {
-					return fmt.Errorf("mapreduce: shuffle partition %d: %w", i, err)
+					return grp.fail(fmt.Errorf("mapreduce: shuffle partition %d: %w", i, err))
 				}
 				if !ok {
 					break
 				}
 				if err := reduceFn(k, values, buf); err != nil {
-					// Cancel the siblings now: the stream's deferred
-					// teardown (run files, on spill) comes first otherwise.
 					return grp.fail(fmt.Errorf("mapreduce: reduce key %v: %w", k, err))
 				}
 			}
