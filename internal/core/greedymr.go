@@ -124,16 +124,17 @@ func greedyRecords(g *graph.Bipartite) []mapreduce.Pair[graph.NodeID, nodeState]
 
 // greedyMsg is the intermediate value of a GreedyMR round: either a
 // node's own state forwarded to itself, or a proposal flag sent to the
-// other endpoint of an edge. It is 16 bytes — the shape of mmMsg,
-// cleanupMsg, dualMsg and filterMsg — because 98.5 % of the dense case's
-// 12.5 M shuffled records are proposals, and every byte here is written
-// by Emit, copied by the group gather and moved again by the group sort.
-// The state travels by pointer, which costs greedyMap one 32-byte
-// allocation per live node per round; measured against carrying the
-// state by value (a 40-byte message, a 48-byte Pair), the pointer took
-// the dense job from 1.06 to 0.82 s, the spill job from 1.90 to 1.66 s
-// and the dist job from 1.37 to 1.17 s with 160 MiB less resident
-// (TestShuffledMessageSizes keeps a by-value field from coming back).
+// other endpoint of an edge. It is 16 bytes — the shape of mmMsg and
+// cleanupMsg — because 98.5 % of the dense case's 12.5 M shuffled
+// records are proposals, and every byte here is written by Emit, copied
+// by the group gather and moved again by the group sort. The state
+// travels by pointer, which costs greedyMap one 32-byte allocation per
+// live node per round. Measured against carrying the state by value (a
+// 40-byte message, a 48-byte Pair) on the benchmark's workloads, the
+// pointer alone took the dense job from 1.09 to 0.82 s and the spill job
+// from 2.00 to 1.77 s, and 175 of 860 MiB off the dist job's resident
+// set at an unchanged wall (TestShuffledMessageSizes keeps a by-value
+// field from coming back).
 type greedyMsg struct {
 	self     *nodeState // the node's own state; nil on a proposal
 	edge     int32

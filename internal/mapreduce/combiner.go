@@ -94,12 +94,15 @@ func combineMapTask[K1 comparable, V1 any, K2 comparable, V2 any](
 ) error {
 	buf := &emitBuf[K2, V2]{}
 	for j := range records {
-		if err := ctx.Err(); err != nil {
-			return err
+		if j%cancelPollEvery == 0 && ctx.Err() != nil {
+			return ctx.Err()
 		}
 		if err := mapFn(records[j].Key, records[j].Value, buf); err != nil {
 			return fmt.Errorf("mapreduce: map record %d: %w", offset+j, err)
 		}
+	}
+	if err := ctx.Err(); err != nil {
+		return err
 	}
 	stats.addMapOutput(int64(len(buf.pairs)))
 	combined := combineSplit(buf.pairs, combineFn)
