@@ -2,11 +2,12 @@
 // records are buffered in memory, spilled as sorted runs to temporary
 // files, and streamed back through a k-way loser-tree merge. It is the
 // classical database technique behind the shuffle of a real MapReduce
-// implementation (Hadoop spills map output exactly this way), and two
-// parts of this repository stand on it: the spilling shuffle backend of
-// internal/mapreduce (one Sorter per reduce partition, ordered by
-// (key, sequence)), and the tools in cmd/ when a generated edge list
-// outgrows memory.
+// implementation (Hadoop spills map output exactly this way). In this
+// repository it sorts records, not shuffles: cmd/datagen orders a
+// generated edge list through it when the list outgrows memory. The
+// spilling shuffle backend of internal/mapreduce no longer stands on
+// it — it sorts and merges columns of pairs, not records, with a run
+// format and a merge of its own (shuffle.go, codecv2.go there).
 //
 // Run generation is pipelined: encoding and writing a spilled run
 // happens on a background goroutine while the caller keeps filling (and
@@ -18,11 +19,10 @@
 // Serialization is caller-supplied through the Codec interface, so any
 // record type can be sorted without reflection. Run files are unlinked
 // as soon as they are created — a crash leaks no temp files — and
-// Spilled/Runs expose the external-memory footprint for job statistics.
+// Spilled/Runs expose the external-memory footprint.
 //
-// The merge breaks comparator ties by run creation order, so the whole
-// sort is stable whenever the buffer sort is (both the default
-// comparator sort and any radix sort installed via SetBufferSort are).
+// The buffer sort is stable and the merge breaks comparator ties by run
+// creation order, so the whole sort is stable.
 package extsort
 
 import (
@@ -33,7 +33,6 @@ import (
 	"os"
 	"slices"
 	"sync"
-	"sync/atomic"
 )
 
 // Codec serializes records of type T for spill files. Encode and Decode
@@ -45,52 +44,6 @@ import (
 type Codec[T any] interface {
 	Encode(w io.Writer, rec T) error
 	Decode(r io.Reader) (T, error)
-}
-
-// RunEncoder encodes one run's records in order. Implementations may
-// batch records into blocks and keep dictionary state spanning the run;
-// Flush writes any buffered tail before the run file is sealed.
-type RunEncoder[T any] interface {
-	Encode(w io.Writer, rec T) error
-	Flush(w io.Writer) error
-}
-
-// RunDecoder decodes one run's records in order. Decode returns io.EOF
-// at the clean end of the run.
-type RunDecoder[T any] interface {
-	Decode(r io.Reader) (T, error)
-}
-
-// StreamCodec is an optional Codec extension for formats with per-run
-// state (block framing, dictionaries, compression). When the sorter's
-// codec implements it, every run is written through a fresh RunEncoder
-// and merged through a fresh per-run RunDecoder; the plain Encode and
-// Decode methods go unused.
-type StreamCodec[T any] interface {
-	Codec[T]
-	NewRunEncoder() RunEncoder[T]
-	NewRunDecoder() RunDecoder[T]
-}
-
-// plainRunCodec adapts a record-at-a-time Codec to the run interfaces.
-type plainRunCodec[T any] struct{ c Codec[T] }
-
-func (p plainRunCodec[T]) Encode(w io.Writer, rec T) error { return p.c.Encode(w, rec) }
-func (p plainRunCodec[T]) Flush(io.Writer) error           { return nil }
-func (p plainRunCodec[T]) Decode(r io.Reader) (T, error)   { return p.c.Decode(r) }
-
-func (s *Sorter[T]) runEncoder() RunEncoder[T] {
-	if sc, ok := s.codec.(StreamCodec[T]); ok {
-		return sc.NewRunEncoder()
-	}
-	return plainRunCodec[T]{s.codec}
-}
-
-func (s *Sorter[T]) runDecoder() RunDecoder[T] {
-	if sc, ok := s.codec.(StreamCodec[T]); ok {
-		return sc.NewRunDecoder()
-	}
-	return plainRunCodec[T]{s.codec}
 }
 
 // Config bounds the sorter's resource usage.
@@ -128,14 +81,15 @@ const runReadBufBytes = 64 << 10
 
 // Sorter accumulates records and produces a sorted iterator. Not safe
 // for concurrent use by multiple goroutines (the internal writer
-// pipeline is the sorter's own concern).
+// pipeline is the sorter's own concern). A sorter that has spilled owns
+// its writer goroutine and its run files until Sort returns — also after
+// a failed Add, whose error Sort then repeats as it releases both.
 type Sorter[T any] struct {
-	less    func(a, b T) bool
-	bufSort func(buf []T)
-	codec   Codec[T]
-	cfg     Config
-	buf     []T
-	sorted  bool
+	less   func(a, b T) bool
+	codec  Codec[T]
+	cfg    Config
+	buf    []T
+	sorted bool
 
 	// Writer pipeline. The caller's goroutine sorts a full buffer and
 	// hands it over on writeCh; the writer goroutine encodes and writes
@@ -150,43 +104,12 @@ type Sorter[T any] struct {
 	runs    []*os.File
 	spilled int64
 	werr    error
-
-	// runBytes counts encoded bytes written to run files, maintained
-	// atomically so callers can read it while the writer runs.
-	runBytes atomic.Int64
-}
-
-// countingWriter tallies bytes flowing to a run file into the sorter's
-// runBytes counter. It sits between the buffered writer and the file,
-// so it sees few, large writes.
-type countingWriter struct {
-	w io.Writer
-	n *atomic.Int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n.Add(int64(n))
-	return n, err
 }
 
 // New creates a Sorter ordering records by less.
 func New[T any](less func(a, b T) bool, codec Codec[T], cfg Config) *Sorter[T] {
 	return &Sorter[T]{less: less, codec: codec, cfg: cfg}
 }
-
-// SetBufferSort installs a replacement for the comparator sort applied
-// to in-memory run buffers (each spilled run, and the final buffer of a
-// sorter that never spilled). fn must order the slice exactly as a
-// stable sort by less would — same order, same tie order — because the
-// k-way merge still compares run heads with less and assumes every run
-// is less-sorted. Callers use it to swap the generic O(n log n)
-// comparator sort for a type-specialized linear-pass sort (the shuffle
-// installs a radix sort over order-preserving key images). fn runs on
-// the caller's goroutine (overlapping the previous run's encode+write),
-// so it may keep per-sorter scratch without locking. Must be called
-// before the first Add that triggers a spill.
-func (s *Sorter[T]) SetBufferSort(fn func(buf []T)) { s.bufSort = fn }
 
 // Add appends one record, spilling a sorted run to disk when the memory
 // budget fills.
@@ -201,40 +124,10 @@ func (s *Sorter[T]) Add(rec T) error {
 	return nil
 }
 
-// AddBatch appends a slice of records with one bulk copy per budget
-// window instead of a call and bounds check per record, spilling as
-// the memory budget fills. Equivalent to calling Add for each record
-// in order; the caller keeps ownership of recs.
-func (s *Sorter[T]) AddBatch(recs []T) error {
-	if s.sorted {
-		return errors.New("extsort: Add after Sort")
-	}
-	limit := s.cfg.maxInMemory()
-	for len(recs) > 0 {
-		take := limit - len(s.buf)
-		if take > len(recs) {
-			take = len(recs)
-		}
-		s.buf = append(s.buf, recs[:take]...)
-		recs = recs[take:]
-		if len(s.buf) >= limit {
-			if err := s.spill(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// sortBuf sorts the in-memory buffer: through the installed buffer
-// sort when one is set (see SetBufferSort), otherwise stably by less.
-// The generic slices.SortStableFunc avoids the reflection-based
-// swapping of sort.SliceStable, which dominated large-buffer sorts.
+// sortBuf sorts the in-memory buffer stably by less. The generic
+// slices.SortStableFunc avoids the reflection-based swapping of
+// sort.SliceStable, which dominated large-buffer sorts.
 func (s *Sorter[T]) sortBuf() {
-	if s.bufSort != nil {
-		s.bufSort(s.buf)
-		return
-	}
 	slices.SortStableFunc(s.buf, func(a, b T) int {
 		switch {
 		case s.less(a, b):
@@ -326,19 +219,13 @@ func (s *Sorter[T]) writeRun(buf []T) {
 	// The file is unlinked immediately; the open handle keeps the data
 	// alive for the merge and crashes leak nothing.
 	os.Remove(f.Name())
-	bw := bufio.NewWriterSize(&countingWriter{w: f, n: &s.runBytes}, s.cfg.writeBufBytes())
-	enc := s.runEncoder()
+	bw := bufio.NewWriterSize(f, s.cfg.writeBufBytes())
 	for _, rec := range buf {
-		if err := enc.Encode(bw, rec); err != nil {
+		if err := s.codec.Encode(bw, rec); err != nil {
 			f.Close()
 			s.fail(fmt.Errorf("extsort: encode: %w", err))
 			return
 		}
-	}
-	if err := enc.Flush(bw); err != nil {
-		f.Close()
-		s.fail(fmt.Errorf("extsort: encode: %w", err))
-		return
 	}
 	if err := bw.Flush(); err != nil {
 		f.Close()
@@ -373,12 +260,6 @@ func (s *Sorter[T]) Spilled() int64 {
 	return s.spilled
 }
 
-// RunBytes returns the encoded bytes written to run files so far — the
-// on-disk cost the codec achieved, for stats and codec comparisons.
-func (s *Sorter[T]) RunBytes() int64 {
-	return s.runBytes.Load()
-}
-
 // closeRuns releases every spilled run file.
 func (s *Sorter[T]) closeRuns() {
 	s.mu.Lock()
@@ -388,21 +269,6 @@ func (s *Sorter[T]) closeRuns() {
 	for _, f := range runs {
 		f.Close()
 	}
-}
-
-// Discard abandons a sorter without sorting, draining the writer
-// pipeline and closing any spilled run files (they are unlinked at
-// creation, so closing releases their disk space). It is a no-op after
-// Sort — the run files then belong to the returned Iterator — and safe
-// to call more than once, so callers can defer it on error paths.
-func (s *Sorter[T]) Discard() {
-	if s.sorted {
-		return
-	}
-	s.sorted = true
-	s.drainWriter()
-	s.closeRuns()
-	s.buf = nil
 }
 
 // Sort finalizes the sorter and returns an iterator over all records in
@@ -432,14 +298,14 @@ func (s *Sorter[T]) Sort() (*Iterator[T], error) {
 	}
 	// s.runs stays populated so Runs()/Spilled() keep reporting the
 	// footprint after Sort; the files themselves now belong to the
-	// iterator (Discard is a no-op once sorted, so no double close).
+	// iterator.
 	s.mu.Lock()
 	runs := s.runs
 	s.mu.Unlock()
-	it := &Iterator[T]{less: s.less}
+	it := &Iterator[T]{less: s.less, codec: s.codec}
 	for _, f := range runs {
-		src := &runSource[T]{r: bufio.NewReaderSize(f, runReadBufBytes), f: f, dec: s.runDecoder()}
-		rec, err := src.dec.Decode(src.r)
+		src := &runSource[T]{r: bufio.NewReaderSize(f, runReadBufBytes), f: f}
+		rec, err := s.codec.Decode(src.r)
 		if err == io.EOF {
 			f.Close()
 			continue
@@ -462,13 +328,10 @@ func (s *Sorter[T]) Sort() (*Iterator[T], error) {
 	return it, nil
 }
 
-// runSource is one spilled run during the merge. Each run owns its
-// decoder, so codecs with per-run state (blocks, dictionaries) never
-// share state across runs.
+// runSource is one spilled run during the merge.
 type runSource[T any] struct {
 	r    *bufio.Reader
 	f    *os.File
-	dec  RunDecoder[T]
 	head T
 	done bool
 }
@@ -484,11 +347,12 @@ type Iterator[T any] struct {
 	// interface boxing. Leaf j sits at tree position k+j; internal
 	// nodes 1..k-1 each store the losing leaf of their subtree and
 	// win caches the overall winner.
-	less func(a, b T) bool
-	srcs []*runSource[T]
-	lt   []int32
-	win  int32
-	live int
+	less  func(a, b T) bool
+	codec Codec[T]
+	srcs  []*runSource[T]
+	lt    []int32
+	win   int32
+	live  int
 }
 
 // beats reports whether leaf a's head precedes leaf b's in the merge.
@@ -557,7 +421,7 @@ func (it *Iterator[T]) Next() (rec T, ok bool, err error) {
 	w := it.win
 	src := it.srcs[w]
 	rec = src.head
-	next, derr := src.dec.Decode(src.r)
+	next, derr := it.codec.Decode(src.r)
 	switch {
 	case derr == io.EOF:
 		src.f.Close()

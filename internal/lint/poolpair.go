@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // PoolPair enforces the check-out/check-in discipline around the
@@ -21,9 +22,18 @@ import (
 // (getFrameScratch), and a function that only Puts is a check-in
 // wrapper (putFrameScratch). Call sites of either count the same as
 // direct Get/Put.
+//
+// The engine's own free lists fall under the same rule by their naming
+// convention: two methods get<X> and put<X> of one named type are the
+// check-out and the check-in of that type's <X> buffers (roundArena's
+// getKeys/putKeys, getI32/putI32, …; pairCodec's getRunEnc/putRunEnc).
+// Round-lifetime buffers travel further than a pooled scratch does, so
+// a check-out held in a local variable also counts as handed off when
+// the variable is later returned, stored into a struct, field or
+// element, or captured in a composite literal.
 var PoolPair = &Analyzer{
 	Name: "poolpair",
-	Doc: `every sync.Pool check-out needs a check-in on every return path (or explicit ownership transfer)
+	Doc: `every sync.Pool or get<X>/put<X> free-list check-out needs a check-in on every return path (or explicit ownership transfer)
 A missed Put turns the pool into plain allocation under exactly the
 load the pool exists for. Prefer a deferred put; when the check-in must
 be conditional, transfer ownership by returning or storing the value,
@@ -40,11 +50,21 @@ type poolFacts struct {
 	getWrappers map[types.Object]types.Object
 	// putWrappers maps a function object to the pool it checks into.
 	putWrappers map[types.Object]types.Object
+	// names overrides a pool's display name (a get/put method pair is
+	// keyed by its put method; it reads better as "roundArena.Keys").
+	names map[types.Object]string
+}
+
+func (f *poolFacts) name(pool types.Object) string {
+	if n, ok := f.names[pool]; ok {
+		return n
+	}
+	return pool.Name()
 }
 
 func runPoolPair(pass *Pass) {
 	facts := gatherPoolFacts(pass)
-	if len(facts.pools) == 0 {
+	if len(facts.pools) == 0 && len(facts.getWrappers) == 0 {
 		return
 	}
 	for _, f := range pass.Pkg.Files {
@@ -79,15 +99,37 @@ func gatherPoolFacts(pass *Pass) *poolFacts {
 		pools:       map[types.Object]bool{},
 		getWrappers: map[types.Object]types.Object{},
 		putWrappers: map[types.Object]types.Object{},
+		names:       map[types.Object]string{},
 	}
 	scope := pass.Pkg.Types.Scope()
 	for _, name := range scope.Names() {
-		obj, ok := scope.Lookup(name).(*types.Var)
-		if !ok {
-			continue
-		}
-		if isNamedType(obj.Type(), "sync", "Pool") {
-			facts.pools[obj] = true
+		switch obj := scope.Lookup(name).(type) {
+		case *types.Var:
+			if isNamedType(obj.Type(), "sync", "Pool") {
+				facts.pools[obj] = true
+			}
+		case *types.TypeName:
+			// get<X>/put<X> method pairs: the pair's identity is its
+			// put method.
+			named, ok := obj.Type().(*types.Named)
+			if !ok {
+				continue
+			}
+			puts := map[string]*types.Func{}
+			for i := 0; i < named.NumMethods(); i++ {
+				if class, ok := strings.CutPrefix(named.Method(i).Name(), "put"); ok && class != "" {
+					puts[class] = named.Method(i)
+				}
+			}
+			for i := 0; i < named.NumMethods(); i++ {
+				get := named.Method(i)
+				class, ok := strings.CutPrefix(get.Name(), "get")
+				if put := puts[class]; ok && put != nil {
+					facts.getWrappers[get] = put
+					facts.putWrappers[put] = put
+					facts.names[put] = obj.Name() + "." + class
+				}
+			}
 		}
 	}
 	if len(facts.pools) == 0 {
@@ -148,7 +190,11 @@ func checkPoolUse(pass *Pass, facts *poolFacts, body *ast.BlockStmt) {
 		if p := directPoolCall(info, facts, call, method); p != nil {
 			return p
 		}
-		if obj := calleeObj(info, call); obj != nil {
+		obj := calleeObj(info, call)
+		if fn, ok := obj.(*types.Func); ok {
+			obj = fn.Origin() // a method of an instantiated generic type
+		}
+		if obj != nil {
 			return wrappers[obj]
 		}
 		return nil
@@ -160,6 +206,7 @@ func checkPoolUse(pass *Pass, facts *poolFacts, body *ast.BlockStmt) {
 	var stack []ast.Node
 	var getCalls, putCalls []*ast.CallExpr
 	var returns []*ast.ReturnStmt
+	uses := map[types.Object][]*ast.Ident{}
 	ast.Inspect(body, func(n ast.Node) bool {
 		if n == nil {
 			stack = stack[:len(stack)-1]
@@ -182,11 +229,59 @@ func checkPoolUse(pass *Pass, facts *poolFacts, body *ast.BlockStmt) {
 			}
 		case *ast.ReturnStmt:
 			returns = append(returns, nn)
+		case *ast.Ident:
+			if obj := info.Uses[nn]; obj != nil {
+				uses[obj] = append(uses[obj], nn)
+			}
 		}
 		return true
 	})
 	if len(getCalls) == 0 {
 		return
+	}
+
+	// storedAway reports whether the expression at n ends up somewhere
+	// that outlives the statement: in a return, in a composite literal,
+	// or on the right of an assignment into a field, element or deref.
+	storedAway := func(n ast.Node) bool {
+		for p := parents[n]; p != nil; n, p = p, parents[p] {
+			switch pp := p.(type) {
+			case *ast.ReturnStmt, *ast.CompositeLit:
+				return true
+			case *ast.AssignStmt:
+				if len(pp.Lhs) == len(pp.Rhs) {
+					for i, rhs := range pp.Rhs {
+						if rhs == n {
+							switch ast.Unparen(pp.Lhs[i]).(type) {
+							case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
+								return true
+							}
+						}
+					}
+				}
+				return false
+			case *ast.CallExpr, *ast.ExprStmt, *ast.BlockStmt:
+				return false
+			}
+		}
+		return false
+	}
+	// heldIn returns the local variable a check-out is assigned to, if
+	// that is where it goes.
+	heldIn := func(g *ast.CallExpr) types.Object {
+		as, ok := parents[g].(*ast.AssignStmt)
+		if !ok || len(as.Lhs) != len(as.Rhs) {
+			return nil
+		}
+		for i, rhs := range as.Rhs {
+			if id, ok := as.Lhs[i].(*ast.Ident); ok && rhs == g {
+				if obj := info.Defs[id]; obj != nil {
+					return obj
+				}
+				return info.Uses[id]
+			}
+		}
+		return nil
 	}
 
 	type usage struct {
@@ -212,7 +307,7 @@ func checkPoolUse(pass *Pass, facts *poolFacts, body *ast.BlockStmt) {
 				break
 			}
 			switch pp := p.(type) {
-			case *ast.ReturnStmt:
+			case *ast.ReturnStmt, *ast.CompositeLit:
 				escapes = true
 				break walkUp
 			case *ast.AssignStmt:
@@ -240,6 +335,11 @@ func checkPoolUse(pass *Pass, facts *poolFacts, body *ast.BlockStmt) {
 				break walkUp
 			default:
 				n = p // parens, type asserts, value specs, ...
+			}
+		}
+		if v := heldIn(g); v != nil && !escapes {
+			for _, id := range uses[v] {
+				escapes = escapes || storedAway(id)
 			}
 		}
 		if escapes {
@@ -279,7 +379,7 @@ func checkPoolUse(pass *Pass, facts *poolFacts, body *ast.BlockStmt) {
 	}
 
 	for pool, u := range use {
-		name := pool.Name()
+		name := facts.name(pool)
 		if len(u.puts) == 0 {
 			pass.Reportf(u.firstGet, "checked out of %s but never checked back in (no Put on any path): the pool degrades to plain allocation — add a check-in, prefer defer", name)
 			continue

@@ -120,3 +120,59 @@ func TestAllocGuardDecodePairsV2(t *testing.T) {
 		t.Errorf("v2 decode allocates %.3f per blob (> 2): per-pair or per-column churn crept in", avg)
 	}
 }
+
+// TestAllocGuardSpillRound pins the spill backend's steady-state round
+// (warm BufferPool and codec free lists, output recycled): a fixed
+// per-job overhead — what the memory backend's round pays, plus the
+// partitions' spill files, merge cursors and loser trees — and a few
+// allocations per run (its writer goroutine, its extent, a decoder or a
+// read window past what the free lists hold). Nothing per record and
+// nothing per block: the same 24 000 records are shuffled as 8 runs of
+// five blocks each and as 46 runs of one (122 and 198 allocations when
+// this was written), and the budget grows with the runs only.
+func TestAllocGuardSpillRound(t *testing.T) {
+	const fixed, perRun = 125, 3
+	pairs := make([]Pair[int32, int64], 24000)
+	for i := range pairs {
+		pairs[i] = P(int32(i%1500), int64(i))
+	}
+	mapFn := func(k int32, v int64, out Emitter[int32, int64]) error {
+		out.Emit(k, v)
+		return nil
+	}
+	redFn := func(k int32, vs []int64, out Emitter[int32, int64]) error {
+		var sum int64
+		for _, v := range vs {
+			sum += v
+		}
+		out.Emit(k, sum)
+		return nil
+	}
+	for _, budget := range []int{5000, 1024} {
+		cfg := Config{
+			Mappers: 2, Reducers: 2, Pool: NewBufferPool(),
+			Shuffle: ShuffleConfig{Backend: ShuffleSpill, MemoryBudget: budget, TempDir: t.TempDir()},
+		}
+		state := PartitionDataset(pairs, 2)
+		var runs int64
+		round := func() {
+			out, stats, err := RunDS(context.Background(), cfg, state, mapFn, redFn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs = stats.SpillRuns
+			out.Recycle()
+		}
+		round() // warm the pool
+		round()
+		avg := testing.AllocsPerRun(10, round)
+		limit := float64(fixed + perRun*runs)
+		t.Logf("steady-state spilled round, budget %d: %.1f allocs for %d runs (limit %.0f)", budget, avg, runs, limit)
+		if runs < 8 {
+			t.Fatalf("budget %d: %d runs, the guard needs a round that spills", budget, runs)
+		}
+		if avg > limit {
+			t.Errorf("steady-state spilled round allocates %.1f (> %d + %d per run x %d runs): something is allocated per block or per record", avg, fixed, perRun, runs)
+		}
+	}
+}

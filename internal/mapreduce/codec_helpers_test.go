@@ -1,7 +1,6 @@
 package mapreduce
 
 import (
-	"bufio"
 	"bytes"
 	"io"
 	"sync/atomic"
@@ -39,12 +38,6 @@ func decodeTestPairs[K comparable, V any](t testing.TB, blob []byte, count int) 
 	return out, hint, err
 }
 
-// testBlockCodec returns the spill run codec for (K, V).
-func testBlockCodec[K comparable, V any](t testing.TB, compress bool, saved *atomic.Int64) *spillBlockCodec[K, V] {
-	t.Helper()
-	return &spillBlockCodec[K, V]{pc: testCodec[K, V](t), img: keyShapeOf[K]().image(), compress: compress, saved: saved}
-}
-
 func testCodec[K comparable, V any](t testing.TB) *pairCodec[K, V] {
 	t.Helper()
 	pc, err := pairCodecFor[K, V]()
@@ -54,37 +47,58 @@ func testCodec[K comparable, V any](t testing.TB) *pairCodec[K, V] {
 	return pc
 }
 
-// encodeTestRun writes recs as one spill run and returns the run file's
-// bytes.
-func encodeTestRun[K comparable, V any](t testing.TB, c *spillBlockCodec[K, V], recs []spillRec[K, V]) []byte {
+// testRun is one spill run as parallel columns: sorted order is the
+// writer's business, the codec takes them as they come.
+type testRun[K comparable, V any] struct {
+	keys   []K
+	vals   []V
+	splits []int32
+}
+
+func (r testRun[K, V]) len() int { return len(r.keys) }
+
+// encodeTestRun writes run the way the spill shuffle's run writer does,
+// block by block, and returns the run's bytes.
+func encodeTestRun[K comparable, V any](t testing.TB, run testRun[K, V], compress bool, saved *atomic.Int64) []byte {
 	t.Helper()
-	var run bytes.Buffer
-	enc := c.NewRunEncoder()
-	for _, r := range recs {
-		if err := enc.Encode(&run, r); err != nil {
+	pc := testCodec[K, V](t)
+	enc := pc.getRunEnc()
+	defer pc.putRunEnc(enc)
+	for lo := 0; lo < run.len(); lo += spillBlockRecs {
+		hi := min(lo+spillBlockRecs, run.len())
+		if err := enc.appendBlock(pc, run.keys[lo:hi], run.vals[lo:hi], run.splits[lo:hi], compress, saved); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := enc.Flush(&run); err != nil {
-		t.Fatal(err)
-	}
-	return run.Bytes()
+	return bytes.Clone(enc.out)
 }
 
-// decodeTestRun reads a run file's bytes back to the io.EOF that ends
-// it, or to the first error.
-func decodeTestRun[K comparable, V any](c *spillBlockCodec[K, V], run []byte) ([]spillRec[K, V], error) {
-	r := bufio.NewReader(bytes.NewReader(run))
-	dec := c.NewRunDecoder()
-	var recs []spillRec[K, V]
+// decodeTestRun reads a run's bytes back, for a job of nsplits map
+// splits, to the io.EOF that ends it or to the first error.
+func decodeTestRun[K comparable, V any](t testing.TB, data []byte, nsplits int) (testRun[K, V], error) {
+	t.Helper()
+	pc := testCodec[K, V](t)
+	dec := pc.getRunDec(bytes.NewReader(data), 0, int64(len(data)))
+	defer pc.putRunDec(dec)
+	img := keyShapeOf[K]().image()
+	keys, vals := make([]K, spillBlockRecs), make([]V, spillBlockRecs)
+	splits, imgs := make([]int32, spillBlockRecs), make([]uint64, spillBlockRecs)
+	var run testRun[K, V]
 	for {
-		rec, err := dec.Decode(r)
+		n, err := dec.readBlock(pc, img, nsplits, keys, vals, splits, imgs)
 		if err == io.EOF {
-			return recs, nil
+			return run, nil
 		}
 		if err != nil {
-			return recs, err
+			return run, err
 		}
-		recs = append(recs, rec)
+		for i, k := range keys[:n] {
+			if imgs[i] != img(k) {
+				t.Fatalf("block returned a stale key image for %v", k)
+			}
+		}
+		run.keys = append(run.keys, keys[:n]...)
+		run.vals = append(run.vals, vals[:n]...)
+		run.splits = append(run.splits, splits[:n]...)
 	}
 }

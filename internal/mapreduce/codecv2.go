@@ -1,7 +1,6 @@
 package mapreduce
 
 import (
-	"bufio"
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
@@ -10,14 +9,15 @@ import (
 	"reflect"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
-	"repro/internal/extsort"
 	"repro/internal/mapreduce/remote"
 )
 
 // This file implements codec v2, the batch encoding shared by every
 // bulk byte path: dist bucket frames, checkpoint/seed mirror blobs, and
-// (through spillBlockCodec below) extsort run files. The paper's cost
+// (as the blocks of a spill run, below) the spill shuffle's run files.
+// The paper's cost
 // model is dominated by bytes moved per round, and a per-pair row
 // framing — uvarint key length, key, uvarint value length, value — pays
 // two length prefixes per pair and encodes every id at full varint
@@ -123,12 +123,11 @@ type pairCodec[K comparable, V any] struct {
 	min8 int
 
 	// encs and decs recycle spill run en/decoders. They live here —
-	// not on the per-job spillBlockCodec — because jobs are born and
-	// die with their shuffles while this codec is cached for the
-	// process lifetime: a run en/decoder's grown buffers then survive
-	// across jobs, not just across one job's runs. Pooled en/decoders
-	// carry no job state; the per-job codec handle is re-stamped on
-	// every get.
+	// not on the per-job spill shuffle — because jobs are born and die
+	// with their shuffles while this codec is cached for the process
+	// lifetime: a run en/decoder's grown buffers then survive across
+	// jobs, not just across one job's runs. Pooled en/decoders carry
+	// no job state.
 	encs freeList[spillRunEnc[K, V]]
 	decs freeList[spillRunDec[K, V]]
 }
@@ -167,8 +166,8 @@ type freeList[T any] struct {
 // spillFreeCap bounds each of a pair type's en/decoder free lists. A
 // k-way merge parks up to k decoders when it drains, so the cap is
 // sized to a realistically wide merge; beyond it, extras fall to the
-// GC. The retained memory per entry is the staging block (spillBlockRecs
-// pairs and seqs, cleared of pointers) plus the grown byte buffers.
+// GC. The retained memory per entry is its grown byte buffers (a
+// decoder's include the run read buffer).
 const spillFreeCap = 32
 
 // get returns a parked *T, or nil when the list is empty.
@@ -465,334 +464,244 @@ func growPairs[K comparable, V any](out []Pair[K, V], n int) []Pair[K, V] {
 // readers' 64 KiB buffers for typical records.
 const spillBlockRecs = 512
 
-// spillBlockCodec is the codec-v2 run format for extsort: records are
-// gathered into blocks of up to spillBlockRecs and written as
+// A spill run is the spilling shuffle's unit of disk traffic: one cut of
+// a partition's buffered pairs, sorted by (key, split, arrival), written
+// as blocks of up to spillBlockRecs records,
 //
 //	frame   := uvarint payloadLen, payload
 //	payload := marker byte, uvarint n, body
-//	body    := seq column, key column, value column     (marker 0x02)
+//	body    := split column, key column, value column   (marker 0x02)
 //	        |  uvarint rawLen, flate(columns)           (marker 0x03)
 //
 // — a wire blob (sealBlob / openBlob) with the record count behind the
-// marker and a seq column in front. The seq column delta-encodes the
-// (split<<40 | arrival) sequence numbers — records reach a run sorted
-// by key, so within a key group the seqs ascend and the deltas
-// collapse. Key and value columns use the same lanes as the wire blobs,
-// but with per-run dictionaries: one process writes and reads a run
-// strictly in order, so unlike wire frames the dictionary may span
-// blocks, interning each distinct string once per run. The cached key
-// image is never serialized; decode recomputes it through img.
-//
-// One codec instance serves a whole job (all sorters share it): the
-// instance itself is stateless, per-run state lives in the run
-// en/decoders, and saved accrues the bytes block compression avoided
-// across every run.
-type spillBlockCodec[K comparable, V any] struct {
-	pc       *pairCodec[K, V]
-	img      func(K) uint64
-	compress bool
-	saved    *atomic.Int64
+// marker and a split column in front. The split column delta-encodes
+// each record's map split: a run is sorted by key and then split, so
+// the deltas are zero inside a (key, split) stretch and small across
+// them. It is all the merge needs besides the keys to restore the
+// engine's value order, because runs are cut in arrival order (see
+// spillShuffle). Key and value columns use the same lanes as the wire
+// blobs, straight off the sorted key and value arrays, but with per-run
+// dictionaries: one process writes and reads a run strictly in order,
+// so unlike wire frames the dictionary may span blocks, interning each
+// distinct string once per run.
+
+// spillRunEnc is the write side of one run: the dictionaries that span
+// its blocks and the byte buffers they are staged in. It is used by one
+// goroutine at a time (the partition's run writer) and recycled through
+// pairCodec.encs, so its buffers grow to steady state once per process,
+// not once per run.
+type spillRunEnc[K comparable, V any] struct {
+	kd, vd *pairDict
+	raw    []byte                      // uncompressed block image
+	blob   []byte                      // sealed block
+	out    []byte                      // framed blocks not yet written
+	prefix [binary.MaxVarintLen64]byte // varint staging (a field, so it does not escape per block)
 }
 
-// Encode and Decode satisfy extsort.Codec, but the sorter always takes
-// the StreamCodec path for this type; the record-at-a-time interface
-// cannot express block framing.
-func (c *spillBlockCodec[K, V]) Encode(io.Writer, spillRec[K, V]) error {
-	return fmt.Errorf("mapreduce: spillBlockCodec requires the stream run interface")
-}
-
-func (c *spillBlockCodec[K, V]) Decode(io.Reader) (spillRec[K, V], error) {
-	var rec spillRec[K, V]
-	return rec, fmt.Errorf("mapreduce: spillBlockCodec requires the stream run interface")
-}
-
-// NewRunEncoder and NewRunDecoder recycle en/decoders through the free
-// lists on the process-cached pair codec. Their byte buffers and
-// pair/seq staging grow to steady-state during the first runs; without
-// recycling every spill re-pays that growth (a sorter under a 10x
-// memory deficit writes dozens of runs per job). Encoders re-enter the
-// pool at Flush, decoders at the io.EOF that ends their run — the
-// points where extsort provably drops its reference (a merge source is
-// marked done at EOF and never decoded again). The per-job codec
-// handle c is re-stamped on every Get and cleared on release, so a
-// pooled en/decoder never pins a finished job's state.
-func (c *spillBlockCodec[K, V]) NewRunEncoder() extsort.RunEncoder[spillRec[K, V]] {
-	if e := c.pc.encs.get(); e != nil {
-		e.c = c
+func (pc *pairCodec[K, V]) getRunEnc() *spillRunEnc[K, V] {
+	if e := pc.encs.get(); e != nil {
 		return e
 	}
-	e := &spillRunEnc[K, V]{
-		c:     c,
-		pairs: make([]Pair[K, V], 0, spillBlockRecs),
-		seqs:  make([]uint64, 0, spillBlockRecs),
-	}
-	if c.pc.key.dict {
+	e := &spillRunEnc[K, V]{}
+	if pc.key.dict {
 		e.kd = newPairDict()
 	}
-	if c.pc.val.dict {
+	if pc.val.dict {
 		e.vd = newPairDict()
 	}
 	return e
 }
 
-func (c *spillBlockCodec[K, V]) NewRunDecoder() extsort.RunDecoder[spillRec[K, V]] {
-	if d := c.pc.decs.get(); d != nil {
-		d.c = c
-		return d
-	}
-	d := &spillRunDec[K, V]{
-		c:     c,
-		pairs: make([]Pair[K, V], spillBlockRecs),
-		seqs:  make([]uint64, spillBlockRecs),
-	}
-	if c.pc.key.dict {
-		d.kd = newPairDict()
-	}
-	if c.pc.val.dict {
-		d.vd = newPairDict()
-	}
-	return d
-}
-
-// spillRunEnc buffers one run's records into blocks. It runs only on
-// the sorter's writer goroutine.
-type spillRunEnc[K comparable, V any] struct {
-	c      *spillBlockCodec[K, V]
-	kd, vd *pairDict
-	pairs  []Pair[K, V]
-	seqs   []uint64
-	raw    []byte                      // uncompressed block image
-	blob   []byte                      // sealed block
-	prefix [binary.MaxVarintLen64]byte // varint staging (a field, so it does not escape per block)
-}
-
-func (e *spillRunEnc[K, V]) Encode(w io.Writer, rec spillRec[K, V]) error {
-	e.pairs = append(e.pairs, Pair[K, V]{Key: rec.key, Value: rec.val})
-	e.seqs = append(e.seqs, rec.seq)
-	if len(e.pairs) < spillBlockRecs {
-		return nil
-	}
-	return e.flushBlock(w)
-}
-
-func (e *spillRunEnc[K, V]) Flush(w io.Writer) error {
-	if len(e.pairs) > 0 {
-		if err := e.flushBlock(w); err != nil {
-			return err
-		}
-	}
-	// The run is sealed and the sorter drops its reference after Flush:
-	// recycle the encoder. Dictionaries are per-run state and must
-	// forget their entries; the staging slices are cleared so a pooled
-	// encoder cannot pin the previous run's keys and values; the byte
-	// buffers keep their grown capacity — that is the point.
+// putRunEnc recycles a run's encoder once the run is written (or
+// abandoned): dictionaries are per-run state and forget their entries,
+// the byte buffers keep their grown capacity — that is the point.
+func (pc *pairCodec[K, V]) putRunEnc(e *spillRunEnc[K, V]) {
 	if e.kd != nil {
 		e.kd.reset()
 	}
 	if e.vd != nil {
 		e.vd.reset()
 	}
-	clear(e.pairs[:cap(e.pairs)])
-	e.pairs = e.pairs[:0]
-	e.seqs = e.seqs[:0]
-	pc := e.c.pc
-	e.c = nil
+	e.out = e.out[:0]
 	pc.encs.put(e)
-	return nil
 }
 
-func (e *spillRunEnc[K, V]) flushBlock(w io.Writer) error {
+// sliceCol views a whole slice as a column.
+func sliceCol[T any](s []T) col {
+	if len(s) == 0 {
+		return col{}
+	}
+	return col{unsafe.Pointer(&s[0]), unsafe.Sizeof(s[0]), len(s)}
+}
+
+// appendBlock frames one block of the run — parallel slices of at most
+// spillBlockRecs sorted keys, values and splits — onto e.out.
+func (e *spillRunEnc[K, V]) appendBlock(pc *pairCodec[K, V], keys []K, vals []V, splits []int32, compress bool, saved *atomic.Int64) error {
 	raw := e.raw[:0]
-	var prev uint64
-	for _, s := range e.seqs {
+	var prev int32
+	for _, s := range splits {
 		raw = binary.AppendVarint(raw, int64(s-prev))
 		prev = s
 	}
-	raw, err := e.c.pc.appendCols(raw, e.pairs, e.kd, e.vd)
+	raw, err := pc.key.enc(raw, sliceCol(keys), e.kd)
 	if err != nil {
 		return err
 	}
+	if raw, err = pc.val.enc(raw, sliceCol(vals), e.vd); err != nil {
+		return err
+	}
 	e.raw = raw
-	hn := binary.PutUvarint(e.prefix[:], uint64(len(e.pairs)))
-	blob, err := sealBlob(e.blob[:0], e.prefix[:hn], raw, e.c.compress, e.c.saved)
+	hn := binary.PutUvarint(e.prefix[:], uint64(len(keys)))
+	blob, err := sealBlob(e.blob[:0], e.prefix[:hn], raw, compress, saved)
 	if err != nil {
 		return err
 	}
 	e.blob = blob
-	e.pairs = e.pairs[:0]
-	e.seqs = e.seqs[:0]
-	ln := binary.PutUvarint(e.prefix[:], uint64(len(blob)))
-	if _, err = w.Write(e.prefix[:ln]); err != nil {
-		return err
-	}
-	_, err = w.Write(blob)
-	return err
+	e.out = append(binary.AppendUvarint(e.out, uint64(len(blob))), blob...)
+	return nil
 }
 
-// spillRunDec decodes one run's blocks, serving records by index. It
-// runs only on the goroutine merging that run.
+// spillRunDec is the read side of one run: a read window over the run's
+// extent of its partition's spill file, the dictionaries mirrored from
+// the blocks read so far, and the inflate scratch. It is used by the
+// one goroutine merging that run and recycled through pairCodec.decs.
 type spillRunDec[K comparable, V any] struct {
-	c       *spillBlockCodec[K, V]
 	kd, vd  *pairDict
-	pairs   []Pair[K, V]
-	seqs    []uint64
-	rbuf    []byte // frame readback
+	src     io.ReaderAt
+	off     int64  // next unread byte of the run in src
+	left    int64  // bytes of the run not yet read into buf
+	buf     []byte // read window; buf[r:w] is read but not yet decoded
+	r, w    int
 	scratch []byte // inflated block image
-	pos, n  int
 }
 
-func (d *spillRunDec[K, V]) Decode(r io.Reader) (spillRec[K, V], error) {
-	var rec spillRec[K, V]
-	if d.pos >= d.n {
-		if err := d.readBlock(r); err != nil {
-			if err == io.EOF {
-				// Clean end of the run: the merge marks this source
-				// done and never decodes it again, so the decoder can
-				// be recycled for the next run.
-				d.release()
-			}
-			return rec, err
+// spillRunReadBuf is how much of a run one read asks for. Bounded (k
+// runs merge with k such windows) but several blocks long, so a merge
+// reads each run in sequential slices.
+const spillRunReadBuf = 16 << 10
+
+// getRunDec returns a decoder positioned at the start of the n-byte run
+// at offset off of f.
+func (pc *pairCodec[K, V]) getRunDec(f io.ReaderAt, off, n int64) *spillRunDec[K, V] {
+	d := pc.decs.get()
+	if d == nil {
+		d = &spillRunDec[K, V]{}
+		if pc.key.dict {
+			d.kd = newPairDict()
+		}
+		if pc.val.dict {
+			d.vd = newPairDict()
 		}
 	}
-	p := d.pairs[d.pos]
-	rec.seq = d.seqs[d.pos]
-	rec.key = p.Key
-	rec.val = p.Value
-	if d.c.img != nil {
-		rec.img = d.c.img(rec.key)
-	}
-	d.pos++
-	return rec, nil
+	d.src, d.off, d.left, d.r, d.w = f, off, n, 0, 0
+	return d
 }
 
-// release resets the per-run state and returns the decoder to its
-// codec's pool; the block slices are cleared so a pooled decoder cannot
-// pin the previous run's keys and values, while rbuf and scratch keep
-// their grown capacity.
-func (d *spillRunDec[K, V]) release() {
+// putRunDec recycles a run's decoder when its merge is done with it;
+// buf and scratch keep their grown capacity.
+func (pc *pairCodec[K, V]) putRunDec(d *spillRunDec[K, V]) {
 	if d.kd != nil {
 		d.kd.reset()
 	}
 	if d.vd != nil {
 		d.vd.reset()
 	}
-	clear(d.pairs[:cap(d.pairs)])
-	d.pos, d.n = 0, 0
-	pc := d.c.pc
-	d.c = nil
+	d.src = nil
 	pc.decs.put(d)
 }
 
-func (d *spillRunDec[K, V]) readBlock(r io.Reader) error {
-	br, ok := r.(io.ByteReader)
-	if !ok {
-		return fmt.Errorf("mapreduce: spill decode: reader lacks io.ByteReader")
+var errSpillTruncated = fmt.Errorf("mapreduce: spill decode: truncated run file")
+
+// need makes the run's next n bytes available as d.buf[d.r : d.r+n],
+// reading ahead by up to a window. The run's extent is known, so a
+// length the run cannot back — a forged frame prefix — is refused
+// before it sizes anything.
+func (d *spillRunDec[K, V]) need(n int) error {
+	have := d.w - d.r
+	if have >= n {
+		return nil
 	}
-	frameLen, err := readUvarint(r, br)
+	if int64(n-have) > d.left {
+		return errSpillTruncated
+	}
+	if cap(d.buf) < n {
+		// Headroom past n: block frames drift a few bytes in size, and
+		// an exact-fit window would realloc on every slightly-larger one.
+		grown := make([]byte, max(n+n/4, spillRunReadBuf))
+		copy(grown, d.buf[d.r:d.w])
+		d.buf = grown
+	} else {
+		copy(d.buf, d.buf[d.r:d.w])
+	}
+	d.buf = d.buf[:cap(d.buf)]
+	d.r, d.w = 0, have
+	m, err := d.src.ReadAt(d.buf[have:have+int(min(int64(len(d.buf)-have), d.left))], d.off)
+	d.off, d.left, d.w = d.off+int64(m), d.left-int64(m), have+m
+	if d.w < n {
+		if err == nil || err == io.EOF {
+			err = errSpillTruncated
+		}
+		return err
+	}
+	return nil
+}
+
+// readBlock decodes the run's next block into the head of the column
+// arrays (each at least spillBlockRecs long), computes the key images
+// through img, and returns the block's record count; io.EOF at a block
+// boundary is the clean end of the run. nsplits is the job's number of
+// map splits: a split id outside it is corruption.
+func (d *spillRunDec[K, V]) readBlock(pc *pairCodec[K, V], img func(K) uint64, nsplits int, keys []K, vals []V, splits []int32, imgs []uint64) (int, error) {
+	rest := int64(d.w-d.r) + d.left
+	if rest == 0 {
+		return 0, io.EOF
+	}
+	if err := d.need(int(min(rest, binary.MaxVarintLen64))); err != nil {
+		return 0, err
+	}
+	frameLen, m := binary.Uvarint(d.buf[d.r:d.w])
+	if m == 0 {
+		return 0, errSpillTruncated // the run ends inside the prefix
+	}
+	if m < 0 || frameLen < 2 || frameLen > maxPairCount {
+		return 0, fmt.Errorf("mapreduce: spill decode: %d-byte block frame", frameLen)
+	}
+	d.r += m
+	if err := d.need(int(frameLen)); err != nil {
+		return 0, err
+	}
+	frame := d.buf[d.r : d.r+int(frameLen)]
+	d.r += int(frameLen)
+	cnt, m := binary.Uvarint(frame[1:])
+	if m <= 0 || cnt == 0 || cnt > spillBlockRecs {
+		return 0, fmt.Errorf("mapreduce: spill decode: block of %d records", cnt)
+	}
+	n := int(cnt)
+	data, err := openBlob(frame[0], frame[1+m:], &d.scratch)
 	if err != nil {
-		// io.EOF at a block boundary is the clean end of the run.
-		return err
+		return 0, err
 	}
-	if frameLen < 2 || frameLen > maxPairCount {
-		return fmt.Errorf("mapreduce: spill decode: %d-byte block frame", frameLen)
-	}
-	if err := d.readFrame(r, int(frameLen)); err != nil {
-		return err
-	}
-	n, m := binary.Uvarint(d.rbuf[1:])
-	if m <= 0 || n == 0 || n > spillBlockRecs {
-		return fmt.Errorf("mapreduce: spill decode: block of %d records", n)
-	}
-	data, err := openBlob(d.rbuf[0], d.rbuf[1+m:], &d.scratch)
-	if err != nil {
-		return err
-	}
-	pairs, seqs := d.pairs[:n], d.seqs[:n]
-	var prev uint64
-	for i := range seqs {
+	var prev int32
+	for i := range splits[:n] {
 		delta, m := binary.Varint(data)
 		if m <= 0 {
-			return errSpillShort
+			return 0, errSpillShort
 		}
 		data = data[m:]
-		prev += uint64(delta)
-		seqs[i] = prev
-	}
-	if _, err = d.c.pc.fillCols(data, pairs, d.kd, d.vd); err != nil {
-		return err
-	}
-	d.pos, d.n = 0, int(n)
-	return nil
-}
-
-// spillReadChunk is the first allocation readFrame makes for a frame
-// larger than its buffer: about one run-reader buffer (extsort reads
-// runs through 64 KiB), which holds a typical block whole.
-const spillReadChunk = 64 << 10
-
-// readFrame reads the n-byte frame at the head of r into d.rbuf. A
-// buffer that already fits is reused as is; a larger frame grows it as
-// the bytes arrive, never from the declared length alone — a corrupt or
-// truncated run file is then reported after at most one more chunk of
-// allocation than the bytes it really holds.
-func (d *spillRunDec[K, V]) readFrame(r io.Reader, n int) error {
-	buf := d.rbuf[:0]
-	for len(buf) < n {
-		if len(buf) == cap(buf) {
-			// Headroom past n: block frames drift a few bytes in size,
-			// and an exact-fit buffer would realloc on every
-			// slightly-larger one.
-			grown := make([]byte, len(buf), min(n+n/4, max(2*cap(buf), spillReadChunk)))
-			copy(grown, buf)
-			buf = grown
+		prev += int32(delta)
+		if prev < 0 || int(prev) >= nsplits {
+			return 0, fmt.Errorf("mapreduce: spill decode: split %d of %d", prev, nsplits)
 		}
-		m, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
-		buf = buf[:len(buf)+m]
-		if err != nil {
-			d.rbuf = buf[:0]
-			return frameErr(err)
-		}
+		splits[i] = prev
 	}
-	d.rbuf = buf
-	return nil
-}
-
-// readUvarint reads one unsigned varint. When the reader is a
-// *bufio.Reader (the merge's run readers always are) the varint is
-// parsed from the reader's peeked window in one shot instead of through
-// per-byte ReadByte calls — the per-record decode overhead of the merge
-// is mostly varint parsing, so this is worth the type test.
-func readUvarint(r io.Reader, br io.ByteReader) (uint64, error) {
-	bufr, ok := r.(*bufio.Reader)
-	if !ok {
-		return binary.ReadUvarint(br)
+	if data, err = pc.key.dec(data, sliceCol(keys[:n]), d.kd); err != nil {
+		return 0, err
 	}
-	window, _ := bufr.Peek(binary.MaxVarintLen64)
-	if len(window) == 0 {
-		// Distinguish a clean EOF from a read error.
-		if _, err := bufr.Peek(1); err != nil {
-			return 0, err
-		}
-		return binary.ReadUvarint(br)
+	if _, err = pc.val.dec(data, sliceCol(vals[:n]), d.vd); err != nil {
+		return 0, err
 	}
-	x, n := binary.Uvarint(window)
-	if n <= 0 {
-		if len(window) < binary.MaxVarintLen64 {
-			// The varint may straddle the window end near EOF; fall
-			// back to the byte-wise reader, which reports truncation.
-			return binary.ReadUvarint(br)
-		}
-		return 0, fmt.Errorf("mapreduce: spill decode: varint overflow")
+	for i, k := range keys[:n] {
+		imgs[i] = img(k)
 	}
-	bufr.Discard(n)
-	return x, nil
-}
-
-// frameErr normalizes a mid-record EOF to a real error: only a clean
-// boundary before a record may report io.EOF upward.
-func frameErr(err error) error {
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		return fmt.Errorf("mapreduce: spill decode: truncated run file")
-	}
-	return err
+	return n, nil
 }

@@ -77,26 +77,44 @@ func fuzzDecodePairs[K comparable, V any](t *testing.T, count int, blob []byte) 
 	}
 }
 
-// FuzzSpillRunDecode feeds the spill run decoder — what the k-way merge
-// reads run files through — arbitrary bytes as one run. The contract:
-// records up to the io.EOF of a clean block boundary, or an error;
-// never a panic, never more records than the bytes could hold, and a
-// run that decodes cleanly survives a re-encode. kind selects
-// string-keyed records (per-run dictionary, the golden run's type) or
-// int32-keyed ones. Seeds: the run TestPairBlobGolden pins, plain and
-// with block compression, and truncations of both.
-func FuzzSpillRunDecode(f *testing.F) {
-	recs := make([]spillRec[string, int32], 600)
-	for i := range recs {
-		recs[i] = spillRec[string, int32]{seq: uint64(i), key: fmt.Sprintf("k%02d", i%37), val: int32(i * 3)}
+// fuzzRunSplits is the number of map splits FuzzSpillRunDecode's
+// imaginary job has: a decoded split id at or past it is corruption.
+const fuzzRunSplits = 4
+
+// fuzzSeedRun is the run behind FuzzSpillRunDecode's seeds: the records
+// TestPairBlobGolden pins (600 of them, so two blocks, the second
+// leaning on the first one's dictionary), with splits a job of
+// fuzzRunSplits could have produced.
+func fuzzSeedRun() testRun[string, int32] {
+	var run testRun[string, int32]
+	for i := 0; i < 600; i++ {
+		run.keys = append(run.keys, fmt.Sprintf("k%02d", i%37))
+		run.vals = append(run.vals, int32(i*3))
+		run.splits = append(run.splits, int32(i%fuzzRunSplits))
 	}
+	return run
+}
+
+// FuzzSpillRunDecode feeds the spill run decoder — what the merge reads
+// a partition's runs through — arbitrary bytes as one run. The contract:
+// blocks up to the io.EOF of a clean block boundary, or an error; never
+// a panic, never more records than the bytes could hold, never a split
+// the job does not have, and a run that decodes cleanly survives a
+// re-encode. kind selects string-keyed records (per-run dictionary) or
+// int32-keyed ones. Seeds: the golden records as a plain and a
+// compressed run, and truncations of both; the checked-in corpus under
+// testdata/fuzz/FuzzSpillRunDecode adds the malformed shapes found by
+// hand: a forged record count, a split id past the job's splits, a
+// split, key or value column cut short inside an intact frame, and a
+// flate block with a forged raw length.
+func FuzzSpillRunDecode(f *testing.F) {
 	for _, compress := range []bool{false, true} {
-		run := encodeTestRun(f, testBlockCodec[string, int32](f, compress, nil), recs)
+		run := encodeTestRun(f, fuzzSeedRun(), compress, nil)
 		for _, cut := range []int{len(run), len(run) - 1, len(run) / 2, 40, 3, 1} {
 			f.Add(uint8(0), run[:cut])
 		}
 	}
-	f.Add(uint8(1), []byte{0x05, 0x02, 0x01, 0x02, 0x06, 0x08}) // one (seq 1, key 3, value 4) record
+	f.Add(uint8(1), []byte{0x05, 0x02, 0x01, 0x02, 0x06, 0x08}) // one (split 1, key 3, value 4) record
 	f.Fuzz(func(t *testing.T, kind uint8, run []byte) {
 		if kind%2 == 0 {
 			fuzzSpillRun[string, int32](t, run)
@@ -106,26 +124,30 @@ func FuzzSpillRunDecode(f *testing.F) {
 	})
 }
 
-func fuzzSpillRun[K comparable, V any](t *testing.T, run []byte) {
-	c := testBlockCodec[K, V](t, false, nil)
-	recs, err := decodeTestRun(c, run)
+func fuzzSpillRun[K comparable, V any](t *testing.T, data []byte) {
+	run, err := decodeTestRun[K, V](t, data, fuzzRunSplits)
 	// Every block costs at least a length byte, a marker and a count,
-	// and every record at least a seq byte plus the pair's minimum
+	// and every record at least a split byte plus the pair's minimum
 	// width — inflated at most by DEFLATE's ceiling.
-	if blocks := len(run) / 3; len(recs) > blocks*spillBlockRecs {
-		t.Fatalf("%d records from a %d-byte run (at most %d blocks)", len(recs), len(run), blocks)
+	if blocks := len(data) / 3; run.len() > blocks*spillBlockRecs {
+		t.Fatalf("%d records from a %d-byte run (at most %d blocks)", run.len(), len(data), blocks)
 	}
-	if ceiling := len(run) * maxInflateRatio * 8 / (8 + c.pc.min8); len(recs) > ceiling {
-		t.Fatalf("%d records from a %d-byte run (ceiling %d)", len(recs), len(run), ceiling)
+	if ceiling := len(data) * maxInflateRatio * 8 / (8 + testCodec[K, V](t).min8); run.len() > ceiling {
+		t.Fatalf("%d records from a %d-byte run (ceiling %d)", run.len(), len(data), ceiling)
+	}
+	for _, s := range run.splits {
+		if s < 0 || s >= fuzzRunSplits {
+			t.Fatalf("decoded split %d of a %d-split job", s, fuzzRunSplits)
+		}
 	}
 	if err != nil {
 		return
 	}
-	again, err := decodeTestRun(c, encodeTestRun(t, c, recs))
+	again, err := decodeTestRun[K, V](t, encodeTestRun(t, run, false, nil), fuzzRunSplits)
 	if err != nil {
 		t.Fatalf("decoding our own run: %v", err)
 	}
-	if !reflect.DeepEqual(again, recs) {
+	if !reflect.DeepEqual(again, run) {
 		t.Fatal("round trip changed the records")
 	}
 }

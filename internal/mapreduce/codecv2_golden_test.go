@@ -53,26 +53,27 @@ func TestPairBlobGolden(t *testing.T) {
 	t.Run("spill-run", func(t *testing.T) {
 		// 600 records: spillBlockRecs (512) in the first block, 88 in
 		// the second, which references dictionary entries only the first
-		// block spelled out.
-		recs := make([]spillRec[string, int32], 600)
-		for i := range recs {
-			recs[i] = spillRec[string, int32]{seq: uint64(i), key: fmt.Sprintf("k%02d", i%37), val: int32(i * 3)}
+		// block spelled out. Every record has a split of its own, so the
+		// split column's deltas are the sequence deltas this run was
+		// first pinned with: the column changed its meaning, not its
+		// bytes.
+		var run testRun[string, int32]
+		for i := 0; i < 600; i++ {
+			run.keys = append(run.keys, fmt.Sprintf("k%02d", i%37))
+			run.vals = append(run.vals, int32(i*3))
+			run.splits = append(run.splits, int32(i))
 		}
-		c := testBlockCodec[string, int32](t, false, nil)
-		for i := range recs {
-			recs[i].img = c.img(recs[i].key)
-		}
-		run := encodeTestRun(t, c, recs)
-		sum := sha256.Sum256(run)
+		data := encodeTestRun(t, run, false, nil)
+		sum := sha256.Sum256(data)
 		const wantLen, wantSum = 1961, "e241edb37376ce497f0c75b375285425975ae325d3ef93103cd762a1166e6770"
-		if len(run) != wantLen || hex.EncodeToString(sum[:]) != wantSum {
-			t.Errorf("run is %d bytes, sha256 %x; want %d bytes, %s", len(run), sum, wantLen, wantSum)
+		if len(data) != wantLen || hex.EncodeToString(sum[:]) != wantSum {
+			t.Errorf("run is %d bytes, sha256 %x; want %d bytes, %s", len(data), sum, wantLen, wantSum)
 		}
-		back, err := decodeTestRun(c, run)
+		back, err := decodeTestRun[string, int32](t, data, run.len())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(back, recs) {
+		if !reflect.DeepEqual(back, run) {
 			t.Fatal("golden run does not decode to its records")
 		}
 	})

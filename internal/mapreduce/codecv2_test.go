@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -10,8 +11,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/extsort"
 )
 
 // Codec v2 property tests: every supported key/value lane must survive
@@ -259,77 +258,75 @@ func TestDecodePairsRejectsWhatItDoesNotWrite(t *testing.T) {
 }
 
 // TestSpillRunBytesShrink prices the v2 block format on the benchmark
-// shuffle shape: at most spillBytesPerRecMax bytes on disk per record —
-// and fewer still with block compression, with the savings counter
-// agreeing.
+// shuffle shape, through the spill shuffle's own run writer: at most
+// spillBytesPerRecMax bytes on disk per spilled record — and fewer still
+// with block compression, with the savings counter agreeing.
 func TestSpillRunBytesShrink(t *testing.T) {
-	// Measured 4.01 B/record (80 280 bytes for these 20 000 records); the
-	// per-record framing codec v2 replaced took 8.11 on the same input.
+	// Measured 3.01 B/record (58 613 bytes for the 19 456 records that
+	// reach disk); the sequence column the split column replaced took
+	// 4.01 on the same input, per-record framing 8.11.
 	const spillBytesPerRecMax = 4.1
-	imgFn := keyShapeOf[int32]().image()
-	recs := make([]spillRec[int32, int64], 20000)
-	for i := range recs {
-		key := int32((i * 31) % 4096)
-		recs[i] = spillRec[int32, int64]{seq: uint64(i), img: imgFn(key), key: key, val: int64(i / 16)}
-	}
-	less := func(a, b spillRec[int32, int64]) bool {
-		if a.img != b.img {
-			return a.img < b.img
-		}
-		return a.seq < b.seq
-	}
-	runThrough := func(codec extsort.Codec[spillRec[int32, int64]]) int64 {
+	const n, bucket = 20000, 256
+	runThrough := func(compress bool) (onDisk, spilled, saved int64) {
 		t.Helper()
-		s := extsort.New(less, codec, extsort.Config{MaxInMemory: 1024, TempDir: t.TempDir()})
-		for _, r := range recs {
-			if err := s.Add(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		it, err := s.Sort()
+		sp, err := newSpillShuffle[int32, int64](1, 1, ShuffleConfig{MemoryBudget: 1024, TempDir: t.TempDir()}, compress, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := 0
+		defer sp.Close()
+		for lo := 0; lo < n; lo += bucket {
+			pairs := make([]Pair[int32, int64], 0, bucket)
+			for i := lo; i < min(lo+bucket, n); i++ {
+				pairs = append(pairs, P(int32((i*31)%4096), int64(i/16)))
+			}
+			if err := sp.AddBucket(0, 0, pairs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		streams, err := sp.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, prev := 0, int32(-1)
 		for {
-			rec, ok, err := it.Next()
+			k, vs, ok, err := streams[0].Next()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !ok {
 				break
 			}
-			if rec.img != imgFn(rec.key) {
-				t.Fatal("merge returned a record with a stale key image")
+			if k <= prev {
+				t.Fatalf("merge served key %d after %d", k, prev)
 			}
-			n++
+			prev = k
+			got += len(vs)
 		}
-		it.Close()
-		if n != len(recs) {
-			t.Fatalf("merge returned %d records, want %d", n, len(recs))
+		if got != n {
+			t.Fatalf("merge returned %d records, want %d", got, n)
 		}
-		if s.Runs() == 0 {
+		_, spilled, runs := sp.footprint()
+		if runs == 0 {
 			t.Fatal("workload fit in memory; the byte comparison needs spilled runs")
 		}
-		return s.RunBytes()
+		return sp.parts[0].fileLen, spilled, sp.spillSaved()
 	}
 
-	v2 := runThrough(testBlockCodec[int32, int64](t, false, nil))
-	var saved atomic.Int64
-	v2c := runThrough(testBlockCodec[int32, int64](t, true, &saved))
-	t.Logf("run bytes: v2=%d (%.2f B/record) v2+flate=%d (saved counter %d)",
-		v2, float64(v2)/float64(len(recs)), v2c, saved.Load())
-	if max := int64(spillBytesPerRecMax * float64(len(recs))); v2 > max {
-		t.Fatalf("v2 runs use %d bytes for %d records, more than %.1f B/record", v2, len(recs), spillBytesPerRecMax)
+	v2, spilled, _ := runThrough(false)
+	v2c, _, saved := runThrough(true)
+	t.Logf("run bytes: v2=%d (%.2f B/record over %d spilled) v2+flate=%d (saved counter %d)",
+		v2, float64(v2)/float64(spilled), spilled, v2c, saved)
+	if max := int64(spillBytesPerRecMax * float64(spilled)); v2 > max {
+		t.Fatalf("v2 runs use %d bytes for %d records, more than %.1f B/record", v2, spilled, spillBytesPerRecMax)
 	}
 	if v2c >= v2 {
 		t.Fatalf("compressed runs (%dB) not smaller than plain v2 (%dB)", v2c, v2)
 	}
 	// The counter tracks payload bytes; the on-disk shrink also moves
 	// the frame-length varints, so the two agree only approximately.
-	if shrink := v2 - v2c; saved.Load() <= 0 ||
-		shrink-saved.Load() > shrink/100 || saved.Load()-shrink > shrink/100 {
-		t.Fatalf("savings counter says %d bytes avoided; run bytes shrank by %d", saved.Load(), shrink)
+	if shrink := v2 - v2c; saved <= 0 ||
+		shrink-saved > shrink/100 || saved-shrink > shrink/100 {
+		t.Fatalf("savings counter says %d bytes avoided; run bytes shrank by %d", saved, shrink)
 	}
 }
 
@@ -418,19 +415,69 @@ func TestResolveRejectsUncodableType(t *testing.T) {
 	}
 }
 
+// TestSpillRunRejectsMalformedBlocks: the hand-made shapes of the
+// FuzzSpillRunDecode corpus, each of which must be an error — after the
+// blocks that precede it, whole — and never records made of what is not
+// there.
+func TestSpillRunRejectsMalformedBlocks(t *testing.T) {
+	frame := func(payload []byte) []byte {
+		return append(binary.AppendUvarint(nil, uint64(len(payload))), payload...)
+	}
+	// block is one int32/int64 block declaring n records over the given
+	// (possibly short) split, key and value columns.
+	block := func(n uint64, cols ...[]int64) []byte {
+		p := binary.AppendUvarint([]byte{pairBlobV2}, n)
+		for _, col := range cols {
+			var prev int64
+			for _, x := range col {
+				p = binary.AppendVarint(p, x-prev)
+				prev = x
+			}
+		}
+		return frame(p)
+	}
+	sp, ks, vs := []int64{0, 1, 3}, []int64{5, 5, 9}, []int64{100, 200, 300}
+	good := block(3, sp, ks, vs)
+	if run, err := decodeTestRun[int32, int64](t, good, 4); err != nil || run.len() != 3 {
+		t.Fatalf("the well-formed block: %d records, err = %v", run.len(), err)
+	}
+	forgedLen := binary.AppendUvarint(binary.AppendUvarint([]byte{pairBlobV2Flate}, 3), 1<<30)
+	for name, tc := range map[string]struct {
+		run  []byte
+		want int // records of the blocks before the bad one
+	}{
+		"count past the columns":   {block(200, sp, ks, vs), 0},
+		"count past a block":       {block(spillBlockRecs+1, sp, ks, vs), 0},
+		"count zero":               {block(0, sp, ks, vs), 0},
+		"split past the job":       {block(3, []int64{0, 1, 4}, ks, vs), 0},
+		"split negative":           {block(3, []int64{0, -1, 2}, ks, vs), 0},
+		"split column cut":         {block(3, sp[:2]), 0},
+		"key column cut":           {block(3, sp, ks[:1]), 0},
+		"value column cut":         {block(3, sp, ks, vs[:2]), 0},
+		"second frame cut":         {append(bytes.Clone(good), good[:len(good)-2]...), 3},
+		"prefix cut":               {append(bytes.Clone(good), 0x80), 3},
+		"flate, forged raw length": {frame(append(forgedLen, make([]byte, 40)...)), 0},
+		"unknown marker":           {frame([]byte{0x7f, 0x03, 0x00}), 0},
+	} {
+		run, err := decodeTestRun[int32, int64](t, tc.run, 4)
+		if err == nil || run.len() != tc.want {
+			t.Errorf("%s: %d records, err = %v; want %d and an error", name, run.len(), err, tc.want)
+		}
+	}
+}
+
 // TestSpillRunForgedFrameLength: a run file's block length prefix is
 // read before the block is, so it must not size an allocation. Six
 // bytes declaring a 1 GiB frame are a truncated run, reported after
 // allocating about one read chunk.
 func TestSpillRunForgedFrameLength(t *testing.T) {
 	run := append(binary.AppendUvarint(nil, 1<<30), pairBlobV2)
-	c := testBlockCodec[int32, int64](t, false, nil)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	recs, err := decodeTestRun(c, run)
+	recs, err := decodeTestRun[int32, int64](t, run, 1)
 	runtime.ReadMemStats(&after)
-	if err == nil || len(recs) != 0 {
-		t.Fatalf("decoded %d records, err = %v; want a truncation error", len(recs), err)
+	if err == nil || recs.len() != 0 {
+		t.Fatalf("decoded %d records, err = %v; want a truncation error", recs.len(), err)
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
 		t.Fatalf("a %d-byte run allocated %d bytes before failing", len(run), grew)

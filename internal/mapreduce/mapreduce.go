@@ -31,9 +31,9 @@
 // task groups its own partition with a stable sort by key (sort-based
 // grouping), so no phase of the data path runs on a single goroutine.
 // The default backend keeps everything in memory, while the spilling
-// backend bounds memory by writing sorted runs to disk through
-// internal/extsort and merge-streaming the key groups to the reducers,
-// so jobs whose intermediate data far exceeds RAM still complete. See
+// backend bounds memory by writing sorted runs to disk and
+// merge-streaming the key groups to the reducers, so jobs whose
+// intermediate data far exceeds RAM still complete. See
 // shuffle.go for the ShuffleBackend contract. Per-phase wall times are
 // recorded in Stats (MapWall, ShuffleWall, ReduceWall).
 //
@@ -135,7 +135,7 @@ type Config struct {
 	// the local backends.
 	WireCompression bool
 	// SpillCompression flate-compresses the record blocks the spilling
-	// shuffle writes to its extsort run files, trading encode/decode
+	// shuffle writes to its run files, trading encode/decode
 	// CPU for disk bandwidth and footprint. The bytes avoided are
 	// reported in Stats.SpillBytesSaved. Ignored by the other backends.
 	SpillCompression bool

@@ -250,15 +250,12 @@ func (s keyShape[K]) image() func(K) uint64 {
 	}
 }
 
-// radixScratch holds the reusable temporaries of the radix sorts: the
-// caller-level image/permutation arrays and radixSortU64's scatter
-// buffers and counting histograms. A zero value is ready to use;
-// buffers grow to the largest sort seen and are reused across calls, so
-// a steady-state round loop performs no sort-scratch allocation.
+// radixScratch holds the reusable temporaries of the radix sorts:
+// radixSortU64's scatter buffers and counting histograms. A zero value
+// is ready to use; buffers grow to the largest sort seen and are reused
+// across calls, so a steady-state round loop performs no sort-scratch
+// allocation.
 type radixScratch struct {
-	keys   []uint64 // images / packed keys / prefixes
-	keys2  []uint64 // second image array (the (seq, image) double pass)
-	perm   []int32  // permutation payload
 	tmpK   []uint64 // radix scatter buffer
 	tmpP   []int32  // radix scatter buffer for the payload
 	counts []int32  // histograms (cleared per pass)
@@ -336,9 +333,23 @@ func sortKeyVals[K comparable, V any](
 	keys []K, vals []V, shape keyShape[K],
 	ar *roundArena[K, V], part int, rs *radixScratch,
 ) ([]K, []V, sortedRun) {
+	outK, outV, _, run := sortKeyValsTagged(keys, vals, nil, shape, ar, part, rs)
+	return outK, outV, run
+}
+
+// sortKeyValsTagged is sortKeyVals with a third parallel column riding
+// the same permutation: the spill backend tags every gathered pair with
+// its map split, which is what orders a key's values across runs. A nil
+// tags column costs the memory backend's path nothing; a non-nil one is
+// gathered in a pass of its own and, like keys and vals, is scratch
+// afterwards when it holds two or more elements.
+func sortKeyValsTagged[K comparable, V any](
+	keys []K, vals []V, tags []int32, shape keyShape[K],
+	ar *roundArena[K, V], part int, rs *radixScratch,
+) ([]K, []V, []int32, sortedRun) {
 	n := len(keys)
 	if n < 2 {
-		return keys, vals, sortedRun{}
+		return keys, vals, tags, sortedRun{}
 	}
 	if numFn, width32 := shape.numericImage(); numFn != nil {
 		if width32 {
@@ -358,7 +369,14 @@ func sortKeyVals[K comparable, V any](
 				outK[i] = keys[j]
 				outV[i] = vals[j]
 			}
-			return outK, outV, sortedRun{ord: packed, shift: 32, exact: true}
+			var outT []int32
+			if tags != nil {
+				outT = ar.getI32(part, n)
+				for i, p := range packed {
+					outT[i] = tags[uint32(p)]
+				}
+			}
+			return outK, outV, outT, sortedRun{ord: packed, shift: 32, exact: true}
 		}
 		images := ar.getU64(part, n)
 		perm := ar.getI32(part, n)
@@ -367,13 +385,13 @@ func sortKeyVals[K comparable, V any](
 			perm[i] = int32(i)
 		}
 		radixSortU64(images, perm, 0, rs)
-		outK, outV := gatherPerm(perm, keys, vals, ar, part)
+		outK, outV, outT := gatherPerm(perm, keys, vals, tags, ar, part)
 		ar.putI32(part, perm)
 		if shape.kind == keyFloat {
 			ar.putU64(part, images)
-			return outK, outV, sortedRun{}
+			return outK, outV, outT, sortedRun{}
 		}
-		return outK, outV, sortedRun{ord: images, exact: true}
+		return outK, outV, outT, sortedRun{ord: images, exact: true}
 	}
 	// String-ordered keys: radix-sort by an 8-byte big-endian prefix
 	// (order-preserving for lexicographic comparison), then repair the
@@ -408,29 +426,36 @@ func sortKeyVals[K comparable, V any](
 		// exact and no repair pass is needed.
 		fixupPrefixRuns(prefixes, perm, str)
 	}
-	outK, outV := gatherPerm(perm, keys, vals, ar, part)
+	outK, outV, outT := gatherPerm(perm, keys, vals, tags, ar, part)
 	ar.putI32(part, perm)
 	// A prefix run is exact only when the projection itself is
 	// injective on key equality — true for unambiguous real strings,
 	// never for the fmt fallback, where distinct keys can format
 	// identically.
 	exact := !anyAmbiguous && shape.kind != keyFmt
-	return outK, outV, sortedRun{ord: prefixes, exact: exact}
+	return outK, outV, outT, sortedRun{ord: prefixes, exact: exact}
 }
 
-// gatherPerm gathers keys and vals into output slices (checked out of
-// ar when one is set) so that position i holds the elements originally
-// at perm[i].
+// gatherPerm gathers keys, vals and (when non-nil) tags into output
+// slices (checked out of ar when one is set) so that position i holds
+// the elements originally at perm[i].
 func gatherPerm[K comparable, V any](
-	perm []int32, keys []K, vals []V, ar *roundArena[K, V], part int,
-) ([]K, []V) {
+	perm []int32, keys []K, vals []V, tags []int32, ar *roundArena[K, V], part int,
+) ([]K, []V, []int32) {
 	outK := ar.getKeys(part, len(perm))
 	outV := ar.getVals(part, len(perm))
 	for i, p := range perm {
 		outK[i] = keys[p]
 		outV[i] = vals[p]
 	}
-	return outK, outV
+	var outT []int32
+	if tags != nil {
+		outT = ar.getI32(part, len(perm))
+		for i, p := range perm {
+			outT[i] = tags[p]
+		}
+	}
+	return outK, outV, outT
 }
 
 // strPrefix64 packs the first 8 bytes of s big-endian (zero-padded), so

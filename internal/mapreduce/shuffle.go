@@ -1,11 +1,13 @@
 package mapreduce
 
 import (
+	"cmp"
 	"fmt"
+	"io"
+	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/extsort"
 )
 
 // This file defines the engine's pluggable shuffle. The shuffle is the
@@ -18,8 +20,9 @@ import (
 // them), and grouping happens reduce-side (each reduce task sorts its
 // own partition), so no phase funnels the whole intermediate dataset
 // through one goroutine. The spilling backend additionally bounds memory
-// by writing sorted runs to disk through internal/extsort, exactly as
-// Hadoop's map-side spill does.
+// by cutting each partition's buffered buckets into sorted runs on disk,
+// as Hadoop's map-side spill does, and merging them back into key groups
+// on the reduce side; its run format is codecv2.go's.
 
 // ShuffleKind names a shuffle backend in Config.
 type ShuffleKind string
@@ -47,12 +50,27 @@ const (
 type ShuffleConfig struct {
 	// Backend selects the implementation. Empty means ShuffleMemory.
 	Backend ShuffleKind
-	// MemoryBudget is the maximum number of intermediate records the
-	// spilling backend buffers in memory across all partitions before
-	// writing a sorted run to disk (default 1<<20). Ignored by the
-	// memory backend. The pipelined run writer double-buffers, so a
-	// partition's peak can transiently reach twice its budget share
-	// while a run is being written (see extsort.Config.MaxInMemory).
+	// MemoryBudget is the number of intermediate records the spilling
+	// backend buffers across all partitions before it writes sorted
+	// runs to disk (default 1<<20); every partition gets an equal share
+	// of it (at least 64 records). Ignored by the memory backend.
+	//
+	// What is resident during the map phase: a partition's pending
+	// buckets — the emitters' own slices, kept as delivered — never
+	// more than its share, plus at most one run in flight per
+	// partition: the share just cut off, first as its buckets, then as
+	// the arrays they are gathered into, then as the sorted arrays the
+	// blocks are encoded from (two of the three forms at a time).
+	// Ingest into a full partition blocks until the run in flight is on
+	// disk rather than queueing a second one behind it, so at no time
+	// are more than 2 x MemoryBudget records buffered (2 x 64 per
+	// partition under a budget below that floor;
+	// TestSpillResidentRecordsBounded). During the reduce phase a
+	// partition that spilled holds what was still pending when the map
+	// phase ended (less than its share, sorted), one block of 512
+	// records per run, and its largest key group. Not counted: the
+	// partial bucket every map task is filling for every partition
+	// (1024 records at most each).
 	MemoryBudget int
 	// TempDir is the directory for spill files (default os.TempDir()).
 	TempDir string
@@ -107,7 +125,7 @@ type ShuffleBackend[K comparable, V any] interface {
 	BucketCap() int
 	// Finalize seals ingestion and returns one GroupStream per reduce
 	// partition. With pre-partitioned input this is cheap bookkeeping
-	// (collecting bucket slice headers, or sealing sorters); the
+	// (collecting bucket slice headers, or waiting for a run in flight); the
 	// per-partition grouping work runs inside the reduce tasks.
 	Finalize() ([]GroupStream[K, V], error)
 	// Close releases backend resources. Safe after Finalize and on
@@ -420,46 +438,72 @@ func (s *memGroupStream[K, V]) Close() error {
 }
 
 // ---------------------------------------------------------------------
-// Spilling backend: external-memory shuffle over internal/extsort. Every
-// partition owns a Sorter ordering records by (key, sequence); once the
-// per-partition share of the memory budget fills, the sorter writes a
-// sorted run to disk. Finalize turns each sorter into a k-way merge
-// iterator and the group streams assemble key groups from the merged
-// record stream, so a partition's peak memory is one run buffer plus its
-// largest single key group — never the whole shuffle volume.
+// Spilling backend: external-memory shuffle over the pairs themselves.
+// A partition keeps the emitters' buckets exactly as delivered until its
+// share of the memory budget is buffered; the buffered buckets are then
+// cut off as one run, which the partition's writer goroutine gathers
+// split-major, sorts with the memory backend's group sort, and encodes
+// block by block into the partition's spill file. The reduce side merges
+// the runs' blocks (and the unsorted tail still in memory) back into key
+// groups. A partition that never overflowed is served by memGroupStream,
+// so a round that fits its budget costs what the memory backend costs.
+//
+// Value order needs no sequence numbers: a split's buckets reach a
+// partition in emission order and runs are cut in arrival order, so
+// within one key (split, run index, position in run) IS the engine's
+// (split, emission) order. Runs are sorted by (key, split, position) —
+// a stable key sort of a split-major gather — and the merge breaks key
+// ties toward the lower split and then the earlier run.
 
-// spillRec is one intermediate pair with its global sequence number,
-// which encodes (split, arrival index) so that the merge reproduces the
-// memory backend's deterministic value order within every key. img
-// caches the key's order-consistent uint64 image (see keyShape.image),
-// computed once per record at ingest and at decode — never serialized —
-// so both the run-buffer radix sort and the k-way merge compare machine
-// words instead of repeatedly projecting (or boxing) the key.
-type spillRec[K comparable, V any] struct {
-	seq uint64
-	img uint64
-	key K
-	val V
+// spillSeg is one delivered bucket and the map split it came from.
+type spillSeg[K comparable, V any] struct {
+	split int32
+	pairs []Pair[K, V]
 }
 
-// seqSplitShift packs the split index into the high bits of a sequence
-// number; 2^40 emitted pairs per split is far beyond what fits a task.
-const seqSplitShift = 40
+// spillExtent locates one run in its partition's spill file.
+type spillExtent struct{ off, n int64 }
+
+// spillPart is one reduce partition's ingest state. mu guards every
+// field below it except where noted; idle is signalled whenever the run
+// in flight lands (or fails), which is what a full partition's ingest
+// and Finalize wait for.
+type spillPart[K comparable, V any] struct {
+	mu       sync.Mutex
+	idle     sync.Cond
+	pending  []spillSeg[K, V] // buckets not yet cut into a run, in arrival order
+	spare    []spillSeg[K, V] // the previous cut's list, emptied, for the next cut
+	n        int              // records in pending
+	records  int64            // records ever added
+	inflight bool             // a cut run is being sorted and written
+	err      error            // first run-writer failure
+	runs     []spillExtent    // each holds exactly one share of records
+	// file is the partition's one spill file, created (and unlinked) by
+	// its first run. Only the run writer touches it while inflight, only
+	// the partition's stream or Close afterwards.
+	file    *os.File
+	fileLen int64
+}
 
 type spillShuffle[K comparable, V any] struct {
 	reducers int
+	splits   int
+	share    int // records a partition buffers before a run is cut
+	shape    keyShape[K]
 	cmp      func(a, b K) int
+	img      func(K) uint64
 	numeric  bool // key images are exact (image tie == comparator tie)
-	imgFn    func(K) uint64
+	pc       *pairCodec[K, V]
+	compress bool
+	tempDir  string
 	ar       *roundArena[K, V]
-	mu       []sync.Mutex // one per partition
-	sorters  []*extsort.Sorter[spillRec[K, V]]
-	recBufs  [][]spillRec[K, V] // per-partition staging (guarded by mu[part])
-	seq      []uint64           // per-split arrival counters (split-goroutine owned)
-	records  int64
-	recMu    sync.Mutex
+	parts    []spillPart[K, V]
 	streams  []GroupStream[K, V]
 	saved    atomic.Int64 // bytes block compression shaved off run files
+	// resident counts the records in pending buckets and in runs in
+	// flight; peak is its high-water mark, which is what
+	// ShuffleConfig.MemoryBudget bounds.
+	resident, peak atomic.Int64
 }
 
 func newSpillShuffle[K comparable, V any](reducers, splits int, cfg ShuffleConfig, compress bool, ar *roundArena[K, V]) (*spillShuffle[K, V], error) {
@@ -468,75 +512,30 @@ func newSpillShuffle[K comparable, V any](reducers, splits int, cfg ShuffleConfi
 		return nil, fmt.Errorf("mapreduce: spill shuffle: %w", err)
 	}
 	shape := keyShapeOf[K]()
-	cmpFn := shape.cmp()
-	imgFn := shape.image()
 	numFn, _ := shape.numericImage()
-	perPartition := cfg.memoryBudget() / reducers
-	if perPartition < 64 {
-		perPartition = 64
-	}
 	s := &spillShuffle[K, V]{
 		reducers: reducers,
-		cmp:      cmpFn,
+		splits:   splits,
+		share:    max(cfg.memoryBudget()/reducers, 64),
+		shape:    shape,
+		cmp:      shape.cmp(),
+		img:      shape.image(),
 		numeric:  numFn != nil,
-		imgFn:    imgFn,
+		pc:       pc,
+		compress: compress,
+		tempDir:  cfg.TempDir,
 		ar:       ar,
-		mu:       make([]sync.Mutex, reducers),
-		sorters:  make([]*extsort.Sorter[spillRec[K, V]], reducers),
-		recBufs:  make([][]spillRec[K, V], reducers),
-		seq:      make([]uint64, splits),
+		parts:    make([]spillPart[K, V], reducers),
 	}
-	// The merge comparator works on the cached key image: images are
-	// order-consistent (img(a) < img(b) implies a < b), so only equal
-	// images need more work. For numeric kinds an image tie IS a
-	// comparator tie (projections are injective, and the two float
-	// zeros share one image and compare equal), so the comparison
-	// drops straight to the sequence tiebreak — no key is ever boxed.
-	// String-ordered kinds compare the full key on equal prefixes.
-	var recLess func(a, b spillRec[K, V]) bool
-	if s.numeric {
-		recLess = func(a, b spillRec[K, V]) bool {
-			if a.img != b.img {
-				return a.img < b.img
-			}
-			return a.seq < b.seq
-		}
-	} else {
-		recLess = func(a, b spillRec[K, V]) bool {
-			if a.img != b.img {
-				return a.img < b.img
-			}
-			if c := cmpFn(a.key, b.key); c != 0 {
-				return c < 0
-			}
-			return a.seq < b.seq
-		}
-	}
-	// Runs are written in the codec-v2 block format (columnar batches,
-	// per-run dictionaries, optional flate): one stateless codec shared
-	// by every sorter, per-run state living in the run en/decoders.
-	codec := &spillBlockCodec[K, V]{
-		pc: pc, img: imgFn, compress: compress, saved: &s.saved,
-	}
-	for i := range s.sorters {
-		s.sorters[i] = extsort.New(recLess, codec, extsort.Config{
-			MaxInMemory: perPartition,
-			TempDir:     cfg.TempDir,
-		})
-		// Run buffers sort with the order-preserving key-image radix
-		// path instead of recLess (same (key, seq) order, no comparator
-		// calls); the merge across runs still uses recLess. One scratch
-		// per sorter: buffer sorts run on the ingest goroutine under
-		// the partition lock (or during that partition's Finalize), so
-		// each sorter's sort is single-threaded.
-		s.sorters[i].SetBufferSort(spillBufSort[K, V](shape))
+	for i := range s.parts {
+		s.parts[i].idle.L = &s.parts[i].mu
 	}
 	return s, nil
 }
 
 // spillBucketCap bounds the emitter's per-partition bucket between
-// handoffs into the sorters; small enough to start spilling early,
-// large enough to keep lock traffic negligible.
+// handoffs: small enough to start spilling early, large enough to keep
+// lock traffic negligible.
 const spillBucketCap = 1024
 
 func (s *spillShuffle[K, V]) Partitions() int { return s.reducers }
@@ -544,67 +543,212 @@ func (s *spillShuffle[K, V]) Partitions() int { return s.reducers }
 func (s *spillShuffle[K, V]) BucketCap() int { return spillBucketCap }
 
 func (s *spillShuffle[K, V]) AddBucket(split, part int, pairs []Pair[K, V]) error {
-	// Buckets arrive pre-partitioned from the emitter (map-side
-	// partitioning), so no key is re-hashed here; the partition's lock
-	// is taken once per bucket. Sequence numbers are assigned in bucket
-	// arrival order, which preserves emission order within every
-	// (split, partition) pair — all the merge needs, because a key's
-	// records all live in one partition.
-	n := s.seq[split]
-	base := uint64(split) << seqSplitShift
-	imgFn := s.imgFn
-	s.mu[part].Lock()
-	recs := s.recBufs[part]
-	if cap(recs) < len(pairs) {
-		recs = make([]spillRec[K, V], len(pairs))
+	// Buckets arrive pre-partitioned from the emitter and are kept as
+	// they are: only slice headers move under the partition's lock. A
+	// run is cut at exactly the partition's share — the bucket that
+	// crosses it is sliced in two, no pair copied — so how many runs a
+	// job writes and how many records they hold do not depend on how
+	// the splits' buckets interleave.
+	p := &s.parts[part]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for len(pairs) > 0 {
+		// A full partition means a run is in flight (the writer cuts the
+		// next one itself the moment it lands): ingest waits for it
+		// rather than queueing a second run's worth behind it.
+		for p.n == s.share && p.err == nil {
+			p.idle.Wait()
+		}
+		if p.err != nil {
+			return p.err
+		}
+		head := pairs
+		if room := s.share - p.n; room < len(pairs) {
+			// Capacity capped at the cut, so that the two halves are
+			// disjoint buffers to whoever recycles them.
+			head = pairs[:room:room]
+		}
+		pairs = pairs[len(head):]
+		p.pending = append(p.pending, spillSeg[K, V]{int32(split), head})
+		p.n += len(head)
+		p.records += int64(len(head))
+		r := s.resident.Add(int64(len(head)))
+		for pk := s.peak.Load(); r > pk && !s.peak.CompareAndSwap(pk, r); pk = s.peak.Load() {
+		}
+		if p.n == s.share && !p.inflight {
+			p.inflight = true
+			go s.writeRuns(part, p.cut())
+		}
 	}
-	recs = recs[:len(pairs)]
-	for i, p := range pairs {
-		recs[i] = spillRec[K, V]{seq: base | n, img: imgFn(p.Key), key: p.Key, val: p.Value}
-		n++
+	return nil
+}
+
+// cut detaches the pending buckets, one share of records, as a run.
+// Caller holds p.mu.
+func (p *spillPart[K, V]) cut() []spillSeg[K, V] {
+	segs := p.pending
+	p.pending, p.spare, p.n = p.spare, nil, 0
+	return segs
+}
+
+// writeRuns is a partition's run writer: it writes the run just cut and
+// then, for as long as ingest has refilled the partition meanwhile, the
+// next one. At most one runs per partition (p.inflight).
+func (s *spillShuffle[K, V]) writeRuns(part int, segs []spillSeg[K, V]) {
+	p := &s.parts[part]
+	for {
+		ext, err := s.writeRun(part, segs)
+		p.mu.Lock()
+		p.spare = segs[:0]
+		s.resident.Add(-int64(s.share))
+		if err == nil {
+			p.runs = append(p.runs, ext)
+			p.fileLen += ext.n
+		} else {
+			p.err = err
+		}
+		more := err == nil && p.n == s.share
+		if more {
+			segs = p.cut()
+		} else {
+			p.inflight = false
+		}
+		p.idle.Broadcast()
+		p.mu.Unlock()
+		if !more {
+			return
+		}
 	}
-	err := s.sorters[part].AddBatch(recs)
-	s.recBufs[part] = recs
-	s.mu[part].Unlock()
-	s.seq[split] = n
-	s.recMu.Lock()
-	s.records += int64(len(pairs))
-	s.recMu.Unlock()
-	// The bucket's pairs are copied into the sorter: the slice is dead
-	// and goes back to the arena for the next emitter fill.
-	s.ar.putBucket(part, pairs)
-	return err
+}
+
+// splitMajor orders buckets by split, each split's in the order they
+// arrived — which is the order they were emitted in.
+func splitMajor[K comparable, V any](segs []spillSeg[K, V]) {
+	slices.SortStableFunc(segs, func(a, b spillSeg[K, V]) int { return cmp.Compare(a.split, b.split) })
+}
+
+// sortSegs gathers the buckets of segs split-major into arena arrays and
+// sorts them by key: keys, values and splits ordered by (key, split,
+// arrival), plus the sorted key images (see sortKeyVals). The buckets go
+// back to the arena; segs is left empty of references.
+func (s *spillShuffle[K, V]) sortSegs(part int, segs []spillSeg[K, V], n int) ([]K, []V, []int32, sortedRun) {
+	splitMajor(segs)
+	keys := s.ar.getKeys(part, n)
+	vals := s.ar.getVals(part, n)
+	splits := s.ar.getI32(part, n)
+	i := 0
+	for _, seg := range segs {
+		for _, pr := range seg.pairs {
+			keys[i], vals[i], splits[i] = pr.Key, pr.Value, seg.split
+			i++
+		}
+		s.ar.putBucket(part, seg.pairs)
+	}
+	clear(segs)
+	if n < 2 {
+		return keys, vals, splits, sortedRun{} // nothing to sort
+	}
+	rs := s.ar.getRadix(part)
+	outK, outV, outS, run := sortKeyValsTagged(keys, vals, splits, s.shape, s.ar, part, rs)
+	s.ar.putRadix(part, rs)
+	s.ar.putKeys(part, keys)
+	s.ar.putVals(part, vals)
+	s.ar.putI32(part, splits)
+	return outK, outV, outS, run
+}
+
+// spillWriteChunk is how many encoded bytes a run accumulates between
+// two writes to its file: few, large write syscalls.
+const spillWriteChunk = 256 << 10
+
+// writeRun sorts one cut — a share of records — and appends it to the
+// partition's spill file.
+func (s *spillShuffle[K, V]) writeRun(part int, segs []spillSeg[K, V]) (spillExtent, error) {
+	p, n := &s.parts[part], s.share
+	keys, vals, splits, run := s.sortSegs(part, segs, n)
+	s.ar.putU64(part, run.ord) // images are recomputed at decode, never written
+	defer func() {
+		s.ar.putKeys(part, keys)
+		s.ar.putVals(part, vals)
+		s.ar.putI32(part, splits)
+	}()
+	if p.file == nil {
+		f, err := os.CreateTemp(s.tempDir, "mapreduce-spill-*.bin")
+		if err != nil {
+			return spillExtent{}, fmt.Errorf("mapreduce: spill: %w", err)
+		}
+		// Unlinked at once: the open handle keeps the data alive for the
+		// merge and a crash leaks nothing.
+		os.Remove(f.Name())
+		p.file = f
+	}
+	enc := s.pc.getRunEnc()
+	defer s.pc.putRunEnc(enc)
+	ext := spillExtent{off: p.fileLen}
+	flush := func() error {
+		m, err := p.file.WriteAt(enc.out, ext.off+ext.n)
+		ext.n += int64(m)
+		enc.out = enc.out[:0]
+		if err != nil {
+			return fmt.Errorf("mapreduce: spill: %w", err)
+		}
+		return nil
+	}
+	for lo := 0; lo < n; lo += spillBlockRecs {
+		hi := min(lo+spillBlockRecs, n)
+		if err := enc.appendBlock(s.pc, keys[lo:hi], vals[lo:hi], splits[lo:hi], s.compress, &s.saved); err != nil {
+			return spillExtent{}, fmt.Errorf("mapreduce: spill encode: %w", err)
+		}
+		if len(enc.out) >= spillWriteChunk {
+			if err := flush(); err != nil {
+				return spillExtent{}, err
+			}
+		}
+	}
+	return ext, flush()
+}
+
+// settle waits for the partition's run in flight, if any, and returns
+// the writer's first failure.
+func (p *spillPart[K, V]) settle() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for p.inflight {
+		p.idle.Wait()
+	}
+	return p.err
+}
+
+// closeFile releases the partition's spill file (idempotent). The
+// writer must have settled.
+func (p *spillPart[K, V]) closeFile() {
+	if p.file != nil {
+		p.file.Close()
+		p.file = nil
+	}
 }
 
 func (s *spillShuffle[K, V]) Finalize() ([]GroupStream[K, V], error) {
-	// Each partition's Sort spills and sorts its final run buffer and
-	// primes the run merge — independent per-sorter work, so the
-	// partitions finalize concurrently instead of one after another.
+	// Bookkeeping only: the tail sort and the merge set-up run inside
+	// the reduce tasks, partition-parallel, like the memory backend's
+	// group sort.
 	streams := make([]GroupStream[K, V], s.reducers)
-	errs := make([]error, s.reducers)
-	var wg sync.WaitGroup
-	for i, sorter := range s.sorters {
-		wg.Add(1)
-		go func(i int, sorter *extsort.Sorter[spillRec[K, V]]) {
-			defer wg.Done()
-			it, err := sorter.Sort()
-			if err != nil {
-				errs[i] = fmt.Errorf("mapreduce: spill shuffle partition %d: %w", i, err)
-				return
-			}
-			streams[i] = &spillGroupStream[K, V]{it: it, cmp: s.cmp, numeric: s.numeric}
-		}(i, sorter)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			for _, st := range streams {
-				if st != nil {
-					st.Close()
-				}
-			}
-			return nil, err
+	for i := range s.parts {
+		p := &s.parts[i]
+		if err := p.settle(); err != nil {
+			return nil, fmt.Errorf("mapreduce: spill shuffle partition %d: %w", i, err)
 		}
+		if len(p.runs) == 0 {
+			splitMajor(p.pending)
+			segs := make([][]Pair[K, V], len(p.pending))
+			for j, seg := range p.pending {
+				segs[j] = seg.pairs
+			}
+			p.pending = nil
+			streams[i] = &memGroupStream[K, V]{segs: segs, shape: s.shape, cmp: s.cmp, ar: s.ar, part: i}
+			continue
+		}
+		streams[i] = &spillMergeStream[K, V]{s: s, p: p, part: i}
 	}
 	s.streams = streams
 	return streams, nil
@@ -614,120 +758,274 @@ func (s *spillShuffle[K, V]) Close() error {
 	for _, st := range s.streams {
 		st.Close()
 	}
-	// Release run files of sorters that never reached Finalize (map
-	// error, cancellation, or a Finalize failure part-way through);
-	// Discard is a no-op for sorters whose runs an iterator took over.
-	for _, sorter := range s.sorters {
-		if sorter != nil {
-			sorter.Discard()
-		}
-	}
 	s.streams = nil
-	s.sorters = nil
+	// Partitions that never reached a stream (map error, cancellation,
+	// a Finalize failure part-way through) still own their files.
+	for i := range s.parts {
+		p := &s.parts[i]
+		p.settle()
+		p.closeFile()
+		p.pending = nil
+	}
 	return nil
 }
 
 func (s *spillShuffle[K, V]) footprint() (records, spilled, runs int64) {
-	for _, sorter := range s.sorters {
-		if sorter == nil {
-			continue
-		}
-		spilled += sorter.Spilled()
-		runs += int64(sorter.Runs())
+	for i := range s.parts {
+		p := &s.parts[i]
+		p.mu.Lock()
+		records += p.records
+		runs += int64(len(p.runs))
+		p.mu.Unlock()
 	}
-	return s.records, spilled, runs
+	return records, runs * int64(s.share), runs
 }
 
 // spillSaved reports the bytes block compression shaved off the run
 // files (zero with SpillCompression off); picked up by recordShuffle.
 func (s *spillShuffle[K, V]) spillSaved() int64 { return s.saved.Load() }
 
-// runBytes sums the encoded bytes actually written to run files.
-func (s *spillShuffle[K, V]) runBytes() (n int64) {
-	for _, sorter := range s.sorters {
-		if sorter != nil {
-			n += sorter.RunBytes()
+// spillCursor is one merge input: the column arrays of a run's current
+// block, or of the whole sorted in-memory tail (dec == nil).
+type spillCursor[K comparable, V any] struct {
+	keys   []K
+	vals   []V
+	splits []int32
+	imgs   []uint64
+	pos, n int
+	dec    *spillRunDec[K, V]
+}
+
+// spillMergeStream serves the key groups of a partition that spilled: a
+// loser-tree merge over one cursor per run, in run order, and a last
+// one for the tail that was still buffered when the map phase ended.
+// Heads compare by key image first — machine words; for numeric kinds
+// an image tie IS a comparator tie, string-ordered kinds compare the
+// full key only when the 8-byte prefixes collide — then by split, then
+// by cursor index, which is run order. A cursor whose next record
+// continues the current (key, split) stretch still wins against every
+// other head (an earlier run with an equal head would have won before
+// it, a later one loses the tie), so whole stretches are taken per tree
+// replay, not single records.
+//
+// The values buffer is owned by the stream and reused for every group
+// (reduce functions must not retain the values slice beyond the call,
+// see ReduceFunc). The first Next — inside the reduce task's goroutine,
+// so partitions set up in parallel — sorts the tail and decodes every
+// run's first block; the block column arrays are four arena slabs carved
+// one block per run.
+type spillMergeStream[K comparable, V any] struct {
+	s    *spillShuffle[K, V]
+	p    *spillPart[K, V]
+	part int
+	cur  []spillCursor[K, V]
+	// Loser tree over cur: leaf j sits at tree position k+j, internal
+	// nodes 1..k-1 store the losing leaf of their subtree, win is the
+	// overall winner.
+	lt   []int32
+	win  int32
+	live int // cursors not yet exhausted
+	vbuf []V
+	// Arena check-outs returned at Close: the block slabs and the
+	// tail's sorted arrays.
+	slabK, tailK []K
+	slabV, tailV []V
+	slabS, tailS []int32
+	slabI, tailI []uint64
+	primed, done bool
+}
+
+func (m *spillMergeStream[K, V]) prime() error {
+	m.primed = true
+	s, p := m.s, m.p
+	nr := len(p.runs)
+	m.cur = make([]spillCursor[K, V], nr, nr+1)
+	m.slabK = s.ar.getKeys(m.part, nr*spillBlockRecs)
+	m.slabV = s.ar.getVals(m.part, nr*spillBlockRecs)
+	m.slabS = s.ar.getI32(m.part, nr*spillBlockRecs)
+	m.slabI = s.ar.getU64(m.part, nr*spillBlockRecs)
+	for i, ext := range p.runs {
+		lo, hi := i*spillBlockRecs, (i+1)*spillBlockRecs
+		m.cur[i] = spillCursor[K, V]{
+			keys: m.slabK[lo:hi], vals: m.slabV[lo:hi], splits: m.slabS[lo:hi], imgs: m.slabI[lo:hi],
+			dec: s.pc.getRunDec(p.file, ext.off, ext.n),
+		}
+		m.live++
+		if err := m.refill(&m.cur[i]); err != nil {
+			return err
 		}
 	}
-	return n
+	if p.n > 0 {
+		var run sortedRun
+		m.tailK, m.tailV, m.tailS, run = s.sortSegs(m.part, p.pending, p.n)
+		p.pending = nil
+		if m.tailI = run.ord; m.tailI == nil {
+			m.tailI = s.ar.getU64(m.part, p.n)
+			for i, k := range m.tailK {
+				m.tailI[i] = s.img(k)
+			}
+		} else if run.shift != 0 {
+			for i := range m.tailI {
+				m.tailI[i] >>= run.shift
+			}
+		}
+		m.cur = append(m.cur, spillCursor[K, V]{keys: m.tailK, vals: m.tailV, splits: m.tailS, imgs: m.tailI, n: p.n})
+		m.live++
+	}
+	m.initTree()
+	return nil
 }
 
-// spillGroupStream assembles key groups from a merged (key, seq)-sorted
-// record stream, with one record of lookahead. The values buffer is
-// owned by the stream and reused for every group (reduce functions must
-// not retain the values slice beyond the call, see ReduceFunc) — one
-// growing array per partition instead of one allocation per distinct
-// key, which dominated the spill path's allocation profile. Group
-// boundaries compare the cached key images: for numeric kinds an image
-// change IS a key change and an image tie IS a comparator tie (the two
-// float zeros share one image by construction), so no key is ever
-// boxed; string-ordered kinds fall back to a full comparison only when
-// the 8-byte prefixes collide.
-type spillGroupStream[K comparable, V any] struct {
-	it      *extsort.Iterator[spillRec[K, V]]
-	cmp     func(a, b K) int
-	numeric bool
-	head    spillRec[K, V]
-	vbuf    []V
-	primed  bool
-	done    bool
+// refill loads c's next block; an exhausted cursor (the end of its run,
+// or the tail, which is one block) leaves the merge.
+func (m *spillMergeStream[K, V]) refill(c *spillCursor[K, V]) error {
+	c.pos, c.n = 0, 0
+	if c.dec != nil {
+		n, err := c.dec.readBlock(m.s.pc, m.s.img, m.s.splits, c.keys, c.vals, c.splits, c.imgs)
+		if err == nil {
+			c.n = n
+			return nil
+		}
+		if err != io.EOF {
+			return err
+		}
+		m.s.pc.putRunDec(c.dec)
+		c.dec = nil
+	}
+	m.live--
+	return nil
 }
 
-func (s *spillGroupStream[K, V]) Next() (K, []V, bool, error) {
+// beats reports whether cursor a's head precedes cursor b's in the
+// merge. Exhausted cursors lose to everything.
+func (m *spillMergeStream[K, V]) beats(a, b int32) bool {
+	ca, cb := &m.cur[a], &m.cur[b]
+	if cb.n == 0 {
+		return true
+	}
+	if ca.n == 0 {
+		return false
+	}
+	if ia, ib := ca.imgs[ca.pos], cb.imgs[cb.pos]; ia != ib {
+		return ia < ib
+	}
+	if !m.s.numeric {
+		if c := m.s.cmp(ca.keys[ca.pos], cb.keys[cb.pos]); c != 0 {
+			return c < 0
+		}
+	}
+	if sa, sb := ca.splits[ca.pos], cb.splits[cb.pos]; sa != sb {
+		return sa < sb
+	}
+	return a < b
+}
+
+// initTree builds the loser tree over the primed cursors.
+func (m *spillMergeStream[K, V]) initTree() {
+	k := int32(len(m.cur))
+	m.lt = make([]int32, k)
+	// winner resolves the subtree rooted at a tree position, recording
+	// losers on the way up.
+	var winner func(node int32) int32
+	winner = func(node int32) int32 {
+		if node >= k {
+			return node - k
+		}
+		a, b := winner(2*node), winner(2*node+1)
+		if m.beats(a, b) {
+			m.lt[node] = b
+			return a
+		}
+		m.lt[node] = a
+		return b
+	}
+	if k > 1 {
+		m.win = winner(1)
+	}
+}
+
+// replay restores the tree after the winner's head changed: the losers
+// stored on the path from its leaf to the root challenge it in turn.
+func (m *spillMergeStream[K, V]) replay() {
+	k := int32(len(m.cur))
+	cur := m.win
+	for node := (k + cur) / 2; node >= 1; node /= 2 {
+		if m.beats(m.lt[node], cur) {
+			cur, m.lt[node] = m.lt[node], cur
+		}
+	}
+	m.win = cur
+}
+
+func (m *spillMergeStream[K, V]) Next() (K, []V, bool, error) {
 	var zero K
-	if s.done {
+	if !m.primed {
+		if err := m.prime(); err != nil {
+			m.done = true
+			return zero, nil, false, err
+		}
+	}
+	if m.done || m.live == 0 {
 		return zero, nil, false, nil
 	}
-	if !s.primed {
-		rec, ok, err := s.it.Next()
-		if err != nil {
-			return zero, nil, false, err
-		}
-		if !ok {
-			s.done = true
-			return zero, nil, false, nil
-		}
-		s.head, s.primed = rec, true
-	}
-	key := s.head.key
-	img := s.head.img
-	values := append(s.vbuf[:0], s.head.val)
+	c := &m.cur[m.win]
+	key, img := c.keys[c.pos], c.imgs[c.pos]
+	values := m.vbuf[:0]
 	for {
-		rec, ok, err := s.it.Next()
-		if err != nil {
-			return zero, nil, false, err
+		split, end := c.splits[c.pos], c.pos+1
+		for end < c.n && c.imgs[end] == img && c.splits[end] == split && c.keys[end] == key {
+			end++
 		}
-		if !ok {
-			s.done = true
+		values = append(values, c.vals[c.pos:end]...)
+		if c.pos = end; end == c.n {
+			if err := m.refill(c); err != nil {
+				m.done = true
+				return zero, nil, false, err
+			}
+		}
+		m.replay()
+		if m.live == 0 {
 			break
 		}
-		if rec.img != img || (!s.numeric && s.cmp(rec.key, key) != 0) {
-			s.head = rec // first record of the next group
-			break
+		c = &m.cur[m.win]
+		if c.imgs[c.pos] != img || (!m.s.numeric && m.s.cmp(c.keys[c.pos], key) != 0) {
+			break // first record of the next group
 		}
-		if rec.key != key {
+		if c.keys[c.pos] != key {
 			// The comparator ties but Go equality disagrees (a
 			// composite key whose fmt fallback collides, or a NaN):
 			// merging would silently diverge from the memory backend,
 			// so fail loudly instead.
-			s.done = true
+			m.done = true
 			return zero, nil, false, fmt.Errorf(
 				"mapreduce: spill shuffle: key comparator cannot distinguish %v from %v; "+
 					"use a key type with a total order (scalar, string, or [2]int32)",
-				key, rec.key)
+				key, c.keys[c.pos])
 		}
-		values = append(values, rec.val)
 	}
-	s.vbuf = values
+	m.vbuf = values
 	return key, values, true, nil
 }
 
-func (s *spillGroupStream[K, V]) Close() error {
-	if s.it != nil {
-		s.it.Close()
-		s.it = nil
+func (m *spillMergeStream[K, V]) Close() error {
+	for i := range m.cur {
+		if d := m.cur[i].dec; d != nil {
+			m.s.pc.putRunDec(d)
+		}
 	}
-	s.vbuf = nil
-	s.done = true
+	ar := m.s.ar
+	ar.putKeys(m.part, m.slabK)
+	ar.putKeys(m.part, m.tailK)
+	ar.putVals(m.part, m.slabV)
+	ar.putVals(m.part, m.tailV)
+	ar.putI32(m.part, m.slabS)
+	ar.putI32(m.part, m.tailS)
+	ar.putU64(m.part, m.slabI)
+	ar.putU64(m.part, m.tailI)
+	m.slabK, m.tailK, m.slabV, m.tailV = nil, nil, nil, nil
+	m.slabS, m.tailS, m.slabI, m.tailI = nil, nil, nil, nil
+	m.cur, m.lt, m.vbuf = nil, nil, nil
+	m.p.closeFile()
+	m.done = true
 	return nil
 }

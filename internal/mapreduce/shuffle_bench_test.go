@@ -38,8 +38,9 @@ func BenchmarkShuffleBackendMemory(b *testing.B) {
 }
 
 // BenchmarkShuffleBackendSpillFits runs the spilling backend with a
-// budget large enough that nothing reaches disk: the cost over the
-// memory backend is the (key, seq) sort and the per-record bookkeeping.
+// budget large enough that nothing reaches disk: every partition is then
+// served by the memory backend's group stream, so the cost over
+// BenchmarkShuffleBackendMemory is a lock per bucket.
 func BenchmarkShuffleBackendSpillFits(b *testing.B) {
 	benchShuffleJob(b, Config{
 		Mappers: 4, Reducers: 4,

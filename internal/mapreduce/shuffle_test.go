@@ -278,19 +278,74 @@ func (k *badKey) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
+// TestSpillRejectsIndistinguishableKeys: two distinct keys the
+// comparator cannot tell apart must fail a spilled partition loudly —
+// the merge has no way to keep their values apart — whether they meet
+// inside one run, in two different runs, or in a run and the tail still
+// in memory. (A partition that never overflows is the memory backend's
+// stream, which regroups such keys by equality:
+// TestMemoryBackendGroupsCollidingFmtKeys.)
 func TestSpillRejectsIndistinguishableKeys(t *testing.T) {
-	input := []Pair[int, int]{P(1, 1), P(2, 2)}
-	_, _, err := Run(context.Background(), spillCfg(1), input,
+	a, b := badKey{"a ", "b"}, badKey{"a", " b"}
+	input := make([]Pair[int, int], 400)
+	for i := range input {
+		input[i] = P(i, i)
+	}
+	_, stats, err := Run(context.Background(), spillCfg(1), input,
 		func(k, v int, out Emitter[badKey, int]) error {
-			if k == 1 {
-				out.Emit(badKey{"a ", "b"}, v)
+			if k%2 == 1 {
+				out.Emit(a, v)
 			} else {
-				out.Emit(badKey{"a", " b"}, v)
+				out.Emit(b, v)
 			}
 			return nil
 		},
 		CollectValues[badKey, int]())
 	if err == nil || !strings.Contains(err.Error(), "cannot distinguish") {
-		t.Fatalf("colliding composite keys not rejected: %v", err)
+		t.Fatalf("colliding composite keys not rejected: %v (stats %+v)", err, stats)
+	}
+
+	// The same through the backend, bucket by bucket, so that where the
+	// two keys land is the test's choice: the budget gives the one
+	// partition a share of 64 records, and each 64-pair bucket is a run.
+	bucket := func(n int, key func(i int) badKey) []Pair[badKey, int] {
+		ps := make([]Pair[badKey, int], n)
+		for i := range ps {
+			ps[i] = P(key(i), i)
+		}
+		return ps
+	}
+	only := func(k badKey) func(int) badKey { return func(int) badKey { return k } }
+	for name, buckets := range map[string][][]Pair[badKey, int]{
+		"one run":      {bucket(64, func(i int) badKey { return []badKey{a, b}[i%2] }), bucket(3, only(a))},
+		"two runs":     {bucket(64, only(a)), bucket(64, only(b)), bucket(3, only(a))},
+		"run and tail": {bucket(64, only(a)), bucket(3, only(b))},
+	} {
+		sp, err := newSpillShuffle[badKey, int](1, 2, ShuffleConfig{MemoryBudget: 64, TempDir: t.TempDir()}, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, ps := range buckets {
+			if err := sp.AddBucket(i%2, 0, ps); err != nil {
+				t.Fatal(err)
+			}
+		}
+		streams, err := sp.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, runs := sp.footprint(); int(runs) != len(buckets)-1 {
+			t.Fatalf("%s: %d runs, want %d", name, runs, len(buckets)-1)
+		}
+		for err == nil {
+			var ok bool
+			if _, _, ok, err = streams[0].Next(); !ok {
+				break
+			}
+		}
+		if err == nil || !strings.Contains(err.Error(), "cannot distinguish") {
+			t.Errorf("%s: colliding keys not rejected: %v", name, err)
+		}
+		sp.Close()
 	}
 }
