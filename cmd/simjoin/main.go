@@ -20,6 +20,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/cliio"
@@ -86,21 +87,7 @@ func run() (err error) {
 	w := cliio.Stdout()
 	defer cliio.CloseInto(w, &err)
 
-	pairs := int64(c.NumItems()) * int64(c.NumConsumers())
-	fmt.Fprintf(w, "dataset:        %s (|T|=%d |C|=%d, %d possible pairs)\n",
-		c.Name, c.NumItems(), c.NumConsumers(), pairs)
-	fmt.Fprintf(w, "sigma:          %g\n", *sigma)
-	fmt.Fprintf(w, "MR rounds:      %d\n", res.Rounds)
-	fmt.Fprintf(w, "index postings: %d\n", res.PostingEntries)
-	fmt.Fprintf(w, "candidates:     %d (%.4f%% of all pairs)\n",
-		res.Candidates, 100*float64(res.Candidates)/float64(pairs))
-	fmt.Fprintf(w, "edges >= sigma: %d (%.1f%% of candidates survive verification)\n",
-		len(res.Edges), 100*float64(len(res.Edges))/float64(max(res.Candidates, 1)))
-	fmt.Fprintf(w, "shuffle:        %d records\n", res.Shuffle.ShuffleRecords)
-	if res.Shuffle.SpilledRecords > 0 {
-		fmt.Fprintf(w, "spilled:        %d records in %d runs\n",
-			res.Shuffle.SpilledRecords, res.Shuffle.SpillRuns)
-	}
+	printJoin(w, c, *sigma, res)
 	eng.PrintCost(w, res.Shuffle)
 
 	if *out != "" {
@@ -126,6 +113,26 @@ func run() (err error) {
 		fmt.Fprintf(w, "wrote:          %s\n", *out)
 	}
 	return nil
+}
+
+// printJoin writes the join's statistics: sizes, pruning power, shuffle
+// volume.
+func printJoin(w io.Writer, c *dataset.Corpus, sigma float64, res *simjoin.Result) {
+	pairs := int64(c.NumItems()) * int64(c.NumConsumers())
+	fmt.Fprintf(w, "dataset:        %s (|T|=%d |C|=%d, %d possible pairs)\n",
+		c.Name, c.NumItems(), c.NumConsumers(), pairs)
+	fmt.Fprintf(w, "sigma:          %g\n", sigma)
+	fmt.Fprintf(w, "MR rounds:      %d\n", res.Rounds)
+	fmt.Fprintf(w, "index postings: %d\n", res.PostingEntries)
+	fmt.Fprintf(w, "candidates:     %d (%.4f%% of all pairs)\n",
+		res.Candidates, 100*float64(res.Candidates)/float64(pairs))
+	fmt.Fprintf(w, "edges >= sigma: %d (%.1f%% of candidates survive verification)\n",
+		len(res.Edges), 100*float64(len(res.Edges))/float64(max(res.Candidates, 1)))
+	fmt.Fprintf(w, "shuffle:        %d records\n", res.Shuffle.ShuffleRecords)
+	if res.Shuffle.SpilledRecords > 0 {
+		fmt.Fprintf(w, "spilled:        %d records in %d runs\n",
+			res.Shuffle.SpilledRecords, res.Shuffle.SpillRuns)
+	}
 }
 
 func corpus(name string, scale float64, seed int64) (*dataset.Corpus, error) {

@@ -4,6 +4,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
@@ -72,4 +73,24 @@ func TestAllocGuardStackMRRun(t *testing.T) {
 	guardAllocs(t, 2000, 3, func() (*Result, error) {
 		return StackMR(context.Background(), g, StackOptions{Seed: 1})
 	})
+}
+
+// TestAllocGuardNodeRand: a node's random source is the 32-byte
+// nodeSource and the rand.Rand around it — two allocations, 80 bytes —
+// where seeding math/rand's own source costs a 4.9 KB state per node
+// per stage. A draw inside the closed form allocates nothing more.
+func TestAllocGuardNodeRand(t *testing.T) {
+	const runs = 1000
+	var sink int
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, func() {
+		sink += nodeRand(1, graph.NodeID(sink), 2).Intn(5)
+	})
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up with one more call
+	t.Logf("%.0f allocs, %d B per nodeRand + draw", allocs, bytes)
+	if allocs > 2 || bytes > 128 {
+		t.Errorf("nodeRand allocates %.0f times, %d B (> 2, 128 B): a seeded state came back", allocs, bytes)
+	}
 }

@@ -101,15 +101,20 @@ type maximalConfig struct {
 
 // nodeRand returns a deterministic per-node, per-iteration random source:
 // local random decisions in mappers must be reproducible and independent
-// of scheduling. Seeding one fills a 607-word state, far more than the
-// map call around it costs, and most nodes have nothing to choose
-// (⌈b/2⌉ covers the whole adjacency, or no more edges were marked than
-// may be selected), so the stage maps build a source only on the branch
-// that draws from it. A source serves one node in one stage, so skipping
-// an unused one changes no draw.
+// of scheduling. The stream is math/rand's for the mixed seed, draw for
+// draw (the goldens pin it), served by a nodeSource: the first 273 draws
+// in closed form with no seeded 607-word state, the library's own source
+// from draw 274 (noderand.go); Perm, Intn and their rejection loops stay
+// the library's. Most nodes have nothing to choose (⌈b/2⌉ covers the
+// whole adjacency, or no more edges were marked than may be selected), so
+// the stage maps build a source only on the branch that draws from it; a
+// source serves one node in one stage, so skipping an unused one changes
+// no draw.
 func nodeRand(seed int64, v graph.NodeID, iter int) *rand.Rand {
 	h := int64(mix64(uint64(seed) ^ uint64(uint32(v))<<20 ^ uint64(iter)*0x9e37))
-	return rand.New(rand.NewSource(h))
+	src := new(nodeSource)
+	src.Seed(h)
+	return rand.New(src)
 }
 
 // maximalBMatching computes a maximal b-matching over the node-view

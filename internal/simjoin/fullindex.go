@@ -73,8 +73,11 @@ func JoinFullIndex(ctx context.Context, items, consumers []vector.Sparse, sigma 
 	}
 
 	res := &Result{
-		Rounds:         driver.Rounds(),
-		Candidates:     driver.Trace()[driver.Rounds()-1].ReduceGroups, // one probe group per candidate pair
+		Rounds: driver.Rounds(),
+		// This probe emits a pair once per shared term and is keyed by
+		// pair, so — unlike Join, whose shuffled records are the distinct
+		// pairs — its candidates are its reduce groups, not its records.
+		Candidates:     driver.Trace()[driver.Rounds()-1].ReduceGroups,
 		PostingEntries: postings,
 		Shuffle:        driver.Total(),
 	}

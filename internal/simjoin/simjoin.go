@@ -20,11 +20,11 @@
 package simjoin
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/mapreduce"
@@ -47,10 +47,11 @@ type Result struct {
 	// prefix-filter join).
 	Rounds int
 	// Candidates is the number of distinct candidate pairs generated by
-	// probing the pruned index; the verification step filters them down
-	// to len(Edges). The ratio measures the pruning power of prefix
-	// filtering (the brute-force join would generate every co-occurring
-	// pair).
+	// probing the pruned index — the records the probe job shuffles, one
+	// per pair, since a consumer's map call emits an item once; the
+	// verification step filters them down to len(Edges). The ratio
+	// measures the pruning power of prefix filtering (the brute-force
+	// join would generate every co-occurring pair).
 	Candidates int64
 	// PostingEntries is the size of the pruned inverted index.
 	PostingEntries int64
@@ -104,10 +105,14 @@ func Join(ctx context.Context, items, consumers []vector.Sparse, sigma float64, 
 	if err := indexOut.Materialize(); err != nil {
 		return nil, fmt.Errorf("simjoin: index job: %w", err)
 	}
-	index := make(map[vector.TermID][]posting, indexOut.Len())
+	v := newVerifier(items, consumers, sigma)
+	index := make([][]posting, len(v.rankOf))
 	var postings int64
 	indexOut.Each(func(t vector.TermID, ps []posting) {
-		index[t] = ps
+		// A term no consumer has is counted and never probed.
+		if r, ok := v.rankOf[t]; ok {
+			index[r] = ps
+		}
 		postings += int64(len(ps))
 	})
 	// The posting slices are the reducers' own copies (CollectValues
@@ -115,27 +120,18 @@ func Join(ctx context.Context, items, consumers []vector.Sparse, sigma float64, 
 	indexOut.Recycle()
 
 	// Job 2: probe the index with every consumer (the index and the
-	// full vectors travel as side data, the distributed-cache pattern),
-	// then verify each candidate pair exactly in the reducer. Under the
+	// translated vectors travel as side data, the distributed-cache
+	// pattern) and verify the candidates exactly in the reducer. The job
+	// is keyed by consumer: a map call emits each candidate item of its
+	// consumer once, under the consumer's own key (the identity route),
+	// and the one reduce group per consumer scores them all against a
+	// single scatter of the consumer's weights. The shuffled records are
+	// therefore the distinct candidate pairs, on every backend. Under the
 	// dist backend the verification runs on the workers — they hold the
-	// same vectors (registered via RegisterDistJobs). Every candidate
-	// pair is one reduce group, so the job's own ReduceGroups is the
-	// candidate count on every backend.
+	// same vectors (registered via RegisterDistJobs).
 	probeOut, probeStats, err := mapreduce.RunDS(ctx, driver.Config("simjoin-probe"),
 		mapreduce.PartitionDataset(enumerate(consumers), driver.Partitions()),
-		func(j int32, c vector.Sparse, out mapreduce.Emitter[[2]int32, struct{}]) error {
-			seen := make(map[int32]bool)
-			for _, e := range c.Entries() {
-				for _, p := range index[e.Term] {
-					if !seen[p.doc] {
-						seen[p.doc] = true
-						out.Emit([2]int32{p.doc, j}, struct{}{})
-					}
-				}
-			}
-			return nil
-		},
-		probeReduce(items, consumers, sigma))
+		v.probeMap(index, len(items)), v.verifyReduce)
 	if err != nil {
 		return nil, fmt.Errorf("simjoin: probe job: %w", err)
 	}
@@ -148,9 +144,10 @@ func Join(ctx context.Context, items, consumers []vector.Sparse, sigma float64, 
 
 	res := &Result{
 		Rounds:         driver.Rounds(),
-		Candidates:     probeStats.ReduceGroups,
+		Candidates:     probeStats.ShuffleRecords,
 		PostingEntries: postings,
 		Shuffle:        driver.Total(),
+		Edges:          make([]Edge, 0, probeOut.Len()),
 	}
 	probeOut.Each(func(pair [2]int32, sim float64) {
 		res.Edges = append(res.Edges, Edge{Item: pair[0], Consumer: pair[1], Sim: sim})
@@ -160,17 +157,130 @@ func Join(ctx context.Context, items, consumers []vector.Sparse, sigma float64, 
 	return res, nil
 }
 
-// probeReduce builds the verification reduce: score the candidate
-// exactly, keep it when it clears the threshold. The constructor form
-// is shared by the local path and the dist worker registration, so both
-// run the identical function.
-func probeReduce(items, consumers []vector.Sparse, sigma float64) mapreduce.ReduceFunc[[2]int32, struct{}, [2]int32, float64] {
-	return func(pair [2]int32, _ []struct{}, out mapreduce.Emitter[[2]int32, float64]) error {
-		if sim := items[pair[0]].Dot(consumers[pair[1]]); sim >= sigma {
-			out.Emit(pair, sim)
+// rankedEntry is a vector component whose term is replaced by the term's
+// rank in the consumer vocabulary.
+type rankedEntry struct {
+	rank int32
+	w    float64
+}
+
+// verifier is the probe job's side data: both collections translated to
+// the consumer vocabulary, its terms ranked in ascending TermID order, so
+// a translated vector lists its terms in the order Sparse.Dot visits
+// them. Ranks index the pruned index and the reduce's weight table, which
+// are therefore as long as the consumers have distinct terms whatever the
+// ids are (a hashed id near 2³¹ costs one rank). Item terms no consumer
+// has are dropped: they score zero. Join and RegisterDistJobs build it
+// from the same vectors, so coordinator and workers agree.
+type verifier struct {
+	sigma            float64
+	rankOf           map[vector.TermID]int32
+	items, consumers [][]rankedEntry
+}
+
+func newVerifier(items, consumers []vector.Sparse, sigma float64) *verifier {
+	v := &verifier{sigma: sigma, rankOf: make(map[vector.TermID]int32)}
+	var terms []vector.TermID
+	for _, c := range consumers {
+		for _, e := range c.Entries() {
+			if _, ok := v.rankOf[e.Term]; !ok {
+				v.rankOf[e.Term] = 0
+				terms = append(terms, e.Term)
+			}
+		}
+	}
+	slices.Sort(terms)
+	for r, t := range terms {
+		v.rankOf[t] = int32(r)
+	}
+	v.items, v.consumers = v.translate(items), v.translate(consumers)
+	return v
+}
+
+// translate re-terms docs by rank.
+func (v *verifier) translate(docs []vector.Sparse) [][]rankedEntry {
+	out := make([][]rankedEntry, len(docs))
+	for i, d := range docs {
+		out[i] = make([]rankedEntry, 0, d.Len())
+		for _, e := range d.Entries() {
+			if r, ok := v.rankOf[e.Term]; ok {
+				out[i] = append(out[i], rankedEntry{rank: r, w: e.Weight})
+			}
+		}
+	}
+	return out
+}
+
+// seenPool lends probe map calls their item-indexed stamp tables and
+// weightPool lends verify reduce calls their rank-indexed weight tables.
+// Both are all zero between calls: the borrower wipes what it set — by
+// walking its input again, not by telling calls apart (a retried task or
+// a re-run dist attempt handles a consumer twice in one job, and the
+// tables outlive the job).
+var (
+	seenPool   = sync.Pool{New: func() any { return new([]bool) }}
+	weightPool = sync.Pool{New: func() any { return new([]float64) }}
+)
+
+// borrowed is a pooled table's view over n entries, grown on first use.
+func borrowed[T any](table *[]T, n int) []T {
+	if len(*table) < n {
+		*table = make([]T, n)
+	}
+	return (*table)[:n]
+}
+
+// probeMap builds the probe job's map: look up the postings of every
+// term of consumer j and emit each item found once, as (j, item).
+func (v *verifier) probeMap(index [][]posting, numItems int) mapreduce.MapFunc[int32, vector.Sparse, int32, int32] {
+	return func(j int32, _ vector.Sparse, out mapreduce.Emitter[int32, int32]) error {
+		table := seenPool.Get().(*[]bool)
+		defer seenPool.Put(table)
+		seen := borrowed(table, numItems)
+		for _, e := range v.consumers[j] {
+			for _, p := range index[e.rank] {
+				if !seen[p.doc] {
+					seen[p.doc] = true
+					out.Emit(j, p.doc)
+				}
+			}
+		}
+		for _, e := range v.consumers[j] {
+			for _, p := range index[e.rank] {
+				seen[p.doc] = false
+			}
 		}
 		return nil
 	}
+}
+
+// verifyReduce scores consumer j's candidates exactly and keeps those
+// that clear the threshold. The consumer is scattered once into the
+// weight table, so a candidate costs a walk over the item's own entries.
+// Products are added in ascending term order and a term the consumer
+// lacks adds +0 to a sum that is never negative, so the result is
+// Sparse.Dot's bit for bit (weights are finite by vector's contract). The
+// local path and the dist worker registration share this method.
+func (v *verifier) verifyReduce(j int32, docs []int32, out mapreduce.Emitter[[2]int32, float64]) error {
+	table := weightPool.Get().(*[]float64)
+	defer weightPool.Put(table)
+	weights := borrowed(table, len(v.rankOf))
+	for _, e := range v.consumers[j] {
+		weights[e.rank] = e.w
+	}
+	for _, d := range docs {
+		sim := 0.0
+		for _, e := range v.items[d] {
+			sim += e.w * weights[e.rank]
+		}
+		if sim >= v.sigma {
+			out.Emit([2]int32{d, j}, sim)
+		}
+	}
+	for _, e := range v.consumers[j] {
+		weights[e.rank] = 0
+	}
+	return nil
 }
 
 // RegisterDistJobs registers the join's worker-side reduces for the
@@ -179,7 +289,7 @@ func probeReduce(items, consumers []vector.Sparse, sigma float64) mapreduce.Redu
 // before serving.
 func RegisterDistJobs(items, consumers []vector.Sparse, sigma float64) {
 	mapreduce.RegisterDistReduce("simjoin-index", mapreduce.CollectValues[vector.TermID, posting]())
-	mapreduce.RegisterDistReduce("simjoin-probe", probeReduce(items, consumers, sigma))
+	mapreduce.RegisterDistReduce("simjoin-probe", newVerifier(items, consumers, sigma).verifyReduce)
 }
 
 // prefixEntries returns the entries of d to index: d's entries sorted by
@@ -220,8 +330,7 @@ func BruteForce(items, consumers []vector.Sparse, sigma float64) []Edge {
 			}
 		}
 	}
-	sortEdges(out)
-	return out
+	return out // in (item, consumer) order by construction
 }
 
 // ToGraph materializes joined edges as a bipartite graph with the given
@@ -244,16 +353,33 @@ func enumerate(docs []vector.Sparse) []mapreduce.Pair[int32, vector.Sparse] {
 }
 
 // sortEdges orders edges by (item, consumer) for deterministic output.
-// The pairs are unique, so the order is total and an unstable sort
-// reproduces it; input that already is in order is left alone.
+// The probe job's output is grouped by consumer within each partition,
+// far from that order, and both ids are small indexes into the input
+// collections, so this is two stable counting scatters — by consumer,
+// then by item — not a comparison sort.
 func sortEdges(edges []Edge) {
-	byPair := func(a, b Edge) int {
-		if c := cmp.Compare(a.Item, b.Item); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Consumer, b.Consumer)
+	tmp := make([]Edge, len(edges))
+	scatterEdges(tmp, edges, func(e *Edge) int32 { return e.Consumer })
+	scatterEdges(edges, tmp, func(e *Edge) int32 { return e.Item })
+}
+
+// scatterEdges copies src to dst in ascending order of key, keeping the
+// order of src among equal keys.
+func scatterEdges(dst, src []Edge, key func(*Edge) int32) {
+	size := 1
+	for i := range src {
+		size = max(size, int(key(&src[i]))+2)
 	}
-	if !slices.IsSortedFunc(edges, byPair) {
-		slices.SortFunc(edges, byPair)
+	next := make([]int32, size) // next[k+1] counts key k, then next[k] is where the next edge with key k goes
+	for i := range src {
+		next[key(&src[i])+1]++
+	}
+	for k := 1; k < len(next); k++ {
+		next[k] += next[k-1]
+	}
+	for i := range src {
+		k := key(&src[i])
+		dst[next[k]] = src[i]
+		next[k]++
 	}
 }

@@ -10,8 +10,8 @@ import (
 // the job run on the spilling and dist shuffle backends of
 // internal/mapreduce (a struct has no lane in the engine's codec; a
 // []posting group is wire-able because its element marshals itself).
-// The probe job's [2]int32 keys and empty-struct values are covered by
-// the engine's built-in column lanes.
+// The probe job shuffles (consumer, item) as int32 → int32 and outputs
+// [2]int32 → float64, all covered by the engine's built-in column lanes.
 
 // AppendBinary implements encoding.BinaryAppender: the engine's codec
 // appends into its own scratch, so encoding a posting allocates nothing.
