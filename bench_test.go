@@ -18,7 +18,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/flow"
 	"repro/internal/graph"
-	"repro/internal/mapreduce"
 	"repro/internal/simjoin"
 )
 
@@ -291,68 +290,6 @@ func BenchmarkAblationEpsSweep(b *testing.B) {
 			b.ReportMetric(float64(res.Rounds), "rounds")
 			b.ReportMetric(100*res.Matching.Violation(), "eps'_%")
 			b.ReportMetric(res.Matching.MaxViolationFactor(), "max_stretch")
-		})
-	}
-}
-
-// BenchmarkAblationCombiner measures the shuffle reduction a combiner
-// buys on an aggregation-heavy job (term counting over a corpus), the
-// lever Section 3.1 alludes to when calling the shuffle the dominant
-// cost.
-func BenchmarkAblationCombiner(b *testing.B) {
-	cfg := dataset.FlickrSmallConfig()
-	cfg.NumItems, cfg.NumConsumers = 1000, 200
-	c := dataset.Flickr("combine", cfg)
-	input := make([]mapreduce.Pair[int32, int], len(c.Items))
-	for i := range c.Items {
-		input[i] = mapreduce.P(int32(i), i)
-	}
-	mapFn := func(i int32, _ int, out mapreduce.Emitter[int32, float64]) error {
-		for _, e := range c.Items[i].Entries() {
-			out.Emit(int32(e.Term), e.Weight)
-		}
-		return nil
-	}
-	redFn := func(t int32, ws []float64, out mapreduce.Emitter[int32, float64]) error {
-		s := 0.0
-		for _, w := range ws {
-			s += w
-		}
-		out.Emit(t, s)
-		return nil
-	}
-	ctx := context.Background()
-	for _, withCombiner := range []bool{false, true} {
-		withCombiner := withCombiner
-		name := "off"
-		if withCombiner {
-			name = "on"
-		}
-		b.Run("combiner="+name, func(b *testing.B) {
-			var shuffled int64
-			for i := 0; i < b.N; i++ {
-				var st *mapreduce.Stats
-				var err error
-				if withCombiner {
-					_, st, err = mapreduce.RunCombined(ctx, mapreduce.Config{Mappers: 4, Reducers: 4},
-						input, mapFn,
-						func(_ int32, ws []float64) []float64 {
-							s := 0.0
-							for _, w := range ws {
-								s += w
-							}
-							return []float64{s}
-						}, redFn)
-				} else {
-					_, st, err = mapreduce.Run(ctx, mapreduce.Config{Mappers: 4, Reducers: 4},
-						input, mapFn, redFn)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-				shuffled = st.ShuffleRecords
-			}
-			b.ReportMetric(float64(shuffled), "shuffle_records")
 		})
 	}
 }

@@ -190,9 +190,7 @@ type Result struct {
 	// Shuffle aggregates the MapReduce record statistics over all
 	// rounds.
 	Shuffle mapreduce.Stats
-	// RoundStats holds the per-job statistics in execution order;
-	// mapreduce.ClusterModel.EstimateTrace turns it into simulated
-	// cluster wall-clock.
+	// RoundStats holds the per-job statistics in execution order.
 	RoundStats []mapreduce.Stats
 	// ValueTrace, when non-nil, holds the matching value at the end of
 	// each phase; GreedyMR fills it because its any-time property

@@ -195,9 +195,9 @@ type dualMsg struct {
 // order (messages are gathered into a per-edge map first), not in
 // message-arrival order: floating-point addition is order-sensitive,
 // and arrival order depends on how the input was split across map
-// tasks, which differs between the partition-resident and the flat
-// dataflow. Summing in adjacency order makes the duals bit-identical
-// under either chaining mode.
+// tasks, which differs between an input consumed where it resides and
+// one that had to be re-partitioned. Summing in adjacency order makes
+// the duals bit-identical either way.
 func (st *stackState) updateDuals(
 	ctx context.Context,
 	driver *mapreduce.Driver,
@@ -232,6 +232,7 @@ func (st *stackState) updateDuals(
 		return fmt.Errorf("core: stack-update: %w", err)
 	}
 	if err := driver.Observe(stats); err != nil {
+		out.Recycle()
 		return err
 	}
 	if err := out.Materialize(); err != nil {
@@ -323,6 +324,7 @@ func (st *stackState) filterEdges(
 		return nil, fmt.Errorf("core: stack-filter: %w", err)
 	}
 	if err := driver.Observe(stats); err != nil {
+		out.Recycle()
 		return nil, err
 	}
 	if err := out.Materialize(); err != nil {

@@ -60,11 +60,6 @@ func TestQualityExperimentShape(t *testing.T) {
 		if row.GreedyMR < row.StackMR {
 			t.Errorf("sigma=%v: GreedyMR %v below StackMR %v", row.Sigma, row.GreedyMR, row.StackMR)
 		}
-		// Simulated cluster time must be populated (at least the
-		// per-round overhead times the round count).
-		if row.GreedyMRTime <= 0 || row.StackMRTime <= 0 || row.StackGreedyTime <= 0 {
-			t.Errorf("sigma=%v: missing simulated times in %+v", row.Sigma, row)
-		}
 	}
 	if adv := res.GreedyMRAdvantage(); adv <= 0 {
 		t.Errorf("GreedyMR advantage %v not positive", adv)

@@ -23,13 +23,6 @@ type QualityRow struct {
 	GreedyMRRounds    int
 	StackMRRounds     int
 	StackGreedyRounds int
-	// Simulated cluster wall-clock in seconds (the in-memory engine's
-	// per-round statistics fed through mapreduce.DefaultCluster; the
-	// per-round scheduling overhead dominates, which is the paper's
-	// argument for minimizing rounds).
-	GreedyMRTime    float64
-	StackMRTime     float64
-	StackGreedyTime float64
 	// Violations (the stack algorithms may exceed capacities).
 	StackMRViolation     float64
 	StackGreedyViolation float64
@@ -61,7 +54,6 @@ func Quality(ctx context.Context, cfg Config, corpusName string) (*QualityResult
 		return nil, fmt.Errorf("experiments: unknown dataset %q", corpusName)
 	}
 	res := &QualityResult{Dataset: corpusName, Alpha: cfg.Alpha, Eps: cfg.Eps}
-	cluster := mapreduce.DefaultCluster()
 	for _, sigma := range SigmaGrid(corpusName) {
 		g, err := p.at(sigma, cfg.Alpha)
 		if err != nil {
@@ -75,7 +67,6 @@ func Quality(ctx context.Context, cfg Config, corpusName string) (*QualityResult
 		}
 		row.GreedyMR = gm.Matching.Value()
 		row.GreedyMRRounds = gm.Rounds
-		row.GreedyMRTime = cluster.EstimateTrace(gm.RoundStats)
 		res.MR.Add(&gm.Shuffle)
 
 		sm, err := runStack(ctx, g, cfg, core.MarkRandom)
@@ -84,7 +75,6 @@ func Quality(ctx context.Context, cfg Config, corpusName string) (*QualityResult
 		}
 		row.StackMR = sm.Matching.Value()
 		row.StackMRRounds = sm.Rounds
-		row.StackMRTime = cluster.EstimateTrace(sm.RoundStats)
 		row.StackMRViolation = sm.Matching.Violation()
 		res.MR.Add(&sm.Shuffle)
 
@@ -94,7 +84,6 @@ func Quality(ctx context.Context, cfg Config, corpusName string) (*QualityResult
 		}
 		row.StackGreedy = sg.Matching.Value()
 		row.StackGreedyRounds = sg.Rounds
-		row.StackGreedyTime = cluster.EstimateTrace(sg.RoundStats)
 		row.StackGreedyViolation = sg.Matching.Violation()
 		res.MR.Add(&sg.Shuffle)
 
@@ -121,14 +110,13 @@ func (r *QualityResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s (alpha=%g, eps=%g): matching value and MR iterations vs #edges\n",
 		r.Dataset, r.Alpha, r.Eps)
-	fmt.Fprintf(&b, "%8s %9s | %12s %12s %12s | %7s %7s %7s | %8s %8s %8s\n",
+	fmt.Fprintf(&b, "%8s %9s | %12s %12s %12s | %7s %7s %7s\n",
 		"sigma", "edges", "GreedyMR", "StackMR", "StackGrMR",
-		"it(G)", "it(S)", "it(SG)", "t(G)s", "t(S)s", "t(SG)s")
+		"it(G)", "it(S)", "it(SG)")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%8.3g %9d | %12.1f %12.1f %12.1f | %7d %7d %7d | %8.0f %8.0f %8.0f\n",
+		fmt.Fprintf(&b, "%8.3g %9d | %12.1f %12.1f %12.1f | %7d %7d %7d\n",
 			row.Sigma, row.Edges, row.GreedyMR, row.StackMR, row.StackGreedy,
-			row.GreedyMRRounds, row.StackMRRounds, row.StackGreedyRounds,
-			row.GreedyMRTime, row.StackMRTime, row.StackGreedyTime)
+			row.GreedyMRRounds, row.StackMRRounds, row.StackGreedyRounds)
 	}
 	fmt.Fprintf(&b, "GreedyMR value advantage over StackMR: %+.1f%%\n", 100*r.GreedyMRAdvantage())
 	return b.String()

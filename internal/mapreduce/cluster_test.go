@@ -2,72 +2,10 @@ package mapreduce
 
 import (
 	"context"
-	"math"
 	"reflect"
 	"strings"
 	"testing"
 )
-
-func TestClusterModelValidate(t *testing.T) {
-	if err := DefaultCluster().Validate(); err != nil {
-		t.Errorf("default model invalid: %v", err)
-	}
-	bad := []ClusterModel{
-		{Workers: 0, RoundOverhead: 1, MapThroughput: 1, ReduceThroughput: 1, ShuffleThroughput: 1},
-		{Workers: 1, RoundOverhead: -1, MapThroughput: 1, ReduceThroughput: 1, ShuffleThroughput: 1},
-		{Workers: 1, RoundOverhead: 1, MapThroughput: 0, ReduceThroughput: 1, ShuffleThroughput: 1},
-		{Workers: 1, RoundOverhead: 1, MapThroughput: 1, ReduceThroughput: 1, ShuffleThroughput: 0},
-	}
-	for i, m := range bad {
-		if m.Validate() == nil {
-			t.Errorf("model %d accepted", i)
-		}
-	}
-}
-
-func TestEstimateJob(t *testing.T) {
-	m := ClusterModel{Workers: 10, RoundOverhead: 5,
-		MapThroughput: 100, ReduceThroughput: 100, ShuffleThroughput: 1000}
-	s := &Stats{MapInputRecords: 2000, ShuffleRecords: 3000}
-	// 5 + 2000/(10*100) + 3000/1000 + 3000/(10*100) = 5 + 2 + 3 + 3 = 13.
-	if got := m.EstimateJob(s); math.Abs(got-13) > 1e-9 {
-		t.Errorf("EstimateJob = %v, want 13", got)
-	}
-	if got := m.EstimateJob(nil); got != 5 {
-		t.Errorf("EstimateJob(nil) = %v, want overhead", got)
-	}
-}
-
-func TestEstimateTraceSumsRounds(t *testing.T) {
-	m := DefaultCluster()
-	trace := []Stats{
-		{MapInputRecords: 1000, ShuffleRecords: 5000},
-		{MapInputRecords: 500, ShuffleRecords: 2000},
-	}
-	want := m.EstimateJob(&trace[0]) + m.EstimateJob(&trace[1])
-	if got := m.EstimateTrace(trace); math.Abs(got-want) > 1e-9 {
-		t.Errorf("EstimateTrace = %v, want %v", got, want)
-	}
-	// Overhead dominates many-small-rounds workloads: 20 tiny rounds
-	// must cost more than 2 rounds shuffling the same total volume.
-	small := make([]Stats, 20)
-	big := make([]Stats, 2)
-	for i := range small {
-		small[i] = Stats{ShuffleRecords: 10000}
-	}
-	for i := range big {
-		big[i] = Stats{ShuffleRecords: 100000}
-	}
-	if m.EstimateTrace(small) <= m.EstimateTrace(big) {
-		t.Error("per-round overhead not reflected")
-	}
-}
-
-func TestDescribe(t *testing.T) {
-	if d := DefaultCluster().Describe(); !strings.Contains(d, "workers") {
-		t.Errorf("Describe = %q", d)
-	}
-}
 
 func TestInjectedFailuresAreTransparent(t *testing.T) {
 	// With failure injection the output must be identical to a clean

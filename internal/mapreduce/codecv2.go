@@ -244,7 +244,7 @@ func getBlobScratch() *blobScratch  { return blobScratchPool.Get().(*blobScratch
 func putBlobScratch(s *blobScratch) { blobScratchPool.Put(s) }
 
 // frameScratch pools the encode buffers for outbound bulk frames
-// (MsgBucket on both sides of the wire, MsgReduced on the worker).
+// (MsgBucket on both sides of the wire, MsgPart on the worker).
 // remote.Conn.WriteFrame copies the payload into its buffered writer
 // before returning, so a frame buffer can be recycled the moment
 // WriteFrame comes back.

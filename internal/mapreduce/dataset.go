@@ -10,14 +10,16 @@ import (
 // This file makes the engine loop-aware. The paper's matching algorithms
 // are iterative MapReduce: tens to hundreds of rounds over node-state
 // records keyed by the same graph.NodeID with the same partitioner every
-// round. Run collapses every job's output into one flat, globally sorted
-// []Pair, so a round loop built on it re-hashes and re-routes every
-// record between jobs — including the large majority that land straight
-// back in the partition they came from. Dataset is the fix: reduce tasks
-// emit into it per-partition (no global concat-and-sort barrier), and a
-// subsequent job whose key type, partitioner, and partition count match
-// consumes it partition-by-partition, with self-addressed pairs taking
-// an identity route that skips hashing entirely.
+// round. A loop that passed a flat []Pair from job to job would re-hash
+// and re-route every record between jobs — including the large majority
+// that land straight back in the partition they came from. Dataset is
+// the engine's currency instead: reduce tasks emit into it per-partition
+// (no global concat-and-sort barrier), and a subsequent job whose key
+// type, partitioner, and partition count match consumes it
+// partition-by-partition, with self-addressed pairs taking an identity
+// route that skips hashing entirely. Every job is a Dataset job: Run is
+// the one whose input has no partitions yet and whose output is
+// collected (runFlat).
 
 // Dataset is a partitioned collection of pairs, the engine's currency
 // between the jobs of an iterative computation. A Dataset is aligned
@@ -219,8 +221,8 @@ func keyCast[K1, K2 comparable]() func(K1) K2 {
 	return f
 }
 
-// RunDS executes one MapReduce job with a Dataset on both ends. It is
-// Run with the two loop-hostile barriers removed:
+// RunDS executes one MapReduce job with a Dataset on both ends — the
+// engine's one job runner, which Run enters through runFlat:
 //
 //   - input side: when the input is aligned with the job's partitioning
 //     (same key type, same partitioner, Partitions() == cfg.Reducers)
@@ -229,8 +231,9 @@ func keyCast[K1, K2 comparable]() func(K1) K2 {
 //     backbone of the paper's iterative algorithms — takes an identity
 //     route straight into the task's own partition bucket, skipping the
 //     hash (counted in Stats.LocalRouted; hashed pairs are
-//     CrossRouted). Misaligned input is collected and re-partitioned
-//     exactly like Run (forced re-partition).
+//     CrossRouted). On dist such an input that is resident on the
+//     cluster's workers is mapped there. Misaligned input is collected
+//     and re-partitioned (runFlat, the forced re-partition).
 //   - output side: reduce tasks emit into the returned Dataset
 //     per-partition; there is no global concat-and-sort barrier. The
 //     output is aligned provided the reduce emits only keys hashing to
@@ -248,41 +251,77 @@ func RunDS[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any](
 	if reduceFn == nil {
 		return nil, nil, errors.New("mapreduce: nil reduce function")
 	}
+	inPlace := input.aligned && input.Partitions() == cfg.reducers()
+	if inPlace && input.rem != nil && input.rem.cl == cfg.Dist && cfg.Shuffle.kind() == ShuffleDist {
+		// Resident where the job runs: the workers map it, and
+		// self-addressed pairs never touch the wire.
+		return execJob(ctx, cfg, input.Len(), input.Partitions(), input.rem.seq, nil, reduceFn)
+	}
+	if err := input.Materialize(); err != nil {
+		return nil, newStats(cfg.Name), err
+	}
+	if !inPlace {
+		return runFlat(ctx, cfg, input.Collect(), mapFn, reduceFn)
+	}
+	return execJob(ctx, cfg, input.Len(), input.Partitions(), 0,
+		func(ctx context.Context, backend ShuffleBackend[K2, V2], ar *roundArena[K2, V2], stats *Stats) error {
+			return runMapPhaseDS(ctx, cfg, input, mapFn, backend, ar, stats)
+		}, reduceFn)
+}
+
+// runFlat is the forced re-partition, the job of an input that no
+// partitioning holds: flat is cut, in the order given, into
+// Config.Mappers contiguous splits, one map task each, and every
+// emitted pair is hashed to its partition. Run enters here with the
+// caller's slice, RunDS with a collected misaligned Dataset.
+func runFlat[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any](
+	ctx context.Context,
+	cfg Config,
+	flat []Pair[K1, V1],
+	mapFn MapFunc[K1, V1, K2, V2],
+	reduceFn ReduceFunc[K2, V2, K3, V3],
+) (*Dataset[K3, V3], *Stats, error) {
+	splits := splitRange(len(flat), cfg.mappers())
+	return execJob(ctx, cfg, len(flat), len(splits), 0,
+		func(ctx context.Context, backend ShuffleBackend[K2, V2], ar *roundArena[K2, V2], stats *Stats) error {
+			return runMapPhase(ctx, cfg, splits, flat, mapFn, backend, ar, stats)
+		}, reduceFn)
+}
+
+// mapPhaseFunc runs all of a job's map tasks into a shuffle backend:
+// runMapPhase over the splits of a flat input, or runMapPhaseDS over
+// the partitions of an aligned Dataset.
+type mapPhaseFunc[K2 comparable, V2 any] func(ctx context.Context, backend ShuffleBackend[K2, V2], ar *roundArena[K2, V2], stats *Stats) error
+
+// execJob runs one job of `tasks` map tasks over `records` input records
+// on the configured backend. mapPhase runs them in this process; on dist
+// a nil mapPhase with residentSeq set means the input is job
+// residentSeq's output, resident on the cluster, and the workers that
+// hold its partitions map them.
+func execJob[K2 comparable, V2 any, K3 comparable, V3 any](
+	ctx context.Context,
+	cfg Config,
+	records, tasks int,
+	residentSeq uint64,
+	mapPhase mapPhaseFunc[K2, V2],
+	reduceFn ReduceFunc[K2, V2, K3, V3],
+) (*Dataset[K3, V3], *Stats, error) {
 	stats := newStats(cfg.Name)
-	stats.MapInputRecords = int64(input.Len())
+	stats.MapInputRecords = int64(records)
 	defer stats.snapPool(cfg.Pool)()
 
 	if cfg.Shuffle.kind() == ShuffleDist {
-		out, err := runDistDS[K1, V1, K2, V2, K3, V3](ctx, cfg, input, mapFn, stats)
+		out, err := runDistDS[K2, V2, K3, V3](ctx, cfg, tasks, residentSeq, mapPhase, stats)
 		return out, stats, err
 	}
-	if err := input.Materialize(); err != nil {
+	ar := arenaFor[K2, V2](cfg.Pool, cfg.reducers())
+	backend, err := newShuffleBackend(cfg, tasks, ar)
+	if err != nil {
 		return nil, stats, err
 	}
-
-	chained := input.aligned && input.Partitions() == cfg.reducers()
-
-	ar := arenaFor[K2, V2](cfg.Pool, cfg.reducers())
-	var backend ShuffleBackend[K2, V2]
-	var err error
+	defer backend.Close()
 	phase := time.Now()
-	if chained {
-		backend, err = newShuffleBackend(cfg, input.Partitions(), ar)
-		if err != nil {
-			return nil, stats, err
-		}
-		defer backend.Close()
-		err = runMapPhaseDS(ctx, cfg, input, mapFn, backend, ar, stats)
-	} else {
-		flat := input.Collect()
-		splits := splitRange(len(flat), cfg.mappers())
-		backend, err = newShuffleBackend(cfg, len(splits), ar)
-		if err != nil {
-			return nil, stats, err
-		}
-		defer backend.Close()
-		err = runMapPhase(ctx, cfg, splits, flat, mapFn, backend, ar, stats)
-	}
+	err = mapPhase(ctx, backend, ar, stats)
 	stats.MapWall = time.Since(phase)
 	if err != nil {
 		return nil, stats, err
@@ -411,6 +450,10 @@ func RunJobDS[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 an
 		return nil, err
 	}
 	if err := d.Observe(stats); err != nil {
+		// The output is dropped with the error: release it, or on dist its
+		// residency record, mirror and worker-resident partitions would
+		// outlive the job on a cluster that is reused.
+		out.Recycle()
 		return nil, err
 	}
 	return out, nil

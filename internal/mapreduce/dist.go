@@ -26,12 +26,12 @@ import (
 // owners, and the workers group-sort and reduce their partitions locally
 // with the same radix path and buffer pool the in-memory backend uses —
 // which is what makes the output bit-identical to ShuffleMemory for the
-// same seed and partition count. Reduce output either streams back
-// (Run) or stays worker-resident (RunDS), so the next chained job's
-// self-addressed pairs never cross the wire. The worker half lives in
-// distworker.go; workers run the reduce (and, when chained, map)
-// functions registered under the job's name via RegisterDistJob — the
-// function values themselves never travel.
+// same seed and partition count. Reduce output stays worker-resident,
+// so the next chained job's self-addressed pairs never cross the wire;
+// a caller that wants the records (Run, Materialize) fetches them. The
+// worker half lives in distworker.go; workers run the reduce (and, when
+// chained, map) functions registered under the job's name via
+// RegisterDistJob — the function values themselves never travel.
 
 // DistCluster is a set of connected worker processes, shared by every
 // job of a computation (Config.Dist). Reduce partitions start out owned
@@ -634,9 +634,8 @@ func (cl *DistCluster) liveWorkers() []int {
 // write, looking for the MsgError it may have sent before going away: a
 // deterministic user-function or registration failure must surface as
 // itself, not as the transport error it caused. Only called from paths
-// where no reader goroutine owns the connection (job announce, flat
-// bucket streaming, re-seeding). Returns "" when the worker died
-// silently — the recoverable case.
+// where no reader goroutine owns the connection (the job announce).
+// Returns "" when the worker died silently — the recoverable case.
 func (cl *DistCluster) drainFatal(w int) string {
 	c := cl.conns[w]
 	c.SetReadDeadline(time.Now().Add(cl.drainTimeout))
@@ -819,7 +818,8 @@ func (cl *DistCluster) rebalance(parts int, inputSeq uint64, revive bool) {
 // balanceLocked moves partitions from loaded workers to idle healthy
 // ones. For a chained input the move is real data (seeded from the
 // mirror by ensureResident), so it requires the mirror's blobs; for a
-// flat job the assignment is the only state, and moving it is free.
+// job the coordinator maps the assignment is the only state, and moving
+// it is free.
 func (cl *DistCluster) balanceLocked(owners []int, m *distMirror, chained bool) {
 	if chained && (m == nil || m.blobs == nil) {
 		return // nothing migratable without a mirror
@@ -1256,11 +1256,11 @@ func (cl *DistCluster) bumpSeq(seq uint64) {
 // journalTake pops the next replay-queue record if it matches the job
 // about to run. Implemented on the cluster so job runners can call it
 // without nil-checking the journal.
-func (cl *DistCluster) journalTake(name string, kind byte) (*journalRecord, error) {
-	if cl == nil || cl.journal == nil {
+func (cl *DistCluster) journalTake(name string) (*journalRecord, error) {
+	if cl.journal == nil {
 		return nil, nil
 	}
-	rec, err := cl.journal.takeJob(name, kind)
+	rec, err := cl.journal.takeJob(name)
 	if err != nil {
 		return nil, err
 	}
@@ -1271,26 +1271,11 @@ func (cl *DistCluster) journalTake(name string, kind byte) (*journalRecord, erro
 	return rec, err
 }
 
-// journalAppendFlat journals one flat job's sorted output as a single
-// encodePairs blob.
-func (cl *DistCluster) journalAppendFlat(seq uint64, name string, count int64, blob []byte) error {
-	if cl == nil || cl.journal == nil {
-		return nil
-	}
-	return cl.journal.appendJob(&journalRecord{
-		seq:    seq,
-		kind:   journalKindFlat,
-		name:   name,
-		counts: []int64{count},
-		blobs:  [][]byte{blob},
-	})
-}
-
 // journalAppendResident journals one retained job's residency mirror —
 // the same per-partition blobs recovery re-seeds from — and its side
 // output, which lives nowhere else once the driver has folded it.
 func (cl *DistCluster) journalAppendResident(seq uint64, name string, sides [][]uint64) error {
-	if cl == nil || cl.journal == nil {
+	if cl.journal == nil {
 		return nil
 	}
 	cl.mu.Lock()
@@ -1310,7 +1295,6 @@ func (cl *DistCluster) journalAppendResident(seq uint64, name string, sides [][]
 	}
 	return cl.journal.appendJob(&journalRecord{
 		seq:    seq,
-		kind:   journalKindResident,
 		name:   name,
 		counts: counts,
 		blobs:  blobs,
@@ -1640,20 +1624,19 @@ func distTypeID[T any]() string {
 
 // distJobHeader is the decoded MsgJobStart, shared by both sides.
 type distJobHeader struct {
-	seq        uint64
-	name       string
-	mode       remote.JobMode
-	splits     int
-	reducers   int
-	wantOutput bool
+	seq      uint64
+	name     string
+	mode     remote.JobMode
+	splits   int
+	reducers int
 	// ckpt asks the workers to checkpoint their retained output at the
 	// flush barrier: stream a mirror copy (MsgCkpt) to the coordinator
 	// before MsgJobDone.
 	ckpt bool
 	// wireComp asks both sides to flate-compress the pair payload of
-	// every bulk frame they encode for this job (MsgBucket, MsgReduced,
-	// MsgCkpt, MsgPart). Carried in the header so every worker applies
-	// the coordinator's Config.WireCompression choice.
+	// every bulk frame they encode for this job (MsgBucket, MsgCkpt,
+	// MsgPart). Carried in the header so every worker applies the
+	// coordinator's Config.WireCompression choice.
 	wireComp bool
 	inputSeq uint64
 	// owners is the job's partition→worker assignment, one entry per
@@ -1677,11 +1660,6 @@ func (h *distJobHeader) encode() []byte {
 	buf = append(buf, byte(h.mode))
 	buf = remote.AppendUvarint(buf, uint64(h.splits))
 	buf = remote.AppendUvarint(buf, uint64(h.reducers))
-	if h.wantOutput {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
 	if h.ckpt {
 		buf = append(buf, 1)
 	} else {
@@ -1714,7 +1692,6 @@ func parseJobHeader(cur *remote.Cursor) (*distJobHeader, error) {
 	h.mode = remote.JobMode(cur.Byte())
 	h.splits = int(cur.Uvarint())
 	h.reducers = int(cur.Uvarint())
-	h.wantOutput = cur.Byte() != 0
 	h.ckpt = cur.Byte() != 0
 	h.wireComp = cur.Byte() != 0
 	h.inputSeq = cur.Uvarint()
@@ -1837,15 +1814,14 @@ func parseJobDone(cur *remote.Cursor, reducers int, rep *distWorkerReport) error
 // number, and acknowledges with MsgAborted, the last frame it sends for
 // that sequence. Readers discard everything up to the ack, so the wire
 // is quiet when finish returns the latched WorkerLostError and the
-// retry loop (runDistFlat/runDistDS) re-announces the job with a
-// reassigned partition map. Only worker death aborts; a user-function
-// error or malformed frame still breaks the cluster (fail-fast), since
-// retrying a deterministic failure cannot help.
+// retry loop (runDistDS) re-announces the job with a reassigned
+// partition map. Only worker death aborts; a user-function error or
+// malformed frame still breaks the cluster (fail-fast), since retrying
+// a deterministic failure cannot help.
 type distJobRun[K2 comparable, V2 any, K3 comparable, V3 any] struct {
 	cl        *DistCluster
 	hdr       *distJobHeader
 	shufc     *pairCodec[K2, V2] // shuffled pairs (MsgBucket)
-	outc      *pairCodec[K3, V3] // reduce output (MsgReduced)
 	bytesIn0  int64
 	bytesOut0 int64
 	// live is the set of workers the announce included — the workers
@@ -1869,7 +1845,6 @@ type distJobRun[K2 comparable, V2 any, K3 comparable, V3 any] struct {
 	finished atomic.Bool
 
 	mu        sync.Mutex
-	outs      [][]Pair[K3, V3]
 	reports   []distWorkerReport
 	loss      *WorkerLostError
 	ckptBlobs [][]byte
@@ -2007,16 +1982,14 @@ func (j *distJobRun[K2, V2, K3, V3]) tailLaggard(now time.Time, factor float64, 
 	return 0, 0, false
 }
 
-// startDistJob resolves the two pair codecs, snapshots the live worker set
-// and the partition assignment into the job header, and announces the
-// job to every live worker.
+// startDistJob resolves the two pair codecs (a type without one fails
+// here, before any worker hears of the job), snapshots the live worker
+// set and the partition assignment into the job header, and announces
+// the job to every live worker.
 func startDistJob[K2 comparable, V2 any, K3 comparable, V3 any](
-	cfg Config, mode remote.JobMode, splits int, inputSeq uint64, wantOutput, ckpt bool,
+	cfg Config, mode remote.JobMode, splits int, inputSeq uint64, ckpt bool,
 ) (*distJobRun[K2, V2, K3, V3], error) {
 	cl := cfg.Dist
-	if cl == nil {
-		return nil, errors.New("mapreduce: shuffle backend \"dist\" requires Config.Dist (a started DistCluster)")
-	}
 	if err := cl.Err(); err != nil {
 		return nil, fmt.Errorf("mapreduce: dist cluster is broken: %w", err)
 	}
@@ -2024,8 +1997,7 @@ func startDistJob[K2 comparable, V2 any, K3 comparable, V3 any](
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: dist job %q: shuffle %w", cfg.Name, err)
 	}
-	outc, err := pairCodecFor[K3, V3]()
-	if err != nil {
+	if _, err := pairCodecFor[K3, V3](); err != nil {
 		return nil, fmt.Errorf("mapreduce: dist job %q: output %w", cfg.Name, err)
 	}
 	owners := cl.ownersFor(cfg.reducers())
@@ -2036,26 +2008,24 @@ func startDistJob[K2 comparable, V2 any, K3 comparable, V3 any](
 	j := &distJobRun[K2, V2, K3, V3]{
 		cl: cl,
 		hdr: &distJobHeader{
-			seq:        cl.nextSeq(),
-			name:       cfg.Name,
-			mode:       mode,
-			splits:     splits,
-			reducers:   cfg.reducers(),
-			wantOutput: wantOutput,
-			ckpt:       ckpt,
-			wireComp:   cfg.WireCompression,
-			inputSeq:   inputSeq,
-			owners:     owners,
-			k2id:       distTypeID[K2](),
-			v2id:       distTypeID[V2](),
-			k3id:       distTypeID[K3](),
-			v3id:       distTypeID[V3](),
-			params:     cfg.DistParams,
+			seq:      cl.nextSeq(),
+			name:     cfg.Name,
+			mode:     mode,
+			splits:   splits,
+			reducers: cfg.reducers(),
+			ckpt:     ckpt,
+			wireComp: cfg.WireCompression,
+			inputSeq: inputSeq,
+			owners:   owners,
+			k2id:     distTypeID[K2](),
+			v2id:     distTypeID[V2](),
+			k3id:     distTypeID[K3](),
+			v3id:     distTypeID[V3](),
+			params:   cfg.DistParams,
 		},
-		shufc: shufc, outc: outc,
+		shufc:     shufc,
 		live:      live,
 		spec:      cfg.SpeculationFactor,
-		outs:      make([][]Pair[K3, V3], cfg.reducers()),
 		reports:   make([]distWorkerReport, cl.Workers()),
 		doneAt:    make(map[int]time.Time, len(live)),
 		mapDoneAt: make(map[int]time.Time, len(live)),
@@ -2197,13 +2167,13 @@ func (j *distJobRun[K2, V2, K3, V3]) abortAttempt(w int, cause error, speculativ
 	}
 }
 
-// senderLost handles a write failure to worker w from the flat-mode
-// bucket streaming path. The worker is marked dead but its connection
-// stays open: the reader goroutine owns it and must get the chance to
-// consume a parting MsgError off the socket before it dies — a
-// deterministic user-function or registration failure surfaces as
-// itself, not as the transport error it caused. The deadline bounds the
-// reader's wait; its error path closes the connection.
+// senderLost handles a write failure to worker w from the
+// coordinator's bucket streaming path. The worker is marked dead but
+// its connection stays open: the reader goroutine owns it and must get
+// the chance to consume a parting MsgError off the socket before it
+// dies — a deterministic user-function or registration failure surfaces
+// as itself, not as the transport error it caused. The deadline bounds
+// the reader's wait; its error path closes the connection.
 func (j *distJobRun[K2, V2, K3, V3]) senderLost(w int, cause error) error {
 	if j.cl.noteDead(w) {
 		j.cl.conns[w].SetReadDeadline(time.Now().Add(j.cl.drainTimeout))
@@ -2367,23 +2337,6 @@ func (j *distJobRun[K2, V2, K3, V3]) reader(w int) (readerOutcome, error) {
 				// already initiated the abort; nothing more to do.
 				j.flushAll()
 			}
-		case remote.MsgReduced:
-			cur.Uvarint() // seq
-			part := int(cur.Uvarint())
-			count := int(cur.Uvarint())
-			if err := cur.Err(); err != nil || part < 0 || part >= len(j.outs) {
-				return 0, fmt.Errorf("mapreduce: dist job %q: malformed reduce output from worker %d", j.hdr.name, w)
-			}
-			if j.aborting.Load() {
-				continue
-			}
-			pairs, err := decodePairs(cur, count, j.outc, make([]Pair[K3, V3], 0, pairCap(cur, count, j.outc)))
-			if err != nil {
-				return 0, fmt.Errorf("mapreduce: dist job %q: decoding partition %d: %w", j.hdr.name, part, err)
-			}
-			j.mu.Lock()
-			j.outs[part] = pairs
-			j.mu.Unlock()
 		case remote.MsgCkpt:
 			seq := cur.Uvarint()
 			part := int(cur.Uvarint())
@@ -2446,9 +2399,9 @@ func (j *distJobRun[K2, V2, K3, V3]) reader(w int) (readerOutcome, error) {
 // observes the flush barrier, aggregates the worker reports into stats,
 // and burns the coordinator-side failure coins so injected-failure
 // statistics match the local backends. Success here is the one place
-// an attempt's results — streamed output, resident counts, side output —
-// are accepted; an aborted or speculated-around attempt contributes none.
-func (j *distJobRun[K2, V2, K3, V3]) finish(ctx context.Context, cfg Config, stats *Stats, mapErr error) (*distJobResult[K3, V3], error) {
+// an attempt's results — resident counts, side output — are accepted;
+// an aborted or speculated-around attempt contributes none.
+func (j *distJobRun[K2, V2, K3, V3]) finish(ctx context.Context, cfg Config, stats *Stats, mapErr error) (*distJobResult, error) {
 	defer j.cl.clearActiveJob()
 	readErrs := j.readErrs
 	outcomes := j.outcomes
@@ -2478,8 +2431,8 @@ func (j *distJobRun[K2, V2, K3, V3]) finish(ctx context.Context, cfg Config, sta
 		// A worker loss during the map phase already initiated the
 		// abort; the readers drain to their MsgAborted acks.
 	} else if j.hdr.mode == remote.ModeFlat {
-		// Flat jobs have no worker map phase: the coordinator sealed
-		// ingestion the moment its own map tasks finished.
+		// No worker map phase: the coordinator sealed ingestion the
+		// moment its own map tasks finished.
 		if err := j.flushAll(); err != nil {
 			mapErr = err
 		}
@@ -2527,7 +2480,7 @@ func (j *distJobRun[K2, V2, K3, V3]) finish(ctx context.Context, cfg Config, sta
 	}
 
 	// Aggregate the worker reports.
-	res := &distJobResult[K3, V3]{outs: j.outs, counts: make([]int64, j.hdr.reducers)}
+	res := &distJobResult{counts: make([]int64, j.hdr.reducers)}
 	var workerWall time.Duration
 	for w := range j.reports {
 		rep := &j.reports[w]
@@ -2585,9 +2538,8 @@ func (j *distJobRun[K2, V2, K3, V3]) finish(ctx context.Context, cfg Config, sta
 }
 
 // distJobResult is what a successful attempt hands back, per partition:
-// streamed reduce output (if asked for), resident count, side output.
-type distJobResult[K3 comparable, V3 any] struct {
-	outs   [][]Pair[K3, V3]
+// resident count and side output.
+type distJobResult struct {
 	counts []int64
 	sides  [][]uint64
 }
@@ -2617,63 +2569,6 @@ func (s *distSender[K2, V2, K3, V3]) Finalize() ([]GroupStream[K2, V2], error) {
 
 func (s *distSender[K2, V2, K3, V3]) Close() error { return nil }
 
-// runDistFlat executes one flat job on the dist backend, retrying the
-// whole job (a flat job's input lives on the coordinator, so a retry
-// needs no restoration) when an attempt dies to worker loss and
-// survivors remain. Each attempt runs against scratch stats; only the
-// successful attempt's numbers merge into the caller's, so retried work
-// is invisible everywhere except Stats.WorkerRecoveries.
-func runDistFlat[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any](
-	ctx context.Context,
-	cfg Config,
-	input []Pair[K1, V1],
-	mapFn MapFunc[K1, V1, K2, V2],
-	stats *Stats,
-) ([]Pair[K3, V3], error) {
-	cl := cfg.Dist
-	// A resumed coordinator satisfies already-journaled jobs from the
-	// journal instead of re-running them (no-op on a live run).
-	if rec, err := cl.journalTake(cfg.Name, journalKindFlat); err != nil {
-		return nil, err
-	} else if rec != nil {
-		return decodeJournalFlat[K3, V3](rec)
-	}
-	var sched schedSnapshot
-	sched.start(cl)
-	for attempt := 0; ; attempt++ {
-		if cl != nil {
-			// The job-boundary scheduling step: adopt late joiners,
-			// revive recovered suspects (first attempt only — a retry
-			// must not re-admit the worker it is retrying around), and
-			// balance the assignment onto idle workers.
-			cl.rebalance(cfg.reducers(), 0, attempt == 0)
-		}
-		as := newStats(cfg.Name)
-		out, seq, err := tryDistFlat[K1, V1, K2, V2, K3, V3](ctx, cfg, input, mapFn, as)
-		if err == nil {
-			if cl != nil && cl.journal != nil {
-				blob, jerr := encodeJournalFlat(out, cfg.WireCompression)
-				if jerr == nil {
-					jerr = cl.journalAppendFlat(seq, cfg.Name, int64(len(out)), blob)
-				}
-				if jerr != nil {
-					return nil, jerr
-				}
-			}
-			as.WorkerRecoveries = int64(attempt)
-			sched.settle(cl, as)
-			stats.Add(as)
-			return out, nil
-		}
-		if cl == nil || !isWorkerLost(err) || !cl.retryAfterLoss(attempt) {
-			return nil, err
-		}
-		sched.noteLoss(err)
-		cl.recoveries.Add(1)
-		cl.recoverAssignments()
-	}
-}
-
 // schedSnapshot brackets one logical job's elastic-scheduling activity:
 // deltas of the cluster counters across all its attempts, plus the
 // speculative launches whose backup attempt won (counted when the job
@@ -2685,9 +2580,6 @@ type schedSnapshot struct {
 }
 
 func (s *schedSnapshot) start(cl *DistCluster) {
-	if cl == nil {
-		return
-	}
 	s.hb0 = cl.hbTimeouts.Load()
 	s.sl0 = cl.specLaunch.Load()
 	s.mg0 = cl.migratedCnt.Load()
@@ -2704,9 +2596,6 @@ func (s *schedSnapshot) noteLoss(err error) {
 }
 
 func (s *schedSnapshot) settle(cl *DistCluster, as *Stats) {
-	if cl == nil {
-		return
-	}
 	if s.specPending > 0 {
 		cl.specWins.Add(s.specPending)
 	}
@@ -2720,84 +2609,21 @@ func (s *schedSnapshot) settle(cl *DistCluster, as *Stats) {
 	as.JournalBytes = cl.journalBytes() - s.jb0
 }
 
-// tryDistFlat is one flat-job attempt: local map phase, buckets
-// streamed to the workers, reduce output streamed back and normalized
-// exactly like Run.
-func tryDistFlat[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any](
+// runDistDS executes one job on the dist backend (execJob's dist half),
+// retrying the whole job when an attempt dies to worker loss. A
+// worker-resident input (inputSeq != 0, mapped by the workers) is
+// restorable across attempts as long as every lost partition has a
+// coordinator-mirrored checkpoint blob (ensureResident re-seeds it to
+// the new owner); an input the coordinator maps itself (mapPhase) needs
+// no restoration at all. Each attempt runs against scratch stats; only
+// the successful attempt's numbers merge into the caller's, so retried
+// work is invisible everywhere except Stats.WorkerRecoveries.
+func runDistDS[K2 comparable, V2 any, K3 comparable, V3 any](
 	ctx context.Context,
 	cfg Config,
-	input []Pair[K1, V1],
-	mapFn MapFunc[K1, V1, K2, V2],
-	stats *Stats,
-) ([]Pair[K3, V3], uint64, error) {
-	splits := splitRange(len(input), cfg.mappers())
-	job, err := startDistJob[K2, V2, K3, V3](cfg, remote.ModeFlat, len(splits), 0, true, false)
-	if err != nil {
-		return nil, 0, err
-	}
-	ar := arenaFor[K2, V2](cfg.Pool, cfg.reducers())
-	sender := &distSender[K2, V2, K3, V3]{j: job, ar: ar}
-	phase := time.Now()
-	mapErr := runMapPhase(ctx, cfg, splits, input, mapFn, sender, ar, stats)
-	stats.MapWall = time.Since(phase)
-	phase = time.Now()
-	res, err := job.finish(ctx, cfg, stats, mapErr)
-	stats.ReduceWall = time.Since(phase)
-	if err != nil {
-		return nil, 0, err
-	}
-	var total int
-	for _, o := range res.outs {
-		total += len(o)
-	}
-	all := make([]Pair[K3, V3], 0, total)
-	for _, o := range res.outs {
-		all = append(all, o...)
-	}
-	sortPairs(all)
-	return all, job.hdr.seq, nil
-}
-
-// encodeJournalFlat serializes a flat job's sorted output as one
-// codec-v2 pair blob for the run journal.
-func encodeJournalFlat[K3 comparable, V3 any](pairs []Pair[K3, V3], compress bool) ([]byte, error) {
-	pc, err := pairCodecFor[K3, V3]()
-	if err != nil {
-		return nil, err
-	}
-	return encodePairs(nil, pairs, pc, compress, nil)
-}
-
-// decodeJournalFlat rebuilds a flat job's sorted output from its
-// journal record.
-func decodeJournalFlat[K3 comparable, V3 any](rec *journalRecord) ([]Pair[K3, V3], error) {
-	pc, err := pairCodecFor[K3, V3]()
-	if err != nil {
-		return nil, err
-	}
-	if len(rec.counts) != 1 || len(rec.blobs) != 1 {
-		return nil, fmt.Errorf("mapreduce: dist journal: flat job %q record has %d blobs", rec.name, len(rec.blobs))
-	}
-	count := int(rec.counts[0])
-	cur := remote.NewCursor(rec.blobs[0])
-	out, err := decodePairs(cur, count, pc, make([]Pair[K3, V3], 0, pairCap(cur, count, pc)))
-	if err != nil {
-		return nil, fmt.Errorf("mapreduce: dist journal: replaying job %q: %w", rec.name, err)
-	}
-	return out, nil
-}
-
-// runDistDS executes one Dataset job on the dist backend, retrying the
-// whole job when an attempt dies to worker loss. A worker-resident
-// input is restorable across attempts as long as every lost partition
-// has a coordinator-mirrored checkpoint blob (ensureResident re-seeds
-// it to the new owner); an input held on the coordinator needs no
-// restoration at all.
-func runDistDS[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any](
-	ctx context.Context,
-	cfg Config,
-	input *Dataset[K1, V1],
-	mapFn MapFunc[K1, V1, K2, V2],
+	splits int,
+	inputSeq uint64,
+	mapPhase mapPhaseFunc[K2, V2],
 	stats *Stats,
 ) (*Dataset[K3, V3], error) {
 	cl := cfg.Dist
@@ -2807,8 +2633,9 @@ func runDistDS[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 a
 	// A resumed coordinator satisfies already-journaled jobs straight from
 	// the journal: the mirror blobs become a residency record whose
 	// partitions live nowhere yet (locNowhere) — ensureResident seeds them to
-	// workers the first time a job consumes the dataset.
-	if rec, err := cl.journalTake(cfg.Name, journalKindResident); err != nil {
+	// workers the first time a job consumes the dataset, and a fetch
+	// (Materialize, Run) decodes them where they are.
+	if rec, err := cl.journalTake(cfg.Name); err != nil {
 		return nil, err
 	} else if rec != nil {
 		owners := make([]int, len(rec.counts))
@@ -2819,24 +2646,11 @@ func runDistDS[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 a
 		cl.noteRetained()
 		return newRemoteDataset[K3, V3](cl, rec.seq, rec.counts, rec.sides, keyCast[K2, K3]() != nil, cfg.Pool), nil
 	}
-	remoteChained := input.rem != nil && input.rem.cl == cl && input.aligned &&
-		input.Partitions() == cfg.reducers()
-	if input.rem != nil && !remoteChained {
-		// Resident on the cluster but not consumable in place (partition
-		// mismatch, alignment lost): move it here first.
-		if err := input.Materialize(); err != nil {
-			return nil, err
-		}
-	}
 	// One checkpoint decision per job, not per attempt: a retried job
 	// checkpoints iff the original would have. An open journal forces the
 	// mirror on for every retained output — a journaled run must be able
 	// to re-seed any resident dataset after a coordinator restart.
 	ckpt := cl.checkpointNext(cfg.CheckpointEvery) || cl.journal != nil
-	var inputSeq uint64
-	if remoteChained {
-		inputSeq = input.rem.seq
-	}
 	var sched schedSnapshot
 	sched.start(cl)
 	for attempt := 0; ; attempt++ {
@@ -2847,9 +2661,10 @@ func runDistDS[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 a
 		// ensureResident moves the data the plan calls for.
 		cl.rebalance(cfg.reducers(), inputSeq, attempt == 0)
 		as := newStats(cfg.Name)
-		out, err := tryDistDS[K1, V1, K2, V2, K3, V3](ctx, cfg, input, mapFn, as, remoteChained, ckpt)
+		out, err := tryDistDS[K2, V2, K3, V3](ctx, cfg, splits, inputSeq, mapPhase, as, ckpt)
 		if err == nil {
 			if jerr := cl.journalAppendResident(out.rem.seq, cfg.Name, out.side); jerr != nil {
+				out.Recycle()
 				return nil, jerr
 			}
 			as.WorkerRecoveries = int64(attempt)
@@ -2861,7 +2676,7 @@ func runDistDS[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 a
 		if !isWorkerLost(err) || !cl.retryAfterLoss(attempt) {
 			return nil, err
 		}
-		if remoteChained && !cl.canRestore(input.rem.seq) {
+		if inputSeq != 0 && !cl.canRestore(inputSeq) {
 			// The input itself lost partitions that were never
 			// checkpointed; engine-level retry cannot reconstruct them.
 			// Loop-level replay (Dataset.Loop) may still recover from the
@@ -2874,73 +2689,52 @@ func runDistDS[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 a
 	}
 }
 
-// tryDistDS is one Dataset-job attempt. Output stays worker-resident
-// (the returned Dataset holds a residency handle, not records); a
-// chained input that is itself worker-resident is mapped on the
-// workers, so self-addressed pairs never touch the wire.
-func tryDistDS[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any](
+// tryDistDS is one job attempt. Output stays worker-resident (the
+// returned Dataset holds a residency handle, not records). A
+// worker-resident input is mapped on the workers, so self-addressed
+// pairs never touch the wire; otherwise the coordinator runs mapPhase
+// and streams every bucket to its partition's owner.
+func tryDistDS[K2 comparable, V2 any, K3 comparable, V3 any](
 	ctx context.Context,
 	cfg Config,
-	input *Dataset[K1, V1],
-	mapFn MapFunc[K1, V1, K2, V2],
+	splits int,
+	inputSeq uint64,
+	mapPhase mapPhaseFunc[K2, V2],
 	stats *Stats,
-	remoteChained, ckpt bool,
+	ckpt bool,
 ) (*Dataset[K3, V3], error) {
 	cl := cfg.Dist
-	var job *distJobRun[K2, V2, K3, V3]
-	var err error
 	phase := time.Now()
-	if remoteChained {
+	mode := remote.ModeFlat
+	if inputSeq != 0 {
 		// Reconcile the input's partition locations against the current
 		// assignment: re-seed what a dead owner lost, migrate what the
 		// rebalance moved, before announcing the job that consumes it.
-		reseeded, _, err := cl.ensureResident(input.rem.seq, cfg.Name)
+		reseeded, _, err := cl.ensureResident(inputSeq, cfg.Name)
 		if err != nil {
 			return nil, err
 		}
 		stats.ReseededPartitions = int64(reseeded)
-		job, err = startDistJob[K2, V2, K3, V3](cfg, remote.ModeChained, input.Partitions(), input.rem.seq, false, ckpt)
-		if err != nil {
-			return nil, err
-		}
-		// The map phase runs on the workers; the readers in finish
-		// observe it through MsgMapDone and the flush barrier.
-	} else {
-		chained := input.aligned && input.Partitions() == cfg.reducers()
+		mode = remote.ModeChained
+	}
+	job, err := startDistJob[K2, V2, K3, V3](cfg, mode, splits, inputSeq, ckpt)
+	if err != nil {
+		return nil, err
+	}
+	// A worker-side map phase is observed by the readers in finish,
+	// through MsgMapDone and the flush barrier.
+	var mapErr error
+	if inputSeq == 0 {
 		ar := arenaFor[K2, V2](cfg.Pool, cfg.reducers())
-		var mapErr error
-		if chained {
-			job, err = startDistJob[K2, V2, K3, V3](cfg, remote.ModeFlat, input.Partitions(), 0, false, ckpt)
-			if err != nil {
-				return nil, err
-			}
-			sender := &distSender[K2, V2, K3, V3]{j: job, ar: ar}
-			mapErr = runMapPhaseDS(ctx, cfg, input, mapFn, sender, ar, stats)
-		} else {
-			flat := input.Collect()
-			splits := splitRange(len(flat), cfg.mappers())
-			job, err = startDistJob[K2, V2, K3, V3](cfg, remote.ModeFlat, len(splits), 0, false, ckpt)
-			if err != nil {
-				return nil, err
-			}
-			sender := &distSender[K2, V2, K3, V3]{j: job, ar: ar}
-			mapErr = runMapPhase(ctx, cfg, splits, flat, mapFn, sender, ar, stats)
-		}
+		mapErr = mapPhase(ctx, &distSender[K2, V2, K3, V3]{j: job, ar: ar}, ar, stats)
 		stats.MapWall = time.Since(phase)
 		phase = time.Now()
-		res, err := job.finish(ctx, cfg, stats, mapErr)
-		stats.ReduceWall = time.Since(phase)
-		if err != nil {
-			return nil, err
-		}
-		return job.retain(res, cfg.Pool), nil
 	}
-	res, err := job.finish(ctx, cfg, stats, nil)
-	stats.MapWall = 0
+	res, err := job.finish(ctx, cfg, stats, mapErr)
 	stats.ReduceWall = time.Since(phase)
 	if err != nil {
-		if job.flushed.Load() && isWorkerLost(err) {
-			cl.consumeResident(input.rem.seq)
+		if inputSeq != 0 && job.flushed.Load() && isWorkerLost(err) {
+			cl.consumeResident(inputSeq)
 		}
 		return nil, err
 	}
@@ -2949,7 +2743,7 @@ func tryDistDS[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 a
 
 // retain registers a successful attempt's worker-resident output (with
 // its checkpoint mirror, if any) and wraps it in a Dataset.
-func (j *distJobRun[K2, V2, K3, V3]) retain(res *distJobResult[K3, V3], pool *BufferPool) *Dataset[K3, V3] {
+func (j *distJobRun[K2, V2, K3, V3]) retain(res *distJobResult, pool *BufferPool) *Dataset[K3, V3] {
 	j.cl.registerResident(j.hdr.seq, j.hdr.owners, res.counts, j.takeCkptBlobs())
 	return newRemoteDataset[K3, V3](j.cl, j.hdr.seq, res.counts, res.sides, keyCast[K2, K3]() != nil, pool)
 }

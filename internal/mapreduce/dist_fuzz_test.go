@@ -68,32 +68,33 @@ func FuzzJobDone(f *testing.F) {
 // directory; the segment yields no committed history or records that
 // survive a re-encode; never a panic, never an allocation sized by a
 // count the record's bytes cannot back. Seeds: a manifest and a segment
-// as a run writes them (a resident record with side output, a flat
-// record, commits), truncations of the segment, a forged partition
-// count, a forged side count and a frame with an empty body.
+// as a run writes them (a record with side output, a record without,
+// commits), truncations of the segment, a forged partition count, a
+// forged side count, a frame with an empty body and the previous
+// generation's manifest tag.
 func FuzzJournalLoad(f *testing.F) {
 	manifest := []byte("journal-000001.log " + journalFormat + "\njournal-000002.log " + journalFormat + "\n")
 	commit := func(round uint64) []byte {
 		return journalFrame(remote.AppendUvarint([]byte{journalRecCommit}, round))
 	}
-	resident := &journalRecord{seq: 3, kind: journalKindResident, name: "greedymr-round",
+	sided := &journalRecord{seq: 3, name: "greedymr-round",
 		counts: []int64{2, 0}, blobs: [][]byte{{pairBlobV2, 1, 2, 3}, {pairBlobV2}}, sides: [][]uint64{{5, 900}, nil}}
-	flat := &journalRecord{seq: 4, kind: journalKindFlat, name: "mm-cleanup",
+	plain := &journalRecord{seq: 4, name: "mm-cleanup",
 		counts: []int64{1}, blobs: [][]byte{{pairBlobV2, 9}}}
-	seg := journalFrame(encodeJournalJob(resident))
+	seg := journalFrame(encodeJournalJob(sided))
 	seg = append(seg, commit(1)...)
-	seg = append(seg, journalFrame(encodeJournalJob(flat))...)
+	seg = append(seg, journalFrame(encodeJournalJob(plain))...)
 	seg = append(seg, commit(2)...)
 	for _, cut := range []int{len(seg), len(seg) - 1, len(seg) - 6, len(seg) / 2, 9, 1, 0} {
 		f.Add(manifest, seg[:cut])
 	}
-	forge := func(tail ...byte) []byte { // seq 1, resident, name "x", then tail
-		return append(journalFrame(append([]byte{journalRecJob, 1, journalKindResident, 1, 'x'}, tail...)), commit(1)...)
+	forge := func(tail ...byte) []byte { // seq 1, name "x", then tail
+		return append(journalFrame(append([]byte{journalRecJob, 1, 1, 'x'}, tail...)), commit(1)...)
 	}
 	f.Add(manifest, forge(0xff, 0xff, 0xff, 0xff, 0x7f))          // 2^35 partitions in no bytes
 	f.Add(manifest, forge(1, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x7f)) // one partition, 2^35 side values
 	f.Add(manifest, []byte{4, 0, 0, 0, 0})                        // a frame whose body is empty, CRC valid
-	f.Add([]byte("journal-000001.log v2\n"), seg)                 // the previous generation's tag
+	f.Add([]byte("journal-000001.log v3\n"), seg)                 // the previous generation's tag
 	f.Add([]byte("../journal-000001.log "+journalFormat+"\n"), seg)
 	f.Fuzz(func(t *testing.T, manifest, seg []byte) {
 		if names, err := parseJournalManifest(manifest, "dir"); err == nil {
@@ -140,7 +141,7 @@ func FuzzJournalLoad(f *testing.F) {
 // journalRecordsEqual compares what a record means: nil and empty blobs
 // or side sections are the same thing on disk.
 func journalRecordsEqual(a, b *journalRecord) bool {
-	if a.seq != b.seq || a.kind != b.kind || a.name != b.name || !reflect.DeepEqual(a.counts, b.counts) {
+	if a.seq != b.seq || a.name != b.name || !reflect.DeepEqual(a.counts, b.counts) {
 		return false
 	}
 	for p := range a.counts {

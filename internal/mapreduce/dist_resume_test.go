@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -265,19 +266,26 @@ func TestDistJournalResume(t *testing.T) {
 	t.Logf("resume: %d jobs replayed, %dB journal", rs2.JobsReplayed, rs2.JournalBytes)
 }
 
-// TestDistJournalResumeFlat covers the other record kind: a flat
-// (coordinator-returned) job result replayed from its single journaled
-// blob on resume.
+// TestDistJournalResumeFlat: a Run job (flat input, collected output)
+// on a journaled cluster is journaled like any other job, as its
+// resident record, and on resume it is replayed from that record — the
+// output decoded from the journaled partition blobs — without its map
+// function running again.
 func TestDistJournalResumeFlat(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 
+	var mapCalls atomic.Int64
+	countingMap := func(k int32, v int64, out Emitter[int32, int64]) error {
+		mapCalls.Add(1)
+		return ringMap(k, v, out)
+	}
 	run := func(cl *DistCluster) []Pair[int32, int64] {
 		t.Helper()
 		d := NewDriver(distCfg4(cl, "ring-step"))
 		// RunJob observes the job, and an observed job on a journaling
 		// cluster is a commit point.
-		out, err := RunJob(ctx, d, "ring-step", ringInput(), ringMap, ringReduce)
+		out, err := RunJob(ctx, d, "ring-step", ringInput(), countingMap, ringReduce)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,15 +298,21 @@ func TestDistJournalResumeFlat(t *testing.T) {
 	if err := cl1.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if mapCalls.Load() != ringN {
+		t.Fatalf("the journaling run mapped %d records, want %d", mapCalls.Load(), ringN)
+	}
 
 	opts2 := DistClusterOptions{Timeout: 30 * time.Second, JournalDir: dir, Resume: true}
 	cl2 := startSchedCluster(t, 2, opts2, nil)
 	got := run(cl2)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("journal-replayed flat job diverges from the original")
+		t.Fatal("journal-replayed Run job diverges from the original")
+	}
+	if mapCalls.Load() != ringN {
+		t.Fatalf("the resumed run mapped %d more records: the job was re-run, not replayed", mapCalls.Load()-ringN)
 	}
 	if rs := cl2.RecoveryStats(); rs.JobsReplayed != 1 {
-		t.Fatalf("flat resume replayed %d jobs, want 1", rs.JobsReplayed)
+		t.Fatalf("resume replayed %d jobs, want 1", rs.JobsReplayed)
 	}
 }
 
@@ -306,12 +320,13 @@ func TestDistJournalResumeFlat(t *testing.T) {
 // partitioner or record-layout change owes its journals: a manifest
 // tagged by an older build ("v1" as PR 9–11 builds wrote it, whose
 // resident records sit in the partitions the old key hash chose; "v2" as
-// PR 15–17 builds wrote it, whose records carry no side-output section)
+// PR 15–17 builds wrote it, whose records carry no side-output section;
+// "v3" as PR 18–21 builds wrote it, whose records carry a kind byte)
 // must make -dist-resume fail with a clear error rather than replay the
 // segments it names — and a run that does not resume starts over, with
 // a manifest in the current format.
 func TestDistJournalRefusesOtherPartitioner(t *testing.T) {
-	for _, tag := range []string{"v1", "v2"} {
+	for _, tag := range []string{"v1", "v2", "v3"} {
 		dir := t.TempDir()
 		manifest := filepath.Join(dir, journalManifestName)
 		if err := os.WriteFile(manifest, []byte("journal-000001.log "+tag+"\n"), 0o644); err != nil {
@@ -324,8 +339,8 @@ func TestDistJournalRefusesOtherPartitioner(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "written by a different partitioner or record layout") {
 			t.Fatalf("resuming a %s journal: got %v, want a different-generation error", tag, err)
 		}
-		if !strings.Contains(err.Error(), "journal-000001.log "+tag) {
-			t.Fatalf("the error does not quote the offending manifest line: %v", err)
+		if !strings.Contains(err.Error(), "journal-000001.log "+tag) || !strings.Contains(err.Error(), "is not tagged v4") {
+			t.Fatalf("the error does not name both the manifest's tag and this build's: %v", err)
 		}
 
 		j, err := openDistJournal(dir, false, 0)

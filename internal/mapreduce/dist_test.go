@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -150,6 +151,50 @@ func TestDistChainedCrossTraffic(t *testing.T) {
 	}
 }
 
+// TestDistDroppedOutputReleasesResidency: a cluster outlives the jobs
+// it runs, so a job whose output the engine drops — RunJobDS when the
+// driver's round budget refuses the job, Run once it has collected the
+// records — must leave no residency record (with its checkpoint mirror)
+// on the coordinator and no partition on a worker.
+func TestDistDroppedOutputReleasesResidency(t *testing.T) {
+	cl := startTestCluster(t, 2)
+	resident := func() int {
+		cl.mu.Lock()
+		defer cl.mu.Unlock()
+		return len(cl.residency)
+	}
+	ctx := context.Background()
+	d := NewDriver(distCfg4(cl, "ring-step"))
+	d.MaxRounds = 1
+	first, err := RunJobDS(ctx, d, "ring-step", PartitionDataset(ringInput(), d.Partitions()), ringMap, ringReduce)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := resident()
+	if _, err := RunJobDS(ctx, d, "ring-step", first, ringMap, ringReduce); !errors.Is(err, ErrRoundLimit) {
+		t.Fatalf("second job under MaxRounds 1: err = %v, want ErrRoundLimit", err)
+	}
+	if got := resident(); got != before {
+		t.Fatalf("the refused job left %d residency records, %d before it ran", got, before)
+	}
+	first.Recycle()
+
+	before = resident()
+	if _, _, err := Run(ctx, distCfg4(cl, "ring-step"), ringInput(), ringMap, ringReduce); err != nil {
+		t.Fatal(err)
+	}
+	if got := resident(); got != before {
+		t.Fatalf("Run left %d residency records, %d before it ran", got, before)
+	}
+	coordinator, workers, err := cl.ResidentLeft()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if coordinator != 0 || workers != 0 {
+		t.Fatalf("%d resident datasets registered on the coordinator and %d partitions on the workers after every output was dropped", coordinator, workers)
+	}
+}
+
 // TestDistParamsReachWorkers pins the DistParams channel: the worker
 // factory rebuilds the reduce from the per-job blob.
 func TestDistParamsReachWorkers(t *testing.T) {
@@ -171,9 +216,10 @@ func TestDistParamsReachWorkers(t *testing.T) {
 }
 
 // TestDistRefusesOlderProtoWorker: a worker built before the last wire
-// change (Proto 6's MsgJobDone carries no side-output section) dials a
-// current coordinator and is refused at the hello, with the mismatch
-// named — never paired and left to misparse a frame.
+// change (Proto 7 still numbers a streamed-output message and reads the
+// job header byte that asks for it) dials a current coordinator and
+// is refused at the hello, with both versions named — never paired and
+// left to misparse a frame.
 func TestDistRefusesOlderProtoWorker(t *testing.T) {
 	leakCheck(t)
 	var wg sync.WaitGroup
@@ -190,7 +236,7 @@ func TestDistRefusesOlderProtoWorker(t *testing.T) {
 				}
 				conn := remote.NewConn(nc)
 				defer conn.Close()
-				hello := remote.AppendUvarint([]byte{byte(remote.MsgHello)}, remote.Proto-1)
+				hello := remote.AppendUvarint([]byte{byte(remote.MsgHello)}, 7)
 				if err := conn.WriteFrame(append(hello, 0)); err != nil {
 					t.Error(err)
 					return
@@ -202,7 +248,7 @@ func TestDistRefusesOlderProtoWorker(t *testing.T) {
 		},
 	})
 	wg.Wait()
-	want := fmt.Sprintf("protocol version mismatch: worker speaks %d, coordinator %d", remote.Proto-1, remote.Proto)
+	const want = "protocol version mismatch: worker speaks 7, coordinator 8"
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("StartDistCluster with an older-protocol worker: err = %v, want %q", err, want)
 	}
@@ -550,10 +596,10 @@ func TestDistStartupStalledHandshake(t *testing.T) {
 	}
 }
 
-// BenchmarkDistShuffle measures a full flat job on two loopback
+// BenchmarkDistShuffle measures a full Run job on two loopback
 // workers: the cost of encode + TCP + decode + remote group-sort-reduce
-// + result streaming, comparable with BenchmarkShuffleHeavy on the
-// local backends. The sched case arms the elastic-scheduling machinery
+// + the checkpoint mirror + the result fetch, comparable with
+// BenchmarkShuffleHeavy on the local backends. The sched case arms the elastic-scheduling machinery
 // (heartbeats, progress tracking, the monitor, speculation ready to
 // fire) on an entirely healthy cluster; nosched turns it all off. The
 // delta is the idle overhead of scheduling.

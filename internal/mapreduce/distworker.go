@@ -16,8 +16,8 @@ import (
 // job registry, the serve loop a worker process runs, and the per-job
 // handler that ingests buckets, group-sorts each owned partition with
 // the same radix path the in-memory backend uses, runs the registered
-// reduce function, and either streams the output back or keeps it
-// resident for the next chained job. Function values cannot travel, so
+// reduce function, and keeps the output resident for the next chained
+// job or a fetch. Function values cannot travel, so
 // a worker runs the map/reduce functions registered under the job's
 // name — for jobs whose functions close over driver-side round state,
 // the registered factory rebuilds them from the job's parameter blob
@@ -26,8 +26,8 @@ import (
 // DistJob is one registered job's worker-side behavior.
 type DistJob[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any] struct {
 	// Map is required only for chained consumption of a worker-resident
-	// input (the partition-resident fast path); flat jobs, whose map
-	// phase runs on the coordinator, leave it nil.
+	// input (the partition-resident fast path); jobs whose map phase
+	// always runs on the coordinator leave it nil.
 	Map MapFunc[K1, V1, K2, V2]
 	// Reduce runs over every owned partition's key groups. Required.
 	Reduce ReduceFunc[K2, V2, K3, V3]
@@ -678,14 +678,14 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 
 	// wireSaved tallies the bytes wire compression shaved off this
 	// worker's encodes for the job; reported in MsgJobDone. Atomic: the
-	// per-partition reduce goroutines all encode output frames.
+	// resident map's task goroutines all encode bucket frames.
 	var wireSaved atomic.Int64
 
 	s.startJobProgress(h.seq)
 	defer s.endJobProgress()
 
-	// Ingest: either the coordinator streams every bucket (flat), or
-	// this worker maps its resident input partitions while the main
+	// Ingest: either the coordinator streams every bucket, or this
+	// worker maps its resident input partitions while the main
 	// loop below keeps receiving the buckets other workers relay here.
 	var mapErrOnce sync.Once
 	var mapErr error
@@ -903,31 +903,8 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 			}
 			outs[p] = buf.pairs
 			sides[p] = buf.side
-			outCounts[p] = int64(len(buf.pairs)) // survives the streamed-output nil below
-			if h.wantOutput {
-				fs := getFrameScratch()
-				frame := append(fs.b[:0], byte(remote.MsgReduced))
-				frame = remote.AppendUvarint(frame, h.seq)
-				frame = remote.AppendUvarint(frame, uint64(p))
-				frame = remote.AppendUvarint(frame, uint64(len(buf.pairs)))
-				frame, err := encodePairs(frame, buf.pairs, outc, h.wireComp, &wireSaved)
-				if err != nil {
-					putFrameScratch(fs)
-					errs[p] = fmt.Errorf("encoding partition %d output: %w", p, err)
-					return
-				}
-				fs.b = frame
-				err = s.conn.WriteFrame(frame)
-				putFrameScratch(fs)
-				if err != nil {
-					errs[p] = err
-					return
-				}
-				// Streamed back: the buffer returns to the pool.
-				arOut.putPairs(p, buf.pairs)
-				outs[p] = nil
-			}
-			s.noteProgress(p, int64(outCounts[p]))
+			outCounts[p] = int64(len(buf.pairs))
+			s.noteProgress(p, outCounts[p])
 		}()
 	}
 	wg.Wait()
@@ -963,7 +940,7 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 			ownedParts = append(ownedParts, p)
 		}
 	}
-	if h.ckpt && !h.wantOutput {
+	if h.ckpt {
 		for _, p := range ownedParts {
 			frame := []byte{byte(remote.MsgCkpt)}
 			frame = remote.AppendUvarint(frame, h.seq)
@@ -989,9 +966,7 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 	frame := remote.AppendUvarint([]byte{byte(remote.MsgJobDone)}, h.seq)
 	frame = appendJobDone(frame, groups.Load(), outRecords, time.Since(reduceStart),
 		ownedParts, outCounts, sides, wireSaved.Load())
-	if !h.wantOutput {
-		s.resident[h.seq] = &residentData[K3, V3]{parts: outs, pc: outc, ar: arOut, comp: h.wireComp}
-	}
+	s.resident[h.seq] = &residentData[K3, V3]{parts: outs, pc: outc, ar: arOut, comp: h.wireComp}
 	return s.conn.WriteFrame(frame)
 }
 

@@ -12,8 +12,9 @@ import (
 // paper's experimental section reports ("number of MapReduce iterations")
 // and aggregates per-job statistics.
 //
-// Algorithms register each job execution through RunJob (or record an
-// externally run job with Observe). MaxRounds guards against runaway
+// Algorithms register each job execution through RunJobDS (RunJob when
+// the input is a flat slice and the output is collected), or record a
+// job they ran themselves with Observe. MaxRounds guards against runaway
 // iteration; the b-matching algorithms are proven to converge, so hitting
 // the limit indicates a bug and surfaces as ErrRoundLimit.
 type Driver struct {
@@ -44,10 +45,10 @@ func NewDriver(cfg Config) *Driver {
 }
 
 // Config returns the Driver's base job configuration with the given name
-// applied; use it when invoking Run directly. Under failure injection
-// the round index is mixed into the failure seed so that every round
-// draws fresh (but still reproducible) failure coins — otherwise a task
-// doomed in round one would be doomed in every round.
+// applied; use it when invoking Run or RunDS directly. Under failure
+// injection the round index is mixed into the failure seed so that every
+// round draws fresh (but still reproducible) failure coins — otherwise a
+// task doomed in round one would be doomed in every round.
 func (d *Driver) Config(name string) Config {
 	c := d.cfg
 	c.Name = name

@@ -17,9 +17,9 @@ import (
 // survive *worker* death, but the mirror lives in coordinator memory:
 // kill the coordinator and the whole multi-round run starts over. The
 // journal persists the coordinator's run state — every job result the
-// pipeline produced (flat outputs and resident-partition mirrors, as
-// canonical encodePairs blobs) plus round-boundary commit records — to
-// an append-only segment file, framed with the same uvarint-length +
+// pipeline produced (the resident-partition mirror, as canonical
+// encodePairs blobs) plus round-boundary commit records — to an
+// append-only segment file, framed with the same uvarint-length +
 // CRC-32 scheme as the checkpoint run files.
 //
 // Atomicity is the commit record: job records buffer in user space and
@@ -30,8 +30,8 @@ import (
 // the surviving job records to the cluster as a replay queue: a
 // restarted run (DistClusterOptions.Resume / -dist-resume) re-executes
 // the same deterministic pipeline, and each journaled job is satisfied
-// from the queue — its output decoded or its partitions re-registered
-// for re-seeding onto the fresh workers — instead of being recomputed.
+// from the queue — its partitions re-registered, to be re-seeded onto
+// the fresh workers or decoded by a fetch — instead of being recomputed.
 // The first job past the queue runs live, which is exactly "replay from
 // the last committed round boundary".
 //
@@ -51,13 +51,15 @@ const journalManifestName = "JOURNAL"
 // the segments' records mean. Resident records are stored per
 // partition, so the tag covers the partitioner as much as the framing:
 // "v2" was the first generation in which every integer-kind key hashes
-// through mix64 (see keyShape.hash); "v3" keeps that mapping and adds a
-// side-output section to every partition of a job record. A manifest
+// through mix64 (see keyShape.hash); "v3" kept that mapping and added a
+// side-output section to every partition of a job record; "v4" drops
+// the record-kind byte (every job's result is a resident record). A
+// manifest
 // with any other tag was written under a different key-to-partition
 // mapping or record layout; replaying it would seed a node's state and
 // its neighbours' messages into different partitions, or misparse the
 // records, so resume refuses it. There is no compatibility reader.
-const journalFormat = "v3"
+const journalFormat = "v4"
 
 // journalKeepSegs bounds retained segment files: the current segment
 // and the one it resumed from.
@@ -69,27 +71,18 @@ const (
 	journalRecCommit = 2
 )
 
-// Job-record kinds: how the recorded result re-enters a resumed run.
-const (
-	// journalKindFlat: the job's sorted flat output, one encodePairs
-	// blob, decoded straight back to the caller.
-	journalKindFlat = 0
-	// journalKindResident: the job's worker-resident output, one blob
-	// per partition (the checkpoint-mirror image), re-registered as
-	// residency with no live location so ensureResident re-seeds every
-	// partition onto the resumed cluster's workers.
-	journalKindResident = 1
-)
-
-// journalRecord is one journaled job result.
+// journalRecord is one journaled job result: the job's worker-resident
+// output, one blob per partition (the checkpoint-mirror image). A
+// resumed run re-registers it as residency with no live location, so
+// ensureResident re-seeds every partition onto the resumed cluster's
+// workers.
 type journalRecord struct {
 	seq    uint64
-	kind   byte
 	name   string
 	counts []int64
 	blobs  [][]byte
-	// sides is the job's side output by partition (resident records
-	// only; see SideEmitter), nil when it had none.
+	// sides is the job's side output by partition (see SideEmitter), nil
+	// when it had none.
 	sides [][]uint64
 }
 
@@ -282,12 +275,10 @@ func decodeJournalJob(body []byte) (*journalRecord, error) {
 		return v, true
 	}
 	seq, ok := next()
-	if !ok || len(body) < 1 {
+	if !ok {
 		return nil, bad
 	}
 	rec.seq = seq
-	rec.kind = body[0]
-	body = body[1:]
 	nameLen, ok := next()
 	if !ok || uint64(len(body)) < nameLen {
 		return nil, bad
@@ -350,7 +341,6 @@ func (j *distJournal) appendJobLocked(rec *journalRecord) error {
 func encodeJournalJob(rec *journalRecord) []byte {
 	body := []byte{journalRecJob}
 	body = binary.AppendUvarint(body, rec.seq)
-	body = append(body, rec.kind)
 	body = binary.AppendUvarint(body, uint64(len(rec.name)))
 	body = append(body, rec.name...)
 	body = binary.AppendUvarint(body, uint64(len(rec.counts)))
@@ -431,10 +421,10 @@ func journalFrame(body []byte) []byte {
 // takeJob pops the next record off the replay queue when it matches
 // the job the pipeline is about to run, re-appending it to this
 // incarnation's segment so the new segment stays self-contained. A
-// name or kind mismatch means the pipeline diverged from the journaled
-// run — resuming would silently compute garbage, so it fails loudly.
+// name mismatch means the pipeline diverged from the journaled run —
+// resuming would silently compute garbage, so it fails loudly.
 // (nil, nil) means the queue is drained: run the job live.
-func (j *distJournal) takeJob(name string, kind byte) (*journalRecord, error) {
+func (j *distJournal) takeJob(name string) (*journalRecord, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if len(j.pending) == 0 {
@@ -442,8 +432,8 @@ func (j *distJournal) takeJob(name string, kind byte) (*journalRecord, error) {
 		return nil, nil
 	}
 	rec := j.pending[0]
-	if rec.name != name || rec.kind != kind {
-		return nil, fmt.Errorf("mapreduce: dist journal: resumed pipeline diverged: journal has job %q (kind %d), run asked for %q (kind %d)", rec.name, rec.kind, name, kind)
+	if rec.name != name {
+		return nil, fmt.Errorf("mapreduce: dist journal: resumed pipeline diverged: journal has job %q, run asked for %q", rec.name, name)
 	}
 	j.pending = j.pending[1:]
 	if len(j.pending) == 0 {

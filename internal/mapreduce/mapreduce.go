@@ -59,7 +59,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 )
 
 // Pair is a key-value pair, the unit of data flowing through a job.
@@ -127,8 +126,8 @@ type Config struct {
 	Shuffle ShuffleConfig
 
 	// WireCompression flate-compresses the pair payload of every bulk
-	// dist frame (intermediate buckets, reduce output, checkpoint
-	// mirrors, partition fetches) on top of the columnar v2 encoding.
+	// dist frame (intermediate buckets, checkpoint mirrors, partition
+	// fetches) on top of the columnar v2 encoding.
 	// Worth it when frames are large and the network is the bottleneck;
 	// pure overhead for tiny frames or already-dense payloads. The
 	// bytes avoided are reported in Stats.WireBytesSaved. Ignored by
@@ -155,8 +154,7 @@ type Config struct {
 	// entirely (a lost worker then loses its partitions for good).
 	// Checkpointed outputs are mirrored on the coordinator; the mirror is
 	// what recovery restores from after a worker death. Ignored by the
-	// local backends and by plain Run (whose output returns to the
-	// coordinator anyway).
+	// local backends.
 	CheckpointEvery int
 	// SpeculationFactor arms straggler speculation on the dist backend:
 	// when a worker falls behind the round's progress distribution —
@@ -363,10 +361,16 @@ func (e *shuffleEmitter[K, V]) finish() error {
 }
 
 // Run executes one MapReduce job over the input pairs and returns the
-// reduce output together with the job statistics. The output is sorted by
-// the string form of its keys so that identical jobs produce identical
-// slices, which keeps the randomized matching algorithms reproducible
-// under a fixed seed.
+// reduce output together with the job statistics. The input is mapped
+// in the order given, cut into Config.Mappers contiguous splits; the
+// output is flattened and sorted by key (sortPairs), so identical jobs
+// produce identical slices, which keeps the randomized matching
+// algorithms reproducible under a fixed seed.
+//
+// Run is the Dataset job (RunDS) of an input that has no partitions
+// yet, collected: the same map, shuffle and reduce code runs on every
+// backend, and on dist the output is retained on the workers and then
+// fetched like any other resident Dataset.
 //
 // Run returns the first error produced by any map or reduce invocation;
 // the remaining tasks are cancelled.
@@ -383,45 +387,17 @@ func Run[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any](
 	if reduceFn == nil {
 		return nil, nil, errors.New("mapreduce: nil reduce function")
 	}
-	stats := newStats(cfg.Name)
-	stats.MapInputRecords = int64(len(input))
-	defer stats.snapPool(cfg.Pool)()
-
-	if cfg.Shuffle.kind() == ShuffleDist {
-		out, err := runDistFlat[K1, V1, K2, V2, K3, V3](ctx, cfg, input, mapFn, stats)
-		return out, stats, err
-	}
-
-	splits := splitRange(len(input), cfg.mappers())
-	ar := arenaFor[K2, V2](cfg.Pool, cfg.reducers())
-	backend, err := newShuffleBackend(cfg, len(splits), ar)
+	ds, stats, err := runFlat(ctx, cfg, input, mapFn, reduceFn)
 	if err != nil {
 		return nil, stats, err
 	}
-	defer backend.Close()
-
-	phase := time.Now()
-	if err := runMapPhase(ctx, cfg, splits, input, mapFn, backend, ar, stats); err != nil {
-		stats.MapWall = time.Since(phase)
+	// The partitions go back to the recycler (on dist, the residency is
+	// released) whether or not the fetch succeeded.
+	defer ds.Recycle()
+	if err := ds.Materialize(); err != nil {
 		return nil, stats, err
 	}
-	stats.MapWall = time.Since(phase)
-	phase = time.Now()
-	streams, err := backend.Finalize()
-	stats.ShuffleWall = time.Since(phase)
-	if err != nil {
-		return nil, stats, err
-	}
-	phase = time.Now()
-	output, err := runReducePhase(ctx, cfg, streams, reduceFn, stats)
-	stats.ReduceWall = time.Since(phase)
-	stats.recordShuffle(backend)
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.ReduceOutputRecords = int64(len(output))
-	sortPairs(output)
-	return output, stats, nil
+	return ds.Collect(), stats, nil
 }
 
 // cancelPollEvery is how many map records or reduce groups a task runs
@@ -479,34 +455,6 @@ func runMapPhase[K1 comparable, V1 any, K2 comparable, V2 any](
 		})
 	}
 	return grp.Wait()
-}
-
-// runReducePhase streams every partition's key groups through reduceFn
-// and concatenates the per-partition outputs (the flat-slice view Run
-// returns). The per-partition buffers never escape this function, so
-// they go straight back to the recycler after the concat.
-func runReducePhase[K2 comparable, V2 any, K3 comparable, V3 any](
-	ctx context.Context,
-	cfg Config,
-	streams []GroupStream[K2, V2],
-	reduceFn ReduceFunc[K2, V2, K3, V3],
-	stats *Stats,
-) ([]Pair[K3, V3], error) {
-	outs, _, err := runReduceParts(ctx, cfg, streams, reduceFn, stats)
-	if err != nil {
-		return nil, err
-	}
-	var total int
-	for _, o := range outs {
-		total += len(o)
-	}
-	all := make([]Pair[K3, V3], 0, total)
-	arOut := arenaFor[K3, V3](cfg.Pool, len(streams))
-	for i, o := range outs {
-		all = append(all, o...)
-		arOut.putPairs(i, o)
-	}
-	return all, nil
 }
 
 // runReduceParts streams every partition's key groups through reduceFn,

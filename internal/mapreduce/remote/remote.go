@@ -47,8 +47,11 @@ import (
 // such as graph.NodeID moved from the fmt hash to mix64), and two
 // builds that route a key to different partitions must not pair.
 // Version 6 dropped the worker-counter section from MsgJobDone.
-// Version 7 added each partition's reduce side output to it.
-const Proto = 7
+// Version 7 added each partition's reduce side output to it. Version 8
+// dropped the message that streamed reduce output back (renumbering
+// every later one) and the job header byte that asked for it: reduce
+// output is always retained and fetched.
+const Proto = 8
 
 // MsgType identifies one protocol message. The direction annotations
 // are the only ones that occur; receiving a type from the wrong
@@ -83,9 +86,6 @@ const (
 	// bucket addressed to the worker has been delivered; group, reduce,
 	// and report.
 	MsgFlush
-	// MsgReduced (worker → coordinator) streams one partition's reduce
-	// output when the coordinator asked for the output back.
-	MsgReduced
 	// MsgJobDone (worker → coordinator) closes the worker's side of a
 	// job: reduce statistics and, per owned partition, the resident
 	// record count and the reduce tasks' side output.
@@ -160,8 +160,6 @@ func (t MsgType) String() string {
 		return "map-done"
 	case MsgFlush:
 		return "flush"
-	case MsgReduced:
-		return "reduced"
 	case MsgJobDone:
 		return "job-done"
 	case MsgFetch:

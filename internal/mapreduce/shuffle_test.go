@@ -164,44 +164,6 @@ func TestSpillWithFailureInjection(t *testing.T) {
 	}
 }
 
-func TestSpillCombinedJob(t *testing.T) {
-	input := make([]Pair[int, int], 1000)
-	for i := range input {
-		input[i] = P(i, 1)
-	}
-	mapFn := func(k, v int, out Emitter[int32, int]) error {
-		out.Emit(int32(k%13), v)
-		return nil
-	}
-	combine := func(k int32, vs []int) []int {
-		s := 0
-		for _, v := range vs {
-			s += v
-		}
-		return []int{s}
-	}
-	reduce := func(k int32, vs []int, out Emitter[int32, int]) error {
-		s := 0
-		for _, v := range vs {
-			s += v
-		}
-		out.Emit(k, s)
-		return nil
-	}
-	mem, _, err := RunCombined(context.Background(), Config{Mappers: 4, Reducers: 3},
-		input, mapFn, combine, reduce)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spill, _, err := RunCombined(context.Background(), spillCfg(8), input, mapFn, combine, reduce)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(mem, spill) {
-		t.Fatal("combined job disagrees across backends")
-	}
-}
-
 func TestUnknownShuffleBackend(t *testing.T) {
 	cfg := Config{Shuffle: ShuffleConfig{Backend: "carrier-pigeon"}}
 	_, _, err := Run(context.Background(), cfg, []Pair[int, int]{P(1, 1)},

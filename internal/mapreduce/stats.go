@@ -101,9 +101,8 @@ type Stats struct {
 	FramesReplayed   int64
 	JournalBytes     int64
 	// WorkerWall is the largest map+reduce wall clock any single dist
-	// worker reported for the job — the distributed critical path, which
-	// is what a measured scale-out comparison against ClusterModel's
-	// estimate should use. Zero for the local backends.
+	// worker reported for the job — the distributed critical path. Zero
+	// for the local backends.
 	WorkerWall time.Duration
 	// MapWall, ShuffleWall and ReduceWall are the wall-clock durations
 	// of the job's phases: the parallel map tasks (including map-side

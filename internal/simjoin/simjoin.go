@@ -88,8 +88,8 @@ func Join(ctx context.Context, items, consumers []vector.Sparse, sigma float64, 
 
 	// Job 1: build the pruned inverted index over items. Both jobs run
 	// Dataset-in/Dataset-out: the output postings stay per-partition and
-	// feed the index map partition by partition, skipping the global
-	// concat-and-sort barrier a flat Run would impose between the jobs.
+	// feed the index map partition by partition, with no global
+	// concat-and-sort between the jobs.
 	indexOut, err := mapreduce.RunJobDS(ctx, driver, "simjoin-index",
 		mapreduce.PartitionDataset(enumerate(items), driver.Partitions()),
 		func(i int32, d vector.Sparse, out mapreduce.Emitter[vector.TermID, posting]) error {
@@ -136,6 +136,7 @@ func Join(ctx context.Context, items, consumers []vector.Sparse, sigma float64, 
 		return nil, fmt.Errorf("simjoin: probe job: %w", err)
 	}
 	if err := driver.Observe(probeStats); err != nil {
+		probeOut.Recycle()
 		return nil, err
 	}
 	if err := probeOut.Materialize(); err != nil {
