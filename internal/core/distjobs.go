@@ -18,29 +18,29 @@ import (
 // identical graphs and the registered reduces reproduce the in-process
 // closures exactly.
 //
-// Jobs whose reduces close over per-round driver state (the stack
+// Jobs whose functions close over per-round driver state (the stack
 // algorithms' dual variables and layer sets) are registered as
 // parameterized factories: the coordinator ships the state in
-// Config.DistParams and the factory rebuilds the closure through the
-// same constructor the local path uses (dualUpdateReduce,
-// stackFilterReduce), so there is exactly one implementation of each
-// reduce.
+// Config.DistParams and the factory rebuilds the closures through the
+// same constructors the local path uses (dualUpdateMap / dualUpdateReduce,
+// stackFilterMap / stackFilterReduce), so there is exactly one
+// implementation of each function.
 func RegisterDistJobs(g *graph.Bipartite) {
 	mapreduce.RegisterDistJob("greedymr-round",
 		func([]byte) (mapreduce.DistJob[graph.NodeID, nodeState, graph.NodeID, greedyMsg, graph.NodeID, nodeState], error) {
 			return mapreduce.DistJob[graph.NodeID, nodeState, graph.NodeID, greedyMsg, graph.NodeID, nodeState]{
-				Map:    greedyMap,
-				Reduce: greedyReduce(g),
+				Map:         greedyMap,
+				StateReduce: greedyReduce(g),
 			}, nil
 		})
 	mapreduce.RegisterDistJob("stack-update",
 		func(params []byte) (mapreduce.DistJob[graph.NodeID, nodeState, graph.NodeID, dualMsg, graph.NodeID, float64], error) {
 			var job mapreduce.DistJob[graph.NodeID, nodeState, graph.NodeID, dualMsg, graph.NodeID, float64]
-			y, _, _, err := decodeStackParams(params)
+			y, layer, _, err := decodeStackParams(params)
 			if err != nil {
 				return job, err
 			}
-			job.Reduce = dualUpdateReduce(y)
+			job.Map, job.StateReduce = dualUpdateMap(y, layerSet(layer)), dualUpdateReduce(y)
 			return job, nil
 		})
 	mapreduce.RegisterDistJob("stack-filter",
@@ -50,11 +50,7 @@ func RegisterDistJobs(g *graph.Bipartite) {
 			if err != nil {
 				return job, err
 			}
-			inLayer := make(map[int32]bool, len(layer))
-			for _, ei := range layer {
-				inLayer[ei] = true
-			}
-			job.Reduce = stackFilterReduce(y, inLayer, threshold)
+			job.Map, job.StateReduce = stackFilterMap(y), stackFilterReduce(y, layerSet(layer), threshold)
 			return job, nil
 		})
 	mapreduce.RegisterDistReduce("stack-pop", stackPopReduce)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -41,14 +42,21 @@ type GreedyMROptions struct {
 //
 // The rounds chain through a partition-resident Dataset: the node
 // records are hash-partitioned once up front and placed where the jobs
-// run, every round's job runs one map task per partition (each node's
-// self-forwarded state takes the identity route; only proposals to
-// neighbors go through the full shuffle), and a round's reduce output —
-// the surviving nodes' states, nothing else — is the next round's input
-// where the reduce wrote it: no rebuild, no re-hashing, and on the dist
-// backend no fetch, between rounds. The one thing the driver needs per
-// round, the matched edge ids, comes back as the job's side output.
+// run, and every round is a state job (mapreduce.RunStateDS) with one map
+// task per partition. Algorithm 3 has each node re-send its adjacency
+// under its own key for the reduce to meet it again; here a node's state
+// never enters the shuffle — only the proposals to its neighbors do, as
+// four-byte scalars — and the reduce is handed the record where it
+// resides.
+// A round's reduce output — the surviving nodes' states, nothing else —
+// is the next round's input where the reduce wrote it: no rebuild, no
+// re-hashing, and on the dist backend no fetch, between rounds. The one
+// thing the driver needs per round, the matched edge ids, comes back as
+// the job's side output.
 func GreedyMR(ctx context.Context, g *graph.Bipartite, opts GreedyMROptions) (*Result, error) {
+	if g.NumEdges() > math.MaxInt32>>1 {
+		return nil, fmt.Errorf("core: greedymr: %d edges, a proposal message holds 30-bit edge ids", g.NumEdges())
+	}
 	driver := mapreduce.NewDriver(opts.MR)
 	driver.MaxRounds = opts.MaxRounds
 	if driver.MaxRounds == 0 {
@@ -68,10 +76,14 @@ func GreedyMR(ctx context.Context, g *graph.Bipartite, opts GreedyMROptions) (*R
 		if opts.StopAfterRounds > 0 && round >= opts.StopAfterRounds {
 			return nil, nil // any-time stop: the current solution is feasible
 		}
-		next, err := mapreduce.RunJobDS(ctx, driver, "greedymr-round", st,
+		next, stats, err := mapreduce.RunStateDS(ctx, driver.Config("greedymr-round"), st,
 			greedyMap, greedyReduce(g))
 		if err != nil {
 			return nil, fmt.Errorf("core: greedymr round %d: %w", driver.Rounds(), err)
+		}
+		if err := driver.Observe(stats); err != nil {
+			next.Recycle()
+			return nil, err
 		}
 		var roundMatched []int32
 		for _, part := range next.Side() {
@@ -122,32 +134,35 @@ func greedyRecords(g *graph.Bipartite) []mapreduce.Pair[graph.NodeID, nodeState]
 	return recs
 }
 
-// greedyMsg is the intermediate value of a GreedyMR round: either a
-// node's own state forwarded to itself, or a proposal flag sent to the
-// other endpoint of an edge. It is 16 bytes — the shape of mmMsg and
-// cleanupMsg — because 98.5 % of the dense case's 12.5 M shuffled
-// records are proposals, and every byte here is written by Emit, copied
-// by the group gather and moved again by the group sort. The state
-// travels by pointer, which costs greedyMap one 32-byte allocation per
-// live node per round. Measured against carrying the state by value (a
-// 40-byte message, a 48-byte Pair) on the benchmark's workloads, the
-// pointer alone took the dense job from 1.09 to 0.82 s and the spill job
-// from 2.00 to 1.77 s, and 175 of 860 MiB off the dist job's resident
-// set at an unchanged wall (TestShuffledMessageSizes keeps a by-value
-// field from coming back).
-type greedyMsg struct {
-	self     *nodeState // the node's own state; nil on a proposal
-	edge     int32
-	proposed bool
+// greedyMsg is the intermediate value of a GreedyMR round, sent to the
+// other endpoint of an edge: the edge id shifted left once, with the low
+// bit saying whether the sender proposes the edge. A scalar, so that a
+// shuffled pair is 8 pointer-free bytes — written by Emit, copied by the
+// group gather, moved again by the group sort, 12.5 M times on the dense
+// benchmark job — and the codec's int32 column encodes it on spill and
+// dist with no per-record call (TestShuffledMessageSizes keeps a field
+// from coming back). The shift leaves edge ids 30 bits, which GreedyMR
+// checks.
+type greedyMsg int32
+
+func proposal(edge int32, proposed bool) greedyMsg {
+	m := greedyMsg(edge) << 1
+	if proposed {
+		m |= 1
+	}
+	return m
 }
+
+func (m greedyMsg) edge() int32    { return int32(m >> 1) }
+func (m greedyMsg) proposed() bool { return m&1 != 0 }
 
 // greedyMap implements the map phase of Algorithm 3: node v proposes its
 // top-b(v) incident edges — the first B entries of its weight-ordered
-// adjacency (see greedyRecords).
-func greedyMap(v graph.NodeID, st nodeState, out mapreduce.Emitter[graph.NodeID, greedyMsg]) error {
-	out.Emit(v, greedyMsg{self: &st})
+// adjacency (see greedyRecords). Its own state it only reads: the engine
+// hands the record to v's reduce call.
+func greedyMap(_ graph.NodeID, st nodeState, out mapreduce.Emitter[graph.NodeID, greedyMsg]) error {
 	for i, h := range st.Adj {
-		out.Emit(h.Other, greedyMsg{edge: h.ID, proposed: i < st.B})
+		out.Emit(h.Other, proposal(h.ID, i < st.B))
 	}
 	return nil
 }
@@ -191,58 +206,51 @@ func edgeMarks(table *[]uint8, numEdges int) []uint8 {
 // node's own array (the reduce owns it: the previous round's holders
 // are dead by the time this round's reduce runs, and writes trail reads
 // in the compaction), preserving its weight order, so a steady-state
-// round allocates nothing per key. That array is the one the round's
-// input record points to wherever the self message never left the
-// process, so the reduce phase consumes its input — the engine's
-// contract for chained jobs (mapreduce.DistCluster re-seeds the input of
-// an attempt it aborts mid-reduce).
+// round allocates nothing per key. That array is the round's input
+// record's, so the reduce phase consumes its input — the engine's
+// contract for state jobs (mapreduce.DistCluster re-seeds the input of an
+// attempt it aborts mid-reduce).
 //
 // A surviving node is emitted with its next state; a matched edge is
 // reported once, by its item-side endpoint, on the task's side output.
-func greedyReduce(g *graph.Bipartite) mapreduce.ReduceFunc[graph.NodeID, greedyMsg, graph.NodeID, nodeState] {
-	return func(u graph.NodeID, msgs []greedyMsg, out mapreduce.Emitter[graph.NodeID, nodeState]) error {
+func greedyReduce(g *graph.Bipartite) mapreduce.StateReduceFunc[graph.NodeID, nodeState, greedyMsg, graph.NodeID, nodeState] {
+	return func(u graph.NodeID, state *nodeState, msgs []greedyMsg, out mapreduce.Emitter[graph.NodeID, nodeState]) error {
+		// A node without a record died in an earlier round; stray
+		// proposals from neighbors that have not yet noticed are ignored.
+		if state == nil {
+			return nil
+		}
 		table := edgeMarkPool.Get().(*[]uint8)
 		defer edgeMarkPool.Put(table)
 		marks := edgeMarks(table, g.NumEdges())
-		var self *nodeState
-		for i := range msgs {
-			m := &msgs[i]
-			switch {
-			case m.self != nil:
-				self = m.self
-			case m.proposed:
-				marks[m.edge] = markSeen | markFlag
-			default:
-				marks[m.edge] = markSeen
+		for _, m := range msgs {
+			if m.proposed() {
+				marks[m.edge()] = markSeen | markFlag
+			} else {
+				marks[m.edge()] = markSeen
 			}
 		}
-		// A node without a self message died in an earlier round; stray
-		// proposals from neighbors that have not yet noticed are ignored.
-		if self != nil {
-			adj := self.Adj
-			next := nodeState{B: self.B, Adj: adj[:0]}
-			for i, h := range adj {
-				switch mark := marks[h.ID]; {
-				case mark == 0:
-					// Neighbor is gone: drop the edge.
-				case mark&markFlag != 0 && i < self.B:
-					// Both endpoints proposed: matched.
-					next.B--
-					if g.SideOf(u) == graph.ItemSide {
-						out.(mapreduce.SideEmitter).EmitSide(uint64(h.ID))
-					}
-				default:
-					next.Adj = append(next.Adj, h)
+		adj := state.Adj
+		next := nodeState{B: state.B, Adj: adj[:0]}
+		for i, h := range adj {
+			switch mark := marks[h.ID]; {
+			case mark == 0:
+				// Neighbor is gone: drop the edge.
+			case mark&markFlag != 0 && i < state.B:
+				// Both endpoints proposed: matched.
+				next.B--
+				if g.SideOf(u) == graph.ItemSide {
+					out.(mapreduce.SideEmitter).EmitSide(uint64(h.ID))
 				}
-			}
-			if next.B > 0 && len(next.Adj) > 0 {
-				out.Emit(u, next)
+			default:
+				next.Adj = append(next.Adj, h)
 			}
 		}
-		for i := range msgs {
-			if m := &msgs[i]; m.self == nil {
-				marks[m.edge] = 0
-			}
+		if next.B > 0 && len(next.Adj) > 0 {
+			out.Emit(u, next)
+		}
+		for _, m := range msgs {
+			marks[m.edge()] = 0
 		}
 		return nil
 	}

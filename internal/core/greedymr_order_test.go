@@ -20,45 +20,30 @@ import (
 // test below holds the prefix-proposal round to this one, edge for edge
 // and record for record.
 
-func refGreedyMap(v graph.NodeID, st nodeState, out mapreduce.Emitter[graph.NodeID, greedyMsg]) error {
-	out.Emit(v, greedyMsg{self: &st})
+func refGreedyMap(_ graph.NodeID, st nodeState, out mapreduce.Emitter[graph.NodeID, greedyMsg]) error {
 	chosen := topByWeight(st.Adj, st.B)
 	for i, h := range st.Adj {
-		out.Emit(h.Other, greedyMsg{edge: h.ID, proposed: slices.Contains(chosen, int32(i))})
+		out.Emit(h.Other, proposal(h.ID, slices.Contains(chosen, int32(i))))
 	}
 	return nil
 }
 
-func refGreedyReduce(g *graph.Bipartite) mapreduce.ReduceFunc[graph.NodeID, greedyMsg, graph.NodeID, nodeState] {
-	return func(u graph.NodeID, msgs []greedyMsg, out mapreduce.Emitter[graph.NodeID, nodeState]) error {
-		var self *nodeState
-		var marks []int32 // edge<<1 | proposed
-		for i := range msgs {
-			m := &msgs[i]
-			if m.self != nil {
-				self = m.self
-				continue
-			}
-			mark := m.edge << 1
-			if m.proposed {
-				mark |= 1
-			}
-			marks = append(marks, mark)
-		}
+func refGreedyReduce(g *graph.Bipartite) mapreduce.StateReduceFunc[graph.NodeID, nodeState, greedyMsg, graph.NodeID, nodeState] {
+	return func(u graph.NodeID, self *nodeState, msgs []greedyMsg, out mapreduce.Emitter[graph.NodeID, nodeState]) error {
 		if self == nil {
 			return nil
 		}
-		slices.Sort(marks)
-		has := func(mark int32) bool {
+		marks := slices.Sorted(slices.Values(msgs)) // edge<<1 | proposed
+		has := func(mark greedyMsg) bool {
 			_, ok := slices.BinarySearch(marks, mark)
 			return ok
 		}
 		mine := topByWeight(self.Adj, self.B)
 		next := nodeState{B: self.B}
 		for i, h := range self.Adj {
-			proposed := has(h.ID<<1 | 1)
+			proposed := has(proposal(h.ID, true))
 			switch {
-			case !proposed && !has(h.ID<<1):
+			case !proposed && !has(proposal(h.ID, false)):
 				// Neighbor is gone: drop the edge.
 			case proposed && slices.Contains(mine, int32(i)):
 				next.B--
@@ -85,7 +70,7 @@ func greedyLoop(
 	t *testing.T, g *graph.Bipartite, mr mapreduce.Config, job string,
 	recs []mapreduce.Pair[graph.NodeID, nodeState],
 	mapFn mapreduce.MapFunc[graph.NodeID, nodeState, graph.NodeID, greedyMsg],
-	reduceFn mapreduce.ReduceFunc[graph.NodeID, greedyMsg, graph.NodeID, nodeState],
+	reduceFn mapreduce.StateReduceFunc[graph.NodeID, nodeState, greedyMsg, graph.NodeID, nodeState],
 	check func(round int, v graph.NodeID, st nodeState),
 ) *Result {
 	t.Helper()
@@ -101,8 +86,11 @@ func greedyLoop(
 	final, err := mapreduce.Loop(ctx, driver, state, func(
 		ctx context.Context, round int, st *mapreduce.Dataset[graph.NodeID, nodeState],
 	) (*mapreduce.Dataset[graph.NodeID, nodeState], error) {
-		next, err := mapreduce.RunJobDS(ctx, driver, job, st, mapFn, reduceFn)
+		next, stats, err := mapreduce.RunStateDS(ctx, driver.Config(job), st, mapFn, reduceFn)
 		if err != nil {
+			return nil, err
+		}
+		if err := driver.Observe(stats); err != nil {
 			return nil, err
 		}
 		if check != nil {
@@ -185,8 +173,8 @@ func TestGreedyMRPrefixProposalsMatchPerRoundSelection(t *testing.T) {
 		mapreduce.RegisterDistJob("greedymr-round-ref",
 			func([]byte) (mapreduce.DistJob[graph.NodeID, nodeState, graph.NodeID, greedyMsg, graph.NodeID, nodeState], error) {
 				return mapreduce.DistJob[graph.NodeID, nodeState, graph.NodeID, greedyMsg, graph.NodeID, nodeState]{
-					Map:    refGreedyMap,
-					Reduce: refGreedyReduce(g),
+					Map:         refGreedyMap,
+					StateReduce: refGreedyReduce(g),
 				}, nil
 			})
 		for _, b := range backends {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/flow"
@@ -187,5 +189,41 @@ func TestGreedyMRShuffleAccounting(t *testing.T) {
 	// messages per live edge; totals must be positive and consistent.
 	if res.Shuffle.ShuffleRecords <= 0 || res.Shuffle.MapInputRecords <= 0 {
 		t.Errorf("shuffle stats empty: %+v", res.Shuffle)
+	}
+}
+
+// TestConcurrentMatchSharedGraph runs GreedyMR and StackMR at once over
+// one graph nobody has read yet: both start by asking it for incident
+// edges, and the adjacency index behind that answer used to be built
+// lazily with no synchronisation (run under -race).
+func TestConcurrentMatchSharedGraph(t *testing.T) {
+	for round := 0; round < 4; round++ {
+		g := tiedGraph(int64(round)).Clone() // a clone has no adjacency index yet
+		want, err := GreedyMR(context.Background(), g.Clone(), GreedyMROptions{MR: testMR})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		var greedy, stack *Result
+		var greedyErr, stackErr error
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			greedy, greedyErr = GreedyMR(context.Background(), g, GreedyMROptions{MR: testMR})
+		}()
+		go func() {
+			defer wg.Done()
+			stack, stackErr = StackMR(context.Background(), g, StackOptions{MR: testMR, Seed: 3})
+		}()
+		wg.Wait()
+		if greedyErr != nil || stackErr != nil {
+			t.Fatalf("GreedyMR: %v, StackMR: %v", greedyErr, stackErr)
+		}
+		if !reflect.DeepEqual(greedy.Matching.EdgeIndexes(), want.Matching.EdgeIndexes()) {
+			t.Fatalf("GreedyMR beside StackMR matched %v, alone %v", greedy.Matching.EdgeIndexes(), want.Matching.EdgeIndexes())
+		}
+		if err := stack.Matching.Validate(2); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

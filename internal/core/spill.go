@@ -13,8 +13,11 @@ import (
 // mapreduce/codeclane.go for the resolution order). This file gives the
 // matching algorithms' message types a compact binary form so that
 // GreedyMR, StackMR, StackGreedyMR and StackMRStrict run unchanged on
-// every shuffle backend: a message is a tag byte plus either the node's
-// own state (adjacency list) or a per-edge payload.
+// every shuffle backend. A message of the maximal-matching stages is a
+// tag byte plus either the node's own state (adjacency list) or an edge
+// id; a message of the state jobs (stack-update, stack-filter) never
+// carries a state and is an edge id plus a float. GreedyMR's message is a
+// scalar and takes the codec's int32 column without coming here.
 //
 // Every type encodes through AppendBinary (encoding.BinaryAppender),
 // which the engine's codec calls with its column scratch, so encoding a
@@ -222,33 +225,6 @@ func appendTag(buf []byte, self, flag bool) []byte {
 	return append(buf, tag)
 }
 
-// --- greedyMsg ---------------------------------------------------------
-
-// AppendBinary implements encoding.BinaryAppender.
-func (m greedyMsg) AppendBinary(buf []byte) ([]byte, error) {
-	buf = appendTag(buf, m.self != nil, m.proposed)
-	if m.self != nil {
-		return appendNodeState(buf, m.self), nil
-	}
-	return binary.AppendVarint(buf, int64(m.edge)), nil
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m greedyMsg) MarshalBinary() ([]byte, error) { return m.AppendBinary(nil) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *greedyMsg) UnmarshalBinary(data []byte) error {
-	r := &spillReader{data: data}
-	tag := r.tag(tagSelf | tagFlagA)
-	*m = greedyMsg{proposed: tag&tagFlagA != 0}
-	if tag&tagSelf != 0 {
-		m.self = r.nodeState()
-	} else {
-		m.edge = r.id()
-	}
-	return r.err("greedyMsg")
-}
-
 // --- mmMsg -------------------------------------------------------------
 
 // AppendBinary implements encoding.BinaryAppender.
@@ -306,30 +282,22 @@ func (m *cleanupMsg) UnmarshalBinary(data []byte) error {
 // --- dualMsg / filterMsg -----------------------------------------------
 
 // appendEdgeValueMsg encodes the shared shape of dualMsg and filterMsg:
-// either the node's state, or (edge, yOverB).
-func appendEdgeValueMsg(buf []byte, self *nodeState, edge int32, yOverB float64) []byte {
-	buf = appendTag(buf, self != nil, false)
-	if self != nil {
-		return appendNodeState(buf, self)
-	}
+// (edge, yOverB).
+func appendEdgeValueMsg(buf []byte, edge int32, yOverB float64) []byte {
 	buf = binary.AppendVarint(buf, int64(edge))
 	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(yOverB))
 }
 
-func unmarshalEdgeValueMsg(data []byte, what string) (*nodeState, int32, float64, error) {
+func unmarshalEdgeValueMsg(data []byte, what string) (int32, float64, error) {
 	r := &spillReader{data: data}
-	if r.tag(tagSelf) != 0 {
-		self := r.nodeState()
-		return self, 0, 0, r.err(what)
-	}
 	edge := r.id()
 	y := r.float()
-	return nil, edge, y, r.err(what)
+	return edge, y, r.err(what)
 }
 
 // AppendBinary implements encoding.BinaryAppender.
 func (m dualMsg) AppendBinary(buf []byte) ([]byte, error) {
-	return appendEdgeValueMsg(buf, m.self, m.edge, m.yOverB), nil
+	return appendEdgeValueMsg(buf, m.edge, m.yOverB), nil
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
@@ -337,14 +305,14 @@ func (m dualMsg) MarshalBinary() ([]byte, error) { return m.AppendBinary(nil) }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *dualMsg) UnmarshalBinary(data []byte) error {
-	self, edge, y, err := unmarshalEdgeValueMsg(data, "dualMsg")
-	*m = dualMsg{self: self, edge: edge, yOverB: y}
+	edge, y, err := unmarshalEdgeValueMsg(data, "dualMsg")
+	*m = dualMsg{edge: edge, yOverB: y}
 	return err
 }
 
 // AppendBinary implements encoding.BinaryAppender.
 func (m filterMsg) AppendBinary(buf []byte) ([]byte, error) {
-	return appendEdgeValueMsg(buf, m.self, m.edge, m.yOverB), nil
+	return appendEdgeValueMsg(buf, m.edge, m.yOverB), nil
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
@@ -352,8 +320,8 @@ func (m filterMsg) MarshalBinary() ([]byte, error) { return m.AppendBinary(nil) 
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *filterMsg) UnmarshalBinary(data []byte) error {
-	self, edge, y, err := unmarshalEdgeValueMsg(data, "filterMsg")
-	*m = filterMsg{self: self, edge: edge, yOverB: y}
+	edge, y, err := unmarshalEdgeValueMsg(data, "filterMsg")
+	*m = filterMsg{edge: edge, yOverB: y}
 	return err
 }
 

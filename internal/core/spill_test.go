@@ -4,7 +4,6 @@ import (
 	"context"
 	"reflect"
 	"testing"
-	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/mapreduce"
@@ -88,10 +87,6 @@ func TestAlgorithmsIdenticalAcrossShuffleBackends(t *testing.T) {
 // pairs directly, including the nil-state variants whose presence bit
 // the reducers branch on.
 func TestMessageCodecsRoundTrip(t *testing.T) {
-	st := &nodeState{B: 3, Adj: []half{
-		{ID: 7, Other: 12, W: 1.25},
-		{ID: 9, Other: 0, W: -0.5},
-	}}
 	mm := &mmNode{B: 2, Adj: []mmEdge{
 		{half: half{ID: 1, Other: 4, W: 2.5}, markedBySelf: true, selByOther: true},
 		{half: half{ID: 2, Other: 5, W: 0}, inF: true, markedByOther: true, selBySelf: true},
@@ -105,16 +100,11 @@ func TestMessageCodecsRoundTrip(t *testing.T) {
 			UnmarshalBinary([]byte) error
 		}
 	}{
-		{"greedyMsg-self", greedyMsg{self: st}, &greedyMsg{}},
-		{"greedyMsg-edge", greedyMsg{edge: 41, proposed: true}, &greedyMsg{}},
-		{"greedyMsg-zero", greedyMsg{}, &greedyMsg{}},
 		{"mmMsg-self", mmMsg{self: mm}, &mmMsg{}},
 		{"mmMsg-edge", mmMsg{edge: 3, flag: true}, &mmMsg{}},
 		{"cleanupMsg-self", cleanupMsg{self: mm, alive: true}, &cleanupMsg{}},
 		{"cleanupMsg-edge", cleanupMsg{edge: 8, alive: true}, &cleanupMsg{}},
-		{"dualMsg-self", dualMsg{self: st}, &dualMsg{}},
 		{"dualMsg-edge", dualMsg{edge: 6, yOverB: 0.75}, &dualMsg{}},
-		{"filterMsg-self", filterMsg{self: st}, &filterMsg{}},
 		{"filterMsg-edge", filterMsg{edge: 2, yOverB: -1.5}, &filterMsg{}},
 	}
 	for _, tc := range cases {
@@ -141,37 +131,78 @@ func TestMessageCodecsRoundTrip(t *testing.T) {
 // benchmark job) — so a field carried by value, where a pointer and a
 // tag would do, multiplies the job's memory traffic. greedyMsg carried
 // its 32-byte nodeState that way until it cost a quarter of the dense
-// job's wall.
+// job's wall, and then a pointer to it until the spill and dist backends
+// spent more on encoding that state than on anything else. The messages
+// of the state jobs hold no pointer at all: their pair buffers are
+// nothing the collector has to scan.
 func TestShuffledMessageSizes(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
-		got, max uintptr
+		typ      reflect.Type
+		max      uintptr
+		pointers bool // may hold a pointer (the node's own state)
 	}{
-		{"greedyMsg", unsafe.Sizeof(greedyMsg{}), 16},
-		{"mmMsg", unsafe.Sizeof(mmMsg{}), 16},
-		{"cleanupMsg", unsafe.Sizeof(cleanupMsg{}), 16},
-		{"dualMsg", unsafe.Sizeof(dualMsg{}), 24},
-		{"filterMsg", unsafe.Sizeof(filterMsg{}), 24},
+		{"greedyMsg", reflect.TypeFor[greedyMsg](), 4, false},
+		{"mmMsg", reflect.TypeFor[mmMsg](), 16, true},
+		{"cleanupMsg", reflect.TypeFor[cleanupMsg](), 16, true},
+		{"dualMsg", reflect.TypeFor[dualMsg](), 16, false},
+		{"filterMsg", reflect.TypeFor[filterMsg](), 16, false},
 	} {
-		if tc.got > tc.max {
-			t.Errorf("%s is %d bytes, want at most %d: every shuffled record carries one", tc.name, tc.got, tc.max)
+		if got := tc.typ.Size(); got > tc.max {
+			t.Errorf("%s is %d bytes, want at most %d: every shuffled record carries one", tc.name, got, tc.max)
+		}
+		if !tc.pointers && holdsPointer(tc.typ) {
+			t.Errorf("%s holds a pointer: its job's reduce is handed the node's state, a message must not carry it", tc.name)
 		}
 	}
 }
 
-// TestMessageCodecsRejectCorruptData checks that truncated spill data
-// surfaces as an error instead of a silently wrong message.
+// holdsPointer walks a type for anything the collector would scan.
+func holdsPointer(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	case reflect.Array:
+		return t.Len() > 0 && holdsPointer(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if holdsPointer(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	}
+	return true // pointers, slices, strings, maps, channels, funcs, interfaces
+}
+
+// TestMessageCodecsRejectCorruptData checks that damaged spill data
+// surfaces as an error instead of a silently wrong message — among it the
+// bytes a dualMsg had while it could still carry the node's state, which
+// a worker of the previous protocol generation would send.
 func TestMessageCodecsRejectCorruptData(t *testing.T) {
-	data, err := greedyMsg{self: &nodeState{B: 2, Adj: []half{{ID: 1, Other: 2, W: 3}}}}.MarshalBinary()
+	data, err := mmMsg{self: &mmNode{B: 2, Adj: []mmEdge{{half: half{ID: 1, Other: 2, W: 3}}}}}.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m greedyMsg
+	var m mmMsg
 	if err := m.UnmarshalBinary(data[:len(data)-3]); err == nil {
-		t.Error("truncated greedyMsg decoded without error")
+		t.Error("truncated mmMsg decoded without error")
+	}
+	edge, err := dualMsg{edge: 6, yOverB: 0.75}.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
 	}
 	var d dualMsg
-	if err := d.UnmarshalBinary(append(data, 0xAA)); err == nil {
+	if err := d.UnmarshalBinary(append(edge, 0xAA)); err == nil {
 		t.Error("oversized dualMsg decoded without error")
+	}
+	state, err := nodeState{B: 3, Adj: []half{{ID: 7, Other: 12, W: 1.25}, {ID: 9, Other: 0, W: -0.5}}}.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.UnmarshalBinary(append([]byte{tagSelf}, state...)); err == nil {
+		t.Error("a dualMsg carrying a node state decoded without error")
 	}
 }

@@ -178,10 +178,8 @@ func (st *stackState) push(ctx context.Context, driver *mapreduce.Driver) error 
 	return err
 }
 
-// dualMsg carries y_u/b(u) of the sending endpoint along a layer edge,
-// or the node's own record.
+// dualMsg carries y_u/b(u) of the sending endpoint along a layer edge.
 type dualMsg struct {
-	self   *nodeState
 	edge   int32
 	yOverB float64
 }
@@ -198,36 +196,25 @@ type dualMsg struct {
 // tasks, which differs between an input consumed where it resides and
 // one that had to be re-partitioned. Summing in adjacency order makes
 // the duals bit-identical either way.
+//
+// A state job (mapreduce.RunStateDS): the map only reads the node's
+// record, which its reduce call is handed where it resides.
 func (st *stackState) updateDuals(
 	ctx context.Context,
 	driver *mapreduce.Driver,
 	records *mapreduce.Dataset[graph.NodeID, nodeState],
 	layer []int32,
 ) error {
-	inLayer := make(map[int32]bool, len(layer))
-	for _, ei := range layer {
-		inLayer[ei] = true
-	}
 	y := st.y
 	cfg := driver.Config("stack-update")
 	if cfg.Shuffle.Backend == mapreduce.ShuffleDist {
-		// The reduce closes over the current duals; ship them so the
-		// workers' registered factory rebuilds the identical closure.
-		cfg.DistParams = encodeStackParams(y, nil, 0)
+		// Map and reduce close over the current duals and the layer; ship
+		// them so the workers' registered factory rebuilds the identical
+		// closures.
+		cfg.DistParams = encodeStackParams(y, layer, 0)
 	}
-	out, stats, err := mapreduce.RunDS(ctx, cfg, records,
-		func(v graph.NodeID, s nodeState, out mapreduce.Emitter[graph.NodeID, dualMsg]) error {
-			sCopy := s
-			out.Emit(v, dualMsg{self: &sCopy})
-			yb := y[v] / float64(s.B)
-			for _, h := range s.Adj {
-				if inLayer[h.ID] {
-					out.Emit(h.Other, dualMsg{edge: h.ID, yOverB: yb})
-				}
-			}
-			return nil
-		},
-		dualUpdateReduce(y))
+	out, stats, err := mapreduce.RunStateDS(ctx, cfg, records,
+		dualUpdateMap(y, layerSet(layer)), dualUpdateReduce(y))
 	if err != nil {
 		return fmt.Errorf("core: stack-update: %w", err)
 	}
@@ -243,28 +230,46 @@ func (st *stackState) updateDuals(
 	return nil
 }
 
+// layerSet indexes a layer's edge ids.
+func layerSet(layer []int32) map[int32]bool {
+	inLayer := make(map[int32]bool, len(layer))
+	for _, ei := range layer {
+		inLayer[ei] = true
+	}
+	return inLayer
+}
+
+// dualUpdateMap builds the stack-update map: node v sends y_v/b(v) along
+// its layer edges. Like the reduces below it is a constructor so that a
+// dist worker rebuilds the exact closure from shipped parameters (see
+// RegisterDistJobs).
+func dualUpdateMap(y []float64, inLayer map[int32]bool) mapreduce.MapFunc[graph.NodeID, nodeState, graph.NodeID, dualMsg] {
+	return func(v graph.NodeID, s nodeState, out mapreduce.Emitter[graph.NodeID, dualMsg]) error {
+		yb := y[v] / float64(s.B)
+		for _, h := range s.Adj {
+			if inLayer[h.ID] {
+				out.Emit(h.Other, dualMsg{edge: h.ID, yOverB: yb})
+			}
+		}
+		return nil
+	}
+}
+
 // dualUpdateReduce builds the stack-update reduce over the given duals:
 // node v raises y(v) by the sum of its layer edges' positive δ, folded
-// in adjacency order for bit-identical floats under any dataflow. The
-// constructor form is what lets a dist worker rebuild the exact closure
-// from shipped parameters (see RegisterDistJobs).
-func dualUpdateReduce(y []float64) mapreduce.ReduceFunc[graph.NodeID, dualMsg, graph.NodeID, float64] {
-	return func(v graph.NodeID, msgs []dualMsg, out mapreduce.Emitter[graph.NodeID, float64]) error {
-		var self *nodeState
-		otherYB := make(map[int32]float64, len(msgs))
-		for _, m := range msgs {
-			if m.self != nil {
-				self = m.self
-				continue
-			}
-			otherYB[m.edge] = m.yOverB
-		}
-		if self == nil {
+// in adjacency order for bit-identical floats under any dataflow.
+func dualUpdateReduce(y []float64) mapreduce.StateReduceFunc[graph.NodeID, nodeState, dualMsg, graph.NodeID, float64] {
+	return func(v graph.NodeID, state *nodeState, msgs []dualMsg, out mapreduce.Emitter[graph.NodeID, float64]) error {
+		if state == nil {
 			return nil
 		}
-		ybSelf := y[v] / float64(self.B)
+		otherYB := make(map[int32]float64, len(msgs))
+		for _, m := range msgs {
+			otherYB[m.edge] = m.yOverB
+		}
+		ybSelf := y[v] / float64(state.B)
 		var sumDelta float64
-		for _, h := range self.Adj {
+		for _, h := range state.Adj {
 			yb, ok := otherYB[h.ID]
 			if !ok {
 				continue
@@ -282,9 +287,8 @@ func dualUpdateReduce(y []float64) mapreduce.ReduceFunc[graph.NodeID, dualMsg, g
 }
 
 // filterMsg carries the post-update y_u/b(u) of the sending endpoint
-// along every edge, or the node's own record.
+// along every edge.
 type filterMsg struct {
-	self   *nodeState
 	edge   int32
 	yOverB float64
 }
@@ -292,34 +296,21 @@ type filterMsg struct {
 // filterEdges runs one MapReduce job that removes stacked edges and
 // weakly covered edges (Definition 1) from the working graph. Both
 // endpoints evaluate the same inequality on the same values, so their
-// views stay consistent.
+// views stay consistent. A state job, like updateDuals.
 func (st *stackState) filterEdges(
 	ctx context.Context,
 	driver *mapreduce.Driver,
 	records *mapreduce.Dataset[graph.NodeID, nodeState],
 	layer []int32,
 ) (*mapreduce.Dataset[graph.NodeID, nodeState], error) {
-	inLayer := make(map[int32]bool, len(layer))
-	for _, ei := range layer {
-		inLayer[ei] = true
-	}
 	y := st.y
 	threshold := 1.0 / (3 + 2*st.opts.Eps)
 	cfg := driver.Config("stack-filter")
 	if cfg.Shuffle.Backend == mapreduce.ShuffleDist {
 		cfg.DistParams = encodeStackParams(y, layer, threshold)
 	}
-	out, stats, err := mapreduce.RunDS(ctx, cfg, records,
-		func(v graph.NodeID, s nodeState, out mapreduce.Emitter[graph.NodeID, filterMsg]) error {
-			sCopy := s
-			out.Emit(v, filterMsg{self: &sCopy})
-			yb := y[v] / float64(s.B)
-			for _, h := range s.Adj {
-				out.Emit(h.Other, filterMsg{edge: h.ID, yOverB: yb})
-			}
-			return nil
-		},
-		stackFilterReduce(y, inLayer, threshold))
+	out, stats, err := mapreduce.RunStateDS(ctx, cfg, records,
+		stackFilterMap(y), stackFilterReduce(y, layerSet(layer), threshold))
 	if err != nil {
 		return nil, fmt.Errorf("core: stack-filter: %w", err)
 	}
@@ -335,31 +326,32 @@ func (st *stackState) filterEdges(
 	return out, nil
 }
 
-// stackFilterReduce builds the stack-filter reduce over the post-update
-// duals, the stacked layer, and the weakly-covered threshold — the
-// other parameterized closure the dist workers rebuild from shipped
-// state.
-func stackFilterReduce(y []float64, inLayer map[int32]bool, threshold float64) mapreduce.ReduceFunc[graph.NodeID, filterMsg, graph.NodeID, nodeState] {
-	return func(v graph.NodeID, msgs []filterMsg, out mapreduce.Emitter[graph.NodeID, nodeState]) error {
-		var self *nodeState
-		for _, m := range msgs {
-			if m.self != nil {
-				self = m.self
-				break
-			}
+// stackFilterMap builds the stack-filter map: node v sends its
+// post-update y_v/b(v) along every edge.
+func stackFilterMap(y []float64) mapreduce.MapFunc[graph.NodeID, nodeState, graph.NodeID, filterMsg] {
+	return func(v graph.NodeID, s nodeState, out mapreduce.Emitter[graph.NodeID, filterMsg]) error {
+		yb := y[v] / float64(s.B)
+		for _, h := range s.Adj {
+			out.Emit(h.Other, filterMsg{edge: h.ID, yOverB: yb})
 		}
-		if self == nil {
+		return nil
+	}
+}
+
+// stackFilterReduce builds the stack-filter reduce over the post-update
+// duals, the stacked layer, and the weakly-covered threshold.
+func stackFilterReduce(y []float64, inLayer map[int32]bool, threshold float64) mapreduce.StateReduceFunc[graph.NodeID, nodeState, filterMsg, graph.NodeID, nodeState] {
+	return func(v graph.NodeID, state *nodeState, msgs []filterMsg, out mapreduce.Emitter[graph.NodeID, nodeState]) error {
+		if state == nil {
 			return nil
 		}
-		ybSelf := y[v] / float64(self.B)
+		ybSelf := y[v] / float64(state.B)
 		otherYB := make(map[int32]float64, len(msgs))
 		for _, m := range msgs {
-			if m.self == nil {
-				otherYB[m.edge] = m.yOverB
-			}
+			otherYB[m.edge] = m.yOverB
 		}
-		next := nodeState{B: self.B}
-		for _, h := range self.Adj {
+		next := nodeState{B: state.B}
+		for _, h := range state.Adj {
 			if inLayer[h.ID] {
 				continue // stacked: leaves the working graph
 			}

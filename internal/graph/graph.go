@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 )
 
 // NodeID identifies a node in the bipartite graph. Item nodes come first,
@@ -55,8 +56,11 @@ type Bipartite struct {
 	numConsumers int
 	edges        []Edge
 	caps         []float64 // indexed by NodeID, length numItems+numConsumers
-	adjBuilt     bool
-	adj          [][]int32 // node -> indexes into edges
+	// adj is the node -> indexes into edges view, built by the first
+	// reader under adjOnce: readers of a finished graph may be
+	// concurrent (two matchings over one graph), AddEdge may not.
+	adjOnce sync.Once
+	adj     [][]int32
 }
 
 // NewBipartite creates an empty bipartite graph with the given part
@@ -129,7 +133,7 @@ func (g *Bipartite) AddEdge(item, consumer NodeID, weight float64) {
 		panic(fmt.Sprintf("graph: invalid edge weight %v", weight))
 	}
 	g.edges = append(g.edges, Edge{Item: item, Consumer: consumer, Weight: weight})
-	g.adjBuilt = false
+	g.adjOnce = sync.Once{}
 }
 
 // Edge returns the i-th edge.
@@ -180,25 +184,25 @@ func (g *Bipartite) TotalCapacity(side Side) float64 {
 	return sum
 }
 
-// buildAdj constructs the node -> incident edge index lists.
+// buildAdj constructs the node -> incident edge index lists, once per
+// edge set however many goroutines ask.
 func (g *Bipartite) buildAdj() {
-	if g.adjBuilt {
-		return
-	}
-	g.adj = make([][]int32, g.NumNodes())
-	deg := make([]int32, g.NumNodes())
-	for _, e := range g.edges {
-		deg[e.Item]++
-		deg[e.Consumer]++
-	}
-	for v := range g.adj {
-		g.adj[v] = make([]int32, 0, deg[v])
-	}
-	for i, e := range g.edges {
-		g.adj[e.Item] = append(g.adj[e.Item], int32(i))
-		g.adj[e.Consumer] = append(g.adj[e.Consumer], int32(i))
-	}
-	g.adjBuilt = true
+	g.adjOnce.Do(func() {
+		adj := make([][]int32, g.NumNodes())
+		deg := make([]int32, g.NumNodes())
+		for _, e := range g.edges {
+			deg[e.Item]++
+			deg[e.Consumer]++
+		}
+		for v := range adj {
+			adj[v] = make([]int32, 0, deg[v])
+		}
+		for i, e := range g.edges {
+			adj[e.Item] = append(adj[e.Item], int32(i))
+			adj[e.Consumer] = append(adj[e.Consumer], int32(i))
+		}
+		g.adj = adj
+	})
 }
 
 // IncidentEdges returns the indexes (into Edges) of the edges incident to

@@ -190,12 +190,12 @@ func TestReduceErrorCancelsBeforeTeardown(t *testing.T) {
 		&endlessStream{stopped: stopped},
 	}
 	_, _, err := runReduceParts(context.Background(), Config{Reducers: 2}, streams,
-		func(k int32, _ []int32, _ Emitter[int32, int32]) error {
+		plainSteps(func(k int32, _ []int32, _ Emitter[int32, int32]) error {
 			if k == 0 {
 				return boom
 			}
 			return nil
-		}, newStats("teardown"))
+		}), newStats("teardown"))
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}

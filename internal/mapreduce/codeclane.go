@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"unsafe"
 )
 
@@ -368,10 +369,22 @@ func genericLane[T any](
 ) (enc, dec func([]byte, col, *pairDict) ([]byte, error)) {
 	enc = func(buf []byte, c col, _ *pairDict) ([]byte, error) {
 		var scratch []byte
+		start := len(buf)
 		for i := 0; i < c.n; i++ {
 			var err error
 			if scratch, err = encE(scratch[:0], at[T](c, i)); err != nil {
 				return nil, err
+			}
+			if need := binary.MaxVarintLen32 + len(scratch); cap(buf)-len(buf) < need {
+				// Out of room: make it for the rest of the column at the
+				// mean element width so far, not for append's next quarter
+				// — a multi-megabyte partition encoded into a nil buffer
+				// is otherwise copied a dozen times over on its way up.
+				rest := need * (c.n - i)
+				if i > 0 {
+					rest = max(need, ((len(buf)-start)/i+1)*(c.n-i))
+				}
+				buf = slices.Grow(buf, rest)
 			}
 			buf = binary.AppendUvarint(buf, uint64(len(scratch)))
 			buf = append(buf, scratch...)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -383,7 +384,9 @@ func openBlob(marker byte, body []byte, scratch *[]byte) ([]byte, error) {
 func encodePairs[K comparable, V any](buf []byte, pairs []Pair[K, V], pc *pairCodec[K, V], compress bool, saved *atomic.Int64) ([]byte, error) {
 	if !compress {
 		// Nothing to weigh against a deflated form: write the columns
-		// straight into buf instead of staging them for sealBlob.
+		// straight into buf instead of staging them for sealBlob, with
+		// room up front for what they take at the least (see pairCap).
+		buf = slices.Grow(buf, 1+len(pairs)*pc.min8/8)
 		return pc.appendCols(append(buf, pairBlobV2), pairs, nil, nil)
 	}
 	scratch := getBlobScratch()

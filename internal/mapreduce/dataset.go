@@ -255,7 +255,7 @@ func RunDS[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any](
 	if inPlace && input.rem != nil && input.rem.cl == cfg.Dist && cfg.Shuffle.kind() == ShuffleDist {
 		// Resident where the job runs: the workers map it, and
 		// self-addressed pairs never touch the wire.
-		return execJob(ctx, cfg, input.Len(), input.Partitions(), input.rem.seq, nil, reduceFn)
+		return execJob(ctx, cfg, input.Len(), input.Partitions(), input.rem.seq, false, nil, plainSteps(reduceFn))
 	}
 	if err := input.Materialize(); err != nil {
 		return nil, newStats(cfg.Name), err
@@ -263,10 +263,76 @@ func RunDS[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any](
 	if !inPlace {
 		return runFlat(ctx, cfg, input.Collect(), mapFn, reduceFn)
 	}
-	return execJob(ctx, cfg, input.Len(), input.Partitions(), 0,
+	return execJob(ctx, cfg, input.Len(), input.Partitions(), 0, false,
 		func(ctx context.Context, backend ShuffleBackend[K2, V2], ar *roundArena[K2, V2], stats *Stats) error {
-			return runMapPhaseDS(ctx, cfg, input, mapFn, backend, ar, stats)
-		}, reduceFn)
+			return runMapPhaseDS(ctx, cfg, input, mapFn, nil, backend, ar, stats)
+		}, plainSteps(reduceFn))
+}
+
+// RunStateDS executes one state job: a Dataset job whose input records
+// are node state the map only reads, and whose reduce meets each key's
+// record again beside the messages sent to it (StateReduceFunc). What an
+// iterative algorithm would otherwise do — have every node send its own
+// state to itself each round so the reduce can see it — costs a shuffled,
+// sorted and, off the memory backend, encoded and decoded copy of the
+// whole graph per job; here the records stay where they reside and each
+// reduce task merge-joins its input partition with its group stream
+// (Lin & Schatz's Schimmy pattern).
+//
+// The input must be aligned with the job's partitioning and every
+// partition must be in group order — ascending keys, one record per key —
+// which is how PartitionDataset leaves a key-ordered slice and how every
+// reduce that emits its own key leaves its output; the map tasks check it
+// and a violation fails the job. On dist an input that is not resident on
+// the job's cluster is placed there for the job (Place) and released
+// after it.
+//
+// The job counts what the self-message form counts: a record forwarded
+// to its reduce is one map output record and one local-routed shuffle
+// record, and a key with a record is a reduce group whether or not it
+// was sent anything.
+func RunStateDS[K comparable, S, V any, K3 comparable, V3 any](
+	ctx context.Context,
+	cfg Config,
+	input *Dataset[K, S],
+	mapFn MapFunc[K, S, K, V],
+	reduceFn StateReduceFunc[K, S, V, K3, V3],
+) (*Dataset[K3, V3], *Stats, error) {
+	if mapFn == nil {
+		return nil, nil, errors.New("mapreduce: nil map function")
+	}
+	if reduceFn == nil {
+		return nil, nil, errors.New("mapreduce: nil reduce function")
+	}
+	if !input.aligned || input.Partitions() != cfg.reducers() {
+		return nil, newStats(cfg.Name), fmt.Errorf("mapreduce: state job %q needs an input aligned with its %d partitions", cfg.Name, cfg.reducers())
+	}
+	if cl := cfg.Dist; cfg.Shuffle.kind() == ShuffleDist && cl != nil {
+		if input.rem == nil || input.rem.cl != cl {
+			if err := input.Materialize(); err != nil {
+				return nil, newStats(cfg.Name), err
+			}
+			placed, err := placeResident(cl, input, cfg)
+			if err != nil {
+				return nil, newStats(cfg.Name), err
+			}
+			defer placed.Recycle()
+			input = placed
+		}
+		return execJob[K, V, K3, V3](ctx, cfg, input.Len(), input.Partitions(), input.rem.seq, true, nil, nil)
+	}
+	if err := input.Materialize(); err != nil {
+		return nil, newStats(cfg.Name), err
+	}
+	cmp := keyShapeOf[K]().cmp()
+	out, stats, err := execJob(ctx, cfg, input.Len(), input.Partitions(), 0, true,
+		func(ctx context.Context, backend ShuffleBackend[K, V], ar *roundArena[K, V], stats *Stats) error {
+			return runMapPhaseDS(ctx, cfg, input, mapFn, cmp, backend, ar, stats)
+		}, joinedSteps(input.parts, reduceFn))
+	// The backend counted what it was handed; the forwarded records are
+	// the rest of what the job shuffled.
+	stats.ShuffleRecords += stats.MapInputRecords
+	return out, stats, err
 }
 
 // runFlat is the forced re-partition, the job of an input that no
@@ -282,10 +348,10 @@ func runFlat[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any
 	reduceFn ReduceFunc[K2, V2, K3, V3],
 ) (*Dataset[K3, V3], *Stats, error) {
 	splits := splitRange(len(flat), cfg.mappers())
-	return execJob(ctx, cfg, len(flat), len(splits), 0,
+	return execJob(ctx, cfg, len(flat), len(splits), 0, false,
 		func(ctx context.Context, backend ShuffleBackend[K2, V2], ar *roundArena[K2, V2], stats *Stats) error {
 			return runMapPhase(ctx, cfg, splits, flat, mapFn, backend, ar, stats)
-		}, reduceFn)
+		}, plainSteps(reduceFn))
 }
 
 // mapPhaseFunc runs all of a job's map tasks into a shuffle backend:
@@ -297,21 +363,24 @@ type mapPhaseFunc[K2 comparable, V2 any] func(ctx context.Context, backend Shuff
 // on the configured backend. mapPhase runs them in this process; on dist
 // a nil mapPhase with residentSeq set means the input is job
 // residentSeq's output, resident on the cluster, and the workers that
-// hold its partitions map them.
+// hold its partitions map them. steps is the reduce side of the local
+// backends; a dist worker binds the reduce registered under the job's
+// name itself, told by state which of the two kinds it must be.
 func execJob[K2 comparable, V2 any, K3 comparable, V3 any](
 	ctx context.Context,
 	cfg Config,
 	records, tasks int,
 	residentSeq uint64,
+	state bool,
 	mapPhase mapPhaseFunc[K2, V2],
-	reduceFn ReduceFunc[K2, V2, K3, V3],
+	steps reduceSteps[K2, V2, K3, V3],
 ) (*Dataset[K3, V3], *Stats, error) {
 	stats := newStats(cfg.Name)
 	stats.MapInputRecords = int64(records)
 	defer stats.snapPool(cfg.Pool)()
 
 	if cfg.Shuffle.kind() == ShuffleDist {
-		out, err := runDistDS[K2, V2, K3, V3](ctx, cfg, tasks, residentSeq, mapPhase, stats)
+		out, err := runDistDS[K2, V2, K3, V3](ctx, cfg, tasks, residentSeq, state, mapPhase, stats)
 		return out, stats, err
 	}
 	ar := arenaFor[K2, V2](cfg.Pool, cfg.reducers())
@@ -326,7 +395,7 @@ func execJob[K2 comparable, V2 any, K3 comparable, V3 any](
 	if err != nil {
 		return nil, stats, err
 	}
-	out, err := finishJobDS(ctx, cfg, backend, reduceFn, stats)
+	out, err := finishJobDS(ctx, cfg, backend, steps, stats)
 	return out, stats, err
 }
 
@@ -345,7 +414,7 @@ func finishJobDS[K2 comparable, V2 any, K3 comparable, V3 any](
 	ctx context.Context,
 	cfg Config,
 	backend ShuffleBackend[K2, V2],
-	reduceFn ReduceFunc[K2, V2, K3, V3],
+	steps reduceSteps[K2, V2, K3, V3],
 	stats *Stats,
 ) (*Dataset[K3, V3], error) {
 	phase := time.Now()
@@ -355,7 +424,7 @@ func finishJobDS[K2 comparable, V2 any, K3 comparable, V3 any](
 		return nil, err
 	}
 	phase = time.Now()
-	outs, sides, err := runReduceParts(ctx, cfg, streams, reduceFn, stats)
+	outs, sides, err := runReduceParts(ctx, cfg, streams, steps, stats)
 	stats.ReduceWall = time.Since(phase)
 	stats.recordShuffle(backend)
 	if err != nil {
@@ -366,19 +435,18 @@ func finishJobDS[K2 comparable, V2 any, K3 comparable, V3 any](
 	return out, nil
 }
 
-// runMapPhaseDS is the partition-resident map phase: one task per input
-// partition, identity routing for self-addressed pairs when the
-// intermediate key type matches the input key type.
+// runMapPhaseDS is the partition-resident map phase: one mapResident task
+// per input partition.
 func runMapPhaseDS[K1 comparable, V1 any, K2 comparable, V2 any](
 	ctx context.Context,
 	cfg Config,
 	input *Dataset[K1, V1],
 	mapFn MapFunc[K1, V1, K2, V2],
+	joinOrder func(a, b K1) int,
 	backend ShuffleBackend[K2, V2],
 	ar *roundArena[K2, V2],
 	stats *Stats,
 ) error {
-	cast := keyCast[K1, K2]()
 	grp := newErrGroup(ctx)
 	for p, part := range input.parts {
 		p, part := p, part
@@ -386,26 +454,8 @@ func runMapPhaseDS[K1 comparable, V1 any, K2 comparable, V2 any](
 			if err := cfg.burnAttempts(0, p, stats.addMapRetry); err != nil {
 				return err
 			}
-			em := newShuffleEmitter(backend, p, ar)
-			em.selfOK = cast != nil
-			for j := range part {
-				if j%cancelPollEvery == 0 && ctx.Err() != nil {
-					return ctx.Err()
-				}
-				if em.selfOK {
-					em.self = cast(part[j].Key)
-				}
-				if err := mapFn(part[j].Key, part[j].Value, em); err != nil {
-					return fmt.Errorf("mapreduce: map partition %d record %d: %w", p, j, err)
-				}
-				if em.err != nil {
-					return em.err
-				}
-			}
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := em.finish(); err != nil {
+			em, err := mapResident(ctx, cfg.Name, p, part, mapFn, joinOrder, backend, ar)
+			if err != nil {
 				return err
 			}
 			stats.addMapOutput(em.count)
@@ -414,6 +464,59 @@ func runMapPhaseDS[K1 comparable, V1 any, K2 comparable, V2 any](
 		})
 	}
 	return grp.Wait()
+}
+
+// mapResident is one partition-resident map task, on the coordinator or
+// on the dist worker that holds the partition: part's records go through
+// mapFn into an emitter of split p — identity routing for self-addressed
+// pairs when the intermediate key type matches the input key type — which
+// is returned sealed, holding the task's counts. A non-nil joinOrder
+// makes it a state job's task: every record is also forwarded to its
+// reduce — counted here, moved nowhere — provided the partition is in
+// that key order.
+func mapResident[K1 comparable, V1 any, K2 comparable, V2 any](
+	ctx context.Context,
+	job string,
+	p int,
+	part []Pair[K1, V1],
+	mapFn MapFunc[K1, V1, K2, V2],
+	joinOrder func(a, b K1) int,
+	backend ShuffleBackend[K2, V2],
+	ar *roundArena[K2, V2],
+) (*shuffleEmitter[K2, V2], error) {
+	cast := keyCast[K1, K2]()
+	em := newShuffleEmitter(backend, p, ar)
+	em.selfOK = cast != nil
+	for j := range part {
+		if j%cancelPollEvery == 0 && ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		if joinOrder != nil {
+			if err := checkGroupOrder(joinOrder, job, p, part, j); err != nil {
+				return nil, err
+			}
+		}
+		if em.selfOK {
+			em.self = cast(part[j].Key)
+		}
+		if err := mapFn(part[j].Key, part[j].Value, em); err != nil {
+			return nil, fmt.Errorf("mapreduce: map partition %d record %d: %w", p, j, err)
+		}
+		if em.err != nil {
+			return nil, em.err
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if err := em.finish(); err != nil {
+		return nil, err
+	}
+	if joinOrder != nil {
+		em.count += int64(len(part))
+		em.local += int64(len(part))
+	}
+	return em, nil
 }
 
 // Place makes the entry state of an iterative computation resident

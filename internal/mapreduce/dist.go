@@ -27,7 +27,9 @@ import (
 // with the same radix path and buffer pool the in-memory backend uses —
 // which is what makes the output bit-identical to ShuffleMemory for the
 // same seed and partition count. Reduce output stays worker-resident,
-// so the next chained job's self-addressed pairs never cross the wire;
+// so the next chained job's self-addressed pairs never cross the wire —
+// and a state job's input records (RunStateDS) are not even shuffled:
+// the worker that maps a partition joins it with the partition's groups;
 // a caller that wants the records (Run, Materialize) fetches them. The
 // worker half lives in distworker.go; workers run the reduce (and, when
 // chained, map) functions registered under the job's name via
@@ -1638,6 +1640,10 @@ type distJobHeader struct {
 	// MsgPart). Carried in the header so every worker applies the
 	// coordinator's Config.WireCompression choice.
 	wireComp bool
+	// state marks a state job (RunStateDS): the reduce registered under
+	// the job's name must be a StateReduceFunc, which the workers join
+	// with the resident input partitions they mapped.
+	state    bool
 	inputSeq uint64
 	// owners is the job's partition→worker assignment, one entry per
 	// reduce partition. Carried in the header (rather than derived from
@@ -1660,15 +1666,12 @@ func (h *distJobHeader) encode() []byte {
 	buf = append(buf, byte(h.mode))
 	buf = remote.AppendUvarint(buf, uint64(h.splits))
 	buf = remote.AppendUvarint(buf, uint64(h.reducers))
-	if h.ckpt {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	if h.wireComp {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
+	for _, flag := range []bool{h.ckpt, h.wireComp, h.state} {
+		if flag {
+			buf = append(buf, 1)
+		} else {
+			buf = append(buf, 0)
+		}
 	}
 	buf = remote.AppendUvarint(buf, h.inputSeq)
 	buf = remote.AppendUvarint(buf, uint64(len(h.owners)))
@@ -1694,6 +1697,7 @@ func parseJobHeader(cur *remote.Cursor) (*distJobHeader, error) {
 	h.reducers = int(cur.Uvarint())
 	h.ckpt = cur.Byte() != 0
 	h.wireComp = cur.Byte() != 0
+	h.state = cur.Byte() != 0
 	h.inputSeq = cur.Uvarint()
 	nOwners := int(cur.Uvarint())
 	if nOwners != h.reducers || nOwners > len(cur.Rest()) {
@@ -1987,7 +1991,7 @@ func (j *distJobRun[K2, V2, K3, V3]) tailLaggard(now time.Time, factor float64, 
 // set and the partition assignment into the job header, and announces
 // the job to every live worker.
 func startDistJob[K2 comparable, V2 any, K3 comparable, V3 any](
-	cfg Config, mode remote.JobMode, splits int, inputSeq uint64, ckpt bool,
+	cfg Config, mode remote.JobMode, splits int, inputSeq uint64, state, ckpt bool,
 ) (*distJobRun[K2, V2, K3, V3], error) {
 	cl := cfg.Dist
 	if err := cl.Err(); err != nil {
@@ -2015,6 +2019,7 @@ func startDistJob[K2 comparable, V2 any, K3 comparable, V3 any](
 			reducers: cfg.reducers(),
 			ckpt:     ckpt,
 			wireComp: cfg.WireCompression,
+			state:    state,
 			inputSeq: inputSeq,
 			owners:   owners,
 			k2id:     distTypeID[K2](),
@@ -2623,6 +2628,7 @@ func runDistDS[K2 comparable, V2 any, K3 comparable, V3 any](
 	cfg Config,
 	splits int,
 	inputSeq uint64,
+	state bool,
 	mapPhase mapPhaseFunc[K2, V2],
 	stats *Stats,
 ) (*Dataset[K3, V3], error) {
@@ -2661,7 +2667,7 @@ func runDistDS[K2 comparable, V2 any, K3 comparable, V3 any](
 		// ensureResident moves the data the plan calls for.
 		cl.rebalance(cfg.reducers(), inputSeq, attempt == 0)
 		as := newStats(cfg.Name)
-		out, err := tryDistDS[K2, V2, K3, V3](ctx, cfg, splits, inputSeq, mapPhase, as, ckpt)
+		out, err := tryDistDS[K2, V2, K3, V3](ctx, cfg, splits, inputSeq, state, mapPhase, as, ckpt)
 		if err == nil {
 			if jerr := cl.journalAppendResident(out.rem.seq, cfg.Name, out.side); jerr != nil {
 				out.Recycle()
@@ -2699,6 +2705,7 @@ func tryDistDS[K2 comparable, V2 any, K3 comparable, V3 any](
 	cfg Config,
 	splits int,
 	inputSeq uint64,
+	state bool,
 	mapPhase mapPhaseFunc[K2, V2],
 	stats *Stats,
 	ckpt bool,
@@ -2717,7 +2724,7 @@ func tryDistDS[K2 comparable, V2 any, K3 comparable, V3 any](
 		stats.ReseededPartitions = int64(reseeded)
 		mode = remote.ModeChained
 	}
-	job, err := startDistJob[K2, V2, K3, V3](cfg, mode, splits, inputSeq, ckpt)
+	job, err := startDistJob[K2, V2, K3, V3](cfg, mode, splits, inputSeq, state, ckpt)
 	if err != nil {
 		return nil, err
 	}

@@ -29,8 +29,13 @@ type DistJob[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any
 	// input (the partition-resident fast path); jobs whose map phase
 	// always runs on the coordinator leave it nil.
 	Map MapFunc[K1, V1, K2, V2]
-	// Reduce runs over every owned partition's key groups. Required.
+	// Reduce runs over every owned partition's key groups. Required,
+	// unless the job is a state job.
 	Reduce ReduceFunc[K2, V2, K3, V3]
+	// StateReduce takes Reduce's place in a state job (RunStateDS), which
+	// also needs Map — it is always mapped where its input resides — and
+	// K1 = K2.
+	StateReduce StateReduceFunc[K2, V1, V2, K3, V3]
 }
 
 // distJobRunner is the untyped face of a registered job.
@@ -62,8 +67,8 @@ func RegisterDistJob[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable
 		if err != nil {
 			return nil, fmt.Errorf("building job %q: %w", name, err)
 		}
-		if job.Reduce == nil {
-			return nil, fmt.Errorf("job %q registered without a reduce function", name)
+		if (job.Reduce == nil) == (job.StateReduce == nil) {
+			return nil, fmt.Errorf("job %q must be registered with either a reduce or a state reduce function", name)
 		}
 		return &distWorkerJob[K1, V1, K2, V2, K3, V3]{job: job}, nil
 	}
@@ -664,6 +669,10 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 			h.name, h.k2id, h.v2id, h.k3id, h.v3id,
 			distTypeID[K2](), distTypeID[V2](), distTypeID[K3](), distTypeID[V3]())
 	}
+	if h.state != (r.job.StateReduce != nil) || (h.state && h.mode != remote.ModeChained) {
+		return fmt.Errorf("job %q: the coordinator runs it as a state job (%t) over a resident input (%t), the worker registered one: %t",
+			h.name, h.state, h.mode == remote.ModeChained, r.job.StateReduce != nil)
+	}
 	shufc, err := pairCodecFor[K2, V2]()
 	if err != nil {
 		return fmt.Errorf("job %q: shuffle %w", h.name, err)
@@ -690,6 +699,7 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 	var mapErrOnce sync.Once
 	var mapErr error
 	mapDone := make(chan struct{})
+	steps := plainSteps(r.job.Reduce)
 	if h.mode == remote.ModeChained {
 		input, err := chainedInput[K1, V1](s, h)
 		if err != nil {
@@ -698,6 +708,15 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 		if r.job.Map == nil {
 			return fmt.Errorf("job %q has no registered map function, cannot consume a worker-resident input", h.name)
 		}
+		var joinOrder func(a, b K1) int
+		if r.job.StateReduce != nil {
+			parts, ok := any(input.parts).([][]Pair[K2, V1])
+			if !ok {
+				return fmt.Errorf("job %q: a state job's messages are keyed like its input, not %s", h.name, h.k2id)
+			}
+			steps = joinedSteps(parts, r.job.StateReduce)
+			joinOrder = keyShapeOf[K1]().cmp()
+		}
 		sender := &workerSender[K2, V2]{
 			s: s, h: h, seq: h.seq, local: shuffle, ar: ar, pc: shufc,
 			saved: &wireSaved, reducers: h.reducers,
@@ -705,7 +724,7 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 		go func() {
 			defer close(mapDone)
 			start := time.Now()
-			emitted, local, cross, err := r.runResidentMap(s, input, sender)
+			emitted, local, cross, err := r.runResidentMap(s, input, joinOrder, sender)
 			if err != nil {
 				mapErrOnce.Do(func() { mapErr = err })
 				// The coordinator's flush barrier waits for every
@@ -881,25 +900,22 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 			defer wg.Done()
 			defer st.Close()
 			buf := &emitBuf[K3, V3]{pairs: arOut.getPairs(p, 0)}
+			step := steps(p, st)
 			for {
 				if cancel.Load() {
 					errs[p] = errJobAborted
 					outs[p] = buf.pairs // recycled by the abort path below
 					return
 				}
-				k, values, ok, err := st.Next()
+				more, err := step(buf)
 				if err != nil {
-					errs[p] = fmt.Errorf("partition %d: %w", p, err)
+					errs[p] = err
 					return
 				}
-				if !ok {
+				if !more {
 					break
 				}
 				groups.Add(1)
-				if err := r.job.Reduce(k, values, buf); err != nil {
-					errs[p] = fmt.Errorf("reduce key %v: %w", k, err)
-					return
-				}
 			}
 			outs[p] = buf.pairs
 			sides[p] = buf.side
@@ -974,9 +990,8 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 // identity-routing self-addressed pairs into the local shuffle — the
 // partition-resident fast path, now running where the partition lives.
 func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) runResidentMap(
-	s *workerSession, input *residentData[K1, V1], sender *workerSender[K2, V2],
+	s *workerSession, input *residentData[K1, V1], joinOrder func(a, b K1) int, sender *workerSender[K2, V2],
 ) (emitted, local, cross int64, err error) {
-	cast := keyCast[K1, K2]()
 	var wg sync.WaitGroup
 	errs := make([]error, len(input.parts))
 	var em, lo, cr atomic.Int64
@@ -988,22 +1003,8 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) runResidentMap(
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e := newShuffleEmitter(sender, p, sender.ar)
-			e.selfOK = cast != nil
-			for j := range part {
-				if e.selfOK {
-					e.self = cast(part[j].Key)
-				}
-				if err := r.job.Map(part[j].Key, part[j].Value, e); err != nil {
-					errs[p] = fmt.Errorf("map partition %d record %d: %w", p, j, err)
-					return
-				}
-				if e.err != nil {
-					errs[p] = e.err
-					return
-				}
-			}
-			if err := e.finish(); err != nil {
+			e, err := mapResident(context.Background(), sender.h.name, p, part, r.job.Map, joinOrder, sender, sender.ar)
+			if err != nil {
 				errs[p] = err
 				return
 			}

@@ -80,6 +80,9 @@ func registerDistTestJobs() {
 	// The ring job with an input-mutating reduce and a side output
 	// (dist_consumed_test.go).
 	registerMutRing()
+	// One toy job as a self-message job and as a state job
+	// (statejob_test.go).
+	registerToyJobs()
 	// Purely self-addressed variant: nothing may cross the wire once
 	// the state is worker-resident.
 	RegisterDistJob("self-step", func([]byte) (DistJob[int32, int64, int32, int64, int32, int64], error) {

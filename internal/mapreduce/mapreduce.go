@@ -49,8 +49,11 @@
 // Iterative computations chain jobs through Dataset (dataset.go), the
 // engine's partition-resident currency between jobs: reduce output
 // stays per-partition, the next job consumes it partition-by-partition,
-// and self-addressed pairs skip hashing via the identity route. Loop
-// drives such a computation to its fixed point under a Driver.
+// and self-addressed pairs skip hashing via the identity route. A job
+// whose map only reads its input — node state that the reduce must see
+// again — is a state job (RunStateDS): the records are not shuffled at
+// all, each reduce task joins its input partition with its key groups.
+// Loop drives such a computation to its fixed point under a Driver.
 package mapreduce
 
 import (
@@ -94,6 +97,114 @@ type MapFunc[K1 comparable, V1 any, K2 comparable, V2 any] func(key K1, value V1
 // later rounds (exactly as Hadoop reuses its value objects). A reduce
 // that wants to keep the values must copy them — CollectValues does.
 type ReduceFunc[K2 comparable, V2 any, K3 comparable, V3 any] func(key K2, values []V2, out Emitter[K3, V3]) error
+
+// StateReduceFunc is the reduce of a state job (RunStateDS): besides the
+// messages shuffled to key it receives key's record of the job's input,
+// where it resides. It is called once for every key that has a record or
+// at least one message, in the partition's group order; state is nil for
+// a key without a record and msgs is empty for a key nothing was sent to.
+// msgs is the engine's, as in ReduceFunc. The record is the reduce's to
+// rewrite — the job consumes its input — and whatever the reduce emits
+// may alias it.
+type StateReduceFunc[K comparable, S, V any, K3 comparable, V3 any] func(key K, state *S, msgs []V, out Emitter[K3, V3]) error
+
+// reduceSteps binds a job's reduce function to one partition's group
+// stream. Each call of the returned step makes the partition's next
+// reduce call and reports whether there was one.
+type reduceSteps[K2 comparable, V2 any, K3 comparable, V3 any] func(part int, groups GroupStream[K2, V2]) func(out Emitter[K3, V3]) (bool, error)
+
+// plainSteps serves a ReduceFunc: one call per key group.
+func plainSteps[K2 comparable, V2 any, K3 comparable, V3 any](reduceFn ReduceFunc[K2, V2, K3, V3]) reduceSteps[K2, V2, K3, V3] {
+	return func(part int, groups GroupStream[K2, V2]) func(Emitter[K3, V3]) (bool, error) {
+		return func(out Emitter[K3, V3]) (bool, error) {
+			k, values, ok, err := groups.Next()
+			if err != nil || !ok {
+				return false, shuffleErr(part, err)
+			}
+			if err := reduceFn(k, values, out); err != nil {
+				return false, fmt.Errorf("mapreduce: reduce key %v: %w", k, err)
+			}
+			return true, nil
+		}
+	}
+}
+
+// joinedSteps serves a StateReduceFunc: a merge join of the job's input
+// partitions — each in group order, which the map pass checked — with the
+// partitions' group streams. At most one group is read ahead, and the
+// next is read only after the reduce call it went to has returned, so its
+// values are as short-lived as a ReduceFunc's.
+func joinedSteps[K comparable, S, V any, K3 comparable, V3 any](
+	parts [][]Pair[K, S], reduceFn StateReduceFunc[K, S, V, K3, V3],
+) reduceSteps[K, V, K3, V3] {
+	cmp := keyShapeOf[K]().cmp()
+	return func(part int, groups GroupStream[K, V]) func(Emitter[K3, V3]) (bool, error) {
+		recs := parts[part]
+		var (
+			gkey       K
+			gvals      []V
+			ahead, end bool // a group is read ahead; the stream has ended
+		)
+		return func(out Emitter[K3, V3]) (bool, error) {
+			if !ahead && !end {
+				var err error
+				if gkey, gvals, ahead, err = groups.Next(); err != nil {
+					return false, shuffleErr(part, err)
+				}
+				end = !ahead
+			}
+			// c orders the group read ahead against the next record; the
+			// side that has run out loses.
+			var c int
+			switch {
+			case !ahead && len(recs) == 0:
+				return false, nil
+			case !ahead:
+				c = 1
+			case len(recs) == 0:
+				c = -1
+			default:
+				if c = cmp(gkey, recs[0].Key); c == 0 && gkey != recs[0].Key {
+					return false, fmt.Errorf("mapreduce: state join: key comparator cannot distinguish %v from %v", gkey, recs[0].Key)
+				}
+			}
+			var (
+				key   K
+				state *S
+				msgs  []V
+			)
+			if c <= 0 {
+				key, msgs, ahead = gkey, gvals, false
+			}
+			if c >= 0 {
+				key, state, recs = recs[0].Key, &recs[0].Value, recs[1:]
+			}
+			if err := reduceFn(key, state, msgs, out); err != nil {
+				return false, fmt.Errorf("mapreduce: reduce key %v: %w", key, err)
+			}
+			return true, nil
+		}
+	}
+}
+
+// shuffleErr wraps a group stream's failure with its partition.
+func shuffleErr(part int, err error) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("mapreduce: shuffle partition %d: %w", part, err)
+}
+
+// checkGroupOrder is the map pass's side of a state job's join: record j
+// of an input partition must follow record j-1 in the key order the
+// group streams use, strictly.
+func checkGroupOrder[K comparable, S any](cmp func(a, b K) int, name string, p int, part []Pair[K, S], j int) error {
+	if j > 0 && cmp(part[j-1].Key, part[j].Key) >= 0 {
+		return fmt.Errorf("mapreduce: state job %q: input partition %d is out of group order at record %d (key %v after %v)",
+			name, p, j, part[j].Key, part[j-1].Key)
+	}
+	return nil
+}
 
 // Config controls the parallelism, partitioning, and fault injection of
 // a job.
@@ -470,7 +581,7 @@ func runReduceParts[K2 comparable, V2 any, K3 comparable, V3 any](
 	ctx context.Context,
 	cfg Config,
 	streams []GroupStream[K2, V2],
-	reduceFn ReduceFunc[K2, V2, K3, V3],
+	steps reduceSteps[K2, V2, K3, V3],
 	stats *Stats,
 ) ([][]Pair[K3, V3], [][]uint64, error) {
 	outs := make([][]Pair[K3, V3], len(streams))
@@ -488,6 +599,7 @@ func runReduceParts[K2 comparable, V2 any, K3 comparable, V3 any](
 				return err
 			}
 			buf := &emitBuf[K3, V3]{pairs: arOut.getPairs(i, 0)}
+			step := steps(i, st)
 			groups := 0
 			for ; ; groups++ {
 				if groups%cancelPollEvery == 0 && ctx.Err() != nil {
@@ -496,15 +608,12 @@ func runReduceParts[K2 comparable, V2 any, K3 comparable, V3 any](
 				// A failing task cancels its siblings through grp.fail
 				// right away: the stream's deferred teardown (run files, on
 				// spill) would come first otherwise.
-				k, values, ok, err := st.Next()
+				more, err := step(buf)
 				if err != nil {
-					return grp.fail(fmt.Errorf("mapreduce: shuffle partition %d: %w", i, err))
+					return grp.fail(err)
 				}
-				if !ok {
+				if !more {
 					break
-				}
-				if err := reduceFn(k, values, buf); err != nil {
-					return grp.fail(fmt.Errorf("mapreduce: reduce key %v: %w", k, err))
 				}
 			}
 			if err := ctx.Err(); err != nil {

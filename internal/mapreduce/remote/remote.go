@@ -50,8 +50,12 @@ import (
 // Version 7 added each partition's reduce side output to it. Version 8
 // dropped the message that streamed reduce output back (renumbering
 // every later one) and the job header byte that asked for it: reduce
-// output is always retained and fetched.
-const Proto = 8
+// output is always retained and fetched. Version 9 added the job header
+// byte that marks a state job, whose reduce joins the resident input
+// with the shuffled messages; the matching algorithms' jobs that became
+// state jobs send other bucket bytes than before (no node state, and
+// GreedyMR's message as an int32 column).
+const Proto = 9
 
 // MsgType identifies one protocol message. The direction annotations
 // are the only ones that occur; receiving a type from the wrong

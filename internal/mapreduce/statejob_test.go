@@ -1,0 +1,291 @@
+package mapreduce
+
+import (
+	"context"
+	"encoding/binary"
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/mapreduce/remote"
+)
+
+// The toy job of TestStateJobMatchesSelfMessageJob, written both ways. A
+// node's state is the list of nodes it writes to; each round it sends its
+// id to every one of them, and its reduce folds what arrived into the
+// next list. toyStep is that reduce, shared by both forms: a key without
+// a record reports itself on the side output and emits nothing.
+
+const toyNodes = 320
+
+// toyInput holds records for the keys below 300 that are not multiples
+// of 7, in ascending order. Their targets lie in [0, 280) — multiples of
+// 7 among them, which have no record — and in [300, 320), where no key
+// has one; keys 280…299 have a record and are sent nothing.
+func toyInput() []Pair[int32, []int32] {
+	var in []Pair[int32, []int32]
+	for k := int32(0); k < 300; k++ {
+		if k%7 != 0 {
+			in = append(in, P(k, []int32{(k*3 + 1) % 280, 300 + k%20, (k * k) % 280}))
+		}
+	}
+	return in
+}
+
+func toyStep(k int32, state *[]int32, msgs []int32, out Emitter[int32, []int32]) error {
+	if state == nil {
+		out.(SideEmitter).EmitSide(uint64(k)<<32 | uint64(len(msgs)))
+		return nil
+	}
+	acc := int32(len(*state))
+	for _, m := range msgs {
+		acc = acc*31 + m // order-sensitive
+	}
+	next := make([]int32, 0, len(*state))
+	for i, t := range *state {
+		if t = (t + acc + int32(i)) % toyNodes; t < 0 {
+			t += toyNodes
+		}
+		// Keep round two's targets off the record-only band, too.
+		if t >= 280 && t < 300 {
+			t -= 100
+		}
+		next = append(next, t)
+	}
+	out.Emit(k, next)
+	return nil
+}
+
+// State form.
+
+func toyStateMap(k int32, targets []int32, out Emitter[int32, int32]) error {
+	for _, t := range targets {
+		out.Emit(t, k)
+	}
+	return nil
+}
+
+// Self-message form: the map sends the state to its own key first, and
+// the reduce picks it out of the group.
+
+type toyMsg struct {
+	self    []int32
+	hasSelf bool
+	from    int32
+}
+
+func (m toyMsg) MarshalBinary() ([]byte, error) {
+	buf := []byte{0}
+	if m.hasSelf {
+		buf[0] = 1
+	}
+	buf = binary.AppendVarint(buf, int64(m.from))
+	for _, t := range m.self {
+		buf = binary.AppendVarint(buf, int64(t))
+	}
+	return buf, nil
+}
+
+func (m *toyMsg) UnmarshalBinary(data []byte) error {
+	if len(data) == 0 {
+		return fmt.Errorf("empty toyMsg")
+	}
+	*m = toyMsg{hasSelf: data[0] == 1}
+	data = data[1:]
+	for i := 0; len(data) > 0; i++ {
+		x, n := binary.Varint(data)
+		if n <= 0 {
+			return fmt.Errorf("corrupt toyMsg")
+		}
+		if data = data[n:]; i == 0 {
+			m.from = int32(x)
+		} else {
+			m.self = append(m.self, int32(x))
+		}
+	}
+	return nil
+}
+
+func toySelfMap(k int32, targets []int32, out Emitter[int32, toyMsg]) error {
+	out.Emit(k, toyMsg{self: targets, hasSelf: true})
+	for _, t := range targets {
+		out.Emit(t, toyMsg{from: k})
+	}
+	return nil
+}
+
+func toySelfReduce(k int32, group []toyMsg, out Emitter[int32, []int32]) error {
+	var state *[]int32
+	var msgs []int32
+	for i := range group {
+		if group[i].hasSelf {
+			state = &group[i].self
+		} else {
+			msgs = append(msgs, group[i].from)
+		}
+	}
+	return toyStep(k, state, msgs, out)
+}
+
+func registerToyJobs() {
+	RegisterDistJob("toy-self", func([]byte) (DistJob[int32, []int32, int32, toyMsg, int32, []int32], error) {
+		return DistJob[int32, []int32, int32, toyMsg, int32, []int32]{Map: toySelfMap, Reduce: toySelfReduce}, nil
+	})
+	RegisterDistJob("toy-state", func([]byte) (DistJob[int32, []int32, int32, int32, int32, []int32], error) {
+		return DistJob[int32, []int32, int32, int32, int32, []int32]{Map: toyStateMap, StateReduce: toyStep}, nil
+	})
+}
+
+// toyBackends are the three backends under a configuration whose
+// partition count differs from its mapper count and whose tasks fail and
+// are retried; the spill budget makes every partition write runs.
+func toyBackends(t *testing.T) []Config {
+	base := Config{Mappers: 3, Reducers: 5, FailureRate: 0.3, FailureSeed: 9, MaxAttempts: 16}
+	mem, spill, dist := base, base, base
+	spill.Shuffle = ShuffleConfig{Backend: ShuffleSpill, MemoryBudget: 320}
+	dist.Shuffle = ShuffleConfig{Backend: ShuffleDist}
+	dist.Dist = startTestCluster(t, 2)
+	return []Config{mem, spill, dist}
+}
+
+// recordCounters are the Stats fields both forms of a job must agree on.
+func recordCounters(s *Stats) [9]int64 {
+	return [9]int64{s.MapInputRecords, s.MapOutputRecords, s.ShuffleRecords, s.LocalRouted, s.CrossRouted,
+		s.ReduceGroups, s.ReduceOutputRecords, s.MapTaskRetries, s.ReduceTaskRetries}
+}
+
+// TestStateJobMatchesSelfMessageJob is the state job's differential: the
+// toy job above run for two chained rounds as a self-message job with a
+// plain reduce and as a state job must agree, round for round, on every
+// partition's output in order, on the side output and on every record and
+// retry counter — on the memory, spill and dist backends, with keys that
+// have a record and no message, and messages for keys with no record.
+func TestStateJobMatchesSelfMessageJob(t *testing.T) {
+	ctx := context.Background()
+	for _, cfg := range toyBackends(t) {
+		t.Run(string(cfg.Shuffle.kind()), func(t *testing.T) {
+			selfCfg, stateCfg := cfg, cfg
+			selfCfg.Name, stateCfg.Name = "toy-self", "toy-state"
+			selfIn := PartitionDataset(toyInput(), cfg.reducers())
+			stateIn := PartitionDataset(toyInput(), cfg.reducers())
+			retries, sides, lonely := int64(0), 0, false
+			for round := 0; round < 2; round++ {
+				want, wantStats, err := RunDS(ctx, selfCfg, selfIn, toySelfMap, toySelfReduce)
+				if err != nil {
+					t.Fatalf("round %d, self-message form: %v", round, err)
+				}
+				got, gotStats, err := RunStateDS(ctx, stateCfg, stateIn, toyStateMap, toyStep)
+				if err != nil {
+					t.Fatalf("round %d, state form: %v", round, err)
+				}
+				if g, w := recordCounters(gotStats), recordCounters(wantStats); g != w {
+					t.Errorf("round %d: counters (in, mapout, shuffle, local, cross, groups, out, map retries, reduce retries):\n got %v\nwant %v", round, g, w)
+				}
+				if gotStats.LocalRouted < gotStats.MapInputRecords {
+					t.Errorf("round %d: %d records forwarded, only %d local-routed", round, gotStats.MapInputRecords, gotStats.LocalRouted)
+				}
+				if gotStats.ReduceGroups <= gotStats.MapInputRecords {
+					t.Errorf("round %d: %d reduce calls for %d records: no record-less key was reduced", round, gotStats.ReduceGroups, gotStats.MapInputRecords)
+				}
+				if cfg.Shuffle.kind() == ShuffleSpill && gotStats.SpillRuns == 0 {
+					t.Errorf("round %d: the spill backend wrote no run", round)
+				}
+				retries += gotStats.MapTaskRetries + gotStats.ReduceTaskRetries
+				if !reflect.DeepEqual(got.Side(), want.Side()) {
+					t.Errorf("round %d: side output:\n got %v\nwant %v", round, got.Side(), want.Side())
+				}
+				for _, part := range got.Side() {
+					sides += len(part)
+				}
+				// The next round consumes both outputs where they are
+				// (on dist: worker-resident); compare copies.
+				gotParts, wantParts := cloneParts(t, got), cloneParts(t, want)
+				if !reflect.DeepEqual(gotParts, wantParts) {
+					t.Errorf("round %d: output differs", round)
+				}
+				for _, part := range gotParts {
+					for _, p := range part {
+						lonely = lonely || (round == 0 && p.Key == 290)
+					}
+				}
+				selfIn, stateIn = want, got
+			}
+			selfIn.Recycle()
+			stateIn.Recycle()
+			if retries == 0 || sides == 0 || !lonely {
+				t.Errorf("the case lost its point: %d task retries, %d record-less keys reduced, key 290 (a record, no message) reduced: %t",
+					retries, sides, lonely)
+			}
+		})
+	}
+}
+
+// cloneParts copies a job output's partitions without consuming it: a
+// worker-resident Dataset is read from its checkpoint mirror, which leaves
+// it resident for the next round.
+func cloneParts(t *testing.T, ds *Dataset[int32, []int32]) [][]Pair[int32, []int32] {
+	t.Helper()
+	if ds.rem == nil {
+		parts := make([][]Pair[int32, []int32], ds.Partitions())
+		for p := range parts {
+			parts[p] = append(parts[p], ds.Part(p)...)
+		}
+		return parts
+	}
+	cl := ds.rem.cl
+	pc, err := pairCodecFor[int32, []int32]()
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := make([][]Pair[int32, []int32], ds.Partitions())
+	for p := range parts {
+		blob, ok := cl.mirrorPart(ds.rem.seq, p)
+		if !ok {
+			t.Fatalf("partition %d has no checkpoint mirror", p)
+		}
+		if blob == nil {
+			continue
+		}
+		n := int(ds.rem.counts[p])
+		if parts[p], err = decodePairs(remote.NewCursor(blob), n, pc, make([]Pair[int32, []int32], 0, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return parts
+}
+
+// TestStateJobRefusesUnorderedInput: a partition that is not in group
+// order — a key below its predecessor, or the same key twice — fails the
+// job with the partition and the record's index, on every backend; it is
+// neither sorted silently nor joined wrongly.
+func TestStateJobRefusesUnorderedInput(t *testing.T) {
+	descending := toyInput()
+	for i, j := 0, len(descending)-1; i < j; i, j = i+1, j-1 {
+		descending[i], descending[j] = descending[j], descending[i]
+	}
+	twice := append(toyInput()[:3:3], toyInput()[2:]...)
+	base := Config{Mappers: 2, Reducers: 1, Name: "toy-state"}
+	spill, dist := base, base
+	spill.Shuffle = ShuffleConfig{Backend: ShuffleSpill, MemoryBudget: 64}
+	dist.Shuffle = ShuffleConfig{Backend: ShuffleDist}
+	dist.Dist = startTestCluster(t, 1)
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		input []Pair[int32, []int32]
+		want  string
+	}{
+		{"memory/descending", base, descending, "input partition 0 is out of group order at record 1 (key 298 after 299)"},
+		{"memory/duplicate", base, twice, "input partition 0 is out of group order at record 3 (key 3 after 3)"},
+		{"spill/descending", spill, descending, "input partition 0 is out of group order at record 1 (key 298 after 299)"},
+		{"dist/descending", dist, descending, "input partition 0 is out of group order at record 1 (key 298 after 299)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, err := RunStateDS(context.Background(), tc.cfg, PartitionDataset(tc.input, 1), toyStateMap, toyStep)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want it to contain %q", err, tc.want)
+			}
+		})
+	}
+}

@@ -20,7 +20,10 @@ type Stats struct {
 	MapOutputRecords int64
 	// ShuffleRecords is the number of intermediate pairs moved during
 	// the shuffle (equal to MapOutputRecords in this engine; kept
-	// separate because a combiner would make them differ).
+	// separate because a combiner would make them differ). A state job
+	// (RunStateDS) counts every input record here and in
+	// MapOutputRecords once: the record its reduce is handed stands for
+	// the self-addressed pair that would otherwise have carried it.
 	ShuffleRecords int64
 	// ReduceGroups is the number of distinct intermediate keys.
 	ReduceGroups int64
@@ -33,7 +36,9 @@ type Stats struct {
 	// into the task's own partition bucket without being hashed.
 	// CrossRouted pairs went through the full hash-partitioned route.
 	// Flat jobs (Run, or RunDS forced to re-partition) hash everything,
-	// so they report LocalRouted == 0.
+	// so they report LocalRouted == 0. A state job's forwarded records
+	// are local-routed pairs delivered by reference: they stay in their
+	// input partition and meet their group in the reduce task.
 	LocalRouted int64
 	CrossRouted int64
 	// MapTaskRetries and ReduceTaskRetries count re-executed task
