@@ -47,12 +47,11 @@ type GreedyMROptions struct {
 // under its own key for the reduce to meet it again; here a node's state
 // never enters the shuffle — only the proposals to its neighbors do, as
 // four-byte scalars — and the reduce is handed the record where it
-// resides.
-// A round's reduce output — the surviving nodes' states, nothing else —
-// is the next round's input where the reduce wrote it: no rebuild, no
-// re-hashing, and on the dist backend no fetch, between rounds. The one
-// thing the driver needs per round, the matched edge ids, comes back as
-// the job's side output.
+// resides. A round's reduce output — the surviving nodes' states,
+// nothing else — is the next round's input where the reduce wrote it: no
+// rebuild, no re-hashing, and on the dist backend no fetch, between
+// rounds. The one thing the driver needs per round, the matched edge
+// ids, comes back as the job's side output.
 func GreedyMR(ctx context.Context, g *graph.Bipartite, opts GreedyMROptions) (*Result, error) {
 	if g.NumEdges() > math.MaxInt32>>1 {
 		return nil, fmt.Errorf("core: greedymr: %d edges, a proposal message holds 30-bit edge ids", g.NumEdges())

@@ -169,8 +169,8 @@ func (r *spillReader) half() half {
 	}
 }
 
-func (r *spillReader) nodeState() *nodeState {
-	st := &nodeState{B: int(r.varint())}
+func (r *spillReader) nodeState() nodeState {
+	st := nodeState{B: int(r.varint())}
 	n := r.count(minHalfBytes)
 	if r.bad {
 		return st
@@ -344,7 +344,7 @@ func (s nodeState) MarshalBinary() ([]byte, error) { return s.AppendBinary(nil) 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (s *nodeState) UnmarshalBinary(data []byte) error {
 	r := &spillReader{data: data}
-	*s = *r.nodeState()
+	*s = r.nodeState()
 	return r.err("nodeState")
 }
 

@@ -669,9 +669,11 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 			h.name, h.k2id, h.v2id, h.k3id, h.v3id,
 			distTypeID[K2](), distTypeID[V2](), distTypeID[K3](), distTypeID[V3]())
 	}
-	if h.state != (r.job.StateReduce != nil) || (h.state && h.mode != remote.ModeChained) {
-		return fmt.Errorf("job %q: the coordinator runs it as a state job (%t) over a resident input (%t), the worker registered one: %t",
-			h.name, h.state, h.mode == remote.ModeChained, r.job.StateReduce != nil)
+	if registered := r.job.StateReduce != nil; h.state != registered {
+		return fmt.Errorf("job %q: state job on the coordinator: %t, as registered here: %t", h.name, h.state, registered)
+	}
+	if h.state && h.mode != remote.ModeChained {
+		return fmt.Errorf("job %q: a state job needs a worker-resident input", h.name)
 	}
 	shufc, err := pairCodecFor[K2, V2]()
 	if err != nil {
