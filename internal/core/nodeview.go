@@ -86,6 +86,16 @@ func nodeRecords(g *graph.Bipartite) []mapreduce.Pair[graph.NodeID, nodeState] {
 	return recs
 }
 
+// nodeDataset is the round-0 node view of g as the aligned Dataset the
+// round loops start from: nodeRecords — ordered heaviest first when
+// byWeight (greedyRecords) — hashed into parts partitions.
+func nodeDataset(g *graph.Bipartite, parts int, byWeight bool) (*mapreduce.Dataset[graph.NodeID, nodeState], error) {
+	if byWeight {
+		return mapreduce.PartitionDataset(greedyRecords(g), parts), nil
+	}
+	return mapreduce.PartitionDataset(nodeRecords(g), parts), nil
+}
+
 // byWeightThenID orders halves heaviest first, ties by ascending edge
 // id: the cLv selection order of GreedyMR (Algorithm 3) and of the
 // greedy marking strategy of StackGreedyMR. It is a total order (edge
