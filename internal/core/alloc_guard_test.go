@@ -40,19 +40,57 @@ func guardAllocs(t *testing.T, fixed, perRecord int64, run func() (*Result, erro
 	}
 }
 
-// TestAllocGuardGreedyMRRun: GreedyMR allocates once per map-input
-// record — the heap copy of the node's state that its self message
-// points to (see greedyMsg) — and nothing per proposal, stamp or
-// compaction. The instance maps 684 node records over its rounds and
-// shuffles 2,310 messages; 257 allocations are fixed.
+// TestAllocGuardGreedyMRRun: GreedyMR allocates nothing per map-input
+// record, let alone per proposal, stamp or compaction — a node's state
+// stays in its partition and its reduce compacts the adjacency in place.
+// What it allocates is fixed: the round-0 node view (a capacity table,
+// then one []half and one []Pair per partition), the driver with its
+// buffer pool, and per job the task goroutines and emitters, the
+// first-use pool fills, the Stats, the side output and the merged matched
+// set. The instance maps 684 node records over its 4 jobs and shuffles
+// 2,310 messages; it measures 299 allocations (AllocsPerRun pins
+// GOMAXPROCS to 1, so that is one partition on any machine).
 func TestAllocGuardGreedyMRRun(t *testing.T) {
 	g := graph.RandomBipartite(graph.RandomConfig{
 		NumItems: 400, NumConsumers: 80, EdgeProb: 0.02,
 		MaxWeight: 4, MaxCapacity: 6, Seed: 11,
 	})
-	guardAllocs(t, 400, 1, func() (*Result, error) {
+	guardAllocs(t, 400, 0, func() (*Result, error) {
 		return GreedyMR(context.Background(), g, GreedyMROptions{})
 	})
+}
+
+// TestAllocGuardNodeDataset: the round-0 node view costs a fixed handful
+// of allocations (the capacity and live-degree tables, the Dataset, the
+// task group) plus five per partition — its task's two closures, its owns
+// closure, its one []half and its one []Pair — whatever the node count:
+// 16 measured for one partition, 93 for sixteen, at 20,000 nodes and at
+// 40,000 alike. A list per node, or a partition spine grown by append,
+// lands far outside.
+func TestAllocGuardNodeDataset(t *testing.T) {
+	for _, items := range []int{19800, 39800} {
+		g := graph.RandomBipartite(graph.RandomConfig{
+			NumItems: items, NumConsumers: 200, EdgeProb: 0.02,
+			MaxWeight: 4, MaxCapacity: 6, Seed: 11,
+		})
+		g.IncidentEdges(0) // the graph's own index is not the view's cost
+		for _, parts := range []int{1, 4, 16} {
+			for _, byWeight := range []bool{true, false} {
+				allocs := testing.AllocsPerRun(3, func() {
+					if _, err := nodeDataset(g, parts, byWeight); err != nil {
+						t.Fatal(err)
+					}
+				})
+				limit := float64(20 + 6*parts)
+				t.Logf("%d nodes, %d edges, %d partitions, byWeight %t: %.0f allocs (limit %.0f)",
+					g.NumNodes(), g.NumEdges(), parts, byWeight, allocs, limit)
+				if allocs > limit {
+					t.Errorf("the view of %d nodes in %d partitions allocates %.0f times (> 20 + 6 per partition = %.0f)",
+						g.NumNodes(), parts, allocs, limit)
+				}
+			}
+		}
+	}
 }
 
 // TestAllocGuardStackMRRun: every maximal-matching stage map copies its
@@ -60,7 +98,7 @@ func TestAllocGuardGreedyMRRun(t *testing.T) {
 // moves the copy's header to the heap for the self message, and the push
 // phase's update and filter jobs gather their messages per call, so
 // StackMR's allowance is three per map-input record where GreedyMR's is
-// one. What it has no room for is a set built per map or reduce call on
+// none. What it has no room for is a set built per map or reduce call on
 // top of that: with the index sets of the stage maps and the two Go maps
 // of unifyReduce this instance (4,032 map-input records, 64,787
 // messages, 33 jobs) allocated 26,639 times; it allocates 13,165 times

@@ -2,8 +2,11 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
+	"unsafe"
 
+	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/mapreduce"
 )
@@ -47,15 +50,48 @@ func BenchmarkGreedyMRSingleRound(b *testing.B) {
 func BenchmarkMaximalBMatching(b *testing.B) {
 	g := benchInstance(4)
 	ctx := context.Background()
-	recs := nodeRecords(g)
+	// The matching copies the adjacency it flags, so one view serves
+	// every iteration.
+	recs, err := nodeDataset(g, mapreduce.NewDriver(mapreduce.Config{}).Partitions(), false)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		driver := mapreduce.NewDriver(mapreduce.Config{})
 		driver.MaxRounds = 64*g.NumEdges() + 256
-		ds := mapreduce.PartitionDataset(recs, driver.Partitions())
-		if _, err := maximalBMatching(ctx, driver, ds, maximalConfig{seed: int64(i), numEdges: g.NumEdges()}); err != nil {
+		if _, err := maximalBMatching(ctx, driver, recs, maximalConfig{seed: int64(i), numEdges: g.NumEdges()}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkNodeDataset measures the prologue of every MapReduce matching
+// on its own: the round-0 node view of a zipf-shaped graph (the shape of
+// the match-zipf-* benchmark workloads at a third of their size), built
+// into four partitions, weight-ordered as GreedyMR wants it and in
+// incidence order as the stack algorithms do. Bytes are the halves
+// written.
+func BenchmarkNodeDataset(b *testing.B) {
+	g := dataset.Synthetic(dataset.SyntheticConfig{
+		NumItems: 100000, NumConsumers: 10000, MeanDegree: 10,
+		DegreeAlpha: 1.4, WeightScale: 1, CapacityAlpha: 1.2,
+		CapacityMax: 200, Seed: 1,
+	})
+	g.IncidentEdges(0) // the graph's own index is not the view's cost
+	for _, byWeight := range []bool{true, false} {
+		b.Run(fmt.Sprintf("byWeight=%v", byWeight), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ds, err := nodeDataset(g, 4, byWeight)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i == 0 {
+					b.SetBytes(int64(countLiveEdges(ds)) * int64(unsafe.Sizeof(half{})))
+				}
+			}
+		})
 	}
 }
 

@@ -41,9 +41,12 @@ type GreedyMROptions struct {
 // one per greedy iteration.
 //
 // The rounds chain through a partition-resident Dataset: the node
-// records are hash-partitioned once up front and placed where the jobs
-// run, and every round is a state job (mapreduce.RunStateDS) with one map
-// task per partition. Algorithm 3 has each node re-send its adjacency
+// records are built once, straight into their partitions with every
+// adjacency ordered heaviest first (nodeDataset; the reduce compacts in
+// place without reordering, so a node's b(v) heaviest remaining edges are
+// always the prefix Adj[:B] and no round sorts anything), and placed where
+// the jobs run; every round is a state job (mapreduce.RunStateDS) with one
+// map task per partition. Algorithm 3 has each node re-send its adjacency
 // under its own key for the reduce to meet it again; here a node's state
 // never enters the shuffle — only the proposals to its neighbors do, as
 // four-byte scalars — and the reduce is handed the record where it
@@ -62,7 +65,10 @@ func GreedyMR(ctx context.Context, g *graph.Bipartite, opts GreedyMROptions) (*R
 		driver.MaxRounds = 4*g.NumEdges() + 16
 	}
 
-	state, err := mapreduce.Place(driver, mapreduce.PartitionDataset(greedyRecords(g), driver.Partitions()))
+	state, err := nodeDataset(g, driver.Partitions(), true)
+	if err == nil {
+		state, err = mapreduce.Place(driver, state)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("core: greedymr: %w", err)
 	}
@@ -119,20 +125,6 @@ func GreedyMR(ctx context.Context, g *graph.Bipartite, opts GreedyMROptions) (*R
 	return res, nil
 }
 
-// greedyRecords is nodeRecords with every adjacency list ordered
-// heaviest first (byWeightThenID — the total order of the cLv selection
-// in Algorithm 3). The order is established once here and survives every
-// round, because greedyReduce compacts the surviving entries in place
-// without reordering them; the b(v) heaviest remaining edges of a node
-// are therefore always the prefix Adj[:B], and no round sorts anything.
-func greedyRecords(g *graph.Bipartite) []mapreduce.Pair[graph.NodeID, nodeState] {
-	recs := nodeRecords(g)
-	for _, r := range recs {
-		slices.SortFunc(r.Value.Adj, byWeightThenID)
-	}
-	return recs
-}
-
 // greedyMsg is the intermediate value of a GreedyMR round, sent to the
 // other endpoint of an edge: the edge id shifted left once, with the low
 // bit saying whether the sender proposes the edge. A scalar, so that a
@@ -157,7 +149,7 @@ func (m greedyMsg) proposed() bool { return m&1 != 0 }
 
 // greedyMap implements the map phase of Algorithm 3: node v proposes its
 // top-b(v) incident edges — the first B entries of its weight-ordered
-// adjacency (see greedyRecords). Its own state it only reads: the engine
+// adjacency (see nodeDataset). Its own state it only reads: the engine
 // hands the record to v's reduce call.
 func greedyMap(_ graph.NodeID, st nodeState, out mapreduce.Emitter[graph.NodeID, greedyMsg]) error {
 	for i, h := range st.Adj {

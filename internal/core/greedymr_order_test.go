@@ -66,9 +66,9 @@ func refGreedyReduce(g *graph.Bipartite) mapreduce.StateReduceFunc[graph.NodeID,
 // be inspected between rounds (check, when set, sees every round's
 // surviving state — which on dist moves it to the coordinator, so the
 // inspected run also covers rounds whose input is not worker-resident).
+// byWeight is the adjacency order of the round-0 node view (nodeDataset).
 func greedyLoop(
-	t *testing.T, g *graph.Bipartite, mr mapreduce.Config, job string,
-	recs []mapreduce.Pair[graph.NodeID, nodeState],
+	t *testing.T, g *graph.Bipartite, mr mapreduce.Config, job string, byWeight bool,
 	mapFn mapreduce.MapFunc[graph.NodeID, nodeState, graph.NodeID, greedyMsg],
 	reduceFn mapreduce.StateReduceFunc[graph.NodeID, nodeState, greedyMsg, graph.NodeID, nodeState],
 	check func(round int, v graph.NodeID, st nodeState),
@@ -79,7 +79,10 @@ func greedyLoop(
 	driver.MaxRounds = 4*g.NumEdges() + 16
 	var matched []int32
 	var trace []float64
-	state, err := mapreduce.Place(driver, mapreduce.PartitionDataset(recs, driver.Partitions()))
+	state, err := nodeDataset(g, driver.Partitions(), byWeight)
+	if err == nil {
+		state, err = mapreduce.Place(driver, state)
+	}
 	if err != nil {
 		t.Fatalf("%s: %v", job, err)
 	}
@@ -179,7 +182,7 @@ func TestGreedyMRPrefixProposalsMatchPerRoundSelection(t *testing.T) {
 			})
 		for _, b := range backends {
 			t.Run(fmt.Sprintf("seed%d/%s", seed, b.name), func(t *testing.T) {
-				ref := greedyLoop(t, g, b.mr, "greedymr-round-ref", nodeRecords(g), refGreedyMap, refGreedyReduce(g), nil)
+				ref := greedyLoop(t, g, b.mr, "greedymr-round-ref", false, refGreedyMap, refGreedyReduce(g), nil)
 				if ref.Matching.Size() == 0 || ref.Rounds < 2 {
 					t.Fatalf("degenerate instance: %d edges matched in %d rounds", ref.Matching.Size(), ref.Rounds)
 				}
@@ -201,9 +204,9 @@ func TestGreedyMRPrefixProposalsMatchPerRoundSelection(t *testing.T) {
 				}
 
 				// The same rounds again with the state in view: the order
-				// established by greedyRecords must survive every reduce.
+				// established by nodeDataset must survive every reduce.
 				states := 0
-				seen := greedyLoop(t, g, b.mr, "greedymr-round", greedyRecords(g), greedyMap, greedyReduce(g),
+				seen := greedyLoop(t, g, b.mr, "greedymr-round", true, greedyMap, greedyReduce(g),
 					func(round int, v graph.NodeID, st nodeState) {
 						states++
 						if !slices.IsSortedFunc(st.Adj, byWeightThenID) {

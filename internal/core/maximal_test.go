@@ -13,8 +13,11 @@ func runMaximal(t *testing.T, g *graph.Bipartite, strategy MarkingStrategy, seed
 	t.Helper()
 	driver := mapreduce.NewDriver(testMR)
 	driver.MaxRounds = 64*g.NumEdges() + 256
-	matched, err := maximalBMatching(context.Background(), driver,
-		mapreduce.PartitionDataset(nodeRecords(g), driver.Partitions()),
+	recs, err := nodeDataset(g, driver.Partitions(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matched, err := maximalBMatching(context.Background(), driver, recs,
 		maximalConfig{strategy: strategy, seed: seed, numEdges: g.NumEdges()})
 	if err != nil {
 		t.Fatal(err)

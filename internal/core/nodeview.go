@@ -33,67 +33,61 @@ type nodeState struct {
 	Adj []half
 }
 
-// nodeRecords builds the initial node-based view of a graph: one record
+// nodeDataset builds the round-0 node view of g straight into the
+// aligned, key-ordered partitions the round loops start from: one record
 // per node with positive capacity and at least one incident edge whose
-// other endpoint also has positive capacity. All adjacency lists are
-// carved out of one exactly-sized backing array (a counting pass first,
-// then a fill pass) instead of one allocation per node; each node's
-// region is capacity-limited, so the in-place compaction the round
-// loops perform on their own lists can never bleed into a neighbor's.
-func nodeRecords(g *graph.Bipartite) []mapreduce.Pair[graph.NodeID, nodeState] {
-	n := g.NumNodes()
-	keep := func(id graph.NodeID, ei int32) bool {
-		return intCap(g, g.Edge(int(ei)).Other(id)) > 0
-	}
-	total, live := 0, 0
-	for v := 0; v < n; v++ {
-		id := graph.NodeID(v)
-		if intCap(g, id) == 0 {
-			continue
-		}
-		deg := 0
-		for _, ei := range g.IncidentEdges(id) {
-			if keep(id, ei) {
-				deg++
-			}
-		}
-		if deg > 0 {
-			total += deg
-			live++
-		}
-	}
-	backing := make([]half, 0, total) // exact: never reallocates below
-	recs := make([]mapreduce.Pair[graph.NodeID, nodeState], 0, live)
-	for v := 0; v < n; v++ {
-		id := graph.NodeID(v)
-		b := intCap(g, id)
-		if b == 0 {
-			continue
-		}
-		start := len(backing)
-		for _, ei := range g.IncidentEdges(id) {
-			if keep(id, ei) {
-				e := g.Edge(int(ei))
-				backing = append(backing, half{ID: ei, Other: e.Other(id), W: e.Weight})
-			}
-		}
-		if len(backing) == start {
-			continue
-		}
-		adj := backing[start:len(backing):len(backing)]
-		recs = append(recs, mapreduce.P(id, nodeState{B: b, Adj: adj}))
-	}
-	return recs
-}
-
-// nodeDataset is the round-0 node view of g as the aligned Dataset the
-// round loops start from: nodeRecords — ordered heaviest first when
-// byWeight (greedyRecords) — hashed into parts partitions.
+// other endpoint also has positive capacity. Every partition, on its own
+// goroutine (mapreduce.BuildDataset), sums the live degrees of the nodes
+// it owns and fills, in ascending node order, one exact []half and one
+// exact []Pair — all its round-0 records point into, from here on the
+// round loops' to rewrite. A node's region is capacity-limited, so
+// compacting it in place can never bleed into a neighbor's; with byWeight
+// (GreedyMR) it is ordered byWeightThenID once filled, else left in
+// incidence order (the stack algorithms sum over it). Serial are only the
+// rounding of b(v) and the live degrees: one sequential edge scan, where
+// counting per partition reads the edge array at random a second time.
 func nodeDataset(g *graph.Bipartite, parts int, byWeight bool) (*mapreduce.Dataset[graph.NodeID, nodeState], error) {
-	if byWeight {
-		return mapreduce.PartitionDataset(greedyRecords(g), parts), nil
+	caps := make([]int, g.NumNodes())
+	for v := range caps {
+		caps[v] = intCap(g, graph.NodeID(v))
 	}
-	return mapreduce.PartitionDataset(nodeRecords(g), parts), nil
+	edges := g.Edges()
+	deg := make([]int32, len(caps)) // live degree: edges whose both ends have capacity
+	for _, e := range edges {
+		if caps[e.Item] > 0 && caps[e.Consumer] > 0 {
+			deg[e.Item]++
+			deg[e.Consumer]++
+		}
+	}
+	return mapreduce.BuildDataset(parts, func(_ int, owns func(graph.NodeID) bool) []mapreduce.Pair[graph.NodeID, nodeState] {
+		total, live := 0, 0
+		for v, d := range deg {
+			if d > 0 && owns(graph.NodeID(v)) {
+				total += int(d)
+				live++
+			}
+		}
+		backing := make([]half, 0, total) // exact: never reallocates below
+		recs := make([]mapreduce.Pair[graph.NodeID, nodeState], 0, live)
+		for v, d := range deg {
+			id := graph.NodeID(v)
+			if d == 0 || !owns(id) {
+				continue
+			}
+			start := len(backing)
+			for _, ei := range g.IncidentEdges(id) {
+				if e := edges[ei]; caps[e.Other(id)] > 0 {
+					backing = append(backing, half{ID: ei, Other: e.Other(id), W: e.Weight})
+				}
+			}
+			adj := backing[start:len(backing):len(backing)]
+			if byWeight {
+				slices.SortFunc(adj, byWeightThenID)
+			}
+			recs = append(recs, mapreduce.P(id, nodeState{B: caps[v], Adj: adj}))
+		}
+		return recs
+	})
 }
 
 // byWeightThenID orders halves heaviest first, ties by ascending edge

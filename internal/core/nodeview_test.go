@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/mapreduce"
 )
 
 func TestTopByWeight(t *testing.T) {
@@ -40,11 +39,12 @@ func TestNodeRecordsSkipsZeroCapacityAndIsolated(t *testing.T) {
 	g.AddEdge(g.ItemID(0), g.ConsumerID(0), 1)
 	g.AddEdge(g.ItemID(1), g.ConsumerID(1), 1) // to zero-cap item
 
-	recs := nodeRecords(g)
-	byNode := map[graph.NodeID]nodeState{}
-	for _, r := range recs {
-		byNode[r.Key] = r.Value
+	recs, err := nodeDataset(g, 3, false)
+	if err != nil {
+		t.Fatal(err)
 	}
+	byNode := map[graph.NodeID]nodeState{}
+	recs.Each(func(v graph.NodeID, st nodeState) { byNode[v] = st })
 	if _, ok := byNode[g.ItemID(1)]; ok {
 		t.Error("zero-capacity node got a record")
 	}
@@ -58,7 +58,7 @@ func TestNodeRecordsSkipsZeroCapacityAndIsolated(t *testing.T) {
 		t.Errorf("item 0 record wrong: %+v", st)
 	}
 	// Edge counting: each live edge appears at both endpoints.
-	if got := countLiveEdges(mapreduce.PartitionDataset(recs, 3)); got != 2 {
+	if got := countLiveEdges(recs); got != 2 {
 		t.Errorf("countLiveEdges = %d, want 2 (one edge, two views)", got)
 	}
 }

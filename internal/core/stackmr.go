@@ -127,15 +127,19 @@ func (st *stackState) layerCap(b int) int {
 // removal, until the working graph is empty.
 //
 // The layer loop is a partition-resident dataflow: the node view is
-// hash-partitioned once, and every job of every layer — the
-// maximal-matching stages, the dual update, the filter — consumes the
-// previous job's output partition-by-partition. The per-layer capacity
+// built once, straight into its partitions and in incidence order (the
+// order the dual update sums in; nodeDataset), and every job of every
+// layer — the maximal-matching stages, the dual update, the filter —
+// consumes the previous job's output partition-by-partition. The per-layer capacity
 // override is a key-preserving MapValues, so it never moves a record.
 // The fixed point (no live edges) coincides with an empty state because
 // the filter reduce emits only nodes that kept at least one edge.
 func (st *stackState) push(ctx context.Context, driver *mapreduce.Driver) error {
-	records := mapreduce.PartitionDataset(nodeRecords(st.g), driver.Partitions())
-	_, err := mapreduce.Loop(ctx, driver, records, func(
+	records, err := nodeDataset(st.g, driver.Partitions(), false)
+	if err != nil {
+		return fmt.Errorf("core: stack push: %w", err)
+	}
+	_, err = mapreduce.Loop(ctx, driver, records, func(
 		ctx context.Context, layerNo int, recs *mapreduce.Dataset[graph.NodeID, nodeState],
 	) (*mapreduce.Dataset[graph.NodeID, nodeState], error) {
 		// Per-layer capacities for the maximal matching.

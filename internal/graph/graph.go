@@ -185,7 +185,8 @@ func (g *Bipartite) TotalCapacity(side Side) float64 {
 }
 
 // buildAdj constructs the node -> incident edge index lists, once per
-// edge set however many goroutines ask.
+// edge set however many goroutines ask: capacity-limited regions of one
+// 2·|E| array, so an allocation per graph and not per node.
 func (g *Bipartite) buildAdj() {
 	g.adjOnce.Do(func() {
 		adj := make([][]int32, g.NumNodes())
@@ -194,8 +195,10 @@ func (g *Bipartite) buildAdj() {
 			deg[e.Item]++
 			deg[e.Consumer]++
 		}
-		for v := range adj {
-			adj[v] = make([]int32, 0, deg[v])
+		backing := make([]int32, 2*len(g.edges))
+		for v, d := range deg {
+			adj[v] = backing[:0:d]
+			backing = backing[d:]
 		}
 		for i, e := range g.edges {
 			adj[e.Item] = append(adj[e.Item], int32(i))

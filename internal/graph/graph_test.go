@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -112,6 +113,30 @@ func TestAdjacency(t *testing.T) {
 	g.AddEdge(g.ItemID(0), g.ConsumerID(1), 0.1)
 	if g.Degree(g.ItemID(0)) != 2 {
 		t.Errorf("Degree after AddEdge = %d, want 2", g.Degree(g.ItemID(0)))
+	}
+}
+
+// TestAdjacencyMatchesEdgeScan: every node's list is exactly the ids of
+// the edges that touch it, ascending, and has no spare capacity — the
+// lists are regions of one shared array, and an append through one must
+// never reach the next node's.
+func TestAdjacencyMatchesEdgeScan(t *testing.T) {
+	g := RandomBipartite(RandomConfig{NumItems: 40, NumConsumers: 15, EdgeProb: 0.2, MaxWeight: 2, MaxCapacity: 3, Seed: 9})
+	g.AddEdge(g.ItemID(0), g.ConsumerID(0), 1) // a duplicate pair is two edges
+	for v := 0; v < g.NumNodes(); v++ {
+		var want []int32
+		for i, e := range g.Edges() {
+			if e.Item == NodeID(v) || e.Consumer == NodeID(v) {
+				want = append(want, int32(i))
+			}
+		}
+		got := g.IncidentEdges(NodeID(v))
+		if !slices.Equal(got, want) {
+			t.Fatalf("node %d: incident edges %v, want %v", v, got, want)
+		}
+		if cap(got) != len(got) {
+			t.Fatalf("node %d: cap %d over %d entries", v, cap(got), len(got))
+		}
 	}
 }
 

@@ -66,6 +66,41 @@ func PartitionDataset[K comparable, V any](pairs []Pair[K, V], parts int) *Datas
 	return &Dataset[K, V]{parts: partitionPairs(pairs, parts), aligned: true}
 }
 
+// BuildDataset is the entry point of an iterative computation whose
+// records do not exist as a flat slice yet: build(p, owns) returns
+// partition p's records — the keys owns reports, ascending in the group
+// streams' key order, as a state job needs them (RunStateDS) — and is
+// called once per partition, all partitions at once, so each is built
+// where it will reside instead of hashed and copied there. A returned key
+// that another partition owns, or that does not follow the one before it,
+// is an error naming partition and record.
+func BuildDataset[K comparable, V any](parts int, build func(p int, owns func(K) bool) []Pair[K, V]) (*Dataset[K, V], error) {
+	parts = max(parts, 1)
+	shape := keyShapeOf[K]()
+	order := shape.cmp()
+	out := &Dataset[K, V]{parts: make([][]Pair[K, V], parts), aligned: true}
+	grp := newErrGroup(nil)
+	for p := range out.parts {
+		grp.Go(func(context.Context) error {
+			part := build(p, func(k K) bool { return shape.partition(k, parts) == p })
+			for j := range part {
+				if at := shape.partition(part[j].Key, parts); at != p {
+					return fmt.Errorf("mapreduce: build dataset: partition %d record %d: key %v belongs to partition %d", p, j, part[j].Key, at)
+				}
+				if j > 0 && order(part[j-1].Key, part[j].Key) >= 0 {
+					return fmt.Errorf("mapreduce: build dataset: partition %d record %d: key %v does not ascend from %v", p, j, part[j].Key, part[j-1].Key)
+				}
+			}
+			out.parts[p] = part
+			return nil
+		})
+	}
+	if err := grp.Wait(); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // Partitions returns the partition count.
 func (d *Dataset[K, V]) Partitions() int { return len(d.parts) }
 
@@ -281,11 +316,11 @@ func RunDS[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any](
 //
 // The input must be aligned with the job's partitioning and every
 // partition must be in group order — ascending keys, one record per key —
-// which is how PartitionDataset leaves a key-ordered slice and how every
-// reduce that emits its own key leaves its output; the map tasks check it
-// and a violation fails the job. On dist an input that is not resident on
-// the job's cluster is placed there for the job (Place) and released
-// after it.
+// which is how BuildDataset leaves its partitions, PartitionDataset a
+// key-ordered slice and every reduce that emits its own key its output;
+// the map tasks check it and a violation fails the job. On dist an input
+// that is not resident on the job's cluster is placed there for the job
+// (Place) and released after it.
 //
 // The job counts what the self-message form counts: a record forwarded
 // to its reduce is one map output record and one local-routed shuffle

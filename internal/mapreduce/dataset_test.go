@@ -3,9 +3,14 @@ package mapreduce
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // The Dataset tests pin the partition-resident dataflow to the flat
@@ -477,5 +482,160 @@ func TestFloatZeroKeysRouteToOnePartition(t *testing.T) {
 	if !reflect.DeepEqual(chained.Collect(), plain) {
 		t.Fatalf("float-zero keys diverge across dataflows:\nchained %v\nplain   %v",
 			chained.Collect(), plain)
+	}
+}
+
+// toyPartBuilder is a BuildDataset callback over toyInput (ascending
+// keys): each partition keeps the records it owns, in order, after
+// calling meet (when set).
+func toyPartBuilder(meet func()) func(p int, owns func(int32) bool) []Pair[int32, []int32] {
+	return func(_ int, owns func(int32) bool) []Pair[int32, []int32] {
+		if meet != nil {
+			meet()
+		}
+		var part []Pair[int32, []int32]
+		for _, rec := range toyInput() {
+			if owns(rec.Key) {
+				part = append(part, rec)
+			}
+		}
+		return part
+	}
+}
+
+// TestBuildDatasetMatchesPartitionDataset: partitions built each by its
+// own callback, all callbacks running at once, are the partitions
+// PartitionDataset cuts from the concatenation — same records, same
+// order, aligned — and a partition count below 1 is 1.
+func TestBuildDatasetMatchesPartitionDataset(t *testing.T) {
+	for _, parts := range []int{-2, 0, 1, 2, 5, 8} {
+		n := max(parts, 1)
+		// Every callback waits for all of them to have started, which
+		// callbacks run one after another never see.
+		var arrived atomic.Int32
+		var alone atomic.Bool
+		got, err := BuildDataset(parts, toyPartBuilder(func() {
+			arrived.Add(1)
+			for deadline := time.Now().Add(10 * time.Second); arrived.Load() < int32(n); runtime.Gosched() {
+				if time.Now().After(deadline) {
+					alone.Store(true)
+					return
+				}
+			}
+		}))
+		if err != nil {
+			t.Fatalf("parts %d: %v", parts, err)
+		}
+		if alone.Load() {
+			t.Errorf("parts %d: the partitions were not built at once", parts)
+		}
+		want := PartitionDataset(toyInput(), parts)
+		if !got.Aligned() || got.Partitions() != n || want.Partitions() != n {
+			t.Fatalf("parts %d: aligned %t with %d partitions, PartitionDataset %d, want %d",
+				parts, got.Aligned(), got.Partitions(), want.Partitions(), n)
+		}
+		for p := 0; p < n; p++ {
+			if !reflect.DeepEqual(got.Part(p), want.Part(p)) {
+				t.Errorf("parts %d: partition %d differs from PartitionDataset's:\n got %v\nwant %v", parts, p, got.Part(p), want.Part(p))
+			}
+		}
+	}
+}
+
+// TestBuildDatasetRefusesMisplacedOrUnorderedKeys: a callback that
+// returns a key another partition owns, or keys that do not ascend, fails
+// the build with the partition and the record's index — the Dataset is
+// marked aligned and fed to state jobs on the callback's word.
+func TestBuildDatasetRefusesMisplacedOrUnorderedKeys(t *testing.T) {
+	const parts = 3
+	honest := toyPartBuilder(nil)
+	stray := toyInput()[0] // key 1
+	home := partitionIndex(stray.Key, parts)
+	thief := (home + 1) % parts
+	for _, tc := range []struct {
+		name  string
+		build func(p int, owns func(int32) bool) []Pair[int32, []int32]
+		want  string
+	}{
+		{"misplaced", func(p int, owns func(int32) bool) []Pair[int32, []int32] {
+			part := honest(p, owns)
+			if p == thief {
+				part = append([]Pair[int32, []int32]{stray}, part...)
+			}
+			return part
+		}, fmt.Sprintf("partition %d record 0: key 1 belongs to partition %d", thief, home)},
+		{"descending", func(p int, owns func(int32) bool) []Pair[int32, []int32] {
+			part := honest(p, owns)
+			if p == 2 {
+				part[4], part[5] = part[5], part[4]
+			}
+			return part
+		}, "partition 2 record 5: key"},
+		{"duplicate", func(p int, owns func(int32) bool) []Pair[int32, []int32] {
+			part := honest(p, owns)
+			if p == 1 {
+				part = append(part[:3:3], part[2:]...)
+			}
+			return part
+		}, "partition 1 record 3: key"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ds, err := BuildDataset(parts, tc.build)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want it to contain %q", err, tc.want)
+			}
+			if ds != nil {
+				t.Error("a refused build returned a Dataset")
+			}
+		})
+	}
+}
+
+// TestBuildDatasetChainsThroughStateJob: a built Dataset is a state
+// job's input as it stands — placed and consumed where the job runs, on
+// memory, spill and two dist workers — and two chained rounds leave what
+// they leave over PartitionDataset's partitions, counter for counter.
+func TestBuildDatasetChainsThroughStateJob(t *testing.T) {
+	ctx := context.Background()
+	for _, cfg := range toyBackends(t) {
+		t.Run(string(cfg.Shuffle.kind()), func(t *testing.T) {
+			cfg.Name = "toy-state"
+			d := NewDriver(cfg)
+			built, err := BuildDataset(cfg.reducers(), toyPartBuilder(nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if built, err = Place(d, built); err != nil {
+				t.Fatal(err)
+			}
+			if onDist := cfg.Shuffle.kind() == ShuffleDist; (built.rem != nil) != onDist {
+				t.Fatalf("placed on the cluster: %t, dist backend: %t", built.rem != nil, onDist)
+			}
+			cut := PartitionDataset(toyInput(), cfg.reducers())
+			for round := 0; round < 2; round++ {
+				got, gotStats, err := RunStateDS(ctx, cfg, built, toyStateMap, toyStep)
+				if err != nil {
+					t.Fatalf("round %d, built input: %v", round, err)
+				}
+				want, wantStats, err := RunStateDS(ctx, cfg, cut, toyStateMap, toyStep)
+				if err != nil {
+					t.Fatalf("round %d, partitioned input: %v", round, err)
+				}
+				if g, w := recordCounters(gotStats), recordCounters(wantStats); g != w {
+					t.Errorf("round %d: counters:\n got %v\nwant %v", round, g, w)
+				}
+				if !reflect.DeepEqual(got.Side(), want.Side()) {
+					t.Errorf("round %d: side output:\n got %v\nwant %v", round, got.Side(), want.Side())
+				}
+				if !reflect.DeepEqual(cloneParts(t, got), cloneParts(t, want)) {
+					t.Errorf("round %d: output differs", round)
+				}
+				built.Recycle()
+				cut.Recycle()
+				built, cut = got, want
+			}
+			built.Recycle()
+			cut.Recycle()
+		})
 	}
 }

@@ -63,7 +63,7 @@ func (d *Driver) Rounds() int { return d.rounds }
 
 // Partitions returns the reduce partition count of the Driver's jobs —
 // the partition count an input Dataset must be built with (see
-// PartitionDataset) for the jobs to chain partition-resident.
+// PartitionDataset, BuildDataset) for the jobs to chain partition-resident.
 func (d *Driver) Partitions() int { return d.cfg.reducers() }
 
 // Total returns aggregate statistics over all rounds.
