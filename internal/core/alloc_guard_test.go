@@ -43,8 +43,8 @@ func guardAllocs(t *testing.T, fixed, perRecord int64, run func() (*Result, erro
 // TestAllocGuardGreedyMRRun: GreedyMR allocates nothing per map-input
 // record, let alone per proposal, stamp or compaction — a node's state
 // stays in its partition and its reduce compacts the adjacency in place.
-// What it allocates is fixed: the round-0 node view (a capacity table,
-// then one []half and one []Pair per partition), the driver with its
+// What it allocates is fixed: the round-0 node view (two tables, then
+// one []half and one []Pair per partition), the driver with its
 // buffer pool, and per job the task goroutines and emitters, the
 // first-use pool fills, the Stats, the side output and the merged matched
 // set. The instance maps 684 node records over its 4 jobs and shuffles

@@ -127,10 +127,10 @@ func (st *stackState) layerCap(b int) int {
 // removal, until the working graph is empty.
 //
 // The layer loop is a partition-resident dataflow: the node view is
-// built once, straight into its partitions and in incidence order (the
-// order the dual update sums in; nodeDataset), and every job of every
-// layer — the maximal-matching stages, the dual update, the filter —
-// consumes the previous job's output partition-by-partition. The per-layer capacity
+// built once, straight into its partitions, in incidence order (the dual
+// update sums in it; nodeDataset), and every job of every layer — the
+// maximal-matching stages, the dual update, the filter — consumes the
+// previous job's output partition-by-partition. The per-layer capacity
 // override is a key-preserving MapValues, so it never moves a record.
 // The fixed point (no live edges) coincides with an empty state because
 // the filter reduce emits only nodes that kept at least one edge.
