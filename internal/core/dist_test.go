@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -455,5 +456,72 @@ func TestDistGreedyMRSeveredAroundFlush(t *testing.T) {
 	t.Logf("16 sever points: %d restored the dead worker's share, %d the whole consumed input", beforeFlush, afterFlush)
 	if beforeFlush == 0 || afterFlush == 0 {
 		t.Fatalf("the sweep no longer straddles a flush barrier: %d severs before one, %d after", beforeFlush, afterFlush)
+	}
+}
+
+// TestDistMaximalStagesMapOnWorkers pins the stack algorithms' dataflow on
+// the dist backend: every maximal-matching stage is a state job whose map
+// runs where its input resides — on the workers, with no coordinator map
+// wall — the first stage of an iteration over the input the engine places
+// for it, the next three over their predecessor's resident output. Every
+// job shuffles what the memory backend's does, record for record, nothing
+// is re-seeded on a fault-free run, and the matching is the memory
+// backend's.
+func TestDistMaximalStagesMapOnWorkers(t *testing.T) {
+	g := graph.RandomBipartite(graph.RandomConfig{
+		NumItems: 60, NumConsumers: 30, EdgeProb: 0.2,
+		MaxWeight: 3, MaxCapacity: 3, Seed: 5,
+	})
+	RegisterDistJobs(g)
+	cl := startWorkers(t, 2)
+	ctx := context.Background()
+	for _, algo := range []struct {
+		name string
+		run  func(context.Context, *graph.Bipartite, StackOptions) (*Result, error)
+	}{
+		{"stackmr", StackMR},
+		{"stackgreedymr", StackGreedyMR},
+		{"stackmrstrict", StackMRStrict},
+	} {
+		t.Run(algo.name, func(t *testing.T) {
+			mem, err := algo.run(ctx, g, StackOptions{MR: mapreduce.Config{Mappers: 4, Reducers: 4}, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dist, err := algo.run(ctx, g, StackOptions{Seed: 3, MR: mapreduce.Config{
+				Mappers: 4, Reducers: 4,
+				Shuffle: mapreduce.ShuffleConfig{Backend: mapreduce.ShuffleDist},
+				Dist:    cl,
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(dist.Matching.EdgeIndexes(), mem.Matching.EdgeIndexes()) || dist.Rounds != mem.Rounds {
+				t.Fatalf("dist diverges from memory: %d rounds, value %v; memory %d rounds, value %v",
+					dist.Rounds, dist.Matching.Value(), mem.Rounds, mem.Matching.Value())
+			}
+			stages := 0
+			for i, st := range dist.RoundStats {
+				if strings.HasPrefix(st.Name, "mm-") {
+					stages++
+					if st.MapWall != 0 {
+						t.Errorf("job %d (%s) mapped on the coordinator for %v", i, st.Name, st.MapWall)
+					}
+				}
+				if want := mem.RoundStats[i].ShuffleRecords; st.ShuffleRecords != want {
+					t.Errorf("job %d (%s) shuffled %d records, memory %d", i, st.Name, st.ShuffleRecords, want)
+				}
+				if st.ReseededPartitions != 0 {
+					t.Errorf("job %d (%s) re-seeded %d partitions on a fault-free run", i, st.Name, st.ReseededPartitions)
+				}
+			}
+			t.Logf("%d jobs, %d of them maximal-matching stages", dist.Rounds, stages)
+			if stages < 8 {
+				t.Fatalf("degenerate instance: %d maximal-matching jobs", stages)
+			}
+		})
+	}
+	if rs := cl.RecoveryStats(); rs.Reseeded != 0 || rs.Recoveries != 0 {
+		t.Errorf("fault-free runs report reseeded=%d recoveries=%d", rs.Reseeded, rs.Recoveries)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 
 	"repro/internal/graph"
@@ -15,20 +14,21 @@ import (
 // separately launched `bmatch -dist-connect`) calls this once after
 // loading the same graph the coordinator uses — node ids, edge ids, and
 // weights are deterministic given the input file, so both sides hold
-// identical graphs and the registered reduces reproduce the in-process
+// identical graphs and the registered functions reproduce the in-process
 // closures exactly.
 //
-// Jobs whose functions close over per-round driver state (the stack
-// algorithms' dual variables and layer sets) are registered as
-// parameterized factories: the coordinator ships the state in
-// Config.DistParams and the factory rebuilds the closures through the
-// same constructors the local path uses (dualUpdateMap / dualUpdateReduce,
-// stackFilterMap / stackFilterReduce), so there is exactly one
-// implementation of each function.
+// Every node-view job is a state job, registered with its map, so it
+// runs where its input resides. Jobs whose functions close over
+// per-round driver state (the stack algorithms' dual variables and layer
+// sets, the maximal matching's strategy, seed and iteration) are
+// registered as parameterized factories: the coordinator ships the state
+// in Config.DistParams (runNodeJob) and the factory rebuilds the closures
+// through the same constructors the local path uses, so there is exactly
+// one implementation of each function.
 func RegisterDistJobs(g *graph.Bipartite) {
 	mapreduce.RegisterDistJob("greedymr-round",
-		func([]byte) (mapreduce.DistJob[graph.NodeID, nodeState, graph.NodeID, greedyMsg, graph.NodeID, nodeState], error) {
-			return mapreduce.DistJob[graph.NodeID, nodeState, graph.NodeID, greedyMsg, graph.NodeID, nodeState]{
+		func([]byte) (mapreduce.DistJob[graph.NodeID, nodeState, graph.NodeID, edgeMsg, graph.NodeID, nodeState], error) {
+			return mapreduce.DistJob[graph.NodeID, nodeState, graph.NodeID, edgeMsg, graph.NodeID, nodeState]{
 				Map:         greedyMap,
 				StateReduce: greedyReduce(g),
 			}, nil
@@ -53,16 +53,32 @@ func RegisterDistJobs(g *graph.Bipartite) {
 			job.Map, job.StateReduce = stackFilterMap(y), stackFilterReduce(y, layerSet(layer), threshold)
 			return job, nil
 		})
+	for _, s := range mmStages {
+		mapreduce.RegisterDistJob(s.name,
+			func(params []byte) (mapreduce.DistJob[graph.NodeID, mmNode, graph.NodeID, edgeMsg, graph.NodeID, mmNode], error) {
+				var job mapreduce.DistJob[graph.NodeID, mmNode, graph.NodeID, edgeMsg, graph.NodeID, mmNode]
+				cfg, iter, err := decodeMMParams(params)
+				if err != nil {
+					return job, err
+				}
+				cfg.numEdges = g.NumEdges()
+				job.Map, job.StateReduce = s.mapFn(cfg, iter), unifyReduce(s.name, cfg.numEdges)
+				return job, nil
+			})
+	}
+	mapreduce.RegisterDistJob("mm-cleanup",
+		func([]byte) (mapreduce.DistJob[graph.NodeID, mmNode, graph.NodeID, edgeMsg, graph.NodeID, mmOut], error) {
+			return mapreduce.DistJob[graph.NodeID, mmNode, graph.NodeID, edgeMsg, graph.NodeID, mmOut]{
+				Map:         cleanupMap,
+				StateReduce: cleanupReduce(g.NumEdges()),
+			}, nil
+		})
 	mapreduce.RegisterDistReduce("stack-pop", stackPopReduce)
 	mapreduce.RegisterDistReduce("strict-pop", strictPopReduce)
 	mapreduce.RegisterDistReduce("strict-sublayer-filter", sublayerMaxReduce)
-	for _, stage := range []string{"mm-marking", "mm-selection", "mm-matching"} {
-		mapreduce.RegisterDistReduce(stage, unifyReduce(stage, g.NumEdges()))
-	}
-	mapreduce.RegisterDistReduce("mm-cleanup", cleanupReduce(g.NumEdges()))
 }
 
-// encodeStackParams packs the per-round state the stack reduces close
+// encodeStackParams packs the per-round state the stack jobs close
 // over: the dual variables, the stacked layer, and the weakly-covered
 // threshold. Floats travel as raw bits — the workers must fold the
 // exact values the coordinator holds, or bit-identity dies.
@@ -78,40 +94,41 @@ func encodeStackParams(y []float64, layer []int32, threshold float64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(threshold))
 }
 
-// decodeStackParams is the worker-side inverse of encodeStackParams.
+// decodeStackParams is the worker-side inverse of encodeStackParams. Like
+// every decoder here it accepts exactly what its encoder writes
+// (FuzzJobParams).
 func decodeStackParams(data []byte) (y []float64, layer []int32, threshold float64, err error) {
-	bad := func() ([]float64, []int32, float64, error) {
-		return nil, nil, 0, fmt.Errorf("core: malformed stack job parameters")
-	}
-	n, m := binary.Uvarint(data)
-	if m <= 0 || n > uint64(len(data))/8 {
-		return bad()
-	}
-	data = data[m:]
-	y = make([]float64, n)
+	r := &spillReader{data: data}
+	y = make([]float64, r.count(8))
 	for i := range y {
-		if len(data) < 8 {
-			return bad()
-		}
-		y[i] = math.Float64frombits(binary.LittleEndian.Uint64(data))
-		data = data[8:]
+		y[i] = r.float()
 	}
-	n, m = binary.Uvarint(data)
-	if m <= 0 || n > uint64(len(data)) {
-		return bad()
+	layer = make([]int32, r.count(1))
+	for i := range layer {
+		layer[i] = r.id()
 	}
-	data = data[m:]
-	layer = make([]int32, 0, n)
-	for i := uint64(0); i < n; i++ {
-		x, m := binary.Varint(data)
-		if m <= 0 {
-			return bad()
-		}
-		layer = append(layer, int32(x))
-		data = data[m:]
+	threshold = r.float()
+	if err := r.err("stack job parameters"); err != nil {
+		return nil, nil, 0, err
 	}
-	if len(data) != 8 {
-		return bad()
+	return y, layer, threshold, nil
+}
+
+// encodeMMParams packs what the maximal-matching stage maps close over:
+// the marking strategy, the seed and the iteration.
+func encodeMMParams(cfg maximalConfig, iter int) []byte {
+	buf := binary.AppendVarint([]byte{byte(cfg.strategy)}, cfg.seed)
+	return binary.AppendVarint(buf, int64(iter))
+}
+
+// decodeMMParams is the worker-side inverse of encodeMMParams; the
+// returned config's numEdges is the worker's to fill in.
+func decodeMMParams(data []byte) (cfg maximalConfig, iter int, err error) {
+	r := &spillReader{data: data}
+	if cfg.strategy = MarkingStrategy(r.byte()); cfg.strategy > MarkHeaviest {
+		r.bad = true
 	}
-	return y, layer, math.Float64frombits(binary.LittleEndian.Uint64(data)), nil
+	cfg.seed = r.varint()
+	iter = int(r.id())
+	return cfg, iter, r.err("maximal-matching job parameters")
 }

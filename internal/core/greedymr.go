@@ -3,9 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"slices"
-	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/mapreduce"
@@ -56,9 +54,6 @@ type GreedyMROptions struct {
 // rounds. The one thing the driver needs per round, the matched edge
 // ids, comes back as the job's side output.
 func GreedyMR(ctx context.Context, g *graph.Bipartite, opts GreedyMROptions) (*Result, error) {
-	if g.NumEdges() > math.MaxInt32>>1 {
-		return nil, fmt.Errorf("core: greedymr: %d edges, a proposal message holds 30-bit edge ids", g.NumEdges())
-	}
 	driver := mapreduce.NewDriver(opts.MR)
 	driver.MaxRounds = opts.MaxRounds
 	if driver.MaxRounds == 0 {
@@ -81,13 +76,8 @@ func GreedyMR(ctx context.Context, g *graph.Bipartite, opts GreedyMROptions) (*R
 		if opts.StopAfterRounds > 0 && round >= opts.StopAfterRounds {
 			return nil, nil // any-time stop: the current solution is feasible
 		}
-		next, stats, err := mapreduce.RunStateDS(ctx, driver.Config("greedymr-round"), st,
-			greedyMap, greedyReduce(g))
+		next, err := runNodeJob(ctx, driver, "greedymr-round", nil, st, greedyMap, greedyReduce(g))
 		if err != nil {
-			return nil, fmt.Errorf("core: greedymr round %d: %w", driver.Rounds(), err)
-		}
-		if err := driver.Observe(stats); err != nil {
-			next.Recycle()
 			return nil, err
 		}
 		var roundMatched []int32
@@ -125,63 +115,16 @@ func GreedyMR(ctx context.Context, g *graph.Bipartite, opts GreedyMROptions) (*R
 	return res, nil
 }
 
-// greedyMsg is the intermediate value of a GreedyMR round, sent to the
-// other endpoint of an edge: the edge id shifted left once, with the low
-// bit saying whether the sender proposes the edge. A scalar, so that a
-// shuffled pair is 8 pointer-free bytes — written by Emit, copied by the
-// group gather, moved again by the group sort, 12.5 M times on the dense
-// benchmark job — and the codec's int32 column encodes it on spill and
-// dist with no per-record call (TestShuffledMessageSizes keeps a field
-// from coming back). The shift leaves edge ids 30 bits, which GreedyMR
-// checks.
-type greedyMsg int32
-
-func proposal(edge int32, proposed bool) greedyMsg {
-	m := greedyMsg(edge) << 1
-	if proposed {
-		m |= 1
-	}
-	return m
-}
-
-func (m greedyMsg) edge() int32    { return int32(m >> 1) }
-func (m greedyMsg) proposed() bool { return m&1 != 0 }
-
 // greedyMap implements the map phase of Algorithm 3: node v proposes its
 // top-b(v) incident edges — the first B entries of its weight-ordered
-// adjacency (see nodeDataset). Its own state it only reads: the engine
-// hands the record to v's reduce call.
-func greedyMap(_ graph.NodeID, st nodeState, out mapreduce.Emitter[graph.NodeID, greedyMsg]) error {
+// adjacency (see nodeDataset) — each message's flag saying whether the
+// edge is proposed. Its own state it only reads: the engine hands the
+// record to v's reduce call.
+func greedyMap(_ graph.NodeID, st nodeState, out mapreduce.Emitter[graph.NodeID, edgeMsg]) error {
 	for i, h := range st.Adj {
-		out.Emit(h.Other, proposal(h.ID, i < st.B))
+		out.Emit(h.Other, edgeFlag(h.ID, i < st.B))
 	}
 	return nil
-}
-
-// Neighbor messages are intersected with a node's own adjacency through
-// an edge-indexed mark table: one byte per edge of the graph, zero
-// except while a reduce call has its node's messages stamped in. The
-// reduces of GreedyMR and of the maximal-matching stages all work this
-// way.
-const (
-	markSeen = 1 << iota // the edge is live: its other endpoint sent a message
-	markFlag             // ... and the message's flag is set (proposed, marked, selected, dropped, alive)
-)
-
-// edgeMarkPool lends reduce tasks their mark tables (*[]uint8, all
-// zero between calls). At most one table per concurrently running
-// reduce task is live; a table the collector drops from the pool costs
-// |E| bytes to replace.
-var edgeMarkPool = sync.Pool{New: func() any { return new([]uint8) }}
-
-// edgeMarks is a borrowed table's view over numEdges edge ids, grown on
-// first use. The borrower wipes every stamp it set before the table
-// goes back.
-func edgeMarks(table *[]uint8, numEdges int) []uint8 {
-	if len(*table) < numEdges {
-		*table = make([]uint8, numEdges)
-	}
-	return *table
 }
 
 // greedyReduce implements the reduce phase of Algorithm 3: node u
@@ -204,8 +147,8 @@ func edgeMarks(table *[]uint8, numEdges int) []uint8 {
 //
 // A surviving node is emitted with its next state; a matched edge is
 // reported once, by its item-side endpoint, on the task's side output.
-func greedyReduce(g *graph.Bipartite) mapreduce.StateReduceFunc[graph.NodeID, nodeState, greedyMsg, graph.NodeID, nodeState] {
-	return func(u graph.NodeID, state *nodeState, msgs []greedyMsg, out mapreduce.Emitter[graph.NodeID, nodeState]) error {
+func greedyReduce(g *graph.Bipartite) mapreduce.StateReduceFunc[graph.NodeID, nodeState, edgeMsg, graph.NodeID, nodeState] {
+	return func(u graph.NodeID, state *nodeState, msgs []edgeMsg, out mapreduce.Emitter[graph.NodeID, nodeState]) error {
 		// A node without a record died in an earlier round; stray
 		// proposals from neighbors that have not yet noticed are ignored.
 		if state == nil {
@@ -215,11 +158,7 @@ func greedyReduce(g *graph.Bipartite) mapreduce.StateReduceFunc[graph.NodeID, no
 		defer edgeMarkPool.Put(table)
 		marks := edgeMarks(table, g.NumEdges())
 		for _, m := range msgs {
-			if m.proposed() {
-				marks[m.edge()] = markSeen | markFlag
-			} else {
-				marks[m.edge()] = markSeen
-			}
+			m.stamp(marks)
 		}
 		adj := state.Adj
 		next := nodeState{B: state.B, Adj: adj[:0]}

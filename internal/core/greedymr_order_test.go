@@ -20,30 +20,30 @@ import (
 // test below holds the prefix-proposal round to this one, edge for edge
 // and record for record.
 
-func refGreedyMap(_ graph.NodeID, st nodeState, out mapreduce.Emitter[graph.NodeID, greedyMsg]) error {
+func refGreedyMap(_ graph.NodeID, st nodeState, out mapreduce.Emitter[graph.NodeID, edgeMsg]) error {
 	chosen := topByWeight(st.Adj, st.B)
 	for i, h := range st.Adj {
-		out.Emit(h.Other, proposal(h.ID, slices.Contains(chosen, int32(i))))
+		out.Emit(h.Other, edgeFlag(h.ID, slices.Contains(chosen, int32(i))))
 	}
 	return nil
 }
 
-func refGreedyReduce(g *graph.Bipartite) mapreduce.StateReduceFunc[graph.NodeID, nodeState, greedyMsg, graph.NodeID, nodeState] {
-	return func(u graph.NodeID, self *nodeState, msgs []greedyMsg, out mapreduce.Emitter[graph.NodeID, nodeState]) error {
+func refGreedyReduce(g *graph.Bipartite) mapreduce.StateReduceFunc[graph.NodeID, nodeState, edgeMsg, graph.NodeID, nodeState] {
+	return func(u graph.NodeID, self *nodeState, msgs []edgeMsg, out mapreduce.Emitter[graph.NodeID, nodeState]) error {
 		if self == nil {
 			return nil
 		}
 		marks := slices.Sorted(slices.Values(msgs)) // edge<<1 | proposed
-		has := func(mark greedyMsg) bool {
+		has := func(mark edgeMsg) bool {
 			_, ok := slices.BinarySearch(marks, mark)
 			return ok
 		}
 		mine := topByWeight(self.Adj, self.B)
 		next := nodeState{B: self.B}
 		for i, h := range self.Adj {
-			proposed := has(proposal(h.ID, true))
+			proposed := has(edgeFlag(h.ID, true))
 			switch {
-			case !proposed && !has(proposal(h.ID, false)):
+			case !proposed && !has(edgeFlag(h.ID, false)):
 				// Neighbor is gone: drop the edge.
 			case proposed && slices.Contains(mine, int32(i)):
 				next.B--
@@ -69,8 +69,8 @@ func refGreedyReduce(g *graph.Bipartite) mapreduce.StateReduceFunc[graph.NodeID,
 // byWeight is the adjacency order of the round-0 node view (nodeDataset).
 func greedyLoop(
 	t *testing.T, g *graph.Bipartite, mr mapreduce.Config, job string, byWeight bool,
-	mapFn mapreduce.MapFunc[graph.NodeID, nodeState, graph.NodeID, greedyMsg],
-	reduceFn mapreduce.StateReduceFunc[graph.NodeID, nodeState, greedyMsg, graph.NodeID, nodeState],
+	mapFn mapreduce.MapFunc[graph.NodeID, nodeState, graph.NodeID, edgeMsg],
+	reduceFn mapreduce.StateReduceFunc[graph.NodeID, nodeState, edgeMsg, graph.NodeID, nodeState],
 	check func(round int, v graph.NodeID, st nodeState),
 ) *Result {
 	t.Helper()
@@ -174,8 +174,8 @@ func TestGreedyMRPrefixProposalsMatchPerRoundSelection(t *testing.T) {
 		g := tiedGraph(seed)
 		RegisterDistJobs(g)
 		mapreduce.RegisterDistJob("greedymr-round-ref",
-			func([]byte) (mapreduce.DistJob[graph.NodeID, nodeState, graph.NodeID, greedyMsg, graph.NodeID, nodeState], error) {
-				return mapreduce.DistJob[graph.NodeID, nodeState, graph.NodeID, greedyMsg, graph.NodeID, nodeState]{
+			func([]byte) (mapreduce.DistJob[graph.NodeID, nodeState, graph.NodeID, edgeMsg, graph.NodeID, nodeState], error) {
+				return mapreduce.DistJob[graph.NodeID, nodeState, graph.NodeID, edgeMsg, graph.NodeID, nodeState]{
 					Map:         refGreedyMap,
 					StateReduce: refGreedyReduce(g),
 				}, nil

@@ -30,6 +30,17 @@ import (
 // iterations is O(log^3 n). An edge disappears only by being matched or
 // by losing an endpoint to saturation, which is exactly the maximality
 // guarantee the stack algorithm requires.
+//
+// Every stage is a state job (runNodeJob): no node state enters the
+// shuffle. The marking, selection and matching maps write their own
+// node's decision — markedBySelf, selBySelf, inF — into the node's
+// resident record and send each neighbor one edgeMsg; the stage's reduce,
+// handed the same record, sets the flag it learns from the other endpoint
+// and compacts the adjacency in place. Each map computes what it writes
+// only from fields it never writes, so a map task that runs again over
+// its own writes (a dist attempt aborted before its flush) writes the
+// same values — the condition mapreduce.RunStateDS puts on a map that
+// writes its record. The cleanup map only reads.
 
 // mmEdge is one endpoint's view of an edge during the maximal-matching
 // procedure, with the paper's per-edge state (E/K/F/D/M) tracked as
@@ -54,14 +65,6 @@ func (e *mmEdge) inSelected() bool {
 type mmNode struct {
 	B   int
 	Adj []mmEdge
-}
-
-// mmMsg is the intermediate value exchanged in every stage: either the
-// node's own record, or a per-edge flag for the other endpoint.
-type mmMsg struct {
-	self *mmNode
-	edge int32
-	flag bool
 }
 
 // mmOut is the cleanup-stage output: the node's next-iteration record
@@ -99,6 +102,18 @@ type maximalConfig struct {
 	numEdges int
 }
 
+// mmStages are the three flag-propagation stages of an iteration, in
+// order, by job name and map; unifyReduce, told the name, sets the flag
+// the stage is about.
+var mmStages = [...]struct {
+	name  string
+	mapFn func(cfg maximalConfig, iter int) mapreduce.MapFunc[graph.NodeID, mmNode, graph.NodeID, edgeMsg]
+}{
+	{"mm-marking", markingMap},
+	{"mm-selection", selectionMap},
+	{"mm-matching", matchingMap},
+}
+
 // nodeRand returns a deterministic per-node, per-iteration random source:
 // local random decisions in mappers must be reproducible and independent
 // of scheduling. The stream is math/rand's for the mixed seed, draw for
@@ -120,17 +135,18 @@ func nodeRand(seed int64, v graph.NodeID, iter int) *rand.Rand {
 // maximalBMatching computes a maximal b-matching over the node-view
 // Dataset recs (whose B fields hold the per-layer capacities), running
 // its jobs under the given driver. All four stages of every iteration
-// chain partition-resident: the flagged node records stay in their
-// partitions across jobs, each node's self-message takes the identity
-// route, and only the per-edge flag messages cross partitions. It
-// returns the matched edge ids.
+// chain partition-resident — on dist, on the workers: each consumes the
+// previous one's output where it resides, and only the per-edge flag
+// messages cross partitions. The driver fetches the cleanup stage's
+// output, the one it folds. It returns the matched edge ids.
 func maximalBMatching(
 	ctx context.Context,
 	driver *mapreduce.Driver,
 	recs *mapreduce.Dataset[graph.NodeID, nodeState],
 	cfg maximalConfig,
 ) ([]int32, error) {
-	// Convert to the flagged representation (key-preserving, in place).
+	// Convert to the flagged representation: key-preserving, into fresh
+	// adjacency arrays, which the stages then own.
 	start := mapreduce.MapValues(recs, func(_ graph.NodeID, s nodeState) (mmNode, bool) {
 		adj := make([]mmEdge, len(s.Adj))
 		for i, h := range s.Adj {
@@ -143,26 +159,27 @@ func maximalBMatching(
 	_, err := mapreduce.Loop(ctx, driver, start, func(
 		ctx context.Context, iter int, cur *mapreduce.Dataset[graph.NodeID, mmNode],
 	) (*mapreduce.Dataset[graph.NodeID, mmNode], error) {
+		// The stage maps close over the strategy, the seed and the
+		// iteration.
+		params := func() []byte { return encodeMMParams(cfg, iter) }
 		// Each stage's output is consumed by the next stage; recycling
 		// the intermediates hands their partition buffers straight to
 		// the following job in this same iteration. The iteration's
 		// input (the Loop state) is recycled by Loop itself.
-		marking, err := mmStage(ctx, driver, "mm-marking", cur, markingMap(cfg, iter), cfg.numEdges)
-		if err != nil {
-			return nil, err
+		st := cur
+		for _, s := range mmStages {
+			out, err := runNodeJob(ctx, driver, s.name, params, st,
+				s.mapFn(cfg, iter), unifyReduce(s.name, cfg.numEdges))
+			if st != cur {
+				st.Recycle()
+			}
+			if err != nil {
+				return nil, err
+			}
+			st = out
 		}
-		selection, err := mmStage(ctx, driver, "mm-selection", marking, selectionMap(cfg, iter), cfg.numEdges)
-		marking.Recycle()
-		if err != nil {
-			return nil, err
-		}
-		matching, err := mmStage(ctx, driver, "mm-matching", selection, matchingMap(cfg, iter), cfg.numEdges)
-		selection.Recycle()
-		if err != nil {
-			return nil, err
-		}
-		next, found, err := mmCleanup(ctx, driver, matching, cfg.numEdges)
-		matching.Recycle()
+		next, found, err := mmCleanup(ctx, driver, st, cfg.numEdges)
+		st.Recycle()
 		if err != nil {
 			return nil, err
 		}
@@ -172,69 +189,40 @@ func maximalBMatching(
 	return matched, err
 }
 
-// mmStage runs one flag-propagation stage: the map function makes local
-// decisions and emits per-edge flags; the shared reducer unifies the two
-// views of each edge.
-func mmStage(
-	ctx context.Context,
-	driver *mapreduce.Driver,
-	name string,
-	cur *mapreduce.Dataset[graph.NodeID, mmNode],
-	mapFn mapreduce.MapFunc[graph.NodeID, mmNode, graph.NodeID, mmMsg],
-	numEdges int,
-) (*mapreduce.Dataset[graph.NodeID, mmNode], error) {
-	out, err := mapreduce.RunJobDS(ctx, driver, name, cur, mapFn, unifyReduce(name, numEdges))
-	if err != nil {
-		return nil, fmt.Errorf("core: %s: %w", name, err)
-	}
-	// The stage maps close over the per-iteration seed, which dist
-	// workers do not receive, so the next stage's map must run
-	// coordinator-side: move a worker-resident output here.
-	if err := out.Materialize(); err != nil {
-		return nil, fmt.Errorf("core: %s: %w", name, err)
-	}
-	return out, nil
-}
-
-// markingMap marks ⌈B/2⌉ edges per node. The flag sent to the other
-// endpoint means "I marked this edge".
-func markingMap(cfg maximalConfig, iter int) mapreduce.MapFunc[graph.NodeID, mmNode, graph.NodeID, mmMsg] {
-	return func(v graph.NodeID, st mmNode, out mapreduce.Emitter[graph.NodeID, mmMsg]) error {
+// markingMap marks ⌈B/2⌉ edges per node, from B and the adjacency's
+// length, weights and ids. The flag sent to the other endpoint means "I
+// marked this edge".
+func markingMap(cfg maximalConfig, iter int) mapreduce.MapFunc[graph.NodeID, mmNode, graph.NodeID, edgeMsg] {
+	return func(v graph.NodeID, st mmNode, out mapreduce.Emitter[graph.NodeID, edgeMsg]) error {
 		k := (st.B + 1) / 2
-		next := st
-		next.Adj = append([]mmEdge(nil), st.Adj...)
-		all := k >= len(next.Adj) // nothing to choose, so nothing to draw
-		for i := range next.Adj {
-			next.Adj[i].markedBySelf = all
-			next.Adj[i].markedByOther = false
+		all := k >= len(st.Adj) // nothing to choose, so nothing to draw
+		for i := range st.Adj {
+			st.Adj[i].markedBySelf = all
 		}
 		switch {
 		case all:
 		case cfg.strategy == MarkHeaviest:
 			for _, i := range topByWeight(halves(st.Adj), k) {
-				next.Adj[i].markedBySelf = true
+				st.Adj[i].markedBySelf = true
 			}
 		default:
 			for _, i := range pickRandom(len(st.Adj), k, nodeRand(cfg.seed, v, iter*4)) {
-				next.Adj[i].markedBySelf = true
+				st.Adj[i].markedBySelf = true
 			}
 		}
-		out.Emit(v, mmMsg{self: &next})
-		for _, e := range next.Adj {
-			out.Emit(e.Other, mmMsg{edge: e.ID, flag: e.markedBySelf})
+		for _, e := range st.Adj {
+			out.Emit(e.Other, edgeFlag(e.ID, e.markedBySelf))
 		}
 		return nil
 	}
 }
 
 // selectionMap selects max{⌊B/2⌋, 1} edges among those marked by
-// neighbors. The flag sent means "I selected your mark".
-func selectionMap(cfg maximalConfig, iter int) mapreduce.MapFunc[graph.NodeID, mmNode, graph.NodeID, mmMsg] {
-	return func(v graph.NodeID, st mmNode, out mapreduce.Emitter[graph.NodeID, mmMsg]) error {
-		k := st.B / 2
-		if k < 1 {
-			k = 1
-		}
+// neighbors (markedByOther, set by the marking reduce). The flag sent
+// means "I selected your mark".
+func selectionMap(cfg maximalConfig, iter int) mapreduce.MapFunc[graph.NodeID, mmNode, graph.NodeID, edgeMsg] {
+	return func(v graph.NodeID, st mmNode, out mapreduce.Emitter[graph.NodeID, edgeMsg]) error {
+		k := max(st.B/2, 1)
 		marked := 0
 		for i := range st.Adj {
 			if st.Adj[i].markedByOther {
@@ -242,11 +230,8 @@ func selectionMap(cfg maximalConfig, iter int) mapreduce.MapFunc[graph.NodeID, m
 			}
 		}
 		draw := k < marked // otherwise every marked edge is selected
-		next := st
-		next.Adj = append([]mmEdge(nil), st.Adj...)
-		for i := range next.Adj {
-			next.Adj[i].selBySelf = next.Adj[i].markedByOther && !draw
-			next.Adj[i].selByOther = false
+		for i := range st.Adj {
+			st.Adj[i].selBySelf = st.Adj[i].markedByOther && !draw
 		}
 		if draw {
 			candidates := make([]int, 0, marked)
@@ -256,22 +241,22 @@ func selectionMap(cfg maximalConfig, iter int) mapreduce.MapFunc[graph.NodeID, m
 				}
 			}
 			for _, i := range pickFrom(candidates, k, nodeRand(cfg.seed, v, iter*4+1)) {
-				next.Adj[i].selBySelf = true
+				st.Adj[i].selBySelf = true
 			}
 		}
-		out.Emit(v, mmMsg{self: &next})
-		for _, e := range next.Adj {
-			out.Emit(e.Other, mmMsg{edge: e.ID, flag: e.selBySelf})
+		for _, e := range st.Adj {
+			out.Emit(e.Other, edgeFlag(e.ID, e.selBySelf))
 		}
 		return nil
 	}
 }
 
 // matchingMap enforces validity at capacity-1 nodes: keep one incident
-// selected edge at random, drop the rest. The flag sent means "I dropped
-// this edge from F".
-func matchingMap(cfg maximalConfig, iter int) mapreduce.MapFunc[graph.NodeID, mmNode, graph.NodeID, mmMsg] {
-	return func(v graph.NodeID, st mmNode, out mapreduce.Emitter[graph.NodeID, mmMsg]) error {
+// selected edge at random, drop the rest. inF is decided from the four
+// mark and selection flags. The flag sent means "I dropped this edge from
+// F".
+func matchingMap(cfg maximalConfig, iter int) mapreduce.MapFunc[graph.NodeID, mmNode, graph.NodeID, edgeMsg] {
+	return func(v graph.NodeID, st mmNode, out mapreduce.Emitter[graph.NodeID, edgeMsg]) error {
 		selected := 0
 		for i := range st.Adj {
 			if st.Adj[i].inSelected() {
@@ -293,72 +278,59 @@ func matchingMap(cfg maximalConfig, iter int) mapreduce.MapFunc[graph.NodeID, mm
 				}
 			}
 		}
-		next := st
-		next.Adj = append([]mmEdge(nil), st.Adj...)
-		for i := range next.Adj {
-			next.Adj[i].inF = next.Adj[i].inSelected() && (keep < 0 || i == keep)
-		}
-		out.Emit(v, mmMsg{self: &next})
-		for i := range next.Adj {
-			e := &next.Adj[i]
-			out.Emit(e.Other, mmMsg{edge: e.ID, flag: e.inSelected() && !e.inF})
+		for i := range st.Adj {
+			e := &st.Adj[i]
+			e.inF = e.inSelected() && (keep < 0 || i == keep)
+			out.Emit(e.Other, edgeFlag(e.ID, e.inSelected() && !e.inF))
 		}
 		return nil
 	}
 }
 
 // unifyReduce merges the two endpoint views of every edge after a stage:
-// the self record carries this endpoint's fresh local flags and the
-// per-edge messages deliver the other endpoint's decision for the flag
-// relevant to the completed stage. The messages are stamped into a
-// borrowed edge-mark table and read back per adjacency entry, as in
-// greedyReduce: no per-call set.
-func unifyReduce(stage string, numEdges int) mapreduce.ReduceFunc[graph.NodeID, mmMsg, graph.NodeID, mmNode] {
-	return func(v graph.NodeID, msgs []mmMsg, out mapreduce.Emitter[graph.NodeID, mmNode]) error {
+// the record carries this endpoint's decision, written by the stage's
+// map, and the messages deliver the other endpoint's, which the reduce
+// sets as the flag the stage is about. An edge no message arrived for
+// lost its other endpoint and is dropped; the adjacency is compacted in
+// place. The messages are stamped into a borrowed edge-mark table and
+// read back per adjacency entry, as in greedyReduce: no per-call set.
+func unifyReduce(stage string, numEdges int) mapreduce.StateReduceFunc[graph.NodeID, mmNode, edgeMsg, graph.NodeID, mmNode] {
+	return func(v graph.NodeID, state *mmNode, msgs []edgeMsg, out mapreduce.Emitter[graph.NodeID, mmNode]) error {
+		// A node without a record died in an earlier iteration.
+		if state == nil {
+			return nil
+		}
 		table := edgeMarkPool.Get().(*[]uint8)
 		defer edgeMarkPool.Put(table)
 		marks := edgeMarks(table, numEdges)
-		var self *mmNode
-		for i := range msgs {
-			m := &msgs[i]
-			switch {
-			case m.self != nil:
-				self = m.self
-			case m.flag:
-				marks[m.edge] = markSeen | markFlag
-			default:
-				marks[m.edge] |= markSeen
-			}
+		for _, m := range msgs {
+			m.stamp(marks)
 		}
-		if self != nil {
-			kept := self.Adj[:0]
-			for _, e := range self.Adj {
-				mark := marks[e.ID]
-				if mark == 0 {
-					// Dead neighbor: edge disappears.
-					continue
-				}
-				flag := mark&markFlag != 0
-				switch stage {
-				case "mm-marking":
-					e.markedByOther = flag
-				case "mm-selection":
-					e.selByOther = flag
-				case "mm-matching":
-					// The other endpoint may have dropped the edge from F.
-					if flag {
-						e.inF = false
-					}
-				}
-				kept = append(kept, e)
+		kept := state.Adj[:0]
+		for _, e := range state.Adj {
+			mark := marks[e.ID]
+			if mark == 0 {
+				// Dead neighbor: edge disappears.
+				continue
 			}
-			self.Adj = kept
-			out.Emit(v, *self)
+			flag := mark&markFlag != 0
+			switch stage {
+			case "mm-marking":
+				e.markedByOther = flag
+			case "mm-selection":
+				e.selByOther = flag
+			case "mm-matching":
+				// The other endpoint may have dropped the edge from F.
+				if flag {
+					e.inF = false
+				}
+			}
+			kept = append(kept, e)
 		}
-		for i := range msgs {
-			if m := &msgs[i]; m.self == nil {
-				marks[m.edge] = 0
-			}
+		state.Adj = kept
+		out.Emit(v, *state)
+		for _, m := range msgs {
+			marks[m.edge()] = 0
 		}
 		return nil
 	}
@@ -373,9 +345,9 @@ func mmCleanup(
 	cur *mapreduce.Dataset[graph.NodeID, mmNode],
 	numEdges int,
 ) (next *mapreduce.Dataset[graph.NodeID, mmNode], matched []int32, err error) {
-	out, err := mapreduce.RunJobDS(ctx, driver, "mm-cleanup", cur, cleanupMap, cleanupReduce(numEdges))
+	out, err := runNodeJob(ctx, driver, "mm-cleanup", nil, cur, cleanupMap, cleanupReduce(numEdges))
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: mm-cleanup: %w", err)
+		return nil, nil, err
 	}
 	if err := out.Materialize(); err != nil {
 		return nil, nil, fmt.Errorf("core: mm-cleanup: %w", err)
@@ -391,98 +363,84 @@ func mmCleanup(
 	return next, matched, nil
 }
 
-// cleanupMsg carries the cleanup-stage information: the node's own
-// record, or an "I am still alive" beacon along a surviving edge.
-type cleanupMsg struct {
-	self  *mmNode
-	edge  int32
-	alive bool
-}
-
-// cleanupMap removes F edges locally, updates the capacity, reports
-// matched edges (from the item side, to count each edge once), and tells
-// every surviving neighbor whether this node is still alive.
-func cleanupMap(v graph.NodeID, st mmNode, out mapreduce.Emitter[graph.NodeID, cleanupMsg]) error {
+// cleanupMap tells every neighbor it keeps an edge to — all but the F
+// edges, which join the matching — whether this node is still alive once
+// they did, and reports its matched edges to itself. Matched edges are
+// final; they are reported on one side only: the item side of a
+// bipartite edge is the endpoint with the smaller id, but rather than
+// assuming that, both ends could report and the caller dedupe; reporting
+// from the endpoint with smaller id is simpler and side-agnostic.
+func cleanupMap(v graph.NodeID, st mmNode, out mapreduce.Emitter[graph.NodeID, edgeMsg]) error {
 	matched := 0
 	for i := range st.Adj {
 		if st.Adj[i].inF {
 			matched++
 		}
 	}
-	next := mmNode{B: st.B - matched, Adj: make([]mmEdge, 0, len(st.Adj)-matched)}
+	alive := st.B > matched
 	for _, e := range st.Adj {
 		if !e.inF {
-			next.Adj = append(next.Adj, mmEdge{half: e.half})
+			out.Emit(e.Other, edgeFlag(e.ID, alive))
 		}
 	}
-	alive := next.B > 0
-	out.Emit(v, cleanupMsg{self: &next})
-	for _, e := range next.Adj {
-		out.Emit(e.Other, cleanupMsg{edge: e.ID, alive: alive})
-	}
-	// Matched edges are final; report them on the item side. The item
-	// side of a bipartite edge is the endpoint with the smaller id, but
-	// rather than assuming that, both ends could report and the caller
-	// dedupe; reporting from the endpoint with smaller id is simpler
-	// and side-agnostic.
 	for _, e := range st.Adj {
 		if e.inF && v < e.Other {
-			out.Emit(v, cleanupMsg{edge: e.ID, alive: true})
+			out.Emit(v, edgeFlag(e.ID, true))
 		}
 	}
 	return nil
 }
 
-// cleanupReduce assembles the next-iteration record: it keeps only edges
-// whose other endpoint is still alive, and forwards matched-edge reports.
-// A message for an edge still present in the node's own adjacency is an
-// alive-beacon from the neighbor; a message for an edge the mapper
-// already removed is this node's own matched-edge report (matched edges
-// vanish from both endpoints' lists, so the neighbor never beacons them).
-// The node's own adjacency is stamped into a borrowed edge-mark table
-// (markSeen) and the beacons onto it (markFlag), so telling the two kinds
-// of message apart is one byte read per message.
-func cleanupReduce(numEdges int) mapreduce.ReduceFunc[graph.NodeID, cleanupMsg, graph.NodeID, mmOut] {
-	return func(v graph.NodeID, msgs []cleanupMsg, out mapreduce.Emitter[graph.NodeID, mmOut]) error {
-		var self *mmNode
-		for i := range msgs {
-			if msgs[i].self != nil {
-				self = msgs[i].self
-				break
-			}
-		}
-		if self == nil {
+// cleanupReduce assembles the next-iteration record: it drops the F
+// edges, decrements the capacity by their count, keeps only edges whose
+// other endpoint is still alive, clears their flags, and forwards the
+// node's matched-edge reports. A message for a non-F edge of the node's
+// own adjacency is an alive-beacon from the neighbor; any other message is
+// this node's own matched-edge report (matched edges leave both
+// endpoints' views, so the neighbor never beacons them). The non-F edges
+// are stamped into a borrowed edge-mark table (markSeen) and the beacons
+// onto it (markFlag), so telling the two kinds of message apart is one
+// byte read per message. The emitted state is the record itself, which
+// the job consumes; the driver folds the output before it releases the
+// input.
+func cleanupReduce(numEdges int) mapreduce.StateReduceFunc[graph.NodeID, mmNode, edgeMsg, graph.NodeID, mmOut] {
+	return func(v graph.NodeID, state *mmNode, msgs []edgeMsg, out mapreduce.Emitter[graph.NodeID, mmOut]) error {
+		if state == nil {
 			return nil
 		}
 		table := edgeMarkPool.Get().(*[]uint8)
 		defer edgeMarkPool.Put(table)
 		marks := edgeMarks(table, numEdges)
-		for _, e := range self.Adj {
-			marks[e.ID] = markSeen
-		}
-		res := mmOut{}
-		for i := range msgs {
-			m := &msgs[i]
-			switch {
-			case m.self != nil:
-			case marks[m.edge] != 0:
-				if m.alive {
-					marks[m.edge] |= markFlag
-				}
-			case m.alive:
-				res.matched = append(res.matched, m.edge)
+		for _, e := range state.Adj {
+			if !e.inF {
+				marks[e.ID] = markSeen
 			}
 		}
-		kept := self.Adj[:0]
-		for _, e := range self.Adj {
+		res := mmOut{}
+		for _, m := range msgs {
+			switch {
+			case marks[m.edge()] != 0:
+				if m.flag() {
+					marks[m.edge()] |= markFlag
+				}
+			case m.flag():
+				res.matched = append(res.matched, m.edge())
+			}
+		}
+		kept := state.Adj[:0]
+		for _, e := range state.Adj {
+			if e.inF {
+				state.B--
+				continue
+			}
 			if marks[e.ID]&markFlag != 0 {
-				kept = append(kept, e)
+				kept = append(kept, mmEdge{half: e.half})
 			}
 			marks[e.ID] = 0
 		}
-		self.Adj = kept
-		if self.B > 0 && len(self.Adj) > 0 {
-			res.state = self
+		state.Adj = kept
+		if state.B > 0 && len(state.Adj) > 0 {
+			res.state = state
 		}
 		if res.state != nil || len(res.matched) > 0 {
 			out.Emit(v, res)

@@ -2,7 +2,11 @@ package core
 
 import (
 	"cmp"
+	"context"
+	"fmt"
+	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/mapreduce"
@@ -14,6 +18,12 @@ import (
 // node. Mappers make decisions locally to a node and emit the decisions
 // along the node's incident edges; reducers unify the diverging views of
 // each edge at its two endpoints.
+//
+// Every job over that view is a state job (mapreduce.RunStateDS, through
+// runNodeJob): the node's record stays in its partition and its reduce is
+// handed it there, so only the decisions cross the shuffle — as edgeMsg
+// scalars for GreedyMR and the maximal-matching stages, as an edge id and
+// a float for the stack algorithms' dual update and filter.
 
 // half is one endpoint's view of an incident edge.
 type half struct {
@@ -33,6 +43,85 @@ type nodeState struct {
 	Adj []half
 }
 
+// edgeMsg is what a node-view job tells the other endpoint of an edge —
+// GreedyMR's proposal, the maximal-matching stages' mark, selection,
+// drop and alive bits: the edge id shifted left once, the low bit the
+// flag. A scalar, so that a shuffled pair is 8 pointer-free bytes —
+// written by Emit, copied by the group gather, moved again by the group
+// sort, 12.5 M times on the dense benchmark job — and the codec's int32
+// column encodes it on spill and dist with no per-record call
+// (TestShuffledMessageSizes keeps a field from coming back). The shift
+// leaves edge ids 30 bits, which nodeDataset checks.
+type edgeMsg int32
+
+func edgeFlag(edge int32, flag bool) edgeMsg {
+	m := edgeMsg(edge) << 1
+	if flag {
+		m |= 1
+	}
+	return m
+}
+
+func (m edgeMsg) edge() int32 { return int32(m >> 1) }
+func (m edgeMsg) flag() bool  { return m&1 != 0 }
+
+// Neighbor messages are intersected with a node's own adjacency through
+// an edge-indexed mark table: one byte per edge of the graph, zero
+// except while a reduce call has its node's messages stamped in. Every
+// reduce that receives edgeMsgs works this way.
+const (
+	markSeen = 1 << iota // the edge is live: its other endpoint sent a message
+	markFlag             // ... and the message's flag is set (proposed, marked, selected, dropped, alive)
+)
+
+// stamp records m in a mark table.
+func (m edgeMsg) stamp(marks []uint8) { marks[m.edge()] |= markSeen | uint8(m&1)*markFlag }
+
+// edgeMarkPool lends reduce tasks their mark tables (*[]uint8, all
+// zero between calls). At most one table per concurrently running
+// reduce task is live; a table the collector drops from the pool costs
+// |E| bytes to replace.
+var edgeMarkPool = sync.Pool{New: func() any { return new([]uint8) }}
+
+// edgeMarks is a borrowed table's view over numEdges edge ids, grown on
+// first use. The borrower wipes every stamp it set before the table
+// goes back.
+func edgeMarks(table *[]uint8, numEdges int) []uint8 {
+	if len(*table) < numEdges {
+		*table = make([]uint8, numEdges)
+	}
+	return *table
+}
+
+// runNodeJob runs one node-view state job under the driver and counts it
+// as a round. params encodes what the job's map and reduce close over
+// (nil: nothing); it is called on the dist backend only, where the
+// workers' registered factory rebuilds the same closures from it
+// (RegisterDistJobs). An output the driver refuses is released.
+func runNodeJob[S, V, O any](
+	ctx context.Context,
+	driver *mapreduce.Driver,
+	name string,
+	params func() []byte,
+	input *mapreduce.Dataset[graph.NodeID, S],
+	mapFn mapreduce.MapFunc[graph.NodeID, S, graph.NodeID, V],
+	reduceFn mapreduce.StateReduceFunc[graph.NodeID, S, V, graph.NodeID, O],
+) (*mapreduce.Dataset[graph.NodeID, O], error) {
+	cfg := driver.Config(name)
+	if params != nil && cfg.Shuffle.Backend == mapreduce.ShuffleDist {
+		cfg.DistParams = params()
+	}
+	out, stats, err := mapreduce.RunStateDS(ctx, cfg, input, mapFn, reduceFn)
+	if err != nil {
+		return nil, fmt.Errorf("core: %s: %w", name, err)
+	}
+	if err := driver.Observe(stats); err != nil {
+		out.Recycle()
+		return nil, err
+	}
+	return out, nil
+}
+
 // nodeDataset builds the round-0 node view of g straight into the
 // aligned, key-ordered partitions the round loops start from: one record
 // per node with positive capacity and at least one incident edge whose
@@ -47,6 +136,9 @@ type nodeState struct {
 // rounding of b(v) and the live degrees: one sequential edge scan, where
 // counting per partition reads the edge array at random a second time.
 func nodeDataset(g *graph.Bipartite, parts int, byWeight bool) (*mapreduce.Dataset[graph.NodeID, nodeState], error) {
+	if g.NumEdges() > math.MaxInt32>>1 {
+		return nil, fmt.Errorf("%d edges, an edge message holds 30-bit edge ids", g.NumEdges())
+	}
 	caps := make([]int, g.NumNodes())
 	for v := range caps {
 		caps[v] = intCap(g, graph.NodeID(v))

@@ -10,28 +10,25 @@ import (
 
 // The spilling and dist shuffle backends of internal/mapreduce serialize
 // intermediate values through encoding.BinaryMarshaler (see laneFor in
-// mapreduce/codeclane.go for the resolution order). This file gives the
-// matching algorithms' message types a compact binary form so that
-// GreedyMR, StackMR, StackGreedyMR and StackMRStrict run unchanged on
-// every shuffle backend. A message of the maximal-matching stages is a
-// tag byte plus either the node's own state (adjacency list) or an edge
-// id; a message of the state jobs (stack-update, stack-filter) never
-// carries a state and is an edge id plus a float. GreedyMR's message is a
-// scalar and takes the codec's int32 column without coming here.
+// mapreduce/codeclane.go for the resolution order), and the dist backend
+// serializes resident state and reduce output the same way. This file
+// gives the matching algorithms' value types that compact binary form,
+// so that GreedyMR, StackMR, StackGreedyMR and StackMRStrict run
+// unchanged on every backend. Every node-view job is a state job, so no
+// shuffled message carries a node's state: the stack jobs' dualMsg and
+// filterMsg are an edge id plus a float, and edgeMsg, the message of
+// GreedyMR and the maximal-matching stages, is a scalar that takes the
+// codec's int32 column without coming here. What remains are the states
+// (nodeState, mmNode) and the cleanup stage's output (mmOut).
 //
 // Every type encodes through AppendBinary (encoding.BinaryAppender),
 // which the engine's codec calls with its column scratch, so encoding a
-// record allocates nothing; MarshalBinary is AppendBinary(nil).
-//
-// The encoding is explicit about pointer presence (tag bits), so a
-// round trip preserves the nil-ness that the reducers branch on — the
-// reason these types carry their own encoding (a struct has no lane
-// in the engine's codec; without these methods the job is refused).
+// record allocates nothing; MarshalBinary is AppendBinary(nil). A struct
+// has no lane in the engine's codec: without these methods a job over
+// these types is refused off the memory backend.
 
-const (
-	tagSelf  = 1 << 0 // message carries the node's own state
-	tagFlagA = 1 << 1 // per-message boolean (proposed / flag / alive)
-)
+// tagState marks an mmOut that carries the node's next-iteration state.
+const tagState = 1 << 0
 
 // --- shared pieces -----------------------------------------------------
 
@@ -76,13 +73,14 @@ func appendMMNode(buf []byte, st *mmNode) []byte {
 	return buf
 }
 
-// spillReader decodes the buffers produced above; the first malformed
-// field poisons the reader and the final err() call reports it. It
-// accepts exactly what the appenders write — minimal varints, ids that
-// fit their 32 bits, no unknown tag or flag bits — so a buffer either
-// decodes to a value that encodes back to the same bytes or is refused
-// (FuzzCoreMessageDecode): bytes that arrive damaged from a socket or a
-// run file become an error, not a slightly different message.
+// spillReader decodes the buffers produced here and the dist jobs'
+// parameters (distjobs.go); the first malformed field poisons the reader
+// and the final err() call reports it. It accepts exactly what the
+// appenders write — minimal varints, ids that fit their 32 bits, no
+// unknown tag or flag bits — so a buffer either decodes to a value that
+// encodes back to the same bytes or is refused (FuzzCoreMessageDecode,
+// FuzzJobParams): bytes that arrive damaged from a socket or a run file
+// become an error, not a slightly different message.
 type spillReader struct {
 	data []byte
 	bad  bool
@@ -204,79 +202,12 @@ func (r *spillReader) mmNode() *mmNode {
 
 func (r *spillReader) err(what string) error {
 	if r.bad {
-		return fmt.Errorf("core: corrupt spilled %s", what)
+		return fmt.Errorf("core: corrupt %s", what)
 	}
 	if len(r.data) != 0 {
-		return fmt.Errorf("core: %d trailing bytes after spilled %s", len(r.data), what)
+		return fmt.Errorf("core: %d trailing bytes after %s", len(r.data), what)
 	}
 	return nil
-}
-
-// appendTag starts a message: the tag byte says whether the node's own
-// record follows and carries the per-message boolean.
-func appendTag(buf []byte, self, flag bool) []byte {
-	var tag byte
-	if self {
-		tag |= tagSelf
-	}
-	if flag {
-		tag |= tagFlagA
-	}
-	return append(buf, tag)
-}
-
-// --- mmMsg -------------------------------------------------------------
-
-// AppendBinary implements encoding.BinaryAppender.
-func (m mmMsg) AppendBinary(buf []byte) ([]byte, error) {
-	buf = appendTag(buf, m.self != nil, m.flag)
-	if m.self != nil {
-		return appendMMNode(buf, m.self), nil
-	}
-	return binary.AppendVarint(buf, int64(m.edge)), nil
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m mmMsg) MarshalBinary() ([]byte, error) { return m.AppendBinary(nil) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *mmMsg) UnmarshalBinary(data []byte) error {
-	r := &spillReader{data: data}
-	tag := r.tag(tagSelf | tagFlagA)
-	*m = mmMsg{flag: tag&tagFlagA != 0}
-	if tag&tagSelf != 0 {
-		m.self = r.mmNode()
-	} else {
-		m.edge = r.id()
-	}
-	return r.err("mmMsg")
-}
-
-// --- cleanupMsg --------------------------------------------------------
-
-// AppendBinary implements encoding.BinaryAppender.
-func (m cleanupMsg) AppendBinary(buf []byte) ([]byte, error) {
-	buf = appendTag(buf, m.self != nil, m.alive)
-	if m.self != nil {
-		return appendMMNode(buf, m.self), nil
-	}
-	return binary.AppendVarint(buf, int64(m.edge)), nil
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m cleanupMsg) MarshalBinary() ([]byte, error) { return m.AppendBinary(nil) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *cleanupMsg) UnmarshalBinary(data []byte) error {
-	r := &spillReader{data: data}
-	tag := r.tag(tagSelf | tagFlagA)
-	*m = cleanupMsg{alive: tag&tagFlagA != 0}
-	if tag&tagSelf != 0 {
-		m.self = r.mmNode()
-	} else {
-		m.edge = r.id()
-	}
-	return r.err("cleanupMsg")
 }
 
 // --- dualMsg / filterMsg -----------------------------------------------
@@ -385,7 +316,11 @@ func (r *spillReader) int32s() []int32 {
 
 // AppendBinary implements encoding.BinaryAppender.
 func (o mmOut) AppendBinary(buf []byte) ([]byte, error) {
-	buf = appendInt32s(appendTag(buf, o.state != nil, false), o.matched)
+	var tag byte
+	if o.state != nil {
+		tag = tagState
+	}
+	buf = appendInt32s(append(buf, tag), o.matched)
 	if o.state != nil {
 		buf = appendMMNode(buf, o.state)
 	}
@@ -398,9 +333,9 @@ func (o mmOut) MarshalBinary() ([]byte, error) { return o.AppendBinary(nil) }
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (o *mmOut) UnmarshalBinary(data []byte) error {
 	r := &spillReader{data: data}
-	tag := r.tag(tagSelf)
+	tag := r.tag(tagState)
 	*o = mmOut{matched: r.int32s()}
-	if tag&tagSelf != 0 {
+	if tag&tagState != 0 {
 		o.state = r.mmNode()
 	}
 	return r.err("mmOut")

@@ -84,8 +84,10 @@ func TestAlgorithmsIdenticalAcrossShuffleBackends(t *testing.T) {
 }
 
 // TestMessageCodecsRoundTrip exercises the MarshalBinary/UnmarshalBinary
-// pairs directly, including the nil-state variants whose presence bit
-// the reducers branch on.
+// pairs directly: the two shuffled messages that have a codec of their
+// own, and the states and the cleanup output the dist backend keeps
+// resident — among them mmOut with and without the state whose presence
+// bit the driver branches on.
 func TestMessageCodecsRoundTrip(t *testing.T) {
 	mm := &mmNode{B: 2, Adj: []mmEdge{
 		{half: half{ID: 1, Other: 4, W: 2.5}, markedBySelf: true, selByOther: true},
@@ -100,12 +102,12 @@ func TestMessageCodecsRoundTrip(t *testing.T) {
 			UnmarshalBinary([]byte) error
 		}
 	}{
-		{"mmMsg-self", mmMsg{self: mm}, &mmMsg{}},
-		{"mmMsg-edge", mmMsg{edge: 3, flag: true}, &mmMsg{}},
-		{"cleanupMsg-self", cleanupMsg{self: mm, alive: true}, &cleanupMsg{}},
-		{"cleanupMsg-edge", cleanupMsg{edge: 8, alive: true}, &cleanupMsg{}},
 		{"dualMsg-edge", dualMsg{edge: 6, yOverB: 0.75}, &dualMsg{}},
 		{"filterMsg-edge", filterMsg{edge: 2, yOverB: -1.5}, &filterMsg{}},
+		{"nodeState", nodeState{B: 3, Adj: []half{{ID: 7, Other: 12, W: 1.25}, {ID: 9, Other: 0, W: -0.5}}}, &nodeState{}},
+		{"mmNode", *mm, &mmNode{}},
+		{"mmOut-state", mmOut{state: mm, matched: []int32{4, -8000, 5}}, &mmOut{}},
+		{"mmOut-matched-only", mmOut{matched: []int32{5}}, &mmOut{}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -128,30 +130,29 @@ func TestMessageCodecsRoundTrip(t *testing.T) {
 // the matching algorithms shuffle. A Pair is the key plus this, and the
 // engine writes it on Emit, copies it in the group gather and moves it
 // again in the group sort, once per shuffled record (12.5 M on the dense
-// benchmark job) — so a field carried by value, where a pointer and a
-// tag would do, multiplies the job's memory traffic. greedyMsg carried
-// its 32-byte nodeState that way until it cost a quarter of the dense
-// job's wall, and then a pointer to it until the spill and dist backends
-// spent more on encoding that state than on anything else. The messages
-// of the state jobs hold no pointer at all: their pair buffers are
-// nothing the collector has to scan.
+// benchmark job) — so a field carried by value, where a scalar would do,
+// multiplies the job's memory traffic. GreedyMR's message carried its
+// 32-byte nodeState that way until it cost a quarter of the dense job's
+// wall, then a pointer to it until the spill and dist backends spent more
+// on encoding that state than on anything else; the maximal-matching
+// stages' messages carried one until they became state jobs too. Every
+// node-view job is a state job now, its reduce handed the node's state:
+// no message holds a pointer, so no pair buffer is anything the collector
+// has to scan.
 func TestShuffledMessageSizes(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		typ      reflect.Type
-		max      uintptr
-		pointers bool // may hold a pointer (the node's own state)
+		name string
+		typ  reflect.Type
+		max  uintptr
 	}{
-		{"greedyMsg", reflect.TypeFor[greedyMsg](), 4, false},
-		{"mmMsg", reflect.TypeFor[mmMsg](), 16, true},
-		{"cleanupMsg", reflect.TypeFor[cleanupMsg](), 16, true},
-		{"dualMsg", reflect.TypeFor[dualMsg](), 16, false},
-		{"filterMsg", reflect.TypeFor[filterMsg](), 16, false},
+		{"edgeMsg", reflect.TypeFor[edgeMsg](), 4},
+		{"dualMsg", reflect.TypeFor[dualMsg](), 16},
+		{"filterMsg", reflect.TypeFor[filterMsg](), 16},
 	} {
 		if got := tc.typ.Size(); got > tc.max {
 			t.Errorf("%s is %d bytes, want at most %d: every shuffled record carries one", tc.name, got, tc.max)
 		}
-		if !tc.pointers && holdsPointer(tc.typ) {
+		if holdsPointer(tc.typ) {
 			t.Errorf("%s holds a pointer: its job's reduce is handed the node's state, a message must not carry it", tc.name)
 		}
 	}
@@ -177,18 +178,25 @@ func holdsPointer(t reflect.Type) bool {
 	return true // pointers, slices, strings, maps, channels, funcs, interfaces
 }
 
-// TestMessageCodecsRejectCorruptData checks that damaged spill data
-// surfaces as an error instead of a silently wrong message — among it the
-// bytes a dualMsg had while it could still carry the node's state, which
-// a worker of the previous protocol generation would send.
+// TestMessageCodecsRejectCorruptData checks that damaged bytes surface as
+// an error instead of a silently wrong value — among them the bytes a
+// dualMsg had while it could still carry the node's state, which a worker
+// of an earlier protocol generation would send.
 func TestMessageCodecsRejectCorruptData(t *testing.T) {
-	data, err := mmMsg{self: &mmNode{B: 2, Adj: []mmEdge{{half: half{ID: 1, Other: 2, W: 3}}}}}.MarshalBinary()
+	data, err := mmOut{state: &mmNode{B: 2, Adj: []mmEdge{{half: half{ID: 1, Other: 2, W: 3}}}}}.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m mmMsg
-	if err := m.UnmarshalBinary(data[:len(data)-3]); err == nil {
-		t.Error("truncated mmMsg decoded without error")
+	var o mmOut
+	if err := o.UnmarshalBinary(data[:len(data)-3]); err == nil {
+		t.Error("truncated mmOut decoded without error")
+	}
+	var mm mmNode
+	if err := mm.UnmarshalBinary(data[2:]); err != nil {
+		t.Fatalf("the state inside an mmOut does not decode as an mmNode: %v", err)
+	}
+	if err := mm.UnmarshalBinary(append(data[2:len(data)-1:len(data)-1], 1<<5)); err == nil {
+		t.Error("an mmEdge with an unknown flag bit decoded without error")
 	}
 	edge, err := dualMsg{edge: 6, yOverB: 0.75}.MarshalBinary()
 	if err != nil {
@@ -202,7 +210,7 @@ func TestMessageCodecsRejectCorruptData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.UnmarshalBinary(append([]byte{tagSelf}, state...)); err == nil {
+	if err := d.UnmarshalBinary(append([]byte{1}, state...)); err == nil {
 		t.Error("a dualMsg carrying a node state decoded without error")
 	}
 }

@@ -210,20 +210,10 @@ func (st *stackState) updateDuals(
 	layer []int32,
 ) error {
 	y := st.y
-	cfg := driver.Config("stack-update")
-	if cfg.Shuffle.Backend == mapreduce.ShuffleDist {
-		// Map and reduce close over the current duals and the layer; ship
-		// them so the workers' registered factory rebuilds the identical
-		// closures.
-		cfg.DistParams = encodeStackParams(y, layer, 0)
-	}
-	out, stats, err := mapreduce.RunStateDS(ctx, cfg, records,
-		dualUpdateMap(y, layerSet(layer)), dualUpdateReduce(y))
+	// Map and reduce close over the current duals and the layer.
+	out, err := runNodeJob(ctx, driver, "stack-update", func() []byte { return encodeStackParams(y, layer, 0) },
+		records, dualUpdateMap(y, layerSet(layer)), dualUpdateReduce(y))
 	if err != nil {
-		return fmt.Errorf("core: stack-update: %w", err)
-	}
-	if err := driver.Observe(stats); err != nil {
-		out.Recycle()
 		return err
 	}
 	if err := out.Materialize(); err != nil {
@@ -309,17 +299,9 @@ func (st *stackState) filterEdges(
 ) (*mapreduce.Dataset[graph.NodeID, nodeState], error) {
 	y := st.y
 	threshold := 1.0 / (3 + 2*st.opts.Eps)
-	cfg := driver.Config("stack-filter")
-	if cfg.Shuffle.Backend == mapreduce.ShuffleDist {
-		cfg.DistParams = encodeStackParams(y, layer, threshold)
-	}
-	out, stats, err := mapreduce.RunStateDS(ctx, cfg, records,
-		stackFilterMap(y), stackFilterReduce(y, layerSet(layer), threshold))
+	out, err := runNodeJob(ctx, driver, "stack-filter", func() []byte { return encodeStackParams(y, layer, threshold) },
+		records, stackFilterMap(y), stackFilterReduce(y, layerSet(layer), threshold))
 	if err != nil {
-		return nil, fmt.Errorf("core: stack-filter: %w", err)
-	}
-	if err := driver.Observe(stats); err != nil {
-		out.Recycle()
 		return nil, err
 	}
 	if err := out.Materialize(); err != nil {

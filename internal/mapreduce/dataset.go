@@ -305,14 +305,14 @@ func RunDS[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any](
 }
 
 // RunStateDS executes one state job: a Dataset job whose input records
-// are node state the map only reads, and whose reduce meets each key's
-// record again beside the messages sent to it (StateReduceFunc). What an
-// iterative algorithm would otherwise do — have every node send its own
-// state to itself each round so the reduce can see it — costs a shuffled,
-// sorted and, off the memory backend, encoded and decoded copy of the
-// whole graph per job; here the records stay where they reside and each
-// reduce task merge-joins its input partition with its group stream
-// (Lin & Schatz's Schimmy pattern).
+// are node state, and whose reduce meets each key's record again beside
+// the messages sent to it (StateReduceFunc). What an iterative algorithm
+// would otherwise do — have every node send its own state to itself each
+// round so the reduce can see it — costs a shuffled, sorted and, off the
+// memory backend, encoded and decoded copy of the whole graph per job;
+// here the records stay where they reside and each reduce task
+// merge-joins its input partition with its group stream (Lin & Schatz's
+// Schimmy pattern).
 //
 // The input must be aligned with the job's partitioning and every
 // partition must be in group order — ascending keys, one record per key —
@@ -321,6 +321,17 @@ func RunDS[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any](
 // the map tasks check it and a violation fails the job. On dist an input
 // that is not resident on the job's cluster is placed there for the job
 // (Place) and released after it.
+//
+// The map may write its record, so that a node's own decision need not
+// travel to its reduce: through the slices the record holds — never the
+// value it is handed, which is a copy — and each write computed only from
+// what the map itself never writes. The key's reduce then sees the
+// writes. The second condition makes the map idempotent, which dist
+// needs: an attempt aborted before its flush is retried over the
+// surviving workers' partitions as they are, so a map task may run again
+// over records it already wrote and must write the same values (after the
+// flush the input is re-seeded instead; see DistCluster).
+// TestStateJobMapWritesReachReduce holds every backend to this.
 //
 // The job counts what the self-message form counts: a record forwarded
 // to its reduce is one map output record and one local-routed shuffle

@@ -54,12 +54,13 @@ const journalManifestName = "JOURNAL"
 // through mix64 (see keyShape.hash); "v3" kept that mapping and added a
 // side-output section to every partition of a job record; "v4" drops
 // the record-kind byte (every job's result is a resident record). The
-// journal records job outputs only, so remote.Proto 9, which changed
-// what some jobs shuffle and none of what they retain, left it "v4". A
-// manifest with any other tag was written under a different key-to-partition
-// mapping or record layout; replaying it would seed a node's state and
-// its neighbours' messages into different partitions, or misparse the
-// records, so resume refuses it. There is no compatibility reader.
+// journal records job outputs only, so remote.Proto 9 and 10, which
+// changed what some jobs shuffle and none of what they retain, left it
+// "v4". A manifest with any other tag was written under a different
+// key-to-partition mapping or record layout; replaying it would seed a
+// node's state and its neighbours' messages into different partitions,
+// or misparse the records, so resume refuses it. There is no
+// compatibility reader.
 const journalFormat = "v4"
 
 // journalKeepSegs bounds retained segment files: the current segment

@@ -84,7 +84,9 @@ type Emitter[K comparable, V any] interface {
 }
 
 // MapFunc transforms one input pair into any number of intermediate pairs.
-// It must be safe to call concurrently from multiple goroutines.
+// It must be safe to call concurrently from multiple goroutines, and it
+// leaves its input as it found it — except a state job's map, which may
+// write its record under the conditions RunStateDS states.
 type MapFunc[K1 comparable, V1 any, K2 comparable, V2 any] func(key K1, value V1, out Emitter[K2, V2]) error
 
 // ReduceFunc folds all intermediate values that share a key into any
@@ -103,9 +105,9 @@ type ReduceFunc[K2 comparable, V2 any, K3 comparable, V3 any] func(key K2, value
 // where it resides. It is called once for every key that has a record or
 // at least one message, in the partition's group order; state is nil for
 // a key without a record and msgs is empty for a key nothing was sent to.
-// msgs is the engine's, as in ReduceFunc. The record is the reduce's to
-// rewrite — the job consumes its input — and whatever the reduce emits
-// may alias it.
+// msgs is the engine's, as in ReduceFunc. The record holds what the job's
+// map wrote through its slices, and it is the reduce's to rewrite — the
+// job consumes its input — and whatever the reduce emits may alias it.
 type StateReduceFunc[K comparable, S, V any, K3 comparable, V3 any] func(key K, state *S, msgs []V, out Emitter[K3, V3]) error
 
 // reduceSteps binds a job's reduce function to one partition's group

@@ -54,8 +54,12 @@ import (
 // byte that marks a state job, whose reduce joins the resident input
 // with the shuffled messages; the matching algorithms' jobs that became
 // state jobs send other bucket bytes than before (no node state, and
-// GreedyMR's message as an int32 column).
-const Proto = 9
+// GreedyMR's message as an int32 column). Version 10 changed no frame
+// layout but the maximal-matching stages' jobs: they became state jobs,
+// so their headers carry the state-job byte, their buckets an int32
+// column instead of tagged node states, and their maps run on the
+// workers from parameters a version-9 worker does not know.
+const Proto = 10
 
 // MsgType identifies one protocol message. The direction annotations
 // are the only ones that occur; receiving a type from the wrong

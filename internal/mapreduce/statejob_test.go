@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/mapreduce/remote"
@@ -134,6 +135,9 @@ func registerToyJobs() {
 	})
 	RegisterDistJob("toy-state", func([]byte) (DistJob[int32, []int32, int32, int32, int32, []int32], error) {
 		return DistJob[int32, []int32, int32, int32, int32, []int32]{Map: toyStateMap, StateReduce: toyStep}, nil
+	})
+	RegisterDistJob("stamp", func([]byte) (DistJob[int32, []int64, int32, int64, int32, []int64], error) {
+		return DistJob[int32, []int64, int32, int64, int32, []int64]{Map: stampMap, StateReduce: stampReduce}, nil
 	})
 }
 
@@ -287,5 +291,146 @@ func TestStateJobRefusesUnorderedInput(t *testing.T) {
 				t.Fatalf("err = %v, want it to contain %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// The "stamp" job of TestStateJobMapWritesReachReduce: a state job whose
+// map writes its record. A node's state is [seed, stamp]; the map writes
+// the stamp — computed from the seed and the key, which it never writes —
+// and sends it to two other nodes; the reduce folds the stamp the map
+// left in the record with the stamps that arrived into the next seed and
+// clears the stamp again, so a write that did not reach the reduce shows
+// in every later round.
+
+const stampNodes = 240
+
+func stampInput() []Pair[int32, []int64] {
+	in := make([]Pair[int32, []int64], stampNodes)
+	for k := range in {
+		in[k] = P(int32(k), []int64{int64(k)*2654435761 + 1, 0})
+	}
+	return in
+}
+
+func stampOf(k int32, seed int64) int64 { return int64(mix64(uint64(seed)^uint64(k)) >> 8) }
+
+func stampTargets(k int32) [2]int32 { return [2]int32{(k + 1) % stampNodes, (k*7 + 3) % stampNodes} }
+
+// stampMapCalls counts stampMap calls, the in-process workers' included.
+var stampMapCalls atomic.Int64
+
+func stampMap(k int32, st []int64, out Emitter[int32, int64]) error {
+	stampMapCalls.Add(1)
+	st[1] = stampOf(k, st[0])
+	for _, t := range stampTargets(k) {
+		out.Emit(t, st[1])
+	}
+	return nil
+}
+
+func stampReduce(k int32, st *[]int64, msgs []int64, out Emitter[int32, []int64]) error {
+	s := *st // every key has a record
+	next := s[1] * 31
+	for _, m := range msgs {
+		next += m
+	}
+	s[0], s[1] = next, 0
+	out.Emit(k, s)
+	return nil
+}
+
+// stampReference is the stamp job's rounds computed serially.
+func stampReference(rounds int) []Pair[int32, []int64] {
+	recs := stampInput()
+	for r := 0; r < rounds; r++ {
+		stamps, sums := make([]int64, stampNodes), make([]int64, stampNodes)
+		for k, p := range recs {
+			stamps[k] = stampOf(p.Key, p.Value[0])
+			for _, t := range stampTargets(p.Key) {
+				sums[t] += stamps[k]
+			}
+		}
+		for k := range recs {
+			recs[k].Value[0] = stamps[k]*31 + sums[k]
+		}
+	}
+	return recs
+}
+
+// stampRounds chains rounds of the stamp job over cfg, calling before(i)
+// ahead of round i, and returns the final records and every round's Stats.
+func stampRounds(t *testing.T, cfg Config, rounds int, before func(round int)) ([]Pair[int32, []int64], []*Stats) {
+	t.Helper()
+	ds := PartitionDataset(stampInput(), cfg.reducers())
+	var stats []*Stats
+	for i := 0; i < rounds; i++ {
+		if before != nil {
+			before(i)
+		}
+		next, st, err := RunStateDS(context.Background(), cfg, ds, stampMap, stampReduce)
+		if err != nil {
+			t.Fatalf("round %d: %v", i, err)
+		}
+		stats = append(stats, st)
+		ds.Recycle()
+		ds = next
+	}
+	if err := ds.Materialize(); err != nil {
+		t.Fatal(err)
+	}
+	return ds.Collect(), stats
+}
+
+// TestStateJobMapWritesReachReduce pins the contract of a state job's map
+// that writes its record (RunStateDS): the key's reduce sees the write,
+// on the memory backend, on spill under a budget that writes at least
+// three runs per job, and on two loopback dist workers — there also when
+// an attempt is aborted before its flush (worker 1 severed at the first
+// frame it sends in round 1), so that the survivor maps again records it
+// already wrote. Every case ends bit-identical to memory, which equals a
+// serial computation of the rounds.
+func TestStateJobMapWritesReachReduce(t *testing.T) {
+	const rounds, victim = 3, 1
+	want := stampReference(rounds)
+	mem, _ := stampRounds(t, Config{Mappers: 3, Reducers: 4}, rounds, nil)
+	if !reflect.DeepEqual(mem, want) {
+		t.Fatal("memory backend diverges from the serial rounds: a map's write did not reach its reduce")
+	}
+	spill := Config{Mappers: 3, Reducers: 4, Shuffle: ShuffleConfig{Backend: ShuffleSpill, MemoryBudget: 64, TempDir: t.TempDir()}}
+	got, stats := stampRounds(t, spill, rounds, nil)
+	if !reflect.DeepEqual(got, mem) {
+		t.Error("spill diverges from memory")
+	}
+	for i, st := range stats {
+		if st.SpillRuns < 3 {
+			t.Errorf("spill round %d wrote %d runs, want at least 3", i, st.SpillRuns)
+		}
+	}
+	if got, _ := stampRounds(t, distCfg4(startTestCluster(t, 2), "stamp"), rounds, nil); !reflect.DeepEqual(got, mem) {
+		t.Error("dist diverges from memory")
+	}
+
+	cl := startTestCluster(t, 2)
+	var calls int64
+	got, stats = stampRounds(t, distCfg4(cl, "stamp"), rounds, func(round int) {
+		if round == 1 {
+			calls = stampMapCalls.Load()
+			if err := cl.InjectFault(victim, &remote.Fault{Op: remote.FaultSever, AfterReads: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if round == 2 {
+			calls = stampMapCalls.Load() - calls
+		}
+	})
+	if st := stats[1]; st.WorkerRecoveries < 1 || st.ReseededPartitions != 2 {
+		t.Fatalf("round 1: recoveries=%d reseeded=%d, want >= 1 and the victim's 2 partitions — the sever no longer lands before the flush",
+			st.WorkerRecoveries, st.ReseededPartitions)
+	}
+	if calls <= stampNodes {
+		t.Fatalf("round 1 made %d map calls for %d records: no record was mapped twice", calls, stampNodes)
+	}
+	if !reflect.DeepEqual(got, mem) {
+		t.Fatal("a retry after a pre-flush abort diverges from memory: a survivor's second map over its own writes changed them")
 	}
 }
