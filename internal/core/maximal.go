@@ -159,8 +159,6 @@ func maximalBMatching(
 	_, err := mapreduce.Loop(ctx, driver, start, func(
 		ctx context.Context, iter int, cur *mapreduce.Dataset[graph.NodeID, mmNode],
 	) (*mapreduce.Dataset[graph.NodeID, mmNode], error) {
-		// The stage maps close over the strategy, the seed and the
-		// iteration.
 		params := func() []byte { return encodeMMParams(cfg, iter) }
 		// Each stage's output is consumed by the next stage; recycling
 		// the intermediates hands their partition buffers straight to

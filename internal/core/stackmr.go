@@ -210,7 +210,6 @@ func (st *stackState) updateDuals(
 	layer []int32,
 ) error {
 	y := st.y
-	// Map and reduce close over the current duals and the layer.
 	out, err := runNodeJob(ctx, driver, "stack-update", func() []byte { return encodeStackParams(y, layer, 0) },
 		records, dualUpdateMap(y, layerSet(layer)), dualUpdateReduce(y))
 	if err != nil {
