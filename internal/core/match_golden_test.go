@@ -54,20 +54,21 @@ func roundCounters(rounds []mapreduce.Stats) string {
 func hexSum(b []byte) string { return fmt.Sprintf("%x", sha256.Sum256(b)) }
 
 // noTrace is hexSum of no bytes: the stack algorithms report no value
-// trace.
+// trace, and GreedyMR no duals.
 const noTrace = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
-// TestMatchGolden pins what GreedyMR, StackMR and StackGreedyMR compute
-// and what their jobs count, on the memory backend, on the spill backend
-// under a budget every early round overflows several times, and on two
-// loopback dist workers: the matched edge ids, the value trace bit for
-// bit, the dual certificate's bound bit for bit (the sum of the stack
-// algorithms' duals), the number of jobs, and for every job its
-// MapInputRecords, MapOutputRecords, ShuffleRecords, LocalRouted,
-// ReduceGroups and ReduceOutputRecords. The literals were recorded before
-// the node state stopped travelling through the shuffle; if this test
-// fails, an algorithm's output or a job's record accounting moved — do
-// not edit them. A counter mismatch logs the run's per-job table.
+// TestMatchGolden pins what GreedyMR, StackMR, StackGreedyMR and
+// StackMRStrict compute and what their jobs count, on the memory backend,
+// on the spill backend under a budget every early round overflows several
+// times, and on two loopback dist workers: the matched edge ids, the value
+// trace bit for bit, the dual certificate's bound and every node's dual
+// bit for bit, the number of jobs, and for every job its MapInputRecords,
+// MapOutputRecords, ShuffleRecords, LocalRouted, ReduceGroups and
+// ReduceOutputRecords. StackMRStrict shares StackMR's push phase, so its
+// duals are StackMR's; its row pins the δ(e) its overflow phase orders
+// edges by, through the edges it picks. Every literal was recorded from
+// an earlier build; if this test fails, an algorithm's output or a job's
+// record accounting moved — do not edit them. A counter mismatch logs the run's per-job table.
 func TestMatchGolden(t *testing.T) {
 	g := matchGoldenGraph()
 	if n := g.NumEdges(); n != 2026 || g.Degree(g.ItemID(0)) != 0 {
@@ -92,10 +93,12 @@ func TestMatchGolden(t *testing.T) {
 		rounds int
 		// totals over the run's jobs: MapInputRecords, MapOutputRecords,
 		// ShuffleRecords, LocalRouted, ReduceGroups, ReduceOutputRecords
-		totals                 [6]int64
-		edges, trace, counters string // SHA-256
-		value                  float64
-		bound                  uint64 // Float64bits of Certificate.Bound(), 0 without a certificate
+		totals [6]int64
+		// SHA-256 of the matched edge ids, the value trace's bits, every
+		// node's Certificate.Y bits, and the per-job counter table
+		edges, trace, duals, counters string
+		value                         float64
+		bound                         uint64 // Float64bits of Certificate.Bound(), 0 without a certificate
 	}{
 		{
 			algo: "GreedyMR",
@@ -106,6 +109,7 @@ func TestMatchGolden(t *testing.T) {
 			totals:   [6]int64{1203, 26751, 26751, 1203, 1304, 1084},
 			edges:    "a661e9123c741e566d223407942ec5ddeeea25485391b862903c1601b53d967e",
 			trace:    "bce592245d76cb96c7a56d42eea9017ece2ccb90a3389caa282a30d6433052ee",
+			duals:    noTrace,
 			counters: "6c7ca46170a6836cb1ed6ecb173081774184f6919df470c466ea0e8dbe7b6709",
 			value:    347.2999999999993,
 		},
@@ -118,6 +122,7 @@ func TestMatchGolden(t *testing.T) {
 			totals:   [6]int64{1463, 28372, 28372, 1470, 1470, 1235},
 			edges:    "26b81da0d3e3e995443337e855eddf8aa4eeb145f024e532bfd92d53e0a4ac4d",
 			trace:    noTrace,
+			duals:    "bb878cba57cb72d4cd6bd6a2374f9f0199d25ed3b857bcbc93759f122d9576a1",
 			counters: "fa1dbb52feb89352cff327ffedb8c41e2330e061d7c5f501bb696acb599f8b3b",
 			value:    230.5999999999997,
 			bound:    0x4091eb1555555554,
@@ -131,9 +136,24 @@ func TestMatchGolden(t *testing.T) {
 			totals:   [6]int64{1961, 43731, 43731, 1977, 1977, 1780},
 			edges:    "029d413ef3a20974ec021ac980c843601d6da7f4bca2695cc9713f9dd43fdc19",
 			trace:    noTrace,
+			duals:    "f7e97b4796309c0f557a1a2134fb88fca254fae31ca8b5c807f24ea34b0853c6",
 			counters: "abb4bffed1f25069bc578fd81d6a366bc9f01d6592a52518c76863b7fbc10267",
 			value:    350.4999999999992,
 			bound:    0x409b620000000000,
+		},
+		{
+			algo: "StackMRStrict",
+			run: func(mr mapreduce.Config) (*Result, error) {
+				return StackMRStrict(ctx, g, StackOptions{MR: mr, Seed: 11})
+			},
+			rounds:   35,
+			totals:   [6]int64{1516, 28469, 28469, 1543, 1523, 1297},
+			edges:    "193995285b5d5bb8cd0884a554323ae339e36d3ae591bbafae54603b758868b3",
+			trace:    noTrace,
+			duals:    "bb878cba57cb72d4cd6bd6a2374f9f0199d25ed3b857bcbc93759f122d9576a1",
+			counters: "568fc4d446700a1a11550e7008bfb095079cb1d0be89d9115bde1a6bb2c831ad",
+			value:    228.79999999999964,
+			bound:    0x4091eb1555555554,
 		},
 	}
 	for _, want := range golden {
@@ -151,8 +171,12 @@ func TestMatchGolden(t *testing.T) {
 					trace = binary.LittleEndian.AppendUint64(trace, math.Float64bits(v))
 				}
 				var bound uint64
+				var duals []byte
 				if res.Certificate != nil {
 					bound = math.Float64bits(res.Certificate.Bound())
+					for _, y := range res.Certificate.Y {
+						duals = binary.LittleEndian.AppendUint64(duals, math.Float64bits(y))
+					}
 				}
 				tot := res.Shuffle
 				got := [6]int64{tot.MapInputRecords, tot.MapOutputRecords, tot.ShuffleRecords,
@@ -172,6 +196,9 @@ func TestMatchGolden(t *testing.T) {
 				}
 				if bound != want.bound {
 					t.Errorf("certificate bound: got bits %#x, want %#x", bound, want.bound)
+				}
+				if h := hexSum(duals); h != want.duals {
+					t.Errorf("per-node duals moved (%d nodes, SHA-256 %s)", len(duals)/8, h)
 				}
 				if got != want.totals {
 					t.Errorf("record counters, summed over the jobs (in, mapout, shuffle, local, groups, out):\n got %v\nwant %v", got, want.totals)
