@@ -107,7 +107,8 @@ func StartDistCluster(n int, opts DistClusterOptions) (*DistCluster, error) {
 type Options struct {
 	// Algorithm defaults to GreedyMRAlgorithm.
 	Algorithm Algorithm
-	// Eps is the stack slackness parameter ε (default 1).
+	// Eps is the stack slackness parameter ε (default 1). A negative,
+	// NaN or infinite ε is refused.
 	Eps float64
 	// Seed drives the randomized algorithms (default 1).
 	Seed int64
@@ -174,6 +175,9 @@ func (o Options) mr() mapreduce.Config {
 func Match(ctx context.Context, g *Graph, opts Options) (*Result, error) {
 	if opts.Algorithm == "" {
 		opts.Algorithm = GreedyMRAlgorithm
+	}
+	if err := core.CheckEps(opts.Eps); err != nil {
+		return nil, err
 	}
 	if opts.Eps == 0 {
 		opts.Eps = 1

@@ -2,6 +2,8 @@ package main
 
 import (
 	"io"
+	"math"
+	"strings"
 	"testing"
 
 	socialmatch "repro"
@@ -39,5 +41,16 @@ func TestCompareAllOnSpillBackend(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCompareAllRefusesNaNEps: -eps NaN parses as a float, and used to
+// reach the stack algorithms — stackseq then pushed every live edge on
+// each of its 2^20 passes, its NaN threshold never covering one. It is an
+// error now.
+func TestCompareAllRefusesNaNEps(t *testing.T) {
+	err := compareAll(io.Discard, testGraph(), math.NaN(), 1, false, socialmatch.Options{})
+	if err == nil || !strings.Contains(err.Error(), "eps") {
+		t.Fatalf("compareAll with eps NaN: err = %v, want a refusal naming eps", err)
 	}
 }

@@ -50,8 +50,8 @@ func BenchmarkGreedyMRSingleRound(b *testing.B) {
 func BenchmarkMaximalBMatching(b *testing.B) {
 	g := benchInstance(4)
 	ctx := context.Background()
-	// The matching copies the adjacency it flags, so one view serves
-	// every iteration.
+	// The matching's start copies the adjacency it flags, so one view
+	// serves every iteration.
 	recs, err := nodeDataset(g, mapreduce.NewDriver(mapreduce.Config{}).Partitions(), false)
 	if err != nil {
 		b.Fatal(err)
@@ -60,7 +60,7 @@ func BenchmarkMaximalBMatching(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		driver := mapreduce.NewDriver(mapreduce.Config{})
 		driver.MaxRounds = 64*g.NumEdges() + 256
-		if _, err := maximalBMatching(ctx, driver, recs, maximalConfig{seed: int64(i), numEdges: g.NumEdges()}); err != nil {
+		if _, err := maximalBMatching(ctx, driver, flaggedView(recs), maximalConfig{seed: int64(i), numEdges: g.NumEdges()}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -19,8 +19,8 @@ import (
 //
 // Every node-view job is a state job, registered with its map, so it
 // runs where its input resides. Jobs whose functions close over
-// per-round driver state (the stack algorithms' dual variables and layer
-// sets, the maximal matching's strategy, seed and iteration) are
+// per-round driver state (the stack algorithms' layer and threshold, the
+// maximal matching's strategy, seed and iteration) are
 // registered as parameterized factories: the coordinator ships the state
 // in Config.DistParams (runNodeJob) and the factory rebuilds the closures
 // through the same constructors the local path uses, so there is exactly
@@ -34,23 +34,23 @@ func RegisterDistJobs(g *graph.Bipartite) {
 			}, nil
 		})
 	mapreduce.RegisterDistJob("stack-update",
-		func(params []byte) (mapreduce.DistJob[graph.NodeID, nodeState, graph.NodeID, dualMsg, graph.NodeID, float64], error) {
-			var job mapreduce.DistJob[graph.NodeID, nodeState, graph.NodeID, dualMsg, graph.NodeID, float64]
-			y, layer, _, err := decodeStackParams(params)
+		func(params []byte) (mapreduce.DistJob[graph.NodeID, stackNode, graph.NodeID, dualMsg, graph.NodeID, stackNode], error) {
+			var job mapreduce.DistJob[graph.NodeID, stackNode, graph.NodeID, dualMsg, graph.NodeID, stackNode]
+			layer, _, err := decodeStackParams(params)
 			if err != nil {
 				return job, err
 			}
-			job.Map, job.StateReduce = dualUpdateMap(y, layerSet(layer)), dualUpdateReduce(y)
+			job.Map, job.StateReduce = dualUpdateMap(layerSet(layer)), dualUpdateReduce
 			return job, nil
 		})
 	mapreduce.RegisterDistJob("stack-filter",
-		func(params []byte) (mapreduce.DistJob[graph.NodeID, nodeState, graph.NodeID, filterMsg, graph.NodeID, nodeState], error) {
-			var job mapreduce.DistJob[graph.NodeID, nodeState, graph.NodeID, filterMsg, graph.NodeID, nodeState]
-			y, layer, threshold, err := decodeStackParams(params)
+		func(params []byte) (mapreduce.DistJob[graph.NodeID, stackNode, graph.NodeID, dualMsg, graph.NodeID, stackNode], error) {
+			var job mapreduce.DistJob[graph.NodeID, stackNode, graph.NodeID, dualMsg, graph.NodeID, stackNode]
+			layer, threshold, err := decodeStackParams(params)
 			if err != nil {
 				return job, err
 			}
-			job.Map, job.StateReduce = stackFilterMap(y), stackFilterReduce(y, layerSet(layer), threshold)
+			job.Map, job.StateReduce = stackFilterMap, stackFilterReduce(layerSet(layer), threshold)
 			return job, nil
 		})
 	for _, s := range mmStages {
@@ -67,8 +67,8 @@ func RegisterDistJobs(g *graph.Bipartite) {
 			})
 	}
 	mapreduce.RegisterDistJob("mm-cleanup",
-		func([]byte) (mapreduce.DistJob[graph.NodeID, mmNode, graph.NodeID, edgeMsg, graph.NodeID, mmOut], error) {
-			return mapreduce.DistJob[graph.NodeID, mmNode, graph.NodeID, edgeMsg, graph.NodeID, mmOut]{
+		func([]byte) (mapreduce.DistJob[graph.NodeID, mmNode, graph.NodeID, edgeMsg, graph.NodeID, mmNode], error) {
+			return mapreduce.DistJob[graph.NodeID, mmNode, graph.NodeID, edgeMsg, graph.NodeID, mmNode]{
 				Map:         cleanupMap,
 				StateReduce: cleanupReduce(g.NumEdges()),
 			}, nil
@@ -78,16 +78,13 @@ func RegisterDistJobs(g *graph.Bipartite) {
 	mapreduce.RegisterDistReduce("strict-sublayer-filter", sublayerMaxReduce)
 }
 
-// encodeStackParams packs the per-round state the stack jobs close
-// over: the dual variables, the stacked layer, and the weakly-covered
-// threshold. Floats travel as raw bits — the workers must fold the
-// exact values the coordinator holds, or bit-identity dies.
-func encodeStackParams(y []float64, layer []int32, threshold float64) []byte {
-	buf := binary.AppendUvarint(nil, uint64(len(y)))
-	for _, v := range y {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(layer)))
+// encodeStackParams packs what the stack jobs close over: the stacked
+// layer and the weakly-covered threshold. The duals they read are in the
+// records, so the parameters do not grow with the graph. The threshold
+// travels as raw bits — the workers must compare against the exact value
+// the coordinator holds, or bit-identity dies.
+func encodeStackParams(layer []int32, threshold float64) []byte {
+	buf := binary.AppendUvarint(nil, uint64(len(layer)))
 	for _, ei := range layer {
 		buf = binary.AppendVarint(buf, int64(ei))
 	}
@@ -97,21 +94,17 @@ func encodeStackParams(y []float64, layer []int32, threshold float64) []byte {
 // decodeStackParams is the worker-side inverse of encodeStackParams. Like
 // every decoder here it accepts exactly what its encoder writes
 // (FuzzJobParams).
-func decodeStackParams(data []byte) (y []float64, layer []int32, threshold float64, err error) {
+func decodeStackParams(data []byte) (layer []int32, threshold float64, err error) {
 	r := &spillReader{data: data}
-	y = make([]float64, r.count(8))
-	for i := range y {
-		y[i] = r.float()
-	}
 	layer = make([]int32, r.count(1))
 	for i := range layer {
 		layer[i] = r.id()
 	}
 	threshold = r.float()
 	if err := r.err("stack job parameters"); err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
-	return y, layer, threshold, nil
+	return layer, threshold, nil
 }
 
 // encodeMMParams packs what the maximal-matching stage maps close over:

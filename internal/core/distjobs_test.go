@@ -13,12 +13,13 @@ import (
 // maximal-matching stages ship to the dist workers decode to exactly what
 // was encoded, and anything their encoders never write is refused — the
 // stack decoder used to truncate a layer id past 32 bits to its low half
-// and accept padded varints.
+// and accept padded varints. The stack parameters carry no duals: those
+// live in the records.
 func TestJobParamsRefuseMalformed(t *testing.T) {
-	stack := encodeStackParams([]float64{0.5, -1}, []int32{3, 70000, -2}, 0.2)
-	y, layer, threshold, err := decodeStackParams(stack)
-	if err != nil || !reflect.DeepEqual(y, []float64{0.5, -1}) || !reflect.DeepEqual(layer, []int32{3, 70000, -2}) || threshold != 0.2 {
-		t.Fatalf("stack params round trip: %v %v %v, %v", y, layer, threshold, err)
+	stack := encodeStackParams([]int32{3, 70000, -2}, 0.2)
+	layer, threshold, err := decodeStackParams(stack)
+	if err != nil || !reflect.DeepEqual(layer, []int32{3, 70000, -2}) || threshold != 0.2 {
+		t.Fatalf("stack params round trip: %v %v, %v", layer, threshold, err)
 	}
 	mmCfg := maximalConfig{strategy: MarkHeaviest, seed: -1 << 40}
 	mm := encodeMMParams(mmCfg, 17)
@@ -26,7 +27,7 @@ func TestJobParamsRefuseMalformed(t *testing.T) {
 		t.Fatalf("mm params round trip: %+v %d, %v", cfg, iter, err)
 	}
 
-	pastInt32 := binary.AppendVarint([]byte{0, 1}, 1<<33) // no duals, one layer edge
+	pastInt32 := binary.AppendVarint([]byte{1}, 1<<33) // one layer edge
 	pastInt32 = binary.LittleEndian.AppendUint64(pastInt32, math.Float64bits(0.2))
 	for _, tc := range []struct {
 		name  string
@@ -36,7 +37,7 @@ func TestJobParamsRefuseMalformed(t *testing.T) {
 		{"stack/truncated", true, stack[:len(stack)-1]},
 		{"stack/trailing-byte", true, append(stack[:len(stack):len(stack)], 0)},
 		{"stack/id-past-32-bits", true, pastInt32},
-		{"stack/padded-varint", true, append([]byte{0x82, 0x00}, stack[1:]...)},
+		{"stack/padded-varint", true, append([]byte{0x83, 0x00}, stack[1:]...)},
 		{"stack/empty", true, nil},
 		{"mm/truncated", false, mm[:len(mm)-1]},
 		{"mm/trailing-byte", false, append(mm[:len(mm):len(mm)], 0)},
@@ -46,7 +47,7 @@ func TestJobParamsRefuseMalformed(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.stack {
-				_, _, _, err = decodeStackParams(tc.data)
+				_, _, err = decodeStackParams(tc.data)
 			} else {
 				_, _, err = decodeMMParams(tc.data)
 			}
@@ -66,11 +67,11 @@ func FuzzJobParams(f *testing.F) {
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
 		var back []byte
 		if kind%2 == 0 {
-			y, layer, threshold, err := decodeStackParams(data)
+			layer, threshold, err := decodeStackParams(data)
 			if err != nil {
 				return
 			}
-			back = encodeStackParams(y, layer, threshold)
+			back = encodeStackParams(layer, threshold)
 		} else {
 			cfg, iter, err := decodeMMParams(data)
 			if err != nil {

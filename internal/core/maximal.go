@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 
 	"repro/internal/graph"
@@ -67,12 +66,15 @@ type mmNode struct {
 	Adj []mmEdge
 }
 
-// mmOut is the cleanup-stage output: the node's next-iteration record
-// (nil when saturated or isolated) plus matched edges reported by their
-// item-side endpoint.
-type mmOut struct {
-	state   *mmNode
-	matched []int32
+// flagged is the record a maximal matching over capacity b and adjacency
+// adj starts from: no flag set, in a fresh adjacency array the stages then
+// own.
+func flagged(b int, adj []half) mmNode {
+	out := make([]mmEdge, len(adj))
+	for i, h := range adj {
+		out[i] = mmEdge{half: h}
+	}
+	return mmNode{B: b, Adj: out}
 }
 
 // MarkingStrategy selects which edges a node marks in the marking stage.
@@ -132,31 +134,22 @@ func nodeRand(seed int64, v graph.NodeID, iter int) *rand.Rand {
 	return rand.New(src)
 }
 
-// maximalBMatching computes a maximal b-matching over the node-view
-// Dataset recs (whose B fields hold the per-layer capacities), running
-// its jobs under the given driver. All four stages of every iteration
-// chain partition-resident — on dist, on the workers: each consumes the
-// previous one's output where it resides, and only the per-edge flag
-// messages cross partitions. The driver fetches the cleanup stage's
-// output, the one it folds. It returns the matched edge ids.
+// maximalBMatching computes a maximal b-matching over the flagged node
+// records start (see flagged), running its jobs under the given driver,
+// and returns the matched edge ids. start is the loop's first state, which
+// the loop consumes. Every iteration chains partition-resident — on dist,
+// on the workers: each stage consumes the previous one's output where it
+// resides, the cleanup stage's output is the next iteration's input, and
+// only the per-edge flag messages cross partitions. The matched edge ids
+// come back as the cleanup stage's side output.
 func maximalBMatching(
 	ctx context.Context,
 	driver *mapreduce.Driver,
-	recs *mapreduce.Dataset[graph.NodeID, nodeState],
+	start *mapreduce.Dataset[graph.NodeID, mmNode],
 	cfg maximalConfig,
 ) ([]int32, error) {
-	// Convert to the flagged representation: key-preserving, into fresh
-	// adjacency arrays, which the stages then own.
-	start := mapreduce.MapValues(recs, func(_ graph.NodeID, s nodeState) (mmNode, bool) {
-		adj := make([]mmEdge, len(s.Adj))
-		for i, h := range s.Adj {
-			adj[i] = mmEdge{half: h}
-		}
-		return mmNode{B: s.B, Adj: adj}, true
-	})
-
 	var matched []int32
-	_, err := mapreduce.Loop(ctx, driver, start, func(
+	final, err := mapreduce.Loop(ctx, driver, start, func(
 		ctx context.Context, iter int, cur *mapreduce.Dataset[graph.NodeID, mmNode],
 	) (*mapreduce.Dataset[graph.NodeID, mmNode], error) {
 		params := func() []byte { return encodeMMParams(cfg, iter) }
@@ -176,14 +169,21 @@ func maximalBMatching(
 			}
 			st = out
 		}
-		next, found, err := mmCleanup(ctx, driver, st, cfg.numEdges)
+		next, err := runNodeJob(ctx, driver, "mm-cleanup", nil, st, cleanupMap, cleanupReduce(cfg.numEdges))
 		st.Recycle()
 		if err != nil {
 			return nil, err
 		}
-		matched = append(matched, found...)
+		for _, part := range next.Side() {
+			for _, ei := range part {
+				matched = append(matched, int32(ei))
+			}
+		}
 		return next, nil
 	})
+	// The final state is empty at the fixed point; on dist it is still
+	// registered on the cluster.
+	final.Recycle()
 	return matched, err
 }
 
@@ -334,33 +334,6 @@ func unifyReduce(stage string, numEdges int) mapreduce.StateReduceFunc[graph.Nod
 	}
 }
 
-// mmCleanup runs the cleanup stage: matched edges leave the graph and are
-// reported, capacities decrease, saturated nodes die and their remaining
-// edges are removed from the neighbors' views.
-func mmCleanup(
-	ctx context.Context,
-	driver *mapreduce.Driver,
-	cur *mapreduce.Dataset[graph.NodeID, mmNode],
-	numEdges int,
-) (next *mapreduce.Dataset[graph.NodeID, mmNode], matched []int32, err error) {
-	out, err := runNodeJob(ctx, driver, "mm-cleanup", nil, cur, cleanupMap, cleanupReduce(numEdges))
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := out.Materialize(); err != nil {
-		return nil, nil, fmt.Errorf("core: mm-cleanup: %w", err)
-	}
-	next = mapreduce.MapValues(out, func(_ graph.NodeID, o mmOut) (mmNode, bool) {
-		matched = append(matched, o.matched...)
-		if o.state == nil {
-			return mmNode{}, false
-		}
-		return *o.state, true
-	})
-	out.Recycle()
-	return next, matched, nil
-}
-
 // cleanupMap tells every neighbor it keeps an edge to — all but the F
 // edges, which join the matching — whether this node is still alive once
 // they did, and reports its matched edges to itself. Matched edges are
@@ -389,20 +362,21 @@ func cleanupMap(v graph.NodeID, st mmNode, out mapreduce.Emitter[graph.NodeID, e
 	return nil
 }
 
-// cleanupReduce assembles the next-iteration record: it drops the F
-// edges, decrements the capacity by their count, keeps only edges whose
-// other endpoint is still alive, clears their flags, and forwards the
-// node's matched-edge reports. A message for a non-F edge of the node's
-// own adjacency is an alive-beacon from the neighbor; any other message is
-// this node's own matched-edge report (matched edges leave both
-// endpoints' views, so the neighbor never beacons them). The non-F edges
-// are stamped into a borrowed edge-mark table (markSeen) and the beacons
-// onto it (markFlag), so telling the two kinds of message apart is one
-// byte read per message. The emitted state is the record itself, which
-// the job consumes; the driver folds the output before it releases the
-// input.
-func cleanupReduce(numEdges int) mapreduce.StateReduceFunc[graph.NodeID, mmNode, edgeMsg, graph.NodeID, mmOut] {
-	return func(v graph.NodeID, state *mmNode, msgs []edgeMsg, out mapreduce.Emitter[graph.NodeID, mmOut]) error {
+// cleanupReduce is the cleanup stage's reduce: matched edges leave the
+// graph and are reported, capacities decrease, saturated nodes die and
+// their remaining edges are removed from the neighbors' views. It drops
+// the F edges, decrements the capacity by their count, keeps only edges
+// whose other endpoint is still alive, clears their flags, and emits the
+// record — the next iteration's input — unless the node is saturated or
+// isolated. The node's matched-edge reports go to the side output. A
+// message for a non-F edge of the node's own adjacency is an alive-beacon
+// from the neighbor; any other message is this node's own matched-edge
+// report (matched edges leave both endpoints' views, so the neighbor
+// never beacons them). The non-F edges are stamped into a borrowed
+// edge-mark table (markSeen) and the beacons onto it (markFlag), so
+// telling the two kinds of message apart is one byte read per message.
+func cleanupReduce(numEdges int) mapreduce.StateReduceFunc[graph.NodeID, mmNode, edgeMsg, graph.NodeID, mmNode] {
+	return func(v graph.NodeID, state *mmNode, msgs []edgeMsg, out mapreduce.Emitter[graph.NodeID, mmNode]) error {
 		if state == nil {
 			return nil
 		}
@@ -414,7 +388,6 @@ func cleanupReduce(numEdges int) mapreduce.StateReduceFunc[graph.NodeID, mmNode,
 				marks[e.ID] = markSeen
 			}
 		}
-		res := mmOut{}
 		for _, m := range msgs {
 			switch {
 			case marks[m.edge()] != 0:
@@ -422,7 +395,7 @@ func cleanupReduce(numEdges int) mapreduce.StateReduceFunc[graph.NodeID, mmNode,
 					marks[m.edge()] |= markFlag
 				}
 			case m.flag():
-				res.matched = append(res.matched, m.edge())
+				out.(mapreduce.SideEmitter).EmitSide(uint64(m.edge()))
 			}
 		}
 		kept := state.Adj[:0]
@@ -438,10 +411,7 @@ func cleanupReduce(numEdges int) mapreduce.StateReduceFunc[graph.NodeID, mmNode,
 		}
 		state.Adj = kept
 		if state.B > 0 && len(state.Adj) > 0 {
-			res.state = state
-		}
-		if res.state != nil || len(res.matched) > 0 {
-			out.Emit(v, res)
+			out.Emit(v, *state)
 		}
 		return nil
 	}

@@ -17,12 +17,20 @@ func runMaximal(t *testing.T, g *graph.Bipartite, strategy MarkingStrategy, seed
 	if err != nil {
 		t.Fatal(err)
 	}
-	matched, err := maximalBMatching(context.Background(), driver, recs,
+	matched, err := maximalBMatching(context.Background(), driver, flaggedView(recs),
 		maximalConfig{strategy: strategy, seed: seed, numEdges: g.NumEdges()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return NewMatching(g, matched)
+}
+
+// flaggedView is the start of a maximal matching over a node view at the
+// view's own capacities.
+func flaggedView(recs *mapreduce.Dataset[graph.NodeID, nodeState]) *mapreduce.Dataset[graph.NodeID, mmNode] {
+	return mapreduce.MapValues(recs, func(_ graph.NodeID, s nodeState) (mmNode, bool) {
+		return flagged(s.B, s.Adj), true
+	})
 }
 
 func TestMaximalMatchingFeasible(t *testing.T) {

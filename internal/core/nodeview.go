@@ -23,7 +23,7 @@ import (
 // runNodeJob): the node's record stays in its partition and its reduce is
 // handed it there, so only the decisions cross the shuffle — as edgeMsg
 // scalars for GreedyMR and the maximal-matching stages, as an edge id and
-// a float for the stack algorithms' dual update and filter.
+// a float (dualMsg) for the stack algorithms' dual update and filter.
 
 // half is one endpoint's view of an incident edge.
 type half struct {
@@ -212,16 +212,4 @@ func topByWeight(adj []half, k int) []int32 {
 		idx = idx[:k]
 	}
 	return idx
-}
-
-// countLiveEdges sums adjacency lengths over a node-view Dataset; every
-// live edge is counted once per endpoint, so the result is twice the
-// edge count for a consistent view. It scans every record, so the round
-// loops use Dataset.Len as their fixed-point test instead (sound
-// because every record of a node view carries at least one live edge)
-// and reach for this only on error paths.
-func countLiveEdges(recs *mapreduce.Dataset[graph.NodeID, nodeState]) int {
-	total := 0
-	recs.Each(func(_ graph.NodeID, s nodeState) { total += len(s.Adj) })
-	return total
 }

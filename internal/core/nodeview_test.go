@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/mapreduce"
 )
 
 func TestTopByWeight(t *testing.T) {
@@ -93,4 +94,13 @@ func TestDedupe(t *testing.T) {
 	if got := dedupe(nil); len(got) != 0 {
 		t.Errorf("dedupe(nil) = %v", got)
 	}
+}
+
+// countLiveEdges sums adjacency lengths over a node-view Dataset; every
+// live edge is counted once per endpoint, so the result is twice the
+// edge count for a consistent view.
+func countLiveEdges(recs *mapreduce.Dataset[graph.NodeID, nodeState]) int {
+	total := 0
+	recs.Each(func(_ graph.NodeID, s nodeState) { total += len(s.Adj) })
+	return total
 }

@@ -15,20 +15,17 @@ import (
 // gives the matching algorithms' value types that compact binary form,
 // so that GreedyMR, StackMR, StackGreedyMR and StackMRStrict run
 // unchanged on every backend. Every node-view job is a state job, so no
-// shuffled message carries a node's state: the stack jobs' dualMsg and
-// filterMsg are an edge id plus a float, and edgeMsg, the message of
-// GreedyMR and the maximal-matching stages, is a scalar that takes the
-// codec's int32 column without coming here. What remains are the states
-// (nodeState, mmNode) and the cleanup stage's output (mmOut).
+// shuffled message carries a node's state: the stack jobs' dualMsg is an
+// edge id plus a float, and edgeMsg, the message of GreedyMR and the
+// maximal-matching stages, is a scalar that takes the codec's int32
+// column without coming here. What remains are the records the jobs keep
+// resident and emit (nodeState, stackNode, mmNode).
 //
 // Every type encodes through AppendBinary (encoding.BinaryAppender),
 // which the engine's codec calls with its column scratch, so encoding a
 // record allocates nothing; MarshalBinary is AppendBinary(nil). A struct
 // has no lane in the engine's codec: without these methods a job over
 // these types is refused off the memory backend.
-
-// tagState marks an mmOut that carries the node's next-iteration state.
-const tagState = 1 << 0
 
 // --- shared pieces -----------------------------------------------------
 
@@ -180,8 +177,8 @@ func (r *spillReader) nodeState() nodeState {
 	return st
 }
 
-func (r *spillReader) mmNode() *mmNode {
-	st := &mmNode{B: int(r.varint())}
+func (r *spillReader) mmNode() mmNode {
+	st := mmNode{B: int(r.varint())}
 	n := r.count(minHalfBytes + 1)
 	if r.bad {
 		return st
@@ -210,25 +207,12 @@ func (r *spillReader) err(what string) error {
 	return nil
 }
 
-// --- dualMsg / filterMsg -----------------------------------------------
-
-// appendEdgeValueMsg encodes the shared shape of dualMsg and filterMsg:
-// (edge, yOverB).
-func appendEdgeValueMsg(buf []byte, edge int32, yOverB float64) []byte {
-	buf = binary.AppendVarint(buf, int64(edge))
-	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(yOverB))
-}
-
-func unmarshalEdgeValueMsg(data []byte, what string) (int32, float64, error) {
-	r := &spillReader{data: data}
-	edge := r.id()
-	y := r.float()
-	return edge, y, r.err(what)
-}
+// --- dualMsg ------------------------------------------------------------
 
 // AppendBinary implements encoding.BinaryAppender.
 func (m dualMsg) AppendBinary(buf []byte) ([]byte, error) {
-	return appendEdgeValueMsg(buf, m.edge, m.yOverB), nil
+	buf = binary.AppendVarint(buf, int64(m.edge))
+	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.yOverB)), nil
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
@@ -236,24 +220,9 @@ func (m dualMsg) MarshalBinary() ([]byte, error) { return m.AppendBinary(nil) }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *dualMsg) UnmarshalBinary(data []byte) error {
-	edge, y, err := unmarshalEdgeValueMsg(data, "dualMsg")
-	*m = dualMsg{edge: edge, yOverB: y}
-	return err
-}
-
-// AppendBinary implements encoding.BinaryAppender.
-func (m filterMsg) AppendBinary(buf []byte) ([]byte, error) {
-	return appendEdgeValueMsg(buf, m.edge, m.yOverB), nil
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m filterMsg) MarshalBinary() ([]byte, error) { return m.AppendBinary(nil) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *filterMsg) UnmarshalBinary(data []byte) error {
-	edge, y, err := unmarshalEdgeValueMsg(data, "filterMsg")
-	*m = filterMsg{edge: edge, yOverB: y}
-	return err
+	r := &spillReader{data: data}
+	*m = dualMsg{edge: r.id(), yOverB: r.float()}
+	return r.err("dualMsg")
 }
 
 // --- reduce-output types -----------------------------------------------
@@ -290,53 +259,22 @@ func (s mmNode) MarshalBinary() ([]byte, error) { return s.AppendBinary(nil) }
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (s *mmNode) UnmarshalBinary(data []byte) error {
 	r := &spillReader{data: data}
-	*s = *r.mmNode()
+	*s = r.mmNode()
 	return r.err("mmNode")
 }
 
-func appendInt32s(buf []byte, xs []int32) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(xs)))
-	for _, x := range xs {
-		buf = binary.AppendVarint(buf, int64(x))
-	}
-	return buf
-}
-
-func (r *spillReader) int32s() []int32 {
-	n := r.count(1)
-	if n == 0 {
-		return nil
-	}
-	xs := make([]int32, 0, n)
-	for i := 0; i < n && !r.bad; i++ {
-		xs = append(xs, r.id())
-	}
-	return xs
-}
-
 // AppendBinary implements encoding.BinaryAppender.
-func (o mmOut) AppendBinary(buf []byte) ([]byte, error) {
-	var tag byte
-	if o.state != nil {
-		tag = tagState
-	}
-	buf = appendInt32s(append(buf, tag), o.matched)
-	if o.state != nil {
-		buf = appendMMNode(buf, o.state)
-	}
-	return buf, nil
+func (s stackNode) AppendBinary(buf []byte) ([]byte, error) {
+	buf = appendNodeState(buf, &s.nodeState)
+	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.Y)), nil
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
-func (o mmOut) MarshalBinary() ([]byte, error) { return o.AppendBinary(nil) }
+func (s stackNode) MarshalBinary() ([]byte, error) { return s.AppendBinary(nil) }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (o *mmOut) UnmarshalBinary(data []byte) error {
+func (s *stackNode) UnmarshalBinary(data []byte) error {
 	r := &spillReader{data: data}
-	tag := r.tag(tagState)
-	*o = mmOut{matched: r.int32s()}
-	if tag&tagState != 0 {
-		o.state = r.mmNode()
-	}
-	return r.err("mmOut")
+	*s = stackNode{nodeState: r.nodeState(), Y: r.float()}
+	return r.err("stackNode")
 }

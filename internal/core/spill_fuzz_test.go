@@ -12,36 +12,32 @@ import (
 // or a value whose AppendBinary reproduces the input byte for byte (so
 // nothing a decoder accepts is silently a different message); never a
 // panic, and never a slice sized from a count the remaining bytes could
-// not back. kind selects the type. The checked-in corpus under
-// testdata/fuzz/FuzzCoreMessageDecode is the cases of
-// TestMessageCodecsRoundTrip and TestMessageCodecsRejectCorruptData plus
-// the shapes the strict reader exists for: a padded varint, an id past
-// 32 bits, an unknown tag or flag bit, an over-declared adjacency count —
-// and, as dualMsg-self and filterMsg-self, the self-message bytes those
-// two types had while they still carried the node's state, which must be
-// refused, not read as some edge's message. (edgeMsg, the message of
-// GreedyMR and the maximal-matching stages, is an int32 and has no
-// decoder of its own.)
+// not back. kind selects the type: dualMsg, stackNode, nodeState, mmNode.
+// The checked-in corpus under testdata/fuzz/FuzzCoreMessageDecode is the
+// cases of TestMessageCodecsRoundTrip and TestMessageCodecsRejectCorruptData
+// plus the shapes the strict reader exists for: a padded varint, an id
+// past 32 bits, an unknown flag bit, an over-declared adjacency count —
+// and the bytes of types since merged or deleted, fed to their
+// successors' decoders: as dualMsg-self and filterMsg-self, the
+// self-message bytes dualMsg and filterMsg had while they still carried
+// the node's state, which must be refused, not read as some edge's
+// message; as filterMsg-edge, a filterMsg, which is a dualMsg now; as
+// mmOut-* and unknown-tag-bit, the cleanup stage's output before it
+// became an mmNode.
+// (edgeMsg, the message of GreedyMR and the maximal-matching stages, is an
+// int32 and has no decoder of its own.)
 func FuzzCoreMessageDecode(f *testing.F) {
 	heldState := func(st *nodeState) int { return cap(st.Adj) * minHalfBytes }
-	heldNode := func(st *mmNode) int {
-		if st == nil {
-			return 0
-		}
-		return cap(st.Adj) * (minHalfBytes + 1)
-	}
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
-		switch kind % 5 {
+		switch kind % 4 {
 		case 0:
 			fuzzMessage(t, data, func(*dualMsg) int { return 0 })
 		case 1:
-			fuzzMessage(t, data, func(*filterMsg) int { return 0 })
+			fuzzMessage(t, data, func(st *stackNode) int { return heldState(&st.nodeState) })
 		case 2:
 			fuzzMessage(t, data, heldState)
 		case 3:
-			fuzzMessage(t, data, heldNode)
-		case 4:
-			fuzzMessage(t, data, func(o *mmOut) int { return cap(o.matched) + heldNode(o.state) })
+			fuzzMessage(t, data, func(st *mmNode) int { return cap(st.Adj) * (minHalfBytes + 1) })
 		}
 	})
 }

@@ -84,15 +84,15 @@ func TestAlgorithmsIdenticalAcrossShuffleBackends(t *testing.T) {
 }
 
 // TestMessageCodecsRoundTrip exercises the MarshalBinary/UnmarshalBinary
-// pairs directly: the two shuffled messages that have a codec of their
-// own, and the states and the cleanup output the dist backend keeps
-// resident — among them mmOut with and without the state whose presence
-// bit the driver branches on.
+// pairs directly: the one shuffled message that has a codec of its own,
+// and the records the dist backend keeps resident — among them the
+// mmNode the cleanup stage emits, flags cleared, ids of any sign.
 func TestMessageCodecsRoundTrip(t *testing.T) {
 	mm := &mmNode{B: 2, Adj: []mmEdge{
 		{half: half{ID: 1, Other: 4, W: 2.5}, markedBySelf: true, selByOther: true},
 		{half: half{ID: 2, Other: 5, W: 0}, inF: true, markedByOther: true, selBySelf: true},
 	}}
+	adj := []half{{ID: 7, Other: 12, W: 1.25}, {ID: 9, Other: 0, W: -0.5}}
 	cases := []struct {
 		name string
 		in   interface {
@@ -103,11 +103,11 @@ func TestMessageCodecsRoundTrip(t *testing.T) {
 		}
 	}{
 		{"dualMsg-edge", dualMsg{edge: 6, yOverB: 0.75}, &dualMsg{}},
-		{"filterMsg-edge", filterMsg{edge: 2, yOverB: -1.5}, &filterMsg{}},
-		{"nodeState", nodeState{B: 3, Adj: []half{{ID: 7, Other: 12, W: 1.25}, {ID: 9, Other: 0, W: -0.5}}}, &nodeState{}},
+		{"dualMsg-negative", dualMsg{edge: 2, yOverB: -1.5}, &dualMsg{}},
+		{"nodeState", nodeState{B: 3, Adj: adj}, &nodeState{}},
+		{"stackNode", stackNode{nodeState: nodeState{B: 3, Adj: adj}, Y: 0.1}, &stackNode{}},
 		{"mmNode", *mm, &mmNode{}},
-		{"mmOut-state", mmOut{state: mm, matched: []int32{4, -8000, 5}}, &mmOut{}},
-		{"mmOut-matched-only", mmOut{matched: []int32{5}}, &mmOut{}},
+		{"mmNode-cleanup-out", mmNode{B: 1, Adj: []mmEdge{{half: half{ID: -8000, Other: 4, W: 3}}, {half: half{ID: 5, Other: 1 << 30, W: 1}}}}, &mmNode{}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -147,7 +147,6 @@ func TestShuffledMessageSizes(t *testing.T) {
 	}{
 		{"edgeMsg", reflect.TypeFor[edgeMsg](), 4},
 		{"dualMsg", reflect.TypeFor[dualMsg](), 16},
-		{"filterMsg", reflect.TypeFor[filterMsg](), 16},
 	} {
 		if got := tc.typ.Size(); got > tc.max {
 			t.Errorf("%s is %d bytes, want at most %d: every shuffled record carries one", tc.name, got, tc.max)
@@ -181,21 +180,18 @@ func holdsPointer(t reflect.Type) bool {
 // TestMessageCodecsRejectCorruptData checks that damaged bytes surface as
 // an error instead of a silently wrong value — among them the bytes a
 // dualMsg had while it could still carry the node's state, which a worker
-// of an earlier protocol generation would send.
+// of an earlier protocol generation would send, and a stackNode cut short
+// of its dual.
 func TestMessageCodecsRejectCorruptData(t *testing.T) {
-	data, err := mmOut{state: &mmNode{B: 2, Adj: []mmEdge{{half: half{ID: 1, Other: 2, W: 3}}}}}.MarshalBinary()
+	data, err := mmNode{B: 2, Adj: []mmEdge{{half: half{ID: 1, Other: 2, W: 3}}}}.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var o mmOut
-	if err := o.UnmarshalBinary(data[:len(data)-3]); err == nil {
-		t.Error("truncated mmOut decoded without error")
-	}
 	var mm mmNode
-	if err := mm.UnmarshalBinary(data[2:]); err != nil {
-		t.Fatalf("the state inside an mmOut does not decode as an mmNode: %v", err)
+	if err := mm.UnmarshalBinary(data[:len(data)-3]); err == nil {
+		t.Error("truncated mmNode decoded without error")
 	}
-	if err := mm.UnmarshalBinary(append(data[2:len(data)-1:len(data)-1], 1<<5)); err == nil {
+	if err := mm.UnmarshalBinary(append(data[:len(data)-1:len(data)-1], 1<<5)); err == nil {
 		t.Error("an mmEdge with an unknown flag bit decoded without error")
 	}
 	edge, err := dualMsg{edge: 6, yOverB: 0.75}.MarshalBinary()
@@ -212,5 +208,9 @@ func TestMessageCodecsRejectCorruptData(t *testing.T) {
 	}
 	if err := d.UnmarshalBinary(append([]byte{1}, state...)); err == nil {
 		t.Error("a dualMsg carrying a node state decoded without error")
+	}
+	var sn stackNode
+	if err := sn.UnmarshalBinary(state); err == nil {
+		t.Error("a nodeState without its dual decoded as a stackNode")
 	}
 }

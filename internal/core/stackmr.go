@@ -33,13 +33,26 @@ type StackOptions struct {
 	MaxRounds int
 }
 
-func (o *StackOptions) setDefaults(g *graph.Bipartite) {
+func (o *StackOptions) setDefaults(g *graph.Bipartite) error {
+	if err := CheckEps(o.Eps); err != nil {
+		return err
+	}
 	if o.Eps == 0 {
 		o.Eps = 1
 	}
 	if o.MaxRounds == 0 {
 		o.MaxRounds = 64*g.NumEdges() + 256
 	}
+	return nil
+}
+
+// CheckEps refuses an ε the stack algorithms cannot run with: a negative,
+// NaN or infinite one. Zero stands for the default, 1.
+func CheckEps(eps float64) error {
+	if eps < 0 || math.IsNaN(eps) || math.IsInf(eps, 0) {
+		return fmt.Errorf("core: eps %v is not a finite non-negative number", eps)
+	}
+	return nil
 }
 
 // StackMR computes a b-matching with the primal-dual stack algorithm of
@@ -62,30 +75,7 @@ func (o *StackOptions) setDefaults(g *graph.Bipartite) {
 // hold up to ⌈ε·b(v)⌉ edges of a node, the final degree can overshoot
 // b(v) — this is the (1+ε) violation that Figure 4 measures.
 func StackMR(ctx context.Context, g *graph.Bipartite, opts StackOptions) (*Result, error) {
-	opts.setDefaults(g)
-	if opts.Eps < 0 {
-		return nil, fmt.Errorf("core: negative eps %v", opts.Eps)
-	}
-	driver := mapreduce.NewDriver(opts.MR)
-	driver.MaxRounds = opts.MaxRounds
-
-	st := &stackState{g: g, opts: opts, y: make([]float64, g.NumNodes()),
-		delta: make(map[int32]float64)}
-	if err := st.push(ctx, driver); err != nil {
-		return nil, err
-	}
-	included, err := st.pop(ctx, driver)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Matching:    NewMatching(g, included),
-		Rounds:      driver.Rounds(),
-		Phases:      len(st.layers),
-		Shuffle:     driver.Total(),
-		RoundStats:  driver.Trace(),
-		Certificate: &DualCertificate{Y: st.y, Eps: opts.Eps, g: g},
-	}, nil
+	return runStack(ctx, g, opts, (*stackState).pop)
 }
 
 // StackGreedyMR is StackMR with the greedy marking strategy: in the
@@ -96,18 +86,55 @@ func StackGreedyMR(ctx context.Context, g *graph.Bipartite, opts StackOptions) (
 	return StackMR(ctx, g, opts)
 }
 
-// stackState carries the evolving algorithm state between jobs.
+// runStack runs the push phase the stack algorithms share, then the given
+// pop phase.
+func runStack(ctx context.Context, g *graph.Bipartite, opts StackOptions,
+	pop func(*stackState, context.Context, *mapreduce.Driver) ([]int32, error),
+) (*Result, error) {
+	if err := opts.setDefaults(g); err != nil {
+		return nil, err
+	}
+	driver := mapreduce.NewDriver(opts.MR)
+	driver.MaxRounds = opts.MaxRounds
+
+	st := &stackState{g: g, opts: opts, delta: make(map[int32]float64)}
+	y, err := st.push(ctx, driver)
+	if err != nil {
+		return nil, err
+	}
+	included, err := pop(st, ctx, driver)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{
+		Matching:    NewMatching(g, included),
+		Rounds:      driver.Rounds(),
+		Phases:      len(st.layers),
+		Shuffle:     driver.Total(),
+		RoundStats:  driver.Trace(),
+		Certificate: &DualCertificate{Y: y, Eps: opts.Eps, g: g},
+	}, nil
+}
+
+// stackState carries what the driver keeps between the push and the pop
+// phase.
 type stackState struct {
 	g    *graph.Bipartite
 	opts StackOptions
-	// y holds the dual variables, indexed by node.
-	y []float64
 	// layers holds the stacked edge ids, one slice per layer in push
 	// order.
 	layers [][]int32
 	// delta records δ(e) for every stacked edge; the strict variant
 	// (Algorithm 1) prioritizes overflow edges by these values.
 	delta map[int32]float64
+}
+
+// stackNode is the push phase's per-node record: the node view, B the
+// node's capacity b(v) throughout, and the node's dual variable y_v, which
+// stack-update raises where the record resides.
+type stackNode struct {
+	nodeState
+	Y float64
 }
 
 // layerCap returns the per-layer capacity ⌈ε·b(v)⌉ (at least 1 for nodes
@@ -123,104 +150,85 @@ func (st *stackState) layerCap(b int) int {
 	return lc
 }
 
-// push runs the push phase: maximal matching, dual update, weakly-covered
-// removal, until the working graph is empty.
+// push runs the push phase — maximal matching, dual update,
+// weakly-covered removal, until the working graph is empty — and returns
+// the final duals.
 //
-// The layer loop is a partition-resident dataflow: the node view is
-// built once, straight into its partitions, in incidence order (the dual
-// update sums in it; nodeDataset), and every job of every layer — the
-// maximal-matching stages, the dual update, the filter — consumes the
-// previous job's output partition-by-partition. The per-layer capacity
-// override is a key-preserving MapValues, so it never moves a record.
-// The fixed point (no live edges) coincides with an empty state because
-// the filter reduce emits only nodes that kept at least one edge.
-func (st *stackState) push(ctx context.Context, driver *mapreduce.Driver) error {
-	records, err := nodeDataset(st.g, driver.Partitions(), false)
+// The layer loop is a partition-resident dataflow over stackNode records,
+// built once from the node view (in incidence order, which the dual
+// update sums in; nodeDataset). A layer's maximal matching starts from a
+// flagged copy of the records at the layer's capacities and chains its
+// stages where they reside; stack-update consumes the layer's entry
+// records and raises each node's Y in its record, and stack-filter
+// consumes stack-update's output and emits the next layer's records. What
+// the driver needs comes back as side output: the matched edge ids, δ(e)
+// of every stacked edge, and the final Y of every node that leaves the
+// working graph. The fixed point (no live edges) coincides with an empty
+// state because the filter reduce emits only nodes that kept at least one
+// edge, so every node with a record leaves through it.
+func (st *stackState) push(ctx context.Context, driver *mapreduce.Driver) ([]float64, error) {
+	view, err := nodeDataset(st.g, driver.Partitions(), false)
 	if err != nil {
-		return fmt.Errorf("core: stack push: %w", err)
+		return nil, fmt.Errorf("core: stack push: %w", err)
 	}
+	records := mapreduce.MapValues(view, func(_ graph.NodeID, s nodeState) (stackNode, bool) {
+		return stackNode{nodeState: s}, true
+	})
+	y := make([]float64, st.g.NumNodes())
+	threshold := 1.0 / (3 + 2*st.opts.Eps)
 	_, err = mapreduce.Loop(ctx, driver, records, func(
-		ctx context.Context, layerNo int, recs *mapreduce.Dataset[graph.NodeID, nodeState],
-	) (*mapreduce.Dataset[graph.NodeID, nodeState], error) {
-		// Per-layer capacities for the maximal matching.
-		layerRecs := mapreduce.MapValues(recs, func(_ graph.NodeID, s nodeState) (nodeState, bool) {
-			return nodeState{B: st.layerCap(s.B), Adj: s.Adj}, true
+		ctx context.Context, layerNo int, recs *mapreduce.Dataset[graph.NodeID, stackNode],
+	) (*mapreduce.Dataset[graph.NodeID, stackNode], error) {
+		start := mapreduce.MapValues(recs, func(_ graph.NodeID, s stackNode) (mmNode, bool) {
+			return flagged(st.layerCap(s.B), s.Adj), true
 		})
-		layer, err := maximalBMatching(ctx, driver, layerRecs, maximalConfig{
+		layer, err := maximalBMatching(ctx, driver, start, maximalConfig{
 			strategy: st.opts.Strategy,
 			seed:     st.opts.Seed + int64(layerNo)*7919,
 			numEdges: st.g.NumEdges(),
 		})
-		layerRecs.Recycle() // consumed by the matching's flagged view
 		if err != nil {
 			return nil, fmt.Errorf("core: stack push layer %d: %w", layerNo, err)
 		}
 		if len(layer) == 0 {
 			// A maximal matching over a non-empty graph is non-empty;
 			// guard against an impossible stall anyway.
-			return nil, fmt.Errorf("core: stack push layer %d: empty maximal matching over %d live half-edges",
-				layerNo, countLiveEdges(recs))
+			return nil, fmt.Errorf("core: stack push layer %d: empty maximal matching over %d live nodes",
+				layerNo, recs.Len())
 		}
-		st.layers = append(st.layers, layer)
-		// Record δ(e) from the pre-layer duals (the same values the
-		// update job's reducers compute).
-		for _, ei := range layer {
-			e := st.g.Edge(int(ei))
-			bu := float64(intCap(st.g, e.Item))
-			bv := float64(intCap(st.g, e.Consumer))
-			st.delta[ei] = (e.Weight - st.y[e.Item]/bu - st.y[e.Consumer]/bv) / 2
-		}
-
+		inLayer := layerSet(layer)
 		// Dual update job: δ contributions flow along layer edges.
-		if err := st.updateDuals(ctx, driver, recs, layer); err != nil {
+		updated, err := runNodeJob(ctx, driver, "stack-update", func() []byte { return encodeStackParams(layer, 0) },
+			recs, dualUpdateMap(inLayer), dualUpdateReduce)
+		if err != nil {
 			return nil, err
 		}
+		sidePairs(updated.Side(), func(ei int32, d float64) { st.delta[ei] = d })
 		// Filter job: stacked edges leave the graph, weakly covered
 		// edges are removed.
-		return st.filterEdges(ctx, driver, recs, layer)
+		next, err := runNodeJob(ctx, driver, "stack-filter", func() []byte { return encodeStackParams(layer, threshold) },
+			updated, stackFilterMap, stackFilterReduce(inLayer, threshold))
+		updated.Recycle()
+		if err != nil {
+			return nil, err
+		}
+		// The next layer's flagged copy is built driver-side.
+		if err := next.Materialize(); err != nil {
+			return nil, fmt.Errorf("core: stack-filter: %w", err)
+		}
+		sidePairs(next.Side(), func(v int32, yv float64) { y[v] = yv })
+		st.layers = append(st.layers, layer)
+		return next, nil
 	})
-	return err
+	return y, err
 }
 
-// dualMsg carries y_u/b(u) of the sending endpoint along a layer edge.
+// dualMsg carries y_u/b(u) of the sending endpoint along an edge: its
+// pre-update dual along a layer edge in stack-update, its post-update
+// dual along every edge in stack-filter.
 type dualMsg struct {
 	edge   int32
 	yOverB float64
-}
-
-// updateDuals runs one MapReduce job in which every node raises its dual
-// variable by the sum of δ(e) over its layer edges, computed from the
-// pre-layer duals of both endpoints (all edges of a layer push in
-// parallel, as in the parallel algorithm of Section 5.2).
-//
-// The reducer sums the δ contributions in the node's own adjacency
-// order (messages are gathered into a per-edge map first), not in
-// message-arrival order: floating-point addition is order-sensitive,
-// and arrival order depends on how the input was split across map
-// tasks, which differs between an input consumed where it resides and
-// one that had to be re-partitioned. Summing in adjacency order makes
-// the duals bit-identical either way.
-//
-// A state job (mapreduce.RunStateDS): the map only reads the node's
-// record, which its reduce call is handed where it resides.
-func (st *stackState) updateDuals(
-	ctx context.Context,
-	driver *mapreduce.Driver,
-	records *mapreduce.Dataset[graph.NodeID, nodeState],
-	layer []int32,
-) error {
-	y := st.y
-	out, err := runNodeJob(ctx, driver, "stack-update", func() []byte { return encodeStackParams(y, layer, 0) },
-		records, dualUpdateMap(y, layerSet(layer)), dualUpdateReduce(y))
-	if err != nil {
-		return err
-	}
-	if err := out.Materialize(); err != nil {
-		return fmt.Errorf("core: stack-update: %w", err)
-	}
-	out.Each(func(v graph.NodeID, d float64) { st.y[v] += d })
-	out.Recycle()
-	return nil
 }
 
 // layerSet indexes a layer's edge ids.
@@ -232,13 +240,30 @@ func layerSet(layer []int32) map[int32]bool {
 	return inLayer
 }
 
+// emitSidePair reports (id, v) on a reduce's side output as two values:
+// the id, then v's bits.
+func emitSidePair[K comparable, V any](out mapreduce.Emitter[K, V], id int32, v float64) {
+	side := out.(mapreduce.SideEmitter)
+	side.EmitSide(uint64(uint32(id)))
+	side.EmitSide(math.Float64bits(v))
+}
+
+// sidePairs calls fn for every pair emitSidePair reported.
+func sidePairs(side [][]uint64, fn func(id int32, v float64)) {
+	for _, part := range side {
+		for i := 0; i+1 < len(part); i += 2 {
+			fn(int32(part[i]), math.Float64frombits(part[i+1]))
+		}
+	}
+}
+
 // dualUpdateMap builds the stack-update map: node v sends y_v/b(v) along
-// its layer edges. Like the reduces below it is a constructor so that a
+// its layer edges. It and stackFilterReduce are constructors so that a
 // dist worker rebuilds the exact closure from shipped parameters (see
 // RegisterDistJobs).
-func dualUpdateMap(y []float64, inLayer map[int32]bool) mapreduce.MapFunc[graph.NodeID, nodeState, graph.NodeID, dualMsg] {
-	return func(v graph.NodeID, s nodeState, out mapreduce.Emitter[graph.NodeID, dualMsg]) error {
-		yb := y[v] / float64(s.B)
+func dualUpdateMap(inLayer map[int32]bool) mapreduce.MapFunc[graph.NodeID, stackNode, graph.NodeID, dualMsg] {
+	return func(v graph.NodeID, s stackNode, out mapreduce.Emitter[graph.NodeID, dualMsg]) error {
+		yb := s.Y / float64(s.B)
 		for _, h := range s.Adj {
 			if inLayer[h.ID] {
 				out.Emit(h.Other, dualMsg{edge: h.ID, yOverB: yb})
@@ -248,94 +273,75 @@ func dualUpdateMap(y []float64, inLayer map[int32]bool) mapreduce.MapFunc[graph.
 	}
 }
 
-// dualUpdateReduce builds the stack-update reduce over the given duals:
-// node v raises y(v) by the sum of its layer edges' positive δ, folded
-// in adjacency order for bit-identical floats under any dataflow.
-func dualUpdateReduce(y []float64) mapreduce.StateReduceFunc[graph.NodeID, nodeState, dualMsg, graph.NodeID, float64] {
-	return func(v graph.NodeID, state *nodeState, msgs []dualMsg, out mapreduce.Emitter[graph.NodeID, float64]) error {
-		if state == nil {
-			return nil
-		}
-		otherYB := make(map[int32]float64, len(msgs))
-		for _, m := range msgs {
-			otherYB[m.edge] = m.yOverB
-		}
-		ybSelf := y[v] / float64(state.B)
-		var sumDelta float64
-		for _, h := range state.Adj {
-			yb, ok := otherYB[h.ID]
-			if !ok {
-				continue
-			}
-			delta := (h.W - ybSelf - yb) / 2
-			if delta > 0 {
-				sumDelta += delta
-			}
-		}
-		if sumDelta > 0 {
-			out.Emit(v, sumDelta)
-		}
+// dualUpdateReduce is the stack-update reduce: every node raises its
+// dual by the sum of δ(e) over its layer edges, computed from the
+// pre-layer duals of both endpoints (all edges of a layer push in
+// parallel, as in the parallel algorithm of Section 5.2), and emits its
+// record, which is stack-filter's input. δ(e) itself goes to the side
+// output from the edge's item side, the endpoint with the smaller id,
+// whose (w − y_item/b(item) − y_consumer/b(consumer))/2 is the formula's
+// own operand order.
+//
+// The sum runs in the node's own adjacency order (messages are gathered
+// into a per-edge map first), not in message-arrival order:
+// floating-point addition is order-sensitive, and arrival order depends
+// on how the input was split across map tasks. Summing in adjacency order
+// makes the duals bit-identical under any dataflow.
+func dualUpdateReduce(v graph.NodeID, state *stackNode, msgs []dualMsg, out mapreduce.Emitter[graph.NodeID, stackNode]) error {
+	if state == nil {
 		return nil
 	}
+	otherYB := make(map[int32]float64, len(msgs))
+	for _, m := range msgs {
+		otherYB[m.edge] = m.yOverB
+	}
+	ybSelf := state.Y / float64(state.B)
+	var sumDelta float64
+	for _, h := range state.Adj {
+		yb, ok := otherYB[h.ID]
+		if !ok {
+			continue
+		}
+		delta := (h.W - ybSelf - yb) / 2
+		if v < h.Other {
+			emitSidePair(out, h.ID, delta)
+		}
+		if delta > 0 {
+			sumDelta += delta
+		}
+	}
+	state.Y += sumDelta
+	out.Emit(v, *state)
+	return nil
 }
 
-// filterMsg carries the post-update y_u/b(u) of the sending endpoint
-// along every edge.
-type filterMsg struct {
-	edge   int32
-	yOverB float64
+// stackFilterMap is the stack-filter map: node v sends its post-update
+// y_v/b(v) along every edge.
+func stackFilterMap(v graph.NodeID, s stackNode, out mapreduce.Emitter[graph.NodeID, dualMsg]) error {
+	yb := s.Y / float64(s.B)
+	for _, h := range s.Adj {
+		out.Emit(h.Other, dualMsg{edge: h.ID, yOverB: yb})
+	}
+	return nil
 }
 
-// filterEdges runs one MapReduce job that removes stacked edges and
-// weakly covered edges (Definition 1) from the working graph. Both
+// stackFilterReduce builds the stack-filter reduce over the stacked layer
+// and the weakly-covered threshold: it removes stacked edges and weakly
+// covered edges (Definition 1) from the node's adjacency, in place. Both
 // endpoints evaluate the same inequality on the same values, so their
-// views stay consistent. A state job, like updateDuals.
-func (st *stackState) filterEdges(
-	ctx context.Context,
-	driver *mapreduce.Driver,
-	records *mapreduce.Dataset[graph.NodeID, nodeState],
-	layer []int32,
-) (*mapreduce.Dataset[graph.NodeID, nodeState], error) {
-	y := st.y
-	threshold := 1.0 / (3 + 2*st.opts.Eps)
-	out, err := runNodeJob(ctx, driver, "stack-filter", func() []byte { return encodeStackParams(y, layer, threshold) },
-		records, stackFilterMap(y), stackFilterReduce(y, layerSet(layer), threshold))
-	if err != nil {
-		return nil, err
-	}
-	if err := out.Materialize(); err != nil {
-		return nil, fmt.Errorf("core: stack-filter: %w", err)
-	}
-	// The reducer emits each surviving node under its own key, so the
-	// output Dataset is aligned as-is: it IS the next layer's input.
-	return out, nil
-}
-
-// stackFilterMap builds the stack-filter map: node v sends its
-// post-update y_v/b(v) along every edge.
-func stackFilterMap(y []float64) mapreduce.MapFunc[graph.NodeID, nodeState, graph.NodeID, filterMsg] {
-	return func(v graph.NodeID, s nodeState, out mapreduce.Emitter[graph.NodeID, filterMsg]) error {
-		yb := y[v] / float64(s.B)
-		for _, h := range s.Adj {
-			out.Emit(h.Other, filterMsg{edge: h.ID, yOverB: yb})
-		}
-		return nil
-	}
-}
-
-// stackFilterReduce builds the stack-filter reduce over the post-update
-// duals, the stacked layer, and the weakly-covered threshold.
-func stackFilterReduce(y []float64, inLayer map[int32]bool, threshold float64) mapreduce.StateReduceFunc[graph.NodeID, nodeState, filterMsg, graph.NodeID, nodeState] {
-	return func(v graph.NodeID, state *nodeState, msgs []filterMsg, out mapreduce.Emitter[graph.NodeID, nodeState]) error {
+// views stay consistent. A node left with no edge leaves the working
+// graph, reporting its final dual on the side output.
+func stackFilterReduce(inLayer map[int32]bool, threshold float64) mapreduce.StateReduceFunc[graph.NodeID, stackNode, dualMsg, graph.NodeID, stackNode] {
+	return func(v graph.NodeID, state *stackNode, msgs []dualMsg, out mapreduce.Emitter[graph.NodeID, stackNode]) error {
 		if state == nil {
 			return nil
 		}
-		ybSelf := y[v] / float64(state.B)
+		ybSelf := state.Y / float64(state.B)
 		otherYB := make(map[int32]float64, len(msgs))
 		for _, m := range msgs {
 			otherYB[m.edge] = m.yOverB
 		}
-		next := nodeState{B: state.B}
+		kept := state.Adj[:0]
 		for _, h := range state.Adj {
 			if inLayer[h.ID] {
 				continue // stacked: leaves the working graph
@@ -347,10 +353,13 @@ func stackFilterReduce(y []float64, inLayer map[int32]bool, threshold float64) m
 			if ybSelf+yb >= threshold*h.W-1e-15 {
 				continue // weakly covered: removed
 			}
-			next.Adj = append(next.Adj, h)
+			kept = append(kept, h)
 		}
-		if len(next.Adj) > 0 {
-			out.Emit(v, next)
+		state.Adj = kept
+		if len(kept) > 0 {
+			out.Emit(v, *state)
+		} else {
+			emitSidePair(out, int32(v), state.Y)
 		}
 		return nil
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"repro/internal/flow"
@@ -124,6 +125,41 @@ func TestStackMRNegativeEps(t *testing.T) {
 	g.AddEdge(0, 1, 1)
 	if _, err := StackMR(ctx, g, StackOptions{MR: testMR, Eps: -0.5}); err == nil {
 		t.Error("negative eps accepted")
+	}
+}
+
+// TestStackRejectsNonFiniteEps: every stack algorithm refuses an ε that
+// is negative, NaN or infinite with an error — a NaN threshold compares
+// false against every cover, so nothing would ever count as covered —
+// and accepts zero (the default) and any finite positive ε.
+func TestStackRejectsNonFiniteEps(t *testing.T) {
+	ctx := context.Background()
+	g := graph.NewBipartite(1, 1)
+	g.SetCapacity(0, 1)
+	g.SetCapacity(1, 1)
+	g.AddEdge(0, 1, 1)
+	algos := []struct {
+		name string
+		run  func(context.Context, *graph.Bipartite, StackOptions) (*Result, error)
+	}{
+		{"StackMR", StackMR}, {"StackGreedyMR", StackGreedyMR}, {"StackMRStrict", StackMRStrict},
+	}
+	for _, tc := range []struct {
+		eps float64
+		ok  bool
+	}{
+		{math.NaN(), false}, {math.Inf(1), false}, {math.Inf(-1), false}, {-0.5, false},
+		{0, true}, {0.25, true}, {3, true},
+	} {
+		if err := CheckEps(tc.eps); (err == nil) != tc.ok {
+			t.Errorf("CheckEps(%v) = %v", tc.eps, err)
+		}
+		for _, a := range algos {
+			_, err := a.run(ctx, g, StackOptions{MR: testMR, Eps: tc.eps})
+			if (err == nil) != tc.ok {
+				t.Errorf("%s with eps %v: err = %v", a.name, tc.eps, err)
+			}
+		}
 	}
 }
 

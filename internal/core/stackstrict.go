@@ -29,30 +29,7 @@ import (
 // round-count gap against StackMR. The result is strictly feasible
 // (Validate(1) passes).
 func StackMRStrict(ctx context.Context, g *graph.Bipartite, opts StackOptions) (*Result, error) {
-	opts.setDefaults(g)
-	if opts.Eps < 0 {
-		return nil, fmt.Errorf("core: negative eps %v", opts.Eps)
-	}
-	driver := mapreduce.NewDriver(opts.MR)
-	driver.MaxRounds = opts.MaxRounds
-
-	st := &stackState{g: g, opts: opts, y: make([]float64, g.NumNodes()),
-		delta: make(map[int32]float64)}
-	if err := st.push(ctx, driver); err != nil {
-		return nil, err
-	}
-	included, err := st.popStrict(ctx, driver)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Matching:    NewMatching(g, included),
-		Rounds:      driver.Rounds(),
-		Phases:      len(st.layers),
-		Shuffle:     driver.Total(),
-		RoundStats:  driver.Trace(),
-		Certificate: &DualCertificate{Y: st.y, Eps: opts.Eps, g: g},
-	}, nil
+	return runStack(ctx, g, opts, (*stackState).popStrict)
 }
 
 // popStrict runs the strict pop phase and the overflow-resolution phase.
@@ -242,8 +219,8 @@ func (st *stackState) resolveOverflow(
 
 		// Maximal b-matching over the sublayer with the residual
 		// capacities (line 21).
-		recs := mapreduce.PartitionDataset(overflowRecords(g, lbar, residual), driver.Partitions())
-		sublayer, err := maximalBMatching(ctx, driver, recs, maximalConfig{
+		start := mapreduce.PartitionDataset(overflowRecords(g, lbar, residual), driver.Partitions())
+		sublayer, err := maximalBMatching(ctx, driver, start, maximalConfig{
 			strategy: st.opts.Strategy,
 			seed:     st.opts.Seed ^ (int64(round)+1)*104729,
 			numEdges: g.NumEdges(),
@@ -295,21 +272,22 @@ func sublayerMaxReduce(v graph.NodeID, ms []float64, out mapreduce.Emitter[graph
 	return nil
 }
 
-// overflowRecords builds the node-view records of an overflow subgraph
-// restricted to the given edges with the given residual capacities.
-func overflowRecords(g *graph.Bipartite, edges []int32, residual []int) []mapreduce.Pair[graph.NodeID, nodeState] {
-	adj := make(map[graph.NodeID][]half)
+// overflowRecords builds the flagged records a sublayer's maximal
+// matching starts from: the overflow subgraph restricted to the given
+// edges, with the given residual capacities.
+func overflowRecords(g *graph.Bipartite, edges []int32, residual []int) []mapreduce.Pair[graph.NodeID, mmNode] {
+	adj := make(map[graph.NodeID][]mmEdge)
 	for _, ei := range edges {
 		e := g.Edge(int(ei))
-		adj[e.Item] = append(adj[e.Item], half{ID: ei, Other: e.Consumer, W: e.Weight})
-		adj[e.Consumer] = append(adj[e.Consumer], half{ID: ei, Other: e.Item, W: e.Weight})
+		adj[e.Item] = append(adj[e.Item], mmEdge{half: half{ID: ei, Other: e.Consumer, W: e.Weight}})
+		adj[e.Consumer] = append(adj[e.Consumer], mmEdge{half: half{ID: ei, Other: e.Item, W: e.Weight}})
 	}
-	recs := make([]mapreduce.Pair[graph.NodeID, nodeState], 0, len(adj))
+	recs := make([]mapreduce.Pair[graph.NodeID, mmNode], 0, len(adj))
 	for v, a := range adj {
 		if residual[v] <= 0 {
 			continue
 		}
-		recs = append(recs, mapreduce.P(v, nodeState{B: residual[v], Adj: a}))
+		recs = append(recs, mapreduce.P(v, mmNode{B: residual[v], Adj: a}))
 	}
 	// Deterministic record order.
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Key < recs[j].Key })

@@ -94,7 +94,7 @@ func FuzzJournalLoad(f *testing.F) {
 	f.Add(manifest, forge(0xff, 0xff, 0xff, 0xff, 0x7f))          // 2^35 partitions in no bytes
 	f.Add(manifest, forge(1, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x7f)) // one partition, 2^35 side values
 	f.Add(manifest, []byte{4, 0, 0, 0, 0})                        // a frame whose body is empty, CRC valid
-	f.Add([]byte("journal-000001.log v3\n"), seg)                 // the previous generation's tag
+	f.Add([]byte("journal-000001.log v4\n"), seg)                 // the previous generation's tag
 	f.Add([]byte("../journal-000001.log "+journalFormat+"\n"), seg)
 	f.Fuzz(func(t *testing.T, manifest, seg []byte) {
 		if names, err := parseJournalManifest(manifest, "dir"); err == nil {

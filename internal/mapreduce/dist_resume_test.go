@@ -318,15 +318,15 @@ func TestDistJournalResumeFlat(t *testing.T) {
 
 // TestDistJournalRefusesOtherPartitioner pins the loud failure a
 // partitioner or record-layout change owes its journals: a manifest
-// tagged by an older build ("v1" as PR 9–11 builds wrote it, whose
-// resident records sit in the partitions the old key hash chose; "v2" as
-// PR 15–17 builds wrote it, whose records carry no side-output section;
-// "v3" as PR 18–21 builds wrote it, whose records carry a kind byte)
-// must make -dist-resume fail with a clear error rather than replay the
-// segments it names — and a run that does not resume starts over, with
-// a manifest in the current format.
+// tagged by an older build ("v1", whose resident records sit in the
+// partitions the old key hash chose; "v2", whose records carry no
+// side-output section; "v3", whose records carry a kind byte; "v4", whose
+// mm-cleanup and stack-update records are other types) must make
+// -dist-resume fail with a clear error rather than replay the segments it
+// names — and a run that does not resume starts over, with a manifest in
+// the current format.
 func TestDistJournalRefusesOtherPartitioner(t *testing.T) {
-	for _, tag := range []string{"v1", "v2", "v3"} {
+	for _, tag := range []string{"v1", "v2", "v3", "v4"} {
 		dir := t.TempDir()
 		manifest := filepath.Join(dir, journalManifestName)
 		if err := os.WriteFile(manifest, []byte("journal-000001.log "+tag+"\n"), 0o644); err != nil {
@@ -339,7 +339,7 @@ func TestDistJournalRefusesOtherPartitioner(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "written by a different partitioner or record layout") {
 			t.Fatalf("resuming a %s journal: got %v, want a different-generation error", tag, err)
 		}
-		if !strings.Contains(err.Error(), "journal-000001.log "+tag) || !strings.Contains(err.Error(), "is not tagged v4") {
+		if !strings.Contains(err.Error(), "journal-000001.log "+tag) || !strings.Contains(err.Error(), "is not tagged v5") {
 			t.Fatalf("the error does not name both the manifest's tag and this build's: %v", err)
 		}
 

@@ -216,10 +216,10 @@ func TestDistParamsReachWorkers(t *testing.T) {
 }
 
 // TestDistRefusesOlderProtoWorker: a worker built before the last wire
-// change (Proto 9 registers the maximal-matching stages as reduce-only
-// jobs that expect a node's state among their messages) dials a current
-// coordinator and is refused at the hello, with both versions named —
-// never paired and left to misparse a frame.
+// change (Proto 10 registers stack-update and stack-filter over a node
+// record without its dual, reading every dual from the job parameters)
+// dials a current coordinator and is refused at the hello, with both
+// versions named — never paired and left to misparse a frame.
 func TestDistRefusesOlderProtoWorker(t *testing.T) {
 	leakCheck(t)
 	var wg sync.WaitGroup
@@ -236,7 +236,7 @@ func TestDistRefusesOlderProtoWorker(t *testing.T) {
 				}
 				conn := remote.NewConn(nc)
 				defer conn.Close()
-				hello := remote.AppendUvarint([]byte{byte(remote.MsgHello)}, 9)
+				hello := remote.AppendUvarint([]byte{byte(remote.MsgHello)}, 10)
 				if err := conn.WriteFrame(append(hello, 0)); err != nil {
 					t.Error(err)
 					return
@@ -248,7 +248,7 @@ func TestDistRefusesOlderProtoWorker(t *testing.T) {
 		},
 	})
 	wg.Wait()
-	const want = "protocol version mismatch: worker speaks 9, coordinator 10"
+	const want = "protocol version mismatch: worker speaks 10, coordinator 11"
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("StartDistCluster with an older-protocol worker: err = %v, want %q", err, want)
 	}

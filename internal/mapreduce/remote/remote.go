@@ -58,8 +58,12 @@ import (
 // layout but the maximal-matching stages' jobs: they became state jobs,
 // so their headers carry the state-job byte, their buckets an int32
 // column instead of tagged node states, and their maps run on the
-// workers from parameters a version-9 worker does not know.
-const Proto = 10
+// workers from parameters a version-9 worker does not know. Version 11
+// changed no frame layout but the stack jobs: stack-update and
+// stack-filter keep a node record that carries the node's dual, their
+// parameters no longer carry every dual, and mm-cleanup and stack-update
+// retain other outputs and report through the side output.
+const Proto = 11
 
 // MsgType identifies one protocol message. The direction annotations
 // are the only ones that occur; receiving a type from the wrong
