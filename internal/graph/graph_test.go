@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -196,6 +198,59 @@ func TestSortEdgesByWeightDesc(t *testing.T) {
 	}
 	if len(order) != g.NumEdges() {
 		t.Errorf("order length %d != %d edges", len(order), g.NumEdges())
+	}
+
+	// Differential: the order must be exactly a stable sort of the edge
+	// indexes by (weight descending, item, consumer), so duplicate edges
+	// keep their index order.
+	want := func(g *Bipartite) []int32 {
+		idx := make([]int32, g.NumEdges())
+		for i := range idx {
+			idx[i] = int32(i)
+		}
+		slices.SortStableFunc(idx, func(a, b int32) int {
+			ea, eb := g.Edge(int(a)), g.Edge(int(b))
+			if c := cmp.Compare(eb.Weight, ea.Weight); c != 0 {
+				return c
+			}
+			if c := cmp.Compare(ea.Item, eb.Item); c != 0 {
+				return c
+			}
+			return cmp.Compare(ea.Consumer, eb.Consumer)
+		})
+		return idx
+	}
+	weights := map[string]func(*rand.Rand) float64{
+		"continuous": func(r *rand.Rand) float64 { return r.ExpFloat64() + 1e-9 },
+		"ties":       func(r *rand.Rand) float64 { return []float64{0.5, 1, 2}[r.Intn(3)] },
+		"extremes": func(r *rand.Rand) float64 {
+			return []float64{1e-300, 1e300, math.SmallestNonzeroFloat64, math.MaxFloat64, 1, 3e-300, 7e299}[r.Intn(7)]
+		},
+		"mixed": func(r *rand.Rand) float64 {
+			if r.Intn(2) == 0 {
+				return 1
+			}
+			return math.Ldexp(r.Float64()+0.5, r.Intn(2000)-1000)
+		},
+	}
+	for name, weight := range weights {
+		for seed, n := range []int{0, 1, 2, 17, 300, 5000, 100000} {
+			r := rand.New(rand.NewSource(int64(seed)))
+			g := NewBipartite(1+n/20, 1+n/50)
+			for g.NumEdges() < n {
+				e := Edge{g.ItemID(r.Intn(g.NumItems())), g.ConsumerID(r.Intn(g.NumConsumers())), weight(r)}
+				copies := 1
+				if r.Intn(4) == 0 { // a quarter of the edges two or three times
+					copies += 1 + r.Intn(2)
+				}
+				for ; copies > 0 && g.NumEdges() < n; copies-- {
+					g.AddEdge(e.Item, e.Consumer, e.Weight)
+				}
+			}
+			if got := g.SortEdgesByWeightDesc(); !slices.Equal(got, want(g)) {
+				t.Errorf("%s, %d edges: order differs from the stable reference sort", name, n)
+			}
+		}
 	}
 }
 
