@@ -12,9 +12,10 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -272,23 +273,65 @@ func (g *Bipartite) FilterEdges(sigma float64) *Bipartite {
 }
 
 // SortEdgesByWeightDesc returns the edge indexes sorted by decreasing
-// weight, with deterministic tie-breaking on (item, consumer). The
+// weight, with deterministic tie-breaking on (item, consumer) and then on
+// the index, so duplicate edges keep their insertion order. The
 // centralized greedy algorithm processes edges in this order.
+//
+// It is an LSD radix sort, one byte per pass, of (key, index) pairs with
+// key ^Float64bits(w): weights are positive and finite, so ascending key
+// is descending weight. Each pass is stable, so equal weights come out in
+// index order, and a pass whose byte every key shares is skipped. A last
+// scan sorts each run of equal weights by (item, consumer, index).
 func (g *Bipartite) SortEdgesByWeightDesc() []int32 {
-	idx := make([]int32, len(g.edges))
-	for i := range idx {
-		idx[i] = int32(i)
+	n := len(g.edges)
+	keys, keys2 := make([]uint64, n), make([]uint64, n)
+	idx, idx2 := make([]int32, n), make([]int32, n)
+	// counts[p][d] is the number of keys whose byte p is d; its pass
+	// turns it into the first output slot of digit d.
+	counts := new([8][256]int32)
+	for i, e := range g.edges {
+		k := ^math.Float64bits(e.Weight)
+		keys[i], idx[i] = k, int32(i)
+		for p := range counts {
+			counts[p][byte(k>>(8*p))]++
+		}
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ea, eb := g.edges[idx[a]], g.edges[idx[b]]
-		if ea.Weight != eb.Weight {
-			return ea.Weight > eb.Weight
+	for p := range counts {
+		c, shift := &counts[p], 8*p
+		if n == 0 || int(c[byte(keys[0]>>shift)]) == n {
+			continue
 		}
-		if ea.Item != eb.Item {
-			return ea.Item < eb.Item
+		var slot int32
+		for d, cnt := range c {
+			c[d], slot = slot, slot+cnt
 		}
-		return ea.Consumer < eb.Consumer
-	})
+		for i, k := range keys {
+			d := byte(k >> shift)
+			keys2[c[d]], idx2[c[d]] = k, idx[i]
+			c[d]++
+		}
+		keys, keys2 = keys2, keys
+		idx, idx2 = idx2, idx
+	}
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && keys[hi] == keys[lo] {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortFunc(idx[lo:hi], func(a, b int32) int {
+				ea, eb := &g.edges[a], &g.edges[b]
+				if ea.Item != eb.Item {
+					return cmp.Compare(ea.Item, eb.Item)
+				}
+				if ea.Consumer != eb.Consumer {
+					return cmp.Compare(ea.Consumer, eb.Consumer)
+				}
+				return cmp.Compare(a, b)
+			})
+		}
+		lo = hi
+	}
 	return idx
 }
 
