@@ -42,7 +42,9 @@ func ConsumerActivity(g *graph.Bipartite, n []float64, alpha float64) (float64, 
 		if b < 1 {
 			b = 1
 		}
-		g.SetCapacity(g.ConsumerID(j), b)
+		if err := setCapacity(g, g.ConsumerID(j), b); err != nil {
+			return 0, err
+		}
 		total += b
 	}
 	return total, nil
@@ -62,7 +64,9 @@ func UniformItems(g *graph.Bipartite, bandwidth float64) error {
 		b = 1
 	}
 	for i := 0; i < nT; i++ {
-		g.SetCapacity(g.ItemID(i), b)
+		if err := setCapacity(g, g.ItemID(i), b); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -89,8 +93,20 @@ func QualityProportional(g *graph.Bipartite, quality []float64, bandwidth float6
 		if b < 1 {
 			b = 1
 		}
-		g.SetCapacity(g.ItemID(i), b)
+		if err := setCapacity(g, g.ItemID(i), b); err != nil {
+			return err
+		}
 	}
+	return nil
+}
+
+// setCapacity sets b(v), or refuses a capacity the graph cannot hold:
+// above graph.MaxCapacity, or NaN from a NaN activity, α or quality.
+func setCapacity(g *graph.Bipartite, v graph.NodeID, b float64) error {
+	if !(b <= graph.MaxCapacity) {
+		return fmt.Errorf("capacity: node %d: capacity %v is not in [1, %d]", v, b, graph.MaxCapacity)
+	}
+	g.SetCapacity(v, b)
 	return nil
 }
 

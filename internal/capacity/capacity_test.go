@@ -38,6 +38,18 @@ func TestConsumerActivityErrors(t *testing.T) {
 	if _, err := ConsumerActivity(g, []float64{1, -2}, 1); err == nil {
 		t.Error("negative activity accepted")
 	}
+	// A capacity the graph cannot hold is an error, not a panic.
+	for _, n := range []float64{1e19, math.NaN(), math.Inf(1)} {
+		if _, err := ConsumerActivity(g, []float64{1, n}, 1); err == nil {
+			t.Errorf("activity %v accepted", n)
+		}
+	}
+	if err := UniformItems(g, 1e19); err == nil {
+		t.Error("item capacity 1e19 accepted")
+	}
+	if err := QualityProportional(g, []float64{1}, math.NaN()); err == nil {
+		t.Error("NaN bandwidth accepted")
+	}
 }
 
 func TestUniformItems(t *testing.T) {

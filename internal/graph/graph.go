@@ -143,16 +143,24 @@ func (g *Bipartite) Edge(i int) Edge { return g.edges[i] }
 // Edges returns the backing edge slice. Callers must not modify it.
 func (g *Bipartite) Edges() []Edge { return g.edges }
 
-// SetCapacity sets b(v).
+// MaxCapacity is the largest capacity a node may have, so that
+// IntCapacity's ⌈b(v)⌉ is an int on every platform: Go leaves the result
+// of an out-of-range float-to-int conversion to the implementation.
+const MaxCapacity = math.MaxInt32
+
+// SetCapacity sets b(v). It panics unless 0 ≤ b ≤ MaxCapacity.
 func (g *Bipartite) SetCapacity(v NodeID, b float64) {
 	if !g.ValidNode(v) {
 		panic(fmt.Sprintf("graph: node %d out of range", v))
 	}
-	if b < 0 || math.IsNaN(b) || math.IsInf(b, 0) {
+	if !validCapacity(b) {
 		panic(fmt.Sprintf("graph: invalid capacity %v", b))
 	}
 	g.caps[v] = b
 }
+
+// validCapacity reports whether 0 ≤ b ≤ MaxCapacity, which NaN is not.
+func validCapacity(b float64) bool { return b >= 0 && b <= MaxCapacity }
 
 // Capacity returns b(v).
 func (g *Bipartite) Capacity(v NodeID) float64 { return g.caps[v] }
@@ -344,8 +352,8 @@ func (g *Bipartite) Clone() *Bipartite {
 }
 
 // Validate checks structural invariants: endpoints on the correct sides,
-// positive finite weights, non-negative capacities. It returns the first
-// violation found.
+// positive finite weights, capacities in [0, MaxCapacity]. It returns the
+// first violation found.
 func (g *Bipartite) Validate() error {
 	for i, e := range g.edges {
 		if !g.ValidNode(e.Item) || g.SideOf(e.Item) != ItemSide {
@@ -359,7 +367,7 @@ func (g *Bipartite) Validate() error {
 		}
 	}
 	for v, b := range g.caps {
-		if b < 0 || math.IsNaN(b) || math.IsInf(b, 0) {
+		if !validCapacity(b) {
 			return fmt.Errorf("graph: node %d has invalid capacity %v", v, b)
 		}
 	}

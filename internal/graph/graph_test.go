@@ -2,9 +2,11 @@ package graph
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -93,6 +95,40 @@ func TestCapacities(t *testing.T) {
 	g.SetCapacity(0, 1.3)
 	if g.IntCapacity(0) != 2 {
 		t.Errorf("IntCapacity(1.3) = %d, want 2", g.IntCapacity(0))
+	}
+}
+
+// TestCapacityLimit: capacities up to MaxCapacity = 2³¹−1 are accepted
+// and convert to an int exactly; 2³¹ and 1e19 are refused by SetCapacity,
+// Read and Validate. 1e19 once became a capacity of −2⁶³ under
+// IntCapacity, and every algorithm left the node unmatched.
+func TestCapacityLimit(t *testing.T) {
+	for _, c := range []struct {
+		b  float64
+		ok bool
+	}{{1<<31 - 1, true}, {1 << 31, false}, {1e19, false}} {
+		g := NewBipartite(1, 1)
+		func() {
+			defer func() {
+				if r := recover(); (r == nil) != c.ok {
+					t.Errorf("SetCapacity(%v): panic %v, want a panic %v", c.b, r, !c.ok)
+				}
+			}()
+			g.SetCapacity(0, c.b)
+			if g.IntCapacity(0) != int(c.b) {
+				t.Errorf("IntCapacity of %v = %d", c.b, g.IntCapacity(0))
+			}
+		}()
+
+		_, err := Read(strings.NewReader(fmt.Sprintf("p 1 1\nc 0 %.0f\n", c.b)))
+		if (err == nil) != c.ok {
+			t.Errorf("Read of capacity %v: error %v, want an error %v", c.b, err, !c.ok)
+		}
+
+		g.caps[0] = c.b
+		if err := g.Validate(); (err == nil) != c.ok {
+			t.Errorf("Validate of capacity %v: error %v, want an error %v", c.b, err, !c.ok)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -57,7 +58,7 @@ func Read(r io.Reader) (*Bipartite, error) {
 			}
 			nT, err1 := strconv.Atoi(fields[1])
 			nC, err2 := strconv.Atoi(fields[2])
-			if err1 != nil || err2 != nil || nT < 0 || nC < 0 {
+			if err1 != nil || err2 != nil || nT < 0 || nC < 0 || nT > math.MaxInt32-nC {
 				return nil, fmt.Errorf("graph: line %d: bad part sizes", lineNo)
 			}
 			g = NewBipartite(nT, nC)
@@ -76,8 +77,8 @@ func Read(r io.Reader) (*Bipartite, error) {
 			if v < 0 || v >= g.NumNodes() {
 				return nil, fmt.Errorf("graph: line %d: node %d out of range", lineNo, v)
 			}
-			if b < 0 {
-				return nil, fmt.Errorf("graph: line %d: negative capacity", lineNo)
+			if !validCapacity(b) {
+				return nil, fmt.Errorf("graph: line %d: capacity %s is not in [0, %d]", lineNo, fields[2], MaxCapacity)
 			}
 			g.SetCapacity(NodeID(v), b)
 		case "e":
@@ -99,8 +100,8 @@ func Read(r io.Reader) (*Bipartite, error) {
 			if cj < 0 || cj >= g.NumConsumers() {
 				return nil, fmt.Errorf("graph: line %d: consumer %d out of range", lineNo, cj)
 			}
-			if w <= 0 {
-				return nil, fmt.Errorf("graph: line %d: non-positive weight", lineNo)
+			if !(w > 0) || math.IsInf(w, 1) {
+				return nil, fmt.Errorf("graph: line %d: weight %s is not positive and finite", lineNo, fields[3])
 			}
 			g.AddEdge(g.ItemID(ti), g.ConsumerID(cj), w)
 		default:

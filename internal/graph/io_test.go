@@ -89,6 +89,26 @@ func TestReadErrors(t *testing.T) {
 	}
 }
 
+// TestReadRefusesNonFinite: NaN and infinite weights and capacities, and
+// capacities above MaxCapacity, all parse as floats; Read must refuse
+// each with a line-numbered error (they used to reach AddEdge or
+// SetCapacity and panic, or become a negative int capacity).
+func TestReadRefusesNonFinite(t *testing.T) {
+	for _, line := range []string{
+		"e 0 0 NaN", "e 0 0 nan", "e 0 0 +Inf", "e 0 0 Inf", "e 0 0 -Inf",
+		"c 0 NaN", "c 0 Inf", "c 0 +Inf", "c 0 -Inf", "c 0 1e19", "c 0 2147483648",
+	} {
+		_, err := Read(strings.NewReader("p 1 1\n" + line + "\n"))
+		if err == nil || !strings.HasPrefix(err.Error(), "graph: line 2: ") {
+			t.Errorf("%q: error %v, want one for line 2", line, err)
+		}
+	}
+	// NodeID is an int32: the parts may not hold more nodes than that.
+	if _, err := Read(strings.NewReader("p 2147483647 1\n")); err == nil {
+		t.Error("2^31 nodes accepted")
+	}
+}
+
 func TestWriteFormatStable(t *testing.T) {
 	g := NewBipartite(1, 1)
 	g.SetCapacity(0, 2)
