@@ -15,6 +15,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"repro/internal/cliio"
@@ -79,7 +80,21 @@ func run(args []string) (err error) {
 }
 
 func build(name string, sigma, alpha, scale float64, items, consumers, degree int, seed int64) (*graph.Bipartite, error) {
+	if !(scale > 0 && scale <= 1) {
+		return nil, fmt.Errorf("-scale %v is not in (0,1]", scale)
+	}
+	if !(sigma >= 0) || math.IsInf(sigma, 1) {
+		return nil, fmt.Errorf("-sigma %v is not a finite number ≥ 0", sigma)
+	}
 	if name == "synthetic" {
+		switch {
+		case items < 1 || consumers < 1:
+			return nil, fmt.Errorf("-items %d and -consumers %d must both be at least 1", items, consumers)
+		case items > math.MaxInt32-consumers:
+			return nil, fmt.Errorf("-items %d plus -consumers %d is past %d, the last node id", items, consumers, math.MaxInt32)
+		case degree < 1:
+			return nil, fmt.Errorf("-degree %d must be at least 1", degree)
+		}
 		return dataset.Synthetic(dataset.SyntheticConfig{
 			NumItems: items, NumConsumers: consumers, MeanDegree: degree,
 			DegreeAlpha: 1.4, WeightScale: 1, CapacityAlpha: 1.2,
@@ -150,8 +165,10 @@ func sortEdges(g *graph.Bipartite) (*graph.Bipartite, error) {
 	}
 }
 
+// scaleCfg scales both part sizes by scale in (0,1], to at least 10
+// each.
 func scaleCfg(items, consumers *int, scale float64) {
-	if scale <= 0 || scale >= 1 {
+	if scale >= 1 {
 		return
 	}
 	*items = int(float64(*items) * scale)

@@ -127,3 +127,31 @@ func TestScaleCfg(t *testing.T) {
 		t.Error("floor not applied")
 	}
 }
+
+// TestRunRefusesOutOfRangeFlags: each of these used to panic, run out of
+// memory, or quietly write some other graph than the one asked for.
+func TestRunRefusesOutOfRangeFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-dataset", "synthetic", "-consumers", "0", "-items", "5"},
+		{"-dataset", "synthetic", "-items", "-1"},
+		{"-dataset", "synthetic", "-items", "0"},
+		{"-dataset", "synthetic", "-items", "3000000000"},
+		{"-dataset", "synthetic", "-items", "2147483000", "-consumers", "1000"},
+		{"-dataset", "synthetic", "-degree", "0"},
+		{"-dataset", "flickr-small", "-sigma", "NaN"},
+		{"-dataset", "flickr-small", "-sigma", "-1"},
+		{"-dataset", "flickr-small", "-sigma", "+Inf"},
+		{"-dataset", "flickr-small", "-scale", "0"},
+		{"-dataset", "flickr-small", "-scale", "-0.5"},
+		{"-dataset", "flickr-small", "-scale", "5"},
+		{"-dataset", "yahoo-answers", "-scale", "NaN"},
+	} {
+		path := filepath.Join(t.TempDir(), "g.txt")
+		if err := run(append(args, "-o", path)); err == nil {
+			t.Errorf("%v: accepted", args)
+		}
+		if _, err := os.Stat(path); err == nil {
+			t.Errorf("%v: wrote %s", args, path)
+		}
+	}
+}

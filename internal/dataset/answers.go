@@ -63,14 +63,15 @@ func Answers(name string, cfg AnswersConfig) *Corpus {
 	topicSize := cfg.Vocab / cfg.Topics
 	topical := NewZipf(rng, cfg.WordZipf, topicSize)
 
-	// drawDoc draws n words, 80% from the topic's slice, 20% global.
-	drawDoc := func(topic, n int, b *vector.Builder) {
+	counts := newTermCounts(cfg.Vocab)
+	// drawDoc counts n words, 80% from the topic's slice, 20% global.
+	drawDoc := func(topic, n int) {
 		base := topic * topicSize
 		for w := 0; w < n; w++ {
 			if rng.Float64() < 0.8 {
-				b.AddCount(vector.TermID(base + topical.Draw()))
+				counts.add(vector.TermID(base + topical.Draw()))
 			} else {
-				b.AddCount(vector.TermID(global.Draw()))
+				counts.add(vector.TermID(global.Draw()))
 			}
 		}
 	}
@@ -83,10 +84,9 @@ func Answers(name string, cfg AnswersConfig) *Corpus {
 	}
 	for i := range c.Items {
 		topic := rng.Intn(cfg.Topics)
-		b := vector.NewBuilder()
 		n := 1 + rng.Intn(2*cfg.WordsPerQuestion-1)
-		drawDoc(topic, n, b)
-		c.Items[i] = b.Vector()
+		drawDoc(topic, n)
+		c.Items[i] = counts.vector()
 	}
 	for j := range c.Consumers {
 		n := ParetoInt(rng, 1, cfg.ActivityMax, cfg.ActivityAlpha)
@@ -97,13 +97,12 @@ func Answers(name string, cfg AnswersConfig) *Corpus {
 		for k := range interests {
 			interests[k] = rng.Intn(cfg.Topics)
 		}
-		b := vector.NewBuilder()
 		for a := 0; a < n; a++ {
 			topic := interests[rng.Intn(numTopics)]
 			words := 1 + rng.Intn(2*cfg.WordsPerAnswer-1)
-			drawDoc(topic, words, b)
+			drawDoc(topic, words)
 		}
-		c.Consumers[j] = b.Vector()
+		c.Consumers[j] = counts.vector()
 	}
 
 	// tf·idf over the union corpus, then split back, exactly as one

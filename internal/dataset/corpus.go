@@ -2,6 +2,10 @@ package dataset
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/capacity"
 	"repro/internal/graph"
@@ -35,50 +39,139 @@ func (c *Corpus) NumItems() int { return len(c.Items) }
 // NumConsumers returns |C|.
 func (c *Corpus) NumConsumers() int { return len(c.Consumers) }
 
+// buildBlock is the number of consumers one BuildGraph task scores.
+const buildBlock = 64
+
 // BuildGraph materializes every item-consumer edge with dot-product
 // similarity ≥ sigma as a bipartite graph (capacities unset; see
-// ApplyCapacities). It scores pairs exactly with an inverted-index
-// accumulator over the smaller side, which is the same join the
-// MapReduce similarity join of internal/simjoin computes; experiments
-// use whichever fits, and tests cross-check the two.
+// ApplyCapacities). It scores pairs exactly with an inverted index over
+// the items, which is the same join the MapReduce similarity join of
+// internal/simjoin computes; experiments use whichever fits, and tests
+// cross-check the two.
+//
+// Consumers are scored in blocks of buildBlock on GOMAXPROCS goroutines,
+// each with its own score accumulator. A consumer's score for an item
+// sums its terms in term order and each term's postings in item order,
+// and its edges follow the items in the order its terms first reached
+// them; the blocks' edge lists are appended in consumer order. So the
+// edge list, weights included, is the one a serial scan of the consumers
+// builds, for any GOMAXPROCS.
 func (c *Corpus) BuildGraph(sigma float64) *graph.Bipartite {
 	g := graph.NewBipartite(c.NumItems(), c.NumConsumers())
 	if sigma <= 0 {
 		sigma = 1e-12 // only strictly positive similarities become edges
 	}
-
-	// Inverted index over items: term -> (item, weight).
-	type posting struct {
-		doc int32
-		w   float64
-	}
-	index := make(map[vector.TermID][]posting)
-	for i, v := range c.Items {
-		for _, e := range v.Entries() {
-			index[e.Term] = append(index[e.Term], posting{doc: int32(i), w: e.Weight})
-		}
-	}
-
-	scores := make([]float64, c.NumItems())
-	touched := make([]int32, 0, 1024)
-	for j, u := range c.Consumers {
-		for _, e := range u.Entries() {
-			for _, p := range index[e.Term] {
-				if scores[p.doc] == 0 {
-					touched = append(touched, p.doc)
+	idx := newPostings(c.Items)
+	blocks := make([][]graph.Edge, (c.NumConsumers()+buildBlock-1)/buildBlock)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(blocks)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			scores := make([]float64, c.NumItems())
+			touched := make([]int32, 0, 1024)
+			for b := int(next.Add(1) - 1); b < len(blocks); b = int(next.Add(1) - 1) {
+				var edges []graph.Edge
+				for j := b * buildBlock; j < min((b+1)*buildBlock, c.NumConsumers()); j++ {
+					for _, e := range c.Consumers[j].Entries() {
+						r, ok := idx.row[e.Term]
+						if !ok {
+							continue
+						}
+						for p := idx.start[r]; p < idx.start[r+1]; p++ {
+							i := idx.item[p]
+							if scores[i] == 0 {
+								touched = append(touched, i)
+							}
+							scores[i] += e.Weight * idx.weight[p]
+						}
+					}
+					for _, i := range touched {
+						if scores[i] >= sigma {
+							edges = append(edges, graph.Edge{Item: g.ItemID(int(i)), Consumer: g.ConsumerID(j), Weight: scores[i]})
+						}
+						scores[i] = 0
+					}
+					touched = touched[:0]
 				}
-				scores[p.doc] += e.Weight * p.w
+				blocks[b] = edges
 			}
-		}
-		for _, i := range touched {
-			if scores[i] >= sigma {
-				g.AddEdge(g.ItemID(int(i)), g.ConsumerID(j), scores[i])
-			}
-			scores[i] = 0
-		}
-		touched = touched[:0]
+		}()
 	}
+	wg.Wait()
+	addEdges(g, blocks)
 	return g
+}
+
+// edgeChunk is the capacity of one chunk of a generator's edge list.
+const edgeChunk = 1 << 16
+
+// addEdges adds the edges of lists to g in order, after growing g's edge
+// list once to the exact size.
+func addEdges(g *graph.Bipartite, lists [][]graph.Edge) {
+	n := 0
+	for _, edges := range lists {
+		n += len(edges)
+	}
+	g.Grow(n)
+	for _, edges := range lists {
+		for _, e := range edges {
+			g.AddEdge(e.Item, e.Consumer, e.Weight)
+		}
+	}
+}
+
+// postings is an inverted index over item vectors in CSR form: each
+// distinct term has a row, and row r's postings, (item, weight) pairs in
+// item order, are item[start[r]:start[r+1]] and weight[...].
+type postings struct {
+	row    map[vector.TermID]int32
+	start  []int
+	item   []int32
+	weight []float64
+}
+
+// newPostings indexes items in three passes: rows in first-seen term
+// order, a count per row, then the fill.
+func newPostings(items []vector.Sparse) *postings {
+	n := 0
+	for _, v := range items {
+		n += v.Len()
+	}
+	idx := &postings{row: make(map[vector.TermID]int32)}
+	rows := make([]int32, 0, n) // the row of every item entry, in order
+	for _, v := range items {
+		for _, e := range v.Entries() {
+			r, ok := idx.row[e.Term]
+			if !ok {
+				r = int32(len(idx.row))
+				idx.row[e.Term] = r
+			}
+			rows = append(rows, r)
+		}
+	}
+	idx.start = make([]int, len(idx.row)+1)
+	for _, r := range rows {
+		idx.start[r+1]++
+	}
+	for r := range len(idx.row) {
+		idx.start[r+1] += idx.start[r]
+	}
+	idx.item = make([]int32, n)
+	idx.weight = make([]float64, n)
+	fill := slices.Clone(idx.start[:len(idx.row)])
+	k := 0
+	for i, v := range items {
+		for _, e := range v.Entries() {
+			p := fill[rows[k]]
+			fill[rows[k]]++
+			idx.item[p] = int32(i)
+			idx.weight[p] = e.Weight
+			k++
+		}
+	}
+	return idx
 }
 
 // ApplyCapacities sets the Section-6 capacities on g for the given

@@ -35,6 +35,21 @@ func BenchmarkBuildGraph(b *testing.B) {
 	}
 }
 
+// BenchmarkSynthetic draws the match-zipf-* benchmark workloads' graph
+// shape at a tenth of its size.
+func BenchmarkSynthetic(b *testing.B) {
+	cfg := SyntheticConfig{
+		NumItems: 30000, NumConsumers: 3000, MeanDegree: 10,
+		DegreeAlpha: 1.4, WeightScale: 1, CapacityAlpha: 1.2,
+		CapacityMax: 200,
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cfg.Seed = int64(i)
+		Synthetic(cfg)
+	}
+}
+
 func BenchmarkZipfDraw(b *testing.B) {
 	z := NewZipf(rand.New(rand.NewSource(1)), 0.9, 50000)
 	b.ResetTimer()

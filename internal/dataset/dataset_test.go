@@ -40,6 +40,22 @@ func TestZipfSkew(t *testing.T) {
 	}
 }
 
+// TestZipfDrawBucketEdge: u = 0.8333333333333333, one ulp below 5/6,
+// has ⌊u·6⌋ = 5 in floating point, so its guide bucket is the one that
+// starts at 5/6. With a CDF value at exactly u, the answer (rank 4) lies
+// before that bucket's first rank, and only Draw's walk down finds it.
+func TestZipfDrawBucketEdge(t *testing.T) {
+	u := math.Nextafter(5.0/6, 0)
+	if int(u*6) != 5 {
+		t.Fatalf("⌊%v·6⌋ = %d, want the rounding this test is about", u, int(u*6))
+	}
+	cdf := []float64{0.1, 0.2, 0.3, 0.5, u, 1}
+	z := &Zipf{cdf: cdf, guide: guideTable(cdf), rng: rand.New(&queueSource{q: []int64{int64(u * (1 << 63))}})}
+	if got := z.Draw(); got != 4 {
+		t.Errorf("Draw(%v) = %d, want 4", u, got)
+	}
+}
+
 func TestZipfPanicsOnBadParams(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for name, fn := range map[string]func(){
@@ -54,6 +70,29 @@ func TestZipfPanicsOnBadParams(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestSamplersRefuseBadShapes: a NaN exponent fails every comparison,
+// so each sampler's check must accept only positive numbers — NaN used
+// to make Draw return n, one past the last rank, and ParetoInt convert
+// +Inf or NaN to int, which Go leaves to the platform.
+func TestSamplersRefuseBadShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, shape := range []float64{math.NaN(), 0, -1} {
+		for name, fn := range map[string]func(){
+			"NewZipf":   func() { NewZipf(rng, shape, 5) },
+			"ParetoInt": func() { ParetoInt(rng, 1, 100, shape) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%v): expected panic", name, shape)
+					}
+				}()
+				fn()
+			}()
+		}
 	}
 }
 
@@ -268,6 +307,15 @@ func TestSyntheticGraph(t *testing.T) {
 	s := stats.Summarize(degs)
 	if s.Max < 3*s.Mean {
 		t.Errorf("degree distribution not heavy-tailed: max=%v mean=%v", s.Max, s.Mean)
+	}
+}
+
+func TestSyntheticNoConsumers(t *testing.T) {
+	g := Synthetic(SyntheticConfig{NumItems: 5, MeanDegree: 3, DegreeAlpha: 1.4,
+		WeightScale: 1, CapacityAlpha: 1.2, CapacityMax: 10, Seed: 1})
+	if g.NumItems() != 5 || g.NumConsumers() != 0 || g.NumEdges() != 0 {
+		t.Fatalf("got %d items, %d consumers, %d edges; want 5, 0, 0",
+			g.NumItems(), g.NumConsumers(), g.NumEdges())
 	}
 }
 

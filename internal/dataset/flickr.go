@@ -77,13 +77,13 @@ func Flickr(name string, cfg FlickrConfig) *Corpus {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	tags := NewZipf(rng, cfg.TagZipf, cfg.Vocab)
 
-	drawPhoto := func() vector.Sparse {
-		b := vector.NewBuilder()
+	counts := newTermCounts(cfg.Vocab)
+	// drawPhoto counts the tags of one photo.
+	drawPhoto := func() {
 		k := 1 + rng.Intn(2*cfg.TagsPerPhoto-1) // uniform 1..2m-1, mean m
 		for t := 0; t < k; t++ {
-			b.AddCount(vector.TermID(tags.Draw()))
+			counts.add(vector.TermID(tags.Draw()))
 		}
-		return b.Vector()
 	}
 
 	c := &Corpus{
@@ -94,19 +94,18 @@ func Flickr(name string, cfg FlickrConfig) *Corpus {
 		Favorites: make([]float64, cfg.NumItems),
 	}
 	for i := range c.Items {
-		c.Items[i] = drawPhoto()
+		drawPhoto()
+		c.Items[i] = counts.vector()
 		c.Favorites[i] = float64(ParetoInt(rng, 1, cfg.FavMax, cfg.FavAlpha) - 1)
 	}
 	for j := range c.Consumers {
 		n := ParetoInt(rng, 1, cfg.ActivityMax, cfg.ActivityAlpha)
 		c.Activity[j] = float64(n)
-		b := vector.NewBuilder()
+		// A user's vector is the sum of their photos' tag counts.
 		for p := 0; p < n; p++ {
-			for _, e := range drawPhoto().Entries() {
-				b.Add(e.Term, e.Weight)
-			}
+			drawPhoto()
 		}
-		c.Consumers[j] = b.Vector()
+		c.Consumers[j] = counts.vector()
 	}
 	return c
 }

@@ -31,6 +31,7 @@ type SyntheticConfig struct {
 
 // Synthetic draws a random bipartite graph with power-law item degrees,
 // exponential edge weights, and Section-4 capacities already applied.
+// With no consumers it draws no edges.
 func Synthetic(cfg SyntheticConfig) *graph.Bipartite {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	g := graph.NewBipartite(cfg.NumItems, cfg.NumConsumers)
@@ -41,28 +42,8 @@ func Synthetic(cfg SyntheticConfig) *graph.Bipartite {
 	if cfg.WeightScale <= 0 {
 		cfg.WeightScale = 1
 	}
-	// Consumers are picked Zipf-style so popular consumers exist.
-	pick := NewZipf(rng, 0.7, cfg.NumConsumers)
-	perm := rng.Perm(cfg.NumConsumers) // decouple popularity from id order
-
-	for i := 0; i < cfg.NumItems; i++ {
-		deg := ParetoInt(rng, 1, 8*cfg.MeanDegree, cfg.DegreeAlpha)
-		if deg > cfg.NumConsumers {
-			deg = cfg.NumConsumers
-		}
-		seen := make(map[int]bool, deg)
-		for len(seen) < deg {
-			j := perm[pick.Draw()]
-			if seen[j] {
-				continue
-			}
-			seen[j] = true
-			w := rng.ExpFloat64() * cfg.WeightScale
-			if w <= 0 || math.IsInf(w, 0) {
-				w = cfg.WeightScale
-			}
-			g.AddEdge(g.ItemID(i), g.ConsumerID(j), w)
-		}
+	if cfg.NumConsumers > 0 {
+		drawEdges(g, rng, cfg)
 	}
 
 	// Capacities: power-law consumer activity, uniform item split.
@@ -80,4 +61,41 @@ func Synthetic(cfg SyntheticConfig) *graph.Bipartite {
 		g.SetCapacity(g.ItemID(i), per)
 	}
 	return g
+}
+
+// drawEdges gives every item a power-law number of distinct consumers,
+// picked Zipf-style so popular consumers exist, with exponential
+// weights.
+func drawEdges(g *graph.Bipartite, rng *rand.Rand, cfg SyntheticConfig) {
+	pick := NewZipf(rng, 0.7, cfg.NumConsumers)
+	perm := rng.Perm(cfg.NumConsumers) // decouple popularity from id order
+	// seen[j] == i+1 marks consumer j as already drawn for item i, so
+	// one array serves every item without clearing.
+	seen := make([]int32, cfg.NumConsumers)
+	// Edges go to fixed-size chunks, then into g in one exact-sized
+	// copy: appending to g directly regrows and recopies its edge slice
+	// a few dozen times.
+	chunks := [][]graph.Edge{make([]graph.Edge, 0, edgeChunk)}
+	for i := 0; i < cfg.NumItems; i++ {
+		deg := min(ParetoInt(rng, 1, 8*cfg.MeanDegree, cfg.DegreeAlpha), cfg.NumConsumers)
+		stamp := int32(i + 1)
+		for drawn := 0; drawn < deg; {
+			j := perm[pick.Draw()]
+			if seen[j] == stamp {
+				continue
+			}
+			seen[j] = stamp
+			drawn++
+			w := rng.ExpFloat64() * cfg.WeightScale
+			if w <= 0 || math.IsInf(w, 0) {
+				w = cfg.WeightScale
+			}
+			if last := chunks[len(chunks)-1]; len(last) == cap(last) {
+				chunks = append(chunks, make([]graph.Edge, 0, edgeChunk))
+			}
+			last := &chunks[len(chunks)-1]
+			*last = append(*last, graph.Edge{Item: g.ItemID(i), Consumer: g.ConsumerID(j), Weight: w})
+		}
+	}
+	addEdges(g, chunks)
 }

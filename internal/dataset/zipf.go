@@ -16,22 +16,26 @@ package dataset
 import (
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // Zipf samples from a Zipf distribution over {0, ..., n-1} with
 // P(i) ∝ 1/(i+1)^s for any exponent s > 0 (the stdlib sampler requires
 // s > 1; tag popularity in social media typically has s ≈ 0.7–1.2, so
-// both regimes are needed). Sampling is by binary search over the
-// precomputed CDF: O(log n) per draw, deterministic given the source.
+// both regimes are needed). A draw is the smallest rank whose CDF value
+// reaches a uniform u, found from a guide table: guide[k] is the smallest
+// rank with cdf ≥ k/n, so a draw starts at guide[⌊u·n⌋] and takes O(1)
+// expected steps, returning exactly what a binary search of the CDF
+// would. Deterministic given the source.
 type Zipf struct {
-	cdf []float64
-	rng *rand.Rand
+	cdf   []float64
+	guide []int32
+	rng   *rand.Rand
 }
 
-// NewZipf precomputes the distribution. It panics on invalid parameters.
+// NewZipf precomputes the distribution. It panics on invalid parameters:
+// n outside [1, 2³¹−1], or s not a positive number.
 func NewZipf(rng *rand.Rand, s float64, n int) *Zipf {
-	if n < 1 || s <= 0 {
+	if n < 1 || n > math.MaxInt32 || !(s > 0) {
 		panic("dataset: invalid zipf parameters")
 	}
 	cdf := make([]float64, n)
@@ -43,13 +47,39 @@ func NewZipf(rng *rand.Rand, s float64, n int) *Zipf {
 	for i := range cdf {
 		cdf[i] /= sum
 	}
-	return &Zipf{cdf: cdf, rng: rng}
+	return &Zipf{cdf: cdf, guide: guideTable(cdf), rng: rng}
 }
 
-// Draw samples one rank.
+// guideTable returns guide[k] = the smallest i with cdf[i] ≥ k/n, for a
+// non-decreasing cdf of length n whose last value is 1 (NewZipf's is
+// sum/sum), so every scan ends in range.
+func guideTable(cdf []float64) []int32 {
+	n := len(cdf)
+	guide := make([]int32, n)
+	i := 0
+	for k := range guide {
+		for cdf[i] < float64(k)/float64(n) {
+			i++
+		}
+		guide[k] = int32(i)
+	}
+	return guide
+}
+
+// Draw samples one rank: the smallest i with cdf[i] ≥ u. The guide entry
+// of u's bucket is that rank or a neighbour of it; the walk down covers a
+// u·n that rounded up into the next bucket.
 func (z *Zipf) Draw() int {
 	u := z.rng.Float64()
-	return sort.SearchFloat64s(z.cdf, u)
+	cdf := z.cdf
+	i := int(z.guide[min(int(u*float64(len(cdf))), len(cdf)-1)])
+	for i > 0 && cdf[i-1] >= u {
+		i--
+	}
+	for cdf[i] < u {
+		i++
+	}
+	return i
 }
 
 // N returns the support size.
@@ -58,7 +88,11 @@ func (z *Zipf) N() int { return len(z.cdf) }
 // ParetoInt samples a discrete Pareto (power-law) value in [xmin, xmax]:
 // the integer part of xmin·U^(-1/alpha) clamped to xmax. User activity
 // (photos posted, answers written) and photo favorites follow such laws.
+// It panics unless alpha is a positive number.
 func ParetoInt(rng *rand.Rand, xmin, xmax int, alpha float64) int {
+	if !(alpha > 0) {
+		panic("dataset: invalid pareto parameters")
+	}
 	if xmin < 1 {
 		xmin = 1
 	}
@@ -69,12 +103,11 @@ func ParetoInt(rng *rand.Rand, xmin, xmax int, alpha float64) int {
 	for u == 0 {
 		u = rng.Float64()
 	}
-	x := int(float64(xmin) * math.Pow(u, -1/alpha))
-	if x > xmax {
-		x = xmax
+	// Clamp before converting: Go leaves int(x) to the implementation
+	// past the int range, and a tiny alpha takes x to +Inf.
+	x := float64(xmin) * math.Pow(u, -1/alpha)
+	if x >= float64(xmax) {
+		return xmax
 	}
-	if x < xmin {
-		x = xmin
-	}
-	return x
+	return max(int(x), xmin)
 }

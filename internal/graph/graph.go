@@ -66,10 +66,14 @@ type Bipartite struct {
 
 // NewBipartite creates an empty bipartite graph with the given part
 // sizes. All capacities start at zero; set them with SetCapacity or
-// SetAllCapacities before matching.
+// SetAllCapacities before matching. It panics on a negative part size
+// or on sizes that sum past math.MaxInt32, the last int32 node id.
 func NewBipartite(numItems, numConsumers int) *Bipartite {
 	if numItems < 0 || numConsumers < 0 {
 		panic(fmt.Sprintf("graph: negative part size (%d, %d)", numItems, numConsumers))
+	}
+	if numItems > math.MaxInt32-numConsumers {
+		panic(fmt.Sprintf("graph: %d items and %d consumers overflow int32 node ids", numItems, numConsumers))
 	}
 	return &Bipartite{
 		numItems:     numItems,
@@ -136,6 +140,10 @@ func (g *Bipartite) AddEdge(item, consumer NodeID, weight float64) {
 	g.edges = append(g.edges, Edge{Item: item, Consumer: consumer, Weight: weight})
 	g.adjOnce = sync.Once{}
 }
+
+// Grow makes room for n more edges, so the next n AddEdge calls do not
+// reallocate.
+func (g *Bipartite) Grow(n int) { g.edges = slices.Grow(g.edges, n) }
 
 // Edge returns the i-th edge.
 func (g *Bipartite) Edge(i int) Edge { return g.edges[i] }

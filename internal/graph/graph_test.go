@@ -62,6 +62,7 @@ func TestIDPanics(t *testing.T) {
 		"negative capacity":     func() { g.SetCapacity(0, -1) },
 		"capacity bad node":     func() { g.SetCapacity(99, 1) },
 		"negative part":         func() { NewBipartite(-1, 2) },
+		"parts past int32 ids":  func() { NewBipartite(math.MaxInt32, 1) },
 	} {
 		func() {
 			defer func() {
@@ -71,6 +72,19 @@ func TestIDPanics(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+func TestGrow(t *testing.T) {
+	g := NewBipartite(2, 2)
+	g.Grow(3)
+	g.AddEdge(g.ItemID(0), g.ConsumerID(0), 1)
+	first := &g.Edges()[0]
+	g.AddEdge(g.ItemID(1), g.ConsumerID(0), 2)
+	g.AddEdge(g.ItemID(1), g.ConsumerID(1), 3)
+	if g.NumEdges() != 3 || &g.Edges()[0] != first {
+		t.Fatalf("%d edges, reallocated %v: Grow(3) did not make room for 3 edges",
+			g.NumEdges(), &g.Edges()[0] != first)
 	}
 }
 

@@ -9,8 +9,10 @@
 package vector
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -46,7 +48,7 @@ func FromEntries(entries []Entry) Sparse {
 		}
 		cp = append(cp, e)
 	}
-	sort.Slice(cp, func(i, j int) bool { return cp[i].Term < cp[j].Term })
+	slices.SortFunc(cp, func(a, b Entry) int { return cmp.Compare(a.Term, b.Term) })
 	// Merge duplicates.
 	out := cp[:0]
 	for _, e := range cp {

@@ -2,6 +2,8 @@ package vector
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -29,6 +31,39 @@ func TestFromEntriesSortsAndMerges(t *testing.T) {
 	}
 	if v.At(1).Term != 5 || v.At(1).Weight != 3 {
 		t.Errorf("At(1) = %+v (duplicates not merged)", v.At(1))
+	}
+}
+
+// TestFromEntriesMergeOrder: duplicate terms are summed in the order
+// the sort leaves them, and float addition is not associative, so
+// FromEntries must keep the permutation sort.Slice gave it (both are the
+// same pdqsort). The reference is that earlier implementation.
+func TestFromEntriesMergeOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for n := range 3000 {
+		entries := make([]Entry, n%60)
+		for i := range entries {
+			entries[i] = Entry{Term: TermID(rng.Intn(1 + n%9)), Weight: rng.ExpFloat64() * math.Pow(10, float64(rng.Intn(9)-4))}
+		}
+		ref := append([]Entry(nil), entries...)
+		sort.Slice(ref, func(i, j int) bool { return ref[i].Term < ref[j].Term })
+		var want []Entry
+		for _, e := range ref {
+			if k := len(want); k > 0 && want[k-1].Term == e.Term {
+				want[k-1].Weight += e.Weight
+			} else {
+				want = append(want, e)
+			}
+		}
+		got := FromEntries(entries).Entries()
+		if len(got) != len(want) {
+			t.Fatalf("slice %d: %d entries, want %d", n, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Term != want[i].Term || math.Float64bits(got[i].Weight) != math.Float64bits(want[i].Weight) {
+				t.Fatalf("slice %d: entry %d is %+v, want %+v", n, i, got[i], want[i])
+			}
+		}
 	}
 }
 
