@@ -69,33 +69,9 @@ func (c *Corpus) BuildGraph(sigma float64) *graph.Bipartite {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			scores := make([]float64, c.NumItems())
-			touched := make([]int32, 0, 1024)
+			s := &scorer{idx: idx, scores: make([]float64, c.NumItems())}
 			for b := int(next.Add(1) - 1); b < len(blocks); b = int(next.Add(1) - 1) {
-				var edges []graph.Edge
-				for j := b * buildBlock; j < min((b+1)*buildBlock, c.NumConsumers()); j++ {
-					for _, e := range c.Consumers[j].Entries() {
-						r, ok := idx.row[e.Term]
-						if !ok {
-							continue
-						}
-						for p := idx.start[r]; p < idx.start[r+1]; p++ {
-							i := idx.item[p]
-							if scores[i] == 0 {
-								touched = append(touched, i)
-							}
-							scores[i] += e.Weight * idx.weight[p]
-						}
-					}
-					for _, i := range touched {
-						if scores[i] >= sigma {
-							edges = append(edges, graph.Edge{Item: g.ItemID(int(i)), Consumer: g.ConsumerID(j), Weight: scores[i]})
-						}
-						scores[i] = 0
-					}
-					touched = touched[:0]
-				}
-				blocks[b] = edges
+				blocks[b] = s.edges(g, c.Consumers, b*buildBlock, min((b+1)*buildBlock, c.NumConsumers()), sigma)
 			}
 		}()
 	}
@@ -104,8 +80,46 @@ func (c *Corpus) BuildGraph(sigma float64) *graph.Bipartite {
 	return g
 }
 
-// edgeChunk is the capacity of one chunk of a generator's edge list.
-const edgeChunk = 1 << 16
+// scorer scores consumers against the item index, one consumer at a
+// time; every BuildGraph goroutine has its own.
+type scorer struct {
+	idx     *postings
+	scores  []float64 // by item; all zero between consumers
+	touched []int32   // the items with a score, in first-touch order
+}
+
+// edges returns the edges of consumers [from, to) with similarity ≥
+// sigma, consumer by consumer.
+func (s *scorer) edges(g *graph.Bipartite, consumers []vector.Sparse, from, to int, sigma float64) []graph.Edge {
+	// Locals, not fields, in the loops: the compiler keeps them in
+	// registers.
+	scores, touched := s.scores, s.touched
+	row, start, post := s.idx.row, s.idx.start, s.idx.post
+	var edges []graph.Edge
+	for j := from; j < to; j++ {
+		for _, e := range consumers[j].Entries() {
+			r, ok := row[e.Term]
+			if !ok {
+				continue
+			}
+			for _, p := range post[start[r]:start[r+1]] {
+				if scores[p.item] == 0 {
+					touched = append(touched, p.item)
+				}
+				scores[p.item] += e.Weight * p.weight
+			}
+		}
+		for _, i := range touched {
+			if scores[i] >= sigma {
+				edges = append(edges, graph.Edge{Item: g.ItemID(int(i)), Consumer: g.ConsumerID(j), Weight: scores[i]})
+			}
+			scores[i] = 0
+		}
+		touched = touched[:0]
+	}
+	s.touched = touched
+	return edges
+}
 
 // addEdges adds the edges of lists to g in order, after growing g's edge
 // list once to the exact size.
@@ -123,13 +137,17 @@ func addEdges(g *graph.Bipartite, lists [][]graph.Edge) {
 }
 
 // postings is an inverted index over item vectors in CSR form: each
-// distinct term has a row, and row r's postings, (item, weight) pairs in
-// item order, are item[start[r]:start[r+1]] and weight[...].
+// distinct term has a row, and row r's postings, in item order, are
+// post[start[r]:start[r+1]].
 type postings struct {
-	row    map[vector.TermID]int32
-	start  []int
-	item   []int32
-	weight []float64
+	row   map[vector.TermID]int32
+	start []int
+	post  []posting
+}
+
+type posting struct {
+	item   int32
+	weight float64
 }
 
 // newPostings indexes items in three passes: rows in first-seen term
@@ -158,16 +176,13 @@ func newPostings(items []vector.Sparse) *postings {
 	for r := range len(idx.row) {
 		idx.start[r+1] += idx.start[r]
 	}
-	idx.item = make([]int32, n)
-	idx.weight = make([]float64, n)
+	idx.post = make([]posting, n)
 	fill := slices.Clone(idx.start[:len(idx.row)])
 	k := 0
 	for i, v := range items {
 		for _, e := range v.Entries() {
-			p := fill[rows[k]]
+			idx.post[fill[rows[k]]] = posting{item: int32(i), weight: e.Weight}
 			fill[rows[k]]++
-			idx.item[p] = int32(i)
-			idx.weight[p] = e.Weight
 			k++
 		}
 	}

@@ -63,6 +63,9 @@ func Synthetic(cfg SyntheticConfig) *graph.Bipartite {
 	return g
 }
 
+// edgeChunk is the capacity of one chunk of Synthetic's edge list.
+const edgeChunk = 1 << 16
+
 // drawEdges gives every item a power-law number of distinct consumers,
 // picked Zipf-style so popular consumers exist, with exponential
 // weights.
@@ -75,7 +78,8 @@ func drawEdges(g *graph.Bipartite, rng *rand.Rand, cfg SyntheticConfig) {
 	// Edges go to fixed-size chunks, then into g in one exact-sized
 	// copy: appending to g directly regrows and recopies its edge slice
 	// a few dozen times.
-	chunks := [][]graph.Edge{make([]graph.Edge, 0, edgeChunk)}
+	var chunks [][]graph.Edge
+	edges := make([]graph.Edge, 0, edgeChunk)
 	for i := 0; i < cfg.NumItems; i++ {
 		deg := min(ParetoInt(rng, 1, 8*cfg.MeanDegree, cfg.DegreeAlpha), cfg.NumConsumers)
 		stamp := int32(i + 1)
@@ -90,12 +94,12 @@ func drawEdges(g *graph.Bipartite, rng *rand.Rand, cfg SyntheticConfig) {
 			if w <= 0 || math.IsInf(w, 0) {
 				w = cfg.WeightScale
 			}
-			if last := chunks[len(chunks)-1]; len(last) == cap(last) {
-				chunks = append(chunks, make([]graph.Edge, 0, edgeChunk))
+			if len(edges) == cap(edges) {
+				chunks = append(chunks, edges)
+				edges = make([]graph.Edge, 0, edgeChunk)
 			}
-			last := &chunks[len(chunks)-1]
-			*last = append(*last, graph.Edge{Item: g.ItemID(i), Consumer: g.ConsumerID(j), Weight: w})
+			edges = append(edges, graph.Edge{Item: g.ItemID(i), Consumer: g.ConsumerID(j), Weight: w})
 		}
 	}
-	addEdges(g, chunks)
+	addEdges(g, append(chunks, edges))
 }

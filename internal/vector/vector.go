@@ -207,8 +207,9 @@ func (v Sparse) String() string {
 }
 
 // Builder accumulates term counts and produces a Sparse vector. It is the
-// mutable companion of Sparse used by the text pipeline and the dataset
-// generators.
+// mutable companion of Sparse, for callers that build a few vectors over
+// an open vocabulary (the examples); the dataset generators count into a
+// dense array instead.
 type Builder struct {
 	weights map[TermID]float64
 }
