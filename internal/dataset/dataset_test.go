@@ -65,6 +65,7 @@ func TestZipfPanicsOnBadParams(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for name, fn := range map[string]func(){
 		"n=0":              func() { NewZipf(rng, 1, 0) },
+		"n past int32":     func() { NewZipf(rng, 1, math.MaxInt32+1) },
 		"s=0":              func() { NewZipf(rng, 0, 5) },
 		"s=-1":             func() { NewZipf(rng, -1, 5) },
 		"s=NaN":            func() { NewZipf(rng, math.NaN(), 5) },

@@ -68,11 +68,12 @@ func guideTable(cdf []float64) []int32 {
 
 // Draw samples one rank: the smallest i with cdf[i] ≥ u. The guide entry
 // of u's bucket is that rank or a neighbour of it; the walk down covers a
-// u·n that rounded up into the next bucket.
+// u·n that rounded up into the next bucket. (u ≤ 1−2⁻⁵³ keeps the
+// rounded u·n below n for every n < 2⁵³.)
 func (z *Zipf) Draw() int {
 	u := z.rng.Float64()
 	cdf := z.cdf
-	i := int(z.guide[min(int(u*float64(len(cdf))), len(cdf)-1)])
+	i := int(z.guide[int(u*float64(len(cdf)))])
 	for i > 0 && cdf[i-1] >= u {
 		i--
 	}
