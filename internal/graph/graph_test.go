@@ -283,23 +283,72 @@ func TestSortEdgesByWeightDesc(t *testing.T) {
 			return math.Ldexp(r.Float64()+0.5, r.Intn(2000)-1000)
 		},
 	}
+	check := func(name string, g *Bipartite) {
+		t.Helper()
+		if got := g.SortEdgesByWeightDesc(); !slices.Equal(got, want(g)) {
+			t.Errorf("%s, %d edges: order differs from the stable reference sort", name, g.NumEdges())
+		}
+	}
 	for name, weight := range weights {
 		for seed, n := range []int{0, 1, 2, 17, 300, 5000, 100000} {
 			r := rand.New(rand.NewSource(int64(seed)))
 			g := NewBipartite(1+n/20, 1+n/50)
-			for g.NumEdges() < n {
-				e := Edge{g.ItemID(r.Intn(g.NumItems())), g.ConsumerID(r.Intn(g.NumConsumers())), weight(r)}
-				copies := 1
-				if r.Intn(4) == 0 { // a quarter of the edges two or three times
-					copies += 1 + r.Intn(2)
-				}
-				for ; copies > 0 && g.NumEdges() < n; copies-- {
-					g.AddEdge(e.Item, e.Consumer, e.Weight)
-				}
+			addRandomEdges(g, r, n, weight)
+			check(name, g)
+		}
+	}
+
+	// One run of 10⁵ tied edges.
+	r := rand.New(rand.NewSource(7))
+	g = NewBipartite(3000, 500)
+	addRandomEdges(g, r, 100000, func(*rand.Rand) float64 { return 1 })
+	check("one tie run", g)
+
+	// Item ids up to 2¹⁸ and consumer ids past it, so three bytes of
+	// each endpoint vary among tied edges.
+	g = NewBipartite(1<<18, 1<<17)
+	addRandomEdges(g, r, 20000, func(r *rand.Rand) float64 { return float64(1 + r.Intn(3)) })
+	check("wide ids", g)
+
+	// Runs of 31, 32 and 33 tied edges, either side of a small-run
+	// cutoff of 32, inserted interleaved. Each run's smallest and largest
+	// (item, consumer) pairs go in twice, so duplicate edges sit at both
+	// ends of the run, and every run repeats them at its own weight.
+	g = NewBipartite(40, 40)
+	var runs [][]Edge
+	for _, n := range []int{31, 32, 33} {
+		w := float64(n)
+		run := []Edge{{g.ItemID(0), g.ConsumerID(0), w}, {g.ItemID(39), g.ConsumerID(39), w}}
+		for len(run) < n-2 {
+			run = append(run, Edge{g.ItemID(1 + r.Intn(38)), g.ConsumerID(r.Intn(40)), w})
+		}
+		run = append(run, run[0], run[1])
+		r.Shuffle(len(run), func(a, b int) { run[a], run[b] = run[b], run[a] })
+		runs = append(runs, run)
+	}
+	for i := 0; i < 33; i++ {
+		for _, run := range runs {
+			if i < len(run) {
+				g.AddEdge(run[i].Item, run[i].Consumer, run[i].Weight)
 			}
-			if got := g.SortEdgesByWeightDesc(); !slices.Equal(got, want(g)) {
-				t.Errorf("%s, %d edges: order differs from the stable reference sort", name, n)
-			}
+		}
+	}
+	check("runs around the cutoff", g)
+}
+
+// addRandomEdges adds n edges between random endpoints of g, weighted by
+// weight; a quarter of them go in two or three times in a row, so g has
+// duplicate edges.
+func addRandomEdges(g *Bipartite, r *rand.Rand, n int, weight func(*rand.Rand) float64) {
+	n += g.NumEdges()
+	for g.NumEdges() < n {
+		e := Edge{g.ItemID(r.Intn(g.NumItems())), g.ConsumerID(r.Intn(g.NumConsumers())), weight(r)}
+		copies := 1
+		if r.Intn(4) == 0 {
+			copies += 1 + r.Intn(2)
+		}
+		for ; copies > 0 && g.NumEdges() < n; copies-- {
+			g.AddEdge(e.Item, e.Consumer, e.Weight)
 		}
 	}
 }
