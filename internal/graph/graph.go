@@ -12,7 +12,6 @@
 package graph
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -293,28 +292,86 @@ func (g *Bipartite) FilterEdges(sigma float64) *Bipartite {
 // the index, so duplicate edges keep their insertion order. The
 // centralized greedy algorithm processes edges in this order.
 //
-// It is an LSD radix sort, one byte per pass, of (key, index) pairs with
-// key ^Float64bits(w): weights are positive and finite, so ascending key
-// is descending weight. Each pass is stable, so equal weights come out in
-// index order, and a pass whose byte every key shares is skipped. A last
-// scan sorts each run of equal weights by (item, consumer, index).
+// It is two stable radix sorts (radixSort) of (key, index) pairs. The
+// first sorts every edge on ^Float64bits(w): weights are positive and
+// finite, so ascending key is descending weight, and equal weights come
+// out in index order. The second sorts each run of equal weights on
+// item<<32 | consumer, written over the run's own slice of the key
+// array; being stable, it keeps duplicate edges in index order.
 func (g *Bipartite) SortEdgesByWeightDesc() []int32 {
 	n := len(g.edges)
 	keys, keys2 := make([]uint64, n), make([]uint64, n)
 	idx, idx2 := make([]int32, n), make([]int32, n)
-	// counts[p][d] is the number of keys whose byte p is d; its pass
-	// turns it into the first output slot of digit d.
 	counts := new([8][256]int32)
 	for i, e := range g.edges {
 		k := ^math.Float64bits(e.Weight)
 		keys[i], idx[i] = k, int32(i)
-		for p := range counts {
-			counts[p][byte(k>>(8*p))]++
+		countBytes(counts, k)
+	}
+	if radixSort(keys, keys2, idx, idx2, counts) {
+		keys, keys2, idx, idx2 = keys2, keys, idx2, idx
+	}
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && keys[hi] == keys[lo] {
+			hi++
 		}
+		if hi-lo > 1 {
+			// The run's indexes ascend, so its edges are gathered in
+			// address order; counting in a second loop, over keys already
+			// in cache, leaves this one free to overlap its cache misses.
+			for i, ei := range idx[lo:hi] {
+				e := &g.edges[ei]
+				keys[lo+i] = uint64(uint32(e.Item))<<32 | uint64(uint32(e.Consumer))
+			}
+			if hi-lo >= radixCutoff {
+				*counts = [8][256]int32{}
+				for _, k := range keys[lo:hi] {
+					countBytes(counts, k)
+				}
+			}
+			if radixSort(keys[lo:hi], keys2[lo:hi], idx[lo:hi], idx2[lo:hi], counts) {
+				copy(idx[lo:hi], idx2[lo:hi])
+			}
+		}
+		lo = hi
+	}
+	return idx
+}
+
+// radixCutoff is the length below which radixSort sorts by insertion.
+const radixCutoff = 32
+
+// countBytes adds key k to the byte histograms radixSort reads.
+func countBytes(counts *[8][256]int32, k uint64) {
+	for p := range counts {
+		counts[p][byte(k>>(8*p))]++
+	}
+}
+
+// radixSort sorts keys ascending, carrying idx along, and is stable. It
+// is an LSD radix sort, one byte per pass, that skips a byte every key
+// shares; keys2 and idx2 are its scratch, as long as keys. It reads
+// counts[p][d], the number of keys whose byte p is d, as countBytes left
+// it, and turns each row it uses into output slots. Below radixCutoff
+// keys it sorts by insertion and leaves counts alone. It reports whether
+// the sorted pairs ended up in keys2 and idx2.
+func radixSort(keys, keys2 []uint64, idx, idx2 []int32, counts *[8][256]int32) (swapped bool) {
+	n := len(keys)
+	if n < radixCutoff {
+		for i := 1; i < n; i++ {
+			k, x := keys[i], idx[i]
+			j := i
+			for ; j > 0 && keys[j-1] > k; j-- {
+				keys[j], idx[j] = keys[j-1], idx[j-1]
+			}
+			keys[j], idx[j] = k, x
+		}
+		return false
 	}
 	for p := range counts {
 		c, shift := &counts[p], 8*p
-		if n == 0 || int(c[byte(keys[0]>>shift)]) == n {
+		if int(c[byte(keys[0]>>shift)]) == n {
 			continue
 		}
 		var slot int32
@@ -328,27 +385,9 @@ func (g *Bipartite) SortEdgesByWeightDesc() []int32 {
 		}
 		keys, keys2 = keys2, keys
 		idx, idx2 = idx2, idx
+		swapped = !swapped
 	}
-	for lo := 0; lo < n; {
-		hi := lo + 1
-		for hi < n && keys[hi] == keys[lo] {
-			hi++
-		}
-		if hi-lo > 1 {
-			slices.SortFunc(idx[lo:hi], func(a, b int32) int {
-				ea, eb := &g.edges[a], &g.edges[b]
-				if ea.Item != eb.Item {
-					return cmp.Compare(ea.Item, eb.Item)
-				}
-				if ea.Consumer != eb.Consumer {
-					return cmp.Compare(ea.Consumer, eb.Consumer)
-				}
-				return cmp.Compare(a, b)
-			})
-		}
-		lo = hi
-	}
-	return idx
+	return swapped
 }
 
 // Clone returns a deep copy of the graph.
