@@ -236,7 +236,7 @@ type Report struct {
 // and b-matching (Section 5.2-5.4).
 type Pipeline struct {
 	// Sigma is the similarity threshold for candidate edges (must be
-	// positive).
+	// finite and positive).
 	Sigma float64
 	// Alpha scales consumer capacities b(u) = α·activity(u)
 	// (default 1).

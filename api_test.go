@@ -2,6 +2,7 @@ package socialmatch
 
 import (
 	"context"
+	"math"
 	"testing"
 )
 
@@ -122,7 +123,11 @@ func TestPipelineQualityProportional(t *testing.T) {
 }
 
 func TestPipelineRejectsBadSigma(t *testing.T) {
-	if _, err := (Pipeline{Sigma: 0}).Run(context.Background(), nil, nil, nil); err == nil {
-		t.Error("sigma=0 accepted")
+	items := []Vector{NewVector([]VectorEntry{{Term: 1, Weight: 2}})}
+	consumers := []Vector{NewVector([]VectorEntry{{Term: 1, Weight: 3}})}
+	for _, sigma := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := (Pipeline{Sigma: sigma}).Run(context.Background(), items, consumers, []float64{1}); err == nil {
+			t.Errorf("sigma=%v accepted", sigma)
+		}
 	}
 }

@@ -40,7 +40,7 @@ func main() {
 func run() (err error) {
 	var (
 		name  = flag.String("dataset", "flickr-small", "flickr-small | flickr-large | yahoo-answers")
-		sigma = flag.Float64("sigma", 4, "similarity threshold (must be > 0)")
+		sigma = flag.Float64("sigma", 4, "similarity threshold (finite, > 0)")
 		alpha = flag.Float64("alpha", 1, "capacity multiplier applied when writing the graph")
 		scale = flag.Float64("scale", 1, "corpus size scale factor in (0,1]")
 		seed  = flag.Int64("seed", 1, "random seed")

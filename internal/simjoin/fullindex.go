@@ -21,8 +21,8 @@ import (
 // the vectors: the probe job's reducers sum the per-term partial
 // products directly.
 func JoinFullIndex(ctx context.Context, items, consumers []vector.Sparse, sigma float64, opts Options) (*Result, error) {
-	if sigma <= 0 {
-		return nil, fmt.Errorf("simjoin: threshold must be positive, got %v", sigma)
+	if err := checkSigma(sigma); err != nil {
+		return nil, err
 	}
 	driver := mapreduce.NewDriver(opts.MR)
 

@@ -20,10 +20,11 @@
 package simjoin
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/graph"
@@ -73,11 +74,11 @@ type posting struct {
 
 // Join finds every (item, consumer) pair with items[i]·consumers[j] ≥
 // sigma. Vectors with no terms never match. The threshold must be
-// positive: with σ ≤ 0 the result would be the full cross product, which
-// the caller should build directly if it truly wants it.
+// positive and finite: with σ ≤ 0 the result would be the full cross
+// product, which the caller should build directly if it truly wants it.
 func Join(ctx context.Context, items, consumers []vector.Sparse, sigma float64, opts Options) (*Result, error) {
-	if sigma <= 0 {
-		return nil, fmt.Errorf("simjoin: threshold must be positive, got %v", sigma)
+	if err := checkSigma(sigma); err != nil {
+		return nil, err
 	}
 	driver := mapreduce.NewDriver(opts.MR)
 
@@ -293,30 +294,49 @@ func RegisterDistJobs(items, consumers []vector.Sparse, sigma float64) {
 	mapreduce.RegisterDistReduce("simjoin-probe", newVerifier(items, consumers, sigma).verifyReduce)
 }
 
+// checkSigma refuses a join threshold that is not a finite positive
+// number. NaN fails every comparison, so no posting would be kept and the
+// join would find nothing without an error.
+func checkSigma(sigma float64) error {
+	if !(sigma > 0) || math.IsInf(sigma, 1) {
+		return fmt.Errorf("simjoin: threshold %v is not a finite positive number", sigma)
+	}
+	return nil
+}
+
 // prefixEntries returns the entries of d to index: d's entries sorted by
-// ascending consumer document frequency, truncated to the shortest
-// prefix whose suffix upper bound Σ w·maxW is below sigma.
+// ascending consumer document frequency, then term, truncated to the
+// shortest prefix whose suffix upper bound Σ w·maxW is below sigma.
 func prefixEntries(d vector.Sparse, sigma float64, maxW map[vector.TermID]float64, df map[vector.TermID]int) []vector.Entry {
-	entries := append([]vector.Entry(nil), d.Entries()...)
-	sort.Slice(entries, func(a, b int) bool {
-		da, db := df[entries[a].Term], df[entries[b].Term]
-		if da != db {
-			return da < db
-		}
-		return entries[a].Term < entries[b].Term
-	})
+	// Each entry looks up its statistics once: key packs (df, term) into
+	// one integer in that order (the sign flip orders int32 terms as
+	// unsigned), and bound is the entry's term of the suffix sum.
+	type ranked struct {
+		key   uint64
+		bound float64
+		e     vector.Entry
+	}
+	rs := make([]ranked, d.Len())
+	for i, e := range d.Entries() {
+		rs[i] = ranked{uint64(df[e.Term])<<32 | uint64(uint32(e.Term)^1<<31), e.Weight * maxW[e.Term], e}
+	}
+	slices.SortFunc(rs, func(a, b ranked) int { return cmp.Compare(a.key, b.key) })
 	// Suffix bounds from the back.
 	suffix := 0.0
-	cut := len(entries)
-	for i := len(entries) - 1; i >= 0; i-- {
-		next := suffix + entries[i].Weight*maxW[entries[i].Term]
+	cut := len(rs)
+	for i := len(rs) - 1; i >= 0; i-- {
+		next := suffix + rs[i].bound
 		if next >= sigma {
 			break
 		}
 		suffix = next
 		cut = i
 	}
-	return entries[:cut]
+	entries := make([]vector.Entry, cut)
+	for i := range entries {
+		entries[i] = rs[i].e
+	}
+	return entries
 }
 
 // BruteForce computes the join by scoring every pair; the reference the
@@ -338,6 +358,7 @@ func BruteForce(items, consumers []vector.Sparse, sigma float64) []Edge {
 // part sizes (capacities unset).
 func ToGraph(edges []Edge, numItems, numConsumers int) *graph.Bipartite {
 	g := graph.NewBipartite(numItems, numConsumers)
+	g.Grow(len(edges))
 	for _, e := range edges {
 		g.AddEdge(g.ItemID(int(e.Item)), g.ConsumerID(int(e.Consumer)), e.Sim)
 	}

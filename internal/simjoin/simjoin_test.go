@@ -125,12 +125,18 @@ func TestJoinPrunesCandidates(t *testing.T) {
 	sameEdges(t, res.Edges, BruteForce(items, consumers, 3.0))
 }
 
+// TestJoinRejectsNonPositiveThreshold: both joins refuse a threshold that
+// is not a finite positive number. A NaN σ once passed the σ ≤ 0 check,
+// kept no posting and returned no edges without an error.
 func TestJoinRejectsNonPositiveThreshold(t *testing.T) {
-	if _, err := Join(context.Background(), nil, nil, 0, testMR); err == nil {
-		t.Error("sigma=0 accepted")
-	}
-	if _, err := Join(context.Background(), nil, nil, -1, testMR); err == nil {
-		t.Error("sigma<0 accepted")
+	items, consumers := []vector.Sparse{vec(1, 2)}, []vector.Sparse{vec(1, 3)}
+	for _, sigma := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := Join(context.Background(), items, consumers, sigma, testMR); err == nil {
+			t.Errorf("Join accepted sigma=%v", sigma)
+		}
+		if _, err := JoinFullIndex(context.Background(), items, consumers, sigma, testMR); err == nil {
+			t.Errorf("JoinFullIndex accepted sigma=%v", sigma)
+		}
 	}
 }
 
