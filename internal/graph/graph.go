@@ -311,6 +311,17 @@ func (g *Bipartite) SortEdgesByWeightDesc() []int32 {
 	if radixSort(keys, keys2, idx, idx2, counts) {
 		keys, keys2, idx, idx2 = keys2, keys, idx2, idx
 	}
+	g.sortTies(keys, keys2, idx, idx2, counts)
+	return idx
+}
+
+// sortTies sorts each run of equal keys, whose edge indexes idx holds in
+// ascending order, by (item, consumer): it writes the key
+// item<<32 | consumer over the run's own keys and sorts them with
+// radixSort, which keeps duplicate edges in index order. keys2, idx2 and
+// counts are radixSort's scratch.
+func (g *Bipartite) sortTies(keys, keys2 []uint64, idx, idx2 []int32, counts *[8][256]int32) {
+	n := len(keys)
 	for lo := 0; lo < n; {
 		hi := lo + 1
 		for hi < n && keys[hi] == keys[lo] {
@@ -336,7 +347,6 @@ func (g *Bipartite) SortEdgesByWeightDesc() []int32 {
 		}
 		lo = hi
 	}
-	return idx
 }
 
 // radixCutoff is the length below which radixSort sorts by insertion.
@@ -353,9 +363,8 @@ func countBytes(counts *[8][256]int32, k uint64) {
 // is an LSD radix sort, one byte per pass, that skips a byte every key
 // shares; keys2 and idx2 are its scratch, as long as keys. It reads
 // counts[p][d], the number of keys whose byte p is d, as countBytes left
-// it, and turns each row it uses into output slots. Below radixCutoff
-// keys it sorts by insertion and leaves counts alone. It reports whether
-// the sorted pairs ended up in keys2 and idx2.
+// it, except below radixCutoff keys, where it sorts by insertion. It
+// reports whether the sorted pairs ended up in keys2 and idx2.
 func radixSort(keys, keys2 []uint64, idx, idx2 []int32, counts *[8][256]int32) (swapped bool) {
 	n := len(keys)
 	if n < radixCutoff {
@@ -374,20 +383,33 @@ func radixSort(keys, keys2 []uint64, idx, idx2 []int32, counts *[8][256]int32) (
 		if int(c[byte(keys[0]>>shift)]) == n {
 			continue
 		}
-		var slot int32
-		for d, cnt := range c {
-			c[d], slot = slot, slot+cnt
-		}
-		for i, k := range keys {
-			d := byte(k >> shift)
-			keys2[c[d]], idx2[c[d]] = k, idx[i]
-			c[d]++
-		}
+		scatter(keys2, idx2, keys, idx, c, uint(shift))
 		keys, keys2 = keys2, keys
 		idx, idx2 = idx2, idx
 		swapped = !swapped
 	}
 	return swapped
+}
+
+// scatter is one radixSort pass: it moves each pair (keys[i], idx[i]) to
+// the next slot of its byte at shift in dst and dstIdx, in input order,
+// so the pass is stable; c is that byte's histogram. It is a function of
+// its own, with its slots in a local array and the shift masked, so that
+// the loop's operands fit in registers and it needs no nil or shift
+// check.
+func scatter(dst []uint64, dstIdx []int32, keys []uint64, idx []int32, c *[256]int32, shift uint) {
+	var next [256]int32
+	var slot int32
+	for d, cnt := range c {
+		next[d], slot = slot, slot+cnt
+	}
+	n := len(keys)
+	dst, dstIdx, idx = dst[:n], dstIdx[:n], idx[:n]
+	for i, k := range keys {
+		d := byte(k >> (shift & 63))
+		dst[next[d]], dstIdx[next[d]] = k, idx[i]
+		next[d]++
+	}
 }
 
 // Clone returns a deep copy of the graph.
