@@ -308,24 +308,24 @@ func checkSigma(sigma float64) error {
 // ascending consumer document frequency, then term, truncated to the
 // shortest prefix whose suffix upper bound Σ w·maxW is below sigma.
 func prefixEntries(d vector.Sparse, sigma float64, maxW map[vector.TermID]float64, df map[vector.TermID]int) []vector.Entry {
-	// Each entry looks up its statistics once: key packs (df, term) into
+	// Each entry looks its statistics up once: key packs (df, term) into
 	// one integer in that order (the sign flip orders int32 terms as
-	// unsigned), and bound is the entry's term of the suffix sum.
+	// unsigned ones).
 	type ranked struct {
-		key   uint64
-		bound float64
-		e     vector.Entry
+		key  uint64
+		maxW float64
+		e    vector.Entry
 	}
 	rs := make([]ranked, d.Len())
 	for i, e := range d.Entries() {
-		rs[i] = ranked{uint64(df[e.Term])<<32 | uint64(uint32(e.Term)^1<<31), e.Weight * maxW[e.Term], e}
+		rs[i] = ranked{uint64(df[e.Term])<<32 | uint64(uint32(e.Term)^1<<31), maxW[e.Term], e}
 	}
 	slices.SortFunc(rs, func(a, b ranked) int { return cmp.Compare(a.key, b.key) })
 	// Suffix bounds from the back.
 	suffix := 0.0
 	cut := len(rs)
 	for i := len(rs) - 1; i >= 0; i-- {
-		next := suffix + rs[i].bound
+		next := suffix + rs[i].e.Weight*rs[i].maxW
 		if next >= sigma {
 			break
 		}
