@@ -20,7 +20,6 @@
 package simjoin
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -308,24 +307,19 @@ func checkSigma(sigma float64) error {
 // ascending consumer document frequency, then term, truncated to the
 // shortest prefix whose suffix upper bound Σ w·maxW is below sigma.
 func prefixEntries(d vector.Sparse, sigma float64, maxW map[vector.TermID]float64, df map[vector.TermID]int) []vector.Entry {
-	// Each entry looks its statistics up once: key packs (df, term) into
-	// one integer in that order (the sign flip orders int32 terms as
-	// unsigned ones).
-	type ranked struct {
-		key  uint64
-		maxW float64
-		e    vector.Entry
-	}
-	rs := make([]ranked, d.Len())
+	// d's entries ascend by term, so the keys df<<32 | position sort into
+	// (df, term) order, each entry looking its df up once.
+	keys := make([]uint64, d.Len())
 	for i, e := range d.Entries() {
-		rs[i] = ranked{uint64(df[e.Term])<<32 | uint64(uint32(e.Term)^1<<31), maxW[e.Term], e}
+		keys[i] = uint64(df[e.Term])<<32 | uint64(i)
 	}
-	slices.SortFunc(rs, func(a, b ranked) int { return cmp.Compare(a.key, b.key) })
+	slices.Sort(keys)
 	// Suffix bounds from the back.
 	suffix := 0.0
-	cut := len(rs)
-	for i := len(rs) - 1; i >= 0; i-- {
-		next := suffix + rs[i].e.Weight*rs[i].maxW
+	cut := len(keys)
+	for i := len(keys) - 1; i >= 0; i-- {
+		e := d.At(int(uint32(keys[i])))
+		next := suffix + e.Weight*maxW[e.Term]
 		if next >= sigma {
 			break
 		}
@@ -334,7 +328,7 @@ func prefixEntries(d vector.Sparse, sigma float64, maxW map[vector.TermID]float6
 	}
 	entries := make([]vector.Entry, cut)
 	for i := range entries {
-		entries[i] = rs[i].e
+		entries[i] = d.At(int(uint32(keys[i])))
 	}
 	return entries
 }
