@@ -126,8 +126,8 @@ func TestJoinPrunesCandidates(t *testing.T) {
 }
 
 // TestJoinRejectsNonPositiveThreshold: both joins refuse a threshold that
-// is not a finite positive number. A NaN σ once passed the σ ≤ 0 check,
-// kept no posting and returned no edges without an error.
+// is not a finite positive number. NaN fails a σ ≤ 0 comparison too, and
+// unrefused it keeps no posting: the join returns no edges and no error.
 func TestJoinRejectsNonPositiveThreshold(t *testing.T) {
 	items, consumers := []vector.Sparse{vec(1, 2)}, []vector.Sparse{vec(1, 3)}
 	for _, sigma := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
