@@ -9,8 +9,9 @@ import (
 )
 
 // The spilling and dist shuffle backends of internal/mapreduce serialize
-// intermediate values through encoding.BinaryMarshaler (see laneFor in
-// mapreduce/codeclane.go for the resolution order), and the dist backend
+// a struct value only if it encodes itself — encoding.BinaryAppender on
+// the type, encoding.BinaryUnmarshaler on its pointer (see laneFor in
+// mapreduce/codeclane.go) — and the dist backend
 // serializes resident state and reduce output the same way. This file
 // gives the matching algorithms' value types that compact binary form,
 // so that GreedyMR, StackMR, StackGreedyMR and StackMRStrict run
@@ -21,11 +22,10 @@ import (
 // column without coming here. What remains are the records the jobs keep
 // resident and emit (nodeState, stackNode, mmNode).
 //
-// Every type encodes through AppendBinary (encoding.BinaryAppender),
-// which the engine's codec calls with its column scratch, so encoding a
-// record allocates nothing; MarshalBinary is AppendBinary(nil). A struct
-// has no lane in the engine's codec: without these methods a job over
-// these types is refused off the memory backend.
+// The engine's codec calls AppendBinary with its column scratch, so
+// encoding a record allocates nothing. A struct has no lane in the
+// engine's codec: without these methods a job over these types is
+// refused off the memory backend.
 
 // --- shared pieces -----------------------------------------------------
 
@@ -215,9 +215,6 @@ func (m dualMsg) AppendBinary(buf []byte) ([]byte, error) {
 	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.yOverB)), nil
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m dualMsg) MarshalBinary() ([]byte, error) { return m.AppendBinary(nil) }
-
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *dualMsg) UnmarshalBinary(data []byte) error {
 	r := &spillReader{data: data}
@@ -238,9 +235,6 @@ func (s nodeState) AppendBinary(buf []byte) ([]byte, error) {
 	return appendNodeState(buf, &s), nil
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (s nodeState) MarshalBinary() ([]byte, error) { return s.AppendBinary(nil) }
-
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (s *nodeState) UnmarshalBinary(data []byte) error {
 	r := &spillReader{data: data}
@@ -252,9 +246,6 @@ func (s *nodeState) UnmarshalBinary(data []byte) error {
 func (s mmNode) AppendBinary(buf []byte) ([]byte, error) {
 	return appendMMNode(buf, &s), nil
 }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (s mmNode) MarshalBinary() ([]byte, error) { return s.AppendBinary(nil) }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (s *mmNode) UnmarshalBinary(data []byte) error {
@@ -268,9 +259,6 @@ func (s stackNode) AppendBinary(buf []byte) ([]byte, error) {
 	buf = appendNodeState(buf, &s.nodeState)
 	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.Y)), nil
 }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (s stackNode) MarshalBinary() ([]byte, error) { return s.AppendBinary(nil) }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (s *stackNode) UnmarshalBinary(data []byte) error {

@@ -83,7 +83,7 @@ func TestAlgorithmsIdenticalAcrossShuffleBackends(t *testing.T) {
 	}
 }
 
-// TestMessageCodecsRoundTrip exercises the MarshalBinary/UnmarshalBinary
+// TestMessageCodecsRoundTrip exercises the AppendBinary/UnmarshalBinary
 // pairs directly: the one shuffled message that has a codec of its own,
 // and the records the dist backend keeps resident — among them the
 // mmNode the cleanup stage emits, flags cleared, ids of any sign.
@@ -96,7 +96,7 @@ func TestMessageCodecsRoundTrip(t *testing.T) {
 	cases := []struct {
 		name string
 		in   interface {
-			MarshalBinary() ([]byte, error)
+			AppendBinary([]byte) ([]byte, error)
 		}
 		out interface {
 			UnmarshalBinary([]byte) error
@@ -111,7 +111,7 @@ func TestMessageCodecsRoundTrip(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			data, err := tc.in.MarshalBinary()
+			data, err := tc.in.AppendBinary(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,7 +183,7 @@ func holdsPointer(t reflect.Type) bool {
 // of an earlier protocol generation would send, and a stackNode cut short
 // of its dual.
 func TestMessageCodecsRejectCorruptData(t *testing.T) {
-	data, err := mmNode{B: 2, Adj: []mmEdge{{half: half{ID: 1, Other: 2, W: 3}}}}.MarshalBinary()
+	data, err := mmNode{B: 2, Adj: []mmEdge{{half: half{ID: 1, Other: 2, W: 3}}}}.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestMessageCodecsRejectCorruptData(t *testing.T) {
 	if err := mm.UnmarshalBinary(append(data[:len(data)-1:len(data)-1], 1<<5)); err == nil {
 		t.Error("an mmEdge with an unknown flag bit decoded without error")
 	}
-	edge, err := dualMsg{edge: 6, yOverB: 0.75}.MarshalBinary()
+	edge, err := dualMsg{edge: 6, yOverB: 0.75}.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestMessageCodecsRejectCorruptData(t *testing.T) {
 	if err := d.UnmarshalBinary(append(edge, 0xAA)); err == nil {
 		t.Error("oversized dualMsg decoded without error")
 	}
-	state, err := nodeState{B: 3, Adj: []half{{ID: 7, Other: 12, W: 1.25}, {ID: 9, Other: 0, W: -0.5}}}.MarshalBinary()
+	state, err := nodeState{B: 3, Adj: []half{{ID: 7, Other: 12, W: 1.25}, {ID: 9, Other: 0, W: -0.5}}}.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -182,7 +182,7 @@ func TestAllocGuardSpillRound(t *testing.T) {
 
 // adjRec is a node record as the matching algorithms keep it resident: a
 // capacity and an adjacency list, encoded by its own AppendBinary into
-// the generic column.
+// the self-encoding column.
 type adjRec struct {
 	b   int32
 	adj []int32
@@ -195,8 +195,6 @@ func (r adjRec) AppendBinary(buf []byte) ([]byte, error) {
 	}
 	return buf, nil
 }
-
-func (r adjRec) MarshalBinary() ([]byte, error) { return r.AppendBinary(nil) }
 
 func (r *adjRec) UnmarshalBinary([]byte) error { return errors.New("adjRec: encode only") }
 

@@ -103,7 +103,7 @@ func TestGreedyAlgorithmSurvivesFailures(t *testing.T) {
 	d := NewDriver(Config{Mappers: 3, Reducers: 3, FailureRate: 0.3, FailureSeed: 5, MaxAttempts: 16})
 	input := []Pair[int, int]{P(1, 10), P(2, 20), P(3, 30)}
 	for round := 0; round < 5; round++ {
-		out, err := RunJob(context.Background(), d, "halve", input,
+		out, stats, err := Run(context.Background(), d.Config("halve"), input,
 			func(k, v int, o Emitter[int, int]) error {
 				o.Emit(k, v/2)
 				return nil
@@ -112,6 +112,9 @@ func TestGreedyAlgorithmSurvivesFailures(t *testing.T) {
 				o.Emit(k, vs[0])
 				return nil
 			})
+		if err == nil {
+			err = d.Observe(stats)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -50,7 +50,7 @@ func at[T any](c col, i int) *T { return (*T)(unsafe.Add(c.base, uintptr(i)*c.st
 // lane is the resolved column encoding of one element type. enc appends
 // the column to buf; dec fills the column from data and returns the
 // remaining bytes. d is the column's string dictionary, nil unless dict
-// is set. min8 is the type's minimum encoded width (see minEnc8).
+// is set. min8 is the type's minimum encoded width (see laneFor).
 type lane struct {
 	enc  func(buf []byte, c col, d *pairDict) ([]byte, error)
 	dec  func(data []byte, c col, d *pairDict) ([]byte, error)
@@ -60,60 +60,62 @@ type lane struct {
 
 var errSpillShort = fmt.Errorf("mapreduce: spill decode: truncated record")
 
-// laneFor resolves the lane of element type T, in this order:
+// laneFor resolves the lane of element type T. A shuffled type has one
+// of two answers to how it is encoded:
 //
-//  1. a type with its own encoding.BinaryMarshaler keeps it (through the
-//     generic column, see marshalElem) rather than being reinterpreted
-//     by kind — the algorithm packages implement it on their message
-//     types;
-//  2. 4- and 8-byte integers, float64, bool, string, [2]int32 and empty
-//     structs — named types included — take the kind lanes below;
-//  3. the remaining scalars (narrow integers, float32), fixed arrays of
-//     scalars, and slices of scalars or of marshaling elements are
-//     encoded reflectively, one length-prefixed element each, in the
-//     generic column.
+//  1. it encodes itself: T implements encoding.BinaryAppender and *T
+//     implements encoding.BinaryUnmarshaler. It takes the self-encoding
+//     column (see selfLane), ahead of its kind — the algorithm packages
+//     implement it on their message types;
+//  2. it takes a kind lane: 4- and 8-byte integers, float64, bool,
+//     string, [2]int32 and empty structs, named types included.
 //
 // Anything else has no codec, and asking for one is an error here, at
 // resolution, before a record moves.
+//
+// Each lane states its type's minimum encoded width in eighths of a
+// byte, the lower bound its column can reach per element: bit-packed
+// bools reach one bit, empty structs zero, and a self-encoding element
+// its one-byte length prefix. The decoders bound wire-declared pair
+// counts with it before any allocation, so it must never exceed what an
+// encoder can write.
 func laneFor[T any]() (lane, error) {
 	t := reflect.TypeFor[T]()
-	ln := lane{min8: minEnc8(t)}
-	marshals, err := hasMarshaling(t)
-	if err != nil {
-		return lane{}, err
-	}
-	if marshals {
-		ln.enc, ln.dec = genericLane(marshalElem[T](t))
-		return ln, nil
+	if t.Implements(binaryAppender) {
+		if !reflect.PointerTo(t).Implements(binaryUnmarshaler) {
+			return lane{}, fmt.Errorf("%v implements BinaryAppender but *%v lacks BinaryUnmarshaler", t, t)
+		}
+		enc, dec := selfLane[T]()
+		return lane{enc: enc, dec: dec, min8: 8}, nil
 	}
 	switch k := t.Kind(); {
 	case colIntKind(k) && t.Size() == 4:
-		ln.enc, ln.dec = encDelta[int32], decDelta[int32]
+		return lane{enc: encDelta[int32], dec: decDelta[int32], min8: 8}, nil
 	case colIntKind(k) && t.Size() == 8:
-		ln.enc, ln.dec = encDelta[int64], decDelta[int64]
+		return lane{enc: encDelta[int64], dec: decDelta[int64], min8: 8}, nil
 	case k == reflect.Float64:
-		ln.enc, ln.dec = encF64, decF64
+		return lane{enc: encF64, dec: decF64, min8: 64}, nil
 	case k == reflect.Bool:
-		ln.enc, ln.dec = encBool, decBool
+		return lane{enc: encBool, dec: decBool, min8: 1}, nil
 	case k == reflect.String:
-		ln.enc, ln.dec, ln.dict = encStr, decStr, true
+		return lane{enc: encStr, dec: decStr, dict: true, min8: 8}, nil
 	case k == reflect.Array && t.Len() == 2 && t.Elem().Kind() == reflect.Int32:
-		ln.enc, ln.dec = encEdge, decEdge
+		return lane{enc: encEdge, dec: decEdge, min8: 16}, nil
 	case k == reflect.Struct && t.NumField() == 0:
-		ln.enc = func(buf []byte, _ col, _ *pairDict) ([]byte, error) { return buf, nil }
-		ln.dec = func(data []byte, _ col, _ *pairDict) ([]byte, error) { return data, nil }
-	default:
-		encE, decE, ok := elemCodecFor(t, true)
-		if !ok {
-			return lane{}, fmt.Errorf("%v has no codec: a shuffled key or value must be a scalar, a string, "+
-				"an array or slice of those, or implement encoding.BinaryMarshaler (with BinaryUnmarshaler on its pointer)", t)
-		}
-		ln.enc, ln.dec = genericLane(
-			func(buf []byte, p *T) ([]byte, error) { return encE(buf, reflect.ValueOf(p).Elem()) },
-			func(data []byte, p *T) error { return decE(data, reflect.ValueOf(p).Elem()) })
+		return lane{
+			enc: func(buf []byte, _ col, _ *pairDict) ([]byte, error) { return buf, nil },
+			dec: func(data []byte, _ col, _ *pairDict) ([]byte, error) { return data, nil },
+		}, nil
 	}
-	return ln, nil
+	return lane{}, fmt.Errorf("%v has no codec: a shuffled key or value must be a 4- or 8-byte integer, "+
+		"a float64, a bool, a string, a [2]int32 or an empty struct, or encode itself: "+
+		"implement encoding.BinaryAppender on %v and encoding.BinaryUnmarshaler on *%v", t, t, t)
 }
+
+var (
+	binaryAppender    = reflect.TypeFor[encoding.BinaryAppender]()
+	binaryUnmarshaler = reflect.TypeFor[encoding.BinaryUnmarshaler]()
+)
 
 // colIntKind reports whether k is an integer kind the delta column
 // handles (paired with a size check selecting the 4- or 8-byte lane).
@@ -124,35 +126,6 @@ func colIntKind(k reflect.Kind) bool {
 		return true
 	}
 	return false
-}
-
-// minEnc8 is a type's minimum encoded width in eighths of a byte, the
-// lower bound a column can reach per element (bit-packed bools reach
-// one bit; empty structs reach zero). Used to bound wire-declared pair
-// counts before any allocation. It is only a lower bound: float32 has
-// no lane of its own and costs 9 bytes in the generic column, well
-// above the 32 stated here.
-func minEnc8(t reflect.Type) int {
-	switch t.Kind() {
-	case reflect.Bool:
-		return 1
-	case reflect.Struct:
-		if t.NumField() == 0 {
-			return 0
-		}
-		return 8
-	case reflect.Float64:
-		return 64
-	case reflect.Float32:
-		return 32
-	case reflect.Array:
-		if colIntKind(t.Elem().Kind()) {
-			return 8 * t.Len()
-		}
-		return 8
-	default:
-		return 8
-	}
 }
 
 // --- kind lanes -------------------------------------------------------
@@ -356,23 +329,21 @@ func decStrToken(data []byte, d *pairDict) (string, []byte, error) {
 	return d.entries[tok-1], data, nil
 }
 
-// --- generic column ---------------------------------------------------
+// --- self-encoding column ---------------------------------------------
 
-// genericLane is the column of every type without a kind lane:
-// length-prefixed elements, so an element encoding never needs to be
-// self-delimiting. encE appends the encoding of *p to buf (the column's
-// scratch, reused across the elements); decE decodes exactly data into
-// *p.
-func genericLane[T any](
-	encE func(buf []byte, p *T) ([]byte, error),
-	decE func(data []byte, p *T) error,
-) (enc, dec func([]byte, col, *pairDict) ([]byte, error)) {
+// selfLane is the column of a type that encodes itself: length-prefixed
+// elements, so an element encoding never needs to be self-delimiting.
+// Each element appends itself to the column's scratch through
+// AppendBinary, called on *T with no reflection in the way: this is the
+// lane every message of the matching algorithms takes, once per
+// shuffled record on spill and dist.
+func selfLane[T any]() (enc, dec func([]byte, col, *pairDict) ([]byte, error)) {
 	enc = func(buf []byte, c col, _ *pairDict) ([]byte, error) {
 		var scratch []byte
 		start := len(buf)
 		for i := 0; i < c.n; i++ {
 			var err error
-			if scratch, err = encE(scratch[:0], at[T](c, i)); err != nil {
+			if scratch, err = any(at[T](c, i)).(encoding.BinaryAppender).AppendBinary(scratch[:0]); err != nil {
 				return nil, err
 			}
 			if need := binary.MaxVarintLen32 + len(scratch); cap(buf)-len(buf) < need {
@@ -397,7 +368,12 @@ func genericLane[T any](
 			if n <= 0 || l > uint64(len(data)-n) {
 				return nil, errSpillShort
 			}
-			if err := decE(data[n:n+int(l)], at[T](c, i)); err != nil {
+			// Decode into a zero value, not into whatever a recycled pair
+			// buffer last held: UnmarshalBinary need not overwrite every
+			// field.
+			p := at[T](c, i)
+			*p = *new(T)
+			if err := any(p).(encoding.BinaryUnmarshaler).UnmarshalBinary(data[n : n+int(l)]); err != nil {
 				return nil, err
 			}
 			data = data[n+int(l):]
@@ -405,244 +381,4 @@ func genericLane[T any](
 		return data, nil
 	}
 	return enc, dec
-}
-
-// marshalElem is the element codec of a type t = T that encodes itself,
-// called on *T with no reflect.Value in the way: this is the lane every
-// message of the matching algorithms takes, once per shuffled record on
-// spill and dist.
-func marshalElem[T any](t reflect.Type) (func([]byte, *T) ([]byte, error), func([]byte, *T) error) {
-	enc := selfEnc(t)
-	return func(buf []byte, p *T) ([]byte, error) { return enc(buf, p) },
-		func(data []byte, p *T) error {
-			// Decode into a zero value, not into whatever a recycled pair
-			// buffer last held: UnmarshalBinary need not overwrite every
-			// field.
-			*p = *new(T)
-			return any(p).(encoding.BinaryUnmarshaler).UnmarshalBinary(data)
-		}
-}
-
-// selfEnc is how an element of marshaling type t, handed over as a
-// pointer, appends itself to buf. Whether *t also implements
-// encoding.BinaryAppender — which appends in place, where MarshalBinary
-// returns a fresh slice per element — is settled here, once per lane.
-func selfEnc(t reflect.Type) func(buf []byte, p any) ([]byte, error) {
-	if reflect.PointerTo(t).Implements(binaryAppender) {
-		return func(buf []byte, p any) ([]byte, error) {
-			return p.(encoding.BinaryAppender).AppendBinary(buf)
-		}
-	}
-	return func(buf []byte, p any) ([]byte, error) {
-		b, err := p.(encoding.BinaryMarshaler).MarshalBinary()
-		return append(buf, b...), err
-	}
-}
-
-// elemEnc and elemDec are the reflective element codecs: what a type
-// resolved from a reflect.Type — a narrow scalar, an array, a slice and
-// its elements — is encoded through.
-type elemEnc func(buf []byte, v reflect.Value) ([]byte, error)
-type elemDec func(data []byte, into reflect.Value) error
-
-var (
-	binaryMarshaler   = reflect.TypeFor[encoding.BinaryMarshaler]()
-	binaryAppender    = reflect.TypeFor[encoding.BinaryAppender]()
-	binaryUnmarshaler = reflect.TypeFor[encoding.BinaryUnmarshaler]()
-)
-
-// hasMarshaling reports whether t encodes itself. A type that can
-// marshal but not unmarshal is an error, not a fall-through to its kind.
-func hasMarshaling(t reflect.Type) (bool, error) {
-	if !t.Implements(binaryMarshaler) {
-		return false, nil
-	}
-	if !reflect.PointerTo(t).Implements(binaryUnmarshaler) {
-		return false, fmt.Errorf("%v implements BinaryMarshaler but *%v lacks BinaryUnmarshaler", t, t)
-	}
-	return true, nil
-}
-
-// elemCodecFor resolves the element codec of t: its own marshaling
-// methods when it has them (this is what makes values like the
-// []posting groups of the similarity join wire-able — the element type
-// carries the codec, the unnamed slice type cannot), then the
-// reflective scalar codec, then — at the top level only — a slice of
-// either.
-func elemCodecFor(t reflect.Type, top bool) (elemEnc, elemDec, bool) {
-	if ok, _ := hasMarshaling(t); ok {
-		enc := selfEnc(t)
-		return func(buf []byte, v reflect.Value) ([]byte, error) {
-				return enc(buf, v.Addr().Interface())
-			}, func(data []byte, into reflect.Value) error {
-				// Decode into a zero value, not into whatever a recycled
-				// pair buffer last held: UnmarshalBinary need not
-				// overwrite every field.
-				into.SetZero()
-				return into.Addr().Interface().(encoding.BinaryUnmarshaler).UnmarshalBinary(data)
-			}, true
-	}
-	if encS, decS, ok := scalarCodec(t); ok {
-		return func(buf []byte, v reflect.Value) ([]byte, error) {
-				return encS(buf, v), nil
-			}, func(data []byte, into reflect.Value) error {
-				rest, err := decS(data, into)
-				if err == nil && len(rest) != 0 {
-					err = fmt.Errorf("mapreduce: spill decode: %d trailing bytes", len(rest))
-				}
-				return err
-			}, true
-	}
-	if top && t.Kind() == reflect.Slice {
-		if encE, decE, ok := elemCodecFor(t.Elem(), false); ok {
-			enc, dec := sliceCodec(t, encE, decE)
-			return enc, dec, true
-		}
-	}
-	return nil, nil, false
-}
-
-// scalarCodec covers scalar kinds, empty structs, and fixed arrays of
-// scalars, including named types such as graph.NodeID or vector.TermID.
-// These encodings are self-delimiting: dec returns the bytes it did not
-// consume, which is what lets an array concatenate its elements.
-func scalarCodec(t reflect.Type) (func(buf []byte, v reflect.Value) []byte, func(data []byte, into reflect.Value) ([]byte, error), bool) {
-	switch t.Kind() {
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		return func(buf []byte, v reflect.Value) []byte {
-				return binary.AppendVarint(buf, v.Int())
-			}, func(data []byte, into reflect.Value) ([]byte, error) {
-				x, n := binary.Varint(data)
-				if n <= 0 {
-					return nil, errSpillShort
-				}
-				into.SetInt(x)
-				return data[n:], nil
-			}, true
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		return func(buf []byte, v reflect.Value) []byte {
-				return binary.AppendUvarint(buf, v.Uint())
-			}, func(data []byte, into reflect.Value) ([]byte, error) {
-				x, n := binary.Uvarint(data)
-				if n <= 0 {
-					return nil, errSpillShort
-				}
-				into.SetUint(x)
-				return data[n:], nil
-			}, true
-	case reflect.Float32, reflect.Float64:
-		return func(buf []byte, v reflect.Value) []byte {
-				return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.Float()))
-			}, func(data []byte, into reflect.Value) ([]byte, error) {
-				if len(data) < 8 {
-					return nil, errSpillShort
-				}
-				into.SetFloat(math.Float64frombits(binary.LittleEndian.Uint64(data)))
-				return data[8:], nil
-			}, true
-	case reflect.Bool:
-		return func(buf []byte, v reflect.Value) []byte {
-				if v.Bool() {
-					return append(buf, 1)
-				}
-				return append(buf, 0)
-			}, func(data []byte, into reflect.Value) ([]byte, error) {
-				if len(data) < 1 {
-					return nil, errSpillShort
-				}
-				into.SetBool(data[0] != 0)
-				return data[1:], nil
-			}, true
-	case reflect.String:
-		return func(buf []byte, v reflect.Value) []byte {
-				s := v.String()
-				buf = binary.AppendUvarint(buf, uint64(len(s)))
-				return append(buf, s...)
-			}, func(data []byte, into reflect.Value) ([]byte, error) {
-				l, n := binary.Uvarint(data)
-				if n <= 0 || uint64(len(data)-n) < l {
-					return nil, errSpillShort
-				}
-				into.SetString(string(data[n : n+int(l)]))
-				return data[n+int(l):], nil
-			}, true
-	case reflect.Struct:
-		if t.NumField() == 0 {
-			return func(buf []byte, v reflect.Value) []byte { return buf },
-				func(data []byte, into reflect.Value) ([]byte, error) { return data, nil },
-				true
-		}
-		return nil, nil, false
-	case reflect.Array:
-		encE, decE, ok := scalarCodec(t.Elem())
-		if !ok {
-			return nil, nil, false
-		}
-		n := t.Len()
-		return func(buf []byte, v reflect.Value) []byte {
-				for i := 0; i < n; i++ {
-					buf = encE(buf, v.Index(i))
-				}
-				return buf
-			}, func(data []byte, into reflect.Value) ([]byte, error) {
-				var err error
-				for i := 0; i < n; i++ {
-					if data, err = decE(data, into.Index(i)); err != nil {
-						return nil, err
-					}
-				}
-				return data, nil
-			}, true
-	default:
-		return nil, nil, false
-	}
-}
-
-// sliceCodec serializes slice type t as a uvarint element count followed
-// by length-prefixed elements.
-func sliceCodec(t reflect.Type, encE elemEnc, decE elemDec) (elemEnc, elemDec) {
-	return func(buf []byte, v reflect.Value) ([]byte, error) {
-			n := v.Len()
-			buf = binary.AppendUvarint(buf, uint64(n))
-			var scratch []byte
-			for i := 0; i < n; i++ {
-				eb, err := encE(scratch[:0], v.Index(i))
-				if err != nil {
-					return nil, err
-				}
-				scratch = eb
-				buf = binary.AppendUvarint(buf, uint64(len(eb)))
-				buf = append(buf, eb...)
-			}
-			return buf, nil
-		}, func(data []byte, into reflect.Value) error {
-			n, m := binary.Uvarint(data)
-			if m <= 0 {
-				return errSpillShort
-			}
-			data = data[m:]
-			// Every element carries at least a 1-byte length prefix, so
-			// the count is bounded by the remaining payload — a
-			// corrupted count fails here instead of sizing an
-			// arbitrarily large allocation (or overflowing int).
-			if n > uint64(len(data)) {
-				return errSpillShort
-			}
-			rv := reflect.MakeSlice(t, int(n), int(n))
-			for i := 0; i < int(n); i++ {
-				l, m := binary.Uvarint(data)
-				if m <= 0 || uint64(len(data)-m) < l {
-					return errSpillShort
-				}
-				if err := decE(data[m:m+int(l)], rv.Index(i)); err != nil {
-					return err
-				}
-				data = data[m+int(l):]
-			}
-			if len(data) != 0 {
-				return fmt.Errorf("mapreduce: slice decode: %d trailing bytes", len(data))
-			}
-			into.Set(rv)
-			return nil
-		}
 }

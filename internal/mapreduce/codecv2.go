@@ -45,11 +45,13 @@ import (
 //   - bools: bit-packed, eight per byte.
 //   - [2]int32 (edge endpoints): two delta sub-columns.
 //   - empty structs: zero bytes.
-//   - everything else that has a codec (BinaryMarshaler types, narrow
-//     integers, float32 — widened to a float64 word, so 9 bytes with
-//     its prefix — arrays and slices): length-prefixed elements in the
-//     generic column. A type with no codec is refused when the pair
-//     codec is resolved.
+//   - types that encode themselves (encoding.BinaryAppender, with
+//     BinaryUnmarshaler on the pointer): length-prefixed elements in
+//     the self-encoding column.
+//
+// Nothing else has a codec: a narrow integer, a float32, any other
+// array or a slice must be wrapped in a type that encodes itself, and a
+// type with no codec is refused when the pair codec is resolved.
 //
 // A blob is fully self-contained: the coordinator relays chained-mode
 // bucket frames between worker connections verbatim, stores MsgCkpt

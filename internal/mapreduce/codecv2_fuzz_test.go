@@ -19,9 +19,9 @@ import (
 // kind selects the pair type, one per column lane family: int32 keys
 // (delta varints) with int64 values, string keys (dictionary) with
 // int32 values, [2]int32 keys (two delta sub-columns) with float64
-// values (raw words), bool keys (bit-packed) with a BinaryMarshaler
-// value (generic column), int32 keys with a reflectively encoded slice
-// value. The checked-in corpus under testdata/fuzz/FuzzDecodePairs
+// values (raw words), bool keys (bit-packed) with a self-encoding struct
+// value, int32 keys with a self-encoding slice value (both in the
+// self-encoding column). The checked-in corpus under testdata/fuzz/FuzzDecodePairs
 // holds a plain and a flate blob of each plus the malformed shapes
 // found by hand: truncation, an over-declared count, the retired 0x01
 // row marker, and a forged flate length.
@@ -37,7 +37,7 @@ func FuzzDecodePairs(f *testing.F) {
 		case 3:
 			fuzzDecodePairs[bool, binPoint](t, count, blob)
 		case 4:
-			fuzzDecodePairs[int32, []int32](t, count, blob)
+			fuzzDecodePairs[int32, int64s](t, count, blob)
 		}
 	})
 }

@@ -41,14 +41,6 @@ func TestPairBlobGolden(t *testing.T) {
 		[]Pair[int32, binPoint]{P(int32(10), binPoint{1, -1}), P(int32(11), binPoint{20, 300})},
 		"02140204312c2d310632302c333030",
 		"03e001d4c641090040080440ee10131863855deddfcd06fe653e13ffad4c4879114d5efc040000ffff")
-	goldenBlob(t, "int32/reflect-slice",
-		[]Pair[int32, []int32]{P(int32(1), []int32{5, -6}), P(int32(2), []int32{}), P(int32(3), []int32{1 << 20})},
-		"020202020502010a010b010006010480808001",
-		"03a002dcc7bb1100200cc5306c3e052cfd466786b4b9532375566cb93cc66125a17d7f000000ffff")
-	goldenBlob(t, "int32/int8",
-		[]Pair[int32, int8]{P(int32(0), int8(-128)), P(int32(1), int8(127)), P(int32(1), int8(0))},
-		"0200020002ff0102fe010100",
-		"03b001c4c5c109000008c3c026fbcfaccee0ab7070317cb83850fb020000ffff")
 
 	t.Run("spill-run", func(t *testing.T) {
 		// 600 records: spillBlockRecs (512) in the first block, 88 in

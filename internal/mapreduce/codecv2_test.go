@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -17,19 +18,33 @@ import (
 // the encode/decode round trip bit-exactly, uncompressed and behind
 // block compression.
 
-// binPoint exercises the BinaryMarshaler bypass: its kind (a struct
-// with fields) would be rejected by the column lanes, and a named
-// integer with these methods must keep them rather than being
-// reinterpreted by kind.
+// binPoint exercises the self-encoding column: its kind (a struct with
+// fields) has no lane, and a named integer with these methods must keep
+// them rather than being reinterpreted by kind.
 type binPoint struct{ X, Y int32 }
 
-func (p binPoint) MarshalBinary() ([]byte, error) {
-	return fmt.Appendf(nil, "%d,%d", p.X, p.Y), nil
+func (p binPoint) AppendBinary(buf []byte) ([]byte, error) {
+	return fmt.Appendf(buf, "%d,%d", p.X, p.Y), nil
 }
 
 func (p *binPoint) UnmarshalBinary(data []byte) error {
 	_, err := fmt.Sscanf(string(data), "%d,%d", &p.X, &p.Y)
 	return err
+}
+
+// f32 is a float32 that encodes itself as its 4 little-endian bytes.
+type f32 float32
+
+func (x f32) AppendBinary(buf []byte) ([]byte, error) {
+	return binary.LittleEndian.AppendUint32(buf, math.Float32bits(float32(x))), nil
+}
+
+func (x *f32) UnmarshalBinary(data []byte) error {
+	if len(data) != 4 {
+		return errSpillShort
+	}
+	*x = f32(math.Float32frombits(binary.LittleEndian.Uint32(data)))
+	return nil
 }
 
 // roundTripPairs encodes pairs uncompressed and compressed and requires
@@ -102,9 +117,10 @@ func TestCodecV2RoundTrip(t *testing.T) {
 		roundTripPairs(t, pairs)
 	})
 	t.Run("float32-generic-lane", func(t *testing.T) {
-		pairs := make([]Pair[float32, float32], 200)
+		// float32 has no lane: a float32 that is shuffled encodes itself.
+		pairs := make([]Pair[f32, f32], 200)
 		for i := range pairs {
-			pairs[i] = P(float32(rng.NormFloat64()), float32(rng.NormFloat64()))
+			pairs[i] = P(f32(rng.NormFloat64()), f32(rng.NormFloat64()))
 		}
 		roundTripPairs(t, pairs)
 	})
@@ -157,11 +173,11 @@ func TestCodecV2RoundTrip(t *testing.T) {
 		roundTripPairs(t, pairs)
 	})
 	t.Run("slice-values", func(t *testing.T) {
-		pairs := make([]Pair[int32, []int32], 100)
+		pairs := make([]Pair[int32, int64s], 100)
 		for i := range pairs {
-			vs := make([]int32, 1+rng.Intn(6))
+			vs := make(int64s, rng.Intn(6))
 			for j := range vs {
-				vs[j] = rng.Int31() - rng.Int31()
+				vs[j] = rng.Int63() - rng.Int63()
 			}
 			pairs[i] = P(int32(i), vs)
 		}
@@ -374,44 +390,72 @@ func TestDistWireCompressionEquivalence(t *testing.T) {
 		plainStats.RemoteBytesOut, compStats.RemoteBytesOut, compStats.WireBytesSaved)
 }
 
-// plainRec has exported fields and no marshaling methods: no lane, no
-// element codec.
+// plainRec has exported fields and no encoding methods: no lane, and
+// it does not encode itself.
 type plainRec struct {
 	N int
 	S string
 }
 
-// TestResolveRejectsUncodableType: a value type the codec cannot
-// serialise is refused when the spill shuffle is built and when the dist
-// job is started — with the type named, before a record moves — while
-// the memory backend, which never serialises, runs it.
+// decodeOnly can decode itself but not encode itself, which is no codec
+// at all.
+type decodeOnly struct{ N int32 }
+
+func (d *decodeOnly) UnmarshalBinary(data []byte) error {
+	d.N = int32(len(data))
+	return nil
+}
+
+// TestResolveRejectsUncodableType: a value type with no lane that does
+// not encode itself is refused when the spill shuffle is built and when
+// the dist job is started — with the type named, before a record moves
+// — while the memory backend, which never serialises, runs it.
 func TestResolveRejectsUncodableType(t *testing.T) {
-	input := []Pair[int32, int32]{P(int32(1), int32(1)), P(int32(2), int32(2))}
-	run := func(cfg Config) ([]Pair[int32, int], error) {
-		out, _, err := Run(context.Background(), cfg, input,
-			func(k, v int32, out Emitter[int32, plainRec]) error {
-				out.Emit(k, plainRec{N: int(v), S: "s"})
-				return nil
-			},
-			func(k int32, vs []plainRec, out Emitter[int32, int]) error {
-				out.Emit(k, len(vs))
-				return nil
-			})
-		return out, err
-	}
-	if out, err := run(Config{Mappers: 2, Reducers: 2}); err != nil || len(out) != 2 {
-		t.Fatalf("memory backend: %d pairs, err = %v; want the job to run", len(out), err)
-	}
 	cl := startTestCluster(t, 1)
-	for backend, cfg := range map[string]Config{"spill": spillCfg(1), "dist": distCfg(cl, "uncodable")} {
-		_, err := run(cfg)
-		if err == nil || !strings.Contains(err.Error(), "mapreduce.plainRec has no codec") ||
-			!strings.Contains(err.Error(), "BinaryMarshaler") {
-			t.Errorf("%s: err = %v; want a refusal naming mapreduce.plainRec and the fix", backend, err)
-		}
+	for _, tc := range []struct {
+		name string // the type as the refusal names it
+		run  func(cfg Config) (int, error)
+	}{
+		{"mapreduce.plainRec", uncodableJob(func(v int32) plainRec { return plainRec{N: int(v), S: "s"} })},
+		{"[]int32", uncodableJob(func(v int32) []int32 { return []int32{v} })},
+		{"int8", uncodableJob(func(v int32) int8 { return int8(v) })},
+		{"float32", uncodableJob(func(v int32) float32 { return float32(v) })},
+		{"[3]int64", uncodableJob(func(v int32) [3]int64 { return [3]int64{int64(v)} })},
+		{"mapreduce.decodeOnly", uncodableJob(func(v int32) decodeOnly { return decodeOnly{v} })},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if n, err := tc.run(Config{Mappers: 2, Reducers: 2}); err != nil || n != 2 {
+				t.Fatalf("memory backend: %d pairs, err = %v; want the job to run", n, err)
+			}
+			for backend, cfg := range map[string]Config{"spill": spillCfg(1), "dist": distCfg(cl, "uncodable")} {
+				_, err := tc.run(cfg)
+				if err == nil || !strings.Contains(err.Error(), tc.name+" has no codec") ||
+					!strings.Contains(err.Error(), "BinaryAppender") {
+					t.Errorf("%s: err = %v; want a refusal naming %s and the fix", backend, err, tc.name)
+				}
+			}
+		})
 	}
 	if err := cl.Err(); err != nil {
 		t.Fatalf("refusing a job broke the cluster: %v", err)
+	}
+}
+
+// uncodableJob runs a two-key job whose map emits mk(v), a value of the
+// type under test, and whose reduce counts them.
+func uncodableJob[V any](mk func(int32) V) func(cfg Config) (int, error) {
+	input := []Pair[int32, int32]{P(int32(1), int32(1)), P(int32(2), int32(2))}
+	return func(cfg Config) (int, error) {
+		out, _, err := Run(context.Background(), cfg, input,
+			func(k, v int32, out Emitter[int32, V]) error {
+				out.Emit(k, mk(v))
+				return nil
+			},
+			func(k int32, vs []V, out Emitter[int32, int]) error {
+				out.Emit(k, len(vs))
+				return nil
+			})
+		return len(out), err
 	}
 }
 

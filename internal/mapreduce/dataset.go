@@ -585,7 +585,7 @@ func Place[K comparable, V any](d *Driver, ds *Dataset[K, V]) (*Dataset[K, V], e
 }
 
 // RunJobDS executes one Dataset-chained MapReduce job under a driver,
-// counting it as a round (the Dataset analogue of RunJob).
+// counting it as a round.
 func RunJobDS[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any](
 	ctx context.Context,
 	d *Driver,

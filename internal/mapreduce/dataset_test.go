@@ -488,12 +488,12 @@ func TestFloatZeroKeysRouteToOnePartition(t *testing.T) {
 // toyPartBuilder is a BuildDataset callback over toyInput (ascending
 // keys): each partition keeps the records it owns, in order, after
 // calling meet (when set).
-func toyPartBuilder(meet func()) func(p int, owns func(int32) bool) []Pair[int32, []int32] {
-	return func(_ int, owns func(int32) bool) []Pair[int32, []int32] {
+func toyPartBuilder(meet func()) func(p int, owns func(int32) bool) []Pair[int32, int64s] {
+	return func(_ int, owns func(int32) bool) []Pair[int32, int64s] {
 		if meet != nil {
 			meet()
 		}
-		var part []Pair[int32, []int32]
+		var part []Pair[int32, int64s]
 		for _, rec := range toyInput() {
 			if owns(rec.Key) {
 				part = append(part, rec)
@@ -554,24 +554,24 @@ func TestBuildDatasetRefusesMisplacedOrUnorderedKeys(t *testing.T) {
 	thief := (home + 1) % parts
 	for _, tc := range []struct {
 		name  string
-		build func(p int, owns func(int32) bool) []Pair[int32, []int32]
+		build func(p int, owns func(int32) bool) []Pair[int32, int64s]
 		want  string
 	}{
-		{"misplaced", func(p int, owns func(int32) bool) []Pair[int32, []int32] {
+		{"misplaced", func(p int, owns func(int32) bool) []Pair[int32, int64s] {
 			part := honest(p, owns)
 			if p == thief {
-				part = append([]Pair[int32, []int32]{stray}, part...)
+				part = append([]Pair[int32, int64s]{stray}, part...)
 			}
 			return part
 		}, fmt.Sprintf("partition %d record 0: key 1 belongs to partition %d", thief, home)},
-		{"descending", func(p int, owns func(int32) bool) []Pair[int32, []int32] {
+		{"descending", func(p int, owns func(int32) bool) []Pair[int32, int64s] {
 			part := honest(p, owns)
 			if p == 2 {
 				part[4], part[5] = part[5], part[4]
 			}
 			return part
 		}, "partition 2 record 5: key"},
-		{"duplicate", func(p int, owns func(int32) bool) []Pair[int32, []int32] {
+		{"duplicate", func(p int, owns func(int32) bool) []Pair[int32, int64s] {
 			part := honest(p, owns)
 			if p == 1 {
 				part = append(part[:3:3], part[2:]...)

@@ -19,14 +19,14 @@ import (
 // small values on the reduce side output. State is [round, acc]; a ring
 // message is the one-element [acc].
 
-func mutMap(k int32, st []int64, out Emitter[int32, []int64]) error {
+func mutMap(k int32, st int64s, out Emitter[int32, int64s]) error {
 	out.Emit(k, st)
-	out.Emit((k+1)%ringN, []int64{st[1]})
+	out.Emit((k+1)%ringN, int64s{st[1]})
 	return nil
 }
 
-func mutReduce(k int32, vs [][]int64, out Emitter[int32, []int64]) error {
-	var st []int64
+func mutReduce(k int32, vs []int64s, out Emitter[int32, int64s]) error {
+	var st int64s
 	var in int64
 	for i, v := range vs {
 		if len(v) == 1 {
@@ -49,14 +49,14 @@ func mutReduce(k int32, vs [][]int64, out Emitter[int32, []int64]) error {
 // test hold one worker in its reduce phase while the others finish
 // theirs.
 func registerMutRing() {
-	RegisterDistJob("mut-ring", func(params []byte) (DistJob[int32, []int64, int32, []int64, int32, []int64], error) {
+	RegisterDistJob("mut-ring", func(params []byte) (DistJob[int32, int64s, int32, int64s, int32, int64s], error) {
 		var slow byte
 		if len(params) == 1 {
 			slow = params[0]
 		}
-		return DistJob[int32, []int64, int32, []int64, int32, []int64]{
+		return DistJob[int32, int64s, int32, int64s, int32, int64s]{
 			Map: mutMap,
-			Reduce: func(k int32, vs [][]int64, out Emitter[int32, []int64]) error {
+			Reduce: func(k int32, vs []int64s, out Emitter[int32, int64s]) error {
 				if slow&(1<<partitionIndex(k, 4)) != 0 {
 					time.Sleep(200 * time.Microsecond)
 				}
@@ -66,10 +66,10 @@ func registerMutRing() {
 	})
 }
 
-func mutInput() []Pair[int32, []int64] {
-	input := make([]Pair[int32, []int64], ringN)
+func mutInput() []Pair[int32, int64s] {
+	input := make([]Pair[int32, int64s], ringN)
 	for i := range input {
-		input[i] = P(int32(i), []int64{0, int64(i) + 3})
+		input[i] = P(int32(i), int64s{0, int64(i) + 3})
 	}
 	return input
 }
@@ -78,7 +78,7 @@ func mutInput() []Pair[int32, []int64] {
 // and every round's side output, sorted (its arrival order across
 // partitions is not part of the contract).
 type mutRun struct {
-	final []Pair[int32, []int64]
+	final []Pair[int32, int64s]
 	sides [][]uint64
 }
 

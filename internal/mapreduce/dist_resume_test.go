@@ -283,9 +283,11 @@ func TestDistJournalResumeFlat(t *testing.T) {
 	run := func(cl *DistCluster) []Pair[int32, int64] {
 		t.Helper()
 		d := NewDriver(distCfg4(cl, "ring-step"))
-		// RunJob observes the job, and an observed job on a journaling
-		// cluster is a commit point.
-		out, err := RunJob(ctx, d, "ring-step", ringInput(), countingMap, ringReduce)
+		// An observed job on a journaling cluster is a commit point.
+		out, stats, err := Run(ctx, d.Config("ring-step"), ringInput(), countingMap, ringReduce)
+		if err == nil {
+			err = d.Observe(stats)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,12 +323,13 @@ func TestDistJournalResumeFlat(t *testing.T) {
 // tagged by an older build ("v1", whose resident records sit in the
 // partitions the old key hash chose; "v2", whose records carry no
 // side-output section; "v3", whose records carry a kind byte; "v4", whose
-// mm-cleanup and stack-update records are other types) must make
+// mm-cleanup and stack-update records are other types; "v5", whose
+// similarity-join index records are other bytes) must make
 // -dist-resume fail with a clear error rather than replay the segments it
 // names — and a run that does not resume starts over, with a manifest in
 // the current format.
 func TestDistJournalRefusesOtherPartitioner(t *testing.T) {
-	for _, tag := range []string{"v1", "v2", "v3", "v4"} {
+	for _, tag := range []string{"v1", "v2", "v3", "v4", "v5"} {
 		dir := t.TempDir()
 		manifest := filepath.Join(dir, journalManifestName)
 		if err := os.WriteFile(manifest, []byte("journal-000001.log "+tag+"\n"), 0o644); err != nil {
@@ -339,7 +342,7 @@ func TestDistJournalRefusesOtherPartitioner(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "written by a different partitioner or record layout") {
 			t.Fatalf("resuming a %s journal: got %v, want a different-generation error", tag, err)
 		}
-		if !strings.Contains(err.Error(), "journal-000001.log "+tag) || !strings.Contains(err.Error(), "is not tagged v5") {
+		if !strings.Contains(err.Error(), "journal-000001.log "+tag) || !strings.Contains(err.Error(), "is not tagged v6") {
 			t.Fatalf("the error does not name both the manifest's tag and this build's: %v", err)
 		}
 

@@ -216,8 +216,8 @@ func TestDistParamsReachWorkers(t *testing.T) {
 }
 
 // TestDistRefusesOlderProtoWorker: a worker built before the last wire
-// change (Proto 10 registers stack-update and stack-filter over a node
-// record without its dual, reading every dual from the job parameters)
+// change (Proto 11 reads the similarity join's index output as a slice
+// of length-prefixed posting elements, not as one group per term)
 // dials a current coordinator and is refused at the hello, with both
 // versions named — never paired and left to misparse a frame.
 func TestDistRefusesOlderProtoWorker(t *testing.T) {
@@ -236,7 +236,7 @@ func TestDistRefusesOlderProtoWorker(t *testing.T) {
 				}
 				conn := remote.NewConn(nc)
 				defer conn.Close()
-				hello := remote.AppendUvarint([]byte{byte(remote.MsgHello)}, 10)
+				hello := remote.AppendUvarint([]byte{byte(remote.MsgHello)}, 11)
 				if err := conn.WriteFrame(append(hello, 0)); err != nil {
 					t.Error(err)
 					return
@@ -248,7 +248,7 @@ func TestDistRefusesOlderProtoWorker(t *testing.T) {
 		},
 	})
 	wg.Wait()
-	const want = "protocol version mismatch: worker speaks 10, coordinator 11"
+	const want = "protocol version mismatch: worker speaks 11, coordinator 12"
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("StartDistCluster with an older-protocol worker: err = %v, want %q", err, want)
 	}

@@ -1,7 +1,6 @@
 package mapreduce
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -12,8 +11,7 @@ import (
 // paper's experimental section reports ("number of MapReduce iterations")
 // and aggregates per-job statistics.
 //
-// Algorithms register each job execution through RunJobDS (RunJob when
-// the input is a flat slice and the output is collected), or record a
+// Algorithms register each job execution through RunJobDS, or record a
 // job they ran themselves with Observe. MaxRounds guards against runaway
 // iteration; the b-matching algorithms are proven to converge, so hitting
 // the limit indicates a bug and surfaces as ErrRoundLimit.
@@ -92,26 +90,6 @@ func (d *Driver) Observe(s *Stats) error {
 		return fmt.Errorf("%w (%d rounds)", ErrRoundLimit, d.rounds)
 	}
 	return nil
-}
-
-// RunJob executes one MapReduce job under this driver, counting it as a
-// round. Type parameters are inferred from the map and reduce functions.
-func RunJob[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any](
-	ctx context.Context,
-	d *Driver,
-	name string,
-	input []Pair[K1, V1],
-	mapFn MapFunc[K1, V1, K2, V2],
-	reduceFn ReduceFunc[K2, V2, K3, V3],
-) ([]Pair[K3, V3], error) {
-	out, stats, err := Run(ctx, d.Config(name), input, mapFn, reduceFn)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.Observe(stats); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Identity returns a map function that forwards its input unchanged.

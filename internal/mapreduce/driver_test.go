@@ -10,8 +10,9 @@ func TestDriverCountsRounds(t *testing.T) {
 	d := NewDriver(Config{Mappers: 2, Reducers: 2})
 	input := []Pair[int, int]{P(1, 10), P(2, 20)}
 	for i := 0; i < 3; i++ {
+		var stats *Stats
 		var err error
-		input, err = RunJob(context.Background(), d, "inc", input,
+		input, stats, err = Run(context.Background(), d.Config("inc"), input,
 			func(k, v int, out Emitter[int, int]) error {
 				out.Emit(k, v+1)
 				return nil
@@ -20,6 +21,9 @@ func TestDriverCountsRounds(t *testing.T) {
 				out.Emit(k, vs[0])
 				return nil
 			})
+		if err == nil {
+			err = d.Observe(stats)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,11 +50,11 @@ func TestDriverRoundLimit(t *testing.T) {
 	input := []Pair[int, int]{P(1, 1)}
 	var err error
 	for i := 0; i < 5 && err == nil; i++ {
-		_, err = RunJob(context.Background(), d, "noop", input,
+		var stats *Stats
+		_, stats, err = Run(context.Background(), d.Config("noop"), input,
 			Identity[int, int](), CollectValues[int, int]())
 		if err == nil {
-			// keep same input shape
-			continue
+			err = d.Observe(stats)
 		}
 	}
 	if !errors.Is(err, ErrRoundLimit) {

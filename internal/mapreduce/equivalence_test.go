@@ -237,8 +237,12 @@ func collideMap(k, v int, out Emitter[badKey, int]) error {
 	return nil
 }
 
-func collideReduce(k badKey, vs []int, out Emitter[int, []int]) error {
-	out.Emit(len(vs), append([]int(nil), vs...))
+func collideReduce(k badKey, vs []int, out Emitter[int, int64s]) error {
+	group := make(int64s, len(vs))
+	for i, v := range vs {
+		group[i] = int64(v)
+	}
+	out.Emit(len(vs), group)
 	return nil
 }
 
@@ -248,7 +252,7 @@ func collideInput() []Pair[int, int] {
 
 // checkCollideOutput verifies the Go-map grouping semantics of the
 // colliding-key corpus: two groups of two values, value order intact.
-func checkCollideOutput(t *testing.T, out []Pair[int, []int]) {
+func checkCollideOutput(t *testing.T, out []Pair[int, int64s]) {
 	t.Helper()
 	if len(out) != 2 {
 		t.Fatalf("colliding keys produced %d groups, want 2: %v", len(out), out)

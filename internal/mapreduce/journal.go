@@ -57,12 +57,14 @@ const journalManifestName = "JOURNAL"
 // journal records job outputs only, so remote.Proto 9 and 10, which
 // changed what some jobs shuffle and none of what they retain, left it
 // "v4"; "v5" (Proto 11) marks that the outputs of mm-cleanup,
-// stack-update and stack-filter changed type. A manifest with any other
+// stack-update and stack-filter changed type; "v6" (Proto 12) marks
+// that the similarity join's index output is encoded as one group per
+// term. A manifest with any other
 // tag was written under a different key-to-partition mapping or record
 // layout; replaying it would seed a node's state and its neighbours'
 // messages into different partitions, or misparse the records, so resume
 // refuses it. There is no compatibility reader.
-const journalFormat = "v5"
+const journalFormat = "v6"
 
 // journalKeepSegs bounds retained segment files: the current segment
 // and the one it resumed from.

@@ -62,8 +62,12 @@ import (
 // changed no frame layout but the stack jobs: stack-update and
 // stack-filter keep a node record that carries the node's dual, their
 // parameters no longer carry every dual, and mm-cleanup and stack-update
-// retain other outputs and report through the side output.
-const Proto = 11
+// retain other outputs and report through the side output. Version 12
+// changed no frame layout but one value column: the similarity join's
+// index job retains each term's postings as a group that encodes itself
+// (a count, then the postings), not as a slice of length-prefixed
+// posting elements.
+const Proto = 12
 
 // MsgType identifies one protocol message. The direction annotations
 // are the only ones that occur; receiving a type from the wrong

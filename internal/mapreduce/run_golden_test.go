@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -41,8 +42,8 @@ func TestRunGolden(t *testing.T) {
 		{
 			name: "golden-collect",
 			run: func(cfg Config) (string, *Stats, error) {
-				out, st, err := Run(context.Background(), cfg, goldenCollectInput(), goldenCollectMap, CollectValues[int32, int64]())
-				return renderPairs(out, func(v []int64) string { return fmt.Sprint(v) }), st, err
+				out, st, err := Run(context.Background(), cfg, goldenCollectInput(), goldenCollectMap, goldenCollectReduce)
+				return renderPairs(out, func(v int64s) string { return fmt.Sprint(v) }), st, err
 			},
 			head: "0=[-12 14 -35 37 -58 60 -81 83 -104 106 -127 129 -150 152 -173 175 -196 198 -219 221 -242 244 -265 267 -288 290 -311 313 -334 336 -357 359 -380 382]\n" +
 				"1=[-17 19 -40 42 -63 65 -86 88 -109 111 -132 134 -155 157 -178 180 -201 203 -224 226 -247 249 -270 272 -293 295 -316 318 -339 341 -362 364 -385 387]\n" +
@@ -136,7 +137,7 @@ func firstLines(s string, n int) string {
 // registerRunGoldenJobs registers the three jobs' reduces for the
 // in-process dist workers (their maps run on the coordinator).
 func registerRunGoldenJobs() {
-	RegisterDistReduce("golden-collect", CollectValues[int32, int64]())
+	RegisterDistReduce("golden-collect", goldenCollectReduce)
 	RegisterDistReduce("golden-fsum", goldenFsumReduce)
 	RegisterDistReduce("golden-rekey", goldenRekeyReduce)
 }
@@ -157,6 +158,13 @@ func goldenCollectInput() []Pair[int32, int64] {
 func goldenCollectMap(k int32, v int64, out Emitter[int32, int64]) error {
 	out.Emit(k, v)
 	out.Emit((k+5)%23, -v)
+	return nil
+}
+
+// goldenCollectReduce is CollectValues with a value the dist backend
+// can ship: a slice has no lane, int64s encodes itself.
+func goldenCollectReduce(k int32, vs []int64, out Emitter[int32, int64s]) error {
+	out.Emit(k, int64s(slices.Clone(vs)))
 	return nil
 }
 

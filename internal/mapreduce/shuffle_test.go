@@ -14,14 +14,14 @@ import (
 type nodeKey int32
 
 // recVal is a struct value: it has no kind lane, so it is shuffled
-// through its own marshaling methods, like the algorithms' messages.
+// through its own encoding methods, like the algorithms' messages.
 type recVal struct {
 	N int
 	S string
 }
 
-func (v recVal) MarshalBinary() ([]byte, error) {
-	return append(binary.AppendVarint(nil, int64(v.N)), v.S...), nil
+func (v recVal) AppendBinary(buf []byte) ([]byte, error) {
+	return append(binary.AppendVarint(buf, int64(v.N)), v.S...), nil
 }
 
 func (v *recVal) UnmarshalBinary(data []byte) error {
@@ -224,11 +224,11 @@ type badKey struct {
 	A, B string
 }
 
-// badKey marshals itself: a struct key without a codec is refused when
+// badKey encodes itself: a struct key without a codec is refused when
 // the shuffle is built (TestResolveRejectsUncodableType), before the
 // comparator check below could see a record.
-func (k badKey) MarshalBinary() ([]byte, error) {
-	return append(binary.AppendUvarint(nil, uint64(len(k.A))), k.A+k.B...), nil
+func (k badKey) AppendBinary(buf []byte) ([]byte, error) {
+	return append(binary.AppendUvarint(buf, uint64(len(k.A))), k.A+k.B...), nil
 }
 
 func (k *badKey) UnmarshalBinary(data []byte) error {

@@ -24,17 +24,17 @@ const toyNodes = 320
 // of 7, in ascending order. Their targets lie in [0, 280) — multiples of
 // 7 among them, which have no record — and in [300, 320), where no key
 // has one; keys 280…299 have a record and are sent nothing.
-func toyInput() []Pair[int32, []int32] {
-	var in []Pair[int32, []int32]
+func toyInput() []Pair[int32, int64s] {
+	var in []Pair[int32, int64s]
 	for k := int32(0); k < 300; k++ {
 		if k%7 != 0 {
-			in = append(in, P(k, []int32{(k*3 + 1) % 280, 300 + k%20, (k * k) % 280}))
+			in = append(in, P(k, int64s{int64((k*3 + 1) % 280), int64(300 + k%20), int64((k * k) % 280)}))
 		}
 	}
 	return in
 }
 
-func toyStep(k int32, state *[]int32, msgs []int32, out Emitter[int32, []int32]) error {
+func toyStep(k int32, state *int64s, msgs []int32, out Emitter[int32, int64s]) error {
 	if state == nil {
 		out.(SideEmitter).EmitSide(uint64(k)<<32 | uint64(len(msgs)))
 		return nil
@@ -43,16 +43,17 @@ func toyStep(k int32, state *[]int32, msgs []int32, out Emitter[int32, []int32])
 	for _, m := range msgs {
 		acc = acc*31 + m // order-sensitive
 	}
-	next := make([]int32, 0, len(*state))
+	next := make(int64s, 0, len(*state))
 	for i, t := range *state {
-		if t = (t + acc + int32(i)) % toyNodes; t < 0 {
-			t += toyNodes
+		u := (int32(t) + acc + int32(i)) % toyNodes
+		if u < 0 {
+			u += toyNodes
 		}
 		// Keep round two's targets off the record-only band, too.
-		if t >= 280 && t < 300 {
-			t -= 100
+		if u >= 280 && u < 300 {
+			u -= 100
 		}
-		next = append(next, t)
+		next = append(next, int64(u))
 	}
 	out.Emit(k, next)
 	return nil
@@ -60,9 +61,9 @@ func toyStep(k int32, state *[]int32, msgs []int32, out Emitter[int32, []int32])
 
 // State form.
 
-func toyStateMap(k int32, targets []int32, out Emitter[int32, int32]) error {
+func toyStateMap(k int32, targets int64s, out Emitter[int32, int32]) error {
 	for _, t := range targets {
-		out.Emit(t, k)
+		out.Emit(int32(t), k)
 	}
 	return nil
 }
@@ -71,19 +72,19 @@ func toyStateMap(k int32, targets []int32, out Emitter[int32, int32]) error {
 // the reduce picks it out of the group.
 
 type toyMsg struct {
-	self    []int32
+	self    int64s
 	hasSelf bool
 	from    int32
 }
 
-func (m toyMsg) MarshalBinary() ([]byte, error) {
-	buf := []byte{0}
+func (m toyMsg) AppendBinary(buf []byte) ([]byte, error) {
+	var self byte
 	if m.hasSelf {
-		buf[0] = 1
+		self = 1
 	}
-	buf = binary.AppendVarint(buf, int64(m.from))
+	buf = binary.AppendVarint(append(buf, self), int64(m.from))
 	for _, t := range m.self {
-		buf = binary.AppendVarint(buf, int64(t))
+		buf = binary.AppendVarint(buf, t)
 	}
 	return buf, nil
 }
@@ -102,22 +103,22 @@ func (m *toyMsg) UnmarshalBinary(data []byte) error {
 		if data = data[n:]; i == 0 {
 			m.from = int32(x)
 		} else {
-			m.self = append(m.self, int32(x))
+			m.self = append(m.self, x)
 		}
 	}
 	return nil
 }
 
-func toySelfMap(k int32, targets []int32, out Emitter[int32, toyMsg]) error {
+func toySelfMap(k int32, targets int64s, out Emitter[int32, toyMsg]) error {
 	out.Emit(k, toyMsg{self: targets, hasSelf: true})
 	for _, t := range targets {
-		out.Emit(t, toyMsg{from: k})
+		out.Emit(int32(t), toyMsg{from: k})
 	}
 	return nil
 }
 
-func toySelfReduce(k int32, group []toyMsg, out Emitter[int32, []int32]) error {
-	var state *[]int32
+func toySelfReduce(k int32, group []toyMsg, out Emitter[int32, int64s]) error {
+	var state *int64s
 	var msgs []int32
 	for i := range group {
 		if group[i].hasSelf {
@@ -130,14 +131,14 @@ func toySelfReduce(k int32, group []toyMsg, out Emitter[int32, []int32]) error {
 }
 
 func registerToyJobs() {
-	RegisterDistJob("toy-self", func([]byte) (DistJob[int32, []int32, int32, toyMsg, int32, []int32], error) {
-		return DistJob[int32, []int32, int32, toyMsg, int32, []int32]{Map: toySelfMap, Reduce: toySelfReduce}, nil
+	RegisterDistJob("toy-self", func([]byte) (DistJob[int32, int64s, int32, toyMsg, int32, int64s], error) {
+		return DistJob[int32, int64s, int32, toyMsg, int32, int64s]{Map: toySelfMap, Reduce: toySelfReduce}, nil
 	})
-	RegisterDistJob("toy-state", func([]byte) (DistJob[int32, []int32, int32, int32, int32, []int32], error) {
-		return DistJob[int32, []int32, int32, int32, int32, []int32]{Map: toyStateMap, StateReduce: toyStep}, nil
+	RegisterDistJob("toy-state", func([]byte) (DistJob[int32, int64s, int32, int32, int32, int64s], error) {
+		return DistJob[int32, int64s, int32, int32, int32, int64s]{Map: toyStateMap, StateReduce: toyStep}, nil
 	})
-	RegisterDistJob("stamp", func([]byte) (DistJob[int32, []int64, int32, int64, int32, []int64], error) {
-		return DistJob[int32, []int64, int32, int64, int32, []int64]{Map: stampMap, StateReduce: stampReduce}, nil
+	RegisterDistJob("stamp", func([]byte) (DistJob[int32, int64s, int32, int64, int32, int64s], error) {
+		return DistJob[int32, int64s, int32, int64, int32, int64s]{Map: stampMap, StateReduce: stampReduce}, nil
 	})
 }
 
@@ -228,21 +229,21 @@ func TestStateJobMatchesSelfMessageJob(t *testing.T) {
 // cloneParts copies a job output's partitions without consuming it: a
 // worker-resident Dataset is read from its checkpoint mirror, which leaves
 // it resident for the next round.
-func cloneParts(t *testing.T, ds *Dataset[int32, []int32]) [][]Pair[int32, []int32] {
+func cloneParts(t *testing.T, ds *Dataset[int32, int64s]) [][]Pair[int32, int64s] {
 	t.Helper()
 	if ds.rem == nil {
-		parts := make([][]Pair[int32, []int32], ds.Partitions())
+		parts := make([][]Pair[int32, int64s], ds.Partitions())
 		for p := range parts {
 			parts[p] = append(parts[p], ds.Part(p)...)
 		}
 		return parts
 	}
 	cl := ds.rem.cl
-	pc, err := pairCodecFor[int32, []int32]()
+	pc, err := pairCodecFor[int32, int64s]()
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts := make([][]Pair[int32, []int32], ds.Partitions())
+	parts := make([][]Pair[int32, int64s], ds.Partitions())
 	for p := range parts {
 		blob, ok := cl.mirrorPart(ds.rem.seq, p)
 		if !ok {
@@ -252,7 +253,7 @@ func cloneParts(t *testing.T, ds *Dataset[int32, []int32]) [][]Pair[int32, []int
 			continue
 		}
 		n := int(ds.rem.counts[p])
-		if parts[p], err = decodePairs(remote.NewCursor(blob), n, pc, make([]Pair[int32, []int32], 0, n)); err != nil {
+		if parts[p], err = decodePairs(remote.NewCursor(blob), n, pc, make([]Pair[int32, int64s], 0, n)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -277,7 +278,7 @@ func TestStateJobRefusesUnorderedInput(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		cfg   Config
-		input []Pair[int32, []int32]
+		input []Pair[int32, int64s]
 		want  string
 	}{
 		{"memory/descending", base, descending, "input partition 0 is out of group order at record 1 (key 298 after 299)"},
@@ -304,10 +305,10 @@ func TestStateJobRefusesUnorderedInput(t *testing.T) {
 
 const stampNodes = 240
 
-func stampInput() []Pair[int32, []int64] {
-	in := make([]Pair[int32, []int64], stampNodes)
+func stampInput() []Pair[int32, int64s] {
+	in := make([]Pair[int32, int64s], stampNodes)
 	for k := range in {
-		in[k] = P(int32(k), []int64{int64(k)*2654435761 + 1, 0})
+		in[k] = P(int32(k), int64s{int64(k)*2654435761 + 1, 0})
 	}
 	return in
 }
@@ -319,7 +320,7 @@ func stampTargets(k int32) [2]int32 { return [2]int32{(k + 1) % stampNodes, (k*7
 // stampMapCalls counts stampMap calls, the in-process workers' included.
 var stampMapCalls atomic.Int64
 
-func stampMap(k int32, st []int64, out Emitter[int32, int64]) error {
+func stampMap(k int32, st int64s, out Emitter[int32, int64]) error {
 	stampMapCalls.Add(1)
 	st[1] = stampOf(k, st[0])
 	for _, t := range stampTargets(k) {
@@ -328,7 +329,7 @@ func stampMap(k int32, st []int64, out Emitter[int32, int64]) error {
 	return nil
 }
 
-func stampReduce(k int32, st *[]int64, msgs []int64, out Emitter[int32, []int64]) error {
+func stampReduce(k int32, st *int64s, msgs []int64, out Emitter[int32, int64s]) error {
 	s := *st // every key has a record
 	next := s[1] * 31
 	for _, m := range msgs {
@@ -340,7 +341,7 @@ func stampReduce(k int32, st *[]int64, msgs []int64, out Emitter[int32, []int64]
 }
 
 // stampReference is the stamp job's rounds computed serially.
-func stampReference(rounds int) []Pair[int32, []int64] {
+func stampReference(rounds int) []Pair[int32, int64s] {
 	recs := stampInput()
 	for r := 0; r < rounds; r++ {
 		stamps, sums := make([]int64, stampNodes), make([]int64, stampNodes)
@@ -359,7 +360,7 @@ func stampReference(rounds int) []Pair[int32, []int64] {
 
 // stampRounds chains rounds of the stamp job over cfg, calling before(i)
 // ahead of round i, and returns the final records and every round's Stats.
-func stampRounds(t *testing.T, cfg Config, rounds int, before func(round int)) ([]Pair[int32, []int64], []*Stats) {
+func stampRounds(t *testing.T, cfg Config, rounds int, before func(round int)) ([]Pair[int32, int64s], []*Stats) {
 	t.Helper()
 	ds := PartitionDataset(stampInput(), cfg.reducers())
 	var stats []*Stats

@@ -98,7 +98,7 @@ func Join(ctx context.Context, items, consumers []vector.Sparse, sigma float64, 
 			}
 			return nil
 		},
-		mapreduce.CollectValues[vector.TermID, posting]())
+		indexReduce)
 	if err != nil {
 		return nil, fmt.Errorf("simjoin: index job: %w", err)
 	}
@@ -107,15 +107,15 @@ func Join(ctx context.Context, items, consumers []vector.Sparse, sigma float64, 
 	}
 	v := newVerifier(items, consumers, sigma)
 	index := make([][]posting, len(v.rankOf))
-	var postings int64
-	indexOut.Each(func(t vector.TermID, ps []posting) {
+	var entries int64
+	indexOut.Each(func(t vector.TermID, ps postings) {
 		// A term no consumer has is counted and never probed.
 		if r, ok := v.rankOf[t]; ok {
 			index[r] = ps
 		}
-		postings += int64(len(ps))
+		entries += int64(len(ps))
 	})
-	// The posting slices are the reducers' own copies (CollectValues
+	// The posting slices are the reducers' own copies (indexReduce
 	// clones), so only the pair spines return to the pool here.
 	indexOut.Recycle()
 
@@ -146,7 +146,7 @@ func Join(ctx context.Context, items, consumers []vector.Sparse, sigma float64, 
 	res := &Result{
 		Rounds:         driver.Rounds(),
 		Candidates:     probeStats.ShuffleRecords,
-		PostingEntries: postings,
+		PostingEntries: entries,
 		Shuffle:        driver.Total(),
 		Edges:          make([]Edge, 0, probeOut.Len()),
 	}
@@ -156,6 +156,14 @@ func Join(ctx context.Context, items, consumers []vector.Sparse, sigma float64, 
 	probeOut.Recycle()
 	sortEdges(res.Edges)
 	return res, nil
+}
+
+// indexReduce emits a term's postings as one group. The clone is
+// required: the engine owns the values slice and reuses its backing
+// array for later groups (see mapreduce.ReduceFunc).
+func indexReduce(t vector.TermID, ps []posting, out mapreduce.Emitter[vector.TermID, postings]) error {
+	out.Emit(t, postings(slices.Clone(ps)))
+	return nil
 }
 
 // rankedEntry is a vector component whose term is replaced by the term's
@@ -289,7 +297,7 @@ func (v *verifier) verifyReduce(j int32, docs []int32, out mapreduce.Emitter[[2]
 // deterministic corpora the coordinator uses, then calls this once
 // before serving.
 func RegisterDistJobs(items, consumers []vector.Sparse, sigma float64) {
-	mapreduce.RegisterDistReduce("simjoin-index", mapreduce.CollectValues[vector.TermID, posting]())
+	mapreduce.RegisterDistReduce("simjoin-index", indexReduce)
 	mapreduce.RegisterDistReduce("simjoin-probe", newVerifier(items, consumers, sigma).verifyReduce)
 }
 

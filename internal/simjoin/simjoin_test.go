@@ -122,10 +122,18 @@ func TestJoinPrunesCandidates(t *testing.T) {
 	if res.PostingEntries <= 0 {
 		t.Error("empty index despite matches")
 	}
+	// The unpruned index would hold every term of every item.
+	var full int64
+	for _, d := range items {
+		full += int64(d.Len())
+	}
+	if res.PostingEntries >= full {
+		t.Errorf("prefix index not smaller than the full index: %d >= %d", res.PostingEntries, full)
+	}
 	sameEdges(t, res.Edges, BruteForce(items, consumers, 3.0))
 }
 
-// TestJoinRejectsNonPositiveThreshold: both joins refuse a threshold that
+// TestJoinRejectsNonPositiveThreshold: the join refuses a threshold that
 // is not a finite positive number. NaN fails a σ ≤ 0 comparison too, and
 // unrefused it keeps no posting: the join returns no edges and no error.
 func TestJoinRejectsNonPositiveThreshold(t *testing.T) {
@@ -133,9 +141,6 @@ func TestJoinRejectsNonPositiveThreshold(t *testing.T) {
 	for _, sigma := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if _, err := Join(context.Background(), items, consumers, sigma, testMR); err == nil {
 			t.Errorf("Join accepted sigma=%v", sigma)
-		}
-		if _, err := JoinFullIndex(context.Background(), items, consumers, sigma, testMR); err == nil {
-			t.Errorf("JoinFullIndex accepted sigma=%v", sigma)
 		}
 	}
 }
