@@ -338,16 +338,15 @@ func TestDistMatchingSurvivesStraggler(t *testing.T) {
 
 // TestDistGreedyMRStaysResident pins GreedyMR's dataflow on the dist
 // backend: the state is worker-resident from the first round to the
-// fixed point. Every round — round 0 included, whose input the driver
-// placed on the cluster rather than mapped itself — maps on the workers
-// (no coordinator map wall, every live node's self message
-// identity-routed there), nothing is re-seeded on a fault-free run, the
-// shuffle is record for record the memory backend's, and what crosses
-// the wire per shuffled record stays under a ceiling: the one-time
-// placement, cross-worker proposals, the checkpoint mirror and the
-// matched edge ids, but no adjacency list on its way to or from the
-// coordinator between rounds. The result is the memory backend's, bit
-// for bit.
+// fixed point. Every round — round 0 included, whose input the workers
+// built where it resides (mapreduce.BuildDS) — maps on the workers (no
+// coordinator map wall, every live node's self message identity-routed
+// there), nothing is re-seeded on a fault-free run, the shuffle is record
+// for record the memory backend's, and what crosses the wire per shuffled
+// record stays under a ceiling: the build frames, cross-worker
+// proposals, the checkpoint mirror and the matched edge ids, but no
+// adjacency list on its way to or from the coordinator — not even the
+// round-0 view's. The result is the memory backend's, bit for bit.
 func TestDistGreedyMRStaysResident(t *testing.T) {
 	g := graph.RandomBipartite(graph.RandomConfig{
 		NumItems: 400, NumConsumers: 80, EdgeProb: 0.05,
@@ -393,9 +392,10 @@ func TestDistGreedyMRStaysResident(t *testing.T) {
 	if rs := cl.RecoveryStats(); rs.Reseeded != 0 || rs.Recoveries != 0 {
 		t.Errorf("fault-free run reports reseeded=%d recoveries=%d", rs.Reseeded, rs.Recoveries)
 	}
-	// Measured 15.0 B/record here (25.0 with the per-round fetch and
-	// coordinator-side map this dataflow replaced): 20 % head-room.
-	const ceiling = 18.0
+	// Measured 7.1 B/record here; 13.1 while the coordinator built the
+	// round-0 view and seeded it onto the workers, 25.0 with the per-round
+	// fetch and coordinator-side map before that.
+	const ceiling = 9.0
 	perRecord := float64(dist.Shuffle.RemoteBytesIn+dist.Shuffle.RemoteBytesOut) / float64(dist.Shuffle.ShuffleRecords)
 	t.Logf("%d rounds, %d shuffled records, %.1f wire bytes per record", dist.Rounds, dist.Shuffle.ShuffleRecords, perRecord)
 	if perRecord > ceiling {
@@ -547,4 +547,126 @@ func TestDistMaximalStagesMapOnWorkers(t *testing.T) {
 	if rs := cl.RecoveryStats(); rs.Reseeded != 0 || rs.Recoveries != 0 {
 		t.Errorf("fault-free runs report reseeded=%d recoveries=%d", rs.Reseeded, rs.Recoveries)
 	}
+}
+
+// TestDistGreedyMRRebuildsLostView: a worker lost before the first
+// round's flush barrier takes the round-0 node view it built with it. The
+// retry rebuilds exactly its two partitions on the survivor from the
+// build recipe — the survivor's own, untouched before the flush, stay —
+// and the run ends bit-identical to memory.
+func TestDistGreedyMRRebuildsLostView(t *testing.T) {
+	g := graph.RandomBipartite(graph.RandomConfig{
+		NumItems: 60, NumConsumers: 30, EdgeProb: 0.2,
+		MaxWeight: 3, MaxCapacity: 3, Seed: 5,
+	})
+	RegisterDistJobs(g)
+	ctx := context.Background()
+	mem, err := GreedyMR(ctx, g, GreedyMROptions{MR: mapreduce.Config{Mappers: 4, Reducers: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := startWorkers(t, 2)
+	// Worker 1's first two frames report its two built partitions; the
+	// third is the first it sends in round 1, ahead of its map-done.
+	if err := cl.InjectFault(1, &remote.Fault{Op: remote.FaultSever, AfterReads: 3}); err != nil {
+		t.Fatal(err)
+	}
+	dist, err := GreedyMR(ctx, g, GreedyMROptions{MR: mapreduce.Config{
+		Mappers: 4, Reducers: 4,
+		Shuffle: mapreduce.ShuffleConfig{Backend: mapreduce.ShuffleDist},
+		Dist:    cl,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(dist.Matching, mem.Matching) || dist.Rounds != mem.Rounds ||
+		!reflect.DeepEqual(dist.ValueTrace, mem.ValueTrace) {
+		t.Fatalf("dist diverges from memory: %d rounds, value %v; memory %d rounds, value %v",
+			dist.Rounds, dist.Matching.Value(), mem.Rounds, mem.Matching.Value())
+	}
+	if st := dist.RoundStats[0]; st.WorkerRecoveries != 1 || st.ReseededPartitions != 2 {
+		t.Fatalf("round 1: recoveries=%d reseeded=%d, want 1 and worker 1's 2 partitions",
+			st.WorkerRecoveries, st.ReseededPartitions)
+	}
+	if rs := cl.RecoveryStats(); rs.WorkersLost != 1 || rs.Reseeded != 2 {
+		t.Fatalf("lost=%d reseeded=%d, want 1 and 2", rs.WorkersLost, rs.Reseeded)
+	}
+}
+
+// TestDistGreedyMRViewRefusals: a worker builds GreedyMR's round-0 view
+// only from the graph the coordinator has — the same node count, edge
+// count and capacities — and only with a builder registered under the
+// name asked for. Anything else is refused: the run fails, never hangs,
+// and the error names what each side has.
+func TestDistGreedyMRViewRefusals(t *testing.T) {
+	g := graph.RandomBipartite(graph.RandomConfig{
+		NumItems: 60, NumConsumers: 30, EdgeProb: 0.2,
+		MaxWeight: 3, MaxCapacity: 3, Seed: 5,
+	})
+	moreNodes := graph.RandomBipartite(graph.RandomConfig{
+		NumItems: 61, NumConsumers: 30, EdgeProb: 0.2,
+		MaxWeight: 3, MaxCapacity: 3, Seed: 5,
+	})
+	moreEdges := g.Clone()
+	moreEdges.AddEdge(moreEdges.ItemID(0), moreEdges.ConsumerID(0), 1)
+	otherCaps := g.Clone()
+	otherCaps.SetCapacity(otherCaps.ItemID(0), g.Capacity(g.ItemID(0))+1)
+	keyOf := func(g *graph.Bipartite) viewKey {
+		v, err := newNodeView(g, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v.key
+	}
+	mr := func(cl *mapreduce.DistCluster) mapreduce.Config {
+		return mapreduce.Config{
+			Mappers: 4, Reducers: 4,
+			Shuffle: mapreduce.ShuffleConfig{Backend: mapreduce.ShuffleDist},
+			Dist:    cl,
+		}
+	}
+	greedy := func(cl *mapreduce.DistCluster) error {
+		_, err := GreedyMR(context.Background(), g, GreedyMROptions{MR: mr(cl)})
+		return err
+	}
+	for _, tc := range []struct {
+		name   string
+		worker *graph.Bipartite
+		run    func(cl *mapreduce.DistCluster) error
+		want   []string
+	}{
+		{"node-count", moreNodes, greedy, []string{
+			"the coordinator's graph has " + keyOf(g).String(), "this worker's has " + keyOf(moreNodes).String()}},
+		{"edge-count", moreEdges, greedy, []string{
+			"the coordinator's graph has " + keyOf(g).String(), "this worker's has " + keyOf(moreEdges).String()}},
+		{"capacities", otherCaps, greedy, []string{
+			"the coordinator's graph has " + keyOf(g).String(), "this worker's has " + keyOf(otherCaps).String()}},
+		{"unregistered", g, func(cl *mapreduce.DistCluster) error {
+			view, err := newNodeView(g, true)
+			if err != nil {
+				return err
+			}
+			_, err = mapreduce.BuildDS(mapreduce.NewDriver(mr(cl)), "greedymr-view-v0", view.key.params(), view.build)
+			return err
+		}, []string{`no dist build registered as "greedymr-view-v0"`}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			RegisterDistJobs(tc.worker)
+			cl := startWorkers(t, 2)
+			done := make(chan error, 1)
+			go func() { done <- tc.run(cl) }()
+			select {
+			case err := <-done:
+				t.Logf("refused: %v", err)
+				for _, want := range tc.want {
+					if err == nil || !strings.Contains(err.Error(), want) {
+						t.Fatalf("err = %v, want it to contain %q", err, want)
+					}
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("the refused build hung")
+			}
+		})
+	}
+	RegisterDistJobs(g)
 }

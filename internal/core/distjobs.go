@@ -26,6 +26,7 @@ import (
 // through the same constructors the local path uses, so there is exactly
 // one implementation of each function.
 func RegisterDistJobs(g *graph.Bipartite) {
+	mapreduce.RegisterDistBuild("greedymr-view", greedyViewBuilder(g))
 	mapreduce.RegisterDistJob("greedymr-round",
 		func([]byte) (mapreduce.DistJob[graph.NodeID, nodeState, graph.NodeID, edgeMsg, graph.NodeID, nodeState], error) {
 			return mapreduce.DistJob[graph.NodeID, nodeState, graph.NodeID, edgeMsg, graph.NodeID, nodeState]{

@@ -58,26 +58,35 @@ func TestJobParamsRefuseMalformed(t *testing.T) {
 	}
 }
 
-// FuzzJobParams holds both parameter decoders to the contract of
-// FuzzCoreMessageDecode: an error, or values whose encoding is the input
-// byte for byte; never a panic. kind picks the decoder. The checked-in
-// corpus under testdata/fuzz/FuzzJobParams is the cases of
-// TestJobParamsRefuseMalformed.
+// FuzzJobParams holds the parameter decoders — the stack jobs', the
+// maximal-matching stages' and GreedyMR's node view build's — to the
+// contract of FuzzCoreMessageDecode: an error, or values whose encoding is
+// the input byte for byte; never a panic. kind picks the decoder. The
+// checked-in corpus under testdata/fuzz/FuzzJobParams is the cases of
+// TestJobParamsRefuseMalformed, a view key and a view key with a trailing
+// byte.
 func FuzzJobParams(f *testing.F) {
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
 		var back []byte
-		if kind%2 == 0 {
+		switch kind % 3 {
+		case 0:
 			layer, threshold, err := decodeStackParams(data)
 			if err != nil {
 				return
 			}
 			back = encodeStackParams(layer, threshold)
-		} else {
+		case 1:
 			cfg, iter, err := decodeMMParams(data)
 			if err != nil {
 				return
 			}
 			back = encodeMMParams(cfg, iter)
+		default:
+			key, err := decodeViewParams(data)
+			if err != nil {
+				return
+			}
+			back = key.params()
 		}
 		if !bytes.Equal(back, data) {
 			t.Fatalf("decoded without error but encodes differently:\n in  %x\n out %x", data, back)

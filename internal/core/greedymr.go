@@ -39,13 +39,14 @@ type GreedyMROptions struct {
 // one per greedy iteration.
 //
 // The rounds chain through a partition-resident Dataset: the node
-// records are built once, straight into their partitions with every
-// adjacency ordered heaviest first (nodeDataset; the reduce compacts in
+// records are built once, straight into their partitions where the jobs
+// run — on dist by the workers that hold them (mapreduce.BuildDS) — with
+// every adjacency ordered heaviest first (nodeView; the reduce compacts in
 // place without reordering, so a node's b(v) heaviest remaining edges are
-// always the prefix Adj[:B] and no round sorts anything), and placed where
-// the jobs run; every round is a state job (mapreduce.RunStateDS) with one
-// map task per partition. Algorithm 3 has each node re-send its adjacency
-// under its own key for the reduce to meet it again; here a node's state
+// always the prefix Adj[:B] and no round sorts anything); every round is
+// a state job (mapreduce.RunStateDS) with one map task per partition.
+// Algorithm 3 has each node re-send its adjacency under its own key for
+// the reduce to meet it again; here a node's state
 // never enters the shuffle — only the proposals to its neighbors do, as
 // four-byte scalars — and the reduce is handed the record where it
 // resides. A round's reduce output — the surviving nodes' states,
@@ -60,9 +61,10 @@ func GreedyMR(ctx context.Context, g *graph.Bipartite, opts GreedyMROptions) (*R
 		driver.MaxRounds = 4*g.NumEdges() + 16
 	}
 
-	state, err := nodeDataset(g, driver.Partitions(), true)
+	view, err := newNodeView(g, true)
+	var state *mapreduce.Dataset[graph.NodeID, nodeState]
 	if err == nil {
-		state, err = mapreduce.Place(driver, state)
+		state, err = mapreduce.BuildDS(driver, "greedymr-view", view.key.params(), view.build)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: greedymr: %w", err)
@@ -117,7 +119,7 @@ func GreedyMR(ctx context.Context, g *graph.Bipartite, opts GreedyMROptions) (*R
 
 // greedyMap implements the map phase of Algorithm 3: node v proposes its
 // top-b(v) incident edges — the first B entries of its weight-ordered
-// adjacency (see nodeDataset) — each message's flag saying whether the
+// adjacency (see nodeView) — each message's flag saying whether the
 // edge is proposed. Its own state it only reads: the engine hands the
 // record to v's reduce call.
 func greedyMap(_ graph.NodeID, st nodeState, out mapreduce.Emitter[graph.NodeID, edgeMsg]) error {

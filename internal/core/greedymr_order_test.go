@@ -80,9 +80,6 @@ func greedyLoop(
 	var matched []int32
 	var trace []float64
 	state, err := nodeDataset(g, driver.Partitions(), byWeight)
-	if err == nil {
-		state, err = mapreduce.Place(driver, state)
-	}
 	if err != nil {
 		t.Fatalf("%s: %v", job, err)
 	}

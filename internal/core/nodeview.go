@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -123,63 +124,175 @@ func runNodeJob[S, V, O any](
 }
 
 // nodeDataset builds the round-0 node view of g straight into the
-// aligned, key-ordered partitions the round loops start from: one record
-// per node with positive capacity and at least one incident edge whose
-// other endpoint also has positive capacity. Every partition, on its own
-// goroutine (mapreduce.BuildDataset), sums the live degrees of the nodes
-// it owns and fills, in ascending node order, one exact []half and one
-// exact []Pair — all its round-0 records point into, from here on the
-// round loops' to rewrite. A node's region is capacity-limited, so
-// compacting it in place can never bleed into a neighbor's; with byWeight
-// (GreedyMR) it is ordered byWeightThenID once filled, else left in
-// incidence order (the stack algorithms sum over it). Serial are only the
-// rounding of b(v) and the live degrees: one sequential edge scan, where
-// counting per partition reads the edge array at random a second time.
+// aligned, key-ordered partitions the round loops start from (see
+// nodeView.build), all partitions at once (mapreduce.BuildDataset).
 func nodeDataset(g *graph.Bipartite, parts int, byWeight bool) (*mapreduce.Dataset[graph.NodeID, nodeState], error) {
+	view, err := newNodeView(g, byWeight)
+	if err != nil {
+		return nil, err
+	}
+	return mapreduce.BuildDataset(parts, view.build)
+}
+
+// nodeView is what the round-0 node view of g is built from: every
+// node's rounded capacity b(v), read when the view is made, and every
+// node's live degree, counted by the first partition built. Serial are
+// only these two — one pass over the nodes and one sequential edge scan,
+// where counting per partition reads the edge array at random a second
+// time.
+type nodeView struct {
+	g        *graph.Bipartite
+	byWeight bool
+	caps     []int
+	// key is what a dist worker's view must agree on before it builds
+	// (greedyViewBuilder).
+	key     viewKey
+	degOnce sync.Once
+	deg     []int32 // live degree: edges whose both ends have capacity
+}
+
+// viewKey identifies the graph a view was made of: its node and edge
+// counts and an FNV-1a hash of its nodes' rounded capacities, one 64-bit
+// word each.
+type viewKey struct {
+	nodes, edges int
+	caps         uint64
+}
+
+func (k viewKey) String() string {
+	return fmt.Sprintf("%d nodes, %d edges, capacity hash %016x", k.nodes, k.edges, k.caps)
+}
+
+func newNodeView(g *graph.Bipartite, byWeight bool) (*nodeView, error) {
 	if g.NumEdges() > math.MaxInt32>>1 {
 		return nil, fmt.Errorf("%d edges, an edge message holds 30-bit edge ids", g.NumEdges())
 	}
 	caps := make([]int, g.NumNodes())
+	hash := uint64(14695981039346656037)
 	for v := range caps {
 		caps[v] = intCap(g, graph.NodeID(v))
+		hash = (hash ^ uint64(caps[v])) * 1099511628211
 	}
-	edges := g.Edges()
-	deg := make([]int32, len(caps)) // live degree: edges whose both ends have capacity
-	for _, e := range edges {
-		if caps[e.Item] > 0 && caps[e.Consumer] > 0 {
-			deg[e.Item]++
-			deg[e.Consumer]++
-		}
-	}
-	return mapreduce.BuildDataset(parts, func(_ int, owns func(graph.NodeID) bool) []mapreduce.Pair[graph.NodeID, nodeState] {
-		total, live := 0, 0
-		for v, d := range deg {
-			if d > 0 && owns(graph.NodeID(v)) {
-				total += int(d)
-				live++
+	return &nodeView{g: g, byWeight: byWeight, caps: caps, key: viewKey{len(caps), g.NumEdges(), hash}}, nil
+}
+
+// degrees returns the live degrees, counting them on first use.
+func (v *nodeView) degrees() []int32 {
+	v.degOnce.Do(func() {
+		caps, edges := v.caps, v.g.Edges()
+		deg := make([]int32, len(caps))
+		for i := range edges {
+			if e := &edges[i]; caps[e.Item] > 0 && caps[e.Consumer] > 0 {
+				deg[e.Item]++
+				deg[e.Consumer]++
 			}
 		}
-		backing := make([]half, 0, total) // exact: never reallocates below
-		recs := make([]mapreduce.Pair[graph.NodeID, nodeState], 0, live)
-		for v, d := range deg {
-			id := graph.NodeID(v)
-			if d == 0 || !owns(id) {
-				continue
-			}
-			start := len(backing)
-			for _, ei := range g.IncidentEdges(id) {
-				if e := edges[ei]; caps[e.Other(id)] > 0 {
-					backing = append(backing, half{ID: ei, Other: e.Other(id), W: e.Weight})
-				}
-			}
-			adj := backing[start:len(backing):len(backing)]
-			if byWeight {
-				slices.SortFunc(adj, byWeightThenID)
-			}
-			recs = append(recs, mapreduce.P(id, nodeState{B: caps[v], Adj: adj}))
-		}
-		return recs
+		v.deg = deg
 	})
+	return v.deg
+}
+
+// build is the view's partition callback: one record per owned node with
+// positive capacity and at least one incident edge whose other endpoint
+// also has positive capacity. It sums the live degrees of the nodes the
+// partition owns and fills, in ascending node order, one exact []half and
+// one exact []Pair — all its round-0 records point into, from here on the
+// round loops' to rewrite. A node's region is capacity-limited, so
+// compacting it in place can never bleed into a neighbor's; with byWeight
+// (GreedyMR) it is ordered byWeightThenID once filled, else left in
+// incidence order (the stack algorithms sum over it).
+func (v *nodeView) build(_ int, owns func(graph.NodeID) bool) []mapreduce.Pair[graph.NodeID, nodeState] {
+	deg, caps, edges := v.degrees(), v.caps, v.g.Edges()
+	total, live := 0, 0
+	for u, d := range deg {
+		if d > 0 && owns(graph.NodeID(u)) {
+			total += int(d)
+			live++
+		}
+	}
+	backing := make([]half, 0, total) // exact: never reallocates below
+	recs := make([]mapreduce.Pair[graph.NodeID, nodeState], 0, live)
+	for u, d := range deg {
+		id := graph.NodeID(u)
+		if d == 0 || !owns(id) {
+			continue
+		}
+		start := len(backing)
+		for _, ei := range v.g.IncidentEdges(id) {
+			e := &edges[ei]
+			other := e.Item
+			if other == id {
+				other = e.Consumer
+			}
+			if caps[other] > 0 {
+				backing = append(backing, half{ID: ei, Other: other, W: e.Weight})
+			}
+		}
+		adj := backing[start:len(backing):len(backing)]
+		if v.byWeight {
+			sortByWeightThenID(adj)
+		}
+		recs = append(recs, mapreduce.P(id, nodeState{B: caps[u], Adj: adj}))
+	}
+	return recs
+}
+
+// params encodes the key as the parameters of a dist build of the view
+// (greedyViewBuilder).
+func (k viewKey) params() []byte {
+	buf := binary.AppendUvarint(nil, uint64(k.nodes))
+	buf = binary.AppendUvarint(buf, uint64(k.edges))
+	return binary.AppendUvarint(buf, k.caps)
+}
+
+// decodeViewParams is the worker-side inverse of viewKey.params.
+func decodeViewParams(data []byte) (viewKey, error) {
+	r := &spillReader{data: data}
+	nodes, edges, caps := r.uvarint(), r.uvarint(), r.uvarint()
+	if nodes > math.MaxInt32 || edges > math.MaxInt32 {
+		r.bad = true
+	}
+	return viewKey{int(nodes), int(edges), caps}, r.err("node view parameters")
+}
+
+// greedyViewBuilder is the worker-side factory of GreedyMR's round-0
+// view of g, the dist half of its mapreduce.BuildDS: a view of g, made
+// once per build, if the coordinator's graph has g's node count, edge
+// count and capacities, and otherwise a refusal naming both.
+func greedyViewBuilder(g *graph.Bipartite) func(params []byte) (func(int, func(graph.NodeID) bool) []mapreduce.Pair[graph.NodeID, nodeState], error) {
+	return func(params []byte) (func(int, func(graph.NodeID) bool) []mapreduce.Pair[graph.NodeID, nodeState], error) {
+		want, err := decodeViewParams(params)
+		if err != nil {
+			return nil, err
+		}
+		view, err := newNodeView(g, true)
+		if err != nil {
+			return nil, err
+		}
+		if view.key != want {
+			return nil, fmt.Errorf("the coordinator's graph has %v, this worker's has %v", want, view.key)
+		}
+		return view.build, nil
+	}
+}
+
+// sortByWeightThenID orders adj byWeightThenID: by insertion, with the
+// comparison inlined, up to 24 entries — most adjacency lists — and by
+// slices.SortFunc above. byWeightThenID is a total order, so both give
+// the same order.
+func sortByWeightThenID(adj []half) {
+	if len(adj) > 24 {
+		slices.SortFunc(adj, byWeightThenID)
+		return
+	}
+	for i := 1; i < len(adj); i++ {
+		h := adj[i]
+		j := i
+		for ; j > 0 && (adj[j-1].W < h.W || adj[j-1].W == h.W && adj[j-1].ID > h.ID); j-- {
+			adj[j] = adj[j-1]
+		}
+		adj[j] = h
+	}
 }
 
 // byWeightThenID orders halves heaviest first, ties by ascending edge

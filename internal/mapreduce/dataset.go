@@ -50,6 +50,10 @@ type Dataset[K comparable, V any] struct {
 	// Len works from the per-partition counts in the handle; record
 	// access requires Materialize (see dist.go).
 	rem *distResident
+	// rebuild builds one partition of a worker-resident Dataset that
+	// BuildDS built on the workers, for Materialize to fill a partition
+	// it cannot fetch; nil for every other Dataset.
+	rebuild func(p int) ([]Pair[K, V], error)
 	// side is the side output of the job that produced the Dataset, per
 	// partition (see SideEmitter). Held here even when rem is set.
 	side [][]uint64
@@ -76,29 +80,56 @@ func PartitionDataset[K comparable, V any](pairs []Pair[K, V], parts int) *Datas
 // is an error naming partition and record.
 func BuildDataset[K comparable, V any](parts int, build func(p int, owns func(K) bool) []Pair[K, V]) (*Dataset[K, V], error) {
 	parts = max(parts, 1)
-	shape := keyShapeOf[K]()
-	order := shape.cmp()
+	order := keyShapeOf[K]().cmp()
 	out := &Dataset[K, V]{parts: make([][]Pair[K, V], parts), aligned: true}
 	grp := newErrGroup(nil)
 	for p := range out.parts {
 		grp.Go(func(context.Context) error {
-			part := build(p, func(k K) bool { return shape.partition(k, parts) == p })
-			for j := range part {
-				if at := shape.partition(part[j].Key, parts); at != p {
-					return fmt.Errorf("mapreduce: build dataset: partition %d record %d: key %v belongs to partition %d", p, j, part[j].Key, at)
-				}
-				if j > 0 && order(part[j-1].Key, part[j].Key) >= 0 {
-					return fmt.Errorf("mapreduce: build dataset: partition %d record %d: key %v does not ascend from %v", p, j, part[j].Key, part[j-1].Key)
-				}
-			}
+			part, err := buildPart(p, parts, build, order)
 			out.parts[p] = part
-			return nil
+			return err
 		})
 	}
 	if err := grp.Wait(); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// buildPart runs a build callback for partition p of parts and checks
+// what it returned: every key owned by p, ascending in order (the group
+// streams' key order). It is the one place a built partition comes from,
+// in this process or on the dist worker that holds it.
+func buildPart[K comparable, V any](p, parts int, build func(p int, owns func(K) bool) []Pair[K, V], order func(a, b K) int) ([]Pair[K, V], error) {
+	shape := keyShapeOf[K]()
+	part := build(p, func(k K) bool { return shape.partition(k, parts) == p })
+	for j := range part {
+		if at := shape.partition(part[j].Key, parts); at != p {
+			return nil, fmt.Errorf("mapreduce: build dataset: partition %d record %d: key %v belongs to partition %d", p, j, part[j].Key, at)
+		}
+		if j > 0 && order(part[j-1].Key, part[j].Key) >= 0 {
+			return nil, fmt.Errorf("mapreduce: build dataset: partition %d record %d: key %v does not ascend from %v", p, j, part[j].Key, part[j-1].Key)
+		}
+	}
+	return part, nil
+}
+
+// BuildDS is BuildDataset under a driver, over the driver's partitions,
+// for an entry state the driver's jobs consume where it resides. On the
+// memory and spill backends it is BuildDataset. On dist the coordinator
+// never calls build: each partition's owner builds it from the builder
+// its process registered under name (RegisterDistBuild), handed params,
+// and keeps it resident, so the first job maps it where it was built; the
+// Dataset's counts are the ones the workers report. A partition lost
+// with its worker, or consumed by an aborted attempt, is rebuilt the same
+// way on its new owner, and Materialize builds a partition it cannot
+// fetch here, with build. build and the registered builder must return
+// the same records for the same partition.
+func BuildDS[K comparable, V any](d *Driver, name string, params []byte, build func(p int, owns func(K) bool) []Pair[K, V]) (*Dataset[K, V], error) {
+	if cl := d.cfg.Dist; d.cfg.Shuffle.kind() == ShuffleDist && cl != nil {
+		return buildResident(cl, d.cfg, name, params, build)
+	}
+	return BuildDataset(d.Partitions(), build)
 }
 
 // Partitions returns the partition count.
@@ -316,11 +347,11 @@ func RunDS[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any](
 //
 // The input must be aligned with the job's partitioning and every
 // partition must be in group order — ascending keys, one record per key —
-// which is how BuildDataset leaves its partitions, PartitionDataset a
-// key-ordered slice and every reduce that emits its own key its output;
-// the map tasks check it and a violation fails the job. On dist an input
-// that is not resident on the job's cluster is placed there for the job
-// (Place) and released after it.
+// which is how BuildDataset and BuildDS leave their partitions,
+// PartitionDataset a key-ordered slice and every reduce that emits its
+// own key its output; the map tasks check it and a violation fails the
+// job. On dist an input that is not resident on the job's cluster is
+// placed there for the job (placeResident) and released after it.
 //
 // The map may write its record, so that a node's own decision need not
 // travel to its reduce: through the slices the record holds — never the
@@ -563,25 +594,6 @@ func mapResident[K1 comparable, V1 any, K2 comparable, V2 any](
 		em.local += int64(len(part))
 	}
 	return em, nil
-}
-
-// Place makes the entry state of an iterative computation resident
-// where the driver's jobs run, so the first round consumes it in place
-// like every later round consumes its predecessor's output. On the
-// local backends the Dataset is already there and is returned
-// unchanged. On dist an aligned Dataset with the driver's partition
-// count is encoded once into the blobs that are both its checkpoint
-// mirror and what the first job seeds onto the partitions' owners (a
-// seed, not a recovery: nothing counts as reseeded). The jobs that
-// consume it map on the workers, so they must be registered with a map
-// function (RegisterDistJob).
-func Place[K comparable, V any](d *Driver, ds *Dataset[K, V]) (*Dataset[K, V], error) {
-	cl := d.cfg.Dist
-	if d.cfg.Shuffle.kind() != ShuffleDist || cl == nil || ds.rem != nil ||
-		!ds.aligned || ds.Partitions() != d.cfg.reducers() {
-		return ds, nil
-	}
-	return placeResident(cl, ds, d.cfg)
 }
 
 // RunJobDS executes one Dataset-chained MapReduce job under a driver,

@@ -592,24 +592,22 @@ func TestBuildDatasetRefusesMisplacedOrUnorderedKeys(t *testing.T) {
 }
 
 // TestBuildDatasetChainsThroughStateJob: a built Dataset is a state
-// job's input as it stands — placed and consumed where the job runs, on
-// memory, spill and two dist workers — and two chained rounds leave what
-// they leave over PartitionDataset's partitions, counter for counter.
+// job's input as it stands — built (BuildDS) and consumed where the job
+// runs, on memory, spill and two dist workers — and two chained rounds
+// leave what they leave over PartitionDataset's partitions, counter for
+// counter.
 func TestBuildDatasetChainsThroughStateJob(t *testing.T) {
 	ctx := context.Background()
 	for _, cfg := range toyBackends(t) {
 		t.Run(string(cfg.Shuffle.kind()), func(t *testing.T) {
 			cfg.Name = "toy-state"
 			d := NewDriver(cfg)
-			built, err := BuildDataset(cfg.reducers(), toyPartBuilder(nil))
+			built, err := BuildDS(d, "toy-build", nil, toyPartBuilder(nil))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if built, err = Place(d, built); err != nil {
-				t.Fatal(err)
-			}
 			if onDist := cfg.Shuffle.kind() == ShuffleDist; (built.rem != nil) != onDist {
-				t.Fatalf("placed on the cluster: %t, dist backend: %t", built.rem != nil, onDist)
+				t.Fatalf("built on the cluster: %t, dist backend: %t", built.rem != nil, onDist)
 			}
 			cut := PartitionDataset(toyInput(), cfg.reducers())
 			for round := 0; round < 2; round++ {

@@ -152,24 +152,50 @@ type distActiveJob interface {
 }
 
 // Partition locations that name no worker. Both are seeded from the
-// mirror by ensureResident; only the second is a recovery.
+// mirror (or rebuilt from the recipe) by ensureResident; only the second
+// is a recovery.
 const (
 	// locNowhere: never placed on a worker yet — a journal-restored
-	// output on a resumed coordinator, or a Place'd entry state.
+	// output on a resumed coordinator, or a state job's input the
+	// coordinator placed (placeResident).
 	locNowhere = -1
 	// locConsumed: shed from every worker after an aborted attempt's
 	// reduce phase had started on it (see consumeResident).
 	locConsumed = -2
 )
 
-// distMirror is the residency record of one retained job output.
+// distMirror is the residency record of one retained job output, or of
+// a Dataset BuildDS built on the workers.
 type distMirror struct {
 	loc    []int   // current owner of each partition, or a loc* sentinel
-	counts []int64 // pairs per partition (from the job reports)
+	counts []int64 // pairs per partition (from the job or build reports)
 	// blobs are the checkpointed partition images (canonical encodePairs
 	// bytes); nil when the job ran with checkpointing throttled off, in
 	// which case a lost partition is unrecoverable.
 	blobs [][]byte
+	// recipe, set for a built Dataset instead of blobs, rebuilds any of
+	// its partitions on any worker.
+	recipe *distBuild
+}
+
+// restorable reports whether partition p can be put on a worker again
+// without its current copy: rebuilt from the recipe, or seeded from a
+// mirror blob (an empty partition needs none).
+func (m *distMirror) restorable(p int) bool {
+	return m.recipe != nil || m.blobs != nil && (m.blobs[p] != nil || m.counts[p] == 0)
+}
+
+// seedFrame is the frame that puts partition p of job seq's output on a
+// worker: the recipe's build frame, or a seed carrying the mirror blob.
+func (m *distMirror) seedFrame(seq uint64, p int) []byte {
+	if m.recipe != nil {
+		return m.recipe.frame(seq, p)
+	}
+	frame := []byte{byte(remote.MsgSeed)}
+	frame = remote.AppendUvarint(frame, seq)
+	frame = remote.AppendUvarint(frame, uint64(p))
+	frame = remote.AppendUvarint(frame, uint64(m.counts[p]))
+	return append(frame, m.blobs[p]...)
 }
 
 // WorkerLostError reports that a dist worker died. The engine retries
@@ -819,12 +845,12 @@ func (cl *DistCluster) rebalance(parts int, inputSeq uint64, revive bool) {
 
 // balanceLocked moves partitions from loaded workers to idle healthy
 // ones. For a chained input the move is real data (seeded from the
-// mirror by ensureResident), so it requires the mirror's blobs; for a
-// job the coordinator maps the assignment is the only state, and moving
-// it is free.
+// mirror or rebuilt from the recipe by ensureResident), so it requires
+// one of them; for a job the coordinator maps the assignment is the only
+// state, and moving it is free.
 func (cl *DistCluster) balanceLocked(owners []int, m *distMirror, chained bool) {
-	if chained && (m == nil || m.blobs == nil) {
-		return // nothing migratable without a mirror
+	if chained && (m == nil || m.blobs == nil && m.recipe == nil) {
+		return // nothing migratable without a mirror or a recipe
 	}
 	var sched []int
 	for w := range cl.conns {
@@ -906,19 +932,16 @@ func (cl *DistCluster) retryAfterLoss(attempt int) bool {
 	return live > 0 && attempt < len(cl.conns)
 }
 
-// registerResident records a retained job output's partition locations
-// and, when the job was checkpointed, the mirrored partition images.
-func (cl *DistCluster) registerResident(seq uint64, owners []int, counts []int64, blobs [][]byte) {
+// registerResident records the residency of job or Dataset seq: its
+// partition locations and counts and, when it has them, its checkpoint
+// mirror or its recipe. m is the cluster's from here on.
+func (cl *DistCluster) registerResident(seq uint64, m *distMirror) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	if cl.residency == nil {
 		cl.residency = make(map[uint64]*distMirror)
 	}
-	cl.residency[seq] = &distMirror{
-		loc:    append([]int(nil), owners...),
-		counts: counts,
-		blobs:  blobs,
-	}
+	cl.residency[seq] = m
 }
 
 // forgetResident drops the residency record (and mirror) of a consumed
@@ -944,16 +967,16 @@ func (cl *DistCluster) mirrorPart(seq uint64, p int) ([]byte, bool) {
 // ensureResident reconciles job seq's resident output against the
 // current assignment before the job that consumes it is announced: any
 // partition whose recorded owner is dead is re-seeded from the
-// checkpoint mirror onto the worker the assignment names (recovery),
-// and any partition the assignment moved off a live owner — a
-// rebalancing migration — is seeded onto the new owner and shed from
-// the old one. A partition pinned to a live owner by a missing mirror
-// blob stays put, and the assignment is repaired to match reality. A
-// partition that lives nowhere yet (locNowhere) is seeded the same way
-// and counted as neither. A no-op while the cluster is healthy and
-// balanced. Returns the counts of recovered and migrated partitions, or
-// a WorkerLostError when a lost partition has no mirror to restore it
-// from.
+// checkpoint mirror, or rebuilt from a built Dataset's recipe, onto the
+// worker the assignment names (recovery), and any partition the
+// assignment moved off a live owner — a rebalancing migration — is
+// seeded onto the new owner and shed from the old one. A partition
+// pinned to a live owner by a missing mirror blob stays put, and the
+// assignment is repaired to match reality. A partition that lives
+// nowhere yet (locNowhere) is seeded the same way and counted as
+// neither. A no-op while the cluster is healthy and balanced. Returns the
+// counts of recovered and migrated partitions, or a WorkerLostError when
+// a lost partition has no mirror to restore it from.
 func (cl *DistCluster) ensureResident(seq uint64, name string) (int, int, error) {
 	cl.mu.Lock()
 	m := cl.residency[seq]
@@ -974,7 +997,7 @@ func (cl *DistCluster) ensureResident(seq uint64, name string) (int, int, error)
 		if target == w && !dead {
 			continue
 		}
-		if m.blobs == nil || (m.blobs[p] == nil && m.counts[p] > 0) {
+		if !m.restorable(p) {
 			if !dead {
 				// Unmovable without a mirror, but the copy is intact:
 				// pin the assignment back to the live owner.
@@ -991,12 +1014,7 @@ func (cl *DistCluster) ensureResident(seq uint64, name string) (int, int, error)
 			// "no live workers" before this matters.
 			continue
 		}
-		frame := []byte{byte(remote.MsgSeed)}
-		frame = remote.AppendUvarint(frame, seq)
-		frame = remote.AppendUvarint(frame, uint64(p))
-		frame = remote.AppendUvarint(frame, uint64(m.counts[p]))
-		frame = append(frame, m.blobs[p]...)
-		seeds = append(seeds, move{w: target, frame: frame})
+		seeds = append(seeds, move{w: target, frame: m.seedFrame(seq, p)})
 		switch {
 		case w == locNowhere:
 			// First placement, not a recovery.
@@ -1093,8 +1111,8 @@ func (cl *DistCluster) residencySnapshot(seq uint64) []int {
 // canRestore reports whether job seq's resident output could still be
 // reconstructed in full: the cluster is healthy with at least one live
 // worker, and every partition either lives on a live worker or has a
-// checkpoint mirror. This is Loop's replay test — it decides whether
-// re-running a round from its entry state can possibly succeed.
+// checkpoint mirror or a recipe. This is Loop's replay test — it decides
+// whether re-running a round from its entry state can possibly succeed.
 func (cl *DistCluster) canRestore(seq uint64) bool {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
@@ -1115,7 +1133,7 @@ func (cl *DistCluster) canRestore(seq uint64) bool {
 		return false
 	}
 	for p, w := range m.loc {
-		if (w < 0 || cl.deadLocked(w)) && (m.blobs == nil || (m.blobs[p] == nil && m.counts[p] > 0)) {
+		if (w < 0 || cl.deadLocked(w)) && !m.restorable(p) {
 			return false
 		}
 	}
@@ -1337,18 +1355,18 @@ func (cl *DistCluster) scheduleWorkers(owners []int) []int {
 }
 
 // mirrored reports whether every partition of resident dataset seq could
-// be re-seeded from its mirror — the precondition for speculating on a
-// chained job, whose abort may consume the whole input (see
-// consumeResident), not just the straggler's share.
+// be re-seeded from its mirror or rebuilt from its recipe — the
+// precondition for speculating on a chained job, whose abort may consume
+// the whole input (see consumeResident), not just the straggler's share.
 func (cl *DistCluster) mirrored(seq uint64) bool {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	m := cl.residency[seq]
-	if m == nil || m.blobs == nil {
+	if m == nil {
 		return false
 	}
-	for p, blob := range m.blobs {
-		if blob == nil && m.counts[p] > 0 {
+	for p := range m.loc {
+		if !m.restorable(p) {
 			return false
 		}
 	}
@@ -2323,6 +2341,9 @@ func (j *distJobRun[K2, V2, K3, V3]) reader(w int) (readerOutcome, error) {
 				h.pongParts.Store(int64(nParts))
 				h.pongRecords.Store(int64(recs))
 			}
+		case remote.MsgBuilt:
+			// The report of a partition ensureResident rebuilt ahead of
+			// the announce: its count is on record already.
 		case remote.MsgMapDone:
 			cur.Uvarint() // seq
 			rep := &j.reports[w]
@@ -2648,7 +2669,7 @@ func runDistDS[K2 comparable, V2 any, K3 comparable, V3 any](
 		for p := range owners {
 			owners[p] = locNowhere
 		}
-		cl.registerResident(rec.seq, owners, rec.counts, rec.blobs)
+		cl.registerResident(rec.seq, &distMirror{loc: owners, counts: rec.counts, blobs: rec.blobs})
 		cl.noteRetained()
 		return newRemoteDataset[K3, V3](cl, rec.seq, rec.counts, rec.sides, keyCast[K2, K3]() != nil, cfg.Pool), nil
 	}
@@ -2751,7 +2772,11 @@ func tryDistDS[K2 comparable, V2 any, K3 comparable, V3 any](
 // retain registers a successful attempt's worker-resident output (with
 // its checkpoint mirror, if any) and wraps it in a Dataset.
 func (j *distJobRun[K2, V2, K3, V3]) retain(res *distJobResult, pool *BufferPool) *Dataset[K3, V3] {
-	j.cl.registerResident(j.hdr.seq, j.hdr.owners, res.counts, j.takeCkptBlobs())
+	j.cl.registerResident(j.hdr.seq, &distMirror{
+		loc:    append([]int(nil), j.hdr.owners...),
+		counts: res.counts,
+		blobs:  j.takeCkptBlobs(),
+	})
 	return newRemoteDataset[K3, V3](j.cl, j.hdr.seq, res.counts, res.sides, keyCast[K2, K3]() != nil, pool)
 }
 
@@ -2785,10 +2810,11 @@ func newRemoteDataset[K comparable, V any](cl *DistCluster, seq uint64, counts [
 	}
 }
 
-// placeResident is Place's dist half: encode every partition into its
-// mirror blob and register the Dataset as resident nowhere yet, the
-// state a journal-restored output is in — the first job that consumes
-// it has ensureResident seed each partition to its owner.
+// placeResident puts a state job's coordinator-held input on the
+// cluster: encode every partition into its mirror blob and register the
+// Dataset as resident nowhere yet, the state a journal-restored output is
+// in — the job that consumes it has ensureResident seed each partition to
+// its owner (a seed, not a recovery: nothing counts as reseeded).
 func placeResident[K comparable, V any](cl *DistCluster, ds *Dataset[K, V], cfg Config) (*Dataset[K, V], error) {
 	pc, err := pairCodecFor[K, V]()
 	if err != nil {
@@ -2814,7 +2840,7 @@ func placeResident[K comparable, V any](cl *DistCluster, ds *Dataset[K, V], cfg 
 		}
 	}
 	seq := cl.nextSeq()
-	cl.registerResident(seq, owners, counts, blobs)
+	cl.registerResident(seq, &distMirror{loc: owners, counts: counts, blobs: blobs})
 	return newRemoteDataset[K, V](cl, seq, counts, nil, true, cfg.Pool), nil
 }
 
@@ -2887,11 +2913,23 @@ func (d *Dataset[K, V]) Materialize() error {
 		}
 	}
 	// Fill the holes — partitions owned by a worker that died before or
-	// during the fetch — from the coordinator's checkpoint mirror. The
-	// mirror blob is the canonical encodePairs image, so the decoded
+	// during the fetch — from the coordinator's checkpoint mirror, or for
+	// a built Dataset by building them here. The mirror blob is the
+	// canonical encodePairs image, and a build is deterministic, so the
 	// partition is bit-identical to the lost copy.
 	for p := range d.parts {
 		if d.parts[p] != nil || p >= len(rem.counts) || rem.counts[p] == 0 {
+			continue
+		}
+		if d.rebuild != nil {
+			pairs, err := d.rebuild(p)
+			if err == nil && int64(len(pairs)) != rem.counts[p] {
+				err = fmt.Errorf("%d records, the workers built %d", len(pairs), rem.counts[p])
+			}
+			if err != nil {
+				return fmt.Errorf("mapreduce: materializing dataset: rebuilding partition %d: %w", p, err)
+			}
+			d.parts[p] = pairs
 			continue
 		}
 		blob, ok := rem.cl.mirrorPart(rem.seq, p)
@@ -2911,6 +2949,7 @@ func (d *Dataset[K, V]) Materialize() error {
 	}
 	rem.cl.forgetResident(rem.seq)
 	d.rem = nil
+	d.rebuild = nil
 	return nil
 }
 
@@ -2956,6 +2995,8 @@ func (d *Dataset[K, V]) fetchFrom(conn *remote.Conn, w int, loc []int, fetch []b
 			d.parts[part] = pairs
 		case remote.MsgFetchDone:
 			return nil
+		case remote.MsgBuilt:
+			// A rebuilt partition's report (see the job reader).
 		case remote.MsgError:
 			cur.Uvarint()
 			return errors.New(cur.String())
@@ -2980,7 +3021,7 @@ func (d *Dataset[K, V]) mustMaterialize() {
 // mirror is forgotten unconditionally.
 func (d *Dataset[K, V]) dropResident() {
 	rem := d.rem
-	d.rem = nil
+	d.rem, d.rebuild = nil, nil
 	if rem == nil {
 		return
 	}

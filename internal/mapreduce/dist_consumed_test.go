@@ -44,11 +44,14 @@ func mutReduce(k int32, vs []int64s, out Emitter[int32, int64s]) error {
 	return nil
 }
 
-// registerMutRing registers the job; its one parameter byte is a bit
-// set of reduce partitions (of 4) whose keys reduce slowly, which lets a
-// test hold one worker in its reduce phase while the others finish
-// theirs.
+// registerMutRing registers the job and the builder of its entry state;
+// the job's one parameter byte is a bit set of reduce partitions (of 4)
+// whose keys reduce slowly, which lets a test hold one worker in its
+// reduce phase while the others finish theirs.
 func registerMutRing() {
+	RegisterDistBuild("mut-input", func([]byte) (func(int, func(int32) bool) []Pair[int32, int64s], error) {
+		return mutBuild, nil
+	})
 	RegisterDistJob("mut-ring", func(params []byte) (DistJob[int32, int64s, int32, int64s, int32, int64s], error) {
 		var slow byte
 		if len(params) == 1 {
@@ -64,6 +67,18 @@ func registerMutRing() {
 			},
 		}, nil
 	})
+}
+
+// mutBuild is the mut-input builder: each partition keeps the records of
+// mutInput it owns.
+func mutBuild(_ int, owns func(int32) bool) []Pair[int32, int64s] {
+	var part []Pair[int32, int64s]
+	for _, rec := range mutInput() {
+		if owns(rec.Key) {
+			part = append(part, rec)
+		}
+	}
+	return part
 }
 
 func mutInput() []Pair[int32, int64s] {
@@ -82,13 +97,13 @@ type mutRun struct {
 	sides [][]uint64
 }
 
-// mutRounds chains rounds of mut-ring over cfg from a placed entry
-// state, calling before(i) ahead of round i.
+// mutRounds chains rounds of mut-ring over cfg from an entry state built
+// where the rounds run (BuildDS), calling before(i) ahead of round i.
 func mutRounds(t *testing.T, cfg Config, rounds int, before func(round int)) (mutRun, []*Stats, error) {
 	t.Helper()
 	ctx := context.Background()
 	d := NewDriver(cfg)
-	ds, err := Place(d, PartitionDataset(mutInput(), cfg.reducers()))
+	ds, err := BuildDS(d, "mut-input", nil, mutBuild)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -216,10 +216,10 @@ func TestDistParamsReachWorkers(t *testing.T) {
 }
 
 // TestDistRefusesOlderProtoWorker: a worker built before the last wire
-// change (Proto 11 reads the similarity join's index output as a slice
-// of length-prefixed posting elements, not as one group per term)
-// dials a current coordinator and is refused at the hello, with both
-// versions named — never paired and left to misparse a frame.
+// change (Proto 12 knows no build frame, so it would fail GreedyMR's
+// first round instead of building the round-0 node view) dials a current
+// coordinator and is refused at the hello, with both versions named —
+// never paired and left to misparse a frame.
 func TestDistRefusesOlderProtoWorker(t *testing.T) {
 	leakCheck(t)
 	var wg sync.WaitGroup
@@ -236,7 +236,7 @@ func TestDistRefusesOlderProtoWorker(t *testing.T) {
 				}
 				conn := remote.NewConn(nc)
 				defer conn.Close()
-				hello := remote.AppendUvarint([]byte{byte(remote.MsgHello)}, 11)
+				hello := remote.AppendUvarint([]byte{byte(remote.MsgHello)}, 12)
 				if err := conn.WriteFrame(append(hello, 0)); err != nil {
 					t.Error(err)
 					return
@@ -248,7 +248,7 @@ func TestDistRefusesOlderProtoWorker(t *testing.T) {
 		},
 	})
 	wg.Wait()
-	const want = "protocol version mismatch: worker speaks 11, coordinator 12"
+	const want = "protocol version mismatch: worker speaks 12, coordinator 13"
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("StartDistCluster with an older-protocol worker: err = %v, want %q", err, want)
 	}

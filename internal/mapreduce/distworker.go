@@ -168,24 +168,9 @@ func (r *residentData[K, V]) shed(part int) {
 // late joiner, or a survivor that only now inherited partitions —
 // starts from an empty set and fills it from its seeds.
 func chainedInput[K1 comparable, V1 any](s *workerSession, h *distJobHeader) (*residentData[K1, V1], error) {
-	ent, ok := s.resident[h.inputSeq]
-	var rd *residentData[K1, V1]
-	if ok {
-		rd, ok = ent.(*residentData[K1, V1])
-		if !ok {
-			return nil, fmt.Errorf("job %q: resident input %d has a different type", h.name, h.inputSeq)
-		}
-	} else {
-		pc, err := pairCodecFor[K1, V1]()
-		if err != nil {
-			return nil, fmt.Errorf("job %q: resident input %w", h.name, err)
-		}
-		rd = &residentData[K1, V1]{
-			parts: make([][]Pair[K1, V1], h.splits),
-			pc:    pc,
-			ar:    arenaFor[K1, V1](s.pool, h.splits),
-		}
-		s.resident[h.inputSeq] = rd
+	rd, err := residentFor[K1, V1](s, h.inputSeq, h.splits)
+	if err != nil {
+		return nil, fmt.Errorf("job %q: %w", h.name, err)
 	}
 	for part, sb := range s.seeds[h.inputSeq] {
 		if part >= len(rd.parts) {
@@ -202,6 +187,29 @@ func chainedInput[K1 comparable, V1 any](s *workerSession, h *distJobHeader) (*r
 		rd.parts[part] = pairs
 	}
 	delete(s.seeds, h.inputSeq)
+	return rd, nil
+}
+
+// residentFor returns the session's resident set of job or Dataset seq,
+// creating an empty one of parts partitions when it holds none yet.
+func residentFor[K comparable, V any](s *workerSession, seq uint64, parts int) (*residentData[K, V], error) {
+	if ent, ok := s.resident[seq]; ok {
+		rd, ok := ent.(*residentData[K, V])
+		if !ok || len(rd.parts) != parts {
+			return nil, fmt.Errorf("resident input %d has a different type or partition count", seq)
+		}
+		return rd, nil
+	}
+	pc, err := pairCodecFor[K, V]()
+	if err != nil {
+		return nil, fmt.Errorf("resident input %w", err)
+	}
+	rd := &residentData[K, V]{
+		parts: make([][]Pair[K, V], parts),
+		pc:    pc,
+		ar:    arenaFor[K, V](s.pool, parts),
+	}
+	s.resident[seq] = rd
 	return rd, nil
 }
 
@@ -224,6 +232,14 @@ type workerSession struct {
 	// seeds holds re-seeded partitions by producing-job sequence, then
 	// partition (MsgSeed, sent ahead of the job that consumes them).
 	seeds map[uint64]map[int]seedBlob
+	// builds counts the partitions being built (MsgBuild), builders
+	// holds the builder each Dataset being built got, and built collects
+	// the steps that install finished partitions, which only the serve
+	// loop runs: it alone touches resident.
+	builds   sync.WaitGroup
+	builders map[uint64]distBuilder
+	buildMu  sync.Mutex
+	built    []func(*workerSession) error
 	// aborted records job sequences this session acknowledged an abort
 	// for: bucket/flush frames already in flight for those sequences
 	// keep arriving after the MsgAborted ack and must be ignored, not
@@ -402,6 +418,7 @@ func ServeDistWorkerOpts(ctx context.Context, addr string, opts DistWorkerOption
 		pool:     NewBufferPool(),
 		resident: make(map[uint64]residentSet),
 		seeds:    make(map[uint64]map[int]seedBlob),
+		builders: make(map[uint64]distBuilder),
 		aborted:  make(map[uint64]bool),
 		hbEvery:  info.HeartbeatEvery,
 	}
@@ -469,6 +486,7 @@ func (s *workerSession) sendError(seq uint64, err error) {
 }
 
 func (s *workerSession) serve() error {
+	defer s.builds.Wait()
 	for {
 		payload, err := s.conn.ReadFrame()
 		if err != nil {
@@ -477,7 +495,21 @@ func (s *workerSession) serve() error {
 			return nil
 		}
 		cur := remote.NewCursor(payload)
-		switch t := remote.MsgType(cur.Byte()); t {
+		t := remote.MsgType(cur.Byte())
+		if t != remote.MsgBuild && t != remote.MsgPing {
+			// Whatever comes next may read, drop or replace a partition
+			// being built: finish and install the builds first.
+			if err := s.awaitBuilds(); err != nil {
+				s.sendError(0, err)
+				return fmt.Errorf("mapreduce: dist worker: %w", err)
+			}
+		}
+		switch t {
+		case remote.MsgBuild:
+			if seq, err := s.startBuild(cur); err != nil {
+				s.sendError(seq, err)
+				return fmt.Errorf("mapreduce: dist worker: %w", err)
+			}
 		case remote.MsgJobStart:
 			h, err := parseJobHeader(cur)
 			if err != nil {

@@ -66,8 +66,11 @@ import (
 // changed no frame layout but one value column: the similarity join's
 // index job retains each term's postings as a group that encodes itself
 // (a count, then the postings), not as a slice of length-prefixed
-// posting elements.
-const Proto = 12
+// posting elements. Version 13 added the build and built messages: a
+// Dataset built by mapreduce.BuildDS (GreedyMR's round-0 node view) is
+// built on the workers from a registered builder, and re-seeded by
+// rebuilding it, instead of being placed from coordinator-encoded seeds.
+const Proto = 13
 
 // MsgType identifies one protocol message. The direction annotations
 // are the only ones that occur; receiving a type from the wrong
@@ -159,6 +162,16 @@ const (
 	// migrated resident partition to drop its now-superseded copy:
 	// sequence number, partition. No reply.
 	MsgShed
+	// MsgBuild (coordinator → worker) asks the worker to build one
+	// partition of a Dataset from a builder it registered and keep it
+	// resident: sequence number, partition, partition count, builder
+	// name and the builder's parameter blob. It both places a built
+	// Dataset and re-seeds a lost or consumed partition of one.
+	MsgBuild
+	// MsgBuilt (worker → coordinator) answers MsgBuild once the
+	// partition is built and resident: sequence number, partition and
+	// its record count.
+	MsgBuilt
 )
 
 // String names the message type for error text.
@@ -204,6 +217,10 @@ func (t MsgType) String() string {
 		return "pong"
 	case MsgShed:
 		return "shed"
+	case MsgBuild:
+		return "build"
+	case MsgBuilt:
+		return "built"
 	}
 	return fmt.Sprintf("msg(%d)", byte(t))
 }

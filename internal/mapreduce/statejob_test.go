@@ -140,6 +140,9 @@ func registerToyJobs() {
 	RegisterDistJob("stamp", func([]byte) (DistJob[int32, int64s, int32, int64, int32, int64s], error) {
 		return DistJob[int32, int64s, int32, int64, int32, int64s]{Map: stampMap, StateReduce: stampReduce}, nil
 	})
+	RegisterDistBuild("toy-build", func([]byte) (func(int, func(int32) bool) []Pair[int32, int64s], error) {
+		return toyPartBuilder(nil), nil
+	})
 }
 
 // toyBackends are the three backends under a configuration whose
