@@ -56,6 +56,7 @@ type GreedyMROptions struct {
 // ids, comes back as the job's side output.
 func GreedyMR(ctx context.Context, g *graph.Bipartite, opts GreedyMROptions) (*Result, error) {
 	driver := mapreduce.NewDriver(opts.MR)
+	defer driver.Release()
 	driver.MaxRounds = opts.MaxRounds
 	if driver.MaxRounds == 0 {
 		driver.MaxRounds = 4*g.NumEdges() + 16

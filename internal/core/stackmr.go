@@ -95,6 +95,7 @@ func runStack(ctx context.Context, g *graph.Bipartite, opts StackOptions,
 		return nil, err
 	}
 	driver := mapreduce.NewDriver(opts.MR)
+	defer driver.Release()
 	driver.MaxRounds = opts.MaxRounds
 
 	st := &stackState{g: g, opts: opts, delta: make(map[int32]float64)}

@@ -60,6 +60,18 @@ func NewBufferPool() *BufferPool {
 	return &BufferPool{arenas: make(map[reflect.Type]any)}
 }
 
+// release empties every free list: the buffers the pool held become
+// garbage as soon as nothing else points at them. The pool stays usable;
+// its next checkouts allocate.
+func (p *BufferPool) release() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, a := range p.arenas {
+		a.(interface{ release() }).release()
+	}
+	clear(p.arenas)
+}
+
 // counters snapshots the cumulative pool statistics.
 func (p *BufferPool) counters() (bytes, misses int64) {
 	if p == nil {
@@ -119,6 +131,14 @@ func (a *roundArena[K, V]) ensure(n int) {
 	if len(a.parts) < n {
 		a.parts = append(a.parts, make([]arenaPart[K, V], n-len(a.parts))...)
 	}
+	a.mu.Unlock()
+}
+
+// release empties the arena's free lists, keeping its partition table,
+// so that an arena a caller still holds keeps working.
+func (a *roundArena[K, V]) release() {
+	a.mu.Lock()
+	clear(a.parts)
 	a.mu.Unlock()
 }
 

@@ -324,3 +324,73 @@ func TestRecycledBufferTailsAreZero(t *testing.T) {
 		t.Fatal("the arena holds no free buffers: nothing was checked")
 	}
 }
+
+// heldBuffers counts the buffers on an arena's free lists.
+func heldBuffers[K comparable, V any](a *roundArena[K, V]) int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	n := 0
+	for _, p := range a.parts {
+		n += len(p.buckets) + len(p.pairs) + len(p.keys) + len(p.vals) + len(p.u64s) + len(p.i32s) + len(p.radix)
+	}
+	return n
+}
+
+// TestDriverReleaseEmptiesOwnPool checks Driver.Release: the pool
+// NewDriver attached holds nothing afterwards — neither through the pool
+// nor through an arena a caller still holds — and the driver keeps
+// running jobs with the same results; a pool the caller passed in is
+// left as it was.
+func TestDriverReleaseEmptiesOwnPool(t *testing.T) {
+	pairs := make([]Pair[int32, int64], 200)
+	for i := range pairs {
+		pairs[i] = P(int32(i%40), int64(i))
+	}
+	sum := func(k int32, vs []int64, out Emitter[int32, int64]) error {
+		var s int64
+		for _, v := range vs {
+			s += v
+		}
+		out.Emit(k, s)
+		return nil
+	}
+	run := func(d *Driver) []Pair[int32, int64] {
+		t.Helper()
+		out, err := RunJobDS(context.Background(), d, "sum", PartitionDataset(pairs, d.Partitions()), Identity[int32, int64](), sum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := out.Collect()
+		out.Recycle()
+		return got
+	}
+
+	own := NewDriver(Config{Mappers: 2, Reducers: 2})
+	want := run(own)
+	held := arenaFor[int32, int64](own.cfg.Pool, own.Partitions())
+	if heldBuffers(held) == 0 {
+		t.Fatal("a pooled job left nothing on the free lists")
+	}
+	own.Release()
+	if n := heldBuffers(held); n != 0 {
+		t.Errorf("an arena held across Release still has %d buffers", n)
+	}
+	if n := heldBuffers(arenaFor[int32, int64](own.cfg.Pool, own.Partitions())); n != 0 {
+		t.Errorf("the released pool still hands out an arena with %d buffers", n)
+	}
+	if got := run(own); !reflect.DeepEqual(got, want) {
+		t.Error("a job after Release differs from the one before it")
+	}
+	if last := own.Trace()[len(own.Trace())-1]; last.PoolMisses == 0 {
+		t.Error("the first job after Release reported no pool misses")
+	}
+
+	pool := NewBufferPool()
+	shared := NewDriver(Config{Mappers: 2, Reducers: 2, Pool: pool})
+	run(shared)
+	before := heldBuffers(arenaFor[int32, int64](pool, shared.Partitions()))
+	shared.Release()
+	if after := heldBuffers(arenaFor[int32, int64](pool, shared.Partitions())); after != before || after == 0 {
+		t.Errorf("Release emptied a caller's pool: %d buffers before, %d after", before, after)
+	}
+}

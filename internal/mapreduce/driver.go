@@ -24,6 +24,9 @@ type Driver struct {
 	rounds int
 	total  Stats
 	trace  []Stats
+	// ownPool is set when NewDriver attached cfg.Pool itself; only then
+	// does Release empty it.
+	ownPool bool
 }
 
 // ErrRoundLimit is returned when a Driver exceeds its MaxRounds budget.
@@ -36,10 +39,27 @@ var ErrRoundLimit = errors.New("mapreduce: round limit exceeded")
 // re-allocating them (see BufferPool); Stats.PooledBytes/PoolMisses
 // report the traffic per job and in the driver totals.
 func NewDriver(cfg Config) *Driver {
-	if cfg.Pool == nil {
+	own := cfg.Pool == nil
+	if own {
 		cfg.Pool = NewBufferPool()
 	}
-	return &Driver{cfg: cfg}
+	return &Driver{cfg: cfg, ownPool: own}
+}
+
+// Release empties the BufferPool NewDriver attached; a computation
+// defers it once it owns the driver. The free lists are garbage when the
+// computation returns, but any word that still points at the pool or one
+// of its arenas keeps all of them alive. A stale one is enough: a task
+// goroutine reuses an earlier task's stack, and the collector scans the
+// innermost frame of an asynchronously preempted goroutine
+// conservatively, so one cycle can mark every buffer of a finished
+// computation and set the next heap goal by their size. A pool passed in
+// Config.Pool is the caller's and is left alone. Datasets the driver's
+// jobs produced stay valid; a later Recycle refills the pool.
+func (d *Driver) Release() {
+	if d.ownPool {
+		d.cfg.Pool.release()
+	}
 }
 
 // Config returns the Driver's base job configuration with the given name

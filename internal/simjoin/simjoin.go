@@ -80,6 +80,7 @@ func Join(ctx context.Context, items, consumers []vector.Sparse, sigma float64, 
 		return nil, err
 	}
 	driver := mapreduce.NewDriver(opts.MR)
+	defer driver.Release()
 
 	// Global term statistics of the consumer side: max weight bounds
 	// the suffix contribution, document frequency fixes the term order.
