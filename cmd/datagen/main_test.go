@@ -1,6 +1,8 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"testing"
@@ -106,6 +108,34 @@ func TestSortEdges(t *testing.T) {
 	for v := 0; v < g.NumNodes(); v++ {
 		if sorted.Capacity(graph.NodeID(v)) != g.Capacity(graph.NodeID(v)) {
 			t.Fatal("capacities lost in sort")
+		}
+	}
+}
+
+// TestSortGolden pins the bytes `datagen -sort` writes: edges by
+// decreasing weight, ties by (item, consumer). flickr-small's integer
+// weights tie heavily, so its file pins the tie-break; the synthetic
+// graph's distinct weights pin the weight order. If it fails, the file
+// -sort writes moved — do not edit the literals.
+func TestSortGolden(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-dataset", "flickr-small", "-scale", "0.1"}, "70688f5b55da3bba45bba31a2a88bc091bda3c1878d744847d622455f8860278"},
+		{[]string{"-dataset", "synthetic", "-items", "2000", "-consumers", "300", "-seed", "9"}, "892977f72d74e8c6a62394e33ad0fe312685c1d08bdd00f4b00deecb5048d2fa"},
+	} {
+		path := filepath.Join(t.TempDir(), "g.txt")
+		if err := run(append(tc.args, "-sort", "-o", path)); err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(b)
+		if got := hex.EncodeToString(sum[:]); got != tc.want {
+			t.Errorf("%v -sort: sha256 %s, want %s", tc.args, got, tc.want)
 		}
 	}
 }
