@@ -26,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	socialmatch "repro"
@@ -139,6 +140,9 @@ func run() (err error) {
 // pre-filter — the shared preprocessing of coordinator and workers, so
 // both sides hold identical graphs.
 func loadGraph(in string, sigma float64) (*graph.Bipartite, error) {
+	if !(sigma >= 0) || math.IsInf(sigma, 1) {
+		return nil, fmt.Errorf("-sigma %v is not a finite number ≥ 0", sigma)
+	}
 	r := io.Reader(os.Stdin)
 	if in != "" && in != "-" {
 		f, err := os.Open(in)

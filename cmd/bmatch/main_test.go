@@ -3,6 +3,8 @@ package main
 import (
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -52,5 +54,30 @@ func TestCompareAllRefusesNaNEps(t *testing.T) {
 	err := compareAll(io.Discard, testGraph(), math.NaN(), 1, false, socialmatch.Options{})
 	if err == nil || !strings.Contains(err.Error(), "eps") {
 		t.Fatalf("compareAll with eps NaN: err = %v, want a refusal naming eps", err)
+	}
+}
+
+// TestLoadGraphRefusesBadSigma: -sigma NaN and -sigma -1 used to filter
+// nothing and match the whole graph, and +Inf dropped every edge.
+func TestLoadGraphRefusesBadSigma(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.txt")
+	var b strings.Builder
+	if err := graph.Write(&b, testGraph()); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, sigma := range []float64{math.NaN(), -1, math.Inf(1)} {
+		if _, err := loadGraph(path, sigma); err == nil || !strings.Contains(err.Error(), "-sigma") {
+			t.Errorf("sigma %v: err = %v, want a refusal naming -sigma", sigma, err)
+		}
+	}
+	g, err := loadGraph(path, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumEdges() != 2 {
+		t.Errorf("sigma 1 kept %d edges, want 2", g.NumEdges())
 	}
 }

@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/cliio"
 	"repro/internal/dataset"
-	"repro/internal/extsort"
 	"repro/internal/graph"
 )
 
@@ -43,7 +42,7 @@ func run(args []string) (err error) {
 		consumers = fs.Int("consumers", 2000, "synthetic: number of consumers")
 		degree    = fs.Int("degree", 10, "synthetic: mean item degree")
 		seed      = fs.Int64("seed", 1, "random seed")
-		sorted    = fs.Bool("sort", false, "write edges in descending weight order (bounded-memory external sort)")
+		sorted    = fs.Bool("sort", false, "write edges in descending weight order, ties by (item, consumer)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -58,9 +57,7 @@ func run(args []string) (err error) {
 		return err
 	}
 	if *sorted {
-		if g, err = sortEdges(g); err != nil {
-			return err
-		}
+		g = sortEdges(g)
 	}
 
 	// The checked close is what makes a full disk a nonzero exit: the
@@ -80,8 +77,8 @@ func run(args []string) (err error) {
 }
 
 func build(name string, sigma, alpha, scale float64, items, consumers, degree int, seed int64) (*graph.Bipartite, error) {
-	if !(scale > 0 && scale <= 1) {
-		return nil, fmt.Errorf("-scale %v is not in (0,1]", scale)
+	if err := dataset.CheckScale(scale); err != nil {
+		return nil, err
 	}
 	if !(sigma >= 0) || math.IsInf(sigma, 1) {
 		return nil, fmt.Errorf("-sigma %v is not a finite number ≥ 0", sigma)
@@ -101,25 +98,9 @@ func build(name string, sigma, alpha, scale float64, items, consumers, degree in
 			CapacityMax: 200, Seed: seed,
 		}), nil
 	}
-	var c *dataset.Corpus
-	switch name {
-	case "flickr-small":
-		cfg := dataset.FlickrSmallConfig()
-		cfg.Seed = seed
-		scaleCfg(&cfg.NumItems, &cfg.NumConsumers, scale)
-		c = dataset.Flickr(name, cfg)
-	case "flickr-large":
-		cfg := dataset.FlickrLargeConfig()
-		cfg.Seed = seed
-		scaleCfg(&cfg.NumItems, &cfg.NumConsumers, scale)
-		c = dataset.Flickr(name, cfg)
-	case "yahoo-answers":
-		cfg := dataset.AnswersScaledConfig()
-		cfg.Seed = seed
-		scaleCfg(&cfg.NumItems, &cfg.NumConsumers, scale)
-		c = dataset.Answers(name, cfg)
-	default:
-		return nil, fmt.Errorf("unknown dataset %q", name)
+	c, err := dataset.ByName(name, scale, seed)
+	if err != nil {
+		return nil, err
 	}
 	g := c.BuildGraph(sigma)
 	if err := c.ApplyCapacities(g, alpha); err != nil {
@@ -128,55 +109,20 @@ func build(name string, sigma, alpha, scale float64, items, consumers, degree in
 	return g, nil
 }
 
-// sortEdges rebuilds the graph with edges in descending weight order,
-// using the external sorter so the tool stays within a bounded memory
-// buffer even for graphs far larger than RAM would comfortably hold.
-func sortEdges(g *graph.Bipartite) (*graph.Bipartite, error) {
-	s := extsort.New(extsort.ByWeightDesc, extsort.EdgeCodec{},
-		extsort.Config{MaxInMemory: 1 << 20})
-	for _, e := range g.Edges() {
-		rec := extsort.WeightedEdgeRec{
-			Item:     int32(e.Item),
-			Consumer: int32(int(e.Consumer) - g.NumItems()),
-			Weight:   e.Weight,
-		}
-		if err := s.Add(rec); err != nil {
-			return nil, err
-		}
-	}
-	it, err := s.Sort()
-	if err != nil {
-		return nil, err
-	}
-	defer it.Close()
+// sortEdges rebuilds the graph with its edges in the centralized
+// greedy's order: decreasing weight, ties by (item, consumer). The
+// order is computed before out's edge slice is grown, so the sort's
+// scratch and out's edges are never live at once.
+func sortEdges(g *graph.Bipartite) *graph.Bipartite {
 	out := graph.NewBipartite(g.NumItems(), g.NumConsumers())
 	for v := 0; v < g.NumNodes(); v++ {
 		out.SetCapacity(graph.NodeID(v), g.Capacity(graph.NodeID(v)))
 	}
-	for {
-		rec, ok, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out.AddEdge(out.ItemID(int(rec.Item)), out.ConsumerID(int(rec.Consumer)), rec.Weight)
+	order := g.SortEdgesByWeightDesc()
+	out.Grow(g.NumEdges())
+	for _, i := range order {
+		e := g.Edge(int(i))
+		out.AddEdge(e.Item, e.Consumer, e.Weight)
 	}
-}
-
-// scaleCfg scales both part sizes by scale in (0,1], to at least 10
-// each.
-func scaleCfg(items, consumers *int, scale float64) {
-	if scale >= 1 {
-		return
-	}
-	*items = int(float64(*items) * scale)
-	*consumers = int(float64(*consumers) * scale)
-	if *items < 10 {
-		*items = 10
-	}
-	if *consumers < 10 {
-		*consumers = 10
-	}
+	return out
 }

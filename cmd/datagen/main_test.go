@@ -93,10 +93,7 @@ func TestSortEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sorted, err := sortEdges(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sorted := sortEdges(g)
 	if sorted.NumEdges() != g.NumEdges() {
 		t.Fatalf("edge count changed: %d -> %d", g.NumEdges(), sorted.NumEdges())
 	}
@@ -137,24 +134,6 @@ func TestSortGolden(t *testing.T) {
 		if got := hex.EncodeToString(sum[:]); got != tc.want {
 			t.Errorf("%v -sort: sha256 %s, want %s", tc.args, got, tc.want)
 		}
-	}
-}
-
-func TestScaleCfg(t *testing.T) {
-	items, consumers := 1000, 500
-	scaleCfg(&items, &consumers, 0.1)
-	if items != 100 || consumers != 50 {
-		t.Errorf("scaled to %d %d", items, consumers)
-	}
-	items, consumers = 1000, 500
-	scaleCfg(&items, &consumers, 1)
-	if items != 1000 {
-		t.Error("scale 1 must not change sizes")
-	}
-	items, consumers = 20, 20
-	scaleCfg(&items, &consumers, 0.01)
-	if items < 10 || consumers < 10 {
-		t.Error("floor not applied")
 	}
 }
 

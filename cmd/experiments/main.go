@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/cliio"
+	"repro/internal/dataset"
 	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/mapreduce"
@@ -43,14 +44,10 @@ func run() (err error) {
 	eng := mrcli.RegisterLocal(flag.CommandLine, 16)
 	flag.Parse()
 
-	cfg := experiments.Defaults()
-	if *quick {
-		cfg = experiments.Quick()
+	cfg, err := config(*quick, *scale, *seed)
+	if err != nil {
+		return err
 	}
-	if *scale > 0 {
-		cfg.Scale = *scale
-	}
-	cfg.Seed = *seed
 	mr, err := eng.Config()
 	if err != nil {
 		return err
@@ -163,4 +160,22 @@ func run() (err error) {
 		return nil
 	})
 	return runErr
+}
+
+// config is the experiment configuration the flags ask for. -scale 0,
+// its default, keeps the -quick or full-scale corpora; any other value
+// outside (0,1] is refused.
+func config(quick bool, scale float64, seed int64) (experiments.Config, error) {
+	cfg := experiments.Defaults()
+	if quick {
+		cfg = experiments.Quick()
+	}
+	if scale != 0 {
+		if err := dataset.CheckScale(scale); err != nil {
+			return cfg, err
+		}
+		cfg.Scale = scale
+	}
+	cfg.Seed = seed
+	return cfg, nil
 }

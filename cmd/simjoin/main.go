@@ -55,7 +55,7 @@ func run() (err error) {
 	}
 	defer stopProfiles(&err)
 
-	c, err := corpus(*name, *scale, *seed)
+	c, err := dataset.ByName(*name, *scale, *seed)
 	if err != nil {
 		return err
 	}
@@ -133,31 +133,4 @@ func printJoin(w io.Writer, c *dataset.Corpus, sigma float64, res *simjoin.Resul
 		fmt.Fprintf(w, "spilled:        %d records in %d runs\n",
 			res.Shuffle.SpilledRecords, res.Shuffle.SpillRuns)
 	}
-}
-
-func corpus(name string, scale float64, seed int64) (*dataset.Corpus, error) {
-	apply := func(items, consumers *int) {
-		if scale > 0 && scale < 1 {
-			*items = int(float64(*items) * scale)
-			*consumers = int(float64(*consumers) * scale)
-		}
-	}
-	switch name {
-	case "flickr-small":
-		cfg := dataset.FlickrSmallConfig()
-		cfg.Seed = seed
-		apply(&cfg.NumItems, &cfg.NumConsumers)
-		return dataset.Flickr(name, cfg), nil
-	case "flickr-large":
-		cfg := dataset.FlickrLargeConfig()
-		cfg.Seed = seed
-		apply(&cfg.NumItems, &cfg.NumConsumers)
-		return dataset.Flickr(name, cfg), nil
-	case "yahoo-answers":
-		cfg := dataset.AnswersScaledConfig()
-		cfg.Seed = seed
-		apply(&cfg.NumItems, &cfg.NumConsumers)
-		return dataset.Answers(name, cfg), nil
-	}
-	return nil, fmt.Errorf("unknown dataset %q", name)
 }

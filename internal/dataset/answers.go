@@ -118,6 +118,3 @@ func Answers(name string, cfg AnswersConfig) *Corpus {
 	copy(c.Consumers, weighted[len(c.Items):])
 	return c
 }
-
-// YahooAnswers generates the scaled yahoo-answers stand-in.
-func YahooAnswers() *Corpus { return Answers("yahoo-answers", AnswersScaledConfig()) }

@@ -39,6 +39,50 @@ func (c *Corpus) NumItems() int { return len(c.Items) }
 // NumConsumers returns |C|.
 func (c *Corpus) NumConsumers() int { return len(c.Consumers) }
 
+// ByName generates the named corpus — flickr-small, flickr-large or
+// yahoo-answers — from seed, with both part sizes scaled by scale in
+// (0,1] to at least 10 each. The CLIs that take -dataset and -scale
+// share it, so they refuse and scale alike.
+func ByName(name string, scale float64, seed int64) (*Corpus, error) {
+	if err := CheckScale(scale); err != nil {
+		return nil, err
+	}
+	switch name {
+	case "flickr-small", "flickr-large":
+		cfg := FlickrSmallConfig()
+		if name == "flickr-large" {
+			cfg = FlickrLargeConfig()
+		}
+		cfg.Seed = seed
+		scaleSizes(&cfg.NumItems, &cfg.NumConsumers, scale)
+		return Flickr(name, cfg), nil
+	case "yahoo-answers":
+		cfg := AnswersScaledConfig()
+		cfg.Seed = seed
+		scaleSizes(&cfg.NumItems, &cfg.NumConsumers, scale)
+		return Answers(name, cfg), nil
+	}
+	return nil, fmt.Errorf("unknown dataset %q", name)
+}
+
+// CheckScale refuses a -scale outside (0,1], NaN included.
+func CheckScale(scale float64) error {
+	if !(scale > 0 && scale <= 1) {
+		return fmt.Errorf("-scale %v is not in (0,1]", scale)
+	}
+	return nil
+}
+
+// scaleSizes scales both part sizes by scale in (0,1], to at least 10
+// each.
+func scaleSizes(items, consumers *int, scale float64) {
+	if scale >= 1 {
+		return
+	}
+	*items = max(int(float64(*items)*scale), 10)
+	*consumers = max(int(float64(*consumers)*scale), 10)
+}
+
 // buildBlock is the number of consumers one BuildGraph task scores.
 const buildBlock = 64
 

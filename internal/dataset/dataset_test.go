@@ -105,6 +105,67 @@ func TestParetoIntBoundsAndSkew(t *testing.T) {
 	}
 }
 
+func TestCorpusNames(t *testing.T) {
+	for _, name := range []string{"flickr-small", "flickr-large", "yahoo-answers"} {
+		c, err := ByName(name, 0.03, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if c.NumItems() == 0 || c.NumConsumers() == 0 {
+			t.Errorf("%s: empty corpus", name)
+		}
+	}
+	if _, err := ByName("bogus", 1, 1); err == nil {
+		t.Error("unknown corpus accepted")
+	}
+}
+
+// TestCorpusScaling: ByName shrinks both parts by scale, floors each at
+// 10, and refuses a scale outside (0,1] instead of running at full size.
+func TestCorpusScaling(t *testing.T) {
+	full := FlickrSmallConfig()
+	for _, tc := range []struct {
+		scale            float64
+		items, consumers int
+	}{
+		{1, full.NumItems, full.NumConsumers},
+		{0.05, int(float64(full.NumItems) * 0.05), int(float64(full.NumConsumers) * 0.05)},
+		{0.00001, 10, 10},
+	} {
+		c, err := ByName("flickr-small", tc.scale, 1)
+		if err != nil {
+			t.Fatalf("scale %v: %v", tc.scale, err)
+		}
+		if c.NumItems() != tc.items || c.NumConsumers() != tc.consumers {
+			t.Errorf("scale %v: |T|=%d |C|=%d, want %d %d",
+				tc.scale, c.NumItems(), c.NumConsumers(), tc.items, tc.consumers)
+		}
+	}
+	for _, scale := range []float64{0, -1, 7, math.NaN(), math.Inf(1)} {
+		if _, err := ByName("flickr-small", scale, 1); err == nil {
+			t.Errorf("scale %v accepted", scale)
+		}
+	}
+}
+
+func TestScaleCfg(t *testing.T) {
+	items, consumers := 1000, 500
+	scaleSizes(&items, &consumers, 0.1)
+	if items != 100 || consumers != 50 {
+		t.Errorf("scaled to %d %d", items, consumers)
+	}
+	items, consumers = 1000, 500
+	scaleSizes(&items, &consumers, 1)
+	if items != 1000 {
+		t.Error("scale 1 must not change sizes")
+	}
+	items, consumers = 20, 20
+	scaleSizes(&items, &consumers, 0.01)
+	if items < 10 || consumers < 10 {
+		t.Error("floor not applied")
+	}
+}
+
 func TestFlickrCorpusShape(t *testing.T) {
 	cfg := FlickrSmallConfig()
 	cfg.NumItems, cfg.NumConsumers, cfg.Seed = 200, 80, 7

@@ -109,9 +109,3 @@ func Flickr(name string, cfg FlickrConfig) *Corpus {
 	}
 	return c
 }
-
-// FlickrSmall generates the flickr-small stand-in.
-func FlickrSmall() *Corpus { return Flickr("flickr-small", FlickrSmallConfig()) }
-
-// FlickrLarge generates the scaled flickr-large stand-in.
-func FlickrLarge() *Corpus { return Flickr("flickr-large", FlickrLargeConfig()) }

@@ -198,9 +198,9 @@ func (r adjRec) AppendBinary(buf []byte) ([]byte, error) {
 
 func (r *adjRec) UnmarshalBinary([]byte) error { return errors.New("adjRec: encode only") }
 
-// TestAllocGuardEncodeResidentPartition pins what placing a Dataset and
-// a worker's checkpoint pay to encode one multi-megabyte partition from
-// a nil buffer: 50 000 records of 1…15 adjacency entries, 3.3 MB encoded,
+// TestAllocGuardEncodeResidentPartition pins what placeResident (a state
+// job's coordinator-held input) and a worker's checkpoint pay to encode
+// one multi-megabyte partition from an empty buffer: 50 000 records of 1…15 adjacency entries, 3.3 MB encoded,
 // must cost a handful of allocations — the key column's room, the
 // element scratch growing to the widest record, the value column sized
 // from the mean width so far and corrected once or twice — not the three
