@@ -143,13 +143,6 @@ type Options struct {
 	// partitions, restores them from mirrored checkpoint frames, and
 	// replays from the round boundary. Ignored by the local backends.
 	CheckpointEvery int
-	// SpeculationFactor arms straggler speculation on the dist backend:
-	// a worker silent past the heartbeat window, or still running past
-	// SpeculationFactor x the round's median completion time, has its
-	// partitions speculatively re-executed on the healthy workers and
-	// the first completion wins. Zero disables (the default); 2-4 is
-	// typical. Ignored by the local backends.
-	SpeculationFactor float64
 }
 
 func (o Options) mr() mapreduce.Config {
@@ -161,11 +154,10 @@ func (o Options) mr() mapreduce.Config {
 			MemoryBudget: o.ShuffleMemoryBudget,
 			TempDir:      o.ShuffleTempDir,
 		},
-		Dist:              o.Dist,
-		CheckpointEvery:   o.CheckpointEvery,
-		SpeculationFactor: o.SpeculationFactor,
-		WireCompression:   o.WireCompression,
-		SpillCompression:  o.SpillCompression,
+		Dist:             o.Dist,
+		CheckpointEvery:  o.CheckpointEvery,
+		WireCompression:  o.WireCompression,
+		SpillCompression: o.SpillCompression,
 	}
 }
 

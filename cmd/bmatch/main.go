@@ -95,7 +95,6 @@ func run() (err error) {
 		WireCompression:     mr.WireCompression,
 		SpillCompression:    mr.SpillCompression,
 		CheckpointEvery:     mr.CheckpointEvery,
-		SpeculationFactor:   mr.SpeculationFactor,
 		Dist:                mr.Dist,
 	}
 

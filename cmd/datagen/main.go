@@ -57,7 +57,7 @@ func run(args []string) (err error) {
 		return err
 	}
 	if *sorted {
-		g = sortEdges(g)
+		sortEdges(g)
 	}
 
 	// The checked close is what makes a full disk a nonzero exit: the
@@ -109,20 +109,25 @@ func build(name string, sigma, alpha, scale float64, items, consumers, degree in
 	return g, nil
 }
 
-// sortEdges rebuilds the graph with its edges in the centralized
-// greedy's order: decreasing weight, ties by (item, consumer). The
-// order is computed before out's edge slice is grown, so the sort's
-// scratch and out's edges are never live at once.
-func sortEdges(g *graph.Bipartite) *graph.Bipartite {
-	out := graph.NewBipartite(g.NumItems(), g.NumConsumers())
-	for v := 0; v < g.NumNodes(); v++ {
-		out.SetCapacity(graph.NodeID(v), g.Capacity(graph.NodeID(v)))
-	}
+// sortEdges puts g's edges in the centralized greedy's order:
+// decreasing weight, ties by (item, consumer). It permutes them in
+// place, one cycle of the order at a time, marking each filled position
+// in the order itself, so the graph is never held twice. No adjacency
+// index can go stale: neither the generators nor the capacity rules
+// build one.
+func sortEdges(g *graph.Bipartite) {
+	edges := g.Edges()
 	order := g.SortEdgesByWeightDesc()
-	out.Grow(g.NumEdges())
-	for _, i := range order {
-		e := g.Edge(int(i))
-		out.AddEdge(e.Item, e.Consumer, e.Weight)
+	for i := range order {
+		first := edges[i]
+		j := i
+		for int(order[j]) != i {
+			k := int(order[j])
+			edges[j] = edges[k]
+			order[j] = int32(j)
+			j = k
+		}
+		edges[j] = first
+		order[j] = int32(j)
 	}
-	return out
 }

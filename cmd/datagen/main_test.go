@@ -93,18 +93,27 @@ func TestSortEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sorted := sortEdges(g)
-	if sorted.NumEdges() != g.NumEdges() {
-		t.Fatalf("edge count changed: %d -> %d", g.NumEdges(), sorted.NumEdges())
+	orig := g.Clone()
+	sortEdges(g)
+	sorted := g
+	if sorted.NumEdges() != orig.NumEdges() {
+		t.Fatalf("edge count changed: %d -> %d", orig.NumEdges(), sorted.NumEdges())
 	}
 	for i := 1; i < sorted.NumEdges(); i++ {
 		if sorted.Edge(i).Weight > sorted.Edge(i-1).Weight {
 			t.Fatal("edges not in descending weight order")
 		}
 	}
-	for v := 0; v < g.NumNodes(); v++ {
-		if sorted.Capacity(graph.NodeID(v)) != g.Capacity(graph.NodeID(v)) {
+	for v := 0; v < orig.NumNodes(); v++ {
+		if sorted.Capacity(graph.NodeID(v)) != orig.Capacity(graph.NodeID(v)) {
 			t.Fatal("capacities lost in sort")
+		}
+	}
+	// The in-place permutation must put at position i the edge the
+	// order names, so it is the same multiset of edges, walked in order.
+	for i, k := range orig.SortEdgesByWeightDesc() {
+		if sorted.Edge(i) != orig.Edge(int(k)) {
+			t.Fatalf("position %d holds %+v, the order names %+v", i, sorted.Edge(i), orig.Edge(int(k)))
 		}
 	}
 }

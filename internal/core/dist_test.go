@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/leakcheck"
 	"repro/internal/mapreduce"
 	"repro/internal/mapreduce/remote"
 )
@@ -24,8 +25,10 @@ func startWorkers(t *testing.T, n int) *mapreduce.DistCluster {
 // startWorkersOpts is startWorkers with cluster options and per-session
 // worker options (wopts(i) configures the i-th worker goroutine; worker
 // IDs are assigned in accept order, so i only distinguishes sessions).
+// The test fails if a goroutine outlives the cluster's teardown.
 func startWorkersOpts(t *testing.T, n int, opts mapreduce.DistClusterOptions, wopts func(i int) mapreduce.DistWorkerOptions) *mapreduce.DistCluster {
 	t.Helper()
+	leakcheck.Check(t) // registered first so it runs after the teardown below
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	opts.OnListen = func(addr string) {
@@ -206,17 +209,16 @@ func TestDistMatchingSurvivesWorkerLoss(t *testing.T) {
 	}
 }
 
-// TestDistMatchingSurvivesStraggler extends the acceptance gate to
-// elastic scheduling: every MapReduce matching algorithm runs on a
-// cluster where one worker misbehaves without dying, in two modes. In
-// "slow" mode the worker delays every job frame it writes — a
-// responsive straggler, not a corpse — and tail-lag speculation must
-// bench it without it ever being declared dead. In "stall" mode the
-// worker freezes at a seed-derived frame with its socket open (the gray
-// failure no transport error reports) and suspect-silence speculation
-// must complete the job on the healthy worker. Both modes must finish
-// inside a wall-clock budget and stay bit-identical to the fault-free
-// memory run.
+// TestDistMatchingSurvivesStraggler extends the acceptance gate to the
+// health monitor: every MapReduce matching algorithm runs on a cluster
+// where one worker misbehaves without dying, in two modes. In "slow"
+// mode the worker delays every job frame it writes — a responsive
+// straggler, not a corpse — and it must never be declared dead. In
+// "stall" mode the worker freezes at a seed-derived frame with its
+// socket open (the gray failure no transport error reports); the
+// heartbeat timeout must declare it lost so the job completes on the
+// healthy worker. Both modes must finish inside a wall-clock budget and
+// stay bit-identical to the fault-free memory run.
 func TestDistMatchingSurvivesStraggler(t *testing.T) {
 	g := graph.RandomBipartite(graph.RandomConfig{
 		NumItems: 16, NumConsumers: 12, EdgeProb: 0.4,
@@ -227,10 +229,9 @@ func TestDistMatchingSurvivesStraggler(t *testing.T) {
 	memMR := mapreduce.Config{Mappers: 2, Reducers: 2}
 
 	schedOpts := mapreduce.DistClusterOptions{
-		Timeout:         30 * time.Second,
-		HeartbeatEvery:  20 * time.Millisecond,
-		HeartbeatMisses: 2,
-		AbortTimeout:    2 * time.Second,
+		Timeout:        30 * time.Second,
+		HeartbeatEvery: 20 * time.Millisecond,
+		AbortTimeout:   2 * time.Second,
 	}
 	faulty := func(f *remote.Fault) func(i int) mapreduce.DistWorkerOptions {
 		return func(i int) mapreduce.DistWorkerOptions {
@@ -246,9 +247,8 @@ func TestDistMatchingSurvivesStraggler(t *testing.T) {
 		// stallSeed picks the FaultPoint frame the stall mode freezes
 		// at. Each algorithm has its own frame sequence, and the frame
 		// must land mid-job: a stall during an inter-job fetch is
-		// detected by the fetch deadline and recovered without
-		// speculation — a different path, pinned by the worker-loss
-		// test above.
+		// detected by the fetch deadline, not the heartbeat timeout — a
+		// different path, pinned by the worker-loss test above.
 		stallSeed int64
 		run       func(mr mapreduce.Config) (*Result, error)
 	}
@@ -269,10 +269,8 @@ func TestDistMatchingSurvivesStraggler(t *testing.T) {
 	modes := []struct {
 		name  string
 		fault func(seed int64) *remote.Fault
-		// alive: a responsive straggler must never be declared dead. A
-		// stalled worker legitimately may be (if the death escalation
-		// wins the race against the speculative completion), so the
-		// stall mode asserts only detection + completion.
+		// alive: a responsive straggler must never be declared dead; a
+		// stalled worker must be, by the heartbeat timeout.
 		alive bool
 	}{
 		{"slow", func(int64) *remote.Fault {
@@ -283,10 +281,10 @@ func TestDistMatchingSurvivesStraggler(t *testing.T) {
 		}, false},
 	}
 
-	// The budget prices detection + speculation, not luck: a stalled
-	// worker costs one suspect window (~40ms here) before its share
-	// re-executes, so a full matching run staying under the budget
-	// means no round ever waited out a silent worker.
+	// The budget prices detection, not luck: a stalled worker costs one
+	// heartbeat timeout (~480ms here) before its share re-executes, so a
+	// full matching run staying under the budget means no round waited
+	// out a silent worker for longer than that.
 	const budget = 15 * time.Second
 	for _, m := range modes {
 		for _, r := range runners {
@@ -295,14 +293,13 @@ func TestDistMatchingSurvivesStraggler(t *testing.T) {
 				if err != nil {
 					t.Fatalf("memory: %v", err)
 				}
-				// A fresh cluster per algorithm: a benched straggler
-				// stays benched for the cluster's lifetime.
+				// A fresh cluster per algorithm: a worker declared lost
+				// stays lost for the cluster's lifetime.
 				cl := startWorkersOpts(t, 2, schedOpts, faulty(m.fault(r.stallSeed)))
 				distMR := mapreduce.Config{
 					Mappers: 2, Reducers: 2,
-					Shuffle:           mapreduce.ShuffleConfig{Backend: mapreduce.ShuffleDist},
-					Dist:              cl,
-					SpeculationFactor: 2,
+					Shuffle: mapreduce.ShuffleConfig{Backend: mapreduce.ShuffleDist},
+					Dist:    cl,
 				}
 				start := time.Now()
 				dist, err := r.run(distMR)
@@ -326,11 +323,11 @@ func TestDistMatchingSurvivesStraggler(t *testing.T) {
 				if m.alive && rs.WorkersLost != 0 {
 					t.Fatalf("a responsive straggler was declared dead (lost=%d)", rs.WorkersLost)
 				}
-				if rs.SpeculativeLaunches < 1 {
-					t.Fatalf("speculation never launched (launches=%d)", rs.SpeculativeLaunches)
+				if !m.alive && rs.HeartbeatTimeouts < 1 {
+					t.Fatalf("the stalled worker was never declared lost by heartbeat timeout (timeouts=%d)", rs.HeartbeatTimeouts)
 				}
-				t.Logf("%s/%s: %v, launches=%d wins=%d lost=%d migrated=%d", m.name, r.name, elapsed,
-					rs.SpeculativeLaunches, rs.SpeculativeWins, rs.WorkersLost, rs.PartitionsMigrated)
+				t.Logf("%s/%s: %v, hb timeouts=%d lost=%d retried=%d", m.name, r.name, elapsed,
+					rs.HeartbeatTimeouts, rs.WorkersLost, rs.Recoveries)
 			})
 		}
 	}

@@ -11,8 +11,8 @@ import (
 // MsgExhaustive keeps the two ends of the dist protocol honest: every
 // `switch` over remote.MsgType must either handle every declared
 // message type or carry a default clause that decides what an
-// unhandled frame means. PRs 6–9 each added message types (MsgAbort/
-// MsgAborted, MsgPing/MsgPong, MsgCkpt/MsgSeed/MsgShed, resume acks),
+// unhandled frame means. Message types arrived in several rounds
+// (MsgAbort/MsgAborted, MsgPong, MsgCkpt/MsgSeed/MsgShed, resume acks),
 // and each addition had to be hand-audited against every dispatch
 // switch on the coordinator and the worker; a missed arm shows up at
 // runtime as a frame silently dropped or a hung round, not a compile

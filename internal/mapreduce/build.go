@@ -15,8 +15,8 @@ import (
 // the worker builds the partition, keeps it resident under the Dataset's
 // sequence number and reports its record count (MsgBuilt). The frame is
 // also the Dataset's recipe: the residency record keeps it where a job
-// output keeps its checkpoint mirror, and ensureResident re-seeds a lost,
-// consumed or migrated partition by sending it again.
+// output keeps its checkpoint mirror, and ensureResident re-seeds a lost
+// or consumed partition by sending it again.
 
 // maxBuildParts bounds the partition count a build frame may name: a
 // worker sizes the Dataset's resident set by it.

@@ -1,12 +1,9 @@
 package mapreduce
 
 import (
-	"context"
 	"reflect"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/mapreduce/remote"
 )
@@ -74,73 +71,6 @@ func TestBuildDSMatchesBuildDataset(t *testing.T) {
 			t.Errorf("%d workers lost, want the severed one", rs.WorkersLost)
 		}
 	})
-}
-
-// TestBuildDSMigratesOntoLateWorker: a worker that joins after BuildDS
-// is adopted at the first job's boundary and gets a share of the built
-// partitions by their build frames — the old owner sheds its copy — and
-// the state job over them leaves what it leaves on memory, with nothing
-// counted lost or retried.
-func TestBuildDSMigratesOntoLateWorker(t *testing.T) {
-	ctx := context.Background()
-	memCfg := Config{Mappers: 3, Reducers: 5, Name: "toy-state"}
-	in, err := BuildDataset(memCfg.Reducers, toyPartBuilder(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := RunStateDS(ctx, memCfg, in, toyStateMap, toyStep)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	addr := make(chan string, 1)
-	opts := fastHB()
-	opts.AcceptLate = true
-	opts.OnListen = func(a string) { addr <- a }
-	cl := startSchedCluster(t, 2, opts, nil)
-	cfg := memCfg
-	cfg.Shuffle, cfg.Dist = ShuffleConfig{Backend: ShuffleDist}, cl
-	built, err := BuildDS(NewDriver(cfg), "toy-build", nil, toyPartBuilder(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	lateCtx, lateCancel := context.WithCancel(context.Background())
-	var lateWG sync.WaitGroup
-	lateWG.Add(1)
-	go func() {
-		defer lateWG.Done()
-		if err := ServeDistWorker(lateCtx, <-addr); err != nil {
-			t.Logf("late worker: %v", err)
-		}
-	}()
-	t.Cleanup(func() { lateCancel(); lateWG.Wait() })
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
-		cl.mu.Lock()
-		joined := len(cl.late) > 0
-		cl.mu.Unlock()
-		if joined {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("late worker never completed the handshake")
-		}
-	}
-
-	got, _, err := RunStateDS(ctx, cfg, built, toyStateMap, toyStep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Side(), want.Side()) || !reflect.DeepEqual(cloneParts(t, got), cloneParts(t, want)) {
-		t.Fatal("the state job over a migrated built Dataset diverges from memory")
-	}
-	rs := cl.RecoveryStats()
-	if cl.Workers() != 3 || rs.PartitionsMigrated < 1 {
-		t.Fatalf("%d workers, %d partitions migrated: want the late worker adopted and given a share", cl.Workers(), rs.PartitionsMigrated)
-	}
-	if rs.WorkersLost != 0 || rs.Recoveries != 0 || rs.Reseeded != 0 {
-		t.Fatalf("failure-free migration reported lost=%d retried=%d reseeded=%d", rs.WorkersLost, rs.Recoveries, rs.Reseeded)
-	}
 }
 
 // FuzzBuildFrame feeds parseBuildFrame — the decoder of the frame that

@@ -9,7 +9,6 @@ import (
 	"net"
 	"os/exec"
 	"reflect"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -99,14 +98,11 @@ type DistCluster struct {
 	journal  *distJournal
 	closeErr error
 
-	// Elastic-scheduling configuration (resolved from
-	// DistClusterOptions at startup) and state. health parallels conns;
-	// activeJob/hbFloor are what the monitor goroutine watches.
+	// Health-monitor configuration (resolved from DistClusterOptions at
+	// startup); activeJob/hbFloor are what the monitor goroutine watches.
 	hbEvery      time.Duration
-	hbMisses     int
 	drainTimeout time.Duration
 	abortTimeout time.Duration
-	health       []*workerHealth
 	activeJob    distActiveJob
 	hbFloor      time.Time
 	monitorStop  chan struct{}
@@ -115,40 +111,17 @@ type DistCluster struct {
 	recoveries   atomic.Int64
 	reseeded     atomic.Int64
 	hbTimeouts   atomic.Int64
-	specLaunch   atomic.Int64
-	specWins     atomic.Int64
-	migratedCnt  atomic.Int64
 	jobsReplayed atomic.Int64
-}
-
-// workerHealth is the monitor's per-worker scheduling state. suspect is
-// the demoted-but-not-dead verdict (silent past the heartbeat window,
-// or speculated around as a straggler); tainted marks workers a
-// speculative re-execution was ever launched against — they stay
-// benched from future schedules, because re-admitting a known straggler
-// invites abort/retry oscillation, while a genuinely recovered machine
-// can always rejoin as a fresh late worker. pongParts/pongRecords
-// mirror the last heartbeat's progress counters, for observability.
-type workerHealth struct {
-	suspect     atomic.Bool
-	suspectedAt atomic.Int64 // unixnano of the demotion
-	probes      atomic.Int32
-	tainted     atomic.Bool
-	pongParts   atomic.Int64
-	pongRecords atomic.Int64
 }
 
 // distActiveJob is the monitor's view of the job in flight — the
 // untyped face of distJobRun, registered by startDistJob and cleared
 // when finish returns.
 type distActiveJob interface {
-	liveSet() []int
-	specFactor() float64
-	canSpeculate(w int) bool
-	speculateLost(w int, cause error)
+	// waitsOn reports whether the attempt still waits on worker w: w
+	// received the announce and has not delivered its MsgJobDone.
+	waitsOn(w int) bool
 	lost(w int, cause error)
-	doneWith(w int) bool
-	tailLaggard(now time.Time, factor float64, floor time.Duration) (int, time.Duration, bool)
 }
 
 // Partition locations that name no worker. Both are seeded from the
@@ -213,11 +186,6 @@ type WorkerLostError struct {
 	Job string
 	// Err is the underlying transport or recovery failure.
 	Err error
-	// Speculative marks an abort the scheduler initiated to re-execute
-	// a straggler's partitions elsewhere: the worker was demoted, not
-	// declared dead, and the retry that follows is a backup execution
-	// rather than a recovery.
-	Speculative bool
 }
 
 func (e *WorkerLostError) Error() string {
@@ -259,23 +227,17 @@ type DistClusterOptions struct {
 	OnListen func(addr string)
 	// AcceptLate keeps the coordinator's listener open after the initial
 	// n workers connect, so replacement workers can join a running
-	// cluster with -dist-connect. Rebalancing adopts them at the next
-	// job boundary — they pick up partitions from dead workers, and
-	// (when checkpoint mirrors exist) a fair share of resident
-	// partitions from loaded survivors, without waiting for a failure.
-	// Off by default (the listener closes once startup completes).
+	// cluster with -dist-connect. They are adopted at the next job
+	// boundary and pick up partitions when a worker dies. Off by default
+	// (the listener closes once startup completes).
 	AcceptLate bool
-	// HeartbeatEvery is the health cadence: workers send a progress
-	// heartbeat every interval and the coordinator's monitor ticks at
-	// the same rate. Zero means the 500ms default; negative disables
-	// health monitoring entirely (no pongs, no monitor, no
-	// speculation).
+	// HeartbeatEvery is the health cadence: workers send a heartbeat
+	// every interval and the coordinator's monitor ticks at the same
+	// rate. A worker the running job waits on that stays silent for
+	// hbDeadIntervals intervals is declared lost. Zero means the 500ms
+	// default; negative disables health monitoring entirely (no pongs,
+	// no monitor).
 	HeartbeatEvery time.Duration
-	// HeartbeatMisses is how many consecutive silent intervals demote a
-	// worker to suspect (default 3). A suspect is benched from new
-	// schedules but not killed; it is declared dead only after further
-	// exponentially backed-off probes go unanswered.
-	HeartbeatMisses int
 	// DrainTimeout bounds the read for a parting MsgError after a write
 	// to a worker fails (default 500ms).
 	DrainTimeout time.Duration
@@ -337,7 +299,6 @@ func StartDistCluster(n int, opts DistClusterOptions) (*DistCluster, error) {
 
 	cl := &DistCluster{
 		hbEvery:        opts.HeartbeatEvery,
-		hbMisses:       opts.HeartbeatMisses,
 		drainTimeout:   opts.DrainTimeout,
 		abortTimeout:   opts.AbortTimeout,
 		reconnectGrace: opts.ReconnectGrace,
@@ -353,9 +314,6 @@ func StartDistCluster(n int, opts DistClusterOptions) (*DistCluster, error) {
 	}
 	if cl.hbEvery == 0 {
 		cl.hbEvery = 500 * time.Millisecond
-	}
-	if cl.hbMisses <= 0 {
-		cl.hbMisses = 3
 	}
 	if cl.drainTimeout <= 0 {
 		cl.drainTimeout = 500 * time.Millisecond
@@ -422,10 +380,6 @@ func StartDistCluster(n int, opts DistClusterOptions) (*DistCluster, error) {
 		}
 		nc.SetReadDeadline(time.Time{})
 		cl.conns = append(cl.conns, conn)
-	}
-	cl.health = make([]*workerHealth, len(cl.conns))
-	for i := range cl.health {
-		cl.health[i] = &workerHealth{}
 	}
 	if cl.hbEvery > 0 {
 		cl.monitorStop = make(chan struct{})
@@ -692,27 +646,16 @@ func (cl *DistCluster) drainFatal(w int) string {
 }
 
 // reassignLocked rewrites an assignment array so no partition names a
-// dead or benched (suspect/tainted) worker: their partitions go
-// round-robin, in partition order, over the healthy workers.
-// Deterministic in the dead and benched sets, and a no-op for
-// partitions whose owner is healthy — surviving partitions never move,
-// which is what lets recovery re-seed only what was actually lost. When
-// demotions would leave no healthy worker, benched workers stay
-// schedulable (the cluster must limp on) and only dead-owned
-// partitions move.
+// dead worker: its partitions go round-robin, in partition order, over
+// the live workers. Deterministic in the dead set, and a no-op for
+// partitions whose owner is alive — a live worker's partitions never
+// move, which is what lets recovery re-seed only what was actually
+// lost.
 func (cl *DistCluster) reassignLocked(owners []int) {
 	var targets []int
 	for w := range cl.conns {
-		if !cl.deadLocked(w) && !cl.benchedLocked(w) {
+		if !cl.deadLocked(w) {
 			targets = append(targets, w)
-		}
-	}
-	moveBenched := len(targets) > 0
-	if !moveBenched {
-		for w := range cl.conns {
-			if !cl.deadLocked(w) {
-				targets = append(targets, w)
-			}
 		}
 	}
 	if len(targets) == 0 {
@@ -720,29 +663,11 @@ func (cl *DistCluster) reassignLocked(owners []int) {
 	}
 	k := 0
 	for p, w := range owners {
-		if cl.deadLocked(w) || (moveBenched && cl.benchedLocked(w)) {
+		if cl.deadLocked(w) {
 			owners[p] = targets[k%len(targets)]
 			k++
 		}
 	}
-}
-
-// benchedLocked reports whether worker w is demoted from scheduling:
-// currently suspect (silent past the heartbeat window) or tainted (a
-// speculative re-execution was launched against it).
-func (cl *DistCluster) benchedLocked(w int) bool {
-	if w < 0 || w >= len(cl.health) {
-		return false
-	}
-	h := cl.health[w]
-	return h.suspect.Load() || h.tainted.Load()
-}
-
-// isSuspect reports whether worker w is currently demoted to suspect.
-func (cl *DistCluster) isSuspect(w int) bool {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	return w >= 0 && w < len(cl.health) && cl.health[w].suspect.Load()
 }
 
 // ownersFor returns a snapshot of the sticky partition assignment for
@@ -774,9 +699,9 @@ func (cl *DistCluster) ownersForLocked(parts int) []int {
 	return o
 }
 
-// recoverAssignments runs between a lost job attempt and its retry:
-// adopt any late-joined replacement workers, then rewrite every stored
-// assignment so dead and benched workers own nothing.
+// recoverAssignments starts every job attempt: adopt any late-joined
+// replacement workers, then rewrite every stored assignment so dead
+// workers own nothing.
 func (cl *DistCluster) recoverAssignments() {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
@@ -787,130 +712,15 @@ func (cl *DistCluster) recoverAssignments() {
 }
 
 // adoptLateLocked folds late-joined replacement workers into the
-// cluster: each gets the next connection slot and a fresh health
-// record.
+// cluster: each gets the next connection slot.
 func (cl *DistCluster) adoptLateLocked() {
 	for _, c := range cl.late {
 		cl.conns = append(cl.conns, c)
-		cl.health = append(cl.health, &workerHealth{})
 		if cl.dead != nil {
 			cl.dead = append(cl.dead, false)
 		}
 	}
 	cl.late = nil
-}
-
-// reviveLocked lifts suspicion from workers that have spoken since
-// their demotion — but never from tainted (speculated-around) workers,
-// which stay benched: re-admitting a straggler that already cost one
-// speculative abort invites abort/retry oscillation, and a genuinely
-// recovered machine can always rejoin as a fresh late worker. Called
-// only at job-success boundaries, so a retry that excluded a suspect
-// cannot re-admit it mid-recovery.
-func (cl *DistCluster) reviveLocked() {
-	for w, h := range cl.health {
-		if h == nil || !h.suspect.Load() || h.tainted.Load() || cl.deadLocked(w) {
-			continue
-		}
-		if cl.conns[w].LastRead().After(time.Unix(0, h.suspectedAt.Load())) {
-			h.suspect.Store(false)
-			h.probes.Store(0)
-		}
-	}
-}
-
-// rebalance is the job-boundary scheduling step: adopt healthy late
-// joiners, optionally revive recovered suspects, rewrite the geometry's
-// assignment so dead and benched workers own nothing, and grant idle
-// healthy workers a fair share of partitions from loaded ones — hottest
-// (by resident pair count) first when the upcoming input has a
-// checkpoint mirror to move them with. The assignment is the plan; the
-// data itself moves when ensureResident reconciles the input dataset's
-// partition locations against it.
-func (cl *DistCluster) rebalance(parts int, inputSeq uint64, revive bool) {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	cl.adoptLateLocked()
-	if revive {
-		cl.reviveLocked()
-	}
-	owners := cl.ownersForLocked(parts)
-	cl.reassignLocked(owners)
-	var m *distMirror
-	if inputSeq != 0 {
-		m = cl.residency[inputSeq]
-	}
-	cl.balanceLocked(owners, m, inputSeq != 0)
-}
-
-// balanceLocked moves partitions from loaded workers to idle healthy
-// ones. For a chained input the move is real data (seeded from the
-// mirror or rebuilt from the recipe by ensureResident), so it requires
-// one of them; for a job the coordinator maps the assignment is the only
-// state, and moving it is free.
-func (cl *DistCluster) balanceLocked(owners []int, m *distMirror, chained bool) {
-	if chained && (m == nil || m.blobs == nil && m.recipe == nil) {
-		return // nothing migratable without a mirror or a recipe
-	}
-	var sched []int
-	for w := range cl.conns {
-		if !cl.deadLocked(w) && !cl.benchedLocked(w) {
-			sched = append(sched, w)
-		}
-	}
-	if len(sched) < 2 {
-		return
-	}
-	load := make(map[int]int, len(sched))
-	for _, w := range owners {
-		load[w]++
-	}
-	var idle []int
-	for _, w := range sched {
-		if load[w] == 0 {
-			idle = append(idle, w)
-		}
-	}
-	if len(idle) == 0 {
-		return
-	}
-	share := len(owners) / len(sched)
-	if share < 1 {
-		share = 1
-	}
-	// Candidate partitions come from owners above their fair share,
-	// hottest first (falling back to partition order), so a migration
-	// moves the work that matters most.
-	type cand struct {
-		p    int
-		heat int64
-	}
-	var cands []cand
-	for p, w := range owners {
-		if load[w] > share {
-			var heat int64
-			if m != nil && p < len(m.counts) {
-				heat = m.counts[p]
-			}
-			cands = append(cands, cand{p: p, heat: heat})
-		}
-	}
-	sort.SliceStable(cands, func(i, k int) bool { return cands[i].heat > cands[k].heat })
-	i := 0
-	for _, w := range idle {
-		for granted := 0; granted < share && i < len(cands); {
-			p := cands[i].p
-			old := owners[p]
-			i++
-			if load[old] <= share {
-				continue // donor already drained by an earlier grant
-			}
-			owners[p] = w
-			load[old]--
-			load[w]++
-			granted++
-		}
-	}
 }
 
 // retryAfterLoss reports whether a job lost to worker death should be
@@ -968,46 +778,33 @@ func (cl *DistCluster) mirrorPart(seq uint64, p int) ([]byte, bool) {
 // current assignment before the job that consumes it is announced: any
 // partition whose recorded owner is dead is re-seeded from the
 // checkpoint mirror, or rebuilt from a built Dataset's recipe, onto the
-// worker the assignment names (recovery), and any partition the
-// assignment moved off a live owner — a rebalancing migration — is
-// seeded onto the new owner and shed from the old one. A partition
-// pinned to a live owner by a missing mirror blob stays put, and the
-// assignment is repaired to match reality. A partition that lives
-// nowhere yet (locNowhere) is seeded the same way and counted as
-// neither. A no-op while the cluster is healthy and balanced. Returns the
-// counts of recovered and migrated partitions, or a WorkerLostError when
-// a lost partition has no mirror to restore it from.
-func (cl *DistCluster) ensureResident(seq uint64, name string) (int, int, error) {
+// worker the assignment names (recovery). A partition that lives
+// nowhere yet (locNowhere) is seeded the same way but not counted as
+// reseeded. A partition on a live worker stays put: reassignLocked only
+// moves a dead worker's partitions, so the assignment still names its
+// owner. A no-op while the cluster is healthy. Returns the count of
+// recovered partitions, or a WorkerLostError when a lost partition has
+// no mirror to restore it from.
+func (cl *DistCluster) ensureResident(seq uint64, name string) (int, error) {
 	cl.mu.Lock()
 	m := cl.residency[seq]
 	if m == nil {
 		cl.mu.Unlock()
-		return 0, 0, fmt.Errorf("mapreduce: dist job %q: input dataset %d is not resident on this cluster", name, seq)
+		return 0, fmt.Errorf("mapreduce: dist job %q: input dataset %d is not resident on this cluster", name, seq)
 	}
 	owners := cl.ownersForLocked(len(m.loc))
-	var seeds, sheds []move
-	migrated := 0
+	var seeds []move
 	reseeded := 0
 	for p, w := range m.loc {
-		target := owners[p]
-		// A negative location means the partition lives on no worker at
-		// all. It is seeded like a lost partition: from the mirror, no
-		// shed.
-		dead := w < 0 || cl.deadLocked(w)
-		if target == w && !dead {
+		if w >= 0 && !cl.deadLocked(w) {
 			continue
 		}
 		if !m.restorable(p) {
-			if !dead {
-				// Unmovable without a mirror, but the copy is intact:
-				// pin the assignment back to the live owner.
-				owners[p] = w
-				continue
-			}
 			cl.mu.Unlock()
-			return 0, 0, &WorkerLostError{Worker: w, Job: name,
+			return 0, &WorkerLostError{Worker: w, Job: name,
 				Err: fmt.Errorf("resident input partition %d was lost and the producing job was not checkpointed (Config.CheckpointEvery)", p)}
 		}
+		target := owners[p]
 		if target == w {
 			// Owner is dead and the assignment still names it — no live
 			// worker existed to reassign to; the announce will fail with
@@ -1015,16 +812,8 @@ func (cl *DistCluster) ensureResident(seq uint64, name string) (int, int, error)
 			continue
 		}
 		seeds = append(seeds, move{w: target, frame: m.seedFrame(seq, p)})
-		switch {
-		case w == locNowhere:
-			// First placement, not a recovery.
-		case dead:
+		if w != locNowhere {
 			reseeded++
-		default:
-			// The old copy survives on a live worker: shed it so a later
-			// fetch or re-seed cannot resurrect a stale image.
-			migrated++
-			sheds = append(sheds, move{w: w, frame: shedFrame(seq, p)})
 		}
 		m.loc[p] = target
 	}
@@ -1032,24 +821,14 @@ func (cl *DistCluster) ensureResident(seq uint64, name string) (int, int, error)
 	for _, s := range seeds {
 		if err := cl.conns[s.w].WriteFrame(s.frame); err != nil {
 			cl.markDead(s.w, err)
-			return 0, 0, &WorkerLostError{Worker: s.w, Job: name,
+			return 0, &WorkerLostError{Worker: s.w, Job: name,
 				Err: fmt.Errorf("re-seeding recovered partition: %w", err)}
-		}
-	}
-	for _, s := range sheds {
-		// Best effort: a worker that cannot be told sheds its stale copy
-		// when it dies or the dataset is dropped.
-		if err := cl.conns[s.w].WriteFrame(s.frame); err != nil {
-			cl.markDead(s.w, err)
 		}
 	}
 	if reseeded > 0 {
 		cl.reseeded.Add(int64(reseeded))
 	}
-	if migrated > 0 {
-		cl.migratedCnt.Add(int64(migrated))
-	}
-	return reseeded, migrated, nil
+	return reseeded, nil
 }
 
 // move is one seed or shed frame bound for worker w.
@@ -1086,8 +865,8 @@ func (cl *DistCluster) consumeResident(seq uint64) {
 	}
 	cl.mu.Unlock()
 	for _, s := range sheds {
-		// Best effort, like a migration's shed: a worker that cannot be
-		// told takes its copy with it.
+		// Best effort: a worker that cannot be told takes its copy with
+		// it.
 		if err := cl.conns[s.w].WriteFrame(s.frame); err != nil {
 			cl.markDead(s.w, err)
 		}
@@ -1161,28 +940,19 @@ func (cl *DistCluster) noteRetained() {
 	cl.mu.Unlock()
 }
 
-// RecoveryStats is the cluster's cumulative fault-tolerance and elastic
-// scheduling activity, as reported by DistCluster.RecoveryStats.
+// RecoveryStats is the cluster's cumulative fault-tolerance activity,
+// as reported by DistCluster.RecoveryStats.
 type RecoveryStats struct {
 	// WorkersLost counts worker slots currently marked dead.
 	WorkersLost int
-	// Recoveries counts job attempts retried after a loss (real or
-	// speculative).
+	// Recoveries counts job attempts retried after a loss.
 	Recoveries int64
 	// Reseeded counts partitions restored from the checkpoint mirror
 	// onto a new owner because their previous owner died.
 	Reseeded int64
-	// HeartbeatTimeouts counts silence-window expirations that demoted
-	// a worker to suspect.
+	// HeartbeatTimeouts counts workers declared lost by the health
+	// monitor for staying silent while a job waited on them.
 	HeartbeatTimeouts int64
-	// SpeculativeLaunches counts straggler aborts launched to
-	// re-execute a laggard's partitions elsewhere; SpeculativeWins
-	// counts the ones whose backup attempt completed the job.
-	SpeculativeLaunches int64
-	SpeculativeWins     int64
-	// PartitionsMigrated counts resident partitions moved between live
-	// workers by rebalancing (not loss recovery).
-	PartitionsMigrated int64
 	// WorkerReconnects counts transport losses absorbed by session
 	// resume: a severed worker redialed and re-attached within the grace
 	// window instead of being declared dead.
@@ -1198,8 +968,7 @@ type RecoveryStats struct {
 	JobsReplayed int64
 }
 
-// RecoveryStats reports the cluster's cumulative recovery and elastic
-// scheduling activity.
+// RecoveryStats reports the cluster's cumulative recovery activity.
 func (cl *DistCluster) RecoveryStats() RecoveryStats {
 	var rs RecoveryStats
 	cl.mu.Lock()
@@ -1212,9 +981,6 @@ func (cl *DistCluster) RecoveryStats() RecoveryStats {
 	rs.Recoveries = cl.recoveries.Load()
 	rs.Reseeded = cl.reseeded.Load()
 	rs.HeartbeatTimeouts = cl.hbTimeouts.Load()
-	rs.SpeculativeLaunches = cl.specLaunch.Load()
-	rs.SpeculativeWins = cl.specWins.Load()
-	rs.PartitionsMigrated = cl.migratedCnt.Load()
 	rs.WorkerReconnects, rs.FramesReplayed = cl.resumeTotals()
 	if cl.journal != nil {
 		rs.JournalBytes = cl.journal.bytes.Load()
@@ -1322,57 +1088,6 @@ func (cl *DistCluster) journalAppendResident(seq uint64, name string, sides [][]
 	})
 }
 
-// scheduleWorkers picks the workers a job announce includes: every
-// live worker that is not benched, plus any benched worker the
-// assignment still names (a chained input pinned to it by a missing
-// mirror blob). Falls back to all live workers when demotions would
-// otherwise leave the job empty.
-func (cl *DistCluster) scheduleWorkers(owners []int) []int {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	needed := make(map[int]bool, len(owners))
-	for _, w := range owners {
-		needed[w] = true
-	}
-	var live []int
-	for w := range cl.conns {
-		if cl.deadLocked(w) {
-			continue
-		}
-		if cl.benchedLocked(w) && !needed[w] {
-			continue
-		}
-		live = append(live, w)
-	}
-	if len(live) == 0 {
-		for w := range cl.conns {
-			if !cl.deadLocked(w) {
-				live = append(live, w)
-			}
-		}
-	}
-	return live
-}
-
-// mirrored reports whether every partition of resident dataset seq could
-// be re-seeded from its mirror or rebuilt from its recipe — the
-// precondition for speculating on a chained job, whose abort may consume
-// the whole input (see consumeResident), not just the straggler's share.
-func (cl *DistCluster) mirrored(seq uint64) bool {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	m := cl.residency[seq]
-	if m == nil {
-		return false
-	}
-	for p := range m.loc {
-		if !m.restorable(p) {
-			return false
-		}
-	}
-	return true
-}
-
 // setActiveJob hands the monitor the job in flight. The heartbeat floor
 // resets with it: silence is measured from the announce, not from
 // whenever the worker last happened to speak before the job existed.
@@ -1389,20 +1104,16 @@ func (cl *DistCluster) clearActiveJob() {
 	cl.mu.Unlock()
 }
 
-// hbMaxProbes is how many exponentially backed-off probes a suspect
-// gets before continued silence becomes a death verdict. With the
-// defaults (500ms interval, 3 misses) a worker is suspect after 1.5s of
-// silence, probed at 3s and 6s, and declared dead past 12s.
-const hbMaxProbes = 2
+// hbDeadIntervals is how many heartbeat intervals of silence declare a
+// worker the running job waits on lost: 12s at the 500ms default.
+const hbDeadIntervals = 24
 
 // monitor is the cluster's health loop: at every heartbeat interval it
-// measures each worker's silence against the window, demotes the quiet
-// ones to suspect (launching a speculative re-execution when the job
-// allows it), escalates unanswered probes to a death verdict, and
-// checks the live progress distribution for stragglers worth
-// speculating around. Detection only — all state changes route through
-// the active job's own abort machinery, so the monitor can never race a
-// job into an inconsistent state.
+// measures the silence of each worker the running attempt waits on and
+// declares one lost once it passes hbDeadIntervals intervals. Detection
+// only — the verdict routes through the active job's own abort
+// machinery, so the monitor can never race a job into an inconsistent
+// state.
 func (cl *DistCluster) monitor() {
 	defer cl.monitorWG.Done()
 	ticker := time.NewTicker(cl.hbEvery)
@@ -1422,105 +1133,36 @@ func (cl *DistCluster) checkHealth(now time.Time) {
 	j := cl.activeJob
 	floor := cl.hbFloor
 	conns := cl.conns
-	health := cl.health
 	broken := cl.broken != nil || cl.closed
 	cl.mu.Unlock()
 	if j == nil || broken {
 		return
 	}
-	window := cl.hbEvery * time.Duration(cl.hbMisses)
-	inLive := make(map[int]bool)
-	for _, w := range j.liveSet() {
-		inLive[w] = true
-	}
-	for w := 0; w < len(conns) && w < len(health); w++ {
-		if cl.isDead(w) {
-			continue
-		}
+	limit := cl.hbEvery * hbDeadIntervals
+	for w, c := range conns {
 		// Only workers the active attempt is still waiting on are judged.
-		// A non-participant (benched, adopted-but-idle) and a participant
-		// that already delivered its MsgDone have per-job readers no
-		// longer draining their frames, so their LastRead legitimately
-		// goes stale — silence there is not evidence of a hang, and
-		// condemning the finished survivor of a round that is waiting out
-		// a genuinely hung worker would leave no one to retry on.
-		if !inLive[w] || j.doneWith(w) {
-			continue
-		}
-		// A worker whose transport died but whose session is inside the
-		// reconnect grace window is neither suspect nor dead: the blip is
-		// the resume layer's to absorb, and escalating here would turn a
-		// 2-second reconnect into a full abort/reseed. If the grace
+		// A non-participant (adopted-but-idle) and a participant that
+		// already delivered its MsgJobDone have per-job readers no longer
+		// draining their frames, so their LastRead legitimately goes
+		// stale — silence there is not evidence of a hang, and condemning
+		// the finished survivor of a round that is waiting out a
+		// genuinely hung worker would leave no one to retry on. A worker
+		// whose transport died but whose session is inside the reconnect
+		// grace window is the resume layer's to absorb: if the grace
 		// expires, the parked read surfaces its transport error and the
 		// ordinary loss path takes over.
-		if conns[w].Recovering() {
+		if cl.isDead(w) || !j.waitsOn(w) || c.Recovering() {
 			continue
 		}
-		h := health[w]
-		last := conns[w].LastRead()
+		last := c.LastRead()
 		if last.Before(floor) {
 			last = floor
 		}
-		silent := now.Sub(last)
-		if silent <= window {
-			continue
-		}
-		if !h.suspect.Load() {
-			// Demote: the worker is suspect, not dead. Probe it, and if
-			// the job can be completed without it, speculatively
-			// re-execute its partitions elsewhere right away — a hung
-			// worker holds the whole round hostage otherwise.
-			h.suspect.Store(true)
-			h.suspectedAt.Store(now.UnixNano())
-			h.probes.Store(0)
+		if silent := now.Sub(last); silent > limit {
 			cl.hbTimeouts.Add(1)
-			cl.ping(w)
-			if j.specFactor() > 0 && j.canSpeculate(w) {
-				h.tainted.Store(true)
-				cl.specLaunch.Add(1)
-				j.speculateLost(w, fmt.Errorf("mapreduce: dist worker %d silent for %v (heartbeat window %v)", w, silent.Round(time.Millisecond), window))
-			}
-			continue
-		}
-		// Escalate: probes at 2x and 4x the window, death past 8x.
-		p := h.probes.Load()
-		if int(p) < hbMaxProbes {
-			if silent > window<<(uint(p)+1) {
-				h.probes.Add(1)
-				cl.ping(w)
-			}
-			continue
-		}
-		if silent > window<<(hbMaxProbes+1) {
 			j.lost(w, fmt.Errorf("mapreduce: dist worker %d heartbeat timeout (silent %v)", w, silent.Round(time.Millisecond)))
 		}
 	}
-	// Tail-lag speculation: a responsive worker can still straggle. When
-	// most of the round is done and the laggard is far past the median,
-	// re-execute its share elsewhere.
-	if f := j.specFactor(); f > 0 {
-		if w, lag, ok := j.tailLaggard(now, f, window); ok && !cl.isSuspect(w) && j.canSpeculate(w) {
-			if w < len(health) {
-				h := health[w]
-				h.suspect.Store(true)
-				h.suspectedAt.Store(now.UnixNano())
-				h.tainted.Store(true)
-			}
-			cl.specLaunch.Add(1)
-			j.speculateLost(w, fmt.Errorf("mapreduce: dist worker %d straggling %v behind the round median", w, lag.Round(time.Millisecond)))
-		}
-	}
-}
-
-// ping nudges a suspect worker: any frame it sends back (the pong)
-// refreshes its LastRead and clears the suspicion at the next job
-// boundary. Sent via the pulse path so probes never shift injected
-// fault points.
-func (cl *DistCluster) ping(w int) {
-	if w < 0 || w >= len(cl.conns) || cl.isDead(w) {
-		return
-	}
-	cl.conns[w].WritePulse([]byte{byte(remote.MsgPing)})
 }
 
 // KillWorker SIGKILLs the i-th spawned worker process — demo and test
@@ -1616,7 +1258,7 @@ func (cl *DistCluster) Close() error {
 // healthy worker exits within milliseconds of its bye/connection close,
 // but a wedged one — stopped, hung, swapped out — never will, and an
 // unbounded Wait here would hold coordinator shutdown hostage to the
-// exact gray failures the scheduling layer exists to survive. Past the
+// exact gray failures the health monitor exists to survive. Past the
 // grace the worker is killed and the (now prompt) Wait reaps it.
 func (cl *DistCluster) reapProc(cmd *exec.Cmd) error {
 	done := make(chan error, 1)
@@ -1848,14 +1490,7 @@ type distJobRun[K2 comparable, V2 any, K3 comparable, V3 any] struct {
 	bytesOut0 int64
 	// live is the set of workers the announce included — the workers
 	// that received MsgJobStart and owe a MsgJobDone (or MsgAborted).
-	// Benched (suspect/tainted) workers are excluded unless the
-	// assignment still needs them.
 	live []int
-	// spec is the job's straggler threshold (Config.SpeculationFactor);
-	// zero disables speculative re-execution.
-	spec float64
-	// startedAt anchors the progress distribution tailLaggard measures.
-	startedAt time.Time
 
 	// readWG tracks the per-connection reader goroutines, started right
 	// after the announce so heartbeats and early worker traffic are
@@ -1870,8 +1505,8 @@ type distJobRun[K2 comparable, V2 any, K3 comparable, V3 any] struct {
 	reports   []distWorkerReport
 	loss      *WorkerLostError
 	ckptBlobs [][]byte
-	doneAt    map[int]time.Time
-	mapDoneAt map[int]time.Time
+	// done holds the workers whose MsgJobDone arrived.
+	done map[int]bool
 
 	mapDones  atomic.Int64
 	aborting  atomic.Bool
@@ -1886,122 +1521,32 @@ type distJobRun[K2 comparable, V2 any, K3 comparable, V3 any] struct {
 	wireSaved atomic.Int64
 }
 
-// The distActiveJob face the cluster monitor sees.
-
-func (j *distJobRun[K2, V2, K3, V3]) liveSet() []int      { return j.live }
-func (j *distJobRun[K2, V2, K3, V3]) specFactor() float64 { return j.spec }
-
-// canSpeculate reports whether the job could complete without worker w:
-// the attempt is still running, another healthy worker exists to take
-// over, and — for a chained job — the resident input can be re-seeded
-// from the checkpoint mirror.
-func (j *distJobRun[K2, V2, K3, V3]) canSpeculate(w int) bool {
-	if j.aborting.Load() || j.finished.Load() {
+// waitsOn is the distActiveJob face the cluster monitor sees.
+func (j *distJobRun[K2, V2, K3, V3]) waitsOn(w int) bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.done[w] {
 		return false
 	}
-	cl := j.cl
-	cl.mu.Lock()
-	others := 0
-	for v := range cl.conns {
-		if v != w && !cl.deadLocked(v) && !cl.benchedLocked(v) {
-			others++
+	for _, lw := range j.live {
+		if lw == w {
+			return true
 		}
 	}
-	cl.mu.Unlock()
-	if others == 0 {
-		return false
-	}
-	if j.hdr.mode != remote.ModeChained {
-		return true
-	}
-	return cl.mirrored(j.hdr.inputSeq)
-}
-
-// speculateLost launches the backup execution: abort this attempt
-// without declaring w dead, so the retry re-runs w's partitions on the
-// healthy workers while w — demoted, not killed — gets the chance to
-// acknowledge and stay in the cluster. First completion wins the race
-// inherent in the abort CAS: if w's MsgJobDone arrives before the abort
-// latches, the attempt simply succeeds and the launch was a no-op.
-func (j *distJobRun[K2, V2, K3, V3]) speculateLost(w int, cause error) {
-	if j.finished.Load() {
-		return
-	}
-	j.abortAttempt(w, cause, true)
+	return false
 }
 
 func (j *distJobRun[K2, V2, K3, V3]) lost(w int, cause error) {
 	j.initiateAbort(w, cause)
 }
 
-// doneWith reports whether worker w has delivered its full share of this
-// attempt (its MsgDone arrived). A done worker writes nothing more for
-// the job, so monitor-side silence is expected, not evidence of a hang.
-func (j *distJobRun[K2, V2, K3, V3]) doneWith(w int) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	_, ok := j.doneAt[w]
-	return ok
-}
-
-// noteMapDone/noteDone record when each worker's phase report arrived,
-// feeding the progress distribution tailLaggard judges stragglers by.
-func (j *distJobRun[K2, V2, K3, V3]) noteMapDone(w int) {
-	j.mu.Lock()
-	if _, ok := j.mapDoneAt[w]; !ok {
-		j.mapDoneAt[w] = time.Now()
-	}
-	j.mu.Unlock()
-}
-
+// noteDone records that worker w delivered its full share of this
+// attempt: it writes nothing more for the job, so monitor-side silence
+// is expected, not evidence of a hang.
 func (j *distJobRun[K2, V2, K3, V3]) noteDone(w int) {
 	j.mu.Lock()
-	if _, ok := j.doneAt[w]; !ok {
-		j.doneAt[w] = time.Now()
-	}
+	j.done[w] = true
 	j.mu.Unlock()
-}
-
-// tailLaggard finds a worker worth speculating around in the live
-// progress distribution: a majority of the round is done, someone is
-// still pending, and the round has run past factor x the median
-// completion time and at least floor beyond it (the floor keeps tiny
-// medians from declaring microsecond "stragglers"). For a chained job
-// still short of its flush barrier the map-done times are the
-// distribution; otherwise the job-done times are.
-func (j *distJobRun[K2, V2, K3, V3]) tailLaggard(now time.Time, factor float64, floor time.Duration) (int, time.Duration, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	times := j.doneAt
-	if j.hdr.mode == remote.ModeChained && len(j.mapDoneAt) < len(j.live) {
-		times = j.mapDoneAt
-	}
-	n := len(j.live)
-	done := len(times)
-	if done >= n || done*2 < n {
-		return 0, 0, false
-	}
-	durs := make([]time.Duration, 0, done)
-	for _, t := range times {
-		durs = append(durs, t.Sub(j.startedAt))
-	}
-	sort.Slice(durs, func(i, k int) bool { return durs[i] < durs[k] })
-	med := durs[len(durs)/2]
-	elapsed := now.Sub(j.startedAt)
-	lag := elapsed - med
-	if lag < floor || float64(elapsed) <= factor*float64(med) {
-		return 0, 0, false
-	}
-	for _, w := range j.live {
-		if _, ok := times[w]; ok {
-			continue
-		}
-		if j.cl.isDead(w) {
-			continue
-		}
-		return w, lag, true
-	}
-	return 0, 0, false
 }
 
 // startDistJob resolves the two pair codecs (a type without one fails
@@ -2023,7 +1568,7 @@ func startDistJob[K2 comparable, V2 any, K3 comparable, V3 any](
 		return nil, fmt.Errorf("mapreduce: dist job %q: output %w", cfg.Name, err)
 	}
 	owners := cl.ownersFor(cfg.reducers())
-	live := cl.scheduleWorkers(owners)
+	live := cl.liveWorkers()
 	if len(live) == 0 {
 		return nil, &WorkerLostError{Worker: -1, Job: cfg.Name, Err: errors.New("no live workers")}
 	}
@@ -2046,12 +1591,10 @@ func startDistJob[K2 comparable, V2 any, K3 comparable, V3 any](
 			v3id:     distTypeID[V3](),
 			params:   cfg.DistParams,
 		},
-		shufc:     shufc,
-		live:      live,
-		spec:      cfg.SpeculationFactor,
-		reports:   make([]distWorkerReport, cl.Workers()),
-		doneAt:    make(map[int]time.Time, len(live)),
-		mapDoneAt: make(map[int]time.Time, len(live)),
+		shufc:   shufc,
+		live:    live,
+		reports: make([]distWorkerReport, cl.Workers()),
+		done:    make(map[int]bool, len(live)),
 	}
 	cl.mu.Lock()
 	j.bytesIn0, j.bytesOut0 = cl.lastIn, cl.lastOut
@@ -2069,7 +1612,6 @@ func startDistJob[K2 comparable, V2 any, K3 comparable, V3 any](
 	// refreshed — for the whole life of the attempt, including the
 	// coordinator-side map phase. The monitor watches the attempt from
 	// here until finish clears it.
-	j.startedAt = time.Now()
 	j.readErrs = make([]error, cl.Workers())
 	j.outcomes = make([]readerOutcome, cl.Workers())
 	for _, w := range live {
@@ -2110,7 +1652,7 @@ func (j *distJobRun[K2, V2, K3, V3]) announceFailed(started []int, w int, cause 
 		}
 		j.cl.conns[w].Close()
 	}
-	j.setLoss(w, cause, false)
+	j.setLoss(w, cause)
 	frame := remote.AppendUvarint([]byte{byte(remote.MsgAbort)}, j.hdr.seq)
 	for _, sw := range started {
 		if j.cl.isDead(sw) {
@@ -2129,10 +1671,10 @@ func (j *distJobRun[K2, V2, K3, V3]) announceFailed(started []int, w int, cause 
 }
 
 // setLoss latches the first worker loss of the attempt.
-func (j *distJobRun[K2, V2, K3, V3]) setLoss(w int, cause error, speculative bool) {
+func (j *distJobRun[K2, V2, K3, V3]) setLoss(w int, cause error) {
 	j.mu.Lock()
 	if j.loss == nil {
-		j.loss = &WorkerLostError{Worker: w, Job: j.hdr.name, Err: cause, Speculative: speculative}
+		j.loss = &WorkerLostError{Worker: w, Job: j.hdr.name, Err: cause}
 	}
 	j.mu.Unlock()
 }
@@ -2158,20 +1700,16 @@ func (j *distJobRun[K2, V2, K3, V3]) lossErr() error {
 // attempt.
 func (j *distJobRun[K2, V2, K3, V3]) initiateAbort(w int, cause error) {
 	j.cl.markDead(w, cause)
-	j.abortAttempt(w, cause, false)
+	j.abortAttempt(w, cause)
 }
 
 // abortAttempt latches the loss and — once per attempt — tells every
 // worker of the attempt to abandon the job. Every reachable worker's
 // connection gets read and write deadlines first: a worker that neither
 // acknowledges the abort nor dies within AbortTimeout is declared dead
-// by timeout, so recovery cannot wedge on a stuck worker. A speculative
-// abort (straggler, not corpse) marks no one dead up front: the laggard
-// keeps its session, acknowledges like any survivor, and is merely
-// benched from future schedules — while a truly hung straggler fails to
-// ack and the deadline converts the demotion into a real death.
-func (j *distJobRun[K2, V2, K3, V3]) abortAttempt(w int, cause error, speculative bool) {
-	j.setLoss(w, cause, speculative)
+// by timeout, so recovery cannot wedge on a stuck worker.
+func (j *distJobRun[K2, V2, K3, V3]) abortAttempt(w int, cause error) {
+	j.setLoss(w, cause)
 	if !j.aborting.CompareAndSwap(false, true) {
 		return
 	}
@@ -2201,7 +1739,7 @@ func (j *distJobRun[K2, V2, K3, V3]) senderLost(w int, cause error) error {
 	if j.cl.noteDead(w) {
 		j.cl.conns[w].SetReadDeadline(time.Now().Add(j.cl.drainTimeout))
 	}
-	j.abortAttempt(w, cause, false)
+	j.abortAttempt(w, cause)
 	return j.lossErr()
 }
 
@@ -2327,20 +1865,7 @@ func (j *distJobRun[K2, V2, K3, V3]) reader(w int) (readerOutcome, error) {
 			}
 		case remote.MsgPong:
 			// Heartbeat: the frame's arrival already refreshed the
-			// connection's LastRead; stash the progress counters for
-			// observability. Never counted against any protocol state.
-			cur.Uvarint() // running job seq
-			cur.Byte()    // phase
-			nParts := int(cur.Uvarint())
-			for i := 0; i < nParts && cur.Err() == nil; i++ {
-				cur.Uvarint()
-			}
-			recs := cur.Uvarint()
-			if cur.Err() == nil && w < len(j.cl.health) {
-				h := j.cl.health[w]
-				h.pongParts.Store(int64(nParts))
-				h.pongRecords.Store(int64(recs))
-			}
+			// connection's LastRead.
 		case remote.MsgBuilt:
 			// The report of a partition ensureResident rebuilt ahead of
 			// the announce: its count is on record already.
@@ -2354,7 +1879,6 @@ func (j *distJobRun[K2, V2, K3, V3]) reader(w int) (readerOutcome, error) {
 			if err := cur.Err(); err != nil {
 				return 0, fmt.Errorf("mapreduce: dist job %q: malformed map-done from worker %d", j.hdr.name, w)
 			}
-			j.noteMapDone(w)
 			if j.aborting.Load() {
 				continue
 			}
@@ -2426,7 +1950,7 @@ func (j *distJobRun[K2, V2, K3, V3]) reader(w int) (readerOutcome, error) {
 // and burns the coordinator-side failure coins so injected-failure
 // statistics match the local backends. Success here is the one place
 // an attempt's results — resident counts, side output — are accepted;
-// an aborted or speculated-around attempt contributes none.
+// an aborted attempt contributes none.
 func (j *distJobRun[K2, V2, K3, V3]) finish(ctx context.Context, cfg Config, stats *Stats, mapErr error) (*distJobResult, error) {
 	defer j.cl.clearActiveJob()
 	readErrs := j.readErrs
@@ -2595,40 +2119,20 @@ func (s *distSender[K2, V2, K3, V3]) Finalize() ([]GroupStream[K2, V2], error) {
 
 func (s *distSender[K2, V2, K3, V3]) Close() error { return nil }
 
-// schedSnapshot brackets one logical job's elastic-scheduling activity:
-// deltas of the cluster counters across all its attempts, plus the
-// speculative launches whose backup attempt won (counted when the job
-// ultimately succeeds after a speculative loss).
+// schedSnapshot brackets one logical job's monitor and durability
+// activity: deltas of the cluster counters across all its attempts.
 type schedSnapshot struct {
-	hb0, sl0, mg0, sw0 int64
-	rc0, fr0, jb0      int64
-	specPending        int64
+	hb0, rc0, fr0, jb0 int64
 }
 
 func (s *schedSnapshot) start(cl *DistCluster) {
 	s.hb0 = cl.hbTimeouts.Load()
-	s.sl0 = cl.specLaunch.Load()
-	s.mg0 = cl.migratedCnt.Load()
-	s.sw0 = cl.specWins.Load()
 	s.rc0, s.fr0 = cl.resumeTotals()
 	s.jb0 = cl.journalBytes()
 }
 
-func (s *schedSnapshot) noteLoss(err error) {
-	var wl *WorkerLostError
-	if errors.As(err, &wl) && wl.Speculative {
-		s.specPending++
-	}
-}
-
 func (s *schedSnapshot) settle(cl *DistCluster, as *Stats) {
-	if s.specPending > 0 {
-		cl.specWins.Add(s.specPending)
-	}
 	as.HeartbeatTimeouts = cl.hbTimeouts.Load() - s.hb0
-	as.SpeculativeLaunches = cl.specLaunch.Load() - s.sl0
-	as.SpeculativeWins = cl.specWins.Load() - s.sw0
-	as.PartitionsMigrated = cl.migratedCnt.Load() - s.mg0
 	rc, fr := cl.resumeTotals()
 	as.WorkerReconnects = rc - s.rc0
 	as.FramesReplayed = fr - s.fr0
@@ -2681,12 +2185,9 @@ func runDistDS[K2 comparable, V2 any, K3 comparable, V3 any](
 	var sched schedSnapshot
 	sched.start(cl)
 	for attempt := 0; ; attempt++ {
-		// The job-boundary scheduling step: adopt late joiners, revive
-		// recovered suspects (first attempt only — a retry must not
-		// re-admit the worker it is retrying around), and plan
-		// migrations of resident partitions onto idle workers;
-		// ensureResident moves the data the plan calls for.
-		cl.rebalance(cfg.reducers(), inputSeq, attempt == 0)
+		// Adopt late joiners and move dead workers' partitions;
+		// ensureResident re-seeds the data the new assignment calls for.
+		cl.recoverAssignments()
 		as := newStats(cfg.Name)
 		out, err := tryDistDS[K2, V2, K3, V3](ctx, cfg, splits, inputSeq, state, mapPhase, as, ckpt)
 		if err == nil {
@@ -2710,9 +2211,7 @@ func runDistDS[K2 comparable, V2 any, K3 comparable, V3 any](
 			// round boundary.
 			return nil, err
 		}
-		sched.noteLoss(err)
 		cl.recoveries.Add(1)
-		cl.recoverAssignments()
 	}
 }
 
@@ -2736,9 +2235,9 @@ func tryDistDS[K2 comparable, V2 any, K3 comparable, V3 any](
 	mode := remote.ModeFlat
 	if inputSeq != 0 {
 		// Reconcile the input's partition locations against the current
-		// assignment: re-seed what a dead owner lost, migrate what the
-		// rebalance moved, before announcing the job that consumes it.
-		reseeded, _, err := cl.ensureResident(inputSeq, cfg.Name)
+		// assignment: re-seed what a dead owner lost before announcing
+		// the job that consumes it.
+		reseeded, err := cl.ensureResident(inputSeq, cfg.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -2874,10 +2373,9 @@ func (d *Dataset[K, V]) Materialize() error {
 	// owner's copy is accepted.
 	loc := rem.cl.residencySnapshot(rem.seq)
 	live := rem.cl.liveWorkers()
-	// A live worker that owns nothing under the residency map has nothing
-	// to contribute — skip its round-trip. This keeps a benched straggler
-	// (slow, not dead, rebalanced down to zero partitions) off the
-	// materialization critical path.
+	// A live worker that owns nothing under the residency map (an idle
+	// adopted late joiner) has nothing to contribute — skip its
+	// round-trip.
 	if loc != nil {
 		owned := make(map[int]bool, len(live))
 		for _, w := range loc {

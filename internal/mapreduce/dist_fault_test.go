@@ -161,9 +161,9 @@ func TestDistChaosKilledWorkers(t *testing.T) {
 // (every retained round: MsgCkpt mirror frames plus worker run files)
 // and disabled. The /on vs /off delta is the checkpoint overhead the
 // CI bench comparison pins to <= 10%. The /on-sched case additionally
-// arms the elastic-scheduling machinery (a 50ms heartbeat and
-// speculation ready to fire) on the healthy cluster; its delta over /on
-// is the chained-round idle overhead of scheduling, pinned to <= 5%.
+// arms the health monitor (a 50ms heartbeat) on the healthy cluster;
+// its delta over /on is the chained-round idle overhead of monitoring,
+// pinned to <= 5%.
 // The /journal case adds the coordinator run journal on top of /on —
 // every job's result journaled, every round committed — and its delta
 // over /on is the durability overhead, pinned to <= 10%.
@@ -172,13 +172,12 @@ func BenchmarkDistChainedCheckpoint(b *testing.B) {
 		name    string
 		every   int
 		hb      time.Duration
-		spec    float64
 		journal bool
 	}{
-		{"on", 0, 0, 0, false},
-		{"off", -1, 0, 0, false},
-		{"on-sched", 0, 50 * time.Millisecond, 4, false},
-		{"journal", 0, 0, 0, true},
+		{"on", 0, 0, false},
+		{"off", -1, 0, false},
+		{"on-sched", 0, 50 * time.Millisecond, false},
+		{"journal", 0, 0, true},
 	} {
 		b.Run(bench.name, func(b *testing.B) {
 			opts := DistClusterOptions{
@@ -191,7 +190,6 @@ func BenchmarkDistChainedCheckpoint(b *testing.B) {
 			cl := startSchedCluster(b, 2, opts, nil)
 			cfg := distCfg4(cl, "ring-step")
 			cfg.CheckpointEvery = bench.every
-			cfg.SpeculationFactor = bench.spec
 			ctx := context.Background()
 			b.ReportAllocs()
 			b.ResetTimer()

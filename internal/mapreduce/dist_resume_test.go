@@ -13,10 +13,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/leakcheck"
 	"repro/internal/mapreduce/remote"
 )
 
-// graceHB is the reconnect-test tempo: the elastic-scheduling heartbeat
+// graceHB is the reconnect-test tempo: the health-monitor heartbeat
 // cadence plus a reconnect grace window, which flips every worker
 // session into resume mode (sequence-numbered frames, retransmit rings,
 // redial-and-reattach on transport error).
@@ -66,13 +67,11 @@ func TestDistReconnectSeverRedial(t *testing.T) {
 	}
 }
 
-// TestDistReconnectRacingSpeculation pins the interaction between
-// session resume and the straggler detector: a recovering worker is
-// mid-redial exactly when the tail-latency monitor would love to
-// speculate on it. The health monitor must skip recovering sessions, so
-// the run still completes bit-identical via reattach, not via a backup
-// attempt racing a ghost.
-func TestDistReconnectRacingSpeculation(t *testing.T) {
+// TestDistReconnectNotIndicted pins the interaction between session
+// resume and the health monitor: a recovering worker is silent while it
+// redials. The monitor must skip recovering sessions, so the run still
+// completes bit-identical via reattach, not via a loss and a reseed.
+func TestDistReconnectNotIndicted(t *testing.T) {
 	const rounds = 3
 	want := memoryRingReference(t, rounds)
 	cl := startSchedCluster(t, 2, graceHB(), nil)
@@ -81,11 +80,9 @@ func TestDistReconnectRacingSpeculation(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	cfg := distCfg4(cl, "ring-step")
-	cfg.SpeculationFactor = 4
-	got := ringRounds(t, cfg, rounds)
+	got := ringRounds(t, distCfg4(cl, "ring-step"), rounds)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("reconnect under speculation diverges from memory backend")
+		t.Fatal("reconnect under the health monitor diverges from memory backend")
 	}
 	rs := cl.RecoveryStats()
 	if rs.WorkerReconnects < 1 {
@@ -161,7 +158,7 @@ func TestDistFaultCutCompressedSeed(t *testing.T) {
 // worker launched before the coordinator is listening keeps redialing
 // with backoff instead of failing its first connect.
 func TestDistWorkerStartsBeforeCoordinator(t *testing.T) {
-	leakCheck(t)
+	leakcheck.Check(t)
 	// Reserve an address, then free it for the coordinator to claim.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -2,37 +2,35 @@ package mapreduce
 
 import (
 	"context"
-	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/leakcheck"
 	"repro/internal/mapreduce/remote"
 )
 
-// fastHB is the elastic-scheduling test tempo: a 20ms heartbeat with a
-// 2-miss window makes a hung worker suspect in 40ms and dead within
-// ~320ms (the 8x escalation ceiling), and the short abort deadline keeps
-// a never-acking stalled worker from holding a retry for the production
-// default of 30s.
+// fastHB is the health-monitor test tempo: a 20ms heartbeat declares a
+// hung worker lost after 480ms of silence (hbDeadIntervals intervals),
+// and the short abort deadline keeps a never-acking stalled worker from
+// holding a retry for the production default of 30s.
 func fastHB() DistClusterOptions {
 	return DistClusterOptions{
-		Timeout:         30 * time.Second,
-		HeartbeatEvery:  20 * time.Millisecond,
-		HeartbeatMisses: 2,
-		AbortTimeout:    500 * time.Millisecond,
+		Timeout:        30 * time.Second,
+		HeartbeatEvery: 20 * time.Millisecond,
+		AbortTimeout:   500 * time.Millisecond,
 	}
 }
 
 // startSchedCluster is startTestCluster with per-session worker options:
 // worker goroutine i serves with wopts(i). Worker IDs are assigned in
 // accept order, so i does not name the cluster-side index — the
-// scheduling tests only care that exactly one session carries the fault,
-// and they are symmetric in which one it is.
+// health-monitor tests only care that exactly one session carries the
+// fault, and they are symmetric in which one it is.
 func startSchedCluster(tb testing.TB, n int, opts DistClusterOptions, wopts func(i int) DistWorkerOptions) *DistCluster {
 	tb.Helper()
-	leakCheck(tb)
+	leakcheck.Check(tb)
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	prev := opts.OnListen
@@ -81,12 +79,12 @@ func stallFault(k int) func(i int) DistWorkerOptions {
 	}
 }
 
-// TestDistHeartbeatDetectsStalledWorker pins the health-detection path
-// on its own, with speculation disabled: a worker that goes silent
-// mid-run (stall, not disconnect — no transport error ever surfaces) is
-// demoted to suspect when its heartbeat window expires, probed, and
-// finally declared dead by escalation, after which the round retries on
-// the survivor and the run ends bit-identical to the memory backend.
+// TestDistHeartbeatDetectsStalledWorker pins the health-detection path:
+// a worker that goes silent mid-run (stall, not disconnect — no
+// transport error ever surfaces) is declared lost once its silence
+// passes hbDeadIntervals heartbeat intervals, after which the round
+// retries on the survivor and the run ends bit-identical to the memory
+// backend. With heartbeats off the run hangs on the stalled worker.
 func TestDistHeartbeatDetectsStalledWorker(t *testing.T) {
 	const rounds = 3
 	want := memoryRingReference(t, rounds)
@@ -105,45 +103,11 @@ func TestDistHeartbeatDetectsStalledWorker(t *testing.T) {
 	t.Logf("hb timeouts=%d lost=%d retried=%d", rs.HeartbeatTimeouts, rs.WorkersLost, rs.Recoveries)
 }
 
-// TestDistStallSpeculatedChained is the seeded gray-failure matrix with
-// speculation armed: a worker stalls at a seed-derived frame, the
-// monitor suspects it within the heartbeat window and immediately
-// launches a backup execution of its share on the healthy worker —
-// without waiting for the much longer declared-dead escalation. The
-// stalled worker can never win the completion race (it never acks), so
-// every launch converts to a win, and the output must stay
-// bit-identical through the speculative abort and re-execution.
-func TestDistStallSpeculatedChained(t *testing.T) {
-	const rounds = 3
-	want := memoryRingReference(t, rounds)
-	for seed := int64(1); seed <= 3; seed++ {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			cl := startSchedCluster(t, 2, fastHB(), stallFault(remote.FaultPoint(seed, 2, 8)))
-			cfg := distCfg4(cl, "ring-step")
-			cfg.SpeculationFactor = 3
-			got := ringRounds(t, cfg, rounds)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatal("speculated run diverges from memory backend")
-			}
-			rs := cl.RecoveryStats()
-			if rs.SpeculativeLaunches < 1 || rs.SpeculativeWins < 1 {
-				t.Fatalf("speculation reported launches=%d wins=%d, want >= 1 each",
-					rs.SpeculativeLaunches, rs.SpeculativeWins)
-			}
-			t.Logf("seed %d: launches=%d wins=%d hb timeouts=%d lost=%d",
-				seed, rs.SpeculativeLaunches, rs.SpeculativeWins, rs.HeartbeatTimeouts, rs.WorkersLost)
-		})
-	}
-}
-
-// TestDistSlowWorkerSpeculatedNotKilled pins the straggler half of
-// speculation: a worker that is uniformly slow (every job frame delayed)
-// but perfectly responsive — heartbeats flow on schedule — must never be
-// declared dead. The tail-lag detector spots it running far past the
-// round median, re-executes its share on the fast worker, and the
-// laggard acknowledges the abort and stays in the cluster, merely
-// benched from future schedules.
-func TestDistSlowWorkerSpeculatedNotKilled(t *testing.T) {
+// TestDistSlowWorkerNotKilled pins the other side of the death
+// verdict: a worker that is uniformly slow (every job frame delayed) but
+// perfectly responsive — heartbeats flow on schedule — must never be
+// declared dead. The run waits it out and ends bit-identical.
+func TestDistSlowWorkerNotKilled(t *testing.T) {
 	const rounds = 3
 	want := memoryRingReference(t, rounds)
 	slow := func(i int) DistWorkerOptions {
@@ -155,136 +119,13 @@ func TestDistSlowWorkerSpeculatedNotKilled(t *testing.T) {
 		}}
 	}
 	cl := startSchedCluster(t, 2, fastHB(), slow)
-	cfg := distCfg4(cl, "ring-step")
-	cfg.SpeculationFactor = 2
-	got := ringRounds(t, cfg, rounds)
+	got := ringRounds(t, distCfg4(cl, "ring-step"), rounds)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("straggler run diverges from memory backend")
 	}
 	rs := cl.RecoveryStats()
-	if rs.SpeculativeLaunches < 1 {
-		t.Fatalf("tail-lag speculation never launched (launches=%d)", rs.SpeculativeLaunches)
-	}
 	if rs.WorkersLost != 0 {
 		t.Fatalf("a responsive straggler was declared dead (lost=%d)", rs.WorkersLost)
 	}
-	t.Logf("launches=%d wins=%d lost=%d", rs.SpeculativeLaunches, rs.SpeculativeWins, rs.WorkersLost)
-}
-
-// TestDistRebalanceAdoptsLateWorkerWithoutFailure pins live rebalancing:
-// a worker that joins a healthy running cluster (no death, no retry) is
-// adopted at the next job boundary, and the coordinator migrates part of
-// the resident state onto it — seeding from the checkpoint mirror and
-// shedding the superseded copies — while the chained run stays
-// bit-identical. Nothing may be counted as lost or retried.
-func TestDistRebalanceAdoptsLateWorkerWithoutFailure(t *testing.T) {
-	const rounds = 3
-	want := memoryRingReference(t, rounds)
-
-	var mu sync.Mutex
-	var clusterAddr string
-	opts := fastHB()
-	opts.AcceptLate = true
-	opts.OnListen = func(addr string) {
-		mu.Lock()
-		clusterAddr = addr
-		mu.Unlock()
-	}
-	cl := startSchedCluster(t, 2, opts, nil)
-
-	ctx := context.Background()
-	cfg := distCfg4(cl, "ring-step")
-	ds := PartitionDataset(ringInput(), cfg.reducers())
-	ds, _, err := RunDS(ctx, cfg, ds, ringMap, ringReduce)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// A third worker dials in while everyone is healthy.
-	mu.Lock()
-	addr := clusterAddr
-	mu.Unlock()
-	lateCtx, lateCancel := context.WithCancel(context.Background())
-	var lateWG sync.WaitGroup
-	lateWG.Add(1)
-	go func() {
-		defer lateWG.Done()
-		if err := ServeDistWorker(lateCtx, addr); err != nil {
-			t.Logf("late worker: %v", err)
-		}
-	}()
-	t.Cleanup(func() { lateCancel(); lateWG.Wait() })
-	for i := 0; ; i++ {
-		cl.mu.Lock()
-		n := len(cl.late)
-		cl.mu.Unlock()
-		if n > 0 {
-			break
-		}
-		if i > 500 {
-			t.Fatal("late worker never completed the handshake")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	for i := 1; i < rounds; i++ {
-		ds, _, err = RunDS(ctx, cfg, ds, ringMap, ringReduce)
-		if err != nil {
-			t.Fatalf("round %d: %v", i, err)
-		}
-	}
-	if err := ds.Materialize(); err != nil {
-		t.Fatal(err)
-	}
-	if got := ds.Collect(); !reflect.DeepEqual(got, want) {
-		t.Fatal("rebalanced run diverges from memory backend")
-	}
-	if cl.Workers() != 3 {
-		t.Fatalf("cluster holds %d workers after adoption, want 3", cl.Workers())
-	}
-	rs := cl.RecoveryStats()
-	if rs.PartitionsMigrated < 1 {
-		t.Fatalf("no partitions migrated to the adopted worker (migrated=%d)", rs.PartitionsMigrated)
-	}
-	if rs.WorkersLost != 0 || rs.Recoveries != 0 {
-		t.Fatalf("failure-free rebalancing reported lost=%d retried=%d, want 0/0",
-			rs.WorkersLost, rs.Recoveries)
-	}
-	t.Logf("migrated=%d reseeded=%d", rs.PartitionsMigrated, rs.Reseeded)
-}
-
-// BenchmarkDistStraggler prices what speculation buys: one of the two
-// workers delays every job frame by 30ms — roughly 10x the healthy
-// per-round wall, and past the tail-lag floor (the 40ms heartbeat
-// window) so the detector can fire. With speculation the first
-// laggard-hit round launches a backup and benches the slow worker, and
-// every later round runs at the healthy worker's pace; without it
-// every round waits out the laggard.
-func BenchmarkDistStraggler(b *testing.B) {
-	slow := func(i int) DistWorkerOptions {
-		if i != 0 {
-			return DistWorkerOptions{}
-		}
-		return DistWorkerOptions{Fault: &remote.Fault{
-			Op: remote.FaultDelay, AfterWrites: 1, Delay: 30 * time.Millisecond, Repeat: true,
-		}}
-	}
-	for _, bench := range []struct {
-		name string
-		spec float64
-	}{{"spec-on", 2}, {"spec-off", 0}} {
-		b.Run(bench.name, func(b *testing.B) {
-			cl := startSchedCluster(b, 2, fastHB(), slow)
-			cfg := distCfg4(cl, "ring-step")
-			cfg.SpeculationFactor = bench.spec
-			ctx := context.Background()
-			input := ringInput()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := Run(ctx, cfg, input, ringMap, ringReduce); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	t.Logf("hb timeouts=%d lost=%d", rs.HeartbeatTimeouts, rs.WorkersLost)
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/leakcheck"
 	"repro/internal/mapreduce/remote"
 )
 
@@ -22,7 +23,7 @@ import (
 // so registered test closures are available on "both" sides.
 func startTestCluster(t *testing.T, n int) *DistCluster {
 	t.Helper()
-	leakCheck(t) // registered first so it runs after the teardown below
+	leakcheck.Check(t) // registered first so it runs after the teardown below
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	cl, err := StartDistCluster(n, DistClusterOptions{
@@ -216,12 +217,12 @@ func TestDistParamsReachWorkers(t *testing.T) {
 }
 
 // TestDistRefusesOlderProtoWorker: a worker built before the last wire
-// change (Proto 12 knows no build frame, so it would fail GreedyMR's
-// first round instead of building the round-0 node view) dials a current
-// coordinator and is refused at the hello, with both versions named —
-// never paired and left to misparse a frame.
+// change (a Proto 13 pong carries the number Proto 14 gives the shed
+// message, so its first heartbeat would break the cluster) dials a
+// current coordinator and is refused at the hello, with both versions
+// named — never paired and left to misparse a frame.
 func TestDistRefusesOlderProtoWorker(t *testing.T) {
-	leakCheck(t)
+	leakcheck.Check(t)
 	var wg sync.WaitGroup
 	_, err := StartDistCluster(1, DistClusterOptions{
 		Timeout: 30 * time.Second,
@@ -236,7 +237,7 @@ func TestDistRefusesOlderProtoWorker(t *testing.T) {
 				}
 				conn := remote.NewConn(nc)
 				defer conn.Close()
-				hello := remote.AppendUvarint([]byte{byte(remote.MsgHello)}, 12)
+				hello := remote.AppendUvarint([]byte{byte(remote.MsgHello)}, 13)
 				if err := conn.WriteFrame(append(hello, 0)); err != nil {
 					t.Error(err)
 					return
@@ -248,7 +249,7 @@ func TestDistRefusesOlderProtoWorker(t *testing.T) {
 		},
 	})
 	wg.Wait()
-	const want = "protocol version mismatch: worker speaks 12, coordinator 13"
+	const want = "protocol version mismatch: worker speaks 13, coordinator 14"
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("StartDistCluster with an older-protocol worker: err = %v, want %q", err, want)
 	}
@@ -599,20 +600,19 @@ func TestDistStartupStalledHandshake(t *testing.T) {
 // BenchmarkDistShuffle measures a full Run job on two loopback
 // workers: the cost of encode + TCP + decode + remote group-sort-reduce
 // + the checkpoint mirror + the result fetch, comparable with
-// BenchmarkShuffleHeavy on the local backends. The sched case arms the elastic-scheduling machinery
-// (heartbeats, progress tracking, the monitor, speculation ready to
-// fire) on an entirely healthy cluster; nosched turns it all off. The
-// delta is the idle overhead of scheduling.
+// BenchmarkShuffleHeavy on the local backends. The sched case arms the
+// health monitor (heartbeats and the monitor's ticks) on an entirely
+// healthy cluster; nosched turns it off. The delta is the idle overhead
+// of health monitoring.
 func BenchmarkDistShuffle(b *testing.B) {
 	for _, bench := range []struct {
 		name string
 		hb   time.Duration
-		spec float64
 		comp bool
 	}{
-		{"sched", 50 * time.Millisecond, 4, false},
-		{"nosched", -1, 0, false},
-		{"compressed", -1, 0, true},
+		{"sched", 50 * time.Millisecond, false},
+		{"nosched", -1, false},
+		{"compressed", -1, true},
 	} {
 		b.Run(bench.name, func(b *testing.B) {
 			cl := startSchedCluster(b, 2, DistClusterOptions{
@@ -620,7 +620,6 @@ func BenchmarkDistShuffle(b *testing.B) {
 				HeartbeatEvery: bench.hb,
 			}, nil)
 			cfg := distCfg4(cl, "eq-int32")
-			cfg.SpeculationFactor = bench.spec
 			cfg.WireCompression = bench.comp
 			input := int32Input()
 			b.ReportAllocs()

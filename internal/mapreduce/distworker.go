@@ -101,7 +101,7 @@ func lookupDistJob(name string, params []byte) (distJobRunner, error) {
 type residentSet interface {
 	fetch(conn *remote.Conn, seq uint64) error
 	drop()
-	// shed releases one partition whose ownership migrated elsewhere
+	// shed releases one partition the coordinator marked consumed
 	// (MsgShed): the copy here is superseded, keeping it would serve
 	// stale data if this worker were ever asked for it.
 	shed(part int)
@@ -154,7 +154,7 @@ func (r *residentData[K, V]) drop() {
 	r.parts = nil
 }
 
-// shed releases a single migrated-away partition.
+// shed releases a single superseded partition.
 func (r *residentData[K, V]) shed(part int) {
 	if part >= 0 && part < len(r.parts) && r.parts[part] != nil {
 		r.ar.putPairs(part, r.parts[part])
@@ -246,65 +246,6 @@ type workerSession struct {
 	// treated as protocol errors. Bounded by the number of worker
 	// deaths the cluster survives.
 	aborted map[uint64]bool
-
-	// Heartbeat state: the interval the welcome announced, and the live
-	// progress counters the pong carries — written by the job
-	// goroutines, read by the pong sender. progParts lists the
-	// partitions the current job has finished reducing.
-	hbEvery   time.Duration
-	curSeq    atomic.Uint64
-	phase     atomic.Uint32 // 0 idle, 1 shuffle, 2 reduce
-	records   atomic.Int64
-	progMu    sync.Mutex
-	progParts []int32
-}
-
-// Worker phases as reported in pong frames.
-const (
-	phaseIdle uint32 = iota
-	phaseShuffle
-	phaseReduce
-)
-
-// pong sends one heartbeat frame: current job sequence, phase, the
-// partitions reduced so far, and records emitted. It rides WritePulse
-// so heartbeats never perturb seeded fault-injection frame counts.
-func (s *workerSession) pong() error {
-	frame := []byte{byte(remote.MsgPong)}
-	frame = remote.AppendUvarint(frame, s.curSeq.Load())
-	frame = append(frame, byte(s.phase.Load()))
-	s.progMu.Lock()
-	frame = remote.AppendUvarint(frame, uint64(len(s.progParts)))
-	for _, p := range s.progParts {
-		frame = remote.AppendUvarint(frame, uint64(p))
-	}
-	s.progMu.Unlock()
-	frame = remote.AppendUvarint(frame, uint64(s.records.Load()))
-	return s.conn.WritePulse(frame)
-}
-
-// noteProgress records one finished reduce partition for the heartbeat.
-func (s *workerSession) noteProgress(part int, records int64) {
-	s.progMu.Lock()
-	s.progParts = append(s.progParts, int32(part))
-	s.progMu.Unlock()
-	s.records.Add(records)
-}
-
-// startJobProgress resets the heartbeat counters for a new job.
-func (s *workerSession) startJobProgress(seq uint64) {
-	s.progMu.Lock()
-	s.progParts = s.progParts[:0]
-	s.progMu.Unlock()
-	s.records.Store(0)
-	s.curSeq.Store(seq)
-	s.phase.Store(phaseShuffle)
-}
-
-// endJobProgress marks the session idle again.
-func (s *workerSession) endJobProgress() {
-	s.phase.Store(phaseIdle)
-	s.curSeq.Store(0)
 }
 
 // errJobAborted is the sentinel a job handler returns when the
@@ -420,25 +361,25 @@ func ServeDistWorkerOpts(ctx context.Context, addr string, opts DistWorkerOption
 		seeds:    make(map[uint64]map[int]seedBlob),
 		builders: make(map[uint64]distBuilder),
 		aborted:  make(map[uint64]bool),
-		hbEvery:  info.HeartbeatEvery,
 	}
-	if s.hbEvery > 0 {
-		// Unsolicited pongs on the announced interval, from a dedicated
-		// goroutine: the read loops below are busy or blocked during a
-		// job, but liveness must keep flowing coordinator-ward — a
-		// worker deep in a long reduce is slow, not dead, and the
-		// monitor can only know that if pongs keep arriving.
+	if info.HeartbeatEvery > 0 {
+		// Pongs on the announced interval, from a dedicated goroutine:
+		// the read loops below are busy or blocked during a job, but
+		// liveness must keep flowing coordinator-ward — a worker deep in
+		// a long reduce is slow, not dead, and the monitor can only know
+		// that if pongs keep arriving. They ride WritePulse so
+		// heartbeats never perturb seeded fault-injection frame counts.
 		hbStop := make(chan struct{})
 		defer close(hbStop)
 		go func() {
-			t := time.NewTicker(s.hbEvery)
+			t := time.NewTicker(info.HeartbeatEvery)
 			defer t.Stop()
 			for {
 				select {
 				case <-hbStop:
 					return
 				case <-t.C:
-					if s.pong() != nil {
+					if conn.WritePulse([]byte{byte(remote.MsgPong)}) != nil {
 						return
 					}
 				}
@@ -496,7 +437,7 @@ func (s *workerSession) serve() error {
 		}
 		cur := remote.NewCursor(payload)
 		t := remote.MsgType(cur.Byte())
-		if t != remote.MsgBuild && t != remote.MsgPing {
+		if t != remote.MsgBuild {
 			// Whatever comes next may read, drop or replace a partition
 			// being built: finish and install the builds first.
 			if err := s.awaitBuilds(); err != nil {
@@ -595,14 +536,10 @@ func (s *workerSession) serve() error {
 				delete(s.resident, seq)
 			}
 			delete(s.seeds, seq)
-		case remote.MsgPing:
-			if err := s.pong(); err != nil {
-				return nil
-			}
 		case remote.MsgShed:
-			// A resident partition migrated to another worker; this copy
-			// is superseded. Sheds arrive between jobs, ordered after
-			// the migration's seeds on the new owner's connection.
+			// An aborted attempt's reduce may have consumed this resident
+			// partition; the retry re-seeds it, so this copy is
+			// superseded. Sheds arrive between jobs.
 			seq := cur.Uvarint()
 			part := int(cur.Uvarint())
 			if ent, ok := s.resident[seq]; ok {
@@ -724,9 +661,6 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 	// resident map's task goroutines all encode bucket frames.
 	var wireSaved atomic.Int64
 
-	s.startJobProgress(h.seq)
-	defer s.endJobProgress()
-
 	// Ingest: either the coordinator streams every bucket, or this
 	// worker maps its resident input partitions while the main
 	// loop below keeps receiving the buckets other workers relay here.
@@ -806,12 +740,6 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 			cur.Uvarint()
 			break
 		}
-		if t == remote.MsgPing {
-			if err := s.pong(); err != nil {
-				return fmt.Errorf("job %q: answering ping: %w", h.name, err)
-			}
-			continue
-		}
 		if t == remote.MsgAbort {
 			seq := cur.Uvarint()
 			if seq != h.seq {
@@ -858,7 +786,6 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 	// Group-sort and reduce the owned partitions, in parallel — the
 	// memory backend's radix group path runs inside each goroutine,
 	// checked out of this worker's round-recycled pool.
-	s.phase.Store(phaseReduce)
 	reduceStart := time.Now()
 	streams, err := shuffle.Finalize()
 	if err != nil {
@@ -866,13 +793,11 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 	}
 
 	// While the reduce runs, this watcher owns the connection's read
-	// side: it answers pings (a worker deep in a reduce is busy, not
-	// hung) and observes aborts. On an abort for this job it raises
+	// side and observes aborts. On an abort for this job it raises
 	// cancel, which the reduce goroutines check between key groups —
-	// a speculated-around straggler releases the round within one
-	// group's work instead of finishing output nobody wants. The ack
-	// waits for every goroutine to drain so it stays the sequence's
-	// final frame.
+	// a survivor of a lost round releases it within one group's work
+	// instead of finishing output nobody wants. The ack waits for every
+	// goroutine to drain so it stays the sequence's final frame.
 	var cancel, abortSeen atomic.Bool
 	watchStop := make(chan struct{})
 	var watchWG sync.WaitGroup
@@ -894,8 +819,6 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 			}
 			cur := remote.NewCursor(payload)
 			switch t := remote.MsgType(cur.Byte()); t {
-			case remote.MsgPing:
-				s.pong()
 			case remote.MsgAbort:
 				seq := cur.Uvarint()
 				if seq != h.seq {
@@ -954,7 +877,6 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 			outs[p] = buf.pairs
 			sides[p] = buf.side
 			outCounts[p] = int64(len(buf.pairs))
-			s.noteProgress(p, outCounts[p])
 		}()
 	}
 	wg.Wait()

@@ -4,42 +4,9 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"runtime"
 	"testing"
 	"time"
 )
-
-// leakCheck arms a goroutine-leak guard: at cleanup it polls until the
-// goroutine count returns to (near) its entry level, and fails with a
-// full stack dump if anything is still running after a grace period.
-// Register it FIRST in a helper that also registers teardown cleanups —
-// t.Cleanup runs LIFO, so the guard then observes the world after the
-// cluster and its workers have been torn down. The small slack absorbs
-// runtime/testing goroutines that come and go on their own schedule.
-func leakCheck(t testing.TB) {
-	t.Helper()
-	before := runtime.NumGoroutine()
-	t.Cleanup(func() {
-		if t.Failed() {
-			return // a failed test may legitimately strand goroutines mid-teardown
-		}
-		deadline := time.Now().Add(5 * time.Second)
-		var after int
-		for {
-			after = runtime.NumGoroutine()
-			if after <= before+2 {
-				return
-			}
-			if time.Now().After(deadline) {
-				break
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-		buf := make([]byte, 1<<20)
-		n := runtime.Stack(buf, true)
-		t.Errorf("goroutine leak: %d at entry, %d after teardown\n%s", before, after, buf[:n])
-	})
-}
 
 // distWorkerEnv re-executes this test binary as a dist worker process:
 // TestMain sees the address, registers the test jobs, and serves

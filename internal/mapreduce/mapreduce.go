@@ -269,19 +269,6 @@ type Config struct {
 	// what recovery restores from after a worker death. Ignored by the
 	// local backends.
 	CheckpointEvery int
-	// SpeculationFactor arms straggler speculation on the dist backend:
-	// when a worker falls behind the round's progress distribution —
-	// silent past the heartbeat window, or still running past
-	// SpeculationFactor x the median completion time once a majority of
-	// workers have finished — its partitions are speculatively
-	// re-executed on the healthy workers, and the first completion
-	// wins. The laggard is demoted (benched from future schedules), not
-	// killed. Zero or negative disables speculation (the default).
-	// Values below ~1.5 speculate aggressively; 2-4 is typical.
-	// Requires heartbeats (DistClusterOptions.HeartbeatEvery >= 0) and,
-	// for chained jobs, a checkpoint mirror to re-seed from. Ignored by
-	// the local backends.
-	SpeculationFactor float64
 
 	// Pool recycles round-lifetime buffers (shuffle buckets, group-sort
 	// arrays, radix scratch) across the jobs that share it, making the

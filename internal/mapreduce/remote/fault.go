@@ -27,8 +27,8 @@ const (
 	FaultSever FaultOp = iota
 	// FaultDelay stalls the triggering frame for Delay and then lets
 	// traffic continue; it exercises the slow-worker paths (abort
-	// backstop deadlines, straggler speculation) without killing
-	// anyone. With Repeat set it fires on the triggering frame and
+	// backstop deadlines, a heartbeat monitor that must not condemn a
+	// responsive worker) without killing anyone. With Repeat set it fires on the triggering frame and
 	// every later one — a worker that is uniformly slow rather than
 	// hiccuping once.
 	FaultDelay

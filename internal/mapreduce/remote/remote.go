@@ -70,7 +70,9 @@ import (
 // Dataset built by mapreduce.BuildDS (GreedyMR's round-0 node view) is
 // built on the workers from a registered builder, and re-seeded by
 // rebuilding it, instead of being placed from coordinator-encoded seeds.
-const Proto = 13
+// Version 14 dropped the ping message (renumbering every later one) and
+// the pong's progress payload: a pong is the bare type byte.
+const Proto = 14
 
 // MsgType identifies one protocol message. The direction annotations
 // are the only ones that occur; receiving a type from the wrong
@@ -147,19 +149,14 @@ const (
 	// before the retried job's MsgJobStart on the same connection, so no
 	// acknowledgement is needed.
 	MsgSeed
-	// MsgPing (coordinator → worker) probes a worker that has gone
-	// quiet: answer with MsgPong from whatever loop currently owns the
-	// connection's read side.
-	MsgPing
-	// MsgPong (worker → coordinator) is the heartbeat: the current job
-	// sequence number, phase, completed-partition count, completed
-	// partition ids, and records emitted so far. Workers send it
-	// unsolicited on the interval the welcome announced, and immediately
-	// in response to MsgPing. Pongs travel outside the fault-injection
-	// frame count so seeded fault points stay stable.
+	// MsgPong (worker → coordinator) is the heartbeat, the bare type
+	// byte. Workers send it on the interval the welcome announced; its
+	// arrival is all the coordinator's health monitor reads. Pongs
+	// travel outside the fault-injection frame count so seeded fault
+	// points stay stable.
 	MsgPong
-	// MsgShed (coordinator → worker) tells the previous owner of a
-	// migrated resident partition to drop its now-superseded copy:
+	// MsgShed (coordinator → worker) tells a worker to drop its copy of
+	// a resident partition that an aborted attempt may have consumed:
 	// sequence number, partition. No reply.
 	MsgShed
 	// MsgBuild (coordinator → worker) asks the worker to build one
@@ -211,8 +208,6 @@ func (t MsgType) String() string {
 		return "checkpoint"
 	case MsgSeed:
 		return "seed"
-	case MsgPing:
-		return "ping"
 	case MsgPong:
 		return "pong"
 	case MsgShed:
@@ -405,7 +400,7 @@ func (c *Conn) writeFrame(payload []byte, flush, pulse bool) error {
 		err = c.writeFrameTo(tr, payload, flush)
 	}
 	c.wmu.Unlock()
-	if err == nil || !c.recoverable(err, pulse) {
+	if err == nil || !c.recoverable(err) {
 		return err
 	}
 	// Resume-enabled and the transport failed: the frame is already in
@@ -508,7 +503,7 @@ func (c *Conn) ReadFrame() ([]byte, error) {
 		if err == nil {
 			return payload, nil
 		}
-		if !c.recoverable(err, false) {
+		if !c.recoverable(err) {
 			return nil, err
 		}
 		if rerr := c.recover(tr); rerr != nil {

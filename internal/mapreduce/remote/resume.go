@@ -166,9 +166,8 @@ func (c *Conn) FramesReplayed() int64 {
 
 // Recovering reports whether a goroutine is currently parked in this
 // endpoint's recovery (redialing, or holding the grace window for the
-// peer to re-attach). The health monitor treats a recovering worker
-// like a suspected-but-probed one: no dead escalation while the grace
-// window runs.
+// peer to re-attach). The health monitor never declares a recovering
+// worker lost: the grace window is the resume layer's to run.
 func (c *Conn) Recovering() bool {
 	rs := c.res.Load()
 	return rs != nil && rs.waiting.Load() > 0
@@ -225,11 +224,9 @@ func (rs *resumeState) replayLocked(c *Conn, tr *transport, peerRcvd uint64) (in
 
 // recoverable reports whether err on a frame read/write should trigger
 // recovery instead of surfacing. Timeouts keep their fail-fast meaning
-// (poll timeouts, abort-deadline expiries), a closed or retired
-// session never recovers, and the coordinator side never blocks a
-// heartbeat pulse on the grace window — the ring replays the ping
-// after re-attachment anyway.
-func (c *Conn) recoverable(err error, pulse bool) bool {
+// (poll timeouts, abort-deadline expiries), and a closed or retired
+// session never recovers.
+func (c *Conn) recoverable(err error) bool {
 	rs := c.res.Load()
 	if rs == nil || rs.off.Load() || c.closed.Load() {
 		return false
@@ -238,13 +235,7 @@ func (c *Conn) recoverable(err error, pulse bool) bool {
 		return false
 	}
 	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
-		return false
-	}
-	if pulse && rs.cfg.Dial == nil {
-		return false
-	}
-	return true
+	return !errors.As(err, &ne) || !ne.Timeout()
 }
 
 // recover replaces the failed transport: the dialing side redials with

@@ -85,17 +85,13 @@ type Stats struct {
 	// checkpoint mirror onto a new owner before the successful attempt.
 	WorkerRecoveries   int64
 	ReseededPartitions int64
-	// Elastic-scheduling activity during the job (dist backend only).
-	// HeartbeatTimeouts counts workers demoted to suspect for silence;
-	// SpeculativeLaunches counts straggler aborts launched to re-execute
-	// a laggard's partitions elsewhere, SpeculativeWins the ones whose
-	// backup attempt completed the job; PartitionsMigrated counts
-	// resident partitions rebalanced between live workers (late-joiner
-	// adoption, idle-worker feeding) rather than restored after a death.
+	// HeartbeatTimeouts counts workers the health monitor declared lost
+	// during the job for staying silent while it waited on them (dist
+	// backend only). SpeculativeLaunches is always zero: the engine has
+	// no straggler speculation, and the field stays only for the
+	// benchmark harness that still reads it.
 	HeartbeatTimeouts   int64
 	SpeculativeLaunches int64
-	SpeculativeWins     int64
-	PartitionsMigrated  int64
 	// Durability activity during the job (dist backend only).
 	// WorkerReconnects counts transport losses absorbed by session
 	// resume — a severed worker redialed and re-attached without losing
@@ -199,8 +195,6 @@ func (s *Stats) Add(o *Stats) {
 	s.ReseededPartitions += o.ReseededPartitions
 	s.HeartbeatTimeouts += o.HeartbeatTimeouts
 	s.SpeculativeLaunches += o.SpeculativeLaunches
-	s.SpeculativeWins += o.SpeculativeWins
-	s.PartitionsMigrated += o.PartitionsMigrated
 	s.WorkerReconnects += o.WorkerReconnects
 	s.FramesReplayed += o.FramesReplayed
 	s.JournalBytes += o.JournalBytes
@@ -236,11 +230,8 @@ func (s *Stats) String() string {
 		line += fmt.Sprintf(" saved=%dB wire/%dB spill", s.WireBytesSaved, s.SpillBytesSaved)
 	}
 	if s.WorkerRecoveries > 0 || s.ReseededPartitions > 0 {
-		line += fmt.Sprintf(" recoveries=%d reseeded=%d", s.WorkerRecoveries, s.ReseededPartitions)
-	}
-	if s.HeartbeatTimeouts > 0 || s.SpeculativeLaunches > 0 || s.PartitionsMigrated > 0 {
-		line += fmt.Sprintf(" hbtimeouts=%d spec=%d/%d migrated=%d",
-			s.HeartbeatTimeouts, s.SpeculativeLaunches, s.SpeculativeWins, s.PartitionsMigrated)
+		line += fmt.Sprintf(" recoveries=%d reseeded=%d hbtimeouts=%d",
+			s.WorkerRecoveries, s.ReseededPartitions, s.HeartbeatTimeouts)
 	}
 	if s.WorkerReconnects > 0 || s.FramesReplayed > 0 {
 		line += fmt.Sprintf(" reconnects=%d replayed=%d", s.WorkerReconnects, s.FramesReplayed)

@@ -44,18 +44,17 @@ type Flags struct {
 	wireCompress, spillCompress bool
 	cpuProfile, memProfile      string
 
-	workers     int
-	connect     string
-	listen      string
-	spawn       bool
-	acceptLate  bool
-	ckptEvery   int
-	heartbeat   time.Duration
-	speculation float64
-	reconnect   int
-	grace       time.Duration
-	journalDir  string
-	resume      bool
+	workers    int
+	connect    string
+	listen     string
+	spawn      bool
+	acceptLate bool
+	ckptEvery  int
+	heartbeat  time.Duration
+	reconnect  int
+	grace      time.Duration
+	journalDir string
+	resume     bool
 }
 
 // RegisterLocal declares the flags of a tool that runs its jobs in one
@@ -86,8 +85,7 @@ func Register(fs *flag.FlagSet, width int) *Flags {
 	fs.BoolVar(&f.spawn, "dist-spawn", true, "self-exec the -dist-workers worker processes (false: wait for -dist-connect workers)")
 	fs.BoolVar(&f.acceptLate, "dist-accept-late", false, "keep accepting replacement -dist-connect workers after startup; they adopt a dead worker's partitions at the next recovery")
 	fs.IntVar(&f.ckptEvery, "ckpt-every", 0, "dist checkpoint throttle: 0 checkpoints every round's resident state, k>0 every k-th round, negative disables; worker-resident state (GreedyMR's) has no other copy, so a worker lost in an un-checkpointed round ends the run")
-	fs.DurationVar(&f.heartbeat, "dist-heartbeat", 500*time.Millisecond, "dist worker heartbeat interval; a worker silent for 3 intervals is suspected (0 disables health monitoring)")
-	fs.Float64Var(&f.speculation, "dist-speculation", 0, "speculatively re-execute a straggler's partitions once it runs past this factor of the round's median worker time (0 disables)")
+	fs.DurationVar(&f.heartbeat, "dist-heartbeat", 500*time.Millisecond, "dist worker heartbeat interval; a worker a running job waits on that stays silent for 24 intervals is declared lost and its partitions recovered (0 disables health monitoring)")
 	fs.IntVar(&f.reconnect, flagReconnect, 8, "worker redial budget per outage: a severed worker redials and resumes its session instead of dying (0 disables reconnection)")
 	fs.DurationVar(&f.grace, "dist-reconnect-grace", 10*time.Second, "how long the coordinator holds a severed worker's partitions before declaring it dead and reseeding (0 disables session resume)")
 	fs.StringVar(&f.journalDir, "dist-journal-dir", "", "coordinator run journal directory: job outputs and round commits persist here, enabling -dist-resume after a coordinator crash")
@@ -189,10 +187,9 @@ func (f *Flags) Config() (mapreduce.Config, error) {
 			MemoryBudget: f.budget,
 			TempDir:      f.tempDir,
 		},
-		CheckpointEvery:   f.ckptEvery,
-		SpeculationFactor: f.speculation,
-		WireCompression:   f.wireCompress,
-		SpillCompression:  f.spillCompress,
+		CheckpointEvery:  f.ckptEvery,
+		WireCompression:  f.wireCompress,
+		SpillCompression: f.spillCompress,
 	}, nil
 }
 
@@ -258,12 +255,8 @@ func (f *Flags) line(w io.Writer, label, format string, args ...any) {
 
 func (f *Flags) printRecovery(w io.Writer, rs mapreduce.RecoveryStats) {
 	if rs.WorkersLost > 0 {
-		f.line(w, "dist recovery:", "%d workers lost, %d jobs retried, %d partitions reseeded",
-			rs.WorkersLost, rs.Recoveries, rs.Reseeded)
-	}
-	if rs.HeartbeatTimeouts > 0 || rs.SpeculativeLaunches > 0 || rs.PartitionsMigrated > 0 {
-		f.line(w, "dist scheduling:", "%d heartbeat timeouts, %d speculative launches (%d won), %d partitions migrated",
-			rs.HeartbeatTimeouts, rs.SpeculativeLaunches, rs.SpeculativeWins, rs.PartitionsMigrated)
+		f.line(w, "dist recovery:", "%d workers lost (%d by heartbeat timeout), %d jobs retried, %d partitions reseeded",
+			rs.WorkersLost, rs.HeartbeatTimeouts, rs.Recoveries, rs.Reseeded)
 	}
 	if rs.WorkerReconnects > 0 || rs.JobsReplayed > 0 {
 		f.line(w, "dist durability:", "%d worker reconnects (%d frames replayed), %d jobs replayed from journal, %d journal bytes",

@@ -115,8 +115,7 @@ func TestPrintCostAlignsToTheToolsLabelColumn(t *testing.T) {
 		"buffer pool:      2 bytes reused, 0 misses\n",
 		"dist transport:   3 bytes out, 0 bytes in, worker wall 0s\n",
 		"codec savings:    4 bytes wire, 0 bytes spill ",
-		"dist recovery:    1 workers lost",
-		"dist scheduling:  1 heartbeat timeouts",
+		"dist recovery:    1 workers lost (1 by heartbeat timeout), 0 jobs retried",
 		"dist durability:  1 worker reconnects",
 	} {
 		if !strings.Contains(b.String(), prefix) {
