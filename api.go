@@ -126,19 +126,16 @@ type Options struct {
 	// ShuffleTempDir is the directory for spill files (default
 	// os.TempDir()).
 	ShuffleTempDir string
-	// WireCompression flate-compresses bulk pair frames on the dist
-	// backend's wire paths. Ignored by the local backends.
-	WireCompression bool
-	// SpillCompression flate-compresses the spill backend's run blocks.
-	// Ignored by the memory backend.
-	SpillCompression bool
 	// Dist is the worker cluster jobs shard across when Shuffle is
 	// ShuffleDist. Required for (and only meaningful with) that backend.
 	Dist *DistCluster
 	// CheckpointEvery throttles dist checkpointing of worker-resident
-	// round state: 0 checkpoints every retained round output (the
-	// default — every round is recoverable), k > 0 every k-th, negative
-	// disables checkpointing. Checkpoints are what let a matching run
+	// job outputs: 0 checkpoints every retained job output (the default
+	// — every round is recoverable), k > 0 the first and then every k-th
+	// retained output, negative disables checkpointing. The throttle
+	// counts job outputs, not rounds: a StackMR layer retains at least
+	// six (four maximal-matching stages per iteration, then its dual
+	// update and filter). Checkpoints are what let a matching run
 	// survive worker death: the coordinator re-assigns a dead worker's
 	// partitions, restores them from mirrored checkpoint frames, and
 	// replays from the round boundary. Ignored by the local backends.
@@ -154,10 +151,8 @@ func (o Options) mr() mapreduce.Config {
 			MemoryBudget: o.ShuffleMemoryBudget,
 			TempDir:      o.ShuffleTempDir,
 		},
-		Dist:             o.Dist,
-		CheckpointEvery:  o.CheckpointEvery,
-		WireCompression:  o.WireCompression,
-		SpillCompression: o.SpillCompression,
+		Dist:            o.Dist,
+		CheckpointEvery: o.CheckpointEvery,
 	}
 }
 

@@ -92,8 +92,6 @@ func run() (err error) {
 		Shuffle:             mr.Shuffle.Backend,
 		ShuffleMemoryBudget: mr.Shuffle.MemoryBudget,
 		ShuffleTempDir:      mr.Shuffle.TempDir,
-		WireCompression:     mr.WireCompression,
-		SpillCompression:    mr.SpillCompression,
 		CheckpointEvery:     mr.CheckpointEvery,
 		Dist:                mr.Dist,
 	}

@@ -111,23 +111,29 @@ func TestPropertyStackDualsCoverStackedEdges(t *testing.T) {
 	}
 }
 
+// spillingMR is a spill-backend configuration whose memory budget is
+// below any partition's share, so every job whose partition outgrows
+// the spill shuffle's smallest share (64 records) writes runs to disk.
+var spillingMR = mapreduce.Config{Mappers: 3, Reducers: 1,
+	Shuffle: mapreduce.ShuffleConfig{Backend: mapreduce.ShuffleSpill, MemoryBudget: 1}}
+
 func TestPropertyResultsUnchangedUnderInjectedFailures(t *testing.T) {
-	// The fault-tolerance contract end to end: running the full
-	// GreedyMR computation with 30% simulated task failures must give
-	// the identical matching (tasks are pure, re-execution transparent).
+	// The paper's random-graph property off the memory backend: the full
+	// GreedyMR computation through a shuffle that spills its runs to
+	// disk must give the identical matching.
 	ctx := context.Background()
+	var spilled int64
 	prop := func(seed int64, nItems, nCons, prob uint8) bool {
 		g := genGraph(seed, nItems, nCons, prob)
 		clean, err := GreedyMR(ctx, g, GreedyMROptions{MR: testMR})
 		if err != nil {
 			return false
 		}
-		faultyMR := mapreduce.Config{Mappers: 3, Reducers: 3,
-			FailureRate: 0.3, FailureSeed: seed, MaxAttempts: 16}
-		faulty, err := GreedyMR(ctx, g, GreedyMROptions{MR: faultyMR})
+		faulty, err := GreedyMR(ctx, g, GreedyMROptions{MR: spillingMR})
 		if err != nil {
 			return false
 		}
+		spilled += faulty.Shuffle.SpilledRecords
 		a, b := clean.Matching.EdgeIndexes(), faulty.Matching.EdgeIndexes()
 		if len(a) != len(b) {
 			return false
@@ -142,12 +148,15 @@ func TestPropertyResultsUnchangedUnderInjectedFailures(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
+	if spilled == 0 {
+		t.Error("no instance spilled a record: the spill backend was never exercised")
+	}
 }
 
 func TestStackMRUnderInjectedFailures(t *testing.T) {
 	// The randomized algorithm is seeded independently of task
-	// scheduling, so injected failures must not change its output
-	// either.
+	// scheduling and of the shuffle backend, so a shuffle that spills to
+	// disk must not change its output either.
 	ctx := context.Background()
 	g := graph.RandomBipartite(graph.RandomConfig{
 		NumItems: 12, NumConsumers: 10, EdgeProb: 0.4,
@@ -157,19 +166,15 @@ func TestStackMRUnderInjectedFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulty, err := StackMR(ctx, g, StackOptions{
-		MR:   mapreduce.Config{Mappers: 2, Reducers: 2, FailureRate: 0.25, FailureSeed: 4, MaxAttempts: 16},
-		Eps:  1,
-		Seed: 9,
-	})
+	faulty, err := StackMR(ctx, g, StackOptions{MR: spillingMR, Eps: 1, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if clean.Matching.Value() != faulty.Matching.Value() {
-		t.Errorf("value changed under failures: %v vs %v",
+		t.Errorf("value changed on the spill backend: %v vs %v",
 			clean.Matching.Value(), faulty.Matching.Value())
 	}
-	if faulty.Shuffle.MapTaskRetries+faulty.Shuffle.ReduceTaskRetries == 0 {
-		t.Error("no retries recorded at 25% failure rate")
+	if faulty.Shuffle.SpilledRecords == 0 {
+		t.Error("the spill backend spilled no record")
 	}
 }

@@ -108,7 +108,7 @@ func TestAllocGuardDecodePairsV2(t *testing.T) {
 	for i := range pairs {
 		pairs[i] = P(int32(i%512), int64(i*7))
 	}
-	blob := encodeTestPairs(t, pairs, false, nil)
+	blob := encodeTestPairs(t, pairs)
 	out := make([]Pair[int32, int64], 0, len(pairs))
 	avg := testing.AllocsPerRun(200, func() {
 		cur := remote.NewCursor(blob)
@@ -216,7 +216,7 @@ func TestAllocGuardEncodeResidentPartition(t *testing.T) {
 	var blob []byte
 	avg := testing.AllocsPerRun(5, func() {
 		var err error
-		if blob, err = encodePairs(nil, pairs, pc, false, nil); err != nil {
+		if blob, err = encodePairs(nil, pairs, pc); err != nil {
 			t.Fatal(err)
 		}
 	})

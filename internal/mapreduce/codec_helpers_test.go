@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/mapreduce/remote"
@@ -15,10 +14,15 @@ import (
 // that pins bytes (TestPairBlobGolden) does not change when the codec's
 // entry points do.
 
+// pairBlobV2Flate is the retired marker of flate-compressed columns. No
+// build writes it any more, and the decoders refuse it like any other
+// unknown marker; the tests keep it to hand them such blobs.
+const pairBlobV2Flate byte = 0x03
+
 // encodeTestPairs returns the pair blob for pairs.
-func encodeTestPairs[K comparable, V any](t testing.TB, pairs []Pair[K, V], compress bool, saved *atomic.Int64) []byte {
+func encodeTestPairs[K comparable, V any](t testing.TB, pairs []Pair[K, V]) []byte {
 	t.Helper()
-	blob, err := encodePairs(nil, pairs, testCodec[K, V](t), compress, saved)
+	blob, err := encodePairs(nil, pairs, testCodec[K, V](t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,14 +65,14 @@ func (r testRun[K, V]) len() int { return len(r.keys) }
 
 // encodeTestRun writes run the way the spill shuffle's run writer does,
 // block by block, and returns the run's bytes.
-func encodeTestRun[K comparable, V any](t testing.TB, run testRun[K, V], compress bool, saved *atomic.Int64) []byte {
+func encodeTestRun[K comparable, V any](t testing.TB, run testRun[K, V]) []byte {
 	t.Helper()
 	pc := testCodec[K, V](t)
 	enc := pc.getRunEnc()
 	defer pc.putRunEnc(enc)
 	for lo := 0; lo < run.len(); lo += spillBlockRecs {
 		hi := min(lo+spillBlockRecs, run.len())
-		if err := enc.appendBlock(pc, run.keys[lo:hi], run.vals[lo:hi], run.splits[lo:hi], compress, saved); err != nil {
+		if err := enc.appendBlock(pc, run.keys[lo:hi], run.vals[lo:hi], run.splits[lo:hi]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,15 +1,12 @@
 package mapreduce
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"reflect"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/mapreduce/remote"
@@ -25,9 +22,8 @@ import (
 // width. v2 encodes a batch column-wise:
 //
 //	blob     := marker byte, payload
-//	marker   := 0x02 (v2 columns) | 0x03 (v2 + flate)
-//	payload  := key column, value column          (marker 0x02)
-//	         |  uvarint rawLen, flate(columns)    (marker 0x03)
+//	marker   := 0x02 (v2 columns)
+//	payload  := key column, value column
 //
 // Column encodings (the lanes, codeclane.go) are resolved per concrete
 // element type, named types included:
@@ -62,32 +58,21 @@ import (
 // spill path, where one process writes and reads the stream in order.
 //
 // The marker byte names the payload form; a marker this build does not
-// write (0x01 was the retired row framing) is a decode error, and
-// remote.Proto gates mixed-build clusters.
+// write (0x01 was the retired row framing, 0x03 the retired flate-
+// compressed columns) is a decode error, and remote.Proto gates
+// mixed-build clusters.
 
-// Pair-blob codec markers (the first byte of every versioned blob).
-const (
-	pairBlobV2      byte = 0x02 // v2 columnar: key column, then value column
-	pairBlobV2Flate byte = 0x03 // v2 columnar behind per-blob flate compression
-)
+// pairBlobV2 is the pair-blob codec marker (the first byte of every
+// versioned blob): v2 columnar, key column then value column.
+const pairBlobV2 byte = 0x02
 
 // dictMaxEntries caps a string dictionary; further distinct strings
 // escape to inline tokens rather than growing the table without bound.
 const dictMaxEntries = 1 << 16
 
-// compressMinLen is the smallest payload worth deflating: below this,
-// the flate header alone erases any win.
-const compressMinLen = 64
-
 // maxPairCount bounds any wire-declared pair count after the per-type
 // minimum-width check; a count past this is corruption regardless.
 const maxPairCount = 1 << 31
-
-// maxInflateRatio is DEFLATE's expansion ceiling (a 258-byte match costs
-// at least two bits): a declared raw length past it is corruption, and
-// checking it first keeps a forged length prefix from sizing the
-// inflate buffer.
-const maxInflateRatio = 1032
 
 // pairDict is the string-interning state of one dictionary column.
 // Encoder side: idx/entries assign dense ids in first-seen order and
@@ -217,7 +202,7 @@ func (pc *pairCodec[K, V]) appendCols(buf []byte, pairs []Pair[K, V], kd, vd *pa
 // fillCols is appendCols' inverse: it decodes the key and value columns
 // at the head of data into ps and returns the remaining bytes. The
 // columns parse in place from data (which may alias a connection's
-// frame buffer or an inflate scratch) — element decoders copy anything
+// frame buffer or a run's read window) — element decoders copy anything
 // they keep.
 func (pc *pairCodec[K, V]) fillCols(data []byte, ps []Pair[K, V], kd, vd *pairDict) ([]byte, error) {
 	if pc.key.dict && kd == nil {
@@ -237,15 +222,6 @@ func (pc *pairCodec[K, V]) fillCols(data []byte, ps []Pair[K, V], kd, vd *pairDi
 
 // --- blob framing -------------------------------------------------------
 
-// blobScratch pools the staging buffers the compressed paths need (the
-// uncompressed column image on encode, the inflated image on decode).
-type blobScratch struct{ b []byte }
-
-var blobScratchPool = sync.Pool{New: func() any { return &blobScratch{} }}
-
-func getBlobScratch() *blobScratch  { return blobScratchPool.Get().(*blobScratch) }
-func putBlobScratch(s *blobScratch) { blobScratchPool.Put(s) }
-
 // frameScratch pools the encode buffers for outbound bulk frames
 // (MsgBucket on both sides of the wire, MsgPart on the worker).
 // remote.Conn.WriteFrame copies the payload into its buffered writer
@@ -258,154 +234,27 @@ var frameScratchPool = sync.Pool{New: func() any { return &frameScratch{} }}
 func getFrameScratch() *frameScratch  { return frameScratchPool.Get().(*frameScratch) }
 func putFrameScratch(s *frameScratch) { frameScratchPool.Put(s) }
 
-// sliceWriter adapts an append target to io.Writer for the pooled
-// flate writers.
-type sliceWriter struct{ b []byte }
-
-func (s *sliceWriter) Write(p []byte) (int, error) {
-	s.b = append(s.b, p...)
-	return len(p), nil
-}
-
-var flateWriterPool = sync.Pool{New: func() any {
-	w, _ := flate.NewWriter(io.Discard, flate.BestSpeed)
-	return w
-}}
-
-type flateReader struct {
-	br bytes.Reader
-	r  io.ReadCloser
-}
-
-var flateReaderPool = sync.Pool{New: func() any {
-	fr := &flateReader{}
-	fr.r = flate.NewReader(&fr.br)
-	return fr
-}}
-
-// deflateBlock appends the flate image of src to dst.
-func deflateBlock(dst []byte, src []byte) ([]byte, error) {
-	sw := &sliceWriter{b: dst}
-	w := flateWriterPool.Get().(*flate.Writer)
-	w.Reset(sw)
-	if _, err := w.Write(src); err != nil {
-		flateWriterPool.Put(w)
-		return nil, err
-	}
-	err := w.Close()
-	flateWriterPool.Put(w)
-	if err != nil {
-		return nil, err
-	}
-	return sw.b, nil
-}
-
-// inflateBlock fills dst (already sized to the raw length) from the
-// flate image in src.
-func inflateBlock(dst []byte, src []byte) error {
-	fr := flateReaderPool.Get().(*flateReader)
-	fr.br.Reset(src)
-	if err := fr.r.(flate.Resetter).Reset(&fr.br, nil); err != nil {
-		flateReaderPool.Put(fr)
-		return err
-	}
-	_, err := io.ReadFull(fr.r, dst)
-	flateReaderPool.Put(fr)
-	if err != nil {
-		return fmt.Errorf("mapreduce: pair decode: inflate: %w", err)
+// checkMarker refuses a blob whose codec marker this build does not
+// write; wire blobs and spill blocks share it.
+func checkMarker(marker byte) error {
+	if marker != pairBlobV2 {
+		return fmt.Errorf("mapreduce: pair decode: unknown codec marker 0x%02x", marker)
 	}
 	return nil
 }
 
-// sealBlob appends the blob for the column image raw: a marker byte,
-// hdr (empty on the wire, the record count in a spill block), then raw
-// itself — or, when compress is set and raw is both large enough to
-// matter and actually shrinks, its length and flate image. saved, when
-// non-nil, accrues the bytes compression avoided. openBlob is the
-// inverse; wire blobs and spill blocks share the pair.
-func sealBlob(buf, hdr, raw []byte, compress bool, saved *atomic.Int64) ([]byte, error) {
-	mark := len(buf)
-	if compress && len(raw) >= compressMinLen {
-		buf = append(append(buf, pairBlobV2Flate), hdr...)
-		body := len(buf)
-		buf = binary.AppendUvarint(buf, uint64(len(raw)))
-		var err error
-		if buf, err = deflateBlock(buf, raw); err != nil {
-			return nil, err
-		}
-		if comp := len(buf) - body; comp < len(raw) {
-			if saved != nil {
-				saved.Add(int64(len(raw) - comp))
-			}
-			return buf, nil
-		}
-		buf = buf[:mark] // incompressible batch: ship the plain columns instead
-	}
-	buf = append(append(buf, pairBlobV2), hdr...)
-	return append(buf, raw...), nil
-}
-
-// openBlob returns the column image behind a blob's marker and body
-// (what follows the marker and any header): body itself for plain
-// columns, its inflation into *scratch for deflated ones. Any other
-// marker is an error, and so is a declared raw length no deflate stream
-// of the body's size could produce — checked before the length sizes
-// the inflate buffer.
-func openBlob(marker byte, body []byte, scratch *[]byte) ([]byte, error) {
-	switch marker {
-	case pairBlobV2:
-		return body, nil
-	case pairBlobV2Flate:
-		rawLen, n := binary.Uvarint(body)
-		if n <= 0 {
-			return nil, errSpillShort
-		}
-		comp := body[n:]
-		if rawLen > maxPairCount || rawLen > uint64(len(comp))*maxInflateRatio {
-			return nil, fmt.Errorf("mapreduce: pair decode: %d-byte raw image declared by a %d-byte deflate stream", rawLen, len(comp))
-		}
-		if uint64(cap(*scratch)) < rawLen {
-			// Headroom: images drift a few bytes in size, and an
-			// exact-fit buffer would realloc on every slightly-larger one.
-			*scratch = make([]byte, rawLen+rawLen/4)
-		}
-		raw := (*scratch)[:rawLen]
-		if err := inflateBlock(raw, comp); err != nil {
-			return nil, err
-		}
-		return raw, nil
-	default:
-		return nil, fmt.Errorf("mapreduce: pair decode: unknown codec marker 0x%02x", marker)
-	}
-}
-
-// encodePairs appends the versioned pair blob for pairs: a codec marker
-// byte, then the v2 columnar payload, deflated when compress is set and
-// the payload is both large enough to matter and actually shrinks.
-// saved, when non-nil, accrues the bytes compression avoided.
-func encodePairs[K comparable, V any](buf []byte, pairs []Pair[K, V], pc *pairCodec[K, V], compress bool, saved *atomic.Int64) ([]byte, error) {
-	if !compress {
-		// Nothing to weigh against a deflated form: write the columns
-		// straight into buf instead of staging them for sealBlob, with
-		// room up front for what they take at the least (see pairCap).
-		buf = slices.Grow(buf, 1+len(pairs)*pc.min8/8)
-		return pc.appendCols(append(buf, pairBlobV2), pairs, nil, nil)
-	}
-	scratch := getBlobScratch()
-	defer putBlobScratch(scratch)
-	raw, err := pc.appendCols(scratch.b[:0], pairs, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	scratch.b = raw
-	return sealBlob(buf, nil, raw, true, saved)
+// encodePairs appends the versioned pair blob for pairs: the codec
+// marker byte, then the v2 columns, written straight into buf with room
+// up front for what they take at the least (see pairCap).
+func encodePairs[K comparable, V any](buf []byte, pairs []Pair[K, V], pc *pairCodec[K, V]) ([]byte, error) {
+	buf = slices.Grow(buf, 1+len(pairs)*pc.min8/8)
+	return pc.appendCols(append(buf, pairBlobV2), pairs, nil, nil)
 }
 
 // pairCap bounds a wire-declared pair count by the remaining payload —
 // the columns carry at least the per-type minimum widths — so a
 // corrupted count cannot drive a pre-allocation past the bytes that
-// could possibly back it. (For compressed blobs the bound undershoots the raw image;
-// it is a sizing hint, decode grows the slice as needed.)
+// could possibly back it.
 func pairCap[K comparable, V any](cur *remote.Cursor, count int, pc *pairCodec[K, V]) int {
 	if count < 0 {
 		return 0
@@ -420,10 +269,9 @@ func pairCap[K comparable, V any](cur *remote.Cursor, count int, pc *pairCodec[K
 	return count
 }
 
-// decodePairs appends count decoded pairs to out, dispatching on the
-// blob's codec marker: v2 columns, plain or deflated. Any other marker
-// is an error. No per-pair allocation happens beyond the output slice
-// itself.
+// decodePairs appends count decoded pairs to out from a v2 blob; any
+// other codec marker is an error. No per-pair allocation happens beyond
+// the output slice itself.
 func decodePairs[K comparable, V any](cur *remote.Cursor, count int, pc *pairCodec[K, V], out []Pair[K, V]) ([]Pair[K, V], error) {
 	if count == 0 && len(cur.Rest()) == 0 {
 		return out, nil
@@ -432,12 +280,10 @@ func decodePairs[K comparable, V any](cur *remote.Cursor, count int, pc *pairCod
 	if err := cur.Err(); err != nil {
 		return out, err
 	}
-	scratch := getBlobScratch()
-	defer putBlobScratch(scratch)
-	data, err := openBlob(marker, cur.Rest(), &scratch.b)
-	if err != nil {
+	if err := checkMarker(marker); err != nil {
 		return out, err
 	}
+	data := cur.Rest()
 	if count < 0 || count > maxPairCount ||
 		(pc.min8 > 0 && uint64(count) > uint64(len(data))*8/uint64(pc.min8)) {
 		return out, fmt.Errorf("pair count %d exceeds the %d-byte payload", count, len(data))
@@ -464,8 +310,7 @@ func growPairs[K comparable, V any](out []Pair[K, V], n int) []Pair[K, V] {
 // --- spill runs ---------------------------------------------------------
 
 // spillBlockRecs is the records-per-block granularity of the v2 spill
-// run format: large enough that column and compression overheads
-// amortize, small enough that a block stays well inside the run
+// run format: large enough that column overheads amortize, small enough that a block stays well inside the run
 // readers' 64 KiB buffers for typical records.
 const spillBlockRecs = 512
 
@@ -474,12 +319,10 @@ const spillBlockRecs = 512
 // as blocks of up to spillBlockRecs records,
 //
 //	frame   := uvarint payloadLen, payload
-//	payload := marker byte, uvarint n, body
-//	body    := split column, key column, value column   (marker 0x02)
-//	        |  uvarint rawLen, flate(columns)           (marker 0x03)
+//	payload := marker byte 0x02, uvarint n, split column, key column, value column
 //
-// — a wire blob (sealBlob / openBlob) with the record count behind the
-// marker and a split column in front. The split column delta-encodes
+// — a wire blob with the record count behind the marker and a split
+// column in front. The split column delta-encodes
 // each record's map split: a run is sorted by key and then split, so
 // the deltas are zero inside a (key, split) stretch and small across
 // them. It is all the merge needs besides the keys to restore the
@@ -497,10 +340,8 @@ const spillBlockRecs = 512
 // not once per run.
 type spillRunEnc[K comparable, V any] struct {
 	kd, vd *pairDict
-	raw    []byte                      // uncompressed block image
-	blob   []byte                      // sealed block
-	out    []byte                      // framed blocks not yet written
-	prefix [binary.MaxVarintLen64]byte // varint staging (a field, so it does not escape per block)
+	block  []byte // the block being encoded, marker to value column
+	out    []byte // framed blocks not yet written
 }
 
 func (pc *pairCodec[K, V]) getRunEnc() *spillRunEnc[K, V] {
@@ -541,43 +382,36 @@ func sliceCol[T any](s []T) col {
 
 // appendBlock frames one block of the run — parallel slices of at most
 // spillBlockRecs sorted keys, values and splits — onto e.out.
-func (e *spillRunEnc[K, V]) appendBlock(pc *pairCodec[K, V], keys []K, vals []V, splits []int32, compress bool, saved *atomic.Int64) error {
-	raw := e.raw[:0]
+func (e *spillRunEnc[K, V]) appendBlock(pc *pairCodec[K, V], keys []K, vals []V, splits []int32) error {
+	block := binary.AppendUvarint(append(e.block[:0], pairBlobV2), uint64(len(keys)))
 	var prev int32
 	for _, s := range splits {
-		raw = binary.AppendVarint(raw, int64(s-prev))
+		block = binary.AppendVarint(block, int64(s-prev))
 		prev = s
 	}
-	raw, err := pc.key.enc(raw, sliceCol(keys), e.kd)
+	block, err := pc.key.enc(block, sliceCol(keys), e.kd)
 	if err != nil {
 		return err
 	}
-	if raw, err = pc.val.enc(raw, sliceCol(vals), e.vd); err != nil {
+	if block, err = pc.val.enc(block, sliceCol(vals), e.vd); err != nil {
 		return err
 	}
-	e.raw = raw
-	hn := binary.PutUvarint(e.prefix[:], uint64(len(keys)))
-	blob, err := sealBlob(e.blob[:0], e.prefix[:hn], raw, compress, saved)
-	if err != nil {
-		return err
-	}
-	e.blob = blob
-	e.out = append(binary.AppendUvarint(e.out, uint64(len(blob))), blob...)
+	e.block = block
+	e.out = append(binary.AppendUvarint(e.out, uint64(len(block))), block...)
 	return nil
 }
 
 // spillRunDec is the read side of one run: a read window over the run's
-// extent of its partition's spill file, the dictionaries mirrored from
-// the blocks read so far, and the inflate scratch. It is used by the
-// one goroutine merging that run and recycled through pairCodec.decs.
+// extent of its partition's spill file and the dictionaries mirrored
+// from the blocks read so far. It is used by the one goroutine merging
+// that run and recycled through pairCodec.decs.
 type spillRunDec[K comparable, V any] struct {
-	kd, vd  *pairDict
-	src     io.ReaderAt
-	off     int64  // next unread byte of the run in src
-	left    int64  // bytes of the run not yet read into buf
-	buf     []byte // read window; buf[r:w] is read but not yet decoded
-	r, w    int
-	scratch []byte // inflated block image
+	kd, vd *pairDict
+	src    io.ReaderAt
+	off    int64  // next unread byte of the run in src
+	left   int64  // bytes of the run not yet read into buf
+	buf    []byte // read window; buf[r:w] is read but not yet decoded
+	r, w   int
 }
 
 // spillRunReadBuf is how much of a run one read asks for. Bounded (k
@@ -603,7 +437,7 @@ func (pc *pairCodec[K, V]) getRunDec(f io.ReaderAt, off, n int64) *spillRunDec[K
 }
 
 // putRunDec recycles a run's decoder when its merge is done with it;
-// buf and scratch keep their grown capacity.
+// buf keeps its grown capacity.
 func (pc *pairCodec[K, V]) putRunDec(d *spillRunDec[K, V]) {
 	if d.kd != nil {
 		d.kd.reset()
@@ -682,10 +516,10 @@ func (d *spillRunDec[K, V]) readBlock(pc *pairCodec[K, V], img func(K) uint64, n
 		return 0, fmt.Errorf("mapreduce: spill decode: block of %d records", cnt)
 	}
 	n := int(cnt)
-	data, err := openBlob(frame[0], frame[1+m:], &d.scratch)
-	if err != nil {
+	if err := checkMarker(frame[0]); err != nil {
 		return 0, err
 	}
+	data := frame[1+m:]
 	var prev int32
 	for i := range splits[:n] {
 		delta, m := binary.Varint(data)
@@ -699,7 +533,8 @@ func (d *spillRunDec[K, V]) readBlock(pc *pairCodec[K, V], img func(K) uint64, n
 		}
 		splits[i] = prev
 	}
-	if data, err = pc.key.dec(data, sliceCol(keys[:n]), d.kd); err != nil {
+	data, err := pc.key.dec(data, sliceCol(keys[:n]), d.kd)
+	if err != nil {
 		return 0, err
 	}
 	if _, err = pc.val.dec(data, sliceCol(vals[:n]), d.vd); err != nil {

@@ -13,8 +13,7 @@ import (
 // under an arbitrary declared pair count. The contract: an error, or
 // exactly count pairs that survive a re-encode; never a panic, never
 // partial output beside an error, and never more memory than the
-// payload could back (pairCap for plain blobs, DEFLATE's expansion
-// ceiling times that for compressed ones).
+// payload could back (pairCap).
 //
 // kind selects the pair type, one per column lane family: int32 keys
 // (delta varints) with int64 values, string keys (dictionary) with
@@ -22,9 +21,9 @@ import (
 // values (raw words), bool keys (bit-packed) with a self-encoding struct
 // value, int32 keys with a self-encoding slice value (both in the
 // self-encoding column). The checked-in corpus under testdata/fuzz/FuzzDecodePairs
-// holds a plain and a flate blob of each plus the malformed shapes
-// found by hand: truncation, an over-declared count, the retired 0x01
-// row marker, and a forged flate length.
+// holds a plain blob of each plus the malformed shapes found by hand:
+// truncation, an over-declared count, the retired 0x01 row marker, and
+// blobs behind the retired 0x03 flate marker, which must be refused.
 func FuzzDecodePairs(f *testing.F) {
 	f.Fuzz(func(t *testing.T, kind uint8, count int, blob []byte) {
 		switch kind % 5 {
@@ -53,27 +52,25 @@ func fuzzDecodePairs[K comparable, V any](t *testing.T, count int, blob []byte) 
 	if len(out) != count {
 		t.Fatalf("decode returned %d pairs for a declared count of %d", len(out), count)
 	}
-	// The payload bounds the allocation: a plain blob decodes into the
-	// pairCap-sized slice it was handed, and a compressed one cannot
-	// declare more pairs than its inflated image could hold.
-	if len(blob) > 0 && blob[0] == pairBlobV2 && cap(out) != hint {
-		t.Fatalf("plain blob outgrew pairCap: cap %d, hint %d", cap(out), hint)
+	// The payload bounds the allocation: a blob decodes into the
+	// pairCap-sized slice it was handed, and cannot declare more pairs
+	// than its columns could hold.
+	if cap(out) != hint {
+		t.Fatalf("blob outgrew pairCap: cap %d, hint %d", cap(out), hint)
 	}
-	if ceiling := len(blob) * maxInflateRatio * 8 / testCodec[K, V](t).min8; count > ceiling {
+	if ceiling := len(blob) * 8 / testCodec[K, V](t).min8; count > ceiling {
 		t.Fatalf("%d pairs decoded from a %d-byte blob (ceiling %d)", count, len(blob), ceiling)
 	}
 
-	// Exact round trip, compared on the canonical (plain) encoding so NaN
+	// Exact round trip, compared on the canonical encoding so NaN
 	// payloads and non-minimal input varints do not matter.
-	canon := encodeTestPairs(t, out, false, nil)
-	for _, enc := range [][]byte{canon, encodeTestPairs(t, out, true, nil)} {
-		again, _, err := decodeTestPairs[K, V](t, enc, count)
-		if err != nil {
-			t.Fatalf("decoding our own encoding (marker 0x%02x): %v", enc[0], err)
-		}
-		if back := encodeTestPairs(t, again, false, nil); !bytes.Equal(back, canon) {
-			t.Fatalf("round trip changed the pairs (marker 0x%02x)", enc[0])
-		}
+	canon := encodeTestPairs(t, out)
+	again, _, err := decodeTestPairs[K, V](t, canon, count)
+	if err != nil {
+		t.Fatalf("decoding our own encoding: %v", err)
+	}
+	if back := encodeTestPairs(t, again); !bytes.Equal(back, canon) {
+		t.Fatal("round trip changed the pairs")
 	}
 }
 
@@ -101,19 +98,28 @@ func fuzzSeedRun() testRun[string, int32] {
 // a panic, never more records than the bytes could hold, never a split
 // the job does not have, and a run that decodes cleanly survives a
 // re-encode. kind selects string-keyed records (per-run dictionary) or
-// int32-keyed ones. Seeds: the golden records as a plain and a
-// compressed run, and truncations of both; the checked-in corpus under
-// testdata/fuzz/FuzzSpillRunDecode adds the malformed shapes found by
-// hand: a forged record count, a split id past the job's splits, a
-// split, key or value column cut short inside an intact frame, and a
-// flate block with a forged raw length.
+// int32-keyed ones. Seeds: the golden records as a string-keyed run and
+// the same records int32-keyed, and truncations of both; the checked-in
+// corpus under testdata/fuzz/FuzzSpillRunDecode adds the malformed shapes
+// found by hand: a forged record count, a split id past the job's
+// splits, a split, key or value column cut short inside an intact frame,
+// and blocks behind the retired 0x03 flate marker, which must be
+// refused.
 func FuzzSpillRunDecode(f *testing.F) {
-	for _, compress := range []bool{false, true} {
-		run := encodeTestRun(f, fuzzSeedRun(), compress, nil)
+	cuts := func(kind uint8, run []byte) {
 		for _, cut := range []int{len(run), len(run) - 1, len(run) / 2, 40, 3, 1} {
-			f.Add(uint8(0), run[:cut])
+			f.Add(kind, run[:cut])
 		}
 	}
+	seed := fuzzSeedRun()
+	cuts(0, encodeTestRun(f, seed))
+	var ints testRun[int32, int64]
+	for i, v := range seed.vals {
+		ints.keys = append(ints.keys, int32(i%37))
+		ints.vals = append(ints.vals, int64(v))
+	}
+	ints.splits = seed.splits
+	cuts(1, encodeTestRun(f, ints))
 	f.Add(uint8(1), []byte{0x05, 0x02, 0x01, 0x02, 0x06, 0x08}) // one (split 1, key 3, value 4) record
 	f.Fuzz(func(t *testing.T, kind uint8, run []byte) {
 		if kind%2 == 0 {
@@ -128,11 +134,11 @@ func fuzzSpillRun[K comparable, V any](t *testing.T, data []byte) {
 	run, err := decodeTestRun[K, V](t, data, fuzzRunSplits)
 	// Every block costs at least a length byte, a marker and a count,
 	// and every record at least a split byte plus the pair's minimum
-	// width — inflated at most by DEFLATE's ceiling.
+	// width.
 	if blocks := len(data) / 3; run.len() > blocks*spillBlockRecs {
 		t.Fatalf("%d records from a %d-byte run (at most %d blocks)", run.len(), len(data), blocks)
 	}
-	if ceiling := len(data) * maxInflateRatio * 8 / (8 + testCodec[K, V](t).min8); run.len() > ceiling {
+	if ceiling := len(data) * 8 / (8 + testCodec[K, V](t).min8); run.len() > ceiling {
 		t.Fatalf("%d records from a %d-byte run (ceiling %d)", run.len(), len(data), ceiling)
 	}
 	for _, s := range run.splits {
@@ -143,7 +149,7 @@ func fuzzSpillRun[K comparable, V any](t *testing.T, data []byte) {
 	if err != nil {
 		return
 	}
-	again, err := decodeTestRun[K, V](t, encodeTestRun(t, run, false, nil), fuzzRunSplits)
+	again, err := decodeTestRun[K, V](t, encodeTestRun(t, run), fuzzRunSplits)
 	if err != nil {
 		t.Fatalf("decoding our own run: %v", err)
 	}

@@ -10,13 +10,11 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 )
 
 // Codec v2 property tests: every supported key/value lane must survive
-// the encode/decode round trip bit-exactly, uncompressed and behind
-// block compression.
+// the encode/decode round trip bit-exactly.
 
 // binPoint exercises the self-encoding column: its kind (a struct with
 // fields) has no lane, and a named integer with these methods must keep
@@ -47,27 +45,21 @@ func (x *f32) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// roundTripPairs encodes pairs uncompressed and compressed and requires
-// the exact input back each way.
+// roundTripPairs encodes pairs and requires the exact input back.
 func roundTripPairs[K comparable, V any](t *testing.T, pairs []Pair[K, V]) {
 	t.Helper()
-	check := func(blob []byte, mode string) {
-		t.Helper()
-		out, _, err := decodeTestPairs[K, V](t, blob, len(pairs))
-		if err != nil {
-			t.Fatalf("%s decode: %v", mode, err)
-		}
-		if len(out) != len(pairs) {
-			t.Fatalf("%s decode: %d pairs, want %d", mode, len(out), len(pairs))
-		}
-		for i := range out {
-			if !reflect.DeepEqual(out[i], pairs[i]) {
-				t.Fatalf("%s decode: pair %d = %+v, want %+v", mode, i, out[i], pairs[i])
-			}
+	out, _, err := decodeTestPairs[K, V](t, encodeTestPairs(t, pairs), len(pairs))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if len(out) != len(pairs) {
+		t.Fatalf("decode: %d pairs, want %d", len(out), len(pairs))
+	}
+	for i := range out {
+		if !reflect.DeepEqual(out[i], pairs[i]) {
+			t.Fatalf("decode: pair %d = %+v, want %+v", i, out[i], pairs[i])
 		}
 	}
-	check(encodeTestPairs(t, pairs, false, nil), "v2")
-	check(encodeTestPairs(t, pairs, true, nil), "v2-compressed")
 }
 
 func TestCodecV2RoundTrip(t *testing.T) {
@@ -208,56 +200,10 @@ func TestCodecV2DictOverflow(t *testing.T) {
 	roundTripPairs(t, pairs)
 }
 
-// TestCodecV2CompressionMarkers pins the compression dispatch: a
-// compressible batch ships deflated with the savings counted, an
-// incompressible one falls back to plain columns, and a tiny one never
-// pays for a flate header.
-func TestCodecV2CompressionMarkers(t *testing.T) {
-	compressible := make([]Pair[int32, string], 500)
-	for i := range compressible {
-		compressible[i] = P(int32(i), "the same highly repetitive value text")
-	}
-	var saved atomic.Int64
-	blob := encodeTestPairs(t, compressible, true, &saved)
-	if blob[0] != pairBlobV2Flate {
-		t.Fatalf("compressible batch shipped with marker 0x%02x, want flate", blob[0])
-	}
-	plain := encodeTestPairs(t, compressible, false, nil)
-	if len(blob) >= len(plain) {
-		t.Fatalf("compressed blob (%dB) not smaller than plain (%dB)", len(blob), len(plain))
-	}
-	if saved.Load() <= 0 {
-		t.Fatal("compression saved no bytes by its own accounting")
-	}
-
-	rng := rand.New(rand.NewSource(99))
-	incompressible := make([]Pair[int32, string], 300)
-	for i := range incompressible {
-		b := make([]byte, 24)
-		rng.Read(b)
-		incompressible[i] = P(int32(rng.Uint32()), string(b))
-	}
-	saved.Store(0)
-	blob = encodeTestPairs(t, incompressible, true, &saved)
-	if blob[0] != pairBlobV2 {
-		t.Fatalf("incompressible batch shipped with marker 0x%02x, want plain v2", blob[0])
-	}
-	if saved.Load() != 0 {
-		t.Fatalf("incompressible batch claims %d saved bytes", saved.Load())
-	}
-
-	tiny := []Pair[int32, string]{P(int32(1), "x")}
-	blob = encodeTestPairs(t, tiny, true, nil)
-	if blob[0] != pairBlobV2 {
-		t.Fatalf("tiny batch shipped with marker 0x%02x, want plain v2", blob[0])
-	}
-}
-
 // TestDecodePairsRejectsWhatItDoesNotWrite: a marker this build never
-// writes — 0x01 was the row framing retired with codec v1 — is an error,
-// and so is a flate blob whose declared raw length no deflate stream of
-// its size could produce (the length would otherwise size the inflate
-// buffer: 1 GiB here, from 40 bytes).
+// writes is an error — 0x01 was the row framing retired with codec v1,
+// 0x03 the retired flate-compressed columns (here with a raw length of
+// 1 GiB declared by 40 bytes, which once sized the inflate buffer).
 func TestDecodePairsRejectsWhatItDoesNotWrite(t *testing.T) {
 	forged := binary.AppendUvarint([]byte{pairBlobV2Flate}, 1<<30)
 	forged = append(forged, make([]byte, 40)...)
@@ -275,119 +221,58 @@ func TestDecodePairsRejectsWhatItDoesNotWrite(t *testing.T) {
 
 // TestSpillRunBytesShrink prices the v2 block format on the benchmark
 // shuffle shape, through the spill shuffle's own run writer: at most
-// spillBytesPerRecMax bytes on disk per spilled record — and fewer still
-// with block compression, with the savings counter agreeing.
+// spillBytesPerRecMax bytes on disk per spilled record.
 func TestSpillRunBytesShrink(t *testing.T) {
 	// Measured 3.01 B/record (58 613 bytes for the 19 456 records that
 	// reach disk); the sequence column the split column replaced took
 	// 4.01 on the same input, per-record framing 8.11.
 	const spillBytesPerRecMax = 4.1
 	const n, bucket = 20000, 256
-	runThrough := func(compress bool) (onDisk, spilled, saved int64) {
-		t.Helper()
-		sp, err := newSpillShuffle[int32, int64](1, 1, ShuffleConfig{MemoryBudget: 1024, TempDir: t.TempDir()}, compress, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sp.Close()
-		for lo := 0; lo < n; lo += bucket {
-			pairs := make([]Pair[int32, int64], 0, bucket)
-			for i := lo; i < min(lo+bucket, n); i++ {
-				pairs = append(pairs, P(int32((i*31)%4096), int64(i/16)))
-			}
-			if err := sp.AddBucket(0, 0, pairs); err != nil {
-				t.Fatal(err)
-			}
-		}
-		streams, err := sp.Finalize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, prev := 0, int32(-1)
-		for {
-			k, vs, ok, err := streams[0].Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			if k <= prev {
-				t.Fatalf("merge served key %d after %d", k, prev)
-			}
-			prev = k
-			got += len(vs)
-		}
-		if got != n {
-			t.Fatalf("merge returned %d records, want %d", got, n)
-		}
-		_, spilled, runs := sp.footprint()
-		if runs == 0 {
-			t.Fatal("workload fit in memory; the byte comparison needs spilled runs")
-		}
-		return sp.parts[0].fileLen, spilled, sp.spillSaved()
+	sp, err := newSpillShuffle[int32, int64](1, 1, ShuffleConfig{MemoryBudget: 1024, TempDir: t.TempDir()}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	v2, spilled, _ := runThrough(false)
-	v2c, _, saved := runThrough(true)
-	t.Logf("run bytes: v2=%d (%.2f B/record over %d spilled) v2+flate=%d (saved counter %d)",
-		v2, float64(v2)/float64(spilled), spilled, v2c, saved)
+	defer sp.Close()
+	for lo := 0; lo < n; lo += bucket {
+		pairs := make([]Pair[int32, int64], 0, bucket)
+		for i := lo; i < min(lo+bucket, n); i++ {
+			pairs = append(pairs, P(int32((i*31)%4096), int64(i/16)))
+		}
+		if err := sp.AddBucket(0, 0, pairs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	streams, err := sp.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, prev := 0, int32(-1)
+	for {
+		k, vs, ok, err := streams[0].Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		if k <= prev {
+			t.Fatalf("merge served key %d after %d", k, prev)
+		}
+		prev = k
+		got += len(vs)
+	}
+	if got != n {
+		t.Fatalf("merge returned %d records, want %d", got, n)
+	}
+	_, spilled, runs := sp.footprint()
+	if runs == 0 {
+		t.Fatal("workload fit in memory; the byte count needs spilled runs")
+	}
+	v2 := sp.parts[0].fileLen
+	t.Logf("run bytes: v2=%d (%.2f B/record over %d spilled)", v2, float64(v2)/float64(spilled), spilled)
 	if max := int64(spillBytesPerRecMax * float64(spilled)); v2 > max {
 		t.Fatalf("v2 runs use %d bytes for %d records, more than %.1f B/record", v2, spilled, spillBytesPerRecMax)
 	}
-	if v2c >= v2 {
-		t.Fatalf("compressed runs (%dB) not smaller than plain v2 (%dB)", v2c, v2)
-	}
-	// The counter tracks payload bytes; the on-disk shrink also moves
-	// the frame-length varints, so the two agree only approximately.
-	if shrink := v2 - v2c; saved <= 0 ||
-		shrink-saved > shrink/100 || saved-shrink > shrink/100 {
-		t.Fatalf("savings counter says %d bytes avoided; run bytes shrank by %d", saved, shrink)
-	}
-}
-
-// TestDistWireCompressionEquivalence runs the reference job over the
-// dist backend with wire compression on: output identical to the memory
-// backend, measurably fewer bytes on the wire, and the savings counter
-// lit.
-func TestDistWireCompressionEquivalence(t *testing.T) {
-	cl := startTestCluster(t, 2)
-	input := int32Input()
-
-	want, _, err := Run(context.Background(),
-		Config{Mappers: 4, Reducers: 4, Name: "eq-int32"},
-		input, int32Map, int32Reduce)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	plainCfg := distCfg4(cl, "eq-int32")
-	_, plainStats, err := Run(context.Background(), plainCfg, input, int32Map, int32Reduce)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plainStats.WireBytesSaved != 0 {
-		t.Fatalf("uncompressed run reports %d wire bytes saved", plainStats.WireBytesSaved)
-	}
-
-	compCfg := distCfg4(cl, "eq-int32")
-	compCfg.WireCompression = true
-	got, compStats, err := Run(context.Background(), compCfg, input, int32Map, int32Reduce)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("compressed dist output diverges from the memory backend")
-	}
-	if compStats.WireBytesSaved <= 0 {
-		t.Fatal("compressed run saved no wire bytes")
-	}
-	if compStats.RemoteBytesOut >= plainStats.RemoteBytesOut {
-		t.Fatalf("compressed run shipped %d bytes, uncompressed %d",
-			compStats.RemoteBytesOut, plainStats.RemoteBytesOut)
-	}
-	t.Logf("wire bytes: plain=%d compressed=%d saved=%d",
-		plainStats.RemoteBytesOut, compStats.RemoteBytesOut, compStats.WireBytesSaved)
 }
 
 // plainRec has exported fields and no encoding methods: no lane, and

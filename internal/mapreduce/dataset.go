@@ -528,9 +528,6 @@ func runMapPhaseDS[K1 comparable, V1 any, K2 comparable, V2 any](
 	for p, part := range input.parts {
 		p, part := p, part
 		grp.Go(func(ctx context.Context) error {
-			if err := cfg.burnAttempts(0, p, stats.addMapRetry); err != nil {
-				return err
-			}
 			em, err := mapResident(ctx, cfg.Name, p, part, mapFn, joinOrder, backend, ar)
 			if err != nil {
 				return err

@@ -376,69 +376,6 @@ func TestLoopMaxRoundsBackstop(t *testing.T) {
 	}
 }
 
-// TestLoopFailureSeedMixing: under failure injection every round must
-// draw fresh (but reproducible) failure coins — otherwise a task doomed
-// in round one would be doomed in every round.
-func TestLoopFailureSeedMixing(t *testing.T) {
-	base := Config{Reducers: 2, FailureRate: 0.4, FailureSeed: 11, MaxAttempts: 10}
-	d := NewDriver(base)
-	seeds := map[int64]bool{}
-	for i := 0; i < 5; i++ {
-		seeds[d.Config("job").FailureSeed] = true
-		if err := d.Observe(&Stats{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(seeds) != 5 {
-		t.Fatalf("5 rounds drew only %d distinct failure seeds", len(seeds))
-	}
-
-	// And the whole loop is reproducible: identical runs produce
-	// identical per-round retry traces.
-	trace := func() []int64 {
-		d := NewDriver(base)
-		d.MaxRounds = 100
-		state := PartitionDataset(nodeJobInput(32), 2)
-		rounds := 0
-		_, err := Loop(context.Background(), d, state,
-			func(ctx context.Context, round int, st *Dataset[int32, int64]) (*Dataset[int32, int64], error) {
-				rounds++
-				if rounds > 4 {
-					return nil, nil
-				}
-				out, err := RunJobDS(ctx, d, "job", st,
-					Identity[int32, int64](),
-					func(k int32, vs []int64, out Emitter[int32, int64]) error {
-						out.Emit(k, vs[0])
-						return nil
-					})
-				if err != nil {
-					return nil, err
-				}
-				return out, nil
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var retries []int64
-		for _, s := range d.Trace() {
-			retries = append(retries, s.MapTaskRetries+s.ReduceTaskRetries)
-		}
-		return retries
-	}
-	a, b := trace(), trace()
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("failure injection not reproducible: %v vs %v", a, b)
-	}
-	var total int64
-	for _, r := range a {
-		total += r
-	}
-	if total == 0 {
-		t.Fatal("failure rate 0.4 injected no retries across 4 rounds")
-	}
-}
-
 // TestFloatZeroKeysRouteToOnePartition pins keyShape.hash's canonical zero:
 // -0.0 and +0.0 are one Go map key, so they must hash to one partition
 // (multi-reducer flat jobs) and the identity route (which compares with

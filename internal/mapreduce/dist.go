@@ -1295,11 +1295,6 @@ type distJobHeader struct {
 	// flush barrier: stream a mirror copy (MsgCkpt) to the coordinator
 	// before MsgJobDone.
 	ckpt bool
-	// wireComp asks both sides to flate-compress the pair payload of
-	// every bulk frame they encode for this job (MsgBucket, MsgCkpt,
-	// MsgPart). Carried in the header so every worker applies the
-	// coordinator's Config.WireCompression choice.
-	wireComp bool
 	// state marks a state job (RunStateDS): the reduce registered under
 	// the job's name must be a StateReduceFunc, which the workers join
 	// with the resident input partitions they mapped.
@@ -1326,7 +1321,7 @@ func (h *distJobHeader) encode() []byte {
 	buf = append(buf, byte(h.mode))
 	buf = remote.AppendUvarint(buf, uint64(h.splits))
 	buf = remote.AppendUvarint(buf, uint64(h.reducers))
-	for _, flag := range []bool{h.ckpt, h.wireComp, h.state} {
+	for _, flag := range []bool{h.ckpt, h.state} {
 		if flag {
 			buf = append(buf, 1)
 		} else {
@@ -1356,7 +1351,6 @@ func parseJobHeader(cur *remote.Cursor) (*distJobHeader, error) {
 	h.splits = int(cur.Uvarint())
 	h.reducers = int(cur.Uvarint())
 	h.ckpt = cur.Byte() != 0
-	h.wireComp = cur.Byte() != 0
 	h.state = cur.Byte() != 0
 	h.inputSeq = cur.Uvarint()
 	nOwners := int(cur.Uvarint())
@@ -1383,13 +1377,13 @@ func parseJobHeader(cur *remote.Cursor) (*distJobHeader, error) {
 // free again as soon as the send returns). The pair payload is a
 // self-contained codec-v2 blob (see codecv2.go), so the coordinator can
 // relay, mirror, and re-seed the frame body without re-encoding.
-func encodeBucketFrame[K comparable, V any](buf []byte, seq uint64, split, part int, pairs []Pair[K, V], pc *pairCodec[K, V], compress bool, saved *atomic.Int64) ([]byte, error) {
+func encodeBucketFrame[K comparable, V any](buf []byte, seq uint64, split, part int, pairs []Pair[K, V], pc *pairCodec[K, V]) ([]byte, error) {
 	buf = append(buf, byte(remote.MsgBucket))
 	buf = remote.AppendUvarint(buf, seq)
 	buf = remote.AppendUvarint(buf, uint64(split))
 	buf = remote.AppendUvarint(buf, uint64(part))
 	buf = remote.AppendUvarint(buf, uint64(len(pairs)))
-	return encodePairs(buf, pairs, pc, compress, saved)
+	return encodePairs(buf, pairs, pc)
 }
 
 // distWorkerReport aggregates what one worker told the coordinator
@@ -1405,15 +1399,14 @@ type distWorkerReport struct {
 	counts     map[int]int64
 	// sides is the side output of the worker's reduce tasks by partition
 	// (see SideEmitter); nil when none emitted any.
-	sides     map[int][]uint64
-	wireSaved int64
+	sides map[int][]uint64
 }
 
 // appendJobDone encodes the body of a MsgJobDone after its sequence
 // number: reduce statistics, then per owned partition its resident
-// record count and side output, then the wire-compression tally.
+// record count and side output.
 func appendJobDone(frame []byte, groups, outRecords int64, reduceWall time.Duration,
-	parts []int, counts []int64, sides [][]uint64, wireSaved int64) []byte {
+	parts []int, counts []int64, sides [][]uint64) []byte {
 	frame = remote.AppendUvarint(frame, uint64(groups))
 	frame = remote.AppendUvarint(frame, uint64(outRecords))
 	frame = remote.AppendUvarint(frame, uint64(reduceWall))
@@ -1426,7 +1419,7 @@ func appendJobDone(frame []byte, groups, outRecords int64, reduceWall time.Durat
 			frame = remote.AppendUvarint(frame, v)
 		}
 	}
-	return remote.AppendUvarint(frame, uint64(wireSaved))
+	return frame
 }
 
 // parseJobDone is appendJobDone's inverse. The frame comes off a
@@ -1465,7 +1458,6 @@ func parseJobDone(cur *remote.Cursor, reducers int, rep *distWorkerReport) error
 		}
 		rep.sides[int(part)] = side
 	}
-	rep.wireSaved = int64(cur.Uvarint())
 	return cur.Err()
 }
 
@@ -1516,9 +1508,6 @@ type distJobRun[K2 comparable, V2 any, K3 comparable, V3 any] struct {
 	// reduce tasks may be running (see consumeResident).
 	flushed atomic.Bool
 	records atomic.Int64
-	// wireSaved counts the bytes wire compression shaved off the
-	// coordinator's own encodes; workers report theirs in MsgJobDone.
-	wireSaved atomic.Int64
 }
 
 // waitsOn is the distActiveJob face the cluster monitor sees.
@@ -1581,7 +1570,6 @@ func startDistJob[K2 comparable, V2 any, K3 comparable, V3 any](
 			splits:   splits,
 			reducers: cfg.reducers(),
 			ckpt:     ckpt,
-			wireComp: cfg.WireCompression,
 			state:    state,
 			inputSeq: inputSeq,
 			owners:   owners,
@@ -1765,7 +1753,7 @@ func (j *distJobRun[K2, V2, K3, V3]) drainAborted(w int) {
 // owner under the job's assignment.
 func (j *distJobRun[K2, V2, K3, V3]) sendBucket(split, part int, pairs []Pair[K2, V2]) error {
 	fs := getFrameScratch()
-	frame, err := encodeBucketFrame(fs.b[:0], j.hdr.seq, split, part, pairs, j.shufc, j.hdr.wireComp, &j.wireSaved)
+	frame, err := encodeBucketFrame(fs.b[:0], j.hdr.seq, split, part, pairs, j.shufc)
 	if err != nil {
 		putFrameScratch(fs)
 		return fmt.Errorf("mapreduce: dist job %q: encoding bucket: %w", j.hdr.name, err)
@@ -2053,9 +2041,7 @@ func (j *distJobRun[K2, V2, K3, V3]) finish(ctx context.Context, cfg Config, sta
 			stats.addRouted(rep.local, rep.cross)
 			j.records.Add(rep.local + rep.cross)
 		}
-		stats.WireBytesSaved += rep.wireSaved
 	}
-	stats.WireBytesSaved += j.wireSaved.Load()
 	stats.WorkerWall = workerWall
 	in, out := j.cl.bytesInOut()
 	stats.RemoteBytesIn = in - j.bytesIn0
@@ -2064,26 +2050,6 @@ func (j *distJobRun[K2, V2, K3, V3]) finish(ctx context.Context, cfg Config, sta
 	j.cl.lastIn, j.cl.lastOut = in, out
 	j.cl.mu.Unlock()
 	stats.ShuffleRecords = j.records.Load()
-
-	// Burn the failure coins the local backends would have drawn for
-	// the reduce tasks (and, for chained jobs, the worker-side map
-	// tasks): user functions are pure, so a re-executed attempt changes
-	// nothing but the retry counters — keeping Stats comparable across
-	// backends under injected failures.
-	if cfg.FailureRate > 0 {
-		if j.hdr.mode == remote.ModeChained {
-			for p := 0; p < j.hdr.splits; p++ {
-				if err := cfg.burnAttempts(0, p, stats.addMapRetry); err != nil {
-					return nil, err
-				}
-			}
-		}
-		for p := 0; p < j.hdr.reducers; p++ {
-			if err := cfg.burnAttempts(1, p, stats.addReduceRetry); err != nil {
-				return nil, err
-			}
-		}
-	}
 	return res, nil
 }
 
@@ -2329,7 +2295,7 @@ func placeResident[K comparable, V any](cl *DistCluster, ds *Dataset[K, V], cfg 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			blobs[p], errs[p] = encodePairs(nil, part, pc, cfg.WireCompression, nil)
+			blobs[p], errs[p] = encodePairs(nil, part, pc)
 		}()
 	}
 	wg.Wait()

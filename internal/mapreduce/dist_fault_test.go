@@ -98,6 +98,40 @@ func TestDistFaultDelayHarmless(t *testing.T) {
 	}
 }
 
+// TestDistCheckpointEveryThrottle pins Config.CheckpointEvery's k > 0
+// throttle, which counts retained job outputs on the cluster: of four
+// chained jobs under CheckpointEvery 2, exactly the first and the third
+// output are mirrored on the coordinator. The output stays right even so.
+func TestDistCheckpointEveryThrottle(t *testing.T) {
+	const rounds = 4
+	want := memoryRingReference(t, rounds)
+	cl := startTestCluster(t, 2)
+	cfg := distCfg4(cl, "ring-step")
+	cfg.CheckpointEvery = 2
+	ds := PartitionDataset(ringInput(), cfg.reducers())
+	var mirrored []bool
+	for i := 0; i < rounds; i++ {
+		next, _, err := RunDS(context.Background(), cfg, ds, ringMap, ringReduce)
+		if err != nil {
+			t.Fatalf("round %d: %v", i, err)
+		}
+		ds = next
+		cl.mu.Lock()
+		m := cl.residency[ds.rem.seq]
+		mirrored = append(mirrored, m != nil && m.blobs != nil)
+		cl.mu.Unlock()
+	}
+	if w := []bool{true, false, true, false}; !reflect.DeepEqual(mirrored, w) {
+		t.Fatalf("mirrored outputs %v, want %v", mirrored, w)
+	}
+	if err := ds.Materialize(); err != nil {
+		t.Fatal(err)
+	}
+	if got := ds.Collect(); !reflect.DeepEqual(got, want) {
+		t.Fatal("throttled run diverges from memory backend")
+	}
+}
+
 // TestDistChaosKilledWorkers is the real-process chaos suite: three
 // re-executed worker processes run the slowed chained ring job, and one
 // of them — chosen by seed — takes a SIGKILL at a seed-derived delay,

@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -16,14 +17,16 @@ import (
 // allocation a declared count sized (a side section cannot hold more
 // values than the payload has bytes left, a report no more partitions
 // than the job has). Seeds: a two-partition report with side output on
-// one, every truncation of it, and a side count forged far past the
-// payload.
+// one, every truncation of it, the same report as Proto 14 wrote it
+// (with the retired wire-compression tally trailing), and a side count
+// forged far past the payload.
 func FuzzJobDone(f *testing.F) {
 	good := appendJobDone(nil, 17, 40, 3*time.Millisecond, []int{1, 3},
-		[]int64{0, 25, 0, 15}, [][]uint64{nil, {7, 1 << 40, 0}, nil, nil}, 9)
+		[]int64{0, 25, 0, 15}, [][]uint64{nil, {7, 1 << 40, 0}, nil, nil})
 	for cut := len(good); cut >= 0; cut-- {
 		f.Add(4, good[:cut])
 	}
+	f.Add(4, append(slices.Clone(good), 9))
 	forged := remote.AppendUvarint([]byte{1, 1, 1, 1, 0, 5}, 1<<50) // one partition, 2^50 side values, no bytes
 	f.Add(4, forged)
 	f.Add(1, good) // names partitions the job does not have
@@ -52,7 +55,7 @@ func FuzzJobDone(f *testing.F) {
 			}
 		}
 		again := distWorkerReport{}
-		enc := appendJobDone(nil, rep.groups, rep.outRecords, rep.reduceWall, parts, counts, sides, rep.wireSaved)
+		enc := appendJobDone(nil, rep.groups, rep.outRecords, rep.reduceWall, parts, counts, sides)
 		if err := parseJobDone(remote.NewCursor(enc), reducers, &again); err != nil {
 			t.Fatalf("parsing our own job-done: %v", err)
 		}
@@ -94,7 +97,7 @@ func FuzzJournalLoad(f *testing.F) {
 	f.Add(manifest, forge(0xff, 0xff, 0xff, 0xff, 0x7f))          // 2^35 partitions in no bytes
 	f.Add(manifest, forge(1, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x7f)) // one partition, 2^35 side values
 	f.Add(manifest, []byte{4, 0, 0, 0, 0})                        // a frame whose body is empty, CRC valid
-	f.Add([]byte("journal-000001.log v4\n"), seg)                 // the previous generation's tag
+	f.Add([]byte("journal-000001.log v6\n"), seg)                 // the previous generation's tag
 	f.Add([]byte("../journal-000001.log "+journalFormat+"\n"), seg)
 	f.Fuzz(func(t *testing.T, manifest, seg []byte) {
 		if names, err := parseJournalManifest(manifest, "dir"); err == nil {

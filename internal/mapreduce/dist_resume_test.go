@@ -116,20 +116,19 @@ func TestDistClusterCloseIdempotent(t *testing.T) {
 	}
 }
 
-// TestDistFaultCutCompressedSeed severs a session in the middle of a
-// frame — a real length prefix followed by a truncated payload — while
-// WireCompression is on, so the surviving side must fail cleanly out of
-// the flate path on a torn compressed blob, and recovery must reseed
-// the dead worker's partitions by inflating the checkpoint mirror's
-// compressed blobs. No grace window here: a cut is fatal by design.
-func TestDistFaultCutCompressedSeed(t *testing.T) {
+// TestDistFaultCutSeed severs a session in the middle of a frame — a
+// real length prefix followed by a truncated payload — so the surviving
+// side must fail cleanly on a torn blob, and recovery must reseed the
+// dead worker's partitions from the checkpoint mirror's blobs. No grace
+// window here: a cut is fatal by design.
+func TestDistFaultCutSeed(t *testing.T) {
 	const rounds = 3
 	want := memoryRingReference(t, rounds)
 	cl := startTestCluster(t, 2)
 	// Frame 14 lands in a chained round, after the first round's output
 	// went worker-resident: recovery must restore the dead worker's
-	// partitions from the checkpoint mirror's compressed blobs, not
-	// re-ship coordinator-local input.
+	// partitions from the checkpoint mirror's blobs, not re-ship
+	// coordinator-local input.
 	if err := cl.InjectFault(0, &remote.Fault{
 		Op:          remote.FaultCut,
 		AfterWrites: 14,
@@ -137,9 +136,7 @@ func TestDistFaultCutCompressedSeed(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	cfg := distCfg4(cl, "ring-step")
-	cfg.WireCompression = true
-	got := ringRounds(t, cfg, rounds)
+	got := ringRounds(t, distCfg4(cl, "ring-step"), rounds)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("mid-frame cut run diverges from memory backend")
 	}
@@ -148,10 +145,38 @@ func TestDistFaultCutCompressedSeed(t *testing.T) {
 		t.Fatalf("cut did not trigger recovery: %+v", rs)
 	}
 	if rs.Reseeded < 1 {
-		t.Fatalf("recovery never reseeded from the compressed mirror: %+v", rs)
+		t.Fatalf("recovery never reseeded from the mirror: %+v", rs)
 	}
 	t.Logf("cut recovery: lost=%d retried=%d reseeded=%d",
 		rs.WorkersLost, rs.Recoveries, rs.Reseeded)
+}
+
+// TestDialWithRetryStopsOnCancel: a worker cancelled while it waits out
+// its startup backoff returns at once with the context's error, instead
+// of sleeping out a 2 s delay first.
+func TestDialWithRetryStopsOnCancel(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close() // nothing listens there now: every dial is refused
+
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(50*time.Millisecond, cancel)
+	start := time.Now()
+	nc, err := dialWithRetry(ctx, addr, ReconnectPolicy{Attempts: 5, BaseDelay: 2 * time.Second, MaxDelay: 2 * time.Second}, 1)
+	took := time.Since(start)
+	if nc != nil {
+		nc.Close()
+		t.Fatal("dialed an address nothing listens on")
+	}
+	if err != context.Canceled {
+		t.Fatalf("err = %v, want %v", err, context.Canceled)
+	}
+	if took >= 300*time.Millisecond {
+		t.Fatalf("returned %v after the start, 50ms after which it was cancelled; want under 300ms", took)
+	}
 }
 
 // TestDistWorkerStartsBeforeCoordinator pins the startup retry: a
@@ -321,12 +346,13 @@ func TestDistJournalResumeFlat(t *testing.T) {
 // partitions the old key hash chose; "v2", whose records carry no
 // side-output section; "v3", whose records carry a kind byte; "v4", whose
 // mm-cleanup and stack-update records are other types; "v5", whose
-// similarity-join index records are other bytes) must make
+// similarity-join index records are other bytes; "v6", whose mirror
+// blobs may be flate-compressed) must make
 // -dist-resume fail with a clear error rather than replay the segments it
 // names — and a run that does not resume starts over, with a manifest in
 // the current format.
 func TestDistJournalRefusesOtherPartitioner(t *testing.T) {
-	for _, tag := range []string{"v1", "v2", "v3", "v4", "v5"} {
+	for _, tag := range []string{"v1", "v2", "v3", "v4", "v5", "v6"} {
 		dir := t.TempDir()
 		manifest := filepath.Join(dir, journalManifestName)
 		if err := os.WriteFile(manifest, []byte("journal-000001.log "+tag+"\n"), 0o644); err != nil {
@@ -339,7 +365,7 @@ func TestDistJournalRefusesOtherPartitioner(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "written by a different partitioner or record layout") {
 			t.Fatalf("resuming a %s journal: got %v, want a different-generation error", tag, err)
 		}
-		if !strings.Contains(err.Error(), "journal-000001.log "+tag) || !strings.Contains(err.Error(), "is not tagged v6") {
+		if !strings.Contains(err.Error(), "journal-000001.log "+tag) || !strings.Contains(err.Error(), "is not tagged v7") {
 			t.Fatalf("the error does not name both the manifest's tag and this build's: %v", err)
 		}
 
@@ -363,17 +389,16 @@ func TestDistJournalRefusesOtherPartitioner(t *testing.T) {
 	}
 }
 
-// TestDecodePairsTruncatedCompressed pins the torn-blob contract the
-// cut fault relies on: a flate-compressed pair blob truncated at any
-// point must either decode to an error or — when only trailing flate
-// padding was cut — reproduce the pairs exactly. Never a panic, never
-// wrong data reported as success.
-func TestDecodePairsTruncatedCompressed(t *testing.T) {
+// TestDecodePairsTruncated pins the torn-blob contract the cut fault
+// relies on: a pair blob truncated at any point must either decode to an
+// error or reproduce the pairs exactly. Never a panic, never wrong data
+// reported as success.
+func TestDecodePairsTruncated(t *testing.T) {
 	pairs := make([]Pair[int32, int64], 400)
 	for i := range pairs {
 		pairs[i] = Pair[int32, int64]{Key: int32(i % 7), Value: 42}
 	}
-	blob := encodeTestPairs(t, pairs, true, nil)
+	blob := encodeTestPairs(t, pairs)
 	errored := 0
 	for cut := 1; cut < len(blob); cut++ {
 		out, _, derr := decodeTestPairs[int32, int64](t, blob[:cut], len(pairs))

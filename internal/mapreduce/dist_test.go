@@ -217,10 +217,11 @@ func TestDistParamsReachWorkers(t *testing.T) {
 }
 
 // TestDistRefusesOlderProtoWorker: a worker built before the last wire
-// change (a Proto 13 pong carries the number Proto 14 gives the shed
-// message, so its first heartbeat would break the cluster) dials a
-// current coordinator and is refused at the hello, with both versions
-// named — never paired and left to misparse a frame.
+// change (a Proto 14 job-done ends in a wire-compression tally, and its
+// job header carries a byte this build no longer sends, so the two would
+// misparse each other's frames) dials a current coordinator and is
+// refused at the hello, with both versions named — never paired and left
+// to misparse a frame.
 func TestDistRefusesOlderProtoWorker(t *testing.T) {
 	leakcheck.Check(t)
 	var wg sync.WaitGroup
@@ -237,7 +238,7 @@ func TestDistRefusesOlderProtoWorker(t *testing.T) {
 				}
 				conn := remote.NewConn(nc)
 				defer conn.Close()
-				hello := remote.AppendUvarint([]byte{byte(remote.MsgHello)}, 13)
+				hello := remote.AppendUvarint([]byte{byte(remote.MsgHello)}, 14)
 				if err := conn.WriteFrame(append(hello, 0)); err != nil {
 					t.Error(err)
 					return
@@ -249,7 +250,7 @@ func TestDistRefusesOlderProtoWorker(t *testing.T) {
 		},
 	})
 	wg.Wait()
-	const want = "protocol version mismatch: worker speaks 13, coordinator 14"
+	const want = "protocol version mismatch: worker speaks 14, coordinator 15"
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("StartDistCluster with an older-protocol worker: err = %v, want %q", err, want)
 	}
@@ -608,11 +609,9 @@ func BenchmarkDistShuffle(b *testing.B) {
 	for _, bench := range []struct {
 		name string
 		hb   time.Duration
-		comp bool
 	}{
-		{"sched", 50 * time.Millisecond, false},
-		{"nosched", -1, false},
-		{"compressed", -1, true},
+		{"sched", 50 * time.Millisecond},
+		{"nosched", -1},
 	} {
 		b.Run(bench.name, func(b *testing.B) {
 			cl := startSchedCluster(b, 2, DistClusterOptions{
@@ -620,7 +619,6 @@ func BenchmarkDistShuffle(b *testing.B) {
 				HeartbeatEvery: bench.hb,
 			}, nil)
 			cfg := distCfg4(cl, "eq-int32")
-			cfg.WireCompression = bench.comp
 			input := int32Input()
 			b.ReportAllocs()
 			b.ResetTimer()

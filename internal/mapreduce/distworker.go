@@ -113,9 +113,6 @@ type residentData[K comparable, V any] struct {
 	parts [][]Pair[K, V]
 	pc    *pairCodec[K, V]
 	ar    *roundArena[K, V]
-	// comp carries the producing job's wire-compression setting into a
-	// later fetch (Materialize happens after the job is gone).
-	comp bool
 }
 
 // fetch streams every retained partition and releases it (fetch moves;
@@ -131,7 +128,7 @@ func (r *residentData[K, V]) fetch(conn *remote.Conn, seq uint64) error {
 		frame = remote.AppendUvarint(frame, seq)
 		frame = remote.AppendUvarint(frame, uint64(p))
 		frame = remote.AppendUvarint(frame, uint64(len(pairs)))
-		frame, err := encodePairs(frame, pairs, r.pc, r.comp, nil)
+		frame, err := encodePairs(frame, pairs, r.pc)
 		if err != nil {
 			return fmt.Errorf("encoding resident partition %d: %w", p, err)
 		}
@@ -392,28 +389,39 @@ func ServeDistWorkerOpts(ctx context.Context, addr string, opts DistWorkerOption
 // dialWithRetry dials the coordinator, retrying with the policy's
 // jittered backoff while the listener isn't there yet — a worker
 // process may legitimately start before its coordinator. Connection
-// refusals and timeouts retry; a cancelled context or an exhausted
-// budget returns the last dial error.
+// refusals and timeouts retry; an exhausted budget returns the last dial
+// error. A cancelled context (ctx may be nil) returns ctx.Err() at once,
+// mid-backoff or mid-dial.
 func dialWithRetry(ctx context.Context, addr string, pol ReconnectPolicy, seed uint64) (net.Conn, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	attempts := pol.attempts()
 	if attempts < 1 {
 		attempts = 1
 	}
+	dialer := net.Dialer{Timeout: 5 * time.Second}
 	var lastErr error
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
-			time.Sleep(remote.Backoff(a-1, pol.BaseDelay, pol.MaxDelay, seed))
-		}
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+			wait := time.NewTimer(remote.Backoff(a-1, pol.BaseDelay, pol.MaxDelay, seed))
+			select {
+			case <-wait.C:
+			case <-ctx.Done():
+				wait.Stop()
 			}
 		}
-		nc, err := net.DialTimeout("tcp", addr, 5*time.Second)
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		nc, err := dialer.DialContext(ctx, "tcp", addr)
 		if err == nil {
 			return nc, nil
 		}
 		lastErr = err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	return nil, lastErr
 }
@@ -594,7 +602,6 @@ type workerSender[K2 comparable, V2 any] struct {
 	ar       *roundArena[K2, V2]
 	pc       *pairCodec[K2, V2]
 	sent     atomic.Int64
-	saved    *atomic.Int64
 	reducers int
 }
 
@@ -607,7 +614,7 @@ func (ws *workerSender[K2, V2]) AddBucket(split, part int, pairs []Pair[K2, V2])
 		return ws.local.AddBucket(split, part, pairs)
 	}
 	fs := getFrameScratch()
-	frame, err := encodeBucketFrame(fs.b[:0], ws.seq, split, part, pairs, ws.pc, ws.h.wireComp, ws.saved)
+	frame, err := encodeBucketFrame(fs.b[:0], ws.seq, split, part, pairs, ws.pc)
 	if err != nil {
 		putFrameScratch(fs)
 		return fmt.Errorf("encoding bucket: %w", err)
@@ -656,11 +663,6 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 	ar := arenaFor[K2, V2](s.pool, h.reducers)
 	shuffle := newMemoryShuffle[K2, V2](h.reducers, h.splits, ar)
 
-	// wireSaved tallies the bytes wire compression shaved off this
-	// worker's encodes for the job; reported in MsgJobDone. Atomic: the
-	// resident map's task goroutines all encode bucket frames.
-	var wireSaved atomic.Int64
-
 	// Ingest: either the coordinator streams every bucket, or this
 	// worker maps its resident input partitions while the main
 	// loop below keeps receiving the buckets other workers relay here.
@@ -687,7 +689,7 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 		}
 		sender := &workerSender[K2, V2]{
 			s: s, h: h, seq: h.seq, local: shuffle, ar: ar, pc: shufc,
-			saved: &wireSaved, reducers: h.reducers,
+			reducers: h.reducers,
 		}
 		go func() {
 			defer close(mapDone)
@@ -918,7 +920,7 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 			frame = remote.AppendUvarint(frame, h.seq)
 			frame = remote.AppendUvarint(frame, uint64(p))
 			frame = remote.AppendUvarint(frame, uint64(len(outs[p])))
-			frame, err := encodePairs(frame, outs[p], outc, h.wireComp, &wireSaved)
+			frame, err := encodePairs(frame, outs[p], outc)
 			if err != nil {
 				return fmt.Errorf("job %q: encoding checkpoint partition %d: %w", h.name, p, err)
 			}
@@ -937,8 +939,8 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 	}
 	frame := remote.AppendUvarint([]byte{byte(remote.MsgJobDone)}, h.seq)
 	frame = appendJobDone(frame, groups.Load(), outRecords, time.Since(reduceStart),
-		ownedParts, outCounts, sides, wireSaved.Load())
-	s.resident[h.seq] = &residentData[K3, V3]{parts: outs, pc: outc, ar: arOut, comp: h.wireComp}
+		ownedParts, outCounts, sides)
+	s.resident[h.seq] = &residentData[K3, V3]{parts: outs, pc: outc, ar: arOut}
 	return s.conn.WriteFrame(frame)
 }
 

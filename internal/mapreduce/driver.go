@@ -63,16 +63,10 @@ func (d *Driver) Release() {
 }
 
 // Config returns the Driver's base job configuration with the given name
-// applied; use it when invoking Run or RunDS directly. Under failure
-// injection the round index is mixed into the failure seed so that every
-// round draws fresh (but still reproducible) failure coins — otherwise a
-// task doomed in round one would be doomed in every round.
+// applied; use it when invoking Run or RunDS directly.
 func (d *Driver) Config(name string) Config {
 	c := d.cfg
 	c.Name = name
-	if c.FailureRate > 0 {
-		c.FailureSeed = int64(mix64(uint64(c.FailureSeed) ^ uint64(d.rounds)<<32))
-	}
 	return c
 }
 

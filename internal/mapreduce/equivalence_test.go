@@ -367,7 +367,7 @@ func TestChunkedIngestionPreservesValueOrder(t *testing.T) {
 		}
 		mem.Close()
 
-		sp, err := newSpillShuffle[int32, int64](parts, splits, ShuffleConfig{MemoryBudget: 128}, false, nil)
+		sp, err := newSpillShuffle[int32, int64](parts, splits, ShuffleConfig{MemoryBudget: 128}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,12 +59,14 @@ const journalManifestName = "JOURNAL"
 // "v4"; "v5" (Proto 11) marks that the outputs of mm-cleanup,
 // stack-update and stack-filter changed type; "v6" (Proto 12) marks
 // that the similarity join's index output is encoded as one group per
-// term. A manifest with any other
-// tag was written under a different key-to-partition mapping or record
-// layout; replaying it would seed a node's state and its neighbours'
-// messages into different partitions, or misparse the records, so resume
-// refuses it. There is no compatibility reader.
-const journalFormat = "v6"
+// term; "v7" (Proto 15) marks that the mirror blobs it holds are plain
+// columns, never the retired flate-compressed form (marker 0x03), which
+// a v6 journal written with wire compression on may hold. A manifest
+// with any other tag was written under a different key-to-partition
+// mapping or record layout; replaying it would seed a node's state and
+// its neighbours' messages into different partitions, or misparse the
+// records, so resume refuses it. There is no compatibility reader.
+const journalFormat = "v7"
 
 // journalKeepSegs bounds retained segment files: the current segment
 // and the one it resumed from.

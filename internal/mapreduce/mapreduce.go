@@ -208,8 +208,7 @@ func checkGroupOrder[K comparable, S any](cmp func(a, b K) int, name string, p i
 	return nil
 }
 
-// Config controls the parallelism, partitioning, and fault injection of
-// a job.
+// Config controls the parallelism, partitioning and backend of a job.
 type Config struct {
 	// Mappers is the number of parallel map workers. Zero means
 	// GOMAXPROCS.
@@ -220,37 +219,9 @@ type Config struct {
 	// Name is an optional label recorded in the job Stats.
 	Name string
 
-	// FailureRate injects simulated task failures: each map or reduce
-	// task attempt fails independently with this probability and is
-	// re-executed, exactly as a MapReduce framework re-runs the tasks
-	// of lost workers. User functions must therefore be pure
-	// (re-runnable), which all algorithms in this repository satisfy.
-	// Failures are deterministic given FailureSeed.
-	FailureRate float64
-	// MaxAttempts bounds the retries per task (default 4, Hadoop's
-	// mapreduce.map.maxattempts). A task failing MaxAttempts times
-	// fails the job.
-	MaxAttempts int
-	// FailureSeed seeds the injected-failure randomness.
-	FailureSeed int64
-
 	// Shuffle selects and bounds the shuffle backend (see ShuffleKind).
 	// The zero value is the in-memory backend.
 	Shuffle ShuffleConfig
-
-	// WireCompression flate-compresses the pair payload of every bulk
-	// dist frame (intermediate buckets, checkpoint mirrors, partition
-	// fetches) on top of the columnar v2 encoding.
-	// Worth it when frames are large and the network is the bottleneck;
-	// pure overhead for tiny frames or already-dense payloads. The
-	// bytes avoided are reported in Stats.WireBytesSaved. Ignored by
-	// the local backends.
-	WireCompression bool
-	// SpillCompression flate-compresses the record blocks the spilling
-	// shuffle writes to its run files, trading encode/decode
-	// CPU for disk bandwidth and footprint. The bytes avoided are
-	// reported in Stats.SpillBytesSaved. Ignored by the other backends.
-	SpillCompression bool
 
 	// Dist is the worker cluster jobs run on when Shuffle.Backend is
 	// ShuffleDist (see StartDistCluster). Ignored by the local backends.
@@ -263,8 +234,10 @@ type Config struct {
 	DistParams []byte
 	// CheckpointEvery throttles dist checkpointing of worker-resident
 	// job outputs: 0 (the default) checkpoints every retained output,
-	// k > 0 every k-th, and a negative value disables checkpointing
-	// entirely (a lost worker then loses its partitions for good).
+	// k > 0 the first and then every k-th retained output — counted per
+	// job on the cluster, not per round of an algorithm — and a negative
+	// value disables checkpointing entirely (a lost worker then loses
+	// its partitions for good).
 	// Checkpointed outputs are mirrored on the coordinator; the mirror is
 	// what recovery restores from after a worker death. Ignored by the
 	// local backends.
@@ -291,51 +264,6 @@ func (c Config) reducers() int {
 		return c.Reducers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-func (c Config) maxAttempts() int {
-	if c.MaxAttempts > 0 {
-		return c.MaxAttempts
-	}
-	return 4
-}
-
-// taskFails reports whether the injected-failure coin lands on failure
-// for the given task attempt. The decision is a pure function of the
-// configuration and the (phase, task, attempt) coordinates, so a job is
-// reproducible regardless of scheduling.
-func (c Config) taskFails(phase, task, attempt int) bool {
-	if c.FailureRate <= 0 {
-		return false
-	}
-	h := mix64(uint64(c.FailureSeed) ^
-		uint64(phase)<<40 ^ uint64(task)<<16 ^ uint64(attempt))
-	return float64(h>>11)/(1<<53) < c.FailureRate
-}
-
-// burnAttempts draws the failure coin for successive attempts of one
-// task and returns the attempt number that succeeds, recording each
-// failed attempt through retry. Because the coin is a pure function of
-// the task coordinates (not of the work), failures can be decided before
-// the work runs — user functions are pure by the engine's contract, and
-// a failed attempt's output is discarded anyway. Deciding up front lets
-// reduce tasks stream their groups exactly once, which the spilling
-// shuffle backend requires. Returns an error when every allowed attempt
-// fails, exactly as a real framework gives up on a task.
-func (c Config) burnAttempts(phase, task int, retry func()) error {
-	attempt := 1
-	for attempt <= c.maxAttempts() && c.taskFails(phase, task, attempt) {
-		retry()
-		attempt++
-	}
-	if attempt > c.maxAttempts() {
-		kind := "map"
-		if phase == 1 {
-			kind = "reduce"
-		}
-		return fmt.Errorf("mapreduce: %s task %d exceeded %d attempts", kind, task, c.maxAttempts())
-	}
-	return nil
 }
 
 // SideEmitter is the second face of the Emitter every reduce task
@@ -512,8 +440,7 @@ const cancelPollEvery = 256
 // runMapPhase applies mapFn to the input splits in parallel, feeding the
 // emitted pairs to the shuffle backend. Pairs reach the backend tagged
 // with their split index, so the intermediate order is independent of
-// goroutine scheduling. Injected task failures are drawn before the
-// split runs (see burnAttempts).
+// goroutine scheduling.
 func runMapPhase[K1 comparable, V1 any, K2 comparable, V2 any](
 	ctx context.Context,
 	cfg Config,
@@ -528,9 +455,6 @@ func runMapPhase[K1 comparable, V1 any, K2 comparable, V2 any](
 	for i, sp := range splits {
 		i, sp := i, sp
 		grp.Go(func(ctx context.Context) error {
-			if err := cfg.burnAttempts(0, i, stats.addMapRetry); err != nil {
-				return err
-			}
 			em := newShuffleEmitter(backend, i, ar)
 			for j := sp.lo; j < sp.hi; j++ {
 				if (j-sp.lo)%cancelPollEvery == 0 && ctx.Err() != nil {
@@ -584,9 +508,6 @@ func runReduceParts[K2 comparable, V2 any, K3 comparable, V3 any](
 		i, st := i, st
 		grp.Go(func(ctx context.Context) error {
 			defer st.Close()
-			if err := cfg.burnAttempts(1, i, stats.addReduceRetry); err != nil {
-				return err
-			}
 			buf := &emitBuf[K3, V3]{pairs: arOut.getPairs(i, 0)}
 			step := steps(i, st)
 			groups := 0

@@ -72,7 +72,10 @@ import (
 // rebuilding it, instead of being placed from coordinator-encoded seeds.
 // Version 14 dropped the ping message (renumbering every later one) and
 // the pong's progress payload: a pong is the bare type byte.
-const Proto = 14
+// Version 15 dropped the job header's wire-compression byte and the
+// wire-compression tally that ended MsgJobDone; a pair blob with the
+// flate marker (0x03) is refused as an unknown codec marker.
+const Proto = 15
 
 // MsgType identifies one protocol message. The direction annotations
 // are the only ones that occur; receiving a type from the wrong

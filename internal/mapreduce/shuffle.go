@@ -151,7 +151,7 @@ func newShuffleBackend[K comparable, V any](cfg Config, splits int, ar *roundAre
 	case ShuffleMemory:
 		return newMemoryShuffle[K, V](cfg.reducers(), splits, ar), nil
 	case ShuffleSpill:
-		return newSpillShuffle[K, V](cfg.reducers(), splits, cfg.Shuffle, cfg.SpillCompression, ar)
+		return newSpillShuffle[K, V](cfg.reducers(), splits, cfg.Shuffle, ar)
 	case ShuffleDist:
 		// Run/RunDS intercept the dist mode before reaching the backend
 		// constructor; only the combiner paths arrive here.
@@ -494,19 +494,17 @@ type spillShuffle[K comparable, V any] struct {
 	img      func(K) uint64
 	numeric  bool // key images are exact (image tie == comparator tie)
 	pc       *pairCodec[K, V]
-	compress bool
 	tempDir  string
 	ar       *roundArena[K, V]
 	parts    []spillPart[K, V]
 	streams  []GroupStream[K, V]
-	saved    atomic.Int64 // bytes block compression shaved off run files
 	// resident counts the records in pending buckets and in runs in
 	// flight; peak is its high-water mark, which is what
 	// ShuffleConfig.MemoryBudget bounds.
 	resident, peak atomic.Int64
 }
 
-func newSpillShuffle[K comparable, V any](reducers, splits int, cfg ShuffleConfig, compress bool, ar *roundArena[K, V]) (*spillShuffle[K, V], error) {
+func newSpillShuffle[K comparable, V any](reducers, splits int, cfg ShuffleConfig, ar *roundArena[K, V]) (*spillShuffle[K, V], error) {
 	pc, err := pairCodecFor[K, V]()
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: spill shuffle: %w", err)
@@ -522,7 +520,6 @@ func newSpillShuffle[K comparable, V any](reducers, splits int, cfg ShuffleConfi
 		img:      shape.image(),
 		numeric:  numFn != nil,
 		pc:       pc,
-		compress: compress,
 		tempDir:  cfg.TempDir,
 		ar:       ar,
 		parts:    make([]spillPart[K, V], reducers),
@@ -696,7 +693,7 @@ func (s *spillShuffle[K, V]) writeRun(part int, segs []spillSeg[K, V]) (spillExt
 	}
 	for lo := 0; lo < n; lo += spillBlockRecs {
 		hi := min(lo+spillBlockRecs, n)
-		if err := enc.appendBlock(s.pc, keys[lo:hi], vals[lo:hi], splits[lo:hi], s.compress, &s.saved); err != nil {
+		if err := enc.appendBlock(s.pc, keys[lo:hi], vals[lo:hi], splits[lo:hi]); err != nil {
 			return spillExtent{}, fmt.Errorf("mapreduce: spill encode: %w", err)
 		}
 		if len(enc.out) >= spillWriteChunk {
@@ -780,10 +777,6 @@ func (s *spillShuffle[K, V]) footprint() (records, spilled, runs int64) {
 	}
 	return records, runs * int64(s.share), runs
 }
-
-// spillSaved reports the bytes block compression shaved off the run
-// files (zero with SpillCompression off); picked up by recordShuffle.
-func (s *spillShuffle[K, V]) spillSaved() int64 { return s.saved.Load() }
 
 // spillCursor is one merge input: the column arrays of a run's current
 // block, or of the whole sorted in-memory tail (dec == nil).

@@ -57,14 +57,3 @@ func BenchmarkShuffleBackendSpill10x(b *testing.B) {
 		Shuffle: ShuffleConfig{Backend: ShuffleSpill, MemoryBudget: 32000},
 	}, 20000)
 }
-
-// BenchmarkShuffleBackendSpill10xCompressed is the same external-memory
-// workload with flate block compression on the spill runs: it prices
-// the compression CPU against the disk bytes it removes.
-func BenchmarkShuffleBackendSpill10xCompressed(b *testing.B) {
-	benchShuffleJob(b, Config{
-		Mappers: 4, Reducers: 4,
-		Shuffle:          ShuffleConfig{Backend: ShuffleSpill, MemoryBudget: 32000},
-		SpillCompression: true,
-	}, 20000)
-}

@@ -152,18 +152,6 @@ func TestSpillEmptyStructValues(t *testing.T) {
 	}
 }
 
-func TestSpillWithFailureInjection(t *testing.T) {
-	cfg := spillCfg(64)
-	cfg.FailureRate = 0.4
-	cfg.FailureSeed = 7
-	cfg.MaxAttempts = 16
-	faulty := concatJob(t, cfg, 400)
-	clean := concatJob(t, Config{Mappers: 4, Reducers: 3}, 400)
-	if !reflect.DeepEqual(clean, faulty) {
-		t.Fatal("spill output changed under failure injection")
-	}
-}
-
 func TestUnknownShuffleBackend(t *testing.T) {
 	cfg := Config{Shuffle: ShuffleConfig{Backend: "carrier-pigeon"}}
 	_, _, err := Run(context.Background(), cfg, []Pair[int, int]{P(1, 1)},
@@ -283,7 +271,7 @@ func TestSpillRejectsIndistinguishableKeys(t *testing.T) {
 		"two runs":     {bucket(64, only(a)), bucket(64, only(b)), bucket(3, only(a))},
 		"run and tail": {bucket(64, only(a)), bucket(3, only(b))},
 	} {
-		sp, err := newSpillShuffle[badKey, int](1, 2, ShuffleConfig{MemoryBudget: 64, TempDir: t.TempDir()}, false, nil)
+		sp, err := newSpillShuffle[badKey, int](1, 2, ShuffleConfig{MemoryBudget: 64, TempDir: t.TempDir()}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

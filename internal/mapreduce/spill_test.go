@@ -154,7 +154,7 @@ func interleavedIngestion[K comparable](t *testing.T, keyOf func(i int) K) {
 
 	for _, bucketCap := range []int{1, 7, 64} {
 		for name, feed := range map[string]func(ShuffleBackend[K, int64], int){"round-robin": roundRobin, "concurrent": concurrent} {
-			sp, err := newSpillShuffle[K, int64](parts, splits, ShuffleConfig{MemoryBudget: budget, TempDir: t.TempDir()}, false, nil)
+			sp, err := newSpillShuffle[K, int64](parts, splits, ShuffleConfig{MemoryBudget: budget, TempDir: t.TempDir()}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -303,7 +303,7 @@ func TestSpillDescriptorsBounded(t *testing.T) {
 // flight together — than twice the budget.
 func TestSpillResidentRecordsBounded(t *testing.T) {
 	const reducers, splits, budget, perSplit = 4, 4, 4000, 10000 // 40 000 records, 10x the budget
-	sp, err := newSpillShuffle[int32, int64](reducers, splits, ShuffleConfig{MemoryBudget: budget, TempDir: t.TempDir()}, false, nil)
+	sp, err := newSpillShuffle[int32, int64](reducers, splits, ShuffleConfig{MemoryBudget: budget, TempDir: t.TempDir()}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -146,10 +146,10 @@ func registerToyJobs() {
 }
 
 // toyBackends are the three backends under a configuration whose
-// partition count differs from its mapper count and whose tasks fail and
-// are retried; the spill budget makes every partition write runs.
+// partition count differs from its mapper count; the spill budget makes
+// every partition write runs.
 func toyBackends(t *testing.T) []Config {
-	base := Config{Mappers: 3, Reducers: 5, FailureRate: 0.3, FailureSeed: 9, MaxAttempts: 16}
+	base := Config{Mappers: 3, Reducers: 5}
 	mem, spill, dist := base, base, base
 	spill.Shuffle = ShuffleConfig{Backend: ShuffleSpill, MemoryBudget: 320}
 	dist.Shuffle = ShuffleConfig{Backend: ShuffleDist}
@@ -158,17 +158,17 @@ func toyBackends(t *testing.T) []Config {
 }
 
 // recordCounters are the Stats fields both forms of a job must agree on.
-func recordCounters(s *Stats) [9]int64 {
-	return [9]int64{s.MapInputRecords, s.MapOutputRecords, s.ShuffleRecords, s.LocalRouted, s.CrossRouted,
-		s.ReduceGroups, s.ReduceOutputRecords, s.MapTaskRetries, s.ReduceTaskRetries}
+func recordCounters(s *Stats) [7]int64 {
+	return [7]int64{s.MapInputRecords, s.MapOutputRecords, s.ShuffleRecords, s.LocalRouted, s.CrossRouted,
+		s.ReduceGroups, s.ReduceOutputRecords}
 }
 
 // TestStateJobMatchesSelfMessageJob is the state job's differential: the
 // toy job above run for two chained rounds as a self-message job with a
 // plain reduce and as a state job must agree, round for round, on every
-// partition's output in order, on the side output and on every record and
-// retry counter — on the memory, spill and dist backends, with keys that
-// have a record and no message, and messages for keys with no record.
+// partition's output in order, on the side output and on every record
+// counter — on the memory, spill and dist backends, with keys that have a
+// record and no message, and messages for keys with no record.
 func TestStateJobMatchesSelfMessageJob(t *testing.T) {
 	ctx := context.Background()
 	for _, cfg := range toyBackends(t) {
@@ -177,7 +177,7 @@ func TestStateJobMatchesSelfMessageJob(t *testing.T) {
 			selfCfg.Name, stateCfg.Name = "toy-self", "toy-state"
 			selfIn := PartitionDataset(toyInput(), cfg.reducers())
 			stateIn := PartitionDataset(toyInput(), cfg.reducers())
-			retries, sides, lonely := int64(0), 0, false
+			sides, lonely := 0, false
 			for round := 0; round < 2; round++ {
 				want, wantStats, err := RunDS(ctx, selfCfg, selfIn, toySelfMap, toySelfReduce)
 				if err != nil {
@@ -188,7 +188,7 @@ func TestStateJobMatchesSelfMessageJob(t *testing.T) {
 					t.Fatalf("round %d, state form: %v", round, err)
 				}
 				if g, w := recordCounters(gotStats), recordCounters(wantStats); g != w {
-					t.Errorf("round %d: counters (in, mapout, shuffle, local, cross, groups, out, map retries, reduce retries):\n got %v\nwant %v", round, g, w)
+					t.Errorf("round %d: counters (in, mapout, shuffle, local, cross, groups, out):\n got %v\nwant %v", round, g, w)
 				}
 				if gotStats.LocalRouted < gotStats.MapInputRecords {
 					t.Errorf("round %d: %d records forwarded, only %d local-routed", round, gotStats.MapInputRecords, gotStats.LocalRouted)
@@ -199,7 +199,6 @@ func TestStateJobMatchesSelfMessageJob(t *testing.T) {
 				if cfg.Shuffle.kind() == ShuffleSpill && gotStats.SpillRuns == 0 {
 					t.Errorf("round %d: the spill backend wrote no run", round)
 				}
-				retries += gotStats.MapTaskRetries + gotStats.ReduceTaskRetries
 				if !reflect.DeepEqual(got.Side(), want.Side()) {
 					t.Errorf("round %d: side output:\n got %v\nwant %v", round, got.Side(), want.Side())
 				}
@@ -221,9 +220,9 @@ func TestStateJobMatchesSelfMessageJob(t *testing.T) {
 			}
 			selfIn.Recycle()
 			stateIn.Recycle()
-			if retries == 0 || sides == 0 || !lonely {
-				t.Errorf("the case lost its point: %d task retries, %d record-less keys reduced, key 290 (a record, no message) reduced: %t",
-					retries, sides, lonely)
+			if sides == 0 || !lonely {
+				t.Errorf("the case lost its point: %d record-less keys reduced, key 290 (a record, no message) reduced: %t",
+					sides, lonely)
 			}
 		})
 	}

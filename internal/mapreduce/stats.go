@@ -41,10 +41,6 @@ type Stats struct {
 	// input partition and meet their group in the reduce task.
 	LocalRouted int64
 	CrossRouted int64
-	// MapTaskRetries and ReduceTaskRetries count re-executed task
-	// attempts under injected failures (Config.FailureRate).
-	MapTaskRetries    int64
-	ReduceTaskRetries int64
 	// SpilledRecords and SpillRuns describe the external-memory work of
 	// the spilling shuffle backend: intermediate records written to
 	// disk and sorted run files produced. Both are zero for the
@@ -70,14 +66,6 @@ type Stats struct {
 	// cross-partition traffic.
 	RemoteBytesOut int64
 	RemoteBytesIn  int64
-	// WireBytesSaved and SpillBytesSaved count the bytes block
-	// compression shaved off the codec-v2 batch encodings: the
-	// uncompressed column image minus the flate image actually shipped
-	// (wire frames, dist backend) or written (spill run files). Zero
-	// when the corresponding Config knob is off or nothing compressed
-	// well enough to keep.
-	WireBytesSaved  int64
-	SpillBytesSaved int64
 	// WorkerRecoveries counts the job attempts that were abandoned to a
 	// worker death and retried on the survivors (dist backend only): a
 	// job that succeeds first try reports zero. ReseededPartitions
@@ -87,11 +75,17 @@ type Stats struct {
 	ReseededPartitions int64
 	// HeartbeatTimeouts counts workers the health monitor declared lost
 	// during the job for staying silent while it waited on them (dist
-	// backend only). SpeculativeLaunches is always zero: the engine has
-	// no straggler speculation, and the field stays only for the
-	// benchmark harness that still reads it.
-	HeartbeatTimeouts   int64
+	// backend only).
+	HeartbeatTimeouts int64
+	// SpeculativeLaunches, SpillBytesSaved, MapTaskRetries and
+	// ReduceTaskRetries are always zero: the engine has no straggler
+	// speculation, no block compression and no simulated task failures.
+	// The fields stay only for the benchmark harness that still reads
+	// them.
 	SpeculativeLaunches int64
+	SpillBytesSaved     int64
+	MapTaskRetries      int64
+	ReduceTaskRetries   int64
 	// Durability activity during the job (dist backend only).
 	// WorkerReconnects counts transport losses absorbed by session
 	// resume — a severed worker redialed and re-attached without losing
@@ -117,13 +111,6 @@ type Stats struct {
 	ShuffleWall time.Duration
 	ReduceWall  time.Duration
 }
-
-// addMapRetry records one re-executed map attempt (called concurrently
-// by task goroutines).
-func (s *Stats) addMapRetry() { atomic.AddInt64(&s.MapTaskRetries, 1) }
-
-// addReduceRetry records one re-executed reduce attempt.
-func (s *Stats) addReduceRetry() { atomic.AddInt64(&s.ReduceTaskRetries, 1) }
 
 // addMapOutput records one completed map split's emitted-pair count.
 func (s *Stats) addMapOutput(n int64) { atomic.AddInt64(&s.MapOutputRecords, n) }
@@ -159,9 +146,6 @@ func (s *Stats) recordShuffle(backend any) {
 	if fp, ok := backend.(shuffleFootprint); ok {
 		s.ShuffleRecords, s.SpilledRecords, s.SpillRuns = fp.footprint()
 	}
-	if sv, ok := backend.(interface{ spillSaved() int64 }); ok {
-		s.SpillBytesSaved = sv.spillSaved()
-	}
 }
 
 func newStats(name string) *Stats {
@@ -181,20 +165,15 @@ func (s *Stats) Add(o *Stats) {
 	s.ShuffleRecords += o.ShuffleRecords
 	s.ReduceGroups += atomic.LoadInt64(&o.ReduceGroups)
 	s.ReduceOutputRecords += o.ReduceOutputRecords
-	s.MapTaskRetries += atomic.LoadInt64(&o.MapTaskRetries)
-	s.ReduceTaskRetries += atomic.LoadInt64(&o.ReduceTaskRetries)
 	s.SpilledRecords += o.SpilledRecords
 	s.SpillRuns += o.SpillRuns
 	s.PooledBytes += o.PooledBytes
 	s.PoolMisses += o.PoolMisses
 	s.RemoteBytesOut += o.RemoteBytesOut
 	s.RemoteBytesIn += o.RemoteBytesIn
-	s.WireBytesSaved += o.WireBytesSaved
-	s.SpillBytesSaved += o.SpillBytesSaved
 	s.WorkerRecoveries += o.WorkerRecoveries
 	s.ReseededPartitions += o.ReseededPartitions
 	s.HeartbeatTimeouts += o.HeartbeatTimeouts
-	s.SpeculativeLaunches += o.SpeculativeLaunches
 	s.WorkerReconnects += o.WorkerReconnects
 	s.FramesReplayed += o.FramesReplayed
 	s.JournalBytes += o.JournalBytes
@@ -225,9 +204,6 @@ func (s *Stats) String() string {
 	if s.RemoteBytesOut > 0 || s.RemoteBytesIn > 0 {
 		line += fmt.Sprintf(" remote=%dB out/%dB in workerwall=%s",
 			s.RemoteBytesOut, s.RemoteBytesIn, s.WorkerWall.Round(time.Microsecond))
-	}
-	if s.WireBytesSaved > 0 || s.SpillBytesSaved > 0 {
-		line += fmt.Sprintf(" saved=%dB wire/%dB spill", s.WireBytesSaved, s.SpillBytesSaved)
 	}
 	if s.WorkerRecoveries > 0 || s.ReseededPartitions > 0 {
 		line += fmt.Sprintf(" recoveries=%d reseeded=%d hbtimeouts=%d",

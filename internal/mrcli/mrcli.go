@@ -41,8 +41,7 @@ type Flags struct {
 	budget  int
 	tempDir string
 
-	wireCompress, spillCompress bool
-	cpuProfile, memProfile      string
+	cpuProfile, memProfile string
 
 	workers    int
 	connect    string
@@ -69,13 +68,11 @@ func RegisterLocal(fs *flag.FlagSet, width int) *Flags {
 }
 
 // Register declares the full engine surface: RegisterLocal's flags plus
-// block compression, profiling, and distributed mode (coordinator and
+// profiling and distributed mode (coordinator and
 // worker side).
 func Register(fs *flag.FlagSet, width int) *Flags {
 	f := RegisterLocal(fs, width)
 	fs.Lookup(flagShuffle).Usage += " (-dist-workers selects dist)"
-	fs.BoolVar(&f.wireCompress, "wire-compress", false, "flate-compress bulk pair frames on the dist wire (shuffle buckets, reduce outputs, checkpoints)")
-	fs.BoolVar(&f.spillCompress, "spill-compress", false, "flate-compress spill run blocks for -shuffle spill")
 	fs.StringVar(&f.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
 	fs.StringVar(&f.memProfile, "memprofile", "", "write a heap profile to this file on exit")
 
@@ -84,7 +81,7 @@ func Register(fs *flag.FlagSet, width int) *Flags {
 	fs.StringVar(&f.listen, "dist-listen", "", "coordinator listen address for -dist-workers (default 127.0.0.1:0)")
 	fs.BoolVar(&f.spawn, "dist-spawn", true, "self-exec the -dist-workers worker processes (false: wait for -dist-connect workers)")
 	fs.BoolVar(&f.acceptLate, "dist-accept-late", false, "keep accepting replacement -dist-connect workers after startup; they adopt a dead worker's partitions at the next recovery")
-	fs.IntVar(&f.ckptEvery, "ckpt-every", 0, "dist checkpoint throttle: 0 checkpoints every round's resident state, k>0 every k-th round, negative disables; worker-resident state (GreedyMR's) has no other copy, so a worker lost in an un-checkpointed round ends the run")
+	fs.IntVar(&f.ckptEvery, "ckpt-every", 0, "dist checkpoint throttle over retained job outputs (not rounds; a StackMR layer retains at least six): 0 checkpoints every one, k>0 the first and then every k-th, negative disables; worker-resident state (GreedyMR's) has no other copy, so a worker lost after an un-checkpointed output ends the run")
 	fs.DurationVar(&f.heartbeat, "dist-heartbeat", 500*time.Millisecond, "dist worker heartbeat interval; a worker a running job waits on that stays silent for 24 intervals is declared lost and its partitions recovered (0 disables health monitoring)")
 	fs.IntVar(&f.reconnect, flagReconnect, 8, "worker redial budget per outage: a severed worker redials and resumes its session instead of dying (0 disables reconnection)")
 	fs.DurationVar(&f.grace, "dist-reconnect-grace", 10*time.Second, "how long the coordinator holds a severed worker's partitions before declaring it dead and reseeding (0 disables session resume)")
@@ -187,9 +184,7 @@ func (f *Flags) Config() (mapreduce.Config, error) {
 			MemoryBudget: f.budget,
 			TempDir:      f.tempDir,
 		},
-		CheckpointEvery:  f.ckptEvery,
-		WireCompression:  f.wireCompress,
-		SpillCompression: f.spillCompress,
+		CheckpointEvery: f.ckptEvery,
 	}, nil
 }
 
@@ -266,8 +261,7 @@ func (f *Flags) printRecovery(w io.Writer, rs mapreduce.RecoveryStats) {
 
 // PrintCost prints the engine-cost block of a report — per-phase wall
 // clocks, the shuffle routing split, buffer-pool traffic, the dist
-// transport footprint and the compression savings, each summed over the
-// run's jobs — leaving out the lines whose counters stayed zero.
+// transport footprint, each summed over the run's jobs — leaving out the lines whose counters stayed zero.
 func (f *Flags) PrintCost(w io.Writer, s mapreduce.Stats) {
 	f.line(w, "phase walls:", "map=%s shuffle=%s reduce=%s (summed over rounds)",
 		s.MapWall.Round(time.Microsecond), s.ShuffleWall.Round(time.Microsecond), s.ReduceWall.Round(time.Microsecond))
@@ -280,8 +274,5 @@ func (f *Flags) PrintCost(w io.Writer, s mapreduce.Stats) {
 	if s.RemoteBytesOut > 0 || s.RemoteBytesIn > 0 {
 		f.line(w, "dist transport:", "%d bytes out, %d bytes in, worker wall %s",
 			s.RemoteBytesOut, s.RemoteBytesIn, s.WorkerWall.Round(time.Microsecond))
-	}
-	if s.WireBytesSaved > 0 || s.SpillBytesSaved > 0 {
-		f.line(w, "codec savings:", "%d bytes wire, %d bytes spill (block compression)", s.WireBytesSaved, s.SpillBytesSaved)
 	}
 }

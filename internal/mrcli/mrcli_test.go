@@ -39,15 +39,29 @@ func TestShuffleContradictingDistWorkersIsRejected(t *testing.T) {
 	for _, args := range [][]string{
 		{"-dist-workers", "2"},
 		{"-shuffle", "dist", "-dist-workers", "2"},
-		{"-shuffle", "spill", "-spill-budget", "512", "-spill-compress"},
+		{"-shuffle", "spill", "-spill-budget", "512"},
 	} {
 		if _, err := parse(t, args...).Config(); err != nil {
 			t.Fatalf("%q rejected: %v", args, err)
 		}
 	}
-	cfg, _ := parse(t, "-shuffle", "spill", "-spill-budget", "512", "-spill-compress").Config()
-	if cfg.Shuffle.Backend != mapreduce.ShuffleSpill || cfg.Shuffle.MemoryBudget != 512 || !cfg.SpillCompression {
+	cfg, _ := parse(t, "-shuffle", "spill", "-spill-budget", "512").Config()
+	if cfg.Shuffle.Backend != mapreduce.ShuffleSpill || cfg.Shuffle.MemoryBudget != 512 {
 		t.Fatalf("spill flags reached the Config as %+v", cfg)
+	}
+}
+
+// TestRetiredCompressionFlagsAreRefused: block compression is gone, and
+// its flags with it — a script that still passes one fails at parse time
+// instead of running without what it asked for.
+func TestRetiredCompressionFlagsAreRefused(t *testing.T) {
+	for _, name := range []string{"-wire-compress", "-spill-compress"} {
+		fs := flag.NewFlagSet("tool", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		Register(fs, 18)
+		if err := fs.Parse([]string{name}); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%s: err = %v, want an undefined-flag error", name, err)
+		}
 	}
 }
 
@@ -103,7 +117,7 @@ func TestClusterOptionsFromFlags(t *testing.T) {
 // print nothing.
 func TestPrintCostAlignsToTheToolsLabelColumn(t *testing.T) {
 	s := mapreduce.Stats{
-		MapWall: time.Millisecond, LocalRouted: 1, PooledBytes: 2, RemoteBytesOut: 3, WireBytesSaved: 4,
+		MapWall: time.Millisecond, LocalRouted: 1, PooledBytes: 2, RemoteBytesOut: 3,
 	}
 	var b bytes.Buffer
 	f := &Flags{width: 18}
@@ -114,7 +128,6 @@ func TestPrintCostAlignsToTheToolsLabelColumn(t *testing.T) {
 		"routing:          local=1 cross=0 ",
 		"buffer pool:      2 bytes reused, 0 misses\n",
 		"dist transport:   3 bytes out, 0 bytes in, worker wall 0s\n",
-		"codec savings:    4 bytes wire, 0 bytes spill ",
 		"dist recovery:    1 workers lost (1 by heartbeat timeout), 0 jobs retried",
 		"dist durability:  1 worker reconnects",
 	} {

@@ -10,28 +10,6 @@ import (
 	"repro/internal/vector"
 )
 
-// TestJoinGoldenUnderInjectedFailures reruns the golden join with three
-// task attempts in ten failing, twice on every backend. The stamp and
-// weight tables are pooled, so they outlive the attempt and the job: the
-// second run borrows what the first (and every earlier test) returned,
-// and anything left stamped — or a table that told calls apart by
-// consumer id — would lose or double candidates here.
-func TestJoinGoldenUnderInjectedFailures(t *testing.T) {
-	goldenBackends(t, func(t *testing.T, items, consumers []vector.Sparse, mr mapreduce.Config) {
-		mr.FailureRate, mr.FailureSeed, mr.MaxAttempts = 0.3, 5, 16
-		for run := 0; run < 2; run++ { // the second run borrows the first's tables
-			res, err := Join(context.Background(), items, consumers, goldenSigma, Options{MR: mr})
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkGolden(t, res)
-			if res.Shuffle.MapTaskRetries+res.Shuffle.ReduceTaskRetries == 0 {
-				t.Fatal("no task was retried: the failure injection is off")
-			}
-		}
-	})
-}
-
 // TestJoinAwkwardInput: a hashed term id near 2³⁰, an item term no
 // consumer has, empty vectors on both sides and a consumer with exactly
 // one candidate. The verification tables are as long as the consumers
