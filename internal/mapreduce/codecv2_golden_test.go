@@ -15,9 +15,9 @@ type goldenID uint32
 // TestPairBlobGolden pins the bytes codec v2 writes, one small batch per
 // column lane. It also pins one two-block spill run whose string
 // dictionary is carried from the first block into the second. A change
-// that moves any of these bytes changes what a peer of the other build,
-// a journal on disk, or a run file holds: it needs remote.Proto and
-// journalFormat bumped, not this test edited.
+// that moves any of these bytes changes what a peer of the other build
+// or a run file holds: it needs remote.Proto bumped, not this test
+// edited.
 func TestPairBlobGolden(t *testing.T) {
 	goldenBlob(t, "int32-delta/int64",
 		[]Pair[int32, int64]{P(int32(3), int64(100)), P(int32(3), int64(-1)), P(int32(7), int64(1)<<40), P(int32(-2), int64(0))},

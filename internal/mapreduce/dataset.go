@@ -34,9 +34,9 @@ import (
 // group key itself, which every iterative job in this repository
 // follows. A reduce whose output key type differs from its group key
 // type is automatically marked unaligned (it cannot satisfy the
-// contract); a same-type reduce that re-keys its output must be
-// followed by an explicit re-partition (see Repartition) before the
-// next chained job.
+// contract); a same-type reduce that re-keys its output breaks it, and
+// its output must be collected and rebuilt with PartitionDataset before
+// the next chained job.
 type Dataset[K comparable, V any] struct {
 	parts   [][]Pair[K, V]
 	aligned bool
@@ -255,26 +255,6 @@ func (d *Dataset[K, V]) Recycle() {
 	}
 	d.parts = nil
 	d.pool = nil
-}
-
-// Repartition re-hashes every record into a fresh aligned Dataset with
-// the given partition count. Needed only when a job re-keyed its output
-// away from the group keys, or when the next job runs with a different
-// reducer count.
-func (d *Dataset[K, V]) Repartition(parts int) *Dataset[K, V] {
-	d.mustMaterialize()
-	if parts < 1 {
-		parts = 1
-	}
-	out := &Dataset[K, V]{parts: make([][]Pair[K, V], parts), aligned: true}
-	shape := keyShapeOf[K]()
-	for _, part := range d.parts {
-		for _, p := range part {
-			idx := shape.partition(p.Key, parts)
-			out.parts[idx] = append(out.parts[idx], p)
-		}
-	}
-	return out
 }
 
 // keyCast returns a zero-cost converter from K1 to K2 when the two are
@@ -672,14 +652,6 @@ func Loop[K comparable, V any](
 		}
 		if err != nil {
 			return state, err
-		}
-		// Round boundary: commit the journal, so a coordinator restarted
-		// after this point resumes from the next round rather than
-		// re-running this one. Redundant with the commits Observe issued
-		// for the round's jobs, and deliberately so — a body that runs
-		// jobs without a driver still commits once per round.
-		if cl := d.cfg.Dist; cl != nil {
-			cl.journalCommit(round)
 		}
 		if next == nil {
 			break

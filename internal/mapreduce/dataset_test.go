@@ -237,18 +237,6 @@ func TestMapValuesPreservesAlignment(t *testing.T) {
 	}
 }
 
-// TestRepartition re-hashes into a new partition count.
-func TestRepartition(t *testing.T) {
-	ds := PartitionDataset(nodeJobInput(40), 3)
-	re := ds.Repartition(7)
-	if re.Partitions() != 7 || !re.Aligned() || re.Len() != 40 {
-		t.Fatalf("repartition wrong shape: parts=%d len=%d", re.Partitions(), re.Len())
-	}
-	if !reflect.DeepEqual(ds.Collect(), re.Collect()) {
-		t.Fatal("repartition changed the content")
-	}
-}
-
 // TestLoopFixedPointOnConvergedInput: an already-empty state is a fixed
 // point — the body must never run and no rounds may be counted.
 func TestLoopFixedPointOnConvergedInput(t *testing.T) {

@@ -93,10 +93,7 @@ type DistCluster struct {
 	// within the grace window, replaying un-acked frames, instead of
 	// being declared dead and reseeded around.
 	reconnectGrace time.Duration
-	// journal, when non-nil, persists the coordinator's run state for
-	// crash-resume (see journal.go).
-	journal  *distJournal
-	closeErr error
+	closeErr       error
 
 	// Health-monitor configuration (resolved from DistClusterOptions at
 	// startup); activeJob/hbFloor are what the monitor goroutine watches.
@@ -108,10 +105,9 @@ type DistCluster struct {
 	monitorStop  chan struct{}
 	monitorWG    sync.WaitGroup
 
-	recoveries   atomic.Int64
-	reseeded     atomic.Int64
-	hbTimeouts   atomic.Int64
-	jobsReplayed atomic.Int64
+	recoveries atomic.Int64
+	reseeded   atomic.Int64
+	hbTimeouts atomic.Int64
 }
 
 // distActiveJob is the monitor's view of the job in flight — the
@@ -128,9 +124,9 @@ type distActiveJob interface {
 // mirror (or rebuilt from the recipe) by ensureResident; only the second
 // is a recovery.
 const (
-	// locNowhere: never placed on a worker yet — a journal-restored
-	// output on a resumed coordinator, or a state job's input the
-	// coordinator placed (placeResident).
+	// locNowhere: never placed on a worker yet — a state job's input the
+	// coordinator placed (placeResident), or a BuildDS partition no
+	// worker has built yet.
 	locNowhere = -1
 	// locConsumed: shed from every worker after an aborted attempt's
 	// reduce phase had started on it (see consumeResident).
@@ -254,24 +250,6 @@ type DistClusterOptions struct {
 	// death/recovery path. Keeps the listener open for re-attachment
 	// even without AcceptLate. Zero disables (the default).
 	ReconnectGrace time.Duration
-	// JournalDir, when set, persists the coordinator's run state — every
-	// job result and round-boundary commit records — to an append-only
-	// journal in that directory, so a crashed coordinator can be
-	// restarted with Resume and replay the run from the last committed
-	// round (see journal.go).
-	JournalDir string
-	// Resume makes StartDistCluster load JournalDir's committed history
-	// before running: the restarted pipeline re-executes
-	// deterministically, satisfying already-journaled jobs from the
-	// journal (resident outputs are re-seeded onto the new workers from
-	// the journaled mirror) and running live from the first uncommitted
-	// job on.
-	Resume bool
-	// JournalCrashAfter, when positive, SIGKILLs the coordinator process
-	// after that many journal records have been appended — the
-	// deterministic crash hook the resume chaos suite drives. Test
-	// instrumentation only.
-	JournalCrashAfter int
 }
 
 // StartDistCluster listens for n workers, optionally spawning them via
@@ -289,9 +267,6 @@ func StartDistCluster(n int, opts DistClusterOptions) (*DistCluster, error) {
 	if timeout <= 0 {
 		timeout = 60 * time.Second
 	}
-	if opts.Resume && opts.JournalDir == "" {
-		return nil, errors.New("mapreduce: dist resume needs a journal directory to resume from (DistClusterOptions.JournalDir, -dist-journal-dir)")
-	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: dist listen: %w", err)
@@ -303,14 +278,6 @@ func StartDistCluster(n int, opts DistClusterOptions) (*DistCluster, error) {
 		abortTimeout:   opts.AbortTimeout,
 		reconnectGrace: opts.ReconnectGrace,
 		acceptFresh:    opts.AcceptLate,
-	}
-	if opts.JournalDir != "" {
-		j, err := openDistJournal(opts.JournalDir, opts.Resume, opts.JournalCrashAfter)
-		if err != nil {
-			ln.Close()
-			return nil, err
-		}
-		cl.journal = j
 	}
 	if cl.hbEvery == 0 {
 		cl.hbEvery = 500 * time.Millisecond
@@ -564,8 +531,8 @@ func (cl *DistCluster) isDead(w int) bool {
 }
 
 func (cl *DistCluster) deadLocked(w int) bool {
-	// Negative indexes name no worker at all (journal-restored residency
-	// uses -1 for "lives nowhere yet"); they are not dead, just absent.
+	// Negative indexes name no worker at all (locNowhere, locConsumed);
+	// they are not dead, just absent.
 	return w >= 0 && w < len(cl.dead) && cl.dead[w]
 }
 
@@ -960,12 +927,6 @@ type RecoveryStats struct {
 	// FramesReplayed counts ring frames the coordinator re-sent to
 	// re-attached workers across those reconnects.
 	FramesReplayed int64
-	// JournalBytes is the cumulative size of the coordinator run
-	// journal's records, when journaling is enabled.
-	JournalBytes int64
-	// JobsReplayed counts jobs a resumed coordinator satisfied from the
-	// journal instead of re-running.
-	JobsReplayed int64
 }
 
 // RecoveryStats reports the cluster's cumulative recovery activity.
@@ -982,10 +943,6 @@ func (cl *DistCluster) RecoveryStats() RecoveryStats {
 	rs.Reseeded = cl.reseeded.Load()
 	rs.HeartbeatTimeouts = cl.hbTimeouts.Load()
 	rs.WorkerReconnects, rs.FramesReplayed = cl.resumeTotals()
-	if cl.journal != nil {
-		rs.JournalBytes = cl.journal.bytes.Load()
-	}
-	rs.JobsReplayed = cl.jobsReplayed.Load()
 	return rs
 }
 
@@ -1002,90 +959,6 @@ func (cl *DistCluster) resumeTotals() (reconnects, replayed int64) {
 		replayed += c.FramesReplayed()
 	}
 	return reconnects, replayed
-}
-
-// journalBytes reports the journal's cumulative record bytes (zero
-// when journaling is off).
-func (cl *DistCluster) journalBytes() int64 {
-	if cl.journal == nil {
-		return 0
-	}
-	return cl.journal.bytes.Load()
-}
-
-// journalCommit records a round boundary: every journaled job record
-// before it is durable, anything after a crash point is discarded by
-// the resume loader. Driver.Observe calls it after every observed job
-// and Loop after every completed round; a redundant commit is a cheap
-// no-op frame. Journal write failures surface on the next journaled
-// job — a durability feature that silently stopped journaling would be
-// worse than a failed run.
-func (cl *DistCluster) journalCommit(round int) {
-	if cl.journal == nil {
-		return
-	}
-	//lint:allow errdrop — commit failure latches distJournal.err, which the next appendJob returns into the job error path; a redundant commit has nothing to report it through
-	cl.journal.commit(round)
-}
-
-// bumpSeq advances the cluster's job sequence counter past a
-// journal-replayed job's number, so live jobs resumed mid-pipeline
-// never reuse a journaled sequence.
-func (cl *DistCluster) bumpSeq(seq uint64) {
-	cl.mu.Lock()
-	if seq > cl.seq {
-		cl.seq = seq
-	}
-	cl.mu.Unlock()
-}
-
-// journalTake pops the next replay-queue record if it matches the job
-// about to run. Implemented on the cluster so job runners can call it
-// without nil-checking the journal.
-func (cl *DistCluster) journalTake(name string) (*journalRecord, error) {
-	if cl.journal == nil {
-		return nil, nil
-	}
-	rec, err := cl.journal.takeJob(name)
-	if err != nil {
-		return nil, err
-	}
-	if rec != nil {
-		cl.jobsReplayed.Add(1)
-		cl.bumpSeq(rec.seq)
-	}
-	return rec, err
-}
-
-// journalAppendResident journals one retained job's residency mirror —
-// the same per-partition blobs recovery re-seeds from — and its side
-// output, which lives nowhere else once the driver has folded it.
-func (cl *DistCluster) journalAppendResident(seq uint64, name string, sides [][]uint64) error {
-	if cl.journal == nil {
-		return nil
-	}
-	cl.mu.Lock()
-	m := cl.residency[seq]
-	var counts []int64
-	var blobs [][]byte
-	if m != nil {
-		counts = append([]int64(nil), m.counts...)
-		blobs = append([][]byte(nil), m.blobs...)
-	}
-	cl.mu.Unlock()
-	if m == nil || blobs == nil {
-		// A resident output with no mirror is not journal-restorable;
-		// runDistDS forces checkpointing on whenever the journal is open,
-		// so reaching here means that invariant broke.
-		return fmt.Errorf("mapreduce: dist journal: job %q (seq %d) retained output without a checkpoint mirror", name, seq)
-	}
-	return cl.journal.appendJob(&journalRecord{
-		seq:    seq,
-		name:   name,
-		counts: counts,
-		blobs:  blobs,
-		sides:  sides,
-	})
 }
 
 // setActiveJob hands the monitor the job in flight. The heartbeat floor
@@ -1238,9 +1111,6 @@ func (cl *DistCluster) Close() error {
 		c.ShutdownResume()
 		c.WriteFrame([]byte{byte(remote.MsgBye)})
 		c.Close()
-	}
-	if cl.journal != nil {
-		cl.journal.close()
 	}
 	var err error
 	for _, cmd := range cl.procs {
@@ -2088,13 +1958,12 @@ func (s *distSender[K2, V2, K3, V3]) Close() error { return nil }
 // schedSnapshot brackets one logical job's monitor and durability
 // activity: deltas of the cluster counters across all its attempts.
 type schedSnapshot struct {
-	hb0, rc0, fr0, jb0 int64
+	hb0, rc0, fr0 int64
 }
 
 func (s *schedSnapshot) start(cl *DistCluster) {
 	s.hb0 = cl.hbTimeouts.Load()
 	s.rc0, s.fr0 = cl.resumeTotals()
-	s.jb0 = cl.journalBytes()
 }
 
 func (s *schedSnapshot) settle(cl *DistCluster, as *Stats) {
@@ -2102,7 +1971,6 @@ func (s *schedSnapshot) settle(cl *DistCluster, as *Stats) {
 	rc, fr := cl.resumeTotals()
 	as.WorkerReconnects = rc - s.rc0
 	as.FramesReplayed = fr - s.fr0
-	as.JournalBytes = cl.journalBytes() - s.jb0
 }
 
 // runDistDS executes one job on the dist backend (execJob's dist half),
@@ -2127,27 +1995,9 @@ func runDistDS[K2 comparable, V2 any, K3 comparable, V3 any](
 	if cl == nil {
 		return nil, errors.New("mapreduce: shuffle backend \"dist\" requires Config.Dist (a started DistCluster)")
 	}
-	// A resumed coordinator satisfies already-journaled jobs straight from
-	// the journal: the mirror blobs become a residency record whose
-	// partitions live nowhere yet (locNowhere) — ensureResident seeds them to
-	// workers the first time a job consumes the dataset, and a fetch
-	// (Materialize, Run) decodes them where they are.
-	if rec, err := cl.journalTake(cfg.Name); err != nil {
-		return nil, err
-	} else if rec != nil {
-		owners := make([]int, len(rec.counts))
-		for p := range owners {
-			owners[p] = locNowhere
-		}
-		cl.registerResident(rec.seq, &distMirror{loc: owners, counts: rec.counts, blobs: rec.blobs})
-		cl.noteRetained()
-		return newRemoteDataset[K3, V3](cl, rec.seq, rec.counts, rec.sides, keyCast[K2, K3]() != nil, cfg.Pool), nil
-	}
 	// One checkpoint decision per job, not per attempt: a retried job
-	// checkpoints iff the original would have. An open journal forces the
-	// mirror on for every retained output — a journaled run must be able
-	// to re-seed any resident dataset after a coordinator restart.
-	ckpt := cl.checkpointNext(cfg.CheckpointEvery) || cl.journal != nil
+	// checkpoints iff the original would have.
+	ckpt := cl.checkpointNext(cfg.CheckpointEvery)
 	var sched schedSnapshot
 	sched.start(cl)
 	for attempt := 0; ; attempt++ {
@@ -2157,10 +2007,6 @@ func runDistDS[K2 comparable, V2 any, K3 comparable, V3 any](
 		as := newStats(cfg.Name)
 		out, err := tryDistDS[K2, V2, K3, V3](ctx, cfg, splits, inputSeq, state, mapPhase, as, ckpt)
 		if err == nil {
-			if jerr := cl.journalAppendResident(out.rem.seq, cfg.Name, out.side); jerr != nil {
-				out.Recycle()
-				return nil, jerr
-			}
 			as.WorkerRecoveries = int64(attempt)
 			sched.settle(cl, as)
 			stats.Add(as)
@@ -2277,9 +2123,9 @@ func newRemoteDataset[K comparable, V any](cl *DistCluster, seq uint64, counts [
 
 // placeResident puts a state job's coordinator-held input on the
 // cluster: encode every partition into its mirror blob and register the
-// Dataset as resident nowhere yet, the state a journal-restored output is
-// in — the job that consumes it has ensureResident seed each partition to
-// its owner (a seed, not a recovery: nothing counts as reseeded).
+// Dataset as resident nowhere yet (locNowhere) — the job that consumes it
+// has ensureResident seed each partition to its owner (a seed, not a
+// recovery: nothing counts as reseeded).
 func placeResident[K comparable, V any](cl *DistCluster, ds *Dataset[K, V], cfg Config) (*Dataset[K, V], error) {
 	pc, err := pairCodecFor[K, V]()
 	if err != nil {
@@ -2312,7 +2158,7 @@ func placeResident[K comparable, V any](cl *DistCluster, ds *Dataset[K, V], cfg 
 // Materialize moves a worker-resident Dataset's records to the caller:
 // every partition is fetched from its owning worker and the residency is
 // released (the workers drop their copies). A no-op for local Datasets.
-// Record access (Collect, Each, Part, MapValues, Repartition) requires a
+// Record access (Collect, Each, Part, MapValues) requires a
 // materialized Dataset; in-repo algorithms call Materialize explicitly
 // after every job whose output they read driver-side, so fetch errors
 // surface as errors rather than panics.

@@ -259,29 +259,3 @@ func TestDistConsumedInputRetry(t *testing.T) {
 		})
 	}
 }
-
-// TestDistJournalReplaysSideOutput: a job satisfied from the journal on
-// resume hands back the side output it had when it ran.
-func TestDistJournalReplaysSideOutput(t *testing.T) {
-	const rounds = 3
-	want := mutReference(t, rounds)
-	dir := t.TempDir()
-	cl1 := startSchedCluster(t, 2, DistClusterOptions{Timeout: 30 * time.Second, JournalDir: dir}, nil)
-	if _, _, err := mutRounds(t, distCfg4(cl1, "mut-ring"), rounds-1, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	cl2 := startSchedCluster(t, 2, DistClusterOptions{Timeout: 30 * time.Second, JournalDir: dir, Resume: true}, nil)
-	got, _, err := mutRounds(t, distCfg4(cl2, "mut-ring"), rounds, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs := cl2.RecoveryStats(); rs.JobsReplayed != rounds-1 {
-		t.Fatalf("resumed run replayed %d jobs, want %d", rs.JobsReplayed, rounds-1)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("resumed run diverges from memory:\n got sides %v\nwant sides %v", got.sides, want.sides)
-	}
-}

@@ -192,34 +192,25 @@ func TestDistChaosKilledWorkers(t *testing.T) {
 
 // BenchmarkDistChainedCheckpoint prices the fault-tolerance machinery:
 // identical chained ring rounds with checkpointing at the default
-// (every retained round: MsgCkpt mirror frames plus worker run files)
-// and disabled. The /on vs /off delta is the checkpoint overhead the
-// CI bench comparison pins to <= 10%. The /on-sched case additionally
-// arms the health monitor (a 50ms heartbeat) on the healthy cluster;
-// its delta over /on is the chained-round idle overhead of monitoring,
-// pinned to <= 5%.
-// The /journal case adds the coordinator run journal on top of /on —
-// every job's result journaled, every round committed — and its delta
-// over /on is the durability overhead, pinned to <= 10%.
+// (every retained output: MsgCkpt mirror frames) and disabled. The
+// /on vs /off delta is the checkpoint overhead the CI bench comparison
+// pins to <= 10%. The /on-sched case additionally arms the health
+// monitor (a 50ms heartbeat) on the healthy cluster; its delta over /on
+// is the chained-round idle overhead of monitoring, pinned to <= 5%.
 func BenchmarkDistChainedCheckpoint(b *testing.B) {
 	for _, bench := range []struct {
-		name    string
-		every   int
-		hb      time.Duration
-		journal bool
+		name  string
+		every int
+		hb    time.Duration
 	}{
-		{"on", 0, 0, false},
-		{"off", -1, 0, false},
-		{"on-sched", 0, 50 * time.Millisecond, false},
-		{"journal", 0, 0, true},
+		{"on", 0, 0},
+		{"off", -1, 0},
+		{"on-sched", 0, 50 * time.Millisecond},
 	} {
 		b.Run(bench.name, func(b *testing.B) {
 			opts := DistClusterOptions{
 				Timeout:        30 * time.Second,
 				HeartbeatEvery: bench.hb,
-			}
-			if bench.journal {
-				opts.JournalDir = b.TempDir()
 			}
 			cl := startSchedCluster(b, 2, opts, nil)
 			cfg := distCfg4(cl, "ring-step")
@@ -235,9 +226,6 @@ func BenchmarkDistChainedCheckpoint(b *testing.B) {
 						b.Fatal(err)
 					}
 					ds = next
-					// Round boundary, as a driver would commit it; no-op
-					// without a journal.
-					cl.journalCommit(r)
 				}
 				if err := ds.Materialize(); err != nil {
 					b.Fatal(err)

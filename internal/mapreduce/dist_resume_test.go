@@ -4,12 +4,8 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"os"
-	"path/filepath"
 	"reflect"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -222,170 +218,6 @@ func TestDistWorkerStartsBeforeCoordinator(t *testing.T) {
 	got := ringRounds(t, distCfg4(cl, "ring-step"), 1)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("early-worker run diverges from memory backend")
-	}
-}
-
-// TestDistJournalResume is the in-process crash-resume pipeline: a
-// journaling run commits two rounds and stops dead before the third —
-// the moral equivalent of a coordinator crash at a round boundary. A
-// fresh cluster over fresh workers resumes from the same journal
-// directory: the committed rounds replay from journal records (no
-// re-execution), the journaled mirror reseeds residency onto the new
-// workers, and the final round runs live — bit-identical end to end.
-func TestDistJournalResume(t *testing.T) {
-	const rounds = 3
-	want := memoryRingReference(t, rounds)
-	dir := t.TempDir()
-
-	opts := DistClusterOptions{Timeout: 30 * time.Second, JournalDir: dir}
-	cl1 := startSchedCluster(t, 2, opts, nil)
-	cfg1 := distCfg4(cl1, "ring-step")
-	d1 := NewDriver(cfg1)
-	_, err := Loop(context.Background(), d1, PartitionDataset(ringInput(), cfg1.reducers()),
-		func(ctx context.Context, round int, st *Dataset[int32, int64]) (*Dataset[int32, int64], error) {
-			if round == rounds-1 {
-				return nil, nil // crash point: the final round never runs
-			}
-			next, _, err := RunDS(ctx, cfg1, st, ringMap, ringReduce)
-			return next, err
-		})
-	if err != nil {
-		t.Fatalf("journaling run: %v", err)
-	}
-	rs1 := cl1.RecoveryStats()
-	if rs1.JournalBytes <= 0 {
-		t.Fatal("journaling run recorded no journal bytes")
-	}
-	if err := cl1.Close(); err != nil {
-		t.Fatalf("closing crashed-run cluster: %v", err)
-	}
-
-	opts2 := DistClusterOptions{Timeout: 30 * time.Second, JournalDir: dir, Resume: true}
-	cl2 := startSchedCluster(t, 2, opts2, nil)
-	cfg2 := distCfg4(cl2, "ring-step")
-	d2 := NewDriver(cfg2)
-	final, err := Loop(context.Background(), d2, PartitionDataset(ringInput(), cfg2.reducers()),
-		func(ctx context.Context, round int, st *Dataset[int32, int64]) (*Dataset[int32, int64], error) {
-			if round == rounds {
-				return nil, nil
-			}
-			next, _, err := RunDS(ctx, cfg2, st, ringMap, ringReduce)
-			return next, err
-		})
-	if err != nil {
-		t.Fatalf("resumed run: %v", err)
-	}
-	if err := final.Materialize(); err != nil {
-		t.Fatal(err)
-	}
-	if got := final.Collect(); !reflect.DeepEqual(got, want) {
-		t.Fatal("resumed run diverges from memory backend")
-	}
-	rs2 := cl2.RecoveryStats()
-	if rs2.JobsReplayed != rounds-1 {
-		t.Fatalf("resumed run replayed %d jobs from the journal, want %d", rs2.JobsReplayed, rounds-1)
-	}
-	t.Logf("resume: %d jobs replayed, %dB journal", rs2.JobsReplayed, rs2.JournalBytes)
-}
-
-// TestDistJournalResumeFlat: a Run job (flat input, collected output)
-// on a journaled cluster is journaled like any other job, as its
-// resident record, and on resume it is replayed from that record — the
-// output decoded from the journaled partition blobs — without its map
-// function running again.
-func TestDistJournalResumeFlat(t *testing.T) {
-	ctx := context.Background()
-	dir := t.TempDir()
-
-	var mapCalls atomic.Int64
-	countingMap := func(k int32, v int64, out Emitter[int32, int64]) error {
-		mapCalls.Add(1)
-		return ringMap(k, v, out)
-	}
-	run := func(cl *DistCluster) []Pair[int32, int64] {
-		t.Helper()
-		d := NewDriver(distCfg4(cl, "ring-step"))
-		// An observed job on a journaling cluster is a commit point.
-		out, stats, err := Run(ctx, d.Config("ring-step"), ringInput(), countingMap, ringReduce)
-		if err == nil {
-			err = d.Observe(stats)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-
-	opts := DistClusterOptions{Timeout: 30 * time.Second, JournalDir: dir}
-	cl1 := startSchedCluster(t, 2, opts, nil)
-	want := run(cl1)
-	if err := cl1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if mapCalls.Load() != ringN {
-		t.Fatalf("the journaling run mapped %d records, want %d", mapCalls.Load(), ringN)
-	}
-
-	opts2 := DistClusterOptions{Timeout: 30 * time.Second, JournalDir: dir, Resume: true}
-	cl2 := startSchedCluster(t, 2, opts2, nil)
-	got := run(cl2)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("journal-replayed Run job diverges from the original")
-	}
-	if mapCalls.Load() != ringN {
-		t.Fatalf("the resumed run mapped %d more records: the job was re-run, not replayed", mapCalls.Load()-ringN)
-	}
-	if rs := cl2.RecoveryStats(); rs.JobsReplayed != 1 {
-		t.Fatalf("resume replayed %d jobs, want 1", rs.JobsReplayed)
-	}
-}
-
-// TestDistJournalRefusesOtherPartitioner pins the loud failure a
-// partitioner or record-layout change owes its journals: a manifest
-// tagged by an older build ("v1", whose resident records sit in the
-// partitions the old key hash chose; "v2", whose records carry no
-// side-output section; "v3", whose records carry a kind byte; "v4", whose
-// mm-cleanup and stack-update records are other types; "v5", whose
-// similarity-join index records are other bytes; "v6", whose mirror
-// blobs may be flate-compressed) must make
-// -dist-resume fail with a clear error rather than replay the segments it
-// names — and a run that does not resume starts over, with a manifest in
-// the current format.
-func TestDistJournalRefusesOtherPartitioner(t *testing.T) {
-	for _, tag := range []string{"v1", "v2", "v3", "v4", "v5", "v6"} {
-		dir := t.TempDir()
-		manifest := filepath.Join(dir, journalManifestName)
-		if err := os.WriteFile(manifest, []byte("journal-000001.log "+tag+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, "journal-000001.log"), nil, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		_, err := openDistJournal(dir, true, 0)
-		if err == nil || !strings.Contains(err.Error(), "written by a different partitioner or record layout") {
-			t.Fatalf("resuming a %s journal: got %v, want a different-generation error", tag, err)
-		}
-		if !strings.Contains(err.Error(), "journal-000001.log "+tag) || !strings.Contains(err.Error(), "is not tagged v7") {
-			t.Fatalf("the error does not name both the manifest's tag and this build's: %v", err)
-		}
-
-		j, err := openDistJournal(dir, false, 0)
-		if err != nil {
-			t.Fatalf("a fresh run over an old journal directory: %v", err)
-		}
-		j.close()
-		raw, err := os.ReadFile(manifest)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := string(raw), "journal-000002.log "+journalFormat+"\n"; got != want {
-			t.Fatalf("fresh manifest %q, want %q", got, want)
-		}
-		j2, err := openDistJournal(dir, true, 0)
-		if err != nil {
-			t.Fatalf("resuming this build's own manifest: %v", err)
-		}
-		j2.close()
 	}
 }
 

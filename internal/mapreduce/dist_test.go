@@ -256,19 +256,6 @@ func TestDistRefusesOlderProtoWorker(t *testing.T) {
 	}
 }
 
-// TestDistResumeNeedsJournalDir: Resume without a journal to resume from
-// used to start a fresh run silently; it is refused before anything
-// listens or spawns.
-func TestDistResumeNeedsJournalDir(t *testing.T) {
-	_, err := StartDistCluster(1, DistClusterOptions{
-		Resume:   true,
-		OnListen: func(string) { t.Error("the cluster started listening") },
-	})
-	if err == nil || !strings.Contains(err.Error(), "journal directory") {
-		t.Fatalf("Resume without JournalDir: err = %v, want a refusal naming the journal directory", err)
-	}
-}
-
 // TestDistUnregisteredJobFails pins the failure mode of a missing
 // registration: a clear error, not a hang or a decode mess.
 func TestDistUnregisteredJobFails(t *testing.T) {

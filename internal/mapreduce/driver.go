@@ -84,16 +84,9 @@ func (d *Driver) Total() Stats { return d.total }
 // Trace returns per-round statistics in execution order.
 func (d *Driver) Trace() []Stats { return d.trace }
 
-// Observe records one executed job against the round budget. When the
-// driver's cluster journals the run, every observed job is also a
-// commit point: the job's journal records become durable, and a
-// coordinator restarted after this moment replays the job from the
-// journal instead of re-running it.
+// Observe records one executed job against the round budget.
 func (d *Driver) Observe(s *Stats) error {
 	d.rounds++
-	if cl := d.cfg.Dist; cl != nil {
-		cl.journalCommit(d.rounds)
-	}
 	if s != nil {
 		d.total.Add(s)
 		d.trace = append(d.trace, *s)

@@ -169,12 +169,10 @@ func TestPlainKeyHashesUnchanged(t *testing.T) {
 }
 
 // TestPartitionIndexGolden pins where keys land, as literal numbers, one
-// or more per key kind. The partitioner is part of two formats: workers
-// of one cluster must agree on a key's partition (remote.Proto), and a
-// resumed journal re-seeds partitions by the index they were written
-// under (journalFormat). A change that moves any of these values must
-// bump both in the same commit and then update the table — never the
-// table alone.
+// or more per key kind. The partitioner is part of the wire format:
+// workers of one cluster must agree on a key's partition (remote.Proto).
+// A change that moves any of these values must bump remote.Proto in the
+// same commit and then update the table — never the table alone.
 func TestPartitionIndexGolden(t *testing.T) {
 	const big = 1 << 20
 	for _, c := range []struct {
@@ -198,7 +196,7 @@ func TestPartitionIndexGolden(t *testing.T) {
 		{"struct (fmt)", partitionIndex(badKey{"a ", "b"}, 7), partitionIndex(badKey{"a ", "b"}, big), 5, 122628},
 	} {
 		if c.mod7 != c.want7 || c.modBig != c.wantBig {
-			t.Errorf("%s key: partition %d of 7 and %d of 2^20, pinned %d and %d — the partitioner moved: bump remote.Proto and journalFormat",
+			t.Errorf("%s key: partition %d of 7 and %d of 2^20, pinned %d and %d — the partitioner moved: bump remote.Proto",
 				c.name, c.mod7, c.modBig, c.want7, c.wantBig)
 		}
 	}

@@ -109,9 +109,9 @@ func (s keyShape[K]) partition(key K, r int) int {
 }
 
 // hash produces a stable 64-bit hash for a key. Changing what any key
-// hashes to moves keys between partitions: bump remote.Proto and
-// journalFormat with it, so a mixed-build cluster or a resumed journal
-// fails loudly instead of splitting a node's records.
+// hashes to moves keys between partitions: bump remote.Proto with it, so
+// a mixed-build cluster fails loudly instead of splitting a node's
+// records.
 func (s keyShape[K]) hash(key K) uint64 {
 	switch s.kind {
 	case keyInt, keyUint:

@@ -90,11 +90,9 @@ type Stats struct {
 	// WorkerReconnects counts transport losses absorbed by session
 	// resume — a severed worker redialed and re-attached without losing
 	// its partitions; FramesReplayed counts the un-acked frames re-sent
-	// from the retransmit rings across those reconnects; JournalBytes is
-	// the run-journal growth the job caused (zero with journaling off).
+	// from the retransmit rings across those reconnects.
 	WorkerReconnects int64
 	FramesReplayed   int64
-	JournalBytes     int64
 	// WorkerWall is the largest map+reduce wall clock any single dist
 	// worker reported for the job — the distributed critical path. Zero
 	// for the local backends.
@@ -176,7 +174,6 @@ func (s *Stats) Add(o *Stats) {
 	s.HeartbeatTimeouts += o.HeartbeatTimeouts
 	s.WorkerReconnects += o.WorkerReconnects
 	s.FramesReplayed += o.FramesReplayed
-	s.JournalBytes += o.JournalBytes
 	s.WorkerWall += o.WorkerWall
 	s.MapWall += o.MapWall
 	s.ShuffleWall += o.ShuffleWall
@@ -211,9 +208,6 @@ func (s *Stats) String() string {
 	}
 	if s.WorkerReconnects > 0 || s.FramesReplayed > 0 {
 		line += fmt.Sprintf(" reconnects=%d replayed=%d", s.WorkerReconnects, s.FramesReplayed)
-	}
-	if s.JournalBytes > 0 {
-		line += fmt.Sprintf(" journal=%dB", s.JournalBytes)
 	}
 	if s.MapWall > 0 || s.ShuffleWall > 0 || s.ReduceWall > 0 {
 		line += fmt.Sprintf(" map=%s shuffle=%s reduce=%s",

@@ -52,8 +52,6 @@ type Flags struct {
 	heartbeat  time.Duration
 	reconnect  int
 	grace      time.Duration
-	journalDir string
-	resume     bool
 }
 
 // RegisterLocal declares the flags of a tool that runs its jobs in one
@@ -85,8 +83,6 @@ func Register(fs *flag.FlagSet, width int) *Flags {
 	fs.DurationVar(&f.heartbeat, "dist-heartbeat", 500*time.Millisecond, "dist worker heartbeat interval; a worker a running job waits on that stays silent for 24 intervals is declared lost and its partitions recovered (0 disables health monitoring)")
 	fs.IntVar(&f.reconnect, flagReconnect, 8, "worker redial budget per outage: a severed worker redials and resumes its session instead of dying (0 disables reconnection)")
 	fs.DurationVar(&f.grace, "dist-reconnect-grace", 10*time.Second, "how long the coordinator holds a severed worker's partitions before declaring it dead and reseeding (0 disables session resume)")
-	fs.StringVar(&f.journalDir, "dist-journal-dir", "", "coordinator run journal directory: job outputs and round commits persist here, enabling -dist-resume after a coordinator crash")
-	fs.BoolVar(&f.resume, "dist-resume", false, "resume a crashed run from -dist-journal-dir: committed jobs replay from the journal instead of re-running")
 	return f
 }
 
@@ -195,8 +191,6 @@ func (f *Flags) clusterOptions() mapreduce.DistClusterOptions {
 		AcceptLate:     f.acceptLate,
 		HeartbeatEvery: f.heartbeat,
 		ReconnectGrace: f.grace,
-		JournalDir:     f.journalDir,
-		Resume:         f.resume,
 	}
 	if f.heartbeat == 0 {
 		opts.HeartbeatEvery = -1 // flag 0 means off; the options zero value means default
@@ -253,9 +247,9 @@ func (f *Flags) printRecovery(w io.Writer, rs mapreduce.RecoveryStats) {
 		f.line(w, "dist recovery:", "%d workers lost (%d by heartbeat timeout), %d jobs retried, %d partitions reseeded",
 			rs.WorkersLost, rs.HeartbeatTimeouts, rs.Recoveries, rs.Reseeded)
 	}
-	if rs.WorkerReconnects > 0 || rs.JobsReplayed > 0 {
-		f.line(w, "dist durability:", "%d worker reconnects (%d frames replayed), %d jobs replayed from journal, %d journal bytes",
-			rs.WorkerReconnects, rs.FramesReplayed, rs.JobsReplayed, rs.JournalBytes)
+	if rs.WorkerReconnects > 0 {
+		f.line(w, "dist durability:", "%d worker reconnects (%d frames replayed)",
+			rs.WorkerReconnects, rs.FramesReplayed)
 	}
 }
 

@@ -51,11 +51,12 @@ func TestShuffleContradictingDistWorkersIsRejected(t *testing.T) {
 	}
 }
 
-// TestRetiredCompressionFlagsAreRefused: block compression is gone, and
-// its flags with it — a script that still passes one fails at parse time
-// instead of running without what it asked for.
-func TestRetiredCompressionFlagsAreRefused(t *testing.T) {
-	for _, name := range []string{"-wire-compress", "-spill-compress"} {
+// TestRetiredFlagsAreRefused: block compression and coordinator crash
+// resume are gone, and their flags with them — a script that still
+// passes one fails at parse time instead of running without what it
+// asked for.
+func TestRetiredFlagsAreRefused(t *testing.T) {
+	for _, name := range []string{"-wire-compress", "-spill-compress", "-dist-journal-dir", "-dist-resume"} {
 		fs := flag.NewFlagSet("tool", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		Register(fs, 18)
@@ -93,22 +94,17 @@ func TestWorkerArgvRoundTrip(t *testing.T) {
 	}
 }
 
-// TestClusterOptionsFromFlags pins the two spellings that differ between
-// flag and engine (0 turns heartbeats off; the engine's 0 means default)
-// and that -dist-resume without a journal reaches the engine, which
-// refuses it.
+// TestClusterOptionsFromFlags pins the -dist-* flags as the engine
+// receives them, including the spelling that differs between the two
+// (0 turns heartbeats off; the engine's 0 means default).
 func TestClusterOptionsFromFlags(t *testing.T) {
 	opts := parse(t, "-dist-workers", "1", "-dist-heartbeat", "0", "-dist-reconnect-grace", "3s",
-		"-dist-journal-dir", "/j", "-dist-accept-late").clusterOptions()
-	if opts.HeartbeatEvery != -1 || opts.ReconnectGrace != 3*time.Second || opts.JournalDir != "/j" || !opts.AcceptLate {
+		"-dist-accept-late").clusterOptions()
+	if opts.HeartbeatEvery != -1 || opts.ReconnectGrace != 3*time.Second || !opts.AcceptLate {
 		t.Fatalf("cluster options %+v", opts)
 	}
 	if d := parse(t).clusterOptions().HeartbeatEvery; d != 500*time.Millisecond {
 		t.Fatalf("default heartbeat %v, want 500ms", d)
-	}
-	_, _, err := parse(t, "-dist-workers", "1", "-dist-spawn=false", "-dist-resume").Start()
-	if err == nil || !strings.Contains(err.Error(), "journal directory") {
-		t.Fatalf("-dist-resume without -dist-journal-dir: err = %v, want the engine's refusal", err)
 	}
 }
 

@@ -95,7 +95,7 @@ func TestPostingsDecodeRefusesCorruptData(t *testing.T) {
 }
 
 // FuzzPostingsDecode feeds the index job's decoders — postings, the
-// group the dist backend ships and journals per term, and posting, the
+// group the dist backend ships and mirrors per term, and posting, the
 // shuffled record the spill merge and a worker's socket hand over —
 // arbitrary bytes. The contract: an error, or a value that encodes back
 // to the same bytes; never a panic. The checked-in corpus under
