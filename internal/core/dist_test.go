@@ -456,6 +456,76 @@ func TestDistGreedyMRSeveredAroundFlush(t *testing.T) {
 	}
 }
 
+// TestDistLineageDeepRecompute: the coordinator holds no copy of
+// GreedyMR's worker-resident rounds, so a worker lost late in the run
+// takes partitions only its lineage can make again — the round jobs since
+// the built node view, re-run on the survivor. The run finds how many
+// protocol frames the coordinator reads from worker 1 over a whole run
+// (the largest sever point that is ever reached), severs worker 1 at a
+// frame in the last third of them, and must end bit-identical to memory
+// — matching, rounds and value trace — with lost partitions restored.
+func TestDistLineageDeepRecompute(t *testing.T) {
+	g := graph.RandomBipartite(graph.RandomConfig{
+		NumItems: 60, NumConsumers: 30, EdgeProb: 0.2,
+		MaxWeight: 3, MaxCapacity: 3, Seed: 5,
+	})
+	RegisterDistJobs(g)
+	ctx := context.Background()
+	mem, err := GreedyMR(ctx, g, GreedyMROptions{MR: mapreduce.Config{Mappers: 4, Reducers: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	severedAt := func(k int) (*Result, mapreduce.RecoveryStats) {
+		cl := startWorkers(t, 2)
+		if err := cl.InjectFault(1, &remote.Fault{Op: remote.FaultSever, AfterReads: k}); err != nil {
+			t.Fatal(err)
+		}
+		dist, err := GreedyMR(ctx, g, GreedyMROptions{MR: mapreduce.Config{
+			Mappers: 4, Reducers: 4,
+			Shuffle: mapreduce.ShuffleConfig{Backend: mapreduce.ShuffleDist},
+			Dist:    cl,
+		}})
+		if err != nil {
+			t.Fatalf("sever at frame %d: %v", k, err)
+		}
+		return dist, cl.RecoveryStats()
+	}
+	lands := func(k int) bool {
+		_, rs := severedAt(k)
+		return rs.WorkersLost == 1
+	}
+	lo, hi := 1, 16 // a sever at frame lo is reached, at hi not (yet known)
+	for lands(hi) {
+		lo, hi = hi, 2*hi
+	}
+	for hi-lo > 1 {
+		if mid := (lo + hi) / 2; lands(mid) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	frames := lo
+	k := frames - frames/6
+	dist, rs := severedAt(k)
+	if !reflect.DeepEqual(dist.Matching, mem.Matching) || dist.Rounds != mem.Rounds ||
+		!reflect.DeepEqual(dist.ValueTrace, mem.ValueTrace) {
+		t.Fatalf("sever at frame %d of %d: dist diverges from memory (%d rounds, value %v; memory %d, %v)",
+			k, frames, dist.Rounds, dist.Matching.Value(), mem.Rounds, mem.Matching.Value())
+	}
+	retried := -1
+	for i, st := range dist.RoundStats {
+		if st.WorkerRecoveries > 0 && retried < 0 {
+			retried = i
+		}
+	}
+	t.Logf("sever at frame %d of %d: job %d of %d retried; lost=%d retried=%d reseeded=%d",
+		k, frames, retried, dist.Rounds, rs.WorkersLost, rs.Recoveries, rs.Reseeded)
+	if rs.WorkersLost != 1 || rs.Reseeded < 1 {
+		t.Fatalf("sever at frame %d of %d: lost=%d reseeded=%d, want 1 and at least 1", k, frames, rs.WorkersLost, rs.Reseeded)
+	}
+}
+
 // TestDistMaximalStagesMapOnWorkers pins the stack algorithms' dataflow on
 // the dist backend: every maximal-matching stage, stack-update and
 // stack-filter is a state job whose map runs where its input resides — on
