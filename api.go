@@ -129,17 +129,6 @@ type Options struct {
 	// Dist is the worker cluster jobs shard across when Shuffle is
 	// ShuffleDist. Required for (and only meaningful with) that backend.
 	Dist *DistCluster
-	// CheckpointEvery throttles dist checkpointing of worker-resident
-	// job outputs: 0 checkpoints every retained job output (the default
-	// — every round is recoverable), k > 0 the first and then every k-th
-	// retained output, negative disables checkpointing. The throttle
-	// counts job outputs, not rounds: a StackMR layer retains at least
-	// six (four maximal-matching stages per iteration, then its dual
-	// update and filter). Checkpoints are what let a matching run
-	// survive worker death: the coordinator re-assigns a dead worker's
-	// partitions, restores them from mirrored checkpoint frames, and
-	// replays from the round boundary. Ignored by the local backends.
-	CheckpointEvery int
 }
 
 func (o Options) mr() mapreduce.Config {
@@ -151,8 +140,7 @@ func (o Options) mr() mapreduce.Config {
 			MemoryBudget: o.ShuffleMemoryBudget,
 			TempDir:      o.ShuffleTempDir,
 		},
-		Dist:            o.Dist,
-		CheckpointEvery: o.CheckpointEvery,
+		Dist: o.Dist,
 	}
 }
 

@@ -92,7 +92,6 @@ func run() (err error) {
 		Shuffle:             mr.Shuffle.Backend,
 		ShuffleMemoryBudget: mr.Shuffle.MemoryBudget,
 		ShuffleTempDir:      mr.Shuffle.TempDir,
-		CheckpointEvery:     mr.CheckpointEvery,
 		Dist:                mr.Dist,
 	}
 

@@ -197,8 +197,9 @@ func TestDistMatchingSurvivesWorkerLoss(t *testing.T) {
 			// The loss must be observed, but how the cluster recovers
 			// depends on where the sever lands: a death mid-job aborts and
 			// retries the attempt (Recoveries), while a death caught at
-			// materialize time is repaired from the checkpoint mirror and
-			// the next job simply schedules around the dead worker — no
+			// materialize time is restored on the survivor from its lineage
+			// and fetched there, and the next job schedules around the dead
+			// worker — no
 			// attempt is wasted, so Recoveries legitimately stays zero.
 			rs := cl.RecoveryStats()
 			if rs.WorkersLost < 1 {
@@ -341,9 +342,8 @@ func TestDistMatchingSurvivesStraggler(t *testing.T) {
 // there), nothing is re-seeded on a fault-free run, the shuffle is record
 // for record the memory backend's, and what crosses the wire per shuffled
 // record stays under a ceiling: the build frames, cross-worker
-// proposals, the checkpoint mirror and the matched edge ids, but no
-// adjacency list on its way to or from the coordinator — not even the
-// round-0 view's. The result is the memory backend's, bit for bit.
+// proposals and the matched edge ids, but no adjacency list on its way
+// to or from the coordinator — not even the round-0 view's. The result is the memory backend's, bit for bit.
 func TestDistGreedyMRStaysResident(t *testing.T) {
 	g := graph.RandomBipartite(graph.RandomConfig{
 		NumItems: 400, NumConsumers: 80, EdgeProb: 0.05,
@@ -389,10 +389,11 @@ func TestDistGreedyMRStaysResident(t *testing.T) {
 	if rs := cl.RecoveryStats(); rs.Reseeded != 0 || rs.Recoveries != 0 {
 		t.Errorf("fault-free run reports reseeded=%d recoveries=%d", rs.Reseeded, rs.Recoveries)
 	}
-	// Measured 7.1 B/record here; 13.1 while the coordinator built the
+	// Measured 2.7 B/record here; 7.1 while every round's output was also
+	// mirrored on the coordinator, 13.1 while the coordinator built the
 	// round-0 view and seeded it onto the workers, 25.0 with the per-round
 	// fetch and coordinator-side map before that.
-	const ceiling = 9.0
+	const ceiling = 3.0
 	perRecord := float64(dist.Shuffle.RemoteBytesIn+dist.Shuffle.RemoteBytesOut) / float64(dist.Shuffle.ShuffleRecords)
 	t.Logf("%d rounds, %d shuffled records, %.1f wire bytes per record", dist.Rounds, dist.Shuffle.ShuffleRecords, perRecord)
 	if perRecord > ceiling {
@@ -533,8 +534,8 @@ func TestDistLineageDeepRecompute(t *testing.T) {
 // over the flagged records the engine places for it, and every later
 // stage, every later iteration and stack-filter over their predecessor's
 // resident output: nothing returns to the coordinator between them and
-// nothing is sent back. With checkpoints off, so that no mirror counts,
-// what those chained jobs move is the relayed flag and dual messages, the
+// nothing is sent back. What those chained jobs move is the relayed flag
+// and dual messages, the
 // job frames and the reports, and that stays under a ceiling per shuffled
 // record in each direction — measured 2.4 B in and 2.6–2.8 B out here,
 // where fetching every cleanup output and stack-update's, placing them
@@ -565,9 +566,8 @@ func TestDistMaximalStagesMapOnWorkers(t *testing.T) {
 			}
 			dist, err := algo.run(ctx, g, StackOptions{Seed: 3, MR: mapreduce.Config{
 				Mappers: 4, Reducers: 4,
-				Shuffle:         mapreduce.ShuffleConfig{Backend: mapreduce.ShuffleDist},
-				Dist:            cl,
-				CheckpointEvery: -1,
+				Shuffle: mapreduce.ShuffleConfig{Backend: mapreduce.ShuffleDist},
+				Dist:    cl,
 			}})
 			if err != nil {
 				t.Fatal(err)

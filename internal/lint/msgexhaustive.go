@@ -12,11 +12,11 @@ import (
 // `switch` over remote.MsgType must either handle every declared
 // message type or carry a default clause that decides what an
 // unhandled frame means. Message types arrived in several rounds
-// (MsgAbort/MsgAborted, MsgPong, MsgCkpt/MsgSeed/MsgShed, resume acks),
-// and each addition had to be hand-audited against every dispatch
-// switch on the coordinator and the worker; a missed arm shows up at
-// runtime as a frame silently dropped or a hung round, not a compile
-// error.
+// (MsgAbort/MsgAborted, MsgPong, MsgSeed/MsgShed, MsgBuild/MsgBuilt,
+// resume acks), and each addition had to be hand-audited against every
+// dispatch switch on the coordinator and the worker; a missed arm shows
+// up at runtime as a frame silently dropped or a hung round, not a
+// compile error.
 var MsgExhaustive = &Analyzer{
 	Name: "msgexhaustive",
 	Doc: `a switch over remote.MsgType must handle every declared message type or carry a default

@@ -199,7 +199,7 @@ func (r adjRec) AppendBinary(buf []byte) ([]byte, error) {
 func (r *adjRec) UnmarshalBinary([]byte) error { return errors.New("adjRec: encode only") }
 
 // TestAllocGuardEncodeResidentPartition pins what placeResident (a state
-// job's coordinator-held input) and a worker's checkpoint pay to encode
+// job's coordinator-held input) and a worker's fetch reply pay to encode
 // one multi-megabyte partition from an empty buffer: 50 000 records of 1…15 adjacency entries, 3.3 MB encoded,
 // must cost a handful of allocations — the key column's room, the
 // element scratch growing to the widest record, the value column sized

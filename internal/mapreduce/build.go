@@ -14,9 +14,9 @@ import (
 // builder the worker registered (RegisterDistBuild) and its parameters;
 // the worker builds the partition, keeps it resident under the Dataset's
 // sequence number and reports its record count (MsgBuilt). The frame is
-// also the Dataset's recipe: the residency record keeps it where a job
-// output keeps its checkpoint mirror, and ensureResident re-seeds a lost
-// or consumed partition by sending it again.
+// also the Dataset's recipe: the residency record keeps it as the way to
+// make the Dataset again, and ensureResident restores a lost or consumed
+// partition by sending it again.
 
 // maxBuildParts bounds the partition count a build frame may name: a
 // worker sizes the Dataset's resident set by it.
@@ -57,10 +57,9 @@ func parseBuildFrame(cur *remote.Cursor) (seq uint64, part int, b distBuild, err
 }
 
 // buildResident is BuildDS on dist: every partition is built by its
-// owner, and the Dataset is registered resident with the recipe in place
-// of a mirror and the workers' counts as its own. build stays with the
-// Dataset for Materialize.
-func buildResident[K comparable, V any](cl *DistCluster, cfg Config, name string, params []byte, build func(p int, owns func(K) bool) []Pair[K, V]) (*Dataset[K, V], error) {
+// owner, and the Dataset is registered resident with the recipe as its
+// lineage and the workers' counts as its own.
+func buildResident[K comparable, V any](cl *DistCluster, cfg Config, name string, params []byte) (*Dataset[K, V], error) {
 	if err := cl.Err(); err != nil {
 		return nil, fmt.Errorf("mapreduce: build %q: dist cluster is broken: %w", name, err)
 	}
@@ -70,10 +69,9 @@ func buildResident[K comparable, V any](cl *DistCluster, cfg Config, name string
 	if err != nil {
 		return nil, err
 	}
-	cl.registerResident(seq, &distMirror{loc: loc, counts: counts, recipe: rec})
-	ds := newRemoteDataset[K, V](cl, seq, counts, nil, true, cfg.Pool)
-	ds.rebuild = func(p int) ([]Pair[K, V], error) { return buildPart(p, rec.parts, build, keyShapeOf[K]().cmp()) }
-	return ds, nil
+	r := &distResidency{cl: cl, seq: seq, loc: loc, counts: counts, recipe: rec}
+	cl.registerResident(r)
+	return newRemoteDataset[K, V](r, nil, true, cfg.Pool), nil
 }
 
 // buildOnWorkers has every partition of Dataset seq built by its owner,

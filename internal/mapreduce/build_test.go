@@ -13,7 +13,8 @@ import (
 // workers — where the workers build it from their registered builder and
 // the coordinator's callback never runs, and Materialize fetches it. When
 // the owner of two partitions is severed before the fetch, Materialize
-// builds exactly those two here, with the coordinator's callback.
+// has the survivor build exactly those two from the recipe and fetches
+// them from there; the coordinator's callback still never runs.
 func TestBuildDSMatchesBuildDataset(t *testing.T) {
 	want, err := BuildDataset(5, toyPartBuilder(nil))
 	if err != nil {
@@ -64,8 +65,8 @@ func TestBuildDSMatchesBuildDataset(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(t, got)
-		if n := local.Load(); n != 2 {
-			t.Errorf("Materialize built %d partitions here, want worker 1's 2", n)
+		if n := local.Load(); n != 0 {
+			t.Errorf("Materialize built %d partitions here, want none: the survivor rebuilds worker 1's 2", n)
 		}
 		if rs := cl.RecoveryStats(); rs.WorkersLost != 1 {
 			t.Errorf("%d workers lost, want the severed one", rs.WorkersLost)

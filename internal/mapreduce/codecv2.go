@@ -50,10 +50,10 @@ import (
 // type with no codec is refused when the pair codec is resolved.
 //
 // A blob is fully self-contained: the coordinator relays chained-mode
-// bucket frames between worker connections verbatim, stores MsgCkpt
-// mirror blobs raw, and re-streams them as MsgSeed frames to arbitrary
-// workers — so no decoder state (dictionary included) may span frames
-// on the wire. The per-connection dictionary the design sketch called
+// bucket frames between worker connections verbatim, and streams the
+// blobs it encodes for a placed Dataset as MsgSeed frames to whichever
+// worker owns the partition — so no decoder state (dictionary included)
+// may span frames on the wire. The per-connection dictionary the design sketch called
 // for is therefore realized per-frame on the wire and per-run on the
 // spill path, where one process writes and reads the stream in order.
 //

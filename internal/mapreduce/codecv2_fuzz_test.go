@@ -8,8 +8,8 @@ import (
 )
 
 // FuzzDecodePairs feeds decodePairs — the decoder behind every bulk
-// frame a socket delivers (buckets, reduce output, checkpoint mirrors,
-// seeds, fetched partitions) — arbitrary bytes under an arbitrary
+// frame a socket delivers (buckets, reduce output, seeds, fetched
+// partitions) — arbitrary bytes under an arbitrary
 // declared pair count. The contract: an error, or
 // exactly count pairs that survive a re-encode; never a panic, never
 // partial output beside an error, and never more memory than the

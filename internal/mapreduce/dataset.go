@@ -47,13 +47,9 @@ type Dataset[K comparable, V any] struct {
 	pool *BufferPool
 	// rem marks a worker-resident Dataset (dist backend): the records
 	// live on the cluster's workers and parts holds only empty slots.
-	// Len works from the per-partition counts in the handle; record
-	// access requires Materialize (see dist.go).
-	rem *distResident
-	// rebuild builds one partition of a worker-resident Dataset that
-	// BuildDS built on the workers, for Materialize to fill a partition
-	// it cannot fetch; nil for every other Dataset.
-	rebuild func(p int) ([]Pair[K, V], error)
+	// Len works from the per-partition counts in the residency record;
+	// record access requires Materialize (see dist.go).
+	rem *distResidency
 	// side is the side output of the job that produced the Dataset, per
 	// partition (see SideEmitter). Held here even when rem is set.
 	side [][]uint64
@@ -122,12 +118,12 @@ func buildPart[K comparable, V any](p, parts int, build func(p int, owns func(K)
 // and keeps it resident, so the first job maps it where it was built; the
 // Dataset's counts are the ones the workers report. A partition lost
 // with its worker, or consumed by an aborted attempt, is rebuilt the same
-// way on its new owner, and Materialize builds a partition it cannot
-// fetch here, with build. build and the registered builder must return
-// the same records for the same partition.
+// way on its new owner, also when Materialize cannot fetch it. build and
+// the registered builder must return the same records for the same
+// partition.
 func BuildDS[K comparable, V any](d *Driver, name string, params []byte, build func(p int, owns func(K) bool) []Pair[K, V]) (*Dataset[K, V], error) {
 	if cl := d.cfg.Dist; d.cfg.Shuffle.kind() == ShuffleDist && cl != nil {
-		return buildResident(cl, d.cfg, name, params, build)
+		return buildResident[K, V](cl, d.cfg, name, params)
 	}
 	return BuildDataset(d.Partitions(), build)
 }
@@ -301,7 +297,7 @@ func RunDS[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any](
 	if inPlace && input.rem != nil && input.rem.cl == cfg.Dist && cfg.Shuffle.kind() == ShuffleDist {
 		// Resident where the job runs: the workers map it, and
 		// self-addressed pairs never touch the wire.
-		return execJob(ctx, cfg, input.Len(), input.Partitions(), input.rem.seq, false, nil, plainSteps(reduceFn))
+		return execJob(ctx, cfg, input.Len(), input.Partitions(), input.rem, false, nil, nil, plainSteps(reduceFn))
 	}
 	if err := input.Materialize(); err != nil {
 		return nil, newStats(cfg.Name), err
@@ -309,10 +305,13 @@ func RunDS[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any](
 	if !inPlace {
 		return runFlat(ctx, cfg, input.Collect(), mapFn, reduceFn)
 	}
-	return execJob(ctx, cfg, input.Len(), input.Partitions(), 0, false,
+	// On dist a recovery may map input again, but only while the caller
+	// has not recycled it.
+	live := func() bool { return input.parts != nil }
+	return execJob(ctx, cfg, input.Len(), input.Partitions(), nil, false,
 		func(ctx context.Context, backend ShuffleBackend[K2, V2], ar *roundArena[K2, V2], stats *Stats) error {
 			return runMapPhaseDS(ctx, cfg, input, mapFn, nil, backend, ar, stats)
-		}, plainSteps(reduceFn))
+		}, live, plainSteps(reduceFn))
 }
 
 // RunStateDS executes one state job: a Dataset job whose input records
@@ -341,7 +340,8 @@ func RunDS[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any](
 // needs: an attempt aborted before its flush is retried over the
 // surviving workers' partitions as they are, so a map task may run again
 // over records it already wrote and must write the same values (after the
-// flush the input is re-seeded instead; see DistCluster).
+// flush the input is restored from its lineage instead; see
+// DistCluster.consumeResident).
 // TestStateJobMapWritesReachReduce holds every backend to this.
 //
 // The job counts what the self-message form counts: a record forwarded
@@ -376,16 +376,16 @@ func RunStateDS[K comparable, S, V any, K3 comparable, V3 any](
 			defer placed.Recycle()
 			input = placed
 		}
-		return execJob[K, V, K3, V3](ctx, cfg, input.Len(), input.Partitions(), input.rem.seq, true, nil, nil)
+		return execJob[K, V, K3, V3](ctx, cfg, input.Len(), input.Partitions(), input.rem, true, nil, nil, nil)
 	}
 	if err := input.Materialize(); err != nil {
 		return nil, newStats(cfg.Name), err
 	}
 	cmp := keyShapeOf[K]().cmp()
-	out, stats, err := execJob(ctx, cfg, input.Len(), input.Partitions(), 0, true,
+	out, stats, err := execJob(ctx, cfg, input.Len(), input.Partitions(), nil, true,
 		func(ctx context.Context, backend ShuffleBackend[K, V], ar *roundArena[K, V], stats *Stats) error {
 			return runMapPhaseDS(ctx, cfg, input, mapFn, cmp, backend, ar, stats)
-		}, joinedSteps(input.parts, reduceFn))
+		}, nil, joinedSteps(input.parts, reduceFn))
 	// The backend counted what it was handed; the forwarded records are
 	// the rest of what the job shuffled.
 	stats.ShuffleRecords += stats.MapInputRecords
@@ -396,7 +396,8 @@ func RunStateDS[K comparable, S, V any, K3 comparable, V3 any](
 // partitioning holds: flat is cut, in the order given, into
 // Config.Mappers contiguous splits, one map task each, and every
 // emitted pair is hashed to its partition. Run enters here with the
-// caller's slice, RunDS with a collected misaligned Dataset.
+// caller's slice, RunDS with a collected misaligned Dataset; on dist a
+// recovery may map flat again.
 func runFlat[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any](
 	ctx context.Context,
 	cfg Config,
@@ -405,10 +406,10 @@ func runFlat[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any
 	reduceFn ReduceFunc[K2, V2, K3, V3],
 ) (*Dataset[K3, V3], *Stats, error) {
 	splits := splitRange(len(flat), cfg.mappers())
-	return execJob(ctx, cfg, len(flat), len(splits), 0, false,
+	return execJob(ctx, cfg, len(flat), len(splits), nil, false,
 		func(ctx context.Context, backend ShuffleBackend[K2, V2], ar *roundArena[K2, V2], stats *Stats) error {
 			return runMapPhase(ctx, cfg, splits, flat, mapFn, backend, ar, stats)
-		}, plainSteps(reduceFn))
+		}, nil, plainSteps(reduceFn))
 }
 
 // mapPhaseFunc runs all of a job's map tasks into a shuffle backend:
@@ -418,18 +419,20 @@ type mapPhaseFunc[K2 comparable, V2 any] func(ctx context.Context, backend Shuff
 
 // execJob runs one job of `tasks` map tasks over `records` input records
 // on the configured backend. mapPhase runs them in this process; on dist
-// a nil mapPhase with residentSeq set means the input is job
-// residentSeq's output, resident on the cluster, and the workers that
-// hold its partitions map them. steps is the reduce side of the local
-// backends; a dist worker binds the reduce registered under the job's
-// name itself, told by state which of the two kinds it must be.
+// a nil mapPhase with a resident input record means the input is resident
+// on the cluster, and the workers that hold its partitions map them.
+// live, when set, reports whether mapPhase's input is still held, which a
+// dist recovery asks before it maps it again. steps is the reduce side of
+// the local backends; a dist worker binds the reduce registered under the
+// job's name itself, told by state which of the two kinds it must be.
 func execJob[K2 comparable, V2 any, K3 comparable, V3 any](
 	ctx context.Context,
 	cfg Config,
 	records, tasks int,
-	residentSeq uint64,
+	resident *distResidency,
 	state bool,
 	mapPhase mapPhaseFunc[K2, V2],
+	live func() bool,
 	steps reduceSteps[K2, V2, K3, V3],
 ) (*Dataset[K3, V3], *Stats, error) {
 	stats := newStats(cfg.Name)
@@ -437,7 +440,7 @@ func execJob[K2 comparable, V2 any, K3 comparable, V3 any](
 	defer stats.snapPool(cfg.Pool)()
 
 	if cfg.Shuffle.kind() == ShuffleDist {
-		out, err := runDistDS[K2, V2, K3, V3](ctx, cfg, tasks, residentSeq, state, mapPhase, stats)
+		out, err := runDistDS[K2, V2, K3, V3](ctx, cfg, tasks, resident, state, mapPhase, live, stats)
 		return out, stats, err
 	}
 	ar := arenaFor[K2, V2](cfg.Pool, cfg.reducers())
@@ -589,8 +592,8 @@ func RunJobDS[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 an
 	}
 	if err := d.Observe(stats); err != nil {
 		// The output is dropped with the error: release it, or on dist its
-		// residency record, mirror and worker-resident partitions would
-		// outlive the job on a cluster that is reused.
+		// residency record and worker-resident partitions would outlive
+		// the job on a cluster that is reused.
 		out.Recycle()
 		return nil, err
 	}
@@ -606,9 +609,7 @@ func RunJobDS[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 an
 //
 // body receives the zero-based round index and may return (nil, nil)
 // to stop early with the current state (any-time stopping). Jobs run
-// inside body via RunJobDS count against the driver's MaxRounds, and
-// Driver.Config mixes the round counter into the failure seed, so every
-// round draws fresh — but reproducible — injected-failure coins. As a
+// inside body via RunJobDS count against the driver's MaxRounds. As a
 // backstop for bodies that run no driver-observed job, Loop also caps
 // its own round count at MaxRounds — a bound the driver budget always
 // reaches first when every round runs at least one job. Loop returns
@@ -621,23 +622,15 @@ func RunJobDS[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 an
 // its partitions) across rounds; values, and anything they point to,
 // remain untouched. The final state is never recycled.
 //
-// Fault tolerance: a round that fails to a dist worker death
-// (WorkerLostError) is replayed from its entry state, as long as that
-// state is still restorable — held locally, or reconstructible on the
-// cluster from checkpoint mirrors (DistCluster.canRestore). This is the
-// round-boundary replay hook: the engine's own job retry covers deaths
-// whose inputs were checkpointed, and Loop covers the rest, because a
-// round's entry state is by definition a complete cut of the
-// computation. The replay budget is the cluster size (each replay
-// implies at least one worker died); algorithms recover without
-// changes.
+// Fault tolerance is not Loop's: on dist, a job that loses a worker
+// restores its input from lineage and retries inside the engine, so an
+// error body returns — a WorkerLostError included — ends the loop.
 func Loop[K comparable, V any](
 	ctx context.Context,
 	d *Driver,
 	state *Dataset[K, V],
 	body func(ctx context.Context, round int, state *Dataset[K, V]) (*Dataset[K, V], error),
 ) (*Dataset[K, V], error) {
-	replays := 0
 	for round := 0; state.Len() > 0; round++ {
 		if err := ctx.Err(); err != nil {
 			return state, err
@@ -646,10 +639,6 @@ func Loop[K comparable, V any](
 			return state, fmt.Errorf("%w (%d loop rounds without convergence)", ErrRoundLimit, round)
 		}
 		next, err := body(ctx, round, state)
-		for err != nil && replays < state.replayBudget() && state.replayable(err) {
-			replays++
-			next, err = body(ctx, round, state)
-		}
 		if err != nil {
 			return state, err
 		}
@@ -662,27 +651,4 @@ func Loop[K comparable, V any](
 		state = next
 	}
 	return state, nil
-}
-
-// replayable reports whether re-running a round from this entry state
-// can succeed after err: the error must be a worker loss, and a
-// worker-resident state must still be reconstructible on the cluster.
-func (d *Dataset[K, V]) replayable(err error) bool {
-	if !isWorkerLost(err) {
-		return false
-	}
-	if d.rem == nil {
-		return true // the entry state lives on the coordinator
-	}
-	return d.rem.cl.canRestore(d.rem.seq)
-}
-
-// replayBudget bounds a Loop's round replays: one per worker the
-// cluster could lose, with a small allowance when the state is local
-// and the cluster unknown.
-func (d *Dataset[K, V]) replayBudget() int {
-	if d.rem != nil {
-		return len(d.rem.cl.conns)
-	}
-	return 4
 }

@@ -71,15 +71,11 @@ type DistCluster struct {
 	// live workers, round-robin in partition order), so data resident on
 	// survivors is never reassigned away from them.
 	owners map[int][]int
-	// residency tracks every worker-resident job output: where each
-	// partition currently lives and, when the job was checkpointed, the
-	// coordinator's mirror of its partition images (fed by MsgCkpt
-	// frames at the flush barrier). The mirror is what recovery re-seeds
-	// lost partitions from.
-	residency map[uint64]*distMirror
-	// retained counts jobs whose output stayed worker-resident, for the
-	// Config.CheckpointEvery throttle.
-	retained uint64
+	// residency holds the record of every worker-resident Dataset a
+	// caller still holds, from the job, build or placement that made it
+	// until Materialize or Recycle releases it. A released record lives
+	// on, outside this set, as long as a resident child's lineage needs it.
+	residency map[*distResidency]bool
 	// late holds replacement workers accepted after startup
 	// (DistClusterOptions.AcceptLate); recovery adopts them into conns.
 	late []*remote.Conn
@@ -91,7 +87,7 @@ type DistCluster struct {
 	// reconnectGrace > 0 enables session resume on every worker
 	// connection: a worker whose transport dies may redial and re-attach
 	// within the grace window, replaying un-acked frames, instead of
-	// being declared dead and reseeded around.
+	// being declared dead and recovered around.
 	reconnectGrace time.Duration
 	closeErr       error
 
@@ -120,60 +116,59 @@ type distActiveJob interface {
 	lost(w int, cause error)
 }
 
-// Partition locations that name no worker. Both are seeded from the
-// mirror (or rebuilt from the recipe) by ensureResident; only the second
-// is a recovery.
+// Partition locations that name no worker. ensureResident puts such a
+// partition back on a worker; only the second is a recovery.
 const (
-	// locNowhere: never placed on a worker yet — a state job's input the
-	// coordinator placed (placeResident), or a BuildDS partition no
-	// worker has built yet.
+	// locNowhere: no worker holds the partition — a state job's input the
+	// coordinator placed (placeResident) and no job has read yet, or a
+	// Dataset that was fetched or dropped.
 	locNowhere = -1
-	// locConsumed: shed from every worker after an aborted attempt's
-	// reduce phase had started on it (see consumeResident).
+	// locConsumed: a job's reduce phase ran over the partition (see
+	// consumeResident), so any copy a worker still holds is stale.
 	locConsumed = -2
 )
 
-// distMirror is the residency record of one retained job output, or of
-// a Dataset BuildDS built on the workers.
-type distMirror struct {
+// distResidency is the residency record of one worker-resident Dataset:
+// the sequence number the workers hold it under, where each partition
+// lives, and how to make any partition again. There are exactly three
+// ways, and a record has one of them: a BuildDS recipe, the coordinator's
+// own copy (the encoded blobs placeResident made), or the job that
+// produced it, run again over its input's record (rerun). A record that
+// a job produced points to its input's record through rerun, so a
+// dropped parent stays reachable exactly as long as a resident child
+// needs it.
+type distResidency struct {
+	cl     *DistCluster
+	seq    uint64
 	loc    []int   // current owner of each partition, or a loc* sentinel
 	counts []int64 // pairs per partition (from the job or build reports)
-	// blobs are the checkpointed partition images (canonical encodePairs
-	// bytes); nil when the job ran with checkpointing throttled off, in
-	// which case a lost partition is unrecoverable.
-	blobs [][]byte
-	// recipe, set for a built Dataset instead of blobs, rebuilds any of
-	// its partitions on any worker.
 	recipe *distBuild
+	blobs  [][]byte
+	// rerun runs the producing job once more on the live workers, after
+	// restoring its input, and returns the fresh output's record; its
+	// stats and side output are thrown away.
+	rerun func(ctx context.Context) (*distResidency, error)
 }
 
-// restorable reports whether partition p can be put on a worker again
-// without its current copy: rebuilt from the recipe, or seeded from a
-// mirror blob (an empty partition needs none).
-func (m *distMirror) restorable(p int) bool {
-	return m.recipe != nil || m.blobs != nil && (m.blobs[p] != nil || m.counts[p] == 0)
-}
-
-// seedFrame is the frame that puts partition p of job seq's output on a
-// worker: the recipe's build frame, or a seed carrying the mirror blob.
-func (m *distMirror) seedFrame(seq uint64, p int) []byte {
-	if m.recipe != nil {
-		return m.recipe.frame(seq, p)
+// seedFrame is the frame that puts partition p on a worker: the recipe's
+// build frame, or a seed carrying the coordinator's blob.
+func (r *distResidency) seedFrame(p int) []byte {
+	if r.recipe != nil {
+		return r.recipe.frame(r.seq, p)
 	}
 	frame := []byte{byte(remote.MsgSeed)}
-	frame = remote.AppendUvarint(frame, seq)
+	frame = remote.AppendUvarint(frame, r.seq)
 	frame = remote.AppendUvarint(frame, uint64(p))
-	frame = remote.AppendUvarint(frame, uint64(m.counts[p]))
-	return append(frame, m.blobs[p]...)
+	frame = remote.AppendUvarint(frame, uint64(r.counts[p]))
+	return append(frame, r.blobs[p]...)
 }
 
 // WorkerLostError reports that a dist worker died. The engine retries
-// the in-flight job internally after a loss, so this error escapes a
-// Run/RunDS call only when recovery is impossible: no live workers
-// remain, the retry budget is exhausted, or a job's worker-resident
-// input was lost without a checkpoint to restore it from.
-// mapreduce.Loop treats an escaped WorkerLostError as replayable when
-// the loop state itself is restorable (see Loop).
+// the in-flight job internally after a loss, restoring what the dead
+// worker held from its lineage, so this error escapes a Run/RunDS call
+// only when recovery is impossible, and then it is final: no live
+// workers remain, the retry budget is exhausted, or a lost partition's
+// lineage leads to a coordinator-held input the caller has recycled.
 type WorkerLostError struct {
 	// Worker is the index of the lost worker (-1 when the loss is
 	// positional, e.g. "no live workers").
@@ -245,7 +240,7 @@ type DistClusterOptions struct {
 	// worker connection: frames are sequence-numbered and ringed, and a
 	// worker whose transport errors may redial and re-attach by worker
 	// id + session token within the grace window — both sides replay
-	// un-acked frames and the run continues, with no abort, no reseed.
+	// un-acked frames and the run continues, with no abort, no restore.
 	// Only past the grace does the loss escalate to the usual
 	// death/recovery path. Keeps the listener open for re-attachment
 	// even without AcceptLate. Zero disables (the default).
@@ -616,7 +611,7 @@ func (cl *DistCluster) drainFatal(w int) string {
 // dead worker: its partitions go round-robin, in partition order, over
 // the live workers. Deterministic in the dead set, and a no-op for
 // partitions whose owner is alive — a live worker's partitions never
-// move, which is what lets recovery re-seed only what was actually
+// move, which is what lets recovery restore only what was actually
 // lost.
 func (cl *DistCluster) reassignLocked(owners []int) {
 	var targets []int
@@ -709,93 +704,123 @@ func (cl *DistCluster) retryAfterLoss(attempt int) bool {
 	return live > 0 && attempt < len(cl.conns)
 }
 
-// registerResident records the residency of job or Dataset seq: its
-// partition locations and counts and, when it has them, its checkpoint
-// mirror or its recipe. m is the cluster's from here on.
-func (cl *DistCluster) registerResident(seq uint64, m *distMirror) {
+// registerResident enters a record the caller now holds a Dataset of.
+func (cl *DistCluster) registerResident(r *distResidency) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	if cl.residency == nil {
-		cl.residency = make(map[uint64]*distMirror)
+		cl.residency = make(map[*distResidency]bool)
 	}
-	cl.residency[seq] = m
+	cl.residency[r] = true
 }
 
-// forgetResident drops the residency record (and mirror) of a consumed
-// or recycled dataset.
-func (cl *DistCluster) forgetResident(seq uint64) {
-	cl.mu.Lock()
-	delete(cl.residency, seq)
-	cl.mu.Unlock()
-}
-
-// mirrorPart returns partition p's checkpointed image for job seq, if
-// the coordinator holds one.
-func (cl *DistCluster) mirrorPart(seq uint64, p int) ([]byte, bool) {
+// releaseResident takes a fetched or dropped record out of the set and
+// marks every partition locNowhere: no worker holds it any more. The
+// record itself lives on while a child's lineage points to it.
+func (cl *DistCluster) releaseResident(r *distResidency) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	m := cl.residency[seq]
-	if m == nil || m.blobs == nil || p < 0 || p >= len(m.blobs) {
-		return nil, false
+	delete(cl.residency, r)
+	for p := range r.loc {
+		r.loc[p] = locNowhere
 	}
-	return m.blobs[p], true
 }
 
-// ensureResident reconciles job seq's resident output against the
-// current assignment before the job that consumes it is announced: any
-// partition whose recorded owner is dead is re-seeded from the
-// checkpoint mirror, or rebuilt from a built Dataset's recipe, onto the
-// worker the assignment names (recovery). A partition that lives
-// nowhere yet (locNowhere) is seeded the same way but not counted as
-// reseeded. A partition on a live worker stays put: reassignLocked only
-// moves a dead worker's partitions, so the assignment still names its
-// owner. A no-op while the cluster is healthy. Returns the count of
-// recovered partitions, or a WorkerLostError when a lost partition has
-// no mirror to restore it from.
-func (cl *DistCluster) ensureResident(seq uint64, name string) (int, error) {
+// errLineageGone marks a loss no retry can repair: the lineage of a lost
+// partition leads to a coordinator-held input the caller has recycled.
+var errLineageGone = errors.New("the input of the job that made a lost partition was recycled")
+
+// ensureResident puts every partition of r that no live worker holds
+// back on the worker the current assignment names, before a job that
+// reads r is announced or Materialize fetches it. A recipe rebuilds it
+// and a coordinator copy seeds it; a job output is made again whole by
+// re-running its job (recompute), which first restores the job's own
+// input the same way, down to a recipe or a coordinator copy. A
+// partition on a live worker stays put: reassignLocked only moves a dead
+// worker's partitions. Returns how many partitions were lost — their
+// owner died or a reduce consumed them; one never placed is put on its
+// worker without counting — or a WorkerLostError when the restore fails.
+func (cl *DistCluster) ensureResident(ctx context.Context, r *distResidency, name string) (int, error) {
 	cl.mu.Lock()
-	m := cl.residency[seq]
-	if m == nil {
-		cl.mu.Unlock()
-		return 0, fmt.Errorf("mapreduce: dist job %q: input dataset %d is not resident on this cluster", name, seq)
-	}
-	owners := cl.ownersForLocked(len(m.loc))
-	var seeds []move
-	reseeded := 0
-	for p, w := range m.loc {
+	owners := cl.ownersForLocked(len(r.loc))
+	var missing []int
+	lost := 0
+	for p, w := range r.loc {
 		if w >= 0 && !cl.deadLocked(w) {
 			continue
 		}
-		if !m.restorable(p) {
-			cl.mu.Unlock()
-			return 0, &WorkerLostError{Worker: w, Job: name,
-				Err: fmt.Errorf("resident input partition %d was lost and the producing job was not checkpointed (Config.CheckpointEvery)", p)}
-		}
-		target := owners[p]
-		if target == w {
-			// Owner is dead and the assignment still names it — no live
-			// worker existed to reassign to; the announce will fail with
-			// "no live workers" before this matters.
-			continue
-		}
-		seeds = append(seeds, move{w: target, frame: m.seedFrame(seq, p)})
+		missing = append(missing, p)
 		if w != locNowhere {
-			reseeded++
+			lost++
 		}
-		m.loc[p] = target
+	}
+	if len(missing) == 0 {
+		cl.mu.Unlock()
+		return 0, nil
+	}
+	if r.rerun != nil {
+		cl.mu.Unlock()
+		return lost, cl.recompute(ctx, r)
+	}
+	var seeds []move
+	for _, p := range missing {
+		if target := owners[p]; !cl.deadLocked(target) {
+			// A dead target means no live worker is left; the announce
+			// fails with "no live workers" before this matters.
+			seeds = append(seeds, move{w: target, frame: r.seedFrame(p)})
+			r.loc[p] = target
+		}
 	}
 	cl.mu.Unlock()
 	for _, s := range seeds {
 		if err := cl.conns[s.w].WriteFrame(s.frame); err != nil {
 			cl.markDead(s.w, err)
 			return 0, &WorkerLostError{Worker: s.w, Job: name,
-				Err: fmt.Errorf("re-seeding recovered partition: %w", err)}
+				Err: fmt.Errorf("restoring a lost partition: %w", err)}
 		}
 	}
-	if reseeded > 0 {
-		cl.reseeded.Add(int64(reseeded))
+	return lost, nil
+}
+
+// recompute makes every partition of a job output again: the job runs
+// once more on the live workers (r.rerun), and its fresh output replaces
+// r's partitions wholesale, under the re-run's sequence number — the
+// survivors' copies under the old one are dropped. A job is deterministic
+// given its input, so the fresh partitions are the lost ones bit for bit;
+// a count that differs is a job that is not, and breaks the cluster.
+func (cl *DistCluster) recompute(ctx context.Context, r *distResidency) error {
+	fresh, err := r.rerun(ctx)
+	if err != nil {
+		return err
 	}
-	return reseeded, nil
+	for p, n := range fresh.counts {
+		if n != r.counts[p] {
+			err := fmt.Errorf("mapreduce: recomputed partition %d holds %d records, the job made %d the first time (a dist job must be deterministic)", p, n, r.counts[p])
+			cl.fail(err)
+			return err
+		}
+	}
+	cl.mu.Lock()
+	old := r.seq
+	r.seq, r.loc = fresh.seq, fresh.loc
+	cl.mu.Unlock()
+	cl.dropOnWorkers(old)
+	return nil
+}
+
+// dropOnWorkers frees whatever the live workers hold under seq. Best
+// effort: a worker that cannot be told is marked dead, and its copy dies
+// with it.
+func (cl *DistCluster) dropOnWorkers(seq uint64) {
+	if cl.Err() != nil {
+		return
+	}
+	frame := remote.AppendUvarint([]byte{byte(remote.MsgDrop)}, seq)
+	for _, w := range cl.liveWorkers() {
+		if err := cl.conns[w].WriteFrame(frame); err != nil {
+			cl.markDead(w, fmt.Errorf("mapreduce: dropping resident dataset on worker %d: %w", w, err))
+		}
+	}
 }
 
 // move is one seed or shed frame bound for worker w.
@@ -815,22 +840,19 @@ func shedFrame(seq uint64, part int) []byte {
 // input record (GreedyMR compacts adjacency lists in place). An attempt
 // aborted after its flush therefore leaves every surviving copy
 // suspect: each is shed and its partition marked locConsumed, so the
-// retry re-seeds it from the mirror — and a partition without a mirror
-// is lost, as Config.CheckpointEvery says of un-checkpointed resident
-// data. Failure path only; a successful attempt's input is dropped by
-// whoever holds it (Loop, Dataset.Recycle).
-func (cl *DistCluster) consumeResident(seq uint64) {
+// retry restores it from r's lineage. A successful job marks its input
+// consumed the same way (markConsumed) without the sheds: its caller
+// drops the input, and only a recovery reads it again.
+func (cl *DistCluster) consumeResident(r *distResidency) {
 	var sheds []move
 	cl.mu.Lock()
-	if m := cl.residency[seq]; m != nil {
-		for p, w := range m.loc {
-			if w >= 0 && !cl.deadLocked(w) {
-				sheds = append(sheds, move{w: w, frame: shedFrame(seq, p)})
-			}
-			m.loc[p] = locConsumed
+	for p, w := range r.loc {
+		if w >= 0 && !cl.deadLocked(w) {
+			sheds = append(sheds, move{w: w, frame: shedFrame(r.seq, p)})
 		}
 	}
 	cl.mu.Unlock()
+	cl.markConsumed(r)
 	for _, s := range sheds {
 		// Best effort: a worker that cannot be told takes its copy with
 		// it.
@@ -840,71 +862,23 @@ func (cl *DistCluster) consumeResident(seq uint64) {
 	}
 }
 
-// residencySnapshot copies job seq's partition locations, for a fetch
-// that must know which worker should stream each partition (a stale
-// seed on a worker that lost the partition again must not shadow the
-// current owner's copy). nil when the job has no residency record.
-func (cl *DistCluster) residencySnapshot(seq uint64) []int {
+// markConsumed marks every partition of r locConsumed.
+func (cl *DistCluster) markConsumed(r *distResidency) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	m := cl.residency[seq]
-	if m == nil {
-		return nil
+	for p := range r.loc {
+		r.loc[p] = locConsumed
 	}
-	return append([]int(nil), m.loc...)
 }
 
-// canRestore reports whether job seq's resident output could still be
-// reconstructed in full: the cluster is healthy with at least one live
-// worker, and every partition either lives on a live worker or has a
-// checkpoint mirror or a recipe. This is Loop's replay test — it decides
-// whether re-running a round from its entry state can possibly succeed.
-func (cl *DistCluster) canRestore(seq uint64) bool {
+// residencySnapshot copies r's sequence number and partition locations,
+// for a fetch that must know which worker should stream each partition
+// (a stale copy on a worker that lost the partition again must not
+// shadow the current owner's).
+func (cl *DistCluster) residencySnapshot(r *distResidency) (uint64, []int) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	if cl.broken != nil || cl.closed {
-		return false
-	}
-	live := 0
-	for w := range cl.conns {
-		if !cl.deadLocked(w) {
-			live++
-		}
-	}
-	if live == 0 {
-		return false
-	}
-	m := cl.residency[seq]
-	if m == nil {
-		return false
-	}
-	for p, w := range m.loc {
-		if (w < 0 || cl.deadLocked(w)) && !m.restorable(p) {
-			return false
-		}
-	}
-	return true
-}
-
-// checkpointNext applies the Config.CheckpointEvery throttle: whether
-// the next retained job output should be checkpointed.
-func (cl *DistCluster) checkpointNext(every int) bool {
-	if every < 0 {
-		return false
-	}
-	if every == 0 {
-		every = 1
-	}
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	return cl.retained%uint64(every) == 0
-}
-
-// noteRetained counts one successfully retained job output.
-func (cl *DistCluster) noteRetained() {
-	cl.mu.Lock()
-	cl.retained++
-	cl.mu.Unlock()
+	return r.seq, append([]int(nil), r.loc...)
 }
 
 // RecoveryStats is the cluster's cumulative fault-tolerance activity,
@@ -914,8 +888,9 @@ type RecoveryStats struct {
 	WorkersLost int
 	// Recoveries counts job attempts retried after a loss.
 	Recoveries int64
-	// Reseeded counts partitions restored from the checkpoint mirror
-	// onto a new owner because their previous owner died.
+	// Reseeded sums Stats.ReseededPartitions over the jobs that
+	// succeeded: input partitions put on a new owner because their owner
+	// died or an aborted attempt consumed them.
 	Reseeded int64
 	// HeartbeatTimeouts counts workers declared lost by the health
 	// monitor for staying silent while a job waited on them.
@@ -1161,10 +1136,6 @@ type distJobHeader struct {
 	mode     remote.JobMode
 	splits   int
 	reducers int
-	// ckpt asks the workers to checkpoint their retained output at the
-	// flush barrier: stream a mirror copy (MsgCkpt) to the coordinator
-	// before MsgJobDone.
-	ckpt bool
 	// state marks a state job (RunStateDS): the reduce registered under
 	// the job's name must be a StateReduceFunc, which the workers join
 	// with the resident input partitions they mapped.
@@ -1191,12 +1162,10 @@ func (h *distJobHeader) encode() []byte {
 	buf = append(buf, byte(h.mode))
 	buf = remote.AppendUvarint(buf, uint64(h.splits))
 	buf = remote.AppendUvarint(buf, uint64(h.reducers))
-	for _, flag := range []bool{h.ckpt, h.state} {
-		if flag {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
+	if h.state {
+		buf = append(buf, 1)
+	} else {
+		buf = append(buf, 0)
 	}
 	buf = remote.AppendUvarint(buf, h.inputSeq)
 	buf = remote.AppendUvarint(buf, uint64(len(h.owners)))
@@ -1212,7 +1181,8 @@ func (h *distJobHeader) encode() []byte {
 }
 
 // parseJobHeader decodes a MsgJobStart payload (the type byte already
-// consumed).
+// consumed). It accepts exactly what encode writes, up to the value of a
+// flag byte (FuzzJobHeader).
 func parseJobHeader(cur *remote.Cursor) (*distJobHeader, error) {
 	h := &distJobHeader{}
 	h.seq = cur.Uvarint()
@@ -1220,7 +1190,6 @@ func parseJobHeader(cur *remote.Cursor) (*distJobHeader, error) {
 	h.mode = remote.JobMode(cur.Byte())
 	h.splits = int(cur.Uvarint())
 	h.reducers = int(cur.Uvarint())
-	h.ckpt = cur.Byte() != 0
 	h.state = cur.Byte() != 0
 	h.inputSeq = cur.Uvarint()
 	nOwners := int(cur.Uvarint())
@@ -1239,6 +1208,9 @@ func parseJobHeader(cur *remote.Cursor) (*distJobHeader, error) {
 	if err := cur.Err(); err != nil {
 		return nil, fmt.Errorf("mapreduce: malformed job-start: %w", err)
 	}
+	if h.mode > remote.ModeChained || len(cur.Rest()) > 0 {
+		return nil, fmt.Errorf("mapreduce: malformed job-start: mode %d, %d trailing bytes", h.mode, len(cur.Rest()))
+	}
 	return h, nil
 }
 
@@ -1246,7 +1218,7 @@ func parseJobHeader(cur *remote.Cursor) (*distJobHeader, error) {
 // a recycled frameScratch buffer; WriteFrame copies, so the buffer is
 // free again as soon as the send returns). The pair payload is a
 // self-contained codec-v2 blob (see codecv2.go), so the coordinator can
-// relay, mirror, and re-seed the frame body without re-encoding.
+// relay the frame body without re-encoding.
 func encodeBucketFrame[K comparable, V any](buf []byte, seq uint64, split, part int, pairs []Pair[K, V], pc *pairCodec[K, V]) ([]byte, error) {
 	buf = append(buf, byte(remote.MsgBucket))
 	buf = remote.AppendUvarint(buf, seq)
@@ -1363,10 +1335,9 @@ type distJobRun[K2 comparable, V2 any, K3 comparable, V3 any] struct {
 	outcomes []readerOutcome
 	finished atomic.Bool
 
-	mu        sync.Mutex
-	reports   []distWorkerReport
-	loss      *WorkerLostError
-	ckptBlobs [][]byte
+	mu      sync.Mutex
+	reports []distWorkerReport
+	loss    *WorkerLostError
 	// done holds the workers whose MsgJobDone arrived.
 	done map[int]bool
 
@@ -1413,7 +1384,7 @@ func (j *distJobRun[K2, V2, K3, V3]) noteDone(w int) {
 // set and the partition assignment into the job header, and announces
 // the job to every live worker.
 func startDistJob[K2 comparable, V2 any, K3 comparable, V3 any](
-	cfg Config, mode remote.JobMode, splits int, inputSeq uint64, state, ckpt bool,
+	cfg Config, mode remote.JobMode, splits int, inputSeq uint64, state bool,
 ) (*distJobRun[K2, V2, K3, V3], error) {
 	cl := cfg.Dist
 	if err := cl.Err(); err != nil {
@@ -1439,7 +1410,6 @@ func startDistJob[K2 comparable, V2 any, K3 comparable, V3 any](
 			mode:     mode,
 			splits:   splits,
 			reducers: cfg.reducers(),
-			ckpt:     ckpt,
 			state:    state,
 			inputSeq: inputSeq,
 			owners:   owners,
@@ -1745,27 +1715,6 @@ func (j *distJobRun[K2, V2, K3, V3]) reader(w int) (readerOutcome, error) {
 				// already initiated the abort; nothing more to do.
 				j.flushAll()
 			}
-		case remote.MsgCkpt:
-			seq := cur.Uvarint()
-			part := int(cur.Uvarint())
-			cur.Uvarint() // count
-			if err := cur.Err(); err != nil || seq != j.hdr.seq ||
-				part < 0 || part >= j.hdr.reducers {
-				return 0, fmt.Errorf("mapreduce: dist job %q: malformed checkpoint frame from worker %d", j.hdr.name, w)
-			}
-			if j.aborting.Load() {
-				continue
-			}
-			blob := cur.Rest()
-			if blob == nil {
-				blob = []byte{}
-			}
-			j.mu.Lock()
-			if j.ckptBlobs == nil {
-				j.ckptBlobs = make([][]byte, j.hdr.reducers)
-			}
-			j.ckptBlobs[part] = blob
-			j.mu.Unlock()
 		case remote.MsgJobDone:
 			cur.Uvarint() // seq
 			if err := parseJobDone(cur, j.hdr.reducers, &j.reports[w]); err != nil {
@@ -1975,52 +1924,61 @@ func (s *schedSnapshot) settle(cl *DistCluster, as *Stats) {
 
 // runDistDS executes one job on the dist backend (execJob's dist half),
 // retrying the whole job when an attempt dies to worker loss. A
-// worker-resident input (inputSeq != 0, mapped by the workers) is
-// restorable across attempts as long as every lost partition has a
-// coordinator-mirrored checkpoint blob (ensureResident re-seeds it to
-// the new owner); an input the coordinator maps itself (mapPhase) needs
-// no restoration at all. Each attempt runs against scratch stats; only
-// the successful attempt's numbers merge into the caller's, so retried
-// work is invisible everywhere except Stats.WorkerRecoveries.
+// worker-resident input (in, mapped by the workers) is restored before
+// every attempt from its lineage (ensureResident); an input the
+// coordinator maps itself (mapPhase) needs no restoring. Each attempt
+// runs against scratch stats; only the successful attempt's numbers merge
+// into the caller's, so retried work is invisible everywhere except
+// Stats.WorkerRecoveries. The output's record can run the job again for
+// a later recovery: over in, or over the coordinator's input while live
+// reports it is still held (nil: always).
 func runDistDS[K2 comparable, V2 any, K3 comparable, V3 any](
 	ctx context.Context,
 	cfg Config,
 	splits int,
-	inputSeq uint64,
+	in *distResidency,
 	state bool,
 	mapPhase mapPhaseFunc[K2, V2],
+	live func() bool,
 	stats *Stats,
 ) (*Dataset[K3, V3], error) {
 	cl := cfg.Dist
 	if cl == nil {
 		return nil, errors.New("mapreduce: shuffle backend \"dist\" requires Config.Dist (a started DistCluster)")
 	}
-	// One checkpoint decision per job, not per attempt: a retried job
-	// checkpoints iff the original would have.
-	ckpt := cl.checkpointNext(cfg.CheckpointEvery)
 	var sched schedSnapshot
 	sched.start(cl)
 	for attempt := 0; ; attempt++ {
 		// Adopt late joiners and move dead workers' partitions;
-		// ensureResident re-seeds the data the new assignment calls for.
+		// ensureResident restores the data the new assignment calls for.
 		cl.recoverAssignments()
 		as := newStats(cfg.Name)
-		out, err := tryDistDS[K2, V2, K3, V3](ctx, cfg, splits, inputSeq, state, mapPhase, as, ckpt)
+		out, err := tryDistDS[K2, V2, K3, V3](ctx, cfg, splits, in, state, mapPhase, as)
 		if err == nil {
 			as.WorkerRecoveries = int64(attempt)
 			sched.settle(cl, as)
 			stats.Add(as)
-			cl.noteRetained()
+			cl.reseeded.Add(as.ReseededPartitions)
+			out.rem.rerun = func(ctx context.Context) (*distResidency, error) {
+				if live != nil && !live() {
+					return nil, &WorkerLostError{Worker: -1, Job: cfg.Name, Err: errLineageGone}
+				}
+				again, err := tryDistDS[K2, V2, K3, V3](ctx, cfg, splits, in, state, mapPhase, newStats(cfg.Name))
+				if in != nil {
+					// The re-run consumed its input, and only another
+					// recovery reads it again.
+					cl.dropOnWorkers(in.seq)
+					cl.releaseResident(in)
+				}
+				if err != nil {
+					return nil, err
+				}
+				return again.rem, nil
+			}
+			cl.registerResident(out.rem)
 			return out, nil
 		}
-		if !isWorkerLost(err) || !cl.retryAfterLoss(attempt) {
-			return nil, err
-		}
-		if inputSeq != 0 && !cl.canRestore(inputSeq) {
-			// The input itself lost partitions that were never
-			// checkpointed; engine-level retry cannot reconstruct them.
-			// Loop-level replay (Dataset.Loop) may still recover from the
-			// round boundary.
+		if !isWorkerLost(err) || errors.Is(err, errLineageGone) || !cl.retryAfterLoss(attempt) {
 			return nil, err
 		}
 		cl.recoveries.Add(1)
@@ -2028,7 +1986,7 @@ func runDistDS[K2 comparable, V2 any, K3 comparable, V3 any](
 }
 
 // tryDistDS is one job attempt. Output stays worker-resident (the
-// returned Dataset holds a residency handle, not records). A
+// returned Dataset holds its residency record, not records). A
 // worker-resident input is mapped on the workers, so self-addressed
 // pairs never touch the wire; otherwise the coordinator runs mapPhase
 // and streams every bucket to its partition's owner.
@@ -2036,34 +1994,34 @@ func tryDistDS[K2 comparable, V2 any, K3 comparable, V3 any](
 	ctx context.Context,
 	cfg Config,
 	splits int,
-	inputSeq uint64,
+	in *distResidency,
 	state bool,
 	mapPhase mapPhaseFunc[K2, V2],
 	stats *Stats,
-	ckpt bool,
 ) (*Dataset[K3, V3], error) {
 	cl := cfg.Dist
 	phase := time.Now()
 	mode := remote.ModeFlat
-	if inputSeq != 0 {
-		// Reconcile the input's partition locations against the current
-		// assignment: re-seed what a dead owner lost before announcing
-		// the job that consumes it.
-		reseeded, err := cl.ensureResident(inputSeq, cfg.Name)
+	var inputSeq uint64
+	if in != nil {
+		// Put back what a dead owner or an aborted reduce took before
+		// announcing the job that reads it.
+		reseeded, err := cl.ensureResident(ctx, in, cfg.Name)
 		if err != nil {
 			return nil, err
 		}
 		stats.ReseededPartitions = int64(reseeded)
 		mode = remote.ModeChained
+		inputSeq, _ = cl.residencySnapshot(in)
 	}
-	job, err := startDistJob[K2, V2, K3, V3](cfg, mode, splits, inputSeq, state, ckpt)
+	job, err := startDistJob[K2, V2, K3, V3](cfg, mode, splits, inputSeq, state)
 	if err != nil {
 		return nil, err
 	}
 	// A worker-side map phase is observed by the readers in finish,
 	// through MsgMapDone and the flush barrier.
 	var mapErr error
-	if inputSeq == 0 {
+	if in == nil {
 		ar := arenaFor[K2, V2](cfg.Pool, cfg.reducers())
 		mapErr = mapPhase(ctx, &distSender[K2, V2, K3, V3]{j: job, ar: ar}, ar, stats)
 		stats.MapWall = time.Since(phase)
@@ -2071,61 +2029,37 @@ func tryDistDS[K2 comparable, V2 any, K3 comparable, V3 any](
 	}
 	res, err := job.finish(ctx, cfg, stats, mapErr)
 	stats.ReduceWall = time.Since(phase)
-	if err != nil {
-		if inputSeq != 0 && job.flushed.Load() && isWorkerLost(err) {
-			cl.consumeResident(inputSeq)
+	if in != nil && job.flushed.Load() {
+		if err == nil {
+			cl.markConsumed(in)
+		} else if isWorkerLost(err) {
+			cl.consumeResident(in)
 		}
+	}
+	if err != nil {
 		return nil, err
 	}
-	return job.retain(res, cfg.Pool), nil
+	rec := &distResidency{cl: cl, seq: job.hdr.seq, loc: job.hdr.owners, counts: res.counts}
+	return newRemoteDataset[K3, V3](rec, res.sides, keyCast[K2, K3]() != nil, cfg.Pool), nil
 }
 
-// retain registers a successful attempt's worker-resident output (with
-// its checkpoint mirror, if any) and wraps it in a Dataset.
-func (j *distJobRun[K2, V2, K3, V3]) retain(res *distJobResult, pool *BufferPool) *Dataset[K3, V3] {
-	j.cl.registerResident(j.hdr.seq, &distMirror{
-		loc:    append([]int(nil), j.hdr.owners...),
-		counts: res.counts,
-		blobs:  j.takeCkptBlobs(),
-	})
-	return newRemoteDataset[K3, V3](j.cl, j.hdr.seq, res.counts, res.sides, keyCast[K2, K3]() != nil, pool)
-}
-
-// takeCkptBlobs hands the attempt's mirrored checkpoint frames to the
-// residency registry (nil when the job didn't checkpoint).
-func (j *distJobRun[K2, V2, K3, V3]) takeCkptBlobs() [][]byte {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	blobs := j.ckptBlobs
-	j.ckptBlobs = nil
-	return blobs
-}
-
-// distResident is a Dataset's residency handle: which cluster and job
-// own the records, and how many live in each partition (Len without a
-// fetch).
-type distResident struct {
-	cl     *DistCluster
-	seq    uint64
-	counts []int64
-}
-
-// newRemoteDataset wraps a worker-resident job output in a Dataset.
-func newRemoteDataset[K comparable, V any](cl *DistCluster, seq uint64, counts []int64, sides [][]uint64, aligned bool, pool *BufferPool) *Dataset[K, V] {
+// newRemoteDataset wraps a worker-resident Dataset's record.
+func newRemoteDataset[K comparable, V any](r *distResidency, sides [][]uint64, aligned bool, pool *BufferPool) *Dataset[K, V] {
 	return &Dataset[K, V]{
-		parts:   make([][]Pair[K, V], len(counts)),
+		parts:   make([][]Pair[K, V], len(r.counts)),
 		aligned: aligned,
 		pool:    pool,
-		rem:     &distResident{cl: cl, seq: seq, counts: counts},
+		rem:     r,
 		side:    sides,
 	}
 }
 
 // placeResident puts a state job's coordinator-held input on the
-// cluster: encode every partition into its mirror blob and register the
-// Dataset as resident nowhere yet (locNowhere) — the job that consumes it
-// has ensureResident seed each partition to its owner (a seed, not a
-// recovery: nothing counts as reseeded).
+// cluster: encode every partition into the coordinator's copy and
+// register the Dataset as resident nowhere yet (locNowhere) — the job
+// that consumes it has ensureResident seed each partition to its owner (a
+// seed, not a recovery: nothing counts as reseeded). The copy stays with
+// the record, the root of every output's lineage that descends from it.
 func placeResident[K comparable, V any](cl *DistCluster, ds *Dataset[K, V], cfg Config) (*Dataset[K, V], error) {
 	pc, err := pairCodecFor[K, V]()
 	if err != nil {
@@ -2150,133 +2084,119 @@ func placeResident[K comparable, V any](cl *DistCluster, ds *Dataset[K, V], cfg 
 			return nil, fmt.Errorf("mapreduce: placing dataset: partition %d: %w", p, err)
 		}
 	}
-	seq := cl.nextSeq()
-	cl.registerResident(seq, &distMirror{loc: owners, counts: counts, blobs: blobs})
-	return newRemoteDataset[K, V](cl, seq, counts, nil, true, cfg.Pool), nil
+	rec := &distResidency{cl: cl, seq: cl.nextSeq(), loc: owners, counts: counts, blobs: blobs}
+	cl.registerResident(rec)
+	return newRemoteDataset[K, V](rec, nil, true, cfg.Pool), nil
 }
 
 // Materialize moves a worker-resident Dataset's records to the caller:
 // every partition is fetched from its owning worker and the residency is
-// released (the workers drop their copies). A no-op for local Datasets.
-// Record access (Collect, Each, Part, MapValues) requires a
-// materialized Dataset; in-repo algorithms call Materialize explicitly
-// after every job whose output they read driver-side, so fetch errors
-// surface as errors rather than panics.
+// released (the workers drop their copies). A partition whose owner died
+// before or during the fetch is first put back on a live worker the way
+// a job's input is (ensureResident) and then fetched from there. A no-op
+// for local Datasets. Record access (Collect, Each, Part, MapValues)
+// requires a materialized Dataset; in-repo algorithms call Materialize
+// explicitly after every job whose output they read driver-side, so
+// fetch errors surface as errors rather than panics.
 func (d *Dataset[K, V]) Materialize() error {
 	if d.rem == nil {
 		return nil
 	}
 	rem := d.rem
-	if err := rem.cl.Err(); err != nil {
+	cl := rem.cl
+	if err := cl.Err(); err != nil {
 		return fmt.Errorf("mapreduce: materializing dataset: dist cluster is broken: %w", err)
 	}
 	pc, err := pairCodecFor[K, V]()
 	if err != nil {
 		return fmt.Errorf("mapreduce: materializing dataset: %w", err)
 	}
-	fetch := remote.AppendUvarint([]byte{byte(remote.MsgFetch)}, rem.seq)
-	// One fetch per live connection, concurrently: the workers own
-	// disjoint partitions and each connection has its own reader, so the
-	// materialization wall is the slowest worker's transfer, not the
-	// sum — this sits on the per-round critical path of every algorithm
-	// that folds job output driver-side. loc filters stale copies: after
-	// a recovery a partition may exist on both its old owner (a seed
-	// that was reassigned again) and its current one; only the current
-	// owner's copy is accepted.
-	loc := rem.cl.residencySnapshot(rem.seq)
-	live := rem.cl.liveWorkers()
-	// A live worker that owns nothing under the residency map (an idle
-	// adopted late joiner) has nothing to contribute — skip its
-	// round-trip.
-	if loc != nil {
-		owned := make(map[int]bool, len(live))
-		for _, w := range loc {
+	var lost error
+	for round := 0; ; round++ {
+		if err := d.fetchResident(pc); err != nil {
+			lost = err
+		}
+		holes := false
+		for p := range d.parts {
+			holes = holes || d.parts[p] == nil && rem.counts[p] != 0
+		}
+		if !holes {
+			break
+		}
+		if round >= len(cl.conns) || errors.Is(lost, errLineageGone) {
+			if lost == nil {
+				lost = errors.New("mapreduce: materializing dataset: no live worker holds a partition")
+			}
+			return lost
+		}
+		cl.recoverAssignments()
+		if _, err := cl.ensureResident(context.Background(), rem, "materialize"); err != nil {
+			if !isWorkerLost(err) {
+				return err
+			}
+			lost = err
+		}
+	}
+	cl.releaseResident(rem)
+	d.rem = nil
+	return nil
+}
+
+// fetchResident fetches, from every live worker that owns one, each
+// partition of the Dataset it does not hold yet. One fetch per
+// connection, concurrently: the workers own disjoint partitions and each
+// connection has its own reader, so the materialization wall is the
+// slowest worker's transfer, not the sum — this sits on the per-round
+// critical path of every algorithm that folds job output driver-side. A
+// worker the fetch fails on is marked dead, and the error returned.
+func (d *Dataset[K, V]) fetchResident(pc *pairCodec[K, V]) error {
+	cl := d.rem.cl
+	seq, loc := cl.residencySnapshot(d.rem)
+	fetch := remote.AppendUvarint([]byte{byte(remote.MsgFetch)}, seq)
+	// A live worker that owns nothing to fetch (an idle adopted late
+	// joiner, or one whose partitions are all here) is skipped.
+	owned := make(map[int]bool, len(cl.conns))
+	for p, w := range loc {
+		if d.parts[p] == nil {
 			owned[w] = true
 		}
-		kept := live[:0]
-		for _, w := range live {
-			if owned[w] {
-				kept = append(kept, w)
-			}
-		}
-		live = kept
 	}
-	errs := make([]error, len(rem.cl.conns))
+	errs := make([]error, len(cl.conns))
 	var wg sync.WaitGroup
-	for _, w := range live {
-		w := w
+	for _, w := range cl.liveWorkers() {
+		if !owned[w] {
+			continue
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := d.fetchFrom(rem.cl.conns[w], w, loc, fetch, pc); err != nil {
+			if err := d.fetchFrom(cl.conns[w], w, loc, fetch, pc); err != nil {
 				errs[w] = fmt.Errorf("mapreduce: fetching resident partitions from worker %d: %w", w, err)
-				rem.cl.markDead(w, errs[w])
+				cl.markDead(w, errs[w])
 			}
 		}()
 	}
 	wg.Wait()
-	var lost error
 	for _, err := range errs {
 		if err != nil {
-			lost = &WorkerLostError{Worker: -1, Job: "materialize", Err: err}
-			break
+			return &WorkerLostError{Worker: -1, Job: "materialize", Err: err}
 		}
 	}
-	// Fill the holes — partitions owned by a worker that died before or
-	// during the fetch — from the coordinator's checkpoint mirror, or for
-	// a built Dataset by building them here. The mirror blob is the
-	// canonical encodePairs image, and a build is deterministic, so the
-	// partition is bit-identical to the lost copy.
-	for p := range d.parts {
-		if d.parts[p] != nil || p >= len(rem.counts) || rem.counts[p] == 0 {
-			continue
-		}
-		if d.rebuild != nil {
-			pairs, err := d.rebuild(p)
-			if err == nil && int64(len(pairs)) != rem.counts[p] {
-				err = fmt.Errorf("%d records, the workers built %d", len(pairs), rem.counts[p])
-			}
-			if err != nil {
-				return fmt.Errorf("mapreduce: materializing dataset: rebuilding partition %d: %w", p, err)
-			}
-			d.parts[p] = pairs
-			continue
-		}
-		blob, ok := rem.cl.mirrorPart(rem.seq, p)
-		if !ok || blob == nil {
-			if lost != nil {
-				return lost
-			}
-			return fmt.Errorf("mapreduce: materializing dataset: partition %d lost without a checkpoint", p)
-		}
-		n := int(rem.counts[p])
-		cur := remote.NewCursor(blob)
-		pairs, err := decodePairs(cur, n, pc, make([]Pair[K, V], 0, n))
-		if err != nil {
-			return fmt.Errorf("mapreduce: materializing dataset: restoring partition %d from checkpoint: %w", p, err)
-		}
-		d.parts[p] = pairs
-	}
-	rem.cl.forgetResident(rem.seq)
-	d.rem = nil
-	d.rebuild = nil
 	return nil
 }
 
 // fetchFrom drains one worker's resident partitions for this dataset.
-// loc (the cluster's residency map, nil when unknown) gates acceptance:
-// only the current owner's copy of a partition is installed.
+// loc (the record's partition locations) gates acceptance: only the
+// current owner's copy of a partition is installed, and only where the
+// Dataset has none yet.
 func (d *Dataset[K, V]) fetchFrom(conn *remote.Conn, w int, loc []int, fetch []byte, pc *pairCodec[K, V]) error {
 	if err := conn.WriteFrame(fetch); err != nil {
 		return err
 	}
 	// Rolling read deadline: a gray-failed worker (socket open, no
 	// frames) must not hang materialization forever — on timeout the
-	// caller marks it dead and its partitions restore from the mirror.
-	timeout := distAbortTimeout
-	if d.rem != nil && d.rem.cl != nil {
-		timeout = d.rem.cl.abortTimeout
-	}
+	// caller marks it dead and its partitions are restored elsewhere.
+	timeout := d.rem.cl.abortTimeout
 	defer conn.SetReadDeadline(time.Time{})
 	for {
 		conn.SetReadDeadline(time.Now().Add(timeout))
@@ -2295,8 +2215,8 @@ func (d *Dataset[K, V]) fetchFrom(conn *remote.Conn, w int, loc []int, fetch []b
 			if err := cur.Err(); err != nil || part < 0 || part >= len(d.parts) {
 				return fmt.Errorf("malformed resident partition frame")
 			}
-			if loc != nil && part < len(loc) && loc[part] != w {
-				continue // stale copy from a previous assignment
+			if loc[part] != w || d.parts[part] != nil {
+				continue // stale copy from a previous assignment, or fetched already
 			}
 			pairs, err := decodePairs(cur, count, pc, make([]Pair[K, V], 0, pairCap(cur, count, pc)))
 			if err != nil {
@@ -2326,23 +2246,15 @@ func (d *Dataset[K, V]) mustMaterialize() {
 }
 
 // dropResident releases a worker-resident Dataset's partitions on the
-// workers (Recycle's remote half). Best effort: a worker that cannot be
-// told is marked dead (its copy dies with it), and the coordinator's
-// mirror is forgotten unconditionally.
+// workers (Recycle's remote half). The record leaves the cluster's set,
+// but lives on while a child's lineage needs it.
 func (d *Dataset[K, V]) dropResident() {
 	rem := d.rem
-	d.rem, d.rebuild = nil, nil
+	d.rem = nil
 	if rem == nil {
 		return
 	}
-	rem.cl.forgetResident(rem.seq)
-	if rem.cl.Err() != nil {
-		return
-	}
-	frame := remote.AppendUvarint([]byte{byte(remote.MsgDrop)}, rem.seq)
-	for _, w := range rem.cl.liveWorkers() {
-		if err := rem.cl.conns[w].WriteFrame(frame); err != nil {
-			rem.cl.markDead(w, fmt.Errorf("mapreduce: dropping resident dataset on worker %d: %w", w, err))
-		}
-	}
+	seq, _ := rem.cl.residencySnapshot(rem)
+	rem.cl.releaseResident(rem)
+	rem.cl.dropOnWorkers(seq)
 }

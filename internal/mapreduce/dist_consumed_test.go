@@ -2,7 +2,6 @@ package mapreduce
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"reflect"
 	"slices"
@@ -175,9 +174,9 @@ func TestSideOutputAcrossBackends(t *testing.T) {
 // victimFrames counts what worker `victim` sends the coordinator in one
 // chained mut-ring round before the flush barrier can pass — its cross
 // buckets (one per split it maps and foreign partition that split's ring
-// messages reach) and its map-done — and the partitions it owns, each
-// of which adds a checkpoint frame after the barrier.
-func victimFrames(workers, victim int) (preFlush, owned int) {
+// messages reach) and its map-done. Its job-done is the one frame after
+// the barrier.
+func victimFrames(workers, victim int) (preFlush int) {
 	reach := make(map[[2]int]bool)
 	for k := int32(0); k < ringN; k++ {
 		split, part := partitionIndex(k, 4), partitionIndex((k+1)%ringN, 4)
@@ -185,12 +184,7 @@ func victimFrames(workers, victim int) (preFlush, owned int) {
 			reach[[2]int{split, part}] = true
 		}
 	}
-	for p := 0; p < 4; p++ {
-		if remote.Owner(p, workers) == victim {
-			owned++
-		}
-	}
-	return len(reach) + 1, owned
+	return len(reach) + 1
 }
 
 // TestDistConsumedInputRetry pins the consumed-input contract of chained
@@ -198,17 +192,15 @@ func victimFrames(workers, victim int) (preFlush, owned int) {
 // round 2 — while it is still in its (slowed) reduce and the other
 // workers have finished theirs, mutating state their resident input
 // still points into. The retry must not map those survivors' copies: it
-// re-seeds every input partition from the mirror (ReseededPartitions is
-// the whole geometry, not just the dead worker's share), and the run
+// recomputes every input partition from its lineage (ReseededPartitions
+// is the whole geometry, not just the dead worker's share), and the run
 // ends bit-identical to memory, side output included — nothing an
 // aborted attempt reported is kept, nothing the retry reports is lost.
-// Without a mirror the same loss is a WorkerLostError, never a wrong
-// answer.
 func TestDistConsumedInputRetry(t *testing.T) {
 	const rounds, faultRound, victim = 4, 2, 1
 	want := mutReference(t, rounds)
 	for _, workers := range []int{2, 3} {
-		pre, owned := victimFrames(workers, victim)
+		pre := victimFrames(workers, victim)
 		var slow byte
 		for p := 0; p < 4; p++ {
 			if remote.Owner(p, workers) == victim {
@@ -230,8 +222,8 @@ func TestDistConsumedInputRetry(t *testing.T) {
 				cl := startTestCluster(t, workers)
 				cfg := distCfg4(cl, "mut-ring")
 				cfg.DistParams = []byte{slow}
-				// The checkpoint frames and the job-done: all past the flush.
-				at := remote.FaultPoint(seed, pre+1, pre+1+owned+1)
+				// The job-done, the one frame past the flush.
+				at := remote.FaultPoint(seed, pre+1, pre+2)
 				got, stats, err := mutRounds(t, cfg, rounds, arm(t, cl, at))
 				if err != nil {
 					t.Fatal(err)
@@ -245,17 +237,5 @@ func TestDistConsumedInputRetry(t *testing.T) {
 				}
 			})
 		}
-		t.Run(fmt.Sprintf("workers=%d/no-mirror", workers), func(t *testing.T) {
-			cl := startTestCluster(t, workers)
-			cfg := distCfg4(cl, "mut-ring")
-			cfg.DistParams = []byte{slow}
-			cfg.CheckpointEvery = -1
-			// No checkpoint frames: the job-done is the one post-flush frame.
-			_, _, err := mutRounds(t, cfg, rounds, arm(t, cl, pre+1))
-			var lost *WorkerLostError
-			if !errors.As(err, &lost) {
-				t.Fatalf("un-mirrored consumed input: got %v, want a WorkerLostError", err)
-			}
-		})
 	}
 }

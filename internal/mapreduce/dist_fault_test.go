@@ -98,40 +98,6 @@ func TestDistFaultDelayHarmless(t *testing.T) {
 	}
 }
 
-// TestDistCheckpointEveryThrottle pins Config.CheckpointEvery's k > 0
-// throttle, which counts retained job outputs on the cluster: of four
-// chained jobs under CheckpointEvery 2, exactly the first and the third
-// output are mirrored on the coordinator. The output stays right even so.
-func TestDistCheckpointEveryThrottle(t *testing.T) {
-	const rounds = 4
-	want := memoryRingReference(t, rounds)
-	cl := startTestCluster(t, 2)
-	cfg := distCfg4(cl, "ring-step")
-	cfg.CheckpointEvery = 2
-	ds := PartitionDataset(ringInput(), cfg.reducers())
-	var mirrored []bool
-	for i := 0; i < rounds; i++ {
-		next, _, err := RunDS(context.Background(), cfg, ds, ringMap, ringReduce)
-		if err != nil {
-			t.Fatalf("round %d: %v", i, err)
-		}
-		ds = next
-		cl.mu.Lock()
-		m := cl.residency[ds.rem.seq]
-		mirrored = append(mirrored, m != nil && m.blobs != nil)
-		cl.mu.Unlock()
-	}
-	if w := []bool{true, false, true, false}; !reflect.DeepEqual(mirrored, w) {
-		t.Fatalf("mirrored outputs %v, want %v", mirrored, w)
-	}
-	if err := ds.Materialize(); err != nil {
-		t.Fatal(err)
-	}
-	if got := ds.Collect(); !reflect.DeepEqual(got, want) {
-		t.Fatal("throttled run diverges from memory backend")
-	}
-}
-
 // TestDistChaosKilledWorkers is the real-process chaos suite: three
 // re-executed worker processes run the slowed chained ring job, and one
 // of them — chosen by seed — takes a SIGKILL at a seed-derived delay,
@@ -190,56 +156,10 @@ func TestDistChaosKilledWorkers(t *testing.T) {
 	}
 }
 
-// BenchmarkDistChainedCheckpoint prices the fault-tolerance machinery:
-// identical chained ring rounds with checkpointing at the default
-// (every retained output: MsgCkpt mirror frames) and disabled. The
-// /on vs /off delta is the checkpoint overhead the CI bench comparison
-// pins to <= 10%. The /on-sched case additionally arms the health
-// monitor (a 50ms heartbeat) on the healthy cluster; its delta over /on
-// is the chained-round idle overhead of monitoring, pinned to <= 5%.
-func BenchmarkDistChainedCheckpoint(b *testing.B) {
-	for _, bench := range []struct {
-		name  string
-		every int
-		hb    time.Duration
-	}{
-		{"on", 0, 0},
-		{"off", -1, 0},
-		{"on-sched", 0, 50 * time.Millisecond},
-	} {
-		b.Run(bench.name, func(b *testing.B) {
-			opts := DistClusterOptions{
-				Timeout:        30 * time.Second,
-				HeartbeatEvery: bench.hb,
-			}
-			cl := startSchedCluster(b, 2, opts, nil)
-			cfg := distCfg4(cl, "ring-step")
-			cfg.CheckpointEvery = bench.every
-			ctx := context.Background()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ds := PartitionDataset(ringInput(), cfg.reducers())
-				for r := 0; r < 3; r++ {
-					next, _, err := RunDS(ctx, cfg, ds, ringMap, ringReduce)
-					if err != nil {
-						b.Fatal(err)
-					}
-					ds = next
-				}
-				if err := ds.Materialize(); err != nil {
-					b.Fatal(err)
-				}
-				ds.Recycle()
-			}
-		})
-	}
-}
-
 // TestDistLateJoinAdoptsPartitions pins the replacement-worker path:
 // with AcceptLate a fresh worker dials into a running cluster, and the
-// next recovery adopts it — the dead worker's partitions are re-seeded
-// from checkpoint mirrors onto the adopted pool and the run completes
+// next recovery adopts it — the dead worker's partitions are recomputed
+// from their lineage onto the adopted pool and the run completes
 // bit-identical.
 func TestDistLateJoinAdoptsPartitions(t *testing.T) {
 	const rounds = 3

@@ -114,17 +114,16 @@ func TestDistClusterCloseIdempotent(t *testing.T) {
 
 // TestDistFaultCutSeed severs a session in the middle of a frame — a
 // real length prefix followed by a truncated payload — so the surviving
-// side must fail cleanly on a torn blob, and recovery must reseed the
-// dead worker's partitions from the checkpoint mirror's blobs. No grace
-// window here: a cut is fatal by design.
+// side must fail cleanly on a torn blob, and recovery must restore the
+// dead worker's partitions from their lineage. No grace window here: a
+// cut is fatal by design.
 func TestDistFaultCutSeed(t *testing.T) {
 	const rounds = 3
 	want := memoryRingReference(t, rounds)
 	cl := startTestCluster(t, 2)
 	// Frame 14 lands in a chained round, after the first round's output
 	// went worker-resident: recovery must restore the dead worker's
-	// partitions from the checkpoint mirror's blobs, not re-ship
-	// coordinator-local input.
+	// partitions, recomputing them from their lineage.
 	if err := cl.InjectFault(0, &remote.Fault{
 		Op:          remote.FaultCut,
 		AfterWrites: 14,
@@ -141,7 +140,7 @@ func TestDistFaultCutSeed(t *testing.T) {
 		t.Fatalf("cut did not trigger recovery: %+v", rs)
 	}
 	if rs.Reseeded < 1 {
-		t.Fatalf("recovery never reseeded from the mirror: %+v", rs)
+		t.Fatalf("recovery never restored a partition: %+v", rs)
 	}
 	t.Logf("cut recovery: lost=%d retried=%d reseeded=%d",
 		rs.WorkersLost, rs.Recoveries, rs.Reseeded)

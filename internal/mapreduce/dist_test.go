@@ -155,8 +155,8 @@ func TestDistChainedCrossTraffic(t *testing.T) {
 // TestDistDroppedOutputReleasesResidency: a cluster outlives the jobs
 // it runs, so a job whose output the engine drops — RunJobDS when the
 // driver's round budget refuses the job, Run once it has collected the
-// records — must leave no residency record (with its checkpoint mirror)
-// on the coordinator and no partition on a worker.
+// records — must leave no residency record on the coordinator and no
+// partition on a worker.
 func TestDistDroppedOutputReleasesResidency(t *testing.T) {
 	cl := startTestCluster(t, 2)
 	resident := func() int {
@@ -217,11 +217,11 @@ func TestDistParamsReachWorkers(t *testing.T) {
 }
 
 // TestDistRefusesOlderProtoWorker: a worker built before the last wire
-// change (a Proto 14 job-done ends in a wire-compression tally, and its
-// job header carries a byte this build no longer sends, so the two would
-// misparse each other's frames) dials a current coordinator and is
-// refused at the hello, with both versions named — never paired and left
-// to misparse a frame.
+// change (a Proto 15 job header carries a checkpoint byte this build no
+// longer sends, and its message numbers past the dropped checkpoint
+// message are off by one, so the two would misparse each other's frames)
+// dials a current coordinator and is refused at the hello, with both
+// versions named — never paired and left to misparse a frame.
 func TestDistRefusesOlderProtoWorker(t *testing.T) {
 	leakcheck.Check(t)
 	var wg sync.WaitGroup
@@ -238,7 +238,7 @@ func TestDistRefusesOlderProtoWorker(t *testing.T) {
 				}
 				conn := remote.NewConn(nc)
 				defer conn.Close()
-				hello := remote.AppendUvarint([]byte{byte(remote.MsgHello)}, 14)
+				hello := remote.AppendUvarint([]byte{byte(remote.MsgHello)}, 15)
 				if err := conn.WriteFrame(append(hello, 0)); err != nil {
 					t.Error(err)
 					return
@@ -250,7 +250,7 @@ func TestDistRefusesOlderProtoWorker(t *testing.T) {
 		},
 	})
 	wg.Wait()
-	const want = "protocol version mismatch: worker speaks 14, coordinator 15"
+	const want = "protocol version mismatch: worker speaks 15, coordinator 16"
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("StartDistCluster with an older-protocol worker: err = %v, want %q", err, want)
 	}
@@ -316,7 +316,7 @@ func TestDistChainedMapErrorSurfaces(t *testing.T) {
 // TestDistWorkerDisconnectMidShuffle simulates a worker vanishing while
 // buckets stream: a rogue peer completes the handshake, reads the job
 // start, then hangs up. The coordinator must recover — abort the round,
-// reassign the rogue's partitions to the survivor, and replay — so the
+// reassign the rogue's partitions to the survivor, and retry — so the
 // job completes bit-identical to the memory backend, with nothing left
 // waiting on the flush barrier.
 func TestDistWorkerDisconnectMidShuffle(t *testing.T) {
@@ -587,7 +587,7 @@ func TestDistStartupStalledHandshake(t *testing.T) {
 
 // BenchmarkDistShuffle measures a full Run job on two loopback
 // workers: the cost of encode + TCP + decode + remote group-sort-reduce
-// + the checkpoint mirror + the result fetch, comparable with
+// + the result fetch, comparable with
 // BenchmarkShuffleHeavy on the local backends. The sched case arms the
 // health monitor (heartbeats and the monitor's ticks) on an entirely
 // healthy cluster; nosched turns it off. The delta is the idle overhead

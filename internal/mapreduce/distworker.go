@@ -99,6 +99,7 @@ func lookupDistJob(name string, params []byte) (distJobRunner, error) {
 
 // residentSet is one retained job output, typed underneath.
 type residentSet interface {
+	// fetch streams every retained partition (MsgPart) and drops them.
 	fetch(conn *remote.Conn, seq uint64) error
 	drop()
 	// shed releases one partition the coordinator marked consumed
@@ -116,7 +117,8 @@ type residentData[K comparable, V any] struct {
 }
 
 // fetch streams every retained partition and releases it (fetch moves;
-// the coordinator's Materialize owns the records afterwards).
+// the coordinator's Materialize owns the records afterwards). The caller
+// ends the reply.
 func (r *residentData[K, V]) fetch(conn *remote.Conn, seq uint64) error {
 	fs := getFrameScratch()
 	defer putFrameScratch(fs)
@@ -138,7 +140,7 @@ func (r *residentData[K, V]) fetch(conn *remote.Conn, seq uint64) error {
 		}
 	}
 	r.drop()
-	return conn.WriteFrame(remote.AppendUvarint([]byte{byte(remote.MsgFetchDone)}, seq))
+	return nil
 }
 
 // drop recycles the retained partition buffers.
@@ -160,10 +162,10 @@ func (r *residentData[K, V]) shed(part int) {
 }
 
 // chainedInput resolves a chained job's worker-resident input,
-// installing any re-seeded partitions (MsgSeed blobs held by the
-// session) first. A worker that retained nothing for the sequence — a
-// late joiner, or a survivor that only now inherited partitions —
-// starts from an empty set and fills it from its seeds.
+// installing any seeded partitions (MsgSeed blobs held by the session)
+// first. A worker that retained nothing for the sequence — a late
+// joiner, or a survivor that only now inherited partitions — starts from
+// an empty set and fills it from its seeds.
 func chainedInput[K1 comparable, V1 any](s *workerSession, h *distJobHeader) (*residentData[K1, V1], error) {
 	rd, err := residentFor[K1, V1](s, h.inputSeq, h.splits)
 	if err != nil {
@@ -172,9 +174,6 @@ func chainedInput[K1 comparable, V1 any](s *workerSession, h *distJobHeader) (*r
 	for part, sb := range s.seeds[h.inputSeq] {
 		if part >= len(rd.parts) {
 			return nil, fmt.Errorf("job %q: seed for partition %d of %d", h.name, part, len(rd.parts))
-		}
-		if rd.parts[part] != nil {
-			continue // the local copy is authoritative
 		}
 		pairs, err := decodePairs(remote.NewCursor(sb.blob), sb.count, rd.pc,
 			rd.ar.getPairs(part, sb.count))
@@ -210,10 +209,10 @@ func residentFor[K comparable, V any](s *workerSession, seq uint64, parts int) (
 	return rd, nil
 }
 
-// seedBlob is one re-seeded partition awaiting its consuming job: the
-// raw encodePairs image the coordinator mirrored from a checkpoint
-// frame, decoded lazily when the chained job that reads it starts (the
-// session doesn't know the partition's types until then).
+// seedBlob is one seeded partition awaiting its consuming job: the raw
+// encodePairs image of the coordinator's copy, decoded lazily when the
+// chained job that reads it starts (the session doesn't know the
+// partition's types until then).
 type seedBlob struct {
 	count int
 	blob  []byte
@@ -226,8 +225,8 @@ type workerSession struct {
 	workers  int
 	pool     *BufferPool
 	resident map[uint64]residentSet
-	// seeds holds re-seeded partitions by producing-job sequence, then
-	// partition (MsgSeed, sent ahead of the job that consumes them).
+	// seeds holds seeded partitions by Dataset sequence, then partition
+	// (MsgSeed, sent ahead of the job that consumes them).
 	seeds map[uint64]map[int]seedBlob
 	// builds counts the partitions being built (MsgBuild), builders
 	// holds the builder each Dataset being built got, and built collects
@@ -478,9 +477,9 @@ func (s *workerSession) serve() error {
 				return fmt.Errorf("mapreduce: dist worker: job %q: %w", h.name, err)
 			}
 		case remote.MsgSeed:
-			// A recovered partition, re-homed here ahead of the job that
-			// consumes it. Kept as the raw blob: the types arrive with
-			// that job's header.
+			// A placed or restored partition, homed here ahead of the job
+			// that consumes it. Kept as the raw blob: the types arrive
+			// with that job's header.
 			seq := cur.Uvarint()
 			part := int(cur.Uvarint())
 			count := int(cur.Uvarint())
@@ -492,6 +491,11 @@ func (s *workerSession) serve() error {
 			blob := cur.Rest()
 			if blob == nil {
 				blob = []byte{}
+			}
+			// The coordinator seeds only a partition no live worker holds
+			// intact: a copy here is stale.
+			if ent, ok := s.resident[seq]; ok {
+				ent.shed(part)
 			}
 			m := s.seeds[seq]
 			if m == nil {
@@ -521,19 +525,15 @@ func (s *workerSession) serve() error {
 				return fmt.Errorf("mapreduce: dist worker: %w", err)
 			}
 		case remote.MsgFetch:
+			// Resident partitions, then seeded ones no job has read yet;
+			// a worker with neither reports an empty set.
 			seq := cur.Uvarint()
 			if ent, ok := s.resident[seq]; ok {
 				delete(s.resident, seq)
 				if err := ent.fetch(s.conn, seq); err != nil {
 					return fmt.Errorf("mapreduce: dist worker: fetch: %w", err)
 				}
-				continue
 			}
-			// Not resident here — but re-seeded partitions this session
-			// holds for the sequence still belong to the fetch. A worker
-			// with neither (it never owned any partition of the job)
-			// reports an empty set; the coordinator restores the rest
-			// from its mirror.
 			if err := s.fetchSeeds(seq); err != nil {
 				return fmt.Errorf("mapreduce: dist worker: fetch: %w", err)
 			}
@@ -546,7 +546,7 @@ func (s *workerSession) serve() error {
 			delete(s.seeds, seq)
 		case remote.MsgShed:
 			// An aborted attempt's reduce may have consumed this resident
-			// partition; the retry re-seeds it, so this copy is
+			// partition; the retry restores it, so this copy is
 			// superseded. Sheds arrive between jobs.
 			seq := cur.Uvarint()
 			part := int(cur.Uvarint())
@@ -566,9 +566,9 @@ func (s *workerSession) serve() error {
 	}
 }
 
-// fetchSeeds answers a fetch for a sequence this session only holds
-// seeds for (if any): each seed streams back as a MsgPart frame — the
-// blob is already the canonical encodePairs image — then MsgFetchDone.
+// fetchSeeds ends a fetch reply: each seed the session holds for the
+// sequence streams back as a MsgPart frame — the blob is already the
+// canonical encodePairs image — then MsgFetchDone.
 func (s *workerSession) fetchSeeds(seq uint64) error {
 	for part, sb := range s.seeds[seq] {
 		frame := []byte{byte(remote.MsgPart)}
@@ -903,39 +903,14 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 		}
 	}
 
-	// Checkpoint the retained output: one frame per owned partition
-	// (empty partitions included — restoration must distinguish "empty"
-	// from "missing") streamed to the coordinator's mirror, which is what
-	// recovery restores from. A transport failure here fails the job like
-	// any other.
+	// Retain resident output and report.
 	var ownedParts []int
+	var outRecords int64
 	for p := 0; p < h.reducers; p++ {
 		if h.owner(p) == s.id {
 			ownedParts = append(ownedParts, p)
+			outRecords += outCounts[p]
 		}
-	}
-	if h.ckpt {
-		for _, p := range ownedParts {
-			frame := []byte{byte(remote.MsgCkpt)}
-			frame = remote.AppendUvarint(frame, h.seq)
-			frame = remote.AppendUvarint(frame, uint64(p))
-			frame = remote.AppendUvarint(frame, uint64(len(outs[p])))
-			frame, err := encodePairs(frame, outs[p], outc)
-			if err != nil {
-				return fmt.Errorf("job %q: encoding checkpoint partition %d: %w", h.name, p, err)
-			}
-			// Buffered: the MsgJobDone write below flushes the whole
-			// checkpoint stream in one syscall.
-			if err := s.conn.WriteFrameBuffered(frame); err != nil {
-				return fmt.Errorf("job %q: streaming checkpoint partition %d: %w", h.name, p, err)
-			}
-		}
-	}
-
-	// Retain resident output and report.
-	var outRecords int64
-	for _, p := range ownedParts {
-		outRecords += outCounts[p]
 	}
 	frame := remote.AppendUvarint([]byte{byte(remote.MsgJobDone)}, h.seq)
 	frame = appendJobDone(frame, groups.Load(), outRecords, time.Since(reduceStart),

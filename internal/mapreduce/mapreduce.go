@@ -232,16 +232,6 @@ type Config struct {
 	// sets) ships that state to the processes that run it. Ignored by
 	// the local backends.
 	DistParams []byte
-	// CheckpointEvery throttles dist checkpointing of worker-resident
-	// job outputs: 0 (the default) checkpoints every retained output,
-	// k > 0 the first and then every k-th retained output — counted per
-	// job on the cluster, not per round of an algorithm — and a negative
-	// value disables checkpointing entirely (a lost worker then loses
-	// its partitions for good).
-	// Checkpointed outputs are mirrored on the coordinator; the mirror is
-	// what recovery restores from after a worker death. Ignored by the
-	// local backends.
-	CheckpointEvery int
 
 	// Pool recycles round-lifetime buffers (shuffle buckets, group-sort
 	// arrays, radix scratch) across the jobs that share it, making the

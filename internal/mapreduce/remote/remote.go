@@ -75,7 +75,11 @@ import (
 // Version 15 dropped the job header's wire-compression byte and the
 // wire-compression tally that ended MsgJobDone; a pair blob with the
 // flate marker (0x03) is refused as an unknown codec marker.
-const Proto = 15
+// Version 16 dropped the checkpoint message (renumbering every later one)
+// and the job header byte that asked for it: the coordinator keeps no
+// copy of a job's output, and recovery recomputes a lost partition from
+// its lineage instead.
+const Proto = 16
 
 // MsgType identifies one protocol message. The direction annotations
 // are the only ones that occur; receiving a type from the wrong
@@ -142,15 +146,11 @@ const (
 	// last frame the worker sends for the aborted sequence number, so
 	// the coordinator can discard everything it reads up to it.
 	MsgAborted
-	// MsgCkpt (worker → coordinator) mirrors one retained partition at
-	// the round's flush barrier: sequence number, partition, pair count,
-	// and the encoded pair blob. The coordinator's mirror is what
-	// recovery re-seeds lost partitions from.
-	MsgCkpt
-	// MsgSeed (coordinator → worker) installs one recovered partition on
-	// the worker that now owns it (same layout as MsgCkpt). Ordered
-	// before the retried job's MsgJobStart on the same connection, so no
-	// acknowledgement is needed.
+	// MsgSeed (coordinator → worker) installs one partition of a Dataset
+	// the coordinator holds a copy of on the worker that now owns it:
+	// sequence number, partition, pair count, and the encoded pair blob.
+	// Ordered before the MsgJobStart of the job that reads it on the
+	// same connection, so no acknowledgement is needed.
 	MsgSeed
 	// MsgPong (worker → coordinator) is the heartbeat, the bare type
 	// byte. Workers send it on the interval the welcome announced; its
@@ -207,8 +207,6 @@ func (t MsgType) String() string {
 		return "abort"
 	case MsgAborted:
 		return "aborted"
-	case MsgCkpt:
-		return "checkpoint"
 	case MsgSeed:
 		return "seed"
 	case MsgPong:
@@ -421,18 +419,6 @@ func (c *Conn) writeFrame(payload []byte, flush, pulse bool) error {
 // rely on that.
 func (c *Conn) WriteFrame(payload []byte) error {
 	return c.writeFrame(payload, true, false)
-}
-
-// WriteFrameBuffered appends one frame to the connection's write buffer
-// without forcing a flush; the frame reaches the wire with the next
-// WriteFrame on this connection (or earlier, if the buffer fills). For
-// frames that are always followed by a flushed one — the checkpoint
-// stream ahead of its job-done — this makes a round's checkpoint cost
-// one syscall instead of one per partition. Armed faults count a
-// buffered frame exactly like a flushed one, so FaultPoint indices
-// stay stable across both write paths.
-func (c *Conn) WriteFrameBuffered(payload []byte) error {
-	return c.writeFrame(payload, false, false)
 }
 
 // WritePulse sends one whole frame like WriteFrame but outside the

@@ -176,7 +176,7 @@ func (c *Conn) Recovering() bool {
 // appendLocked copies one outgoing frame into the retransmit ring,
 // pruning the oldest frames past the ring bounds (always keeping the
 // newest). Called with Conn.wmu held, before the frame is written, so
-// a frame that dies mid-write is already replayable.
+// a frame that dies mid-write is already in the ring to resend.
 func (rs *resumeState) appendLocked(payload []byte) {
 	cp := make([]byte, len(payload))
 	copy(cp, payload)

@@ -228,36 +228,28 @@ func TestStateJobMatchesSelfMessageJob(t *testing.T) {
 	}
 }
 
-// cloneParts copies a job output's partitions without consuming it: a
-// worker-resident Dataset is read from its checkpoint mirror, which leaves
-// it resident for the next round.
+// cloneParts copies a job output's partitions for a comparison that must
+// not consume it: a worker-resident Dataset is fetched and placed on its
+// cluster again (placeResident), so the next round still reads it where
+// it resides, side output included.
 func cloneParts(t *testing.T, ds *Dataset[int32, int64s]) [][]Pair[int32, int64s] {
 	t.Helper()
-	if ds.rem == nil {
-		parts := make([][]Pair[int32, int64s], ds.Partitions())
-		for p := range parts {
-			parts[p] = append(parts[p], ds.Part(p)...)
+	if rem := ds.rem; rem != nil {
+		if err := ds.Materialize(); err != nil {
+			t.Fatal(err)
 		}
-		return parts
-	}
-	cl := ds.rem.cl
-	pc, err := pairCodecFor[int32, int64s]()
-	if err != nil {
-		t.Fatal(err)
+		defer func() {
+			placed, err := placeResident(rem.cl, ds, Config{Pool: ds.pool})
+			if err != nil {
+				t.Fatal(err)
+			}
+			placed.side = ds.side
+			*ds = *placed
+		}()
 	}
 	parts := make([][]Pair[int32, int64s], ds.Partitions())
 	for p := range parts {
-		blob, ok := cl.mirrorPart(ds.rem.seq, p)
-		if !ok {
-			t.Fatalf("partition %d has no checkpoint mirror", p)
-		}
-		if blob == nil {
-			continue
-		}
-		n := int(ds.rem.counts[p])
-		if parts[p], err = decodePairs(remote.NewCursor(blob), n, pc, make([]Pair[int32, int64s], 0, n)); err != nil {
-			t.Fatal(err)
-		}
+		parts[p] = append(parts[p], ds.Part(p)...)
 	}
 	return parts
 }

@@ -69,8 +69,9 @@ type Stats struct {
 	// WorkerRecoveries counts the job attempts that were abandoned to a
 	// worker death and retried on the survivors (dist backend only): a
 	// job that succeeds first try reports zero. ReseededPartitions
-	// counts resident input partitions restored from the coordinator's
-	// checkpoint mirror onto a new owner before the successful attempt.
+	// counts the partitions of the job's input put on a new owner:
+	// rebuilt, seeded, or recomputed. Partitions of intermediate outputs
+	// that a recompute re-runs are not counted in it.
 	WorkerRecoveries   int64
 	ReseededPartitions int64
 	// HeartbeatTimeouts counts workers the health monitor declared lost

@@ -48,7 +48,6 @@ type Flags struct {
 	listen     string
 	spawn      bool
 	acceptLate bool
-	ckptEvery  int
 	heartbeat  time.Duration
 	reconnect  int
 	grace      time.Duration
@@ -79,10 +78,9 @@ func Register(fs *flag.FlagSet, width int) *Flags {
 	fs.StringVar(&f.listen, "dist-listen", "", "coordinator listen address for -dist-workers (default 127.0.0.1:0)")
 	fs.BoolVar(&f.spawn, "dist-spawn", true, "self-exec the -dist-workers worker processes (false: wait for -dist-connect workers)")
 	fs.BoolVar(&f.acceptLate, "dist-accept-late", false, "keep accepting replacement -dist-connect workers after startup; they adopt a dead worker's partitions at the next recovery")
-	fs.IntVar(&f.ckptEvery, "ckpt-every", 0, "dist checkpoint throttle over retained job outputs (not rounds; a StackMR layer retains at least six): 0 checkpoints every one, k>0 the first and then every k-th, negative disables; worker-resident state (GreedyMR's) has no other copy, so a worker lost after an un-checkpointed output ends the run")
 	fs.DurationVar(&f.heartbeat, "dist-heartbeat", 500*time.Millisecond, "dist worker heartbeat interval; a worker a running job waits on that stays silent for 24 intervals is declared lost and its partitions recovered (0 disables health monitoring)")
 	fs.IntVar(&f.reconnect, flagReconnect, 8, "worker redial budget per outage: a severed worker redials and resumes its session instead of dying (0 disables reconnection)")
-	fs.DurationVar(&f.grace, "dist-reconnect-grace", 10*time.Second, "how long the coordinator holds a severed worker's partitions before declaring it dead and reseeding (0 disables session resume)")
+	fs.DurationVar(&f.grace, "dist-reconnect-grace", 10*time.Second, "how long the coordinator holds a severed worker's partitions before declaring it dead and restoring its partitions (0 disables session resume)")
 	return f
 }
 
@@ -180,7 +178,6 @@ func (f *Flags) Config() (mapreduce.Config, error) {
 			MemoryBudget: f.budget,
 			TempDir:      f.tempDir,
 		},
-		CheckpointEvery: f.ckptEvery,
 	}, nil
 }
 
