@@ -9,8 +9,8 @@ import (
 
 // Determinism enforces the repository's central correctness claim: a
 // run's output is bit-identical across the memory, spill, and dist
-// backends, and across crash/resume replays. Two things break that
-// mechanically:
+// backends, and across the retries and recomputations of dist recovery.
+// Two things break that mechanically:
 //
 //  1. Go map iteration order reaching the output. A `range` over a map
 //     whose body calls Emit ships pairs in random order; a body that
@@ -20,9 +20,9 @@ import (
 //
 //  2. Wall-clock or global-randomness reads on replayed paths. time.Now
 //     is banned in internal/core (the algorithms must be pure functions
-//     of their seeds) and in codec/spill-sort/journal/checkpoint files
-//     (bytes that are hashed, CRC'd, replayed, and diffed must not
-//     embed clocks). The global math/rand source (rand.Intn etc.) is
+//     of their seeds) and in codec and spill files (bytes that are
+//     encoded, re-read and diffed must not embed clocks). The global
+//     math/rand source (rand.Intn etc.) is
 //     banned module-wide — deterministic code draws from an explicitly
 //     seeded rand.New(rand.NewSource(...)).
 var Determinism = &Analyzer{
@@ -31,7 +31,7 @@ var Determinism = &Analyzer{
 Backend equivalence (memory == spill == dist, bit-identical; pinned by
 the equivalence and chaos suites since PR 1/5) only holds when nothing
 order- or clock-dependent flows into emitted pairs, encoded frames, or
-journal records. Sort map-derived slices before use, take time only in
+spill runs. Sort map-derived slices before use, take time only in
 scheduling code, and seed every rand.Rand explicitly.`,
 	Run: runDeterminism,
 }
@@ -39,11 +39,7 @@ scheduling code, and seed every rand.Rand explicitly.`,
 // timeBannedFile reports whether base (a file name) is on a replay
 // path where wall-clock reads are banned outright.
 func timeBannedFile(base string) bool {
-	if strings.Contains(base, "codec") || strings.Contains(base, "journal") ||
-		strings.Contains(base, "checkpoint") || strings.Contains(base, "spill") {
-		return true
-	}
-	return false
+	return strings.Contains(base, "codec") || strings.Contains(base, "spill")
 }
 
 // globalRandAllowed lists the math/rand functions that do NOT draw from

@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"path/filepath"
 	"strings"
 )
 
@@ -11,26 +10,17 @@ import (
 // durability story depends on. PR 5's bugfix round found every CLI
 // silently swallowing output-write errors (a full disk produced a
 // truncated graph and exit 0) and funneled them through internal/cliio,
-// whose Close is the only proof the bytes landed; PRs 6 and 9 added
-// checkpoint and journal writers whose dropped errors turn into
-// unresumable runs discovered only at recovery time. This rule flags a
+// whose Close is the only proof the bytes landed. This rule flags a
 // call whose error is discarded — an expression statement, a `defer`,
-// a `go`, or an explicit blank assignment — when the callee is:
-//
-//   - anything exported by internal/cliio (Output.Close/Write/CloseInto
-//     are how CLI bytes get checked), or
-//   - an error-returning method on a journal or checkpoint writer,
-//     identified by the receiver type being declared in a file whose
-//     name contains "journal" or "checkpoint" (distJournal today;
-//     future writers inherit the rule by following the file-naming
-//     convention).
+// a `go`, or an explicit blank assignment — when the callee is
+// anything exported by internal/cliio (Output.Close/Write/CloseInto are
+// how CLI bytes get checked).
 var ErrDrop = &Analyzer{
 	Name: "errdrop",
-	Doc: `do not discard errors from cliio, journal, or checkpoint writers
-A dropped Close/commit error is a run that claims success with bytes
-missing: truncated CLI output (exit 0 on ENOSPC), a checkpoint that
-cannot reseed, a journal that cannot resume. Propagate it, or suppress
-with an explicit reason.`,
+	Doc: `do not discard errors from cliio writers
+A dropped Close/Write error is a run that claims success with bytes
+missing: truncated CLI output (exit 0 on ENOSPC). Propagate it, or
+suppress with an explicit reason.`,
 	Run: runErrDrop,
 }
 
@@ -71,15 +61,6 @@ func guardedCallee(pass *Pass, call *ast.CallExpr) (string, bool) {
 	}
 	if pkg := fn.Pkg(); pkg != nil && strings.HasSuffix(pkg.Path(), "internal/cliio") {
 		return "cliio." + callLabel(fn), true
-	}
-	if recv := sig.Recv(); recv != nil {
-		named := namedFrom(recv.Type())
-		if named != nil && named.Obj().Pos().IsValid() {
-			base := filepath.Base(pass.Fset.Position(named.Obj().Pos()).Filename)
-			if strings.Contains(base, "journal") || strings.Contains(base, "checkpoint") {
-				return callLabel(fn), true
-			}
-		}
 	}
 	return "", false
 }

@@ -11,7 +11,7 @@ import (
 // The golden fixtures under testdata/src/fix form a fake module root
 // ("fix") whose packages re-create the shapes each analyzer keys on:
 // path suffixes (internal/mapreduce, internal/cliio, /core), file-name
-// conventions (codec*, journal*), and type names (Emitter, MsgType,
+// conventions (codec*, spill*), and type names (Emitter, MsgType,
 // sync.Pool). Expectations are written in the fixtures themselves:
 //
 //	out.Emit(k, v) // want `\[determinism\] Emit inside a range`

@@ -4,8 +4,8 @@
 // prose in ARCHITECTURE.md — outputs must be bit-identical across
 // memory/spill/dist backends, ReduceFunc values slices must not be
 // retained, pooled buffers must be checked back in, every MsgType must
-// be handled on both protocol endpoints, journal/checkpoint/cliio
-// errors must not be dropped — and each of PRs 6–9 shipped a real bug a
+// be handled on both protocol endpoints, cliio errors must not be
+// dropped — and each of PRs 6–9 shipped a real bug a
 // mechanical check would have caught. This package encodes those rules
 // as analyzers over go/ast + go/parser + go/types (no golang.org/x/
 // tools: the repository is zero-dependency), and cmd/repolint runs them

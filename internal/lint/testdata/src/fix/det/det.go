@@ -46,8 +46,8 @@ func loopLocalAppend(m map[string][]int) int {
 }
 
 func clockInSchedulingCode() int64 {
-	// Fine: this package is neither internal/core nor a
-	// codec/journal/checkpoint/spill file, so wall-clock reads are
-	// allowed (heartbeats, deadlines, stats).
+	// Fine: this package is neither internal/core nor a codec or spill
+	// file, so wall-clock reads are allowed (heartbeats, deadlines,
+	// stats).
 	return time.Now().UnixNano()
 }

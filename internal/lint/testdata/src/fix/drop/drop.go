@@ -1,6 +1,6 @@
-// Dropped-error fixtures for the errdrop rule: cliio calls and
-// journal/checkpoint writer methods must not have their errors
-// discarded.
+// Dropped-error fixtures for the errdrop rule: the errors of cliio
+// calls must not be discarded, in any of the four ways a call can
+// discard one.
 package drop
 
 import "fix/internal/cliio"
@@ -13,22 +13,32 @@ func defersCliioClose(out *cliio.Output) {
 	defer out.Close() // want `\[errdrop\] defer discards the error from cliio\.Output\.Close`
 }
 
-func goesJournalCommit(j *miniJournal) {
-	go j.commit() // want `\[errdrop\] go statement discards the error from miniJournal\.commit`
+func goesCliioClose(out *cliio.Output) {
+	go out.Close() // want `\[errdrop\] go statement discards the error from cliio\.Output\.Close`
 }
 
-func blanksJournalCommit(j *miniJournal) {
-	_ = j.commit() // want `\[errdrop\] blank assignment discards the error from miniJournal\.commit`
+func blanksCliioClose(out *cliio.Output) {
+	_ = out.Close() // want `\[errdrop\] blank assignment discards the error from cliio\.Output\.Close`
 }
 
-func propagates(out *cliio.Output, j *miniJournal) error {
-	if err := j.commit(); err != nil {
+func blanksCliioWrite(out *cliio.Output, p []byte) {
+	n, _ := out.Write(p) // want `\[errdrop\] blank assignment discards the error from cliio\.Output\.Write`
+	_ = n
+}
+
+func propagates(out *cliio.Output, p []byte) error {
+	if _, err := out.Write(p); err != nil {
 		return err
 	}
 	return out.Close()
 }
 
-// unguardedDrop calls a method with no error result; nothing to guard.
-func unguardedDrop(j *miniJournal) {
-	j.rotate()
+// localErr returns an error no durability story rests on.
+func localErr() error { return nil }
+
+// unguardedDrop discards errors the rule does not guard: a local
+// function's, not cliio's.
+func unguardedDrop() {
+	localErr()
+	_ = localErr()
 }

@@ -51,12 +51,12 @@ func TestShuffleContradictingDistWorkersIsRejected(t *testing.T) {
 	}
 }
 
-// TestRetiredFlagsAreRefused: block compression and coordinator crash
-// resume are gone, and their flags with them — a script that still
-// passes one fails at parse time instead of running without what it
-// asked for.
+// TestRetiredFlagsAreRefused: block compression, coordinator crash
+// resume and the checkpoint throttle are gone, and their flags with them
+// — a script that still passes one fails at parse time instead of
+// running without what it asked for.
 func TestRetiredFlagsAreRefused(t *testing.T) {
-	for _, name := range []string{"-wire-compress", "-spill-compress", "-dist-journal-dir", "-dist-resume"} {
+	for _, name := range []string{"-wire-compress", "-spill-compress", "-dist-journal-dir", "-dist-resume", "-ckpt-every"} {
 		fs := flag.NewFlagSet("tool", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		Register(fs, 18)
