@@ -63,3 +63,56 @@ func FuzzJobDone(f *testing.F) {
 		}
 	})
 }
+
+// FuzzJobHeader feeds parseJobHeader — the worker's decoder of the job
+// announce (MsgJobStart) — arbitrary bytes. The contract: an error, or a
+// header that survives a re-encode; never a panic, and never an owner
+// table longer than the payload. Seeds: the headers of a flat, a chained
+// and a state job, each of which must round-trip exactly, every
+// truncation of one, the same header as Proto 15 wrote it (with the
+// retired checkpoint byte after the geometry), and one with a byte
+// trailing.
+func FuzzJobHeader(f *testing.F) {
+	headers := []*distJobHeader{
+		{seq: 1, name: "ring-step", mode: remote.ModeFlat, splits: 4, reducers: 4,
+			owners: []int{0, 1, 0, 1}, k2id: "int32", v2id: "int64", k3id: "int32", v3id: "int64"},
+		{seq: 7, name: "ring-step", mode: remote.ModeChained, splits: 4, reducers: 4, inputSeq: 6,
+			owners: []int{0, 1, 1, 1}, k2id: "int32", v2id: "int64", k3id: "int32", v3id: "int64"},
+		{seq: 1 << 40, name: "greedymr-round", mode: remote.ModeChained, splits: 3, reducers: 3, state: true,
+			inputSeq: 1<<40 - 1, owners: []int{2, 0, 1}, k2id: "graph.NodeID", v2id: "int32",
+			k3id: "graph.NodeID", v3id: "core.nodeState", params: []byte{1, 0, 255}},
+	}
+	for _, h := range headers {
+		body := h.encode()[1:]
+		got, err := parseJobHeader(remote.NewCursor(body))
+		if err != nil || !reflect.DeepEqual(got, h) {
+			f.Fatalf("header %+v does not round-trip: got %+v, %v", h, got, err)
+		}
+		f.Add(body)
+	}
+	body := headers[2].encode()[1:]
+	for cut := len(body) - 1; cut >= 0; cut-- {
+		f.Add(body[:cut])
+	}
+	h := headers[1]
+	geometry := remote.AppendString(remote.AppendUvarint(nil, h.seq), h.name)
+	geometry = remote.AppendUvarint(remote.AppendUvarint(append(geometry, byte(h.mode)), uint64(h.splits)), uint64(h.reducers))
+	f.Add(slices.Insert(h.encode()[1:], len(geometry), 1))
+	f.Add(append(h.encode()[1:], 0))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		h, err := parseJobHeader(remote.NewCursor(body))
+		if err != nil {
+			return
+		}
+		if len(h.owners) > len(body) {
+			t.Fatalf("%d owners from a %d-byte header", len(h.owners), len(body))
+		}
+		again, err := parseJobHeader(remote.NewCursor(h.encode()[1:]))
+		if err != nil {
+			t.Fatalf("parsing our own header: %v", err)
+		}
+		if !reflect.DeepEqual(again, h) {
+			t.Fatalf("round trip changed the header:\n got %+v\nwant %+v", again, h)
+		}
+	})
+}
