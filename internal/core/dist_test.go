@@ -213,9 +213,11 @@ func TestDistMatchingSurvivesWorkerLoss(t *testing.T) {
 // TestDistMatchingSurvivesStraggler extends the acceptance gate to the
 // health monitor: every MapReduce matching algorithm runs on a cluster
 // where one worker misbehaves without dying, in two modes. In "slow"
-// mode the worker delays every job frame it writes — a responsive
-// straggler, not a corpse — and it must never be declared dead. In
-// "stall" mode the worker freezes at a seed-derived frame with its
+// mode the worker holds a frame of the first job it reads for longer
+// than the death window (24 heartbeat intervals of silence) while its
+// heartbeats keep flowing — a responsive straggler, not a corpse: the
+// job waits on it past the window, and it must never be declared dead.
+// In "stall" mode the worker freezes at a seed-derived frame with its
 // socket open (the gray failure no transport error reports); the
 // heartbeat timeout must declare it lost so the job completes on the
 // healthy worker. Both modes must finish inside a wall-clock budget and
@@ -234,6 +236,10 @@ func TestDistMatchingSurvivesStraggler(t *testing.T) {
 		HeartbeatEvery: 20 * time.Millisecond,
 		AbortTimeout:   2 * time.Second,
 	}
+	// The monitor declares a worker the job waits on lost after 24
+	// heartbeat intervals of silence; the slow worker's hold exceeds that.
+	deathWindow := 24 * schedOpts.HeartbeatEvery
+	slowHold := 30 * schedOpts.HeartbeatEvery
 	faulty := func(f *remote.Fault) func(i int) mapreduce.DistWorkerOptions {
 		return func(i int) mapreduce.DistWorkerOptions {
 			if i != 0 {
@@ -275,7 +281,10 @@ func TestDistMatchingSurvivesStraggler(t *testing.T) {
 		alive bool
 	}{
 		{"slow", func(int64) *remote.Fault {
-			return &remote.Fault{Op: remote.FaultDelay, AfterWrites: 1, Delay: 50 * time.Millisecond, Repeat: true}
+			// The second frame the worker reads belongs to the first job
+			// in every algorithm (its announce or its input); a read
+			// delay holds the job without stopping the worker's pongs.
+			return &remote.Fault{Op: remote.FaultDelay, AfterReads: 2, Delay: slowHold}
 		}, true},
 		{"stall", func(seed int64) *remote.Fault {
 			return &remote.Fault{Op: remote.FaultStall, AfterWrites: remote.FaultPoint(seed, 2, 8)}
@@ -323,6 +332,20 @@ func TestDistMatchingSurvivesStraggler(t *testing.T) {
 				rs := cl.RecoveryStats()
 				if m.alive && rs.WorkersLost != 0 {
 					t.Fatalf("a responsive straggler was declared dead (lost=%d)", rs.WorkersLost)
+				}
+				if m.alive {
+					held := 0
+					for i, st := range dist.RoundStats {
+						if st.MapWall+st.ReduceWall > dist.RoundStats[held].MapWall+dist.RoundStats[held].ReduceWall {
+							held = i
+						}
+					}
+					wall := dist.RoundStats[held].MapWall + dist.RoundStats[held].ReduceWall
+					t.Logf("job %d (%s) waited %v on the slow worker, whose delays in it sum to %v; death window %v",
+						held, dist.RoundStats[held].Name, wall, slowHold, deathWindow)
+					if wall <= deathWindow {
+						t.Fatalf("no job waited on the slow worker past the %v death window (longest job %v): the hold no longer lands inside a job", deathWindow, wall)
+					}
 				}
 				if !m.alive && rs.HeartbeatTimeouts < 1 {
 					t.Fatalf("the stalled worker was never declared lost by heartbeat timeout (timeouts=%d)", rs.HeartbeatTimeouts)
