@@ -13,7 +13,7 @@ import (
 )
 
 // This file implements codec v2, the batch encoding shared by every
-// bulk byte path: dist bucket frames, checkpoint/seed mirror blobs, and
+// bulk byte path: dist bucket frames, seed and fetch blobs, and
 // (as the blocks of a spill run, below) the spill shuffle's run files.
 // The paper's cost
 // model is dominated by bytes moved per round, and a per-pair row

@@ -23,7 +23,7 @@ package remote
 // things by design: timeouts (deadline-based aborts must keep their
 // fail-fast meaning) and frames that have fallen out of the bounded
 // ring (the peer was gone longer than the ring could cover — the
-// caller escalates to the checkpoint/reseed path, which needs no
+// caller escalates to worker-loss recovery, which needs no
 // transport-level help).
 
 import (
