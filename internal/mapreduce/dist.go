@@ -138,7 +138,10 @@ const (
 // dropped parent stays reachable exactly as long as a resident child
 // needs it.
 type distResidency struct {
-	cl     *DistCluster
+	cl *DistCluster
+	// seq changes only when recompute replaces the partitions, on the
+	// goroutine that runs the computation's jobs; loc is read and written
+	// under cl.mu.
 	seq    uint64
 	loc    []int   // current owner of each partition, or a loc* sentinel
 	counts []int64 // pairs per partition (from the job or build reports)
@@ -2012,7 +2015,7 @@ func tryDistDS[K2 comparable, V2 any, K3 comparable, V3 any](
 		}
 		stats.ReseededPartitions = int64(reseeded)
 		mode = remote.ModeChained
-		inputSeq, _ = cl.residencySnapshot(in)
+		inputSeq = in.seq
 	}
 	job, err := startDistJob[K2, V2, K3, V3](cfg, mode, splits, inputSeq, state)
 	if err != nil {
@@ -2254,7 +2257,6 @@ func (d *Dataset[K, V]) dropResident() {
 	if rem == nil {
 		return
 	}
-	seq, _ := rem.cl.residencySnapshot(rem)
 	rem.cl.releaseResident(rem)
-	rem.cl.dropOnWorkers(seq)
+	rem.cl.dropOnWorkers(rem.seq)
 }
