@@ -12,7 +12,7 @@ import (
 // `switch` over remote.MsgType must either handle every declared
 // message type or carry a default clause that decides what an
 // unhandled frame means. Message types arrived in several rounds
-// (MsgAbort/MsgAborted, MsgPong, MsgSeed/MsgShed, MsgBuild/MsgBuilt,
+// (MsgAbort/MsgAborted, MsgPong, MsgSeed, MsgBuild/MsgBuilt,
 // resume acks), and each addition had to be hand-audited against every
 // dispatch switch on the coordinator and the worker; a missed arm shows
 // up at runtime as a frame silently dropped or a hung round, not a

@@ -341,7 +341,7 @@ func RunDS[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any](
 // surviving workers' partitions as they are, so a map task may run again
 // over records it already wrote and must write the same values (after the
 // flush the input is restored from its lineage instead; see
-// DistCluster.consumeResident).
+// DistCluster.markConsumed).
 // TestStateJobMapWritesReachReduce holds every backend to this.
 //
 // The job counts what the self-message form counts: a record forwarded

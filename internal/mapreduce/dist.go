@@ -124,7 +124,7 @@ const (
 	// Dataset that was fetched or dropped.
 	locNowhere = -1
 	// locConsumed: a job's reduce phase ran over the partition (see
-	// consumeResident), so any copy a worker still holds is stale.
+	// markConsumed), so any copy a worker still holds is stale.
 	locConsumed = -2
 )
 
@@ -826,46 +826,22 @@ func (cl *DistCluster) dropOnWorkers(seq uint64) {
 	}
 }
 
-// move is one seed or shed frame bound for worker w.
+// move is one seed frame bound for worker w.
 type move struct {
 	w     int
 	frame []byte
 }
 
-func shedFrame(seq uint64, part int) []byte {
-	frame := remote.AppendUvarint([]byte{byte(remote.MsgShed)}, seq)
-	return remote.AppendUvarint(frame, uint64(part))
-}
-
-// consumeResident enforces the contract that a chained attempt's reduce
+// markConsumed enforces the contract that a chained attempt's reduce
 // phase consumes its input: a reduce owns its values, and a
 // self-addressed value never left the worker, so it aliases the resident
-// input record (GreedyMR compacts adjacency lists in place). An attempt
-// aborted after its flush therefore leaves every surviving copy
-// suspect: each is shed and its partition marked locConsumed, so the
-// retry restores it from r's lineage. A successful job marks its input
-// consumed the same way (markConsumed) without the sheds: its caller
-// drops the input, and only a recovery reads it again.
-func (cl *DistCluster) consumeResident(r *distResidency) {
-	var sheds []move
-	cl.mu.Lock()
-	for p, w := range r.loc {
-		if w >= 0 && !cl.deadLocked(w) {
-			sheds = append(sheds, move{w: w, frame: shedFrame(r.seq, p)})
-		}
-	}
-	cl.mu.Unlock()
-	cl.markConsumed(r)
-	for _, s := range sheds {
-		// Best effort: a worker that cannot be told takes its copy with
-		// it.
-		if err := cl.conns[s.w].WriteFrame(s.frame); err != nil {
-			cl.markDead(s.w, err)
-		}
-	}
-}
-
-// markConsumed marks every partition of r locConsumed.
+// input record (GreedyMR compacts adjacency lists in place). Once a
+// job's flush barrier has passed, every copy of r on a worker is suspect,
+// so every partition is marked locConsumed — whether the job succeeded
+// (its caller drops r, and only a recovery reads it again) or was
+// aborted (the retry restores r from its lineage). No frame is sent: the
+// restore replaces a stale copy where it lies — a seed sheds it, a build
+// overwrites it, a recompute drops the old sequence.
 func (cl *DistCluster) markConsumed(r *distResidency) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
@@ -1349,7 +1325,7 @@ type distJobRun[K2 comparable, V2 any, K3 comparable, V3 any] struct {
 	flushOnce sync.Once
 	flushErr  error
 	// flushed latches once a flush frame may have reached a worker:
-	// reduce tasks may be running (see consumeResident).
+	// reduce tasks may be running (see markConsumed).
 	flushed atomic.Bool
 	records atomic.Int64
 }
@@ -2032,12 +2008,8 @@ func tryDistDS[K2 comparable, V2 any, K3 comparable, V3 any](
 	}
 	res, err := job.finish(ctx, cfg, stats, mapErr)
 	stats.ReduceWall = time.Since(phase)
-	if in != nil && job.flushed.Load() {
-		if err == nil {
-			cl.markConsumed(in)
-		} else if isWorkerLost(err) {
-			cl.consumeResident(in)
-		}
+	if in != nil && job.flushed.Load() && (err == nil || isWorkerLost(err)) {
+		cl.markConsumed(in)
 	}
 	if err != nil {
 		return nil, err

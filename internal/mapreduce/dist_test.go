@@ -218,8 +218,8 @@ func TestDistParamsReachWorkers(t *testing.T) {
 
 // TestDistRefusesOlderProtoWorker: a worker built before the last wire
 // change (a Proto 15 job header carries a checkpoint byte this build no
-// longer sends, and its message numbers past the dropped checkpoint
-// message are off by one, so the two would misparse each other's frames)
+// longer sends, and its message numbers past the dropped checkpoint and
+// shed messages are off, so the two would misparse each other's frames)
 // dials a current coordinator and is refused at the hello, with both
 // versions named — never paired and left to misparse a frame.
 func TestDistRefusesOlderProtoWorker(t *testing.T) {

@@ -102,9 +102,8 @@ type residentSet interface {
 	// fetch streams every retained partition (MsgPart) and drops them.
 	fetch(conn *remote.Conn, seq uint64) error
 	drop()
-	// shed releases one partition the coordinator marked consumed
-	// (MsgShed): the copy here is superseded, keeping it would serve
-	// stale data if this worker were ever asked for it.
+	// shed releases one partition a seed supersedes: keeping the copy
+	// here would serve stale data if this worker were ever asked for it.
 	shed(part int)
 }
 
@@ -544,18 +543,6 @@ func (s *workerSession) serve() error {
 				delete(s.resident, seq)
 			}
 			delete(s.seeds, seq)
-		case remote.MsgShed:
-			// An aborted attempt's reduce may have consumed this resident
-			// partition; the retry restores it, so this copy is
-			// superseded. Sheds arrive between jobs.
-			seq := cur.Uvarint()
-			part := int(cur.Uvarint())
-			if ent, ok := s.resident[seq]; ok {
-				ent.shed(part)
-			}
-			if m := s.seeds[seq]; m != nil {
-				delete(m, part)
-			}
 		case remote.MsgBye:
 			return nil
 		default:

@@ -75,10 +75,11 @@ import (
 // Version 15 dropped the job header's wire-compression byte and the
 // wire-compression tally that ended MsgJobDone; a pair blob with the
 // flate marker (0x03) is refused as an unknown codec marker.
-// Version 16 dropped the checkpoint message (renumbering every later one)
-// and the job header byte that asked for it: the coordinator keeps no
-// copy of a job's output, and recovery recomputes a lost partition from
-// its lineage instead.
+// Version 16 dropped the checkpoint message and the shed message
+// (renumbering every later one) and the job header byte that asked for
+// checkpoints: the coordinator keeps no copy of a job's output, recovery
+// recomputes a lost partition from its lineage instead, and a seed
+// replaces a stale copy where it lies.
 const Proto = 16
 
 // MsgType identifies one protocol message. The direction annotations
@@ -158,10 +159,6 @@ const (
 	// travel outside the fault-injection frame count so seeded fault
 	// points stay stable.
 	MsgPong
-	// MsgShed (coordinator → worker) tells a worker to drop its copy of
-	// a resident partition that an aborted attempt may have consumed:
-	// sequence number, partition. No reply.
-	MsgShed
 	// MsgBuild (coordinator → worker) asks the worker to build one
 	// partition of a Dataset from a builder it registered and keep it
 	// resident: sequence number, partition, partition count, builder
@@ -211,8 +208,6 @@ func (t MsgType) String() string {
 		return "seed"
 	case MsgPong:
 		return "pong"
-	case MsgShed:
-		return "shed"
 	case MsgBuild:
 		return "build"
 	case MsgBuilt:
