@@ -112,8 +112,11 @@ type Options struct {
 	Eps float64
 	// Seed drives the randomized algorithms (default 1).
 	Seed int64
-	// Mappers/Reducers bound the parallelism of each MapReduce job
-	// (default GOMAXPROCS).
+	// Reducers is the partition count of each MapReduce job, and so the
+	// parallelism of its map and reduce tasks (default GOMAXPROCS).
+	// Mappers is mapreduce.Config.Mappers, which cuts only a flat input
+	// into splits; every job Match and Pipeline run maps a partitioned
+	// Dataset, one map task per partition, so it bounds none of them.
 	Mappers  int
 	Reducers int
 	// Shuffle selects the shuffle backend (default ShuffleMemory). The

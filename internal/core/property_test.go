@@ -6,6 +6,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -122,34 +123,37 @@ func TestPropertyResultsUnchangedUnderInjectedFailures(t *testing.T) {
 	// GreedyMR computation through a shuffle that spills its runs to
 	// disk must give the identical matching.
 	ctx := context.Background()
-	var spilled int64
-	prop := func(seed int64, nItems, nCons, prob uint8) bool {
-		g := genGraph(seed, nItems, nCons, prob)
+	unchanged := func(g *graph.Bipartite) (spilled int64, ok bool) {
 		clean, err := GreedyMR(ctx, g, GreedyMROptions{MR: testMR})
 		if err != nil {
-			return false
+			return 0, false
 		}
 		faulty, err := GreedyMR(ctx, g, GreedyMROptions{MR: spillingMR})
 		if err != nil {
-			return false
+			return 0, false
 		}
-		spilled += faulty.Shuffle.SpilledRecords
-		a, b := clean.Matching.EdgeIndexes(), faulty.Matching.EdgeIndexes()
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
+		return faulty.Shuffle.SpilledRecords, slices.Equal(clean.Matching.EdgeIndexes(), faulty.Matching.EdgeIndexes())
+	}
+	prop := func(seed int64, nItems, nCons, prob uint8) bool {
+		_, ok := unchanged(genGraph(seed, nItems, nCons, prob))
+		return ok
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
+	// The random draws need not outgrow the spill shuffle's smallest
+	// share. The complete graph on genGraph's largest node sets does, for
+	// any weights, so the spill path is exercised whatever they drew.
+	complete := graph.RandomBipartite(graph.RandomConfig{
+		NumItems: 11, NumConsumers: 9, EdgeProb: 1,
+		MaxWeight: 5, MaxCapacity: 3, Seed: 1,
+	})
+	spilled, ok := unchanged(complete)
+	if !ok {
+		t.Error("the complete 11x9 graph's matching changed on the spill backend")
+	}
 	if spilled == 0 {
-		t.Error("no instance spilled a record: the spill backend was never exercised")
+		t.Error("the complete 11x9 graph spilled no record: the spill backend was never exercised")
 	}
 }
 

@@ -10,8 +10,7 @@ import (
 // slice it hands a reducer (BufferPool/roundArena), so a reducer that
 // stores the slice — or a sub-slice sharing the backing array — into
 // anything that outlives the call reads recycled memory next round.
-// Retainers must clone (append([]V(nil), values...) / slices.Clone /
-// CollectValues, which clones since PR 4).
+// Retainers must clone (append([]V(nil), values...) / slices.Clone).
 //
 // A function is a reducer when its signature matches the ReduceFunc
 // shape: func(K, []V, mapreduce.Emitter[K2, V2]) error. Inside one, the
@@ -29,8 +28,8 @@ var NoRetain = &Analyzer{
 	Doc: `a ReduceFunc must not retain its values slice (or a sub-slice) beyond the call
 The engine recycles the slice's backing array into the next round's
 buffers (PR 4's BufferPool/roundArena), so retained headers silently
-alias recycled memory. Clone before storing: append([]V(nil), vals...),
-slices.Clone, or CollectValues.`,
+alias recycled memory. Clone before storing: append([]V(nil), vals...)
+or slices.Clone.`,
 	Run: runNoRetain,
 }
 
@@ -82,8 +81,9 @@ func checkRetention(pass *Pass, body *ast.BlockStmt, values types.Object) {
 
 	// isAliasExpr reports whether e denotes the values slice or a
 	// sub-slice of it: an alias identifier, a slice expression over an
-	// alias, or parens around either. values[i] (one element) is a
-	// value copy and is fine.
+	// alias, a conversion of either to another slice type (it shares the
+	// backing array), or parens around any of these. values[i] (one
+	// element) is a value copy and is fine.
 	var isAliasExpr func(e ast.Expr) bool
 	isAliasExpr = func(e ast.Expr) bool {
 		switch ee := ast.Unparen(e).(type) {
@@ -91,6 +91,11 @@ func checkRetention(pass *Pass, body *ast.BlockStmt, values types.Object) {
 			return aliases[info.Uses[ee]]
 		case *ast.SliceExpr:
 			return isAliasExpr(ee.X)
+		case *ast.CallExpr:
+			if tv, ok := info.Types[ee.Fun]; ok && tv.IsType() && len(ee.Args) == 1 {
+				_, toSlice := tv.Type.Underlying().(*types.Slice)
+				return toSlice && isAliasExpr(ee.Args[0])
+			}
 		}
 		return false
 	}

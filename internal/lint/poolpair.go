@@ -8,8 +8,9 @@ import (
 )
 
 // PoolPair enforces the check-out/check-in discipline around the
-// sync.Pool instances the hot paths lean on (frameScratchPool and the
-// flate reader/writer pools from PR 8, core's edgeStampPool): a
+// sync.Pool instances the hot paths lean on (the engine's
+// frameScratchPool and pairDictPool, core's edgeMarkPool, simjoin's
+// seenPool and weightPool): a
 // function that checks a buffer out of a package-level sync.Pool must
 // check it back in on every return path, or hand ownership away
 // explicitly (return the value, store it into a struct, pass it to a

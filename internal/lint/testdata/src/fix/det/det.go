@@ -51,3 +51,13 @@ func clockInSchedulingCode() int64 {
 	// stats).
 	return time.Now().UnixNano()
 }
+
+// nodePairs is nodePairsSorted of internal/core/stackmr.go with its sort
+// taken out: the job input reaches the engine in map iteration order.
+func nodePairs(perNode map[int32][]int32) []mapreduce.Pair[int32, []int32] {
+	input := make([]mapreduce.Pair[int32, []int32], 0, len(perNode))
+	for v, edges := range perNode {
+		input = append(input, mapreduce.Pair[int32, []int32]{Key: v, Value: edges}) // want `\[determinism\] append to input inside a range over a map`
+	}
+	return input
+}

@@ -42,3 +42,11 @@ func unguardedDrop() {
 	localErr()
 	_ = localErr()
 }
+
+// writeOut is run of cmd/datagen/main.go with its checked close
+// (defer cliio.CloseInto(w, &err)) written as a plain deferred Close.
+func writeOut(w *cliio.Output, p []byte) error {
+	defer w.Close() // want `\[errdrop\] defer discards the error from cliio\.Output\.Close`
+	_, err := w.Write(p)
+	return err
+}

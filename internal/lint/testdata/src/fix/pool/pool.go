@@ -129,3 +129,15 @@ func arenaStores(a *arena[int], into *sorted) sorted {
 	into.keys = keys
 	return sorted{keys: a.getKeys(4)}
 }
+
+var seenPool = sync.Pool{New: func() any { return new([]bool) }}
+
+// probeMap is internal/simjoin/simjoin.go's probeMap without its
+// deferred Put: every call of the map it returns leaks a stamp table.
+func probeMap(numItems int) func(j int32) bool {
+	return func(j int32) bool {
+		table := seenPool.Get().(*[]bool) // want `\[poolpair\] checked out of seenPool but never checked back in`
+		seen := *table
+		return int(j) < numItems && len(seen) > int(j) && seen[j]
+	}
+}

@@ -43,3 +43,16 @@ func notMsgType(b byte) int {
 	}
 	return 0
 }
+
+// drainFrame is the switch of drainFatal in internal/mapreduce/dist.go,
+// over a frame's type byte, without its default: the stub's MsgHello and
+// MsgJob stand in for MsgPong and MsgError.
+func drainFrame(b byte) string {
+	switch remote.MsgType(b) { // want `\[msgexhaustive\] switch over remote\.MsgType has no default and misses MsgResult`
+	case remote.MsgHello:
+		return ""
+	case remote.MsgJob:
+		return "error"
+	}
+	return ""
+}

@@ -41,7 +41,7 @@ import (
 
 // BufferPool is an engine-owned recycler for round-lifetime buffers.
 // NewDriver attaches one to every driver, so all iterative computations
-// recycle automatically; a caller invoking Run/RunDS directly can share
+// recycle automatically; a caller invoking RunDS directly can share
 // one across jobs via Config.Pool. A nil pool disables recycling (every
 // checkout allocates fresh, exactly the pre-pool behavior).
 //

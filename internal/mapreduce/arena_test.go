@@ -210,7 +210,7 @@ func TestPoolStatsReportReuse(t *testing.T) {
 		if round >= 5 {
 			return nil, nil
 		}
-		out, err := RunJobDS(ctx, driver, "round", st, Identity[int32, int64](),
+		out, err := RunJobDS(ctx, driver, "round", st, forwardMap[int32, int64],
 			func(k int32, vs []int64, out Emitter[int32, int64]) error {
 				out.Emit(k, vs[0])
 				return nil
@@ -356,7 +356,7 @@ func TestDriverReleaseEmptiesOwnPool(t *testing.T) {
 	}
 	run := func(d *Driver) []Pair[int32, int64] {
 		t.Helper()
-		out, err := RunJobDS(context.Background(), d, "sum", PartitionDataset(pairs, d.Partitions()), Identity[int32, int64](), sum)
+		out, err := RunJobDS(context.Background(), d, "sum", PartitionDataset(pairs, d.Partitions()), forwardMap[int32, int64], sum)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,9 +17,8 @@ import (
 // (no global concat-and-sort barrier), and a subsequent job whose key
 // type, partitioner, and partition count match consumes it
 // partition-by-partition, with self-addressed pairs taking an identity
-// route that skips hashing entirely. Every job is a Dataset job: Run is
-// the one whose input has no partitions yet and whose output is
-// collected (runFlat).
+// route that skips hashing entirely. Every job is a Dataset job; one
+// whose input is not aligned is collected and re-partitioned (runFlat).
 
 // Dataset is a partitioned collection of pairs, the engine's currency
 // between the jobs of an iterative computation. A Dataset is aligned
@@ -178,9 +177,9 @@ func (d *Dataset[K, V]) Each(fn func(key K, value V)) {
 	}
 }
 
-// Collect flattens the Dataset into one slice sorted by key — exactly
-// the normalized output Run returns, so a computation that ends in
-// Collect is indistinguishable from one that never chained.
+// Collect flattens the Dataset into one slice sorted by key, so the
+// output of a chain does not depend on how its records were
+// partitioned.
 func (d *Dataset[K, V]) Collect() []Pair[K, V] {
 	d.mustMaterialize()
 	out := make([]Pair[K, V], 0, d.Len())
@@ -264,7 +263,7 @@ func keyCast[K1, K2 comparable]() func(K1) K2 {
 }
 
 // RunDS executes one MapReduce job with a Dataset on both ends — the
-// engine's one job runner, which Run enters through runFlat:
+// engine's one job runner:
 //
 //   - input side: when the input is aligned with the job's partitioning
 //     (same key type, same partitioner, Partitions() == cfg.Reducers)
@@ -395,9 +394,8 @@ func RunStateDS[K comparable, S, V any, K3 comparable, V3 any](
 // runFlat is the forced re-partition, the job of an input that no
 // partitioning holds: flat is cut, in the order given, into
 // Config.Mappers contiguous splits, one map task each, and every
-// emitted pair is hashed to its partition. Run enters here with the
-// caller's slice, RunDS with a collected misaligned Dataset; on dist a
-// recovery may map flat again.
+// emitted pair is hashed to its partition. RunDS enters here with a
+// collected misaligned Dataset; on dist a recovery may map flat again.
 func runFlat[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any](
 	ctx context.Context,
 	cfg Config,

@@ -195,7 +195,7 @@ func TestTypeChangingReduceOutputIsUnaligned(t *testing.T) {
 	input := nodeJobInput(32)
 	cfg := Config{Reducers: 4}
 	out, _, err := RunDS(context.Background(), cfg, PartitionDataset(input, 4),
-		Identity[int32, int64](),
+		forwardMap[int32, int64],
 		func(k int32, vs []int64, out Emitter[string, int]) error {
 			out.Emit("n", len(vs)) // re-keys to a different type
 			return nil
@@ -321,7 +321,7 @@ func TestLoopMaxRounds(t *testing.T) {
 	state := PartitionDataset(nodeJobInput(8), 2)
 	spin := func(ctx context.Context, st *Dataset[int32, int64]) (*Dataset[int32, int64], error) {
 		return RunJobDS(ctx, d, "spin", st,
-			Identity[int32, int64](),
+			forwardMap[int32, int64],
 			func(k int32, vs []int64, out Emitter[int32, int64]) error {
 				out.Emit(k, vs[0])
 				return nil

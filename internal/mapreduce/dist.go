@@ -29,7 +29,7 @@ import (
 // so the next chained job's self-addressed pairs never cross the wire —
 // and a state job's input records (RunStateDS) are not even shuffled:
 // the worker that maps a partition joins it with the partition's groups;
-// a caller that wants the records (Run, Materialize) fetches them. The
+// a caller that wants the records (Materialize) fetches them. The
 // worker half lives in distworker.go; workers run the reduce (and, when
 // chained, map) functions registered under the job's name via
 // RegisterDistJob — the function values themselves never travel.
@@ -38,8 +38,10 @@ import (
 // job of a computation (Config.Dist). Reduce partitions start out owned
 // round-robin (partition p belongs to worker p mod N); each job carries
 // its own partition→worker assignment in the job header, so when a
-// worker dies its partitions are re-assigned to the survivors (or to a
-// late-joining replacement) while every surviving partition stays put.
+// worker dies its partitions are re-assigned to the survivors while
+// every surviving partition stays put. The worker set is fixed when
+// StartDistCluster returns: a lost worker's slot stays dead, and no
+// replacement joins.
 // A cluster is single-computation: jobs run one at a time. Worker death
 // latches the *round*, not the cluster — the in-flight job is aborted
 // on the survivors and retried with restored input (see the recovery
@@ -62,8 +64,9 @@ type DistCluster struct {
 	lastIn  int64
 	lastOut int64
 	// dead marks connections whose workers were lost (transport error
-	// or kill). A dead slot keeps its index — partition assignments name
-	// workers by index — but is skipped by every frame loop.
+	// or kill), one slot per connection. A dead slot keeps its index —
+	// partition assignments name workers by index — but is skipped by
+	// every frame loop.
 	dead     []bool
 	sawDeath bool
 	// owners maps a partition count to the sticky assignment array for
@@ -76,14 +79,8 @@ type DistCluster struct {
 	// until Materialize or Recycle releases it. A released record lives
 	// on, outside this set, as long as a resident child's lineage needs it.
 	residency map[*distResidency]bool
-	// late holds replacement workers accepted after startup
-	// (DistClusterOptions.AcceptLate); recovery adopts them into conns.
-	late []*remote.Conn
-	ln   net.Listener
-	// acceptFresh gates fresh late joins on the shared accept loop; the
-	// loop also runs with AcceptLate off when ReconnectGrace keeps the
-	// listener open for session re-attachment only.
-	acceptFresh bool
+	// ln stays open after startup only for session re-attachment.
+	ln net.Listener
 	// reconnectGrace > 0 enables session resume on every worker
 	// connection: a worker whose transport dies may redial and re-attach
 	// within the grace window, replaying un-acked frames, instead of
@@ -94,7 +91,6 @@ type DistCluster struct {
 	// Health-monitor configuration (resolved from DistClusterOptions at
 	// startup); activeJob/hbFloor are what the monitor goroutine watches.
 	hbEvery      time.Duration
-	drainTimeout time.Duration
 	abortTimeout time.Duration
 	activeJob    distActiveJob
 	hbFloor      time.Time
@@ -168,10 +164,11 @@ func (r *distResidency) seedFrame(p int) []byte {
 
 // WorkerLostError reports that a dist worker died. The engine retries
 // the in-flight job internally after a loss, restoring what the dead
-// worker held from its lineage, so this error escapes a Run/RunDS call
-// only when recovery is impossible, and then it is final: no live
-// workers remain, the retry budget is exhausted, or a lost partition's
-// lineage leads to a coordinator-held input the caller has recycled.
+// worker held from its lineage, so this error escapes a job (RunDS,
+// RunStateDS, BuildDS) or a Materialize only when recovery is
+// impossible, and then it is final: no live workers remain, the retry
+// budget is exhausted, or a lost partition's lineage leads to a
+// coordinator-held input the caller has recycled.
 type WorkerLostError struct {
 	// Worker is the index of the lost worker (-1 when the loss is
 	// positional, e.g. "no live workers").
@@ -219,12 +216,6 @@ type DistClusterOptions struct {
 	// hook in-process workers (tests, embedded deployments) use to dial
 	// in from goroutines of the same process.
 	OnListen func(addr string)
-	// AcceptLate keeps the coordinator's listener open after the initial
-	// n workers connect, so replacement workers can join a running
-	// cluster with -dist-connect. They are adopted at the next job
-	// boundary and pick up partitions when a worker dies. Off by default
-	// (the listener closes once startup completes).
-	AcceptLate bool
 	// HeartbeatEvery is the health cadence: workers send a heartbeat
 	// every interval and the coordinator's monitor ticks at the same
 	// rate. A worker the running job waits on that stays silent for
@@ -232,12 +223,9 @@ type DistClusterOptions struct {
 	// default; negative disables health monitoring entirely (no pongs,
 	// no monitor).
 	HeartbeatEvery time.Duration
-	// DrainTimeout bounds the read for a parting MsgError after a write
-	// to a worker fails (default 500ms).
-	DrainTimeout time.Duration
 	// AbortTimeout bounds recovery waits — abort acknowledgements,
-	// resident-partition fetches from a possibly-hung worker, late-join
-	// handshakes (default 30s).
+	// resident-partition fetches from a possibly-hung worker, a redialing
+	// worker's resume hello (default 30s).
 	AbortTimeout time.Duration
 	// ReconnectGrace, when positive, enables session resume on every
 	// worker connection: frames are sequence-numbered and ringed, and a
@@ -245,8 +233,8 @@ type DistClusterOptions struct {
 	// id + session token within the grace window — both sides replay
 	// un-acked frames and the run continues, with no abort, no restore.
 	// Only past the grace does the loss escalate to the usual
-	// death/recovery path. Keeps the listener open for re-attachment
-	// even without AcceptLate. Zero disables (the default).
+	// death/recovery path. Keeps the listener open for re-attachment.
+	// Zero disables (the default).
 	ReconnectGrace time.Duration
 }
 
@@ -272,16 +260,12 @@ func StartDistCluster(n int, opts DistClusterOptions) (*DistCluster, error) {
 
 	cl := &DistCluster{
 		hbEvery:        opts.HeartbeatEvery,
-		drainTimeout:   opts.DrainTimeout,
 		abortTimeout:   opts.AbortTimeout,
 		reconnectGrace: opts.ReconnectGrace,
-		acceptFresh:    opts.AcceptLate,
+		dead:           make([]bool, n),
 	}
 	if cl.hbEvery == 0 {
 		cl.hbEvery = 500 * time.Millisecond
-	}
-	if cl.drainTimeout <= 0 {
-		cl.drainTimeout = 500 * time.Millisecond
 	}
 	if cl.abortTimeout <= 0 {
 		cl.abortTimeout = distAbortTimeout
@@ -351,11 +335,9 @@ func StartDistCluster(n int, opts DistClusterOptions) (*DistCluster, error) {
 		cl.monitorWG.Add(1)
 		go cl.monitor()
 	}
-	if opts.AcceptLate || cl.reconnectGrace > 0 {
-		// The listener stays open for late joiners and/or session
-		// re-attachment; the shared accept loop routes by hello type.
+	if cl.reconnectGrace > 0 {
 		cl.ln = ln
-		go cl.acceptLate(ln)
+		go cl.acceptResumes(ln)
 	} else {
 		ln.Close()
 	}
@@ -376,13 +358,11 @@ func mintSessionToken() uint64 {
 	return binary.LittleEndian.Uint64(b[:])
 }
 
-// acceptLate is the post-startup accept loop, serving two kinds of
-// hello: fresh joins (replacement workers, admitted when AcceptLate is
-// on — each gets the next worker index and recovery adopts it between
-// job attempts) and resume hellos (a severed worker's redial,
-// re-attached to its existing session in place). Exits when the
-// listener closes.
-func (cl *DistCluster) acceptLate(ln net.Listener) {
+// acceptResumes is the post-startup accept loop: it re-attaches a
+// severed worker's redial to its existing session in place, and closes
+// any other connection — the worker set is fixed at startup. Exits when
+// the listener closes.
+func (cl *DistCluster) acceptResumes(ln net.Listener) {
 	for {
 		if tl, ok := ln.(*net.TCPListener); ok {
 			tl.SetDeadline(time.Time{})
@@ -398,55 +378,25 @@ func (cl *DistCluster) acceptLate(ln net.Listener) {
 			conn.Close()
 			continue
 		}
-		if hi.Resume {
-			nc.SetReadDeadline(time.Time{})
-			cl.reattachWorker(nc, hi)
-			continue
-		}
-		if !cl.acceptFresh {
+		if !hi.Resume {
 			conn.Close()
 			continue
-		}
-		cl.mu.Lock()
-		id := len(cl.conns) + len(cl.late)
-		cl.mu.Unlock()
-		resumeOn := cl.reconnectGrace > 0 && hi.ResumeCapable
-		token := mintSessionToken()
-		if err := remote.Welcome(conn, id, id+1, cl.hbEvery, token, resumeOn); err != nil {
-			conn.Close()
-			continue
-		}
-		if resumeOn {
-			conn.EnableResume(remote.ResumeConfig{Token: token, WorkerID: id, Grace: cl.reconnectGrace})
 		}
 		nc.SetReadDeadline(time.Time{})
-		cl.mu.Lock()
-		if cl.closed || cl.broken != nil {
-			cl.mu.Unlock()
-			conn.Close()
-			return
-		}
-		cl.late = append(cl.late, conn)
-		cl.mu.Unlock()
+		cl.reattachWorker(nc, hi)
 	}
 }
 
 // reattachWorker routes a resume hello to the session it names: find
-// the connection by worker id (adopted or still in the late set), and
-// let its resume layer verify the token, swap the transport, and
-// replay. A session that does not exist, is dead, or refuses the
-// re-attach gets a refusal frame, which stops the worker's redialing.
+// the connection by worker id, and let its resume layer verify the
+// token, swap the transport, and replay. A session that does not exist,
+// is dead, or refuses the re-attach gets a refusal frame, which stops
+// the worker's redialing.
 func (cl *DistCluster) reattachWorker(nc net.Conn, hi remote.HelloInfo) {
 	cl.mu.Lock()
 	var target *remote.Conn
-	switch {
-	case hi.WorkerID < 0:
-	case hi.WorkerID < len(cl.conns):
-		if !cl.deadLocked(hi.WorkerID) {
-			target = cl.conns[hi.WorkerID]
-		}
-	case hi.WorkerID-len(cl.conns) < len(cl.late):
-		target = cl.late[hi.WorkerID-len(cl.conns)]
+	if hi.WorkerID >= 0 && hi.WorkerID < len(cl.conns) && !cl.deadLocked(hi.WorkerID) {
+		target = cl.conns[hi.WorkerID]
 	}
 	cl.mu.Unlock()
 	if target == nil {
@@ -515,6 +465,10 @@ func (cl *DistCluster) nextSeq() uint64 {
 	return cl.seq
 }
 
+// distDrainTimeout bounds the read for a parting MsgError after a write
+// to a worker fails; four of it bound a spawned worker's exit at Close.
+const distDrainTimeout = 500 * time.Millisecond
+
 // distAbortTimeout bounds how long recovery waits for a survivor to
 // acknowledge an abort before declaring it dead too. It doubles as the
 // read-deadline backstop on the survivors' connections while an abort
@@ -531,7 +485,7 @@ func (cl *DistCluster) isDead(w int) bool {
 func (cl *DistCluster) deadLocked(w int) bool {
 	// Negative indexes name no worker at all (locNowhere, locConsumed);
 	// they are not dead, just absent.
-	return w >= 0 && w < len(cl.dead) && cl.dead[w]
+	return w >= 0 && cl.dead[w]
 }
 
 // markDead records worker w as lost and closes its connection, which
@@ -553,11 +507,6 @@ func (cl *DistCluster) noteDead(w int) bool {
 	defer cl.mu.Unlock()
 	if w < 0 || w >= len(cl.conns) || cl.deadLocked(w) {
 		return false
-	}
-	if cl.dead == nil || len(cl.dead) < len(cl.conns) {
-		dead := make([]bool, len(cl.conns))
-		copy(dead, cl.dead)
-		cl.dead = dead
 	}
 	cl.dead[w] = true
 	cl.sawDeath = true
@@ -585,7 +534,7 @@ func (cl *DistCluster) liveWorkers() []int {
 // Returns "" when the worker died silently — the recoverable case.
 func (cl *DistCluster) drainFatal(w int) string {
 	c := cl.conns[w]
-	c.SetReadDeadline(time.Now().Add(cl.drainTimeout))
+	c.SetReadDeadline(time.Now().Add(distDrainTimeout))
 	defer c.SetReadDeadline(time.Time{})
 	for i := 0; i < 16; {
 		payload, err := c.ReadFrame()
@@ -664,28 +613,14 @@ func (cl *DistCluster) ownersForLocked(parts int) []int {
 	return o
 }
 
-// recoverAssignments starts every job attempt: adopt any late-joined
-// replacement workers, then rewrite every stored assignment so dead
-// workers own nothing.
+// recoverAssignments starts every job attempt: it rewrites every stored
+// assignment so dead workers own nothing.
 func (cl *DistCluster) recoverAssignments() {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	cl.adoptLateLocked()
 	for _, o := range cl.owners {
 		cl.reassignLocked(o)
 	}
-}
-
-// adoptLateLocked folds late-joined replacement workers into the
-// cluster: each gets the next connection slot.
-func (cl *DistCluster) adoptLateLocked() {
-	for _, c := range cl.late {
-		cl.conns = append(cl.conns, c)
-		if cl.dead != nil {
-			cl.dead = append(cl.dead, false)
-		}
-	}
-	cl.late = nil
 }
 
 // retryAfterLoss reports whether a job lost to worker death should be
@@ -791,8 +726,16 @@ func (cl *DistCluster) ensureResident(ctx context.Context, r *distResidency, nam
 // survivors' copies under the old one are dropped. A job is deterministic
 // given its input, so the fresh partitions are the lost ones bit for bit;
 // a count that differs is a job that is not, and breaks the cluster.
+// The re-run's wire bytes belong to the job or fetch whose restore asked
+// for it, so the re-run's finish leaves the counters' snapshot as it was.
 func (cl *DistCluster) recompute(ctx context.Context, r *distResidency) error {
+	cl.mu.Lock()
+	in0, out0 := cl.lastIn, cl.lastOut
+	cl.mu.Unlock()
 	fresh, err := r.rerun(ctx)
+	cl.mu.Lock()
+	cl.lastIn, cl.lastOut = in0, out0
+	cl.mu.Unlock()
 	if err != nil {
 		return err
 	}
@@ -908,10 +851,6 @@ func (cl *DistCluster) resumeTotals() (reconnects, replayed int64) {
 		reconnects += c.Reconnects()
 		replayed += c.FramesReplayed()
 	}
-	for _, c := range cl.late {
-		reconnects += c.Reconnects()
-		replayed += c.FramesReplayed()
-	}
 	return reconnects, replayed
 }
 
@@ -968,16 +907,15 @@ func (cl *DistCluster) checkHealth(now time.Time) {
 	limit := cl.hbEvery * hbDeadIntervals
 	for w, c := range conns {
 		// Only workers the active attempt is still waiting on are judged.
-		// A non-participant (adopted-but-idle) and a participant that
-		// already delivered its MsgJobDone have per-job readers no longer
-		// draining their frames, so their LastRead legitimately goes
-		// stale — silence there is not evidence of a hang, and condemning
-		// the finished survivor of a round that is waiting out a
-		// genuinely hung worker would leave no one to retry on. A worker
-		// whose transport died but whose session is inside the reconnect
-		// grace window is the resume layer's to absorb: if the grace
-		// expires, the parked read surfaces its transport error and the
-		// ordinary loss path takes over.
+		// A participant that already delivered its MsgJobDone has a
+		// per-job reader no longer draining its frames, so its LastRead
+		// legitimately goes stale — silence there is not evidence of a
+		// hang, and condemning the finished survivor of a round that is
+		// waiting out a genuinely hung worker would leave no one to
+		// retry on. A worker whose transport died but whose session is
+		// inside the reconnect grace window is the resume layer's to
+		// absorb: if the grace expires, the parked read surfaces its
+		// transport error and the ordinary loss path takes over.
 		if cl.isDead(w) || !j.waitsOn(w) || c.Recovering() {
 			continue
 		}
@@ -1041,8 +979,6 @@ func (cl *DistCluster) Close() error {
 	healthy := cl.broken == nil
 	reportExits := healthy && !cl.sawDeath
 	dead := append([]bool(nil), cl.dead...)
-	late := cl.late
-	cl.late = nil
 	cl.mu.Unlock()
 	if cl.monitorStop != nil {
 		close(cl.monitorStop)
@@ -1056,14 +992,9 @@ func (cl *DistCluster) Close() error {
 		// must make the goodbye write fail fast, not hold the reconnect
 		// grace window open during shutdown.
 		c.ShutdownResume()
-		if healthy && (w >= len(dead) || !dead[w]) {
+		if healthy && !dead[w] {
 			c.WriteFrame([]byte{byte(remote.MsgBye)})
 		}
-		c.Close()
-	}
-	for _, c := range late {
-		c.ShutdownResume()
-		c.WriteFrame([]byte{byte(remote.MsgBye)})
 		c.Close()
 	}
 	var err error
@@ -1087,7 +1018,7 @@ func (cl *DistCluster) Close() error {
 func (cl *DistCluster) reapProc(cmd *exec.Cmd) error {
 	done := make(chan error, 1)
 	go func() { done <- cmd.Wait() }()
-	grace := 4 * cl.drainTimeout
+	grace := 4 * distDrainTimeout
 	select {
 	case err := <-done:
 		return err
@@ -1544,7 +1475,7 @@ func (j *distJobRun[K2, V2, K3, V3]) abortAttempt(w int, cause error) {
 // the reader's wait; its error path closes the connection.
 func (j *distJobRun[K2, V2, K3, V3]) senderLost(w int, cause error) error {
 	if j.cl.noteDead(w) {
-		j.cl.conns[w].SetReadDeadline(time.Now().Add(j.cl.drainTimeout))
+		j.cl.conns[w].SetReadDeadline(time.Now().Add(distDrainTimeout))
 	}
 	j.abortAttempt(w, cause)
 	return j.lossErr()
@@ -1928,8 +1859,8 @@ func runDistDS[K2 comparable, V2 any, K3 comparable, V3 any](
 	var sched schedSnapshot
 	sched.start(cl)
 	for attempt := 0; ; attempt++ {
-		// Adopt late joiners and move dead workers' partitions;
-		// ensureResident restores the data the new assignment calls for.
+		// Move dead workers' partitions; ensureResident restores the
+		// data the new assignment calls for.
 		cl.recoverAssignments()
 		as := newStats(cfg.Name)
 		out, err := tryDistDS[K2, V2, K3, V3](ctx, cfg, splits, in, state, mapPhase, as)
@@ -2128,8 +2059,8 @@ func (d *Dataset[K, V]) fetchResident(pc *pairCodec[K, V]) error {
 	cl := d.rem.cl
 	seq, loc := cl.residencySnapshot(d.rem)
 	fetch := remote.AppendUvarint([]byte{byte(remote.MsgFetch)}, seq)
-	// A live worker that owns nothing to fetch (an idle adopted late
-	// joiner, or one whose partitions are all here) is skipped.
+	// A live worker that owns nothing to fetch (all its partitions are
+	// here) is skipped.
 	owned := make(map[int]bool, len(cl.conns))
 	for p, w := range loc {
 		if d.parts[p] == nil {

@@ -6,7 +6,6 @@ import (
 	"os"
 	"os/exec"
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
@@ -153,100 +152,5 @@ func TestDistChaosKilledWorkers(t *testing.T) {
 			t.Logf("seed %d: killed worker %d after %v; lost=%d retried=%d reseeded=%d",
 				seed, victim, delay, rs.WorkersLost, rs.Recoveries, rs.Reseeded)
 		})
-	}
-}
-
-// TestDistLateJoinAdoptsPartitions pins the replacement-worker path:
-// with AcceptLate a fresh worker dials into a running cluster, and the
-// next recovery adopts it — the dead worker's partitions are recomputed
-// from their lineage onto the adopted pool and the run completes
-// bit-identical.
-func TestDistLateJoinAdoptsPartitions(t *testing.T) {
-	const rounds = 3
-	want := memoryRingReference(t, rounds)
-
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var clusterAddr string
-	cl, err := StartDistCluster(2, DistClusterOptions{
-		Timeout:    30 * time.Second,
-		AcceptLate: true,
-		OnListen: func(addr string) {
-			mu.Lock()
-			clusterAddr = addr
-			mu.Unlock()
-			for i := 0; i < 2; i++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					if err := ServeDistWorker(context.Background(), addr); err != nil {
-						t.Logf("in-process worker: %v", err)
-					}
-				}()
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { cl.Close(); wg.Wait() }()
-
-	ctx := context.Background()
-	cfg := distCfg4(cl, "ring-step")
-	ds := PartitionDataset(ringInput(), cfg.reducers())
-	ds, _, err = RunDS(ctx, cfg, ds, ringMap, ringReduce)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The replacement dials in while the cluster is healthy; it waits in
-	// the late pool until a recovery adopts it.
-	mu.Lock()
-	addr := clusterAddr
-	mu.Unlock()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := ServeDistWorker(context.Background(), addr); err != nil {
-			t.Logf("late worker: %v", err)
-		}
-	}()
-	for i := 0; ; i++ {
-		cl.mu.Lock()
-		n := len(cl.late)
-		cl.mu.Unlock()
-		if n > 0 {
-			break
-		}
-		if i > 500 {
-			t.Fatal("late worker never completed the handshake")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	// Kill worker 0 at its very next frame; the remaining rounds must
-	// recover onto the survivor plus the adopted replacement.
-	if err := cl.InjectFault(0, &remote.Fault{Op: remote.FaultSever, AfterWrites: 1}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < rounds; i++ {
-		ds, _, err = RunDS(ctx, cfg, ds, ringMap, ringReduce)
-		if err != nil {
-			t.Fatalf("round %d: %v", i, err)
-		}
-	}
-	if err := ds.Materialize(); err != nil {
-		t.Fatal(err)
-	}
-	if got := ds.Collect(); !reflect.DeepEqual(got, want) {
-		t.Fatal("late-join run diverges from memory backend")
-	}
-	if cl.Workers() != 3 {
-		t.Fatalf("cluster holds %d workers after adoption, want 3 (2 initial + 1 late)", cl.Workers())
-	}
-	rs := cl.RecoveryStats()
-	if rs.WorkersLost != 1 || rs.Recoveries < 1 || rs.Reseeded < 1 {
-		t.Fatalf("recovery stats report lost=%d retried=%d reseeded=%d, want 1/>=1/>=1",
-			rs.WorkersLost, rs.Recoveries, rs.Reseeded)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/mapreduce/remote"
 )
@@ -46,4 +47,55 @@ func TestDistLineageRecycledInputRefuses(t *testing.T) {
 	}
 	t.Logf("refused: %v", err)
 	ds.Recycle()
+}
+
+// TestDistLineageRecomputeBytesCounted: the wire bytes of a recovery's
+// re-runs belong to the job that recovers. A ring chain of three rounds
+// loses worker 1 at round 2's announce, so round 1's output is made
+// again by re-running round 1 and, under it, round 0. Summed over the
+// driver's trace, RemoteBytesIn and RemoteBytesOut must equal the
+// cluster's transport totals (with heartbeats off, nothing moves between
+// jobs); a re-run that advanced the counters' snapshot would leave its
+// bytes out of every job.
+func TestDistLineageRecomputeBytesCounted(t *testing.T) {
+	ctx := context.Background()
+	cl := startSchedCluster(t, 2, DistClusterOptions{Timeout: 30 * time.Second, HeartbeatEvery: -1}, nil)
+	d := NewDriver(distCfg4(cl, ""))
+	defer d.Release()
+	in := PartitionDataset(ringInput(), d.Partitions())
+	held := []*Dataset[int32, int64]{in}
+	defer func() {
+		for _, ds := range held {
+			ds.Recycle()
+		}
+	}()
+	ds := in
+	for round := 0; round < 3; round++ {
+		if round == 2 {
+			if err := cl.InjectFault(1, &remote.Fault{Op: remote.FaultSever, AfterWrites: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next, err := RunJobDS(ctx, d, "ring-step", ds, ringMap, ringReduce)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		held = append(held, next)
+		ds = next
+	}
+	var sumIn, sumOut int64
+	for _, st := range d.Trace() {
+		sumIn += st.RemoteBytesIn
+		sumOut += st.RemoteBytesOut
+	}
+	in0, out0 := cl.bytesInOut()
+	last := d.Trace()[2]
+	t.Logf("trace in=%d out=%d, transport in=%d out=%d; round 2: retries=%d reseeded=%d",
+		sumIn, sumOut, in0, out0, last.WorkerRecoveries, last.ReseededPartitions)
+	if last.WorkerRecoveries < 1 || last.ReseededPartitions < 1 {
+		t.Fatalf("round 2 retried %d times and reseeded %d partitions, want a recovery that recomputes", last.WorkerRecoveries, last.ReseededPartitions)
+	}
+	if sumIn != in0 || sumOut != out0 {
+		t.Fatalf("jobs account for %d bytes in and %d out, the transport moved %d and %d", sumIn, sumOut, in0, out0)
+	}
 }

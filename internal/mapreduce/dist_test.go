@@ -203,7 +203,7 @@ func TestDistParamsReachWorkers(t *testing.T) {
 	cfg := distCfg(cl, "param-add")
 	cfg.DistParams = []byte{42}
 	out, _, err := Run(context.Background(), cfg, ringInput(),
-		Identity[int32, int64](),
+		forwardMap[int32, int64],
 		func(k int32, vs []int64, out Emitter[int32, int64]) error { return nil }, // ignored: workers run the registered reduce
 	)
 	if err != nil {
@@ -262,7 +262,7 @@ func TestDistUnregisteredJobFails(t *testing.T) {
 	cl := startTestCluster(t, 1)
 	cfg := distCfg(cl, "never-registered")
 	_, _, err := Run(context.Background(), cfg, ringInput(),
-		Identity[int32, int64](), ringReduce)
+		forwardMap[int32, int64], ringReduce)
 	if err == nil || !strings.Contains(err.Error(), "no dist job registered") {
 		t.Fatalf("unregistered job: got %v", err)
 	}
@@ -274,7 +274,7 @@ func TestDistReduceErrorSurfaces(t *testing.T) {
 	cl := startTestCluster(t, 2)
 	cfg := distCfg(cl, "boom-reduce")
 	_, _, err := Run(context.Background(), cfg, ringInput(),
-		Identity[int32, int64](), ringReduce)
+		forwardMap[int32, int64], ringReduce)
 	if err == nil || !strings.Contains(err.Error(), "boom on key 7") {
 		t.Fatalf("worker reduce error lost: %v", err)
 	}
@@ -428,7 +428,7 @@ func TestDistKilledWorkerProcess(t *testing.T) {
 	done := make(chan result, 1)
 	slowJob := func() ([]Pair[int32, int64], error) {
 		out, _, err := Run(context.Background(), cfg, ringInput(),
-			Identity[int32, int64](), ringReduce)
+			forwardMap[int32, int64], ringReduce)
 		return out, err
 	}
 	go func() {
@@ -450,7 +450,7 @@ func TestDistKilledWorkerProcess(t *testing.T) {
 	// the memory backend for the bit-identity check.
 	want, _, err := Run(context.Background(),
 		Config{Mappers: 4, Reducers: 3, Name: "slow-reduce"},
-		ringInput(), Identity[int32, int64](),
+		ringInput(), forwardMap[int32, int64],
 		func(k int32, vs []int64, out Emitter[int32, int64]) error {
 			out.Emit(k, int64(len(vs)))
 			return nil

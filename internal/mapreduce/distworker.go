@@ -162,9 +162,9 @@ func (r *residentData[K, V]) shed(part int) {
 
 // chainedInput resolves a chained job's worker-resident input,
 // installing any seeded partitions (MsgSeed blobs held by the session)
-// first. A worker that retained nothing for the sequence — a late
-// joiner, or a survivor that only now inherited partitions — starts from
-// an empty set and fills it from its seeds.
+// first. A worker that retained nothing for the sequence — a survivor
+// that only now inherited partitions — starts from an empty set and
+// fills it from its seeds.
 func chainedInput[K1 comparable, V1 any](s *workerSession, h *distJobHeader) (*residentData[K1, V1], error) {
 	rd, err := residentFor[K1, V1](s, h.inputSeq, h.splits)
 	if err != nil {

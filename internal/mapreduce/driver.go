@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"errors"
 	"fmt"
-	"slices"
 )
 
 // Driver coordinates an iterative MapReduce computation: a chain of jobs
@@ -63,7 +62,7 @@ func (d *Driver) Release() {
 }
 
 // Config returns the Driver's base job configuration with the given name
-// applied; use it when invoking Run or RunDS directly.
+// applied; use it when invoking RunDS, RunStateDS or BuildDS directly.
 func (d *Driver) Config(name string) Config {
 	c := d.cfg
 	c.Name = name
@@ -97,26 +96,4 @@ func (d *Driver) Observe(s *Stats) error {
 		return fmt.Errorf("%w (%d rounds)", ErrRoundLimit, d.rounds)
 	}
 	return nil
-}
-
-// Identity returns a map function that forwards its input unchanged.
-// Useful for jobs whose work happens entirely in the reducer.
-func Identity[K comparable, V any]() MapFunc[K, V, K, V] {
-	return func(key K, value V, out Emitter[K, V]) error {
-		out.Emit(key, value)
-		return nil
-	}
-}
-
-// CollectValues is a reduce function that re-emits the key with a copy
-// of its value slice, for jobs whose work happens entirely in the
-// mapper. The copy is required, not defensive: the engine owns the
-// values slice and reuses its backing array for later groups and
-// rounds (see ReduceFunc), so the emitted slice must be the reducer's
-// own.
-func CollectValues[K comparable, V any]() ReduceFunc[K, V, K, []V] {
-	return func(key K, values []V, out Emitter[K, []V]) error {
-		out.Emit(key, slices.Clone(values))
-		return nil
-	}
 }

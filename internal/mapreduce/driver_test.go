@@ -52,7 +52,7 @@ func TestDriverRoundLimit(t *testing.T) {
 	for i := 0; i < 5 && err == nil; i++ {
 		var stats *Stats
 		_, stats, err = Run(context.Background(), d.Config("noop"), input,
-			Identity[int, int](), CollectValues[int, int]())
+			forwardMap[int, int], gatherReduce[int, int])
 		if err == nil {
 			err = d.Observe(stats)
 		}

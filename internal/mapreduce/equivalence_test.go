@@ -526,7 +526,7 @@ func TestStringKeysWithNULBytesStayDistinct(t *testing.T) {
 				out.Emit(keys[k], v)
 				return nil
 			},
-			CollectValues[string, int]())
+			gatherReduce[string, int])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,7 +9,7 @@
 // Content Matching in MapReduce" (De Francisci Morales, Gionis, Sozio;
 // VLDB 2011). The paper's efficiency results are stated in terms of the
 // number of MapReduce iterations and the communication cost per job, both
-// of which this engine measures exactly: every Run records counters and
+// of which this engine measures exactly: every job records counters and
 // shuffle statistics, and the Driver type counts rounds for iterative
 // algorithms.
 //
@@ -58,7 +58,6 @@ package mapreduce
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -97,7 +96,7 @@ type MapFunc[K1 comparable, V1 any, K2 comparable, V2 any] func(key K1, value V1
 // The values slice is only valid for the duration of the call: the
 // engine owns its backing array and reuses it for later groups and
 // later rounds (exactly as Hadoop reuses its value objects). A reduce
-// that wants to keep the values must copy them — CollectValues does.
+// that wants to keep the values must copy them (slices.Clone).
 type ReduceFunc[K2 comparable, V2 any, K3 comparable, V3 any] func(key K2, values []V2, out Emitter[K3, V3]) error
 
 // StateReduceFunc is the reduce of a state job (RunStateDS): besides the
@@ -210,8 +209,10 @@ func checkGroupOrder[K comparable, S any](cmp func(a, b K) int, name string, p i
 
 // Config controls the parallelism, partitioning and backend of a job.
 type Config struct {
-	// Mappers is the number of parallel map workers. Zero means
-	// GOMAXPROCS.
+	// Mappers is the number of contiguous splits, one map task each,
+	// that a flat input is cut into: a misaligned Dataset that RunDS
+	// collects and re-partitions. Zero means GOMAXPROCS. A Dataset job
+	// runs one map task per partition and ignores it.
 	Mappers int
 	// Reducers is the number of partitions (and parallel reduce
 	// workers). Zero means GOMAXPROCS.
@@ -376,46 +377,6 @@ func (e *shuffleEmitter[K, V]) finish() error {
 	}
 	e.buckets = nil
 	return e.err
-}
-
-// Run executes one MapReduce job over the input pairs and returns the
-// reduce output together with the job statistics. The input is mapped
-// in the order given, cut into Config.Mappers contiguous splits; the
-// output is flattened and sorted by key (sortPairs), so identical jobs
-// produce identical slices, which keeps the randomized matching
-// algorithms reproducible under a fixed seed.
-//
-// Run is the Dataset job (RunDS) of an input that has no partitions
-// yet, collected: the same map, shuffle and reduce code runs on every
-// backend, and on dist the output is retained on the workers and then
-// fetched like any other resident Dataset.
-//
-// Run returns the first error produced by any map or reduce invocation;
-// the remaining tasks are cancelled.
-func Run[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any](
-	ctx context.Context,
-	cfg Config,
-	input []Pair[K1, V1],
-	mapFn MapFunc[K1, V1, K2, V2],
-	reduceFn ReduceFunc[K2, V2, K3, V3],
-) ([]Pair[K3, V3], *Stats, error) {
-	if mapFn == nil {
-		return nil, nil, errors.New("mapreduce: nil map function")
-	}
-	if reduceFn == nil {
-		return nil, nil, errors.New("mapreduce: nil reduce function")
-	}
-	ds, stats, err := runFlat(ctx, cfg, input, mapFn, reduceFn)
-	if err != nil {
-		return nil, stats, err
-	}
-	// The partitions go back to the recycler (on dist, the residency is
-	// released) whether or not the fetch succeeded.
-	defer ds.Recycle()
-	if err := ds.Materialize(); err != nil {
-		return nil, stats, err
-	}
-	return ds.Collect(), stats, nil
 }
 
 // cancelPollEvery is how many map records or reduce groups a task runs

@@ -184,7 +184,7 @@ func TestReduceErrorPropagates(t *testing.T) {
 	sentinel := errors.New("reduce boom")
 	_, _, err := Run(context.Background(), Config{},
 		[]Pair[int, int]{P(1, 1)},
-		Identity[int, int](),
+		forwardMap[int, int],
 		func(k int, vs []int, out Emitter[int, int]) error {
 			return sentinel
 		})
@@ -208,7 +208,7 @@ func TestContextCancellation(t *testing.T) {
 		input[i] = P(i, i)
 	}
 	_, _, err := Run(ctx, Config{Mappers: 2, Reducers: 2}, input,
-		Identity[int, int](), CollectValues[int, int]())
+		forwardMap[int, int], gatherReduce[int, int])
 	if err == nil {
 		t.Error("expected context cancellation error")
 	}
@@ -216,7 +216,7 @@ func TestContextCancellation(t *testing.T) {
 
 func TestEmptyInput(t *testing.T) {
 	out, stats, err := Run(context.Background(), Config{},
-		nil, Identity[int, int](), CollectValues[int, int]())
+		nil, forwardMap[int, int], gatherReduce[int, int])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -146,7 +146,7 @@ const goldenN = 400
 
 // goldenCollectInput is unsorted and repeats each of its 23 keys: a Run
 // that sorted it, or cut it anywhere but at Mappers contiguous spans,
-// would hand CollectValues its values in another order.
+// would hand goldenCollectReduce its values in another order.
 func goldenCollectInput() []Pair[int32, int64] {
 	input := make([]Pair[int32, int64], goldenN)
 	for i := range input {
@@ -161,7 +161,7 @@ func goldenCollectMap(k int32, v int64, out Emitter[int32, int64]) error {
 	return nil
 }
 
-// goldenCollectReduce is CollectValues with a value the dist backend
+// goldenCollectReduce is gatherReduce with a value the dist backend
 // can ship: a slice has no lane, int64s encodes itself.
 func goldenCollectReduce(k int32, vs []int64, out Emitter[int32, int64s]) error {
 	out.Emit(k, int64s(slices.Clone(vs)))

@@ -39,8 +39,8 @@ const (
 	// ShuffleDist shards the reduce partitions across the worker
 	// processes of Config.Dist: map-side buckets stream to each
 	// partition's owner over TCP, the workers group-sort and reduce
-	// locally, and the output either streams back (Run) or stays
-	// worker-resident between chained jobs (RunDS). Output is
+	// locally, and the output stays worker-resident between chained
+	// jobs until Materialize fetches it. Output is
 	// bit-identical to ShuffleMemory for the same seed and partition
 	// count. See dist.go and distworker.go.
 	ShuffleDist ShuffleKind = "dist"
@@ -153,8 +153,8 @@ func newShuffleBackend[K comparable, V any](cfg Config, splits int, ar *roundAre
 	case ShuffleSpill:
 		return newSpillShuffle[K, V](cfg.reducers(), splits, cfg.Shuffle, ar)
 	case ShuffleDist:
-		// Run/RunDS intercept the dist mode before reaching the backend
-		// constructor; only the combiner paths arrive here.
+		// The job runners intercept the dist mode before reaching the
+		// backend constructor; only the combiner paths arrive here.
 		return nil, fmt.Errorf("mapreduce: the dist shuffle backend does not support combiner jobs")
 	default:
 		return nil, fmt.Errorf("mapreduce: unknown shuffle backend %q", cfg.Shuffle.Backend)

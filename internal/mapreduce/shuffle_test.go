@@ -80,7 +80,7 @@ func TestSpillBackendActuallySpills(t *testing.T) {
 	}
 	cfg := spillCfg(100)
 	_, stats, err := Run(context.Background(), cfg, input,
-		Identity[int32, int32](), CollectValues[int32, int32]())
+		forwardMap[int32, int32], gatherReduce[int32, int32])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestSpillEmptyStructValues(t *testing.T) {
 func TestUnknownShuffleBackend(t *testing.T) {
 	cfg := Config{Shuffle: ShuffleConfig{Backend: "carrier-pigeon"}}
 	_, _, err := Run(context.Background(), cfg, []Pair[int, int]{P(1, 1)},
-		Identity[int, int](), CollectValues[int, int]())
+		forwardMap[int, int], gatherReduce[int, int])
 	if err == nil || !strings.Contains(err.Error(), "carrier-pigeon") {
 		t.Fatalf("unknown backend not rejected: %v", err)
 	}
@@ -250,7 +250,7 @@ func TestSpillRejectsIndistinguishableKeys(t *testing.T) {
 			}
 			return nil
 		},
-		CollectValues[badKey, int]())
+		gatherReduce[badKey, int])
 	if err == nil || !strings.Contains(err.Error(), "cannot distinguish") {
 		t.Fatalf("colliding composite keys not rejected: %v (stats %+v)", err, stats)
 	}

@@ -35,7 +35,7 @@ type Stats struct {
 	// were addressed to the task's own input key, so they went straight
 	// into the task's own partition bucket without being hashed.
 	// CrossRouted pairs went through the full hash-partitioned route.
-	// Flat jobs (Run, or RunDS forced to re-partition) hash everything,
+	// Flat jobs (RunDS forced to re-partition) hash everything,
 	// so they report LocalRouted == 0. A state job's forwarded records
 	// are local-routed pairs delivered by reference: they stay in their
 	// input partition and meet their group in the reduce task.
@@ -63,7 +63,9 @@ type Stats struct {
 	// relayed buckets, reduce output, reports). Zero for the local
 	// backends. Chained jobs whose self-addressed pairs stay
 	// worker-resident show it here: RemoteBytesOut covers only the
-	// cross-partition traffic.
+	// cross-partition traffic. A job's counts include the traffic since
+	// the previous job ended and its recovery's re-runs, so summed over
+	// the jobs of a cluster they are its transport totals.
 	RemoteBytesOut int64
 	RemoteBytesIn  int64
 	// WorkerRecoveries counts the job attempts that were abandoned to a

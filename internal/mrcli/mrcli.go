@@ -43,14 +43,13 @@ type Flags struct {
 
 	cpuProfile, memProfile string
 
-	workers    int
-	connect    string
-	listen     string
-	spawn      bool
-	acceptLate bool
-	heartbeat  time.Duration
-	reconnect  int
-	grace      time.Duration
+	workers   int
+	connect   string
+	listen    string
+	spawn     bool
+	heartbeat time.Duration
+	reconnect int
+	grace     time.Duration
 }
 
 // RegisterLocal declares the flags of a tool that runs its jobs in one
@@ -77,7 +76,6 @@ func Register(fs *flag.FlagSet, width int) *Flags {
 	fs.StringVar(&f.connect, flagConnect, "", "worker mode: connect to a coordinator at host:port, serve its jobs, and exit")
 	fs.StringVar(&f.listen, "dist-listen", "", "coordinator listen address for -dist-workers (default 127.0.0.1:0)")
 	fs.BoolVar(&f.spawn, "dist-spawn", true, "self-exec the -dist-workers worker processes (false: wait for -dist-connect workers)")
-	fs.BoolVar(&f.acceptLate, "dist-accept-late", false, "keep accepting replacement -dist-connect workers after startup; they adopt a dead worker's partitions at the next recovery")
 	fs.DurationVar(&f.heartbeat, "dist-heartbeat", 500*time.Millisecond, "dist worker heartbeat interval; a worker a running job waits on that stays silent for 24 intervals is declared lost and its partitions recovered (0 disables health monitoring)")
 	fs.IntVar(&f.reconnect, flagReconnect, 8, "worker redial budget per outage: a severed worker redials and resumes its session instead of dying (0 disables reconnection)")
 	fs.DurationVar(&f.grace, "dist-reconnect-grace", 10*time.Second, "how long the coordinator holds a severed worker's partitions before declaring it dead and restoring its partitions (0 disables session resume)")
@@ -185,7 +183,6 @@ func (f *Flags) Config() (mapreduce.Config, error) {
 func (f *Flags) clusterOptions() mapreduce.DistClusterOptions {
 	opts := mapreduce.DistClusterOptions{
 		Listen:         f.listen,
-		AcceptLate:     f.acceptLate,
 		HeartbeatEvery: f.heartbeat,
 		ReconnectGrace: f.grace,
 	}

@@ -52,11 +52,11 @@ func TestShuffleContradictingDistWorkersIsRejected(t *testing.T) {
 }
 
 // TestRetiredFlagsAreRefused: block compression, coordinator crash
-// resume and the checkpoint throttle are gone, and their flags with them
-// — a script that still passes one fails at parse time instead of
-// running without what it asked for.
+// resume, the checkpoint throttle and late join are gone, and their
+// flags with them — a script that still passes one fails at parse time
+// instead of running without what it asked for.
 func TestRetiredFlagsAreRefused(t *testing.T) {
-	for _, name := range []string{"-wire-compress", "-spill-compress", "-dist-journal-dir", "-dist-resume", "-ckpt-every"} {
+	for _, name := range []string{"-wire-compress", "-spill-compress", "-dist-journal-dir", "-dist-resume", "-ckpt-every", "-dist-accept-late"} {
 		fs := flag.NewFlagSet("tool", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		Register(fs, 18)
@@ -98,9 +98,8 @@ func TestWorkerArgvRoundTrip(t *testing.T) {
 // receives them, including the spelling that differs between the two
 // (0 turns heartbeats off; the engine's 0 means default).
 func TestClusterOptionsFromFlags(t *testing.T) {
-	opts := parse(t, "-dist-workers", "1", "-dist-heartbeat", "0", "-dist-reconnect-grace", "3s",
-		"-dist-accept-late").clusterOptions()
-	if opts.HeartbeatEvery != -1 || opts.ReconnectGrace != 3*time.Second || !opts.AcceptLate {
+	opts := parse(t, "-dist-workers", "1", "-dist-heartbeat", "0", "-dist-reconnect-grace", "3s").clusterOptions()
+	if opts.HeartbeatEvery != -1 || opts.ReconnectGrace != 3*time.Second {
 		t.Fatalf("cluster options %+v", opts)
 	}
 	if d := parse(t).clusterOptions().HeartbeatEvery; d != 500*time.Millisecond {

@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit behind the
-// experimental harness: histograms with linear or logarithmic binning
-// (Figures 6 and 7 plot similarity and capacity distributions on log
-// scales), and summary statistics.
+// experimental harness: histograms with logarithmic binning (Figures 6
+// and 7 plot similarity and capacity distributions on log scales), and
+// summary statistics.
 package stats
 
 import (
@@ -10,62 +10,6 @@ import (
 	"sort"
 	"strings"
 )
-
-// Histogram counts values in equal-width bins over [Lo, Hi); values
-// outside the range land in the under/overflow counters.
-type Histogram struct {
-	Lo, Hi    float64
-	Counts    []int
-	Underflow int
-	Overflow  int
-	total     int
-}
-
-// NewHistogram creates a histogram with the given bin count over
-// [lo, hi). It panics on invalid ranges or bin counts, which are
-// programming errors.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins < 1 || !(lo < hi) {
-		panic(fmt.Sprintf("stats: invalid histogram [%v,%v) with %d bins", lo, hi, bins))
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records one value.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	switch {
-	case x < h.Lo:
-		h.Underflow++
-	case x >= h.Hi:
-		h.Overflow++
-	default:
-		i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-		if i >= len(h.Counts) { // float round-up guard
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of recorded values, including out-of-range
-// ones.
-func (h *Histogram) Total() int { return h.total }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*width
-}
-
-// Fraction returns the fraction of in-range values in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	in := h.total - h.Underflow - h.Overflow
-	if in == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(in)
-}
 
 // LogHistogram counts values in geometrically growing bins, the natural
 // binning for the heavy-tailed capacity and similarity distributions of

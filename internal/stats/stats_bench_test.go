@@ -5,19 +5,6 @@ import (
 	"testing"
 )
 
-func BenchmarkHistogramAdd(b *testing.B) {
-	h := NewHistogram(0, 1, 64)
-	rng := rand.New(rand.NewSource(1))
-	xs := make([]float64, 1024)
-	for i := range xs {
-		xs[i] = rng.Float64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Add(xs[i%len(xs)])
-	}
-}
-
 func BenchmarkLogHistogramAdd(b *testing.B) {
 	h := NewLogHistogram(0.001, 1.5, 48)
 	rng := rand.New(rand.NewSource(2))
