@@ -62,14 +62,13 @@ func TestDistLineageRecomputeBytesCounted(t *testing.T) {
 	cl := startSchedCluster(t, 2, DistClusterOptions{Timeout: 30 * time.Second, HeartbeatEvery: -1}, nil)
 	d := NewDriver(distCfg4(cl, ""))
 	defer d.Release()
-	in := PartitionDataset(ringInput(), d.Partitions())
-	held := []*Dataset[int32, int64]{in}
+	ds := PartitionDataset(ringInput(), d.Partitions())
+	held := []*Dataset[int32, int64]{ds}
 	defer func() {
 		for _, ds := range held {
 			ds.Recycle()
 		}
 	}()
-	ds := in
 	for round := 0; round < 3; round++ {
 		if round == 2 {
 			if err := cl.InjectFault(1, &remote.Fault{Op: remote.FaultSever, AfterWrites: 1}); err != nil {
