@@ -6,8 +6,10 @@ import (
 	"context"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/graph"
+	"repro/internal/mapreduce"
 )
 
 // The TestAllocGuard* tests pin the allocation count of complete small
@@ -61,19 +63,17 @@ func TestAllocGuardGreedyMRRun(t *testing.T) {
 }
 
 // TestAllocGuardNodeDataset: the round-0 node view costs a fixed handful
-// of allocations (the capacity and live-degree tables, the Dataset, the
-// task group) plus five per partition — its task's two closures, its owns
-// closure, its one []half and its one []Pair — whatever the node count:
-// 16 measured for one partition, 93 for sixteen, at 20,000 nodes and at
-// 40,000 alike. A list per node, or a partition spine grown by append,
-// lands far outside.
+// of allocations (the live set, the live-degree and cursor tables, the
+// Dataset, the task group) plus six per partition — its task's two
+// closures, its owns closure, its node set, its one []half and its one
+// []Pair — whatever the node count. A list per node, or a partition spine
+// grown by append, lands far outside.
 func TestAllocGuardNodeDataset(t *testing.T) {
 	for _, items := range []int{19800, 39800} {
 		g := graph.RandomBipartite(graph.RandomConfig{
 			NumItems: items, NumConsumers: 200, EdgeProb: 0.02,
 			MaxWeight: 4, MaxCapacity: 6, Seed: 11,
 		})
-		g.IncidentEdges(0) // the graph's own index is not the view's cost
 		for _, parts := range []int{1, 4, 16} {
 			for _, byWeight := range []bool{true, false} {
 				allocs := testing.AllocsPerRun(3, func() {
@@ -88,6 +88,42 @@ func TestAllocGuardNodeDataset(t *testing.T) {
 					t.Errorf("the view of %d nodes in %d partitions allocates %.0f times (> 20 + 6 per partition = %.0f)",
 						g.NumNodes(), parts, allocs, limit)
 				}
+			}
+		}
+	}
+}
+
+// TestAllocGuardNodeDatasetBytes: the round-0 node view allocates its
+// own output — the halves and the records — and at most 32 B per node
+// beside it: the live set, the live-degree and cursor tables and one
+// node set per partition, 8.7 B per node on this 40,000-node graph in
+// one partition and 13.6 in sixteen. Each build gets a fresh graph, so
+// an index the graph builds lazily for the view counts against it: a
+// view that read the graph's incidence index (24 B per node and 8 per
+// edge) and kept an 8-byte capacity per node cost 73–76 B per node here.
+func TestAllocGuardNodeDatasetBytes(t *testing.T) {
+	for _, parts := range []int{1, 4, 16} {
+		for _, byWeight := range []bool{true, false} {
+			g := graph.RandomBipartite(graph.RandomConfig{
+				NumItems: 39800, NumConsumers: 200, EdgeProb: 0.02,
+				MaxWeight: 4, MaxCapacity: 6, Seed: 11,
+			})
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			ds, err := nodeDataset(g, parts, byWeight)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			output := uint64(countLiveEdges(ds))*uint64(unsafe.Sizeof(half{})) +
+				uint64(ds.Len())*uint64(unsafe.Sizeof(mapreduce.Pair[graph.NodeID, nodeState]{}))
+			extra := int64(after.TotalAlloc-before.TotalAlloc) - int64(output)
+			limit := int64(32 * g.NumNodes())
+			t.Logf("%d nodes, %d edges, %d partitions, byWeight %t: %d B of output, %d B beside it (%.1f B per node, limit %d B)",
+				g.NumNodes(), g.NumEdges(), parts, byWeight, output, extra, float64(extra)/float64(g.NumNodes()), limit)
+			if extra > limit {
+				t.Errorf("the view of %d nodes in %d partitions allocates %d B beside its %d B of output (> 32 B per node = %d B)",
+					g.NumNodes(), parts, extra, output, limit)
 			}
 		}
 	}

@@ -78,7 +78,6 @@ func BenchmarkNodeDataset(b *testing.B) {
 		DegreeAlpha: 1.4, WeightScale: 1, CapacityAlpha: 1.2,
 		CapacityMax: 200, Seed: 1,
 	})
-	g.IncidentEdges(0) // the graph's own index is not the view's cost
 	for _, byWeight := range []bool{true, false} {
 		b.Run(fmt.Sprintf("byWeight=%v", byWeight), func(b *testing.B) {
 			b.ReportAllocs()

@@ -40,16 +40,24 @@ func naiveNodeRecords(g *graph.Bipartite, byWeight bool) []mapreduce.Pair[graph.
 	return recs
 }
 
-// checkNodeDataset holds nodeDataset(g, parts, byWeight) to the naive
+// checkNodeDataset holds the round-0 node view of g (nodeView.build
+// under mapreduce.BuildDataset, as nodeDataset builds it) to the naive
 // reference partitioned by the engine: per partition the same keys in
 // the same order, equal B, element-wise equal Adj with no spare capacity,
 // and adjacency regions that do not overlap — refilling every node's
 // Adj[:0] up to its capacity with a mark of its own must leave every
-// other node's list holding only its own marks.
+// other node's list holding only its own marks. Every partition is then
+// built a second time from the same view, all at once again, and must
+// come out equal to the first build: the view's shared per-node cursors
+// carry nothing from one build into the next.
 func checkNodeDataset(t *testing.T, g *graph.Bipartite, parts int, byWeight bool) {
 	t.Helper()
 	want := mapreduce.PartitionDataset(naiveNodeRecords(g, byWeight), parts)
-	got, err := nodeDataset(g, parts, byWeight)
+	view, err := newNodeView(g, byWeight)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := mapreduce.BuildDataset(parts, view.build)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,6 +84,17 @@ func checkNodeDataset(t *testing.T, g *graph.Bipartite, parts int, byWeight bool
 				t.Fatalf("node %d: cap(Adj) = %d over %d entries: an in-place compaction could reach the next node's list",
 					wp[j].Key, cap(gs.Adj), len(gs.Adj))
 			}
+		}
+	}
+	again, err := mapreduce.BuildDataset(parts, view.build)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := 0; p < got.Partitions(); p++ {
+		if !slices.EqualFunc(again.Part(p), got.Part(p), func(a, b mapreduce.Pair[graph.NodeID, nodeState]) bool {
+			return a.Key == b.Key && a.Value.B == b.Value.B && slices.Equal(a.Value.Adj, b.Value.Adj)
+		}) {
+			t.Fatalf("partition %d built again from the same view\n got %v\nwant %v", p, again.Part(p), got.Part(p))
 		}
 	}
 	got.Each(func(v graph.NodeID, s nodeState) {

@@ -134,21 +134,27 @@ func nodeDataset(g *graph.Bipartite, parts int, byWeight bool) (*mapreduce.Datas
 	return mapreduce.BuildDataset(parts, view.build)
 }
 
-// nodeView is what the round-0 node view of g is built from: every
-// node's rounded capacity b(v), read when the view is made, and every
-// node's live degree, counted by the first partition built. Serial are
-// only these two — one pass over the nodes and one sequential edge scan,
-// where counting per partition reads the edge array at random a second
-// time.
+// nodeView is what the round-0 node view of g is built from: which
+// nodes have a positive rounded capacity b(v), read when the view is
+// made, and every node's live degree, counted by the first partition
+// built. Serial are only these two — one pass over the nodes and one
+// sequential edge scan; every partition then scans the edge array once
+// more for its own nodes' halves. The graph's incidence index is never
+// built for it.
 type nodeView struct {
 	g        *graph.Bipartite
 	byWeight bool
-	caps     []int
+	live     nodeSet // b(v) > 0
 	// key is what a dist worker's view must agree on before it builds
 	// (greedyViewBuilder).
 	key     viewKey
 	degOnce sync.Once
 	deg     []int32 // live degree: edges whose both ends have capacity
+	// next is every node's write cursor into its partition's halves
+	// while that partition is built. A partition touches only its own
+	// nodes' cursors, so partitions build concurrently, and each build
+	// lays them out afresh, so a partition built again comes out equal.
+	next []int32
 }
 
 // viewKey identifies the graph a view was made of: its node and edge
@@ -167,75 +173,94 @@ func newNodeView(g *graph.Bipartite, byWeight bool) (*nodeView, error) {
 	if g.NumEdges() > math.MaxInt32>>1 {
 		return nil, fmt.Errorf("%d edges, an edge message holds 30-bit edge ids", g.NumEdges())
 	}
-	caps := make([]int, g.NumNodes())
+	live := newNodeSet(g.NumNodes())
 	hash := uint64(14695981039346656037)
-	for v := range caps {
-		caps[v] = intCap(g, graph.NodeID(v))
-		hash = (hash ^ uint64(caps[v])) * 1099511628211
+	for v := range g.NumNodes() {
+		b := intCap(g, graph.NodeID(v))
+		if b > 0 {
+			live.add(graph.NodeID(v))
+		}
+		hash = (hash ^ uint64(b)) * 1099511628211
 	}
-	return &nodeView{g: g, byWeight: byWeight, caps: caps, key: viewKey{len(caps), g.NumEdges(), hash}}, nil
+	return &nodeView{g: g, byWeight: byWeight, live: live, key: viewKey{g.NumNodes(), g.NumEdges(), hash}}, nil
 }
 
 // degrees returns the live degrees, counting them on first use.
 func (v *nodeView) degrees() []int32 {
 	v.degOnce.Do(func() {
-		caps, edges := v.caps, v.g.Edges()
-		deg := make([]int32, len(caps))
+		live, edges := v.live, v.g.Edges()
+		deg := make([]int32, v.g.NumNodes())
 		for i := range edges {
-			if e := &edges[i]; caps[e.Item] > 0 && caps[e.Consumer] > 0 {
+			if e := &edges[i]; live.has(e.Item) && live.has(e.Consumer) {
 				deg[e.Item]++
 				deg[e.Consumer]++
 			}
 		}
 		v.deg = deg
+		v.next = make([]int32, len(deg))
 	})
 	return v.deg
 }
 
 // build is the view's partition callback: one record per owned node with
 // positive capacity and at least one incident edge whose other endpoint
-// also has positive capacity. It sums the live degrees of the nodes the
-// partition owns and fills, in ascending node order, one exact []half and
-// one exact []Pair — all its round-0 records point into, from here on the
-// round loops' to rewrite. A node's region is capacity-limited, so
-// compacting it in place can never bleed into a neighbor's; with byWeight
-// (GreedyMR) it is ordered byWeightThenID once filled, else left in
-// incidence order (the stack algorithms sum over it).
+// also has positive capacity. It asks owns once per such node, marking
+// the partition's nodes in a set and laying out their exact regions of
+// one []half in ascending node order, then fills the regions in one
+// sequential pass over the edge array — ascending edge index, so every
+// adjacency is in incidence order — and cuts one exact []Pair over them:
+// all its round-0 records point into, from here on the round loops' to
+// rewrite. A node's region is capacity-limited, so compacting it in
+// place can never bleed into a neighbor's; with byWeight (GreedyMR) it
+// is ordered byWeightThenID once filled, else left in incidence order
+// (the stack algorithms sum over it).
 func (v *nodeView) build(_ int, owns func(graph.NodeID) bool) []mapreduce.Pair[graph.NodeID, nodeState] {
-	deg, caps, edges := v.degrees(), v.caps, v.g.Edges()
-	total, live := 0, 0
+	deg, next, live, edges := v.degrees(), v.next, v.live, v.g.Edges()
+	mine := newNodeSet(len(deg))
+	total, count := int32(0), 0
 	for u, d := range deg {
 		if d > 0 && owns(graph.NodeID(u)) {
-			total += int(d)
-			live++
+			mine.add(graph.NodeID(u))
+			next[u] = total
+			total += d
+			count++
 		}
 	}
-	backing := make([]half, 0, total) // exact: never reallocates below
-	recs := make([]mapreduce.Pair[graph.NodeID, nodeState], 0, live)
+	backing := make([]half, total)
+	for i := range edges {
+		e := &edges[i]
+		if mine.has(e.Item) && live.has(e.Consumer) {
+			backing[next[e.Item]] = half{ID: int32(i), Other: e.Consumer, W: e.Weight}
+			next[e.Item]++
+		}
+		if mine.has(e.Consumer) && live.has(e.Item) {
+			backing[next[e.Consumer]] = half{ID: int32(i), Other: e.Item, W: e.Weight}
+			next[e.Consumer]++
+		}
+	}
+	recs := make([]mapreduce.Pair[graph.NodeID, nodeState], 0, count)
 	for u, d := range deg {
 		id := graph.NodeID(u)
-		if d == 0 || !owns(id) {
+		if !mine.has(id) {
 			continue
 		}
-		start := len(backing)
-		for _, ei := range v.g.IncidentEdges(id) {
-			e := &edges[ei]
-			other := e.Item
-			if other == id {
-				other = e.Consumer
-			}
-			if caps[other] > 0 {
-				backing = append(backing, half{ID: ei, Other: other, W: e.Weight})
-			}
-		}
-		adj := backing[start:len(backing):len(backing)]
+		end := next[u] // the region's end once filled
+		adj := backing[end-d : end : end]
 		if v.byWeight {
 			sortByWeightThenID(adj)
 		}
-		recs = append(recs, mapreduce.P(id, nodeState{B: caps[u], Adj: adj}))
+		recs = append(recs, mapreduce.P(id, nodeState{B: intCap(v.g, id), Adj: adj}))
 	}
 	return recs
 }
+
+// nodeSet is a set of node ids, one bit each.
+type nodeSet []uint64
+
+func newNodeSet(nodes int) nodeSet { return make(nodeSet, (nodes+63)/64) }
+
+func (s nodeSet) add(v graph.NodeID)      { s[v>>6] |= 1 << (v & 63) }
+func (s nodeSet) has(v graph.NodeID) bool { return s[v>>6]&(1<<(v&63)) != 0 }
 
 // params encodes the key as the parameters of a dist build of the view
 // (greedyViewBuilder).

@@ -2,7 +2,7 @@
 // machine-checks the engine's determinism, pooling, and protocol
 // invariants. Nine PRs of growth stacked up rules that existed only as
 // prose in ARCHITECTURE.md — outputs must be bit-identical across
-// memory/spill/dist backends, ReduceFunc values slices must not be
+// memory/spill/dist backends, ReduceFunc and StateReduceFunc slices must not be
 // retained, pooled buffers must be checked back in, every MsgType must
 // be handled on both protocol endpoints, cliio errors must not be
 // dropped — and each of PRs 6–9 shipped a real bug a

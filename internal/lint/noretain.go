@@ -11,9 +11,12 @@ import (
 // stores the slice — or a sub-slice sharing the backing array — into
 // anything that outlives the call reads recycled memory next round.
 // Retainers must clone (append([]V(nil), values...) / slices.Clone).
+// A state job's reduce gets its messages under the same contract.
 //
 // A function is a reducer when its signature matches the ReduceFunc
-// shape: func(K, []V, mapreduce.Emitter[K2, V2]) error. Inside one, the
+// shape, func(K, []V, mapreduce.Emitter[K2, V2]) error, or the
+// StateReduceFunc shape, func(K, *S, []V, mapreduce.Emitter[K2, V2])
+// error: a slice next to last, the Emitter last. Inside one, the
 // analyzer tracks the values parameter and every local alias of it
 // (x := values, x := values[i:j]) and flags:
 //   - assignment of the slice (or a sub-slice) to a field, index
@@ -25,11 +28,11 @@ import (
 //   - capture by a nested function literal, which may outlive the call.
 var NoRetain = &Analyzer{
 	Name: "noretain",
-	Doc: `a ReduceFunc must not retain its values slice (or a sub-slice) beyond the call
-The engine recycles the slice's backing array into the next round's
-buffers (PR 4's BufferPool/roundArena), so retained headers silently
-alias recycled memory. Clone before storing: append([]V(nil), vals...)
-or slices.Clone.`,
+	Doc: `a ReduceFunc or StateReduceFunc must not retain its values slice (or a sub-slice) beyond the call
+The engine recycles the slice's backing array — a reduce's values, a
+state reduce's msgs — into the next round's buffers (the
+BufferPool/roundArena), so retained headers silently alias recycled
+memory. Clone before storing: append([]V(nil), vals...) or slices.Clone.`,
 	Run: runNoRetain,
 }
 
@@ -47,19 +50,23 @@ func runNoRetain(pass *Pass) {
 }
 
 // reduceValuesParam returns the object of the values parameter when ft
-// has the ReduceFunc shape, else nil.
+// has the ReduceFunc or the StateReduceFunc shape, else nil.
 func reduceValuesParam(info *types.Info, ft *ast.FuncType) types.Object {
-	if ft.Params == nil || ft.Params.NumFields() != 3 || len(ft.Params.List) != 3 {
+	if ft.Params == nil {
 		return nil
 	}
-	// Third parameter must be the engine's Emitter.
-	emitField := ft.Params.List[2]
+	n := ft.Params.NumFields()
+	if n != 3 && n != 4 || len(ft.Params.List) != n {
+		return nil
+	}
+	// The last parameter must be the engine's Emitter.
+	emitField := ft.Params.List[n-1]
 	tv, ok := info.Types[emitField.Type]
 	if !ok || !isNamedType(tv.Type, "internal/mapreduce", "Emitter") {
 		return nil
 	}
-	// Second parameter must be a slice, and named so it can be tracked.
-	valField := ft.Params.List[1]
+	// The one before it must be a slice, and named so it can be tracked.
+	valField := ft.Params.List[n-2]
 	vtv, ok := info.Types[valField.Type]
 	if !ok {
 		return nil

@@ -1,5 +1,6 @@
 // ReduceFunc retention fixtures for the noretain rule. A function is a
-// reducer when it matches func(K, []V, mapreduce.Emitter[K2, V2]) —
+// reducer when it matches func(K, []V, mapreduce.Emitter[K2, V2]) or
+// the state reduce's func(K, *S, []V, mapreduce.Emitter[K2, V2]) —
 // inside one, the values slice and its sub-slices must not outlive the
 // call.
 package reduce
@@ -74,5 +75,30 @@ type postings []int
 // clone: the conversion to postings shares the values' backing array.
 func indexReduce(t int32, ps []int, out mapreduce.Emitter[int32, postings]) error {
 	out.Emit(t, postings(ps)) // want `\[noretain\] Emit retains its value in the shuffle bucket`
+	return nil
+}
+
+type edgeMsg int32
+
+type mmNode struct {
+	Adj  []int32
+	msgs []edgeMsg
+}
+
+// unifyReduce is internal/core/maximal.go's unifyReduce, a state reduce,
+// keeping its messages in the node's record instead of stamping them into
+// a mark table.
+func unifyReduce(v int32, state *mmNode, msgs []edgeMsg, out mapreduce.Emitter[int32, mmNode]) error {
+	state.msgs = msgs // want `\[noretain\] values slice stored into field msgs`
+	out.Emit(v, *state)
+	return nil
+}
+
+// stateReduceStamps reads its messages and keeps none of them.
+func stateReduceStamps(v int32, state *mmNode, msgs []edgeMsg, out mapreduce.Emitter[int32, mmNode]) error {
+	for _, m := range msgs {
+		state.Adj = append(state.Adj, int32(m))
+	}
+	out.Emit(v, *state)
 	return nil
 }
