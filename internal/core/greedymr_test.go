@@ -193,9 +193,10 @@ func TestGreedyMRShuffleAccounting(t *testing.T) {
 }
 
 // TestConcurrentMatchSharedGraph runs GreedyMR and StackMR at once over
-// one graph nobody has read yet: both start by asking it for incident
-// edges, and the adjacency index behind that answer used to be built
-// lazily with no synchronisation (run under -race).
+// one fresh graph: both only read it, so GreedyMR must match what it
+// matches alone and StackMR must stay feasible (run under -race).
+// Neither reads the graph's lazily built incidence index;
+// internal/graph's TestConcurrentIncidentEdges races that.
 func TestConcurrentMatchSharedGraph(t *testing.T) {
 	for round := 0; round < 4; round++ {
 		g := tiedGraph(int64(round)).Clone() // a clone has no adjacency index yet

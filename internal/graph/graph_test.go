@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -188,6 +189,39 @@ func TestAdjacencyMatchesEdgeScan(t *testing.T) {
 		}
 		if cap(got) != len(got) {
 			t.Fatalf("node %d: cap %d over %d entries", v, cap(got), len(got))
+		}
+	}
+}
+
+// TestConcurrentIncidentEdges has goroutines ask a fresh clone — one
+// with no adjacency index yet — for incident edges and degrees at once,
+// as two matchings over one graph do. Every answer must equal a serial
+// read of the original, and under -race building the index must be
+// synchronised.
+func TestConcurrentIncidentEdges(t *testing.T) {
+	g := RandomBipartite(RandomConfig{NumItems: 60, NumConsumers: 25, EdgeProb: 0.2, MaxWeight: 2, MaxCapacity: 3, Seed: 4})
+	for round := 0; round < 4; round++ {
+		fresh := g.Clone()
+		var wg sync.WaitGroup
+		errs := make([]error, 4)
+		for w := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < fresh.NumNodes(); i++ {
+					v := NodeID((i + w*fresh.NumNodes()/len(errs)) % fresh.NumNodes())
+					if d := fresh.Degree(v); d != g.Degree(v) || !slices.Equal(fresh.IncidentEdges(v), g.IncidentEdges(v)) {
+						errs[w] = fmt.Errorf("node %d: degree %d, incident %v; want %d, %v", v, d, fresh.IncidentEdges(v), g.Degree(v), g.IncidentEdges(v))
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

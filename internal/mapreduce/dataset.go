@@ -58,6 +58,7 @@ type Dataset[K comparable, V any] struct {
 // partition count, preserving the input order within every partition.
 // It is the entry point of an iterative computation: hash once here,
 // then chain jobs with RunDS without ever re-hashing resident records.
+// It panics on a key type the engine does not order (see Pair).
 func PartitionDataset[K comparable, V any](pairs []Pair[K, V], parts int) *Dataset[K, V] {
 	if parts < 1 {
 		parts = 1
@@ -74,6 +75,9 @@ func PartitionDataset[K comparable, V any](pairs []Pair[K, V], parts int) *Datas
 // that another partition owns, or that does not follow the one before it,
 // is an error naming partition and record.
 func BuildDataset[K comparable, V any](parts int, build func(p int, owns func(K) bool) []Pair[K, V]) (*Dataset[K, V], error) {
+	if err := checkKeys[K, K](); err != nil {
+		return nil, err
+	}
 	parts = max(parts, 1)
 	order := keyShapeOf[K]().cmp()
 	out := &Dataset[K, V]{parts: make([][]Pair[K, V], parts), aligned: true}
@@ -121,6 +125,9 @@ func buildPart[K comparable, V any](p, parts int, build func(p int, owns func(K)
 // the registered builder must return the same records for the same
 // partition.
 func BuildDS[K comparable, V any](d *Driver, name string, params []byte, build func(p int, owns func(K) bool) []Pair[K, V]) (*Dataset[K, V], error) {
+	if err := checkKeys[K, K](); err != nil {
+		return nil, err
+	}
 	if cl := d.cfg.Dist; d.cfg.Shuffle.kind() == ShuffleDist && cl != nil {
 		return buildResident[K, V](cl, d.cfg, name, params)
 	}
@@ -360,6 +367,9 @@ func RunStateDS[K comparable, S, V any, K3 comparable, V3 any](
 	if reduceFn == nil {
 		return nil, nil, errors.New("mapreduce: nil reduce function")
 	}
+	if err := checkKeys[K, K3](); err != nil {
+		return nil, newStats(cfg.Name), err
+	}
 	if !input.aligned || input.Partitions() != cfg.reducers() {
 		return nil, newStats(cfg.Name), fmt.Errorf("mapreduce: state job %q needs an input aligned with its %d partitions", cfg.Name, cfg.reducers())
 	}
@@ -434,6 +444,9 @@ func execJob[K2 comparable, V2 any, K3 comparable, V3 any](
 	steps reduceSteps[K2, V2, K3, V3],
 ) (*Dataset[K3, V3], *Stats, error) {
 	stats := newStats(cfg.Name)
+	if err := checkKeys[K2, K3](); err != nil {
+		return nil, stats, err
+	}
 	stats.MapInputRecords = int64(records)
 	defer stats.snapPool(cfg.Pool)()
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -361,52 +360,6 @@ func TestLoopMaxRoundsBackstop(t *testing.T) {
 	}
 	if rounds != 5 {
 		t.Fatalf("body ran %d rounds before the backstop, want 5", rounds)
-	}
-}
-
-// TestFloatZeroKeysRouteToOnePartition pins keyShape.hash's canonical zero:
-// -0.0 and +0.0 are one Go map key, so they must hash to one partition
-// (multi-reducer flat jobs) and the identity route (which compares with
-// ==) must agree with the hash route on them — chained output must match
-// plain Run even when a job re-keys between the two zero spellings.
-func TestFloatZeroKeysRouteToOnePartition(t *testing.T) {
-	negZero := math.Copysign(0, -1)
-	if partitionIndex(0.0, 7) != partitionIndex(negZero, 7) {
-		t.Fatal("+0.0 and -0.0 hash to different partitions")
-	}
-	input := make([]Pair[float64, int64], 40)
-	for i := range input {
-		k := float64(i % 5)
-		if i%2 == 1 && k == 0 {
-			k = negZero
-		}
-		input[i] = P(k, int64(i))
-	}
-	mapFn := func(k float64, v int64, out Emitter[float64, int64]) error {
-		out.Emit(-k, v) // flips the zero spelling on the self emission
-		return nil
-	}
-	redFn := func(k float64, vs []int64, out Emitter[float64, int64]) error {
-		var sum int64
-		for _, v := range vs {
-			sum += v
-		}
-		out.Emit(k, sum*31+int64(len(vs)))
-		return nil
-	}
-	cfg := Config{Mappers: 3, Reducers: 4}
-	chained, _, err := RunDS(context.Background(), cfg,
-		PartitionDataset(input, cfg.reducers()), mapFn, redFn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, _, err := Run(context.Background(), cfg, input, mapFn, redFn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(chained.Collect(), plain) {
-		t.Fatalf("float-zero keys diverge across dataflows:\nchained %v\nplain   %v",
-			chained.Collect(), plain)
 	}
 }
 

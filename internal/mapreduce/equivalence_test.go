@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -194,8 +193,8 @@ func TestShuffleMatchesReferenceIntKeys(t *testing.T) {
 	}
 }
 
-// TestShuffleMatchesReferenceCompositeKeys covers the [2]int32 packed
-// image and the fmt-fallback tie handling of the memory backend.
+// TestShuffleMatchesReferenceCompositeKeys covers the [2]int32 key's
+// 64-bit image on the memory backend against the reference shuffle.
 func TestShuffleMatchesReferenceCompositeKeys(t *testing.T) {
 	input := make([]Pair[int, int], 500)
 	for i := range input {
@@ -221,59 +220,6 @@ func TestShuffleMatchesReferenceCompositeKeys(t *testing.T) {
 	if !reflect.DeepEqual(out, ref) {
 		t.Fatal("memory backend diverges from reference on [2]int32 keys")
 	}
-}
-
-// TestMemoryBackendGroupsCollidingFmtKeys checks the comparator-tie
-// slow path: distinct composite keys whose fmt representations collide
-// must still meet Go-map grouping semantics (each distinct key is one
-// group, value order preserved) — the case the spill backend rejects.
-func collideMap(k, v int, out Emitter[badKey, int]) error {
-	// Alternate between two distinct keys that both print "{a  b}".
-	if k%2 == 0 {
-		out.Emit(badKey{"a ", "b"}, v)
-	} else {
-		out.Emit(badKey{"a", " b"}, v)
-	}
-	return nil
-}
-
-func collideReduce(k badKey, vs []int, out Emitter[int, int64s]) error {
-	group := make(int64s, len(vs))
-	for i, v := range vs {
-		group[i] = int64(v)
-	}
-	out.Emit(len(vs), group)
-	return nil
-}
-
-func collideInput() []Pair[int, int] {
-	return []Pair[int, int]{P(0, 0), P(1, 1), P(2, 2), P(3, 3)}
-}
-
-// checkCollideOutput verifies the Go-map grouping semantics of the
-// colliding-key corpus: two groups of two values, value order intact.
-func checkCollideOutput(t *testing.T, out []Pair[int, int64s]) {
-	t.Helper()
-	if len(out) != 2 {
-		t.Fatalf("colliding keys produced %d groups, want 2: %v", len(out), out)
-	}
-	for _, p := range out {
-		if len(p.Value) != 2 {
-			t.Fatalf("group has %d values, want 2: %v", len(p.Value), out)
-		}
-		if p.Value[1] != p.Value[0]+2 {
-			t.Fatalf("value order broken within tie group: %v", p.Value)
-		}
-	}
-}
-
-func TestMemoryBackendGroupsCollidingFmtKeys(t *testing.T) {
-	out, _, err := Run(context.Background(), Config{Mappers: 1, Reducers: 1}, collideInput(),
-		collideMap, collideReduce)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkCollideOutput(t, out)
 }
 
 // TestChunkedIngestionPreservesValueOrder is the property test for the
@@ -459,55 +405,6 @@ func TestSortKeyValsStability(t *testing.T) {
 		}
 		check("named-int32", asInt64, sv)
 	})
-	t.Run("float64", func(t *testing.T) {
-		keys := make([]float64, n)
-		vals := make([]int, n)
-		for i := range keys {
-			keys[i] = float64(rng.Intn(21)-10) / 4
-		}
-		for i := range vals {
-			vals[i] = i
-		}
-		sk, sv, run := sortKeyVals(keys, vals, keyShapeOf[float64](), nil, 0, nil)
-		if run.ord != nil {
-			t.Fatal("float keys must not claim an image-equality run")
-		}
-		for i := 1; i < n; i++ {
-			if sk[i] < sk[i-1] {
-				t.Fatalf("floats out of order at %d", i)
-			}
-			if sk[i] == sk[i-1] && sv[i] < sv[i-1] {
-				t.Fatalf("float stability broken at %d", i)
-			}
-		}
-	})
-}
-
-// TestFloatSignedZeroKeysGroupInEmissionOrder pins the f64Ord zero
-// normalization: -0.0 and +0.0 are one Go map key, so they must form a
-// single group whose values stay in global emission order — distinct
-// images would let the stable sort segregate the two spellings.
-func TestFloatSignedZeroKeysGroupInEmissionOrder(t *testing.T) {
-	negZero := math.Copysign(0, -1)
-	input := []Pair[int, float64]{P(0, 0.0), P(1, negZero), P(2, 0.0), P(3, 1.5), P(4, negZero)}
-	out, _, err := Run(context.Background(), Config{Mappers: 1, Reducers: 1}, input,
-		func(k int, f float64, out Emitter[float64, int]) error {
-			out.Emit(f, k)
-			return nil
-		},
-		func(f float64, vs []int, out Emitter[float64, []int]) error {
-			out.Emit(f, append([]int(nil), vs...))
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 {
-		t.Fatalf("want 2 groups (zero merged, 1.5), got %v", out)
-	}
-	if !reflect.DeepEqual(out[0].Value, []int{0, 1, 2, 4}) {
-		t.Fatalf("zero group values %v, want emission order [0 1 2 4]", out[0].Value)
-	}
 }
 
 // TestStringKeysWithNULBytesStayDistinct pins the prefix-ambiguity
@@ -601,8 +498,7 @@ func TestDatasetChainedMatchesReference(t *testing.T) {
 // same semantics: two in-test workers over loopback TCP must reproduce
 // the memory and spill backends' output bit-for-bit on the
 // equivalence corpora (string-keyed wordcount, order-sensitive int32
-// fold, the same fold keyed by a named int32, fmt-colliding composite
-// keys). The reduces run inside the
+// fold, the same fold keyed by a named int32). The reduces run inside the
 // worker goroutines via the registry (registerDistTestJobs), exactly as
 // they would in a worker process.
 func TestDistMatchesMemoryAndSpill(t *testing.T) {
@@ -673,23 +569,6 @@ func TestDistMatchesMemoryAndSpill(t *testing.T) {
 			if int32(mem[i].Key) != p.Key || mem[i].Value != p.Value {
 				t.Fatalf("output %d: named (%d, %d), int32 (%d, %d)", i, mem[i].Key, mem[i].Value, p.Key, p.Value)
 			}
-		}
-	})
-	t.Run("fmt-collision", func(t *testing.T) {
-		mem, _, err := Run(context.Background(), Config{Mappers: 1, Reducers: 1, Name: "eq-collide"},
-			collideInput(), collideMap, collideReduce)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := distCfg(cl, "eq-collide")
-		cfg.Mappers, cfg.Reducers = 1, 1
-		dist, _, err := Run(context.Background(), cfg, collideInput(), collideMap, collideReduce)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkCollideOutput(t, dist)
-		if !reflect.DeepEqual(mem, dist) {
-			t.Fatal("dist diverges from memory on fmt-colliding keys")
 		}
 	})
 }

@@ -2,11 +2,15 @@ package mapreduce
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/graph"
@@ -147,7 +151,6 @@ func TestPlainKeyHashesUnchanged(t *testing.T) {
 		h.Write([]byte(s))
 		return h.Sum64()
 	}
-	negZero := math.Copysign(0, -1)
 	for _, c := range []struct {
 		name      string
 		got, want uint64
@@ -158,8 +161,6 @@ func TestPlainKeyHashesUnchanged(t *testing.T) {
 		{"uint32", keyShapeOf[uint32]().hash(7), mix64(7)},
 		{"uint64", keyShapeOf[uint64]().hash(1 << 40), mix64(1 << 40)},
 		{"string", keyShapeOf[string]().hash("node-42"), fnv1a("node-42")},
-		{"float64", keyShapeOf[float64]().hash(2.5), mix64(math.Float64bits(2.5))},
-		{"-0.0", keyShapeOf[float64]().hash(negZero), mix64(0)},
 		{"[2]int32", keyShapeOf[[2]int32]().hash([2]int32{-1, 3}), mix64(uint64(math.MaxUint32)<<32 | 3)},
 	} {
 		if c.got != c.want {
@@ -188,12 +189,9 @@ func TestPartitionIndexGolden(t *testing.T) {
 		{"uint32", partitionIndex(uint32(4000000000), 7), partitionIndex(uint32(4000000000), big), 5, 276438},
 		{"uint64", partitionIndex(uint64(1)<<63, 7), partitionIndex(uint64(1)<<63, big), 6, 652251},
 		{"vector.TermID", partitionIndex(vector.TermID(7), 7), partitionIndex(vector.TermID(7), big), 2, 134615},
-		{"float64", partitionIndex(2.5, 7), partitionIndex(2.5, big), 4, 895461},
-		{"float32", partitionIndex(float32(-0.75), 7), partitionIndex(float32(-0.75), big), 3, 734054},
 		{"string", partitionIndex("node-42", 7), partitionIndex("node-42", big), 3, 1027690},
 		{"empty string", partitionIndex("", 7), partitionIndex("", big), 2, 140069},
 		{"[2]int32", partitionIndex([2]int32{-1, 3}, 7), partitionIndex([2]int32{-1, 3}, big), 2, 440727},
-		{"struct (fmt)", partitionIndex(badKey{"a ", "b"}, 7), partitionIndex(badKey{"a ", "b"}, big), 5, 122628},
 	} {
 		if c.mod7 != c.want7 || c.modBig != c.wantBig {
 			t.Errorf("%s key: partition %d of 7 and %d of 2^20, pinned %d and %d — the partitioner moved: bump remote.Proto",
@@ -202,27 +200,101 @@ func TestPartitionIndexGolden(t *testing.T) {
 	}
 }
 
-// TestStructKeysStillHashAndOrderByFmt pins the remaining fallback: a
-// key with no scalar image resolves to keyFmt and hashes the FNV-1a of
-// its fmt representation.
-func TestStructKeysStillHashAndOrderByFmt(t *testing.T) {
-	shape := keyShapeOf[badKey]()
-	if shape.kind != keyFmt {
-		t.Fatalf("struct key resolved to kind %d, want keyFmt", shape.kind)
+// TestUnorderedKeyTypesRefused holds the key contract on every backend:
+// a job whose intermediate or output key is not an integer, a string or
+// [2]int32 is refused with an error naming the type, before its map
+// runs or a worker hears of it, and the cluster stays usable.
+func TestUnorderedKeyTypesRefused(t *testing.T) {
+	cl := startTestCluster(t, 2)
+	input := func(cfg Config) *Dataset[int32, int32] { return PartitionDataset(int32Input()[:50], cfg.reducers()) }
+	cases := []struct {
+		name, typ string
+		run       func(cfg Config, calls *atomic.Int64) error
+	}{
+		{"float64 intermediate", "float64", func(cfg Config, calls *atomic.Int64) error {
+			_, _, err := RunDS(context.Background(), cfg, input(cfg),
+				func(k, v int32, out Emitter[float64, int32]) error {
+					calls.Add(1)
+					out.Emit(float64(k), v)
+					return nil
+				},
+				func(k float64, vs []int32, out Emitter[int32, int32]) error { return nil })
+			return err
+		}},
+		{"float64 output", "float64", func(cfg Config, calls *atomic.Int64) error {
+			_, _, err := RunDS(context.Background(), cfg, input(cfg),
+				func(k, v int32, out Emitter[int32, int32]) error {
+					calls.Add(1)
+					out.Emit(k, v)
+					return nil
+				},
+				func(k int32, vs []int32, out Emitter[float64, int32]) error { return nil })
+			return err
+		}},
+		{"struct intermediate", "mapreduce.badKey", func(cfg Config, calls *atomic.Int64) error {
+			_, _, err := RunDS(context.Background(), cfg, input(cfg),
+				func(k, v int32, out Emitter[badKey, int32]) error {
+					calls.Add(1)
+					out.Emit(badKey{A: fmt.Sprint(k)}, v)
+					return nil
+				},
+				func(k badKey, vs []int32, out Emitter[int32, int32]) error { return nil })
+			return err
+		}},
+		{"float64 state output", "float64", func(cfg Config, calls *atomic.Int64) error {
+			_, _, err := RunStateDS(context.Background(), cfg, input(cfg),
+				func(k, v int32, out Emitter[int32, int32]) error {
+					calls.Add(1)
+					return nil
+				},
+				func(k int32, s *int32, vs []int32, out Emitter[float64, int32]) error { return nil })
+			return err
+		}},
+		{"struct built dataset", "mapreduce.badKey", func(cfg Config, calls *atomic.Int64) error {
+			_, err := BuildDS(NewDriver(cfg), "no-such-build", nil, func(int, func(badKey) bool) []Pair[badKey, int32] {
+				calls.Add(1)
+				return nil
+			})
+			return err
+		}},
 	}
-	if img, _ := shape.numericImage(); img != nil {
-		t.Fatal("struct key claims a numeric image")
+	backends := []struct {
+		name string
+		cfg  Config
+	}{
+		{"memory", Config{Mappers: 4, Reducers: 3}},
+		{"spill", spillCfg(64)},
+		{"dist2", distCfg(cl, "refused")},
 	}
-	k := badKey{"a ", "b"}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%v", k)
-	if got := shape.hash(k); got != h.Sum64() {
-		t.Fatalf("struct key hash %#x, want the fmt/FNV hash %#x", got, h.Sum64())
+	for _, b := range backends {
+		for _, c := range cases {
+			var calls atomic.Int64
+			err := c.run(b.cfg, &calls)
+			if err == nil || !strings.Contains(err.Error(), "key type "+c.typ+" is refused") || !strings.Contains(err.Error(), "[2]int32") {
+				t.Errorf("%s, %s: err = %v, want a refusal naming %s", b.name, c.name, err, c.typ)
+			}
+			if n := calls.Load(); n != 0 {
+				t.Errorf("%s, %s: the map or build ran %d times before the refusal", b.name, c.name, n)
+			}
+		}
 	}
-	if got, want := partitionIndex(k, 7), int(h.Sum64()%7); got != want {
-		t.Fatalf("partitionIndex(struct) = %d, want %d", got, want)
+	// The refused jobs left the cluster as they found it.
+	run := func(cfg Config) []Pair[int32, int64] {
+		out, _, err := Run(context.Background(), cfg, int32Input(), int32Map, int32Reduce)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-	if shape.cmp()(badKey{"a", "b"}, badKey{"b", "a"}) >= 0 {
-		t.Fatal("struct keys do not order by their fmt representation")
+	if mem, dist := run(Config{Mappers: 4, Reducers: 4}), run(distCfg4(cl, "eq-int32")); !reflect.DeepEqual(mem, dist) {
+		t.Fatal("the cluster diverges from memory on an int32 job after the refusals")
 	}
+
+	// PartitionDataset has no error to return: it panics with the refusal.
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "key type float64 is refused") {
+			t.Fatalf("PartitionDataset[float64] panicked with %v, want the refusal", r)
+		}
+	}()
+	PartitionDataset([]Pair[float64, int32]{P(0.5, int32(1))}, 2)
 }

@@ -34,7 +34,6 @@ func registerDistTestJobs() {
 	RegisterDistReduce("eq-wordcount", wcReduce)
 	RegisterDistReduce("eq-int32", int32Reduce)
 	RegisterDistReduce("eq-nodeid", nodeIDReduce)
-	RegisterDistReduce("eq-collide", collideReduce)
 
 	// Chained self-messaging job: state forwarded to the node itself
 	// plus a ring message to a neighbor (dist_test.go residency tests).

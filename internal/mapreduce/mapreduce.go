@@ -64,6 +64,14 @@ import (
 )
 
 // Pair is a key-value pair, the unit of data flowing through a job.
+//
+// Every key a job shuffles or outputs is an integer (any width, named or
+// plain), a string or a [2]int32: the kinds the engine hashes and sorts,
+// each in an order whose ties are exactly Go equality. RunDS, RunStateDS,
+// BuildDataset and BuildDS refuse any other key type before the job
+// starts, on every backend, and PartitionDataset panics on one. Off the
+// memory backend a key also needs a codec (codeclane.go), which 1- and
+// 2-byte integers lack.
 type Pair[K comparable, V any] struct {
 	Key   K
 	Value V
@@ -165,9 +173,7 @@ func joinedSteps[K comparable, S, V any, K3 comparable, V3 any](
 			case len(recs) == 0:
 				c = -1
 			default:
-				if c = cmp(gkey, recs[0].Key); c == 0 && gkey != recs[0].Key {
-					return false, fmt.Errorf("mapreduce: state join: key comparator cannot distinguish %v from %v", gkey, recs[0].Key)
-				}
+				c = cmp(gkey, recs[0].Key)
 			}
 			var (
 				key   K

@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -338,30 +337,5 @@ func TestLessKeyOrdersTupleKeys(t *testing.T) {
 	c := [2]int32{2, 0}
 	if !lessKey(a, b) || !lessKey(b, c) || lessKey(c, a) {
 		t.Error("lessKey tuple ordering broken")
-	}
-}
-
-func TestStructKeysSupported(t *testing.T) {
-	type edgeKey struct{ U, V int32 }
-	input := []Pair[int, int]{P(0, 0), P(1, 1)}
-	out, _, err := Run(context.Background(), Config{Mappers: 2, Reducers: 2}, input,
-		func(k, v int, out Emitter[edgeKey, int]) error {
-			out.Emit(edgeKey{int32(k), int32(v)}, 1)
-			out.Emit(edgeKey{0, 0}, 1)
-			return nil
-		},
-		func(k edgeKey, vs []int, out Emitter[string, int]) error {
-			out.Emit(fmt.Sprintf("%d-%d", k.U, k.V), len(vs))
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make(map[string]int)
-	for _, p := range out {
-		got[p.Key] = p.Value
-	}
-	if got["0-0"] != 3 || got["1-1"] != 1 {
-		t.Errorf("struct key grouping wrong: %v", got)
 	}
 }

@@ -3,8 +3,6 @@ package mapreduce
 import (
 	"cmp"
 	"fmt"
-	"hash/fnv"
-	"math"
 	"math/bits"
 	"reflect"
 	"slices"
@@ -32,44 +30,61 @@ const (
 type keyKind uint8
 
 const (
-	// keyFmt: no scalar image; keys hash and order by their fmt
-	// representation.
-	keyFmt    keyKind = iota
-	keyInt            // signed integer kinds
-	keyUint           // unsigned integer kinds
-	keyFloat          // float32, float64
-	keyString         // string kinds
-	keyEdge           // [2]int32 (edge endpoints)
+	keyInt    keyKind = iota // signed integer kinds
+	keyUint                  // unsigned integer kinds
+	keyString                // string kinds
+	keyEdge                  // [2]int32 (edge endpoints)
 )
 
 // keyShape is how keys of type K hash and order, resolved once per job
-// or emitter — never per pair. Scalar kinds are read through the same
+// or emitter — never per pair. Keys are read through the same
 // layout-preserving reinterpretation codecv2.go uses for its columns,
-// so no key is boxed, reflected on, or formatted on the record path;
-// only keyFmt keys still pay fmt per key.
+// so no key is boxed, reflected on, or formatted on the record path.
 type keyShape[K comparable] struct {
 	kind keyKind
-	size uint8 // key width in bytes (integer and float kinds)
+	size uint8 // key width in bytes (integer kinds)
 }
 
-// keyShapeOf resolves the shape of K.
+// keyShapeOf resolves the shape of K, which the job entry points have
+// accepted (checkKeys); it panics with orderedKey's refusal otherwise.
 func keyShapeOf[K comparable]() keyShape[K] {
+	s, err := orderedKey[K]()
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// orderedKey is the one place that decides which key types the engine
+// orders: every integer kind, string kinds and [2]int32, named or plain.
+// Each kind's order ties exactly where Go equality does, which is what
+// lets a group end at the first key that differs. Any other type is
+// refused, as Hadoop refuses a key that is not WritableComparable.
+func orderedKey[K comparable]() (keyShape[K], error) {
 	t := reflect.TypeFor[K]()
 	switch t.Kind() {
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		return keyShape[K]{keyInt, uint8(t.Size())}
+		return keyShape[K]{keyInt, uint8(t.Size())}, nil
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		return keyShape[K]{keyUint, uint8(t.Size())}
-	case reflect.Float32, reflect.Float64:
-		return keyShape[K]{keyFloat, uint8(t.Size())}
+		return keyShape[K]{keyUint, uint8(t.Size())}, nil
 	case reflect.String:
-		return keyShape[K]{kind: keyString}
+		return keyShape[K]{kind: keyString}, nil
 	case reflect.Array:
 		if t.Len() == 2 && t.Elem().Kind() == reflect.Int32 {
-			return keyShape[K]{kind: keyEdge}
+			return keyShape[K]{kind: keyEdge}, nil
 		}
 	}
-	return keyShape[K]{kind: keyFmt}
+	return keyShape[K]{}, fmt.Errorf("mapreduce: key type %v is refused: a key must be an integer, a string or [2]int32", t)
+}
+
+// checkKeys refuses a job whose intermediate key K2 or output key K3
+// the engine does not order, before anything of the job runs.
+func checkKeys[K2, K3 comparable]() error {
+	if _, err := orderedKey[K2](); err != nil {
+		return err
+	}
+	_, err := orderedKey[K3]()
+	return err
 }
 
 // bits returns an integer key's raw bits, zero-extended from its width.
@@ -84,14 +99,6 @@ func (s keyShape[K]) bits(k K) uint64 {
 		return uint64(*(*uint32)(p))
 	}
 	return *(*uint64)(p)
-}
-
-// float returns a float key's value.
-func (s keyShape[K]) float(k K) float64 {
-	if s.size == 4 {
-		return float64(*(*float32)(unsafe.Pointer(&k)))
-	}
-	return *(*float64)(unsafe.Pointer(&k))
 }
 
 // str returns a string-kind key's value.
@@ -116,16 +123,6 @@ func (s keyShape[K]) hash(key K) uint64 {
 	switch s.kind {
 	case keyInt, keyUint:
 		return mix64(s.bits(key))
-	case keyFloat:
-		f := s.float(key)
-		if f == 0 {
-			// -0.0 == +0.0 as a Go map key, so both spellings must land
-			// in one partition (and, chained, take the same identity
-			// route): hash the canonical +0.0 bits for either. Mirrors
-			// f64Ord's shared zero image in the group sort.
-			return mix64(0)
-		}
-		return mix64(math.Float64bits(f))
 	case keyString:
 		// Inlined FNV-1a over the string bytes — identical output to
 		// fnv.New64a without the hasher and []byte allocations.
@@ -136,13 +133,9 @@ func (s keyShape[K]) hash(key K) uint64 {
 			h *= fnvPrime64
 		}
 		return h
-	case keyEdge:
-		k := s.edge(key)
-		return mix64(uint64(uint32(k[0]))<<32 | uint64(uint32(k[1])))
 	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%v", key)
-	return h.Sum64()
+	k := s.edge(key) // keyEdge, the one kind left
+	return mix64(uint64(uint32(k[0]))<<32 | uint64(uint32(k[1])))
 }
 
 // mix64 is the SplitMix64 finalizer; it spreads consecutive integer ids
@@ -155,17 +148,14 @@ func mix64(x uint64) uint64 {
 }
 
 // cmp returns the three-way comparator realizing the key order,
-// consistent with the sort permutation sortKeyVals produces: numeric
-// kinds compare their order-preserving images (floats therefore order
-// by the IEEE total order, NaNs at a definite position), string kinds
-// compare as strings, and keyFmt keys by their formatted
-// representation.
+// consistent with the sort permutation sortKeyVals produces: integer
+// kinds and [2]int32 compare their order-preserving images, string
+// kinds compare as strings. It returns 0 exactly when a == b.
 func (s keyShape[K]) cmp() func(a, b K) int {
 	if img, _ := s.numericImage(); img != nil {
 		return func(a, b K) int { return cmp.Compare(img(a), img(b)) }
 	}
-	str, _ := s.stringImage()
-	return func(a, b K) int { return strings.Compare(str(a), str(b)) }
+	return func(a, b K) int { return strings.Compare(s.str(a), s.str(b)) }
 }
 
 // --- order-preserving uint64 key transforms ---------------------------
@@ -176,33 +166,15 @@ func (s keyShape[K]) cmp() func(a, b K) int {
 // to its cheapest form — O(n) passes over machine words instead of
 // O(n log n) comparator calls.
 
-// f64Ord maps a float64 to an unsigned image whose order is the IEEE
-// total order: negatives (bits flipped) below positives (sign bit set).
-// NaNs land above +Inf or below -Inf by their sign bit — a definite,
-// deterministic position, unlike the unordered < they'd otherwise get.
-// The two zeros share one image: -0.0 == +0.0 as Go map keys, so they
-// form a single group whose values must stay in emission order — giving
-// them distinct images would let the stable sort segregate them.
-func f64Ord(f float64) uint64 {
-	if f == 0 {
-		return 1 << 63 // canonical +0.0 image (f == 0 is false for NaN)
-	}
-	b := math.Float64bits(f)
-	if b>>63 != 0 {
-		return ^b
-	}
-	return b | (1 << 63)
-}
-
 // i32Ord32 is the order-preserving unsigned image of a signed 32-bit
 // integer (sign bit flipped).
 func i32Ord32(v int32) uint32 { return uint32(v) ^ (1 << 31) }
 
-// numericImage returns the uint64 projection for K, or nil when K
-// orders as a string (string kinds and keyFmt). width32 reports that
-// the projection fits 32 bits, enabling the packed sort path. A signed
-// integer's image is its raw bits with the sign bit of its width
-// flipped; an unsigned integer is its own image.
+// numericImage returns the injective uint64 projection for K, or nil
+// for string kinds. width32 reports that the projection fits 32 bits,
+// enabling the packed sort path. A signed integer's image is its raw
+// bits with the sign bit of its width flipped; an unsigned integer is
+// its own image.
 func (s keyShape[K]) numericImage() (fn func(K) uint64, width32 bool) {
 	switch s.kind {
 	case keyInt:
@@ -210,8 +182,6 @@ func (s keyShape[K]) numericImage() (fn func(K) uint64, width32 bool) {
 		return func(k K) uint64 { return s.bits(k) ^ flip }, s.size <= 4
 	case keyUint:
 		return s.bits, s.size <= 4
-	case keyFloat:
-		return func(k K) uint64 { return f64Ord(s.float(k)) }, false
 	case keyEdge:
 		return func(k K) uint64 {
 			x := s.edge(k)
@@ -221,31 +191,19 @@ func (s keyShape[K]) numericImage() (fn func(K) uint64, width32 bool) {
 	return nil, false
 }
 
-// stringImage returns the string projection for string-ordered K (the
-// key itself for string kinds, fmt for keyFmt) and whether it is the
-// identity — an identity projection needs no materialized side array,
-// the keys themselves serve.
-func (s keyShape[K]) stringImage() (fn func(K) string, identity bool) {
-	if s.kind == keyString {
-		return s.str, true
-	}
-	return func(k K) string { return fmt.Sprint(k) }, false
-}
-
 // image returns the uint64 projection used to accelerate ordered
 // comparisons of K: the order-preserving numeric image when K has one,
-// otherwise the 8-byte big-endian prefix of the key's string form. The
-// projection is order-consistent — img(a) < img(b) implies a < b under
-// the key order, and only equal images require a real key comparison —
-// which is exactly what the spill merge needs to compare machine words
-// instead of boxing keys.
+// otherwise the 8-byte big-endian prefix of the string. The projection
+// is order-consistent — img(a) < img(b) implies a < b under the key
+// order, and only equal images require a real key comparison — which is
+// exactly what the spill merge needs to compare machine words instead
+// of boxing keys.
 func (s keyShape[K]) image() func(K) uint64 {
 	if numFn, _ := s.numericImage(); numFn != nil {
 		return numFn
 	}
-	strFn, _ := s.stringImage()
 	return func(k K) uint64 {
-		p, _ := strPrefix64(strFn(k))
+		p, _ := strPrefix64(s.str(k))
 		return p
 	}
 }
@@ -320,15 +278,11 @@ type sortedRun struct {
 //
 // ar/part/rs supply recycled buffers (all may be nil/zero): the
 // returned slices and run.ord are checked out of ar when one is set —
-// the caller owns returning them — while the permutation array and any
-// float-path image array are checked back in here. Inputs of length
-// >= 2 are pure scratch after the call and the caller returns those
-// too; length < 2 inputs are returned unchanged as the outputs.
-//
-// Float keys return no run (run.ord == nil): their images are injective
-// on bit patterns but not on key equality in either direction (-0.0 and
-// +0.0 are equal keys with distinct images), so the stream falls back
-// to key comparisons.
+// the caller owns returning them — while the permutation array is
+// checked back in here. Inputs of length >= 2 are pure scratch after the
+// call and the caller returns those too, and their run carries its key
+// images; length < 2 inputs are returned unchanged as the outputs, with
+// no run.
 func sortKeyVals[K comparable, V any](
 	keys []K, vals []V, shape keyShape[K],
 	ar *roundArena[K, V], part int, rs *radixScratch,
@@ -387,30 +341,14 @@ func sortKeyValsTagged[K comparable, V any](
 		radixSortU64(images, perm, 0, rs)
 		outK, outV, outT := gatherPerm(perm, keys, vals, tags, ar, part)
 		ar.putI32(part, perm)
-		if shape.kind == keyFloat {
-			ar.putU64(part, images)
-			return outK, outV, outT, sortedRun{}
-		}
 		return outK, outV, outT, sortedRun{ord: images, exact: true}
 	}
-	// String-ordered keys: radix-sort by an 8-byte big-endian prefix
+	// String keys: radix-sort by an 8-byte big-endian prefix
 	// (order-preserving for lexicographic comparison), then repair the
 	// rare runs whose prefixes collide with a comparison sort.
-	// String-kind keys are projected straight off the key slice; only
-	// the fmt fallback materializes a side array, so each key formats
-	// exactly once.
-	strFn, identity := shape.stringImage()
 	prefixes := ar.getU64(part, n)
 	perm := ar.getI32(part, n)
-	var strs []string
-	str := func(i int32) string { return strFn(keys[i]) }
-	if !identity {
-		strs = make([]string, n)
-		for i, k := range keys {
-			strs[i] = strFn(k)
-		}
-		str = func(i int32) string { return strs[i] }
-	}
+	str := func(i int32) string { return shape.str(keys[i]) }
 	anyAmbiguous := false
 	for i := range keys {
 		p, ambiguous := strPrefix64(str(int32(i)))
@@ -428,12 +366,8 @@ func sortKeyValsTagged[K comparable, V any](
 	}
 	outK, outV, outT := gatherPerm(perm, keys, vals, tags, ar, part)
 	ar.putI32(part, perm)
-	// A prefix run is exact only when the projection itself is
-	// injective on key equality — true for unambiguous real strings,
-	// never for the fmt fallback, where distinct keys can format
-	// identically.
-	exact := !anyAmbiguous && shape.kind != keyFmt
-	return outK, outV, outT, sortedRun{ord: prefixes, exact: exact}
+	// A prefix run is exact only when no key is ambiguous.
+	return outK, outV, outT, sortedRun{ord: prefixes, exact: !anyAmbiguous}
 }
 
 // gatherPerm gathers keys, vals and (when non-nil) tags into output
@@ -663,9 +597,8 @@ func sortPairs[K comparable, V any](pairs []Pair[K, V]) {
 }
 
 // partitionPairs buckets already-materialized pairs by partitionIndex,
-// preserving their order within every bucket. It serves paths that
-// cannot partition at emission time (the combiner, which must see a
-// split's complete output before it runs).
+// preserving their order within every bucket: PartitionDataset's
+// partitioning of a caller's flat slice.
 func partitionPairs[K comparable, V any](pairs []Pair[K, V], parts int) [][]Pair[K, V] {
 	buckets := make([][]Pair[K, V], parts)
 	shape := keyShapeOf[K]()

@@ -152,10 +152,6 @@ func newShuffleBackend[K comparable, V any](cfg Config, splits int, ar *roundAre
 		return newMemoryShuffle[K, V](cfg.reducers(), splits, ar), nil
 	case ShuffleSpill:
 		return newSpillShuffle[K, V](cfg.reducers(), splits, cfg.Shuffle, ar)
-	case ShuffleDist:
-		// The job runners intercept the dist mode before reaching the
-		// backend constructor; only the combiner paths arrive here.
-		return nil, fmt.Errorf("mapreduce: the dist shuffle backend does not support combiner jobs")
 	default:
 		return nil, fmt.Errorf("mapreduce: unknown shuffle backend %q", cfg.Shuffle.Backend)
 	}
@@ -177,7 +173,6 @@ type shuffleFootprint interface {
 type memoryShuffle[K comparable, V any] struct {
 	reducers int
 	shape    keyShape[K]
-	cmp      func(a, b K) int
 	ar       *roundArena[K, V]
 	// segs[split][partition] lists the split's delivered buckets for
 	// that partition, in arrival (= emission) order.
@@ -186,11 +181,9 @@ type memoryShuffle[K comparable, V any] struct {
 }
 
 func newMemoryShuffle[K comparable, V any](reducers, splits int, ar *roundArena[K, V]) *memoryShuffle[K, V] {
-	shape := keyShapeOf[K]()
 	return &memoryShuffle[K, V]{
 		reducers: reducers,
-		shape:    shape,
-		cmp:      shape.cmp(),
+		shape:    keyShapeOf[K](),
 		ar:       ar,
 		segs:     make([][][][]Pair[K, V], splits),
 	}
@@ -223,7 +216,7 @@ func (m *memoryShuffle[K, V]) Finalize() ([]GroupStream[K, V], error) {
 				m.records += int64(len(seg))
 			}
 		}
-		streams[p] = &memGroupStream[K, V]{segs: segs, shape: m.shape, cmp: m.cmp, ar: m.ar, part: p}
+		streams[p] = &memGroupStream[K, V]{segs: segs, shape: m.shape, ar: m.ar, part: p}
 	}
 	m.segs = nil
 	return streams, nil
@@ -233,12 +226,6 @@ func (m *memoryShuffle[K, V]) Close() error { m.segs = nil; return nil }
 
 func (m *memoryShuffle[K, V]) footprint() (records, spilled, runs int64) {
 	return m.records, 0, 0
-}
-
-// memGroup is one grouped key, used only on the comparator-tie slow path.
-type memGroup[K comparable, V any] struct {
-	key  K
-	vals []V
 }
 
 // memGroupStream serves one partition's key groups. The first Next call
@@ -259,7 +246,6 @@ type memGroup[K comparable, V any] struct {
 type memGroupStream[K comparable, V any] struct {
 	segs   [][]Pair[K, V]
 	shape  keyShape[K]
-	cmp    func(a, b K) int
 	ar     *roundArena[K, V]
 	part   int
 	keys   []K
@@ -267,7 +253,6 @@ type memGroupStream[K comparable, V any] struct {
 	run    sortedRun
 	pos    int
 	primed bool
-	queue  []memGroup[K, V] // pending groups from a comparator-tie run
 }
 
 func (s *memGroupStream[K, V]) prime() {
@@ -311,11 +296,6 @@ func (s *memGroupStream[K, V]) Next() (K, []V, bool, error) {
 	if !s.primed {
 		s.prime()
 	}
-	if len(s.queue) > 0 {
-		g := s.queue[0]
-		s.queue = s.queue[1:]
-		return g.key, g.vals, true, nil
-	}
 	n := len(s.keys)
 	if s.pos >= n {
 		var zero K
@@ -328,101 +308,23 @@ func (s *memGroupStream[K, V]) Next() (K, []V, bool, error) {
 		// Boundary scan over the sorted key images: comparing machine
 		// words instead of keys. With an exact projection an image
 		// change IS a key change; otherwise equal images narrow the
-		// test to a key-equality check, and distinct keys sharing an
-		// image are contiguous (the sort's repair pass ordered them),
-		// so a key change within equal images still ends the group —
-		// unless the comparator cannot tell the keys apart (fmt
-		// fallback collisions), which the tie path below regroups.
+		// test to a key-equality check, and a key's records are
+		// contiguous (the sort's repair pass ordered them). A partition
+		// of fewer than two records has no run and needs no scan.
 		sh := s.run.shift
 		o := ord[pos] >> sh
 		if s.run.exact {
 			for end < n && ord[end]>>sh == o {
 				end++
 			}
-			s.pos = end
-			return key, s.vals[pos:end], true, nil
+		} else {
+			for end < n && ord[end]>>sh == o && s.keys[end] == key {
+				end++
+			}
 		}
-		for end < n && ord[end]>>sh == o && s.keys[end] == key {
-			end++
-		}
-		if end < n && ord[end]>>sh == o && s.cmp(key, s.keys[end]) == 0 {
-			return s.tieRun(pos, end)
-		}
-		s.pos = end
-		return key, s.vals[pos:end], true, nil
-	}
-	for end < n && s.keys[end] == key {
-		end++
-	}
-	if end < n && s.cmp(key, s.keys[end]) == 0 {
-		return s.tieRun(pos, end)
 	}
 	s.pos = end
 	return key, s.vals[pos:end], true, nil
-}
-
-// tieRun handles the comparator-tie slow path: the comparator ties but
-// Go equality disagrees (a composite key whose fmt fallback collides,
-// or a NaN key), so pairs of distinct keys may interleave and the
-// contiguous-slice fast path does not apply. The whole run is regrouped
-// by Go equality, preserving first-seen key order and per-key value
-// order.
-func (s *memGroupStream[K, V]) tieRun(pos, end int) (K, []V, bool, error) {
-	key := s.keys[pos]
-	runEnd := end + 1
-	for runEnd < len(s.keys) && s.cmp(key, s.keys[runEnd]) == 0 {
-		runEnd++
-	}
-	s.queue = groupTieRun(s.keys[pos:runEnd], s.vals[pos:runEnd])
-	s.pos = runEnd
-	g := s.queue[0]
-	s.queue = s.queue[1:]
-	return g.key, g.vals, true, nil
-}
-
-// groupTieRun splits a run of comparator-equal pairs into per-key groups
-// by Go equality, in first-occurrence order, copying the values (the run
-// may interleave keys, so zero-copy slicing of the input does not
-// apply). Instead of growing one slice per distinct key — a singleton
-// allocation plus O(log) growth re-allocations per group in the worst
-// case — the group boundaries are counted first and the values are
-// carved as sub-slices of one flat array laid out group by group.
-//
-// The linear key scan deliberately avoids a map: NaN keys never compare
-// equal, so each NaN pair forms its own group — the same behavior a Go
-// map's insert semantics gave the seed engine. Tie runs exist only for
-// keys without a distinguishing total order and are short in practice.
-func groupTieRun[K comparable, V any](keys []K, vals []V) []memGroup[K, V] {
-	// Pass 1: assign each pair to its group and count group sizes.
-	var groups []memGroup[K, V]
-	gidx := make([]int32, len(keys))
-	counts := make([]int32, 0, 8)
-outer:
-	for i, k := range keys {
-		for gi := range groups {
-			if groups[gi].key == k {
-				gidx[i] = int32(gi)
-				counts[gi]++
-				continue outer
-			}
-		}
-		gidx[i] = int32(len(groups))
-		groups = append(groups, memGroup[K, V]{key: k})
-		counts = append(counts, 1)
-	}
-	// Pass 2: carve one region per group out of a single flat array and
-	// scatter the values into their regions in input order.
-	flat := make([]V, len(vals))
-	off := int32(0)
-	for gi := range groups {
-		groups[gi].vals = flat[off : off : off+counts[gi]]
-		off += counts[gi]
-	}
-	for i, v := range vals {
-		gi := gidx[i]
-		groups[gi].vals = append(groups[gi].vals, v)
-	}
-	return groups
 }
 
 func (s *memGroupStream[K, V]) Close() error {
@@ -431,7 +333,7 @@ func (s *memGroupStream[K, V]) Close() error {
 	s.ar.putKeys(s.part, s.keys)
 	s.ar.putVals(s.part, s.vals)
 	s.ar.putU64(s.part, s.run.ord)
-	s.segs, s.keys, s.vals, s.queue = nil, nil, nil, nil
+	s.segs, s.keys, s.vals = nil, nil, nil
 	s.run = sortedRun{}
 	s.pos = 0
 	return nil
@@ -492,7 +394,7 @@ type spillShuffle[K comparable, V any] struct {
 	shape    keyShape[K]
 	cmp      func(a, b K) int
 	img      func(K) uint64
-	numeric  bool // key images are exact (image tie == comparator tie)
+	numeric  bool // key images are exact (image tie == key tie)
 	pc       *pairCodec[K, V]
 	tempDir  string
 	ar       *roundArena[K, V]
@@ -742,7 +644,7 @@ func (s *spillShuffle[K, V]) Finalize() ([]GroupStream[K, V], error) {
 				segs[j] = seg.pairs
 			}
 			p.pending = nil
-			streams[i] = &memGroupStream[K, V]{segs: segs, shape: s.shape, cmp: s.cmp, ar: s.ar, part: i}
+			streams[i] = &memGroupStream[K, V]{segs: segs, shape: s.shape, ar: s.ar, part: i}
 			continue
 		}
 		streams[i] = &spillMergeStream[K, V]{s: s, p: p, part: i}
@@ -792,9 +694,9 @@ type spillCursor[K comparable, V any] struct {
 // spillMergeStream serves the key groups of a partition that spilled: a
 // loser-tree merge over one cursor per run, in run order, and a last
 // one for the tail that was still buffered when the map phase ended.
-// Heads compare by key image first — machine words; for numeric kinds
-// an image tie IS a comparator tie, string-ordered kinds compare the
-// full key only when the 8-byte prefixes collide — then by split, then
+// Heads compare by key image first — machine words; for integer kinds
+// and [2]int32 an image tie IS a key tie, strings compare the full key
+// only when the 8-byte prefixes collide — then by split, then
 // by cursor index, which is run order. A cursor whose next record
 // continues the current (key, split) stretch still wins against every
 // other head (an earlier run with an equal head would have won before
@@ -853,10 +755,8 @@ func (m *spillMergeStream[K, V]) prime() error {
 		m.tailK, m.tailV, m.tailS, run = s.sortSegs(m.part, p.pending, p.n)
 		p.pending = nil
 		if m.tailI = run.ord; m.tailI == nil {
-			m.tailI = s.ar.getU64(m.part, p.n)
-			for i, k := range m.tailK {
-				m.tailI[i] = s.img(k)
-			}
+			// A one-record tail is not sorted and carries no image.
+			m.tailI = append(s.ar.getU64(m.part, 1)[:0], s.img(m.tailK[0]))
 		} else if run.shift != 0 {
 			for i := range m.tailI {
 				m.tailI[i] >>= run.shift
@@ -981,19 +881,8 @@ func (m *spillMergeStream[K, V]) Next() (K, []V, bool, error) {
 			break
 		}
 		c = &m.cur[m.win]
-		if c.imgs[c.pos] != img || (!m.s.numeric && m.s.cmp(c.keys[c.pos], key) != 0) {
+		if c.imgs[c.pos] != img || c.keys[c.pos] != key {
 			break // first record of the next group
-		}
-		if c.keys[c.pos] != key {
-			// The comparator ties but Go equality disagrees (a
-			// composite key whose fmt fallback collides, or a NaN):
-			// merging would silently diverge from the memory backend,
-			// so fail loudly instead.
-			m.done = true
-			return zero, nil, false, fmt.Errorf(
-				"mapreduce: spill shuffle: key comparator cannot distinguish %v from %v; "+
-					"use a key type with a total order (scalar, string, or [2]int32)",
-				key, c.keys[c.pos])
 		}
 	}
 	m.vbuf = values

@@ -205,16 +205,13 @@ func TestSpillStress10x(t *testing.T) {
 		stats.ShuffleRecords, stats.SpilledRecords, stats.SpillRuns, budget)
 }
 
-// badKey is a composite key whose fmt representation (the lessKey
-// fallback used by the spill sorter) collides for distinct values:
-// {"a ", "b"} and {"a", " b"} both print as "{a  b}".
+// badKey is a composite key that encodes itself, so the codec accepts
+// it on every backend; the engine refuses it as a key all the same
+// (TestUnorderedKeyTypesRefused), because no kind it orders is a struct.
 type badKey struct {
 	A, B string
 }
 
-// badKey encodes itself: a struct key without a codec is refused when
-// the shuffle is built (TestResolveRejectsUncodableType), before the
-// comparator check below could see a record.
 func (k badKey) AppendBinary(buf []byte) ([]byte, error) {
 	return append(binary.AppendUvarint(buf, uint64(len(k.A))), k.A+k.B...), nil
 }
@@ -226,76 +223,4 @@ func (k *badKey) UnmarshalBinary(data []byte) error {
 	}
 	k.A, k.B = string(data[m:m+int(n)]), string(data[m+int(n):])
 	return nil
-}
-
-// TestSpillRejectsIndistinguishableKeys: two distinct keys the
-// comparator cannot tell apart must fail a spilled partition loudly —
-// the merge has no way to keep their values apart — whether they meet
-// inside one run, in two different runs, or in a run and the tail still
-// in memory. (A partition that never overflows is the memory backend's
-// stream, which regroups such keys by equality:
-// TestMemoryBackendGroupsCollidingFmtKeys.)
-func TestSpillRejectsIndistinguishableKeys(t *testing.T) {
-	a, b := badKey{"a ", "b"}, badKey{"a", " b"}
-	input := make([]Pair[int, int], 400)
-	for i := range input {
-		input[i] = P(i, i)
-	}
-	_, stats, err := Run(context.Background(), spillCfg(1), input,
-		func(k, v int, out Emitter[badKey, int]) error {
-			if k%2 == 1 {
-				out.Emit(a, v)
-			} else {
-				out.Emit(b, v)
-			}
-			return nil
-		},
-		gatherReduce[badKey, int])
-	if err == nil || !strings.Contains(err.Error(), "cannot distinguish") {
-		t.Fatalf("colliding composite keys not rejected: %v (stats %+v)", err, stats)
-	}
-
-	// The same through the backend, bucket by bucket, so that where the
-	// two keys land is the test's choice: the budget gives the one
-	// partition a share of 64 records, and each 64-pair bucket is a run.
-	bucket := func(n int, key func(i int) badKey) []Pair[badKey, int] {
-		ps := make([]Pair[badKey, int], n)
-		for i := range ps {
-			ps[i] = P(key(i), i)
-		}
-		return ps
-	}
-	only := func(k badKey) func(int) badKey { return func(int) badKey { return k } }
-	for name, buckets := range map[string][][]Pair[badKey, int]{
-		"one run":      {bucket(64, func(i int) badKey { return []badKey{a, b}[i%2] }), bucket(3, only(a))},
-		"two runs":     {bucket(64, only(a)), bucket(64, only(b)), bucket(3, only(a))},
-		"run and tail": {bucket(64, only(a)), bucket(3, only(b))},
-	} {
-		sp, err := newSpillShuffle[badKey, int](1, 2, ShuffleConfig{MemoryBudget: 64, TempDir: t.TempDir()}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, ps := range buckets {
-			if err := sp.AddBucket(i%2, 0, ps); err != nil {
-				t.Fatal(err)
-			}
-		}
-		streams, err := sp.Finalize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, runs := sp.footprint(); int(runs) != len(buckets)-1 {
-			t.Fatalf("%s: %d runs, want %d", name, runs, len(buckets)-1)
-		}
-		for err == nil {
-			var ok bool
-			if _, _, ok, err = streams[0].Next(); !ok {
-				break
-			}
-		}
-		if err == nil || !strings.Contains(err.Error(), "cannot distinguish") {
-			t.Errorf("%s: colliding keys not rejected: %v", name, err)
-		}
-		sp.Close()
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"os"
 	"reflect"
@@ -52,8 +51,8 @@ func drainGroups[K comparable](t *testing.T, backend ShuffleBackend[K, int64]) [
 // interleave — round-robin on one goroutine, and one goroutine per split
 // — under a budget small enough that every key's values span at least
 // three runs and every run holds at least two splits (checked on the
-// run files themselves), at several bucket caps, for an integer, a
-// string and a float key type. The memory backend, fed the same
+// run files themselves), at several bucket caps, for an integer and a
+// string key type. The memory backend, fed the same
 // emissions, is the reference, value for value.
 func TestInterleavedIngestionPreservesValueOrder(t *testing.T) {
 	t.Run("int32", func(t *testing.T) {
@@ -62,15 +61,6 @@ func TestInterleavedIngestionPreservesValueOrder(t *testing.T) {
 	t.Run("string", func(t *testing.T) {
 		// Beyond the 8-byte prefix image, and one key a prefix of others.
 		interleavedIngestion(t, func(i int) string { return "consumer"[:8-i%2] + fmt.Sprint(i/2) })
-	})
-	t.Run("float64", func(t *testing.T) {
-		// Both zeros: one group, its values interleaved across runs.
-		interleavedIngestion(t, func(i int) float64 {
-			if i < 2 {
-				return math.Copysign(0, float64(i)-0.5)
-			}
-			return float64(i-5) * 0.5
-		})
 	})
 }
 

@@ -19,11 +19,11 @@ type Stats struct {
 	// all mappers.
 	MapOutputRecords int64
 	// ShuffleRecords is the number of intermediate pairs moved during
-	// the shuffle (equal to MapOutputRecords in this engine; kept
-	// separate because a combiner would make them differ). A state job
-	// (RunStateDS) counts every input record here and in
-	// MapOutputRecords once: the record its reduce is handed stands for
-	// the self-addressed pair that would otherwise have carried it.
+	// the shuffle (equal to MapOutputRecords: the engine folds nothing
+	// on the map side). A state job (RunStateDS) counts every input
+	// record here and in MapOutputRecords once: the record its reduce is
+	// handed stands for the self-addressed pair that would otherwise
+	// have carried it.
 	ShuffleRecords int64
 	// ReduceGroups is the number of distinct intermediate keys.
 	ReduceGroups int64
