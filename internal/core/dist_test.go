@@ -234,7 +234,7 @@ func TestDistMatchingSurvivesStraggler(t *testing.T) {
 	schedOpts := mapreduce.DistClusterOptions{
 		Timeout:        30 * time.Second,
 		HeartbeatEvery: 20 * time.Millisecond,
-		AbortTimeout:   2 * time.Second,
+		ReplyTimeout:   2 * time.Second,
 	}
 	// The monitor declares a worker the job waits on lost after 24
 	// heartbeat intervals of silence; the slow worker's hold exceeds that.

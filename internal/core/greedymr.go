@@ -145,8 +145,8 @@ func greedyMap(_ graph.NodeID, st nodeState, out mapreduce.Emitter[graph.NodeID,
 // in the compaction), preserving its weight order, so a steady-state
 // round allocates nothing per key. That array is the round's input
 // record's, so the reduce phase consumes its input — the engine's
-// contract for state jobs (mapreduce.DistCluster re-seeds the input of an
-// attempt it aborts mid-reduce).
+// contract for state jobs (mapreduce.DistCluster restores the input of an
+// attempt that lost a worker from its lineage).
 //
 // A surviving node is emitted with its next state; a matched edge is
 // reported once, by its item-side endpoint, on the task's side output.

@@ -35,11 +35,7 @@ import (
 // node's decision — markedBySelf, selBySelf, inF — into the node's
 // resident record and send each neighbor one edgeMsg; the stage's reduce,
 // handed the same record, sets the flag it learns from the other endpoint
-// and compacts the adjacency in place. Each map computes what it writes
-// only from fields it never writes, so a map task that runs again over
-// its own writes (a dist attempt aborted before its flush) writes the
-// same values — the condition mapreduce.RunStateDS puts on a map that
-// writes its record. The cleanup map only reads.
+// and compacts the adjacency in place. The cleanup map only reads.
 
 // mmEdge is one endpoint's view of an edge during the maximal-matching
 // procedure, with the paper's per-edge state (E/K/F/D/M) tracked as

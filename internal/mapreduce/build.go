@@ -145,7 +145,7 @@ func (cl *DistCluster) buildBatch(w int, seq uint64, rec *distBuild, parts []int
 	}
 	defer conn.SetReadDeadline(time.Time{})
 	for left := len(parts); left > 0; {
-		conn.SetReadDeadline(time.Now().Add(cl.abortTimeout))
+		conn.SetReadDeadline(time.Now().Add(cl.replyTimeout))
 		payload, err := conn.ReadFrame()
 		if err != nil {
 			return lost(err)

@@ -120,10 +120,10 @@ func buildPart[K comparable, V any](p, parts int, build func(p int, owns func(K)
 // its process registered under name (RegisterDistBuild), handed params,
 // and keeps it resident, so the first job maps it where it was built; the
 // Dataset's counts are the ones the workers report. A partition lost
-// with its worker, or consumed by an aborted attempt, is rebuilt the same
-// way on its new owner, also when Materialize cannot fetch it. build and
-// the registered builder must return the same records for the same
-// partition.
+// with its worker, or consumed by an attempt that lost one, is rebuilt
+// the same way on its new owner, also when Materialize cannot fetch it.
+// build and the registered builder must return the same records for the
+// same partition.
 func BuildDS[K comparable, V any](d *Driver, name string, params []byte, build func(p int, owns func(K) bool) []Pair[K, V]) (*Dataset[K, V], error) {
 	if err := checkKeys[K, K](); err != nil {
 		return nil, err
@@ -340,13 +340,9 @@ func RunDS[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any](
 //
 // The map may write its record, so that a node's own decision need not
 // travel to its reduce: through the slices the record holds — never the
-// value it is handed, which is a copy — and each write computed only from
-// what the map itself never writes. The key's reduce then sees the
-// writes. The second condition makes the map idempotent, which dist
-// needs: an attempt aborted before its flush is retried over the
-// surviving workers' partitions as they are, so a map task may run again
-// over records it already wrote and must write the same values (after the
-// flush the input is restored from its lineage instead; see
+// value it is handed, which is a copy. The key's reduce then sees the
+// writes. No map runs twice over one record: on dist, a job retried after
+// a worker loss maps an input restored from its lineage (see
 // DistCluster.markConsumed).
 // TestStateJobMapWritesReachReduce holds every backend to this.
 //

@@ -43,12 +43,12 @@ import (
 // StartDistCluster returns: a lost worker's slot stays dead, and no
 // replacement joins.
 // A cluster is single-computation: jobs run one at a time. Worker death
-// latches the *round*, not the cluster — the in-flight job is aborted
-// on the survivors and retried with restored input (see the recovery
-// protocol on distJobRun). Only non-transport failures (a user function
-// erroring, a malformed frame, context cancellation) break the cluster,
-// and later jobs then fail fast rather than running on a cluster in an
-// unknown state.
+// loses the *attempt*, not the cluster — the in-flight job runs to its
+// end on the survivors, its output is dropped, and it is retried with
+// restored input (see the recovery notes on distJobRun). Only
+// non-transport failures (a user function erroring, a malformed frame,
+// context cancellation) break the cluster, and later jobs then fail fast
+// rather than running on a cluster in an unknown state.
 type DistCluster struct {
 	conns []*remote.Conn
 	procs []*exec.Cmd
@@ -91,7 +91,7 @@ type DistCluster struct {
 	// Health-monitor configuration (resolved from DistClusterOptions at
 	// startup); activeJob/hbFloor are what the monitor goroutine watches.
 	hbEvery      time.Duration
-	abortTimeout time.Duration
+	replyTimeout time.Duration
 	activeJob    distActiveJob
 	hbFloor      time.Time
 	monitorStop  chan struct{}
@@ -223,15 +223,15 @@ type DistClusterOptions struct {
 	// default; negative disables health monitoring entirely (no pongs,
 	// no monitor).
 	HeartbeatEvery time.Duration
-	// AbortTimeout bounds recovery waits — abort acknowledgements,
-	// resident-partition fetches from a possibly-hung worker, a redialing
-	// worker's resume hello (default 30s).
-	AbortTimeout time.Duration
+	// ReplyTimeout bounds the coordinator's wait for one worker's reply
+	// to a build, a fetch of resident partitions, or a redialing worker's
+	// resume hello (default 30s): a worker silent that long is lost.
+	ReplyTimeout time.Duration
 	// ReconnectGrace, when positive, enables session resume on every
 	// worker connection: frames are sequence-numbered and ringed, and a
 	// worker whose transport errors may redial and re-attach by worker
 	// id + session token within the grace window — both sides replay
-	// un-acked frames and the run continues, with no abort, no restore.
+	// un-acked frames and the run continues, with no retry, no restore.
 	// Only past the grace does the loss escalate to the usual
 	// death/recovery path. Keeps the listener open for re-attachment.
 	// Zero disables (the default).
@@ -260,15 +260,15 @@ func StartDistCluster(n int, opts DistClusterOptions) (*DistCluster, error) {
 
 	cl := &DistCluster{
 		hbEvery:        opts.HeartbeatEvery,
-		abortTimeout:   opts.AbortTimeout,
+		replyTimeout:   opts.ReplyTimeout,
 		reconnectGrace: opts.ReconnectGrace,
 		dead:           make([]bool, n),
 	}
 	if cl.hbEvery == 0 {
 		cl.hbEvery = 500 * time.Millisecond
 	}
-	if cl.abortTimeout <= 0 {
-		cl.abortTimeout = distAbortTimeout
+	if cl.replyTimeout <= 0 {
+		cl.replyTimeout = distReplyTimeout
 	}
 	if opts.OnListen != nil {
 		opts.OnListen(ln.Addr().String())
@@ -371,7 +371,7 @@ func (cl *DistCluster) acceptResumes(ln net.Listener) {
 		if err != nil {
 			return
 		}
-		nc.SetReadDeadline(time.Now().Add(cl.abortTimeout))
+		nc.SetReadDeadline(time.Now().Add(cl.replyTimeout))
 		conn := remote.NewConn(nc)
 		hi, err := remote.AwaitHello(conn)
 		if err != nil {
@@ -469,11 +469,11 @@ func (cl *DistCluster) nextSeq() uint64 {
 // to a worker fails; four of it bound a spawned worker's exit at Close.
 const distDrainTimeout = 500 * time.Millisecond
 
-// distAbortTimeout bounds how long recovery waits for a survivor to
-// acknowledge an abort before declaring it dead too. It doubles as the
-// read-deadline backstop on the survivors' connections while an abort
-// is in flight, so a wedged worker cannot block recovery forever.
-const distAbortTimeout = 30 * time.Second
+// distReplyTimeout is the default ReplyTimeout: the read deadline, rolled
+// with every frame, on a worker's reply to a build or a fetch, and on a
+// redialing worker's resume hello, so a wedged worker cannot block the
+// coordinator forever.
+const distReplyTimeout = 30 * time.Second
 
 // isDead reports whether worker w has been lost.
 func (cl *DistCluster) isDead(w int) bool {
@@ -781,8 +781,8 @@ type move struct {
 // input record (GreedyMR compacts adjacency lists in place). Once a
 // job's flush barrier has passed, every copy of r on a worker is suspect,
 // so every partition is marked locConsumed — whether the job succeeded
-// (its caller drops r, and only a recovery reads it again) or was
-// aborted (the retry restores r from its lineage). No frame is sent: the
+// (its caller drops r, and only a recovery reads it again) or lost a
+// worker (the retry restores r from its lineage). No frame is sent: the
 // restore replaces a stale copy where it lies — a seed sheds it, a build
 // overwrites it, a recompute drops the old sequence.
 func (cl *DistCluster) markConsumed(r *distResidency) {
@@ -812,7 +812,7 @@ type RecoveryStats struct {
 	Recoveries int64
 	// Reseeded sums Stats.ReseededPartitions over the jobs that
 	// succeeded: input partitions put on a new owner because their owner
-	// died or an aborted attempt consumed them.
+	// died or an attempt that lost a worker consumed them.
 	Reseeded int64
 	// HeartbeatTimeouts counts workers declared lost by the health
 	// monitor for staying silent while a job waited on them.
@@ -877,9 +877,8 @@ const hbDeadIntervals = 24
 // monitor is the cluster's health loop: at every heartbeat interval it
 // measures the silence of each worker the running attempt waits on and
 // declares one lost once it passes hbDeadIntervals intervals. Detection
-// only — the verdict routes through the active job's own abort
-// machinery, so the monitor can never race a job into an inconsistent
-// state.
+// only — the verdict goes through the active job's own death path, so
+// the monitor can never race a job into an inconsistent state.
 func (cl *DistCluster) monitor() {
 	defer cl.monitorWG.Done()
 	ticker := time.NewTicker(cl.hbEvery)
@@ -1215,17 +1214,17 @@ func parseJobDone(cur *remote.Cursor, reducers int, rep *distWorkerReport) error
 
 // distJobRun is the coordinator's state for one job attempt.
 //
-// Recovery protocol: a worker death during the attempt (a transport
-// error on its connection, observed by a reader or a writer) marks the
-// worker dead and initiates an abort — MsgAbort to every survivor, each
-// of which abandons the job, drops anything retained under its sequence
-// number, and acknowledges with MsgAborted, the last frame it sends for
-// that sequence. Readers discard everything up to the ack, so the wire
-// is quiet when finish returns the latched WorkerLostError and the
-// retry loop (runDistDS) re-announces the job with a reassigned
-// partition map. Only worker death aborts; a user-function error or
-// malformed frame still breaks the cluster (fail-fast), since retrying
-// a deterministic failure cannot help.
+// Recovery: a worker that dies during the attempt (a transport error on
+// its connection, seen by a reader or a writer, or the monitor's
+// verdict) is marked dead and its loss recorded; nothing is cancelled.
+// The flush barrier counts a dead worker as mapped, so the survivors are
+// flushed, reduce what reached them and report MsgJobDone as on any
+// attempt. finish then drops their output and returns the recorded
+// WorkerLostError, and runDistDS retries the job with a reassigned
+// partition map over an input restored from its lineage. A MsgError from
+// any worker, a malformed frame or a failing coordinator-side map breaks
+// the cluster instead (fail-fast), since retrying a deterministic
+// failure cannot help.
 type distJobRun[K2 comparable, V2 any, K3 comparable, V3 any] struct {
 	cl        *DistCluster
 	hdr       *distJobHeader
@@ -1233,7 +1232,7 @@ type distJobRun[K2 comparable, V2 any, K3 comparable, V3 any] struct {
 	bytesIn0  int64
 	bytesOut0 int64
 	// live is the set of workers the announce included — the workers
-	// that received MsgJobStart and owe a MsgJobDone (or MsgAborted).
+	// that received MsgJobStart and owe a MsgJobDone unless they die.
 	live []int
 
 	// readWG tracks the per-connection reader goroutines, started right
@@ -1242,22 +1241,21 @@ type distJobRun[K2 comparable, V2 any, K3 comparable, V3 any] struct {
 	// phase runs.
 	readWG   sync.WaitGroup
 	readErrs []error
-	outcomes []readerOutcome
-	finished atomic.Bool
 
 	mu      sync.Mutex
 	reports []distWorkerReport
 	loss    *WorkerLostError
 	// done holds the workers whose MsgJobDone arrived.
 	done map[int]bool
+	// unmapped holds the workers of a chained attempt that may still
+	// send buckets: neither their MsgMapDone nor their death has been
+	// seen. The flush barrier lifts when it empties.
+	unmapped map[int]bool
 
-	mapDones  atomic.Int64
-	aborting  atomic.Bool
-	flushOnce sync.Once
-	flushErr  error
-	// flushed latches once a flush frame may have reached a worker:
-	// reduce tasks may be running (see markConsumed).
-	flushed atomic.Bool
+	// relayMu orders every relay before the flush: a relay holds it
+	// shared, the flush exclusively. flushed is written under it.
+	relayMu sync.RWMutex
+	flushed bool
 	records atomic.Int64
 }
 
@@ -1276,8 +1274,13 @@ func (j *distJobRun[K2, V2, K3, V3]) waitsOn(w int) bool {
 	return false
 }
 
+// lost is the one death path of an attempt: worker w is marked dead, its
+// loss recorded, and it no longer holds up the flush barrier. The
+// attempt runs on.
 func (j *distJobRun[K2, V2, K3, V3]) lost(w int, cause error) {
-	j.initiateAbort(w, cause)
+	j.cl.markDead(w, cause)
+	j.setLoss(w, cause)
+	j.noteMapped(w)
 }
 
 // noteDone records that worker w delivered its full share of this
@@ -1287,6 +1290,21 @@ func (j *distJobRun[K2, V2, K3, V3]) noteDone(w int) {
 	j.mu.Lock()
 	j.done[w] = true
 	j.mu.Unlock()
+}
+
+// noteMapped records that worker w sends no more buckets — its
+// MsgMapDone arrived or it died — and flushes once no worker of a
+// chained attempt is left to send any. A worker sends all its buckets
+// before its MsgMapDone and its reader relays them in order, so every
+// relay from a live worker precedes the flush.
+func (j *distJobRun[K2, V2, K3, V3]) noteMapped(w int) {
+	j.mu.Lock()
+	last := j.unmapped[w] && len(j.unmapped) == 1
+	delete(j.unmapped, w)
+	j.mu.Unlock()
+	if last {
+		j.flushAll()
+	}
 }
 
 // startDistJob resolves the two pair codecs (a type without one fails
@@ -1334,32 +1352,44 @@ func startDistJob[K2 comparable, V2 any, K3 comparable, V3 any](
 		reports: make([]distWorkerReport, cl.Workers()),
 		done:    make(map[int]bool, len(live)),
 	}
+	if mode == remote.ModeChained {
+		j.unmapped = make(map[int]bool, len(live))
+		for _, w := range live {
+			j.unmapped[w] = true
+		}
+	}
 	cl.mu.Lock()
 	j.bytesIn0, j.bytesOut0 = cl.lastIn, cl.lastOut
 	cl.mu.Unlock()
 	frame := j.hdr.encode()
-	var started []int
 	for _, w := range live {
-		if err := cl.conns[w].WriteFrame(frame); err != nil {
-			return nil, j.announceFailed(started, w, err)
+		err := cl.conns[w].WriteFrame(frame)
+		if err == nil || !cl.noteDead(w) {
+			continue
 		}
-		started = append(started, w)
+		// No reader owns the connection yet: look for a parting MsgError,
+		// a deterministic failure. A silent death is a loss like any
+		// other, and the announce goes on to the other workers.
+		if msg := cl.drainFatal(w); msg != "" {
+			err := fmt.Errorf("mapreduce: dist job %q: worker %d: %s", cfg.Name, w, msg)
+			cl.fail(err)
+			return nil, err
+		}
+		cl.conns[w].Close()
+		j.setLoss(w, fmt.Errorf("announcing: %w", err))
 	}
 	// Readers start at the announce, one per included worker: worker
 	// traffic (heartbeats above all) is consumed — and worker health
 	// refreshed — for the whole life of the attempt, including the
-	// coordinator-side map phase. The monitor watches the attempt from
+	// coordinator-side map phase. A worker the announce lost finds its
+	// connection closed at once. The monitor watches the attempt from
 	// here until finish clears it.
 	j.readErrs = make([]error, cl.Workers())
-	j.outcomes = make([]readerOutcome, cl.Workers())
 	for _, w := range live {
-		w := w
 		j.readWG.Add(1)
 		go func() {
 			defer j.readWG.Done()
-			out, err := j.reader(w)
-			j.outcomes[w] = out
-			if err != nil {
+			if err := j.reader(w); err != nil {
 				j.readErrs[w] = err
 				// A deterministic failure breaks the cluster
 				// immediately: closing the connections unblocks the
@@ -1375,39 +1405,6 @@ func startDistJob[K2 comparable, V2 any, K3 comparable, V3 any](
 	return j, nil
 }
 
-// announceFailed handles a worker death during the job announce, before
-// any reader goroutine exists: classify the death (a parting MsgError is
-// a deterministic failure and breaks the cluster), then synchronously
-// abort the workers that already received the announce so the retry
-// starts from a quiet wire.
-func (j *distJobRun[K2, V2, K3, V3]) announceFailed(started []int, w int, cause error) error {
-	if j.cl.noteDead(w) {
-		if msg := j.cl.drainFatal(w); msg != "" {
-			err := fmt.Errorf("mapreduce: dist job %q: worker %d: %s", j.hdr.name, w, msg)
-			j.cl.conns[w].Close()
-			j.cl.fail(err)
-			return err
-		}
-		j.cl.conns[w].Close()
-	}
-	j.setLoss(w, cause)
-	frame := remote.AppendUvarint([]byte{byte(remote.MsgAbort)}, j.hdr.seq)
-	for _, sw := range started {
-		if j.cl.isDead(sw) {
-			continue
-		}
-		c := j.cl.conns[sw]
-		c.SetReadDeadline(time.Now().Add(j.cl.abortTimeout))
-		if err := c.WriteFrame(frame); err != nil {
-			j.cl.markDead(sw, err)
-			continue
-		}
-		j.drainAborted(sw)
-		c.SetReadDeadline(time.Time{})
-	}
-	return j.lossErr()
-}
-
 // setLoss latches the first worker loss of the attempt.
 func (j *distJobRun[K2, V2, K3, V3]) setLoss(w int, cause error) {
 	j.mu.Lock()
@@ -1417,86 +1414,30 @@ func (j *distJobRun[K2, V2, K3, V3]) setLoss(w int, cause error) {
 	j.mu.Unlock()
 }
 
-// lossWorkerIs reports whether the latched loss names worker w.
-func (j *distJobRun[K2, V2, K3, V3]) lossWorkerIs(w int) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.loss != nil && j.loss.Worker == w
-}
-
-// lossErr returns the latched loss (never nil once a loss was set).
+// lossErr returns the latched loss, or nil when no worker was lost.
 func (j *distJobRun[K2, V2, K3, V3]) lossErr() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.loss == nil {
-		return &WorkerLostError{Worker: -1, Job: j.hdr.name, Err: errors.New("worker lost")}
+		return nil
 	}
 	return j.loss
 }
 
-// initiateAbort marks worker w dead, latches the loss, and aborts the
-// attempt.
-func (j *distJobRun[K2, V2, K3, V3]) initiateAbort(w int, cause error) {
-	j.cl.markDead(w, cause)
-	j.abortAttempt(w, cause)
-}
-
-// abortAttempt latches the loss and — once per attempt — tells every
-// worker of the attempt to abandon the job. Every reachable worker's
-// connection gets read and write deadlines first: a worker that neither
-// acknowledges the abort nor dies within AbortTimeout is declared dead
-// by timeout, so recovery cannot wedge on a stuck worker.
-func (j *distJobRun[K2, V2, K3, V3]) abortAttempt(w int, cause error) {
-	j.setLoss(w, cause)
-	if !j.aborting.CompareAndSwap(false, true) {
-		return
-	}
-	frame := remote.AppendUvarint([]byte{byte(remote.MsgAbort)}, j.hdr.seq)
-	for _, lw := range j.live {
-		if j.cl.isDead(lw) {
-			continue
-		}
-		c := j.cl.conns[lw]
-		c.SetReadDeadline(time.Now().Add(j.cl.abortTimeout))
-		c.SetWriteDeadline(time.Now().Add(j.cl.abortTimeout))
-		if err := c.WriteFrame(frame); err != nil {
-			j.cl.markDead(lw, err)
-		}
-		c.SetWriteDeadline(time.Time{})
-	}
-}
-
 // senderLost handles a write failure to worker w from the
-// coordinator's bucket streaming path. The worker is marked dead but
-// its connection stays open: the reader goroutine owns it and must get
-// the chance to consume a parting MsgError off the socket before it
-// dies — a deterministic user-function or registration failure surfaces
-// as itself, not as the transport error it caused. The deadline bounds
-// the reader's wait; its error path closes the connection.
+// coordinator's bucket streaming path, and stops that path: the attempt
+// is lost. The worker is marked dead but its connection stays open: the
+// reader goroutine owns it and must get the chance to consume a parting
+// MsgError off the socket before it dies — a deterministic user-function
+// or registration failure surfaces as itself, not as the transport error
+// it caused. The deadline bounds the reader's wait; its error path
+// closes the connection.
 func (j *distJobRun[K2, V2, K3, V3]) senderLost(w int, cause error) error {
 	if j.cl.noteDead(w) {
 		j.cl.conns[w].SetReadDeadline(time.Now().Add(distDrainTimeout))
 	}
-	j.abortAttempt(w, cause)
+	j.setLoss(w, cause)
 	return j.lossErr()
-}
-
-// drainAborted reads worker w's frames until its MsgAborted ack (the
-// read deadline armed at abort time bounds the wait). Used for workers
-// whose reader already returned before the abort began.
-func (j *distJobRun[K2, V2, K3, V3]) drainAborted(w int) {
-	conn := j.cl.conns[w]
-	for {
-		payload, err := conn.ReadFrame()
-		if err != nil {
-			j.cl.markDead(w, err)
-			return
-		}
-		cur := remote.NewCursor(payload)
-		if remote.MsgType(cur.Byte()) == remote.MsgAborted {
-			return
-		}
-	}
 }
 
 // sendBucket encodes one bucket and streams it to the partition's
@@ -1519,57 +1460,46 @@ func (j *distJobRun[K2, V2, K3, V3]) sendBucket(split, part int, pairs []Pair[K2
 	return nil
 }
 
-// flushAll tells every live worker that ingestion is sealed. An abort
-// supersedes the flush: aborting workers are unblocked by MsgAbort
-// instead.
-func (j *distJobRun[K2, V2, K3, V3]) flushAll() error {
-	j.flushOnce.Do(func() {
-		if j.aborting.Load() {
-			j.flushErr = j.lossErr()
-			return
+// flushAll tells every live worker of the attempt that ingestion is
+// sealed, once. A worker the flush cannot reach is lost; the barrier
+// has nothing left to wait for, so the loss does not re-enter it.
+func (j *distJobRun[K2, V2, K3, V3]) flushAll() {
+	j.relayMu.Lock()
+	defer j.relayMu.Unlock()
+	if j.flushed {
+		return
+	}
+	j.flushed = true
+	frame := remote.AppendUvarint([]byte{byte(remote.MsgFlush)}, j.hdr.seq)
+	for _, w := range j.live {
+		if j.cl.isDead(w) {
+			continue
 		}
-		frame := remote.AppendUvarint([]byte{byte(remote.MsgFlush)}, j.hdr.seq)
-		j.flushed.Store(true)
-		for _, w := range j.live {
-			if j.cl.isDead(w) {
-				continue
-			}
-			if err := j.cl.conns[w].WriteFrame(frame); err != nil {
-				// The flush phase always has readers running; the dying
-				// worker's own reader surfaces any parting MsgError.
-				j.initiateAbort(w, fmt.Errorf("flushing: %w", err))
-				j.flushErr = j.lossErr()
-				return
-			}
+		if err := j.cl.conns[w].WriteFrame(frame); err != nil {
+			cause := fmt.Errorf("flushing: %w", err)
+			j.cl.markDead(w, cause)
+			j.setLoss(w, cause)
 		}
-	})
-	return j.flushErr
+	}
 }
 
-// reader consumes one worker's frames for this job until its MsgJobDone
-// (or an error). Chained-mode cross-partition buckets are relayed
-// verbatim to their owner's connection: the frame format is identical in
-// both directions, so the relay is a single WriteFrame with no
-// re-encoding. Because a worker sends all its buckets before its
-// MsgMapDone and the reader processes frames in order, once every
-// worker's MsgMapDone has been processed every relay has been delivered
-// — that is the barrier after which the flush is safe.
-// readerOutcome is how one worker's reader goroutine ended. A non-nil
-// error from reader supersedes the outcome: it is a deterministic
-// failure (malformed frame, user error) that breaks the cluster.
-type readerOutcome int
+// relay forwards a chained-mode bucket frame verbatim to its partition's
+// owner: the frame format is identical in both directions, so the relay
+// is a single WriteFrame with no re-encoding. A relay the flush has
+// overtaken comes from a worker that died before its MsgMapDone (see
+// noteMapped), in an attempt that is lost anyway: it is dropped.
+func (j *distJobRun[K2, V2, K3, V3]) relay(owner int, payload []byte) error {
+	j.relayMu.RLock()
+	defer j.relayMu.RUnlock()
+	if j.flushed {
+		return nil
+	}
+	return j.cl.conns[owner].WriteFrame(payload)
+}
 
-const (
-	// outcomeLost: the connection died (or the worker died during an
-	// abort) — the attempt is being aborted and may be retried.
-	outcomeLost readerOutcome = iota
-	// outcomeDone: the worker completed the job (MsgJobDone).
-	outcomeDone
-	// outcomeAborted: the worker acknowledged the abort.
-	outcomeAborted
-)
-
-func (j *distJobRun[K2, V2, K3, V3]) reader(w int) (readerOutcome, error) {
+// reader consumes one worker's frames for this attempt until its
+// MsgJobDone or its death (nil), or a deterministic failure (the error).
+func (j *distJobRun[K2, V2, K3, V3]) reader(w int) error {
 	conn := j.cl.conns[w]
 	for {
 		payload, err := conn.ReadFrame()
@@ -1578,8 +1508,8 @@ func (j *distJobRun[K2, V2, K3, V3]) reader(w int) (readerOutcome, error) {
 			// close (senderLost's parting-error window), nobody else
 			// will.
 			conn.Close()
-			j.initiateAbort(w, fmt.Errorf("transport error: %w", err))
-			return outcomeLost, nil
+			j.lost(w, fmt.Errorf("transport error: %w", err))
+			return nil
 		}
 		cur := remote.NewCursor(payload)
 		switch t := remote.MsgType(cur.Byte()); t {
@@ -1589,17 +1519,12 @@ func (j *distJobRun[K2, V2, K3, V3]) reader(w int) (readerOutcome, error) {
 			part := int(cur.Uvarint())
 			if err := cur.Err(); err != nil || seq != j.hdr.seq ||
 				part < 0 || part >= j.hdr.reducers {
-				return 0, fmt.Errorf("mapreduce: dist job %q: malformed bucket relay from worker %d", j.hdr.name, w)
-			}
-			if j.aborting.Load() {
-				continue // attempt is being torn down; drop the relay
+				return fmt.Errorf("mapreduce: dist job %q: malformed bucket relay from worker %d", j.hdr.name, w)
 			}
 			owner := j.hdr.owner(part)
-			if err := j.cl.conns[owner].WriteFrame(payload); err != nil {
-				// The relay target died, not this worker: abort the
-				// attempt but keep draining our own connection until the
-				// MsgAborted ack.
-				j.initiateAbort(owner, fmt.Errorf("relaying bucket: %w", err))
+			if err := j.relay(owner, payload); err != nil {
+				// The relay target died, not this worker: keep reading.
+				j.lost(owner, fmt.Errorf("relaying bucket: %w", err))
 			}
 		case remote.MsgPong:
 			// Heartbeat: the frame's arrival already refreshed the
@@ -1615,63 +1540,34 @@ func (j *distJobRun[K2, V2, K3, V3]) reader(w int) (readerOutcome, error) {
 			rep.cross = int64(cur.Uvarint())
 			rep.mapWall = time.Duration(cur.Uvarint())
 			if err := cur.Err(); err != nil {
-				return 0, fmt.Errorf("mapreduce: dist job %q: malformed map-done from worker %d", j.hdr.name, w)
+				return fmt.Errorf("mapreduce: dist job %q: malformed map-done from worker %d", j.hdr.name, w)
 			}
-			if j.aborting.Load() {
-				continue
-			}
-			if j.mapDones.Add(1) == int64(len(j.live)) {
-				// flushAll's only failure mode here is a worker loss that
-				// already initiated the abort; nothing more to do.
-				j.flushAll()
-			}
+			j.noteMapped(w)
 		case remote.MsgJobDone:
 			cur.Uvarint() // seq
 			if err := parseJobDone(cur, j.hdr.reducers, &j.reports[w]); err != nil {
-				return 0, fmt.Errorf("mapreduce: dist job %q: malformed job-done from worker %d: %w", j.hdr.name, w, err)
+				return fmt.Errorf("mapreduce: dist job %q: malformed job-done from worker %d: %w", j.hdr.name, w, err)
 			}
 			j.noteDone(w)
-			if j.aborting.Load() {
-				// The worker finished before seeing the abort; its
-				// MsgAborted ack is still coming. Keep reading so finish
-				// doesn't have to.
-				continue
-			}
-			return outcomeDone, nil
-		case remote.MsgAborted:
-			return outcomeAborted, nil
+			return nil
 		case remote.MsgError:
 			cur.Uvarint() // seq
-			msg := cur.String()
-			if j.aborting.Load() && !j.lossWorkerIs(w) {
-				// A survivor that errors while tearing down is as good
-				// as dead; the retry will surface any deterministic
-				// failure on a healthy attempt. But when the error comes
-				// from the worker whose loss started the abort, it IS
-				// the root cause — a user function or registration
-				// failure that must surface as itself.
-				j.cl.markDead(w, fmt.Errorf("worker error during abort: %s", msg))
-				return outcomeLost, nil
-			}
-			return 0, fmt.Errorf("mapreduce: dist job %q: worker %d: %s", j.hdr.name, w, msg)
+			return fmt.Errorf("mapreduce: dist job %q: worker %d: %s", j.hdr.name, w, cur.String())
 		default:
-			return 0, fmt.Errorf("mapreduce: dist job %q: unexpected %v from worker %d", j.hdr.name, t, w)
+			return fmt.Errorf("mapreduce: dist job %q: unexpected %v from worker %d", j.hdr.name, t, w)
 		}
 	}
 }
 
-// finish drives the job to completion after the coordinator's own
-// sending is done (mapErr carries a local map-phase failure): waits for
-// the per-connection readers startDistJob launched at the announce,
-// observes the flush barrier, aggregates the worker reports into stats,
-// and burns the coordinator-side failure coins so injected-failure
-// statistics match the local backends. Success here is the one place
-// an attempt's results — resident counts, side output — are accepted;
-// an aborted attempt contributes none.
-func (j *distJobRun[K2, V2, K3, V3]) finish(ctx context.Context, cfg Config, stats *Stats, mapErr error) (*distJobResult, error) {
+// finish drives the attempt to its end after the coordinator's own
+// sending is done (mapErr carries a local map-phase failure): it flushes
+// a flat job, waits for the per-connection readers startDistJob launched
+// at the announce, and aggregates the worker reports into stats. Success
+// here is the one place an attempt's results — resident counts, side
+// output — are accepted. An attempt that lost a worker ran to its end on
+// the survivors: finish drops what they made and returns the loss.
+func (j *distJobRun[K2, V2, K3, V3]) finish(ctx context.Context, stats *Stats, mapErr error) (*distJobResult, error) {
 	defer j.cl.clearActiveJob()
-	readErrs := j.readErrs
-	outcomes := j.outcomes
 	// A cancelled context must unblock the readers: break the cluster,
 	// which closes the connections under them.
 	watchDone := make(chan struct{})
@@ -1688,45 +1584,21 @@ func (j *distJobRun[K2, V2, K3, V3]) finish(ctx context.Context, cfg Config, sta
 		}()
 	}
 
-	if mapErr != nil {
-		if !isWorkerLost(mapErr) {
-			// The coordinator's map phase failed deterministically: the
-			// workers are still waiting for buckets, so the cluster
-			// cannot be reused.
-			j.cl.fail(fmt.Errorf("mapreduce: dist job %q failed during map: %w", j.hdr.name, mapErr))
-		}
-		// A worker loss during the map phase already initiated the
-		// abort; the readers drain to their MsgAborted acks.
+	if mapErr != nil && !isWorkerLost(mapErr) {
+		// The coordinator's map phase failed deterministically: the
+		// workers are still waiting for buckets, so the cluster cannot
+		// be reused.
+		j.cl.fail(fmt.Errorf("mapreduce: dist job %q failed during map: %w", j.hdr.name, mapErr))
 	} else if j.hdr.mode == remote.ModeFlat {
-		// No worker map phase: the coordinator sealed ingestion the
-		// moment its own map tasks finished.
-		if err := j.flushAll(); err != nil {
-			mapErr = err
-		}
+		// No worker map phase: the coordinator seals ingestion the moment
+		// its own map tasks finished, or stopped at a lost worker.
+		j.flushAll()
 	}
 	j.readWG.Wait()
-	j.finished.Store(true)
 	close(watchDone)
 	watchWG.Wait()
 
-	if j.aborting.Load() {
-		// Workers whose reader returned on MsgJobDone before the abort
-		// began still owe a MsgAborted ack; collect it so the next
-		// attempt starts from a quiet wire (the abort-time read deadline
-		// bounds the wait), then clear the deadlines the abort armed.
-		for _, w := range j.live {
-			if outcomes[w] == outcomeDone && readErrs[w] == nil && !j.cl.isDead(w) {
-				j.drainAborted(w)
-			}
-		}
-		for _, w := range j.live {
-			if !j.cl.isDead(w) {
-				j.cl.conns[w].SetReadDeadline(time.Time{})
-			}
-		}
-	}
-
-	for _, err := range readErrs {
+	for _, err := range j.readErrs {
 		if err != nil {
 			// Return the first-latched error (the root cause), not
 			// whichever cascade error this slot happens to hold.
@@ -1739,11 +1611,9 @@ func (j *distJobRun[K2, V2, K3, V3]) finish(ctx context.Context, cfg Config, sta
 	if err := j.cl.Err(); err != nil {
 		return nil, err
 	}
-	if j.aborting.Load() {
-		return nil, j.lossErr()
-	}
-	if mapErr != nil {
-		return nil, mapErr
+	if loss := j.lossErr(); loss != nil {
+		j.cl.dropOnWorkers(j.hdr.seq)
+		return nil, loss
 	}
 
 	// Aggregate the worker reports.
@@ -1914,7 +1784,7 @@ func tryDistDS[K2 comparable, V2 any, K3 comparable, V3 any](
 	mode := remote.ModeFlat
 	var inputSeq uint64
 	if in != nil {
-		// Put back what a dead owner or an aborted reduce took before
+		// Put back what a dead owner or a lost attempt's reduce took before
 		// announcing the job that reads it.
 		reseeded, err := cl.ensureResident(ctx, in, cfg.Name)
 		if err != nil {
@@ -1937,9 +1807,11 @@ func tryDistDS[K2 comparable, V2 any, K3 comparable, V3 any](
 		stats.MapWall = time.Since(phase)
 		phase = time.Now()
 	}
-	res, err := job.finish(ctx, cfg, stats, mapErr)
+	res, err := job.finish(ctx, stats, mapErr)
 	stats.ReduceWall = time.Since(phase)
-	if in != nil && job.flushed.Load() && (err == nil || isWorkerLost(err)) {
+	if in != nil && (err == nil || isWorkerLost(err)) {
+		// Every attempt that reaches finish is flushed: the survivors'
+		// reduce consumed the input even when the attempt was lost.
 		cl.markConsumed(in)
 	}
 	if err != nil {
@@ -2102,7 +1974,7 @@ func (d *Dataset[K, V]) fetchFrom(conn *remote.Conn, w int, loc []int, fetch []b
 	// Rolling read deadline: a gray-failed worker (socket open, no
 	// frames) must not hang materialization forever — on timeout the
 	// caller marks it dead and its partitions are restored elsewhere.
-	timeout := d.rem.cl.abortTimeout
+	timeout := d.rem.cl.replyTimeout
 	defer conn.SetReadDeadline(time.Time{})
 	for {
 		conn.SetReadDeadline(time.Now().Add(timeout))

@@ -13,13 +13,13 @@ import (
 
 // fastHB is the health-monitor test tempo: a 20ms heartbeat declares a
 // hung worker lost after 480ms of silence (hbDeadIntervals intervals),
-// and the short abort deadline keeps a never-acking stalled worker from
-// holding a retry for the production default of 30s.
+// and the short reply deadline keeps a stalled worker from holding a
+// fetch or a build for the production default of 30s.
 func fastHB() DistClusterOptions {
 	return DistClusterOptions{
 		Timeout:        30 * time.Second,
 		HeartbeatEvery: 20 * time.Millisecond,
-		AbortTimeout:   500 * time.Millisecond,
+		ReplyTimeout:   500 * time.Millisecond,
 	}
 }
 

@@ -235,24 +235,6 @@ type workerSession struct {
 	builders map[uint64]distBuilder
 	buildMu  sync.Mutex
 	built    []func(*workerSession) error
-	// aborted records job sequences this session acknowledged an abort
-	// for: bucket/flush frames already in flight for those sequences
-	// keep arriving after the MsgAborted ack and must be ignored, not
-	// treated as protocol errors. Bounded by the number of worker
-	// deaths the cluster survives.
-	aborted map[uint64]bool
-}
-
-// errJobAborted is the sentinel a job handler returns when the
-// coordinator aborted the job mid-flight: the session acked the abort
-// and is ready for the next announce — not an error.
-var errJobAborted = fmt.Errorf("dist job aborted by coordinator")
-
-// ackAbort records the aborted sequence and sends the MsgAborted ack —
-// the last frame this session emits for that sequence.
-func (s *workerSession) ackAbort(seq uint64) error {
-	s.aborted[seq] = true
-	return s.conn.WriteFrame(remote.AppendUvarint([]byte{byte(remote.MsgAborted)}, seq))
 }
 
 // ReconnectPolicy shapes a worker's redial behavior, both for the
@@ -355,7 +337,6 @@ func ServeDistWorkerOpts(ctx context.Context, addr string, opts DistWorkerOption
 		resident: make(map[uint64]residentSet),
 		seeds:    make(map[uint64]map[int]seedBlob),
 		builders: make(map[uint64]distBuilder),
-		aborted:  make(map[uint64]bool),
 	}
 	if info.HeartbeatEvery > 0 {
 		// Pongs on the announced interval, from a dedicated goroutine:
@@ -469,9 +450,6 @@ func (s *workerSession) serve() error {
 				return fmt.Errorf("mapreduce: dist worker: %w", err)
 			}
 			if err := runner.run(s, h); err != nil {
-				if err == errJobAborted {
-					continue // ack already sent; await the retry announce
-				}
 				s.sendError(h.seq, err)
 				return fmt.Errorf("mapreduce: dist worker: job %q: %w", h.name, err)
 			}
@@ -502,27 +480,6 @@ func (s *workerSession) serve() error {
 				s.seeds[seq] = m
 			}
 			m[part] = seedBlob{count: count, blob: blob}
-		case remote.MsgAbort:
-			// An abort can land between jobs when this worker finished
-			// (or never started) the aborted attempt: ack it and forget
-			// anything retained under that sequence.
-			seq := cur.Uvarint()
-			if ent, ok := s.resident[seq]; ok {
-				ent.drop()
-				delete(s.resident, seq)
-			}
-			if err := s.ackAbort(seq); err != nil {
-				return fmt.Errorf("mapreduce: dist worker: acking abort: %w", err)
-			}
-		case remote.MsgBucket, remote.MsgFlush:
-			// Stray shuffle frames for an aborted attempt, written
-			// concurrently with the abort: drop them.
-			seq := cur.Uvarint()
-			if !s.aborted[seq] {
-				err := fmt.Errorf("unexpected %v between jobs", t)
-				s.sendError(seq, err)
-				return fmt.Errorf("mapreduce: dist worker: %w", err)
-			}
 		case remote.MsgFetch:
 			// Resident partitions, then seeded ones no job has read yet;
 			// a worker with neither reports an empty set.
@@ -705,9 +662,7 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 		close(mapDone)
 	}
 
-	// Main ingest loop: buckets until the flush — or an abort, which
-	// abandons the job after the resident map (if any) has wound down,
-	// so the MsgAborted ack is truly this sequence's last frame.
+	// Main ingest loop: buckets until the flush.
 	for {
 		payload, err := s.conn.ReadFrame()
 		if err != nil {
@@ -729,22 +684,6 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 			cur.Uvarint()
 			break
 		}
-		if t == remote.MsgAbort {
-			seq := cur.Uvarint()
-			if seq != h.seq {
-				// A stale abort for an earlier attempt: ack and keep
-				// ingesting the current job.
-				if err := s.ackAbort(seq); err != nil {
-					return fmt.Errorf("job %q: acking stale abort: %w", h.name, err)
-				}
-				continue
-			}
-			<-mapDone
-			if err := s.ackAbort(seq); err != nil {
-				return fmt.Errorf("job %q: acking abort: %w", h.name, err)
-			}
-			return errJobAborted
-		}
 		if t != remote.MsgBucket {
 			return fmt.Errorf("job %q: unexpected %v during shuffle", h.name, t)
 		}
@@ -752,9 +691,6 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 		split := int(cur.Uvarint())
 		part := int(cur.Uvarint())
 		count := int(cur.Uvarint())
-		if seq != h.seq && s.aborted[seq] {
-			continue // stray frame from an aborted attempt
-		}
 		if err := cur.Err(); err != nil || seq != h.seq || split < 0 || split >= h.splits ||
 			part < 0 || part >= h.reducers || h.owner(part) != s.id {
 			return fmt.Errorf("job %q: malformed bucket (split %d, part %d)", h.name, split, part)
@@ -781,53 +717,6 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 		return err
 	}
 
-	// While the reduce runs, this watcher owns the connection's read
-	// side and observes aborts. On an abort for this job it raises
-	// cancel, which the reduce goroutines check between key groups —
-	// a survivor of a lost round releases it within one group's work
-	// instead of finishing output nobody wants. The ack waits for every
-	// goroutine to drain so it stays the sequence's final frame.
-	var cancel, abortSeen atomic.Bool
-	watchStop := make(chan struct{})
-	var watchWG sync.WaitGroup
-	watchWG.Add(1)
-	go func() {
-		defer watchWG.Done()
-		for {
-			select {
-			case <-watchStop:
-				return
-			default:
-			}
-			payload, err := s.conn.PollFrame(20 * time.Millisecond)
-			if err == remote.ErrPollTimeout {
-				continue
-			}
-			if err != nil {
-				return // transport gone; the job's own writes surface it
-			}
-			cur := remote.NewCursor(payload)
-			switch t := remote.MsgType(cur.Byte()); t {
-			case remote.MsgAbort:
-				seq := cur.Uvarint()
-				if seq != h.seq {
-					s.ackAbort(seq) // stale abort for an earlier attempt
-					continue
-				}
-				abortSeen.Store(true)
-				cancel.Store(true)
-				return
-			case remote.MsgBucket, remote.MsgFlush:
-				if seq := cur.Uvarint(); s.aborted[seq] {
-					continue // stray frames from an aborted attempt
-				}
-				return
-			default:
-				return
-			}
-		}
-	}()
-
 	arOut := arenaFor[K3, V3](s.pool, h.reducers)
 	outs := make([][]Pair[K3, V3], h.reducers)
 	outCounts := make([]int64, h.reducers)
@@ -848,11 +737,6 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 			buf := &emitBuf[K3, V3]{pairs: arOut.getPairs(p, 0)}
 			step := steps(p, st)
 			for {
-				if cancel.Load() {
-					errs[p] = errJobAborted
-					outs[p] = buf.pairs // recycled by the abort path below
-					return
-				}
 				more, err := step(buf)
 				if err != nil {
 					errs[p] = err
@@ -869,21 +753,6 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 		}()
 	}
 	wg.Wait()
-	close(watchStop)
-	s.conn.BreakPoll() // don't hold job completion for the poll interval
-	watchWG.Wait()
-	if abortSeen.Load() {
-		for p, out := range outs {
-			if out != nil {
-				arOut.putPairs(p, out)
-				outs[p] = nil
-			}
-		}
-		if err := s.ackAbort(h.seq); err != nil {
-			return fmt.Errorf("job %q: acking abort: %w", h.name, err)
-		}
-		return errJobAborted
-	}
 	for _, err := range errs {
 		if err != nil {
 			return fmt.Errorf("job %q: %w", h.name, err)

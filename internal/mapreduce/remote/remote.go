@@ -80,7 +80,10 @@ import (
 // checkpoints: the coordinator keeps no copy of a job's output, recovery
 // recomputes a lost partition from its lineage instead, and a seed
 // replaces a stale copy where it lies.
-const Proto = 16
+// Version 17 dropped the abort and aborted messages (renumbering every
+// later one): an attempt that loses a worker runs to its end on the
+// survivors, and the coordinator drops its output.
+const Proto = 17
 
 // MsgType identifies one protocol message. The direction annotations
 // are the only ones that occur; receiving a type from the wrong
@@ -137,16 +140,6 @@ const (
 	// MsgBye (coordinator → worker) ends the session; the worker exits
 	// its serve loop cleanly.
 	MsgBye
-	// MsgAbort (coordinator → worker) cancels the named in-flight job
-	// after a sibling worker died: discard the job's partial shuffle
-	// state and any output retained under its sequence number, then
-	// acknowledge. The round is latched — the session and every resident
-	// dataset of earlier jobs survive.
-	MsgAbort
-	// MsgAborted (worker → coordinator) acknowledges MsgAbort. It is the
-	// last frame the worker sends for the aborted sequence number, so
-	// the coordinator can discard everything it reads up to it.
-	MsgAborted
 	// MsgSeed (coordinator → worker) installs one partition of a Dataset
 	// the coordinator holds a copy of on the worker that now owns it:
 	// sequence number, partition, pair count, and the encoded pair blob.
@@ -200,10 +193,6 @@ func (t MsgType) String() string {
 		return "error"
 	case MsgBye:
 		return "bye"
-	case MsgAbort:
-		return "abort"
-	case MsgAborted:
-		return "aborted"
 	case MsgSeed:
 		return "seed"
 	case MsgPong:
@@ -276,12 +265,6 @@ type Conn struct {
 	// frame — the raw signal the coordinator's health monitor works
 	// from: any frame a worker sends (pong or payload) proves liveness.
 	lastRead atomic.Int64
-
-	// pollMu serializes BreakPoll against PollFrame's peek phase, so a
-	// break can only ever expire the non-consuming Peek — never a frame
-	// that has already started arriving.
-	pollMu sync.Mutex
-	inPoll bool
 
 	// res, when non-nil, makes this endpoint survive transport loss by
 	// session resume (see resume.go). Enabled once, right after the
@@ -496,53 +479,6 @@ func (c *Conn) ReadFrame() ([]byte, error) {
 	}
 }
 
-// ErrPollTimeout is PollFrame's no-frame-yet result.
-var ErrPollTimeout = fmt.Errorf("remote: poll timeout")
-
-// PollFrame reads the next frame if one arrives within d, returning
-// ErrPollTimeout otherwise without consuming anything. It lets a worker
-// goroutine that is mostly busy (reducing) service pings and aborts
-// between units of work: a timed-out poll leaves the stream exactly as
-// it was, because only the non-consuming Peek runs under the deadline —
-// once a frame has started arriving the deadline is cleared and the
-// frame is read to completion.
-func (c *Conn) PollFrame(d time.Duration) ([]byte, error) {
-	tr := c.tr.Load()
-	if tr.br.Buffered() == 0 {
-		c.pollMu.Lock()
-		c.inPoll = true
-		tr.c.SetReadDeadline(time.Now().Add(d))
-		c.pollMu.Unlock()
-		_, err := tr.br.Peek(1)
-		c.pollMu.Lock()
-		c.inPoll = false
-		tr.c.SetReadDeadline(time.Time{})
-		c.pollMu.Unlock()
-		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				return nil, ErrPollTimeout
-			}
-			return nil, err
-		}
-	}
-	return c.ReadFrame()
-}
-
-// BreakPoll wakes a concurrent PollFrame out of its peek phase
-// immediately, so a poll loop that has been told to stop does not hold
-// its caller for the rest of the poll interval. The woken PollFrame
-// returns ErrPollTimeout. Racing a frame that has already started
-// arriving is safe: once PollFrame leaves the peek phase it clears the
-// deadline under pollMu, so the break is a no-op and the frame is read
-// to completion.
-func (c *Conn) BreakPoll() {
-	c.pollMu.Lock()
-	if c.inPoll {
-		c.tr.Load().c.SetReadDeadline(time.Now())
-	}
-	c.pollMu.Unlock()
-}
-
 // Close tears the connection down. Safe to call from any goroutine and
 // idempotent; a blocked ReadFrame or WriteFrame on another goroutine
 // returns with an error once the underlying connection closes. Closing
@@ -557,18 +493,12 @@ func (c *Conn) Close() error {
 }
 
 // SetReadDeadline bounds blocked reads on the underlying connection;
-// the zero time clears the bound. The coordinator arms it as the
-// recovery backstop: a worker that neither acknowledges an abort nor
-// dies within the window is declared dead by timeout instead of
-// wedging the cluster. Deadline expiries are timeouts, which session
-// resume deliberately does not treat as transport loss.
+// the zero time clears the bound. The coordinator arms it where it waits
+// on one worker's reply (a build, a fetch, a parting error), so a wedged
+// worker is declared dead by timeout instead of wedging the cluster.
+// Deadline expiries are timeouts, which session resume deliberately does
+// not treat as transport loss.
 func (c *Conn) SetReadDeadline(t time.Time) error { return c.tr.Load().c.SetReadDeadline(t) }
-
-// SetWriteDeadline bounds blocked writes on the underlying connection;
-// the zero time clears the bound. Armed around abort frames so a hung
-// peer whose receive window filled up cannot wedge recovery from the
-// write side.
-func (c *Conn) SetWriteDeadline(t time.Time) error { return c.tr.Load().c.SetWriteDeadline(t) }
 
 func uvarintLen(v uint64) int64 {
 	n := int64(1)

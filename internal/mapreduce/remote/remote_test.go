@@ -138,35 +138,6 @@ func TestHandshake(t *testing.T) {
 	}
 }
 
-func TestPollFrameTimesOutWithoutConsuming(t *testing.T) {
-	a, b := pipePair(t)
-	if _, err := b.PollFrame(20 * time.Millisecond); err != ErrPollTimeout {
-		t.Fatalf("idle poll: got %v, want ErrPollTimeout", err)
-	}
-	go a.WriteFrame([]byte{byte(MsgFlush)})
-	var got []byte
-	var err error
-	for i := 0; i < 100; i++ {
-		got, err = b.PollFrame(50 * time.Millisecond)
-		if err != ErrPollTimeout {
-			break
-		}
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if MsgType(got[0]) != MsgFlush {
-		t.Fatalf("poll consumed the wrong frame: %v", MsgType(got[0]))
-	}
-	// The timed-out polls must not have corrupted the stream: a normal
-	// read still works.
-	go a.WriteFrame([]byte{byte(MsgBye)})
-	got, err = b.ReadFrame()
-	if err != nil || MsgType(got[0]) != MsgBye {
-		t.Fatalf("post-poll read: %v %v", got, err)
-	}
-}
-
 func TestFaultStallBlocksBothDirectionsUntilClose(t *testing.T) {
 	a, b := pipePair(t)
 	f := &Fault{Op: FaultStall, AfterWrites: 2}

@@ -20,7 +20,7 @@ package remote
 //
 // The engine above never observes the blip: ReadFrame and WriteFrame
 // simply complete on the replacement transport. Recovery refuses two
-// things by design: timeouts (deadline-based aborts must keep their
+// things by design: timeouts (a reply deadline must keep its
 // fail-fast meaning) and frames that have fallen out of the bounded
 // ring (the peer was gone longer than the ring could cover — the
 // caller escalates to worker-loss recovery, which needs no
@@ -224,14 +224,14 @@ func (rs *resumeState) replayLocked(c *Conn, tr *transport, peerRcvd uint64) (in
 
 // recoverable reports whether err on a frame read/write should trigger
 // recovery instead of surfacing. Timeouts keep their fail-fast meaning
-// (poll timeouts, abort-deadline expiries), and a closed or retired
-// session never recovers.
+// (reply-deadline expiries), and a closed or retired session never
+// recovers.
 func (c *Conn) recoverable(err error) bool {
 	rs := c.res.Load()
 	if rs == nil || rs.off.Load() || c.closed.Load() {
 		return false
 	}
-	if err == ErrPollTimeout || err == errStalled {
+	if err == errStalled {
 		return false
 	}
 	var ne net.Error
