@@ -426,13 +426,12 @@ func TestDistGreedyMRStaysResident(t *testing.T) {
 
 // TestDistGreedyMRSeveredAroundFlush sweeps the frame at which the
 // coordinator's connection to one of two workers is severed across the
-// first rounds of a worker-resident GreedyMR run. Where the sever lands
-// decides how much the retry must restore: before a round's flush
-// barrier only the dead worker's partitions (the survivor's copies are
-// untouched input), after it every partition (the reduce phase consumed
-// them, see mapreduce.DistCluster). Both must occur in the sweep, and
-// every run must end bit-identical to memory — matching, rounds and
-// value trace.
+// first rounds of a worker-resident GreedyMR run, before and after a
+// round's flush barrier. Wherever the sever lands, the attempt runs to its
+// end on the survivor, whose reduce consumes its input, so the retry
+// restores every partition (see mapreduce.DistCluster) — never only the
+// dead worker's share. Every run must end bit-identical to memory —
+// matching, rounds and value trace.
 func TestDistGreedyMRSeveredAroundFlush(t *testing.T) {
 	g := graph.RandomBipartite(graph.RandomConfig{
 		NumItems: 60, NumConsumers: 30, EdgeProb: 0.2,
@@ -444,7 +443,7 @@ func TestDistGreedyMRSeveredAroundFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var beforeFlush, afterFlush int
+	var share, whole int
 	for k := 1; k <= 16; k++ {
 		cl := startWorkers(t, 2)
 		if err := cl.InjectFault(1, &remote.Fault{Op: remote.FaultSever, AfterReads: k}); err != nil {
@@ -469,14 +468,14 @@ func TestDistGreedyMRSeveredAroundFlush(t *testing.T) {
 		}
 		switch rs.Reseeded {
 		case 2: // worker 1's two of four partitions
-			beforeFlush++
+			share++
 		case 4:
-			afterFlush++
+			whole++
 		}
 	}
-	t.Logf("16 sever points: %d restored the dead worker's share, %d the whole consumed input", beforeFlush, afterFlush)
-	if beforeFlush == 0 || afterFlush == 0 {
-		t.Fatalf("the sweep no longer straddles a flush barrier: %d severs before one, %d after", beforeFlush, afterFlush)
+	t.Logf("16 sever points: %d restored the dead worker's share, %d the whole consumed input", share, whole)
+	if share != 0 || whole == 0 {
+		t.Fatalf("%d severs restored only the dead worker's share, %d the whole input: want none and some", share, whole)
 	}
 }
 
@@ -641,9 +640,9 @@ func TestDistMaximalStagesMapOnWorkers(t *testing.T) {
 
 // TestDistGreedyMRRebuildsLostView: a worker lost before the first
 // round's flush barrier takes the round-0 node view it built with it. The
-// retry rebuilds exactly its two partitions on the survivor from the
-// build recipe — the survivor's own, untouched before the flush, stay —
-// and the run ends bit-identical to memory.
+// attempt runs to its end on the survivor, whose reduce consumes its own
+// two partitions, so the retry rebuilds all four on the survivor from the
+// build recipe, and the run ends bit-identical to memory.
 func TestDistGreedyMRRebuildsLostView(t *testing.T) {
 	g := graph.RandomBipartite(graph.RandomConfig{
 		NumItems: 60, NumConsumers: 30, EdgeProb: 0.2,
@@ -674,12 +673,12 @@ func TestDistGreedyMRRebuildsLostView(t *testing.T) {
 		t.Fatalf("dist diverges from memory: %d rounds, value %v; memory %d rounds, value %v",
 			dist.Rounds, dist.Matching.Value(), mem.Rounds, mem.Matching.Value())
 	}
-	if st := dist.RoundStats[0]; st.WorkerRecoveries != 1 || st.ReseededPartitions != 2 {
-		t.Fatalf("round 1: recoveries=%d reseeded=%d, want 1 and worker 1's 2 partitions",
+	if st := dist.RoundStats[0]; st.WorkerRecoveries != 1 || st.ReseededPartitions != 4 {
+		t.Fatalf("round 1: recoveries=%d reseeded=%d, want 1 and all 4 partitions",
 			st.WorkerRecoveries, st.ReseededPartitions)
 	}
-	if rs := cl.RecoveryStats(); rs.WorkersLost != 1 || rs.Reseeded != 2 {
-		t.Fatalf("lost=%d reseeded=%d, want 1 and 2", rs.WorkersLost, rs.Reseeded)
+	if rs := cl.RecoveryStats(); rs.WorkersLost != 1 || rs.Reseeded != 4 {
+		t.Fatalf("lost=%d reseeded=%d, want 1 and 4", rs.WorkersLost, rs.Reseeded)
 	}
 }
 

@@ -217,9 +217,9 @@ func TestDistParamsReachWorkers(t *testing.T) {
 }
 
 // TestDistRefusesOlderProtoWorker: a worker built before the last wire
-// change (a Proto 15 job header carries a checkpoint byte this build no
-// longer sends, and its message numbers past the dropped checkpoint and
-// shed messages are off, so the two would misparse each other's frames)
+// change (a Proto 16 worker numbers the seed, pong, build and built
+// messages past the dropped abort and aborted messages, so the two would
+// misparse each other's frames)
 // dials a current coordinator and is refused at the hello, with both
 // versions named — never paired and left to misparse a frame.
 func TestDistRefusesOlderProtoWorker(t *testing.T) {
@@ -238,7 +238,7 @@ func TestDistRefusesOlderProtoWorker(t *testing.T) {
 				}
 				conn := remote.NewConn(nc)
 				defer conn.Close()
-				hello := remote.AppendUvarint([]byte{byte(remote.MsgHello)}, 15)
+				hello := remote.AppendUvarint([]byte{byte(remote.MsgHello)}, 16)
 				if err := conn.WriteFrame(append(hello, 0)); err != nil {
 					t.Error(err)
 					return
@@ -250,7 +250,7 @@ func TestDistRefusesOlderProtoWorker(t *testing.T) {
 		},
 	})
 	wg.Wait()
-	const want = "protocol version mismatch: worker speaks 15, coordinator 16"
+	const want = "protocol version mismatch: worker speaks 16, coordinator 17"
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("StartDistCluster with an older-protocol worker: err = %v, want %q", err, want)
 	}

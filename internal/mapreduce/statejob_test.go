@@ -380,10 +380,12 @@ func stampRounds(t *testing.T, cfg Config, rounds int, before func(round int)) (
 // that writes its record (RunStateDS): the key's reduce sees the write,
 // on the memory backend, on spill under a budget that writes at least
 // three runs per job, and on two loopback dist workers — there also when
-// an attempt is aborted before its flush (worker 1 severed at the first
-// frame it sends in round 1), so that the survivor maps again records it
-// already wrote. Every case ends bit-identical to memory, which equals a
-// serial computation of the rounds.
+// an attempt loses a worker before its flush (worker 1 severed at the
+// first frame it sends in round 1): the survivor runs the attempt to its
+// end, so its reduce consumes the input its map wrote, and the retry maps
+// every partition again from the restored input. Every case ends
+// bit-identical to memory, which equals a serial computation of the
+// rounds.
 func TestStateJobMapWritesReachReduce(t *testing.T) {
 	const rounds, victim = 3, 1
 	want := stampReference(rounds)
@@ -418,14 +420,14 @@ func TestStateJobMapWritesReachReduce(t *testing.T) {
 			calls = stampMapCalls.Load() - calls
 		}
 	})
-	if st := stats[1]; st.WorkerRecoveries < 1 || st.ReseededPartitions != 2 {
-		t.Fatalf("round 1: recoveries=%d reseeded=%d, want >= 1 and the victim's 2 partitions — the sever no longer lands before the flush",
+	if st := stats[1]; st.WorkerRecoveries < 1 || st.ReseededPartitions != 4 {
+		t.Fatalf("round 1: recoveries=%d reseeded=%d, want >= 1 and all 4 partitions — the lost attempt's survivor no longer consumes its input",
 			st.WorkerRecoveries, st.ReseededPartitions)
 	}
 	if calls <= stampNodes {
 		t.Fatalf("round 1 made %d map calls for %d records: no record was mapped twice", calls, stampNodes)
 	}
 	if !reflect.DeepEqual(got, mem) {
-		t.Fatal("a retry after a pre-flush abort diverges from memory: a survivor's second map over its own writes changed them")
+		t.Fatal("a retry after a pre-flush loss diverges from memory: the retry's map over the restored input wrote other values")
 	}
 }
