@@ -118,21 +118,21 @@ func TestPropertyStackDualsCoverStackedEdges(t *testing.T) {
 var spillingMR = mapreduce.Config{Mappers: 3, Reducers: 1,
 	Shuffle: mapreduce.ShuffleConfig{Backend: mapreduce.ShuffleSpill, MemoryBudget: 1}}
 
-func TestPropertyResultsUnchangedUnderInjectedFailures(t *testing.T) {
+func TestPropertyResultsUnchangedOnSpill(t *testing.T) {
 	// The paper's random-graph property off the memory backend: the full
 	// GreedyMR computation through a shuffle that spills its runs to
 	// disk must give the identical matching.
 	ctx := context.Background()
-	unchanged := func(g *graph.Bipartite) (spilled int64, ok bool) {
+	unchanged := func(g *graph.Bipartite) (int64, bool) {
 		clean, err := GreedyMR(ctx, g, GreedyMROptions{MR: testMR})
 		if err != nil {
 			return 0, false
 		}
-		faulty, err := GreedyMR(ctx, g, GreedyMROptions{MR: spillingMR})
+		spilled, err := GreedyMR(ctx, g, GreedyMROptions{MR: spillingMR})
 		if err != nil {
 			return 0, false
 		}
-		return faulty.Shuffle.SpilledRecords, slices.Equal(clean.Matching.EdgeIndexes(), faulty.Matching.EdgeIndexes())
+		return spilled.Shuffle.SpilledRecords, slices.Equal(clean.Matching.EdgeIndexes(), spilled.Matching.EdgeIndexes())
 	}
 	prop := func(seed int64, nItems, nCons, prob uint8) bool {
 		_, ok := unchanged(genGraph(seed, nItems, nCons, prob))
@@ -157,7 +157,7 @@ func TestPropertyResultsUnchangedUnderInjectedFailures(t *testing.T) {
 	}
 }
 
-func TestStackMRUnderInjectedFailures(t *testing.T) {
+func TestStackMROnSpill(t *testing.T) {
 	// The randomized algorithm is seeded independently of task
 	// scheduling and of the shuffle backend, so a shuffle that spills to
 	// disk must not change its output either.
@@ -170,15 +170,15 @@ func TestStackMRUnderInjectedFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulty, err := StackMR(ctx, g, StackOptions{MR: spillingMR, Eps: 1, Seed: 9})
+	spilled, err := StackMR(ctx, g, StackOptions{MR: spillingMR, Eps: 1, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if clean.Matching.Value() != faulty.Matching.Value() {
+	if clean.Matching.Value() != spilled.Matching.Value() {
 		t.Errorf("value changed on the spill backend: %v vs %v",
-			clean.Matching.Value(), faulty.Matching.Value())
+			clean.Matching.Value(), spilled.Matching.Value())
 	}
-	if faulty.Shuffle.SpilledRecords == 0 {
+	if spilled.Shuffle.SpilledRecords == 0 {
 		t.Error("the spill backend spilled no record")
 	}
 }
