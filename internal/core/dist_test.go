@@ -127,7 +127,8 @@ func TestDistMatchingBitIdenticalToMemory(t *testing.T) {
 // recovery path: every MapReduce matching algorithm runs on a cluster
 // whose connection to one worker is severed mid-shuffle at a
 // seed-derived frame (indistinguishable from that worker being
-// SIGKILLed), and the recovered matching must still be bit-identical to
+// SIGKILLed). The attempt in flight runs to its end on the survivor and
+// is retried, and the recovered matching must still be bit-identical to
 // the fault-free memory run — value, edges, and round count.
 func TestDistMatchingSurvivesWorkerLoss(t *testing.T) {
 	g := graph.RandomBipartite(graph.RandomConfig{
@@ -195,12 +196,13 @@ func TestDistMatchingSurvivesWorkerLoss(t *testing.T) {
 				t.Fatalf("rounds diverge: memory %d, dist %d", mem.Rounds, dist.Rounds)
 			}
 			// The loss must be observed, but how the cluster recovers
-			// depends on where the sever lands: a death mid-job aborts and
-			// retries the attempt (Recoveries), while a death caught at
-			// materialize time is restored on the survivor from its lineage
-			// and fetched there, and the next job schedules around the dead
-			// worker — no
-			// attempt is wasted, so Recoveries legitimately stays zero.
+			// depends on where the sever lands: a death mid-job loses the
+			// attempt, which runs to its end on the survivor and is
+			// retried (Recoveries), while a death caught at materialize
+			// time is restored on the survivor from its lineage and
+			// fetched there, and the next job schedules around the dead
+			// worker — no attempt is wasted, so Recoveries legitimately
+			// stays zero.
 			rs := cl.RecoveryStats()
 			if rs.WorkersLost < 1 {
 				t.Fatalf("recovery stats report lost=%d, want >= 1", rs.WorkersLost)

@@ -12,11 +12,11 @@ import (
 // `switch` over remote.MsgType must either handle every declared
 // message type or carry a default clause that decides what an
 // unhandled frame means. Message types arrived in several rounds
-// (MsgAbort/MsgAborted, MsgPong, MsgSeed, MsgBuild/MsgBuilt,
-// resume acks), and each addition had to be hand-audited against every
-// dispatch switch on the coordinator and the worker; a missed arm shows
-// up at runtime as a frame silently dropped or a hung round, not a
-// compile error.
+// (MsgPong, MsgSeed, MsgBuild/MsgBuilt, resume acks) and left in others
+// (the abort and aborted messages), and each change had to be
+// hand-audited against every dispatch switch on the coordinator and the
+// worker; a missed arm shows up at runtime as a frame silently dropped
+// or a hung round, not a compile error.
 var MsgExhaustive = &Analyzer{
 	Name: "msgexhaustive",
 	Doc: `a switch over remote.MsgType must handle every declared message type or carry a default

@@ -194,8 +194,8 @@ func victimFrames(workers, victim int) (preFlush int) {
 // still points into. The retry must not map those survivors' copies: it
 // recomputes every input partition from its lineage (ReseededPartitions
 // is the whole geometry, not just the dead worker's share), and the run
-// ends bit-identical to memory, side output included — nothing an
-// aborted attempt reported is kept, nothing the retry reports is lost.
+// ends bit-identical to memory, side output included — nothing a lost
+// attempt reported is kept, nothing the retry reports is lost.
 func TestDistConsumedInputRetry(t *testing.T) {
 	const rounds, faultRound, victim = 4, 2, 1
 	want := mutReference(t, rounds)

@@ -315,10 +315,11 @@ func TestDistChainedMapErrorSurfaces(t *testing.T) {
 
 // TestDistWorkerDisconnectMidShuffle simulates a worker vanishing while
 // buckets stream: a rogue peer completes the handshake, reads the job
-// start, then hangs up. The coordinator must recover — abort the round,
-// reassign the rogue's partitions to the survivor, and retry — so the
-// job completes bit-identical to the memory backend, with nothing left
-// waiting on the flush barrier.
+// start, then hangs up. The coordinator must recover — run the attempt
+// to its end on the survivor and drop its output, reassign the rogue's
+// partitions to the survivor, and retry — so the job completes
+// bit-identical to the memory backend, with nothing left waiting on the
+// flush barrier.
 func TestDistWorkerDisconnectMidShuffle(t *testing.T) {
 	var wg sync.WaitGroup
 	cl, err := StartDistCluster(2, DistClusterOptions{
