@@ -1810,8 +1810,8 @@ func tryDistDS[K2 comparable, V2 any, K3 comparable, V3 any](
 	res, err := job.finish(ctx, stats, mapErr)
 	stats.ReduceWall = time.Since(phase)
 	if in != nil && (err == nil || isWorkerLost(err)) {
-		// Every attempt that reaches finish is flushed: the survivors'
-		// reduce consumed the input even when the attempt was lost.
+		// An attempt that succeeds or loses a worker was flushed: the
+		// survivors' reduce consumed the input either way.
 		cl.markConsumed(in)
 	}
 	if err != nil {
