@@ -9,6 +9,7 @@ import (
 	"net"
 	"os/exec"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -106,10 +107,12 @@ type DistCluster struct {
 // untyped face of distJobRun, registered by startDistJob and cleared
 // when finish returns.
 type distActiveJob interface {
-	// waitsOn reports whether the attempt still waits on worker w: w
-	// received the announce and has not delivered its MsgJobDone.
-	waitsOn(w int) bool
-	lost(w int, cause error)
+	// waitsOn reports whether the attempt still waits on worker w and
+	// reads it: w received the announce, has not delivered its
+	// MsgJobDone, and its reader is not blocked relaying one of w's
+	// buckets. since is when that reader last came back from a relay.
+	waitsOn(w int) (since time.Time, ok bool)
+	setLoss(w int, cause error)
 }
 
 // Partition locations that name no worker. ensureResident puts such a
@@ -877,8 +880,9 @@ const hbDeadIntervals = 24
 // monitor is the cluster's health loop: at every heartbeat interval it
 // measures the silence of each worker the running attempt waits on and
 // declares one lost once it passes hbDeadIntervals intervals. Detection
-// only — the verdict goes through the active job's own death path, so
-// the monitor can never race a job into an inconsistent state.
+// only — the verdict closes the worker's connection, and the worker's
+// reader then runs the active job's own death path, so the monitor can
+// never race a job into an inconsistent state nor wait on its barrier.
 func (cl *DistCluster) monitor() {
 	defer cl.monitorWG.Done()
 	ticker := time.NewTicker(cl.hbEvery)
@@ -914,17 +918,33 @@ func (cl *DistCluster) checkHealth(now time.Time) {
 		// retry on. A worker whose transport died but whose session is
 		// inside the reconnect grace window is the resume layer's to
 		// absorb: if the grace expires, the parked read surfaces its
-		// transport error and the ordinary loss path takes over.
-		if cl.isDead(w) || !j.waitsOn(w) || c.Recovering() {
+		// transport error and the ordinary loss path takes over. Nor is
+		// a worker whose reader is blocked relaying its bucket judged:
+		// nobody reads it meanwhile, so its silence is no evidence —
+		// the relay's target is the one to judge.
+		if cl.isDead(w) || c.Recovering() {
+			continue
+		}
+		since, ok := j.waitsOn(w)
+		if !ok {
 			continue
 		}
 		last := c.LastRead()
 		if last.Before(floor) {
 			last = floor
 		}
+		if last.Before(since) {
+			last = since
+		}
 		if silent := now.Sub(last); silent > limit {
 			cl.hbTimeouts.Add(1)
-			j.lost(w, fmt.Errorf("mapreduce: dist worker %d heartbeat timeout (silent %v)", w, silent.Round(time.Millisecond)))
+			// The verdict records the loss and closes the connection,
+			// nothing more: w's reader sees the close and runs the
+			// attempt's death path, whose flush may wait on another hung
+			// worker — one the monitor must stay free to judge.
+			cause := fmt.Errorf("mapreduce: dist worker %d heartbeat timeout (silent %v)", w, silent.Round(time.Millisecond))
+			j.setLoss(w, cause)
+			cl.markDead(w, cause)
 		}
 	}
 }
@@ -1257,21 +1277,27 @@ type distJobRun[K2 comparable, V2 any, K3 comparable, V3 any] struct {
 	relayMu sync.RWMutex
 	flushed bool
 	records atomic.Int64
+
+	// relayed[w] is when worker w's reader last came back from a relay
+	// (unix nanos), or relayBusy while a relay blocks it.
+	relayed []atomic.Int64
 }
 
+const relayBusy = -1
+
 // waitsOn is the distActiveJob face the cluster monitor sees.
-func (j *distJobRun[K2, V2, K3, V3]) waitsOn(w int) bool {
+func (j *distJobRun[K2, V2, K3, V3]) waitsOn(w int) (time.Time, bool) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.done[w] {
-		return false
+	done := j.done[w]
+	j.mu.Unlock()
+	if done || !slices.Contains(j.live, w) {
+		return time.Time{}, false
 	}
-	for _, lw := range j.live {
-		if lw == w {
-			return true
-		}
+	at := j.relayed[w].Load()
+	if at == relayBusy {
+		return time.Time{}, false
 	}
-	return false
+	return time.Unix(0, at), true
 }
 
 // lost is the one death path of an attempt: worker w is marked dead, its
@@ -1351,6 +1377,7 @@ func startDistJob[K2 comparable, V2 any, K3 comparable, V3 any](
 		live:    live,
 		reports: make([]distWorkerReport, cl.Workers()),
 		done:    make(map[int]bool, len(live)),
+		relayed: make([]atomic.Int64, cl.Workers()),
 	}
 	if mode == remote.ModeChained {
 		j.unmapped = make(map[int]bool, len(live))
@@ -1522,7 +1549,10 @@ func (j *distJobRun[K2, V2, K3, V3]) reader(w int) error {
 				return fmt.Errorf("mapreduce: dist job %q: malformed bucket relay from worker %d", j.hdr.name, w)
 			}
 			owner := j.hdr.owner(part)
-			if err := j.relay(owner, payload); err != nil {
+			j.relayed[w].Store(relayBusy)
+			err := j.relay(owner, payload)
+			j.relayed[w].Store(time.Now().UnixNano())
+			if err != nil {
 				// The relay target died, not this worker: keep reading.
 				j.lost(owner, fmt.Errorf("relaying bucket: %w", err))
 			}

@@ -233,7 +233,7 @@ func TestDistConsumedInputRetry(t *testing.T) {
 						"the sever at frame %d no longer lands after the flush barrier", faultRound, st.WorkerRecoveries, st.ReseededPartitions, at)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatal("a retry after a post-flush abort diverges from memory: it mapped input the aborted reduce had consumed")
+					t.Fatal("a retry after a post-flush loss diverges from memory: it mapped input the lost attempt's survivors had consumed in their reduce")
 				}
 			})
 		}

@@ -103,6 +103,50 @@ func TestDistHeartbeatDetectsStalledWorker(t *testing.T) {
 	t.Logf("hb timeouts=%d lost=%d retried=%d", rs.HeartbeatTimeouts, rs.WorkersLost, rs.Recoveries)
 }
 
+// TestDistHeartbeatJudgesRelayTarget pins the verdict when relays back
+// up in a chained job: worker 1 sends its map-done, then the
+// coordinator's connection to it stalls at the first bucket of worker
+// 0's it relays there. Worker 0's reader blocks in that relay, so
+// worker 0 falls silent first, though it is not the hung one. The
+// monitor must judge worker 1, whose closed connection releases the
+// relay; the round retries on worker 0 and the run ends bit-identical
+// to memory. A verdict against worker 0 that flushed — the relay holds
+// the flush off — would leave worker 1 unjudged and hang the run.
+func TestDistHeartbeatJudgesRelayTarget(t *testing.T) {
+	const rounds = 3
+	want := memoryRingReference(t, rounds)
+	cl := startSchedCluster(t, 2, fastHB(), nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	cfg := distCfg4(cl, "lagging-ring")
+	ds := PartitionDataset(ringInput(), cfg.reducers())
+	for i := 0; i < rounds; i++ {
+		if i == 1 {
+			// Write 1 of the round is its job header, write 2 the first
+			// relayed bucket.
+			if err := cl.InjectFault(1, &remote.Fault{Op: remote.FaultStall, AfterWrites: 2}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next, _, err := RunDS(ctx, cfg, ds, ringMap, ringReduce)
+		if err != nil {
+			t.Fatalf("round %d: %v", i, err)
+		}
+		ds = next
+	}
+	if err := ds.Materialize(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ds.Collect(), want) {
+		t.Fatal("run with a stalled relay target diverges from memory backend")
+	}
+	rs := cl.RecoveryStats()
+	if rs.HeartbeatTimeouts != 1 || rs.WorkersLost != 1 || !cl.isDead(1) {
+		t.Fatalf("hb timeouts=%d lost=%d worker 1 dead=%v, want only the stalled worker 1 judged",
+			rs.HeartbeatTimeouts, rs.WorkersLost, cl.isDead(1))
+	}
+}
+
 // TestDistSlowWorkerNotKilled pins the other side of the death
 // verdict: a worker that is uniformly slow (every job frame delayed) but
 // perfectly responsive — heartbeats flow on schedule — must never be

@@ -109,6 +109,21 @@ func registerDistTestJobs() {
 			},
 		}, nil
 	})
+	// Chained ring job whose map lags on the partitions worker 0 owns
+	// (p mod 2 under four reducers): same output as "ring-step", but
+	// worker 1's map-done reliably reaches the coordinator before
+	// worker 0's first bucket relayed to it (dist_sched_test.go).
+	RegisterDistJob("lagging-ring", func([]byte) (DistJob[int32, int64, int32, int64, int32, int64], error) {
+		return DistJob[int32, int64, int32, int64, int32, int64]{
+			Map: func(k int32, v int64, out Emitter[int32, int64]) error {
+				if partitionIndex(k, 4)%2 == 0 {
+					time.Sleep(time.Millisecond)
+				}
+				return ringMap(k, v, out)
+			},
+			Reduce: ringReduce,
+		}, nil
+	})
 	// Failing reduce: a user-function error must surface from Run.
 	RegisterDistReduce("boom-reduce", func(k int32, vs []int64, out Emitter[int32, int64]) error {
 		if k == 7 {
