@@ -260,6 +260,71 @@ type sortedRun struct {
 	exact bool
 }
 
+// bucketSeg is one delivered emit bucket and the map split it came from.
+type bucketSeg[K comparable, V any] struct {
+	split int32
+	pairs []Pair[K, V]
+}
+
+// splitMajor orders buckets by split, each split's in the order they
+// arrived — which is the order they were emitted in.
+func splitMajor[K comparable, V any](segs []bucketSeg[K, V]) {
+	slices.SortStableFunc(segs, func(a, b bucketSeg[K, V]) int { return cmp.Compare(a.split, b.split) })
+}
+
+// groupSegs is the group sort of one partition: it takes the n records
+// of segs (delivered buckets, in arrival order) and returns them ordered
+// by (key, split, arrival) as sorted key and value arrays — and, when
+// tagged, a third array holding each record's split — plus the sorted
+// key images when the sort made them (see sortedRun). This order is the
+// engine's value-order contract: within one key, values run split
+// ascending, then in emission order.
+//
+// The buckets go back to ar and segs is left empty of references. The
+// returned arrays are checked out of ar when one is set; the caller owns
+// returning them. n == 0 returns nil arrays.
+func groupSegs[K comparable, V any](
+	segs []bucketSeg[K, V], n int, tagged bool, shape keyShape[K],
+	ar *roundArena[K, V], part int,
+) ([]K, []V, []int32, sortedRun) {
+	splitMajor(segs)
+	defer func() {
+		for _, seg := range segs {
+			ar.putBucket(part, seg.pairs)
+		}
+		clear(segs)
+	}()
+	if n == 0 {
+		return nil, nil, nil, sortedRun{}
+	}
+	keys := ar.getKeys(part, n)
+	vals := ar.getVals(part, n)
+	var splits []int32
+	if tagged {
+		splits = ar.getI32(part, n)
+	}
+	i := 0
+	for _, seg := range segs {
+		for _, pr := range seg.pairs {
+			keys[i], vals[i] = pr.Key, pr.Value
+			if tagged {
+				splits[i] = seg.split
+			}
+			i++
+		}
+	}
+	if n < 2 {
+		return keys, vals, splits, sortedRun{} // nothing to sort
+	}
+	rs := ar.getRadix(part)
+	outK, outV, outS, run := sortKeyValsTagged(keys, vals, splits, shape, ar, part, rs)
+	ar.putRadix(part, rs)
+	ar.putKeys(part, keys)
+	ar.putVals(part, vals)
+	ar.putI32(part, splits)
+	return outK, outV, outS, run
+}
+
 // sortKeyVals stable-sorts the parallel keys and vals slices by key and
 // returns the sorted slices (freshly gathered; the inputs are consumed
 // as scratch) plus the sorted key images for boundary scanning: keys
@@ -579,13 +644,7 @@ func sortPairsByKey[K comparable, V any](pairs []Pair[K, V], shape keyShape[K]) 
 	if len(pairs) < 2 {
 		return
 	}
-	keys := make([]K, len(pairs))
-	vals := make([]V, len(pairs))
-	for i, p := range pairs {
-		keys[i] = p.Key
-		vals[i] = p.Value
-	}
-	keys, vals, _ = sortKeyVals(keys, vals, shape, nil, 0, nil)
+	keys, vals, _, _ := groupSegs([]bucketSeg[K, V]{{pairs: pairs}}, len(pairs), false, shape, nil, 0)
 	for i := range pairs {
 		pairs[i] = Pair[K, V]{Key: keys[i], Value: vals[i]}
 	}

@@ -1,11 +1,9 @@
 package mapreduce
 
 import (
-	"cmp"
 	"fmt"
 	"io"
 	"os"
-	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -176,7 +174,7 @@ type memoryShuffle[K comparable, V any] struct {
 	ar       *roundArena[K, V]
 	// segs[split][partition] lists the split's delivered buckets for
 	// that partition, in arrival (= emission) order.
-	segs    [][][][]Pair[K, V]
+	segs    [][][]bucketSeg[K, V]
 	records int64
 }
 
@@ -185,7 +183,7 @@ func newMemoryShuffle[K comparable, V any](reducers, splits int, ar *roundArena[
 		reducers: reducers,
 		shape:    keyShapeOf[K](),
 		ar:       ar,
-		segs:     make([][][][]Pair[K, V], splits),
+		segs:     make([][][]bucketSeg[K, V], splits),
 	}
 }
 
@@ -197,23 +195,23 @@ func (m *memoryShuffle[K, V]) AddBucket(split, part int, pairs []Pair[K, V]) err
 	// Each split writes only its own index, so concurrent AddBuckets
 	// from distinct splits need no lock.
 	if m.segs[split] == nil {
-		m.segs[split] = make([][][]Pair[K, V], m.reducers)
+		m.segs[split] = make([][]bucketSeg[K, V], m.reducers)
 	}
-	m.segs[split][part] = append(m.segs[split][part], pairs)
+	m.segs[split][part] = append(m.segs[split][part], bucketSeg[K, V]{int32(split), pairs})
 	return nil
 }
 
 func (m *memoryShuffle[K, V]) Finalize() ([]GroupStream[K, V], error) {
 	streams := make([]GroupStream[K, V], m.reducers)
 	for p := range streams {
-		var segs [][]Pair[K, V]
+		var segs []bucketSeg[K, V]
 		for _, bySplit := range m.segs {
 			if bySplit == nil {
 				continue
 			}
 			for _, seg := range bySplit[p] {
 				segs = append(segs, seg)
-				m.records += int64(len(seg))
+				m.records += int64(len(seg.pairs))
 			}
 		}
 		streams[p] = &memGroupStream[K, V]{segs: segs, shape: m.shape, ar: m.ar, part: p}
@@ -244,7 +242,7 @@ func (m *memoryShuffle[K, V]) footprint() (records, spilled, runs int64) {
 // have been consumed — returns the sorted key, value, and key-image
 // arrays, so the next round's stream for this partition reuses them.
 type memGroupStream[K comparable, V any] struct {
-	segs   [][]Pair[K, V]
+	segs   []bucketSeg[K, V]
 	shape  keyShape[K]
 	ar     *roundArena[K, V]
 	part   int
@@ -257,39 +255,12 @@ type memGroupStream[K comparable, V any] struct {
 
 func (s *memGroupStream[K, V]) prime() {
 	s.primed = true
-	total := 0
+	n := 0
 	for _, seg := range s.segs {
-		total += len(seg)
+		n += len(seg.pairs)
 	}
-	if total == 0 {
-		s.segs = nil
-		return
-	}
-	keys := s.ar.getKeys(s.part, total)
-	vals := s.ar.getVals(s.part, total)
-	i := 0
-	for _, seg := range s.segs {
-		for _, p := range seg {
-			keys[i] = p.Key
-			vals[i] = p.Value
-			i++
-		}
-	}
-	// The bucket segments are dead once copied out: hand them back for
-	// the next round's emitters.
-	for _, seg := range s.segs {
-		s.ar.putBucket(s.part, seg)
-	}
+	s.keys, s.vals, _, s.run = groupSegs(s.segs, n, false, s.shape, s.ar, s.part)
 	s.segs = nil
-	rs := s.ar.getRadix(s.part)
-	s.keys, s.vals, s.run = sortKeyVals(keys, vals, s.shape, s.ar, s.part, rs)
-	s.ar.putRadix(s.part, rs)
-	if total >= 2 {
-		// The gather arrays were consumed as sort scratch (length < 2
-		// inputs pass through unchanged and are still live).
-		s.ar.putKeys(s.part, keys)
-		s.ar.putVals(s.part, vals)
-	}
 }
 
 func (s *memGroupStream[K, V]) Next() (K, []V, bool, error) {
@@ -357,12 +328,6 @@ func (s *memGroupStream[K, V]) Close() error {
 // a stable key sort of a split-major gather — and the merge breaks key
 // ties toward the lower split and then the earlier run.
 
-// spillSeg is one delivered bucket and the map split it came from.
-type spillSeg[K comparable, V any] struct {
-	split int32
-	pairs []Pair[K, V]
-}
-
 // spillExtent locates one run in its partition's spill file.
 type spillExtent struct{ off, n int64 }
 
@@ -373,13 +338,13 @@ type spillExtent struct{ off, n int64 }
 type spillPart[K comparable, V any] struct {
 	mu       sync.Mutex
 	idle     sync.Cond
-	pending  []spillSeg[K, V] // buckets not yet cut into a run, in arrival order
-	spare    []spillSeg[K, V] // the previous cut's list, emptied, for the next cut
-	n        int              // records in pending
-	records  int64            // records ever added
-	inflight bool             // a cut run is being sorted and written
-	err      error            // first run-writer failure
-	runs     []spillExtent    // each holds exactly one share of records
+	pending  []bucketSeg[K, V] // buckets not yet cut into a run, in arrival order
+	spare    []bucketSeg[K, V] // the previous cut's list, emptied, for the next cut
+	n        int               // records in pending
+	records  int64             // records ever added
+	inflight bool              // a cut run is being sorted and written
+	err      error             // first run-writer failure
+	runs     []spillExtent     // each holds exactly one share of records
 	// file is the partition's one spill file, created (and unlinked) by
 	// its first run. Only the run writer touches it while inflight, only
 	// the partition's stream or Close afterwards.
@@ -468,7 +433,7 @@ func (s *spillShuffle[K, V]) AddBucket(split, part int, pairs []Pair[K, V]) erro
 			head = pairs[:room:room]
 		}
 		pairs = pairs[len(head):]
-		p.pending = append(p.pending, spillSeg[K, V]{int32(split), head})
+		p.pending = append(p.pending, bucketSeg[K, V]{int32(split), head})
 		p.n += len(head)
 		p.records += int64(len(head))
 		r := s.resident.Add(int64(len(head)))
@@ -484,7 +449,7 @@ func (s *spillShuffle[K, V]) AddBucket(split, part int, pairs []Pair[K, V]) erro
 
 // cut detaches the pending buckets, one share of records, as a run.
 // Caller holds p.mu.
-func (p *spillPart[K, V]) cut() []spillSeg[K, V] {
+func (p *spillPart[K, V]) cut() []bucketSeg[K, V] {
 	segs := p.pending
 	p.pending, p.spare, p.n = p.spare, nil, 0
 	return segs
@@ -493,7 +458,7 @@ func (p *spillPart[K, V]) cut() []spillSeg[K, V] {
 // writeRuns is a partition's run writer: it writes the run just cut and
 // then, for as long as ingest has refilled the partition meanwhile, the
 // next one. At most one runs per partition (p.inflight).
-func (s *spillShuffle[K, V]) writeRuns(part int, segs []spillSeg[K, V]) {
+func (s *spillShuffle[K, V]) writeRuns(part int, segs []bucketSeg[K, V]) {
 	p := &s.parts[part]
 	for {
 		ext, err := s.writeRun(part, segs)
@@ -520,51 +485,15 @@ func (s *spillShuffle[K, V]) writeRuns(part int, segs []spillSeg[K, V]) {
 	}
 }
 
-// splitMajor orders buckets by split, each split's in the order they
-// arrived — which is the order they were emitted in.
-func splitMajor[K comparable, V any](segs []spillSeg[K, V]) {
-	slices.SortStableFunc(segs, func(a, b spillSeg[K, V]) int { return cmp.Compare(a.split, b.split) })
-}
-
-// sortSegs gathers the buckets of segs split-major into arena arrays and
-// sorts them by key: keys, values and splits ordered by (key, split,
-// arrival), plus the sorted key images (see sortKeyVals). The buckets go
-// back to the arena; segs is left empty of references.
-func (s *spillShuffle[K, V]) sortSegs(part int, segs []spillSeg[K, V], n int) ([]K, []V, []int32, sortedRun) {
-	splitMajor(segs)
-	keys := s.ar.getKeys(part, n)
-	vals := s.ar.getVals(part, n)
-	splits := s.ar.getI32(part, n)
-	i := 0
-	for _, seg := range segs {
-		for _, pr := range seg.pairs {
-			keys[i], vals[i], splits[i] = pr.Key, pr.Value, seg.split
-			i++
-		}
-		s.ar.putBucket(part, seg.pairs)
-	}
-	clear(segs)
-	if n < 2 {
-		return keys, vals, splits, sortedRun{} // nothing to sort
-	}
-	rs := s.ar.getRadix(part)
-	outK, outV, outS, run := sortKeyValsTagged(keys, vals, splits, s.shape, s.ar, part, rs)
-	s.ar.putRadix(part, rs)
-	s.ar.putKeys(part, keys)
-	s.ar.putVals(part, vals)
-	s.ar.putI32(part, splits)
-	return outK, outV, outS, run
-}
-
 // spillWriteChunk is how many encoded bytes a run accumulates between
 // two writes to its file: few, large write syscalls.
 const spillWriteChunk = 256 << 10
 
 // writeRun sorts one cut — a share of records — and appends it to the
 // partition's spill file.
-func (s *spillShuffle[K, V]) writeRun(part int, segs []spillSeg[K, V]) (spillExtent, error) {
+func (s *spillShuffle[K, V]) writeRun(part int, segs []bucketSeg[K, V]) (spillExtent, error) {
 	p, n := &s.parts[part], s.share
-	keys, vals, splits, run := s.sortSegs(part, segs, n)
+	keys, vals, splits, run := groupSegs(segs, n, true, s.shape, s.ar, part)
 	s.ar.putU64(part, run.ord) // images are recomputed at decode, never written
 	defer func() {
 		s.ar.putKeys(part, keys)
@@ -638,13 +567,8 @@ func (s *spillShuffle[K, V]) Finalize() ([]GroupStream[K, V], error) {
 			return nil, fmt.Errorf("mapreduce: spill shuffle partition %d: %w", i, err)
 		}
 		if len(p.runs) == 0 {
-			splitMajor(p.pending)
-			segs := make([][]Pair[K, V], len(p.pending))
-			for j, seg := range p.pending {
-				segs[j] = seg.pairs
-			}
+			streams[i] = &memGroupStream[K, V]{segs: p.pending, shape: s.shape, ar: s.ar, part: i}
 			p.pending = nil
-			streams[i] = &memGroupStream[K, V]{segs: segs, shape: s.shape, ar: s.ar, part: i}
 			continue
 		}
 		streams[i] = &spillMergeStream[K, V]{s: s, p: p, part: i}
@@ -752,7 +676,7 @@ func (m *spillMergeStream[K, V]) prime() error {
 	}
 	if p.n > 0 {
 		var run sortedRun
-		m.tailK, m.tailV, m.tailS, run = s.sortSegs(m.part, p.pending, p.n)
+		m.tailK, m.tailV, m.tailS, run = groupSegs(p.pending, p.n, true, s.shape, s.ar, m.part)
 		p.pending = nil
 		if m.tailI = run.ord; m.tailI == nil {
 			// A one-record tail is not sorted and carries no image.
