@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"cmp"
 	"fmt"
-	"math/bits"
 	"reflect"
 	"slices"
 	"strings"
@@ -244,9 +243,11 @@ func (s *radixScratch) histogram(n int) []int32 {
 	return s.counts
 }
 
-// sortedRun describes the sorted key-image array that rides along with
-// the sorted keys of one partition, letting the group stream find group
-// boundaries by comparing machine words instead of keys.
+// sortedRun describes the sorted key-image array that the image sort
+// (sortKeyVals) leaves beside the sorted keys of one partition, letting
+// the group stream find group boundaries by comparing machine words
+// instead of keys. The counting scatter (scatterNarrow) makes no images:
+// its run is the zero value, and group ends are found by comparing keys.
 type sortedRun struct {
 	// ord holds one uint64 per element, ascending in key order; the
 	// image of element i is ord[i] >> shift.
@@ -280,6 +281,11 @@ func splitMajor[K comparable, V any](segs []bucketSeg[K, V]) {
 // engine's value-order contract: within one key, values run split
 // ascending, then in emission order.
 //
+// Integer keys of a narrow range take scatterNarrow: one counting
+// scatter straight out of the buckets into the sorted arrays, and no
+// key images. Wider integer keys, [2]int32 keys and strings are gathered
+// into arrays and image-sorted (sortKeyVals).
+//
 // The buckets go back to ar and segs is left empty of references. The
 // returned arrays are checked out of ar when one is set; the caller owns
 // returning them. n == 0 returns nil arrays.
@@ -296,6 +302,9 @@ func groupSegs[K comparable, V any](
 	}()
 	if n == 0 {
 		return nil, nil, nil, sortedRun{}
+	}
+	if keys, vals, splits, ok := scatterNarrow(segs, n, tagged, shape, ar, part); ok {
+		return keys, vals, splits, sortedRun{}
 	}
 	keys := ar.getKeys(part, n)
 	vals := ar.getVals(part, n)
@@ -317,7 +326,7 @@ func groupSegs[K comparable, V any](
 		return keys, vals, splits, sortedRun{} // nothing to sort
 	}
 	rs := ar.getRadix(part)
-	outK, outV, outS, run := sortKeyValsTagged(keys, vals, splits, shape, ar, part, rs)
+	outK, outV, outS, run := sortKeyVals(keys, vals, splits, shape, ar, part, rs)
 	ar.putRadix(part, rs)
 	ar.putKeys(part, keys)
 	ar.putVals(part, vals)
@@ -325,21 +334,88 @@ func groupSegs[K comparable, V any](
 	return outK, outV, outS, run
 }
 
-// sortKeyVals stable-sorts the parallel keys and vals slices by key and
-// returns the sorted slices (freshly gathered; the inputs are consumed
-// as scratch) plus the sorted key images for boundary scanning: keys
-// ascending under the resolved key order, ties (equal keys) in original
-// slice order. Stability is load-bearing — within equal keys the
-// original order is (split index, emission index), which is the
-// engine's value-order contract.
+// scatterNarrow groups integer keys whose range is narrow — at most 2^16
+// distinct values between the smallest and the largest, and at most 4
+// per record — by counting, as the payload-scatter partitioning of
+// Polychroniou & Ross (SIGMOD 2014) does: one sweep finds the range, one
+// counts each key, and one stable scatter moves every record's key,
+// value and (when tagged) split straight from the buckets to its sorted
+// slot. Buckets are read split-major, so equal keys keep (split,
+// arrival) order. Its only working memory beyond the outputs is the
+// histogram, from the radix scratch. ok is false, after the one sweep,
+// for any other key: a non-integer kind or a wide range.
+func scatterNarrow[K comparable, V any](
+	segs []bucketSeg[K, V], n int, tagged bool, shape keyShape[K],
+	ar *roundArena[K, V], part int,
+) (keys []K, vals []V, splits []int32, ok bool) {
+	var flip uint64 // makes a signed key's bits order as unsigned
+	switch shape.kind {
+	case keyInt:
+		flip = 1 << (8*shape.size - 1)
+	case keyUint:
+	default:
+		return nil, nil, nil, false
+	}
+	lo, hi := ^uint64(0), uint64(0)
+	for _, seg := range segs {
+		for _, p := range seg.pairs {
+			x := shape.bits(p.Key) ^ flip
+			lo, hi = min(lo, x), max(hi, x)
+		}
+	}
+	if hi-lo >= 1<<16 || hi-lo >= 4*uint64(n) {
+		return nil, nil, nil, false
+	}
+	rs := ar.getRadix(part)
+	defer ar.putRadix(part, rs)
+	counts := rs.histogram(int(hi-lo) + 1)
+	for _, seg := range segs {
+		for _, p := range seg.pairs {
+			counts[shape.bits(p.Key)^flip-lo]++
+		}
+	}
+	var sum int32
+	for d, c := range counts {
+		counts[d] = sum
+		sum += c
+	}
+	keys, vals = ar.getKeys(part, n), ar.getVals(part, n)
+	if tagged {
+		splits = ar.getI32(part, n)
+	}
+	for _, seg := range segs {
+		for _, p := range seg.pairs {
+			d := shape.bits(p.Key) ^ flip - lo
+			o := counts[d]
+			keys[o], vals[o] = p.Key, p.Value
+			if tagged {
+				splits[o] = seg.split
+			}
+			counts[d] = o + 1
+		}
+	}
+	return keys, vals, splits, true
+}
+
+// sortKeyVals is the image sort, for the keys scatterNarrow declines:
+// integers of a wide range, [2]int32 and strings. It stable-sorts the
+// parallel keys and vals slices — and tags, the split of each record,
+// when non-nil — by key and returns the sorted slices (freshly
+// gathered; the inputs are consumed as scratch) plus the sorted key
+// images for boundary scanning: keys ascending under the resolved key
+// order, ties (equal keys) in original slice order. Stability is
+// load-bearing — within equal keys the original order is (split index,
+// emission index), which is the engine's value-order contract.
 //
 // No comparator ever runs: each key is projected once to an
 // order-preserving uint64 image (numeric kinds) or an 8-byte string
-// prefix, the images are radix-sorted carrying the original index, and
-// the outputs are gathered through the resulting permutation
+// prefix, the images are LSD radix-sorted carrying the original index,
+// and the outputs are gathered through the resulting permutation
 // (sequential writes, prefetchable reads). Indexes are int32: one
 // partition's in-memory pairs can't meaningfully exceed 2^31 records
-// (that's already >16 GiB of Pair headers).
+// (that's already >16 GiB of Pair headers). Beyond its outputs, this
+// costs an int32 message 32 B of working memory: the gathered key and
+// value, the image and its radix scatter copy.
 //
 // ar/part/rs supply recycled buffers (all may be nil/zero): the
 // returned slices and run.ord are checked out of ar when one is set —
@@ -349,20 +425,6 @@ func groupSegs[K comparable, V any](
 // images; length < 2 inputs are returned unchanged as the outputs, with
 // no run.
 func sortKeyVals[K comparable, V any](
-	keys []K, vals []V, shape keyShape[K],
-	ar *roundArena[K, V], part int, rs *radixScratch,
-) ([]K, []V, sortedRun) {
-	outK, outV, _, run := sortKeyValsTagged(keys, vals, nil, shape, ar, part, rs)
-	return outK, outV, run
-}
-
-// sortKeyValsTagged is sortKeyVals with a third parallel column riding
-// the same permutation: the spill backend tags every gathered pair with
-// its map split, which is what orders a key's values across runs. A nil
-// tags column costs the memory backend's path nothing; a non-nil one is
-// gathered in a pass of its own and, like keys and vals, is scratch
-// afterwards when it holds two or more elements.
-func sortKeyValsTagged[K comparable, V any](
 	keys []K, vals []V, tags []int32, shape keyShape[K],
 	ar *roundArena[K, V], part int, rs *radixScratch,
 ) ([]K, []V, []int32, sortedRun) {
@@ -515,11 +577,13 @@ func fixupPrefixRuns(prefixes []uint64, perm []int32, str func(int32) string) {
 
 // radixSortU64 stable-sorts keys ascending by their bytes from loByte
 // up, optionally carrying perm as payload (nil when the payload is
-// packed into the keys themselves). LSD radix with a counting scatter:
-// O(passes·n), no comparator calls. Only bytes that actually vary are
-// histogrammed and scattered — one or/and sweep finds them — so small
-// key spaces cost one or two passes over the data. scr supplies the
-// scatter buffers and histograms (nil allocates fresh ones).
+// packed into the keys themselves). LSD radix with a counting scatter
+// per byte: O(passes·n), no comparator calls. Only bytes that actually
+// vary are histogrammed and scattered — one or/and sweep finds them.
+// It sorts the images of the keys the counting scatter declines (wide
+// integers, [2]int32, string prefixes); narrow integer keys never reach
+// it. scr supplies the scatter buffers and histograms (nil allocates
+// fresh ones).
 func radixSortU64(keys []uint64, perm []int32, loByte int, scr *radixScratch) {
 	n := len(keys)
 	if n < 2 {
@@ -535,48 +599,6 @@ func radixSortU64(keys []uint64, perm []int32, loByte int, scr *radixScratch) {
 	}
 	diff := (or ^ and) &^ (1<<(8*loByte) - 1)
 	if diff == 0 {
-		return
-	}
-	// When every varying bit fits one digit, counting-sort in a single
-	// pass (histogram sized to the span, capped so it stays small
-	// relative to n). This is the common case for the repository's jobs:
-	// int32 node and term ids occupy well under 16 bits of spread.
-	lo := bits.TrailingZeros64(diff)
-	hi := 63 - bits.LeadingZeros64(diff)
-	if span := hi - lo + 1; span <= 16 && 1<<span <= 4*n {
-		mask := uint64(1)<<span - 1
-		counts := scr.histogram(1 << span)
-		for _, k := range keys {
-			counts[(k>>lo)&mask]++
-		}
-		var sum int32
-		for v := range counts {
-			c := counts[v]
-			counts[v] = sum
-			sum += c
-		}
-		scr.tmpK = growU64(scr.tmpK, n)
-		tmpK := scr.tmpK
-		if perm == nil {
-			for _, k := range keys {
-				d := (k >> lo) & mask
-				tmpK[counts[d]] = k
-				counts[d]++
-			}
-			copy(keys, tmpK)
-			return
-		}
-		scr.tmpP = growI32(scr.tmpP, n)
-		tmpP := scr.tmpP
-		for i, k := range keys {
-			d := (k >> lo) & mask
-			o := counts[d]
-			tmpK[o] = k
-			tmpP[o] = perm[i]
-			counts[d] = o + 1
-		}
-		copy(keys, tmpK)
-		copy(perm, tmpP)
 		return
 	}
 	var active [8]int

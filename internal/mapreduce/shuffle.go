@@ -228,19 +228,24 @@ func (m *memoryShuffle[K, V]) footprint() (records, spilled, runs int64) {
 
 // memGroupStream serves one partition's key groups. The first Next call
 // — inside the reduce task's goroutine, so partitions group in parallel
-// — concatenates the pre-partitioned split segments (emission order
-// within a split, splits ascending), computes the stable sort-by-key
-// permutation (a comparator-free radix pass, see sortKeyVals), and
-// gathers the keys and values once into two flat arrays. Every group is
-// then a zero-copy sub-slice of the values array: no per-key map, no
-// per-key grown slices.
+// — group-sorts the pre-partitioned split segments (emission order
+// within a split, splits ascending) into two flat arrays of keys and
+// values (groupSegs). Integer keys of a narrow range — the node and term
+// ids of the matching and join jobs — are scattered straight from the
+// buckets into those arrays, so an int32 message costs 8 B of working
+// memory beyond its bucket, where the image sort's gather, image and
+// scatter arrays cost 32 B; group ends are then found by comparing keys.
+// Other keys keep the image sort, and group ends are found on its
+// sorted images. Every group is a zero-copy sub-slice of the values
+// array: no per-key map, no per-key grown slices.
 //
 // With a recycler arena attached, the stream is where round-lifetime
-// buffers cycle: prime checks the gather arrays and radix scratch out
-// of the arena and returns them (plus the consumed bucket segments) as
-// soon as the sort is done, and Close — the moment the round's groups
-// have been consumed — returns the sorted key, value, and key-image
-// arrays, so the next round's stream for this partition reuses them.
+// buffers cycle: prime checks its working arrays and radix scratch out
+// of the arena and returns the scratch (plus the consumed bucket
+// segments) as soon as the sort is done, and Close — the moment the
+// round's groups have been consumed — returns the sorted key, value,
+// and key-image arrays, so the next round's stream for this partition
+// reuses them.
 type memGroupStream[K comparable, V any] struct {
 	segs   []bucketSeg[K, V]
 	shape  keyShape[K]
@@ -275,13 +280,18 @@ func (s *memGroupStream[K, V]) Next() (K, []V, bool, error) {
 	pos := s.pos
 	key := s.keys[pos]
 	end := pos + 1
-	if ord := s.run.ord; ord != nil {
+	if ord := s.run.ord; ord == nil {
+		// The counting scatter's output (or a partition of one record):
+		// a group ends at the first key that differs.
+		for end < n && s.keys[end] == key {
+			end++
+		}
+	} else {
 		// Boundary scan over the sorted key images: comparing machine
 		// words instead of keys. With an exact projection an image
 		// change IS a key change; otherwise equal images narrow the
 		// test to a key-equality check, and a key's records are
-		// contiguous (the sort's repair pass ordered them). A partition
-		// of fewer than two records has no run and needs no scan.
+		// contiguous (the sort's repair pass ordered them).
 		sh := s.run.shift
 		o := ord[pos] >> sh
 		if s.run.exact {
@@ -679,8 +689,12 @@ func (m *spillMergeStream[K, V]) prime() error {
 		m.tailK, m.tailV, m.tailS, run = groupSegs(p.pending, p.n, true, s.shape, s.ar, m.part)
 		p.pending = nil
 		if m.tailI = run.ord; m.tailI == nil {
-			// A one-record tail is not sorted and carries no image.
-			m.tailI = append(s.ar.getU64(m.part, 1)[:0], s.img(m.tailK[0]))
+			// The counting scatter (and a one-record tail) make no
+			// images; the merge compares them, so they are made here.
+			m.tailI = s.ar.getU64(m.part, p.n)
+			for i, k := range m.tailK {
+				m.tailI[i] = s.img(k)
+			}
 		} else if run.shift != 0 {
 			for i := range m.tailI {
 				m.tailI[i] >>= run.shift
