@@ -157,7 +157,9 @@ func (l *Loader) importPath(path string) (*types.Package, error) {
 	return l.std.Import(path)
 }
 
-// parseDir parses the non-test Go files of one directory.
+// parseDir parses the non-test Go files of one directory that a default
+// build compiles: a file whose build constraints exclude it (a test-only
+// tag, another GOOS) is left out, as go build leaves it out.
 func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -168,6 +170,11 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
 			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)

@@ -180,6 +180,114 @@ func TestAllocGuardSpillRound(t *testing.T) {
 	}
 }
 
+// TestAllocGuardGroupSortSlabs pins the group sort's working memory on
+// the keys of the matching and join jobs: integers of a narrow range.
+// After one warm-up round, a memory round and a spill round (a budget
+// it fits in, so its partitions are served by the memory stream) may
+// check out of the pool, while they group, sort and serve their
+// partitions: no uint64 or int32 slab, at most sizeof(K)+sizeof(V)
+// bytes per record, and one histogram of the key range per partition —
+// and every check-out is served from the free lists. The image sort
+// this replaced for these keys checked out a gather copy, a packed
+// image and a radix scatter copy besides: 32 B per int32 message, not 8.
+func TestAllocGuardGroupSortSlabs(t *testing.T) {
+	const records, keyRange, parts, splits = 24000, 1500, 2, 3
+	type (
+		K = int32
+		V = int64
+	)
+	const perRecord = 4 + 8 // sizeof(K) + sizeof(V)
+	shape := keyShapeOf[K]()
+	for _, shuffle := range []ShuffleConfig{
+		{Backend: ShuffleMemory},
+		{Backend: ShuffleSpill, MemoryBudget: 2 * records, TempDir: t.TempDir()},
+	} {
+		pool := NewBufferPool()
+		ar := arenaFor[K, V](pool, parts)
+		cfg := Config{Reducers: parts, Shuffle: shuffle}
+		// round shuffles the records through a fresh backend, feeding it
+		// buckets checked out of the arena as an emitter does, and
+		// returns what grouping and serving them checked out.
+		round := func() (bytes, misses int64) {
+			be, err := newShuffleBackend[K, V](cfg, splits, ar)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer be.Close()
+			for split := range splits {
+				buckets := make([][]Pair[K, V], parts)
+				for i := split; i < records; i += splits {
+					k := K(i*7919) % keyRange
+					p := shape.partition(k, parts)
+					if buckets[p] == nil {
+						buckets[p] = ar.getBucket(p, emitBucketCap)
+					}
+					buckets[p] = append(buckets[p], P(k, V(i)))
+					if len(buckets[p]) == emitBucketCap {
+						if err := be.AddBucket(split, p, buckets[p]); err != nil {
+							t.Fatal(err)
+						}
+						buckets[p] = nil
+					}
+				}
+				for p, b := range buckets {
+					if b != nil {
+						if err := be.AddBucket(split, p, b); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			b0, m0 := pool.counters()
+			streams, err := be.Finalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := 0
+			for _, st := range streams {
+				for {
+					_, vs, ok, err := st.Next()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !ok {
+						break
+					}
+					got += len(vs)
+				}
+				st.Close()
+			}
+			if got != records {
+				t.Fatalf("%s: served %d records, want %d", shuffle.Backend, got, records)
+			}
+			b1, m1 := pool.counters()
+			return b1 - b0, m1 - m0
+		}
+		round() // warm-up
+		bytes, misses := round()
+		limit := int64(records*perRecord + parts*4*keyRange)
+		t.Logf("%s round: %d B checked out for %d records (limit %d), %d misses", shuffle.Backend, bytes, records, limit, misses)
+		if misses != 0 {
+			t.Errorf("%s round: %d check-outs missed the warm pool", shuffle.Backend, misses)
+		}
+		if bytes > limit {
+			t.Errorf("%s round: %d B checked out for %d records (> %d B a record + one %d-entry histogram per partition)",
+				shuffle.Backend, bytes, records, perRecord, keyRange)
+		}
+		for p := range ar.parts {
+			fl := &ar.parts[p]
+			if len(fl.u64s) != 0 || len(fl.i32s) != 0 {
+				t.Errorf("%s: partition %d checked in %d uint64 and %d int32 slabs", shuffle.Backend, p, len(fl.u64s), len(fl.i32s))
+			}
+			for _, rs := range fl.radix {
+				if cap(rs.tmpK) != 0 || cap(rs.tmpP) != 0 {
+					t.Errorf("%s: partition %d's radix scratch grew scatter buffers (%d, %d)", shuffle.Backend, p, cap(rs.tmpK), cap(rs.tmpP))
+				}
+			}
+		}
+	}
+}
+
 // adjRec is a node record as the matching algorithms keep it resident: a
 // capacity and an adjacency list, encoded by its own AppendBinary into
 // the self-encoding column.

@@ -159,7 +159,8 @@ func takeFit[T any](list *[][]T, n int) ([]T, bool) {
 
 // putFree checks a slice into a free list, clearing what was written
 // when clearIt is set (so stale pointers in recycled buffers cannot pin
-// dead objects against the garbage collector). Full lists drop the slice.
+// dead objects against the garbage collector; see scrub, which a
+// poolpoison test build replaces). Full lists drop the slice.
 //
 // Only s[:len(s)] is cleared, not the whole capacity: a round loop on a
 // shrinking input would otherwise re-zero its round-one-sized buffers
@@ -172,9 +173,7 @@ func putFree[T any](list *[][]T, s []T, clearIt bool) {
 	if cap(s) == 0 || len(*list) >= arenaDepth {
 		return
 	}
-	if clearIt {
-		clear(s)
-	}
+	scrub(s, clearIt)
 	*list = append(*list, s[:0])
 }
 
