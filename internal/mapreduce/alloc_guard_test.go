@@ -189,7 +189,7 @@ func TestAllocGuardSpillRound(t *testing.T) {
 // bytes per record, and one histogram of the key range per partition —
 // and every check-out is served from the free lists. The image sort
 // this replaced for these keys checked out a gather copy, a packed
-// image and a radix scatter copy besides: 32 B per int32 message, not 8.
+// image and a radix scatter copy besides: 40 B a record here, not 12.
 func TestAllocGuardGroupSortSlabs(t *testing.T) {
 	const records, keyRange, parts, splits = 24000, 1500, 2, 3
 	type (

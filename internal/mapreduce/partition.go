@@ -207,11 +207,11 @@ func (s keyShape[K]) image() func(K) uint64 {
 	}
 }
 
-// radixScratch holds the reusable temporaries of the radix sorts:
-// radixSortU64's scatter buffers and counting histograms. A zero value
-// is ready to use; buffers grow to the largest sort seen and are reused
-// across calls, so a steady-state round loop performs no sort-scratch
-// allocation.
+// radixScratch holds the reusable temporaries of the group sorts:
+// radixSortU64's scatter buffers, and the counting histograms of
+// radixSortU64 and scatterNarrow. A zero value is ready to use; buffers
+// grow to the largest sort seen and are reused across calls, so a
+// steady-state round loop performs no sort-scratch allocation.
 type radixScratch struct {
 	tmpK   []uint64 // radix scatter buffer
 	tmpP   []int32  // radix scatter buffer for the payload
@@ -413,9 +413,10 @@ func scatterNarrow[K comparable, V any](
 // and the outputs are gathered through the resulting permutation
 // (sequential writes, prefetchable reads). Indexes are int32: one
 // partition's in-memory pairs can't meaningfully exceed 2^31 records
-// (that's already >16 GiB of Pair headers). Beyond its outputs, this
-// costs an int32 message 32 B of working memory: the gathered key and
-// value, the image and its radix scatter copy.
+// (that's already >16 GiB of Pair headers). Beyond its bucket, an
+// 8-byte message (an int32 key and an int32 value) costs 32 B of working
+// memory here: the gathered key and value, the packed image, its radix
+// scatter copy, and the sorted key and value.
 //
 // ar/part/rs supply recycled buffers (all may be nil/zero): the
 // returned slices and run.ord are checked out of ar when one is set —

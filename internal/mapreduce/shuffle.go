@@ -58,7 +58,8 @@ type ShuffleConfig struct {
 	// more than its share, plus at most one run in flight per
 	// partition: the share just cut off, first as its buckets, then as
 	// the arrays they are gathered into, then as the sorted arrays the
-	// blocks are encoded from (two of the three forms at a time).
+	// blocks are encoded from (two of the three forms at a time; narrow
+	// integer keys skip the gather, see groupSegs).
 	// Ingest into a full partition blocks until the run in flight is on
 	// disk rather than queueing a second one behind it, so at no time
 	// are more than 2 x MemoryBudget records buffered (2 x 64 per
@@ -232,9 +233,9 @@ func (m *memoryShuffle[K, V]) footprint() (records, spilled, runs int64) {
 // within a split, splits ascending) into two flat arrays of keys and
 // values (groupSegs). Integer keys of a narrow range — the node and term
 // ids of the matching and join jobs — are scattered straight from the
-// buckets into those arrays, so an int32 message costs 8 B of working
-// memory beyond its bucket, where the image sort's gather, image and
-// scatter arrays cost 32 B; group ends are then found by comparing keys.
+// buckets into those arrays, so an 8-byte message (an int32 key and an
+// int32 value) costs 8 B of working memory beyond its bucket, where the
+// image sort costs 32 B; group ends are then found by comparing keys.
 // Other keys keep the image sort, and group ends are found on its
 // sorted images. Every group is a zero-copy sub-slice of the values
 // array: no per-key map, no per-key grown slices.
