@@ -97,10 +97,10 @@ func TestAllocGuardNodeDataset(t *testing.T) {
 // own output — the halves and the records — and at most 32 B per node
 // beside it: the live set, the live-degree and cursor tables and one
 // node set per partition, 8.7 B per node on this 40,000-node graph in
-// one partition and 13.6 in sixteen. Each build gets a fresh graph, so
-// an index the graph builds lazily for the view counts against it: a
-// view that read the graph's incidence index (24 B per node and 8 per
-// edge) and kept an 8-byte capacity per node cost 73–76 B per node here.
+// one partition and 13.6 in sixteen. A view that read the graph's
+// incidence index (24 B per node and 8 per edge, built lazily on a fresh
+// graph; the graph has none since) and kept an 8-byte capacity per node
+// cost 73–76 B per node here.
 func TestAllocGuardNodeDatasetBytes(t *testing.T) {
 	for _, parts := range []int{1, 4, 16} {
 		for _, byWeight := range []bool{true, false} {

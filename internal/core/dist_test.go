@@ -640,6 +640,101 @@ func TestDistMaximalStagesMapOnWorkers(t *testing.T) {
 	}
 }
 
+// TestDistPopJobsMapOnWorkers: the pop phases' jobs — stack-pop,
+// strict-pop and StackMRStrict's sublayer filter — map on the dist
+// workers, over records that carry what their maps read (a node's
+// residual capacity, its edges' δ): no coordinator map wall, and the
+// same shuffled, identity-routed and hashed records as the memory
+// backend, job for job.
+func TestDistPopJobsMapOnWorkers(t *testing.T) {
+	g := graph.RandomBipartite(graph.RandomConfig{
+		NumItems: 60, NumConsumers: 30, EdgeProb: 0.2,
+		MaxWeight: 3, MaxCapacity: 3, Seed: 5,
+	})
+	RegisterDistJobs(g)
+	cl := startWorkers(t, 2)
+	ctx := context.Background()
+	seen := make(map[string]int)
+	for _, algo := range []struct {
+		name string
+		run  func(context.Context, *graph.Bipartite, StackOptions) (*Result, error)
+	}{
+		{"stackmr", StackMR},
+		{"stackmrstrict", StackMRStrict},
+	} {
+		t.Run(algo.name, func(t *testing.T) {
+			mem, err := algo.run(ctx, g, StackOptions{MR: mapreduce.Config{Mappers: 4, Reducers: 4}, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dist, err := algo.run(ctx, g, StackOptions{Seed: 3, MR: mapreduce.Config{
+				Mappers: 4, Reducers: 4,
+				Shuffle: mapreduce.ShuffleConfig{Backend: mapreduce.ShuffleDist},
+				Dist:    cl,
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(dist.Matching.EdgeIndexes(), mem.Matching.EdgeIndexes()) || dist.Rounds != mem.Rounds {
+				t.Fatalf("dist diverges from memory: %d rounds, value %v; memory %d rounds, value %v",
+					dist.Rounds, dist.Matching.Value(), mem.Rounds, mem.Matching.Value())
+			}
+			for i, st := range dist.RoundStats {
+				if st.MapWall != 0 {
+					t.Errorf("job %d (%s) mapped on the coordinator for %v", i, st.Name, st.MapWall)
+				}
+				switch st.Name {
+				case "stack-pop", "strict-pop", "strict-sublayer-filter":
+					seen[st.Name]++
+				default:
+					continue
+				}
+				want := mem.RoundStats[i]
+				if st.ShuffleRecords != want.ShuffleRecords || st.LocalRouted != want.LocalRouted || st.CrossRouted != want.CrossRouted {
+					t.Errorf("job %d (%s) shuffled %d records (local %d, cross %d), memory %d (%d, %d)", i, st.Name,
+						st.ShuffleRecords, st.LocalRouted, st.CrossRouted, want.ShuffleRecords, want.LocalRouted, want.CrossRouted)
+				}
+			}
+		})
+	}
+	t.Logf("jobs run: %v", seen)
+	for _, name := range []string{"stack-pop", "strict-pop", "strict-sublayer-filter"} {
+		if seen[name] == 0 {
+			t.Errorf("degenerate instance: no %s job ran", name)
+		}
+	}
+}
+
+// TestDistPoolCountersReachStats: a dist job's Stats carry the buffer
+// pool traffic of the workers that group-sorted and reduced it. Past its
+// first round, a GreedyMR run on two workers recycles its round buffers
+// out of the workers' pools, so a warm round reports pooled bytes.
+func TestDistPoolCountersReachStats(t *testing.T) {
+	g := graph.RandomBipartite(graph.RandomConfig{
+		NumItems: 60, NumConsumers: 30, EdgeProb: 0.2,
+		MaxWeight: 3, MaxCapacity: 3, Seed: 5,
+	})
+	RegisterDistJobs(g)
+	cl := startWorkers(t, 2)
+	res, err := GreedyMR(context.Background(), g, GreedyMROptions{MR: mapreduce.Config{
+		Mappers: 4, Reducers: 4,
+		Shuffle: mapreduce.ShuffleConfig{Backend: mapreduce.ShuffleDist},
+		Dist:    cl,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.RoundStats) < 3 {
+		t.Fatalf("degenerate instance: %d rounds", len(res.RoundStats))
+	}
+	for i, st := range res.RoundStats[1:] {
+		t.Logf("round %d: %d pooled bytes, %d misses", i+1, st.PooledBytes, st.PoolMisses)
+		if st.PooledBytes <= 0 {
+			t.Errorf("warm round %d reports %d pooled bytes: the workers' pool traffic is missing", i+1, st.PooledBytes)
+		}
+	}
+}
+
 // TestDistGreedyMRRebuildsLostView: a worker lost before the first
 // round's flush barrier takes the round-0 node view it built with it. The
 // attempt runs to its end on the survivor, whose reduce consumes its own

@@ -17,10 +17,11 @@ import (
 // identical graphs and the registered functions reproduce the in-process
 // closures exactly.
 //
-// Every node-view job is a state job, registered with its map, so it
-// runs where its input resides. Jobs whose functions close over
-// per-round driver state (the stack algorithms' layer and threshold, the
-// maximal matching's strategy, seed and iteration) are
+// Every job is registered with its map, so it runs where its input
+// resides: the node-view jobs are state jobs, and the pop phases' jobs
+// read only their records (popNode, edgeDeltas). Jobs whose functions
+// close over per-round driver state (the stack algorithms' layer and
+// threshold, the maximal matching's strategy, seed and iteration) are
 // registered as parameterized factories: the coordinator ships the state
 // in Config.DistParams (runNodeJob) and the factory rebuilds the closures
 // through the same constructors the local path uses, so there is exactly
@@ -74,9 +75,19 @@ func RegisterDistJobs(g *graph.Bipartite) {
 				StateReduce: cleanupReduce(g.NumEdges()),
 			}, nil
 		})
-	mapreduce.RegisterDistReduce("stack-pop", stackPopReduce)
-	mapreduce.RegisterDistReduce("strict-pop", strictPopReduce)
-	mapreduce.RegisterDistReduce("strict-sublayer-filter", sublayerMaxReduce)
+	registerPopJob("stack-pop", stackPopMap, stackPopReduce)
+	registerPopJob("strict-pop", strictPopMap, strictPopReduce)
+	registerPopJob("strict-sublayer-filter", sublayerMaxMap, sublayerMaxReduce)
+}
+
+// registerPopJob registers one of the pop phases' parameter-free jobs:
+// its records carry what its map reads.
+func registerPopJob[V1 any, K2 comparable, V2 any](
+	name string, mapFn mapreduce.MapFunc[graph.NodeID, V1, K2, V2], reduceFn mapreduce.ReduceFunc[K2, V2, K2, V2],
+) {
+	mapreduce.RegisterDistJob(name, func([]byte) (mapreduce.DistJob[graph.NodeID, V1, K2, V2, K2, V2], error) {
+		return mapreduce.DistJob[graph.NodeID, V1, K2, V2, K2, V2]{Map: mapFn, Reduce: reduceFn}, nil
+	})
 }
 
 // encodeStackParams packs what the stack jobs close over: the stacked

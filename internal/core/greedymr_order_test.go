@@ -137,7 +137,7 @@ func tiedGraph(seed int64) *graph.Bipartite {
 		}
 	}
 	for v := 0; v < g.NumNodes(); v++ {
-		if deg := g.Degree(graph.NodeID(v)); deg > 0 {
+		if deg := degree(g, graph.NodeID(v)); deg > 0 {
 			g.SetCapacity(graph.NodeID(v), float64(1+rng.Intn(deg)))
 		}
 	}

@@ -194,12 +194,11 @@ func TestGreedyMRShuffleAccounting(t *testing.T) {
 
 // TestConcurrentMatchSharedGraph runs GreedyMR and StackMR at once over
 // one fresh graph: both only read it, so GreedyMR must match what it
-// matches alone and StackMR must stay feasible (run under -race).
-// Neither reads the graph's lazily built incidence index;
-// internal/graph's TestConcurrentIncidentEdges races that.
+// matches alone and StackMR must stay feasible (run under -race). The
+// graph builds nothing lazily, so its readers share no written state.
 func TestConcurrentMatchSharedGraph(t *testing.T) {
 	for round := 0; round < 4; round++ {
-		g := tiedGraph(int64(round)).Clone() // a clone has no adjacency index yet
+		g := tiedGraph(int64(round)).Clone()
 		want, err := GreedyMR(context.Background(), g.Clone(), GreedyMROptions{MR: testMR})
 		if err != nil {
 			t.Fatal(err)

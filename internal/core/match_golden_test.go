@@ -74,8 +74,8 @@ const noTrace = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b85
 // and stack-update started emitting every record.) A counter mismatch logs the run's per-job table.
 func TestMatchGolden(t *testing.T) {
 	g := matchGoldenGraph()
-	if n := g.NumEdges(); n != 2026 || g.Degree(g.ItemID(0)) != 0 {
-		t.Fatalf("the golden graph moved: %d edges, item 0 has degree %d", n, g.Degree(g.ItemID(0)))
+	if n := g.NumEdges(); n != 2026 || degree(g, g.ItemID(0)) != 0 {
+		t.Fatalf("the golden graph moved: %d edges, item 0 has degree %d", n, degree(g, g.ItemID(0)))
 	}
 	RegisterDistJobs(g)
 	cl := startWorkers(t, 2)

@@ -9,6 +9,21 @@ import (
 	"repro/internal/mapreduce"
 )
 
+// incidentEdges lists the indexes of v's edges, ascending. The graph
+// keeps no incidence index, so the tests count from Edges().
+func incidentEdges(g *graph.Bipartite, v graph.NodeID) []int32 {
+	var out []int32
+	for i, e := range g.Edges() {
+		if e.Item == v || e.Consumer == v {
+			out = append(out, int32(i))
+		}
+	}
+	return out
+}
+
+// degree counts v's edges.
+func degree(g *graph.Bipartite, v graph.NodeID) int { return len(incidentEdges(g, v)) }
+
 // naiveNodeRecords is the differential test's reference for the round-0
 // node view: one record per node of positive capacity with at least one
 // incident edge whose other endpoint also has positive capacity, in
@@ -23,7 +38,7 @@ func naiveNodeRecords(g *graph.Bipartite, byWeight bool) []mapreduce.Pair[graph.
 			continue
 		}
 		var adj []half
-		for _, ei := range g.IncidentEdges(id) {
+		for _, ei := range incidentEdges(g, id) {
 			e := g.Edge(int(ei))
 			if g.IntCapacity(e.Other(id)) > 0 {
 				adj = append(adj, half{ID: ei, Other: e.Other(id), W: e.Weight})

@@ -139,8 +139,7 @@ func nodeDataset(g *graph.Bipartite, parts int, byWeight bool) (*mapreduce.Datas
 // made, and every node's live degree, counted by the first partition
 // built. Serial are only these two — one pass over the nodes and one
 // sequential edge scan; every partition then scans the edge array once
-// more for its own nodes' halves. The graph's incidence index is never
-// built for it.
+// more for its own nodes' halves.
 type nodeView struct {
 	g        *graph.Bipartite
 	byWeight bool

@@ -266,3 +266,48 @@ func (s *stackNode) UnmarshalBinary(data []byte) error {
 	*s = stackNode{nodeState: r.nodeState(), Y: r.float()}
 	return r.err("stackNode")
 }
+
+// --- pop records ---------------------------------------------------------
+
+// AppendBinary implements encoding.BinaryAppender.
+func (n popNode) AppendBinary(buf []byte) ([]byte, error) {
+	buf = binary.AppendVarint(buf, int64(n.Residual))
+	buf = binary.AppendUvarint(buf, uint64(len(n.Edges)))
+	for _, ei := range n.Edges {
+		buf = binary.AppendVarint(buf, int64(ei))
+	}
+	return buf, nil
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+func (n *popNode) UnmarshalBinary(data []byte) error {
+	r := &spillReader{data: data}
+	*n = popNode{Residual: int(r.varint())}
+	if k := r.count(1); !r.bad {
+		n.Edges = make([]int32, k)
+		for i := range n.Edges {
+			n.Edges[i] = r.id()
+		}
+	}
+	return r.err("popNode")
+}
+
+// AppendBinary implements encoding.BinaryAppender.
+func (ds edgeDeltas) AppendBinary(buf []byte) ([]byte, error) {
+	buf = binary.AppendUvarint(buf, uint64(len(ds)))
+	for _, d := range ds {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(d))
+	}
+	return buf, nil
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+func (ds *edgeDeltas) UnmarshalBinary(data []byte) error {
+	r := &spillReader{data: data}
+	out := make(edgeDeltas, r.count(8))
+	for i := range out {
+		out[i] = r.float()
+	}
+	*ds = out
+	return r.err("edgeDeltas")
+}

@@ -12,7 +12,8 @@ import (
 // or a value whose AppendBinary reproduces the input byte for byte (so
 // nothing a decoder accepts is silently a different message); never a
 // panic, and never a slice sized from a count the remaining bytes could
-// not back. kind selects the type: dualMsg, stackNode, nodeState, mmNode.
+// not back. kind selects the type: dualMsg, stackNode, nodeState, mmNode,
+// and the pop phases' records popNode and edgeDeltas.
 // The checked-in corpus under testdata/fuzz/FuzzCoreMessageDecode is the
 // cases of TestMessageCodecsRoundTrip and TestMessageCodecsRejectCorruptData
 // plus the shapes the strict reader exists for: a padded varint, an id
@@ -29,7 +30,7 @@ import (
 func FuzzCoreMessageDecode(f *testing.F) {
 	heldState := func(st *nodeState) int { return cap(st.Adj) * minHalfBytes }
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
-		switch kind % 4 {
+		switch kind % 6 {
 		case 0:
 			fuzzMessage(t, data, func(*dualMsg) int { return 0 })
 		case 1:
@@ -38,6 +39,10 @@ func FuzzCoreMessageDecode(f *testing.F) {
 			fuzzMessage(t, data, heldState)
 		case 3:
 			fuzzMessage(t, data, func(st *mmNode) int { return cap(st.Adj) * (minHalfBytes + 1) })
+		case 4:
+			fuzzMessage(t, data, func(n *popNode) int { return cap(n.Edges) })
+		case 5:
+			fuzzMessage(t, data, func(ds *edgeDeltas) int { return cap(*ds) * 8 })
 		}
 	})
 }

@@ -108,6 +108,9 @@ func TestMessageCodecsRoundTrip(t *testing.T) {
 		{"stackNode", stackNode{nodeState: nodeState{B: 3, Adj: adj}, Y: 0.1}, &stackNode{}},
 		{"mmNode", *mm, &mmNode{}},
 		{"mmNode-cleanup-out", mmNode{B: 1, Adj: []mmEdge{{half: half{ID: -8000, Other: 4, W: 3}}, {half: half{ID: 5, Other: 1 << 30, W: 1}}}}, &mmNode{}},
+		{"popNode", popNode{Residual: 2, Edges: []int32{1, 64, -9}}, &popNode{}},
+		{"popNode-saturated", popNode{Residual: -1, Edges: []int32{}}, &popNode{}},
+		{"edgeDeltas", edgeDeltas{1, 2, 0}, &edgeDeltas{}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -387,21 +387,14 @@ func (st *stackState) pop(ctx context.Context, driver *mapreduce.Driver) ([]int3
 			perNode[e.Item] = append(perNode[e.Item], ei)
 			perNode[e.Consumer] = append(perNode[e.Consumer], ei)
 		}
-		input := nodePairsSorted(perNode)
+		input := popRecords(nodePairsSorted(perNode), residual)
 		// The pop job re-keys from nodes to edges, so every emitted pair
 		// is a cross-partition message (no identity route); its output is
 		// collected flat — in ascending edge order — because the capacity
 		// bookkeeping below happens driver-side between layers.
 		out, err := mapreduce.RunJobDS(ctx, driver, "stack-pop",
 			mapreduce.PartitionDataset(input, driver.Partitions()),
-			func(v graph.NodeID, edges []int32, out mapreduce.Emitter[int32, bool]) error {
-				alive := residual[v] > 0
-				for _, ei := range edges {
-					out.Emit(ei, alive)
-				}
-				return nil
-			},
-			stackPopReduce)
+			stackPopMap, stackPopReduce)
 		if err != nil {
 			return nil, fmt.Errorf("core: stack-pop layer %d: %w", l, err)
 		}
@@ -419,8 +412,36 @@ func (st *stackState) pop(ctx context.Context, driver *mapreduce.Driver) ([]int3
 	return included, nil
 }
 
+// popNode is a node's record in a pop job (stack-pop, strict-pop): its
+// residual capacity and its edges in the layer popped. It carries what
+// the job's map reads, so the map runs wherever the record resides.
+type popNode struct {
+	Residual int
+	Edges    []int32
+}
+
+// popRecords gives every node of a layer's job input its residual
+// capacity.
+func popRecords(nodes []mapreduce.Pair[graph.NodeID, []int32], residual []int) []mapreduce.Pair[graph.NodeID, popNode] {
+	recs := make([]mapreduce.Pair[graph.NodeID, popNode], len(nodes))
+	for i, p := range nodes {
+		recs[i] = mapreduce.P(p.Key, popNode{Residual: residual[p.Key], Edges: p.Value})
+	}
+	return recs
+}
+
+// stackPopMap reports, for each of a node's layer edges, whether the
+// node is still present (has residual capacity).
+func stackPopMap(v graph.NodeID, n popNode, out mapreduce.Emitter[int32, bool]) error {
+	alive := n.Residual > 0
+	for _, ei := range n.Edges {
+		out.Emit(ei, alive)
+	}
+	return nil
+}
+
 // stackPopReduce includes a layer edge when both endpoints reported
-// themselves alive. Stateless, so dist workers register it as-is.
+// themselves alive.
 func stackPopReduce(ei int32, alive []bool, out mapreduce.Emitter[int32, bool]) error {
 	if len(alive) == 2 && alive[0] && alive[1] {
 		out.Emit(ei, true)

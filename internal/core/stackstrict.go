@@ -43,10 +43,20 @@ func (st *stackState) popStrict(ctx context.Context, driver *mapreduce.Driver) (
 	var included []int32
 	var overflow []int32
 
+	// Every node's stacked edges, over all layers: removedEdge is read
+	// only for layer edges, so these are the edges it needs.
+	stacked := make([][]int32, g.NumNodes())
+	for _, layer := range st.layers {
+		for _, ei := range layer {
+			e := g.Edge(int(ei))
+			stacked[e.Item] = append(stacked[e.Item], ei)
+			stacked[e.Consumer] = append(stacked[e.Consumer], ei)
+		}
+	}
 	// removeNodeEdges drops every still-stacked edge of v from future
 	// layers (they are identified lazily through removedEdge).
 	removeNodeEdges := func(v graph.NodeID, layerSet map[int32]bool) {
-		for _, ei := range g.IncidentEdges(v) {
+		for _, ei := range stacked[v] {
 			if !layerSet[ei] {
 				removedEdge[ei] = true
 			}
@@ -80,20 +90,10 @@ func (st *stackState) popStrict(ctx context.Context, driver *mapreduce.Driver) (
 			perNode[e.Item] = append(perNode[e.Item], ei)
 			perNode[e.Consumer] = append(perNode[e.Consumer], ei)
 		}
-		input := nodePairsSorted(perNode)
+		input := popRecords(nodePairsSorted(perNode), residual)
 		outDS, err := mapreduce.RunJobDS(ctx, driver, "strict-pop",
 			mapreduce.PartitionDataset(input, driver.Partitions()),
-			func(v graph.NodeID, edges []int32, out mapreduce.Emitter[int32, bool]) error {
-				// A node whose tentative layer degree exceeds its
-				// residual capacity overflows: none of its layer edges
-				// may be included (Algorithm 1, line 15).
-				ok := len(edges) <= residual[v]
-				for _, ei := range edges {
-					out.Emit(ei, ok)
-				}
-				return nil
-			},
-			strictPopReduce)
+			strictPopMap, strictPopReduce)
 		if err != nil {
 			return nil, fmt.Errorf("core: strict-pop layer %d: %w", l, err)
 		}
@@ -180,21 +180,19 @@ func (st *stackState) resolveOverflow(
 			perNode[e.Item] = append(perNode[e.Item], ei)
 			perNode[e.Consumer] = append(perNode[e.Consumer], ei)
 		}
-		input := nodePairsSorted(perNode)
 		delta := st.delta
+		nodes := nodePairsSorted(perNode)
+		input := make([]mapreduce.Pair[graph.NodeID, edgeDeltas], len(nodes))
+		for i, p := range nodes {
+			ds := make(edgeDeltas, len(p.Value))
+			for j, ei := range p.Value {
+				ds[j] = delta[ei]
+			}
+			input[i] = mapreduce.P(p.Key, ds)
+		}
 		maxOut, err := mapreduce.RunJobDS(ctx, driver, "strict-sublayer-filter",
 			mapreduce.PartitionDataset(input, driver.Partitions()),
-			func(v graph.NodeID, edges []int32, out mapreduce.Emitter[graph.NodeID, float64]) error {
-				m := 0.0
-				for _, ei := range edges {
-					if d := delta[ei]; d > m {
-						m = d
-					}
-				}
-				out.Emit(v, m)
-				return nil
-			},
-			sublayerMaxReduce)
+			sublayerMaxMap, sublayerMaxReduce)
 		if err != nil {
 			return nil, fmt.Errorf("core: strict-sublayer-filter: %w", err)
 		}
@@ -258,15 +256,43 @@ func (st *stackState) resolveOverflow(
 	return included, nil
 }
 
+// strictPopMap carries a node's capacity verdict to its layer edges: a
+// node whose tentative layer degree exceeds its residual capacity
+// overflows, and none of its layer edges may be included (Algorithm 1,
+// line 15).
+func strictPopMap(v graph.NodeID, n popNode, out mapreduce.Emitter[int32, bool]) error {
+	ok := len(n.Edges) <= n.Residual
+	for _, ei := range n.Edges {
+		out.Emit(ei, ok)
+	}
+	return nil
+}
+
 // strictPopReduce decides tentative inclusion: both endpoints must have
-// reported capacity headroom. Stateless, registered as-is for dist.
+// reported capacity headroom.
 func strictPopReduce(ei int32, oks []bool, out mapreduce.Emitter[int32, bool]) error {
 	out.Emit(ei, len(oks) == 2 && oks[0] && oks[1])
 	return nil
 }
 
+// edgeDeltas is a node's record in the sublayer filter: the δ of each of
+// its pending overflow edges.
+type edgeDeltas []float64
+
+// sublayerMaxMap sends a node its largest overflow δ.
+func sublayerMaxMap(v graph.NodeID, ds edgeDeltas, out mapreduce.Emitter[graph.NodeID, float64]) error {
+	m := 0.0
+	for _, d := range ds {
+		if d > m {
+			m = d
+		}
+	}
+	out.Emit(v, m)
+	return nil
+}
+
 // sublayerMaxReduce forwards the per-node δ maximum computed map-side
-// (one message per node). Stateless, registered as-is for dist.
+// (one message per node).
 func sublayerMaxReduce(v graph.NodeID, ms []float64, out mapreduce.Emitter[graph.NodeID, float64]) error {
 	out.Emit(v, ms[0])
 	return nil

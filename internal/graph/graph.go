@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 )
 
 // NodeID identifies a node in the bipartite graph. Item nodes come first,
@@ -56,11 +55,6 @@ type Bipartite struct {
 	numConsumers int
 	edges        []Edge
 	caps         []float64 // indexed by NodeID, length numItems+numConsumers
-	// adj is the node -> indexes into edges view, built by the first
-	// reader under adjOnce: readers of a finished graph may be
-	// concurrent (two matchings over one graph), AddEdge may not.
-	adjOnce sync.Once
-	adj     [][]int32
 }
 
 // NewBipartite creates an empty bipartite graph with the given part
@@ -137,7 +131,6 @@ func (g *Bipartite) AddEdge(item, consumer NodeID, weight float64) {
 		panic(fmt.Sprintf("graph: invalid edge weight %v", weight))
 	}
 	g.edges = append(g.edges, Edge{Item: item, Consumer: consumer, Weight: weight})
-	g.adjOnce = sync.Once{}
 }
 
 // Grow makes room for n more edges, so the next n AddEdge calls do not
@@ -198,43 +191,6 @@ func (g *Bipartite) TotalCapacity(side Side) float64 {
 		}
 	}
 	return sum
-}
-
-// buildAdj constructs the node -> incident edge index lists, once per
-// edge set however many goroutines ask: capacity-limited regions of one
-// 2·|E| array, so an allocation per graph and not per node.
-func (g *Bipartite) buildAdj() {
-	g.adjOnce.Do(func() {
-		adj := make([][]int32, g.NumNodes())
-		deg := make([]int32, g.NumNodes())
-		for _, e := range g.edges {
-			deg[e.Item]++
-			deg[e.Consumer]++
-		}
-		backing := make([]int32, 2*len(g.edges))
-		for v, d := range deg {
-			adj[v] = backing[:0:d]
-			backing = backing[d:]
-		}
-		for i, e := range g.edges {
-			adj[e.Item] = append(adj[e.Item], int32(i))
-			adj[e.Consumer] = append(adj[e.Consumer], int32(i))
-		}
-		g.adj = adj
-	})
-}
-
-// IncidentEdges returns the indexes (into Edges) of the edges incident to
-// v. The returned slice is shared; callers must not modify it.
-func (g *Bipartite) IncidentEdges(v NodeID) []int32 {
-	g.buildAdj()
-	return g.adj[v]
-}
-
-// Degree returns the number of edges incident to v.
-func (g *Bipartite) Degree(v NodeID) int {
-	g.buildAdj()
-	return len(g.adj[v])
 }
 
 // Other returns the endpoint of edge e opposite to v.

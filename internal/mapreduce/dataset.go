@@ -279,9 +279,10 @@ func keyCast[K1, K2 comparable]() func(K1) K2 {
 //     backbone of the paper's iterative algorithms — takes an identity
 //     route straight into the task's own partition bucket, skipping the
 //     hash (counted in Stats.LocalRouted; hashed pairs are
-//     CrossRouted). On dist such an input that is resident on the
-//     cluster's workers is mapped there. Misaligned input is collected
-//     and re-partitioned (runFlat, the forced re-partition).
+//     CrossRouted). On dist the workers that hold the input map it: an
+//     input the coordinator holds is placed on them first
+//     (placeResident). Misaligned input is collected and re-partitioned
+//     (runFlat, the forced re-partition).
 //   - output side: reduce tasks emit into the returned Dataset
 //     per-partition; there is no global concat-and-sort barrier. The
 //     output is aligned provided the reduce emits only keys hashing to
@@ -300,10 +301,10 @@ func RunDS[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any](
 		return nil, nil, errors.New("mapreduce: nil reduce function")
 	}
 	inPlace := input.aligned && input.Partitions() == cfg.reducers()
-	if inPlace && input.rem != nil && input.rem.cl == cfg.Dist && cfg.Shuffle.kind() == ShuffleDist {
-		// Resident where the job runs: the workers map it, and
-		// self-addressed pairs never touch the wire.
-		return execJob(ctx, cfg, input.Len(), input.Partitions(), input.rem, false, nil, nil, plainSteps(reduceFn))
+	if inPlace && cfg.Shuffle.kind() == ShuffleDist {
+		// The workers map it where it resides, and self-addressed pairs
+		// never touch the wire.
+		return runOnWorkers[K1, V1, K2, V2, K3, V3](ctx, cfg, input, false, false)
 	}
 	if err := input.Materialize(); err != nil {
 		return nil, newStats(cfg.Name), err
@@ -311,13 +312,7 @@ func RunDS[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any](
 	if !inPlace {
 		return runFlat(ctx, cfg, input.Collect(), mapFn, reduceFn)
 	}
-	// On dist a recovery may map input again, but only while the caller
-	// has not recycled it.
-	live := func() bool { return input.parts != nil }
-	return execJob(ctx, cfg, input.Len(), input.Partitions(), nil, false,
-		func(ctx context.Context, backend ShuffleBackend[K2, V2], ar *roundArena[K2, V2], stats *Stats) error {
-			return runMapPhaseDS(ctx, cfg, input, mapFn, nil, backend, ar, stats)
-		}, live, plainSteps(reduceFn))
+	return execJob(ctx, cfg, input, mapFn, nil, false, plainSteps(reduceFn))
 }
 
 // RunStateDS executes one state job: a Dataset job whose input records
@@ -369,28 +364,13 @@ func RunStateDS[K comparable, S, V any, K3 comparable, V3 any](
 	if !input.aligned || input.Partitions() != cfg.reducers() {
 		return nil, newStats(cfg.Name), fmt.Errorf("mapreduce: state job %q needs an input aligned with its %d partitions", cfg.Name, cfg.reducers())
 	}
-	if cl := cfg.Dist; cfg.Shuffle.kind() == ShuffleDist && cl != nil {
-		if input.rem == nil || input.rem.cl != cl {
-			if err := input.Materialize(); err != nil {
-				return nil, newStats(cfg.Name), err
-			}
-			placed, err := placeResident(cl, input, cfg)
-			if err != nil {
-				return nil, newStats(cfg.Name), err
-			}
-			defer placed.Recycle()
-			input = placed
-		}
-		return execJob[K, V, K3, V3](ctx, cfg, input.Len(), input.Partitions(), input.rem, true, nil, nil, nil)
+	if cfg.Shuffle.kind() == ShuffleDist {
+		return runOnWorkers[K, S, K, V, K3, V3](ctx, cfg, input, true, false)
 	}
 	if err := input.Materialize(); err != nil {
 		return nil, newStats(cfg.Name), err
 	}
-	cmp := keyShapeOf[K]().cmp()
-	out, stats, err := execJob(ctx, cfg, input.Len(), input.Partitions(), nil, true,
-		func(ctx context.Context, backend ShuffleBackend[K, V], ar *roundArena[K, V], stats *Stats) error {
-			return runMapPhaseDS(ctx, cfg, input, mapFn, cmp, backend, ar, stats)
-		}, nil, joinedSteps(input.parts, reduceFn))
+	out, stats, err := execJob(ctx, cfg, input, mapFn, keyShapeOf[K]().cmp(), false, joinedSteps(input.parts, reduceFn))
 	// The backend counted what it was handed; the forwarded records are
 	// the rest of what the job shuffled.
 	stats.ShuffleRecords += stats.MapInputRecords
@@ -398,10 +378,13 @@ func RunStateDS[K comparable, S, V any, K3 comparable, V3 any](
 }
 
 // runFlat is the forced re-partition, the job of an input that no
-// partitioning holds: flat is cut, in the order given, into
-// Config.Mappers contiguous splits, one map task each, and every
-// emitted pair is hashed to its partition. RunDS enters here with a
-// collected misaligned Dataset; on dist a recovery may map flat again.
+// partitioning holds: flat is cut, in the order given, into contiguous
+// splits, one map task each, and every emitted pair is hashed to its
+// partition. A reduce sees its values in (split, emission) order, which
+// for contiguous splits is the given order whatever their count: on dist
+// the splits are the job's partitions, placed on the workers that map
+// them; elsewhere they are Config.Mappers. RunDS enters here with a
+// collected misaligned Dataset.
 func runFlat[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any](
 	ctx context.Context,
 	cfg Config,
@@ -409,66 +392,26 @@ func runFlat[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any
 	mapFn MapFunc[K1, V1, K2, V2],
 	reduceFn ReduceFunc[K2, V2, K3, V3],
 ) (*Dataset[K3, V3], *Stats, error) {
-	splits := splitRange(len(flat), cfg.mappers())
-	return execJob(ctx, cfg, len(flat), len(splits), nil, false,
-		func(ctx context.Context, backend ShuffleBackend[K2, V2], ar *roundArena[K2, V2], stats *Stats) error {
-			return runMapPhase(ctx, cfg, splits, flat, mapFn, backend, ar, stats)
-		}, nil, plainSteps(reduceFn))
+	dist, n := cfg.Shuffle.kind() == ShuffleDist, cfg.mappers()
+	if dist {
+		n = cfg.reducers()
+	}
+	in := &Dataset[K1, V1]{}
+	for _, sp := range splitRange(len(flat), n) {
+		in.parts = append(in.parts, flat[sp.lo:sp.hi])
+	}
+	if dist {
+		// One split per partition: an input shorter than that leaves the
+		// last ones empty.
+		in.parts = append(in.parts, make([][]Pair[K1, V1], n-len(in.parts))...)
+		return runOnWorkers[K1, V1, K2, V2, K3, V3](ctx, cfg, in, false, true)
+	}
+	return execJob(ctx, cfg, in, mapFn, nil, true, plainSteps(reduceFn))
 }
 
-// mapPhaseFunc runs all of a job's map tasks into a shuffle backend:
-// runMapPhase over the splits of a flat input, or runMapPhaseDS over
-// the partitions of an aligned Dataset.
-type mapPhaseFunc[K2 comparable, V2 any] func(ctx context.Context, backend ShuffleBackend[K2, V2], ar *roundArena[K2, V2], stats *Stats) error
-
-// execJob runs one job of `tasks` map tasks over `records` input records
-// on the configured backend. mapPhase runs them in this process; on dist
-// a nil mapPhase with a resident input record means the input is resident
-// on the cluster, and the workers that hold its partitions map them.
-// live, when set, reports whether mapPhase's input is still held, which a
-// dist recovery asks before it maps it again. steps is the reduce side of
-// the local backends; a dist worker binds the reduce registered under the
-// job's name itself, told by state which of the two kinds it must be.
-func execJob[K2 comparable, V2 any, K3 comparable, V3 any](
-	ctx context.Context,
-	cfg Config,
-	records, tasks int,
-	resident *distResidency,
-	state bool,
-	mapPhase mapPhaseFunc[K2, V2],
-	live func() bool,
-	steps reduceSteps[K2, V2, K3, V3],
-) (*Dataset[K3, V3], *Stats, error) {
-	stats := newStats(cfg.Name)
-	if err := checkKeys[K2, K3](); err != nil {
-		return nil, stats, err
-	}
-	stats.MapInputRecords = int64(records)
-	defer stats.snapPool(cfg.Pool)()
-
-	if cfg.Shuffle.kind() == ShuffleDist {
-		out, err := runDistDS[K2, V2, K3, V3](ctx, cfg, tasks, resident, state, mapPhase, live, stats)
-		return out, stats, err
-	}
-	ar := arenaFor[K2, V2](cfg.Pool, cfg.reducers())
-	backend, err := newShuffleBackend(cfg, tasks, ar)
-	if err != nil {
-		return nil, stats, err
-	}
-	defer backend.Close()
-	phase := time.Now()
-	err = mapPhase(ctx, backend, ar, stats)
-	stats.MapWall = time.Since(phase)
-	if err != nil {
-		return nil, stats, err
-	}
-	out, err := finishJobDS(ctx, cfg, backend, steps, stats)
-	return out, stats, err
-}
-
-// finishJobDS runs the shared tail of a Dataset job after its map phase:
-// shuffle finalization, the per-partition reduce phase, and the output
-// Dataset wrap, stamping the phase wall clocks and shuffle footprint.
+// execJob runs one job on a local backend (memory or spill): one map
+// task per input partition (mapResident), the shuffle, and the reduce
+// side, steps. A dist job runs on the workers instead (runOnWorkers).
 //
 // The output is marked aligned only when the reduce's output key type
 // equals its group key type: a type-changing reduce cannot possibly
@@ -477,48 +420,33 @@ func execJob[K2 comparable, V2 any, K3 comparable, V3 any](
 // chained consumer re-partitions them. Same-type reduces remain bound
 // by the documented contract of emitting only keys that hash to the
 // group's partition.
-func finishJobDS[K2 comparable, V2 any, K3 comparable, V3 any](
-	ctx context.Context,
-	cfg Config,
-	backend ShuffleBackend[K2, V2],
-	steps reduceSteps[K2, V2, K3, V3],
-	stats *Stats,
-) (*Dataset[K3, V3], error) {
-	phase := time.Now()
-	streams, err := backend.Finalize()
-	stats.ShuffleWall = time.Since(phase)
-	if err != nil {
-		return nil, err
-	}
-	phase = time.Now()
-	outs, sides, err := runReduceParts(ctx, cfg, streams, steps, stats)
-	stats.ReduceWall = time.Since(phase)
-	stats.recordShuffle(backend)
-	if err != nil {
-		return nil, err
-	}
-	out := &Dataset[K3, V3]{parts: outs, aligned: keyCast[K2, K3]() != nil, pool: cfg.Pool, side: sides}
-	stats.ReduceOutputRecords = int64(out.Len())
-	return out, nil
-}
-
-// runMapPhaseDS is the partition-resident map phase: one mapResident task
-// per input partition.
-func runMapPhaseDS[K1 comparable, V1 any, K2 comparable, V2 any](
+func execJob[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any](
 	ctx context.Context,
 	cfg Config,
 	input *Dataset[K1, V1],
 	mapFn MapFunc[K1, V1, K2, V2],
 	joinOrder func(a, b K1) int,
-	backend ShuffleBackend[K2, V2],
-	ar *roundArena[K2, V2],
-	stats *Stats,
-) error {
+	hashed bool,
+	steps reduceSteps[K2, V2, K3, V3],
+) (*Dataset[K3, V3], *Stats, error) {
+	stats := newStats(cfg.Name)
+	if err := checkKeys[K2, K3](); err != nil {
+		return nil, stats, err
+	}
+	stats.MapInputRecords = int64(input.Len())
+	defer stats.snapPool(cfg.Pool)()
+
+	ar := arenaFor[K2, V2](cfg.Pool, cfg.reducers())
+	backend, err := newShuffleBackend(cfg, input.Partitions(), ar)
+	if err != nil {
+		return nil, stats, err
+	}
+	defer backend.Close()
+	phase := time.Now()
 	grp := newErrGroup(ctx)
 	for p, part := range input.parts {
-		p, part := p, part
 		grp.Go(func(ctx context.Context) error {
-			em, err := mapResident(ctx, cfg.Name, p, part, mapFn, joinOrder, backend, ar)
+			em, err := mapResident(ctx, cfg.Name, p, part, mapFn, joinOrder, hashed, backend, ar)
 			if err != nil {
 				return err
 			}
@@ -527,17 +455,38 @@ func runMapPhaseDS[K1 comparable, V1 any, K2 comparable, V2 any](
 			return nil
 		})
 	}
-	return grp.Wait()
+	err = grp.Wait()
+	stats.MapWall = time.Since(phase)
+	if err != nil {
+		return nil, stats, err
+	}
+	phase = time.Now()
+	streams, err := backend.Finalize()
+	stats.ShuffleWall = time.Since(phase)
+	if err != nil {
+		return nil, stats, err
+	}
+	phase = time.Now()
+	outs, sides, err := runReduceParts(ctx, cfg, streams, steps, stats)
+	stats.ReduceWall = time.Since(phase)
+	stats.recordShuffle(backend)
+	if err != nil {
+		return nil, stats, err
+	}
+	out := &Dataset[K3, V3]{parts: outs, aligned: keyCast[K2, K3]() != nil, pool: cfg.Pool, side: sides}
+	stats.ReduceOutputRecords = int64(out.Len())
+	return out, stats, nil
 }
 
-// mapResident is one partition-resident map task, on the coordinator or
-// on the dist worker that holds the partition: part's records go through
+// mapResident is one partition-resident map task, in this process or on
+// the dist worker that holds the partition: part's records go through
 // mapFn into an emitter of split p — identity routing for self-addressed
-// pairs when the intermediate key type matches the input key type — which
-// is returned sealed, holding the task's counts. A non-nil joinOrder
-// makes it a state job's task: every record is also forwarded to its
-// reduce — counted here, moved nowhere — provided the partition is in
-// that key order.
+// pairs when the intermediate key type matches the input key type and
+// the input is partitioned by key (not hashed, a flat input's contiguous
+// split) — which is returned sealed, holding the task's counts. A
+// non-nil joinOrder makes it a state job's task: every record is also
+// forwarded to its reduce — counted here, moved nowhere — provided the
+// partition is in that key order.
 func mapResident[K1 comparable, V1 any, K2 comparable, V2 any](
 	ctx context.Context,
 	job string,
@@ -545,12 +494,13 @@ func mapResident[K1 comparable, V1 any, K2 comparable, V2 any](
 	part []Pair[K1, V1],
 	mapFn MapFunc[K1, V1, K2, V2],
 	joinOrder func(a, b K1) int,
+	hashed bool,
 	backend ShuffleBackend[K2, V2],
 	ar *roundArena[K2, V2],
 ) (*shuffleEmitter[K2, V2], error) {
 	cast := keyCast[K1, K2]()
 	em := newShuffleEmitter(backend, p, ar)
-	em.selfOK = cast != nil
+	em.selfOK = cast != nil && !hashed
 	for j := range part {
 		if j%cancelPollEvery == 0 && ctx.Err() != nil {
 			return nil, ctx.Err()

@@ -20,20 +20,22 @@ import (
 // This file is the coordinator half of the distributed execution mode
 // (ShuffleDist): reduce partitions are sharded across worker processes
 // connected over the length-prefixed TCP transport of
-// internal/mapreduce/remote. The coordinator runs the map phase (or, for
-// chained jobs whose input already resides on the workers, only
-// orchestrates it), streams pre-partitioned buckets to the partitions'
-// owners, and the workers group-sort and reduce their partitions locally
-// with the same radix path and buffer pool the in-memory backend uses —
-// which is what makes the output bit-identical to ShuffleMemory for the
-// same seed and partition count. Reduce output stays worker-resident,
-// so the next chained job's self-addressed pairs never cross the wire —
-// and a state job's input records (RunStateDS) are not even shuffled:
-// the worker that maps a partition joins it with the partition's groups;
-// a caller that wants the records (Materialize) fetches them. The
-// worker half lives in distworker.go; workers run the reduce (and, when
-// chained, map) functions registered under the job's name via
-// RegisterDistJob — the function values themselves never travel.
+// internal/mapreduce/remote. Every job maps on the workers that hold its
+// input — a job output, a Dataset built there (BuildDS), or a
+// coordinator-held input placed there first (placeResident) — so the
+// coordinator only orchestrates: it relays the buckets a worker's map
+// addressed to another worker's partition, and the workers group-sort
+// and reduce their partitions locally with the same radix path and
+// buffer pool the in-memory backend uses — which is what makes the
+// output bit-identical to ShuffleMemory for the same seed and partition
+// count. Reduce output stays worker-resident, so the next chained job's
+// self-addressed pairs never cross the wire — and a state job's input
+// records (RunStateDS) are not even shuffled: the worker that maps a
+// partition joins it with the partition's groups; a caller that wants
+// the records (Materialize) fetches them. The worker half lives in
+// distworker.go; workers run the map and reduce functions registered
+// under the job's name via RegisterDistJob — the function values
+// themselves never travel.
 
 // DistCluster is a set of connected worker processes, shared by every
 // job of a computation (Config.Dist). Reduce partitions start out owned
@@ -90,10 +92,12 @@ type DistCluster struct {
 	closeErr       error
 
 	// Health-monitor configuration (resolved from DistClusterOptions at
-	// startup); activeJob/hbFloor are what the monitor goroutine watches.
+	// startup); activeJob/hbFloor are what the monitor goroutine watches:
+	// the job in flight, registered by startDistJob and cleared when
+	// finish returns.
 	hbEvery      time.Duration
 	replyTimeout time.Duration
-	activeJob    distActiveJob
+	activeJob    *distJobRun
 	hbFloor      time.Time
 	monitorStop  chan struct{}
 	monitorWG    sync.WaitGroup
@@ -101,18 +105,6 @@ type DistCluster struct {
 	recoveries atomic.Int64
 	reseeded   atomic.Int64
 	hbTimeouts atomic.Int64
-}
-
-// distActiveJob is the monitor's view of the job in flight — the
-// untyped face of distJobRun, registered by startDistJob and cleared
-// when finish returns.
-type distActiveJob interface {
-	// waitsOn reports whether the attempt still waits on worker w and
-	// reads it: w received the announce, has not delivered its
-	// MsgJobDone, and its reader is not blocked relaying one of w's
-	// buckets. since is when that reader last came back from a relay.
-	waitsOn(w int) (since time.Time, ok bool)
-	setLoss(w int, cause error)
 }
 
 // Partition locations that name no worker. ensureResident puts such a
@@ -169,9 +161,8 @@ func (r *distResidency) seedFrame(p int) []byte {
 // the in-flight job internally after a loss, restoring what the dead
 // worker held from its lineage, so this error escapes a job (RunDS,
 // RunStateDS, BuildDS) or a Materialize only when recovery is
-// impossible, and then it is final: no live workers remain, the retry
-// budget is exhausted, or a lost partition's lineage leads to a
-// coordinator-held input the caller has recycled.
+// impossible, and then it is final: no live workers remain, or the retry
+// budget is exhausted.
 type WorkerLostError struct {
 	// Worker is the index of the lost worker (-1 when the loss is
 	// positional, e.g. "no live workers").
@@ -667,10 +658,6 @@ func (cl *DistCluster) releaseResident(r *distResidency) {
 	}
 }
 
-// errLineageGone marks a loss no retry can repair: the lineage of a lost
-// partition leads to a coordinator-held input the caller has recycled.
-var errLineageGone = errors.New("the input of the job that made a lost partition was recycled")
-
 // ensureResident puts every partition of r that no live worker holds
 // back on the worker the current assignment names, before a job that
 // reads r is announced or Materialize fetches it. A recipe rebuilds it
@@ -713,12 +700,24 @@ func (cl *DistCluster) ensureResident(ctx context.Context, r *distResidency, nam
 		}
 	}
 	cl.mu.Unlock()
+	// Every seed to a live worker goes out, also after a write fails: the
+	// record now names its target as the partition's home, and the retry
+	// that follows the loss restores only what a dead worker was sent.
+	var loss error
 	for _, s := range seeds {
+		if cl.isDead(s.w) {
+			continue
+		}
 		if err := cl.conns[s.w].WriteFrame(s.frame); err != nil {
 			cl.markDead(s.w, err)
-			return 0, &WorkerLostError{Worker: s.w, Job: name,
-				Err: fmt.Errorf("restoring a lost partition: %w", err)}
+			if loss == nil {
+				loss = &WorkerLostError{Worker: s.w, Job: name,
+					Err: fmt.Errorf("restoring a lost partition: %w", err)}
+			}
 		}
+	}
+	if loss != nil {
+		return 0, loss
 	}
 	return lost, nil
 }
@@ -860,7 +859,7 @@ func (cl *DistCluster) resumeTotals() (reconnects, replayed int64) {
 // setActiveJob hands the monitor the job in flight. The heartbeat floor
 // resets with it: silence is measured from the announce, not from
 // whenever the worker last happened to speak before the job existed.
-func (cl *DistCluster) setActiveJob(j distActiveJob) {
+func (cl *DistCluster) setActiveJob(j *distJobRun) {
 	cl.mu.Lock()
 	cl.activeJob = j
 	cl.hbFloor = time.Now()
@@ -1058,17 +1057,21 @@ func distTypeID[T any]() string {
 	return reflect.TypeOf((*T)(nil)).Elem().String()
 }
 
-// distJobHeader is the decoded MsgJobStart, shared by both sides.
+// distJobHeader is the decoded MsgJobStart, shared by both sides. The
+// job's input is resident on the workers under inputSeq, in as many
+// partitions as the job has reduce partitions.
 type distJobHeader struct {
 	seq      uint64
 	name     string
-	mode     remote.JobMode
-	splits   int
 	reducers int
 	// state marks a state job (RunStateDS): the reduce registered under
 	// the job's name must be a StateReduceFunc, which the workers join
 	// with the resident input partitions they mapped.
-	state    bool
+	state bool
+	// hashed marks an input cut into contiguous splits (runFlat), not
+	// partitioned by key: the maps hash every pair, none takes the
+	// identity route.
+	hashed   bool
 	inputSeq uint64
 	// owners is the job's partition→worker assignment, one entry per
 	// reduce partition. Carried in the header (rather than derived from
@@ -1080,22 +1083,25 @@ type distJobHeader struct {
 	params     []byte
 }
 
-// owner returns the worker index that owns partition p under this job's
-// assignment.
-func (h *distJobHeader) owner(p int) int { return h.owners[p] }
+// The bits of the job header's flag byte.
+const (
+	headerState  = 1 << 0
+	headerHashed = 1 << 1
+)
 
 func (h *distJobHeader) encode() []byte {
 	buf := []byte{byte(remote.MsgJobStart)}
 	buf = remote.AppendUvarint(buf, h.seq)
 	buf = remote.AppendString(buf, h.name)
-	buf = append(buf, byte(h.mode))
-	buf = remote.AppendUvarint(buf, uint64(h.splits))
 	buf = remote.AppendUvarint(buf, uint64(h.reducers))
+	var flags byte
 	if h.state {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
+		flags |= headerState
 	}
+	if h.hashed {
+		flags |= headerHashed
+	}
+	buf = append(buf, flags)
 	buf = remote.AppendUvarint(buf, h.inputSeq)
 	buf = remote.AppendUvarint(buf, uint64(len(h.owners)))
 	for _, w := range h.owners {
@@ -1110,16 +1116,14 @@ func (h *distJobHeader) encode() []byte {
 }
 
 // parseJobHeader decodes a MsgJobStart payload (the type byte already
-// consumed). It accepts exactly what encode writes, up to the value of a
-// flag byte (FuzzJobHeader).
+// consumed). It accepts exactly what encode writes (FuzzJobHeader).
 func parseJobHeader(cur *remote.Cursor) (*distJobHeader, error) {
 	h := &distJobHeader{}
 	h.seq = cur.Uvarint()
 	h.name = cur.String()
-	h.mode = remote.JobMode(cur.Byte())
-	h.splits = int(cur.Uvarint())
 	h.reducers = int(cur.Uvarint())
-	h.state = cur.Byte() != 0
+	flags := cur.Byte()
+	h.state, h.hashed = flags&headerState != 0, flags&headerHashed != 0
 	h.inputSeq = cur.Uvarint()
 	nOwners := int(cur.Uvarint())
 	if nOwners != h.reducers || nOwners > len(cur.Rest()) {
@@ -1137,24 +1141,10 @@ func parseJobHeader(cur *remote.Cursor) (*distJobHeader, error) {
 	if err := cur.Err(); err != nil {
 		return nil, fmt.Errorf("mapreduce: malformed job-start: %w", err)
 	}
-	if h.mode > remote.ModeChained || len(cur.Rest()) > 0 {
-		return nil, fmt.Errorf("mapreduce: malformed job-start: mode %d, %d trailing bytes", h.mode, len(cur.Rest()))
+	if flags&^(headerState|headerHashed) != 0 || len(cur.Rest()) > 0 {
+		return nil, fmt.Errorf("mapreduce: malformed job-start: flags %#x, %d trailing bytes", flags, len(cur.Rest()))
 	}
 	return h, nil
-}
-
-// encodeBucketFrame builds one MsgBucket frame, appending to buf (pass
-// a recycled frameScratch buffer; WriteFrame copies, so the buffer is
-// free again as soon as the send returns). The pair payload is a
-// self-contained codec-v2 blob (see codecv2.go), so the coordinator can
-// relay the frame body without re-encoding.
-func encodeBucketFrame[K comparable, V any](buf []byte, seq uint64, split, part int, pairs []Pair[K, V], pc *pairCodec[K, V]) ([]byte, error) {
-	buf = append(buf, byte(remote.MsgBucket))
-	buf = remote.AppendUvarint(buf, seq)
-	buf = remote.AppendUvarint(buf, uint64(split))
-	buf = remote.AppendUvarint(buf, uint64(part))
-	buf = remote.AppendUvarint(buf, uint64(len(pairs)))
-	return encodePairs(buf, pairs, pc)
 }
 
 // distWorkerReport aggregates what one worker told the coordinator
@@ -1163,24 +1153,29 @@ type distWorkerReport struct {
 	groups     int64
 	outRecords int64
 	reduceWall time.Duration
-	mapWall    time.Duration
-	emitted    int64
-	local      int64
-	cross      int64
-	counts     map[int]int64
+	// pooled and misses are the worker's buffer-pool deltas over the job
+	// (Stats.PooledBytes, Stats.PoolMisses).
+	pooled, misses int64
+	mapWall        time.Duration
+	emitted        int64
+	local          int64
+	cross          int64
+	counts         map[int]int64
 	// sides is the side output of the worker's reduce tasks by partition
 	// (see SideEmitter); nil when none emitted any.
 	sides map[int][]uint64
 }
 
 // appendJobDone encodes the body of a MsgJobDone after its sequence
-// number: reduce statistics, then per owned partition its resident
-// record count and side output.
-func appendJobDone(frame []byte, groups, outRecords int64, reduceWall time.Duration,
+// number: reduce statistics, the worker's pool deltas, then per owned
+// partition its resident record count and side output.
+func appendJobDone(frame []byte, groups, outRecords int64, reduceWall time.Duration, pooled, misses int64,
 	parts []int, counts []int64, sides [][]uint64) []byte {
 	frame = remote.AppendUvarint(frame, uint64(groups))
 	frame = remote.AppendUvarint(frame, uint64(outRecords))
 	frame = remote.AppendUvarint(frame, uint64(reduceWall))
+	frame = remote.AppendUvarint(frame, uint64(pooled))
+	frame = remote.AppendUvarint(frame, uint64(misses))
 	frame = remote.AppendUvarint(frame, uint64(len(parts)))
 	for _, p := range parts {
 		frame = remote.AppendUvarint(frame, uint64(p))
@@ -1201,6 +1196,8 @@ func parseJobDone(cur *remote.Cursor, reducers int, rep *distWorkerReport) error
 	rep.groups = int64(cur.Uvarint())
 	rep.outRecords = int64(cur.Uvarint())
 	rep.reduceWall = time.Duration(cur.Uvarint())
+	rep.pooled = int64(cur.Uvarint())
+	rep.misses = int64(cur.Uvarint())
 	nParts := cur.Uvarint()
 	if nParts > uint64(reducers) {
 		return fmt.Errorf("job-done reports %d partitions of %d", nParts, reducers)
@@ -1242,13 +1239,11 @@ func parseJobDone(cur *remote.Cursor, reducers int, rep *distWorkerReport) error
 // attempt. finish then drops their output and returns the recorded
 // WorkerLostError, and runDistDS retries the job with a reassigned
 // partition map over an input restored from its lineage. A MsgError from
-// any worker, a malformed frame or a failing coordinator-side map breaks
-// the cluster instead (fail-fast), since retrying a deterministic
-// failure cannot help.
-type distJobRun[K2 comparable, V2 any, K3 comparable, V3 any] struct {
+// any worker or a malformed frame breaks the cluster instead (fail-fast),
+// since retrying a deterministic failure cannot help.
+type distJobRun struct {
 	cl        *DistCluster
 	hdr       *distJobHeader
-	shufc     *pairCodec[K2, V2] // shuffled pairs (MsgBucket)
 	bytesIn0  int64
 	bytesOut0 int64
 	// live is the set of workers the announce included — the workers
@@ -1256,9 +1251,8 @@ type distJobRun[K2 comparable, V2 any, K3 comparable, V3 any] struct {
 	live []int
 
 	// readWG tracks the per-connection reader goroutines, started right
-	// after the announce so heartbeats and early worker traffic are
-	// consumed (and health refreshed) while the coordinator's own map
-	// phase runs.
+	// after the announce so heartbeats and worker traffic are consumed
+	// (and health refreshed) for the whole attempt.
 	readWG   sync.WaitGroup
 	readErrs []error
 
@@ -1267,16 +1261,15 @@ type distJobRun[K2 comparable, V2 any, K3 comparable, V3 any] struct {
 	loss    *WorkerLostError
 	// done holds the workers whose MsgJobDone arrived.
 	done map[int]bool
-	// unmapped holds the workers of a chained attempt that may still
-	// send buckets: neither their MsgMapDone nor their death has been
-	// seen. The flush barrier lifts when it empties.
+	// unmapped holds the workers of the attempt that may still send
+	// buckets: neither their MsgMapDone nor their death has been seen.
+	// The flush barrier lifts when it empties.
 	unmapped map[int]bool
 
 	// relayMu orders every relay before the flush: a relay holds it
 	// shared, the flush exclusively. flushed is written under it.
 	relayMu sync.RWMutex
 	flushed bool
-	records atomic.Int64
 
 	// relayed[w] is when worker w's reader last came back from a relay
 	// (unix nanos), or relayBusy while a relay blocks it.
@@ -1285,8 +1278,11 @@ type distJobRun[K2 comparable, V2 any, K3 comparable, V3 any] struct {
 
 const relayBusy = -1
 
-// waitsOn is the distActiveJob face the cluster monitor sees.
-func (j *distJobRun[K2, V2, K3, V3]) waitsOn(w int) (time.Time, bool) {
+// waitsOn reports whether the attempt still waits on worker w and reads
+// it: w received the announce, has not delivered its MsgJobDone, and its
+// reader is not blocked relaying one of w's buckets. since is when that
+// reader last came back from a relay. The cluster monitor asks it.
+func (j *distJobRun) waitsOn(w int) (since time.Time, ok bool) {
 	j.mu.Lock()
 	done := j.done[w]
 	j.mu.Unlock()
@@ -1303,7 +1299,7 @@ func (j *distJobRun[K2, V2, K3, V3]) waitsOn(w int) (time.Time, bool) {
 // lost is the one death path of an attempt: worker w is marked dead, its
 // loss recorded, and it no longer holds up the flush barrier. The
 // attempt runs on.
-func (j *distJobRun[K2, V2, K3, V3]) lost(w int, cause error) {
+func (j *distJobRun) lost(w int, cause error) {
 	j.cl.markDead(w, cause)
 	j.setLoss(w, cause)
 	j.noteMapped(w)
@@ -1312,18 +1308,18 @@ func (j *distJobRun[K2, V2, K3, V3]) lost(w int, cause error) {
 // noteDone records that worker w delivered its full share of this
 // attempt: it writes nothing more for the job, so monitor-side silence
 // is expected, not evidence of a hang.
-func (j *distJobRun[K2, V2, K3, V3]) noteDone(w int) {
+func (j *distJobRun) noteDone(w int) {
 	j.mu.Lock()
 	j.done[w] = true
 	j.mu.Unlock()
 }
 
 // noteMapped records that worker w sends no more buckets — its
-// MsgMapDone arrived or it died — and flushes once no worker of a
-// chained attempt is left to send any. A worker sends all its buckets
+// MsgMapDone arrived or it died — and flushes once no worker of the
+// attempt is left to send any. A worker sends all its buckets
 // before its MsgMapDone and its reader relays them in order, so every
 // relay from a live worker precedes the flush.
-func (j *distJobRun[K2, V2, K3, V3]) noteMapped(w int) {
+func (j *distJobRun) noteMapped(w int) {
 	j.mu.Lock()
 	last := j.unmapped[w] && len(j.unmapped) == 1
 	delete(j.unmapped, w)
@@ -1338,14 +1334,13 @@ func (j *distJobRun[K2, V2, K3, V3]) noteMapped(w int) {
 // set and the partition assignment into the job header, and announces
 // the job to every live worker.
 func startDistJob[K2 comparable, V2 any, K3 comparable, V3 any](
-	cfg Config, mode remote.JobMode, splits int, inputSeq uint64, state bool,
-) (*distJobRun[K2, V2, K3, V3], error) {
+	cfg Config, inputSeq uint64, state, hashed bool,
+) (*distJobRun, error) {
 	cl := cfg.Dist
 	if err := cl.Err(); err != nil {
 		return nil, fmt.Errorf("mapreduce: dist cluster is broken: %w", err)
 	}
-	shufc, err := pairCodecFor[K2, V2]()
-	if err != nil {
+	if _, err := pairCodecFor[K2, V2](); err != nil {
 		return nil, fmt.Errorf("mapreduce: dist job %q: shuffle %w", cfg.Name, err)
 	}
 	if _, err := pairCodecFor[K3, V3](); err != nil {
@@ -1356,15 +1351,14 @@ func startDistJob[K2 comparable, V2 any, K3 comparable, V3 any](
 	if len(live) == 0 {
 		return nil, &WorkerLostError{Worker: -1, Job: cfg.Name, Err: errors.New("no live workers")}
 	}
-	j := &distJobRun[K2, V2, K3, V3]{
+	j := &distJobRun{
 		cl: cl,
 		hdr: &distJobHeader{
 			seq:      cl.nextSeq(),
 			name:     cfg.Name,
-			mode:     mode,
-			splits:   splits,
 			reducers: cfg.reducers(),
 			state:    state,
+			hashed:   hashed,
 			inputSeq: inputSeq,
 			owners:   owners,
 			k2id:     distTypeID[K2](),
@@ -1373,17 +1367,14 @@ func startDistJob[K2 comparable, V2 any, K3 comparable, V3 any](
 			v3id:     distTypeID[V3](),
 			params:   cfg.DistParams,
 		},
-		shufc:   shufc,
-		live:    live,
-		reports: make([]distWorkerReport, cl.Workers()),
-		done:    make(map[int]bool, len(live)),
-		relayed: make([]atomic.Int64, cl.Workers()),
+		live:     live,
+		reports:  make([]distWorkerReport, cl.Workers()),
+		done:     make(map[int]bool, len(live)),
+		unmapped: make(map[int]bool, len(live)),
+		relayed:  make([]atomic.Int64, cl.Workers()),
 	}
-	if mode == remote.ModeChained {
-		j.unmapped = make(map[int]bool, len(live))
-		for _, w := range live {
-			j.unmapped[w] = true
-		}
+	for _, w := range live {
+		j.unmapped[w] = true
 	}
 	cl.mu.Lock()
 	j.bytesIn0, j.bytesOut0 = cl.lastIn, cl.lastOut
@@ -1407,8 +1398,8 @@ func startDistJob[K2 comparable, V2 any, K3 comparable, V3 any](
 	}
 	// Readers start at the announce, one per included worker: worker
 	// traffic (heartbeats above all) is consumed — and worker health
-	// refreshed — for the whole life of the attempt, including the
-	// coordinator-side map phase. A worker the announce lost finds its
+	// refreshed — for the whole life of the attempt. A worker the
+	// announce lost finds its
 	// connection closed at once. The monitor watches the attempt from
 	// here until finish clears it.
 	j.readErrs = make([]error, cl.Workers())
@@ -1433,7 +1424,7 @@ func startDistJob[K2 comparable, V2 any, K3 comparable, V3 any](
 }
 
 // setLoss latches the first worker loss of the attempt.
-func (j *distJobRun[K2, V2, K3, V3]) setLoss(w int, cause error) {
+func (j *distJobRun) setLoss(w int, cause error) {
 	j.mu.Lock()
 	if j.loss == nil {
 		j.loss = &WorkerLostError{Worker: w, Job: j.hdr.name, Err: cause}
@@ -1442,7 +1433,7 @@ func (j *distJobRun[K2, V2, K3, V3]) setLoss(w int, cause error) {
 }
 
 // lossErr returns the latched loss, or nil when no worker was lost.
-func (j *distJobRun[K2, V2, K3, V3]) lossErr() error {
+func (j *distJobRun) lossErr() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.loss == nil {
@@ -1451,46 +1442,10 @@ func (j *distJobRun[K2, V2, K3, V3]) lossErr() error {
 	return j.loss
 }
 
-// senderLost handles a write failure to worker w from the
-// coordinator's bucket streaming path, and stops that path: the attempt
-// is lost. The worker is marked dead but its connection stays open: the
-// reader goroutine owns it and must get the chance to consume a parting
-// MsgError off the socket before it dies — a deterministic user-function
-// or registration failure surfaces as itself, not as the transport error
-// it caused. The deadline bounds the reader's wait; its error path
-// closes the connection.
-func (j *distJobRun[K2, V2, K3, V3]) senderLost(w int, cause error) error {
-	if j.cl.noteDead(w) {
-		j.cl.conns[w].SetReadDeadline(time.Now().Add(distDrainTimeout))
-	}
-	j.setLoss(w, cause)
-	return j.lossErr()
-}
-
-// sendBucket encodes one bucket and streams it to the partition's
-// owner under the job's assignment.
-func (j *distJobRun[K2, V2, K3, V3]) sendBucket(split, part int, pairs []Pair[K2, V2]) error {
-	fs := getFrameScratch()
-	frame, err := encodeBucketFrame(fs.b[:0], j.hdr.seq, split, part, pairs, j.shufc)
-	if err != nil {
-		putFrameScratch(fs)
-		return fmt.Errorf("mapreduce: dist job %q: encoding bucket: %w", j.hdr.name, err)
-	}
-	fs.b = frame
-	owner := j.hdr.owner(part)
-	err = j.cl.conns[owner].WriteFrame(frame)
-	putFrameScratch(fs)
-	if err != nil {
-		return j.senderLost(owner, fmt.Errorf("streaming bucket: %w", err))
-	}
-	j.records.Add(int64(len(pairs)))
-	return nil
-}
-
 // flushAll tells every live worker of the attempt that ingestion is
 // sealed, once. A worker the flush cannot reach is lost; the barrier
 // has nothing left to wait for, so the loss does not re-enter it.
-func (j *distJobRun[K2, V2, K3, V3]) flushAll() {
+func (j *distJobRun) flushAll() {
 	j.relayMu.Lock()
 	defer j.relayMu.Unlock()
 	if j.flushed {
@@ -1510,12 +1465,12 @@ func (j *distJobRun[K2, V2, K3, V3]) flushAll() {
 	}
 }
 
-// relay forwards a chained-mode bucket frame verbatim to its partition's
+// relay forwards a bucket frame verbatim to its partition's
 // owner: the frame format is identical in both directions, so the relay
 // is a single WriteFrame with no re-encoding. A relay the flush has
 // overtaken comes from a worker that died before its MsgMapDone (see
 // noteMapped), in an attempt that is lost anyway: it is dropped.
-func (j *distJobRun[K2, V2, K3, V3]) relay(owner int, payload []byte) error {
+func (j *distJobRun) relay(owner int, payload []byte) error {
 	j.relayMu.RLock()
 	defer j.relayMu.RUnlock()
 	if j.flushed {
@@ -1526,15 +1481,12 @@ func (j *distJobRun[K2, V2, K3, V3]) relay(owner int, payload []byte) error {
 
 // reader consumes one worker's frames for this attempt until its
 // MsgJobDone or its death (nil), or a deterministic failure (the error).
-func (j *distJobRun[K2, V2, K3, V3]) reader(w int) error {
+func (j *distJobRun) reader(w int) error {
 	conn := j.cl.conns[w]
 	for {
 		payload, err := conn.ReadFrame()
 		if err != nil {
-			// Close explicitly: when the worker was noted dead without a
-			// close (senderLost's parting-error window), nobody else
-			// will.
-			conn.Close()
+			conn.Close() // a failed read may leave it open
 			j.lost(w, fmt.Errorf("transport error: %w", err))
 			return nil
 		}
@@ -1548,7 +1500,7 @@ func (j *distJobRun[K2, V2, K3, V3]) reader(w int) error {
 				part < 0 || part >= j.hdr.reducers {
 				return fmt.Errorf("mapreduce: dist job %q: malformed bucket relay from worker %d", j.hdr.name, w)
 			}
-			owner := j.hdr.owner(part)
+			owner := j.hdr.owners[part]
 			j.relayed[w].Store(relayBusy)
 			err := j.relay(owner, payload)
 			j.relayed[w].Store(time.Now().UnixNano())
@@ -1589,14 +1541,13 @@ func (j *distJobRun[K2, V2, K3, V3]) reader(w int) error {
 	}
 }
 
-// finish drives the attempt to its end after the coordinator's own
-// sending is done (mapErr carries a local map-phase failure): it flushes
-// a flat job, waits for the per-connection readers startDistJob launched
-// at the announce, and aggregates the worker reports into stats. Success
-// here is the one place an attempt's results — resident counts, side
-// output — are accepted. An attempt that lost a worker ran to its end on
-// the survivors: finish drops what they made and returns the loss.
-func (j *distJobRun[K2, V2, K3, V3]) finish(ctx context.Context, stats *Stats, mapErr error) (*distJobResult, error) {
+// finish drives the attempt to its end: it waits for the per-connection
+// readers startDistJob launched at the announce, and aggregates the
+// worker reports into stats. Success here is the one place an attempt's
+// results — resident counts, side output — are accepted. An attempt that
+// lost a worker ran to its end on the survivors: finish drops what they
+// made and returns the loss.
+func (j *distJobRun) finish(ctx context.Context, stats *Stats) (*distJobResult, error) {
 	defer j.cl.clearActiveJob()
 	// A cancelled context must unblock the readers: break the cluster,
 	// which closes the connections under them.
@@ -1614,16 +1565,6 @@ func (j *distJobRun[K2, V2, K3, V3]) finish(ctx context.Context, stats *Stats, m
 		}()
 	}
 
-	if mapErr != nil && !isWorkerLost(mapErr) {
-		// The coordinator's map phase failed deterministically: the
-		// workers are still waiting for buckets, so the cluster cannot
-		// be reused.
-		j.cl.fail(fmt.Errorf("mapreduce: dist job %q failed during map: %w", j.hdr.name, mapErr))
-	} else if j.hdr.mode == remote.ModeFlat {
-		// No worker map phase: the coordinator seals ingestion the moment
-		// its own map tasks finished, or stopped at a lost worker.
-		j.flushAll()
-	}
 	j.readWG.Wait()
 	close(watchDone)
 	watchWG.Wait()
@@ -1653,6 +1594,11 @@ func (j *distJobRun[K2, V2, K3, V3]) finish(ctx context.Context, stats *Stats, m
 		rep := &j.reports[w]
 		stats.ReduceGroups += rep.groups
 		stats.ReduceOutputRecords += rep.outRecords
+		stats.PooledBytes += rep.pooled
+		stats.PoolMisses += rep.misses
+		stats.addMapOutput(rep.emitted)
+		stats.addRouted(rep.local, rep.cross)
+		stats.ShuffleRecords += rep.local + rep.cross
 		if wall := rep.mapWall + rep.reduceWall; wall > workerWall {
 			workerWall = wall
 		}
@@ -1665,11 +1611,6 @@ func (j *distJobRun[K2, V2, K3, V3]) finish(ctx context.Context, stats *Stats, m
 			}
 			res.sides[part] = side
 		}
-		if j.hdr.mode == remote.ModeChained {
-			stats.addMapOutput(rep.emitted)
-			stats.addRouted(rep.local, rep.cross)
-			j.records.Add(rep.local + rep.cross)
-		}
 	}
 	stats.WorkerWall = workerWall
 	in, out := j.cl.bytesInOut()
@@ -1678,7 +1619,6 @@ func (j *distJobRun[K2, V2, K3, V3]) finish(ctx context.Context, stats *Stats, m
 	j.cl.mu.Lock()
 	j.cl.lastIn, j.cl.lastOut = in, out
 	j.cl.mu.Unlock()
-	stats.ShuffleRecords = j.records.Load()
 	return res, nil
 }
 
@@ -1688,31 +1628,6 @@ type distJobResult struct {
 	counts []int64
 	sides  [][]uint64
 }
-
-// distSender is the ShuffleBackend the coordinator's map phase emits
-// into under ShuffleDist: buckets stream straight to the owning worker.
-// Finalize is never reached — reduce happens on the workers — so the
-// dist path never builds a GroupStream.
-type distSender[K2 comparable, V2 any, K3 comparable, V3 any] struct {
-	j  *distJobRun[K2, V2, K3, V3]
-	ar *roundArena[K2, V2]
-}
-
-func (s *distSender[K2, V2, K3, V3]) Partitions() int { return s.j.hdr.reducers }
-func (s *distSender[K2, V2, K3, V3]) BucketCap() int  { return 0 }
-
-func (s *distSender[K2, V2, K3, V3]) AddBucket(split, part int, pairs []Pair[K2, V2]) error {
-	err := s.j.sendBucket(split, part, pairs)
-	// The bucket is on the wire: its storage feeds the next emitter fill.
-	s.ar.putBucket(part, pairs)
-	return err
-}
-
-func (s *distSender[K2, V2, K3, V3]) Finalize() ([]GroupStream[K2, V2], error) {
-	return nil, errors.New("mapreduce: dist backend has no local group streams")
-}
-
-func (s *distSender[K2, V2, K3, V3]) Close() error { return nil }
 
 // schedSnapshot brackets one logical job's monitor and durability
 // activity: deltas of the cluster counters across all its attempts.
@@ -1733,29 +1648,21 @@ func (s *schedSnapshot) settle(cl *DistCluster, as *Stats) {
 }
 
 // runDistDS executes one job on the dist backend (execJob's dist half),
-// retrying the whole job when an attempt dies to worker loss. A
-// worker-resident input (in, mapped by the workers) is restored before
-// every attempt from its lineage (ensureResident); an input the
-// coordinator maps itself (mapPhase) needs no restoring. Each attempt
-// runs against scratch stats; only the successful attempt's numbers merge
-// into the caller's, so retried work is invisible everywhere except
-// Stats.WorkerRecoveries. The output's record can run the job again for
-// a later recovery: over in, or over the coordinator's input while live
-// reports it is still held (nil: always).
+// retrying the whole job when an attempt dies to worker loss. The input
+// (in) is worker-resident and mapped by the workers; it is restored
+// before every attempt from its lineage (ensureResident). Each attempt
+// runs against scratch stats; only the successful attempt's numbers
+// merge into the caller's, so retried work is invisible everywhere
+// except Stats.WorkerRecoveries. The output's record can run the job
+// again over in for a later recovery.
 func runDistDS[K2 comparable, V2 any, K3 comparable, V3 any](
 	ctx context.Context,
 	cfg Config,
-	splits int,
 	in *distResidency,
-	state bool,
-	mapPhase mapPhaseFunc[K2, V2],
-	live func() bool,
+	state, hashed bool,
 	stats *Stats,
 ) (*Dataset[K3, V3], error) {
 	cl := cfg.Dist
-	if cl == nil {
-		return nil, errors.New("mapreduce: shuffle backend \"dist\" requires Config.Dist (a started DistCluster)")
-	}
 	var sched schedSnapshot
 	sched.start(cl)
 	for attempt := 0; ; attempt++ {
@@ -1763,23 +1670,18 @@ func runDistDS[K2 comparable, V2 any, K3 comparable, V3 any](
 		// data the new assignment calls for.
 		cl.recoverAssignments()
 		as := newStats(cfg.Name)
-		out, err := tryDistDS[K2, V2, K3, V3](ctx, cfg, splits, in, state, mapPhase, as)
+		out, err := tryDistDS[K2, V2, K3, V3](ctx, cfg, in, state, hashed, as)
 		if err == nil {
 			as.WorkerRecoveries = int64(attempt)
 			sched.settle(cl, as)
 			stats.Add(as)
 			cl.reseeded.Add(as.ReseededPartitions)
 			out.rem.rerun = func(ctx context.Context) (*distResidency, error) {
-				if live != nil && !live() {
-					return nil, &WorkerLostError{Worker: -1, Job: cfg.Name, Err: errLineageGone}
-				}
-				again, err := tryDistDS[K2, V2, K3, V3](ctx, cfg, splits, in, state, mapPhase, newStats(cfg.Name))
-				if in != nil {
-					// The re-run consumed its input, and only another
-					// recovery reads it again.
-					cl.dropOnWorkers(in.seq)
-					cl.releaseResident(in)
-				}
+				again, err := tryDistDS[K2, V2, K3, V3](ctx, cfg, in, state, hashed, newStats(cfg.Name))
+				// The re-run consumed its input, and only another
+				// recovery reads it again.
+				cl.dropOnWorkers(in.seq)
+				cl.releaseResident(in)
 				if err != nil {
 					return nil, err
 				}
@@ -1788,58 +1690,42 @@ func runDistDS[K2 comparable, V2 any, K3 comparable, V3 any](
 			cl.registerResident(out.rem)
 			return out, nil
 		}
-		if !isWorkerLost(err) || errors.Is(err, errLineageGone) || !cl.retryAfterLoss(attempt) {
+		if !isWorkerLost(err) || !cl.retryAfterLoss(attempt) {
 			return nil, err
 		}
 		cl.recoveries.Add(1)
 	}
 }
 
-// tryDistDS is one job attempt. Output stays worker-resident (the
-// returned Dataset holds its residency record, not records). A
-// worker-resident input is mapped on the workers, so self-addressed
-// pairs never touch the wire; otherwise the coordinator runs mapPhase
-// and streams every bucket to its partition's owner.
+// tryDistDS is one job attempt: the workers map their partitions of the
+// input, so self-addressed pairs never touch the wire, and the output
+// stays worker-resident (the returned Dataset holds its residency
+// record, not records).
 func tryDistDS[K2 comparable, V2 any, K3 comparable, V3 any](
 	ctx context.Context,
 	cfg Config,
-	splits int,
 	in *distResidency,
-	state bool,
-	mapPhase mapPhaseFunc[K2, V2],
+	state, hashed bool,
 	stats *Stats,
 ) (*Dataset[K3, V3], error) {
 	cl := cfg.Dist
 	phase := time.Now()
-	mode := remote.ModeFlat
-	var inputSeq uint64
-	if in != nil {
-		// Put back what a dead owner or a lost attempt's reduce took before
-		// announcing the job that reads it.
-		reseeded, err := cl.ensureResident(ctx, in, cfg.Name)
-		if err != nil {
-			return nil, err
-		}
-		stats.ReseededPartitions = int64(reseeded)
-		mode = remote.ModeChained
-		inputSeq = in.seq
-	}
-	job, err := startDistJob[K2, V2, K3, V3](cfg, mode, splits, inputSeq, state)
+	// Put back what a dead owner or a lost attempt's reduce took before
+	// announcing the job that reads it.
+	reseeded, err := cl.ensureResident(ctx, in, cfg.Name)
 	if err != nil {
 		return nil, err
 	}
-	// A worker-side map phase is observed by the readers in finish,
-	// through MsgMapDone and the flush barrier.
-	var mapErr error
-	if in == nil {
-		ar := arenaFor[K2, V2](cfg.Pool, cfg.reducers())
-		mapErr = mapPhase(ctx, &distSender[K2, V2, K3, V3]{j: job, ar: ar}, ar, stats)
-		stats.MapWall = time.Since(phase)
-		phase = time.Now()
+	stats.ReseededPartitions = int64(reseeded)
+	job, err := startDistJob[K2, V2, K3, V3](cfg, in.seq, state, hashed)
+	if err != nil {
+		return nil, err
 	}
-	res, err := job.finish(ctx, stats, mapErr)
+	// The workers' map phase is observed by the readers in finish,
+	// through MsgMapDone and the flush barrier.
+	res, err := job.finish(ctx, stats)
 	stats.ReduceWall = time.Since(phase)
-	if in != nil && (err == nil || isWorkerLost(err)) {
+	if err == nil || isWorkerLost(err) {
 		// An attempt that succeeds or loses a worker was flushed: the
 		// survivors' reduce consumed the input either way.
 		cl.markConsumed(in)
@@ -1862,12 +1748,49 @@ func newRemoteDataset[K comparable, V any](r *distResidency, sides [][]uint64, a
 	}
 }
 
-// placeResident puts a state job's coordinator-held input on the
-// cluster: encode every partition into the coordinator's copy and
-// register the Dataset as resident nowhere yet (locNowhere) — the job
-// that consumes it has ensureResident seed each partition to its owner (a
-// seed, not a recovery: nothing counts as reseeded). The copy stays with
-// the record, the root of every output's lineage that descends from it.
+// runOnWorkers executes one job on the dist backend: the workers that
+// hold its input map it. An input the cluster does not hold is placed
+// there first (placeResident) and released after the job; its
+// coordinator copy stays the root of the output's lineage. hashed marks
+// an input cut into contiguous splits rather than partitioned by key
+// (runFlat): its maps hash every pair.
+func runOnWorkers[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any](
+	ctx context.Context,
+	cfg Config,
+	input *Dataset[K1, V1],
+	state, hashed bool,
+) (*Dataset[K3, V3], *Stats, error) {
+	stats := newStats(cfg.Name)
+	if err := checkKeys[K2, K3](); err != nil {
+		return nil, stats, err
+	}
+	cl := cfg.Dist
+	if cl == nil {
+		return nil, stats, errors.New("mapreduce: shuffle backend \"dist\" requires Config.Dist (a started DistCluster)")
+	}
+	if input.rem == nil || input.rem.cl != cl {
+		if err := input.Materialize(); err != nil {
+			return nil, stats, err
+		}
+		placed, err := placeResident(cl, input, cfg)
+		if err != nil {
+			return nil, stats, err
+		}
+		defer placed.Recycle()
+		input = placed
+	}
+	stats.MapInputRecords = int64(input.Len())
+	defer stats.snapPool(cfg.Pool)()
+	out, err := runDistDS[K2, V2, K3, V3](ctx, cfg, input.rem, state, hashed, stats)
+	return out, stats, err
+}
+
+// placeResident puts a coordinator-held input on the cluster: encode
+// every partition into the coordinator's copy and register the Dataset as
+// resident nowhere yet (locNowhere) — the job that consumes it has
+// ensureResident seed each partition to its owner (a seed, not a
+// recovery: nothing counts as reseeded). The copy stays with the record,
+// the root of every output's lineage that descends from it.
 func placeResident[K comparable, V any](cl *DistCluster, ds *Dataset[K, V], cfg Config) (*Dataset[K, V], error) {
 	pc, err := pairCodecFor[K, V]()
 	if err != nil {
@@ -1894,7 +1817,7 @@ func placeResident[K comparable, V any](cl *DistCluster, ds *Dataset[K, V], cfg 
 	}
 	rec := &distResidency{cl: cl, seq: cl.nextSeq(), loc: owners, counts: counts, blobs: blobs}
 	cl.registerResident(rec)
-	return newRemoteDataset[K, V](rec, nil, true, cfg.Pool), nil
+	return newRemoteDataset[K, V](rec, nil, ds.aligned, cfg.Pool), nil
 }
 
 // Materialize moves a worker-resident Dataset's records to the caller:
@@ -1931,7 +1854,7 @@ func (d *Dataset[K, V]) Materialize() error {
 		if !holes {
 			break
 		}
-		if round >= len(cl.conns) || errors.Is(lost, errLineageGone) {
+		if round >= len(cl.conns) {
 			if lost == nil {
 				lost = errors.New("mapreduce: materializing dataset: no live worker holds a partition")
 			}

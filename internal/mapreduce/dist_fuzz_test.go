@@ -15,18 +15,21 @@ import (
 // report that survives a re-encode; never a panic, and never an
 // allocation a declared count sized (a side section cannot hold more
 // values than the payload has bytes left, a report no more partitions
-// than the job has). Seeds: a two-partition report with side output on
-// one, every truncation of it, the same report as Proto 14 wrote it
-// (with the retired wire-compression tally trailing), and a side count
-// forged far past the payload.
+// than the job has). Seeds: a two-partition report with pool deltas and
+// side output on one, every truncation of it, the same report with a
+// byte trailing, the same report as Proto 17 wrote it (no pool deltas),
+// and a side count forged far past the payload.
 func FuzzJobDone(f *testing.F) {
-	good := appendJobDone(nil, 17, 40, 3*time.Millisecond, []int{1, 3},
+	good := appendJobDone(nil, 17, 40, 3*time.Millisecond, 1<<20, 3, []int{1, 3},
 		[]int64{0, 25, 0, 15}, [][]uint64{nil, {7, 1 << 40, 0}, nil, nil})
 	for cut := len(good); cut >= 0; cut-- {
 		f.Add(4, good[:cut])
 	}
 	f.Add(4, append(slices.Clone(good), 9))
-	forged := remote.AppendUvarint([]byte{1, 1, 1, 1, 0, 5}, 1<<50) // one partition, 2^50 side values, no bytes
+	head := appendJobDone(nil, 17, 40, 3*time.Millisecond, 1<<20, 3, nil, nil, nil)
+	pre18 := remote.AppendUvarint(remote.AppendUvarint(remote.AppendUvarint(nil, 17), 40), uint64(3*time.Millisecond))
+	f.Add(4, append(pre18, good[len(head)-1:]...))                        // the partition count onwards
+	forged := remote.AppendUvarint([]byte{1, 1, 1, 0, 0, 1, 0, 5}, 1<<50) // one partition, 2^50 side values, no bytes
 	f.Add(4, forged)
 	f.Add(1, good) // names partitions the job does not have
 	f.Fuzz(func(t *testing.T, reducers int, body []byte) {
@@ -54,7 +57,7 @@ func FuzzJobDone(f *testing.F) {
 			}
 		}
 		again := distWorkerReport{}
-		enc := appendJobDone(nil, rep.groups, rep.outRecords, rep.reduceWall, parts, counts, sides)
+		enc := appendJobDone(nil, rep.groups, rep.outRecords, rep.reduceWall, rep.pooled, rep.misses, parts, counts, sides)
 		if err := parseJobDone(remote.NewCursor(enc), reducers, &again); err != nil {
 			t.Fatalf("parsing our own job-done: %v", err)
 		}
@@ -67,18 +70,19 @@ func FuzzJobDone(f *testing.F) {
 // FuzzJobHeader feeds parseJobHeader — the worker's decoder of the job
 // announce (MsgJobStart) — arbitrary bytes. The contract: an error, or a
 // header that survives a re-encode; never a panic, and never an owner
-// table longer than the payload. Seeds: the headers of a flat, a chained
-// and a state job, each of which must round-trip exactly, every
-// truncation of one, the same header as Proto 15 wrote it (with the
-// retired checkpoint byte after the geometry), and one with a byte
+// table longer than the payload. Seeds: the headers of a flat input's
+// job (hashed), a chained and a state job, each of which must round-trip
+// exactly, every truncation of one, the same header as Proto 17 wrote it
+// (with the retired mode byte and split count in front of the partition
+// count), one with a flag bit no version sets, and one with a byte
 // trailing.
 func FuzzJobHeader(f *testing.F) {
 	headers := []*distJobHeader{
-		{seq: 1, name: "ring-step", mode: remote.ModeFlat, splits: 4, reducers: 4,
+		{seq: 1, name: "eq-int32", reducers: 4, hashed: true, inputSeq: 1 << 20,
 			owners: []int{0, 1, 0, 1}, k2id: "int32", v2id: "int64", k3id: "int32", v3id: "int64"},
-		{seq: 7, name: "ring-step", mode: remote.ModeChained, splits: 4, reducers: 4, inputSeq: 6,
+		{seq: 7, name: "ring-step", reducers: 4, inputSeq: 6,
 			owners: []int{0, 1, 1, 1}, k2id: "int32", v2id: "int64", k3id: "int32", v3id: "int64"},
-		{seq: 1 << 40, name: "greedymr-round", mode: remote.ModeChained, splits: 3, reducers: 3, state: true,
+		{seq: 1 << 40, name: "greedymr-round", reducers: 3, state: true,
 			inputSeq: 1<<40 - 1, owners: []int{2, 0, 1}, k2id: "graph.NodeID", v2id: "int32",
 			k3id: "graph.NodeID", v3id: "core.nodeState", params: []byte{1, 0, 255}},
 	}
@@ -95,9 +99,12 @@ func FuzzJobHeader(f *testing.F) {
 		f.Add(body[:cut])
 	}
 	h := headers[1]
-	geometry := remote.AppendString(remote.AppendUvarint(nil, h.seq), h.name)
-	geometry = remote.AppendUvarint(remote.AppendUvarint(append(geometry, byte(h.mode)), uint64(h.splits)), uint64(h.reducers))
-	f.Add(slices.Insert(h.encode()[1:], len(geometry), 1))
+	name := remote.AppendString(remote.AppendUvarint(nil, h.seq), h.name)
+	f.Add(slices.Insert(h.encode()[1:], len(name), 1, 4)) // mode chained, 4 splits
+	flags := len(remote.AppendUvarint(name, uint64(h.reducers)))
+	unknown := h.encode()[1:]
+	unknown[flags] |= 1 << 2
+	f.Add(unknown)
 	f.Add(append(h.encode()[1:], 0))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		h, err := parseJobHeader(remote.NewCursor(body))

@@ -2,23 +2,23 @@ package mapreduce
 
 import (
 	"context"
-	"errors"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/mapreduce/remote"
 )
 
-// TestDistLineageRecycledInputRefuses: a job the coordinator mapped
-// (RunDS over a coordinator-held input) can be run again only while that
-// input is live. A ring chain starts from a pooled coordinator-held
-// Dataset and recycles it after round 0; worker 1 is then severed at the
-// first frame of round 1, so the partitions it held of round 0's output
-// must be made again, and the job that made them has no input left to
-// map. Round 1 fails with a WorkerLostError: it never maps the emptied
-// input, whose buffers the pool hands out again, and never returns a
-// wrong answer.
-func TestDistLineageRecycledInputRefuses(t *testing.T) {
+// TestDistLineageRecycledInputRecovers: a job over a coordinator-held
+// input maps on the workers from a copy placed there (placeResident), and
+// that copy, not the caller's Dataset, is the root of the output's
+// lineage. A ring chain starts from a pooled coordinator-held Dataset and
+// recycles it after round 0; worker 1 is then severed at the first frame
+// of round 1, so the partitions it held of round 0's output must be made
+// again. Round 0 re-runs over the placed copy — never over the recycled
+// buffers, which the pool hands out again — and round 1 ends
+// bit-identical to memory.
+func TestDistLineageRecycledInputRecovers(t *testing.T) {
 	ctx := context.Background()
 	pool := NewBufferPool()
 	in, _, err := RunDS(ctx, Config{Mappers: 4, Reducers: 4, Pool: pool},
@@ -26,6 +26,7 @@ func TestDistLineageRecycledInputRefuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := ringRounds(t, Config{Mappers: 4, Reducers: 4, Name: "ring-step"}, 3)
 	cl := startTestCluster(t, 2)
 	cfg := distCfg4(cl, "ring-step")
 	cfg.Pool = pool
@@ -37,16 +38,21 @@ func TestDistLineageRecycledInputRefuses(t *testing.T) {
 	if err := cl.InjectFault(1, &remote.Fault{Op: remote.FaultSever, AfterWrites: 1}); err != nil {
 		t.Fatal(err)
 	}
-	next, _, err := RunDS(ctx, cfg, ds, ringMap, ringReduce)
-	var lost *WorkerLostError
-	if !errors.As(err, &lost) {
-		if err == nil {
-			next.Recycle()
-		}
-		t.Fatalf("round 1 after its lineage's coordinator-held input was recycled: got %v, want a WorkerLostError", err)
+	next, st, err := RunDS(ctx, cfg, ds, ringMap, ringReduce)
+	if err != nil {
+		t.Fatalf("round 1 after its lineage's coordinator-held input was recycled: %v", err)
 	}
-	t.Logf("refused: %v", err)
+	defer next.Recycle()
 	ds.Recycle()
+	if st.WorkerRecoveries < 1 || st.ReseededPartitions < 1 {
+		t.Fatalf("round 1 retried %d times and reseeded %d partitions, want a recovery that recomputes round 0", st.WorkerRecoveries, st.ReseededPartitions)
+	}
+	if err := next.Materialize(); err != nil {
+		t.Fatal(err)
+	}
+	if got := next.Collect(); !reflect.DeepEqual(got, want) {
+		t.Fatal("the recovered round diverges from memory")
+	}
 }
 
 // TestDistLineageRecomputeBytesCounted: the wire bytes of a recovery's

@@ -217,9 +217,9 @@ func TestDistParamsReachWorkers(t *testing.T) {
 }
 
 // TestDistRefusesOlderProtoWorker: a worker built before the last wire
-// change (a Proto 16 worker numbers the seed, pong, build and built
-// messages past the dropped abort and aborted messages, so the two would
-// misparse each other's frames)
+// change (a Proto 17 worker reads a mode byte and a split count in front
+// of the job header's partition count, and a job-done without pool
+// deltas, so the two would misparse each other's frames)
 // dials a current coordinator and is refused at the hello, with both
 // versions named — never paired and left to misparse a frame.
 func TestDistRefusesOlderProtoWorker(t *testing.T) {
@@ -238,7 +238,7 @@ func TestDistRefusesOlderProtoWorker(t *testing.T) {
 				}
 				conn := remote.NewConn(nc)
 				defer conn.Close()
-				hello := remote.AppendUvarint([]byte{byte(remote.MsgHello)}, 16)
+				hello := remote.AppendUvarint([]byte{byte(remote.MsgHello)}, 17)
 				if err := conn.WriteFrame(append(hello, 0)); err != nil {
 					t.Error(err)
 					return
@@ -250,7 +250,7 @@ func TestDistRefusesOlderProtoWorker(t *testing.T) {
 		},
 	})
 	wg.Wait()
-	const want = "protocol version mismatch: worker speaks 16, coordinator 17"
+	const want = "protocol version mismatch: worker speaks 17, coordinator 18"
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("StartDistCluster with an older-protocol worker: err = %v, want %q", err, want)
 	}
@@ -294,9 +294,10 @@ func TestDistChainedMapErrorSurfaces(t *testing.T) {
 	ds1, _, err := RunDS(ctx, cfg, PartitionDataset(ringInput(), cfg.reducers()),
 		selfMap, ringReduce)
 	if err == nil {
-		// The first job ships a local input (coordinator-side map with
-		// the closure above never runs worker-side), so it succeeds;
-		// the chained second job runs the registered map on the workers.
+		// The workers map even the first job's input, placed from the
+		// coordinator, with the registered map, so the first job fails
+		// already; were it to succeed, the chained second job runs the
+		// same map on the workers and must fail there.
 		done := make(chan error, 1)
 		go func() {
 			_, _, err := RunDS(ctx, cfg, ds1, selfMap, ringReduce)

@@ -14,27 +14,27 @@ import (
 
 // This file is the worker half of the distributed execution mode: the
 // job registry, the serve loop a worker process runs, and the per-job
-// handler that ingests buckets, group-sorts each owned partition with
-// the same radix path the in-memory backend uses, runs the registered
-// reduce function, and keeps the output resident for the next chained
-// job or a fetch. Function values cannot travel, so
-// a worker runs the map/reduce functions registered under the job's
+// handler that maps the worker's resident input partitions, ingests the
+// buckets other workers' maps addressed to its partitions, group-sorts
+// each owned partition with the same radix path the in-memory backend
+// uses, runs the registered reduce function, and keeps the output
+// resident for the next job or a fetch. Function values cannot travel,
+// so a worker runs the map/reduce functions registered under the job's
 // name — for jobs whose functions close over driver-side round state,
 // the registered factory rebuilds them from the job's parameter blob
 // (Config.DistParams).
 
 // DistJob is one registered job's worker-side behavior.
 type DistJob[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any] struct {
-	// Map is required only for chained consumption of a worker-resident
-	// input (the partition-resident fast path); jobs whose map phase
-	// always runs on the coordinator leave it nil.
+	// Map runs over the worker's partitions of the job's input: every
+	// dist job maps where its input resides, so it is required, and must
+	// be the function the coordinator hands RunDS (or RunStateDS).
 	Map MapFunc[K1, V1, K2, V2]
 	// Reduce runs over every owned partition's key groups. Required,
 	// unless the job is a state job.
 	Reduce ReduceFunc[K2, V2, K3, V3]
 	// StateReduce takes Reduce's place in a state job (RunStateDS), which
-	// also needs Map — it is always mapped where its input resides — and
-	// K1 = K2.
+	// needs K1 = K2.
 	StateReduce StateReduceFunc[K2, V1, V2, K3, V3]
 }
 
@@ -67,24 +67,11 @@ func RegisterDistJob[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable
 		if err != nil {
 			return nil, fmt.Errorf("building job %q: %w", name, err)
 		}
-		if (job.Reduce == nil) == (job.StateReduce == nil) {
-			return nil, fmt.Errorf("job %q must be registered with either a reduce or a state reduce function", name)
+		if job.Map == nil || (job.Reduce == nil) == (job.StateReduce == nil) {
+			return nil, fmt.Errorf("job %q must be registered with a map and either a reduce or a state reduce function", name)
 		}
 		return &distWorkerJob[K1, V1, K2, V2, K3, V3]{job: job}, nil
 	}
-}
-
-// RegisterDistReduce registers a parameter-free, reduce-only job: the
-// common case for reduces that capture nothing (or only immutable
-// shared inputs). Such jobs cannot consume a worker-resident input
-// chained (no map function); their map phase always runs on the
-// coordinator.
-func RegisterDistReduce[K2 comparable, V2 any, K3 comparable, V3 any](
-	name string, reduce ReduceFunc[K2, V2, K3, V3],
-) {
-	RegisterDistJob(name, func([]byte) (DistJob[K3, V3, K2, V2, K3, V3], error) {
-		return DistJob[K3, V3, K2, V2, K3, V3]{Reduce: reduce}, nil
-	})
 }
 
 func lookupDistJob(name string, params []byte) (distJobRunner, error) {
@@ -160,13 +147,13 @@ func (r *residentData[K, V]) shed(part int) {
 	}
 }
 
-// chainedInput resolves a chained job's worker-resident input,
+// chainedInput resolves a job's worker-resident input,
 // installing any seeded partitions (MsgSeed blobs held by the session)
 // first. A worker that retained nothing for the sequence — a survivor
 // that only now inherited partitions — starts from an empty set and
 // fills it from its seeds.
 func chainedInput[K1 comparable, V1 any](s *workerSession, h *distJobHeader) (*residentData[K1, V1], error) {
-	rd, err := residentFor[K1, V1](s, h.inputSeq, h.splits)
+	rd, err := residentFor[K1, V1](s, h.inputSeq, h.reducers)
 	if err != nil {
 		return nil, fmt.Errorf("job %q: %w", h.name, err)
 	}
@@ -533,32 +520,36 @@ type distWorkerJob[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, 
 	job DistJob[K1, V1, K2, V2, K3, V3]
 }
 
-// workerSender is the ShuffleBackend a chained worker-side map phase
-// emits into: buckets for owned partitions land in the local shuffle
+// workerSender is the ShuffleBackend a worker-side map phase emits
+// into: buckets for owned partitions land in the local shuffle
 // directly (this is the path self-addressed pairs take — they never
 // touch the wire), buckets for foreign partitions stream to the
 // coordinator, which relays them to their owner.
 type workerSender[K2 comparable, V2 any] struct {
-	s        *workerSession
-	h        *distJobHeader
-	seq      uint64
-	local    *memoryShuffle[K2, V2]
-	ar       *roundArena[K2, V2]
-	pc       *pairCodec[K2, V2]
-	sent     atomic.Int64
-	reducers int
+	s     *workerSession
+	h     *distJobHeader
+	local *memoryShuffle[K2, V2]
+	ar    *roundArena[K2, V2]
+	pc    *pairCodec[K2, V2]
 }
 
-func (ws *workerSender[K2, V2]) Partitions() int { return ws.reducers }
+func (ws *workerSender[K2, V2]) Partitions() int { return ws.h.reducers }
 func (ws *workerSender[K2, V2]) BucketCap() int  { return 0 }
 
 func (ws *workerSender[K2, V2]) AddBucket(split, part int, pairs []Pair[K2, V2]) error {
-	if ws.h.owner(part) == ws.s.id {
+	if ws.h.owners[part] == ws.s.id {
 		// Ownership transfer, exactly like the in-memory backend.
 		return ws.local.AddBucket(split, part, pairs)
 	}
+	// A bucket frame's pair payload is a self-contained codec-v2 blob
+	// (see codecv2.go), so the coordinator relays the frame as it is.
 	fs := getFrameScratch()
-	frame, err := encodeBucketFrame(fs.b[:0], ws.seq, split, part, pairs, ws.pc)
+	frame := append(fs.b[:0], byte(remote.MsgBucket))
+	frame = remote.AppendUvarint(frame, ws.h.seq)
+	frame = remote.AppendUvarint(frame, uint64(split))
+	frame = remote.AppendUvarint(frame, uint64(part))
+	frame = remote.AppendUvarint(frame, uint64(len(pairs)))
+	frame, err := encodePairs(frame, pairs, ws.pc)
 	if err != nil {
 		putFrameScratch(fs)
 		return fmt.Errorf("encoding bucket: %w", err)
@@ -569,7 +560,6 @@ func (ws *workerSender[K2, V2]) AddBucket(split, part int, pairs []Pair[K2, V2])
 	if err != nil {
 		return err
 	}
-	ws.sent.Add(int64(len(pairs)))
 	ws.ar.putBucket(part, pairs)
 	return nil
 }
@@ -592,9 +582,6 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 	if registered := r.job.StateReduce != nil; h.state != registered {
 		return fmt.Errorf("job %q: state job on the coordinator: %t, as registered here: %t", h.name, h.state, registered)
 	}
-	if h.state && h.mode != remote.ModeChained {
-		return fmt.Errorf("job %q: a state job needs a worker-resident input", h.name)
-	}
 	shufc, err := pairCodecFor[K2, V2]()
 	if err != nil {
 		return fmt.Errorf("job %q: shuffle %w", h.name, err)
@@ -603,64 +590,51 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 	if err != nil {
 		return fmt.Errorf("job %q: output %w", h.name, err)
 	}
+	bytes0, misses0 := s.pool.counters()
 
 	ar := arenaFor[K2, V2](s.pool, h.reducers)
-	shuffle := newMemoryShuffle[K2, V2](h.reducers, h.splits, ar)
+	shuffle := newMemoryShuffle[K2, V2](h.reducers, h.reducers, ar)
 
-	// Ingest: either the coordinator streams every bucket, or this
-	// worker maps its resident input partitions while the main
-	// loop below keeps receiving the buckets other workers relay here.
-	var mapErrOnce sync.Once
+	// Ingest: this worker maps its resident input partitions while the
+	// main loop below keeps receiving the buckets other workers relay
+	// here.
+	input, err := chainedInput[K1, V1](s, h)
+	if err != nil {
+		return err
+	}
+	steps := plainSteps(r.job.Reduce)
+	var joinOrder func(a, b K1) int
+	if r.job.StateReduce != nil {
+		parts, ok := any(input.parts).([][]Pair[K2, V1])
+		if !ok {
+			return fmt.Errorf("job %q: a state job's messages are keyed like its input, not %s", h.name, h.k2id)
+		}
+		steps = joinedSteps(parts, r.job.StateReduce)
+		joinOrder = keyShapeOf[K1]().cmp()
+	}
+	sender := &workerSender[K2, V2]{s: s, h: h, local: shuffle, ar: ar, pc: shufc}
 	var mapErr error
 	mapDone := make(chan struct{})
-	steps := plainSteps(r.job.Reduce)
-	if h.mode == remote.ModeChained {
-		input, err := chainedInput[K1, V1](s, h)
+	go func() {
+		defer close(mapDone)
+		start := time.Now()
+		emitted, local, cross, err := r.runResidentMap(s, input, joinOrder, sender)
 		if err != nil {
-			return err
+			mapErr = err
+			// The coordinator's flush barrier waits for every worker's
+			// map-done; a silent failure here would leave the whole job
+			// waiting on a flush that can never come. The error frame
+			// fails the job (and the cluster) instead.
+			s.sendError(h.seq, fmt.Errorf("map: %w", err))
+			return
 		}
-		if r.job.Map == nil {
-			return fmt.Errorf("job %q has no registered map function, cannot consume a worker-resident input", h.name)
-		}
-		var joinOrder func(a, b K1) int
-		if r.job.StateReduce != nil {
-			parts, ok := any(input.parts).([][]Pair[K2, V1])
-			if !ok {
-				return fmt.Errorf("job %q: a state job's messages are keyed like its input, not %s", h.name, h.k2id)
-			}
-			steps = joinedSteps(parts, r.job.StateReduce)
-			joinOrder = keyShapeOf[K1]().cmp()
-		}
-		sender := &workerSender[K2, V2]{
-			s: s, h: h, seq: h.seq, local: shuffle, ar: ar, pc: shufc,
-			reducers: h.reducers,
-		}
-		go func() {
-			defer close(mapDone)
-			start := time.Now()
-			emitted, local, cross, err := r.runResidentMap(s, input, joinOrder, sender)
-			if err != nil {
-				mapErrOnce.Do(func() { mapErr = err })
-				// The coordinator's flush barrier waits for every
-				// worker's map-done; a silent failure here would leave
-				// the whole job waiting on a flush that can never come.
-				// The error frame fails the job (and the cluster)
-				// instead.
-				s.sendError(h.seq, fmt.Errorf("map: %w", err))
-				return
-			}
-			frame := remote.AppendUvarint([]byte{byte(remote.MsgMapDone)}, h.seq)
-			frame = remote.AppendUvarint(frame, uint64(emitted))
-			frame = remote.AppendUvarint(frame, uint64(local))
-			frame = remote.AppendUvarint(frame, uint64(cross))
-			frame = remote.AppendUvarint(frame, uint64(time.Since(start)))
-			if err := s.conn.WriteFrame(frame); err != nil {
-				mapErrOnce.Do(func() { mapErr = err })
-			}
-		}()
-	} else {
-		close(mapDone)
-	}
+		frame := remote.AppendUvarint([]byte{byte(remote.MsgMapDone)}, h.seq)
+		frame = remote.AppendUvarint(frame, uint64(emitted))
+		frame = remote.AppendUvarint(frame, uint64(local))
+		frame = remote.AppendUvarint(frame, uint64(cross))
+		frame = remote.AppendUvarint(frame, uint64(time.Since(start)))
+		mapErr = s.conn.WriteFrame(frame)
+	}()
 
 	// Main ingest loop: buckets until the flush.
 	for {
@@ -691,8 +665,8 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 		split := int(cur.Uvarint())
 		part := int(cur.Uvarint())
 		count := int(cur.Uvarint())
-		if err := cur.Err(); err != nil || seq != h.seq || split < 0 || split >= h.splits ||
-			part < 0 || part >= h.reducers || h.owner(part) != s.id {
+		if err := cur.Err(); err != nil || seq != h.seq || split < 0 || split >= h.reducers ||
+			part < 0 || part >= h.reducers || h.owners[part] != s.id {
 			return fmt.Errorf("job %q: malformed bucket (split %d, part %d)", h.name, split, part)
 		}
 		bucket, err := decodePairs(cur, count, shufc, ar.getBucket(part, pairCap(cur, count, shufc)))
@@ -725,7 +699,7 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 	var wg sync.WaitGroup
 	errs := make([]error, h.reducers)
 	for p, st := range streams {
-		if h.owner(p) != s.id {
+		if h.owners[p] != s.id {
 			st.Close()
 			continue
 		}
@@ -763,21 +737,22 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 	var ownedParts []int
 	var outRecords int64
 	for p := 0; p < h.reducers; p++ {
-		if h.owner(p) == s.id {
+		if h.owners[p] == s.id {
 			ownedParts = append(ownedParts, p)
 			outRecords += outCounts[p]
 		}
 	}
+	bytes1, misses1 := s.pool.counters()
 	frame := remote.AppendUvarint([]byte{byte(remote.MsgJobDone)}, h.seq)
 	frame = appendJobDone(frame, groups.Load(), outRecords, time.Since(reduceStart),
-		ownedParts, outCounts, sides)
+		bytes1-bytes0, misses1-misses0, ownedParts, outCounts, sides)
 	s.resident[h.seq] = &residentData[K3, V3]{parts: outs, pc: outc, ar: arOut}
 	return s.conn.WriteFrame(frame)
 }
 
 // runResidentMap maps this worker's resident input partitions,
-// identity-routing self-addressed pairs into the local shuffle — the
-// partition-resident fast path, now running where the partition lives.
+// identity-routing self-addressed pairs into the local shuffle unless
+// the input is a flat input's contiguous splits (h.hashed).
 func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) runResidentMap(
 	s *workerSession, input *residentData[K1, V1], joinOrder func(a, b K1) int, sender *workerSender[K2, V2],
 ) (emitted, local, cross int64, err error) {
@@ -785,14 +760,14 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) runResidentMap(
 	errs := make([]error, len(input.parts))
 	var em, lo, cr atomic.Int64
 	for p, part := range input.parts {
-		if sender.h.owner(p) != s.id || part == nil {
+		if sender.h.owners[p] != s.id || part == nil {
 			continue
 		}
 		p, part := p, part
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e, err := mapResident(context.Background(), sender.h.name, p, part, r.job.Map, joinOrder, sender, sender.ar)
+			e, err := mapResident(context.Background(), sender.h.name, p, part, r.job.Map, joinOrder, sender.h.hashed, sender, sender.ar)
 			if err != nil {
 				errs[p] = err
 				return

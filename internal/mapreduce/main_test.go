@@ -31,9 +31,9 @@ func TestMain(m *testing.M) {
 // in-process loopback workers) and the re-executed worker processes.
 func registerDistTestJobs() {
 	// The equivalence corpora (equivalence_test.go).
-	RegisterDistReduce("eq-wordcount", wcReduce)
-	RegisterDistReduce("eq-int32", int32Reduce)
-	RegisterDistReduce("eq-nodeid", nodeIDReduce)
+	registerMapReduce("eq-wordcount", wcMap, wcReduce)
+	registerMapReduce("eq-int32", int32Map, int32Reduce)
+	registerMapReduce("eq-nodeid", nodeIDMap, nodeIDReduce)
 
 	// Chained self-messaging job: state forwarded to the node itself
 	// plus a ring message to a neighbor (dist_test.go residency tests).
@@ -66,6 +66,7 @@ func registerDistTestJobs() {
 		}
 		off := int64(params[0])
 		return DistJob[int32, int64, int32, int64, int32, int64]{
+			Map: forwardMap[int32, int64],
 			Reduce: func(k int32, vs []int64, out Emitter[int32, int64]) error {
 				var sum int64
 				for _, v := range vs {
@@ -92,7 +93,7 @@ func registerDistTestJobs() {
 	})
 	// Slow reduce for the kill test: leaves a wide window in which to
 	// SIGKILL a worker mid-reduce.
-	RegisterDistReduce("slow-reduce", func(k int32, vs []int64, out Emitter[int32, int64]) error {
+	registerMapReduce("slow-reduce", forwardMap[int32, int64], func(k int32, vs []int64, out Emitter[int32, int64]) error {
 		time.Sleep(20 * time.Millisecond)
 		out.Emit(k, int64(len(vs)))
 		return nil
@@ -125,12 +126,21 @@ func registerDistTestJobs() {
 		}, nil
 	})
 	// Failing reduce: a user-function error must surface from Run.
-	RegisterDistReduce("boom-reduce", func(k int32, vs []int64, out Emitter[int32, int64]) error {
+	registerMapReduce("boom-reduce", forwardMap[int32, int64], func(k int32, vs []int64, out Emitter[int32, int64]) error {
 		if k == 7 {
 			return fmt.Errorf("boom on key %d", k)
 		}
 		out.Emit(k, 0)
 		return nil
+	})
+}
+
+// registerMapReduce registers a parameter-free job's map and reduce.
+func registerMapReduce[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any](
+	name string, mapFn MapFunc[K1, V1, K2, V2], reduceFn ReduceFunc[K2, V2, K3, V3],
+) {
+	RegisterDistJob(name, func([]byte) (DistJob[K1, V1, K2, V2, K3, V3], error) {
+		return DistJob[K1, V1, K2, V2, K3, V3]{Map: mapFn, Reduce: reduceFn}, nil
 	})
 }
 

@@ -40,8 +40,9 @@
 // The third mode is distributed execution (ShuffleDist, dist.go): the
 // reduce partitions shard across worker processes connected over the
 // framed TCP transport of internal/mapreduce/remote, each worker
-// group-sorting and reducing its partitions locally with the functions
-// registered under the job's name (RegisterDistJob) — output
+// mapping the input partitions it holds and group-sorting and reducing
+// its partitions locally with the functions registered under the job's
+// name (RegisterDistJob) — output
 // bit-identical to the memory backend for the same seed and partition
 // count, with chained Dataset output staying worker-resident between
 // rounds.
@@ -216,9 +217,11 @@ func checkGroupOrder[K comparable, S any](cmp func(a, b K) int, name string, p i
 // Config controls the parallelism, partitioning and backend of a job.
 type Config struct {
 	// Mappers is the number of contiguous splits, one map task each,
-	// that a flat input is cut into: a misaligned Dataset that RunDS
-	// collects and re-partitions. Zero means GOMAXPROCS. A Dataset job
-	// runs one map task per partition and ignores it.
+	// that a flat input is cut into on the local backends: a misaligned
+	// Dataset that RunDS collects and re-partitions. Zero means
+	// GOMAXPROCS. A Dataset job runs one map task per partition and
+	// ignores it, and so does dist, which cuts a flat input into one
+	// split per partition.
 	Mappers int
 	// Reducers is the number of partitions (and parallel reduce
 	// workers). Zero means GOMAXPROCS.
@@ -393,50 +396,6 @@ func (e *shuffleEmitter[K, V]) finish() error {
 // further invocations per task, and a task that outruns the poll still
 // reports the cancellation instead of its output.
 const cancelPollEvery = 256
-
-// runMapPhase applies mapFn to the input splits in parallel, feeding the
-// emitted pairs to the shuffle backend. Pairs reach the backend tagged
-// with their split index, so the intermediate order is independent of
-// goroutine scheduling.
-func runMapPhase[K1 comparable, V1 any, K2 comparable, V2 any](
-	ctx context.Context,
-	cfg Config,
-	splits []span,
-	input []Pair[K1, V1],
-	mapFn MapFunc[K1, V1, K2, V2],
-	backend ShuffleBackend[K2, V2],
-	ar *roundArena[K2, V2],
-	stats *Stats,
-) error {
-	grp := newErrGroup(ctx)
-	for i, sp := range splits {
-		i, sp := i, sp
-		grp.Go(func(ctx context.Context) error {
-			em := newShuffleEmitter(backend, i, ar)
-			for j := sp.lo; j < sp.hi; j++ {
-				if (j-sp.lo)%cancelPollEvery == 0 && ctx.Err() != nil {
-					return ctx.Err()
-				}
-				if err := mapFn(input[j].Key, input[j].Value, em); err != nil {
-					return fmt.Errorf("mapreduce: map record %d: %w", j, err)
-				}
-				if em.err != nil {
-					return em.err
-				}
-			}
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := em.finish(); err != nil {
-				return err
-			}
-			stats.addMapOutput(em.count)
-			stats.addRouted(em.local, em.cross)
-			return nil
-		})
-	}
-	return grp.Wait()
-}
 
 // runReduceParts streams every partition's key groups through reduceFn,
 // keeping each partition's output separate (the Dataset view RunDS

@@ -83,7 +83,12 @@ import (
 // Version 17 dropped the abort and aborted messages (renumbering every
 // later one): an attempt that loses a worker runs to its end on the
 // survivors, and the coordinator drops its output.
-const Proto = 17
+// Version 18 dropped the job header's mode byte and split count: every
+// job maps on the workers that hold its input, an input the coordinator
+// holds is placed there first, and the header's flag byte marks an
+// input cut into contiguous splits, whose maps hash every pair. It also
+// added each worker's buffer-pool byte and miss deltas to MsgJobDone.
+const Proto = 18
 
 // MsgType identifies one protocol message. The direction annotations
 // are the only ones that occur; receiving a type from the wrong
@@ -102,15 +107,15 @@ const (
 	// received-frame count.
 	MsgWelcome
 	// MsgJobStart (coordinator → worker) announces one job: sequence
-	// number, job name, mode, split/partition geometry, codec ids, and
-	// the job parameter blob.
+	// number, job name, partition count, flags, input sequence number,
+	// partition owners, codec ids, and the job parameter blob.
 	MsgJobStart
 	// MsgBucket carries one pre-partitioned bucket of intermediate
-	// pairs: coordinator → worker for buckets the coordinator's map
-	// phase produced (or relays), worker → coordinator for chained-mode
-	// buckets addressed to a partition another worker owns.
+	// pairs a worker's map emitted for a partition another worker owns:
+	// worker → coordinator, which relays the frame unchanged to the
+	// owner (coordinator → worker).
 	MsgBucket
-	// MsgMapDone (worker → coordinator, chained mode) reports that the
+	// MsgMapDone (worker → coordinator) reports that the
 	// worker finished mapping its resident partitions (all its MsgBucket
 	// frames precede it on the connection).
 	MsgMapDone
@@ -119,8 +124,9 @@ const (
 	// and report.
 	MsgFlush
 	// MsgJobDone (worker → coordinator) closes the worker's side of a
-	// job: reduce statistics and, per owned partition, the resident
-	// record count and the reduce tasks' side output.
+	// job: reduce statistics, the worker's buffer-pool deltas and, per
+	// owned partition, the resident record count and the reduce tasks'
+	// side output.
 	MsgJobDone
 	// MsgFetch (coordinator → worker) asks for the resident output
 	// partitions of an earlier job.
@@ -209,19 +215,6 @@ func (t MsgType) String() string {
 // drive an allocation of arbitrary size. 1 GiB comfortably holds the
 // largest realistic partition frame.
 const maxFrame = 1 << 30
-
-// JobMode selects how a worker sources a job's intermediate pairs.
-type JobMode byte
-
-const (
-	// ModeFlat: the coordinator's map phase streams every bucket over
-	// the connection.
-	ModeFlat JobMode = iota
-	// ModeChained: the worker maps its resident input partitions from an
-	// earlier job's output; only cross-partition pairs travel (relayed
-	// through the coordinator).
-	ModeChained
-)
 
 // transport is one byte stream carrying the connection: the socket and
 // its buffered reader/writer. A Conn holds exactly one live transport

@@ -134,12 +134,12 @@ func firstLines(s string, n int) string {
 	return s[:end]
 }
 
-// registerRunGoldenJobs registers the three jobs' reduces for the
-// in-process dist workers (their maps run on the coordinator).
+// registerRunGoldenJobs registers the three jobs' maps and reduces for
+// the in-process dist workers, which map the placed input.
 func registerRunGoldenJobs() {
-	RegisterDistReduce("golden-collect", goldenCollectReduce)
-	RegisterDistReduce("golden-fsum", goldenFsumReduce)
-	RegisterDistReduce("golden-rekey", goldenRekeyReduce)
+	registerMapReduce("golden-collect", goldenCollectMap, goldenCollectReduce)
+	registerMapReduce("golden-fsum", goldenFsumMap, goldenFsumReduce)
+	registerMapReduce("golden-rekey", goldenRekeyMap, goldenRekeyReduce)
 }
 
 const goldenN = 400

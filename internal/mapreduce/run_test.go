@@ -7,13 +7,14 @@ import (
 )
 
 // This file keeps the flat-input job the package's tests are written
-// against: Run maps a []Pair cut into Config.Mappers contiguous splits,
-// an order TestRunGolden pins and a Dataset job (one map task per
-// partition) does not reproduce. No production caller has one.
+// against: Run maps a []Pair cut into contiguous splits, an order
+// TestRunGolden pins and a Dataset job (one map task per partition) does
+// not reproduce. No production caller has one.
 
 // Run executes one MapReduce job over the input pairs and returns the
 // reduce output together with the job statistics. The input is mapped
-// in the order given, cut into Config.Mappers contiguous splits; the
+// in the order given, cut into contiguous splits (Config.Mappers of them,
+// or one per partition on dist, where the workers map them); the
 // output is flattened and sorted by key (sortPairs), so identical jobs
 // produce identical slices, which keeps the randomized matching
 // algorithms reproducible under a fixed seed.

@@ -127,8 +127,9 @@ func (s *Stats) addRouted(local, cross int64) {
 func (s *Stats) addReduceGroups(n int64) { atomic.AddInt64(&s.ReduceGroups, n) }
 
 // snapPool snapshots the pool's cumulative counters and returns a
-// closure that records the delta accrued while the job ran. Jobs under
-// one Driver run sequentially, so the delta is the job's own traffic.
+// closure that adds the delta accrued while the job ran to what the dist
+// workers reported for their own pools. Jobs under one Driver run
+// sequentially, so the delta is the job's own traffic.
 func (s *Stats) snapPool(p *BufferPool) func() {
 	if p == nil {
 		return func() {}
@@ -136,8 +137,8 @@ func (s *Stats) snapPool(p *BufferPool) func() {
 	b0, m0 := p.counters()
 	return func() {
 		b1, m1 := p.counters()
-		s.PooledBytes = b1 - b0
-		s.PoolMisses = m1 - m0
+		s.PooledBytes += b1 - b0
+		s.PoolMisses += m1 - m0
 	}
 }
 

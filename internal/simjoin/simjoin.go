@@ -82,24 +82,18 @@ func Join(ctx context.Context, items, consumers []vector.Sparse, sigma float64, 
 	driver := mapreduce.NewDriver(opts.MR)
 	defer driver.Release()
 
-	// Global term statistics of the consumer side: max weight bounds
-	// the suffix contribution, document frequency fixes the term order.
-	maxW := vector.MaxWeights(consumers)
-	df := vector.DocumentFrequencies(consumers)
-
 	// Job 1: build the pruned inverted index over items. Both jobs run
-	// Dataset-in/Dataset-out: the output postings stay per-partition and
-	// feed the index map partition by partition, with no global
-	// concat-and-sort between the jobs.
-	indexOut, err := mapreduce.RunJobDS(ctx, driver, "simjoin-index",
-		mapreduce.PartitionDataset(enumerate(items), driver.Partitions()),
-		func(i int32, d vector.Sparse, out mapreduce.Emitter[vector.TermID, posting]) error {
-			for _, e := range prefixEntries(d, sigma, maxW, df) {
-				out.Emit(e.Term, posting{doc: i, w: e.Weight})
-			}
-			return nil
-		},
-		indexReduce)
+	// Dataset-in/Dataset-out over records built where they reside
+	// (BuildDS: on dist the workers hold the vectors, so nothing is
+	// shipped), and the output postings stay per-partition, with no
+	// global concat-and-sort between the jobs.
+	itemDocs, err := mapreduce.BuildDS(driver, "simjoin-items", nil, docKeys(len(items)))
+	if err != nil {
+		return nil, fmt.Errorf("simjoin: index job: %w", err)
+	}
+	indexOut, err := mapreduce.RunJobDS(ctx, driver, "simjoin-index", itemDocs,
+		newIndexMap(items, consumers, sigma), indexReduce)
+	itemDocs.Recycle()
 	if err != nil {
 		return nil, fmt.Errorf("simjoin: index job: %w", err)
 	}
@@ -107,17 +101,18 @@ func Join(ctx context.Context, items, consumers []vector.Sparse, sigma float64, 
 		return nil, fmt.Errorf("simjoin: index job: %w", err)
 	}
 	v := newVerifier(items, consumers, sigma)
-	index := make([][]posting, len(v.rankOf))
+	index := make([][]int32, len(v.rankOf))
 	var entries int64
 	indexOut.Each(func(t vector.TermID, ps postings) {
 		// A term no consumer has is counted and never probed.
 		if r, ok := v.rankOf[t]; ok {
-			index[r] = ps
+			index[r] = make([]int32, len(ps))
+			for i, p := range ps {
+				index[r][i] = p.doc
+			}
 		}
 		entries += int64(len(ps))
 	})
-	// The posting slices are the reducers' own copies (indexReduce
-	// clones), so only the pair spines return to the pool here.
 	indexOut.Recycle()
 
 	// Job 2: probe the index with every consumer (the index and the
@@ -128,11 +123,20 @@ func Join(ctx context.Context, items, consumers []vector.Sparse, sigma float64, 
 	// and the one reduce group per consumer scores them all against a
 	// single scatter of the consumer's weights. The shuffled records are
 	// therefore the distinct candidate pairs, on every backend. Under the
-	// dist backend the verification runs on the workers — they hold the
-	// same vectors (registered via RegisterDistJobs).
-	probeOut, probeStats, err := mapreduce.RunDS(ctx, driver.Config("simjoin-probe"),
-		mapreduce.PartitionDataset(enumerate(consumers), driver.Partitions()),
+	// dist backend the probe and the verification run on the workers —
+	// they hold the same vectors (registered via RegisterDistJobs), and
+	// the index reaches them once, in the job's parameters.
+	consumerDocs, err := mapreduce.BuildDS(driver, "simjoin-consumers", nil, docKeys(len(consumers)))
+	if err != nil {
+		return nil, fmt.Errorf("simjoin: probe job: %w", err)
+	}
+	cfg := driver.Config("simjoin-probe")
+	if cfg.Shuffle.Backend == mapreduce.ShuffleDist {
+		cfg.DistParams = encodeIndex(index)
+	}
+	probeOut, probeStats, err := mapreduce.RunDS(ctx, cfg, consumerDocs,
 		v.probeMap(index, len(items)), v.verifyReduce)
+	consumerDocs.Recycle()
 	if err != nil {
 		return nil, fmt.Errorf("simjoin: probe job: %w", err)
 	}
@@ -157,6 +161,21 @@ func Join(ctx context.Context, items, consumers []vector.Sparse, sigma float64, 
 	probeOut.Recycle()
 	sortEdges(res.Edges)
 	return res, nil
+}
+
+// newIndexMap builds the index job's map over the items: item i's
+// prefix entries, each a posting under its term. The term statistics of
+// the consumer side fix the prefix: max weight bounds the suffix
+// contribution, document frequency fixes the term order.
+func newIndexMap(items, consumers []vector.Sparse, sigma float64) mapreduce.MapFunc[int32, struct{}, vector.TermID, posting] {
+	maxW := vector.MaxWeights(consumers)
+	df := vector.DocumentFrequencies(consumers)
+	return func(i int32, _ struct{}, out mapreduce.Emitter[vector.TermID, posting]) error {
+		for _, e := range prefixEntries(items[i], sigma, maxW, df) {
+			out.Emit(e.Term, posting{doc: i, w: e.Weight})
+		}
+		return nil
+	}
 }
 
 // indexReduce emits a term's postings as one group. The clone is
@@ -240,24 +259,25 @@ func borrowed[T any](table *[]T, n int) []T {
 	return (*table)[:n]
 }
 
-// probeMap builds the probe job's map: look up the postings of every
-// term of consumer j and emit each item found once, as (j, item).
-func (v *verifier) probeMap(index [][]posting, numItems int) mapreduce.MapFunc[int32, vector.Sparse, int32, int32] {
-	return func(j int32, _ vector.Sparse, out mapreduce.Emitter[int32, int32]) error {
+// probeMap builds the probe job's map over the pruned index (the items
+// posted under each term, by rank): look up the postings of every term
+// of consumer j and emit each item found once, as (j, item).
+func (v *verifier) probeMap(index [][]int32, numItems int) mapreduce.MapFunc[int32, struct{}, int32, int32] {
+	return func(j int32, _ struct{}, out mapreduce.Emitter[int32, int32]) error {
 		table := seenPool.Get().(*[]bool)
 		defer seenPool.Put(table)
 		seen := borrowed(table, numItems)
 		for _, e := range v.consumers[j] {
-			for _, p := range index[e.rank] {
-				if !seen[p.doc] {
-					seen[p.doc] = true
-					out.Emit(j, p.doc)
+			for _, doc := range index[e.rank] {
+				if !seen[doc] {
+					seen[doc] = true
+					out.Emit(j, doc)
 				}
 			}
 		}
 		for _, e := range v.consumers[j] {
-			for _, p := range index[e.rank] {
-				seen[p.doc] = false
+			for _, doc := range index[e.rank] {
+				seen[doc] = false
 			}
 		}
 		return nil
@@ -293,13 +313,36 @@ func (v *verifier) verifyReduce(j int32, docs []int32, out mapreduce.Emitter[[2]
 	return nil
 }
 
-// RegisterDistJobs registers the join's worker-side reduces for the
-// given inputs: a dist worker process regenerates (or loads) the same
-// deterministic corpora the coordinator uses, then calls this once
-// before serving.
+// RegisterDistJobs registers the join's worker-side builders and jobs
+// for the given inputs: a dist worker process regenerates (or loads) the
+// same deterministic corpora the coordinator uses, then calls this once
+// before serving. The workers build both jobs' input records themselves
+// and map them against their own vectors; only the pruned index comes
+// from the coordinator, in the probe job's parameters.
 func RegisterDistJobs(items, consumers []vector.Sparse, sigma float64) {
-	mapreduce.RegisterDistReduce("simjoin-index", indexReduce)
-	mapreduce.RegisterDistReduce("simjoin-probe", newVerifier(items, consumers, sigma).verifyReduce)
+	mapreduce.RegisterDistBuild("simjoin-items", func([]byte) (func(int, func(int32) bool) []mapreduce.Pair[int32, struct{}], error) {
+		return docKeys(len(items)), nil
+	})
+	mapreduce.RegisterDistBuild("simjoin-consumers", func([]byte) (func(int, func(int32) bool) []mapreduce.Pair[int32, struct{}], error) {
+		return docKeys(len(consumers)), nil
+	})
+	indexMap := newIndexMap(items, consumers, sigma)
+	mapreduce.RegisterDistJob("simjoin-index", func([]byte) (mapreduce.DistJob[int32, struct{}, vector.TermID, posting, vector.TermID, postings], error) {
+		return mapreduce.DistJob[int32, struct{}, vector.TermID, posting, vector.TermID, postings]{Map: indexMap, Reduce: indexReduce}, nil
+	})
+	v := newVerifier(items, consumers, sigma)
+	mapreduce.RegisterDistJob("simjoin-probe", func(params []byte) (mapreduce.DistJob[int32, struct{}, int32, int32, [2]int32, float64], error) {
+		var job mapreduce.DistJob[int32, struct{}, int32, int32, [2]int32, float64]
+		index, err := decodeIndex(params, len(items))
+		if err != nil {
+			return job, err
+		}
+		if len(index) != len(v.rankOf) {
+			return job, fmt.Errorf("simjoin: the index has %d terms, this worker's consumers %d", len(index), len(v.rankOf))
+		}
+		job.Map, job.Reduce = v.probeMap(index, len(items)), v.verifyReduce
+		return job, nil
+	})
 }
 
 // checkSigma refuses a join threshold that is not a finite positive
@@ -368,13 +411,19 @@ func ToGraph(edges []Edge, numItems, numConsumers int) *graph.Bipartite {
 	return g
 }
 
-// enumerate keys a slice by position.
-func enumerate(docs []vector.Sparse) []mapreduce.Pair[int32, vector.Sparse] {
-	out := make([]mapreduce.Pair[int32, vector.Sparse], len(docs))
-	for i, d := range docs {
-		out[i] = mapreduce.P(int32(i), d)
+// docKeys builds the partitions of a collection of n documents as job
+// input: each partition's positions, ascending, with nothing attached —
+// the jobs' maps read the vectors by position.
+func docKeys(n int) func(p int, owns func(int32) bool) []mapreduce.Pair[int32, struct{}] {
+	return func(p int, owns func(int32) bool) []mapreduce.Pair[int32, struct{}] {
+		var part []mapreduce.Pair[int32, struct{}]
+		for i := int32(0); int(i) < n; i++ {
+			if owns(i) {
+				part = append(part, mapreduce.P(i, struct{}{}))
+			}
+		}
+		return part
 	}
-	return out
 }
 
 // sortEdges orders edges by (item, consumer) for deterministic output.

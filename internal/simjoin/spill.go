@@ -100,3 +100,57 @@ func uvarint(data []byte) (uint64, int) {
 	}
 	return x, n
 }
+
+// encodeIndex packs the pruned index the probe job's map reads — the
+// items posted under each term, by rank — into the job's parameters: a
+// uvarint rank count, then per rank a uvarint item count and the items
+// as uvarints. Only the items travel: the probe reads no weight.
+func encodeIndex(index [][]int32) []byte {
+	buf := binary.AppendUvarint(nil, uint64(len(index)))
+	for _, docs := range index {
+		buf = binary.AppendUvarint(buf, uint64(len(docs)))
+		for _, d := range docs {
+			buf = binary.AppendUvarint(buf, uint64(d))
+		}
+	}
+	return buf
+}
+
+var errCorruptIndex = errors.New("simjoin: corrupt index parameters")
+
+// decodeIndex is encodeIndex's inverse on the workers. It accepts exactly
+// what encodeIndex writes — minimal varints, counts the bytes that follow
+// can back, no trailing bytes — with every item below numItems, so a
+// damaged blob is refused instead of indexing past the probe's tables
+// (FuzzIndexParams).
+func decodeIndex(data []byte, numItems int) ([][]int32, error) {
+	n, k := uvarint(data)
+	if k <= 0 || n > uint64(len(data)-k) {
+		return nil, fmt.Errorf("%w: term count", errCorruptIndex)
+	}
+	data = data[k:]
+	index := make([][]int32, n)
+	for r := range index {
+		c, k := uvarint(data)
+		if k <= 0 || c > uint64(len(data)-k) {
+			return nil, fmt.Errorf("%w: item count of term %d", errCorruptIndex, r)
+		}
+		data = data[k:]
+		if c == 0 {
+			continue
+		}
+		docs := make([]int32, c)
+		for i := range docs {
+			d, k := uvarint(data)
+			if k <= 0 || d >= uint64(numItems) {
+				return nil, fmt.Errorf("%w: item %d of term %d", errCorruptIndex, i, r)
+			}
+			docs[i], data = int32(d), data[k:]
+		}
+		index[r] = docs
+	}
+	if len(data) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", errCorruptIndex, len(data))
+	}
+	return index, nil
+}

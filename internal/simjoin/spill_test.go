@@ -119,3 +119,62 @@ func FuzzPostingsDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzIndexParams feeds decodeIndex — the probe job's parameters, the
+// pruned index a dist worker probes with — arbitrary bytes under an
+// arbitrary item count. The contract: an error, or an index of items
+// below the count that encodes back to the same bytes; never a panic,
+// and never a table sized past what the bytes can back. The checked-in
+// corpus under testdata/fuzz/FuzzIndexParams holds an empty input, an
+// empty index, an index with an empty term, one of several terms, and
+// the shapes the decoder exists to refuse: an item past the count, an
+// over-declared term count, a padded item and a trailing byte.
+func FuzzIndexParams(f *testing.F) {
+	f.Fuzz(func(t *testing.T, numItems uint16, data []byte) {
+		index, err := decodeIndex(data, int(numItems))
+		if err != nil {
+			return
+		}
+		held := len(index)
+		for _, docs := range index {
+			held += len(docs)
+			for _, d := range docs {
+				if d < 0 || int(d) >= int(numItems) {
+					t.Fatalf("item %d decoded under an item count of %d", d, numItems)
+				}
+			}
+		}
+		if held > len(data) {
+			t.Fatalf("%d terms and items from a %d-byte blob", held, len(data))
+		}
+		if back := encodeIndex(index); !bytes.Equal(back, data) {
+			t.Fatalf("decoded without error but encodes differently:\n in  %x\n out %x", data, back)
+		}
+	})
+}
+
+// TestIndexParamsRoundTrip: the probe job's index survives its encoding
+// exactly, empty terms included, and the damaged shapes the fuzz corpus
+// holds are refused.
+func TestIndexParamsRoundTrip(t *testing.T) {
+	index := [][]int32{{0, 4, 2}, nil, {300}}
+	got, err := decodeIndex(encodeIndex(index), 301)
+	if err != nil || !reflect.DeepEqual(got, index) {
+		t.Fatalf("round trip: %v, %v; want %v", got, err, index)
+	}
+	for _, tc := range []struct {
+		name     string
+		numItems int
+		data     []byte
+	}{
+		{"empty input", 5, nil},
+		{"item past the count", 4, []byte{1, 1, 4}},
+		{"term count past the bytes", 5, []byte{5, 1, 0}},
+		{"padded item", 5, []byte{1, 1, 0x80, 0x00}},
+		{"trailing byte", 5, []byte{1, 0, 0}},
+	} {
+		if index, err := decodeIndex(tc.data, tc.numItems); err == nil {
+			t.Errorf("%s: %x decoded as %v", tc.name, tc.data, index)
+		}
+	}
+}
