@@ -414,10 +414,11 @@ func TestDistGreedyMRStaysResident(t *testing.T) {
 	if rs := cl.RecoveryStats(); rs.Reseeded != 0 || rs.Recoveries != 0 {
 		t.Errorf("fault-free run reports reseeded=%d recoveries=%d", rs.Reseeded, rs.Recoveries)
 	}
-	// Measured 2.7 B/record here; 7.1 while every round's output was also
-	// mirrored on the coordinator, 13.1 while the coordinator built the
-	// round-0 view and seeded it onto the workers, 25.0 with the per-round
-	// fetch and coordinator-side map before that.
+	// Measured 2.7 B/record here, also with the pool deltas every
+	// job-done carries. Earlier designs moved state: 7.1 B/record while
+	// every round's output was mirrored on the coordinator, 13.1 while the
+	// coordinator built the round-0 view and seeded it onto the workers,
+	// 25.0 while it fetched and mapped every round itself.
 	const ceiling = 3.0
 	perRecord := float64(dist.Shuffle.RemoteBytesIn+dist.Shuffle.RemoteBytesOut) / float64(dist.Shuffle.ShuffleRecords)
 	t.Logf("%d rounds, %d shuffled records, %.1f wire bytes per record", dist.Rounds, dist.Shuffle.ShuffleRecords, perRecord)
