@@ -69,9 +69,9 @@ func distCfg4(cl *DistCluster, name string) Config {
 
 // TestDistChainedStaysResident pins the partition-residency contract:
 // once a Dataset lives on the workers, a chained job's self-addressed
-// pairs never cross the wire. The first RunDS ships the whole input
-// (local Dataset, every bucket travels); the second consumes the
-// worker-resident output with a purely self-addressed map, so its
+// pairs never cross the wire. The first RunDS ships the whole input (a
+// coordinator-held Dataset, placed on the workers); the second consumes
+// the worker-resident output with a purely self-addressed map, so its
 // RemoteBytesOut may carry only control frames — orders of magnitude
 // below the first job's.
 func TestDistChainedStaysResident(t *testing.T) {
@@ -289,25 +289,24 @@ func TestDistReduceErrorSurfaces(t *testing.T) {
 // job forever. The error must surface from the chained RunDS promptly.
 func TestDistChainedMapErrorSurfaces(t *testing.T) {
 	cl := startTestCluster(t, 2)
-	cfg := distCfg4(cl, "map-boom")
 	ctx := context.Background()
-	ds1, _, err := RunDS(ctx, cfg, PartitionDataset(ringInput(), cfg.reducers()),
+	// The first job succeeds and leaves its output resident on the
+	// workers; the chained second job maps it there with a map that fails.
+	ds1, _, err := RunDS(ctx, distCfg4(cl, "self-step"), PartitionDataset(ringInput(), 4),
 		selfMap, ringReduce)
-	if err == nil {
-		// The workers map even the first job's input, placed from the
-		// coordinator, with the registered map, so the first job fails
-		// already; were it to succeed, the chained second job runs the
-		// same map on the workers and must fail there.
-		done := make(chan error, 1)
-		go func() {
-			_, _, err := RunDS(ctx, cfg, ds1, selfMap, ringReduce)
-			done <- err
-		}()
-		select {
-		case err = <-done:
-		case <-time.After(30 * time.Second):
-			t.Fatal("worker-side map failure hung the chained job")
-		}
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := distCfg4(cl, "map-boom")
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := RunDS(ctx, cfg, ds1, selfMap, ringReduce)
+		done <- err
+	}()
+	select {
+	case err = <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("worker-side map failure hung the chained job")
 	}
 	if err == nil || !strings.Contains(err.Error(), "map boom on key 11") {
 		t.Fatalf("worker map error lost: %v", err)
