@@ -74,8 +74,8 @@ func FuzzJobDone(f *testing.F) {
 // job (hashed), a chained and a state job, each of which must round-trip
 // exactly, every truncation of one, the same header as Proto 17 wrote it
 // (with the retired mode byte and split count in front of the partition
-// count), one with a flag bit no version sets, and one with a byte
-// trailing.
+// count), one with a flag bit no version sets, one whose owner table is
+// longer than its partition count, and one with a byte trailing.
 func FuzzJobHeader(f *testing.F) {
 	headers := []*distJobHeader{
 		{seq: 1, name: "eq-int32", reducers: 4, hashed: true, inputSeq: 1 << 20,
@@ -105,6 +105,9 @@ func FuzzJobHeader(f *testing.F) {
 	unknown := h.encode()[1:]
 	unknown[flags] |= 1 << 2
 	f.Add(unknown)
+	long := *h
+	long.owners = append(slices.Clone(h.owners), 0)
+	f.Add(long.encode()[1:])
 	f.Add(append(h.encode()[1:], 0))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		h, err := parseJobHeader(remote.NewCursor(body))
