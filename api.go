@@ -114,9 +114,8 @@ type Options struct {
 	Seed int64
 	// Reducers is the partition count of each MapReduce job, and so the
 	// parallelism of its map and reduce tasks (default GOMAXPROCS).
-	// Mappers is mapreduce.Config.Mappers, which cuts only a flat input
-	// into splits; every job Match and Pipeline run maps a partitioned
-	// Dataset, one map task per partition, so it bounds none of them.
+	// Mappers is ignored, as mapreduce.Config.Mappers is: every job runs
+	// one map task per input partition.
 	Mappers  int
 	Reducers int
 	// Shuffle selects the shuffle backend (default ShuffleMemory). The
@@ -136,7 +135,6 @@ type Options struct {
 
 func (o Options) mr() mapreduce.Config {
 	return mapreduce.Config{
-		Mappers:  o.Mappers,
 		Reducers: o.Reducers,
 		Shuffle: mapreduce.ShuffleConfig{
 			Backend:      o.Shuffle,

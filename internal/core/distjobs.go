@@ -75,19 +75,9 @@ func RegisterDistJobs(g *graph.Bipartite) {
 				StateReduce: cleanupReduce(g.NumEdges()),
 			}, nil
 		})
-	registerPopJob("stack-pop", stackPopMap, stackPopReduce)
-	registerPopJob("strict-pop", strictPopMap, strictPopReduce)
-	registerPopJob("strict-sublayer-filter", sublayerMaxMap, sublayerMaxReduce)
-}
-
-// registerPopJob registers one of the pop phases' parameter-free jobs:
-// its records carry what its map reads.
-func registerPopJob[V1 any, K2 comparable, V2 any](
-	name string, mapFn mapreduce.MapFunc[graph.NodeID, V1, K2, V2], reduceFn mapreduce.ReduceFunc[K2, V2, K2, V2],
-) {
-	mapreduce.RegisterDistJob(name, func([]byte) (mapreduce.DistJob[graph.NodeID, V1, K2, V2, K2, V2], error) {
-		return mapreduce.DistJob[graph.NodeID, V1, K2, V2, K2, V2]{Map: mapFn, Reduce: reduceFn}, nil
-	})
+	mapreduce.RegisterDistMapReduce("stack-pop", stackPopMap, stackPopReduce)
+	mapreduce.RegisterDistMapReduce("strict-pop", strictPopMap, strictPopReduce)
+	mapreduce.RegisterDistMapReduce("strict-sublayer-filter", sublayerMaxMap, sublayerMaxReduce)
 }
 
 // encodeStackParams packs what the stack jobs close over: the stacked

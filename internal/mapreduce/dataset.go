@@ -378,13 +378,12 @@ func RunStateDS[K comparable, S, V any, K3 comparable, V3 any](
 }
 
 // runFlat is the forced re-partition, the job of an input that no
-// partitioning holds: flat is cut, in the order given, into contiguous
-// splits, one map task each, and every emitted pair is hashed to its
-// partition. A reduce sees its values in (split, emission) order, which
-// for contiguous splits is the given order whatever their count: on dist
-// the splits are the job's partitions, placed on the workers that map
-// them; elsewhere they are Config.Mappers. RunDS enters here with a
-// collected misaligned Dataset.
+// partitioning holds: flat is cut, in the order given, into one
+// contiguous split per partition, one map task each, and every emitted
+// pair is hashed to its partition. A reduce sees its values in (split,
+// emission) order, which for contiguous splits is the given order
+// whatever their count. On dist the splits are placed on the workers
+// that map them. RunDS enters here with a collected misaligned Dataset.
 func runFlat[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any](
 	ctx context.Context,
 	cfg Config,
@@ -392,18 +391,13 @@ func runFlat[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any
 	mapFn MapFunc[K1, V1, K2, V2],
 	reduceFn ReduceFunc[K2, V2, K3, V3],
 ) (*Dataset[K3, V3], *Stats, error) {
-	dist, n := cfg.Shuffle.kind() == ShuffleDist, cfg.mappers()
-	if dist {
-		n = cfg.reducers()
+	// An input shorter than the partition count leaves the last splits
+	// empty.
+	in := &Dataset[K1, V1]{parts: make([][]Pair[K1, V1], cfg.reducers())}
+	for i, sp := range splitRange(len(flat), len(in.parts)) {
+		in.parts[i] = flat[sp.lo:sp.hi]
 	}
-	in := &Dataset[K1, V1]{}
-	for _, sp := range splitRange(len(flat), n) {
-		in.parts = append(in.parts, flat[sp.lo:sp.hi])
-	}
-	if dist {
-		// One split per partition: an input shorter than that leaves the
-		// last ones empty.
-		in.parts = append(in.parts, make([][]Pair[K1, V1], n-len(in.parts))...)
+	if cfg.Shuffle.kind() == ShuffleDist {
 		return runOnWorkers[K1, V1, K2, V2, K3, V3](ctx, cfg, in, false, true)
 	}
 	return execJob(ctx, cfg, in, mapFn, nil, true, plainSteps(reduceFn))

@@ -74,6 +74,16 @@ func RegisterDistJob[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable
 	}
 }
 
+// RegisterDistMapReduce registers a job whose map and reduce take no
+// parameters: RegisterDistJob with a factory that ignores its blob.
+func RegisterDistMapReduce[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any](
+	name string, mapFn MapFunc[K1, V1, K2, V2], reduceFn ReduceFunc[K2, V2, K3, V3],
+) {
+	RegisterDistJob(name, func([]byte) (DistJob[K1, V1, K2, V2, K3, V3], error) {
+		return DistJob[K1, V1, K2, V2, K3, V3]{Map: mapFn, Reduce: reduceFn}, nil
+	})
+}
+
 func lookupDistJob(name string, params []byte) (distJobRunner, error) {
 	distJobs.mu.RLock()
 	factory, ok := distJobs.m[name]

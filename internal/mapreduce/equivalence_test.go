@@ -111,7 +111,7 @@ func wordCountJob(t *testing.T, cfg Config) []Pair[string, string] {
 		t.Fatal(err)
 	}
 	// The reference comparison re-runs the same functions outside Run.
-	ref := referenceRun(t, cfg.mappers(), cfg.reducers(), input, wcMap, wcReduce)
+	ref := referenceRun(t, cfg.reducers(), cfg.reducers(), input, wcMap, wcReduce)
 	if !reflect.DeepEqual(out, ref) {
 		t.Fatalf("%s backend diverges from the reference shuffle", cfg.Shuffle.kind())
 	}
@@ -482,7 +482,7 @@ func TestDatasetChainedMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := referenceRun(t, cfg.mappers(), cfg.reducers(), input, mapFn, redFn)
+	ref := referenceRun(t, cfg.reducers(), cfg.reducers(), input, mapFn, redFn)
 	if !reflect.DeepEqual(ds.Collect(), ref) {
 		t.Fatal("chained Dataset job diverges from the reference shuffle")
 	}

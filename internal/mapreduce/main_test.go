@@ -31,18 +31,13 @@ func TestMain(m *testing.M) {
 // in-process loopback workers) and the re-executed worker processes.
 func registerDistTestJobs() {
 	// The equivalence corpora (equivalence_test.go).
-	registerMapReduce("eq-wordcount", wcMap, wcReduce)
-	registerMapReduce("eq-int32", int32Map, int32Reduce)
-	registerMapReduce("eq-nodeid", nodeIDMap, nodeIDReduce)
+	RegisterDistMapReduce("eq-wordcount", wcMap, wcReduce)
+	RegisterDistMapReduce("eq-int32", int32Map, int32Reduce)
+	RegisterDistMapReduce("eq-nodeid", nodeIDMap, nodeIDReduce)
 
 	// Chained self-messaging job: state forwarded to the node itself
 	// plus a ring message to a neighbor (dist_test.go residency tests).
-	RegisterDistJob("ring-step", func([]byte) (DistJob[int32, int64, int32, int64, int32, int64], error) {
-		return DistJob[int32, int64, int32, int64, int32, int64]{
-			Map:    ringMap,
-			Reduce: ringReduce,
-		}, nil
-	})
+	RegisterDistMapReduce("ring-step", ringMap, ringReduce)
 	// The ring job with an input-mutating reduce and a side output
 	// (dist_consumed_test.go).
 	registerMutRing()
@@ -51,12 +46,7 @@ func registerDistTestJobs() {
 	registerToyJobs()
 	// Purely self-addressed variant: nothing may cross the wire once
 	// the state is worker-resident.
-	RegisterDistJob("self-step", func([]byte) (DistJob[int32, int64, int32, int64, int32, int64], error) {
-		return DistJob[int32, int64, int32, int64, int32, int64]{
-			Map:    selfMap,
-			Reduce: ringReduce,
-		}, nil
-	})
+	RegisterDistMapReduce("self-step", selfMap, ringReduce)
 	// Parameterized job: the reduce adds an offset that only the
 	// coordinator knows, shipped per job via Config.DistParams.
 	RegisterDistJob("param-add", func(params []byte) (DistJob[int32, int64, int32, int64, int32, int64], error) {
@@ -79,21 +69,16 @@ func registerDistTestJobs() {
 	})
 	// Chained job whose map fails on the workers: the error must
 	// surface from RunDS, not hang the flush barrier.
-	RegisterDistJob("map-boom", func([]byte) (DistJob[int32, int64, int32, int64, int32, int64], error) {
-		return DistJob[int32, int64, int32, int64, int32, int64]{
-			Map: func(k int32, v int64, out Emitter[int32, int64]) error {
-				if k == 11 {
-					return fmt.Errorf("map boom on key %d", k)
-				}
-				out.Emit(k, v)
-				return nil
-			},
-			Reduce: ringReduce,
-		}, nil
-	})
+	RegisterDistMapReduce("map-boom", func(k int32, v int64, out Emitter[int32, int64]) error {
+		if k == 11 {
+			return fmt.Errorf("map boom on key %d", k)
+		}
+		out.Emit(k, v)
+		return nil
+	}, ringReduce)
 	// Slow reduce for the kill test: leaves a wide window in which to
 	// SIGKILL a worker mid-reduce.
-	registerMapReduce("slow-reduce", forwardMap[int32, int64], func(k int32, vs []int64, out Emitter[int32, int64]) error {
+	RegisterDistMapReduce("slow-reduce", forwardMap[int32, int64], func(k int32, vs []int64, out Emitter[int32, int64]) error {
 		time.Sleep(20 * time.Millisecond)
 		out.Emit(k, int64(len(vs)))
 		return nil
@@ -101,46 +86,27 @@ func registerDistTestJobs() {
 	// Chained ring job with a slowed reduce: same output as "ring-step"
 	// (the sleep changes nothing), but each round is wide enough that the
 	// chaos suite's SIGKILL reliably lands mid-computation.
-	RegisterDistJob("slow-ring", func([]byte) (DistJob[int32, int64, int32, int64, int32, int64], error) {
-		return DistJob[int32, int64, int32, int64, int32, int64]{
-			Map: ringMap,
-			Reduce: func(k int32, vs []int64, out Emitter[int32, int64]) error {
-				time.Sleep(5 * time.Millisecond)
-				return ringReduce(k, vs, out)
-			},
-		}, nil
+	RegisterDistMapReduce("slow-ring", ringMap, func(k int32, vs []int64, out Emitter[int32, int64]) error {
+		time.Sleep(5 * time.Millisecond)
+		return ringReduce(k, vs, out)
 	})
 	// Chained ring job whose map lags on the partitions worker 0 owns
 	// (p mod 2 under four reducers): same output as "ring-step", but
 	// worker 1's map-done reliably reaches the coordinator before
 	// worker 0's first bucket relayed to it (dist_sched_test.go).
-	RegisterDistJob("lagging-ring", func([]byte) (DistJob[int32, int64, int32, int64, int32, int64], error) {
-		return DistJob[int32, int64, int32, int64, int32, int64]{
-			Map: func(k int32, v int64, out Emitter[int32, int64]) error {
-				if partitionIndex(k, 4)%2 == 0 {
-					time.Sleep(time.Millisecond)
-				}
-				return ringMap(k, v, out)
-			},
-			Reduce: ringReduce,
-		}, nil
-	})
+	RegisterDistMapReduce("lagging-ring", func(k int32, v int64, out Emitter[int32, int64]) error {
+		if partitionIndex(k, 4)%2 == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		return ringMap(k, v, out)
+	}, ringReduce)
 	// Failing reduce: a user-function error must surface from Run.
-	registerMapReduce("boom-reduce", forwardMap[int32, int64], func(k int32, vs []int64, out Emitter[int32, int64]) error {
+	RegisterDistMapReduce("boom-reduce", forwardMap[int32, int64], func(k int32, vs []int64, out Emitter[int32, int64]) error {
 		if k == 7 {
 			return fmt.Errorf("boom on key %d", k)
 		}
 		out.Emit(k, 0)
 		return nil
-	})
-}
-
-// registerMapReduce registers a parameter-free job's map and reduce.
-func registerMapReduce[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any](
-	name string, mapFn MapFunc[K1, V1, K2, V2], reduceFn ReduceFunc[K2, V2, K3, V3],
-) {
-	RegisterDistJob(name, func([]byte) (DistJob[K1, V1, K2, V2, K3, V3], error) {
-		return DistJob[K1, V1, K2, V2, K3, V3]{Map: mapFn, Reduce: reduceFn}, nil
 	})
 }
 

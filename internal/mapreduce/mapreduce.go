@@ -216,12 +216,9 @@ func checkGroupOrder[K comparable, S any](cmp func(a, b K) int, name string, p i
 
 // Config controls the parallelism, partitioning and backend of a job.
 type Config struct {
-	// Mappers is the number of contiguous splits, one map task each,
-	// that a flat input is cut into on the local backends: a misaligned
-	// Dataset that RunDS collects and re-partitions. Zero means
-	// GOMAXPROCS. A Dataset job runs one map task per partition and
-	// ignores it, and so does dist, which cuts a flat input into one
-	// split per partition.
+	// Mappers is ignored: every job runs one map task per input
+	// partition, and a flat input is cut into one split per partition.
+	// Configurations that still set it keep compiling.
 	Mappers int
 	// Reducers is the number of partitions (and parallel reduce
 	// workers). Zero means GOMAXPROCS.
@@ -250,13 +247,6 @@ type Config struct {
 	// recycle out of the box; nil disables recycling. See BufferPool
 	// for the ownership discipline.
 	Pool *BufferPool
-}
-
-func (c Config) mappers() int {
-	if c.Mappers > 0 {
-		return c.Mappers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 func (c Config) reducers() int {

@@ -137,9 +137,9 @@ func firstLines(s string, n int) string {
 // registerRunGoldenJobs registers the three jobs' maps and reduces for
 // the in-process dist workers, which map the placed input.
 func registerRunGoldenJobs() {
-	registerMapReduce("golden-collect", goldenCollectMap, goldenCollectReduce)
-	registerMapReduce("golden-fsum", goldenFsumMap, goldenFsumReduce)
-	registerMapReduce("golden-rekey", goldenRekeyMap, goldenRekeyReduce)
+	RegisterDistMapReduce("golden-collect", goldenCollectMap, goldenCollectReduce)
+	RegisterDistMapReduce("golden-fsum", goldenFsumMap, goldenFsumReduce)
+	RegisterDistMapReduce("golden-rekey", goldenRekeyMap, goldenRekeyReduce)
 }
 
 const goldenN = 400

@@ -131,9 +131,7 @@ func toySelfReduce(k int32, group []toyMsg, out Emitter[int32, int64s]) error {
 }
 
 func registerToyJobs() {
-	RegisterDistJob("toy-self", func([]byte) (DistJob[int32, int64s, int32, toyMsg, int32, int64s], error) {
-		return DistJob[int32, int64s, int32, toyMsg, int32, int64s]{Map: toySelfMap, Reduce: toySelfReduce}, nil
-	})
+	RegisterDistMapReduce("toy-self", toySelfMap, toySelfReduce)
 	RegisterDistJob("toy-state", func([]byte) (DistJob[int32, int64s, int32, int32, int32, int64s], error) {
 		return DistJob[int32, int64s, int32, int32, int32, int64s]{Map: toyStateMap, StateReduce: toyStep}, nil
 	})

@@ -326,10 +326,7 @@ func RegisterDistJobs(items, consumers []vector.Sparse, sigma float64) {
 	mapreduce.RegisterDistBuild("simjoin-consumers", func([]byte) (func(int, func(int32) bool) []mapreduce.Pair[int32, struct{}], error) {
 		return docKeys(len(consumers)), nil
 	})
-	indexMap := newIndexMap(items, consumers, sigma)
-	mapreduce.RegisterDistJob("simjoin-index", func([]byte) (mapreduce.DistJob[int32, struct{}, vector.TermID, posting, vector.TermID, postings], error) {
-		return mapreduce.DistJob[int32, struct{}, vector.TermID, posting, vector.TermID, postings]{Map: indexMap, Reduce: indexReduce}, nil
-	})
+	mapreduce.RegisterDistMapReduce("simjoin-index", newIndexMap(items, consumers, sigma), indexReduce)
 	v := newVerifier(items, consumers, sigma)
 	mapreduce.RegisterDistJob("simjoin-probe", func(params []byte) (mapreduce.DistJob[int32, struct{}, int32, int32, [2]int32, float64], error) {
 		var job mapreduce.DistJob[int32, struct{}, int32, int32, [2]int32, float64]
