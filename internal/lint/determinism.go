@@ -65,7 +65,7 @@ func runDeterminism(pass *Pass) {
 			switch obj.Pkg().Path() {
 			case "time":
 				if banTime && obj.Name() == "Now" {
-					pass.Reportf(nn.Pos(), "time.Now on a deterministic replay path (%s); timestamps in encoded or replayed state break bit-identical resume", base)
+					pass.Reportf(nn.Pos(), "time.Now on a deterministic replay path (%s); timestamps in encoded or recomputed state break bit-identical recovery", base)
 				}
 			case "math/rand", "math/rand/v2":
 				fn, isFunc := obj.(*types.Func)

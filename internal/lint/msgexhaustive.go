@@ -12,8 +12,9 @@ import (
 // `switch` over remote.MsgType must either handle every declared
 // message type or carry a default clause that decides what an
 // unhandled frame means. Message types arrived in several rounds
-// (MsgPong, MsgSeed, MsgBuild/MsgBuilt, resume acks) and left in others
-// (the abort and aborted messages), and each change had to be
+// (MsgPong, MsgSeed, MsgBuild/MsgBuilt) and left in others (the abort
+// and aborted messages, the checkpoint and shed messages), and each
+// change had to be
 // hand-audited against every dispatch switch on the coordinator and the
 // worker; a missed arm shows up at runtime as a frame silently dropped
 // or a hung round, not a compile error.

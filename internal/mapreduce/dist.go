@@ -2,8 +2,6 @@ package mapreduce
 
 import (
 	"context"
-	crand "crypto/rand"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -82,14 +80,7 @@ type DistCluster struct {
 	// until Materialize or Recycle releases it. A released record lives
 	// on, outside this set, as long as a resident child's lineage needs it.
 	residency map[*distResidency]bool
-	// ln stays open after startup only for session re-attachment.
-	ln net.Listener
-	// reconnectGrace > 0 enables session resume on every worker
-	// connection: a worker whose transport dies may redial and re-attach
-	// within the grace window, replaying un-acked frames, instead of
-	// being declared dead and recovered around.
-	reconnectGrace time.Duration
-	closeErr       error
+	closeErr  error
 
 	// Health-monitor configuration (resolved from DistClusterOptions at
 	// startup); activeJob/hbFloor are what the monitor goroutine watches:
@@ -218,17 +209,12 @@ type DistClusterOptions struct {
 	// no monitor).
 	HeartbeatEvery time.Duration
 	// ReplyTimeout bounds the coordinator's wait for one worker's reply
-	// to a build, a fetch of resident partitions, or a redialing worker's
-	// resume hello (default 30s): a worker silent that long is lost.
+	// to a build or a fetch of resident partitions (default 30s): a
+	// worker silent that long is lost.
 	ReplyTimeout time.Duration
-	// ReconnectGrace, when positive, enables session resume on every
-	// worker connection: frames are sequence-numbered and ringed, and a
-	// worker whose transport errors may redial and re-attach by worker
-	// id + session token within the grace window — both sides replay
-	// un-acked frames and the run continues, with no retry, no restore.
-	// Only past the grace does the loss escalate to the usual
-	// death/recovery path. Keeps the listener open for re-attachment.
-	// Zero disables (the default).
+	// ReconnectGrace is ignored. A severed worker is a lost worker: there
+	// is no session resume to hold a grace window open for. The field
+	// stays only because the benchmark's cluster options still set it.
 	ReconnectGrace time.Duration
 }
 
@@ -251,12 +237,14 @@ func StartDistCluster(n int, opts DistClusterOptions) (*DistCluster, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: dist listen: %w", err)
 	}
+	// The worker set is fixed once every worker is in: nothing dials
+	// the coordinator after startup.
+	defer ln.Close()
 
 	cl := &DistCluster{
-		hbEvery:        opts.HeartbeatEvery,
-		replyTimeout:   opts.ReplyTimeout,
-		reconnectGrace: opts.ReconnectGrace,
-		dead:           make([]bool, n),
+		hbEvery:      opts.HeartbeatEvery,
+		replyTimeout: opts.ReplyTimeout,
+		dead:         make([]bool, n),
 	}
 	if cl.hbEvery == 0 {
 		cl.hbEvery = 500 * time.Millisecond
@@ -271,7 +259,6 @@ func StartDistCluster(n int, opts DistClusterOptions) (*DistCluster, error) {
 		for i := 0; i < n; i++ {
 			cmd := opts.Spawn(ln.Addr().String())
 			if err := cmd.Start(); err != nil {
-				ln.Close()
 				cl.abort()
 				return nil, fmt.Errorf("mapreduce: spawning dist worker %d: %w", i, err)
 			}
@@ -279,13 +266,12 @@ func StartDistCluster(n int, opts DistClusterOptions) (*DistCluster, error) {
 		}
 	}
 	deadline := time.Now().Add(timeout)
+	if tl, ok := ln.(*net.TCPListener); ok {
+		tl.SetDeadline(deadline)
+	}
 	for i := 0; i < n; i++ {
-		if tl, ok := ln.(*net.TCPListener); ok {
-			tl.SetDeadline(deadline)
-		}
 		nc, err := ln.Accept()
 		if err != nil {
-			ln.Close()
 			cl.abort()
 			return nil, fmt.Errorf("mapreduce: waiting for dist worker %d of %d: %w", i+1, n, err)
 		}
@@ -295,31 +281,14 @@ func StartDistCluster(n int, opts DistClusterOptions) (*DistCluster, error) {
 		// overall deadline bounds it; cleared once the worker is in.
 		nc.SetReadDeadline(deadline)
 		conn := remote.NewConn(nc)
-		hi, err := remote.AwaitHello(conn)
+		err = remote.AwaitHello(conn)
+		if err == nil {
+			err = remote.Welcome(conn, i, n, cl.hbEvery)
+		}
 		if err != nil {
 			conn.Close()
-			ln.Close()
 			cl.abort()
 			return nil, fmt.Errorf("mapreduce: dist worker handshake: %w", err)
-		}
-		if hi.Resume {
-			// A leftover worker from a previous coordinator incarnation
-			// redialing into a fresh cluster: its session does not exist
-			// here. Refuse it and keep waiting for worker i.
-			remote.RefuseResume(nc, "unknown session")
-			i--
-			continue
-		}
-		resumeOn := cl.reconnectGrace > 0 && hi.ResumeCapable
-		token := mintSessionToken()
-		if err := remote.Welcome(conn, i, n, cl.hbEvery, token, resumeOn); err != nil {
-			conn.Close()
-			ln.Close()
-			cl.abort()
-			return nil, fmt.Errorf("mapreduce: dist worker handshake: %w", err)
-		}
-		if resumeOn {
-			conn.EnableResume(remote.ResumeConfig{Token: token, WorkerID: i, Grace: cl.reconnectGrace})
 		}
 		nc.SetReadDeadline(time.Time{})
 		cl.conns = append(cl.conns, conn)
@@ -329,77 +298,7 @@ func StartDistCluster(n int, opts DistClusterOptions) (*DistCluster, error) {
 		cl.monitorWG.Add(1)
 		go cl.monitor()
 	}
-	if cl.reconnectGrace > 0 {
-		cl.ln = ln
-		go cl.acceptResumes(ln)
-	} else {
-		ln.Close()
-	}
 	return cl, nil
-}
-
-// mintSessionToken draws the random session token a resume hello must
-// present to re-attach — what stops a stale worker from a previous run
-// (or a same-id worker of another cluster on a recycled port) from
-// splicing itself into a session it does not own.
-func mintSessionToken() uint64 {
-	var b [8]byte
-	if _, err := crand.Read(b[:]); err != nil {
-		// Degraded randomness beats refusing to run: fall back to a
-		// time-derived token.
-		return uint64(time.Now().UnixNano())
-	}
-	return binary.LittleEndian.Uint64(b[:])
-}
-
-// acceptResumes is the post-startup accept loop: it re-attaches a
-// severed worker's redial to its existing session in place, and closes
-// any other connection — the worker set is fixed at startup. Exits when
-// the listener closes.
-func (cl *DistCluster) acceptResumes(ln net.Listener) {
-	for {
-		if tl, ok := ln.(*net.TCPListener); ok {
-			tl.SetDeadline(time.Time{})
-		}
-		nc, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		nc.SetReadDeadline(time.Now().Add(cl.replyTimeout))
-		conn := remote.NewConn(nc)
-		hi, err := remote.AwaitHello(conn)
-		if err != nil {
-			conn.Close()
-			continue
-		}
-		if !hi.Resume {
-			conn.Close()
-			continue
-		}
-		nc.SetReadDeadline(time.Time{})
-		cl.reattachWorker(nc, hi)
-	}
-}
-
-// reattachWorker routes a resume hello to the session it names: find
-// the connection by worker id, and let its resume layer verify the
-// token, swap the transport, and replay. A session that does not exist,
-// is dead, or refuses the re-attach gets a refusal frame, which stops
-// the worker's redialing.
-func (cl *DistCluster) reattachWorker(nc net.Conn, hi remote.HelloInfo) {
-	cl.mu.Lock()
-	var target *remote.Conn
-	if hi.WorkerID >= 0 && hi.WorkerID < len(cl.conns) && !cl.deadLocked(hi.WorkerID) {
-		target = cl.conns[hi.WorkerID]
-	}
-	cl.mu.Unlock()
-	if target == nil {
-		remote.RefuseResume(nc, "unknown or retired session")
-		return
-	}
-	if _, err := target.Reattach(nc, hi.Token, hi.Received); err != nil {
-		remote.RefuseResume(nc, err.Error())
-	}
 }
 
 // abort is the startup-failure teardown: spawned workers may still be
@@ -464,9 +363,8 @@ func (cl *DistCluster) nextSeq() uint64 {
 const distDrainTimeout = 500 * time.Millisecond
 
 // distReplyTimeout is the default ReplyTimeout: the read deadline, rolled
-// with every frame, on a worker's reply to a build or a fetch, and on a
-// redialing worker's resume hello, so a wedged worker cannot block the
-// coordinator forever.
+// with every frame, on a worker's reply to a build or a fetch, so a
+// wedged worker cannot block the coordinator forever.
 const distReplyTimeout = 30 * time.Second
 
 // isDead reports whether worker w has been lost.
@@ -819,13 +717,6 @@ type RecoveryStats struct {
 	// HeartbeatTimeouts counts workers declared lost by the health
 	// monitor for staying silent while a job waited on them.
 	HeartbeatTimeouts int64
-	// WorkerReconnects counts transport losses absorbed by session
-	// resume: a severed worker redialed and re-attached within the grace
-	// window instead of being declared dead.
-	WorkerReconnects int64
-	// FramesReplayed counts ring frames the coordinator re-sent to
-	// re-attached workers across those reconnects.
-	FramesReplayed int64
 }
 
 // RecoveryStats reports the cluster's cumulative recovery activity.
@@ -841,19 +732,7 @@ func (cl *DistCluster) RecoveryStats() RecoveryStats {
 	rs.Recoveries = cl.recoveries.Load()
 	rs.Reseeded = cl.reseeded.Load()
 	rs.HeartbeatTimeouts = cl.hbTimeouts.Load()
-	rs.WorkerReconnects, rs.FramesReplayed = cl.resumeTotals()
 	return rs
-}
-
-// resumeTotals sums the session-resume counters over every connection.
-func (cl *DistCluster) resumeTotals() (reconnects, replayed int64) {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	for _, c := range cl.conns {
-		reconnects += c.Reconnects()
-		replayed += c.FramesReplayed()
-	}
-	return reconnects, replayed
 }
 
 // setActiveJob hands the monitor the job in flight. The heartbeat floor
@@ -914,14 +793,10 @@ func (cl *DistCluster) checkHealth(now time.Time) {
 		// legitimately goes stale — silence there is not evidence of a
 		// hang, and condemning the finished survivor of a round that is
 		// waiting out a genuinely hung worker would leave no one to
-		// retry on. A worker whose transport died but whose session is
-		// inside the reconnect grace window is the resume layer's to
-		// absorb: if the grace expires, the parked read surfaces its
-		// transport error and the ordinary loss path takes over. Nor is
-		// a worker whose reader is blocked relaying its bucket judged:
-		// nobody reads it meanwhile, so its silence is no evidence —
-		// the relay's target is the one to judge.
-		if cl.isDead(w) || c.Recovering() {
+		// retry on. Nor is a worker whose reader is blocked relaying its
+		// bucket judged: nobody reads it meanwhile, so its silence is no
+		// evidence — the relay's target is the one to judge.
+		if cl.isDead(w) {
 			continue
 		}
 		since, ok := j.waitsOn(w)
@@ -1002,14 +877,7 @@ func (cl *DistCluster) Close() error {
 		close(cl.monitorStop)
 		cl.monitorWG.Wait()
 	}
-	if cl.ln != nil {
-		cl.ln.Close()
-	}
 	for w, c := range cl.conns {
-		// Retire the resume session first: a worker that is gone for good
-		// must make the goodbye write fail fast, not hold the reconnect
-		// grace window open during shutdown.
-		c.ShutdownResume()
 		if healthy && !dead[w] {
 			c.WriteFrame([]byte{byte(remote.MsgBye)})
 		}
@@ -1629,24 +1497,6 @@ type distJobResult struct {
 	sides  [][]uint64
 }
 
-// schedSnapshot brackets one logical job's monitor and durability
-// activity: deltas of the cluster counters across all its attempts.
-type schedSnapshot struct {
-	hb0, rc0, fr0 int64
-}
-
-func (s *schedSnapshot) start(cl *DistCluster) {
-	s.hb0 = cl.hbTimeouts.Load()
-	s.rc0, s.fr0 = cl.resumeTotals()
-}
-
-func (s *schedSnapshot) settle(cl *DistCluster, as *Stats) {
-	as.HeartbeatTimeouts = cl.hbTimeouts.Load() - s.hb0
-	rc, fr := cl.resumeTotals()
-	as.WorkerReconnects = rc - s.rc0
-	as.FramesReplayed = fr - s.fr0
-}
-
 // runDistDS executes one job on the dist backend (execJob's dist half),
 // retrying the whole job when an attempt dies to worker loss. The input
 // (in) is worker-resident and mapped by the workers; it is restored
@@ -1663,8 +1513,8 @@ func runDistDS[K2 comparable, V2 any, K3 comparable, V3 any](
 	stats *Stats,
 ) (*Dataset[K3, V3], error) {
 	cl := cfg.Dist
-	var sched schedSnapshot
-	sched.start(cl)
+	// The monitor's verdicts over all the job's attempts.
+	hb0 := cl.hbTimeouts.Load()
 	for attempt := 0; ; attempt++ {
 		// Move dead workers' partitions; ensureResident restores the
 		// data the new assignment calls for.
@@ -1673,7 +1523,7 @@ func runDistDS[K2 comparable, V2 any, K3 comparable, V3 any](
 		out, err := tryDistDS[K2, V2, K3, V3](ctx, cfg, in, state, hashed, as)
 		if err == nil {
 			as.WorkerRecoveries = int64(attempt)
-			sched.settle(cl, as)
+			as.HeartbeatTimeouts = cl.hbTimeouts.Load() - hb0
 			stats.Add(as)
 			cl.reseeded.Add(as.ReseededPartitions)
 			out.rem.rerun = func(ctx context.Context) (*distResidency, error) {

@@ -217,11 +217,11 @@ func TestDistParamsReachWorkers(t *testing.T) {
 }
 
 // TestDistRefusesOlderProtoWorker: a worker built before the last wire
-// change (a Proto 17 worker reads a mode byte and a split count in front
-// of the job header's partition count, and a job-done without pool
-// deltas, so the two would misparse each other's frames)
-// dials a current coordinator and is refused at the hello, with both
-// versions named — never paired and left to misparse a frame.
+// change (a Proto 18 worker sends a capability byte after the version
+// and expects a session token and a resume byte in the welcome, so the
+// two would misparse each other's handshake) dials a current coordinator
+// and is refused at the hello, with both versions named — never paired
+// and left to misparse a frame.
 func TestDistRefusesOlderProtoWorker(t *testing.T) {
 	leakcheck.Check(t)
 	var wg sync.WaitGroup
@@ -238,8 +238,9 @@ func TestDistRefusesOlderProtoWorker(t *testing.T) {
 				}
 				conn := remote.NewConn(nc)
 				defer conn.Close()
-				hello := remote.AppendUvarint([]byte{byte(remote.MsgHello)}, 17)
-				if err := conn.WriteFrame(append(hello, 0)); err != nil {
+				// Proto 18's opening hello, with the resume-capable flag.
+				hello := remote.AppendUvarint([]byte{byte(remote.MsgHello)}, 18)
+				if err := conn.WriteFrame(append(hello, 0x01)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -250,7 +251,7 @@ func TestDistRefusesOlderProtoWorker(t *testing.T) {
 		},
 	})
 	wg.Wait()
-	const want = "protocol version mismatch: worker speaks 17, coordinator 18"
+	const want = "protocol version mismatch: worker speaks 18, coordinator 19"
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("StartDistCluster with an older-protocol worker: err = %v, want %q", err, want)
 	}
@@ -338,7 +339,7 @@ func TestDistWorkerDisconnectMidShuffle(t *testing.T) {
 					return
 				}
 				conn := remote.NewConn(nc)
-				if err := remote.Hello(conn, false); err != nil {
+				if err := remote.Hello(conn); err != nil {
 					return
 				}
 				if _, err := remote.AwaitWelcome(conn); err != nil {

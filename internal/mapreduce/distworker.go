@@ -234,28 +234,14 @@ type workerSession struct {
 	built    []func(*workerSession) error
 }
 
-// ReconnectPolicy shapes a worker's redial behavior, both for the
-// initial connect (a worker started before its coordinator retries
-// until the listener appears) and for session resume after a transport
-// loss mid-run.
-type ReconnectPolicy struct {
-	// Attempts is the redial budget per outage. Zero means the default
-	// (8); negative disables reconnection entirely — the worker
-	// advertises no resume capability and dies with its first transport
-	// error, the pre-resume behavior.
-	Attempts int
-	// BaseDelay and MaxDelay bound the jittered exponential backoff
-	// between attempts (defaults 50ms and 1s).
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
-}
-
-func (p ReconnectPolicy) attempts() int {
-	if p.Attempts == 0 {
-		return 8
-	}
-	return p.Attempts
-}
+// The startup dial's retry schedule: a worker process may legitimately
+// start before its coordinator listens, so it dials up to dialAttempts
+// times, dialBaseDelay doubling to dialMaxDelay apart (±25% jitter).
+const (
+	dialAttempts  = 8
+	dialBaseDelay = 50 * time.Millisecond
+	dialMaxDelay  = time.Second
+)
 
 // DistWorkerOptions tunes one worker session (ServeDistWorkerOpts).
 type DistWorkerOptions struct {
@@ -265,17 +251,15 @@ type DistWorkerOptions struct {
 	// the gray-failure (stall) chaos tests hang a worker from the
 	// inside, where the coordinator cannot see a transport error.
 	Fault *remote.Fault
-	// Reconnect shapes the worker's startup connect retries and its
-	// session-resume redials. The zero value enables both with the
-	// defaults; Attempts < 0 disables resume (the session dies with its
-	// first transport error) and limits the startup dial to one try.
-	Reconnect ReconnectPolicy
 }
 
 // ServeDistWorker connects to a coordinator and serves jobs until the
-// coordinator says goodbye (clean nil return) or the session fails. It
-// is the main loop of a worker process — the self-exec CLIs call it in
-// worker mode — and is equally happy on a goroutine for in-process
+// coordinator says goodbye (clean nil return) or the session fails. A
+// connection that ends without a goodbye is a failed session: the
+// coordinator either counted this worker lost, and nothing reconnects
+// it, or failed itself.
+// It is the main loop of a worker process — the self-exec CLIs call it
+// in worker mode — and is equally happy on a goroutine for in-process
 // tests. Cancelling ctx closes the connection and ends the session.
 func ServeDistWorker(ctx context.Context, addr string) error {
 	return ServeDistWorkerOpts(ctx, addr, DistWorkerOptions{})
@@ -283,49 +267,34 @@ func ServeDistWorker(ctx context.Context, addr string) error {
 
 // ServeDistWorkerOpts is ServeDistWorker with session options.
 func ServeDistWorkerOpts(ctx context.Context, addr string, opts DistWorkerOptions) error {
-	resumeCapable := opts.Reconnect.Attempts >= 0
-	seed := uint64(os.Getpid())
-	nc, err := dialWithRetry(ctx, addr, opts.Reconnect, seed)
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	nc, err := dialWithRetry(ctx, addr, dialAttempts, dialBaseDelay, dialMaxDelay, uint64(os.Getpid()))
 	if err != nil {
 		return fmt.Errorf("mapreduce: dist worker dialing %s: %w", addr, err)
 	}
 	conn := remote.NewConn(nc)
 	defer conn.Close()
-	if err := remote.Hello(conn, resumeCapable); err != nil {
+	if err := remote.Hello(conn); err != nil {
 		return fmt.Errorf("mapreduce: dist worker handshake: %w", err)
 	}
 	info, err := remote.AwaitWelcome(conn)
 	if err != nil {
 		return fmt.Errorf("mapreduce: dist worker handshake: %w", err)
 	}
-	if info.Resume {
-		// The coordinator granted a resumable session: from here on a
-		// transport loss redials and re-attaches instead of ending the
-		// session, transparently to the serve loop below.
-		conn.EnableResume(remote.ResumeConfig{
-			Token:     info.Token,
-			WorkerID:  info.WorkerID,
-			Dial:      func() (net.Conn, error) { return net.DialTimeout("tcp", addr, 5*time.Second) },
-			Attempts:  opts.Reconnect.attempts(),
-			BaseDelay: opts.Reconnect.BaseDelay,
-			MaxDelay:  opts.Reconnect.MaxDelay,
-			Seed:      seed,
-		})
-	}
 	if opts.Fault != nil {
 		conn.Arm(opts.Fault)
 	}
-	if ctx != nil {
-		watchDone := make(chan struct{})
-		defer close(watchDone)
-		go func() {
-			select {
-			case <-ctx.Done():
-				conn.Close()
-			case <-watchDone:
-			}
-		}()
-	}
+	watchDone := make(chan struct{})
+	defer close(watchDone)
+	go func() {
+		select {
+		case <-ctx.Done():
+			conn.Close()
+		case <-watchDone:
+		}
+	}()
 	s := &workerSession{
 		conn:     conn,
 		id:       info.WorkerID,
@@ -359,28 +328,25 @@ func ServeDistWorkerOpts(ctx context.Context, addr string, opts DistWorkerOption
 			}
 		}()
 	}
-	return s.serve()
+	err = s.serve()
+	if err != nil && ctx.Err() != nil {
+		// The cancel closed the connection under the serve loop.
+		return ctx.Err()
+	}
+	return err
 }
 
-// dialWithRetry dials the coordinator, retrying with the policy's
-// jittered backoff while the listener isn't there yet — a worker
-// process may legitimately start before its coordinator. Connection
-// refusals and timeouts retry; an exhausted budget returns the last dial
-// error. A cancelled context (ctx may be nil) returns ctx.Err() at once,
-// mid-backoff or mid-dial.
-func dialWithRetry(ctx context.Context, addr string, pol ReconnectPolicy, seed uint64) (net.Conn, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	attempts := pol.attempts()
-	if attempts < 1 {
-		attempts = 1
-	}
+// dialWithRetry dials the coordinator, retrying with jittered backoff
+// (remote.Backoff from base, capped at maxDelay) while the listener
+// isn't there yet. Connection refusals and timeouts retry; an exhausted
+// budget returns the last dial error. A cancelled context returns
+// ctx.Err() at once, mid-backoff or mid-dial.
+func dialWithRetry(ctx context.Context, addr string, attempts int, base, maxDelay time.Duration, seed uint64) (net.Conn, error) {
 	dialer := net.Dialer{Timeout: 5 * time.Second}
 	var lastErr error
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
-			wait := time.NewTimer(remote.Backoff(a-1, pol.BaseDelay, pol.MaxDelay, seed))
+			wait := time.NewTimer(remote.Backoff(a-1, base, maxDelay, seed))
 			select {
 			case <-wait.C:
 			case <-ctx.Done():
@@ -415,9 +381,9 @@ func (s *workerSession) serve() error {
 	for {
 		payload, err := s.conn.ReadFrame()
 		if err != nil {
-			// The coordinator hanging up without a goodbye usually means
-			// it failed; the worker just winds down.
-			return nil
+			// No goodbye: the coordinator severed this worker (and counts
+			// it lost) or failed itself.
+			return fmt.Errorf("mapreduce: dist worker %d: connection to the coordinator lost: %w", s.id, err)
 		}
 		cur := remote.NewCursor(payload)
 		t := remote.MsgType(cur.Byte())

@@ -130,10 +130,8 @@ func (f *Fault) fire(c *Conn) error {
 		if f.Op == FaultStall {
 			return f.hold(c)
 		}
-		// Already fired. A plain severed socket keeps failing on its own,
-		// so there is nothing to add — and a resume-enabled session that
-		// re-attached a fresh transport must see it flow freely, not be
-		// re-poisoned by a stale verdict.
+		// Already fired: a severed socket keeps failing on its own, so
+		// there is nothing to add.
 		return nil
 	}
 	switch f.Op {
@@ -143,10 +141,7 @@ func (f *Fault) fire(c *Conn) error {
 	case FaultCut:
 		return errCutFrame
 	default:
-		// Sever the transport the way a network cut would: a
-		// resume-enabled session keeps its identity and may re-attach, a
-		// plain connection dies for good.
-		c.sever()
+		c.Close()
 		return errSevered
 	}
 }
@@ -192,7 +187,7 @@ func FaultPoint(seed int64, lo, hi int) int {
 }
 
 // mix64 is the SplitMix64 finalizer: the deterministic hash behind
-// both fault points and reconnect-backoff jitter.
+// both fault points and the startup dial's backoff jitter.
 func mix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x ^= x >> 30

@@ -14,14 +14,9 @@
 // frames under the connection's lock, so a bucket from one map task
 // never interleaves with another's, and readers need no resynchronization.
 //
-// Session resume (resume.go): a Conn is an endpoint identity that can
-// outlive its transport. When resume is enabled after the handshake,
-// both sides number the frames they exchange and keep a bounded
-// retransmit ring of sent frames; a transport error makes the worker
-// redial and re-attach by worker id + session token, and each side
-// replays the frames the other had not yet received. The engine above
-// never sees the blip — its ReadFrame/WriteFrame simply succeed on the
-// replacement transport.
+// A connection lives exactly as long as its socket: a transport error
+// ends it for good, and the engine above treats the worker behind it as
+// lost.
 package remote
 
 import (
@@ -29,6 +24,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -42,8 +38,8 @@ import (
 // switched bulk pair payloads to versioned codec-v2 blobs and added the
 // wire-compression byte to the job header. Version 4 added the
 // capability flags to the hello, the session token to the welcome, and
-// the resume hello/welcome forms that re-attach a redialed transport.
-// Version 5 changed no frame: the partitioner did (named integer keys
+// the session-resume hello/welcome forms that re-attached a redialed
+// transport. Version 5 changed no frame: the partitioner did (named integer keys
 // such as graph.NodeID moved from the fmt hash to mix64), and two
 // builds that route a key to different partitions must not pair.
 // Version 6 dropped the worker-counter section from MsgJobDone.
@@ -88,7 +84,13 @@ import (
 // holds is placed there first, and the header's flag byte marks an
 // input cut into contiguous splits, whose maps hash every pair. It also
 // added each worker's buffer-pool byte and miss deltas to MsgJobDone.
-const Proto = 18
+// Version 19 dropped session resume: the hello's capability byte and
+// its resume form, and the welcome's session token and resume byte. A
+// hello is the type byte and the version; a severed connection is a
+// lost worker. It also dropped the posting weight from the similarity
+// join's index job, which shuffles each posted item as an int32 and
+// retains a term's group as a count and the items.
+const Proto = 19
 
 // MsgType identifies one protocol message. The direction annotations
 // are the only ones that occur; receiving a type from the wrong
@@ -96,15 +98,11 @@ const Proto = 18
 type MsgType byte
 
 const (
-	// MsgHello (worker → coordinator) opens a connection: proto version
-	// and capability flags. The resume form carries the worker id,
-	// session token, and received-frame count of the session it
-	// re-attaches to.
+	// MsgHello (worker → coordinator) opens a connection: the proto
+	// version, nothing else.
 	MsgHello MsgType = 1 + iota
 	// MsgWelcome (coordinator → worker) completes the handshake: proto
-	// version, worker id, worker count, heartbeat interval, session
-	// token. The resume form carries only the coordinator's
-	// received-frame count.
+	// version, worker id, worker count, heartbeat interval.
 	MsgWelcome
 	// MsgJobStart (coordinator → worker) announces one job: sequence
 	// number, job name, partition count, flags, input sequence number,
@@ -140,8 +138,7 @@ const (
 	// earlier job (Dataset.Recycle's remote half). No reply.
 	MsgDrop
 	// MsgError (worker → coordinator) reports a fatal job error; the
-	// worker closes the connection after sending it. The coordinator
-	// also sends it raw to refuse a resume attempt.
+	// worker closes the connection after sending it.
 	MsgError
 	// MsgBye (coordinator → worker) ends the session; the worker exits
 	// its serve loop cleanly.
@@ -216,34 +213,15 @@ func (t MsgType) String() string {
 // largest realistic partition frame.
 const maxFrame = 1 << 30
 
-// transport is one byte stream carrying the connection: the socket and
-// its buffered reader/writer. A Conn holds exactly one live transport
-// at a time; session resume replaces it wholesale, so no transport
-// state survives a reconnect except the Conn-level frame accounting.
-type transport struct {
-	c  net.Conn
-	br *bufio.Reader
-	bw *bufio.Writer
-}
-
-func newTransport(c net.Conn) *transport {
-	return &transport{
-		c:  c,
-		br: bufio.NewReaderSize(c, 1<<16),
-		bw: bufio.NewWriterSize(c, 1<<16),
-	}
-}
-
 // Conn is one framed connection endpoint. Reads and writes are
 // independently safe: any number of goroutines may WriteFrame (whole
 // frames serialize under the write lock), while a single reader owns
 // ReadFrame. BytesIn/BytesOut count frame bytes in both directions —
 // the engine's RemoteBytesIn/RemoteBytesOut stats snapshot them.
 type Conn struct {
-	// tr is the current transport. It is replaced (never mutated) by
-	// session resume; readers load it once per frame and writers once
-	// per frame under wmu.
-	tr atomic.Pointer[transport]
+	nc net.Conn
+	br *bufio.Reader
+	bw *bufio.Writer
 
 	wmu      sync.Mutex
 	lenBuf   [binary.MaxVarintLen64]byte
@@ -259,11 +237,6 @@ type Conn struct {
 	// from: any frame a worker sends (pong or payload) proves liveness.
 	lastRead atomic.Int64
 
-	// res, when non-nil, makes this endpoint survive transport loss by
-	// session resume (see resume.go). Enabled once, right after the
-	// handshake, before any counted frame moves.
-	res atomic.Pointer[resumeState]
-
 	closed    atomic.Bool
 	closeOnce sync.Once
 	closeErr  error
@@ -271,9 +244,11 @@ type Conn struct {
 
 // NewConn wraps a network connection in the framed protocol.
 func NewConn(c net.Conn) *Conn {
-	conn := &Conn{}
-	conn.tr.Store(newTransport(c))
-	return conn
+	return &Conn{
+		nc: c,
+		br: bufio.NewReaderSize(c, 1<<16),
+		bw: bufio.NewWriterSize(c, 1<<16),
+	}
 }
 
 // BytesIn returns the cumulative payload bytes read from the peer.
@@ -298,30 +273,18 @@ func (c *Conn) LastRead() time.Time {
 // goroutines when the local endpoint is torn down.
 func (c *Conn) Closed() bool { return c.closed.Load() }
 
-// sever kills the endpoint's byte stream the way a real network cut
-// would: a resume-enabled endpoint loses only its current transport
-// (the session survives and may re-attach), a plain one is closed for
-// good — the pre-resume behavior every legacy fault test pins.
-func (c *Conn) sever() {
-	if c.res.Load() != nil {
-		c.tr.Load().c.Close()
-		return
-	}
-	c.Close()
-}
-
-// writeFrameTo appends one length-prefixed frame to tr's write buffer,
-// optionally flushing. Callers hold wmu.
-func (c *Conn) writeFrameTo(tr *transport, payload []byte, flush bool) error {
+// writeFrameLocked appends one length-prefixed frame to the write
+// buffer, optionally flushing. Callers hold wmu.
+func (c *Conn) writeFrameLocked(payload []byte, flush bool) error {
 	n := binary.PutUvarint(c.lenBuf[:], uint64(len(payload)))
-	if _, err := tr.bw.Write(c.lenBuf[:n]); err != nil {
+	if _, err := c.bw.Write(c.lenBuf[:n]); err != nil {
 		return err
 	}
-	if _, err := tr.bw.Write(payload); err != nil {
+	if _, err := c.bw.Write(payload); err != nil {
 		return err
 	}
 	if flush {
-		if err := tr.bw.Flush(); err != nil {
+		if err := c.bw.Flush(); err != nil {
 			return err
 		}
 	}
@@ -329,59 +292,40 @@ func (c *Conn) writeFrameTo(tr *transport, payload []byte, flush bool) error {
 	return nil
 }
 
-// cutFrameTo is FaultCut's trigger action: ship the frame's length
-// prefix and the first CutBytes payload bytes, flush, and sever — the
+// cutFrameLocked is FaultCut's trigger action: ship the frame's length
+// prefix and the first CutBytes payload bytes, flush, and close — the
 // peer reads a frame that dies mid-payload, exactly what a connection
 // cut between two TCP segments produces. Callers hold wmu.
-func (c *Conn) cutFrameTo(tr *transport, f *Fault, payload []byte) error {
-	k := f.CutBytes
-	if k < 0 {
-		k = 0
-	}
-	if k > len(payload) {
-		k = len(payload)
-	}
+func (c *Conn) cutFrameLocked(f *Fault, payload []byte) error {
+	k := min(max(f.CutBytes, 0), len(payload))
 	n := binary.PutUvarint(c.lenBuf[:], uint64(len(payload)))
-	tr.bw.Write(c.lenBuf[:n])
-	tr.bw.Write(payload[:k])
-	tr.bw.Flush()
-	c.sever()
+	c.bw.Write(c.lenBuf[:n])
+	c.bw.Write(payload[:k])
+	c.bw.Flush()
+	c.Close()
 	return errSevered
 }
 
-// writeFrame is the shared body of the three write entry points. pulse
+// writeFrame is the shared body of the two write entry points. pulse
 // frames skip the armed fault's frame count (holdIfStalled only).
 func (c *Conn) writeFrame(payload []byte, flush, pulse bool) error {
 	c.wmu.Lock()
-	tr := c.tr.Load()
-	if rs := c.res.Load(); rs != nil {
-		rs.appendLocked(payload)
-	}
-	var err error
+	defer c.wmu.Unlock()
 	if f := c.fault.Load(); f != nil {
+		var err error
 		if pulse {
 			err = f.holdIfStalled(c)
 		} else {
 			err = f.beforeWrite(c)
 		}
 		if err == errCutFrame {
-			err = c.cutFrameTo(tr, f, payload)
+			return c.cutFrameLocked(f, payload)
+		}
+		if err != nil {
+			return err
 		}
 	}
-	if err == nil {
-		err = c.writeFrameTo(tr, payload, flush)
-	}
-	c.wmu.Unlock()
-	if err == nil || !c.recoverable(err) {
-		return err
-	}
-	// Resume-enabled and the transport failed: the frame is already in
-	// the retransmit ring, so a successful recovery has delivered it (or
-	// queued it on the replacement transport) — report success.
-	if rerr := c.recover(tr); rerr != nil {
-		return err
-	}
-	return nil
+	return c.writeFrameLocked(payload, flush)
 }
 
 // WriteFrame sends one whole frame (the payload's first byte must be
@@ -402,16 +346,18 @@ func (c *Conn) WritePulse(payload []byte) error {
 	return c.writeFrame(payload, true, true)
 }
 
-// readFrameFrom reads one frame from tr. Only the connection's single
+// ReadFrame reads the next frame payload. The returned slice is owned
+// by the caller. io.EOF surfaces only on a clean frame boundary; a
+// partial frame reports a truncation error. Only the connection's single
 // reader calls it.
-func (c *Conn) readFrameFrom(tr *transport) ([]byte, error) {
+func (c *Conn) ReadFrame() ([]byte, error) {
 	f := c.fault.Load()
 	if f != nil {
 		if err := f.holdIfStalled(c); err != nil {
 			return nil, err
 		}
 	}
-	n, err := binary.ReadUvarint(tr.br)
+	n, err := binary.ReadUvarint(c.br)
 	if err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
@@ -422,7 +368,7 @@ func (c *Conn) readFrameFrom(tr *transport) ([]byte, error) {
 		return nil, fmt.Errorf("remote: frame of %d bytes exceeds the %d byte limit", n, maxFrame)
 	}
 	payload := make([]byte, n)
-	if _, err := io.ReadFull(tr.br, payload); err != nil {
+	if _, err := io.ReadFull(c.br, payload); err != nil {
 		return nil, fmt.Errorf("remote: truncated frame: %w", err)
 	}
 	if len(payload) == 0 {
@@ -441,46 +387,16 @@ func (c *Conn) readFrameFrom(tr *transport) ([]byte, error) {
 			return nil, err
 		}
 	}
-	// Received-frame accounting happens only after the frame is truly
-	// delivered to the caller: a frame withheld by the fault charge above
-	// must be replayed by the peer after a resume, so it must not count.
-	if rs := c.res.Load(); rs != nil {
-		rs.rcvd.Add(1)
-	}
 	return payload, nil
-}
-
-// ReadFrame reads the next frame payload. The returned slice is owned
-// by the caller. io.EOF surfaces only on a clean frame boundary; a
-// partial frame reports a truncation error. On a resume-enabled
-// endpoint a transport error triggers recovery (worker: redial,
-// coordinator: await re-attach) and the read transparently continues on
-// the replacement transport.
-func (c *Conn) ReadFrame() ([]byte, error) {
-	for {
-		tr := c.tr.Load()
-		payload, err := c.readFrameFrom(tr)
-		if err == nil {
-			return payload, nil
-		}
-		if !c.recoverable(err) {
-			return nil, err
-		}
-		if rerr := c.recover(tr); rerr != nil {
-			return nil, err
-		}
-	}
 }
 
 // Close tears the connection down. Safe to call from any goroutine and
 // idempotent; a blocked ReadFrame or WriteFrame on another goroutine
-// returns with an error once the underlying connection closes. Closing
-// also retires the session: a resume-enabled endpoint stops recovering
-// and refuses re-attachment.
+// returns with an error once the underlying connection closes.
 func (c *Conn) Close() error {
 	c.closeOnce.Do(func() {
 		c.closed.Store(true)
-		c.closeErr = c.tr.Load().c.Close()
+		c.closeErr = c.nc.Close()
 	})
 	return c.closeErr
 }
@@ -489,9 +405,7 @@ func (c *Conn) Close() error {
 // the zero time clears the bound. The coordinator arms it where it waits
 // on one worker's reply (a build, a fetch, a parting error), so a wedged
 // worker is declared dead by timeout instead of wedging the cluster.
-// Deadline expiries are timeouts, which session resume deliberately does
-// not treat as transport loss.
-func (c *Conn) SetReadDeadline(t time.Time) error { return c.tr.Load().c.SetReadDeadline(t) }
+func (c *Conn) SetReadDeadline(t time.Time) error { return c.nc.SetReadDeadline(t) }
 
 func uvarintLen(v uint64) int64 {
 	n := int64(1)
@@ -563,7 +477,9 @@ func (c *Cursor) Uvarint() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(c.data)
-	if n <= 0 {
+	if n <= 0 || n > 1 && c.data[n-1] == 0 {
+		// Truncated, overflowing, or padded with a zero final byte,
+		// which AppendUvarint never writes.
 		c.fail()
 		return 0
 	}
@@ -588,96 +504,43 @@ func (c *Cursor) Bytes() []byte {
 }
 
 // --- handshake --------------------------------------------------------
+//
+// A hello is the type byte and Proto; a welcome is the type byte, Proto,
+// the worker id, the worker count and the heartbeat interval. Each parser
+// accepts exactly what its writer produces — minimal varints, no
+// trailing bytes — so an accepted frame re-encodes to the same bytes
+// (FuzzHello, FuzzWelcome).
 
-// Hello capability flags (the byte after the proto version).
-const (
-	// helloFlagResumeCapable: the worker can redial and resume its
-	// session if the coordinator enables it in the welcome.
-	helloFlagResumeCapable = 1 << 0
-	// helloFlagResume: this hello re-attaches an existing session; the
-	// worker id, session token, and received-frame count follow.
-	helloFlagResume = 1 << 1
-)
+// helloFrame is the worker's opening frame.
+func helloFrame() []byte { return AppendUvarint([]byte{byte(MsgHello)}, Proto) }
 
-// Hello sends the worker's opening message. resumeCapable announces
-// that the worker is willing to redial and resume its session; the
-// coordinator decides in the welcome whether resume is actually on.
-func Hello(c *Conn, resumeCapable bool) error {
-	buf := AppendUvarint([]byte{byte(MsgHello)}, Proto)
-	var flags byte
-	if resumeCapable {
-		flags |= helloFlagResumeCapable
+// Hello sends the worker's opening message.
+func Hello(c *Conn) error { return c.WriteFrame(helloFrame()) }
+
+// parseHello validates a worker's hello. The version is checked first,
+// so a worker of another version is refused by name whatever its hello
+// carries after it.
+func parseHello(payload []byte) error {
+	cur := NewCursor(payload)
+	if t := MsgType(cur.Byte()); t != MsgHello {
+		return fmt.Errorf("remote: expected hello, got %v", t)
 	}
-	return c.WriteFrame(append(buf, flags))
-}
-
-// HelloInfo is the parsed form of a worker's hello: either a fresh join
-// or a resume of an existing session.
-type HelloInfo struct {
-	// ResumeCapable reports whether the worker is willing to redial and
-	// resume (fresh hellos only).
-	ResumeCapable bool
-	// Resume marks a re-attach hello; the remaining fields identify the
-	// session.
-	Resume   bool
-	WorkerID int
-	Token    uint64
-	// Received is how many counted frames the worker had read from the
-	// coordinator before the transport died — the coordinator replays
-	// everything after it.
-	Received uint64
+	if v := cur.Uvarint(); v != Proto || cur.Err() != nil {
+		return fmt.Errorf("remote: protocol version mismatch: worker speaks %d, coordinator %d", v, Proto)
+	}
+	if n := len(cur.Rest()); n != 0 {
+		return fmt.Errorf("remote: malformed hello: %d trailing bytes", n)
+	}
+	return nil
 }
 
 // AwaitHello reads and validates a worker's hello.
-func AwaitHello(c *Conn) (HelloInfo, error) {
+func AwaitHello(c *Conn) error {
 	payload, err := c.ReadFrame()
 	if err != nil {
-		return HelloInfo{}, err
+		return err
 	}
-	cur := NewCursor(payload)
-	if t := MsgType(cur.Byte()); t != MsgHello {
-		return HelloInfo{}, fmt.Errorf("remote: expected hello, got %v", t)
-	}
-	if v := cur.Uvarint(); v != Proto || cur.Err() != nil {
-		return HelloInfo{}, fmt.Errorf("remote: protocol version mismatch: worker speaks %d, coordinator %d", v, Proto)
-	}
-	flags := cur.Byte()
-	info := HelloInfo{
-		ResumeCapable: flags&helloFlagResumeCapable != 0,
-		Resume:        flags&helloFlagResume != 0,
-	}
-	if info.Resume {
-		info.WorkerID = int(cur.Uvarint())
-		info.Token = cur.Uvarint()
-		info.Received = cur.Uvarint()
-	}
-	if err := cur.Err(); err != nil {
-		return HelloInfo{}, fmt.Errorf("remote: malformed hello: %w", err)
-	}
-	return info, nil
-}
-
-// Welcome sends the coordinator's handshake reply. heartbeatEvery is
-// the unsolicited-pong interval the worker should keep (zero or
-// negative disables heartbeats on this connection). token is the
-// session token a resume hello must present; resume tells the worker
-// whether session resume is enabled on this connection.
-func Welcome(c *Conn, workerID, numWorkers int, heartbeatEvery time.Duration, token uint64, resume bool) error {
-	if heartbeatEvery < 0 {
-		heartbeatEvery = 0
-	}
-	buf := []byte{byte(MsgWelcome)}
-	buf = AppendUvarint(buf, Proto)
-	buf = AppendUvarint(buf, uint64(workerID))
-	buf = AppendUvarint(buf, uint64(numWorkers))
-	buf = AppendUvarint(buf, uint64(heartbeatEvery))
-	buf = AppendUvarint(buf, token)
-	if resume {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	return c.WriteFrame(buf)
+	return parseHello(payload)
 }
 
 // WelcomeInfo is what the coordinator's welcome tells a worker about
@@ -688,13 +551,48 @@ type WelcomeInfo struct {
 	// HeartbeatEvery is the interval at which the worker should send
 	// unsolicited MsgPong frames; zero disables them.
 	HeartbeatEvery time.Duration
-	// Token is the session token minted for this connection; a resume
-	// hello presents it to prove it re-attaches this session.
-	Token uint64
-	// Resume reports whether the coordinator enabled session resume on
-	// this connection (the worker announced capability and the cluster
-	// has a reconnect grace window).
-	Resume bool
+}
+
+// welcomeFrame encodes the coordinator's handshake reply.
+func welcomeFrame(info WelcomeInfo) []byte {
+	buf := []byte{byte(MsgWelcome)}
+	buf = AppendUvarint(buf, Proto)
+	buf = AppendUvarint(buf, uint64(info.WorkerID))
+	buf = AppendUvarint(buf, uint64(info.NumWorkers))
+	return AppendUvarint(buf, uint64(info.HeartbeatEvery))
+}
+
+// Welcome sends the coordinator's handshake reply. heartbeatEvery is
+// the unsolicited-pong interval the worker should keep (zero or
+// negative disables heartbeats on this connection).
+func Welcome(c *Conn, workerID, numWorkers int, heartbeatEvery time.Duration) error {
+	return c.WriteFrame(welcomeFrame(WelcomeInfo{
+		WorkerID:       workerID,
+		NumWorkers:     numWorkers,
+		HeartbeatEvery: max(heartbeatEvery, 0),
+	}))
+}
+
+// parseWelcome validates the coordinator's welcome.
+func parseWelcome(payload []byte) (WelcomeInfo, error) {
+	cur := NewCursor(payload)
+	if t := MsgType(cur.Byte()); t != MsgWelcome {
+		return WelcomeInfo{}, fmt.Errorf("remote: expected welcome, got %v", t)
+	}
+	if v := cur.Uvarint(); v != Proto || cur.Err() != nil {
+		return WelcomeInfo{}, fmt.Errorf("remote: protocol version mismatch: coordinator speaks %d, worker %d", v, Proto)
+	}
+	id, n, hb := cur.Uvarint(), cur.Uvarint(), cur.Uvarint()
+	if err := cur.Err(); err != nil {
+		return WelcomeInfo{}, fmt.Errorf("remote: malformed welcome: %w", err)
+	}
+	if rest := len(cur.Rest()); rest != 0 {
+		return WelcomeInfo{}, fmt.Errorf("remote: malformed welcome: %d trailing bytes", rest)
+	}
+	if n < 1 || n > math.MaxInt32 || id >= n || hb > math.MaxInt64 {
+		return WelcomeInfo{}, fmt.Errorf("remote: malformed welcome: worker %d of %d, heartbeat %d", id, n, hb)
+	}
+	return WelcomeInfo{WorkerID: int(id), NumWorkers: int(n), HeartbeatEvery: time.Duration(hb)}, nil
 }
 
 // AwaitWelcome reads and validates the coordinator's welcome.
@@ -703,26 +601,36 @@ func AwaitWelcome(c *Conn) (WelcomeInfo, error) {
 	if err != nil {
 		return WelcomeInfo{}, err
 	}
-	cur := NewCursor(payload)
-	if t := MsgType(cur.Byte()); t != MsgWelcome {
-		return WelcomeInfo{}, fmt.Errorf("remote: expected welcome, got %v", t)
+	return parseWelcome(payload)
+}
+
+// Backoff returns the delay before retry number attempt (0-based):
+// base doubling per attempt, capped at max, with deterministic ±25%
+// jitter derived from seed, so workers started together spread their
+// dials and a seeded run replays exactly.
+func Backoff(attempt int, base, max time.Duration, seed uint64) time.Duration {
+	if base <= 0 {
+		base = 50 * time.Millisecond
 	}
-	if v := cur.Uvarint(); v != Proto {
-		return WelcomeInfo{}, fmt.Errorf("remote: protocol version mismatch: coordinator speaks %d, worker %d", v, Proto)
+	if max <= 0 {
+		max = time.Second
 	}
-	var info WelcomeInfo
-	info.WorkerID = int(cur.Uvarint())
-	info.NumWorkers = int(cur.Uvarint())
-	info.HeartbeatEvery = time.Duration(cur.Uvarint())
-	info.Token = cur.Uvarint()
-	info.Resume = cur.Byte() != 0
-	if err := cur.Err(); err != nil {
-		return WelcomeInfo{}, err
+	d := base
+	for i := 0; i < attempt && d < max; i++ {
+		d *= 2
 	}
-	if info.NumWorkers < 1 || info.WorkerID < 0 || info.WorkerID >= info.NumWorkers {
-		return WelcomeInfo{}, fmt.Errorf("remote: malformed welcome: worker %d of %d", info.WorkerID, info.NumWorkers)
+	if d > max {
+		d = max
 	}
-	return info, nil
+	quarter := int64(d / 4)
+	if quarter > 0 {
+		h := mix64(seed + uint64(attempt)*0x9e3779b97f4a7c15)
+		d += time.Duration(int64(h%uint64(2*quarter)) - quarter)
+	}
+	if d < time.Millisecond {
+		d = time.Millisecond
+	}
+	return d
 }
 
 // Owner maps a reduce partition to the worker that owns it: the fixed

@@ -1,9 +1,10 @@
 package remote
 
 import (
-	"fmt"
+	"bytes"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -109,18 +110,13 @@ func TestHandshake(t *testing.T) {
 	a, b := pipePair(t) // a: worker side, b: coordinator side
 	errc := make(chan error, 1)
 	go func() {
-		hi, err := AwaitHello(b)
-		if err != nil {
+		if err := AwaitHello(b); err != nil {
 			errc <- err
 			return
 		}
-		if !hi.ResumeCapable || hi.Resume {
-			errc <- fmt.Errorf("hello decoded as capable=%v resume=%v, want capable, not resuming", hi.ResumeCapable, hi.Resume)
-			return
-		}
-		errc <- Welcome(b, 2, 5, 250*time.Millisecond, 42, false)
+		errc <- Welcome(b, 2, 5, 250*time.Millisecond)
 	}()
-	if err := Hello(a, true); err != nil {
+	if err := Hello(a); err != nil {
 		t.Fatal(err)
 	}
 	info, err := AwaitWelcome(a)
@@ -130,11 +126,132 @@ func TestHandshake(t *testing.T) {
 	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
-	if info.WorkerID != 2 || info.NumWorkers != 5 {
-		t.Fatalf("welcome decoded as worker %d of %d, want 2 of 5", info.WorkerID, info.NumWorkers)
+	if want := (WelcomeInfo{WorkerID: 2, NumWorkers: 5, HeartbeatEvery: 250 * time.Millisecond}); info != want {
+		t.Fatalf("welcome decoded as %+v, want %+v", info, want)
 	}
-	if info.HeartbeatEvery != 250*time.Millisecond {
-		t.Fatalf("welcome decoded heartbeat %v, want 250ms", info.HeartbeatEvery)
+}
+
+// TestBackoffDeterministicBounds pins the startup dial's retry schedule:
+// same (attempt, seed) always draws the same delay, every delay stays
+// within +-25% of the capped doubling curve, and the floor is 1ms even
+// for degenerate inputs.
+func TestBackoffDeterministicBounds(t *testing.T) {
+	const base, max = 50 * time.Millisecond, time.Second
+	for seed := uint64(1); seed <= 5; seed++ {
+		for a := 0; a < 12; a++ {
+			d := Backoff(a, base, max, seed)
+			if d2 := Backoff(a, base, max, seed); d2 != d {
+				t.Fatalf("attempt %d seed %d: nondeterministic backoff %v vs %v", a, seed, d, d2)
+			}
+			ideal := base
+			for i := 0; i < a && ideal < max; i++ {
+				ideal *= 2
+			}
+			if ideal > max {
+				ideal = max
+			}
+			if lo, hi := ideal-ideal/4, ideal+ideal/4; d < lo || d > hi {
+				t.Fatalf("attempt %d seed %d: backoff %v outside [%v, %v]", a, seed, d, lo, hi)
+			}
+		}
+	}
+	if d := Backoff(0, -1, -1, 9); d < time.Millisecond {
+		t.Fatalf("degenerate inputs broke the 1ms floor: %v", d)
+	}
+	if d := Backoff(40, base, max, 3); d > max+max/4 {
+		t.Fatalf("deep attempt escaped the cap: %v", d)
+	}
+}
+
+// proto18Hello is a hello as a Proto 18 worker wrote it: the version,
+// then the capability byte with both resume flags set, and the resume
+// form's worker id, session token and received-frame count.
+func proto18Hello() []byte {
+	hello := AppendUvarint([]byte{byte(MsgHello)}, 18)
+	hello = append(hello, 0x03)
+	for _, v := range []uint64{1, 0xfeedbeef, 40} {
+		hello = AppendUvarint(hello, v)
+	}
+	return hello
+}
+
+// FuzzHello feeds parseHello — the coordinator's decoder of a worker's
+// opening frame — arbitrary bytes. The contract: an error, or exactly
+// the bytes Hello writes; never a panic. Seeds: the hello, every
+// truncation of it, the hello with a byte trailing, and a Proto 18
+// hello with the resume flags (checked-in corpus:
+// testdata/fuzz/FuzzHello).
+func FuzzHello(f *testing.F) {
+	good := helloFrame()
+	for cut := range len(good) {
+		f.Add(good[:cut])
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		if parseHello(payload) == nil && !bytes.Equal(payload, helloFrame()) {
+			t.Fatalf("accepted hello %x, which Hello never writes (%x)", payload, helloFrame())
+		}
+	})
+}
+
+// FuzzWelcome feeds parseWelcome — the worker's decoder of the
+// coordinator's reply — arbitrary bytes. The contract: an error, or a
+// welcome naming a worker inside its cluster that re-encodes to the same
+// bytes; never a panic. Seeds: welcomes with and without heartbeats,
+// every truncation of one, one with a byte trailing, and a Proto 18
+// welcome with its session token and resume byte (checked-in corpus:
+// testdata/fuzz/FuzzWelcome).
+func FuzzWelcome(f *testing.F) {
+	good := welcomeFrame(WelcomeInfo{WorkerID: 1, NumWorkers: 2, HeartbeatEvery: 500 * time.Millisecond})
+	for cut := range len(good) {
+		f.Add(good[:cut])
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		info, err := parseWelcome(payload)
+		if err != nil {
+			return
+		}
+		if info.WorkerID < 0 || info.WorkerID >= info.NumWorkers || info.HeartbeatEvery < 0 {
+			t.Fatalf("accepted %x as %+v", payload, info)
+		}
+		if back := welcomeFrame(info); !bytes.Equal(back, payload) {
+			t.Fatalf("welcome decoded as %+v but encodes differently:\n in  %x\n out %x", info, payload, back)
+		}
+	})
+}
+
+// TestHandshakeRefusals: a hello or welcome of another version is
+// refused with both versions named, and one with a byte trailing, a
+// worker outside its cluster or a padded varint is refused as malformed.
+func TestHandshakeRefusals(t *testing.T) {
+	welcome := welcomeFrame(WelcomeInfo{WorkerID: 1, NumWorkers: 2})
+	proto18Welcome := AppendUvarint([]byte{byte(MsgWelcome)}, 18)
+	for _, v := range []uint64{1, 2, 0, 0xfeedbeef} {
+		proto18Welcome = AppendUvarint(proto18Welcome, v)
+	}
+	proto18Welcome = append(proto18Welcome, 1)
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		hello   bool
+		want    string
+	}{
+		{"proto 18 hello", proto18Hello(), true, "worker speaks 18, coordinator 19"},
+		{"hello with a trailing byte", append(helloFrame(), 0), true, "1 trailing bytes"},
+		{"welcome as hello", welcome, true, "expected hello"},
+		{"proto 18 welcome", proto18Welcome, false, "coordinator speaks 18, worker 19"},
+		{"welcome with a trailing byte", append(welcome, 0), false, "1 trailing bytes"},
+		{"worker outside its cluster", welcomeFrame(WelcomeInfo{WorkerID: 2, NumWorkers: 2}), false, "worker 2 of 2"},
+		{"padded worker id", append(append(welcome[:2:2], 0x81, 0x00), welcome[3:]...), false, "malformed welcome"},
+	} {
+		var err error
+		if tc.hello {
+			err = parseHello(tc.payload)
+		} else {
+			_, err = parseWelcome(tc.payload)
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want it to mention %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -80,22 +80,17 @@ type Stats struct {
 	// during the job for staying silent while it waited on them (dist
 	// backend only).
 	HeartbeatTimeouts int64
-	// SpeculativeLaunches, SpillBytesSaved, MapTaskRetries and
-	// ReduceTaskRetries are always zero: the engine has no straggler
-	// speculation, no block compression and no simulated task failures.
-	// The fields stay only for the benchmark harness that still reads
-	// them.
+	// SpeculativeLaunches, SpillBytesSaved, MapTaskRetries,
+	// ReduceTaskRetries and WorkerReconnects are always zero: the engine
+	// has no straggler speculation, no block compression, no simulated
+	// task failures and no session resume (a severed worker is a lost
+	// one). The fields stay only for the benchmark harness that still
+	// reads them.
 	SpeculativeLaunches int64
 	SpillBytesSaved     int64
 	MapTaskRetries      int64
 	ReduceTaskRetries   int64
-	// Durability activity during the job (dist backend only).
-	// WorkerReconnects counts transport losses absorbed by session
-	// resume — a severed worker redialed and re-attached without losing
-	// its partitions; FramesReplayed counts the un-acked frames re-sent
-	// from the retransmit rings across those reconnects.
-	WorkerReconnects int64
-	FramesReplayed   int64
+	WorkerReconnects    int64
 	// WorkerWall is the largest map+reduce wall clock any single dist
 	// worker reported for the job — the distributed critical path. Zero
 	// for the local backends.
@@ -176,8 +171,6 @@ func (s *Stats) Add(o *Stats) {
 	s.WorkerRecoveries += o.WorkerRecoveries
 	s.ReseededPartitions += o.ReseededPartitions
 	s.HeartbeatTimeouts += o.HeartbeatTimeouts
-	s.WorkerReconnects += o.WorkerReconnects
-	s.FramesReplayed += o.FramesReplayed
 	s.WorkerWall += o.WorkerWall
 	s.MapWall += o.MapWall
 	s.ShuffleWall += o.ShuffleWall
@@ -209,9 +202,6 @@ func (s *Stats) String() string {
 	if s.WorkerRecoveries > 0 || s.ReseededPartitions > 0 {
 		line += fmt.Sprintf(" recoveries=%d reseeded=%d hbtimeouts=%d",
 			s.WorkerRecoveries, s.ReseededPartitions, s.HeartbeatTimeouts)
-	}
-	if s.WorkerReconnects > 0 || s.FramesReplayed > 0 {
-		line += fmt.Sprintf(" reconnects=%d replayed=%d", s.WorkerReconnects, s.FramesReplayed)
 	}
 	if s.MapWall > 0 || s.ShuffleWall > 0 || s.ReduceWall > 0 {
 		line += fmt.Sprintf(" map=%s shuffle=%s reduce=%s",

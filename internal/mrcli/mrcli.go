@@ -26,10 +26,9 @@ import (
 // coordinator writes into the argv of the workers it spawns, and the one
 // Config inspects for an explicit setting.
 const (
-	flagShuffle   = "shuffle"
-	flagWorkers   = "dist-workers"
-	flagConnect   = "dist-connect"
-	flagReconnect = "dist-reconnect"
+	flagShuffle = "shuffle"
+	flagWorkers = "dist-workers"
+	flagConnect = "dist-connect"
 )
 
 // Flags holds the parsed engine flags of one CLI invocation.
@@ -48,8 +47,6 @@ type Flags struct {
 	listen    string
 	spawn     bool
 	heartbeat time.Duration
-	reconnect int
-	grace     time.Duration
 }
 
 // RegisterLocal declares the flags of a tool that runs its jobs in one
@@ -77,8 +74,6 @@ func Register(fs *flag.FlagSet, width int) *Flags {
 	fs.StringVar(&f.listen, "dist-listen", "", "coordinator listen address for -dist-workers (default 127.0.0.1:0)")
 	fs.BoolVar(&f.spawn, "dist-spawn", true, "self-exec the -dist-workers worker processes (false: wait for -dist-connect workers)")
 	fs.DurationVar(&f.heartbeat, "dist-heartbeat", 500*time.Millisecond, "dist worker heartbeat interval; a worker a running job waits on that stays silent for 24 intervals is declared lost and its partitions recovered (0 disables health monitoring)")
-	fs.IntVar(&f.reconnect, flagReconnect, 8, "worker redial budget per outage: a severed worker redials and resumes its session instead of dying (0 disables reconnection)")
-	fs.DurationVar(&f.grace, "dist-reconnect-grace", 10*time.Second, "how long the coordinator holds a severed worker's partitions before declaring it dead and restoring its partitions (0 disables session resume)")
 	return f
 }
 
@@ -133,32 +128,20 @@ func (f *Flags) WorkerMode() bool { return f.connect != "" }
 // Distributed reports whether -dist-workers asked for a worker cluster.
 func (f *Flags) Distributed() bool { return f.workers > 0 }
 
-// reconnectPolicy is -dist-reconnect as the engine spells it.
-func (f *Flags) reconnectPolicy() mapreduce.ReconnectPolicy {
-	if f.reconnect <= 0 {
-		return mapreduce.ReconnectPolicy{Attempts: -1} // flag 0 means off; the policy zero value means default
-	}
-	return mapreduce.ReconnectPolicy{Attempts: f.reconnect}
-}
-
 // ServeWorker is worker mode: it serves the -dist-connect coordinator's
 // jobs until the coordinator hangs up. The caller registers the tool's
 // dist jobs first.
 func (f *Flags) ServeWorker(ctx context.Context) error {
-	return mapreduce.ServeDistWorkerOpts(ctx, f.connect,
-		mapreduce.DistWorkerOptions{Reconnect: f.reconnectPolicy()})
+	return mapreduce.ServeDistWorker(ctx, f.connect)
 }
 
 // workerArgv is the argument list a coordinator gives the workers it
-// spawns: worker mode against addr, this run's reconnect budget, and the
-// tool's own arguments (whatever rebuilds the same input on the worker).
+// spawns: worker mode against addr, then the tool's own arguments
+// (whatever rebuilds the same input on the worker).
 // It is written with the flag names Register declares, so it parses
 // with the same flag set.
 func (f *Flags) workerArgv(addr string, toolArgs ...string) []string {
-	return append([]string{
-		"-" + flagConnect, addr,
-		"-" + flagReconnect, fmt.Sprint(f.reconnect),
-	}, toolArgs...)
+	return append([]string{"-" + flagConnect, addr}, toolArgs...)
 }
 
 // Config is the engine configuration the flags describe, for the local
@@ -184,7 +167,6 @@ func (f *Flags) clusterOptions() mapreduce.DistClusterOptions {
 	opts := mapreduce.DistClusterOptions{
 		Listen:         f.listen,
 		HeartbeatEvery: f.heartbeat,
-		ReconnectGrace: f.grace,
 	}
 	if f.heartbeat == 0 {
 		opts.HeartbeatEvery = -1 // flag 0 means off; the options zero value means default
@@ -240,10 +222,6 @@ func (f *Flags) printRecovery(w io.Writer, rs mapreduce.RecoveryStats) {
 	if rs.WorkersLost > 0 {
 		f.line(w, "dist recovery:", "%d workers lost (%d by heartbeat timeout), %d jobs retried, %d partitions reseeded",
 			rs.WorkersLost, rs.HeartbeatTimeouts, rs.Recoveries, rs.Reseeded)
-	}
-	if rs.WorkerReconnects > 0 {
-		f.line(w, "dist durability:", "%d worker reconnects (%d frames replayed)",
-			rs.WorkerReconnects, rs.FramesReplayed)
 	}
 }
 

@@ -68,29 +68,19 @@ func TestRetiredFlagsAreRefused(t *testing.T) {
 
 // TestWorkerArgvRoundTrip: the argv a coordinator builds for its workers
 // parses, with the same flag set, into worker mode against the same
-// address with the same reconnect budget — including "0 means off",
-// which the engine spells as a negative budget.
+// address, with the tool's own arguments intact.
 func TestWorkerArgvRoundTrip(t *testing.T) {
-	for _, tc := range []struct {
-		budget string
-		want   int
-	}{{"3", 3}, {"0", -1}, {"8", 8}} {
-		coord := parse(t, "-dist-workers", "2", "-dist-reconnect", tc.budget)
-		argv := coord.workerArgv("127.0.0.1:4242", "-in", "graph.txt")
-		worker := parse(t, argv...)
-		if !worker.WorkerMode() || worker.connect != "127.0.0.1:4242" {
-			t.Fatalf("argv %q parsed into connect=%q, not worker mode at the coordinator's address", argv, worker.connect)
-		}
-		if worker.Distributed() {
-			t.Fatalf("argv %q made the worker a coordinator", argv)
-		}
-		if got := worker.reconnectPolicy(); got != coord.reconnectPolicy() || got.Attempts != tc.want {
-			t.Fatalf("-dist-reconnect %s: worker policy %+v, coordinator %+v, want %d attempts",
-				tc.budget, got, coord.reconnectPolicy(), tc.want)
-		}
-		if in := worker.fs.Lookup("in").Value.String(); in != "graph.txt" {
-			t.Fatalf("tool argument lost on the way to the worker: -in = %q", in)
-		}
+	coord := parse(t, "-dist-workers", "2")
+	argv := coord.workerArgv("127.0.0.1:4242", "-in", "graph.txt")
+	worker := parse(t, argv...)
+	if !worker.WorkerMode() || worker.connect != "127.0.0.1:4242" {
+		t.Fatalf("argv %q parsed into connect=%q, not worker mode at the coordinator's address", argv, worker.connect)
+	}
+	if worker.Distributed() {
+		t.Fatalf("argv %q made the worker a coordinator", argv)
+	}
+	if in := worker.fs.Lookup("in").Value.String(); in != "graph.txt" {
+		t.Fatalf("tool argument lost on the way to the worker: -in = %q", in)
 	}
 }
 
@@ -98,8 +88,8 @@ func TestWorkerArgvRoundTrip(t *testing.T) {
 // receives them, including the spelling that differs between the two
 // (0 turns heartbeats off; the engine's 0 means default).
 func TestClusterOptionsFromFlags(t *testing.T) {
-	opts := parse(t, "-dist-workers", "1", "-dist-heartbeat", "0", "-dist-reconnect-grace", "3s").clusterOptions()
-	if opts.HeartbeatEvery != -1 || opts.ReconnectGrace != 3*time.Second {
+	opts := parse(t, "-dist-workers", "1", "-dist-heartbeat", "0", "-dist-listen", "127.0.0.1:4242").clusterOptions()
+	if opts.HeartbeatEvery != -1 || opts.Listen != "127.0.0.1:4242" {
 		t.Fatalf("cluster options %+v", opts)
 	}
 	if d := parse(t).clusterOptions().HeartbeatEvery; d != 500*time.Millisecond {
@@ -117,14 +107,13 @@ func TestPrintCostAlignsToTheToolsLabelColumn(t *testing.T) {
 	var b bytes.Buffer
 	f := &Flags{width: 18}
 	f.PrintCost(&b, s)
-	f.printRecovery(&b, mapreduce.RecoveryStats{WorkersLost: 1, HeartbeatTimeouts: 1, WorkerReconnects: 1})
+	f.printRecovery(&b, mapreduce.RecoveryStats{WorkersLost: 1, HeartbeatTimeouts: 1})
 	for _, prefix := range []string{
 		"phase walls:      map=1ms shuffle=0s reduce=0s (summed over rounds)\n",
 		"routing:          local=1 cross=0 ",
 		"buffer pool:      2 bytes reused, 0 misses\n",
 		"dist transport:   3 bytes out, 0 bytes in, worker wall 0s\n",
 		"dist recovery:    1 workers lost (1 by heartbeat timeout), 0 jobs retried",
-		"dist durability:  1 worker reconnects",
 	} {
 		if !strings.Contains(b.String(), prefix) {
 			t.Errorf("width 18: missing %q in\n%s", prefix, b.String())

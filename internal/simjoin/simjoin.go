@@ -65,12 +65,6 @@ type Options struct {
 	MR mapreduce.Config
 }
 
-// posting is one pruned inverted-index entry.
-type posting struct {
-	doc int32
-	w   float64
-}
-
 // Join finds every (item, consumer) pair with items[i]·consumers[j] ≥
 // sigma. Vectors with no terms never match. The threshold must be
 // positive and finite: with σ ≤ 0 the result would be the full cross
@@ -106,10 +100,7 @@ func Join(ctx context.Context, items, consumers []vector.Sparse, sigma float64, 
 	indexOut.Each(func(t vector.TermID, ps postings) {
 		// A term no consumer has is counted and never probed.
 		if r, ok := v.rankOf[t]; ok {
-			index[r] = make([]int32, len(ps))
-			for i, p := range ps {
-				index[r][i] = p.doc
-			}
+			index[r] = ps
 		}
 		entries += int64(len(ps))
 	})
@@ -163,16 +154,18 @@ func Join(ctx context.Context, items, consumers []vector.Sparse, sigma float64, 
 	return res, nil
 }
 
-// newIndexMap builds the index job's map over the items: item i's
-// prefix entries, each a posting under its term. The term statistics of
-// the consumer side fix the prefix: max weight bounds the suffix
-// contribution, document frequency fixes the term order.
-func newIndexMap(items, consumers []vector.Sparse, sigma float64) mapreduce.MapFunc[int32, struct{}, vector.TermID, posting] {
+// newIndexMap builds the index job's map over the items: item i is
+// posted under each term of its prefix. The term statistics of the
+// consumer side fix the prefix: max weight bounds the suffix
+// contribution, document frequency fixes the term order. Only the item
+// travels: the probe reads no weight, and the verify reduce scores from
+// the vectors.
+func newIndexMap(items, consumers []vector.Sparse, sigma float64) mapreduce.MapFunc[int32, struct{}, vector.TermID, int32] {
 	maxW := vector.MaxWeights(consumers)
 	df := vector.DocumentFrequencies(consumers)
-	return func(i int32, _ struct{}, out mapreduce.Emitter[vector.TermID, posting]) error {
+	return func(i int32, _ struct{}, out mapreduce.Emitter[vector.TermID, int32]) error {
 		for _, e := range prefixEntries(items[i], sigma, maxW, df) {
-			out.Emit(e.Term, posting{doc: i, w: e.Weight})
+			out.Emit(e.Term, i)
 		}
 		return nil
 	}
@@ -181,8 +174,8 @@ func newIndexMap(items, consumers []vector.Sparse, sigma float64) mapreduce.MapF
 // indexReduce emits a term's postings as one group. The clone is
 // required: the engine owns the values slice and reuses its backing
 // array for later groups (see mapreduce.ReduceFunc).
-func indexReduce(t vector.TermID, ps []posting, out mapreduce.Emitter[vector.TermID, postings]) error {
-	out.Emit(t, postings(slices.Clone(ps)))
+func indexReduce(t vector.TermID, docs []int32, out mapreduce.Emitter[vector.TermID, postings]) error {
+	out.Emit(t, postings(slices.Clone(docs)))
 	return nil
 }
 

@@ -10,85 +10,58 @@ import (
 // This compact binary form lets the join run on the spilling and dist
 // shuffle backends of internal/mapreduce, where a shuffled key or value
 // either takes one of the engine codec's kind lanes or encodes itself.
-// The index job shuffles posting values and its reduce emits each term's
-// group as one postings value; neither struct nor slice has a lane, so
-// both encode themselves. The probe job shuffles (consumer, item) as
-// int32 → int32 and outputs [2]int32 → float64, all covered by the kind
-// lanes.
+// The index job shuffles (term, item) as TermID → int32, both kind
+// lanes, and its reduce emits each term's group as one postings value,
+// a slice, which has no lane and so encodes itself. The probe job
+// shuffles (consumer, item) as int32 → int32 and outputs [2]int32 →
+// float64, all covered by the kind lanes.
 //
-// A posting is a varint doc and the weight's 8 little-endian bytes. The
-// decoders accept exactly what the appenders write — minimal varints,
-// docs in [0, 2³¹), a count the bytes can back, no trailing bytes — so
-// a blob either decodes to a value that encodes back to the same bytes
+// A group is a uvarint count, then each item as a zig-zag varint. The
+// decoder accepts exactly what the appender writes — minimal varints,
+// items in [0, 2³¹), a count the bytes can back, no trailing bytes — so
+// a blob either decodes to a group that encodes back to the same bytes
 // or is refused (FuzzPostingsDecode): a damaged index blob becomes an
-// error, not a doc id that indexes past the probe's tables.
+// error, not an item that indexes past the probe's tables.
 
-// postings is one term's group of the pruned index.
-type postings []posting
-
-// minPostingBytes is the least a posting takes: a one-byte varint doc
-// and the weight.
-const minPostingBytes = 9
+// postings is one term's group of the pruned index: the items posted
+// under the term.
+type postings []int32
 
 var errCorruptPosting = errors.New("simjoin: corrupt posting")
 
-// AppendBinary implements encoding.BinaryAppender: the engine's codec
-// appends into its own scratch, so encoding a posting allocates nothing.
-func (p posting) AppendBinary(buf []byte) ([]byte, error) {
-	buf = binary.AppendVarint(buf, int64(p.doc))
-	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.w)), nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (p *posting) UnmarshalBinary(data []byte) error {
-	rest, err := p.decode(data)
-	if err == nil && len(rest) != 0 {
-		err = fmt.Errorf("%w: %d trailing bytes", errCorruptPosting, len(rest))
-	}
-	return err
-}
-
 // AppendBinary implements encoding.BinaryAppender: a uvarint count, then
-// the postings.
+// the items.
 func (ps postings) AppendBinary(buf []byte) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, uint64(len(ps)))
-	for _, p := range ps {
-		buf, _ = p.AppendBinary(buf)
+	for _, doc := range ps {
+		buf = binary.AppendVarint(buf, int64(doc))
 	}
 	return buf, nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler. The count is
-// checked against the bytes that follow it before the group is sized.
+// checked against the bytes that follow it — an item takes at least
+// one — before the group is sized.
 func (ps *postings) UnmarshalBinary(data []byte) error {
 	n, k := uvarint(data)
-	if k <= 0 || n > uint64(len(data)-k)/minPostingBytes {
+	if k <= 0 || n > uint64(len(data)-k) {
 		return fmt.Errorf("%w count: past the bytes that follow it", errCorruptPosting)
 	}
 	data = data[k:]
 	out := make(postings, n)
 	for i := range out {
-		var err error
-		if data, err = out[i].decode(data); err != nil {
-			return fmt.Errorf("%w (%d of %d)", err, i, n)
+		ux, k := uvarint(data)
+		doc := int64(ux>>1) ^ -int64(ux&1) // zig-zag, as binary.Varint
+		if k <= 0 || doc < 0 || doc > math.MaxInt32 {
+			return fmt.Errorf("%w (%d of %d)", errCorruptPosting, i, n)
 		}
+		out[i], data = int32(doc), data[k:]
 	}
 	if len(data) != 0 {
 		return fmt.Errorf("%w: %d trailing bytes", errCorruptPosting, len(data))
 	}
 	*ps = out
 	return nil
-}
-
-// decode reads one posting from the front of data and returns the rest.
-func (p *posting) decode(data []byte) ([]byte, error) {
-	ux, k := uvarint(data)
-	doc := int64(ux>>1) ^ -int64(ux&1) // zig-zag, as binary.Varint
-	if k <= 0 || doc < 0 || doc > math.MaxInt32 || len(data)-k < 8 {
-		return nil, errCorruptPosting
-	}
-	*p = posting{doc: int32(doc), w: math.Float64frombits(binary.LittleEndian.Uint64(data[k:]))}
-	return data[k+8:], nil
 }
 
 // uvarint is binary.Uvarint that also refuses a padded encoding (a
