@@ -190,9 +190,7 @@ func (b partBuilder[K, V]) build(seq uint64, part, parts int) (int, func(*worker
 		if err != nil {
 			return err
 		}
-		if old := rd.parts[part]; old != nil {
-			rd.ar.putPairs(part, old)
-		}
+		rd.shed(part)
 		rd.parts[part] = pairs
 		return nil
 	}, nil

@@ -312,7 +312,7 @@ func RunDS[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any](
 	if !inPlace {
 		return runFlat(ctx, cfg, input.Collect(), mapFn, reduceFn)
 	}
-	return execJob(ctx, cfg, input, mapFn, nil, false, plainSteps(reduceFn))
+	return execJob(ctx, cfg, input, mapFn, nil, false, plainSteps(reduceFn), nil)
 }
 
 // RunStateDS executes one state job: a Dataset job whose input records
@@ -370,7 +370,7 @@ func RunStateDS[K comparable, S, V any, K3 comparable, V3 any](
 	if err := input.Materialize(); err != nil {
 		return nil, newStats(cfg.Name), err
 	}
-	out, stats, err := execJob(ctx, cfg, input, mapFn, keyShapeOf[K]().cmp(), false, joinedSteps(input.parts, reduceFn))
+	out, stats, err := execJob(ctx, cfg, input, mapFn, keyShapeOf[K]().cmp(), false, joinedSteps(input.parts, reduceFn), nil)
 	// The backend counted what it was handed; the forwarded records are
 	// the rest of what the job shuffled.
 	stats.ShuffleRecords += stats.MapInputRecords
@@ -400,12 +400,15 @@ func runFlat[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any
 	if cfg.Shuffle.kind() == ShuffleDist {
 		return runOnWorkers[K1, V1, K2, V2, K3, V3](ctx, cfg, in, false, true)
 	}
-	return execJob(ctx, cfg, in, mapFn, nil, true, plainSteps(reduceFn))
+	return execJob(ctx, cfg, in, mapFn, nil, true, plainSteps(reduceFn), nil)
 }
 
-// execJob runs one job on a local backend (memory or spill): one map
-// task per input partition (mapResident), the shuffle, and the reduce
-// side, steps. A dist job runs on the workers instead (runOnWorkers).
+// execJob is the executor of every backend: one map task per input
+// partition (mapResident) into backend, then the reduce side, steps, over
+// the group streams its Finalize returns. A nil backend is the local one
+// cfg selects (memory or spill); a dist worker runs its share of a job
+// here over a workerSender, which returns nil for the partitions other
+// workers reduce.
 //
 // The output is marked aligned only when the reduce's output key type
 // equals its group key type: a type-changing reduce cannot possibly
@@ -422,19 +425,21 @@ func execJob[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any
 	joinOrder func(a, b K1) int,
 	hashed bool,
 	steps reduceSteps[K2, V2, K3, V3],
+	backend ShuffleBackend[K2, V2],
 ) (*Dataset[K3, V3], *Stats, error) {
 	stats := newStats(cfg.Name)
 	if err := checkKeys[K2, K3](); err != nil {
 		return nil, stats, err
 	}
+	ar := arenaFor[K2, V2](cfg.Pool, cfg.reducers())
+	if backend == nil {
+		var err error
+		if backend, err = newShuffleBackend(cfg, input.Partitions(), ar); err != nil {
+			return nil, stats, err
+		}
+	}
 	stats.MapInputRecords = int64(input.Len())
 	defer stats.snapPool(cfg.Pool)()
-
-	ar := arenaFor[K2, V2](cfg.Pool, cfg.reducers())
-	backend, err := newShuffleBackend(cfg, input.Partitions(), ar)
-	if err != nil {
-		return nil, stats, err
-	}
 	defer backend.Close()
 	phase := time.Now()
 	grp := newErrGroup(ctx)
@@ -449,7 +454,7 @@ func execJob[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any
 			return nil
 		})
 	}
-	err = grp.Wait()
+	err := grp.Wait()
 	stats.MapWall = time.Since(phase)
 	if err != nil {
 		return nil, stats, err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"os/exec"
 	"reflect"
@@ -1015,86 +1016,94 @@ func parseJobHeader(cur *remote.Cursor) (*distJobHeader, error) {
 	return h, nil
 }
 
-// distWorkerReport aggregates what one worker told the coordinator
-// about a job.
+// distWorkerReport is what one worker's MsgJobDone told the coordinator
+// about its share of a job.
 type distWorkerReport struct {
-	groups     int64
-	outRecords int64
-	reduceWall time.Duration
-	// pooled and misses are the worker's buffer-pool deltas over the job
-	// (Stats.PooledBytes, Stats.PoolMisses).
-	pooled, misses int64
-	mapWall        time.Duration
-	emitted        int64
-	local          int64
-	cross          int64
-	counts         map[int]int64
-	// sides is the side output of the worker's reduce tasks by partition
-	// (see SideEmitter); nil when none emitted any.
-	sides map[int][]uint64
+	// stats holds the fields of the worker's executor Stats that
+	// jobDoneStats lists; the others are zero.
+	stats Stats
+	// parts holds each owned partition's report.
+	parts map[int]partReport
+}
+
+// partReport is one partition's resident record count and the side
+// output of its reduce task (see SideEmitter), nil when it emitted none.
+type partReport struct {
+	count int64
+	side  []uint64
+}
+
+// jobDoneStats lists, in wire order, the executor Stats fields a
+// MsgJobDone carries: what finish sums or reads of a worker's share.
+func jobDoneStats(s *Stats) []*int64 {
+	return []*int64{&s.MapOutputRecords, &s.LocalRouted, &s.CrossRouted, &s.ReduceGroups,
+		&s.ReduceOutputRecords, &s.PooledBytes, &s.PoolMisses, (*int64)(&s.MapWall), (*int64)(&s.ReduceWall)}
 }
 
 // appendJobDone encodes the body of a MsgJobDone after its sequence
-// number: reduce statistics, the worker's pool deltas, then per owned
-// partition its resident record count and side output.
-func appendJobDone(frame []byte, groups, outRecords int64, reduceWall time.Duration, pooled, misses int64,
-	parts []int, counts []int64, sides [][]uint64) []byte {
-	frame = remote.AppendUvarint(frame, uint64(groups))
-	frame = remote.AppendUvarint(frame, uint64(outRecords))
-	frame = remote.AppendUvarint(frame, uint64(reduceWall))
-	frame = remote.AppendUvarint(frame, uint64(pooled))
-	frame = remote.AppendUvarint(frame, uint64(misses))
+// number: the executor Stats fields jobDoneStats lists, then per owned
+// partition, ascending, its resident record count and side output.
+func appendJobDone(frame []byte, rep *distWorkerReport) []byte {
+	for _, f := range jobDoneStats(&rep.stats) {
+		frame = remote.AppendUvarint(frame, uint64(*f))
+	}
+	parts := slices.Sorted(maps.Keys(rep.parts))
 	frame = remote.AppendUvarint(frame, uint64(len(parts)))
 	for _, p := range parts {
+		r := rep.parts[p]
 		frame = remote.AppendUvarint(frame, uint64(p))
-		frame = remote.AppendUvarint(frame, uint64(counts[p]))
-		frame = remote.AppendUvarint(frame, uint64(len(sides[p])))
-		for _, v := range sides[p] {
+		frame = remote.AppendUvarint(frame, uint64(r.count))
+		frame = remote.AppendUvarint(frame, uint64(len(r.side)))
+		for _, v := range r.side {
 			frame = remote.AppendUvarint(frame, v)
 		}
 	}
 	return frame
 }
 
-// parseJobDone is appendJobDone's inverse. The frame comes off a
-// socket: every count it declares is held to what the job (partitions)
-// or the remaining payload (side values, a byte each at least) can back
-// before anything is allocated for it.
-func parseJobDone(cur *remote.Cursor, reducers int, rep *distWorkerReport) error {
-	rep.groups = int64(cur.Uvarint())
-	rep.outRecords = int64(cur.Uvarint())
-	rep.reduceWall = time.Duration(cur.Uvarint())
-	rep.pooled = int64(cur.Uvarint())
-	rep.misses = int64(cur.Uvarint())
-	nParts := cur.Uvarint()
-	if nParts > uint64(reducers) {
-		return fmt.Errorf("job-done reports %d partitions of %d", nParts, reducers)
+// parseJobDone is appendJobDone's inverse for a report from worker w of a
+// job whose partitions owners assigns. The frame comes off a socket:
+// every count it declares is held to what the job (partitions) or the
+// remaining payload (side values, a byte each at least) can back before
+// anything is allocated for it, a partition owners does not give w is
+// refused, and so is a byte past the last partition.
+func parseJobDone(cur *remote.Cursor, owners []int, w int, rep *distWorkerReport) error {
+	for _, f := range jobDoneStats(&rep.stats) {
+		*f = int64(cur.Uvarint())
 	}
-	rep.counts = make(map[int]int64, nParts)
-	rep.sides = nil
+	nParts := cur.Uvarint()
+	if nParts > uint64(len(owners)) {
+		return fmt.Errorf("job-done reports %d partitions of %d", nParts, len(owners))
+	}
+	rep.parts = make(map[int]partReport, nParts)
 	for i := uint64(0); i < nParts; i++ {
 		part := cur.Uvarint()
-		if part >= uint64(reducers) {
-			return fmt.Errorf("job-done names partition %d of %d", part, reducers)
+		if part >= uint64(len(owners)) {
+			return fmt.Errorf("job-done names partition %d of %d", part, len(owners))
 		}
-		rep.counts[int(part)] = int64(cur.Uvarint())
+		if owner := owners[part]; owner != w {
+			return fmt.Errorf("job-done names partition %d, which worker %d owns", part, owner)
+		}
+		r := partReport{count: int64(cur.Uvarint())}
 		nSide := cur.Uvarint()
 		if nSide > uint64(len(cur.Rest())) {
 			return fmt.Errorf("job-done declares %d side values in %d bytes", nSide, len(cur.Rest()))
 		}
-		if nSide == 0 {
-			continue
+		if nSide > 0 {
+			r.side = make([]uint64, nSide)
+			for k := range r.side {
+				r.side[k] = cur.Uvarint()
+			}
 		}
-		side := make([]uint64, nSide)
-		for k := range side {
-			side[k] = cur.Uvarint()
-		}
-		if rep.sides == nil {
-			rep.sides = make(map[int][]uint64)
-		}
-		rep.sides[int(part)] = side
+		rep.parts[int(part)] = r
 	}
-	return cur.Err()
+	if err := cur.Err(); err != nil {
+		return err
+	}
+	if n := len(cur.Rest()); n > 0 {
+		return fmt.Errorf("job-done has %d trailing bytes", n)
+	}
+	return nil
 }
 
 // distJobRun is the coordinator's state for one job attempt.
@@ -1383,19 +1392,15 @@ func (j *distJobRun) reader(w int) error {
 			// The report of a partition ensureResident rebuilt ahead of
 			// the announce: its count is on record already.
 		case remote.MsgMapDone:
-			cur.Uvarint() // seq
-			rep := &j.reports[w]
-			rep.emitted = int64(cur.Uvarint())
-			rep.local = int64(cur.Uvarint())
-			rep.cross = int64(cur.Uvarint())
-			rep.mapWall = time.Duration(cur.Uvarint())
-			if err := cur.Err(); err != nil {
+			if seq := cur.Uvarint(); cur.Err() != nil || seq != j.hdr.seq || len(cur.Rest()) > 0 {
 				return fmt.Errorf("mapreduce: dist job %q: malformed map-done from worker %d", j.hdr.name, w)
 			}
 			j.noteMapped(w)
 		case remote.MsgJobDone:
-			cur.Uvarint() // seq
-			if err := parseJobDone(cur, j.hdr.reducers, &j.reports[w]); err != nil {
+			if seq := cur.Uvarint(); seq != j.hdr.seq {
+				return fmt.Errorf("mapreduce: dist job %q: job-done for job %d from worker %d", j.hdr.name, seq, w)
+			}
+			if err := parseJobDone(cur, j.hdr.owners, w, &j.reports[w]); err != nil {
 				return fmt.Errorf("mapreduce: dist job %q: malformed job-done from worker %d: %w", j.hdr.name, w, err)
 			}
 			j.noteDone(w)
@@ -1412,10 +1417,10 @@ func (j *distJobRun) reader(w int) error {
 // finish drives the attempt to its end: it waits for the per-connection
 // readers startDistJob launched at the announce, and aggregates the
 // worker reports into stats. Success here is the one place an attempt's
-// results — resident counts, side output — are accepted. An attempt that
-// lost a worker ran to its end on the survivors: finish drops what they
-// made and returns the loss.
-func (j *distJobRun) finish(ctx context.Context, stats *Stats) (*distJobResult, error) {
+// results — each partition's resident count and side output — are
+// accepted. An attempt that lost a worker ran to its end on the
+// survivors: finish drops what they made and returns the loss.
+func (j *distJobRun) finish(ctx context.Context, stats *Stats) (counts []int64, sides [][]uint64, err error) {
 	defer j.cl.clearActiveJob()
 	// A cancelled context must unblock the readers: break the cluster,
 	// which closes the connections under them.
@@ -1442,42 +1447,42 @@ func (j *distJobRun) finish(ctx context.Context, stats *Stats) (*distJobResult, 
 			// Return the first-latched error (the root cause), not
 			// whichever cascade error this slot happens to hold.
 			if first := j.cl.Err(); first != nil {
-				return nil, first
+				return nil, nil, first
 			}
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	if err := j.cl.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if loss := j.lossErr(); loss != nil {
 		j.cl.dropOnWorkers(j.hdr.seq)
-		return nil, loss
+		return nil, nil, loss
 	}
 
 	// Aggregate the worker reports.
-	res := &distJobResult{counts: make([]int64, j.hdr.reducers)}
+	counts = make([]int64, j.hdr.reducers)
 	var workerWall time.Duration
 	for w := range j.reports {
 		rep := &j.reports[w]
-		stats.ReduceGroups += rep.groups
-		stats.ReduceOutputRecords += rep.outRecords
-		stats.PooledBytes += rep.pooled
-		stats.PoolMisses += rep.misses
-		stats.addMapOutput(rep.emitted)
-		stats.addRouted(rep.local, rep.cross)
-		stats.ShuffleRecords += rep.local + rep.cross
-		if wall := rep.mapWall + rep.reduceWall; wall > workerWall {
-			workerWall = wall
-		}
-		for part, n := range rep.counts {
-			res.counts[part] = n
-		}
-		for part, side := range rep.sides {
-			if res.sides == nil {
-				res.sides = make([][]uint64, j.hdr.reducers)
+		ws := &rep.stats
+		stats.MapOutputRecords += ws.MapOutputRecords
+		stats.addRouted(ws.LocalRouted, ws.CrossRouted)
+		stats.ShuffleRecords += ws.LocalRouted + ws.CrossRouted
+		stats.ReduceGroups += ws.ReduceGroups
+		stats.ReduceOutputRecords += ws.ReduceOutputRecords
+		stats.PooledBytes += ws.PooledBytes
+		stats.PoolMisses += ws.PoolMisses
+		workerWall = max(workerWall, ws.MapWall+ws.ReduceWall)
+		for part, r := range rep.parts {
+			counts[part] = r.count
+			if r.side == nil {
+				continue
 			}
-			res.sides[part] = side
+			if sides == nil {
+				sides = make([][]uint64, j.hdr.reducers)
+			}
+			sides[part] = r.side
 		}
 	}
 	stats.WorkerWall = workerWall
@@ -1487,17 +1492,10 @@ func (j *distJobRun) finish(ctx context.Context, stats *Stats) (*distJobResult, 
 	j.cl.mu.Lock()
 	j.cl.lastIn, j.cl.lastOut = in, out
 	j.cl.mu.Unlock()
-	return res, nil
+	return counts, sides, nil
 }
 
-// distJobResult is what a successful attempt hands back, per partition:
-// resident count and side output.
-type distJobResult struct {
-	counts []int64
-	sides  [][]uint64
-}
-
-// runDistDS executes one job on the dist backend (execJob's dist half),
+// runDistDS executes one job on the dist backend (the coordinator's half),
 // retrying the whole job when an attempt dies to worker loss. The input
 // (in) is worker-resident and mapped by the workers; it is restored
 // before every attempt from its lineage (ensureResident). Each attempt
@@ -1573,7 +1571,7 @@ func tryDistDS[K2 comparable, V2 any, K3 comparable, V3 any](
 	}
 	// The workers' map phase is observed by the readers in finish,
 	// through MsgMapDone and the flush barrier.
-	res, err := job.finish(ctx, stats)
+	counts, sides, err := job.finish(ctx, stats)
 	stats.ReduceWall = time.Since(phase)
 	if err == nil || isWorkerLost(err) {
 		// An attempt that succeeds or loses a worker was flushed: the
@@ -1583,8 +1581,8 @@ func tryDistDS[K2 comparable, V2 any, K3 comparable, V3 any](
 	if err != nil {
 		return nil, err
 	}
-	rec := &distResidency{cl: cl, seq: job.hdr.seq, loc: job.hdr.owners, counts: res.counts}
-	return newRemoteDataset[K3, V3](rec, res.sides, keyCast[K2, K3]() != nil, cfg.Pool), nil
+	rec := &distResidency{cl: cl, seq: job.hdr.seq, loc: job.hdr.owners, counts: counts}
+	return newRemoteDataset[K3, V3](rec, sides, keyCast[K2, K3]() != nil, cfg.Pool), nil
 }
 
 // newRemoteDataset wraps a worker-resident Dataset's record.

@@ -10,55 +10,69 @@ import (
 )
 
 // FuzzJobDone feeds parseJobDone — the decoder of the frame a worker
-// closes its side of a job with, side output included — arbitrary bytes
-// under an arbitrary partition count. The contract: an error, or a
-// report that survives a re-encode; never a panic, and never an
-// allocation a declared count sized (a side section cannot hold more
-// values than the payload has bytes left, a report no more partitions
-// than the job has). Seeds: a two-partition report with pool deltas and
-// side output on one, every truncation of it, the same report with a
-// byte trailing, the same report as Proto 17 wrote it (no pool deltas),
-// and a side count forged far past the payload.
+// closes its side of a job with, its executor Stats and side output
+// included — arbitrary bytes under an arbitrary partition count, the
+// partitions dealt round-robin over two workers and the report worker
+// 0's. The contract: an error, or a report of worker 0's partitions
+// that survives a re-encode; never a panic, and never an allocation a
+// declared count sized (a side section cannot hold more values than the
+// payload has bytes left, a report no more partitions than the job has).
+// Seeds: a two-partition report with every Stats field it carries set
+// and side output on one partition, every truncation of it, the same
+// report with a byte trailing, the same report as Proto 19 wrote it
+// (reduce statistics and pool deltas only), a side count forged far past
+// the payload, a report naming worker 1's partition, and one naming
+// partitions the job does not have.
 func FuzzJobDone(f *testing.F) {
-	good := appendJobDone(nil, 17, 40, 3*time.Millisecond, 1<<20, 3, []int{1, 3},
-		[]int64{0, 25, 0, 15}, [][]uint64{nil, {7, 1 << 40, 0}, nil, nil})
+	st := Stats{MapOutputRecords: 41, LocalRouted: 29, CrossRouted: 12, ReduceGroups: 17,
+		ReduceOutputRecords: 40, PooledBytes: 1 << 20, PoolMisses: 3, MapWall: 5 * time.Millisecond,
+		ReduceWall: 3 * time.Millisecond}
+	good := appendJobDone(nil, &distWorkerReport{stats: st,
+		parts: map[int]partReport{0: {25, []uint64{7, 1 << 40, 0}}, 2: {count: 15}}})
+	var rep distWorkerReport
+	if err := parseJobDone(remote.NewCursor(good), []int{0, 1, 0, 1}, 0, &rep); err != nil || rep.stats != st {
+		f.Fatalf("the good report does not round-trip: %+v, %v", rep.stats, err)
+	}
 	for cut := len(good); cut >= 0; cut-- {
 		f.Add(4, good[:cut])
 	}
 	f.Add(4, append(slices.Clone(good), 9))
-	head := appendJobDone(nil, 17, 40, 3*time.Millisecond, 1<<20, 3, nil, nil, nil)
-	pre18 := remote.AppendUvarint(remote.AppendUvarint(remote.AppendUvarint(nil, 17), 40), uint64(3*time.Millisecond))
-	f.Add(4, append(pre18, good[len(head)-1:]...))                        // the partition count onwards
-	forged := remote.AppendUvarint([]byte{1, 1, 1, 0, 0, 1, 0, 5}, 1<<50) // one partition, 2^50 side values, no bytes
+	head := appendJobDone(nil, &distWorkerReport{stats: st})
+	var pre20 []byte
+	for _, v := range []uint64{17, 40, uint64(3 * time.Millisecond), 1 << 20, 3} {
+		pre20 = remote.AppendUvarint(pre20, v)
+	}
+	f.Add(4, append(pre20, good[len(head)-1:]...)) // the partition count onwards
+	forged := appendJobDone(nil, &distWorkerReport{})
+	forged = remote.AppendUvarint(append(forged[:len(forged)-1], 1, 0, 0), 1<<50) // partition 0: 2^50 side values, no bytes
 	f.Add(4, forged)
-	f.Add(1, good) // names partitions the job does not have
+	f.Add(4, appendJobDone(nil, &distWorkerReport{stats: st, parts: map[int]partReport{0: {count: 25}, 1: {count: 5}}}))
+	f.Add(1, good)
 	f.Fuzz(func(t *testing.T, reducers int, body []byte) {
 		if reducers < 0 || reducers > 1<<16 {
 			return
 		}
+		owners := make([]int, reducers)
+		for p := range owners {
+			owners[p] = remote.Owner(p, 2)
+		}
 		var rep distWorkerReport
-		if err := parseJobDone(remote.NewCursor(body), reducers, &rep); err != nil {
+		if err := parseJobDone(remote.NewCursor(body), owners, 0, &rep); err != nil {
 			return
 		}
 		total := 0
-		for _, side := range rep.sides {
-			total += len(side)
-		}
-		if len(rep.counts) > reducers || len(rep.counts) > len(body) || total > len(body) {
-			t.Fatalf("%d partitions and %d side values from a %d-byte report of a %d-partition job",
-				len(rep.counts), total, len(body), reducers)
-		}
-		var parts []int
-		counts, sides := make([]int64, reducers), make([][]uint64, reducers)
-		for p := 0; p < reducers; p++ {
-			if n, ok := rep.counts[p]; ok {
-				parts = append(parts, p)
-				counts[p], sides[p] = n, rep.sides[p]
+		for p, r := range rep.parts {
+			total += len(r.side)
+			if owners[p] != 0 {
+				t.Fatalf("accepted worker %d's partition %d from worker 0", owners[p], p)
 			}
 		}
-		again := distWorkerReport{}
-		enc := appendJobDone(nil, rep.groups, rep.outRecords, rep.reduceWall, rep.pooled, rep.misses, parts, counts, sides)
-		if err := parseJobDone(remote.NewCursor(enc), reducers, &again); err != nil {
+		if len(rep.parts) > reducers || len(rep.parts) > len(body) || total > len(body) {
+			t.Fatalf("%d partitions and %d side values from a %d-byte report of a %d-partition job",
+				len(rep.parts), total, len(body), reducers)
+		}
+		var again distWorkerReport
+		if err := parseJobDone(remote.NewCursor(appendJobDone(nil, &rep)), owners, 0, &again); err != nil {
 			t.Fatalf("parsing our own job-done: %v", err)
 		}
 		if !reflect.DeepEqual(again, rep) {

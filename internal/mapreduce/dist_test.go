@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -217,11 +218,10 @@ func TestDistParamsReachWorkers(t *testing.T) {
 }
 
 // TestDistRefusesOlderProtoWorker: a worker built before the last wire
-// change (a Proto 18 worker sends a capability byte after the version
-// and expects a session token and a resume byte in the welcome, so the
-// two would misparse each other's handshake) dials a current coordinator
-// and is refused at the hello, with both versions named — never paired
-// and left to misparse a frame.
+// change (a Proto 19 worker sends its counters in map-done and a
+// job-done without them, so the two would misparse each other's job
+// reports) dials a current coordinator and is refused at the hello,
+// with both versions named — never paired and left to misparse a frame.
 func TestDistRefusesOlderProtoWorker(t *testing.T) {
 	leakcheck.Check(t)
 	var wg sync.WaitGroup
@@ -238,9 +238,9 @@ func TestDistRefusesOlderProtoWorker(t *testing.T) {
 				}
 				conn := remote.NewConn(nc)
 				defer conn.Close()
-				// Proto 18's opening hello, with the resume-capable flag.
-				hello := remote.AppendUvarint([]byte{byte(remote.MsgHello)}, 18)
-				if err := conn.WriteFrame(append(hello, 0x01)); err != nil {
+				// Proto 19's opening hello.
+				hello := remote.AppendUvarint([]byte{byte(remote.MsgHello)}, 19)
+				if err := conn.WriteFrame(hello); err != nil {
 					t.Error(err)
 					return
 				}
@@ -251,7 +251,7 @@ func TestDistRefusesOlderProtoWorker(t *testing.T) {
 		},
 	})
 	wg.Wait()
-	const want = "protocol version mismatch: worker speaks 18, coordinator 19"
+	const want = "protocol version mismatch: worker speaks 19, coordinator 20"
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("StartDistCluster with an older-protocol worker: err = %v, want %q", err, want)
 	}
@@ -388,6 +388,132 @@ func TestDistWorkerDisconnectMidShuffle(t *testing.T) {
 	}
 	if rs := cl.RecoveryStats(); rs.WorkersLost < 1 || rs.Recoveries < 1 {
 		t.Fatalf("recovery stats report lost=%d retried=%d, want >= 1 each", rs.WorkersLost, rs.Recoveries)
+	}
+}
+
+// runBesideRogue runs one eq-int32 job on a cluster of an in-process
+// worker and a rogue one, and returns the job's error. The rogue skips
+// what precedes the job's announce and hands the announce, with its own
+// worker id, to reply, which writes the rogue's side of the job; the
+// rogue then reads until the coordinator hangs up.
+func runBesideRogue(t *testing.T, reply func(conn *remote.Conn, h *distJobHeader, id int)) error {
+	t.Helper()
+	leakcheck.Check(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	cl, err := StartDistCluster(2, DistClusterOptions{
+		Timeout: 30 * time.Second,
+		OnListen: func(addr string) {
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				ServeDistWorker(ctx, addr)
+			}()
+			go func() {
+				defer wg.Done()
+				nc, err := net.Dial("tcp", addr)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				conn := remote.NewConn(nc)
+				defer conn.Close()
+				if err := remote.Hello(conn); err != nil {
+					return
+				}
+				info, err := remote.AwaitWelcome(conn)
+				if err != nil {
+					return
+				}
+				for {
+					payload, err := conn.ReadFrame()
+					if err != nil {
+						return
+					}
+					cur := remote.NewCursor(payload)
+					if remote.MsgType(cur.Byte()) != remote.MsgJobStart {
+						continue
+					}
+					h, err := parseJobHeader(cur)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					reply(conn, h, info.WorkerID)
+				}
+			}()
+		},
+	})
+	if err != nil {
+		cancel()
+		t.Fatal(err)
+	}
+	defer func() { cl.Close(); cancel(); wg.Wait() }()
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := Run(ctx, distCfg4(cl, "eq-int32"), int32Input(), int32Map, int32Reduce)
+		done <- err
+	}()
+	select {
+	case err = <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("a rogue worker's reports hung the job")
+	}
+	return err
+}
+
+// TestJobDoneRefusesForeignPartition: a worker's job-done may report only
+// the partitions the job's owner table gives it. One that names another
+// worker's partition would put its count and side output in the place of
+// the owner's; the coordinator refuses it, and the job fails naming the
+// partition and its owner.
+func TestJobDoneRefusesForeignPartition(t *testing.T) {
+	err := runBesideRogue(t, func(conn *remote.Conn, h *distJobHeader, id int) {
+		conn.WriteFrame(remote.AppendUvarint([]byte{byte(remote.MsgMapDone)}, h.seq))
+		for {
+			payload, err := conn.ReadFrame()
+			if err != nil || remote.MsgType(payload[0]) == remote.MsgFlush {
+				break
+			}
+		}
+		rep := distWorkerReport{parts: make(map[int]partReport)}
+		foreign := slices.IndexFunc(h.owners, func(w int) bool { return w != id })
+		for p, w := range h.owners {
+			if w == id {
+				rep.parts[p] = partReport{}
+			}
+		}
+		rep.parts[foreign] = partReport{count: 5}
+		conn.WriteFrame(appendJobDone(remote.AppendUvarint([]byte{byte(remote.MsgJobDone)}, h.seq), &rep))
+	})
+	if err == nil || !strings.Contains(err.Error(), "which worker") {
+		t.Fatalf("a job-done naming another worker's partition: err = %v, want it refused", err)
+	}
+}
+
+// TestMapDoneRefusesForeignSequence: a map-done is the job's sequence
+// number and nothing else. One for another job, or with bytes trailing,
+// is refused as malformed rather than taken to lift the flush barrier.
+func TestMapDoneRefusesForeignSequence(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		frame func(seq uint64) []byte
+	}{
+		{"another job", func(seq uint64) []byte {
+			return remote.AppendUvarint([]byte{byte(remote.MsgMapDone)}, seq+1)
+		}},
+		{"a trailing byte", func(seq uint64) []byte {
+			return append(remote.AppendUvarint([]byte{byte(remote.MsgMapDone)}, seq), 0)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := runBesideRogue(t, func(conn *remote.Conn, h *distJobHeader, _ int) {
+				conn.WriteFrame(tc.frame(h.seq))
+			})
+			if err == nil || !strings.Contains(err.Error(), "malformed map-done") {
+				t.Fatalf("map-done of %s: err = %v, want it refused as malformed", tc.name, err)
+			}
+		})
 	}
 }
 

@@ -6,22 +6,20 @@ import (
 	"net"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/mapreduce/remote"
 )
 
 // This file is the worker half of the distributed execution mode: the
-// job registry, the serve loop a worker process runs, and the per-job
-// handler that maps the worker's resident input partitions, ingests the
-// buckets other workers' maps addressed to its partitions, group-sorts
-// each owned partition with the same radix path the in-memory backend
-// uses, runs the registered reduce function, and keeps the output
-// resident for the next job or a fetch. Function values cannot travel,
-// so a worker runs the map/reduce functions registered under the job's
-// name — for jobs whose functions close over driver-side round state,
-// the registered factory rebuilds them from the job's parameter blob
+// job registry, the serve loop a worker process runs, and the backend a
+// job runs over here (workerSender). A worker runs its share of a job
+// through the executor every backend runs, execJob: it maps its resident
+// input partitions, reduces the partitions it owns, and keeps the output
+// Dataset resident for the next job or a fetch. Function values cannot
+// travel, so a worker runs the functions registered under the job's name
+// — for jobs whose functions close over driver-side round state, the
+// registered factory rebuilds them from the job's parameter blob
 // (Config.DistParams).
 
 // DistJob is one registered job's worker-side behavior.
@@ -38,7 +36,7 @@ type DistJob[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any
 	StateReduce StateReduceFunc[K2, V1, V2, K3, V3]
 }
 
-// distJobRunner is the untyped face of a registered job.
+// distJobRunner is the untyped face of a registered job: a DistJob.
 type distJobRunner interface {
 	run(s *workerSession, h *distJobHeader) error
 }
@@ -70,7 +68,7 @@ func RegisterDistJob[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable
 		if job.Map == nil || (job.Reduce == nil) == (job.StateReduce == nil) {
 			return nil, fmt.Errorf("job %q must be registered with a map and either a reduce or a state reduce function", name)
 		}
-		return &distWorkerJob[K1, V1, K2, V2, K3, V3]{job: job}, nil
+		return job, nil
 	}
 }
 
@@ -94,31 +92,28 @@ func lookupDistJob(name string, params []byte) (distJobRunner, error) {
 	return factory(params)
 }
 
-// residentSet is one retained job output, typed underneath.
+// residentSet is a *Dataset a worker keeps between jobs — a job's
+// output, or an input seeded or built here — holding the partitions the
+// worker owns (the others are nil).
 type residentSet interface {
-	// fetch streams every retained partition (MsgPart) and drops them.
-	fetch(conn *remote.Conn, seq uint64) error
-	drop()
+	serveFetch(conn *remote.Conn, seq uint64) error
+	Recycle()
 	// shed releases one partition a seed supersedes: keeping the copy
 	// here would serve stale data if this worker were ever asked for it.
 	shed(part int)
 }
 
-// residentData retains one job's reduce output per owned partition
-// between jobs.
-type residentData[K comparable, V any] struct {
-	parts [][]Pair[K, V]
-	pc    *pairCodec[K, V]
-	ar    *roundArena[K, V]
-}
-
-// fetch streams every retained partition and releases it (fetch moves;
-// the coordinator's Materialize owns the records afterwards). The caller
-// ends the reply.
-func (r *residentData[K, V]) fetch(conn *remote.Conn, seq uint64) error {
+// serveFetch streams every partition a worker holds of d and recycles
+// them (fetch moves; the coordinator's Materialize owns the records
+// afterwards). The caller ends the reply.
+func (d *Dataset[K, V]) serveFetch(conn *remote.Conn, seq uint64) error {
+	pc, err := pairCodecFor[K, V]()
+	if err != nil {
+		return err
+	}
 	fs := getFrameScratch()
 	defer putFrameScratch(fs)
-	for p, pairs := range r.parts {
+	for p, pairs := range d.parts {
 		if pairs == nil {
 			continue
 		}
@@ -126,7 +121,7 @@ func (r *residentData[K, V]) fetch(conn *remote.Conn, seq uint64) error {
 		frame = remote.AppendUvarint(frame, seq)
 		frame = remote.AppendUvarint(frame, uint64(p))
 		frame = remote.AppendUvarint(frame, uint64(len(pairs)))
-		frame, err := encodePairs(frame, pairs, r.pc)
+		frame, err := encodePairs(frame, pairs, pc)
 		if err != nil {
 			return fmt.Errorf("encoding resident partition %d: %w", p, err)
 		}
@@ -135,25 +130,15 @@ func (r *residentData[K, V]) fetch(conn *remote.Conn, seq uint64) error {
 			return err
 		}
 	}
-	r.drop()
+	d.Recycle()
 	return nil
 }
 
-// drop recycles the retained partition buffers.
-func (r *residentData[K, V]) drop() {
-	for p, pairs := range r.parts {
-		if pairs != nil {
-			r.ar.putPairs(p, pairs)
-		}
-	}
-	r.parts = nil
-}
-
-// shed releases a single superseded partition.
-func (r *residentData[K, V]) shed(part int) {
-	if part >= 0 && part < len(r.parts) && r.parts[part] != nil {
-		r.ar.putPairs(part, r.parts[part])
-		r.parts[part] = nil
+// shed recycles a single superseded partition.
+func (d *Dataset[K, V]) shed(part int) {
+	if part >= 0 && part < len(d.parts) && d.parts[part] != nil {
+		arenaFor[K, V](d.pool, len(d.parts)).putPairs(part, d.parts[part])
+		d.parts[part] = nil
 	}
 }
 
@@ -162,17 +147,21 @@ func (r *residentData[K, V]) shed(part int) {
 // first. A worker that retained nothing for the sequence — a survivor
 // that only now inherited partitions — starts from an empty set and
 // fills it from its seeds.
-func chainedInput[K1 comparable, V1 any](s *workerSession, h *distJobHeader) (*residentData[K1, V1], error) {
+func chainedInput[K1 comparable, V1 any](s *workerSession, h *distJobHeader) (*Dataset[K1, V1], error) {
+	pc, err := pairCodecFor[K1, V1]()
+	if err != nil {
+		return nil, fmt.Errorf("job %q: resident input %w", h.name, err)
+	}
 	rd, err := residentFor[K1, V1](s, h.inputSeq, h.reducers)
 	if err != nil {
 		return nil, fmt.Errorf("job %q: %w", h.name, err)
 	}
+	ar := arenaFor[K1, V1](s.pool, h.reducers)
 	for part, sb := range s.seeds[h.inputSeq] {
 		if part >= len(rd.parts) {
 			return nil, fmt.Errorf("job %q: seed for partition %d of %d", h.name, part, len(rd.parts))
 		}
-		pairs, err := decodePairs(remote.NewCursor(sb.blob), sb.count, rd.pc,
-			rd.ar.getPairs(part, sb.count))
+		pairs, err := decodePairs(remote.NewCursor(sb.blob), sb.count, pc, ar.getPairs(part, sb.count))
 		if err != nil {
 			return nil, fmt.Errorf("job %q: decoding seeded partition %d: %w", h.name, part, err)
 		}
@@ -184,23 +173,15 @@ func chainedInput[K1 comparable, V1 any](s *workerSession, h *distJobHeader) (*r
 
 // residentFor returns the session's resident set of job or Dataset seq,
 // creating an empty one of parts partitions when it holds none yet.
-func residentFor[K comparable, V any](s *workerSession, seq uint64, parts int) (*residentData[K, V], error) {
+func residentFor[K comparable, V any](s *workerSession, seq uint64, parts int) (*Dataset[K, V], error) {
 	if ent, ok := s.resident[seq]; ok {
-		rd, ok := ent.(*residentData[K, V])
-		if !ok || len(rd.parts) != parts {
+		rd, ok := ent.(*Dataset[K, V])
+		if !ok || rd.Partitions() != parts {
 			return nil, fmt.Errorf("resident input %d has a different type or partition count", seq)
 		}
 		return rd, nil
 	}
-	pc, err := pairCodecFor[K, V]()
-	if err != nil {
-		return nil, fmt.Errorf("resident input %w", err)
-	}
-	rd := &residentData[K, V]{
-		parts: make([][]Pair[K, V], parts),
-		pc:    pc,
-		ar:    arenaFor[K, V](s.pool, parts),
-	}
+	rd := &Dataset[K, V]{parts: make([][]Pair[K, V], parts), aligned: true, pool: s.pool}
 	s.resident[seq] = rd
 	return rd, nil
 }
@@ -216,9 +197,10 @@ type seedBlob struct {
 
 // workerSession is one worker process's connection-lifetime state.
 type workerSession struct {
+	// ctx is the session's context: every job's executor runs under it.
+	ctx      context.Context
 	conn     *remote.Conn
 	id       int
-	workers  int
 	pool     *BufferPool
 	resident map[uint64]residentSet
 	// seeds holds seeded partitions by Dataset sequence, then partition
@@ -296,9 +278,9 @@ func ServeDistWorkerOpts(ctx context.Context, addr string, opts DistWorkerOption
 		}
 	}()
 	s := &workerSession{
+		ctx:      ctx,
 		conn:     conn,
 		id:       info.WorkerID,
-		workers:  info.NumWorkers,
 		pool:     NewBufferPool(),
 		resident: make(map[uint64]residentSet),
 		seeds:    make(map[uint64]map[int]seedBlob),
@@ -449,7 +431,7 @@ func (s *workerSession) serve() error {
 			seq := cur.Uvarint()
 			if ent, ok := s.resident[seq]; ok {
 				delete(s.resident, seq)
-				if err := ent.fetch(s.conn, seq); err != nil {
+				if err := ent.serveFetch(s.conn, seq); err != nil {
 					return fmt.Errorf("mapreduce: dist worker: fetch: %w", err)
 				}
 			}
@@ -459,7 +441,7 @@ func (s *workerSession) serve() error {
 		case remote.MsgDrop:
 			seq := cur.Uvarint()
 			if ent, ok := s.resident[seq]; ok {
-				ent.drop()
+				ent.Recycle()
 				delete(s.resident, seq)
 			}
 			delete(s.seeds, seq)
@@ -491,22 +473,76 @@ func (s *workerSession) fetchSeeds(seq uint64) error {
 	return s.conn.WriteFrame(remote.AppendUvarint([]byte{byte(remote.MsgFetchDone)}, seq))
 }
 
-// distWorkerJob executes one job on a worker.
-type distWorkerJob[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 any] struct {
-	job DistJob[K1, V1, K2, V2, K3, V3]
-}
-
-// workerSender is the ShuffleBackend a worker-side map phase emits
-// into: buckets for owned partitions land in the local shuffle
-// directly (this is the path self-addressed pairs take — they never
-// touch the wire), buckets for foreign partitions stream to the
-// coordinator, which relays them to their owner.
+// workerSender is the ShuffleBackend a worker runs its share of a job
+// over: buckets for owned partitions land in the local shuffle directly
+// (this is the path self-addressed pairs take — they never touch the
+// wire), buckets for foreign partitions stream to the coordinator, which
+// relays them to their owner.
+//
+// Its life: from creation it ingests the buckets relayed here on its own
+// goroutine — ingest must overlap the map, or two workers relaying to
+// each other deadlock. Finalize seals the map side with MsgMapDone,
+// waits for the flush that ends the ingest, and returns the owned
+// partitions' group streams (nil for the others). Close never waits on
+// the ingest.
 type workerSender[K2 comparable, V2 any] struct {
 	s     *workerSession
 	h     *distJobHeader
 	local *memoryShuffle[K2, V2]
 	ar    *roundArena[K2, V2]
 	pc    *pairCodec[K2, V2]
+	// ingested receives what the ingest ended with: nil at the flush.
+	ingested chan error
+}
+
+func newWorkerSender[K2 comparable, V2 any](s *workerSession, h *distJobHeader, pc *pairCodec[K2, V2]) *workerSender[K2, V2] {
+	ar := arenaFor[K2, V2](s.pool, h.reducers)
+	ws := &workerSender[K2, V2]{
+		s: s, h: h, ar: ar, pc: pc,
+		local:    newMemoryShuffle[K2, V2](h.reducers, h.reducers, ar),
+		ingested: make(chan error, 1),
+	}
+	go func() { ws.ingested <- ws.ingest() }()
+	return ws
+}
+
+// ingest adds the buckets other workers' maps relayed here to the local
+// shuffle until the flush. A relayed bucket comes from a split this
+// worker does not map, so it never races a local map task's AddBucket.
+func (ws *workerSender[K2, V2]) ingest() error {
+	h := ws.h
+	for {
+		payload, err := ws.s.conn.ReadFrame()
+		if err != nil {
+			return fmt.Errorf("job %q: transport error during shuffle: %w", h.name, err)
+		}
+		cur := remote.NewCursor(payload)
+		switch t := remote.MsgType(cur.Byte()); t {
+		case remote.MsgFlush:
+			if seq := cur.Uvarint(); cur.Err() != nil || seq != h.seq {
+				return fmt.Errorf("job %q: flush for job %d", h.name, seq)
+			}
+			return nil
+		case remote.MsgBucket:
+		default:
+			return fmt.Errorf("job %q: unexpected %v during shuffle", h.name, t)
+		}
+		seq := cur.Uvarint()
+		split := int(cur.Uvarint())
+		part := int(cur.Uvarint())
+		count := int(cur.Uvarint())
+		if err := cur.Err(); err != nil || seq != h.seq || split < 0 || split >= h.reducers ||
+			h.owners[split] == ws.s.id || part < 0 || part >= h.reducers || h.owners[part] != ws.s.id {
+			return fmt.Errorf("job %q: malformed bucket (split %d, part %d)", h.name, split, part)
+		}
+		bucket, err := decodePairs(cur, count, ws.pc, ws.ar.getBucket(part, pairCap(cur, count, ws.pc)))
+		if err != nil {
+			return fmt.Errorf("job %q: decoding bucket: %w", h.name, err)
+		}
+		if err := ws.local.AddBucket(split, part, bucket); err != nil {
+			return err
+		}
+	}
 }
 
 func (ws *workerSender[K2, V2]) Partitions() int { return ws.h.reducers }
@@ -540,12 +576,39 @@ func (ws *workerSender[K2, V2]) AddBucket(split, part int, pairs []Pair[K2, V2])
 	return nil
 }
 
+// Finalize runs once every map task has handed its buckets over, so all
+// of this worker's bucket frames precede its MsgMapDone.
 func (ws *workerSender[K2, V2]) Finalize() ([]GroupStream[K2, V2], error) {
-	return nil, fmt.Errorf("workerSender has no streams")
+	if err := ws.s.conn.WriteFrame(remote.AppendUvarint([]byte{byte(remote.MsgMapDone)}, ws.h.seq)); err != nil {
+		return nil, err
+	}
+	if err := <-ws.ingested; err != nil {
+		return nil, err
+	}
+	streams, err := ws.local.Finalize()
+	if err != nil {
+		return nil, err
+	}
+	for p, st := range streams {
+		if ws.h.owners[p] != ws.s.id {
+			st.Close()
+			streams[p] = nil
+		}
+	}
+	return streams, nil
 }
+
+// Close has nothing to release: the local shuffle holds only memory, and
+// an ingest a failed map left running ends when the session closes the
+// connection.
 func (ws *workerSender[K2, V2]) Close() error { return nil }
 
-func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJobHeader) error {
+// run maps this worker's partitions of the job's resident input, reduces
+// the partitions it owns through the executor every backend runs
+// (execJob) over a workerSender, keeps the output resident for the next
+// job or a fetch, and reports MsgJobDone: the executor's Stats and, per
+// owned partition, the output's record count and side output.
+func (job DistJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJobHeader) error {
 	// The four type ids must match before any record is decoded: a
 	// mismatch means the coordinator and this worker registered
 	// different functions under the same name.
@@ -555,209 +618,43 @@ func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) run(s *workerSession, h *distJob
 			h.name, h.k2id, h.v2id, h.k3id, h.v3id,
 			distTypeID[K2](), distTypeID[V2](), distTypeID[K3](), distTypeID[V3]())
 	}
-	if registered := r.job.StateReduce != nil; h.state != registered {
+	if registered := job.StateReduce != nil; h.state != registered {
 		return fmt.Errorf("job %q: state job on the coordinator: %t, as registered here: %t", h.name, h.state, registered)
 	}
-	shufc, err := pairCodecFor[K2, V2]()
+	pc, err := pairCodecFor[K2, V2]()
 	if err != nil {
 		return fmt.Errorf("job %q: shuffle %w", h.name, err)
 	}
-	outc, err := pairCodecFor[K3, V3]()
-	if err != nil {
-		return fmt.Errorf("job %q: output %w", h.name, err)
-	}
-	bytes0, misses0 := s.pool.counters()
-
-	ar := arenaFor[K2, V2](s.pool, h.reducers)
-	shuffle := newMemoryShuffle[K2, V2](h.reducers, h.reducers, ar)
-
-	// Ingest: this worker maps its resident input partitions while the
-	// main loop below keeps receiving the buckets other workers relay
-	// here.
 	input, err := chainedInput[K1, V1](s, h)
 	if err != nil {
 		return err
 	}
-	steps := plainSteps(r.job.Reduce)
+	steps := plainSteps(job.Reduce)
 	var joinOrder func(a, b K1) int
-	if r.job.StateReduce != nil {
+	if job.StateReduce != nil {
 		parts, ok := any(input.parts).([][]Pair[K2, V1])
 		if !ok {
 			return fmt.Errorf("job %q: a state job's messages are keyed like its input, not %s", h.name, h.k2id)
 		}
-		steps = joinedSteps(parts, r.job.StateReduce)
+		steps = joinedSteps(parts, job.StateReduce)
 		joinOrder = keyShapeOf[K1]().cmp()
 	}
-	sender := &workerSender[K2, V2]{s: s, h: h, local: shuffle, ar: ar, pc: shufc}
-	var mapErr error
-	mapDone := make(chan struct{})
-	go func() {
-		defer close(mapDone)
-		start := time.Now()
-		emitted, local, cross, err := r.runResidentMap(s, input, joinOrder, sender)
-		if err != nil {
-			mapErr = err
-			// The coordinator's flush barrier waits for every worker's
-			// map-done; a silent failure here would leave the whole job
-			// waiting on a flush that can never come. The error frame
-			// fails the job (and the cluster) instead.
-			s.sendError(h.seq, fmt.Errorf("map: %w", err))
-			return
-		}
-		frame := remote.AppendUvarint([]byte{byte(remote.MsgMapDone)}, h.seq)
-		frame = remote.AppendUvarint(frame, uint64(emitted))
-		frame = remote.AppendUvarint(frame, uint64(local))
-		frame = remote.AppendUvarint(frame, uint64(cross))
-		frame = remote.AppendUvarint(frame, uint64(time.Since(start)))
-		mapErr = s.conn.WriteFrame(frame)
-	}()
-
-	// Main ingest loop: buckets until the flush.
-	for {
-		payload, err := s.conn.ReadFrame()
-		if err != nil {
-			// A resident-map failure reported above makes the
-			// coordinator tear the cluster down, which surfaces here as
-			// a read error: report the root cause, not the teardown.
-			select {
-			case <-mapDone:
-				if mapErr != nil {
-					return fmt.Errorf("job %q: map: %w", h.name, mapErr)
-				}
-			default:
-			}
-			return fmt.Errorf("job %q: transport error during shuffle: %w", h.name, err)
-		}
-		cur := remote.NewCursor(payload)
-		t := remote.MsgType(cur.Byte())
-		if t == remote.MsgFlush {
-			cur.Uvarint()
-			break
-		}
-		if t != remote.MsgBucket {
-			return fmt.Errorf("job %q: unexpected %v during shuffle", h.name, t)
-		}
-		seq := cur.Uvarint()
-		split := int(cur.Uvarint())
-		part := int(cur.Uvarint())
-		count := int(cur.Uvarint())
-		if err := cur.Err(); err != nil || seq != h.seq || split < 0 || split >= h.reducers ||
-			part < 0 || part >= h.reducers || h.owners[part] != s.id {
-			return fmt.Errorf("job %q: malformed bucket (split %d, part %d)", h.name, split, part)
-		}
-		bucket, err := decodePairs(cur, count, shufc, ar.getBucket(part, pairCap(cur, count, shufc)))
-		if err != nil {
-			return fmt.Errorf("job %q: decoding bucket: %w", h.name, err)
-		}
-		if err := shuffle.AddBucket(split, part, bucket); err != nil {
-			return err
-		}
-	}
-	<-mapDone
-	if mapErr != nil {
-		return fmt.Errorf("job %q: map: %w", h.name, mapErr)
-	}
-
-	// Group-sort and reduce the owned partitions, in parallel — the
-	// memory backend's radix group path runs inside each goroutine,
-	// checked out of this worker's round-recycled pool.
-	reduceStart := time.Now()
-	streams, err := shuffle.Finalize()
+	cfg := Config{Name: h.name, Reducers: h.reducers, Pool: s.pool}
+	out, stats, err := execJob(s.ctx, cfg, input, job.Map, joinOrder, h.hashed, steps, newWorkerSender(s, h, pc))
 	if err != nil {
 		return err
 	}
-
-	arOut := arenaFor[K3, V3](s.pool, h.reducers)
-	outs := make([][]Pair[K3, V3], h.reducers)
-	outCounts := make([]int64, h.reducers)
-	sides := make([][]uint64, h.reducers) // reduce side output, reported in MsgJobDone
-	var groups atomic.Int64
-	var wg sync.WaitGroup
-	errs := make([]error, h.reducers)
-	for p, st := range streams {
-		if h.owners[p] != s.id {
-			st.Close()
-			continue
-		}
-		p, st := p, st
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer st.Close()
-			buf := &emitBuf[K3, V3]{pairs: arOut.getPairs(p, 0)}
-			step := steps(p, st)
-			for {
-				more, err := step(buf)
-				if err != nil {
-					errs[p] = err
-					return
-				}
-				if !more {
-					break
-				}
-				groups.Add(1)
-			}
-			outs[p] = buf.pairs
-			sides[p] = buf.side
-			outCounts[p] = int64(len(buf.pairs))
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return fmt.Errorf("job %q: %w", h.name, err)
-		}
-	}
-
-	// Retain resident output and report.
-	var ownedParts []int
-	var outRecords int64
-	for p := 0; p < h.reducers; p++ {
+	s.resident[h.seq] = out
+	rep := distWorkerReport{stats: *stats, parts: make(map[int]partReport)}
+	for p, part := range out.parts {
 		if h.owners[p] == s.id {
-			ownedParts = append(ownedParts, p)
-			outRecords += outCounts[p]
-		}
-	}
-	bytes1, misses1 := s.pool.counters()
-	frame := remote.AppendUvarint([]byte{byte(remote.MsgJobDone)}, h.seq)
-	frame = appendJobDone(frame, groups.Load(), outRecords, time.Since(reduceStart),
-		bytes1-bytes0, misses1-misses0, ownedParts, outCounts, sides)
-	s.resident[h.seq] = &residentData[K3, V3]{parts: outs, pc: outc, ar: arOut}
-	return s.conn.WriteFrame(frame)
-}
-
-// runResidentMap maps this worker's resident input partitions,
-// identity-routing self-addressed pairs into the local shuffle unless
-// the input is a flat input's contiguous splits (h.hashed).
-func (r *distWorkerJob[K1, V1, K2, V2, K3, V3]) runResidentMap(
-	s *workerSession, input *residentData[K1, V1], joinOrder func(a, b K1) int, sender *workerSender[K2, V2],
-) (emitted, local, cross int64, err error) {
-	var wg sync.WaitGroup
-	errs := make([]error, len(input.parts))
-	var em, lo, cr atomic.Int64
-	for p, part := range input.parts {
-		if sender.h.owners[p] != s.id || part == nil {
-			continue
-		}
-		p, part := p, part
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			e, err := mapResident(context.Background(), sender.h.name, p, part, r.job.Map, joinOrder, sender.h.hashed, sender, sender.ar)
-			if err != nil {
-				errs[p] = err
-				return
+			r := partReport{count: int64(len(part))}
+			if out.side != nil {
+				r.side = out.side[p]
 			}
-			em.Add(e.count)
-			lo.Add(e.local)
-			cr.Add(e.cross)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return 0, 0, 0, err
+			rep.parts[p] = r
 		}
 	}
-	return em.Load(), lo.Load(), cr.Load(), nil
+	frame := remote.AppendUvarint([]byte{byte(remote.MsgJobDone)}, h.seq)
+	return s.conn.WriteFrame(appendJobDone(frame, &rep))
 }

@@ -393,9 +393,10 @@ const cancelPollEvery = 256
 // determinism; partitions run in parallel. Output buffers check out of
 // the recycler (a partition's output size is stable across rounds, so
 // round N+1 refills round N's buffer); they return only through an
-// explicit Dataset.Recycle or Loop's superseded-state recycling. The
-// second result is the tasks' side output (see SideEmitter), nil when
-// no task emitted any.
+// explicit Dataset.Recycle or Loop's superseded-state recycling. A nil
+// stream is a partition reduced elsewhere (a dist worker's foreign one):
+// its output stays nil. The second result is the tasks' side output (see
+// SideEmitter), nil when no task emitted any.
 func runReduceParts[K2 comparable, V2 any, K3 comparable, V3 any](
 	ctx context.Context,
 	cfg Config,
@@ -411,7 +412,9 @@ func runReduceParts[K2 comparable, V2 any, K3 comparable, V3 any](
 	arOut := arenaFor[K3, V3](cfg.Pool, len(streams))
 	grp := newErrGroup(ctx)
 	for i, st := range streams {
-		i, st := i, st
+		if st == nil {
+			continue
+		}
 		grp.Go(func(ctx context.Context) error {
 			defer st.Close()
 			buf := &emitBuf[K3, V3]{pairs: arOut.getPairs(i, 0)}

@@ -90,7 +90,13 @@ import (
 // lost worker. It also dropped the posting weight from the similarity
 // join's index job, which shuffles each posted item as an int32 and
 // retains a term's group as a count and the items.
-const Proto = 19
+// Version 20 moved a worker's counters from MsgMapDone to MsgJobDone:
+// a worker runs its share of a job through the engine's one executor,
+// so a map-done is the sequence number alone, and a job-done opens with
+// the worker's executor Stats (map output, local and cross routed pairs,
+// reduce groups and output, pool deltas, map and reduce walls) and ends
+// at its last owned partition.
+const Proto = 20
 
 // MsgType identifies one protocol message. The direction annotations
 // are the only ones that occur; receiving a type from the wrong
@@ -113,18 +119,21 @@ const (
 	// worker → coordinator, which relays the frame unchanged to the
 	// owner (coordinator → worker).
 	MsgBucket
-	// MsgMapDone (worker → coordinator) reports that the
-	// worker finished mapping its resident partitions (all its MsgBucket
-	// frames precede it on the connection).
+	// MsgMapDone (worker → coordinator) reports that the worker
+	// finished mapping its resident partitions: the job's sequence
+	// number, nothing else. All its MsgBucket frames precede it on the
+	// connection.
 	MsgMapDone
 	// MsgFlush (coordinator → worker) seals ingestion for the job: every
 	// bucket addressed to the worker has been delivered; group, reduce,
 	// and report.
 	MsgFlush
 	// MsgJobDone (worker → coordinator) closes the worker's side of a
-	// job: reduce statistics, the worker's buffer-pool deltas and, per
-	// owned partition, the resident record count and the reduce tasks'
-	// side output.
+	// job: the job's sequence number, the worker's executor Stats (map
+	// output, local and cross routed pairs, reduce groups and output,
+	// buffer-pool deltas, map and reduce walls) and, per owned partition,
+	// the resident record count and the reduce tasks' side output. A
+	// partition another worker owns is refused.
 	MsgJobDone
 	// MsgFetch (coordinator → worker) asks for the resident output
 	// partitions of an earlier job.

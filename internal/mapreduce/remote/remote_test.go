@@ -178,8 +178,8 @@ func proto18Hello() []byte {
 // FuzzHello feeds parseHello — the coordinator's decoder of a worker's
 // opening frame — arbitrary bytes. The contract: an error, or exactly
 // the bytes Hello writes; never a panic. Seeds: the hello, every
-// truncation of it, the hello with a byte trailing, and a Proto 18
-// hello with the resume flags (checked-in corpus:
+// truncation of it, the hello with a byte trailing, a Proto 19 hello
+// and a Proto 18 hello with the resume flags (checked-in corpus:
 // testdata/fuzz/FuzzHello).
 func FuzzHello(f *testing.F) {
 	good := helloFrame()
@@ -197,9 +197,9 @@ func FuzzHello(f *testing.F) {
 // coordinator's reply — arbitrary bytes. The contract: an error, or a
 // welcome naming a worker inside its cluster that re-encodes to the same
 // bytes; never a panic. Seeds: welcomes with and without heartbeats,
-// every truncation of one, one with a byte trailing, and a Proto 18
-// welcome with its session token and resume byte (checked-in corpus:
-// testdata/fuzz/FuzzWelcome).
+// every truncation of one, one with a byte trailing, a Proto 19 welcome
+// and a Proto 18 welcome with its session token and resume byte
+// (checked-in corpus: testdata/fuzz/FuzzWelcome).
 func FuzzWelcome(f *testing.F) {
 	good := welcomeFrame(WelcomeInfo{WorkerID: 1, NumWorkers: 2, HeartbeatEvery: 500 * time.Millisecond})
 	for cut := range len(good) {
@@ -235,10 +235,11 @@ func TestHandshakeRefusals(t *testing.T) {
 		hello   bool
 		want    string
 	}{
-		{"proto 18 hello", proto18Hello(), true, "worker speaks 18, coordinator 19"},
+		{"proto 18 hello", proto18Hello(), true, "worker speaks 18, coordinator 20"},
+		{"proto 19 hello", AppendUvarint([]byte{byte(MsgHello)}, 19), true, "worker speaks 19, coordinator 20"},
 		{"hello with a trailing byte", append(helloFrame(), 0), true, "1 trailing bytes"},
 		{"welcome as hello", welcome, true, "expected hello"},
-		{"proto 18 welcome", proto18Welcome, false, "coordinator speaks 18, worker 19"},
+		{"proto 18 welcome", proto18Welcome, false, "coordinator speaks 18, worker 20"},
 		{"welcome with a trailing byte", append(welcome, 0), false, "1 trailing bytes"},
 		{"worker outside its cluster", welcomeFrame(WelcomeInfo{WorkerID: 2, NumWorkers: 2}), false, "worker 2 of 2"},
 		{"padded worker id", append(append(welcome[:2:2], 0x81, 0x00), welcome[3:]...), false, "malformed welcome"},

@@ -92,8 +92,10 @@ type Stats struct {
 	ReduceTaskRetries   int64
 	WorkerReconnects    int64
 	// WorkerWall is the largest map+reduce wall clock any single dist
-	// worker reported for the job — the distributed critical path. Zero
-	// for the local backends.
+	// worker reported for the job — the distributed critical path: the
+	// MapWall plus the ReduceWall of the worker's executor. The wait at
+	// the flush barrier, between the two, is in neither term. Zero for
+	// the local backends.
 	WorkerWall time.Duration
 	// MapWall, ShuffleWall and ReduceWall are the wall-clock durations
 	// of the job's phases: the parallel map tasks (including map-side

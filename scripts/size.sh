@@ -1,7 +1,8 @@
 #!/bin/sh
 # Prints the size every simplicity PR quotes, so it has one definition:
 # the non-test Go lines outside bench/, .bench_build/ and testdata/,
-# then the five largest of those files.
+# then the engine's own share of them (internal/mapreduce and its
+# remote package), then the five largest of those files.
 #
 # Usage: scripts/size.sh
 set -e
@@ -13,5 +14,6 @@ files() {
 }
 
 echo "non-test Go lines: $(files | xargs cat | wc -l)"
+echo "engine (internal/mapreduce + remote): $(files | grep '^\./internal/mapreduce/' | xargs cat | wc -l)"
 echo "largest files:"
 files | xargs wc -l | grep -v ' total$' | sort -rn | head -5
