@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"testing"
 )
@@ -10,17 +11,19 @@ import (
 // records of a partition's delivered buckets must come out ordered as
 // slices.SortStableFunc orders them by (key, split, position), position
 // being the record's place in arrival order. The fuzz input picks the
-// key type (int8, int16, int32, uint32 or a named int32), the record
-// count, the key span, the lowest key and the buckets' splits and
-// lengths; a seeded generator fills in the keys. Spans are drawn around
-// the bounds that decide how a partition is sorted: 2^16 and 4 per
-// record. Every case runs without and with split tags, on one arena, so
+// key type (int8, int16, int32, uint32, a named int32, int64 or uint64),
+// the record count, the key span, the lowest key and the buckets' splits
+// and lengths; a seeded generator fills in the keys. Spans are drawn
+// around the bounds that decide how a partition is sorted: 2^16 and 4
+// per record, 2^11, 2^22 and 2^33 (where an 11-bit digit pass is added)
+// and the full 64-bit range, plus a 2^33 span whose keys share their low
+// 11 bits. Every case runs without and with split tags, on one arena, so
 // the tagged run sorts in the untagged run's recycled arrays. The
 // checked-in corpus under testdata/fuzz/FuzzGroupSegs holds each key
 // type at each bound.
 func FuzzGroupSegs(f *testing.F) {
 	f.Fuzz(func(t *testing.T, kind, spanSel uint8, n uint16, base int64, seed uint64, layout []byte) {
-		switch kind % 5 {
+		switch kind % 7 {
 		case 0:
 			fuzzGroupSegs[int8](t, spanSel, n, base, seed, layout)
 		case 1:
@@ -31,6 +34,10 @@ func FuzzGroupSegs(f *testing.F) {
 			fuzzGroupSegs[uint32](t, spanSel, n, base, seed, layout)
 		case 4:
 			fuzzGroupSegs[nodeKey](t, spanSel, n, base, seed, layout)
+		case 5:
+			fuzzGroupSegs[int64](t, spanSel, n, base, seed, layout)
+		case 6:
+			fuzzGroupSegs[uint64](t, spanSel, n, base, seed, layout)
 		}
 	})
 }
@@ -41,14 +48,16 @@ type groupRec[K any] struct {
 	split, pos int32
 }
 
-func fuzzGroupSegs[K ~int8 | ~int16 | ~int32 | ~uint32](t *testing.T, spanSel uint8, n16 uint16, base int64, seed uint64, layout []byte) {
+func fuzzGroupSegs[K ~int8 | ~int16 | ~int32 | ~uint32 | ~int64 | ~uint64](t *testing.T, spanSel uint8, n16 uint16, base int64, seed uint64, layout []byte) {
 	n := int(n16) % 20000
 	if len(layout) == 0 {
 		layout = []byte{0}
 	}
 	layout = layout[:min(len(layout), 64)]
 	var span uint64
-	switch spanSel % 8 {
+	full := false        // every 64-bit offset, span notwithstanding
+	lowMask := uint64(0) // offset bits forced to zero
+	switch spanSel % 16 {
 	case 0:
 		span = 1
 	case 1:
@@ -65,20 +74,42 @@ func fuzzGroupSegs[K ~int8 | ~int16 | ~int32 | ~uint32](t *testing.T, spanSel ui
 		span = 1<<16 + 1
 	case 7:
 		span = seed>>24 | 1 // wide
+	case 8:
+		span = 1 << 11 // one 11-bit digit
+	case 9:
+		span = 1<<11 + 1
+	case 10:
+		span = 1 << 22 // two
+	case 11:
+		span = 1<<22 + 1
+	case 12:
+		span = 1 << 33 // three
+	case 13:
+		span = 1<<33 + 1
+	case 14:
+		full = true
+	case 15:
+		span, lowMask = 1<<33, 1<<11-1 // the low digit never varies
 	}
 	span = max(span, 1)
 	rng := seed
 	next := func() uint64 { rng++; return mix64(rng) }
 	// Record i's key; the first two pin the span's ends.
 	keyAt := func(i int) K {
-		off := next() % span
+		off := next()
+		if !full {
+			off %= span
+		}
 		switch i {
 		case 0:
 			off = 0
 		case 1:
 			off = span - 1
+			if full {
+				off = math.MaxUint64
+			}
 		}
-		return K(base + int64(off))
+		return K(base + int64(off&^lowMask))
 	}
 	// Bucket j gets split layout[j]%8 and a share of the records that
 	// grows with layout[j]/8.
