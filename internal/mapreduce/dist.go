@@ -1066,7 +1066,9 @@ func appendJobDone(frame []byte, rep *distWorkerReport) []byte {
 // every count it declares is held to what the job (partitions) or the
 // remaining payload (side values, a byte each at least) can back before
 // anything is allocated for it, a partition owners does not give w is
-// refused, and so is a byte past the last partition.
+// refused, and so is a byte past the last partition. The partitions
+// reported must be exactly those owners gives w, ascending: one omitted
+// would read as empty, and one repeated would overwrite its own report.
 func parseJobDone(cur *remote.Cursor, owners []int, w int, rep *distWorkerReport) error {
 	for _, f := range jobDoneStats(&rep.stats) {
 		*f = int64(cur.Uvarint())
@@ -1076,6 +1078,14 @@ func parseJobDone(cur *remote.Cursor, owners []int, w int, rep *distWorkerReport
 		return fmt.Errorf("job-done reports %d partitions of %d", nParts, len(owners))
 	}
 	rep.parts = make(map[int]partReport, nParts)
+	// owned returns the first partition from p on that w owns.
+	owned := func(p int) int {
+		for p < len(owners) && owners[p] != w {
+			p++
+		}
+		return p
+	}
+	due := owned(0) // the partition the next entry must name
 	for i := uint64(0); i < nParts; i++ {
 		part := cur.Uvarint()
 		if part >= uint64(len(owners)) {
@@ -1084,6 +1094,13 @@ func parseJobDone(cur *remote.Cursor, owners []int, w int, rep *distWorkerReport
 		if owner := owners[part]; owner != w {
 			return fmt.Errorf("job-done names partition %d, which worker %d owns", part, owner)
 		}
+		if int(part) != due {
+			if int(part) < due {
+				return fmt.Errorf("job-done names partition %d again or out of order", part)
+			}
+			return fmt.Errorf("job-done omits partition %d", due)
+		}
+		due = owned(due + 1)
 		r := partReport{count: int64(cur.Uvarint())}
 		nSide := cur.Uvarint()
 		if nSide > uint64(len(cur.Rest())) {
@@ -1099,6 +1116,9 @@ func parseJobDone(cur *remote.Cursor, owners []int, w int, rep *distWorkerReport
 	}
 	if err := cur.Err(); err != nil {
 		return err
+	}
+	if due < len(owners) {
+		return fmt.Errorf("job-done omits partition %d", due)
 	}
 	if n := len(cur.Rest()); n > 0 {
 		return fmt.Errorf("job-done has %d trailing bytes", n)

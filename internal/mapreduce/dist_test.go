@@ -314,13 +314,15 @@ func TestDistChainedMapErrorSurfaces(t *testing.T) {
 	}
 }
 
-// TestDistWorkerDisconnectMidShuffle simulates a worker vanishing while
-// buckets stream: a rogue peer completes the handshake, reads the job
-// start, then hangs up. The coordinator must recover — run the attempt
-// to its end on the survivor and drop its output, reassign the rogue's
-// partitions to the survivor, and retry — so the job completes
-// bit-identical to the memory backend, with nothing left waiting on the
-// flush barrier.
+// TestDistWorkerDisconnectMidShuffle simulates a worker vanishing as
+// the job begins: a rogue peer completes the handshake, reads one frame
+// and hangs up. Run places its input before it announces the job, so
+// that frame is the rogue's first seed and the loss falls in placement,
+// not in the shuffle (TestDistWorkerLostAfterJobAnnounce loses the rogue
+// there). The coordinator must recover — reassign the rogue's
+// partitions to the survivor and run the job there — so the job
+// completes bit-identical to the memory backend, with nothing left
+// waiting on the flush barrier.
 func TestDistWorkerDisconnectMidShuffle(t *testing.T) {
 	var wg sync.WaitGroup
 	cl, err := StartDistCluster(2, DistClusterOptions{
@@ -345,8 +347,8 @@ func TestDistWorkerDisconnectMidShuffle(t *testing.T) {
 				if _, err := remote.AwaitWelcome(conn); err != nil {
 					return
 				}
-				conn.ReadFrame() // the job start
-				conn.Close()     // die mid-shuffle
+				conn.ReadFrame() // the first seed
+				conn.Close()     // die during placement
 			}()
 		},
 	})
@@ -392,11 +394,12 @@ func TestDistWorkerDisconnectMidShuffle(t *testing.T) {
 }
 
 // runBesideRogue runs one eq-int32 job on a cluster of an in-process
-// worker and a rogue one, and returns the job's error. The rogue skips
+// worker and a rogue one, and returns the job's output and error. The
+// rogue skips
 // what precedes the job's announce and hands the announce, with its own
 // worker id, to reply, which writes the rogue's side of the job; the
 // rogue then reads until the coordinator hangs up.
-func runBesideRogue(t *testing.T, reply func(conn *remote.Conn, h *distJobHeader, id int)) error {
+func runBesideRogue(t *testing.T, reply func(conn *remote.Conn, h *distJobHeader, id int)) ([]Pair[int32, int64], error) {
 	t.Helper()
 	leakcheck.Check(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -449,17 +452,45 @@ func runBesideRogue(t *testing.T, reply func(conn *remote.Conn, h *distJobHeader
 		t.Fatal(err)
 	}
 	defer func() { cl.Close(); cancel(); wg.Wait() }()
-	done := make(chan error, 1)
+	type result struct {
+		out []Pair[int32, int64]
+		err error
+	}
+	done := make(chan result, 1)
 	go func() {
-		_, _, err := Run(ctx, distCfg4(cl, "eq-int32"), int32Input(), int32Map, int32Reduce)
-		done <- err
+		out, _, err := Run(ctx, distCfg4(cl, "eq-int32"), int32Input(), int32Map, int32Reduce)
+		done <- result{out, err}
 	}()
 	select {
-	case err = <-done:
+	case r := <-done:
+		return r.out, r.err
 	case <-time.After(30 * time.Second):
 		t.Fatal("a rogue worker's reports hung the job")
 	}
-	return err
+	return nil, nil
+}
+
+// TestDistWorkerLostAfterJobAnnounce loses a worker mid-shuffle: the
+// rogue reads through its seeds to the job's announce, so the input is
+// placed and the job under way, and hangs up there, while the survivor
+// maps and relays its buckets. The coordinator must run the attempt to
+// its end on the survivor, drop its output, and retry with the rogue's
+// partitions reassigned, so the job completes bit-identical to the
+// memory backend.
+func TestDistWorkerLostAfterJobAnnounce(t *testing.T) {
+	got, err := runBesideRogue(t, func(conn *remote.Conn, _ *distJobHeader, _ int) { conn.Close() })
+	if err != nil {
+		t.Fatalf("a worker lost after the announce was not recovered: %v", err)
+	}
+	want, _, err := Run(context.Background(),
+		Config{Mappers: 4, Reducers: 4, Name: "eq-int32"},
+		int32Input(), int32Map, int32Reduce)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("recovered run diverges from memory backend")
+	}
 }
 
 // TestJobDoneRefusesForeignPartition: a worker's job-done may report only
@@ -468,7 +499,7 @@ func runBesideRogue(t *testing.T, reply func(conn *remote.Conn, h *distJobHeader
 // the owner's; the coordinator refuses it, and the job fails naming the
 // partition and its owner.
 func TestJobDoneRefusesForeignPartition(t *testing.T) {
-	err := runBesideRogue(t, func(conn *remote.Conn, h *distJobHeader, id int) {
+	_, err := runBesideRogue(t, func(conn *remote.Conn, h *distJobHeader, id int) {
 		conn.WriteFrame(remote.AppendUvarint([]byte{byte(remote.MsgMapDone)}, h.seq))
 		for {
 			payload, err := conn.ReadFrame()
@@ -491,6 +522,53 @@ func TestJobDoneRefusesForeignPartition(t *testing.T) {
 	}
 }
 
+// TestJobDoneRefusesMissingOrRepeatedPartition: a worker's job-done
+// reports exactly the partitions the job's owner table gives it,
+// ascending, empty ones included. One that omits a partition would
+// leave it read as empty (a wrong Dataset.Len, and a Loop that stops
+// early); one that names a partition twice would overwrite its first
+// report. The coordinator refuses both as malformed.
+func TestJobDoneRefusesMissingOrRepeatedPartition(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		parts      func(owned []int) []int
+	}{
+		{"missing", "omits partition", func(owned []int) []int { return owned[1:] }},
+		{"repeated", "again", func(owned []int) []int { return append([]int{owned[0]}, owned...) }},
+		{"descending", "malformed job-done", func(owned []int) []int { return []int{owned[1], owned[0]} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := runBesideRogue(t, func(conn *remote.Conn, h *distJobHeader, id int) {
+				conn.WriteFrame(remote.AppendUvarint([]byte{byte(remote.MsgMapDone)}, h.seq))
+				for {
+					payload, err := conn.ReadFrame()
+					if err != nil || remote.MsgType(payload[0]) == remote.MsgFlush {
+						break
+					}
+				}
+				var owned []int
+				for p, w := range h.owners {
+					if w == id {
+						owned = append(owned, p)
+					}
+				}
+				// The report's empty Stats, then each named partition
+				// with no records and no side output.
+				frame := appendJobDone(remote.AppendUvarint([]byte{byte(remote.MsgJobDone)}, h.seq), &distWorkerReport{})
+				parts := tc.parts(owned)
+				frame = remote.AppendUvarint(frame[:len(frame)-1], uint64(len(parts)))
+				for _, p := range parts {
+					frame = append(remote.AppendUvarint(frame, uint64(p)), 0, 0)
+				}
+				conn.WriteFrame(frame)
+			})
+			if err == nil || !strings.Contains(err.Error(), "malformed job-done") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("a job-done with its partitions %s: err = %v, want it refused (%q)", tc.name, err, tc.want)
+			}
+		})
+	}
+}
+
 // TestMapDoneRefusesForeignSequence: a map-done is the job's sequence
 // number and nothing else. One for another job, or with bytes trailing,
 // is refused as malformed rather than taken to lift the flush barrier.
@@ -507,7 +585,7 @@ func TestMapDoneRefusesForeignSequence(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			err := runBesideRogue(t, func(conn *remote.Conn, h *distJobHeader, _ int) {
+			_, err := runBesideRogue(t, func(conn *remote.Conn, h *distJobHeader, _ int) {
 				conn.WriteFrame(tc.frame(h.seq))
 			})
 			if err == nil || !strings.Contains(err.Error(), "malformed map-done") {
