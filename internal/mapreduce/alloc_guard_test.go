@@ -288,6 +288,125 @@ func TestAllocGuardGroupSortSlabs(t *testing.T) {
 	}
 }
 
+// TestAllocGuardGroupSortWide is TestAllocGuardGroupSortSlabs for the
+// keys of the zipf graphs' rounds: node ids drawn zipf-skewed from 19
+// bits, a range too wide for one counting pass. After one warm-up
+// round, a memory round and a spill round that fits its budget may check
+// out, while they group, sort and serve their partitions: no uint64 or
+// int32 slab, at most 2 × (sizeof(K)+sizeof(V)) bytes per record — the
+// sorted arrays and the spare set the LSD passes ping-pong through — and
+// the digits' histograms per partition, and every check-out is served
+// from the free lists. The image sort this replaced for these keys
+// checked out a gather copy, a packed image and a radix scatter copy
+// besides the sorted arrays: 32 B a record here, not 16.
+func TestAllocGuardGroupSortWide(t *testing.T) {
+	const records, parts, splits = 40000, 2, 3
+	type (
+		K = graph.NodeID
+		V = int32
+	)
+	const perRecord = 2 * (4 + 4) // 2 × (sizeof(K) + sizeof(V))
+	// Two digits of at most 10 bits cover 19 bits: 2 × 1024 counters.
+	const histBytes = 2 * 1024 * 4
+	zipf := rand.NewZipf(rand.New(rand.NewSource(19)), 1.2, 4, 1<<19-1)
+	keys := make([]K, records)
+	for i := range keys {
+		keys[i] = K(zipf.Uint64())
+	}
+	shape := keyShapeOf[K]()
+	for _, shuffle := range []ShuffleConfig{
+		{Backend: ShuffleMemory},
+		{Backend: ShuffleSpill, MemoryBudget: 2 * records, TempDir: t.TempDir()},
+	} {
+		pool := NewBufferPool()
+		ar := arenaFor[K, V](pool, parts)
+		cfg := Config{Reducers: parts, Shuffle: shuffle}
+		// round shuffles the records through a fresh backend, as
+		// TestAllocGuardGroupSortSlabs's does, and returns what grouping
+		// and serving them checked out.
+		round := func() (bytes, misses int64) {
+			be, err := newShuffleBackend[K, V](cfg, splits, ar)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer be.Close()
+			for split := range splits {
+				buckets := make([][]Pair[K, V], parts)
+				for i := split; i < records; i += splits {
+					p := shape.partition(keys[i], parts)
+					if buckets[p] == nil {
+						buckets[p] = ar.getBucket(p, emitBucketCap)
+					}
+					buckets[p] = append(buckets[p], P(keys[i], V(i)))
+					if len(buckets[p]) == emitBucketCap {
+						if err := be.AddBucket(split, p, buckets[p]); err != nil {
+							t.Fatal(err)
+						}
+						buckets[p] = nil
+					}
+				}
+				for p, b := range buckets {
+					if b != nil {
+						if err := be.AddBucket(split, p, b); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			b0, m0 := pool.counters()
+			streams, err := be.Finalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, last := 0, K(-1)
+			for _, st := range streams {
+				for {
+					k, vs, ok, err := st.Next()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !ok {
+						break
+					}
+					if got > 0 && k <= last {
+						t.Fatalf("%s: key %d served after %d", shuffle.Backend, k, last)
+					}
+					got, last = got+len(vs), k
+				}
+				st.Close()
+				last = -1
+			}
+			if got != records {
+				t.Fatalf("%s: served %d records, want %d", shuffle.Backend, got, records)
+			}
+			b1, m1 := pool.counters()
+			return b1 - b0, m1 - m0
+		}
+		round() // warm-up
+		bytes, misses := round()
+		limit := int64(records*perRecord + parts*histBytes)
+		t.Logf("%s round: %d B checked out for %d records (limit %d), %d misses", shuffle.Backend, bytes, records, limit, misses)
+		if misses != 0 {
+			t.Errorf("%s round: %d check-outs missed the warm pool", shuffle.Backend, misses)
+		}
+		if bytes > limit {
+			t.Errorf("%s round: %d B checked out for %d records (> %d B a record + %d B of histograms per partition)",
+				shuffle.Backend, bytes, records, perRecord, histBytes)
+		}
+		for p := range ar.parts {
+			fl := &ar.parts[p]
+			if len(fl.u64s) != 0 || len(fl.i32s) != 0 {
+				t.Errorf("%s: partition %d checked in %d uint64 and %d int32 slabs", shuffle.Backend, p, len(fl.u64s), len(fl.i32s))
+			}
+			for _, rs := range fl.radix {
+				if cap(rs.tmpK) != 0 || cap(rs.tmpP) != 0 {
+					t.Errorf("%s: partition %d's radix scratch grew scatter buffers (%d, %d)", shuffle.Backend, p, cap(rs.tmpK), cap(rs.tmpP))
+				}
+			}
+		}
+	}
+}
+
 // adjRec is a node record as the matching algorithms keep it resident: a
 // capacity and an adjacency list, encoded by its own AppendBinary into
 // the self-encoding column.

@@ -120,7 +120,7 @@ type arenaPart[K comparable, V any] struct {
 	pairs   [][]Pair[K, V] // reduce-output / Dataset partition slices
 	keys    [][]K          // group-sort key arrays (gather + sorted)
 	vals    [][]V          // group-sort value arrays (gather + sorted)
-	u64s    [][]uint64     // key images / packed keys / prefixes
+	u64s    [][]uint64     // key images / string prefixes
 	i32s    [][]int32      // permutation arrays
 	radix   []*radixScratch
 }
@@ -295,8 +295,8 @@ func (a *roundArena[K, V]) putVals(p int, s []V) {
 	a.mu.Unlock()
 }
 
-// getU64 returns a uint64 array of length n (key images, packed keys,
-// string prefixes).
+// getU64 returns a uint64 array of length n (key images, string
+// prefixes).
 func (a *roundArena[K, V]) getU64(p, n int) []uint64 {
 	if a == nil {
 		return make([]uint64, n)

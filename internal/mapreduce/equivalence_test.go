@@ -327,7 +327,7 @@ func TestChunkedIngestionPreservesValueOrder(t *testing.T) {
 
 // groupKeyVals group-sorts parallel keys and vals as one bucket of one
 // split, through the engine's one entry (groupSegs): the counting
-// scatter for narrow integer keys, the image sort for the rest.
+// scatter for integer keys, the image sort for the rest.
 func groupKeyVals[K comparable, V any](keys []K, vals []V, shape keyShape[K]) ([]K, []V) {
 	pairs := make([]Pair[K, V], len(keys))
 	for i := range keys {

@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"reflect"
 	"slices"
 	"strings"
@@ -146,12 +147,26 @@ func mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// cmp returns the three-way comparator realizing the key order,
-// consistent with the sort permutation sortKeyVals produces: integer
-// kinds and [2]int32 compare their order-preserving images, string
-// kinds compare as strings. It returns 0 exactly when a == b.
+// flip returns the bit that makes an integer key's bits order as
+// unsigned: a signed kind's sign bit, 0 for an unsigned kind.
+func (s keyShape[K]) flip() uint64 {
+	if s.kind == keyInt {
+		return 1 << (8*s.size - 1)
+	}
+	return 0
+}
+
+// cmp returns the three-way comparator realizing the key order the
+// group sort produces: integer kinds compare their sign-flipped bits,
+// [2]int32 its order-preserving image, string kinds compare as strings.
+// It returns 0 exactly when a == b.
 func (s keyShape[K]) cmp() func(a, b K) int {
-	if img, _ := s.numericImage(); img != nil {
+	switch s.kind {
+	case keyInt, keyUint:
+		flip := s.flip()
+		return func(a, b K) int { return cmp.Compare(s.bits(a)^flip, s.bits(b)^flip) }
+	case keyEdge:
+		img := s.numericImage()
 		return func(a, b K) int { return cmp.Compare(img(a), img(b)) }
 	}
 	return func(a, b K) int { return strings.Compare(s.str(a), s.str(b)) }
@@ -159,35 +174,35 @@ func (s keyShape[K]) cmp() func(a, b K) int {
 
 // --- order-preserving uint64 key transforms ---------------------------
 //
-// The group sort never calls a comparator: each key is projected once to
-// a uint64 whose unsigned order equals the key order, and the projected
-// keys are radix-sorted. This is the decorate-sort-undecorate idea taken
-// to its cheapest form — O(n) passes over machine words instead of
-// O(n log n) comparator calls.
+// The group sort never calls a comparator: an integer key is counted
+// and scattered by the digits of its sign-flipped bits, and any other
+// key is projected once to a uint64 whose unsigned order equals the key
+// order (or an 8-byte string prefix), and the projected keys are
+// radix-sorted. This is the decorate-sort-undecorate idea taken to its
+// cheapest form — O(n) passes over machine words instead of O(n log n)
+// comparator calls.
 
 // i32Ord32 is the order-preserving unsigned image of a signed 32-bit
 // integer (sign bit flipped).
 func i32Ord32(v int32) uint32 { return uint32(v) ^ (1 << 31) }
 
 // numericImage returns the injective uint64 projection for K, or nil
-// for string kinds. width32 reports that the projection fits 32 bits,
-// enabling the packed sort path. A signed integer's image is its raw
-// bits with the sign bit of its width flipped; an unsigned integer is
-// its own image.
-func (s keyShape[K]) numericImage() (fn func(K) uint64, width32 bool) {
+// for string kinds. A signed integer's image is its raw bits with the
+// sign bit of its width flipped; an unsigned integer is its own image.
+func (s keyShape[K]) numericImage() func(K) uint64 {
 	switch s.kind {
 	case keyInt:
-		flip := uint64(1) << (8*s.size - 1)
-		return func(k K) uint64 { return s.bits(k) ^ flip }, s.size <= 4
+		flip := s.flip()
+		return func(k K) uint64 { return s.bits(k) ^ flip }
 	case keyUint:
-		return s.bits, s.size <= 4
+		return s.bits
 	case keyEdge:
 		return func(k K) uint64 {
 			x := s.edge(k)
 			return uint64(i32Ord32(x[0]))<<32 | uint64(i32Ord32(x[1]))
-		}, false
+		}
 	}
-	return nil, false
+	return nil
 }
 
 // image returns the uint64 projection used to accelerate ordered
@@ -198,7 +213,7 @@ func (s keyShape[K]) numericImage() (fn func(K) uint64, width32 bool) {
 // exactly what the spill merge needs to compare machine words instead
 // of boxing keys.
 func (s keyShape[K]) image() func(K) uint64 {
-	if numFn, _ := s.numericImage(); numFn != nil {
+	if numFn := s.numericImage(); numFn != nil {
 		return numFn
 	}
 	return func(k K) uint64 {
@@ -209,7 +224,7 @@ func (s keyShape[K]) image() func(K) uint64 {
 
 // radixScratch holds the reusable temporaries of the group sorts:
 // radixSortU64's scatter buffers, and the counting histograms of
-// radixSortU64 and scatterNarrow. A zero value is ready to use; buffers
+// radixSortU64 and scatterInts. A zero value is ready to use; buffers
 // grow to the largest sort seen and are reused across calls, so a
 // steady-state round loop performs no sort-scratch allocation.
 type radixScratch struct {
@@ -246,18 +261,16 @@ func (s *radixScratch) histogram(n int) []int32 {
 // sortedRun describes the sorted key-image array that the image sort
 // (sortKeyVals) leaves beside the sorted keys of one partition, letting
 // the group stream find group boundaries by comparing machine words
-// instead of keys. The counting scatter (scatterNarrow) makes no images:
+// instead of keys. The counting scatter (scatterInts) makes no images:
 // its run is the zero value, and group ends are found by comparing keys.
 type sortedRun struct {
-	// ord holds one uint64 per element, ascending in key order; the
-	// image of element i is ord[i] >> shift.
-	ord   []uint64
-	shift uint
+	// ord holds each element's image, ascending in key order.
+	ord []uint64
 	// exact reports that image equality coincides with key equality
-	// (injective projections: integer kinds, [2]int32, and string
-	// prefixes when no key exceeds 8 bytes), so boundary detection
-	// needs no key comparison at all. When false, equal images still
-	// narrow the boundary test to a key-equality check.
+	// ([2]int32, and string prefixes when no key exceeds 8 bytes), so
+	// boundary detection needs no key comparison at all. When false,
+	// equal images still narrow the boundary test to a key-equality
+	// check.
 	exact bool
 }
 
@@ -281,10 +294,11 @@ func splitMajor[K comparable, V any](segs []bucketSeg[K, V]) {
 // engine's value-order contract: within one key, values run split
 // ascending, then in emission order.
 //
-// Integer keys of a narrow range take scatterNarrow: one counting
-// scatter straight out of the buckets into the sorted arrays, and no
-// key images. Wider integer keys, [2]int32 keys and strings are gathered
-// into arrays and image-sorted (sortKeyVals).
+// Integer keys of any width take scatterInts: counting scatters straight
+// out of the buckets into the sorted arrays, one pass for a narrow range
+// and an LSD pass per 11-bit digit otherwise, and no key images.
+// [2]int32 keys and strings are gathered into arrays and image-sorted
+// (sortKeyVals).
 //
 // The buckets go back to ar and segs is left empty of references. The
 // returned arrays are checked out of ar when one is set; the caller owns
@@ -303,7 +317,8 @@ func groupSegs[K comparable, V any](
 	if n == 0 {
 		return nil, nil, nil, sortedRun{}
 	}
-	if keys, vals, splits, ok := scatterNarrow(segs, n, tagged, shape, ar, part); ok {
+	if shape.kind == keyInt || shape.kind == keyUint {
+		keys, vals, splits := scatterInts(segs, n, tagged, shape, ar, part)
 		return keys, vals, splits, sortedRun{}
 	}
 	keys := ar.getKeys(part, n)
@@ -334,28 +349,35 @@ func groupSegs[K comparable, V any](
 	return outK, outV, outS, run
 }
 
-// scatterNarrow groups integer keys whose range is narrow — at most 2^16
-// distinct values between the smallest and the largest, and at most 4
-// per record — by counting, as the payload-scatter partitioning of
-// Polychroniou & Ross (SIGMOD 2014) does: one sweep finds the range, one
-// counts each key, and one stable scatter moves every record's key,
-// value and (when tagged) split straight from the buckets to its sorted
-// slot. Buckets are read split-major, so equal keys keep (split,
-// arrival) order. Its only working memory beyond the outputs is the
-// histogram, from the radix scratch. ok is false, after the one sweep,
-// for any other key: a non-integer kind or a wide range.
-func scatterNarrow[K comparable, V any](
+// maxDigitBits bounds a digit of scatterInts' multi-pass sort: 2^11
+// int32 counters (8 KiB) per digit stay in the L1 cache.
+const maxDigitBits = 11
+
+// scatterInts groups integer keys of any width by counting, as the
+// payload-scatter radix partitioning of Polychroniou & Ross (SIGMOD
+// 2014) does. Each key is read as x = bits^flip - lo, its offset from
+// the smallest key in the unsigned order of its sign-flipped bits. One
+// sweep finds the range; one counts every digit of x; a first pass
+// scatters every record's key, value and (when tagged) split straight
+// from the buckets to its slot by the lowest digit. A narrow range — at
+// most 2^16 distinct values between the smallest and the largest key,
+// and at most 4 per record — is one digit, counted exactly, so that
+// first pass is the whole sort. Any other range is cut into as few
+// digits of at most maxDigitBits as it needs, and each later digit is
+// an LSD pass that ping-pongs through one spare key/value/split set
+// from ar, ordered so that the last pass lands in the returned arrays.
+// A digit that does not vary moves no record and is skipped.
+//
+// Buckets are read split-major and every pass is stable, so equal keys
+// keep (split, arrival) order. Working memory beyond the outputs is the
+// histograms, from the radix scratch, and the spare set when more than
+// one digit varies: an 8-byte message (an int32 key and value) costs 8 B
+// of it for a narrow range and 16 B for a wide one.
+func scatterInts[K comparable, V any](
 	segs []bucketSeg[K, V], n int, tagged bool, shape keyShape[K],
 	ar *roundArena[K, V], part int,
-) (keys []K, vals []V, splits []int32, ok bool) {
-	var flip uint64 // makes a signed key's bits order as unsigned
-	switch shape.kind {
-	case keyInt:
-		flip = 1 << (8*shape.size - 1)
-	case keyUint:
-	default:
-		return nil, nil, nil, false
-	}
+) (keys []K, vals []V, splits []int32) {
+	flip := shape.flip()
 	lo, hi := ^uint64(0), uint64(0)
 	for _, seg := range segs {
 		for _, p := range seg.pairs {
@@ -363,60 +385,119 @@ func scatterNarrow[K comparable, V any](
 			lo, hi = min(lo, x), max(hi, x)
 		}
 	}
-	if hi-lo >= 1<<16 || hi-lo >= 4*uint64(n) {
-		return nil, nil, nil, false
+	span := hi - lo
+	width := bits.Len64(span) // of the range, then of one digit
+	passes, size := 1, int(span)+1
+	if width > maxDigitBits && (span >= 1<<16 || span >= 4*uint64(n)) {
+		passes = (width + maxDigitBits - 1) / maxDigitBits
+		width = (width + passes - 1) / passes
+		size = 1 << width
 	}
+	mask := uint64(1)<<width - 1
 	rs := ar.getRadix(part)
 	defer ar.putRadix(part, rs)
-	counts := rs.histogram(int(hi-lo) + 1)
+	counts := rs.histogram(passes * size)
 	for _, seg := range segs {
 		for _, p := range seg.pairs {
-			counts[shape.bits(p.Key)^flip-lo]++
+			x := shape.bits(p.Key) ^ flip - lo
+			if passes == 1 {
+				counts[x]++
+				continue
+			}
+			for d := range passes {
+				counts[d*size+int(x>>(d*width)&mask)]++
+			}
 		}
 	}
-	var sum int32
-	for d, c := range counts {
-		counts[d] = sum
-		sum += c
+	var digits [64/maxDigitBits + 1]int
+	active := 0
+	for d := range passes {
+		h := counts[d*size : (d+1)*size]
+		var sum int32
+		varies := span == 0 // one digit, moved once out of the buckets
+		for i, c := range h {
+			h[i] = sum
+			sum += c
+			varies = varies || (c != 0 && int(c) != n)
+		}
+		if varies {
+			digits[active] = d
+			active++
+		}
 	}
 	keys, vals = ar.getKeys(part, n), ar.getVals(part, n)
 	if tagged {
 		splits = ar.getI32(part, n)
 	}
-	for _, seg := range segs {
-		for _, p := range seg.pairs {
-			d := shape.bits(p.Key) ^ flip - lo
-			o := counts[d]
-			keys[o], vals[o] = p.Key, p.Value
-			if tagged {
-				splits[o] = seg.split
-			}
-			counts[d] = o + 1
+	// Every pass writes set a; before each later pass the sets swap, so
+	// it reads the previous pass's output from b. The first pass writes
+	// the spare set when an odd number of passes follow it, so that the
+	// last one lands in keys, vals and splits.
+	aK, aV, aS := keys, vals, splits
+	var bK []K
+	var bV []V
+	var bS []int32
+	if active > 1 {
+		spareK, spareV := ar.getKeys(part, n), ar.getVals(part, n)
+		var spareS []int32
+		if tagged {
+			spareS = ar.getI32(part, n)
+		}
+		defer ar.putKeys(part, spareK)
+		defer ar.putVals(part, spareV)
+		defer ar.putI32(part, spareS)
+		bK, bV, bS = spareK, spareV, spareS
+		if active%2 == 0 {
+			aK, aV, aS, bK, bV, bS = bK, bV, bS, aK, aV, aS
 		}
 	}
-	return keys, vals, splits, true
+	sh := digits[0] * width
+	h := counts[digits[0]*size:]
+	for _, seg := range segs {
+		for _, p := range seg.pairs {
+			dg := (shape.bits(p.Key) ^ flip - lo) >> sh & mask
+			o := h[dg]
+			aK[o], aV[o] = p.Key, p.Value
+			if tagged {
+				aS[o] = seg.split
+			}
+			h[dg] = o + 1
+		}
+	}
+	for _, d := range digits[1:active] {
+		aK, aV, aS, bK, bV, bS = bK, bV, bS, aK, aV, aS
+		sh, h = d*width, counts[d*size:]
+		for i, k := range bK {
+			dg := (shape.bits(k) ^ flip - lo) >> sh & mask
+			o := h[dg]
+			aK[o], aV[o] = k, bV[i]
+			if tagged {
+				aS[o] = bS[i]
+			}
+			h[dg] = o + 1
+		}
+	}
+	return keys, vals, splits
 }
 
-// sortKeyVals is the image sort, for the keys scatterNarrow declines:
-// integers of a wide range, [2]int32 and strings. It stable-sorts the
-// parallel keys and vals slices — and tags, the split of each record,
-// when non-nil — by key and returns the sorted slices (freshly
-// gathered; the inputs are consumed as scratch) plus the sorted key
-// images for boundary scanning: keys ascending under the resolved key
-// order, ties (equal keys) in original slice order. Stability is
-// load-bearing — within equal keys the original order is (split index,
-// emission index), which is the engine's value-order contract.
+// sortKeyVals is the image sort, for the keys the counting scatter does
+// not take: [2]int32 and strings. It stable-sorts the parallel keys and
+// vals slices — and tags, the split of each record, when non-nil — by
+// key and returns the sorted slices (freshly gathered; the inputs are
+// consumed as scratch) plus the sorted key images for boundary
+// scanning: keys ascending under the resolved key order, ties (equal
+// keys) in original slice order. Stability is load-bearing — within
+// equal keys the original order is (split index, emission index), which
+// is the engine's value-order contract.
 //
-// No comparator ever runs: each key is projected once to an
-// order-preserving uint64 image (numeric kinds) or an 8-byte string
-// prefix, the images are LSD radix-sorted carrying the original index,
-// and the outputs are gathered through the resulting permutation
-// (sequential writes, prefetchable reads). Indexes are int32: one
-// partition's in-memory pairs can't meaningfully exceed 2^31 records
-// (that's already >16 GiB of Pair headers). Beyond its bucket, an
-// 8-byte message (an int32 key and an int32 value) costs 32 B of working
-// memory here: the gathered key and value, the packed image, its radix
-// scatter copy, and the sorted key and value.
+// No comparator ever runs (but to repair colliding string prefixes):
+// each key is projected once to an order-preserving uint64 image
+// ([2]int32) or an 8-byte string prefix, the images are LSD
+// radix-sorted carrying the original index, and the outputs are
+// gathered through the resulting permutation (sequential writes,
+// prefetchable reads). Indexes are int32: one partition's in-memory
+// pairs can't meaningfully exceed 2^31 records (that's already >16 GiB
+// of Pair headers).
 //
 // ar/part/rs supply recycled buffers (all may be nil/zero): the
 // returned slices and run.ord are checked out of ar when one is set —
@@ -433,40 +514,15 @@ func sortKeyVals[K comparable, V any](
 	if n < 2 {
 		return keys, vals, tags, sortedRun{}
 	}
-	if numFn, width32 := shape.numericImage(); numFn != nil {
-		if width32 {
-			// Packed path: key image in the high 32 bits, index in the
-			// low 32. Radix passes touch only the key bytes; the LSD
-			// scatter is stable, so equal keys keep ascending index
-			// order without the index ever being sorted on.
-			packed := ar.getU64(part, n)
-			for i, k := range keys {
-				packed[i] = numFn(k)<<32 | uint64(uint32(i))
-			}
-			radixSortU64(packed, nil, 4, rs)
-			outK := ar.getKeys(part, n)
-			outV := ar.getVals(part, n)
-			for i, p := range packed {
-				j := uint32(p)
-				outK[i] = keys[j]
-				outV[i] = vals[j]
-			}
-			var outT []int32
-			if tags != nil {
-				outT = ar.getI32(part, n)
-				for i, p := range packed {
-					outT[i] = tags[uint32(p)]
-				}
-			}
-			return outK, outV, outT, sortedRun{ord: packed, shift: 32, exact: true}
-		}
-		images := ar.getU64(part, n)
-		perm := ar.getI32(part, n)
+	images := ar.getU64(part, n)
+	perm := ar.getI32(part, n)
+	if shape.kind == keyEdge {
+		img := shape.numericImage()
 		for i, k := range keys {
-			images[i] = numFn(k)
+			images[i] = img(k)
 			perm[i] = int32(i)
 		}
-		radixSortU64(images, perm, 0, rs)
+		radixSortU64(images, perm, rs)
 		outK, outV, outT := gatherPerm(perm, keys, vals, tags, ar, part)
 		ar.putI32(part, perm)
 		return outK, outV, outT, sortedRun{ord: images, exact: true}
@@ -474,28 +530,26 @@ func sortKeyVals[K comparable, V any](
 	// String keys: radix-sort by an 8-byte big-endian prefix
 	// (order-preserving for lexicographic comparison), then repair the
 	// rare runs whose prefixes collide with a comparison sort.
-	prefixes := ar.getU64(part, n)
-	perm := ar.getI32(part, n)
 	str := func(i int32) string { return shape.str(keys[i]) }
 	anyAmbiguous := false
 	for i := range keys {
 		p, ambiguous := strPrefix64(str(int32(i)))
 		anyAmbiguous = anyAmbiguous || ambiguous
-		prefixes[i] = p
+		images[i] = p
 		perm[i] = int32(i)
 	}
-	radixSortU64(prefixes, perm, 0, rs)
+	radixSortU64(images, perm, rs)
 	if anyAmbiguous {
 		// Only ambiguous keys (longer than the prefix, or containing
 		// NUL bytes indistinguishable from the zero padding) can make
 		// two distinct keys collide; otherwise the prefix order is
 		// exact and no repair pass is needed.
-		fixupPrefixRuns(prefixes, perm, str)
+		fixupPrefixRuns(images, perm, str)
 	}
 	outK, outV, outT := gatherPerm(perm, keys, vals, tags, ar, part)
 	ar.putI32(part, perm)
 	// A prefix run is exact only when no key is ambiguous.
-	return outK, outV, outT, sortedRun{ord: prefixes, exact: !anyAmbiguous}
+	return outK, outV, outT, sortedRun{ord: images, exact: !anyAmbiguous}
 }
 
 // gatherPerm gathers keys, vals and (when non-nil) tags into output
@@ -576,16 +630,14 @@ func fixupPrefixRuns(prefixes []uint64, perm []int32, str func(int32) string) {
 	}
 }
 
-// radixSortU64 stable-sorts keys ascending by their bytes from loByte
-// up, optionally carrying perm as payload (nil when the payload is
-// packed into the keys themselves). LSD radix with a counting scatter
-// per byte: O(passes·n), no comparator calls. Only bytes that actually
-// vary are histogrammed and scattered — one or/and sweep finds them.
-// It sorts the images of the keys the counting scatter declines (wide
-// integers, [2]int32, string prefixes); narrow integer keys never reach
-// it. scr supplies the scatter buffers and histograms (nil allocates
-// fresh ones).
-func radixSortU64(keys []uint64, perm []int32, loByte int, scr *radixScratch) {
+// radixSortU64 stable-sorts keys ascending, carrying perm as payload.
+// LSD radix with a counting scatter per byte: O(passes·n), no
+// comparator calls. Only bytes that actually vary are histogrammed and
+// scattered — one or/and sweep finds them. It sorts the images of the
+// keys the counting scatter does not take ([2]int32, string prefixes);
+// integer keys never reach it. scr supplies the scatter buffers and
+// histograms (nil allocates fresh ones).
+func radixSortU64(keys []uint64, perm []int32, scr *radixScratch) {
 	n := len(keys)
 	if n < 2 {
 		return
@@ -598,13 +650,13 @@ func radixSortU64(keys []uint64, perm []int32, loByte int, scr *radixScratch) {
 		or |= k
 		and &= k
 	}
-	diff := (or ^ and) &^ (1<<(8*loByte) - 1)
+	diff := or ^ and
 	if diff == 0 {
 		return
 	}
 	var active [8]int
 	nb := 0
-	for b := loByte; b < 8; b++ {
+	for b := range 8 {
 		if diff>>(8*b)&0xff != 0 {
 			active[nb] = b
 			nb++
@@ -619,14 +671,9 @@ func radixSortU64(keys []uint64, perm []int32, loByte int, scr *radixScratch) {
 		}
 	}
 	scr.tmpK = growU64(scr.tmpK, n)
-	tmpK := scr.tmpK
-	var tmpP []int32
-	if perm != nil {
-		scr.tmpP = growI32(scr.tmpP, n)
-		tmpP = scr.tmpP
-	}
-	srcK, dstK := keys, tmpK
-	srcP, dstP := perm, tmpP
+	scr.tmpP = growI32(scr.tmpP, n)
+	srcK, dstK := keys, scr.tmpK
+	srcP, dstP := perm, scr.tmpP
 	for bi := 0; bi < nb; bi++ {
 		var offs [256]int32
 		var sum int32
@@ -635,34 +682,24 @@ func radixSortU64(keys []uint64, perm []int32, loByte int, scr *radixScratch) {
 			sum += counts[bi*256+v]
 		}
 		shift := uint(8 * active[bi])
-		if perm == nil {
-			for _, k := range srcK {
-				d := (k >> shift) & 0xff
-				dstK[offs[d]] = k
-				offs[d]++
-			}
-		} else {
-			for i, k := range srcK {
-				d := (k >> shift) & 0xff
-				o := offs[d]
-				dstK[o] = k
-				dstP[o] = srcP[i]
-				offs[d] = o + 1
-			}
+		for i, k := range srcK {
+			d := (k >> shift) & 0xff
+			o := offs[d]
+			dstK[o] = k
+			dstP[o] = srcP[i]
+			offs[d] = o + 1
 		}
 		srcK, dstK = dstK, srcK
 		srcP, dstP = dstP, srcP
 	}
 	if nb%2 != 0 {
 		copy(keys, srcK)
-		if perm != nil {
-			copy(perm, srcP)
-		}
+		copy(perm, srcP)
 	}
 }
 
 // sortPairsByKey stable-sorts pairs in place by key under the resolved
-// key order (see sortKeyVals).
+// key order (see groupSegs).
 func sortPairsByKey[K comparable, V any](pairs []Pair[K, V], shape keyShape[K]) {
 	if len(pairs) < 2 {
 		return

@@ -58,8 +58,9 @@ type ShuffleConfig struct {
 	// more than its share, plus at most one run in flight per
 	// partition: the share just cut off, first as its buckets, then as
 	// the arrays they are gathered into, then as the sorted arrays the
-	// blocks are encoded from (two of the three forms at a time; narrow
-	// integer keys skip the gather, see groupSegs).
+	// blocks are encoded from (two of the three forms at a time; integer
+	// keys skip the gather, and a wide range among them sorts through a
+	// spare set of the sorted arrays instead, see groupSegs).
 	// Ingest into a full partition blocks until the run in flight is on
 	// disk rather than queueing a second one behind it, so at no time
 	// are more than 2 x MemoryBudget records buffered (2 x 64 per
@@ -231,14 +232,15 @@ func (m *memoryShuffle[K, V]) footprint() (records, spilled, runs int64) {
 // — inside the reduce task's goroutine, so partitions group in parallel
 // — group-sorts the pre-partitioned split segments (emission order
 // within a split, splits ascending) into two flat arrays of keys and
-// values (groupSegs). Integer keys of a narrow range — the node and term
-// ids of the matching and join jobs — are scattered straight from the
-// buckets into those arrays, so an 8-byte message (an int32 key and an
-// int32 value) costs 8 B of working memory beyond its bucket, where the
-// image sort costs 32 B; group ends are then found by comparing keys.
-// Other keys keep the image sort, and group ends are found on its
-// sorted images. Every group is a zero-copy sub-slice of the values
-// array: no per-key map, no per-key grown slices.
+// values (groupSegs). Integer keys are counted and scattered straight
+// from the buckets into those arrays: an 8-byte message (an int32 key
+// and an int32 value) costs 8 B of working memory beyond its bucket for
+// a narrow range — the node and term ids of the matching and join jobs
+// — and 16 B for a wide one (the zipf graphs' 19-bit node ids), and
+// group ends are found by comparing keys. [2]int32 and string keys take
+// the image sort, and group ends are found on its sorted images. Every
+// group is a zero-copy sub-slice of the values array: no per-key map, no
+// per-key grown slices.
 //
 // With a recycler arena attached, the stream is where round-lifetime
 // buffers cycle: prime checks its working arrays and radix scratch out
@@ -293,14 +295,13 @@ func (s *memGroupStream[K, V]) Next() (K, []V, bool, error) {
 		// change IS a key change; otherwise equal images narrow the
 		// test to a key-equality check, and a key's records are
 		// contiguous (the sort's repair pass ordered them).
-		sh := s.run.shift
-		o := ord[pos] >> sh
+		o := ord[pos]
 		if s.run.exact {
-			for end < n && ord[end]>>sh == o {
+			for end < n && ord[end] == o {
 				end++
 			}
 		} else {
-			for end < n && ord[end]>>sh == o && s.keys[end] == key {
+			for end < n && ord[end] == o && s.keys[end] == key {
 				end++
 			}
 		}
@@ -388,7 +389,7 @@ func newSpillShuffle[K comparable, V any](reducers, splits int, cfg ShuffleConfi
 		return nil, fmt.Errorf("mapreduce: spill shuffle: %w", err)
 	}
 	shape := keyShapeOf[K]()
-	numFn, _ := shape.numericImage()
+	numFn := shape.numericImage()
 	s := &spillShuffle[K, V]{
 		reducers: reducers,
 		splits:   splits,
@@ -695,10 +696,6 @@ func (m *spillMergeStream[K, V]) prime() error {
 			m.tailI = s.ar.getU64(m.part, p.n)
 			for i, k := range m.tailK {
 				m.tailI[i] = s.img(k)
-			}
-		} else if run.shift != 0 {
-			for i := range m.tailI {
-				m.tailI[i] >>= run.shift
 			}
 		}
 		m.cur = append(m.cur, spillCursor[K, V]{keys: m.tailK, vals: m.tailV, splits: m.tailS, imgs: m.tailI, n: p.n})
