@@ -191,11 +191,9 @@ func i32Ord32(v int32) uint32 { return uint32(v) ^ (1 << 31) }
 // sign bit of its width flipped; an unsigned integer is its own image.
 func (s keyShape[K]) numericImage() func(K) uint64 {
 	switch s.kind {
-	case keyInt:
+	case keyInt, keyUint:
 		flip := s.flip()
 		return func(k K) uint64 { return s.bits(k) ^ flip }
-	case keyUint:
-		return s.bits
 	case keyEdge:
 		return func(k K) uint64 {
 			x := s.edge(k)
@@ -499,21 +497,16 @@ func scatterInts[K comparable, V any](
 // pairs can't meaningfully exceed 2^31 records (that's already >16 GiB
 // of Pair headers).
 //
-// ar/part/rs supply recycled buffers (all may be nil/zero): the
-// returned slices and run.ord are checked out of ar when one is set —
-// the caller owns returning them — while the permutation array is
-// checked back in here. Inputs of length >= 2 are pure scratch after the
-// call and the caller returns those too, and their run carries its key
-// images; length < 2 inputs are returned unchanged as the outputs, with
-// no run.
+// ar/part/rs supply recycled buffers (ar may be nil): the returned
+// slices and run.ord are checked out of ar when one is set — the caller
+// owns returning them — while the permutation array is checked back in
+// here. The inputs, at least two records, are pure scratch after the
+// call, and the caller returns those too.
 func sortKeyVals[K comparable, V any](
 	keys []K, vals []V, tags []int32, shape keyShape[K],
 	ar *roundArena[K, V], part int, rs *radixScratch,
 ) ([]K, []V, []int32, sortedRun) {
 	n := len(keys)
-	if n < 2 {
-		return keys, vals, tags, sortedRun{}
-	}
 	images := ar.getU64(part, n)
 	perm := ar.getI32(part, n)
 	if shape.kind == keyEdge {
@@ -636,14 +629,11 @@ func fixupPrefixRuns(prefixes []uint64, perm []int32, str func(int32) string) {
 // scattered — one or/and sweep finds them. It sorts the images of the
 // keys the counting scatter does not take ([2]int32, string prefixes);
 // integer keys never reach it. scr supplies the scatter buffers and
-// histograms (nil allocates fresh ones).
+// histograms.
 func radixSortU64(keys []uint64, perm []int32, scr *radixScratch) {
 	n := len(keys)
 	if n < 2 {
 		return
-	}
-	if scr == nil {
-		scr = &radixScratch{}
 	}
 	or, and := uint64(0), ^uint64(0)
 	for _, k := range keys {
