@@ -294,9 +294,9 @@ func splitMajor[K comparable, V any](segs []bucketSeg[K, V]) {
 //
 // Integer keys of any width take scatterInts: counting scatters straight
 // out of the buckets into the sorted arrays, one pass for a narrow range
-// and an LSD pass per 11-bit digit otherwise, and no key images.
-// [2]int32 keys and strings are gathered into arrays and image-sorted
-// (sortKeyVals).
+// and an LSD pass per varying digit of at most 11 bits otherwise, and no
+// key images. [2]int32 keys and strings are gathered into arrays and
+// image-sorted (sortKeyVals).
 //
 // The buckets go back to ar and segs is left empty of references. The
 // returned arrays are checked out of ar when one is set; the caller owns
@@ -354,23 +354,23 @@ const maxDigitBits = 11
 // scatterInts groups integer keys of any width by counting, as the
 // payload-scatter radix partitioning of Polychroniou & Ross (SIGMOD
 // 2014) does. Each key is read as x = bits^flip - lo, its offset from
-// the smallest key in the unsigned order of its sign-flipped bits. One
-// sweep finds the range; one counts every digit of x; a first pass
-// scatters every record's key, value and (when tagged) split straight
-// from the buckets to its slot by the lowest digit. A narrow range — at
-// most 2^16 distinct values between the smallest and the largest key,
-// and at most 4 per record — is one digit, counted exactly, so that
-// first pass is the whole sort. Any other range is cut into as few
-// digits of at most maxDigitBits as it needs, and each later digit is
-// an LSD pass that ping-pongs through one spare key/value/split set
-// from ar, ordered so that the last pass lands in the returned arrays.
-// A digit that does not vary moves no record and is skipped.
+// the smallest key in the unsigned order of its sign-flipped bits, and
+// one sweep finds the range. A narrow range — at most 2^16 distinct
+// values between the smallest and the largest key, and at most 4 per
+// record — takes scatterNarrow's single pass. Any other range is cut
+// into as few digits of at most maxDigitBits as it needs: one sweep
+// counts every digit, a first pass scatters every record's key, value
+// and (when tagged) split straight from the buckets to its slot by the
+// lowest digit, and each later digit is an LSD pass that ping-pongs
+// through one spare key/value/split set from ar, ordered so that the
+// last pass lands in the returned arrays. A digit that does not vary
+// moves no record and is skipped.
 //
 // Buckets are read split-major and every pass is stable, so equal keys
 // keep (split, arrival) order. Working memory beyond the outputs is the
 // histograms, from the radix scratch, and the spare set when more than
-// one digit varies: an 8-byte message (an int32 key and value) costs 8 B
-// of it for a narrow range and 16 B for a wide one.
+// one digit varies: an 8-byte message (an int32 key and value) costs
+// 16 B for a wide range, where the narrow pass costs 8 B.
 func scatterInts[K comparable, V any](
 	segs []bucketSeg[K, V], n int, tagged bool, shape keyShape[K],
 	ar *roundArena[K, V], part int,
@@ -384,26 +384,21 @@ func scatterInts[K comparable, V any](
 		}
 	}
 	span := hi - lo
-	width := bits.Len64(span) // of the range, then of one digit
-	passes, size := 1, int(span)+1
-	if width > maxDigitBits && (span >= 1<<16 || span >= 4*uint64(n)) {
-		passes = (width + maxDigitBits - 1) / maxDigitBits
-		width = (width + passes - 1) / passes
-		size = 1 << width
+	if span < 1<<16 && span < 4*uint64(n) {
+		return scatterNarrow(segs, n, tagged, shape, ar, part, flip, lo, span)
 	}
-	mask := uint64(1)<<width - 1
+	width := bits.Len64(span) // of the range, then of one digit
+	passes := (width + maxDigitBits - 1) / maxDigitBits
+	width = (width + passes - 1) / passes
+	size, mask := 1<<width, uint64(1)<<width-1
 	rs := ar.getRadix(part)
 	defer ar.putRadix(part, rs)
 	counts := rs.histogram(passes * size)
 	for _, seg := range segs {
 		for _, p := range seg.pairs {
 			x := shape.bits(p.Key) ^ flip - lo
-			if passes == 1 {
-				counts[x]++
-				continue
-			}
 			for d := range passes {
-				counts[d*size+int(x>>(d*width)&mask)]++
+				counts[d*size+int(x>>uint(d*width)&mask)]++
 			}
 		}
 	}
@@ -412,13 +407,15 @@ func scatterInts[K comparable, V any](
 	for d := range passes {
 		h := counts[d*size : (d+1)*size]
 		var sum int32
-		varies := span == 0 // one digit, moved once out of the buckets
+		constant := false // one bucket holds every record
 		for i, c := range h {
 			h[i] = sum
 			sum += c
-			varies = varies || (c != 0 && int(c) != n)
+			if int(c) == n {
+				constant = true
+			}
 		}
-		if varies {
+		if !constant {
 			digits[active] = d
 			active++
 		}
@@ -449,7 +446,7 @@ func scatterInts[K comparable, V any](
 			aK, aV, aS, bK, bV, bS = bK, bV, bS, aK, aV, aS
 		}
 	}
-	sh := digits[0] * width
+	sh := uint(digits[0] * width)
 	h := counts[digits[0]*size:]
 	for _, seg := range segs {
 		for _, p := range seg.pairs {
@@ -464,7 +461,7 @@ func scatterInts[K comparable, V any](
 	}
 	for _, d := range digits[1:active] {
 		aK, aV, aS, bK, bV, bS = bK, bV, bS, aK, aV, aS
-		sh, h = d*width, counts[d*size:]
+		sh, h = uint(d*width), counts[d*size:]
 		for i, k := range bK {
 			dg := (shape.bits(k) ^ flip - lo) >> sh & mask
 			o := h[dg]
@@ -473,6 +470,47 @@ func scatterInts[K comparable, V any](
 				aS[o] = bS[i]
 			}
 			h[dg] = o + 1
+		}
+	}
+	return keys, vals, splits
+}
+
+// scatterNarrow is scatterInts' single pass for a narrow range, span+1
+// values from lo up: one sweep counts each key, and one stable scatter
+// moves every record's key, value and (when tagged) split straight from
+// the buckets to its sorted slot. Its only working memory beyond the
+// outputs is the histogram, from the radix scratch: 8 B per 8-byte
+// message.
+func scatterNarrow[K comparable, V any](
+	segs []bucketSeg[K, V], n int, tagged bool, shape keyShape[K],
+	ar *roundArena[K, V], part int, flip, lo, span uint64,
+) (keys []K, vals []V, splits []int32) {
+	rs := ar.getRadix(part)
+	defer ar.putRadix(part, rs)
+	counts := rs.histogram(int(span) + 1)
+	for _, seg := range segs {
+		for _, p := range seg.pairs {
+			counts[shape.bits(p.Key)^flip-lo]++
+		}
+	}
+	var sum int32
+	for d, c := range counts {
+		counts[d] = sum
+		sum += c
+	}
+	keys, vals = ar.getKeys(part, n), ar.getVals(part, n)
+	if tagged {
+		splits = ar.getI32(part, n)
+	}
+	for _, seg := range segs {
+		for _, p := range seg.pairs {
+			d := shape.bits(p.Key) ^ flip - lo
+			o := counts[d]
+			keys[o], vals[o] = p.Key, p.Value
+			if tagged {
+				splits[o] = seg.split
+			}
+			counts[d] = o + 1
 		}
 	}
 	return keys, vals, splits

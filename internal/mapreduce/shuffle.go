@@ -58,9 +58,9 @@ type ShuffleConfig struct {
 	// more than its share, plus at most one run in flight per
 	// partition: the share just cut off, first as its buckets, then as
 	// the arrays they are gathered into, then as the sorted arrays the
-	// blocks are encoded from (two of the three forms at a time; integer
-	// keys skip the gather, and a wide range among them sorts through a
-	// spare set of the sorted arrays instead, see groupSegs).
+	// blocks are encoded from (the buckets are held until the sort ends;
+	// integer keys skip the gather, and a wide range among them sorts
+	// through a spare set of the sorted arrays instead, see groupSegs).
 	// Ingest into a full partition blocks until the run in flight is on
 	// disk rather than queueing a second one behind it, so at no time
 	// are more than 2 x MemoryBudget records buffered (2 x 64 per
