@@ -395,10 +395,9 @@ func TestDistWorkerDisconnectMidShuffle(t *testing.T) {
 
 // runBesideRogue runs one eq-int32 job on a cluster of an in-process
 // worker and a rogue one, and returns the job's output and error. The
-// rogue skips
-// what precedes the job's announce and hands the announce, with its own
-// worker id, to reply, which writes the rogue's side of the job; the
-// rogue then reads until the coordinator hangs up.
+// rogue skips what precedes the job's announce and hands the announce,
+// with its own worker id, to reply, which writes the rogue's side of the
+// job; the rogue then reads until the coordinator hangs up.
 func runBesideRogue(t *testing.T, reply func(conn *remote.Conn, h *distJobHeader, id int)) ([]Pair[int32, int64], error) {
 	t.Helper()
 	leakcheck.Check(t)

@@ -294,8 +294,8 @@ func splitMajor[K comparable, V any](segs []bucketSeg[K, V]) {
 //
 // Integer keys of any width take scatterInts: counting scatters straight
 // out of the buckets into the sorted arrays, one pass for a narrow range
-// and an LSD pass per varying digit of at most 11 bits otherwise, and no
-// key images. [2]int32 keys and strings are gathered into arrays and
+// and an LSD pass per digit of at most 11 bits otherwise, and no key
+// images. [2]int32 keys and strings are gathered into arrays and
 // image-sorted (sortKeyVals).
 //
 // The buckets go back to ar and segs is left empty of references. The
@@ -354,23 +354,22 @@ const maxDigitBits = 11
 // scatterInts groups integer keys of any width by counting, as the
 // payload-scatter radix partitioning of Polychroniou & Ross (SIGMOD
 // 2014) does. Each key is read as x = bits^flip - lo, its offset from
-// the smallest key in the unsigned order of its sign-flipped bits, and
-// one sweep finds the range. A narrow range — at most 2^16 distinct
-// values between the smallest and the largest key, and at most 4 per
-// record — takes scatterNarrow's single pass. Any other range is cut
-// into as few digits of at most maxDigitBits as it needs: one sweep
-// counts every digit, a first pass scatters every record's key, value
-// and (when tagged) split straight from the buckets to its slot by the
-// lowest digit, and each later digit is an LSD pass that ping-pongs
-// through one spare key/value/split set from ar, ordered so that the
-// last pass lands in the returned arrays. A digit that does not vary
-// moves no record and is skipped.
+// the smallest key in the unsigned order of its sign-flipped bits. One
+// sweep finds the range; one counts every digit of x; a first pass
+// scatters every record's key, value and (when tagged) split straight
+// from the buckets to its slot by the lowest digit. A narrow range — at
+// most 2^16 distinct values between the smallest and the largest key,
+// and at most 4 per record — is one digit, so that first pass is the
+// whole sort. Any other range is cut into as few digits of at most
+// maxDigitBits as it needs, and each later digit is an LSD pass that
+// ping-pongs through one spare key/value/split set from ar, ordered so
+// that the last pass lands in the returned arrays.
 //
 // Buckets are read split-major and every pass is stable, so equal keys
 // keep (split, arrival) order. Working memory beyond the outputs is the
-// histograms, from the radix scratch, and the spare set when more than
-// one digit varies: an 8-byte message (an int32 key and value) costs
-// 16 B for a wide range, where the narrow pass costs 8 B.
+// histograms, from the radix scratch, and the spare set when there is
+// more than one digit: an 8-byte message (an int32 key and value) costs
+// 8 B of it for a narrow range and 16 B for a wide one.
 func scatterInts[K comparable, V any](
 	segs []bucketSeg[K, V], n int, tagged bool, shape keyShape[K],
 	ar *roundArena[K, V], part int,
@@ -384,40 +383,35 @@ func scatterInts[K comparable, V any](
 		}
 	}
 	span := hi - lo
-	if span < 1<<16 && span < 4*uint64(n) {
-		return scatterNarrow(segs, n, tagged, shape, ar, part, flip, lo, span)
+	width := bits.Len64(span)      // of the range, then of one digit
+	passes, size := 1, int(span)+1 // a narrow range is counted exactly
+	if span >= 1<<16 || span >= 4*uint64(n) {
+		passes = (width + maxDigitBits - 1) / maxDigitBits
+		width = (width + passes - 1) / passes
+		size = 1 << width
 	}
-	width := bits.Len64(span) // of the range, then of one digit
-	passes := (width + maxDigitBits - 1) / maxDigitBits
-	width = (width + passes - 1) / passes
-	size, mask := 1<<width, uint64(1)<<width-1
+	mask := uint64(1)<<width - 1
 	rs := ar.getRadix(part)
 	defer ar.putRadix(part, rs)
 	counts := rs.histogram(passes * size)
 	for _, seg := range segs {
 		for _, p := range seg.pairs {
 			x := shape.bits(p.Key) ^ flip - lo
+			if passes == 1 {
+				counts[x]++
+				continue
+			}
 			for d := range passes {
 				counts[d*size+int(x>>uint(d*width)&mask)]++
 			}
 		}
 	}
-	var digits [64/maxDigitBits + 1]int
-	active := 0
 	for d := range passes {
 		h := counts[d*size : (d+1)*size]
 		var sum int32
-		constant := false // one bucket holds every record
 		for i, c := range h {
 			h[i] = sum
 			sum += c
-			if int(c) == n {
-				constant = true
-			}
-		}
-		if !constant {
-			digits[active] = d
-			active++
 		}
 	}
 	keys, vals = ar.getKeys(part, n), ar.getVals(part, n)
@@ -432,7 +426,7 @@ func scatterInts[K comparable, V any](
 	var bK []K
 	var bV []V
 	var bS []int32
-	if active > 1 {
+	if passes > 1 {
 		spareK, spareV := ar.getKeys(part, n), ar.getVals(part, n)
 		var spareS []int32
 		if tagged {
@@ -442,26 +436,24 @@ func scatterInts[K comparable, V any](
 		defer ar.putVals(part, spareV)
 		defer ar.putI32(part, spareS)
 		bK, bV, bS = spareK, spareV, spareS
-		if active%2 == 0 {
+		if passes%2 == 0 {
 			aK, aV, aS, bK, bV, bS = bK, bV, bS, aK, aV, aS
 		}
 	}
-	sh := uint(digits[0] * width)
-	h := counts[digits[0]*size:]
 	for _, seg := range segs {
 		for _, p := range seg.pairs {
-			dg := (shape.bits(p.Key) ^ flip - lo) >> sh & mask
-			o := h[dg]
+			dg := (shape.bits(p.Key) ^ flip - lo) & mask
+			o := counts[dg]
 			aK[o], aV[o] = p.Key, p.Value
 			if tagged {
 				aS[o] = seg.split
 			}
-			h[dg] = o + 1
+			counts[dg] = o + 1
 		}
 	}
-	for _, d := range digits[1:active] {
+	for d := 1; d < passes; d++ {
 		aK, aV, aS, bK, bV, bS = bK, bV, bS, aK, aV, aS
-		sh, h = uint(d*width), counts[d*size:]
+		sh, h := uint(d*width), counts[d*size:]
 		for i, k := range bK {
 			dg := (shape.bits(k) ^ flip - lo) >> sh & mask
 			o := h[dg]
@@ -470,47 +462,6 @@ func scatterInts[K comparable, V any](
 				aS[o] = bS[i]
 			}
 			h[dg] = o + 1
-		}
-	}
-	return keys, vals, splits
-}
-
-// scatterNarrow is scatterInts' single pass for a narrow range, span+1
-// values from lo up: one sweep counts each key, and one stable scatter
-// moves every record's key, value and (when tagged) split straight from
-// the buckets to its sorted slot. Its only working memory beyond the
-// outputs is the histogram, from the radix scratch: 8 B per 8-byte
-// message.
-func scatterNarrow[K comparable, V any](
-	segs []bucketSeg[K, V], n int, tagged bool, shape keyShape[K],
-	ar *roundArena[K, V], part int, flip, lo, span uint64,
-) (keys []K, vals []V, splits []int32) {
-	rs := ar.getRadix(part)
-	defer ar.putRadix(part, rs)
-	counts := rs.histogram(int(span) + 1)
-	for _, seg := range segs {
-		for _, p := range seg.pairs {
-			counts[shape.bits(p.Key)^flip-lo]++
-		}
-	}
-	var sum int32
-	for d, c := range counts {
-		counts[d] = sum
-		sum += c
-	}
-	keys, vals = ar.getKeys(part, n), ar.getVals(part, n)
-	if tagged {
-		splits = ar.getI32(part, n)
-	}
-	for _, seg := range segs {
-		for _, p := range seg.pairs {
-			d := shape.bits(p.Key) ^ flip - lo
-			o := counts[d]
-			keys[o], vals[o] = p.Key, p.Value
-			if tagged {
-				splits[o] = seg.split
-			}
-			counts[d] = o + 1
 		}
 	}
 	return keys, vals, splits
