@@ -2,8 +2,10 @@ package mapreduce
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -49,11 +51,7 @@ type groupRec[K any] struct {
 }
 
 func fuzzGroupSegs[K ~int8 | ~int16 | ~int32 | ~uint32 | ~int64 | ~uint64](t *testing.T, spanSel uint8, n16 uint16, base int64, seed uint64, layout []byte) {
-	n := int(n16) % 20000
-	if len(layout) == 0 {
-		layout = []byte{0}
-	}
-	layout = layout[:min(len(layout), 64)]
+	n, layout := fuzzSize(n16, layout)
 	var span uint64
 	full := false        // every 64-bit offset, span notwithstanding
 	lowMask := uint64(0) // offset bits forced to zero
@@ -111,38 +109,61 @@ func fuzzGroupSegs[K ~int8 | ~int16 | ~int32 | ~uint32 | ~int64 | ~uint64](t *te
 		}
 		return K(base + int64(off&^lowMask))
 	}
-	// Bucket j gets split layout[j]%8 and a share of the records that
-	// grows with layout[j]/8.
+	build := func() ([]bucketSeg[K, int32], []groupRec[K]) {
+		rng = seed
+		return layoutSegs(n, layout, keyAt)
+	}
+	checkGroupSegs(t, n, build, cmp.Compare[K], fmt.Sprintf("span %d", span))
+}
+
+// fuzzSize bounds a fuzzed record count and bucket layout: at most
+// 20000 records in at most 64 buckets, and at least one bucket.
+func fuzzSize(n16 uint16, layout []byte) (int, []byte) {
+	if len(layout) == 0 {
+		layout = []byte{0}
+	}
+	return int(n16) % 20000, layout[:min(len(layout), 64)]
+}
+
+// layoutSegs deals n records into one bucket per layout byte: bucket j
+// gets split layout[j]%8 and a share of the records that grows with
+// layout[j]/8. Record i has key keyAt(i) and value i, its position.
+func layoutSegs[K comparable](n int, layout []byte, keyAt func(i int) K) ([]bucketSeg[K, int32], []groupRec[K]) {
 	weights := 0
 	for _, b := range layout {
 		weights += int(b/8) + 1
 	}
-	build := func() ([]bucketSeg[K, int32], []groupRec[K]) {
-		rng = seed
-		segs := make([]bucketSeg[K, int32], len(layout))
-		recs := make([]groupRec[K], 0, n)
-		done := 0
-		for j, b := range layout {
-			m := n * (int(b/8) + 1) / weights
-			if j == len(layout)-1 {
-				m = n - done
-			}
-			segs[j].split = int32(b % 8)
-			for range m {
-				k := keyAt(len(recs))
-				segs[j].pairs = append(segs[j].pairs, P(k, int32(len(recs))))
-				recs = append(recs, groupRec[K]{k, segs[j].split, int32(len(recs))})
-			}
-			done += m
+	segs := make([]bucketSeg[K, int32], len(layout))
+	recs := make([]groupRec[K], 0, n)
+	done := 0
+	for j, b := range layout {
+		m := n * (int(b/8) + 1) / weights
+		if j == len(layout)-1 {
+			m = n - done
 		}
-		return segs, recs
+		segs[j].split = int32(b % 8)
+		for range m {
+			k := keyAt(len(recs))
+			segs[j].pairs = append(segs[j].pairs, P(k, int32(len(recs))))
+			recs = append(recs, groupRec[K]{k, segs[j].split, int32(len(recs))})
+		}
+		done += m
 	}
+	return segs, recs
+}
+
+// checkGroupSegs runs the group sort over the buckets build makes and
+// holds it to the reference: build's records sorted by slices.SortStableFunc
+// on (order, split, position). It runs untagged and then tagged on one
+// arena, so the tagged run sorts in the untagged run's recycled arrays;
+// build must make the same buckets each time.
+func checkGroupSegs[K comparable](t *testing.T, n int, build func() ([]bucketSeg[K, int32], []groupRec[K]), order func(a, b K) int, what string) {
 	ar := arenaFor[K, int32](NewBufferPool(), 1)
 	shape := keyShapeOf[K]()
 	for _, tagged := range []bool{false, true} {
 		segs, want := build()
 		slices.SortStableFunc(want, func(a, b groupRec[K]) int {
-			return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.split, b.split), cmp.Compare(a.pos, b.pos))
+			return cmp.Or(order(a.key, b.key), cmp.Compare(a.split, b.split), cmp.Compare(a.pos, b.pos))
 		})
 		keys, vals, splits, _ := groupSegs(segs, n, tagged, shape, ar, 0)
 		if len(keys) != n || len(vals) != n {
@@ -153,8 +174,8 @@ func fuzzGroupSegs[K ~int8 | ~int16 | ~int32 | ~uint32 | ~int64 | ~uint64](t *te
 		}
 		for i, w := range want {
 			if keys[i] != w.key || vals[i] != w.pos || (tagged && splits[i] != w.split) {
-				t.Fatalf("tagged=%v, span %d, n %d: record %d is (key %v, pos %d), want (key %v, split %d, pos %d)",
-					tagged, span, n, i, keys[i], vals[i], w.key, w.split, w.pos)
+				t.Fatalf("tagged=%v, %s, n %d: record %d is (key %q, pos %d), want (key %q, split %d, pos %d)",
+					tagged, what, n, i, fmt.Sprint(keys[i]), vals[i], fmt.Sprint(w.key), w.split, w.pos)
 			}
 		}
 		for _, seg := range segs {
@@ -166,4 +187,64 @@ func fuzzGroupSegs[K ~int8 | ~int16 | ~int32 | ~uint32 | ~int64 | ~uint64](t *te
 		ar.putVals(0, vals)
 		ar.putI32(0, splits)
 	}
+}
+
+// FuzzGroupSegsKeys holds the group sort of the keys that are not
+// integers, [2]int32 and strings, to the same reference as
+// FuzzGroupSegs: (key, split, position) under the key order, which for
+// [2]int32 is the first component and then the second, both signed, and
+// for strings is byte-wise. The fuzz input picks the kind, a spread, the
+// record count, the buckets' splits and lengths and, for strings, an
+// alphabet; a seeded generator fills in the keys.
+//
+// A [2]int32 component is drawn from spread+1 values centred on zero, or
+// is math.MinInt32 or math.MaxInt32, so keys are negative, share their
+// first component and hit both ends. A string is up to spread%24 bytes
+// of the alphabet ("\x00a" when empty): "" and NUL bytes ("a" against
+// "a\x00"), keys that share their first 8 bytes and keys longer than 8
+// bytes. The checked-in corpus under testdata/fuzz/FuzzGroupSegsKeys
+// holds each of these cases.
+func FuzzGroupSegsKeys(f *testing.F) {
+	f.Fuzz(func(t *testing.T, kind, spread uint8, n16 uint16, seed uint64, layout, alpha []byte) {
+		n, layout := fuzzSize(n16, layout)
+		rng := seed
+		next := func() uint64 { rng++; return mix64(rng) }
+		what := fmt.Sprintf("spread %d", spread)
+		if kind%2 == 0 {
+			comp := func() int32 {
+				switch r := next(); r % 16 {
+				case 0:
+					return math.MinInt32
+				case 1:
+					return math.MaxInt32
+				default:
+					return int32(int64(r>>8%(uint64(spread)+1)) - int64(spread)/2)
+				}
+			}
+			build := func() ([]bucketSeg[[2]int32, int32], []groupRec[[2]int32]) {
+				rng = seed
+				return layoutSegs(n, layout, func(int) [2]int32 { return [2]int32{comp(), comp()} })
+			}
+			checkGroupSegs(t, n, build, func(a, b [2]int32) int {
+				return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+			}, what)
+			return
+		}
+		if len(alpha) == 0 {
+			alpha = []byte("\x00a")
+		}
+		maxLen := uint64(spread%24) + 1
+		key := func(int) string {
+			b := make([]byte, next()%maxLen)
+			for i := range b {
+				b[i] = alpha[next()%uint64(len(alpha))]
+			}
+			return string(b)
+		}
+		build := func() ([]bucketSeg[string, int32], []groupRec[string]) {
+			rng = seed
+			return layoutSegs(n, layout, key)
+		}
+		checkGroupSegs(t, n, build, strings.Compare, what+fmt.Sprintf(", alphabet %q", alpha))
+	})
 }
