@@ -185,7 +185,7 @@ func TestAllocGuardSpillRound(t *testing.T) {
 // After one warm-up round, a memory round and a spill round (a budget
 // it fits in, so its partitions are served by the memory stream) may
 // check out of the pool, while they group, sort and serve their
-// partitions: no uint64 or int32 slab, at most sizeof(K)+sizeof(V)
+// partitions: no int32 slab, at most sizeof(K)+sizeof(V)
 // bytes per record, and one histogram of the key range per partition —
 // and every check-out is served from the free lists. The image sort
 // this replaced for these keys checked out a gather copy, a packed
@@ -276,13 +276,8 @@ func TestAllocGuardGroupSortSlabs(t *testing.T) {
 		}
 		for p := range ar.parts {
 			fl := &ar.parts[p]
-			if len(fl.u64s) != 0 || len(fl.i32s) != 0 {
-				t.Errorf("%s: partition %d checked in %d uint64 and %d int32 slabs", shuffle.Backend, p, len(fl.u64s), len(fl.i32s))
-			}
-			for _, rs := range fl.radix {
-				if cap(rs.tmpK) != 0 || cap(rs.tmpP) != 0 {
-					t.Errorf("%s: partition %d's radix scratch grew scatter buffers (%d, %d)", shuffle.Backend, p, cap(rs.tmpK), cap(rs.tmpP))
-				}
+			if len(fl.i32s) != 0 {
+				t.Errorf("%s: partition %d checked in %d int32 slabs", shuffle.Backend, p, len(fl.i32s))
 			}
 		}
 	}
@@ -292,8 +287,8 @@ func TestAllocGuardGroupSortSlabs(t *testing.T) {
 // keys of the zipf graphs' rounds: node ids drawn zipf-skewed from 19
 // bits, a range too wide for one counting pass. After one warm-up
 // round, a memory round and a spill round that fits its budget may check
-// out, while they group, sort and serve their partitions: no uint64 or
-// int32 slab, at most 2 × (sizeof(K)+sizeof(V)) bytes per record — the
+// out, while they group, sort and serve their partitions: no int32
+// slab, at most 2 × (sizeof(K)+sizeof(V)) bytes per record — the
 // sorted arrays and the spare set the LSD passes ping-pong through — and
 // the digits' histograms per partition, and every check-out is served
 // from the free lists. The image sort this replaced for these keys
@@ -395,13 +390,8 @@ func TestAllocGuardGroupSortWide(t *testing.T) {
 		}
 		for p := range ar.parts {
 			fl := &ar.parts[p]
-			if len(fl.u64s) != 0 || len(fl.i32s) != 0 {
-				t.Errorf("%s: partition %d checked in %d uint64 and %d int32 slabs", shuffle.Backend, p, len(fl.u64s), len(fl.i32s))
-			}
-			for _, rs := range fl.radix {
-				if cap(rs.tmpK) != 0 || cap(rs.tmpP) != 0 {
-					t.Errorf("%s: partition %d's radix scratch grew scatter buffers (%d, %d)", shuffle.Backend, p, cap(rs.tmpK), cap(rs.tmpP))
-				}
+			if len(fl.i32s) != 0 {
+				t.Errorf("%s: partition %d checked in %d int32 slabs", shuffle.Backend, p, len(fl.i32s))
 			}
 		}
 	}

@@ -23,7 +23,7 @@ import (
 //     automatically: emit buckets (returned when a group stream has
 //     copied them out, or when the spill backend has ingested them),
 //     the group sort's gather/scratch/permutation arrays, the sorted
-//     key and key-image arrays, and the sorted values array (returned
+//     key array, and the sorted values array (returned
 //     when the partition's group stream closes — reduce functions must
 //     not retain the values slice beyond the call, see ReduceFunc).
 //   - Buffers that escape to the caller — reduce-output pair slices,
@@ -120,8 +120,7 @@ type arenaPart[K comparable, V any] struct {
 	pairs   [][]Pair[K, V] // reduce-output / Dataset partition slices
 	keys    [][]K          // group-sort key arrays (gather + sorted)
 	vals    [][]V          // group-sort value arrays (gather + sorted)
-	u64s    [][]uint64     // key images / string prefixes
-	i32s    [][]int32      // permutation arrays
+	i32s    [][]int32      // split tags and permutation arrays
 	radix   []*radixScratch
 }
 
@@ -295,32 +294,6 @@ func (a *roundArena[K, V]) putVals(p int, s []V) {
 	a.mu.Unlock()
 }
 
-// getU64 returns a uint64 array of length n (key images, string
-// prefixes).
-func (a *roundArena[K, V]) getU64(p, n int) []uint64 {
-	if a == nil {
-		return make([]uint64, n)
-	}
-	a.mu.Lock()
-	s, ok := takeFit(&a.parts[p].u64s, n)
-	a.mu.Unlock()
-	if !ok {
-		a.miss()
-		return make([]uint64, n)
-	}
-	a.hit(uintptr(cap(s)) * 8)
-	return s[:n]
-}
-
-func (a *roundArena[K, V]) putU64(p int, s []uint64) {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	putFree(&a.parts[p].u64s, s, false)
-	a.mu.Unlock()
-}
-
 // getI32 returns an int32 array of length n (sort permutations).
 func (a *roundArena[K, V]) getI32(p, n int) []int32 {
 	if a == nil {
@@ -364,7 +337,7 @@ func (a *roundArena[K, V]) getRadix(p int) *radixScratch {
 		a.miss()
 		return &radixScratch{}
 	}
-	a.hit(uintptr(cap(rs.tmpK))*8 + uintptr(cap(rs.tmpP)+cap(rs.counts))*4)
+	a.hit(uintptr(cap(rs.counts)) * 4)
 	return rs
 }
 

@@ -331,7 +331,7 @@ func heldBuffers[K comparable, V any](a *roundArena[K, V]) int {
 	defer a.mu.Unlock()
 	n := 0
 	for _, p := range a.parts {
-		n += len(p.buckets) + len(p.pairs) + len(p.keys) + len(p.vals) + len(p.u64s) + len(p.i32s) + len(p.radix)
+		n += len(p.buckets) + len(p.pairs) + len(p.keys) + len(p.vals) + len(p.i32s) + len(p.radix)
 	}
 	return n
 }

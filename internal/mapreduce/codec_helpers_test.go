@@ -86,22 +86,16 @@ func decodeTestRun[K comparable, V any](t testing.TB, data []byte, nsplits int) 
 	pc := testCodec[K, V](t)
 	dec := pc.getRunDec(bytes.NewReader(data), 0, int64(len(data)))
 	defer pc.putRunDec(dec)
-	img := keyShapeOf[K]().image()
 	keys, vals := make([]K, spillBlockRecs), make([]V, spillBlockRecs)
-	splits, imgs := make([]int32, spillBlockRecs), make([]uint64, spillBlockRecs)
+	splits := make([]int32, spillBlockRecs)
 	var run testRun[K, V]
 	for {
-		n, err := dec.readBlock(pc, img, nsplits, keys, vals, splits, imgs)
+		n, err := dec.readBlock(pc, nsplits, keys, vals, splits)
 		if err == io.EOF {
 			return run, nil
 		}
 		if err != nil {
 			return run, err
-		}
-		for i, k := range keys[:n] {
-			if imgs[i] != img(k) {
-				t.Fatalf("block returned a stale key image for %v", k)
-			}
 		}
 		run.keys = append(run.keys, keys[:n]...)
 		run.vals = append(run.vals, vals[:n]...)

@@ -486,11 +486,11 @@ func (d *spillRunDec[K, V]) need(n int) error {
 }
 
 // readBlock decodes the run's next block into the head of the column
-// arrays (each at least spillBlockRecs long), computes the key images
-// through img, and returns the block's record count; io.EOF at a block
+// arrays (each at least spillBlockRecs long) and returns the block's
+// record count; io.EOF at a block
 // boundary is the clean end of the run. nsplits is the job's number of
 // map splits: a split id outside it is corruption.
-func (d *spillRunDec[K, V]) readBlock(pc *pairCodec[K, V], img func(K) uint64, nsplits int, keys []K, vals []V, splits []int32, imgs []uint64) (int, error) {
+func (d *spillRunDec[K, V]) readBlock(pc *pairCodec[K, V], nsplits int, keys []K, vals []V, splits []int32) (int, error) {
 	rest := int64(d.w-d.r) + d.left
 	if rest == 0 {
 		return 0, io.EOF
@@ -539,9 +539,6 @@ func (d *spillRunDec[K, V]) readBlock(pc *pairCodec[K, V], img func(K) uint64, n
 	}
 	if _, err = pc.val.dec(data, sliceCol(vals[:n]), d.vd); err != nil {
 		return 0, err
-	}
-	for i, k := range keys[:n] {
-		imgs[i] = img(k)
 	}
 	return n, nil
 }

@@ -24,7 +24,7 @@ import (
 // coordinator-held input placed there first (placeResident) — so the
 // coordinator only orchestrates: it relays the buckets a worker's map
 // addressed to another worker's partition, and the workers group-sort
-// and reduce their partitions locally with the same radix path and
+// and reduce their partitions locally with the same group sort and
 // buffer pool the in-memory backend uses — which is what makes the
 // output bit-identical to ShuffleMemory for the same seed and partition
 // count. Reduce output stays worker-resident, so the next chained job's

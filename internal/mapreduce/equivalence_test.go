@@ -333,7 +333,7 @@ func groupKeyVals[K comparable, V any](keys []K, vals []V, shape keyShape[K]) ([
 	for i := range keys {
 		pairs[i] = P(keys[i], vals[i])
 	}
-	sk, sv, _, _ := groupSegs([]bucketSeg[K, V]{{pairs: pairs}}, len(pairs), false, shape, nil, 0)
+	sk, sv, _ := groupSegs([]bucketSeg[K, V]{{pairs: pairs}}, len(pairs), false, shape, nil, 0)
 	return sk, sv
 }
 

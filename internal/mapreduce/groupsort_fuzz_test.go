@@ -165,7 +165,7 @@ func checkGroupSegs[K comparable](t *testing.T, n int, build func() ([]bucketSeg
 		slices.SortStableFunc(want, func(a, b groupRec[K]) int {
 			return cmp.Or(order(a.key, b.key), cmp.Compare(a.split, b.split), cmp.Compare(a.pos, b.pos))
 		})
-		keys, vals, splits, _ := groupSegs(segs, n, tagged, shape, ar, 0)
+		keys, vals, splits := groupSegs(segs, n, tagged, shape, ar, 0)
 		if len(keys) != n || len(vals) != n {
 			t.Fatalf("tagged=%v: %d keys and %d values for %d records", tagged, len(keys), len(vals), n)
 		}

@@ -158,89 +158,35 @@ func (s keyShape[K]) flip() uint64 {
 
 // cmp returns the three-way comparator realizing the key order the
 // group sort produces: integer kinds compare their sign-flipped bits,
-// [2]int32 its order-preserving image, string kinds compare as strings.
-// It returns 0 exactly when a == b.
+// [2]int32 its first component and then its second, both signed, and
+// string kinds compare as strings. It returns 0 exactly when a == b.
 func (s keyShape[K]) cmp() func(a, b K) int {
 	switch s.kind {
 	case keyInt, keyUint:
 		flip := s.flip()
 		return func(a, b K) int { return cmp.Compare(s.bits(a)^flip, s.bits(b)^flip) }
 	case keyEdge:
-		img := s.numericImage()
-		return func(a, b K) int { return cmp.Compare(img(a), img(b)) }
+		return func(a, b K) int {
+			x, y := s.edge(a), s.edge(b)
+			if c := cmp.Compare(x[0], y[0]); c != 0 {
+				return c
+			}
+			return cmp.Compare(x[1], y[1])
+		}
 	}
 	return func(a, b K) int { return strings.Compare(s.str(a), s.str(b)) }
 }
 
-// --- order-preserving uint64 key transforms ---------------------------
-//
-// The group sort never calls a comparator: an integer key is counted
-// and scattered by the digits of its sign-flipped bits, and any other
-// key is projected once to a uint64 whose unsigned order equals the key
-// order (or an 8-byte string prefix), and the projected keys are
-// radix-sorted. This is the decorate-sort-undecorate idea taken to its
-// cheapest form — O(n) passes over machine words instead of O(n log n)
-// comparator calls.
-
-// i32Ord32 is the order-preserving unsigned image of a signed 32-bit
-// integer (sign bit flipped).
-func i32Ord32(v int32) uint32 { return uint32(v) ^ (1 << 31) }
-
-// numericImage returns the injective uint64 projection for K, or nil
-// for string kinds. A signed integer's image is its raw bits with the
-// sign bit of its width flipped; an unsigned integer is its own image.
-func (s keyShape[K]) numericImage() func(K) uint64 {
-	switch s.kind {
-	case keyInt, keyUint:
-		flip := s.flip()
-		return func(k K) uint64 { return s.bits(k) ^ flip }
-	case keyEdge:
-		return func(k K) uint64 {
-			x := s.edge(k)
-			return uint64(i32Ord32(x[0]))<<32 | uint64(i32Ord32(x[1]))
-		}
-	}
-	return nil
-}
-
-// image returns the uint64 projection used to accelerate ordered
-// comparisons of K: the order-preserving numeric image when K has one,
-// otherwise the 8-byte big-endian prefix of the string. The projection
-// is order-consistent — img(a) < img(b) implies a < b under the key
-// order, and only equal images require a real key comparison — which is
-// exactly what the spill merge needs to compare machine words instead
-// of boxing keys.
-func (s keyShape[K]) image() func(K) uint64 {
-	if numFn := s.numericImage(); numFn != nil {
-		return numFn
-	}
-	return func(k K) uint64 {
-		p, _ := strPrefix64(s.str(k))
-		return p
-	}
-}
-
-// radixScratch holds the reusable temporaries of the group sorts:
-// radixSortU64's scatter buffers, and the counting histograms of
-// radixSortU64 and scatterInts. A zero value is ready to use; buffers
-// grow to the largest sort seen and are reused across calls, so a
-// steady-state round loop performs no sort-scratch allocation.
+// radixScratch holds the counting histograms of scatterInts. A zero
+// value is ready to use; the buffer grows to the largest sort seen and
+// is reused across calls, so a steady-state round loop performs no
+// sort-scratch allocation.
 type radixScratch struct {
-	tmpK   []uint64 // radix scatter buffer
-	tmpP   []int32  // radix scatter buffer for the payload
-	counts []int32  // histograms (cleared per pass)
+	counts []int32 // histograms (cleared per pass)
 }
 
-// growU64 returns a slice of length n, reusing buf's storage when it is
+// growI32 returns a slice of length n, reusing buf's storage when it is
 // large enough.
-func growU64(buf []uint64, n int) []uint64 {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]uint64, n)
-}
-
-// growI32 is growU64 for int32 slices.
 func growI32(buf []int32, n int) []int32 {
 	if cap(buf) >= n {
 		return buf[:n]
@@ -254,22 +200,6 @@ func (s *radixScratch) histogram(n int) []int32 {
 	s.counts = growI32(s.counts, n)
 	clear(s.counts)
 	return s.counts
-}
-
-// sortedRun describes the sorted key-image array that the image sort
-// (sortKeyVals) leaves beside the sorted keys of one partition, letting
-// the group stream find group boundaries by comparing machine words
-// instead of keys. The counting scatter (scatterInts) makes no images:
-// its run is the zero value, and group ends are found by comparing keys.
-type sortedRun struct {
-	// ord holds each element's image, ascending in key order.
-	ord []uint64
-	// exact reports that image equality coincides with key equality
-	// ([2]int32, and string prefixes when no key exceeds 8 bytes), so
-	// boundary detection needs no key comparison at all. When false,
-	// equal images still narrow the boundary test to a key-equality
-	// check.
-	exact bool
 }
 
 // bucketSeg is one delivered emit bucket and the map split it came from.
@@ -287,16 +217,15 @@ func splitMajor[K comparable, V any](segs []bucketSeg[K, V]) {
 // groupSegs is the group sort of one partition: it takes the n records
 // of segs (delivered buckets, in arrival order) and returns them ordered
 // by (key, split, arrival) as sorted key and value arrays — and, when
-// tagged, a third array holding each record's split — plus the sorted
-// key images when the sort made them (see sortedRun). This order is the
+// tagged, a third array holding each record's split. This order is the
 // engine's value-order contract: within one key, values run split
 // ascending, then in emission order.
 //
 // Integer keys of any width take scatterInts: counting scatters straight
 // out of the buckets into the sorted arrays, one pass for a narrow range
-// and an LSD pass per digit of at most 11 bits otherwise, and no key
-// images. [2]int32 keys and strings are gathered into arrays and
-// image-sorted (sortKeyVals).
+// and an LSD pass per digit of at most 11 bits otherwise. [2]int32 keys
+// and strings, which no hot job groups, are gathered split-major and
+// sorted by comparison (sortByKey).
 //
 // The buckets go back to ar and segs is left empty of references. The
 // returned arrays are checked out of ar when one is set; the caller owns
@@ -304,7 +233,7 @@ func splitMajor[K comparable, V any](segs []bucketSeg[K, V]) {
 func groupSegs[K comparable, V any](
 	segs []bucketSeg[K, V], n int, tagged bool, shape keyShape[K],
 	ar *roundArena[K, V], part int,
-) ([]K, []V, []int32, sortedRun) {
+) ([]K, []V, []int32) {
 	splitMajor(segs)
 	defer func() {
 		for _, seg := range segs {
@@ -313,11 +242,10 @@ func groupSegs[K comparable, V any](
 		clear(segs)
 	}()
 	if n == 0 {
-		return nil, nil, nil, sortedRun{}
+		return nil, nil, nil
 	}
 	if shape.kind == keyInt || shape.kind == keyUint {
-		keys, vals, splits := scatterInts(segs, n, tagged, shape, ar, part)
-		return keys, vals, splits, sortedRun{}
+		return scatterInts(segs, n, tagged, shape, ar, part)
 	}
 	keys := ar.getKeys(part, n)
 	vals := ar.getVals(part, n)
@@ -336,15 +264,13 @@ func groupSegs[K comparable, V any](
 		}
 	}
 	if n < 2 {
-		return keys, vals, splits, sortedRun{} // nothing to sort
+		return keys, vals, splits // nothing to sort
 	}
-	rs := ar.getRadix(part)
-	outK, outV, outS, run := sortKeyVals(keys, vals, splits, shape, ar, part, rs)
-	ar.putRadix(part, rs)
+	outK, outV, outS := sortByKey(keys, vals, splits, shape, ar, part)
 	ar.putKeys(part, keys)
 	ar.putVals(part, vals)
 	ar.putI32(part, splits)
-	return outK, outV, outS, run
+	return outK, outV, outS
 }
 
 // maxDigitBits bounds a digit of scatterInts' multi-pass sort: 2^11
@@ -467,71 +393,38 @@ func scatterInts[K comparable, V any](
 	return keys, vals, splits
 }
 
-// sortKeyVals is the image sort, for the keys the counting scatter does
-// not take: [2]int32 and strings. It stable-sorts the parallel keys and
-// vals slices — and tags, the split of each record, when non-nil — by
-// key and returns the sorted slices (freshly gathered; the inputs are
-// consumed as scratch) plus the sorted key images for boundary
-// scanning: keys ascending under the resolved key order, ties (equal
-// keys) in original slice order. Stability is load-bearing — within
-// equal keys the original order is (split index, emission index), which
-// is the engine's value-order contract.
+// sortByKey is the comparison sort, for the keys the counting scatter
+// does not take: [2]int32 and strings. It sorts the indexes of the
+// parallel keys and vals (and tags, each record's split, when non-nil)
+// by key under shape's comparator, the index breaking ties, and gathers
+// the outputs through that permutation. The inputs are gathered
+// split-major in arrival order, so the index tiebreak keeps (key, split,
+// arrival) order — the engine's value-order contract — with an unstable
+// sort. Indexes are int32: one partition's in-memory pairs can't
+// meaningfully exceed 2^31 records (that's already >16 GiB of Pair
+// headers).
 //
-// No comparator ever runs (but to repair colliding string prefixes):
-// each key is projected once to an order-preserving uint64 image
-// ([2]int32) or an 8-byte string prefix, the images are LSD
-// radix-sorted carrying the original index, and the outputs are
-// gathered through the resulting permutation (sequential writes,
-// prefetchable reads). Indexes are int32: one partition's in-memory
-// pairs can't meaningfully exceed 2^31 records (that's already >16 GiB
-// of Pair headers).
-//
-// ar/part/rs supply recycled buffers (ar may be nil): the returned
-// slices and run.ord are checked out of ar when one is set — the caller
-// owns returning them — while the permutation array is checked back in
-// here. The inputs, at least two records, are pure scratch after the
-// call, and the caller returns those too.
-func sortKeyVals[K comparable, V any](
-	keys []K, vals []V, tags []int32, shape keyShape[K],
-	ar *roundArena[K, V], part int, rs *radixScratch,
-) ([]K, []V, []int32, sortedRun) {
-	n := len(keys)
-	images := ar.getU64(part, n)
-	perm := ar.getI32(part, n)
-	if shape.kind == keyEdge {
-		img := shape.numericImage()
-		for i, k := range keys {
-			images[i] = img(k)
-			perm[i] = int32(i)
-		}
-		radixSortU64(images, perm, rs)
-		outK, outV, outT := gatherPerm(perm, keys, vals, tags, ar, part)
-		ar.putI32(part, perm)
-		return outK, outV, outT, sortedRun{ord: images, exact: true}
-	}
-	// String keys: radix-sort by an 8-byte big-endian prefix
-	// (order-preserving for lexicographic comparison), then repair the
-	// rare runs whose prefixes collide with a comparison sort.
-	str := func(i int32) string { return shape.str(keys[i]) }
-	anyAmbiguous := false
-	for i := range keys {
-		p, ambiguous := strPrefix64(str(int32(i)))
-		anyAmbiguous = anyAmbiguous || ambiguous
-		images[i] = p
+// The returned slices are checked out of ar when one is set — the
+// caller owns returning them — while the permutation goes back here.
+// The inputs are pure scratch after the call, and the caller returns
+// those too.
+func sortByKey[K comparable, V any](
+	keys []K, vals []V, tags []int32, shape keyShape[K], ar *roundArena[K, V], part int,
+) ([]K, []V, []int32) {
+	order := shape.cmp()
+	perm := ar.getI32(part, len(keys))
+	for i := range perm {
 		perm[i] = int32(i)
 	}
-	radixSortU64(images, perm, rs)
-	if anyAmbiguous {
-		// Only ambiguous keys (longer than the prefix, or containing
-		// NUL bytes indistinguishable from the zero padding) can make
-		// two distinct keys collide; otherwise the prefix order is
-		// exact and no repair pass is needed.
-		fixupPrefixRuns(images, perm, str)
-	}
+	slices.SortFunc(perm, func(a, b int32) int {
+		if c := order(keys[a], keys[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
 	outK, outV, outT := gatherPerm(perm, keys, vals, tags, ar, part)
 	ar.putI32(part, perm)
-	// A prefix run is exact only when no key is ambiguous.
-	return outK, outV, outT, sortedRun{ord: images, exact: !anyAmbiguous}
+	return outK, outV, outT
 }
 
 // gatherPerm gathers keys, vals and (when non-nil) tags into output
@@ -556,134 +449,13 @@ func gatherPerm[K comparable, V any](
 	return outK, outV, outT
 }
 
-// strPrefix64 packs the first 8 bytes of s big-endian (zero-padded), so
-// uint64 order equals lexicographic order up to the prefix length.
-// ambiguous reports that the image may collide with a different key's:
-// the string extends past the prefix, or its prefix bytes contain a NUL
-// that the zero padding of a shorter key could mimic ("a" vs "a\x00").
-func strPrefix64(s string) (p uint64, ambiguous bool) {
-	if len(s) >= 8 {
-		// The compiler combines this into a single 8-byte load.
-		p = uint64(s[7]) | uint64(s[6])<<8 | uint64(s[5])<<16 | uint64(s[4])<<24 |
-			uint64(s[3])<<32 | uint64(s[2])<<40 | uint64(s[1])<<48 | uint64(s[0])<<56
-		// SWAR zero-byte test over the eight prefix bytes.
-		hasNul := (p-0x0101010101010101)&^p&0x8080808080808080 != 0
-		return p, len(s) > 8 || hasNul
-	}
-	for i := 0; i < len(s); i++ {
-		b := s[i]
-		if b == 0 {
-			ambiguous = true
-		}
-		p |= uint64(b) << (56 - 8*i)
-	}
-	return p, ambiguous
-}
-
-// fixupPrefixRuns finishes the string sort: within every run of equal
-// prefixes that could still be misordered (any member with an ambiguous
-// image), re-sort the run by (full string, original index). The index
-// tiebreak makes the unstable slices.SortFunc deterministic and
-// restores stability, because equal strings resolve by original
-// position.
-func fixupPrefixRuns(prefixes []uint64, perm []int32, str func(int32) string) {
-	n := len(prefixes)
-	ambig := func(i int32) bool {
-		_, a := strPrefix64(str(i))
-		return a
-	}
-	for i := 0; i < n; {
-		j := i + 1
-		needs := ambig(perm[i])
-		for j < n && prefixes[j] == prefixes[i] {
-			needs = needs || ambig(perm[j])
-			j++
-		}
-		if needs && j-i > 1 {
-			run := perm[i:j]
-			slices.SortFunc(run, func(a, b int32) int {
-				if c := strings.Compare(str(a), str(b)); c != 0 {
-					return c
-				}
-				return cmp.Compare(a, b)
-			})
-		}
-		i = j
-	}
-}
-
-// radixSortU64 stable-sorts keys ascending, carrying perm as payload.
-// LSD radix with a counting scatter per byte: O(passes·n), no
-// comparator calls. Only bytes that actually vary are histogrammed and
-// scattered — one or/and sweep finds them. It sorts the images of the
-// keys the counting scatter does not take ([2]int32, string prefixes);
-// integer keys never reach it. scr supplies the scatter buffers and
-// histograms.
-func radixSortU64(keys []uint64, perm []int32, scr *radixScratch) {
-	n := len(keys)
-	if n < 2 {
-		return
-	}
-	or, and := uint64(0), ^uint64(0)
-	for _, k := range keys {
-		or |= k
-		and &= k
-	}
-	diff := or ^ and
-	if diff == 0 {
-		return
-	}
-	var active [8]int
-	nb := 0
-	for b := range 8 {
-		if diff>>(8*b)&0xff != 0 {
-			active[nb] = b
-			nb++
-		}
-	}
-	// One flat histogram block per active byte, filled in a single
-	// sweep over the data.
-	counts := scr.histogram(nb * 256)
-	for _, k := range keys {
-		for bi := 0; bi < nb; bi++ {
-			counts[bi*256+int((k>>(8*active[bi]))&0xff)]++
-		}
-	}
-	scr.tmpK = growU64(scr.tmpK, n)
-	scr.tmpP = growI32(scr.tmpP, n)
-	srcK, dstK := keys, scr.tmpK
-	srcP, dstP := perm, scr.tmpP
-	for bi := 0; bi < nb; bi++ {
-		var offs [256]int32
-		var sum int32
-		for v := 0; v < 256; v++ {
-			offs[v] = sum
-			sum += counts[bi*256+v]
-		}
-		shift := uint(8 * active[bi])
-		for i, k := range srcK {
-			d := (k >> shift) & 0xff
-			o := offs[d]
-			dstK[o] = k
-			dstP[o] = srcP[i]
-			offs[d] = o + 1
-		}
-		srcK, dstK = dstK, srcK
-		srcP, dstP = dstP, srcP
-	}
-	if nb%2 != 0 {
-		copy(keys, srcK)
-		copy(perm, srcP)
-	}
-}
-
 // sortPairsByKey stable-sorts pairs in place by key under the resolved
 // key order (see groupSegs).
 func sortPairsByKey[K comparable, V any](pairs []Pair[K, V], shape keyShape[K]) {
 	if len(pairs) < 2 {
 		return
 	}
-	keys, vals, _, _ := groupSegs([]bucketSeg[K, V]{{pairs: pairs}}, len(pairs), false, shape, nil, 0)
+	keys, vals, _ := groupSegs([]bucketSeg[K, V]{{pairs: pairs}}, len(pairs), false, shape, nil, 0)
 	for i := range pairs {
 		pairs[i] = Pair[K, V]{Key: keys[i], Value: vals[i]}
 	}

@@ -236,19 +236,18 @@ func (m *memoryShuffle[K, V]) footprint() (records, spilled, runs int64) {
 // from the buckets into those arrays: an 8-byte message (an int32 key
 // and an int32 value) costs 8 B of working memory beyond its bucket for
 // a narrow range — the node and term ids of the matching and join jobs
-// — and 16 B for a wide one (the zipf graphs' 19-bit node ids), and
-// group ends are found by comparing keys. [2]int32 and string keys take
-// the image sort, and group ends are found on its sorted images. Every
-// group is a zero-copy sub-slice of the values array: no per-key map, no
-// per-key grown slices.
+// — and 16 B for a wide one (the zipf graphs' 19-bit node ids).
+// [2]int32 and string keys are gathered and sorted by comparison. A group
+// ends at the first key that differs, and every group is a zero-copy
+// sub-slice of the values array: no per-key map, no per-key grown
+// slices.
 //
 // With a recycler arena attached, the stream is where round-lifetime
 // buffers cycle: prime checks its working arrays and radix scratch out
 // of the arena and returns the scratch (plus the consumed bucket
 // segments) as soon as the sort is done, and Close — the moment the
-// round's groups have been consumed — returns the sorted key, value,
-// and key-image arrays, so the next round's stream for this partition
-// reuses them.
+// round's groups have been consumed — returns the sorted key and value
+// arrays, so the next round's stream for this partition reuses them.
 type memGroupStream[K comparable, V any] struct {
 	segs   []bucketSeg[K, V]
 	shape  keyShape[K]
@@ -256,7 +255,6 @@ type memGroupStream[K comparable, V any] struct {
 	part   int
 	keys   []K
 	vals   []V
-	run    sortedRun
 	pos    int
 	primed bool
 }
@@ -267,7 +265,7 @@ func (s *memGroupStream[K, V]) prime() {
 	for _, seg := range s.segs {
 		n += len(seg.pairs)
 	}
-	s.keys, s.vals, _, s.run = groupSegs(s.segs, n, false, s.shape, s.ar, s.part)
+	s.keys, s.vals, _ = groupSegs(s.segs, n, false, s.shape, s.ar, s.part)
 	s.segs = nil
 }
 
@@ -283,41 +281,19 @@ func (s *memGroupStream[K, V]) Next() (K, []V, bool, error) {
 	pos := s.pos
 	key := s.keys[pos]
 	end := pos + 1
-	if ord := s.run.ord; ord == nil {
-		// The counting scatter's output (or a partition of one record):
-		// a group ends at the first key that differs.
-		for end < n && s.keys[end] == key {
-			end++
-		}
-	} else {
-		// Boundary scan over the sorted key images: comparing machine
-		// words instead of keys. With an exact projection an image
-		// change IS a key change; otherwise equal images narrow the
-		// test to a key-equality check, and a key's records are
-		// contiguous (the sort's repair pass ordered them).
-		o := ord[pos]
-		if s.run.exact {
-			for end < n && ord[end] == o {
-				end++
-			}
-		} else {
-			for end < n && ord[end] == o && s.keys[end] == key {
-				end++
-			}
-		}
+	for end < n && s.keys[end] == key {
+		end++
 	}
 	s.pos = end
 	return key, s.vals[pos:end], true, nil
 }
 
 func (s *memGroupStream[K, V]) Close() error {
-	// The round's groups have been consumed: the sorted key, value, and
-	// key-image arrays return to the arena for the next round.
+	// The round's groups have been consumed: the sorted key and value
+	// arrays return to the arena for the next round.
 	s.ar.putKeys(s.part, s.keys)
 	s.ar.putVals(s.part, s.vals)
-	s.ar.putU64(s.part, s.run.ord)
 	s.segs, s.keys, s.vals = nil, nil, nil
-	s.run = sortedRun{}
 	s.pos = 0
 	return nil
 }
@@ -370,8 +346,6 @@ type spillShuffle[K comparable, V any] struct {
 	share    int // records a partition buffers before a run is cut
 	shape    keyShape[K]
 	cmp      func(a, b K) int
-	img      func(K) uint64
-	numeric  bool // key images are exact (image tie == key tie)
 	pc       *pairCodec[K, V]
 	tempDir  string
 	ar       *roundArena[K, V]
@@ -389,15 +363,12 @@ func newSpillShuffle[K comparable, V any](reducers, splits int, cfg ShuffleConfi
 		return nil, fmt.Errorf("mapreduce: spill shuffle: %w", err)
 	}
 	shape := keyShapeOf[K]()
-	numFn := shape.numericImage()
 	s := &spillShuffle[K, V]{
 		reducers: reducers,
 		splits:   splits,
 		share:    max(cfg.memoryBudget()/reducers, 64),
 		shape:    shape,
 		cmp:      shape.cmp(),
-		img:      shape.image(),
-		numeric:  numFn != nil,
 		pc:       pc,
 		tempDir:  cfg.TempDir,
 		ar:       ar,
@@ -505,8 +476,7 @@ const spillWriteChunk = 256 << 10
 // partition's spill file.
 func (s *spillShuffle[K, V]) writeRun(part int, segs []bucketSeg[K, V]) (spillExtent, error) {
 	p, n := &s.parts[part], s.share
-	keys, vals, splits, run := groupSegs(segs, n, true, s.shape, s.ar, part)
-	s.ar.putU64(part, run.ord) // images are recomputed at decode, never written
+	keys, vals, splits := groupSegs(segs, n, true, s.shape, s.ar, part)
 	defer func() {
 		s.ar.putKeys(part, keys)
 		s.ar.putVals(part, vals)
@@ -622,7 +592,6 @@ type spillCursor[K comparable, V any] struct {
 	keys   []K
 	vals   []V
 	splits []int32
-	imgs   []uint64
 	pos, n int
 	dec    *spillRunDec[K, V]
 }
@@ -630,10 +599,8 @@ type spillCursor[K comparable, V any] struct {
 // spillMergeStream serves the key groups of a partition that spilled: a
 // loser-tree merge over one cursor per run, in run order, and a last
 // one for the tail that was still buffered when the map phase ended.
-// Heads compare by key image first — machine words; for integer kinds
-// and [2]int32 an image tie IS a key tie, strings compare the full key
-// only when the 8-byte prefixes collide — then by split, then
-// by cursor index, which is run order. A cursor whose next record
+// Heads compare by key, through the key shape's comparator, then by
+// split, then by cursor index, which is run order. A cursor whose next record
 // continues the current (key, split) stretch still wins against every
 // other head (an earlier run with an equal head would have won before
 // it, a later one loses the tie), so whole stretches are taken per tree
@@ -643,8 +610,8 @@ type spillCursor[K comparable, V any] struct {
 // (reduce functions must not retain the values slice beyond the call,
 // see ReduceFunc). The first Next — inside the reduce task's goroutine,
 // so partitions set up in parallel — sorts the tail and decodes every
-// run's first block; the block column arrays are four arena slabs carved
-// one block per run.
+// run's first block; the block column arrays are three arena slabs
+// carved one block per run.
 type spillMergeStream[K comparable, V any] struct {
 	s    *spillShuffle[K, V]
 	p    *spillPart[K, V]
@@ -662,7 +629,6 @@ type spillMergeStream[K comparable, V any] struct {
 	slabK, tailK []K
 	slabV, tailV []V
 	slabS, tailS []int32
-	slabI, tailI []uint64
 	primed, done bool
 }
 
@@ -674,11 +640,10 @@ func (m *spillMergeStream[K, V]) prime() error {
 	m.slabK = s.ar.getKeys(m.part, nr*spillBlockRecs)
 	m.slabV = s.ar.getVals(m.part, nr*spillBlockRecs)
 	m.slabS = s.ar.getI32(m.part, nr*spillBlockRecs)
-	m.slabI = s.ar.getU64(m.part, nr*spillBlockRecs)
 	for i, ext := range p.runs {
 		lo, hi := i*spillBlockRecs, (i+1)*spillBlockRecs
 		m.cur[i] = spillCursor[K, V]{
-			keys: m.slabK[lo:hi], vals: m.slabV[lo:hi], splits: m.slabS[lo:hi], imgs: m.slabI[lo:hi],
+			keys: m.slabK[lo:hi], vals: m.slabV[lo:hi], splits: m.slabS[lo:hi],
 			dec: s.pc.getRunDec(p.file, ext.off, ext.n),
 		}
 		m.live++
@@ -687,18 +652,9 @@ func (m *spillMergeStream[K, V]) prime() error {
 		}
 	}
 	if p.n > 0 {
-		var run sortedRun
-		m.tailK, m.tailV, m.tailS, run = groupSegs(p.pending, p.n, true, s.shape, s.ar, m.part)
+		m.tailK, m.tailV, m.tailS = groupSegs(p.pending, p.n, true, s.shape, s.ar, m.part)
 		p.pending = nil
-		if m.tailI = run.ord; m.tailI == nil {
-			// The counting scatter (and a one-record tail) make no
-			// images; the merge compares them, so they are made here.
-			m.tailI = s.ar.getU64(m.part, p.n)
-			for i, k := range m.tailK {
-				m.tailI[i] = s.img(k)
-			}
-		}
-		m.cur = append(m.cur, spillCursor[K, V]{keys: m.tailK, vals: m.tailV, splits: m.tailS, imgs: m.tailI, n: p.n})
+		m.cur = append(m.cur, spillCursor[K, V]{keys: m.tailK, vals: m.tailV, splits: m.tailS, n: p.n})
 		m.live++
 	}
 	m.initTree()
@@ -710,7 +666,7 @@ func (m *spillMergeStream[K, V]) prime() error {
 func (m *spillMergeStream[K, V]) refill(c *spillCursor[K, V]) error {
 	c.pos, c.n = 0, 0
 	if c.dec != nil {
-		n, err := c.dec.readBlock(m.s.pc, m.s.img, m.s.splits, c.keys, c.vals, c.splits, c.imgs)
+		n, err := c.dec.readBlock(m.s.pc, m.s.splits, c.keys, c.vals, c.splits)
 		if err == nil {
 			c.n = n
 			return nil
@@ -735,13 +691,8 @@ func (m *spillMergeStream[K, V]) beats(a, b int32) bool {
 	if ca.n == 0 {
 		return false
 	}
-	if ia, ib := ca.imgs[ca.pos], cb.imgs[cb.pos]; ia != ib {
-		return ia < ib
-	}
-	if !m.s.numeric {
-		if c := m.s.cmp(ca.keys[ca.pos], cb.keys[cb.pos]); c != 0 {
-			return c < 0
-		}
+	if c := m.s.cmp(ca.keys[ca.pos], cb.keys[cb.pos]); c != 0 {
+		return c < 0
 	}
 	if sa, sb := ca.splits[ca.pos], cb.splits[cb.pos]; sa != sb {
 		return sa < sb
@@ -798,11 +749,11 @@ func (m *spillMergeStream[K, V]) Next() (K, []V, bool, error) {
 		return zero, nil, false, nil
 	}
 	c := &m.cur[m.win]
-	key, img := c.keys[c.pos], c.imgs[c.pos]
+	key := c.keys[c.pos]
 	values := m.vbuf[:0]
 	for {
 		split, end := c.splits[c.pos], c.pos+1
-		for end < c.n && c.imgs[end] == img && c.splits[end] == split && c.keys[end] == key {
+		for end < c.n && c.splits[end] == split && c.keys[end] == key {
 			end++
 		}
 		values = append(values, c.vals[c.pos:end]...)
@@ -817,7 +768,7 @@ func (m *spillMergeStream[K, V]) Next() (K, []V, bool, error) {
 			break
 		}
 		c = &m.cur[m.win]
-		if c.imgs[c.pos] != img || c.keys[c.pos] != key {
+		if c.keys[c.pos] != key {
 			break // first record of the next group
 		}
 	}
@@ -838,10 +789,8 @@ func (m *spillMergeStream[K, V]) Close() error {
 	ar.putVals(m.part, m.tailV)
 	ar.putI32(m.part, m.slabS)
 	ar.putI32(m.part, m.tailS)
-	ar.putU64(m.part, m.slabI)
-	ar.putU64(m.part, m.tailI)
 	m.slabK, m.tailK, m.slabV, m.tailV = nil, nil, nil, nil
-	m.slabS, m.tailS, m.slabI, m.tailI = nil, nil, nil, nil
+	m.slabS, m.tailS = nil, nil
 	m.cur, m.lt, m.vbuf = nil, nil, nil
 	m.p.closeFile()
 	m.done = true

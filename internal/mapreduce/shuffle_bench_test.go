@@ -94,10 +94,9 @@ func benchGroupSegs[K comparable](b *testing.B, n int, key func(uint64) K) {
 	segs := make([]bucketSeg[K, int32], len(buckets))
 	round := func() {
 		copy(segs, buckets)
-		keys, vals, _, run := groupSegs(segs, n, false, shape, ar, 0)
+		keys, vals, _ := groupSegs(segs, n, false, shape, ar, 0)
 		ar.putKeys(0, keys)
 		ar.putVals(0, vals)
-		ar.putU64(0, run.ord)
 	}
 	round() // warm the pool
 	b0, _ := pool.counters()

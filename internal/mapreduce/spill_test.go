@@ -179,13 +179,13 @@ func checkRunsInterleave[K comparable](t *testing.T, sp *spillShuffle[K, int64],
 		t.Fatalf("partition %d wrote %d runs, the test needs 3", part, len(p.runs))
 	}
 	keys, vals := make([]K, spillBlockRecs), make([]int64, spillBlockRecs)
-	splits, imgs := make([]int32, spillBlockRecs), make([]uint64, spillBlockRecs)
+	splits := make([]int32, spillBlockRecs)
 	runsOf := map[K]int{}
 	for i, ext := range p.runs {
 		dec := sp.pc.getRunDec(p.file, ext.off, ext.n)
 		inRun, splitsInRun := map[K]bool{}, map[int32]bool{}
 		for {
-			n, err := dec.readBlock(sp.pc, sp.img, sp.splits, keys, vals, splits, imgs)
+			n, err := dec.readBlock(sp.pc, sp.splits, keys, vals, splits)
 			if err == io.EOF {
 				break
 			}
