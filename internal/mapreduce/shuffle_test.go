@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/leakcheck"
 )
 
 // nodeKey mimics graph.NodeID: a named scalar, which must reach the
@@ -74,6 +76,7 @@ func TestShuffleBackendsEquivalent(t *testing.T) {
 }
 
 func TestSpillBackendActuallySpills(t *testing.T) {
+	leakcheck.Check(t)
 	input := make([]Pair[int32, int32], 2000)
 	for i := range input {
 		input[i] = P(int32(i), int32(i))
@@ -165,6 +168,7 @@ func TestUnknownShuffleBackend(t *testing.T) {
 // memory budget by well over 10x and checks the output against the
 // in-memory backend record for record.
 func TestSpillStress10x(t *testing.T) {
+	leakcheck.Check(t)
 	const n, fanout, budget = 5000, 8, 2000 // 40k shuffled records, 20x budget
 	input := make([]Pair[int32, int32], n)
 	for i := range input {

@@ -10,6 +10,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"repro/internal/leakcheck"
 )
 
 // keyGroup is one key group as a stream served it.
@@ -55,6 +57,7 @@ func drainGroups[K comparable](t *testing.T, backend ShuffleBackend[K, int64]) [
 // string key type. The memory backend, fed the same
 // emissions, is the reference, value for value.
 func TestInterleavedIngestionPreservesValueOrder(t *testing.T) {
+	leakcheck.Check(t)
 	t.Run("int32", func(t *testing.T) {
 		interleavedIngestion(t, func(i int) int32 { return int32(i*7) - 20 })
 	})
@@ -226,6 +229,7 @@ func openFDs(t *testing.T) int {
 // returned — whether it finished, failed in a map task with runs already
 // on disk, or failed in a reduce task with the merge open.
 func TestSpillDescriptorsBounded(t *testing.T) {
+	leakcheck.Check(t)
 	const reducers, records = 2, 8000
 	before := openFDs(t)
 	input := make([]Pair[int32, int32], records)
@@ -292,6 +296,7 @@ func TestSpillDescriptorsBounded(t *testing.T) {
 // times its budget: never more records buffered — pending and in
 // flight together — than twice the budget.
 func TestSpillResidentRecordsBounded(t *testing.T) {
+	leakcheck.Check(t)
 	const reducers, splits, budget, perSplit = 4, 4, 4000, 10000 // 40 000 records, 10x the budget
 	sp, err := newSpillShuffle[int32, int64](reducers, splits, ShuffleConfig{MemoryBudget: budget, TempDir: t.TempDir()}, nil)
 	if err != nil {
