@@ -222,6 +222,10 @@ func (t MsgType) String() string {
 // largest realistic partition frame.
 const maxFrame = 1 << 30
 
+// frameChunk is the most ReadFrame allocates ahead of the bytes that
+// back it: a larger frame's buffer doubles as its payload arrives.
+const frameChunk = 1 << 20
+
 // Conn is one framed connection endpoint. Reads and writes are
 // independently safe: any number of goroutines may WriteFrame (whole
 // frames serialize under the write lock), while a single reader owns
@@ -376,9 +380,17 @@ func (c *Conn) ReadFrame() ([]byte, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("remote: frame of %d bytes exceeds the %d byte limit", n, maxFrame)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(c.br, payload); err != nil {
-		return nil, fmt.Errorf("remote: truncated frame: %w", err)
+	// The length is a claim until the bytes arrive, so a forged prefix
+	// under maxFrame costs at most frameChunk before the read fails.
+	payload := make([]byte, min(n, frameChunk))
+	for have := 0; ; {
+		if _, err := io.ReadFull(c.br, payload[have:]); err != nil {
+			return nil, fmt.Errorf("remote: truncated frame: %w", err)
+		}
+		if have = len(payload); uint64(have) == n {
+			break
+		}
+		payload = append(payload, make([]byte, min(n-uint64(have), uint64(have)))...)
 	}
 	if len(payload) == 0 {
 		return nil, fmt.Errorf("remote: empty frame")

@@ -2,8 +2,10 @@ package remote
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -50,6 +52,48 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	if a.BytesOut() == 0 || a.BytesOut() != b.BytesIn() {
 		t.Fatalf("byte counters disagree: out=%d in=%d", a.BytesOut(), b.BytesIn())
+	}
+}
+
+// TestLargeFrameRoundTrip sends a frame of a few frameChunks, which
+// ReadFrame reads into a buffer that doubles as the payload arrives,
+// and checks every byte of it.
+func TestLargeFrameRoundTrip(t *testing.T) {
+	a, b := pipePair(t)
+	want := make([]byte, 3*frameChunk+5)
+	for i := range want {
+		want[i] = byte(i * 7)
+	}
+	go func() {
+		if err := a.WriteFrame(want); err != nil {
+			t.Error(err)
+		}
+	}()
+	got, err := b.ReadFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("read %d bytes, not the %d-byte frame written", len(got), len(want))
+	}
+}
+
+// TestForgedFrameLengthAllocatesLittle reads a frame whose prefix
+// declares maxFrame bytes from a stream that holds three: the read
+// fails, having allocated about frameChunk, not the gigabyte the prefix
+// claims.
+func TestForgedFrameLengthAllocatesLittle(t *testing.T) {
+	stream := append(binary.AppendUvarint(nil, maxFrame), "abc"...)
+	c := NewConn(readerConn{r: bytes.NewReader(stream)})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := c.ReadFrame()
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("read a frame the stream does not hold")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4*frameChunk {
+		t.Fatalf("a %d-byte claim on a 3-byte payload allocated %d bytes", uint64(maxFrame), got)
 	}
 }
 
@@ -336,4 +380,41 @@ func TestOwnerCoversAllWorkers(t *testing.T) {
 	if len(seen) != 3 {
 		t.Fatalf("round-robin left workers idle: %v", seen)
 	}
+}
+
+// readerConn is a net.Conn whose reads come from r: ReadFrame uses
+// nothing else of it.
+type readerConn struct {
+	net.Conn
+	r io.Reader
+}
+
+func (c readerConn) Read(p []byte) (int, error) { return c.r.Read(p) }
+
+// FuzzReadFrame feeds Conn.ReadFrame an arbitrary byte stream and reads
+// frames until the first error. The contract: never a panic, and every
+// frame it returns is exactly the payload its length prefix declares —
+// non-empty, at most maxFrame, the very bytes that follow the prefix.
+// Seeds: two well-formed frames, a length one past maxFrame, an
+// overlong 10-byte uvarint, a zero-length frame, a truncated payload and
+// a clean EOF (checked-in corpus: testdata/fuzz/FuzzReadFrame).
+func FuzzReadFrame(f *testing.F) {
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		c := NewConn(readerConn{r: bytes.NewReader(stream)})
+		rest := stream
+		for {
+			payload, err := c.ReadFrame()
+			if err != nil {
+				return
+			}
+			n, m := binary.Uvarint(rest)
+			if m <= 0 || n == 0 || n > maxFrame || uint64(len(rest)-m) < n {
+				t.Fatalf("read a %d-byte frame from %x, whose prefix does not declare it", len(payload), rest)
+			}
+			if want := rest[m : m+int(n)]; !bytes.Equal(payload, want) {
+				t.Fatalf("read frame %x, the stream holds %x", payload, want)
+			}
+			rest = rest[m+int(n):]
+		}
+	})
 }
