@@ -410,9 +410,11 @@ func scatterInts[K comparable, V any](
 // those too.
 func sortByKey[K comparable, V any](
 	keys []K, vals []V, tags []int32, shape keyShape[K], ar *roundArena[K, V], part int,
-) ([]K, []V, []int32) {
+) (outK []K, outV []V, outT []int32) {
+	n := len(keys)
 	order := shape.cmp()
-	perm := ar.getI32(part, len(keys))
+	perm := ar.getI32(part, n)
+	defer ar.putI32(part, perm)
 	for i := range perm {
 		perm[i] = int32(i)
 	}
@@ -422,26 +424,12 @@ func sortByKey[K comparable, V any](
 		}
 		return cmp.Compare(a, b)
 	})
-	outK, outV, outT := gatherPerm(perm, keys, vals, tags, ar, part)
-	ar.putI32(part, perm)
-	return outK, outV, outT
-}
-
-// gatherPerm gathers keys, vals and (when non-nil) tags into output
-// slices (checked out of ar when one is set) so that position i holds
-// the elements originally at perm[i].
-func gatherPerm[K comparable, V any](
-	perm []int32, keys []K, vals []V, tags []int32, ar *roundArena[K, V], part int,
-) ([]K, []V, []int32) {
-	outK := ar.getKeys(part, len(perm))
-	outV := ar.getVals(part, len(perm))
+	outK, outV = ar.getKeys(part, n), ar.getVals(part, n)
 	for i, p := range perm {
-		outK[i] = keys[p]
-		outV[i] = vals[p]
+		outK[i], outV[i] = keys[p], vals[p]
 	}
-	var outT []int32
 	if tags != nil {
-		outT = ar.getI32(part, len(perm))
+		outT = ar.getI32(part, n)
 		for i, p := range perm {
 			outT[i] = tags[p]
 		}
