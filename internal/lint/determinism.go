@@ -179,8 +179,8 @@ func sortedAfter(info *types.Info, body *ast.BlockStmt, after *ast.RangeStmt, ob
 }
 
 // isSortCall recognizes the ordering calls used across the repository:
-// the sort and slices packages plus the engine's radix helpers
-// (sortPairs, radixSortByImage, ...).
+// the sort and slices packages plus the repository's own sort helpers
+// (sortPairs, sortByKey, graph's radixSort, ...).
 func isSortCall(call *ast.CallExpr) bool {
 	var name string
 	switch fn := ast.Unparen(call.Fun).(type) {

@@ -185,11 +185,9 @@ func TestAllocGuardSpillRound(t *testing.T) {
 // After one warm-up round, a memory round and a spill round (a budget
 // it fits in, so its partitions are served by the memory stream) may
 // check out of the pool, while they group, sort and serve their
-// partitions: no int32 slab, at most sizeof(K)+sizeof(V)
-// bytes per record, and one histogram of the key range per partition —
-// and every check-out is served from the free lists. The image sort
-// this replaced for these keys checked out a gather copy, a packed
-// image and a radix scatter copy besides: 40 B a record here, not 12.
+// partitions: no int32 slab, at most sizeof(K)+sizeof(V) bytes per
+// record, and one histogram of the key range per partition — and every
+// check-out is served from the free lists.
 func TestAllocGuardGroupSortSlabs(t *testing.T) {
 	const records, keyRange, parts, splits = 24000, 1500, 2, 3
 	type (
@@ -291,9 +289,7 @@ func TestAllocGuardGroupSortSlabs(t *testing.T) {
 // slab, at most 2 × (sizeof(K)+sizeof(V)) bytes per record — the
 // sorted arrays and the spare set the LSD passes ping-pong through — and
 // the digits' histograms per partition, and every check-out is served
-// from the free lists. The image sort this replaced for these keys
-// checked out a gather copy, a packed image and a radix scatter copy
-// besides the sorted arrays: 32 B a record here, not 16.
+// from the free lists.
 func TestAllocGuardGroupSortWide(t *testing.T) {
 	const records, parts, splits = 40000, 2, 3
 	type (
