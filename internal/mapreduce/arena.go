@@ -22,10 +22,10 @@ import (
 //   - Buffers whose lifetime the engine fully controls are recycled
 //     automatically: emit buckets (returned when a group stream has
 //     copied them out, or when the spill backend has ingested them),
-//     the group sort's gather/scratch/permutation arrays, the sorted
-//     key array, and the sorted values array (returned
-//     when the partition's group stream closes — reduce functions must
-//     not retain the values slice beyond the call, see ReduceFunc).
+//     the group sort's gather/scratch/permutation arrays, and the
+//     sorted key and value arrays (returned when the partition's group
+//     stream closes — reduce functions must not retain the values slice
+//     beyond the call, see ReduceFunc).
 //   - Buffers that escape to the caller — reduce-output pair slices,
 //     Dataset partitions, MapValues outputs — are NEVER reclaimed
 //     automatically. They return to the pool only through an explicit

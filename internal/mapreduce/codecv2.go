@@ -487,9 +487,9 @@ func (d *spillRunDec[K, V]) need(n int) error {
 
 // readBlock decodes the run's next block into the head of the column
 // arrays (each at least spillBlockRecs long) and returns the block's
-// record count; io.EOF at a block
-// boundary is the clean end of the run. nsplits is the job's number of
-// map splits: a split id outside it is corruption.
+// record count; io.EOF at a block boundary is the clean end of the run.
+// nsplits is the job's number of map splits: a split id outside it is
+// corruption.
 func (d *spillRunDec[K, V]) readBlock(pc *pairCodec[K, V], nsplits int, keys []K, vals []V, splits []int32) (int, error) {
 	rest := int64(d.w-d.r) + d.left
 	if rest == 0 {

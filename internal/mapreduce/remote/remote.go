@@ -222,8 +222,8 @@ func (t MsgType) String() string {
 // largest realistic partition frame.
 const maxFrame = 1 << 30
 
-// frameChunk is the most ReadFrame allocates ahead of the bytes that
-// back it: a larger frame's buffer doubles as its payload arrives.
+// frameChunk is the most ReadFrame allocates before a payload byte has
+// arrived; a larger frame's buffer doubles only once it is full.
 const frameChunk = 1 << 20
 
 // Conn is one framed connection endpoint. Reads and writes are
@@ -380,8 +380,9 @@ func (c *Conn) ReadFrame() ([]byte, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("remote: frame of %d bytes exceeds the %d byte limit", n, maxFrame)
 	}
-	// The length is a claim until the bytes arrive, so a forged prefix
-	// under maxFrame costs at most frameChunk before the read fails.
+	// The length is a claim until the bytes arrive: a forged prefix under
+	// maxFrame costs at most frameChunk, or twice what the stream did
+	// deliver, before the read fails.
 	payload := make([]byte, min(n, frameChunk))
 	for have := 0; ; {
 		if _, err := io.ReadFull(c.br, payload[have:]); err != nil {

@@ -600,11 +600,11 @@ type spillCursor[K comparable, V any] struct {
 // loser-tree merge over one cursor per run, in run order, and a last
 // one for the tail that was still buffered when the map phase ended.
 // Heads compare by key, through the key shape's comparator, then by
-// split, then by cursor index, which is run order. A cursor whose next record
-// continues the current (key, split) stretch still wins against every
-// other head (an earlier run with an equal head would have won before
-// it, a later one loses the tie), so whole stretches are taken per tree
-// replay, not single records.
+// split, then by cursor index, which is run order. A cursor whose next
+// record continues the current (key, split) stretch still wins against
+// every other head (an earlier run with an equal head would have won
+// before it, a later one loses the tie), so whole stretches are taken
+// per tree replay, not single records.
 //
 // The values buffer is owned by the stream and reused for every group
 // (reduce functions must not retain the values slice beyond the call,
